@@ -123,6 +123,19 @@ cargo run --release -q -p xic-difftest -- --shard-chaos \
   --cases "${SHARD_CHAOS_CASES:-60}" --seed 1 \
   --out /tmp/BENCH_SHARD_CHAOS_CI.json
 
+echo "== snapshot-decide oracle (DECIDE on read snapshots == the writer's answer) =="
+# The PR12 gate (count overridable via SNAPSHOT_DECIDE_CASES): every
+# case's statement — all six op kinds — is decided by
+# ReadSnapshot::decide and, on a twin, by decide_only under both
+# strategies and by try_update, under both IrModes and independence
+# on/off. Verdict, violation and error text must match the writer's; a
+# LEGAL-vs-ERR split is a divergence; both the optimized and the
+# fallback path must have decided cases (replay: difftest --
+# --snapshot-decide --seed N --cases 1).
+cargo run --release -q -p xic-difftest -- --snapshot-decide \
+  --cases "${SNAPSHOT_DECIDE_CASES:-300}" --seed 1 \
+  --out /tmp/BENCH_SNAPSHOT_DECIDE_CI.json
+
 echo "== concurrency stress smoke (snapshot readers + group-commit writers) =="
 # The service stress oracle: concurrent writers and snapshot readers,
 # acknowledged commits replayed sequentially must reproduce the final
@@ -150,6 +163,14 @@ echo "== experiments smoke (shards section: E14 recovery + mixed traffic) =="
 # mixed-traffic throughput panel. The real report is BENCH_PR10.json.
 cargo run --release -q -p xic-bench --bin experiments -- shards \
   --iters=1 --out=/tmp/BENCH_SHARDS_SMOKE.json
+
+echo "== benchmark smoke (wire-level benchmark builds and runs against these crates) =="
+# The benchmark is a package of its own over ../crates/*: a product-API
+# change that breaks its build, its oracle or its result schema must
+# fail here, not at the next measurement. Unit tests of the package, two
+# one-round traced runs of every workload, bench-diff self-checks. A
+# does-it-work gate: one round holds no timing to its bound.
+bash benchmark/smoke.sh
 
 echo "== rustdoc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -2,23 +2,24 @@
 
 use crate::compile::{compile_pattern_with, CompiledPattern};
 use crate::footprint::IndependenceIndex;
+use crate::optimized::{OptimizedCheck, PatternCache, PatternEntry, Verdict};
 use crate::resolver::xpath_resolver;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, RwLock};
-use xic_datalog::{Denial, Value};
-use xic_mapping::{map_denials, map_update, pattern_key, RelSchema};
+use std::sync::Arc;
+use xic_datalog::Denial;
+use xic_mapping::{map_denials, map_update, RelSchema};
 use xic_simplify::{live_set, read_footprints, ReadFootprint};
-use xic_translate::{translate_denials, ParamKind, QueryTemplate, TemplateError};
+use xic_translate::{translate_denials, QueryTemplate};
 use xic_xml::checkpoint::{fsync_dir, Store, DEFAULT_RETAIN};
 use xic_xml::journal::{crc32, Journal, RecordKind};
 use xic_xml::{
-    apply, parse_document, serialize, undo, AppliedUpdate, Document, Dtd, NodeId, XUpdateDoc,
+    apply, parse_document, serialize, undo, AppliedUpdate, Document, Dtd, XUpdateDoc,
 };
-use xic_xpath::{EvalBudget, NodeRef, XValue};
+use xic_xpath::EvalBudget;
 use xic_xquery::{
     eval_query_bool, eval_query_exists, parse_query, XProgram, XQuery, XQueryError,
 };
@@ -87,154 +88,6 @@ pub fn set_default_independence(enabled: bool) {
 /// The current process-wide default for the independence analysis.
 pub fn default_independence() -> bool {
     DEFAULT_INDEPENDENCE.load(Ordering::Relaxed)
-}
-
-/// One pattern template precompiled for the IR engine: `%{name}`
-/// placeholders become leading program parameters (`$xic_p_name`) instead
-/// of text substitutions, so the per-update cost drops from
-/// render-text + parse + interpret to bind-values + evaluate.
-struct IrTemplate {
-    program: XProgram,
-    /// Placeholder name and kind per program parameter, in parameter order.
-    params: Vec<(String, ParamKind)>,
-}
-
-/// A compiled update pattern bundled with its IR precompilation: one
-/// program per template in `compiled.queries`, `None` where
-/// precompilation failed and interpreted instantiation is used instead.
-/// Entries are immutable once built, so they are shared (`Arc`) between
-/// a checker's local map and an optional cross-checker [`PatternCache`].
-struct PatternEntry {
-    compiled: CompiledPattern,
-    ir: Vec<Option<IrTemplate>>,
-}
-
-impl PatternEntry {
-    fn build(compiled: CompiledPattern) -> Arc<PatternEntry> {
-        let ir = compiled.queries.iter().map(compile_template_ir).collect();
-        Arc::new(PatternEntry { compiled, ir })
-    }
-}
-
-/// A pattern cache shared across checkers (DESIGN.md row 23): the shards
-/// of a [`crate::shards::ShardSet`] hand every checker the same cache,
-/// so an update pattern first seen on one shard is compiled (and IR-
-/// precompiled) exactly once — siblings adopt the entry instead of
-/// re-running Simp<sup>U</sup><sub>Δ</sub> and template compilation.
-///
-/// Patterns are keyed by [`xic_mapping::pattern_key`], which is a pure
-/// function of the statement shape and the relational schema — never of
-/// a document instance — so an entry compiled on one shard is valid on
-/// every sibling sharing the same [`SharedGamma`]. Like a checker's
-/// local map, entries are not recompiled when the independence flag
-/// flips (the templates are identical either way).
-#[derive(Default)]
-pub struct PatternCache {
-    entries: RwLock<HashMap<String, Arc<PatternEntry>>>,
-}
-
-impl PatternCache {
-    /// A fresh, empty cache behind an `Arc`, ready to hand to
-    /// [`Checker::set_pattern_cache`] on each sharing checker.
-    pub fn new() -> Arc<PatternCache> {
-        Arc::new(PatternCache::default())
-    }
-
-    /// Compiled patterns currently cached.
-    pub fn len(&self) -> usize {
-        self.read_entries().len()
-    }
-
-    /// True when no pattern has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn read_entries(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<PatternEntry>>> {
-        // A poisoned lock only means a sibling panicked mid-insert; the
-        // map itself is always in a consistent state (single HashMap op).
-        self.entries.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn get(&self, key: &str) -> Option<Arc<PatternEntry>> {
-        self.read_entries().get(key).cloned()
-    }
-
-    fn publish(&self, key: String, entry: Arc<PatternEntry>) {
-        let mut map = self.entries.write().unwrap_or_else(|e| e.into_inner());
-        map.entry(key).or_insert(entry);
-    }
-}
-
-/// Precompiles a query template for the IR engine. Returns `None` when
-/// the template cannot be precompiled (placeholder name that is not a
-/// legal variable suffix, or text that no longer parses after
-/// substitution); the checker then falls back to interpreted
-/// instantiation for that template, preserving behavior.
-fn compile_template_ir(t: &QueryTemplate) -> Option<IrTemplate> {
-    let mut text = t.text.clone();
-    let mut params = Vec::with_capacity(t.params.len());
-    let mut names = Vec::with_capacity(t.params.len());
-    for (name, kind) in &t.params {
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return None;
-        }
-        let var = format!("xic_p_{name}");
-        text = text.replace(&format!("%{{{name}}}"), &format!("${var}"));
-        params.push((name.clone(), *kind));
-        names.push(var);
-    }
-    let parsed = parse_query(&text).ok()?;
-    Some(IrTemplate { program: XProgram::compile_with_params(&parsed, &names), params })
-}
-
-/// Renders an update's bindings as IR parameter values, mirroring
-/// [`QueryTemplate::instantiate`]'s validation exactly: unbound
-/// placeholders, detached/non-integer node parameters and unquotable
-/// strings fail with the same [`TemplateError`]s the text path reports.
-fn bind_ir_params(
-    t: &IrTemplate,
-    doc: &Document,
-    bindings: &HashMap<String, Value>,
-) -> Result<Vec<XValue>, TemplateError> {
-    t.params
-        .iter()
-        .map(|(name, kind)| {
-            let value =
-                bindings.get(name).ok_or_else(|| TemplateError::Unbound(name.clone()))?;
-            Ok(match kind {
-                ParamKind::NodePath => {
-                    let id = value
-                        .as_int()
-                        .and_then(|i| u32::try_from(i).ok())
-                        .ok_or_else(|| TemplateError::BadNode(name.clone()))?;
-                    if doc.positional_path(NodeId(id)).is_none() {
-                        return Err(TemplateError::BadNode(name.clone()));
-                    }
-                    XValue::Nodes(vec![NodeRef::Node(NodeId(id))])
-                }
-                ParamKind::Value => match value {
-                    Value::Int(i) => XValue::Num(*i as f64),
-                    Value::Str(s) => {
-                        if s.contains('"') && s.contains('\'') {
-                            return Err(TemplateError::Unquotable(s.clone()));
-                        }
-                        XValue::Str(s.clone())
-                    }
-                },
-            })
-        })
-        .collect()
-}
-
-/// Outcome of one optimized-check template evaluation.
-enum TemplateVerdict {
-    /// The simplified check is satisfied.
-    Pass,
-    /// Violated; carries the instantiated query text for the report.
-    Violated(String),
-    /// The armed [`EvalBudget`] ran out mid-evaluation.
-    Exhausted,
 }
 
 /// Which strategy handled an update.
@@ -718,13 +571,28 @@ impl Checker {
         &self.shared
     }
 
-    /// Attaches a cross-checker pattern cache: pattern compilations this
-    /// checker performs are published to it, and patterns a sibling
-    /// already compiled are adopted from it instead of recompiled. All
-    /// sharing checkers must be built over the same [`SharedGamma`]
-    /// (pattern keys are schema-scoped).
+    /// Attaches a cross-checker pattern cache: patterns this checker
+    /// already holds are published to it, pattern compilations it
+    /// performs from now on are too, and patterns a sibling (or a
+    /// snapshot reader) already compiled are adopted from it instead of
+    /// recompiled. All sharing checkers must be built over the same
+    /// [`SharedGamma`] (pattern keys are schema-scoped).
     pub fn set_pattern_cache(&mut self, cache: Arc<PatternCache>) {
+        for (key, entry) in &mut self.patterns {
+            *entry = cache.publish(key, Arc::clone(entry));
+        }
         self.pattern_cache = Some(cache);
+    }
+
+    /// The attached cross-checker pattern cache, attaching a fresh one
+    /// first when there is none (see [`Checker::set_pattern_cache`]).
+    pub(crate) fn ensure_pattern_cache(&mut self) -> Arc<PatternCache> {
+        if let Some(cache) = &self.pattern_cache {
+            return Arc::clone(cache);
+        }
+        let cache = PatternCache::new();
+        self.set_pattern_cache(Arc::clone(&cache));
+        cache
     }
 
     /// The document.
@@ -877,13 +745,10 @@ impl Checker {
 
     /// Caches a compiled pattern together with its IR precompilation (one
     /// compiled program per template; `None` entries fall back to the
-    /// interpreter at check time), publishing the entry to the shared
-    /// [`PatternCache`] when one is attached.
+    /// interpreter at check time).
     fn insert_pattern(&mut self, key: String, compiled: CompiledPattern) {
         let entry = PatternEntry::build(compiled);
-        if let Some(cache) = &self.pattern_cache {
-            cache.publish(key.clone(), Arc::clone(&entry));
-        }
+        let entry = publish_pattern(self.pattern_cache.as_ref(), &key, entry);
         self.patterns.insert(key, entry);
     }
 
@@ -896,25 +761,48 @@ impl Checker {
         self.pattern_cache.as_ref().and_then(|c| c.get(key))
     }
 
-    /// Ensures `key`'s pattern is in the local map: adopts a sibling's
-    /// entry from the shared cache (a cache hit — no compilation runs) or
-    /// compiles it with `compile` and publishes the result. Returns true
-    /// on a hit (local or shared).
-    fn adopt_or_compile_pattern(
-        &mut self,
-        key: &str,
-        compile: impl FnOnce(&Checker) -> CompiledPattern,
-    ) -> bool {
-        if self.patterns.contains_key(key) {
-            return true;
+    /// The evaluator's view of this checker: the live document, Γ and the
+    /// engine settings (see [`crate::optimized`]).
+    fn optimized_check(&self) -> OptimizedCheck<'_> {
+        OptimizedCheck {
+            doc: &self.doc,
+            gamma: &self.shared,
+            mode: self.ir_mode,
+            independence: self.independence,
+            budget: self.eval_budget,
         }
-        if let Some(entry) = self.pattern_cache.as_ref().and_then(|c| c.get(key)) {
-            self.patterns.insert(key.to_string(), entry);
-            return true;
-        }
-        let compiled = compile(self);
-        self.insert_pattern(key.to_string(), compiled);
-        false
+    }
+
+    /// Runs the optimized pre-update check for `stmt`, compiling its
+    /// pattern on first sight: a local miss adopts a sibling's entry from
+    /// the shared cache (no compilation runs) or compiles and publishes.
+    /// Also reports whether the pattern was a cache hit (local or
+    /// shared); `None` when the statement never got as far as a pattern
+    /// key.
+    fn pre_check(&mut self, stmt: &XUpdateDoc) -> (Result<Verdict, CheckerError>, Option<bool>) {
+        // Field-wise borrows: the evaluator reads the document and Γ
+        // while the lookup grows the local pattern map.
+        let check = OptimizedCheck {
+            doc: &self.doc,
+            gamma: &self.shared,
+            mode: self.ir_mode,
+            independence: self.independence,
+            budget: self.eval_budget,
+        };
+        let (patterns, cache) = (&mut self.patterns, self.pattern_cache.as_ref());
+        let mut hit = None;
+        let verdict = check.decide(stmt, |key, compile| {
+            if let Some(entry) = patterns.get(key) {
+                hit = Some(true);
+                return Some(Arc::clone(entry));
+            }
+            let adopted = cache.and_then(|c| c.get(key));
+            hit = Some(adopted.is_some());
+            let entry = adopted.unwrap_or_else(|| publish_pattern(cache, key, compile()));
+            patterns.insert(key.to_string(), Arc::clone(&entry));
+            Some(entry)
+        });
+        (verdict, hit)
     }
 
     /// Registers a pattern from XUpdate text.
@@ -1522,91 +1410,14 @@ impl Checker {
         Ok(None)
     }
 
-    /// One optimized-check template evaluation with the configured
-    /// engine. The IR path binds the update's parameters directly
-    /// (mirroring [`QueryTemplate::instantiate`]'s validation) and only
-    /// renders the instantiated text when a violation must be reported,
-    /// so verdicts and reports are identical across engines.
-    fn eval_template(
-        &self,
-        ir: Option<&IrTemplate>,
-        q: &QueryTemplate,
-        bindings: &HashMap<String, Value>,
-    ) -> Result<TemplateVerdict, CheckerError> {
-        if let (IrMode::Compiled, Some(t)) = (self.ir_mode, ir) {
-            let params = bind_ir_params(t, &self.doc, bindings)
-                .map_err(|e| CheckerError::Query(e.to_string()))?;
-            return match t.program.eval_exists(&self.doc, &params) {
-                Ok(false) => Ok(TemplateVerdict::Pass),
-                Ok(true) => {
-                    let text = q
-                        .instantiate(&self.doc, bindings)
-                        .map_err(|e| CheckerError::Query(e.to_string()))?;
-                    Ok(TemplateVerdict::Violated(text))
-                }
-                Err(e) if e.is_budget_exhausted() => Ok(TemplateVerdict::Exhausted),
-                Err(e) => Err(CheckerError::Query(format!("{}: {e}", q.text))),
-            };
-        }
-        let text = q
-            .instantiate(&self.doc, bindings)
-            .map_err(|e| CheckerError::Query(e.to_string()))?;
-        let parsed =
-            parse_query(&text).map_err(|e| CheckerError::Query(format!("{text}: {e}")))?;
-        match eval_query_exists(&parsed, &self.doc) {
-            Ok(true) => Ok(TemplateVerdict::Violated(text)),
-            Ok(false) => Ok(TemplateVerdict::Pass),
-            Err(e) if e.is_budget_exhausted() => Ok(TemplateVerdict::Exhausted),
-            Err(e) => Err(CheckerError::Query(format!("{text}: {e}"))),
-        }
-    }
-
     /// Runs only the *optimized* pre-update check for `stmt` (no document
     /// modification). `Ok(None)`: the update is legal; `Ok(Some(v))`: it
     /// would violate `v`. Errors when the statement matches no compiled
     /// incremental pattern.
     pub fn check_optimized(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
-        let mapped = map_update(&self.doc, &self.shared.schema, stmt, &xpath_resolver)
-            .map_err(|e| CheckerError::Statement(e.to_string()))?;
-        let key = pattern_key(&mapped.update);
-        let Some(entry) = self.lookup_pattern(&key).filter(|e| e.compiled.is_incremental())
-        else {
-            return Err(CheckerError::Statement(format!(
-                "no compiled incremental pattern for key {key}"
-            )));
-        };
-        let pattern = &entry.compiled;
-        // The compiled pattern's parameter names are positionally
-        // identical to the freshly mapped ones (the mapping is
-        // deterministic), so the new bindings apply directly.
-        let _check = xic_obs::phase("check");
-        let _optimized = xic_obs::phase("optimized");
-        if self.independence {
-            let skipped = pattern.live.iter().filter(|&&l| !l).count();
-            xic_obs::add(xic_obs::Counter::ChecksSkippedStatic, skipped as u64);
-            xic_obs::add(
-                xic_obs::Counter::ChecksRetainedStatic,
-                (pattern.live.len() - skipped) as u64,
-            );
-        }
-        let _budget = self.eval_budget.map(xic_xpath::budget::arm);
-        for (i, (q, d)) in pattern.queries.iter().zip(&pattern.simplified).enumerate() {
-            let ir_t = entry.ir.get(i).and_then(|t| t.as_ref());
-            match self.eval_template(ir_t, q, &mapped.bindings)? {
-                TemplateVerdict::Pass => {}
-                TemplateVerdict::Violated(text) => {
-                    return Ok(Some(Violation {
-                        denial: d.to_string(),
-                        query: text,
-                    }));
-                }
-                TemplateVerdict::Exhausted => {
-                    xic_obs::incr(xic_obs::Counter::BudgetExhausted);
-                    return Err(CheckerError::BudgetExhausted);
-                }
-            }
-        }
-        Ok(None)
+        let verdict =
+            self.optimized_check().decide(stmt, |key, _compile| self.lookup_pattern(key))?;
+        decision(verdict)
     }
 
     /// Decides whether `stmt` would be accepted under the given strategy
@@ -1633,15 +1444,7 @@ impl Checker {
     ) -> Result<Option<Violation>, CheckerError> {
         self.refuse_if_poisoned()?;
         match strategy {
-            Strategy::Optimized => {
-                let mapped = map_update(&self.doc, &self.shared.schema, stmt, &xpath_resolver)
-                    .map_err(|e| CheckerError::Statement(e.to_string()))?;
-                let key = pattern_key(&mapped.update);
-                self.adopt_or_compile_pattern(&key, |c| {
-                    compile_pattern_with(&mapped, &c.shared.gamma, &c.shared.schema, c.independence)
-                });
-                self.check_optimized(stmt)
-            }
+            Strategy::Optimized => decision(self.pre_check(stmt).0?),
             Strategy::FullWithRollback => {
                 let live = self.statement_live_mask(stmt);
                 let applied = {
@@ -1784,92 +1587,53 @@ impl Checker {
     }
 
     fn try_update_inner(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
-        // Try the optimized path; `break 'optimized` degrades to the
+        // Try the optimized path; anything but a verdict degrades to the
         // baseline pass (non-insertion statement, no incremental pattern,
         // or evaluation budget exhausted).
-        'optimized: {
-            if !stmt.insertions_only() {
-                break 'optimized;
-            }
-            let Ok(mapped) = map_update(&self.doc, &self.shared.schema, stmt, &xpath_resolver)
-            else {
-                break 'optimized;
-            };
-            let key = pattern_key(&mapped.update);
-            let hit = self.adopt_or_compile_pattern(&key, |c| {
-                compile_pattern_with(&mapped, &c.shared.gamma, &c.shared.schema, c.independence)
-            });
-            if hit {
-                // A hit in the shared cache counts too: either way no
-                // compilation ran for this statement.
+        let (verdict, hit) = self.pre_check(stmt);
+        match hit {
+            // A hit in the shared cache counts too: either way no
+            // compilation ran for this statement.
+            Some(true) => {
                 self.stats.pattern_cache_hits += 1;
                 xic_obs::incr(xic_obs::Counter::PatternCacheHit);
-            } else {
+            }
+            Some(false) => {
                 self.stats.pattern_cache_misses += 1;
                 xic_obs::incr(xic_obs::Counter::PatternCacheMiss);
             }
-            let entry = Arc::clone(&self.patterns[&key]);
-            let pattern = &entry.compiled;
-            if !pattern.is_incremental() {
-                break 'optimized;
-            }
+            None => {}
+        }
+        // Anything else — an evaluation error included — means the
+        // simplified checks ran.
+        if !matches!(verdict, Ok(Verdict::NotIncremental(_))) {
             self.stats.optimized_checks += 1;
-            let _check = xic_obs::phase("check");
-            let _optimized = xic_obs::phase("optimized");
-            if self.independence {
-                let skipped = pattern.live.iter().filter(|&&l| !l).count();
-                xic_obs::add(xic_obs::Counter::ChecksSkippedStatic, skipped as u64);
-                xic_obs::add(
-                    xic_obs::Counter::ChecksRetainedStatic,
-                    (pattern.live.len() - skipped) as u64,
-                );
-            }
-            let _budget = self.eval_budget.map(xic_xpath::budget::arm);
-            let mut violation = None;
-            let mut exhausted = false;
-            for (i, (q, d)) in pattern.queries.iter().zip(&pattern.simplified).enumerate() {
-                let ir_t = entry.ir.get(i).and_then(|t| t.as_ref());
-                match self.eval_template(ir_t, q, &mapped.bindings)? {
-                    TemplateVerdict::Pass => {}
-                    TemplateVerdict::Violated(text) => {
-                        violation = Some(Violation {
-                            denial: d.to_string(),
-                            query: text,
-                        });
-                        break;
-                    }
-                    TemplateVerdict::Exhausted => {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-            drop(_budget);
-            drop(_optimized);
-            drop(_check);
-            if exhausted {
+        }
+        match verdict? {
+            Verdict::NotIncremental(_) => {}
+            Verdict::Exhausted => {
                 // Degrade gracefully: the (unbudgeted) baseline pass below
                 // materializes the update and full-checks the new state,
                 // returning the verdict the optimized check would have.
                 self.stats.budget_exhausted += 1;
-                xic_obs::incr(xic_obs::Counter::BudgetExhausted);
-                break 'optimized;
             }
-            if let Some(violation) = violation {
+            Verdict::Violated(violation) => {
                 self.stats.early_rejections += 1;
                 return Ok(UpdateOutcome::Rejected {
                     strategy: Strategy::Optimized,
                     violation,
                 });
             }
-            // Legal: now (and only now) execute the update, then make the
-            // commit durable before returning the verdict.
-            let applied = self.apply_or_abort(stmt)?;
-            self.note_committed(stmt);
-            self.commit_journal(stmt, applied)?;
-            return Ok(UpdateOutcome::Applied {
-                strategy: Strategy::Optimized,
-            });
+            Verdict::Legal => {
+                // Legal: now (and only now) execute the update, then make
+                // the commit durable before returning the verdict.
+                let applied = self.apply_or_abort(stmt)?;
+                self.note_committed(stmt);
+                self.commit_journal(stmt, applied)?;
+                return Ok(UpdateOutcome::Applied {
+                    strategy: Strategy::Optimized,
+                });
+            }
         }
         // Baseline: apply, check (masked to the statically live
         // constraints), roll back on violation. The mask is computed
@@ -1918,6 +1682,32 @@ impl Checker {
                 })
             }
         }
+    }
+}
+
+/// Publishes a freshly compiled entry to the shared cache, when one is
+/// attached, and returns the entry to keep: the cache's (first publisher
+/// wins), or `entry` itself without a cache.
+fn publish_pattern(
+    cache: Option<&Arc<PatternCache>>,
+    key: &str,
+    entry: Arc<PatternEntry>,
+) -> Arc<PatternEntry> {
+    match cache {
+        Some(cache) => cache.publish(key, entry),
+        None => entry,
+    }
+}
+
+/// An optimized-check verdict as the explicit check entry points report
+/// it: no pattern and an exhausted budget are errors there, not
+/// fallbacks.
+fn decision(verdict: Verdict) -> Result<Option<Violation>, CheckerError> {
+    match verdict {
+        Verdict::Legal => Ok(None),
+        Verdict::Violated(v) => Ok(Some(v)),
+        Verdict::Exhausted => Err(CheckerError::BudgetExhausted),
+        Verdict::NotIncremental(reason) => Err(CheckerError::Statement(reason.to_string())),
     }
 }
 

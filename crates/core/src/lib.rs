@@ -69,6 +69,7 @@
 pub mod checker;
 pub mod compile;
 pub mod footprint;
+pub mod optimized;
 pub mod protocol;
 pub mod resolver;
 pub mod service;
@@ -76,9 +77,10 @@ pub mod shards;
 
 pub use checker::{
     default_independence, default_ir_mode, set_default_independence, set_default_ir_mode, Checker,
-    CheckerError, CheckpointPolicy, IrMode, PatternCache, RecoverOptions, RecoveryReport,
-    SharedGamma, Stats, Strategy, UpdateOutcome, Violation,
+    CheckerError, CheckpointPolicy, IrMode, RecoverOptions, RecoveryReport, SharedGamma, Stats,
+    Strategy, UpdateOutcome, Violation,
 };
+pub use optimized::PatternCache;
 pub use shards::{
     ShardHealth, ShardSet, ShardSetConfig, ShardSetError, ShardSetRecoveryReport, ShardStatus,
 };

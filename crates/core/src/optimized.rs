@@ -1,0 +1,386 @@
+//! The optimized pre-update check (the paper's squares): one evaluator,
+//! shared by the writer and every snapshot reader.
+//!
+//! Deciding an insertion *before* executing it is a plain query over the
+//! current state: `map_update` abstracts the statement into its update
+//! pattern and this statement's parameter bindings, the pattern's
+//! simplified denials Simp<sup>U</sup><sub>Δ</sub>(Γ) are looked up (or
+//! compiled on first sight), and each one is evaluated existentially
+//! with the bindings plugged in. Nothing here needs write access to the
+//! document, a [`crate::Checker`], or the thread that owns one — so
+//! `OptimizedCheck::decide` takes the document by shared reference and
+//! the pattern lookup as a closure, and serves
+//! [`crate::Checker::try_update`], [`crate::Checker::check_optimized`],
+//! [`crate::Checker::decide_only`] and
+//! [`crate::service::ReadSnapshot::decide`] alike. What differs between
+//! those callers is only *where compiled patterns live* (the writer's
+//! local map, the shared [`PatternCache`], or both) and what they do
+//! with a `Verdict::NotIncremental` answer (fall back to the baseline
+//! strategy, or report it).
+//!
+//! In `DESIGN.md`'s system inventory this is row 25.
+
+use crate::checker::{CheckerError, IrMode, SharedGamma, Violation};
+use crate::compile::{compile_pattern_with, CompiledPattern};
+use crate::resolver::xpath_resolver;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, RwLock};
+use xic_datalog::Value;
+use xic_mapping::{map_update, pattern_key, UpdateMapError};
+use xic_translate::{ParamKind, QueryTemplate, TemplateError};
+use xic_xml::{Document, NodeId, XUpdateDoc};
+use xic_xpath::{EvalBudget, NodeRef, XValue};
+use xic_xquery::{eval_query_exists, parse_query, XProgram};
+
+/// One pattern template precompiled for the IR engine: `%{name}`
+/// placeholders become leading program parameters (`$xic_p_name`) instead
+/// of text substitutions, so the per-update cost drops from
+/// render-text + parse + interpret to bind-values + evaluate.
+struct IrTemplate {
+    program: XProgram,
+    /// Placeholder name and kind per program parameter, in parameter order.
+    params: Vec<(String, ParamKind)>,
+}
+
+/// A compiled update pattern bundled with its IR precompilation: one
+/// program per template in `compiled.queries`, `None` where
+/// precompilation failed and interpreted instantiation is used instead.
+/// Entries are immutable once built, so they are shared (`Arc`) between
+/// a checker's local map, the cross-checker [`PatternCache`] and every
+/// reader evaluating against a snapshot.
+pub(crate) struct PatternEntry {
+    pub(crate) compiled: CompiledPattern,
+    ir: Vec<Option<IrTemplate>>,
+}
+
+impl PatternEntry {
+    pub(crate) fn build(compiled: CompiledPattern) -> Arc<PatternEntry> {
+        let ir = compiled.queries.iter().map(compile_template_ir).collect();
+        Arc::new(PatternEntry { compiled, ir })
+    }
+}
+
+/// A pattern cache shared across checkers and snapshot readers
+/// (DESIGN.md row 23): the shards of a [`crate::shards::ShardSet`] hand
+/// every checker the same cache, so an update pattern first seen on one
+/// shard is compiled (and IR-precompiled) exactly once — siblings adopt
+/// the entry instead of re-running Simp<sup>U</sup><sub>Δ</sub> and
+/// template compilation — and a [`crate::service::CheckerService`]
+/// hands it to its read snapshots, so `DECIDE` evaluates the same
+/// compiled checks the writer commits with.
+///
+/// Patterns are keyed by [`xic_mapping::pattern_key`], which is a pure
+/// function of the statement shape and the relational schema — never of
+/// a document instance — so an entry compiled against one document is
+/// valid on every document sharing the same [`SharedGamma`]. Like a
+/// checker's local map, entries are not recompiled when the independence
+/// flag flips (the templates are identical either way).
+#[derive(Default)]
+pub struct PatternCache {
+    entries: RwLock<HashMap<String, Arc<PatternEntry>>>,
+}
+
+impl PatternCache {
+    /// A fresh, empty cache behind an `Arc`, ready to hand to
+    /// [`crate::Checker::set_pattern_cache`] on each sharing checker.
+    pub fn new() -> Arc<PatternCache> {
+        Arc::new(PatternCache::default())
+    }
+
+    /// Compiled patterns currently cached.
+    pub fn len(&self) -> usize {
+        self.read_entries().len()
+    }
+
+    /// True when no pattern has been published yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn read_entries(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<PatternEntry>>> {
+        // A poisoned lock only means a sibling panicked mid-insert; the
+        // map itself is always in a consistent state (single HashMap op).
+        self.entries.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn get(&self, key: &str) -> Option<Arc<PatternEntry>> {
+        self.read_entries().get(key).cloned()
+    }
+
+    /// Publishes `entry` under `key` unless a sibling got there first,
+    /// and returns the entry the cache holds afterwards: the first
+    /// publisher wins, everyone else adopts the winner.
+    pub(crate) fn publish(&self, key: &str, entry: Arc<PatternEntry>) -> Arc<PatternEntry> {
+        let mut map = self.entries.write().unwrap_or_else(|e| e.into_inner());
+        Arc::clone(map.entry(key.to_string()).or_insert(entry))
+    }
+
+    /// The cached entry for `key`, compiling and publishing it on a miss.
+    /// Compilation runs outside the lock, so concurrent first sights of
+    /// one pattern may each compile it; exactly one result is kept.
+    pub(crate) fn get_or_publish(
+        &self,
+        key: &str,
+        compile: impl FnOnce() -> Arc<PatternEntry>,
+    ) -> Arc<PatternEntry> {
+        match self.get(key) {
+            Some(entry) => entry,
+            None => self.publish(key, compile()),
+        }
+    }
+}
+
+/// Precompiles a query template for the IR engine. Returns `None` when
+/// the template cannot be precompiled (placeholder name that is not a
+/// legal variable suffix, or text that no longer parses after
+/// substitution); evaluation then falls back to interpreted
+/// instantiation for that template, preserving behavior.
+fn compile_template_ir(t: &QueryTemplate) -> Option<IrTemplate> {
+    let mut text = t.text.clone();
+    let mut params = Vec::with_capacity(t.params.len());
+    let mut names = Vec::with_capacity(t.params.len());
+    for (name, kind) in &t.params {
+        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            return None;
+        }
+        let var = format!("xic_p_{name}");
+        text = text.replace(&format!("%{{{name}}}"), &format!("${var}"));
+        params.push((name.clone(), *kind));
+        names.push(var);
+    }
+    let parsed = parse_query(&text).ok()?;
+    Some(IrTemplate {
+        program: XProgram::compile_with_params(&parsed, &names),
+        params,
+    })
+}
+
+/// Renders an update's bindings as IR parameter values, mirroring
+/// [`QueryTemplate::instantiate`]'s validation exactly: unbound
+/// placeholders, detached/non-integer node parameters and unquotable
+/// strings fail with the same [`TemplateError`]s the text path reports.
+fn bind_ir_params(
+    t: &IrTemplate,
+    doc: &Document,
+    bindings: &HashMap<String, Value>,
+) -> Result<Vec<XValue>, TemplateError> {
+    t.params
+        .iter()
+        .map(|(name, kind)| {
+            let value = bindings
+                .get(name)
+                .ok_or_else(|| TemplateError::Unbound(name.clone()))?;
+            Ok(match kind {
+                ParamKind::NodePath => {
+                    let id = value
+                        .as_int()
+                        .and_then(|i| u32::try_from(i).ok())
+                        .ok_or_else(|| TemplateError::BadNode(name.clone()))?;
+                    if doc.positional_path(NodeId(id)).is_none() {
+                        return Err(TemplateError::BadNode(name.clone()));
+                    }
+                    XValue::Nodes(vec![NodeRef::Node(NodeId(id))])
+                }
+                ParamKind::Value => match value {
+                    Value::Int(i) => XValue::Num(*i as f64),
+                    Value::Str(s) => {
+                        if s.contains('"') && s.contains('\'') {
+                            return Err(TemplateError::Unquotable(s.clone()));
+                        }
+                        XValue::Str(s.clone())
+                    }
+                },
+            })
+        })
+        .collect()
+}
+
+/// Outcome of one optimized-check template evaluation.
+enum TemplateVerdict {
+    /// The simplified check is satisfied.
+    Pass,
+    /// Violated; carries the instantiated query text for the report.
+    Violated(String),
+    /// The armed [`EvalBudget`] ran out mid-evaluation.
+    Exhausted,
+}
+
+/// Why a statement has no optimized pre-update check — exactly the cases
+/// [`crate::Checker::try_update`] sends down the baseline strategy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Fallback {
+    /// The statement removes, updates or renames; the simplification
+    /// framework targets insertions (Section 5).
+    NonInsertion,
+    /// `map_update` could not abstract the statement against this
+    /// document (select matching zero or several nodes, fragment that
+    /// does not fit the schema).
+    Unmappable(UpdateMapError),
+    /// The statement's pattern has no incremental check: simplification
+    /// or translation is unsupported for it, or the caller's lookup knows
+    /// no compiled pattern under this key.
+    NonIncremental {
+        /// The statement's pattern key.
+        key: String,
+    },
+}
+
+impl fmt::Display for Fallback {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Fallback::NonInsertion => UpdateMapError::NotInsertion.fmt(f),
+            Fallback::Unmappable(e) => e.fmt(f),
+            Fallback::NonIncremental { key } => {
+                write!(f, "no compiled incremental pattern for key {key}")
+            }
+        }
+    }
+}
+
+/// What the optimized pre-update check says about one statement.
+#[derive(Debug)]
+pub(crate) enum Verdict {
+    /// Every simplified check passed: executing the statement keeps Γ.
+    Legal,
+    /// A simplified check fired: executing the statement would violate Γ.
+    Violated(Violation),
+    /// No optimized check exists for this statement in this state; the
+    /// baseline strategy (apply, full check, roll back) decides it.
+    NotIncremental(Fallback),
+    /// The armed [`EvalBudget`] ran out mid-check.
+    Exhausted,
+}
+
+/// The optimized pre-update check over one document state: everything
+/// the evaluation reads, none of it mutable.
+pub(crate) struct OptimizedCheck<'a> {
+    /// The state the statement is decided against (the writer's live
+    /// document or a reader's snapshot).
+    pub(crate) doc: &'a Document,
+    /// The compiled constraint set.
+    pub(crate) gamma: &'a SharedGamma,
+    /// Which engine evaluates the templates.
+    pub(crate) mode: IrMode,
+    /// Whether the static independence analysis is on (compile-time
+    /// pre-filtering of Γ and the skip/retain counters).
+    pub(crate) independence: bool,
+    /// Step budget armed around the template evaluations only (the
+    /// checker's own bound on the optimized path; a per-request deadline
+    /// budget is armed by the caller around the whole call instead).
+    pub(crate) budget: Option<EvalBudget>,
+}
+
+impl OptimizedCheck<'_> {
+    /// Compiles `mapped`'s pattern against Γ, IR-precompiled and ready
+    /// to share.
+    fn compile(&self, mapped: &xic_mapping::MappedUpdate) -> Arc<PatternEntry> {
+        PatternEntry::build(compile_pattern_with(
+            mapped,
+            self.gamma.constraints(),
+            self.gamma.schema(),
+            self.independence,
+        ))
+    }
+
+    /// Decides `stmt` against the document without touching it.
+    ///
+    /// `pattern` resolves the statement's pattern key to a compiled
+    /// entry; it is handed a compile thunk for first sights and decides
+    /// itself whether to run it, where to cache the result, and whether
+    /// a miss is an answer (`None` → [`Fallback::NonIncremental`]).
+    pub(crate) fn decide(
+        &self,
+        stmt: &XUpdateDoc,
+        pattern: impl FnOnce(&str, &dyn Fn() -> Arc<PatternEntry>) -> Option<Arc<PatternEntry>>,
+    ) -> Result<Verdict, CheckerError> {
+        if !stmt.insertions_only() {
+            return Ok(Verdict::NotIncremental(Fallback::NonInsertion));
+        }
+        let mapped = match map_update(self.doc, self.gamma.schema(), stmt, &xpath_resolver) {
+            Ok(mapped) => mapped,
+            Err(e) => return Ok(Verdict::NotIncremental(Fallback::Unmappable(e))),
+        };
+        let key = pattern_key(&mapped.update);
+        let Some(entry) =
+            pattern(&key, &|| self.compile(&mapped)).filter(|e| e.compiled.is_incremental())
+        else {
+            return Ok(Verdict::NotIncremental(Fallback::NonIncremental { key }));
+        };
+        let compiled = &entry.compiled;
+        // The compiled pattern's parameter names are positionally
+        // identical to the freshly mapped ones (the mapping is
+        // deterministic), so the new bindings apply directly.
+        let _check = xic_obs::phase("check");
+        let _optimized = xic_obs::phase("optimized");
+        if self.independence {
+            let skipped = compiled.live.iter().filter(|&&l| !l).count();
+            xic_obs::add(xic_obs::Counter::ChecksSkippedStatic, skipped as u64);
+            xic_obs::add(
+                xic_obs::Counter::ChecksRetainedStatic,
+                (compiled.live.len() - skipped) as u64,
+            );
+        }
+        let _budget = self.budget.map(xic_xpath::budget::arm);
+        for (i, (q, d)) in compiled
+            .queries
+            .iter()
+            .zip(&compiled.simplified)
+            .enumerate()
+        {
+            let ir = entry.ir.get(i).and_then(|t| t.as_ref());
+            match self.eval_template(ir, q, &mapped.bindings)? {
+                TemplateVerdict::Pass => {}
+                TemplateVerdict::Violated(text) => {
+                    return Ok(Verdict::Violated(Violation {
+                        denial: d.to_string(),
+                        query: text,
+                    }));
+                }
+                TemplateVerdict::Exhausted => {
+                    xic_obs::incr(xic_obs::Counter::BudgetExhausted);
+                    return Ok(Verdict::Exhausted);
+                }
+            }
+        }
+        Ok(Verdict::Legal)
+    }
+
+    /// One template evaluation with the configured engine. The IR path
+    /// binds the update's parameters directly (mirroring
+    /// [`QueryTemplate::instantiate`]'s validation) and only renders the
+    /// instantiated text when a violation must be reported, so verdicts
+    /// and reports are identical across engines.
+    fn eval_template(
+        &self,
+        ir: Option<&IrTemplate>,
+        q: &QueryTemplate,
+        bindings: &HashMap<String, Value>,
+    ) -> Result<TemplateVerdict, CheckerError> {
+        if let (IrMode::Compiled, Some(t)) = (self.mode, ir) {
+            let params = bind_ir_params(t, self.doc, bindings)
+                .map_err(|e| CheckerError::Query(e.to_string()))?;
+            return match t.program.eval_exists(self.doc, &params) {
+                Ok(false) => Ok(TemplateVerdict::Pass),
+                Ok(true) => {
+                    let text = q
+                        .instantiate(self.doc, bindings)
+                        .map_err(|e| CheckerError::Query(e.to_string()))?;
+                    Ok(TemplateVerdict::Violated(text))
+                }
+                Err(e) if e.is_budget_exhausted() => Ok(TemplateVerdict::Exhausted),
+                Err(e) => Err(CheckerError::Query(format!("{}: {e}", q.text))),
+            };
+        }
+        let text = q
+            .instantiate(self.doc, bindings)
+            .map_err(|e| CheckerError::Query(e.to_string()))?;
+        let parsed = parse_query(&text).map_err(|e| CheckerError::Query(format!("{text}: {e}")))?;
+        match eval_query_exists(&parsed, self.doc) {
+            Ok(true) => Ok(TemplateVerdict::Violated(text)),
+            Ok(false) => Ok(TemplateVerdict::Pass),
+            Err(e) if e.is_budget_exhausted() => Ok(TemplateVerdict::Exhausted),
+            Err(e) => Err(CheckerError::Query(format!("{text}: {e}"))),
+        }
+    }
+}

@@ -46,6 +46,16 @@
 //! durable (in group-commit mode: until the shared batch fsync) and
 //! reports the version its statement left the service at.
 //!
+//! **`DECIDE` ≡ `UPDATE` minus the commit:** `DECIDE s` answered from
+//! version *v* says what `UPDATE s` would answer at version *v*. The
+//! snapshot runs the writer's own strategy choice — the optimized
+//! pre-update check for insertions with an incremental pattern, the
+//! baseline (apply to a copy, check all of Γ) for everything the writer
+//! also sends down the baseline — so `LEGAL` ⇔ `APPLIED`, `ILLEGAL <d>`
+//! ⇔ `REJECTED <strategy> <d>` with the same denial text *d* (the
+//! simplified denial where the writer would reject `optimized`), and a
+//! statement that does not apply gets the same `ERR` text from both.
+//!
 //! An XUpdate document cannot begin with a digit, so a leading
 //! all-digits token after `CHECK`/`DECIDE`/`UPDATE` is unambiguously a
 //! **deadline** in milliseconds: the request fails with `ERR timeout:
@@ -66,7 +76,7 @@
 //! `xic-serve` binary) to a shared service.
 
 use crate::checker::{Strategy, UpdateOutcome, Violation};
-use crate::service::{CheckerService, Executor};
+use crate::service::{CheckerService, Executor, ServiceStats};
 use crate::shards::ShardSet;
 use std::io::{BufRead, Write};
 
@@ -228,6 +238,24 @@ fn read_error_text(service: &CheckerService, e: crate::service::ServiceError) ->
     e.to_string()
 }
 
+/// The counter fields of a `STATS` reply, shared by the single-document
+/// and the sharded (summed) rendering.
+fn stats_fields(stats: &ServiceStats) -> String {
+    format!(
+        "requests_shed={} requests_timed_out={} service_degraded={} fsync_retries={} \
+         decides_optimized={} decides_fallback_non_insertion={} \
+         decides_fallback_unmappable={} decides_fallback_non_incremental={}",
+        stats.requests_shed,
+        stats.requests_timed_out,
+        stats.service_degraded,
+        stats.fsync_retries,
+        stats.decides_optimized,
+        stats.decides_fallback_non_insertion,
+        stats.decides_fallback_unmappable,
+        stats.decides_fallback_non_incremental,
+    )
+}
+
 /// Executes one command against the service and builds the reply.
 /// Returns `Reply::Bye` for [`Command::Quit`]; the caller closes the
 /// connection after writing it.
@@ -257,9 +285,9 @@ pub fn execute(service: &CheckerService, command: &Command) -> Reply {
             };
             let snap = service.snapshot();
             let verdict = match deadline {
-                None => snap.decide_full(&parsed).map_err(|e| e.to_string()),
+                None => snap.decide(&parsed).map_err(|e| e.to_string()),
                 Some(ms) => snap
-                    .decide_full_deadline(&parsed, *ms)
+                    .decide_deadline(&parsed, *ms)
                     .map_err(|e| read_error_text(service, e)),
             };
             match verdict {
@@ -302,16 +330,11 @@ pub fn execute(service: &CheckerService, command: &Command) -> Reply {
                     format!("executor=group-commit max_batch={max_batch}")
                 }
             };
-            let stats = service.stats();
             let detail = format!(
-                "{executor} queue_depth={} health={} requests_shed={} \
-                 requests_timed_out={} service_degraded={} fsync_retries={}",
+                "{executor} queue_depth={} health={} {}",
                 service.config().queue_depth,
                 service.health().as_str(),
-                stats.requests_shed,
-                stats.requests_timed_out,
-                stats.service_degraded,
-                stats.fsync_retries,
+                stats_fields(&service.stats()),
             );
             Reply::Ok { version: service.version(), detail }
         }
@@ -344,23 +367,25 @@ pub fn execute_sharded(set: &ShardSet, command: &Command) -> Reply {
         Command::Stats => {
             let health = set.health();
             let version: u64 = health.shards.iter().map(|s| s.version).sum();
-            let mut shed = 0u64;
-            let mut timed_out = 0u64;
-            let mut degraded = 0u64;
-            let mut retries = 0u64;
+            let mut total = ServiceStats::default();
             for id in 0..set.len() {
                 if let Ok(stats) = set.stats(id) {
-                    shed += stats.requests_shed;
-                    timed_out += stats.requests_timed_out;
-                    degraded += stats.service_degraded;
-                    retries += stats.fsync_retries;
+                    total.requests_shed += stats.requests_shed;
+                    total.requests_timed_out += stats.requests_timed_out;
+                    total.service_degraded += stats.service_degraded;
+                    total.fsync_retries += stats.fsync_retries;
+                    total.decides_optimized += stats.decides_optimized;
+                    total.decides_fallback_non_insertion += stats.decides_fallback_non_insertion;
+                    total.decides_fallback_unmappable += stats.decides_fallback_unmappable;
+                    total.decides_fallback_non_incremental +=
+                        stats.decides_fallback_non_incremental;
                 }
             }
             let detail = format!(
-                "shards={} health={} requests_shed={shed} requests_timed_out={timed_out} \
-                 service_degraded={degraded} fsync_retries={retries}",
+                "shards={} health={} {}",
                 set.len(),
                 health.overall().as_str(),
+                stats_fields(&total),
             );
             Reply::Ok { version, detail }
         }
@@ -626,7 +651,9 @@ mod tests {
         assert_eq!(
             execute(&service, &Command::Stats).render(),
             "OK 0 executor=sync queue_depth=256 health=ok requests_shed=0 \
-             requests_timed_out=0 service_degraded=0 fsync_retries=0"
+             requests_timed_out=0 service_degraded=0 fsync_retries=0 \
+             decides_optimized=0 decides_fallback_non_insertion=0 \
+             decides_fallback_unmappable=0 decides_fallback_non_incremental=0"
         );
         assert_eq!(execute(&service, &Command::Health).render(), "OK 0 ok");
         // A legal update commits and bumps the version…
@@ -782,8 +809,14 @@ mod tests {
             execute_sharded(&set, &Command::Health).render(),
             "OK 1 ok shard-0=ok shard-1=ok"
         );
+        // Aggregate STATS sums the per-shard counters.
+        for id in 0..2 {
+            let decide = Command::Doc(id, Box::new(Command::Decide(insert("erin"), None)));
+            assert!(execute_sharded(&set, &decide).render().ends_with(" LEGAL"));
+        }
         let stats = execute_sharded(&set, &Command::Stats).render();
         assert!(stats.starts_with("OK 1 shards=2 health=ok"), "got {stats:?}");
+        assert!(stats.contains(" decides_optimized=2 "), "got {stats:?}");
         // An out-of-range shard is an error, not a panic.
         let line = execute_sharded(&set, &Command::Doc(9, Box::new(Command::Version))).render();
         assert!(line.starts_with("ERR no-shard:"), "got {line:?}");

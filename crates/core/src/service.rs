@@ -8,11 +8,19 @@
 //! module turns it into a service:
 //!
 //! * **Readers never block writers.** Read-only entry points
-//!   ([`ReadSnapshot::check_full`], [`ReadSnapshot::decide_full`]) run
+//!   ([`ReadSnapshot::check_full`], [`ReadSnapshot::decide`]) run
 //!   against an immutable, versioned [`ReadSnapshot`] published by the
 //!   writer once per committed batch. Taking a snapshot is an `Arc`
 //!   clone under a briefly-held lock; checking it touches no writer
 //!   state at all.
+//! * **A pre-update decision is a read.** [`ReadSnapshot::decide`] runs
+//!   the same optimized check the writer commits with
+//!   ([`crate::optimized`]) on the reader's own thread against the
+//!   snapshot — no copy of the document, no apply, no writer
+//!   round-trip — through the [`PatternCache`] the service shares with
+//!   its writer; the baseline ([`ReadSnapshot::decide_full`]: copy,
+//!   apply, check all of Γ) only decides what the writer also sends
+//!   down the baseline.
 //! * **Writers group-commit.** One writer thread owns the `Checker`;
 //!   concurrent submitters' statements are drained into a batch
 //!   ([`apply_batch`]), their journal records appended *unsynced*, and
@@ -57,6 +65,7 @@
 //! [sync-now]: xic_xml::journal::Journal::sync_now
 
 use crate::checker::{Checker, CheckerError, IrMode, SharedGamma, UpdateOutcome, Violation};
+use crate::optimized::{Fallback, OptimizedCheck, PatternCache, Verdict};
 use crate::resolver::xpath_resolver;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -75,9 +84,10 @@ use xic_xquery::eval_query_exists;
 pub const DEFAULT_MAX_BATCH: usize = 32;
 
 /// Default bound on submissions waiting for the writer (admission
-/// control): the 33rd concurrent waiter on a default-configured service
-/// is shed with [`ServiceError::Overloaded`] rather than queued. Sized
-/// to one full batch — queued work beyond a batch only adds latency.
+/// control): the 257th concurrent waiter on a default-configured service
+/// is shed with [`ServiceError::Overloaded`] rather than queued. Eight
+/// default batches deep — enough to ride out a slow batch, small enough
+/// that a queued request waits for a bounded number of fsyncs.
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 
 /// Default service-level attempts for the shared batch fsync (the first
@@ -280,6 +290,17 @@ pub struct ServiceStats {
     pub service_degraded: u64,
     /// Service-level batch-fsync retries.
     pub fsync_retries: u64,
+    /// [`ReadSnapshot::decide`] calls answered by the optimized
+    /// pre-update check.
+    pub decides_optimized: u64,
+    /// … that fell back to [`ReadSnapshot::decide_full`] because the
+    /// statement is not a pure insertion.
+    pub decides_fallback_non_insertion: u64,
+    /// … because the statement's target could not be mapped to an update
+    /// pattern in the snapshot's state.
+    pub decides_fallback_unmappable: u64,
+    /// … because the statement's pattern has no incremental check.
+    pub decides_fallback_non_incremental: u64,
 }
 
 #[derive(Default)]
@@ -290,6 +311,16 @@ struct StatsCells {
     fsync_retries: AtomicU64,
 }
 
+/// How [`ReadSnapshot::decide`] answered, counted where it happens: the
+/// snapshots of one service share these through their [`CheckSet`].
+#[derive(Default)]
+struct DecideCells {
+    optimized: AtomicU64,
+    fallback_non_insertion: AtomicU64,
+    fallback_unmappable: AtomicU64,
+    fallback_non_incremental: AtomicU64,
+}
+
 /// Converts a deadline's remaining milliseconds into an [`EvalBudget`]
 /// (see [`DEADLINE_STEPS_PER_MS`]). A zero remainder yields a zero-step
 /// budget, which exhausts on the first charge.
@@ -297,27 +328,36 @@ pub fn deadline_budget(remaining_ms: u64) -> EvalBudget {
     EvalBudget::new(remaining_ms.saturating_mul(DEADLINE_STEPS_PER_MS))
 }
 
-/// The full-check inputs, shared immutably by every snapshot the
-/// service publishes: the checker's [`SharedGamma`] (denials, query
-/// texts, pre-parsed ASTs, IR programs, footprints) plus the engine
-/// mode captured from the writer's checker at service start, so
-/// snapshot checks run the same engine the writer commits with. The
-/// gamma `Arc` is the same compiled set shared across every shard of a
-/// `ShardSet` — publishing a snapshot never re-compiles anything.
+/// The check inputs, shared immutably by every snapshot the service
+/// publishes: the checker's [`SharedGamma`] (denials, query texts,
+/// pre-parsed ASTs, IR programs, footprints), the [`PatternCache`] the
+/// writer's checker compiles into and adopts from, plus the engine mode
+/// captured from the writer's checker at service start, so snapshot
+/// checks run the same engine the writer commits with. The gamma `Arc`
+/// (and, in a `ShardSet`, the cache) is the same compiled set shared
+/// across every shard — publishing a snapshot never re-compiles
+/// anything.
 struct CheckSet {
     gamma: Arc<SharedGamma>,
+    patterns: Arc<PatternCache>,
     mode: IrMode,
     /// Whether the writer's checker ran the static independence analysis
     /// at service start; snapshot decisions follow the same setting.
     independence: bool,
+    decides: DecideCells,
 }
 
 impl CheckSet {
-    fn from_checker(checker: &Checker) -> CheckSet {
+    /// Captures `checker`'s check inputs, attaching a fresh pattern cache
+    /// to it first when it has none (its already-registered patterns are
+    /// published into it), so readers and the writer share one.
+    fn from_checker(checker: &mut Checker) -> CheckSet {
         CheckSet {
             gamma: Arc::clone(checker.shared_gamma()),
+            patterns: checker.ensure_pattern_cache(),
             mode: checker.ir_mode(),
             independence: checker.independence(),
+            decides: DecideCells::default(),
         }
     }
 
@@ -413,16 +453,88 @@ impl ReadSnapshot {
     }
 
     /// Decides — without committing — whether `stmt` would be legal in
-    /// this snapshot's state: applies it to a private copy of the
-    /// snapshot document, full-checks the result, and discards the
-    /// copy. The baseline-strategy analogue of [`Checker::decide_only`]
-    /// for concurrent readers (the optimized strategy needs the
-    /// writer's pattern cache, so hypothetical *optimized* decisions
-    /// still go through the writer).
+    /// this snapshot's state, exactly as the writer would at this
+    /// version: the optimized pre-update check first ([`crate::optimized`]
+    /// — evaluated on the calling thread against the immutable snapshot,
+    /// with no copy of the document and nothing applied), the baseline
+    /// [`ReadSnapshot::decide_full`] only for what
+    /// [`Checker::try_update`] also sends down the baseline: a
+    /// non-insertion statement, a target that does not map to an update
+    /// pattern here, a pattern without an incremental check. A pattern
+    /// no one has seen yet is compiled here and published to the cache
+    /// the writer shares (first publisher wins; the writer adopts the
+    /// entry on its next local miss).
+    ///
+    /// The answer is the one `UPDATE` would give at this version —
+    /// same verdict, same violated denial, same error for a statement
+    /// that does not apply — minus the commit. (One exception in the
+    /// denial text: a checker-level [`Checker::set_eval_budget`] bounds
+    /// the *writer's* optimized check and makes it fall back when it
+    /// runs out; snapshots do not arm it.) A budget armed by the caller
+    /// that runs out is reported as [`CheckerError::BudgetExhausted`],
+    /// never retried on the costlier path.
     ///
     /// Note the decision is against **this snapshot's version**; a
     /// commit racing past it can invalidate the answer, exactly as with
     /// any read-your-writes-free read replica.
+    pub fn decide(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
+        let checks = &*self.checks;
+        let check = OptimizedCheck {
+            doc: &self.doc,
+            gamma: &checks.gamma,
+            mode: checks.mode,
+            independence: checks.independence,
+            budget: None,
+        };
+        let decides = &checks.decides;
+        let optimized = |verdict| {
+            decides.optimized.fetch_add(1, Ordering::Relaxed);
+            Ok(verdict)
+        };
+        let pattern = |key: &str, compile: &dyn Fn() -> _| {
+            Some(checks.patterns.get_or_publish(key, compile))
+        };
+        match check.decide(stmt, pattern)? {
+            Verdict::Legal => optimized(None),
+            Verdict::Violated(violation) => optimized(Some(violation)),
+            Verdict::Exhausted => Err(CheckerError::BudgetExhausted),
+            Verdict::NotIncremental(fallback) => {
+                // A spent budget cannot pay for the costlier path either.
+                if xic_xpath::budget::remaining() == Some(0) {
+                    return Err(CheckerError::BudgetExhausted);
+                }
+                match fallback {
+                    Fallback::NonInsertion => &decides.fallback_non_insertion,
+                    Fallback::Unmappable(_) => &decides.fallback_unmappable,
+                    Fallback::NonIncremental { .. } => &decides.fallback_non_incremental,
+                }
+                .fetch_add(1, Ordering::Relaxed);
+                self.decide_full(stmt)
+            }
+        }
+    }
+
+    /// [`ReadSnapshot::decide`] bounded by `deadline_ms` (see
+    /// [`ReadSnapshot::check_full_deadline`]).
+    pub fn decide_deadline(
+        &self,
+        stmt: &XUpdateDoc,
+        deadline_ms: u64,
+    ) -> Result<Option<Violation>, ServiceError> {
+        let _budget = xic_xpath::budget::arm(deadline_budget(deadline_ms));
+        self.decide(stmt).map_err(|e| timeout_or(e, deadline_ms))
+    }
+
+    /// The baseline decision: applies `stmt` to a private copy of the
+    /// snapshot document, full-checks the result, and discards the copy
+    /// — [`Checker::decide_only`] under
+    /// [`crate::Strategy::FullWithRollback`], for concurrent readers.
+    /// [`ReadSnapshot::decide`] falls back to this; it costs a deep
+    /// clone of the document plus an evaluation of all of Γ, whatever
+    /// the statement.
+    ///
+    /// Like every snapshot read, the decision is against **this
+    /// snapshot's version**.
     pub fn decide_full(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
         // The live mask comes from the snapshot's pre-state (trust bit
         // captured at publish), mirroring the writer's baseline path.
@@ -470,17 +582,6 @@ impl ReadSnapshot {
         };
         undo(&mut doc, applied); // symmetry only; the copy is dropped next
         Ok(verdict)
-    }
-
-    /// [`ReadSnapshot::decide_full`] bounded by `deadline_ms` (see
-    /// [`ReadSnapshot::check_full_deadline`]).
-    pub fn decide_full_deadline(
-        &self,
-        stmt: &XUpdateDoc,
-        deadline_ms: u64,
-    ) -> Result<Option<Violation>, ServiceError> {
-        let _budget = xic_xpath::budget::arm(deadline_budget(deadline_ms));
-        self.decide_full(stmt).map_err(|e| timeout_or(e, deadline_ms))
     }
 }
 
@@ -601,13 +702,13 @@ impl CheckerService {
     }
 
     /// Starts a service over `checker` with the full configuration.
-    pub fn with_config(checker: Checker, config: ServiceConfig) -> Arc<CheckerService> {
+    pub fn with_config(mut checker: Checker, config: ServiceConfig) -> Arc<CheckerService> {
         let config = ServiceConfig {
             queue_depth: config.queue_depth.max(1),
             fsync_attempts: config.fsync_attempts.max(1),
             ..config
         };
-        let checks = Arc::new(CheckSet::from_checker(&checker));
+        let checks = Arc::new(CheckSet::from_checker(&mut checker));
         // Captured before the checker is handed to the writer; recovery
         // restates these configured settings (see the field docs).
         let journal_sync = checker.journal_sync();
@@ -677,13 +778,21 @@ impl CheckerService {
         }
     }
 
-    /// Point-in-time resilience counters (the protocol's `STATS` reply).
+    /// Point-in-time resilience and decision counters (the protocol's
+    /// `STATS` reply).
     pub fn stats(&self) -> ServiceStats {
+        let decides = &self.checks.decides;
         ServiceStats {
             requests_shed: self.stats.shed.load(Ordering::Relaxed),
             requests_timed_out: self.stats.timed_out.load(Ordering::Relaxed),
             service_degraded: self.stats.degraded_transitions.load(Ordering::Relaxed),
             fsync_retries: self.stats.fsync_retries.load(Ordering::Relaxed),
+            decides_optimized: decides.optimized.load(Ordering::Relaxed),
+            decides_fallback_non_insertion: decides.fallback_non_insertion.load(Ordering::Relaxed),
+            decides_fallback_unmappable: decides.fallback_unmappable.load(Ordering::Relaxed),
+            decides_fallback_non_incremental: decides
+                .fallback_non_incremental
+                .load(Ordering::Relaxed),
         }
     }
 

@@ -46,9 +46,9 @@
 //! [`CheckpointError::ForeignEntry`]: xic_xml::CheckpointError
 
 use crate::checker::{
-    Checker, CheckerError, CheckpointPolicy, PatternCache, RecoverOptions, RecoveryReport,
-    SharedGamma,
+    Checker, CheckerError, CheckpointPolicy, RecoverOptions, RecoveryReport, SharedGamma,
 };
+use crate::optimized::PatternCache;
 use crate::service::{
     CheckerService, Health, ReadSnapshot, ServiceConfig, ServiceError, ServiceStats,
     SubmitOutcome,

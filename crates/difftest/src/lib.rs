@@ -9,7 +9,7 @@
 //! operation kinds — insert-before, insert-after, append, remove, update,
 //! rename — including multi-operation batches.
 //!
-//! Six oracles run per case:
+//! Six oracles run per case (a seventh has a pass of its own):
 //!
 //! 1. **Decision equivalence** — the optimized pre-update check
 //!    ([`Checker::try_update`] / [`Strategy::Optimized`]) and the baseline
@@ -41,6 +41,14 @@
 //!    well-posed (a budget abort could otherwise depend on how many
 //!    checks run).
 //!
+//! 7. **Snapshot decide** (its own pass, `--snapshot-decide`; see
+//!    [`snapshot`]) — `ReadSnapshot::decide` on a service's snapshot must
+//!    answer what `try_update` on a twin answers (verdict, violation,
+//!    error text), take the optimized path exactly where
+//!    `decide_only(Optimized)` is defined and the baseline's answer
+//!    elsewhere, under both engine modes and with independence on and
+//!    off.
+//!
 //! Discrepancies are greedily minimized ([`shrink`]) and reported with a
 //! one-line replay command (`cargo run -p xic-difftest -- --seed N`).
 //! Progress is observable through `xic-obs` counters
@@ -55,6 +63,7 @@ pub mod gen;
 pub mod reference;
 pub mod shard;
 pub mod shrink;
+pub mod snapshot;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

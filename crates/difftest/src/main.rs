@@ -9,6 +9,7 @@
 //! cargo run -p xic-difftest -- --chaos --cases 100 --seed 1
 //! cargo run -p xic-difftest -- --shard-matrix --cases 60 --seed 1
 //! cargo run -p xic-difftest -- --shard-chaos --cases 60 --seed 1
+//! cargo run -p xic-difftest -- --snapshot-decide --cases 300 --seed 1
 //! ```
 //!
 //! `--crash-matrix` switches to the crash-recovery oracle (the `crash`
@@ -33,6 +34,14 @@
 //! victim for the rest of the case; the chaos variant rebuilds it in
 //! place with `recover_shard` while the siblings keep committing.
 //!
+//! `--snapshot-decide` runs oracle 7 (the `snapshot` module): every case's
+//! statement is decided on a service's read snapshot and, on a twin
+//! checker, by `decide_only` under both strategies and by `try_update`,
+//! under both engine modes and with independence on and off; the
+//! snapshot must answer what the writer would, and a run of ≥ 100 cases
+//! must have taken both the optimized and the fallback path and
+//! generated all six operation kinds.
+//!
 //! Exit code 0 means every case passed all four oracles (and, for runs of
 //! ≥ 100 cases, that all six XUpdate operation kinds were exercised);
 //! 1 means discrepancies (each printed with its minimized reproducer and
@@ -54,6 +63,7 @@ struct Args {
     chaos: bool,
     shard_matrix: bool,
     shard_chaos: bool,
+    snapshot_decide: bool,
     sites: Option<String>,
     ir_mode: xicheck::IrMode,
     independence: bool,
@@ -68,6 +78,7 @@ fn parse_args() -> Result<Args, String> {
     let mut chaos = false;
     let mut shard_matrix = false;
     let mut shard_chaos = false;
+    let mut snapshot_decide = false;
     let mut sites: Option<String> = None;
     let mut ir_mode = xicheck::IrMode::Compiled;
     let mut independence = true;
@@ -108,6 +119,7 @@ fn parse_args() -> Result<Args, String> {
             "--chaos" => chaos = true,
             "--shard-matrix" => shard_matrix = true,
             "--shard-chaos" => shard_chaos = true,
+            "--snapshot-decide" => snapshot_decide = true,
             "--sites" => {
                 sites = Some(next_value(&mut i, inline.as_deref())?);
             }
@@ -129,13 +141,14 @@ fn parse_args() -> Result<Args, String> {
         }
         i += 1;
     }
-    let modes =
-        [crash_matrix, chaos, shard_matrix, shard_chaos].iter().filter(|&&m| m).count();
+    let modes = [crash_matrix, chaos, shard_matrix, shard_chaos, snapshot_decide]
+        .iter()
+        .filter(|&&m| m)
+        .count();
     if modes > 1 {
-        return Err(
-            "--crash-matrix, --chaos, --shard-matrix and --shard-chaos are mutually exclusive"
-                .to_string(),
-        );
+        return Err("--crash-matrix, --chaos, --shard-matrix, --shard-chaos and \
+                    --snapshot-decide are mutually exclusive"
+            .to_string());
     }
     if out.is_empty() {
         out = if crash_matrix {
@@ -146,6 +159,8 @@ fn parse_args() -> Result<Args, String> {
             "BENCH_SHARD_CRASH.json".to_string()
         } else if shard_chaos {
             "BENCH_SHARD_CHAOS.json".to_string()
+        } else if snapshot_decide {
+            "BENCH_SNAPSHOT_DECIDE.json".to_string()
         } else {
             "BENCH_DIFFTEST.json".to_string()
         };
@@ -162,6 +177,7 @@ fn parse_args() -> Result<Args, String> {
         chaos,
         shard_matrix,
         shard_chaos,
+        snapshot_decide,
         sites,
         ir_mode,
         independence,
@@ -466,6 +482,92 @@ fn run_shards(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Runs oracle 7 (snapshot decide) and writes its JSON report.
+fn run_snapshot_decide(args: &Args) -> ExitCode {
+    use xic_difftest::snapshot::{run_snapshot_decide, SnapshotConfig, OP_KINDS};
+    obs::reset();
+    let report = run_snapshot_decide(SnapshotConfig { seed: args.seed, cases: args.cases });
+    let snapshot = obs::snapshot();
+    for d in &report.divergences {
+        eprintln!("{}", d.report());
+    }
+    let mix: Vec<String> =
+        OP_KINDS.iter().zip(report.ops).map(|(kind, n)| format!("{kind}={n}")).collect();
+    println!(
+        "snapshot-decide: {} cases from seed {} (both ir modes, independence on and off) — \
+         {} divergences, {} decided optimized, {} decided by fallback; op mix: {}",
+        args.cases,
+        args.seed,
+        report.divergences.len(),
+        report.decided_optimized,
+        report.decided_fallback,
+        mix.join(" "),
+    );
+    let json = Value::Object(vec![
+        ("bench".to_string(), Value::String("snapshot-decide".to_string())),
+        ("seed".to_string(), Value::Number(args.seed as f64)),
+        ("cases".to_string(), Value::Number(args.cases as f64)),
+        (
+            "divergences".to_string(),
+            Value::Number(report.divergences.len() as f64),
+        ),
+        (
+            "decided_optimized".to_string(),
+            Value::Number(report.decided_optimized as f64),
+        ),
+        (
+            "decided_fallback".to_string(),
+            Value::Number(report.decided_fallback as f64),
+        ),
+        (
+            "ops".to_string(),
+            Value::Object(
+                OP_KINDS
+                    .iter()
+                    .zip(report.ops)
+                    .map(|(kind, n)| (kind.to_string(), Value::Number(n as f64)))
+                    .collect(),
+            ),
+        ),
+        (
+            "failing_seeds".to_string(),
+            Value::Array(
+                report
+                    .divergences
+                    .iter()
+                    .map(|d| Value::Number(d.seed as f64))
+                    .collect(),
+            ),
+        ),
+        ("obs".to_string(), snapshot.to_json_value()),
+    ]);
+    if let Err(e) = std::fs::write(&args.out, json.render_pretty(2) + "\n") {
+        eprintln!("difftest: cannot write {}: {e}", args.out);
+        return ExitCode::from(2);
+    }
+    println!("report written to {}", args.out);
+    if !report.divergences.is_empty() {
+        return ExitCode::from(1);
+    }
+    if args.cases >= 100 {
+        if report.decided_optimized == 0 || report.decided_fallback == 0 {
+            eprintln!(
+                "snapshot-decide: {} cases never took both paths ({} optimized, {} fallback)",
+                args.cases, report.decided_optimized, report.decided_fallback
+            );
+            return ExitCode::from(1);
+        }
+        if let Some(i) = report.ops.iter().position(|&n| n == 0) {
+            eprintln!(
+                "snapshot-decide: operation kind {} never generated in {} cases",
+                OP_KINDS[i], args.cases
+            );
+            return ExitCode::from(1);
+        }
+    }
+    ExitCode::SUCCESS
+}
+
 const OP_COUNTERS: [obs::Counter; 6] = [
     obs::Counter::DifftestOpInsertBefore,
     obs::Counter::DifftestOpInsertAfter,
@@ -482,7 +584,7 @@ fn main() -> ExitCode {
             eprintln!("difftest: {e}");
             eprintln!(
                 "usage: difftest [--crash-matrix [--sites PAT,PAT…] | --chaos | \
-                 --shard-matrix | --shard-chaos] [--cases N] [--seed N] \
+                 --shard-matrix | --shard-chaos | --snapshot-decide] [--cases N] [--seed N] \
                  [--ir-mode interpret|compiled] [--independence on|off] [--out FILE]"
             );
             return ExitCode::from(2);
@@ -504,6 +606,9 @@ fn main() -> ExitCode {
     }
     if args.shard_matrix || args.shard_chaos {
         return run_shards(&args);
+    }
+    if args.snapshot_decide {
+        return run_snapshot_decide(&args);
     }
     if args.dump {
         // Print the generated artifacts for `--seed` without running any
