@@ -9,21 +9,15 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== three-way engine oracle (>= 500 cases) =="
-# The PR7 gate: every generated query is evaluated by the tree-walking
-# interpreter, the compiled flat IR, and the naive reference — node-sets,
-# existential short-circuits and count() cardinalities must all agree.
-# The run exits nonzero on any discrepancy or if fewer than 100 cases ran
-# three-way queries (the report's "three_way_queries" counts them).
+echo "== engine-vs-reference oracle (>= 500 cases) =="
+# Every generated query is evaluated by the query engine and by the naive
+# reference — node-sets, existential short-circuits, count() cardinalities
+# and the translator's quantifier and aggregate-FLWOR shapes must all
+# agree. The run exits nonzero on any discrepancy or if a run of at least
+# 100 cases compared no queries (the report's "reference_queries" counts
+# them).
 cargo run --release -q -p xic-difftest -- --cases 500 --seed 1 \
-  --ir-mode compiled --out /tmp/BENCH_DIFFTEST_CI.json
-
-echo "== differential fuzz smoke (interpreter engine) =="
-# The same oracle with every internally constructed checker pinned to the
-# tree-walking interpreter, so an IR-only regression cannot hide behind
-# the compiled default (and vice versa).
-cargo run --release -q -p xic-difftest -- --cases 200 --seed 1 \
-  --ir-mode interpret --out /tmp/BENCH_DIFFTEST_INTERP_CI.json
+  --out /tmp/BENCH_DIFFTEST_CI.json
 
 echo "== independence on/off oracle (>= 200 cases) =="
 # The PR8 gate: every case also replays through a checker pair with the
@@ -34,20 +28,17 @@ echo "== independence on/off oracle (>= 200 cases) =="
 cargo run --release -q -p xic-difftest -- --cases 200 --seed 11 \
   --independence off --out /tmp/BENCH_DIFFTEST_INDEP_CI.json
 
-echo "== difftest corpus replay (both engine modes) =="
+echo "== difftest corpus replay =="
 # Every checked-in regression seed replays against the current oracles
 # (tests/corpus.rs covers these in-process too; this exercises the CLI
-# path end to end), once per engine mode — verdicts must be clean under
-# both the interpreter and the compiled IR.
-for mode in interpret compiled; do
-  grep -v '^[[:space:]]*#' crates/difftest/corpus/regressions.txt \
-    | grep -v '^[[:space:]]*$' \
-    | while read -r seed; do
-        cargo run --release -q -p xic-difftest -- \
-          --cases 1 --seed "$seed" --ir-mode "$mode" \
-          --out /tmp/BENCH_DIFFTEST_CORPUS.json
-      done
-done
+# path end to end).
+grep -v '^[[:space:]]*#' crates/difftest/corpus/regressions.txt \
+  | grep -v '^[[:space:]]*$' \
+  | while read -r seed; do
+      cargo run --release -q -p xic-difftest -- \
+        --cases 1 --seed "$seed" \
+        --out /tmp/BENCH_DIFFTEST_CORPUS.json
+    done
 
 echo "== crash-matrix smoke (journal recovery under injected crashes) =="
 # Seeded, replayable cases (count/filter overridable via CRASH_CASES /
@@ -60,14 +51,6 @@ CRASH_CASES="${CRASH_CASES:-100}"
 cargo run --release -q -p xic-difftest -- --crash-matrix --cases "$CRASH_CASES" --seed 1 \
   ${CRASH_SITES:+--sites "$CRASH_SITES"} \
   --out /tmp/BENCH_CRASH_CI.json
-
-echo "== crash-matrix interpreter pass (same seeds, tree-walking engine) =="
-# A smaller replay of the matrix with checkers pinned to the interpreter:
-# recovery byte-identity must hold regardless of which engine decides the
-# constraint checks.
-cargo run --release -q -p xic-difftest -- --crash-matrix \
-  --cases "${CRASH_INTERP_CASES:-30}" --seed 1 --ir-mode interpret \
-  --out /tmp/BENCH_CRASH_INTERP_CI.json
 
 echo "== crash-matrix rotation pass (checkpoint + rotation fault sites) =="
 # Same oracle, restricted to the checkpoint/rotation protocol steps so
@@ -127,11 +110,11 @@ echo "== snapshot-decide oracle (DECIDE on read snapshots == the writer's answer
 # The PR12 gate (count overridable via SNAPSHOT_DECIDE_CASES): every
 # case's statement — all six op kinds — is decided by
 # ReadSnapshot::decide and, on a twin, by decide_only under both
-# strategies and by try_update, under both IrModes and independence
-# on/off. Verdict, violation and error text must match the writer's; a
-# LEGAL-vs-ERR split is a divergence; both the optimized and the
-# fallback path must have decided cases (replay: difftest --
-# --snapshot-decide --seed N --cases 1).
+# strategies and by try_update, with independence on and off. Verdict,
+# violation and error text must match the writer's; a LEGAL-vs-ERR split
+# is a divergence; both the optimized and the fallback path must have
+# decided cases (replay: difftest -- --snapshot-decide --seed N
+# --cases 1).
 cargo run --release -q -p xic-difftest -- --snapshot-decide \
   --cases "${SNAPSHOT_DECIDE_CASES:-300}" --seed 1 \
   --out /tmp/BENCH_SNAPSHOT_DECIDE_CI.json
@@ -147,15 +130,6 @@ echo "== bench smoke (order/exists fast paths) =="
 # The criterion harness runs each benchmark a handful of times; this is a
 # does-it-run gate, not a performance assertion.
 cargo bench -q -p xic-bench --bench order_exists
-
-echo "== bench smoke (interpreter vs compiled IR) =="
-cargo bench -q -p xic-bench --bench ir_compile
-
-echo "== experiments smoke (ir section, small sizes) =="
-# The interpreter-vs-IR experiment section must run end to end; the real
-# report (BENCH_PR7.json) is regenerated with the default sizes.
-cargo run --release -q -p xic-bench --bin experiments -- ir \
-  --sizes=8 --iters=1 --out=/tmp/BENCH_IR_SMOKE.json
 
 echo "== experiments smoke (shards section: E14 recovery + mixed traffic) =="
 # The sharded-store experiment must run end to end: whole-set recovery

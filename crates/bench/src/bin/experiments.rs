@@ -2,7 +2,7 @@
 //! machine-readable report (`BENCH_PR3.json`).
 //!
 //! ```text
-//! experiments [fig1a] [fig1b] [illegal] [simp] [exists] [ordercache] [ir]
+//! experiments [fig1a] [fig1b] [illegal] [simp] [exists] [ordercache]
 //!             [journal] [budget] [checkpoint] [service] [independence]
 //!             [overload] [shards] [all]
 //!             [--sizes=32,64,128,256,512] [--iters=3] [--seed=1]
@@ -17,10 +17,7 @@
 //! than 50 ms"); `exists` compares the short-circuiting existential full
 //! check (sequential and parallel) against the materializing baseline on
 //! a violating state; `ordercache` compares a dedupe-heavy query with and
-//! without the cached document-order ranks; `ir` compares the
-//! tree-walking interpreter against the compiled flat-IR engine on the
-//! full and optimized checks (E11 — conventionally written to
-//! `BENCH_PR7.json` via `--out`); `journal` measures the
+//! without the cached document-order ranks; `journal` measures the
 //! write-ahead journal's per-update overhead (off / on without fsync / on
 //! with per-record fsync); `budget` measures evaluation-step budgeting on
 //! the optimized fast path and the cost of its baseline fallback (E8);
@@ -51,7 +48,7 @@
 
 use std::time::Instant;
 use xic_bench::{
-    instance, measure_budget, measure_exists, measure_illegal, measure_ir, measure_journal,
+    instance, measure_budget, measure_exists, measure_illegal, measure_journal,
     measure_order_cache, measure_row, measure_service, Experiment,
 };
 use xic_mapping::map_update;
@@ -90,7 +87,7 @@ fn parse_args() -> Args {
     }
     if what.is_empty() || what.iter().any(|w| w == "all") {
         what = [
-            "fig1a", "fig1b", "illegal", "simp", "exists", "ordercache", "ir", "journal",
+            "fig1a", "fig1b", "illegal", "simp", "exists", "ordercache", "journal",
             "budget", "checkpoint", "service", "independence", "overload", "shards",
         ]
         .iter()
@@ -308,69 +305,6 @@ fn order_cache_section(args: &Args) -> json::Value {
             ("fast_sorts".to_string(), num(r.fast_sorts as f64)),
             ("path_sorts".to_string(), num(r.path_sorts as f64)),
         ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
-}
-
-fn ir_section(args: &Args) -> json::Value {
-    println!("== Interpreter vs compiled flat IR: full and optimized checks (E11) ==");
-    println!(
-        "{:>12} {:>9} {:>13} {:>12} {:>7} {:>13} {:>12} {:>7}",
-        "experiment",
-        "size/KiB",
-        "int full/ms",
-        "ir full/ms",
-        "x",
-        "int opt/ms",
-        "ir opt/ms",
-        "x"
-    );
-    obs::reset();
-    let mut rows = Vec::new();
-    for (exp, name) in [
-        (Experiment::ConflictOfInterests, "conflict"),
-        (Experiment::ConferenceWorkload, "workload"),
-    ] {
-        for &kib in &args.sizes {
-            let r = measure_ir(exp, kib, args.seed, args.iters);
-            let full_speedup = r.interpret_full_ms / r.compiled_full_ms;
-            let opt_speedup = r.interpret_optimized_ms / r.compiled_optimized_ms;
-            println!(
-                "{name:>12} {:>9} {:>13.2} {:>12.2} {:>7.2} {:>13.3} {:>12.3} {:>7.2}",
-                r.kib,
-                r.interpret_full_ms,
-                r.compiled_full_ms,
-                full_speedup,
-                r.interpret_optimized_ms,
-                r.compiled_optimized_ms,
-                opt_speedup,
-            );
-            rows.push(json::Value::Object(vec![
-                (
-                    "experiment".to_string(),
-                    json::Value::String(name.to_string()),
-                ),
-                ("kib".to_string(), num(r.kib as f64)),
-                ("interpret_full_ms".to_string(), num(r.interpret_full_ms)),
-                ("compiled_full_ms".to_string(), num(r.compiled_full_ms)),
-                ("full_speedup".to_string(), num(full_speedup)),
-                (
-                    "interpret_optimized_ms".to_string(),
-                    num(r.interpret_optimized_ms),
-                ),
-                (
-                    "compiled_optimized_ms".to_string(),
-                    num(r.compiled_optimized_ms),
-                ),
-                ("optimized_speedup".to_string(), num(opt_speedup)),
-            ]));
-        }
     }
     println!();
     json::Value::Object(vec![
@@ -774,7 +708,6 @@ fn main() {
             "simp" => simp_latency(&args),
             "exists" => exists_section(&args),
             "ordercache" => order_cache_section(&args),
-            "ir" => ir_section(&args),
             "journal" => journal_section(&args),
             "budget" => budget_section(&args),
             "checkpoint" => checkpoint_section(&args),
@@ -785,7 +718,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown experiment {other} (expected all, fig1a, fig1b, illegal, simp, \
-                     exists, ordercache, ir, journal, budget, checkpoint, service, independence, \
+                     exists, ordercache, journal, budget, checkpoint, service, independence, \
                      overload, shards)"
                 );
                 failed = true;
@@ -796,7 +729,6 @@ fn main() {
         let key = match w.as_str() {
             "exists" => "exists-short-circuit",
             "ordercache" => "order-key-cache",
-            "ir" => "ir-vs-interpreter",
             "journal" => "journal-overhead",
             "budget" => "budget-overhead",
             other => other,

@@ -334,59 +334,6 @@ pub fn measure_order_cache(kib: usize, seed: u64, iters: usize) -> OrderCacheRow
     }
 }
 
-/// The tree-walking interpreter versus the compiled flat-IR engine
-/// ([`xicheck::IrMode`]) on the same checker entry points: the full check
-/// of the original constraint and the optimized pre-update check.
-#[derive(Debug, Clone, Copy)]
-pub struct IrRow {
-    /// Corpus size in KiB.
-    pub kib: usize,
-    /// Full check, interpreter (ms).
-    pub interpret_full_ms: f64,
-    /// Full check, compiled IR (ms).
-    pub compiled_full_ms: f64,
-    /// Optimized pre-update check, interpreter (ms).
-    pub interpret_optimized_ms: f64,
-    /// Optimized pre-update check, compiled IR (ms).
-    pub compiled_optimized_ms: f64,
-}
-
-/// Measures [`IrRow`]: the same checker instance is flipped between
-/// engine modes with [`xicheck::Checker::set_ir_mode`], so both engines
-/// see the identical document, constraint set and compiled pattern. The
-/// full check runs sequentially (parallel fan-out off) so the comparison
-/// isolates per-query evaluation cost rather than thread scheduling.
-pub fn measure_ir(exp: Experiment, kib: usize, seed: u64, iters: usize) -> IrRow {
-    let mut inst = instance(exp, kib, seed);
-    inst.checker.set_parallel_full(Some(false));
-    let legal = inst.legal.clone();
-    let mut full = [0.0f64; 2];
-    let mut optimized = [0.0f64; 2];
-    for (i, mode) in [xicheck::IrMode::Interpret, xicheck::IrMode::Compiled]
-        .into_iter()
-        .enumerate()
-    {
-        inst.checker.set_ir_mode(mode);
-        full[i] = time_mean(iters, || {
-            assert!(inst.checker.check_full().expect("full check").is_none());
-        })
-        .as_secs_f64()
-            * 1e3;
-        optimized[i] = time_mean(iters, || {
-            assert!(inst.checker.check_optimized(&legal).expect("optimized").is_none());
-        })
-        .as_secs_f64()
-            * 1e3;
-    }
-    IrRow {
-        kib,
-        interpret_full_ms: full[0],
-        compiled_full_ms: full[1],
-        interpret_optimized_ms: optimized[0],
-        compiled_optimized_ms: optimized[1],
-    }
-}
-
 /// Per-update cost of the write-ahead journal on the Section 7 update
 /// workload (a stream of legal pattern-matching inserts through
 /// [`Checker::try_update`]), with the journal detached, attached without
@@ -1247,13 +1194,6 @@ mod tests {
             r.exists_nodes_visited,
             r.materialized_nodes_visited,
         );
-    }
-
-    #[test]
-    fn ir_rows_measure_both_engines() {
-        let r = measure_ir(Experiment::ConflictOfInterests, 8, 4, 1);
-        assert!(r.interpret_full_ms > 0.0 && r.compiled_full_ms > 0.0);
-        assert!(r.interpret_optimized_ms > 0.0 && r.compiled_optimized_ms > 0.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use xic_datalog::Denial;
 use xic_mapping::{map_denials, map_update, RelSchema};
@@ -20,61 +20,17 @@ use xic_xml::{
     apply, parse_document, serialize, undo, AppliedUpdate, Document, Dtd, XUpdateDoc,
 };
 use xic_xpath::EvalBudget;
-use xic_xquery::{
-    eval_query_bool, eval_query_exists, parse_query, XProgram, XQuery, XQueryError,
-};
+use xic_xquery::{parse_query, XProgram, XQueryError};
 
 /// Documents below this node count are always checked sequentially: the
 /// per-thread spawn/merge overhead dominates the §7 small-document regime.
 const PARALLEL_FULL_MIN_NODES: usize = 8192;
 
-/// Which query engine a [`Checker`] evaluates its checks with.
-///
-/// `Compiled` (the default) runs the flat-IR engine: constraints and
-/// pattern templates are compiled once — interned name tests, slot-numbered
-/// variables, explicit evaluation stacks — and evaluated many times.
-/// `Interpret` keeps the tree-walking AST interpreter; it survives as the
-/// ablation baseline (EXPERIMENTS.md E11) and as the second engine the
-/// differential oracles compare against. Verdicts are identical in both
-/// modes; only evaluation cost differs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IrMode {
-    /// Tree-walking interpreter over the parsed AST (the pre-IR engine).
-    Interpret,
-    /// Flat-IR engine (compile once, evaluate many).
-    #[default]
-    Compiled,
-}
-
-/// Process-wide default for newly constructed checkers. An `AtomicU8`
-/// rather than a constructor parameter so ablation harnesses (the
-/// difftest `--ir-mode` flag, the benchmark driver) cover checkers built
-/// deep inside library code they do not call directly.
-static DEFAULT_IR_MODE: AtomicU8 = AtomicU8::new(1);
-
-/// Sets the [`IrMode`] that subsequently constructed [`Checker`]s start
-/// in. Existing checkers are unaffected (use [`Checker::set_ir_mode`]).
-pub fn set_default_ir_mode(mode: IrMode) {
-    let v = match mode {
-        IrMode::Interpret => 0,
-        IrMode::Compiled => 1,
-    };
-    DEFAULT_IR_MODE.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide default [`IrMode`].
-pub fn default_ir_mode() -> IrMode {
-    match DEFAULT_IR_MODE.load(Ordering::Relaxed) {
-        0 => IrMode::Interpret,
-        _ => IrMode::Compiled,
-    }
-}
-
 /// Process-wide default for the static update/constraint independence
-/// analysis on newly constructed checkers (on by default). Like
-/// [`DEFAULT_IR_MODE`], an atomic rather than a constructor parameter so
-/// ablation harnesses (the difftest `--independence` flag, the benchmark
-/// driver) reach checkers built deep inside library code.
+/// analysis on newly constructed checkers (on by default). An atomic
+/// rather than a constructor parameter so ablation harnesses (the
+/// difftest `--independence` flag, the benchmark driver) reach checkers
+/// built deep inside library code.
 static DEFAULT_INDEPENDENCE: AtomicBool = AtomicBool::new(true);
 
 /// Sets whether subsequently constructed [`Checker`]s run the static
@@ -329,11 +285,9 @@ pub struct SharedGamma {
     gamma: Vec<Denial>,
     /// Closed XQuery checks for Γ (the "non-simplified" curve).
     full_queries: Vec<QueryTemplate>,
-    /// `full_queries` pre-parsed once (they are closed, so the ASTs never
-    /// change): [`Checker::check_full`] never re-parses the constraint
-    /// set per statement.
-    full_parsed: Vec<XQuery>,
-    /// `full_parsed` compiled to the IR engine, in the same order.
+    /// `full_queries` parsed and compiled once, in the same order (they
+    /// are closed, so the programs never change): [`Checker::check_full`]
+    /// never re-parses the constraint set per statement.
     full_ir: Vec<XProgram>,
     /// Per-constraint read footprints, in `gamma` order.
     read_fps: Vec<ReadFootprint>,
@@ -361,11 +315,13 @@ impl SharedGamma {
             map_denials(constraints, &schema, &dtd).map_err(|e| CheckerError::Setup(e.to_string()))?;
         let full_queries =
             translate_denials(&gamma, &schema).map_err(|e| CheckerError::Setup(e.to_string()))?;
-        let full_parsed = full_queries
+        let full_ir = full_queries
             .iter()
-            .map(|q| parse_query(&q.text).map_err(|e| CheckerError::Setup(format!("{}: {e}", q.text))))
+            .map(|q| match parse_query(&q.text) {
+                Ok(parsed) => Ok(XProgram::compile(&parsed)),
+                Err(e) => Err(CheckerError::Setup(format!("{}: {e}", q.text))),
+            })
             .collect::<Result<Vec<_>, _>>()?;
-        let full_ir = full_parsed.iter().map(XProgram::compile).collect();
         let (read_fps, indep_index) = {
             let _compile = xic_obs::phase("compile");
             let _footprint = xic_obs::phase("footprint");
@@ -376,7 +332,6 @@ impl SharedGamma {
             schema,
             gamma,
             full_queries,
-            full_parsed,
             full_ir,
             read_fps,
             indep_index,
@@ -403,12 +358,7 @@ impl SharedGamma {
         &self.full_queries
     }
 
-    /// The pre-parsed ASTs for [`SharedGamma::full_queries`], in order.
-    pub(crate) fn full_parsed(&self) -> &[XQuery] {
-        &self.full_parsed
-    }
-
-    /// The IR-compiled programs for [`SharedGamma::full_queries`], in order.
+    /// The compiled programs for [`SharedGamma::full_queries`], in order.
     pub(crate) fn full_ir(&self) -> &[XProgram] {
         &self.full_ir
     }
@@ -451,9 +401,6 @@ pub struct Checker {
     /// Optional cross-checker pattern cache (see [`PatternCache`]): local
     /// misses consult it before compiling, local compiles publish to it.
     pattern_cache: Option<Arc<PatternCache>>,
-    /// Which engine evaluates checks (seeded from [`default_ir_mode`] at
-    /// construction).
-    ir_mode: IrMode,
     /// Whether the static independence analysis masks the full-check
     /// paths and pre-filters pattern compilation (seeded from
     /// [`default_independence`] at construction).
@@ -549,7 +496,6 @@ impl Checker {
             shared,
             patterns: HashMap::new(),
             pattern_cache: None,
-            ir_mode: default_ir_mode(),
             independence: default_independence(),
             nesting_trusted,
             parallel_full: None,
@@ -636,18 +582,6 @@ impl Checker {
     /// The translated full-check queries.
     pub fn full_queries(&self) -> &[QueryTemplate] {
         &self.shared.full_queries
-    }
-
-    /// The engine mode (interpreted AST vs compiled IR) this checker
-    /// evaluates with.
-    pub fn ir_mode(&self) -> IrMode {
-        self.ir_mode
-    }
-
-    /// Overrides the engine mode for this checker (ablation hook; the
-    /// initial value comes from [`default_ir_mode`] at construction).
-    pub fn set_ir_mode(&mut self, mode: IrMode) {
-        self.ir_mode = mode;
     }
 
     /// Whether the static independence analysis is active on this checker.
@@ -744,8 +678,8 @@ impl Checker {
     }
 
     /// Caches a compiled pattern together with its IR precompilation (one
-    /// compiled program per template; `None` entries fall back to the
-    /// interpreter at check time).
+    /// compiled program per template; a `None` entry is instantiated,
+    /// parsed and compiled at check time).
     fn insert_pattern(&mut self, key: String, compiled: CompiledPattern) {
         let entry = PatternEntry::build(compiled);
         let entry = publish_pattern(self.pattern_cache.as_ref(), &key, entry);
@@ -767,7 +701,6 @@ impl Checker {
         OptimizedCheck {
             doc: &self.doc,
             gamma: &self.shared,
-            mode: self.ir_mode,
             independence: self.independence,
             budget: self.eval_budget,
         }
@@ -785,7 +718,6 @@ impl Checker {
         let check = OptimizedCheck {
             doc: &self.doc,
             gamma: &self.shared,
-            mode: self.ir_mode,
             independence: self.independence,
             budget: self.eval_budget,
         };
@@ -1256,7 +1188,7 @@ impl Checker {
     fn check_full_masked(&self, live: Option<&[bool]>) -> Result<Option<Violation>, CheckerError> {
         let _check = xic_obs::phase("check");
         let _full = xic_obs::phase("full");
-        let n = self.shared.full_parsed.len();
+        let n = self.shared.full_ir.len();
         let indices: Vec<usize> = match live {
             None => (0..n).collect(),
             Some(mask) => {
@@ -1282,13 +1214,9 @@ impl Checker {
         }
     }
 
-    /// Evaluates full-check constraint `i` existentially with the
-    /// configured engine.
+    /// Evaluates full-check constraint `i` existentially.
     fn eval_full_exists(&self, i: usize) -> Result<bool, XQueryError> {
-        match self.ir_mode {
-            IrMode::Interpret => eval_query_exists(&self.shared.full_parsed[i], &self.doc),
-            IrMode::Compiled => self.shared.full_ir[i].eval_exists(&self.doc, &[]),
-        }
+        self.shared.full_ir[i].eval_exists(&self.doc, &[])
     }
 
     fn check_full_seq(&self, indices: &[usize]) -> Result<Option<Violation>, CheckerError> {
@@ -1331,9 +1259,7 @@ impl Checker {
             .max(1);
         let chunk = indices.len().div_ceil(workers).max(1);
         let doc = &self.doc;
-        let parsed = &self.shared.full_parsed;
         let ir = &self.shared.full_ir;
-        let mode = self.ir_mode;
         let per_worker: Vec<WorkerResult> = std::thread::scope(|s| {
                 let handles: Vec<_> = indices
                     .chunks(chunk)
@@ -1342,11 +1268,8 @@ impl Checker {
                             let verdicts = idxs
                                 .iter()
                                 .map(|&i| {
-                                    let verdict = match mode {
-                                        IrMode::Interpret => eval_query_exists(&parsed[i], doc),
-                                        IrMode::Compiled => ir[i].eval_exists(doc, &[]),
-                                    }
-                                    .map_err(|e| e.to_string());
+                                    let verdict =
+                                        ir[i].eval_exists(doc, &[]).map_err(|e| e.to_string());
                                     (i, verdict)
                                 })
                                 .collect();
@@ -1359,7 +1282,7 @@ impl Checker {
                     .map(|h| h.join().expect("full-check worker panicked"))
                     .collect()
             });
-        let mut verdicts = Vec::with_capacity(self.shared.full_parsed.len());
+        let mut verdicts = Vec::with_capacity(indices.len());
         for (vs, snapshot) in per_worker {
             xic_obs::merge(&snapshot);
             verdicts.extend(vs);
@@ -1392,12 +1315,8 @@ impl Checker {
     pub fn check_full_materialized(&self) -> Result<Option<Violation>, CheckerError> {
         let _check = xic_obs::phase("check");
         let _full = xic_obs::phase("full_materialized");
-        for i in 0..self.shared.full_parsed.len() {
-            let violated = match self.ir_mode {
-                IrMode::Interpret => eval_query_bool(&self.shared.full_parsed[i], &self.doc),
-                IrMode::Compiled => self.shared.full_ir[i].eval_bool(&self.doc, &[]),
-            }
-            .map_err(|e| {
+        for (i, program) in self.shared.full_ir.iter().enumerate() {
+            let violated = program.eval_bool(&self.doc, &[]).map_err(|e| {
                 CheckerError::Query(format!("{}: {e}", self.shared.full_queries[i].text))
             })?;
             if violated {

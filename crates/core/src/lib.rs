@@ -76,8 +76,8 @@ pub mod service;
 pub mod shards;
 
 pub use checker::{
-    default_independence, default_ir_mode, set_default_independence, set_default_ir_mode, Checker,
-    CheckerError, CheckpointPolicy, IrMode, RecoverOptions, RecoveryReport, SharedGamma, Stats,
+    default_independence, set_default_independence, Checker, CheckerError, CheckpointPolicy,
+    RecoverOptions, RecoveryReport, SharedGamma, Stats,
     Strategy, UpdateOutcome, Violation,
 };
 pub use optimized::PatternCache;

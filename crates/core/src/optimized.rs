@@ -20,7 +20,7 @@
 //!
 //! In `DESIGN.md`'s system inventory this is row 25.
 
-use crate::checker::{CheckerError, IrMode, SharedGamma, Violation};
+use crate::checker::{CheckerError, SharedGamma, Violation};
 use crate::compile::{compile_pattern_with, CompiledPattern};
 use crate::resolver::xpath_resolver;
 use std::collections::HashMap;
@@ -33,10 +33,10 @@ use xic_xml::{Document, NodeId, XUpdateDoc};
 use xic_xpath::{EvalBudget, NodeRef, XValue};
 use xic_xquery::{eval_query_exists, parse_query, XProgram};
 
-/// One pattern template precompiled for the IR engine: `%{name}`
-/// placeholders become leading program parameters (`$xic_p_name`) instead
-/// of text substitutions, so the per-update cost drops from
-/// render-text + parse + interpret to bind-values + evaluate.
+/// One precompiled pattern template: `%{name}` placeholders become
+/// leading program parameters (`$xic_p_name`) instead of text
+/// substitutions, so the per-update cost drops from render-text + parse +
+/// compile + evaluate to bind-values + evaluate.
 struct IrTemplate {
     program: XProgram,
     /// Placeholder name and kind per program parameter, in parameter order.
@@ -45,7 +45,8 @@ struct IrTemplate {
 
 /// A compiled update pattern bundled with its IR precompilation: one
 /// program per template in `compiled.queries`, `None` where
-/// precompilation failed and interpreted instantiation is used instead.
+/// precompilation failed and the template is instantiated, parsed and
+/// compiled per check instead.
 /// Entries are immutable once built, so they are shared (`Arc`) between
 /// a checker's local map, the cross-checker [`PatternCache`] and every
 /// reader evaluating against a snapshot.
@@ -131,11 +132,10 @@ impl PatternCache {
     }
 }
 
-/// Precompiles a query template for the IR engine. Returns `None` when
-/// the template cannot be precompiled (placeholder name that is not a
-/// legal variable suffix, or text that no longer parses after
-/// substitution); evaluation then falls back to interpreted
-/// instantiation for that template, preserving behavior.
+/// Precompiles a query template. Returns `None` when the template
+/// cannot be precompiled (placeholder name that is not a legal variable
+/// suffix, or text that no longer parses after substitution); each check
+/// then instantiates, parses and compiles that template's text.
 fn compile_template_ir(t: &QueryTemplate) -> Option<IrTemplate> {
     let mut text = t.text.clone();
     let mut params = Vec::with_capacity(t.params.len());
@@ -260,8 +260,6 @@ pub(crate) struct OptimizedCheck<'a> {
     pub(crate) doc: &'a Document,
     /// The compiled constraint set.
     pub(crate) gamma: &'a SharedGamma,
-    /// Which engine evaluates the templates.
-    pub(crate) mode: IrMode,
     /// Whether the static independence analysis is on (compile-time
     /// pre-filtering of Γ and the skip/retain counters).
     pub(crate) independence: bool,
@@ -346,18 +344,18 @@ impl OptimizedCheck<'_> {
         Ok(Verdict::Legal)
     }
 
-    /// One template evaluation with the configured engine. The IR path
-    /// binds the update's parameters directly (mirroring
-    /// [`QueryTemplate::instantiate`]'s validation) and only renders the
-    /// instantiated text when a violation must be reported, so verdicts
-    /// and reports are identical across engines.
+    /// One template evaluation. A precompiled template binds the update's
+    /// parameters directly (mirroring [`QueryTemplate::instantiate`]'s
+    /// validation) and only renders the instantiated text when a
+    /// violation must be reported; verdicts and reports are the same
+    /// either way.
     fn eval_template(
         &self,
         ir: Option<&IrTemplate>,
         q: &QueryTemplate,
         bindings: &HashMap<String, Value>,
     ) -> Result<TemplateVerdict, CheckerError> {
-        if let (IrMode::Compiled, Some(t)) = (self.mode, ir) {
+        if let Some(t) = ir {
             let params = bind_ir_params(t, self.doc, bindings)
                 .map_err(|e| CheckerError::Query(e.to_string()))?;
             return match t.program.eval_exists(self.doc, &params) {

@@ -64,7 +64,7 @@
 //!
 //! [sync-now]: xic_xml::journal::Journal::sync_now
 
-use crate::checker::{Checker, CheckerError, IrMode, SharedGamma, UpdateOutcome, Violation};
+use crate::checker::{Checker, CheckerError, SharedGamma, UpdateOutcome, Violation};
 use crate::optimized::{Fallback, OptimizedCheck, PatternCache, Verdict};
 use crate::resolver::xpath_resolver;
 use std::fmt;
@@ -76,7 +76,6 @@ use std::time::{Duration, Instant};
 use xic_simplify::live_set;
 use xic_xml::{apply, serialize, undo, Document, XUpdateDoc};
 use xic_xpath::EvalBudget;
-use xic_xquery::eval_query_exists;
 
 /// Default cap on statements drained into one group-commit batch. Large
 /// enough that 16 concurrent submitters usually share one fsync, small
@@ -330,17 +329,13 @@ pub fn deadline_budget(remaining_ms: u64) -> EvalBudget {
 
 /// The check inputs, shared immutably by every snapshot the service
 /// publishes: the checker's [`SharedGamma`] (denials, query texts,
-/// pre-parsed ASTs, IR programs, footprints), the [`PatternCache`] the
-/// writer's checker compiles into and adopts from, plus the engine mode
-/// captured from the writer's checker at service start, so snapshot
-/// checks run the same engine the writer commits with. The gamma `Arc`
-/// (and, in a `ShardSet`, the cache) is the same compiled set shared
-/// across every shard — publishing a snapshot never re-compiles
-/// anything.
+/// compiled programs, footprints) and the [`PatternCache`] the writer's
+/// checker compiles into and adopts from. The gamma `Arc` (and, in a
+/// `ShardSet`, the cache) is the same compiled set shared across every
+/// shard — publishing a snapshot never re-compiles anything.
 struct CheckSet {
     gamma: Arc<SharedGamma>,
     patterns: Arc<PatternCache>,
-    mode: IrMode,
     /// Whether the writer's checker ran the static independence analysis
     /// at service start; snapshot decisions follow the same setting.
     independence: bool,
@@ -355,7 +350,6 @@ impl CheckSet {
         CheckSet {
             gamma: Arc::clone(checker.shared_gamma()),
             patterns: checker.ensure_pattern_cache(),
-            mode: checker.ir_mode(),
             independence: checker.independence(),
             decides: DecideCells::default(),
         }
@@ -363,7 +357,7 @@ impl CheckSet {
 
     /// Number of compiled constraints.
     fn len(&self) -> usize {
-        self.gamma.full_parsed().len()
+        self.gamma.full_ir().len()
     }
 
     /// The violation report for constraint `i`.
@@ -374,16 +368,11 @@ impl CheckSet {
         }
     }
 
-    /// Evaluates constraint `i` existentially against `doc` with the
-    /// captured engine mode. An exhausted (deadline) budget stays
-    /// distinguishable from an engine error, mirroring
-    /// `Checker::check_full`.
+    /// Evaluates constraint `i` existentially against `doc`. An exhausted
+    /// (deadline) budget stays distinguishable from an engine error,
+    /// mirroring `Checker::check_full`.
     fn eval_exists(&self, i: usize, doc: &Document) -> Result<bool, CheckerError> {
-        match self.mode {
-            IrMode::Interpret => eval_query_exists(&self.gamma.full_parsed()[i], doc),
-            IrMode::Compiled => self.gamma.full_ir()[i].eval_exists(doc, &[]),
-        }
-        .map_err(|e| {
+        self.gamma.full_ir()[i].eval_exists(doc, &[]).map_err(|e| {
             if e.is_budget_exhausted() {
                 CheckerError::BudgetExhausted
             } else {
@@ -482,7 +471,6 @@ impl ReadSnapshot {
         let check = OptimizedCheck {
             doc: &self.doc,
             gamma: &checks.gamma,
-            mode: checks.mode,
             independence: checks.independence,
             budget: None,
         };

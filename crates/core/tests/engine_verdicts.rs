@@ -1,0 +1,227 @@
+//! Expected verdicts of the query engine on every checker entry point:
+//! decisions, violation reports, final document states, parallel vs
+//! sequential vs materialized full checks, and budget-exhaustion
+//! degradation. The verdict and report goldens are what the tree-walking
+//! interpreter (retired at PR 14) answered for the same statements.
+
+use xicheck::{Checker, CheckerService, EvalBudget, Executor, Strategy, UpdateOutcome, Violation};
+
+const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
+    <!ELEMENT dblp (pub)*>\n<!ELEMENT pub (title, aut+)>\n\
+    <!ELEMENT aut (name)>\n<!ELEMENT review (track)+>\n\
+    <!ELEMENT track (name,rev+)>\n<!ELEMENT rev (name, sub+)>\n\
+    <!ELEMENT sub (title, auts+)>\n<!ELEMENT title (#PCDATA)>\n\
+    <!ELEMENT auts (name)>\n<!ELEMENT name (#PCDATA)>";
+
+const CORPUS: &str = "<collection><dblp>\
+    <pub><title>P1</title><aut><name>ann</name></aut><aut><name>bob</name></aut></pub>\
+    </dblp><review><track><name>T</name>\
+    <rev><name>ann</name><sub><title>S1</title><auts><name>cat</name></auts></sub></rev>\
+    <rev><name>dan</name><sub><title>S2</title><auts><name>eve</name></auts></sub></rev>\
+    </track></review></collection>";
+
+const CONFLICT: &str = "<- //rev[name/text() -> R]/sub/auts/name/text() -> A \
+    & (A = R | //pub[aut/name/text() -> A & aut/name/text() -> R])";
+
+fn insert_sub(rev_sel: &str, author: &str) -> String {
+    format!(
+        r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
+          <xupdate:append select="{rev_sel}">
+            <sub><title>New</title><auts><name>{author}</name></auts></sub>
+          </xupdate:append>
+        </xupdate:modifications>"#
+    )
+}
+
+fn checker() -> Checker {
+    Checker::new(CORPUS, DTD, CONFLICT).unwrap()
+}
+
+fn violation(denial: &str, query: &str) -> Violation {
+    Violation {
+        denial: denial.to_string(),
+        query: query.to_string(),
+    }
+}
+
+const REV1: &str = "/collection/review[1]/track[1]/rev[1]";
+
+/// The simplified self-review check of an insertion under the first rev.
+fn self_review_optimized() -> Violation {
+    violation(
+        "<- rev($t0, _m2, _m0, $v4)",
+        &format!("exists({REV1}/self::rev) and {REV1}/name/text() = \"ann\""),
+    )
+}
+
+/// The simplified co-author check of the same insertion.
+fn coauthor_optimized() -> Violation {
+    violation(
+        "<- rev($t0, _m2, _m0, R) & aut(_m14, _m15, _m11, $v4) & aut(_m17, _m18, _m11, R)",
+        &format!(
+            "some $_m14 in //aut satisfies exists({REV1}/self::rev) and \
+             $_m14/name/text() = \"bob\" and {REV1}/name/text() = $_m14/../aut/name/text()"
+        ),
+    )
+}
+
+fn self_review_full() -> Violation {
+    violation(
+        "<- rev(_m1, _m2, _m0, R) & sub(_m4, _m5, _m1, _m6) & auts(_m7, _m8, _m4, R)",
+        "some $_m1 in //rev satisfies $_m1/name/text() = $_m1/sub/auts/name/text()",
+    )
+}
+
+fn coauthor_full() -> Violation {
+    violation(
+        "<- rev(_m1, _m2, _m0, R) & sub(_m4, _m5, _m1, _m6) & auts(_m7, _m8, _m4, A) & \
+         aut(_m14, _m15, _m11, A) & aut(_m17, _m18, _m11, R)",
+        "some $_m1 in //rev, $_m14 in //aut satisfies \
+         $_m1/sub/auts/name/text() = $_m14/name/text() and \
+         $_m1/name/text() = $_m14/../aut/name/text()",
+    )
+}
+
+/// The statements under test: a legal insert, a self-review conflict, a
+/// co-author conflict, and a non-insertion batch that forces the baseline
+/// strategy.
+fn statements() -> Vec<String> {
+    vec![
+        insert_sub("//rev[name/text() = 'dan']", "zoe"),
+        insert_sub("//rev[name/text() = 'ann']", "ann"),
+        insert_sub("//rev[name/text() = 'ann']", "bob"),
+        r#"<xupdate:modifications xmlns:xupdate="x">
+           <xupdate:update select="//track/name">T2</xupdate:update>
+           </xupdate:modifications>"#
+            .to_string(),
+    ]
+}
+
+#[test]
+fn try_update_verdicts() {
+    let zoe_sub = "<sub><title>S2</title><auts><name>eve</name></auts></sub>\
+        <sub><title>New</title><auts><name>zoe</name></auts></sub>";
+    let expected = [
+        (Strategy::Optimized, None, CORPUS.replace(
+            "<sub><title>S2</title><auts><name>eve</name></auts></sub>",
+            zoe_sub,
+        )),
+        (Strategy::Optimized, Some(self_review_optimized()), CORPUS.to_string()),
+        (Strategy::Optimized, Some(coauthor_optimized()), CORPUS.to_string()),
+        (Strategy::FullWithRollback, None, CORPUS.replace("<name>T</name>", "<name>T2</name>")),
+    ];
+    for (stmt, (strategy, rejected, doc)) in statements().iter().zip(expected) {
+        let mut c = checker();
+        let out = c.try_update_str(stmt).unwrap();
+        assert_eq!(out.strategy(), strategy, "stmt: {stmt}");
+        match (out, rejected) {
+            (UpdateOutcome::Applied { .. }, None) => {}
+            (UpdateOutcome::Rejected { violation, .. }, Some(v)) => assert_eq!(violation, v),
+            (out, rejected) => panic!("{out:?} but expected violation {rejected:?} for {stmt}"),
+        }
+        assert_eq!(xic_xml::serialize(c.doc()), doc, "final document for {stmt}");
+    }
+}
+
+#[test]
+fn decide_only_verdicts_per_strategy() {
+    let expected: [[Result<Option<Violation>, &str>; 2]; 4] = [
+        [Ok(None), Ok(None)],
+        [Ok(Some(self_review_optimized())), Ok(Some(self_review_full()))],
+        [Ok(Some(coauthor_optimized())), Ok(Some(coauthor_full()))],
+        [
+            Err("bad statement: only insertion statements can be mapped to update patterns"),
+            Ok(None),
+        ],
+    ];
+    for (stmt, per_strategy) in statements().iter().zip(expected) {
+        let parsed = xicheck::XUpdateDoc::parse(stmt).unwrap();
+        for (strategy, want) in
+            [Strategy::Optimized, Strategy::FullWithRollback].into_iter().zip(per_strategy)
+        {
+            let got = checker().decide_only(&parsed, strategy).map_err(|e| e.to_string());
+            assert_eq!(got, want.map_err(str::to_string), "{strategy:?} on {stmt}");
+        }
+    }
+}
+
+#[test]
+fn check_full_agrees_sequential_parallel_and_materialized() {
+    // Append a violating sub unchecked, so the full check has something
+    // to find.
+    for violating in [false, true] {
+        for parallel in [Some(false), Some(true)] {
+            let mut c = checker();
+            if violating {
+                let stmt = xicheck::XUpdateDoc::parse(&insert_sub(
+                    "//rev[name/text() = 'ann']",
+                    "ann",
+                ))
+                .unwrap();
+                c.apply_unchecked(&stmt).unwrap();
+            }
+            c.set_parallel_full(parallel);
+            let want = violating.then(self_review_full);
+            assert_eq!(c.check_full().unwrap(), want, "violating={violating} parallel={parallel:?}");
+            assert_eq!(c.check_full_materialized().unwrap(), want);
+        }
+    }
+}
+
+/// An exhausted budget must degrade `try_update` to the baseline pass:
+/// same verdict as the unbudgeted twin, baseline strategy, stats bump.
+#[test]
+fn budget_exhaustion_degrades_to_the_baseline_pass() {
+    let legal = insert_sub("//rev[name/text() = 'dan']", "zoe");
+    let illegal = insert_sub("//rev[name/text() = 'ann']", "ann");
+    // Reference verdicts from an unbudgeted twin.
+    let mut free = checker();
+    assert!(free.try_update_str(&legal).unwrap().applied());
+    assert!(!free.try_update_str(&illegal).unwrap().applied());
+    assert_eq!(free.stats().budget_exhausted, 0);
+
+    // A zero-step budget exhausts immediately.
+    let mut tight = checker();
+    tight.set_eval_budget(Some(EvalBudget::new(0)));
+    let out = tight.try_update_str(&legal).unwrap();
+    assert!(out.applied(), "same verdict as unbudgeted");
+    assert_eq!(
+        out.strategy(),
+        Strategy::FullWithRollback,
+        "exhausted check degrades to the baseline pass"
+    );
+    let out = tight.try_update_str(&illegal).unwrap();
+    assert!(!out.applied(), "same verdict as unbudgeted");
+    assert_eq!(out.strategy(), Strategy::FullWithRollback);
+    assert_eq!(tight.stats().budget_exhausted, 2);
+    assert_eq!(
+        xic_xml::serialize(free.doc()),
+        xic_xml::serialize(tight.doc()),
+        "budgeted and unbudgeted twins converge"
+    );
+}
+
+#[test]
+fn explicit_check_optimized_reports_exhaustion() {
+    let stmt = xicheck::XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap();
+    let mut c = checker();
+    c.register_pattern(&stmt).unwrap();
+    c.set_eval_budget(Some(EvalBudget::new(0)));
+    let err = c.check_optimized(&stmt).unwrap_err();
+    assert!(matches!(err, xicheck::CheckerError::BudgetExhausted), "{err}");
+}
+
+#[test]
+fn service_snapshots_check_like_the_writer() {
+    let service = CheckerService::new(checker(), Executor::group_commit());
+    let snap = service.snapshot();
+    assert!(snap.check_full().unwrap().is_none());
+    let stmt =
+        xicheck::XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'ann']", "ann")).unwrap();
+    assert_eq!(snap.decide_full(&stmt).unwrap(), Some(self_review_full()));
+    assert!(
+        service.submit(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().outcome.applied()
+    );
+    drop(snap);
+    service.shutdown().expect("first shutdown succeeds");
+}

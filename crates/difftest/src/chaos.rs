@@ -241,8 +241,8 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
     }
 
     // Chaos run: journal or store attached, the plan's fault armed.
-    let journal = dir.join(format!("xic-chaos-{}-{}.wal", std::process::id(), seed));
-    let store_dir = dir.join(format!("xic-chaos-store-{}-{}", std::process::id(), seed));
+    let journal = dir.join(crate::scratch_name("chaos", seed) + ".wal");
+    let store_dir = dir.join(crate::scratch_name("chaos-store", seed));
     let cleanup = || {
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_dir_all(&store_dir);

@@ -62,7 +62,7 @@
 //! trigger are re-derived from the seed, so the seed alone is a complete
 //! reproducer.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use xic_faults::{FaultMode, SITES};
 use xic_obs as obs;
 use xic_xml::XUpdateDoc;
@@ -210,10 +210,6 @@ pub(crate) fn wrap_op(op: &str) -> String {
     )
 }
 
-fn journal_file(dir: &Path, seed: u64) -> PathBuf {
-    dir.join(format!("xic-crash-{}-{}.wal", std::process::id(), seed))
-}
-
 struct CaseOutcome {
     fired: bool,
     torn: bool,
@@ -288,8 +284,8 @@ fn run_case(
 
     // Crashed run: journal (or checkpointed store) attached, panic armed
     // at the derived point.
-    let journal = journal_file(dir, seed);
-    let store_dir = dir.join(format!("xic-crash-store-{}-{}", std::process::id(), seed));
+    let journal = dir.join(crate::scratch_name("crash", seed) + ".wal");
+    let store_dir = dir.join(crate::scratch_name("crash-store", seed));
     let mut crashed = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| diverge(format!("crashed-run checker setup failed: {e}")))?;
     if store_mode {
@@ -429,7 +425,7 @@ fn run_rotation_error_case(
     }
     let expected = xic_xml::serialize(twin.doc());
 
-    let store_dir = dir.join(format!("xic-crash-roterr-{}-{}", std::process::id(), seed));
+    let store_dir = dir.join(crate::scratch_name("crash-roterr", seed));
     let mut crashed = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| diverge(format!("crashed-run checker setup failed: {e}")))?;
     crashed
@@ -540,7 +536,7 @@ fn run_group_commit_case(
         }
     }
 
-    let journal = dir.join(format!("xic-crash-gc-{}-{}.wal", std::process::id(), seed));
+    let journal = dir.join(crate::scratch_name("crash-gc", seed) + ".wal");
     let mut crashed = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| diverge(format!("crashed-run checker setup failed: {e}")))?;
     crashed

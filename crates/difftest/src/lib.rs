@@ -75,6 +75,16 @@ use xic_workload::{
 use xic_xml::{apply, parse_document, serialize, undo, Document, Dtd, NodeId, XUpdateDoc, XUpdateOp};
 use xicheck::{xpath_resolver, Checker, CheckerError, Strategy, UpdateOutcome};
 
+/// A scratch file or directory name for one harness case. Unique per
+/// call, not per seed: two runs in one process (tests of one binary run
+/// in parallel) may draw the same seed and must not share files.
+pub(crate) fn scratch_name(kind: &str, seed: u64) -> String {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    format!("xic-{kind}-{}-{n}-{seed}", std::process::id())
+}
+
 /// The paper's combined DTD (publication catalog + review tree), the
 /// schema of "paper"-mode cases.
 pub const PAPER_DTD: &str = "<!ELEMENT collection (dblp, review)>\n\

@@ -37,7 +37,7 @@
 //! `--snapshot-decide` runs oracle 7 (the `snapshot` module): every case's
 //! statement is decided on a service's read snapshot and, on a twin
 //! checker, by `decide_only` under both strategies and by `try_update`,
-//! under both engine modes and with independence on and off; the
+//! with independence on and off; the
 //! snapshot must answer what the writer would, and a run of ≥ 100 cases
 //! must have taken both the optimized and the fallback path and
 //! generated all six operation kinds.
@@ -65,7 +65,6 @@ struct Args {
     shard_chaos: bool,
     snapshot_decide: bool,
     sites: Option<String>,
-    ir_mode: xicheck::IrMode,
     independence: bool,
 }
 
@@ -80,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
     let mut shard_chaos = false;
     let mut snapshot_decide = false;
     let mut sites: Option<String> = None;
-    let mut ir_mode = xicheck::IrMode::Compiled;
     let mut independence = true;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -122,13 +120,6 @@ fn parse_args() -> Result<Args, String> {
             "--snapshot-decide" => snapshot_decide = true,
             "--sites" => {
                 sites = Some(next_value(&mut i, inline.as_deref())?);
-            }
-            "--ir-mode" => {
-                ir_mode = match next_value(&mut i, inline.as_deref())?.as_str() {
-                    "interpret" => xicheck::IrMode::Interpret,
-                    "compiled" => xicheck::IrMode::Compiled,
-                    other => return Err(format!("--ir-mode: {other} (interpret|compiled)")),
-                };
             }
             "--independence" => {
                 independence = match next_value(&mut i, inline.as_deref())?.as_str() {
@@ -179,17 +170,8 @@ fn parse_args() -> Result<Args, String> {
         shard_chaos,
         snapshot_decide,
         sites,
-        ir_mode,
         independence,
     })
-}
-
-/// `"interpret"` / `"compiled"` for reports.
-fn ir_mode_name(mode: xicheck::IrMode) -> &'static str {
-    match mode {
-        xicheck::IrMode::Interpret => "interpret",
-        xicheck::IrMode::Compiled => "compiled",
-    }
 }
 
 /// Runs the crash matrix and writes its JSON report.
@@ -242,10 +224,6 @@ fn run_crash_matrix(args: &Args) -> ExitCode {
         ("bench".to_string(), Value::String("crash-matrix".to_string())),
         ("seed".to_string(), Value::Number(args.seed as f64)),
         ("cases".to_string(), Value::Number(args.cases as f64)),
-        (
-            "ir_mode".to_string(),
-            Value::String(ir_mode_name(args.ir_mode).to_string()),
-        ),
         (
             "sites_filter".to_string(),
             args.sites
@@ -494,7 +472,7 @@ fn run_snapshot_decide(args: &Args) -> ExitCode {
     let mix: Vec<String> =
         OP_KINDS.iter().zip(report.ops).map(|(kind, n)| format!("{kind}={n}")).collect();
     println!(
-        "snapshot-decide: {} cases from seed {} (both ir modes, independence on and off) — \
+        "snapshot-decide: {} cases from seed {} (independence on and off) — \
          {} divergences, {} decided optimized, {} decided by fallback; op mix: {}",
         args.cases,
         args.seed,
@@ -585,18 +563,16 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: difftest [--crash-matrix [--sites PAT,PAT…] | --chaos | \
                  --shard-matrix | --shard-chaos | --snapshot-decide] [--cases N] [--seed N] \
-                 [--ir-mode interpret|compiled] [--independence on|off] [--out FILE]"
+                 [--independence on|off] [--out FILE]"
             );
             return ExitCode::from(2);
         }
     };
     // Every checker constructed anywhere below (oracles, crash twins,
-    // shrinker replays) starts in the requested engine mode and
-    // independence setting. The independence oracle itself overrides the
-    // default per checker, so the pin governs every *other* checker —
-    // catching code paths that consult the process default where they
-    // should not.
-    xicheck::set_default_ir_mode(args.ir_mode);
+    // shrinker replays) starts in the requested independence setting.
+    // The independence oracle itself overrides the default per checker,
+    // so the pin governs every *other* checker — catching code paths that
+    // consult the process default where they should not.
     xicheck::set_default_independence(args.independence);
     if args.crash_matrix {
         return run_crash_matrix(&args);
@@ -635,15 +611,14 @@ fn main() -> ExitCode {
         eprintln!("{}", d.report());
     }
     println!(
-        "difftest: {} cases from seed {} (ir mode: {}, independence default: {}) — \
-         {} discrepancies, {} shrink steps, {} three-way queries",
+        "difftest: {} cases from seed {} (independence default: {}) — \
+         {} discrepancies, {} shrink steps, {} reference queries",
         args.cases,
         args.seed,
-        ir_mode_name(args.ir_mode),
         if args.independence { "on" } else { "off" },
         report.discrepancies.len(),
         snapshot.counter(obs::Counter::DifftestShrinkStep),
-        snapshot.counter(obs::Counter::DifftestThreeWayQuery),
+        snapshot.counter(obs::Counter::DifftestReferenceQuery),
     );
     let mix: Vec<String> = OP_COUNTERS
         .iter()
@@ -656,16 +631,12 @@ fn main() -> ExitCode {
         ("seed".to_string(), Value::Number(args.seed as f64)),
         ("cases".to_string(), Value::Number(args.cases as f64)),
         (
-            "ir_mode".to_string(),
-            Value::String(ir_mode_name(args.ir_mode).to_string()),
-        ),
-        (
             "independence_default".to_string(),
             Value::String(if args.independence { "on" } else { "off" }.to_string()),
         ),
         (
-            "three_way_queries".to_string(),
-            Value::Number(snapshot.counter(obs::Counter::DifftestThreeWayQuery) as f64),
+            "reference_queries".to_string(),
+            Value::Number(snapshot.counter(obs::Counter::DifftestReferenceQuery) as f64),
         ),
         (
             "discrepancies".to_string(),
@@ -693,8 +664,8 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     // Coverage gate: a run long enough to be statistically meaningful must
-    // have exercised every operation kind, and the three-way engine oracle
-    // must actually have compared queries (it runs per case, so a silent
+    // have exercised every operation kind, and the engine-vs-reference
+    // oracle must actually have compared queries (it runs per case, so a silent
     // regression that skips it would otherwise pass).
     if args.cases >= 100 {
         let missing: Vec<&str> = OP_COUNTERS
@@ -710,9 +681,9 @@ fn main() -> ExitCode {
             );
             return ExitCode::from(1);
         }
-        if snapshot.counter(obs::Counter::DifftestThreeWayQuery) == 0 {
+        if snapshot.counter(obs::Counter::DifftestReferenceQuery) == 0 {
             eprintln!(
-                "difftest: three-way engine oracle never ran in {} cases",
+                "difftest: engine-vs-reference oracle never ran in {} cases",
                 args.cases
             );
             return ExitCode::from(1);

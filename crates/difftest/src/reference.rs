@@ -5,17 +5,17 @@
 //! predicates on child steps, and a trailing `text()` — is evaluated here
 //! by brute-force tree walking (sets are re-sorted into document order
 //! after every step), and independently by the real `xic-xpath` engine
-//! and, for cardinalities, by `xic-xquery`'s `count()`. Any disagreement
-//! is an engine bug by construction: the two implementations share no
-//! code beyond the document arena.
+//! and, for cardinalities, quantifiers and aggregate FLWORs over the
+//! path, by `xic-xquery`. Any disagreement is an engine bug by
+//! construction: the two implementations share no code beyond the
+//! document arena.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use xic_obs as obs;
 use xic_xml::{Document, Dtd, NodeId, NodeKind};
 use xic_xpath::{evaluate_exists, evaluate_nodes, parse, Context, NodeRef};
-use xic_xquery::{eval_query_bool, eval_query_exists, parse_query, XProgram};
+use xic_xquery::{eval_query_bool, eval_query_exists, parse_query};
 
 /// One step of a reference query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,15 +130,48 @@ pub fn random_query(rng: &mut StdRng, names: &[&str]) -> RefQuery {
     RefQuery { steps }
 }
 
-/// The three-way differential oracle: draws 6 queries (deterministically
-/// from `seed`) and evaluates each with **three** independent engines —
-/// the tree-walking interpreter, the compiled flat IR, and the naive
-/// reference evaluator. Node-sets, short-circuit existential answers and
-/// `count()` cardinalities (the latter two through both the interpreted
-/// and compiled XQuery layers) must all agree; the engines share no
-/// evaluation code, so any disagreement is a bug by construction.
+/// Number of element children of `n` named `name` — what `$x/name`
+/// binds when `$x` is `n` (text nodes have none).
+fn children_named(doc: &Document, n: NodeId, name: &str) -> usize {
+    doc.node(n)
+        .children
+        .iter()
+        .filter(|&&c| doc.name(c) == Some(name))
+        .count()
+}
+
+/// Evaluates `query` both existentially and through full
+/// materialization; both must return `expected`.
+fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), String> {
+    let parsed = parse_query(query).map_err(|e| format!("xquery failed to parse {query}: {e}"))?;
+    let lazy = eval_query_exists(&parsed, doc)
+        .map_err(|e| format!("xquery failed existential evaluation of {query}: {e}"))?;
+    let eager = eval_query_bool(&parsed, doc)
+        .map_err(|e| format!("xquery failed to evaluate {query}: {e}"))?;
+    if lazy != expected || eager != expected {
+        return Err(format!(
+            "{query}: lazy {lazy}, eager {eager}, reference says {expected}"
+        ));
+    }
+    Ok(())
+}
+
+/// The engine differential oracle: draws 6 queries (deterministically
+/// from `seed`) and holds the engine to the naive reference evaluator on
+/// each — the materialized node-set, the short-circuit existential
+/// answer, the XQuery `exists()` and `count()` answers, and the two
+/// shapes the constraint translator emits around a path: a quantifier
+/// (`some`/`every $x in Q satisfies $x/c`) and an aggregate FLWOR
+/// (`exists(for $x in Q let $d := $x/c where count($d) > k return
+/// <idle/>)`), whose expected answers are brute-forced over the
+/// reference node-set. Every XQuery answer is taken both existentially
+/// and through full materialization. The two sides share no evaluation
+/// code, so any disagreement is a bug by construction.
 pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    // The quantifier/FLWOR parameters come from a stream of their own, so
+    // a seed draws the same six paths it always did.
+    let mut shape_rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
     let names: Vec<&str> = dtd.elements().iter().map(|e| e.name.as_str()).collect();
     if names.is_empty() {
         return Ok(());
@@ -146,7 +179,7 @@ pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> 
     for _ in 0..6 {
         let q = random_query(&mut rng, &names);
         let text = q.to_string();
-        obs::incr(obs::Counter::DifftestThreeWayQuery);
+        obs::incr(obs::Counter::DifftestReferenceQuery);
         let expected = eval_reference(doc, &q);
         let expr =
             parse(&text).map_err(|e| format!("engine failed to parse query {text}: {e}"))?;
@@ -162,38 +195,12 @@ pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> 
             }
         }
         if got_ids != expected {
-            let mut detail = String::new();
-            let _ = write!(
-                detail,
-                "query {text}: engine {:?} vs reference {:?}",
-                got_ids, expected
-            );
-            return Err(detail);
-        }
-        // Engine 3: the compiled IR must materialize the same node-set.
-        let (prog, root) = xic_xpath::ir::compile(&expr);
-        let compiled = prog
-            .evaluate_nodes(root, doc)
-            .map_err(|e| format!("compiled engine failed to evaluate {text}: {e}"))?;
-        let mut compiled_ids = Vec::with_capacity(compiled.len());
-        for r in compiled {
-            match r {
-                NodeRef::Node(id) => compiled_ids.push(id),
-                NodeRef::Attr { .. } => {
-                    return Err(format!(
-                        "query {text}: compiled engine returned an attribute node"
-                    ))
-                }
-            }
-        }
-        if compiled_ids != expected {
             return Err(format!(
-                "query {text}: compiled IR {:?} vs reference {:?}",
-                compiled_ids, expected
+                "query {text}: engine {got_ids:?} vs reference {expected:?}"
             ));
         }
-        // Existential agreement: both short-circuiting evaluators must
-        // reach the same emptiness verdict as full materialization.
+        // The short-circuiting evaluator must reach the same emptiness
+        // verdict as the reference's full materialization.
         let exists = evaluate_exists(&expr, &Context::root(doc))
             .map_err(|e| format!("engine failed existential evaluation of {text}: {e}"))?;
         if exists == expected.is_empty() {
@@ -202,59 +209,30 @@ pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> 
                 expected.len()
             ));
         }
-        let ir_exists = prog
-            .evaluate_exists(root, doc)
-            .map_err(|e| format!("compiled engine failed existential evaluation of {text}: {e}"))?;
-        if ir_exists != exists {
-            return Err(format!(
-                "compiled evaluate_exists({text}) = {ir_exists} but interpreter says {exists}"
-            ));
-        }
-        let exists_q = format!("exists({text})");
-        let parsed_exists = parse_query(&exists_q)
-            .map_err(|e| format!("xquery failed to parse {exists_q}: {e}"))?;
-        let lazy = eval_query_exists(&parsed_exists, doc)
-            .map_err(|e| format!("xquery failed existential evaluation of {exists_q}: {e}"))?;
-        let eager = eval_query_bool(&parsed_exists, doc)
-            .map_err(|e| format!("xquery failed to evaluate {exists_q}: {e}"))?;
-        if lazy != eager || lazy == expected.is_empty() {
-            return Err(format!(
-                "{exists_q}: lazy {lazy}, eager {eager}, reference cardinality {}",
-                expected.len()
-            ));
-        }
-        let xprog = XProgram::compile(&parsed_exists);
-        let ir_lazy = xprog
-            .eval_exists(doc, &[])
-            .map_err(|e| format!("compiled xquery failed existentially on {exists_q}: {e}"))?;
-        let ir_eager = xprog
-            .eval_bool(doc, &[])
-            .map_err(|e| format!("compiled xquery failed to evaluate {exists_q}: {e}"))?;
-        if ir_lazy != lazy || ir_eager != eager {
-            return Err(format!(
-                "{exists_q}: compiled lazy {ir_lazy}/eager {ir_eager} vs interpreted {lazy}/{eager}"
-            ));
-        }
-        let count_q = format!("count({text}) = {}", expected.len());
-        let parsed = parse_query(&count_q)
-            .map_err(|e| format!("xquery failed to parse {count_q}: {e}"))?;
-        let agree = eval_query_bool(&parsed, doc)
-            .map_err(|e| format!("xquery failed to evaluate {count_q}: {e}"))?;
-        if !agree {
-            return Err(format!(
-                "xquery count({text}) disagrees with reference cardinality {}",
-                expected.len()
-            ));
-        }
-        let ir_agree = XProgram::compile(&parsed)
-            .eval_bool(doc, &[])
-            .map_err(|e| format!("compiled xquery failed to evaluate {count_q}: {e}"))?;
-        if !ir_agree {
-            return Err(format!(
-                "compiled xquery count({text}) disagrees with reference cardinality {}",
-                expected.len()
-            ));
-        }
+        expect_verdict(&format!("exists({text})"), doc, !expected.is_empty())?;
+        expect_verdict(&format!("count({text}) = {}", expected.len()), doc, true)?;
+
+        let child = names[shape_rng.gen_range(0..names.len())];
+        let k = shape_rng.gen_range(0..3);
+        let with_child = |n: &NodeId| children_named(doc, *n, child) > 0;
+        expect_verdict(
+            &format!("some $x in {text} satisfies $x/{child}"),
+            doc,
+            expected.iter().any(with_child),
+        )?;
+        expect_verdict(
+            &format!("every $x in {text} satisfies $x/{child}"),
+            doc,
+            expected.iter().all(with_child),
+        )?;
+        expect_verdict(
+            &format!(
+                "exists(for $x in {text} let $d := $x/{child} where count($d) > {k} \
+                 return <idle/>)"
+            ),
+            doc,
+            expected.iter().any(|&n| children_named(doc, n, child) > k),
+        )?;
     }
     Ok(())
 }
@@ -297,6 +275,27 @@ mod tests {
         let hits = eval_reference(&d, &q);
         let texts: Vec<String> = hits.iter().map(|&n| d.text_content(n)).collect();
         assert_eq!(texts, ["one", "two", "three", "four"]);
+    }
+
+    #[test]
+    fn brute_force_quantifier_and_flwor_answers() {
+        // `//a`: two `a`s under `r` (2 and 1 `b` children), one under `c`.
+        let d = doc();
+        let q = RefQuery {
+            steps: vec![RefStep::Desc("a".into())],
+        };
+        let counts: Vec<usize> =
+            eval_reference(&d, &q).iter().map(|&n| children_named(&d, n, "b")).collect();
+        assert_eq!(counts, [2, 1, 1]);
+        expect_verdict("every $x in //a satisfies $x/b", &d, true).unwrap();
+        expect_verdict("some $x in //a satisfies $x/c", &d, false).unwrap();
+        let flwor = |k: usize| {
+            format!("exists(for $x in //a let $d := $x/b where count($d) > {k} return <idle/>)")
+        };
+        expect_verdict(&flwor(1), &d, true).unwrap();
+        expect_verdict(&flwor(2), &d, false).unwrap();
+        let err = expect_verdict(&flwor(2), &d, true).unwrap_err();
+        assert!(err.contains("reference says true"), "{err}");
     }
 
     #[test]

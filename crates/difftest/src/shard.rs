@@ -222,8 +222,8 @@ fn run_shard_case(seed: u64, chaos: bool, dir: &Path) -> Result<ShardOutcome, Sh
         );
     }
 
-    let root = dir.join(format!("xic-shardcase-{}-{}", std::process::id(), seed));
-    let root_par = dir.join(format!("xic-shardcase-{}-{}-par", std::process::id(), seed));
+    let root = dir.join(crate::scratch_name("shardcase", seed));
+    let root_par = dir.join(crate::scratch_name("shardcase-par", seed));
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&root_par);
     let cleanup = || {

@@ -3,8 +3,8 @@
 //!
 //! Each case is the differential case of its seed ([`generate_case`]:
 //! schema, document, constraints, a statement of one to three operations
-//! drawn from all six kinds), decided four ways under each of the four
-//! engine settings (`IrMode` × independence on/off):
+//! drawn from all six kinds), decided four ways with the static
+//! independence analysis on and off:
 //!
 //! * `decide` on the snapshot of a [`CheckerService`] over the case;
 //! * `decide_only(Optimized)`, `decide_only(FullWithRollback)` and
@@ -28,7 +28,7 @@ use crate::{generate_case, Case};
 use xic_xml::{XUpdateDoc, XUpdateOp};
 use xicheck::service::ReadSnapshot;
 use xicheck::{
-    Checker, CheckerError, CheckerService, Executor, IrMode, Strategy, UpdateOutcome, Violation,
+    Checker, CheckerError, CheckerService, Executor, Strategy, UpdateOutcome, Violation,
 };
 
 /// Snapshot-decide run parameters.
@@ -40,13 +40,11 @@ pub struct SnapshotConfig {
     pub cases: u64,
 }
 
-/// One failed case, with the engine settings it failed under.
+/// One failed case, with the setting it failed under.
 #[derive(Debug, Clone)]
 pub struct SnapshotDivergence {
     /// Seed of the failing case.
     pub seed: u64,
-    /// Engine the checkers ran.
-    pub mode: IrMode,
     /// Whether the static independence analysis was on.
     pub independence: bool,
     /// The statement decided.
@@ -59,11 +57,10 @@ impl SnapshotDivergence {
     /// A multi-line report ending in the one-line replay command.
     pub fn report(&self) -> String {
         format!(
-            "snapshot-decide divergence (seed {}, ir mode {:?}, independence {})\n  {}\n  \
+            "snapshot-decide divergence (seed {}, independence {})\n  {}\n  \
              statement: {}\n  replay: cargo run -p xic-difftest -- --snapshot-decide \
              --seed {} --cases 1",
             self.seed,
-            self.mode,
             if self.independence { "on" } else { "off" },
             self.detail,
             self.stmt,
@@ -163,10 +160,9 @@ fn compare(
     Ok(())
 }
 
-fn checker(case: &Case, mode: IrMode, independence: bool) -> Result<Checker, String> {
+fn checker(case: &Case, independence: bool) -> Result<Checker, String> {
     let mut checker = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| format!("checker setup failed: {e}"))?;
-    checker.set_ir_mode(mode);
     checker.set_independence(independence);
     Ok(checker)
 }
@@ -181,17 +177,16 @@ fn decide_untouched(snapshot: &ReadSnapshot, stmt: &XUpdateDoc) -> Result<Decisi
     Ok(decided)
 }
 
-/// Runs one case under one engine setting; returns `(optimized,
+/// Runs one case under one independence setting; returns `(optimized,
 /// fallback)` decision counts from the service's own counters.
 fn check_setting(
     case: &Case,
     stmt: &XUpdateDoc,
-    mode: IrMode,
     independence: bool,
 ) -> Result<(u64, u64), String> {
-    let service = CheckerService::new(checker(case, mode, independence)?, Executor::Sync);
+    let service = CheckerService::new(checker(case, independence)?, Executor::Sync);
     let decided = decide_untouched(&service.snapshot(), stmt)?;
-    let mut twin = checker(case, mode, independence)?;
+    let mut twin = checker(case, independence)?;
     let optimized = twin.decide_only(stmt, Strategy::Optimized);
     let baseline = twin.decide_only(stmt, Strategy::FullWithRollback);
     let updated = twin.try_update(stmt);
@@ -224,7 +219,6 @@ pub fn run_snapshot_decide(config: SnapshotConfig) -> SnapshotReport {
             Err(e) => {
                 report.divergences.push(SnapshotDivergence {
                     seed,
-                    mode: IrMode::default(),
                     independence: true,
                     stmt: text,
                     detail: format!("generated statement does not parse: {e}"),
@@ -235,23 +229,20 @@ pub fn run_snapshot_decide(config: SnapshotConfig) -> SnapshotReport {
         for op in &stmt.ops {
             report.ops[op_kind(op)] += 1;
         }
-        'settings: for mode in [IrMode::Compiled, IrMode::Interpret] {
-            for independence in [true, false] {
-                match check_setting(&case, &stmt, mode, independence) {
-                    Ok((optimized, fallback)) => {
-                        report.decided_optimized += optimized;
-                        report.decided_fallback += fallback;
-                    }
-                    Err(detail) => {
-                        report.divergences.push(SnapshotDivergence {
-                            seed,
-                            mode,
-                            independence,
-                            stmt: text.clone(),
-                            detail,
-                        });
-                        break 'settings;
-                    }
+        for independence in [true, false] {
+            match check_setting(&case, &stmt, independence) {
+                Ok((optimized, fallback)) => {
+                    report.decided_optimized += optimized;
+                    report.decided_fallback += fallback;
+                }
+                Err(detail) => {
+                    report.divergences.push(SnapshotDivergence {
+                        seed,
+                        independence,
+                        stmt: text.clone(),
+                        detail,
+                    });
+                    break;
                 }
             }
         }

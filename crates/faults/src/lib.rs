@@ -19,16 +19,17 @@
 //!   table; hit counting is serialized, and the fault itself triggers
 //!   after the lock is released so a panic never poisons the registry.
 //!   A fault only counts and triggers hits from the thread that armed it,
-//!   so concurrently running tests (each on its own harness thread) and
-//!   unrelated worker threads cannot consume or trip each other's
-//!   faults. Cross-process injection calls [`arm_from_env`] on the thread
-//!   that will drive the workload. Thread scoping is also what makes
-//!   *shard-scoped* injection work: in a multi-shard set whose services
-//!   run the sync executor, a submission executes on the submitting
-//!   thread, so arming before a victim shard's submission (and disarming
-//!   after) faults exactly that shard while its siblings commit
-//!   untouched — the shard crash matrix and shard chaos pass in
-//!   `xic-difftest` are built on this.
+//!   and [`disarm_all`] and [`hits`] only see the calling thread's
+//!   faults, so concurrently running tests (each on its own harness
+//!   thread) and unrelated worker threads cannot consume, trip, clear or
+//!   misread each other's faults. Cross-process injection calls
+//!   [`arm_from_env`] on the thread that will drive the workload. Thread
+//!   scoping is also what makes *shard-scoped* injection work: in a
+//!   multi-shard set whose services run the sync executor, a submission
+//!   executes on the submitting thread, so arming before a victim shard's
+//!   submission (and disarming after) faults exactly that shard while its
+//!   siblings commit untouched — the shard crash matrix and shard chaos
+//!   pass in `xic-difftest` are built on this.
 //! - **Cross-process.** [`arm_from_env`] arms sites from the `XIC_FAULTS`
 //!   environment variable (`site:nth:mode[,site:nth:mode...]`) so a parent
 //!   can inject a real `abort()` into a spawned child.
@@ -150,8 +151,9 @@ struct ArmedFault {
     nth: u64,
     hits: u64,
     mode: FaultMode,
-    /// Only hits from the arming thread count (see module docs), unless
-    /// the fault was armed with [`arm_any_thread`].
+    /// The arming thread: the fault's owner for [`disarm_all`] and
+    /// [`hits`], and the only thread whose hits count (see module docs)
+    /// unless the fault was armed with [`arm_any_thread`].
     thread: std::thread::ThreadId,
     /// Armed via [`arm_any_thread`]: hits from every thread count.
     any_thread: bool,
@@ -198,11 +200,14 @@ fn arm_inner(site: &str, nth: u64, mode: FaultMode, any_thread: bool) {
     ANY_ARMED.store(true, Ordering::Release);
 }
 
-/// Disarm every fault and reset all hit counts.
+/// Disarm every fault the calling thread armed ([`arm_any_thread`] ones
+/// included), dropping their hit counts. Faults armed by other threads
+/// stay armed: a test cleaning up must not disarm its neighbours.
 pub fn disarm_all() {
+    let me = std::thread::current().id();
     let mut reg = registry();
-    reg.clear();
-    ANY_ARMED.store(false, Ordering::Release);
+    reg.retain(|f| f.thread != me);
+    ANY_ARMED.store(!reg.is_empty(), Ordering::Release);
 }
 
 /// True if any site is currently armed.
@@ -210,12 +215,14 @@ pub fn any_armed() -> bool {
     ANY_ARMED.load(Ordering::Acquire)
 }
 
-/// How many times `site` has been hit since it was armed (0 if not armed).
-/// When the same site is armed more than once, returns the maximum.
+/// How many times `site` has been hit since the calling thread armed it
+/// (0 if it has not). When the thread armed the site more than once,
+/// returns the maximum.
 pub fn hits(site: &str) -> u64 {
+    let me = std::thread::current().id();
     registry()
         .iter()
-        .filter(|f| f.site == site)
+        .filter(|f| f.site == site && f.thread == me)
         .map(|f| f.hits)
         .max()
         .unwrap_or(0)
@@ -293,8 +300,9 @@ pub fn arm_from_env() -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    // The registry is process-global, so tests that arm faults must not
-    // run concurrently with each other. Serialize them with a test mutex.
+    // `any_armed` is process-global, so tests that assert on it must not
+    // run concurrently with tests that arm. Serialize them with a test
+    // mutex.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -374,6 +382,36 @@ mod tests {
         assert!(arm_from_env().is_err());
         std::env::remove_var(ENV_VAR);
         disarm_all();
+    }
+
+    #[test]
+    fn disarming_and_hit_counts_are_scoped_to_the_arming_thread() {
+        let _g = serial();
+        disarm_all();
+        arm("journal.append.pre", 2, FaultMode::Error);
+        assert!(fire("journal.append.pre").is_ok());
+        // A neighbour arms the same site, hits it, reads its own count
+        // and cleans up after itself.
+        std::thread::spawn(|| {
+            arm("journal.append.pre", 1, FaultMode::Error);
+            assert!(fire("journal.append.pre").is_err());
+            assert!(fire("journal.append.pre").is_ok());
+            assert!(fire("journal.append.pre").is_ok());
+            assert_eq!(hits("journal.append.pre"), 3);
+            disarm_all();
+        })
+        .join()
+        .expect("neighbour thread");
+        // This thread's fault is still armed, with its own count.
+        assert!(any_armed());
+        assert_eq!(hits("journal.append.pre"), 1);
+        assert!(fire("journal.append.pre").is_err());
+        // An any-thread fault belongs to the thread that armed it.
+        arm_any_thread("journal.sync", 1, FaultMode::Error);
+        std::thread::spawn(disarm_all).join().expect("neighbour thread");
+        assert!(fire("journal.sync").is_err());
+        disarm_all();
+        assert!(!any_armed());
     }
 
     #[test]

@@ -138,9 +138,9 @@ pub enum Counter {
     SnapshotPublish,
     /// Read snapshots handed out to concurrent readers.
     SnapshotRead,
-    /// Generated queries cross-checked by the three-way engine oracle
-    /// (interpreter vs compiled IR vs naive reference).
-    DifftestThreeWayQuery,
+    /// Generated queries cross-checked by the engine oracle (compiled IR
+    /// vs naive reference).
+    DifftestReferenceQuery,
     /// Constraints skipped by the static independence analysis: their
     /// read footprint provably misses the statement's write footprint,
     /// so the check cannot change verdict and is not evaluated.
@@ -201,7 +201,7 @@ pub const ALL_COUNTERS: [Counter; 42] = [
     Counter::GroupCommitStatement,
     Counter::SnapshotPublish,
     Counter::SnapshotRead,
-    Counter::DifftestThreeWayQuery,
+    Counter::DifftestReferenceQuery,
     Counter::ChecksSkippedStatic,
     Counter::ChecksRetainedStatic,
     Counter::RequestShed,
@@ -251,7 +251,7 @@ impl Counter {
             Counter::GroupCommitStatement => "group_commit_statements",
             Counter::SnapshotPublish => "snapshot_publishes",
             Counter::SnapshotRead => "snapshot_reads",
-            Counter::DifftestThreeWayQuery => "three_way_queries",
+            Counter::DifftestReferenceQuery => "reference_queries",
             Counter::ChecksSkippedStatic => "checks_skipped_static",
             Counter::ChecksRetainedStatic => "checks_retained_static",
             Counter::RequestShed => "requests_shed",

@@ -1,6 +1,9 @@
-//! XPath evaluation over a document.
+//! XPath evaluation over a document: the one-shot entry points
+//! (expression in, value out) and the value-level pieces the evaluator
+//! in [`crate::ir`] is built from.
 
-use crate::ast::{Axis, BinOp, Expr, NodeTest, Path, PathStart, Step};
+use crate::ast::{Axis, BinOp, Expr, Path, PathStart};
+use crate::ir;
 use crate::value::{NodeRef, XValue};
 use std::collections::HashMap;
 use std::fmt;
@@ -69,49 +72,41 @@ impl<'d> Context<'d> {
         c.vars.insert(name.into(), value);
         c
     }
-
-    fn at(&self, item: NodeRef, position: usize, size: usize) -> Context<'d> {
-        let mut c = self.clone();
-        c.item = item;
-        c.position = position;
-        c.size = size;
-        c
-    }
 }
 
-/// Evaluates an expression.
+/// Compiles `expr` and runs `f` on the program in a scope built from
+/// `ctx`: the context item, position and size carry over, and every
+/// variable the expression mentions is bound to its slot (a name `ctx`
+/// does not bind stays an unbound slot, which errors only if read).
+fn run<T>(
+    expr: &Expr,
+    ctx: &Context,
+    f: impl FnOnce(ir::ExprId, &ir::Scope) -> Result<T, EvalError>,
+) -> Result<T, EvalError> {
+    let (prog, root) = ir::compile(expr);
+    let slots: Vec<Option<XValue>> = prog
+        .var_names
+        .iter()
+        .map(|v| ctx.vars.get(v).cloned())
+        .collect();
+    let resolved = prog.resolve(ctx.doc);
+    let scope = ir::Scope {
+        prog: &prog,
+        doc: ctx.doc,
+        item: ctx.item.clone(),
+        position: ctx.position,
+        size: ctx.size,
+        slots: &slots,
+        resolved: &resolved,
+    };
+    f(root, &scope)
+}
+
+/// Evaluates an expression: the one-shot entry point (compile, then run
+/// on the flat IR of [`crate::ir`]). Callers that evaluate one
+/// expression many times compile it once with [`ir::compile`] instead.
 pub fn evaluate(expr: &Expr, ctx: &Context) -> Result<XValue, EvalError> {
-    match expr {
-        Expr::Literal(s) => Ok(XValue::Str(s.clone())),
-        Expr::Number(n) => Ok(XValue::Num(*n)),
-        Expr::Neg(e) => Ok(XValue::Num(-evaluate(e, ctx)?.to_num(ctx.doc))),
-        Expr::Path(p) => Ok(XValue::Nodes(eval_path(p, ctx)?)),
-        Expr::Filter {
-            primary,
-            predicates,
-            steps,
-        } => {
-            let v = evaluate(primary, ctx)?;
-            let mut nodes = match v {
-                XValue::Nodes(ns) => ns,
-                other if predicates.is_empty() && steps.is_empty() => return Ok(other),
-                other => {
-                    return Err(EvalError::Type(format!(
-                        "cannot filter non-node-set value {other:?}"
-                    )))
-                }
-            };
-            for pred in predicates {
-                nodes = apply_predicate(&nodes, pred, ctx, false)?;
-            }
-            for step in steps {
-                nodes = eval_step(&nodes, step, ctx)?;
-            }
-            Ok(XValue::Nodes(nodes))
-        }
-        Expr::Binary(a, op, b) => eval_binary(a, *op, b, ctx),
-        Expr::Call(name, args) => eval_call(name, args, ctx),
-    }
+    run(expr, ctx, ir::eval)
 }
 
 /// Evaluates an expression that must produce a node-set.
@@ -133,49 +128,7 @@ pub fn evaluate_nodes(expr: &Expr, ctx: &Context) -> Result<Vec<NodeRef>, EvalEr
 /// asking "is there a violation witness?" touches only the nodes up to
 /// that witness.
 pub fn evaluate_exists(expr: &Expr, ctx: &Context) -> Result<bool, EvalError> {
-    match expr {
-        Expr::Literal(s) => Ok(!s.is_empty()),
-        Expr::Number(n) => Ok(*n != 0.0 && !n.is_nan()),
-        Expr::Path(p) => {
-            // A bare `$x` has the truth value of whatever it holds.
-            if let PathStart::Variable(v) = &p.start {
-                if p.steps.is_empty() {
-                    return ctx
-                        .vars
-                        .get(v)
-                        .map(XValue::to_bool)
-                        .ok_or_else(|| EvalError::UndefinedVariable(v.clone()));
-                }
-            }
-            let start = path_start_nodes(p, ctx)?;
-            path_exists_from(&start, &p.steps, ctx)
-        }
-        Expr::Filter {
-            primary,
-            predicates,
-            steps,
-        } if predicates.is_empty() => match evaluate(primary, ctx)? {
-            XValue::Nodes(ns) => path_exists_from(&ns, steps, ctx),
-            other if steps.is_empty() => Ok(other.to_bool()),
-            other => Err(EvalError::Type(format!(
-                "cannot filter non-node-set value {other:?}"
-            ))),
-        },
-        Expr::Binary(a, BinOp::Or, b) => {
-            Ok(evaluate_exists(a, ctx)? || evaluate_exists(b, ctx)?)
-        }
-        Expr::Binary(a, BinOp::And, b) => {
-            Ok(evaluate_exists(a, ctx)? && evaluate_exists(b, ctx)?)
-        }
-        Expr::Call(name, args) => match (name.as_str(), args.len()) {
-            ("true", 0) => Ok(true),
-            ("false", 0) => Ok(false),
-            ("not", 1) => Ok(!evaluate_exists(&args[0], ctx)?),
-            ("boolean", 1) => evaluate_exists(&args[0], ctx),
-            _ => Ok(evaluate(expr, ctx)?.to_bool()),
-        },
-        _ => Ok(evaluate(expr, ctx)?.to_bool()),
-    }
+    run(expr, ctx, ir::eval_exists)
 }
 
 /// Sequence-nonemptiness counterpart of [`evaluate_exists`], for the
@@ -184,169 +137,7 @@ pub fn evaluate_exists(expr: &Expr, ctx: &Context) -> Result<bool, EvalError> {
 /// `!evaluate_nodes(expr, ctx)?.is_empty()` for node-set expressions;
 /// atomic values count as one-item sequences.
 pub fn evaluate_nonempty(expr: &Expr, ctx: &Context) -> Result<bool, EvalError> {
-    match expr {
-        Expr::Path(p) => {
-            if let PathStart::Variable(v) = &p.start {
-                if p.steps.is_empty() {
-                    return match ctx.vars.get(v) {
-                        Some(XValue::Nodes(ns)) => Ok(!ns.is_empty()),
-                        Some(_) => Ok(true),
-                        None => Err(EvalError::UndefinedVariable(v.clone())),
-                    };
-                }
-            }
-            let start = path_start_nodes(p, ctx)?;
-            path_exists_from(&start, &p.steps, ctx)
-        }
-        Expr::Filter {
-            primary,
-            predicates,
-            steps,
-        } if predicates.is_empty() => match evaluate(primary, ctx)? {
-            XValue::Nodes(ns) => path_exists_from(&ns, steps, ctx),
-            _ if steps.is_empty() => Ok(true),
-            other => Err(EvalError::Type(format!(
-                "cannot filter non-node-set value {other:?}"
-            ))),
-        },
-        _ => Ok(match evaluate(expr, ctx)? {
-            XValue::Nodes(ns) => !ns.is_empty(),
-            _ => true,
-        }),
-    }
-}
-
-/// Deducts `n` axis-candidate visits from the thread's armed step budget
-/// (free when no budget is armed — the production default).
-#[inline]
-fn charge_budget(n: u64) -> Result<(), EvalError> {
-    crate::budget::charge(n).map_err(|_| EvalError::BudgetExhausted)
-}
-
-/// Depth-first existential path evaluation: true iff applying `steps` to
-/// `input` yields at least one node. Predicate-free steps stream their
-/// axis candidates and recurse one node at a time, so the walk stops at
-/// the first witness; steps with predicates materialize that single
-/// step's per-item result (positional predicates need the whole candidate
-/// list) and continue existentially from it.
-fn path_exists_from(input: &[NodeRef], steps: &[Step], ctx: &Context) -> Result<bool, EvalError> {
-    let Some((step, rest)) = steps.split_first() else {
-        return Ok(!input.is_empty());
-    };
-    for item in input {
-        if step.predicates.is_empty() {
-            for n in axis_iter(ctx.doc, item, step.axis) {
-                xic_obs::incr(xic_obs::Counter::XpathNodesVisited);
-                charge_budget(1)?;
-                if node_test(ctx.doc, &n, step.axis, &step.test)
-                    && path_exists_from(std::slice::from_ref(&n), rest, ctx)?
-                {
-                    return Ok(true);
-                }
-            }
-        } else {
-            let tested = step_once(item, step, ctx)?;
-            if path_exists_from(&tested, rest, ctx)? {
-                return Ok(true);
-            }
-        }
-    }
-    Ok(false)
-}
-
-/// Resolves a path's start into its initial node-set (shared by the
-/// materializing and existential evaluators).
-fn path_start_nodes(path: &Path, ctx: &Context) -> Result<Vec<NodeRef>, EvalError> {
-    match &path.start {
-        PathStart::Root => Ok(vec![NodeRef::Node(ctx.doc.document_node())]),
-        PathStart::Context => Ok(vec![ctx.item.clone()]),
-        PathStart::Variable(v) => match ctx.vars.get(v) {
-            Some(XValue::Nodes(ns)) => Ok(ns.clone()),
-            Some(other) => {
-                if path.steps.is_empty() {
-                    return Err(EvalError::Type(format!(
-                        "variable ${v} holds a non-node-set {other:?} (evaluate it as an \
-                         expression instead)"
-                    )));
-                }
-                Err(EvalError::Type(format!(
-                    "cannot navigate from non-node-set variable ${v}"
-                )))
-            }
-            None => Err(EvalError::UndefinedVariable(v.clone())),
-        },
-    }
-}
-
-fn eval_path(path: &Path, ctx: &Context) -> Result<Vec<NodeRef>, EvalError> {
-    // A bare `$x` path returns the variable's nodes.
-    let mut cur = path_start_nodes(path, ctx)?;
-    for step in &path.steps {
-        cur = eval_step(&cur, step, ctx)?;
-    }
-    Ok(cur)
-}
-
-/// Evaluates `$x` that may hold any value (used by the XQuery layer, which
-/// also stores strings/numbers in variables).
-pub fn eval_variable(path: &Path, ctx: &Context) -> Result<XValue, EvalError> {
-    if let PathStart::Variable(v) = &path.start {
-        if path.steps.is_empty() {
-            return ctx
-                .vars
-                .get(v)
-                .cloned()
-                .ok_or_else(|| EvalError::UndefinedVariable(v.clone()));
-        }
-    }
-    Ok(XValue::Nodes(eval_path(path, ctx)?))
-}
-
-/// Applies one step to a *single* context item: axis traversal (lazy),
-/// node test, then predicates over the per-item candidate list.
-/// Positional predicates see exactly the positions the materializing
-/// evaluator always gave them, because predicates were always applied per
-/// input item.
-fn step_once(item: &NodeRef, step: &Step, ctx: &Context) -> Result<Vec<NodeRef>, EvalError> {
-    let mut visited = 0u64;
-    let mut tested: Vec<NodeRef> = axis_iter(ctx.doc, item, step.axis)
-        .inspect(|_| visited += 1)
-        .filter(|n| node_test(ctx.doc, n, step.axis, &step.test))
-        .collect();
-    xic_obs::add(xic_obs::Counter::XpathNodesVisited, visited);
-    charge_budget(visited)?;
-    for pred in &step.predicates {
-        tested = apply_predicate(&tested, pred, ctx, step.axis.is_reverse())?;
-    }
-    Ok(tested)
-}
-
-fn eval_step(input: &[NodeRef], step: &Step, ctx: &Context) -> Result<Vec<NodeRef>, EvalError> {
-    let mut merged: Vec<NodeRef> = Vec::new();
-    for item in input {
-        merged.extend(step_once(item, step, ctx)?);
-    }
-    // Normalization (document-order sort + dedup) is the dominant cost on
-    // large documents; skip it when the result is ordered and duplicate-
-    // free by construction: a single context node with a forward axis, or
-    // doc-ordered non-nested inputs stepped through child/attribute/self
-    // (disjoint result sets, concatenated in input order). Non-nesting is
-    // guaranteed when all inputs sit at the same tree depth — the common
-    // case for homogeneous steps like `$x/sub/auts`.
-    if input.len() <= 1 {
-        if step.axis.is_reverse() {
-            // Reverse-axis results from one node: flip into document order
-            // (already duplicate-free).
-            merged.reverse();
-        }
-        return Ok(merged);
-    }
-    let sibling_safe = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis)
-        && same_depth(ctx.doc, input);
-    if !sibling_safe {
-        dedupe_doc_order(ctx.doc, &mut merged);
-    }
-    Ok(merged)
+    run(expr, ctx, ir::eval_nonempty)
 }
 
 /// True if all tree-node inputs share one depth (attribute refs anchor at
@@ -363,29 +154,6 @@ pub(crate) fn same_depth(doc: &Document, input: &[NodeRef]) -> bool {
     };
     let first = depth(&input[0]);
     input[1..].iter().all(|n| depth(n) == first)
-}
-
-fn apply_predicate(
-    nodes: &[NodeRef],
-    pred: &Expr,
-    ctx: &Context,
-    reverse: bool,
-) -> Result<Vec<NodeRef>, EvalError> {
-    let size = nodes.len();
-    let mut out = Vec::with_capacity(size);
-    for (i, n) in nodes.iter().enumerate() {
-        let position = if reverse { size - i } else { i + 1 };
-        let sub = ctx.at(n.clone(), position, size);
-        let v = evaluate(pred, &sub)?;
-        let keep = match v {
-            XValue::Num(k) => (position as f64) == k,
-            other => other.to_bool(),
-        };
-        if keep {
-            out.push(n.clone());
-        }
-    }
-    Ok(out)
 }
 
 /// Lazy axis traversal: yields candidates one at a time so existential
@@ -450,31 +218,6 @@ pub(crate) fn axis_iter<'d>(
                         Box::new(siblings[idx + 1..].iter().map(|&c| NodeRef::Node(c)))
                     }
                 }
-            }
-        }
-    }
-}
-
-fn node_test(doc: &Document, item: &NodeRef, axis: Axis, test: &NodeTest) -> bool {
-    match item {
-        NodeRef::Attr { name, .. } => match test {
-            NodeTest::Name(n) => n == name,
-            NodeTest::Wildcard | NodeTest::Node => true,
-            _ => false,
-        },
-        NodeRef::Node(n) => {
-            let kind = &doc.node(*n).kind;
-            match test {
-                NodeTest::Name(name) => doc.name(*n) == Some(name.as_str()),
-                NodeTest::Wildcard => {
-                    // The principal node type of every non-attribute axis
-                    // is element.
-                    let _ = axis;
-                    matches!(kind, NodeKind::Element { .. })
-                }
-                NodeTest::Text => matches!(kind, NodeKind::Text(_)),
-                NodeTest::Node => true,
-                NodeTest::Comment => matches!(kind, NodeKind::Comment(_)),
             }
         }
     }
@@ -565,60 +308,6 @@ pub fn expr_mentions_var(e: &Expr, name: &str) -> bool {
     }
 }
 
-fn eval_binary(a: &Expr, op: BinOp, b: &Expr, ctx: &Context) -> Result<XValue, EvalError> {
-    match op {
-        BinOp::Or => {
-            return Ok(XValue::Bool(
-                evaluate(a, ctx)?.to_bool() || evaluate(b, ctx)?.to_bool(),
-            ))
-        }
-        BinOp::And => {
-            return Ok(XValue::Bool(
-                evaluate(a, ctx)?.to_bool() && evaluate(b, ctx)?.to_bool(),
-            ))
-        }
-        _ => {}
-    }
-    let va = eval_operand(a, ctx)?;
-    let vb = eval_operand(b, ctx)?;
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            let x = va.to_num(ctx.doc);
-            let y = vb.to_num(ctx.doc);
-            let r = match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-                BinOp::Mod => x % y,
-                _ => unreachable!(),
-            };
-            Ok(XValue::Num(r))
-        }
-        BinOp::Union => match (va, vb) {
-            (XValue::Nodes(mut x), XValue::Nodes(y)) => {
-                x.extend(y);
-                dedupe_doc_order(ctx.doc, &mut x);
-                Ok(XValue::Nodes(x))
-            }
-            _ => Err(EvalError::Type("union of non-node-sets".to_string())),
-        },
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            Ok(XValue::Bool(compare_values(&va, op, &vb, ctx.doc)))
-        }
-        BinOp::Or | BinOp::And => unreachable!("handled above"),
-    }
-}
-
-/// Evaluates an operand, resolving bare variables to their full value (so
-/// `$x = 3` works when `$x` holds a number).
-fn eval_operand(e: &Expr, ctx: &Context) -> Result<XValue, EvalError> {
-    if let Expr::Path(p) = e {
-        return eval_variable(p, ctx);
-    }
-    evaluate(e, ctx)
-}
-
 /// XPath 1.0 comparison semantics: existential over node-sets. Public so
 /// the XQuery layer can reuse the exact same general-comparison rules.
 pub fn compare_values(a: &XValue, op: BinOp, b: &XValue, doc: &Document) -> bool {
@@ -707,149 +396,6 @@ fn flip(op: BinOp) -> BinOp {
         BinOp::Gt => BinOp::Lt,
         BinOp::Ge => BinOp::Le,
         other => other,
-    }
-}
-
-fn eval_call(name: &str, args: &[Expr], ctx: &Context) -> Result<XValue, EvalError> {
-    let arity = |n: usize| -> Result<(), EvalError> {
-        if args.len() == n {
-            Ok(())
-        } else {
-            Err(EvalError::BadCall(format!(
-                "{name}() expects {n} argument(s), got {}",
-                args.len()
-            )))
-        }
-    };
-    match name {
-        "position" => {
-            arity(0)?;
-            Ok(XValue::Num(ctx.position as f64))
-        }
-        "last" => {
-            arity(0)?;
-            Ok(XValue::Num(ctx.size as f64))
-        }
-        "true" => {
-            arity(0)?;
-            Ok(XValue::Bool(true))
-        }
-        "false" => {
-            arity(0)?;
-            Ok(XValue::Bool(false))
-        }
-        "count" => {
-            arity(1)?;
-            match eval_operand(&args[0], ctx)? {
-                XValue::Nodes(ns) => Ok(XValue::Num(ns.len() as f64)),
-                other => Err(EvalError::Type(format!("count() of {other:?}"))),
-            }
-        }
-        "sum" => {
-            arity(1)?;
-            match eval_operand(&args[0], ctx)? {
-                XValue::Nodes(ns) => Ok(XValue::Num(
-                    ns.iter()
-                        .map(|n| n.string_value(ctx.doc).trim().parse().unwrap_or(f64::NAN))
-                        .sum(),
-                )),
-                other => Err(EvalError::Type(format!("sum() of {other:?}"))),
-            }
-        }
-        "not" => {
-            arity(1)?;
-            Ok(XValue::Bool(!eval_operand(&args[0], ctx)?.to_bool()))
-        }
-        "boolean" => {
-            arity(1)?;
-            Ok(XValue::Bool(eval_operand(&args[0], ctx)?.to_bool()))
-        }
-        "string" => {
-            if args.is_empty() {
-                return Ok(XValue::Str(ctx.item.string_value(ctx.doc)));
-            }
-            arity(1)?;
-            Ok(XValue::Str(eval_operand(&args[0], ctx)?.to_str(ctx.doc)))
-        }
-        "number" => {
-            if args.is_empty() {
-                return Ok(XValue::Num(
-                    ctx.item
-                        .string_value(ctx.doc)
-                        .trim()
-                        .parse()
-                        .unwrap_or(f64::NAN),
-                ));
-            }
-            arity(1)?;
-            Ok(XValue::Num(eval_operand(&args[0], ctx)?.to_num(ctx.doc)))
-        }
-        "concat" => {
-            if args.len() < 2 {
-                return Err(EvalError::BadCall(
-                    "concat() expects at least 2 arguments".to_string(),
-                ));
-            }
-            let mut out = String::new();
-            for a in args {
-                out.push_str(&eval_operand(a, ctx)?.to_str(ctx.doc));
-            }
-            Ok(XValue::Str(out))
-        }
-        "contains" => {
-            arity(2)?;
-            let h = eval_operand(&args[0], ctx)?.to_str(ctx.doc);
-            let n = eval_operand(&args[1], ctx)?.to_str(ctx.doc);
-            Ok(XValue::Bool(h.contains(&n)))
-        }
-        "starts-with" => {
-            arity(2)?;
-            let h = eval_operand(&args[0], ctx)?.to_str(ctx.doc);
-            let n = eval_operand(&args[1], ctx)?.to_str(ctx.doc);
-            Ok(XValue::Bool(h.starts_with(&n)))
-        }
-        "string-length" => {
-            arity(1)?;
-            Ok(XValue::Num(
-                eval_operand(&args[0], ctx)?.to_str(ctx.doc).chars().count() as f64,
-            ))
-        }
-        "normalize-space" => {
-            let s = if args.is_empty() {
-                ctx.item.string_value(ctx.doc)
-            } else {
-                arity(1)?;
-                eval_operand(&args[0], ctx)?.to_str(ctx.doc)
-            };
-            Ok(XValue::Str(
-                s.split_whitespace().collect::<Vec<_>>().join(" "),
-            ))
-        }
-        "name" | "local-name" => {
-            let target = if args.is_empty() {
-                ctx.item.clone()
-            } else {
-                arity(1)?;
-                match eval_operand(&args[0], ctx)? {
-                    XValue::Nodes(ns) => match ns.first() {
-                        Some(n) => n.clone(),
-                        None => return Ok(XValue::Str(String::new())),
-                    },
-                    other => return Err(EvalError::Type(format!("name() of {other:?}"))),
-                }
-            };
-            let full = match &target {
-                NodeRef::Node(n) => ctx.doc.name(*n).unwrap_or("").to_string(),
-                NodeRef::Attr { name, .. } => name.clone(),
-            };
-            let out = if name == "local-name" {
-                full.rsplit(':').next().unwrap_or("").to_string()
-            } else {
-                full
-            };
-            Ok(XValue::Str(out))
-        }
-        other => Err(EvalError::BadCall(format!("unknown function {other}()"))),
     }
 }
 

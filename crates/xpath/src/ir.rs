@@ -1,28 +1,27 @@
-//! Flat XPath IR: a compile-once form of [`crate::ast::Expr`] with
-//! interned name tests, slot-numbered variables and a stack-driven
-//! existential walk.
+//! The XPath evaluator: a flat, compile-once form of
+//! [`crate::ast::Expr`] with interned name tests, slot-numbered variables
+//! and a stack-driven existential walk.
 //!
-//! The tree-walking interpreter in [`crate::eval`] re-resolves variable
-//! names through a `HashMap` environment and compares tag names as
-//! strings on every candidate. Compiling flattens the expression tree
-//! into one arena ([`Program::exprs`]) addressed by `u32` ids, replaces
-//! variable names with dense slot numbers, and pools every name test in
+//! Compiling flattens the expression tree into one arena
+//! ([`Program::exprs`]) addressed by `u32` ids, replaces variable names
+//! with dense slot numbers, and pools every name test in
 //! [`Program::names`]. At evaluation start the pool is resolved *once*
 //! against the document's [`xic_xml::SymbolTable`]; from then on an
 //! element name test is a single integer compare (a name the table has
 //! never seen matches nothing, soundly, because the table is
 //! append-only).
 //!
-//! The evaluator mirrors the interpreter's observable semantics exactly —
-//! same short-circuit rules, same document-order normalization and
-//! `sibling_safe` skip, same `EvalBudget` charging and `xic-obs`
-//! counters, same error messages. The hot existential path walk
+//! This is the only evaluator: the one-shot entry points in
+//! [`crate::eval`] compile and run here, and the expected-value tests
+//! there are its specification (short-circuit rules, document-order
+//! normalization and the `sibling_safe` skip, `EvalBudget` charging and
+//! `xic-obs` counters, error messages). The hot existential path walk
 //! (`path_exists_from`), whose recursion depth scales with the number
 //! of location steps times the tree fan-out, runs on an explicit frame
 //! stack instead of the call stack; fixed-depth structural recursion
 //! (predicate expressions, operand trees) remains recursive. The
-//! difftest three-way oracle holds this file to the interpreter answer
-//! for every generated query.
+//! difftest oracle holds this file to the naive reference answer for
+//! every generated query.
 
 use crate::ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
 use crate::eval::{axis_iter, compare_values, dedupe_doc_order, same_depth, EvalError};
@@ -77,7 +76,8 @@ pub enum IrStart {
 }
 
 /// Pre-resolved function discriminant (no per-call string matching).
-/// Arity is still checked at evaluation time, like the interpreter.
+/// Arity is checked at evaluation time, so a bad call in a branch that
+/// never runs never errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FnOp {
     /// `position()`
@@ -114,8 +114,8 @@ pub enum FnOp {
     Name,
     /// `local-name([ns])`
     LocalName,
-    /// A function the compiler does not know; errors when evaluated,
-    /// exactly like the interpreter's eval-time dispatch.
+    /// A function the compiler does not know; errors when (and only
+    /// when) evaluated.
     Unknown(Box<str>),
 }
 
@@ -233,51 +233,11 @@ impl Program {
             .position(|v| v == name)
             .map(|i| u32::try_from(i).expect("slot count fits u32"))
     }
-
-    /// Evaluates a rooted expression to a node-set from the document
-    /// node, with no variables bound (the difftest oracle's entry point).
-    pub fn evaluate_nodes(&self, root: ExprId, doc: &Document) -> Result<Vec<NodeRef>, EvalError> {
-        let resolved = self.resolve(doc);
-        let slots = vec![None; self.num_slots()];
-        let scope = Scope {
-            prog: self,
-            doc,
-            item: NodeRef::Node(doc.document_node()),
-            position: 1,
-            size: 1,
-            slots: &slots,
-            resolved: &resolved,
-        };
-        match eval(root, &scope)? {
-            XValue::Nodes(ns) => Ok(ns),
-            other => Err(EvalError::Type(format!(
-                "expected a node-set, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Existential evaluation of a rooted expression from the document
-    /// node with no variables bound.
-    pub fn evaluate_exists(&self, root: ExprId, doc: &Document) -> Result<bool, EvalError> {
-        let resolved = self.resolve(doc);
-        let slots = vec![None; self.num_slots()];
-        let scope = Scope {
-            prog: self,
-            doc,
-            item: NodeRef::Node(doc.document_node()),
-            position: 1,
-            size: 1,
-            slots: &slots,
-            resolved: &resolved,
-        };
-        eval_exists(root, &scope)
-    }
 }
 
 /// Compiles one expression into a fresh single-rooted program. Free
 /// variables get never-bound slots that raise `UndefinedVariable` when
-/// (and only when) the evaluator actually reads them, mirroring the
-/// interpreter.
+/// (and only when) the evaluator actually reads them.
 pub fn compile(expr: &Expr) -> (Program, ExprId) {
     let mut b = Builder::new();
     let root = b.add_expr(expr, &|_| None);
@@ -413,11 +373,11 @@ impl Builder {
     }
 }
 
-/// The dynamic context for compiled evaluation: document, context item,
-/// slot values, and the per-evaluation resolved name pool. Borrowed
-/// slices make per-predicate context copies slot-free and cheap — the
-/// compiled counterpart of [`crate::eval::Context`] minus the `HashMap`
-/// clone on every rebind.
+/// The dynamic context of an evaluation: document, context item, slot
+/// values, and the per-evaluation resolved name pool. Borrowed slices
+/// make per-predicate context copies slot-free and cheap — what
+/// [`crate::eval::Context`] is to callers, minus a `HashMap` clone on
+/// every rebind.
 #[derive(Debug, Clone)]
 pub struct Scope<'p, 'd, 'a> {
     /// The owning program.
@@ -492,7 +452,7 @@ fn node_test(scope: &Scope, item: &NodeRef, test: &IrTest) -> bool {
     }
 }
 
-/// Evaluates a compiled expression (materializing), mirroring
+/// Evaluates a compiled expression (materializing); see
 /// [`crate::eval::evaluate`].
 pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
     match scope.inst(id) {
@@ -528,7 +488,7 @@ pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
     }
 }
 
-/// Existential evaluation, mirroring [`crate::eval::evaluate_exists`].
+/// Existential evaluation; see [`crate::eval::evaluate_exists`].
 pub fn eval_exists(id: ExprId, scope: &Scope) -> Result<bool, EvalError> {
     match scope.inst(id) {
         Inst::Literal(s) => Ok(!s.is_empty()),
@@ -566,7 +526,7 @@ pub fn eval_exists(id: ExprId, scope: &Scope) -> Result<bool, EvalError> {
     }
 }
 
-/// Sequence-nonemptiness counterpart, mirroring
+/// Sequence-nonemptiness counterpart; see
 /// [`crate::eval::evaluate_nonempty`].
 pub fn eval_nonempty(id: ExprId, scope: &Scope) -> Result<bool, EvalError> {
     match scope.inst(id) {
@@ -601,8 +561,9 @@ pub fn eval_nonempty(id: ExprId, scope: &Scope) -> Result<bool, EvalError> {
 }
 
 /// Evaluates a rooted expression that may be a bare `$x` holding any
-/// value — the compiled counterpart of [`crate::eval::eval_variable`],
-/// used for operands and by the XQuery layer.
+/// value (the XQuery layer also stores strings/numbers in variables, so
+/// `$x = 3` works when `$x` holds a number) — used for operands and by
+/// the XQuery layer.
 pub fn eval_operand(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
     if let Inst::Path { start, steps } = scope.inst(id) {
         if let IrStart::Slot(s) = start {
@@ -667,13 +628,12 @@ enum Frame<'d> {
 }
 
 /// Depth-first existential path evaluation on an explicit frame stack:
-/// true iff applying `steps` to `input` yields at least one node. Same
-/// traversal order, budget charges and obs counters as the interpreter's
-/// recursive [`crate::eval`] version — predicate-free steps stream their
-/// axis candidates one at a time (each charged before its node test) and
-/// descend immediately, so the walk stops at the first witness; steps
-/// with predicates materialize one step's per-item result and continue
-/// existentially from it.
+/// true iff applying `steps` to `input` yields at least one node.
+/// Predicate-free steps stream their axis candidates one at a time (each
+/// charged before its node test) and descend immediately, so the walk
+/// stops at the first witness; steps with predicates materialize one
+/// step's per-item result (positional predicates need the whole
+/// candidate list) and continue existentially from it.
 pub(crate) fn path_exists_from(
     input: &[NodeRef],
     steps: &[IrStep],
@@ -687,8 +647,8 @@ pub(crate) fn path_exists_from(
         iter: Vec::from(input).into_iter(),
     }];
     while let Some(top) = stack.last_mut() {
-        // Pull the next item entering `depth`, charging raw axis
-        // candidates exactly as the interpreter does.
+        // Pull the next item entering `depth`, charging each raw axis
+        // candidate.
         let (depth, item) = match top {
             Frame::Ready { depth, iter } => match iter.next() {
                 Some(item) => (*depth, item),
@@ -737,6 +697,9 @@ pub(crate) fn path_exists_from(
     Ok(false)
 }
 
+/// Applies one step to a *single* context item: axis traversal (lazy),
+/// node test, then predicates over the per-item candidate list, so
+/// positional predicates count within one input item's candidates.
 fn step_once(item: &NodeRef, step: &IrStep, scope: &Scope) -> Result<Vec<NodeRef>, EvalError> {
     let mut visited = 0u64;
     let mut tested: Vec<NodeRef> = axis_iter(scope.doc, item, step.axis)
@@ -756,8 +719,17 @@ fn eval_step(input: &[NodeRef], step: &IrStep, scope: &Scope) -> Result<Vec<Node
     for item in input {
         merged.extend(step_once(item, step, scope)?);
     }
+    // Normalization (document-order sort + dedup) is the dominant cost on
+    // large documents; skip it when the result is ordered and duplicate-
+    // free by construction: a single context node with a forward axis, or
+    // doc-ordered non-nested inputs stepped through child/attribute/self
+    // (disjoint result sets, concatenated in input order). Non-nesting is
+    // guaranteed when all inputs sit at the same tree depth — the common
+    // case for homogeneous steps like `$x/sub/auts`.
     if input.len() <= 1 {
         if step.axis.is_reverse() {
+            // Reverse-axis results from one node: flip into document order
+            // (already duplicate-free).
             merged.reverse();
         }
         return Ok(merged);
@@ -1013,86 +985,113 @@ mod tests {
         </track>\
       </review>";
 
-    /// Every query both engines can evaluate must agree on the
-    /// materialized value and the existential answer.
+    /// `tagK` names the K-th `tag` element in document order; text nodes
+    /// and attributes hang off their parent's label. A golden written
+    /// this way pins a node-set's members and their order.
+    fn label(doc: &Document, n: &NodeRef) -> String {
+        let elem = |id: xic_xml::NodeId| {
+            let tag = doc.name(id).expect("an element");
+            let k = doc
+                .descendants(doc.document_node())
+                .filter(|&d| doc.name(d) == Some(tag))
+                .position(|d| d == id)
+                .expect("attached");
+            format!("{tag}{}", k + 1)
+        };
+        match n {
+            NodeRef::Attr { owner, name } => format!("{}/@{name}", elem(*owner)),
+            NodeRef::Node(id) if doc.name(*id).is_some() => elem(*id),
+            NodeRef::Node(id) => match doc.node(*id).parent {
+                Some(p) => format!("{}/text()", elem(p)),
+                None => "/".to_string(),
+            },
+        }
+    }
+
+    fn render(doc: &Document, v: &XValue) -> String {
+        match v {
+            XValue::Nodes(ns) => {
+                let labels: Vec<String> = ns.iter().map(|n| label(doc, n)).collect();
+                format!("[{}]", labels.join(" "))
+            }
+            XValue::Str(s) => format!("{s:?}"),
+            // `+ 0.0` folds the sign of a negative zero away.
+            XValue::Num(n) => format!("{}", n + 0.0),
+            XValue::Bool(b) => format!("{b}"),
+        }
+    }
+
+    /// Query, materialized value, existential answer — the values the
+    /// tree-walking interpreter (retired at PR 14) returned.
+    const GOLDEN: &[(&str, &str, bool)] = &[
+        ("//rev", "[rev1 rev2 rev3]", true),
+        ("//zzz", "[]", false),
+        ("//never-seen-name", "[]", false),
+        ("//rev/name/text()", "[name2/text() name6/text() name9/text()]", true),
+        ("//sub[auts/name/text() = 'Ann']", "[sub2]", true),
+        ("//sub[2]", "[sub2]", true),
+        ("//sub[position() = last()]", "[sub2 sub3 sub4]", true),
+        ("(//sub)[1]", "[sub1]", true),
+        ("//auts/name/..", "[auts1 auts2 auts3 auts4]", true),
+        ("//rev | //zzz", "[rev1 rev2 rev3]", true),
+        ("not(//zzz)", "true", true),
+        ("boolean(//track)", "true", true),
+        ("//rev/name/text() = //auts/name/text()", "true", true),
+        ("count(//sub) > 3", "true", true),
+        ("//track and //rev", "true", true),
+        ("//zzz or //track", "true", true),
+        ("'x'", "\"x\"", true),
+        ("''", "\"\"", false),
+        ("0", "0", false),
+        ("3", "3", true),
+        ("1 + 2 * 3", "7", true),
+        ("7 mod 3", "1", true),
+        ("-(3)", "-3", true),
+        ("'2' = 2", "true", true),
+        ("true() = '1'", "true", true),
+        ("//sub/preceding-sibling::name", "[name2 name6 name9]", true),
+        ("//auts/ancestor::track", "[track1 track2]", true),
+        (
+            "//auts/ancestor-or-self::*",
+            "[review1 track1 rev1 sub1 auts1 sub2 auts2 rev2 sub3 auts3 track2 rev3 sub4 auts4]",
+            true,
+        ),
+        ("//track/name | //rev/name", "[name1 name2 name6 name8 name9]", true),
+        ("//sub[2]/preceding-sibling::*[1]", "[name2]", true),
+        ("concat('a', 'b')", "\"ab\"", true),
+        ("string-length('héllo')", "5", true),
+        ("normalize-space('  a   b ')", "\"a b\"", true),
+        ("name(//track[1])", "\"track\"", true),
+        ("string(//rev[1]/name)", "\"Ann\"", true),
+        ("sum(//zzz)", "0", false),
+        ("contains(//rev[1]/name, 'nn')", "true", true),
+    ];
+
     #[test]
-    fn compiled_agrees_with_interpreter() {
+    fn materialized_and_existential_values() {
         let (doc, _) = parse_document(DOC).unwrap();
         let ctx = Context::root(&doc);
-        for src in [
-            "//rev",
-            "//zzz",
-            "//never-seen-name",
-            "//rev/name/text()",
-            "//sub[auts/name/text() = 'Ann']",
-            "//sub[2]",
-            "//sub[position() = last()]",
-            "(//sub)[1]",
-            "//auts/name/..",
-            "//rev | //zzz",
-            "not(//zzz)",
-            "boolean(//track)",
-            "//rev/name/text() = //auts/name/text()",
-            "count(//sub) > 3",
-            "//track and //rev",
-            "//zzz or //track",
-            "'x'",
-            "''",
-            "0",
-            "3",
-            "1 + 2 * 3",
-            "7 mod 3",
-            "-(3)",
-            "'2' = 2",
-            "true() = '1'",
-            "//sub/preceding-sibling::name",
-            "//auts/ancestor::track",
-            "//auts/ancestor-or-self::*",
-            "//track/name | //rev/name",
-            "//sub[2]/preceding-sibling::*[1]",
-            "concat('a', 'b')",
-            "string-length('héllo')",
-            "normalize-space('  a   b ')",
-            "name(//track[1])",
-            "string(//rev[1]/name)",
-            "sum(//zzz)",
-            "contains(//rev[1]/name, 'nn')",
-        ] {
+        for &(src, value, exists) in GOLDEN {
             let ast = parse(src).unwrap();
-            let (prog, root) = compile(&ast);
-            let interp = evaluate(&ast, &ctx).unwrap();
-            let resolved = prog.resolve(&doc);
-            let slots = vec![None; prog.num_slots()];
-            let scope = Scope {
-                prog: &prog,
-                doc: &doc,
-                item: NodeRef::Node(doc.document_node()),
-                position: 1,
-                size: 1,
-                slots: &slots,
-                resolved: &resolved,
-            };
-            let compiled = eval(root, &scope).unwrap();
-            assert_eq!(compiled, interp, "materialized value differs on {src}");
-            let lazy_i = evaluate_exists(&ast, &ctx).unwrap();
-            let lazy_c = eval_exists(root, &scope).unwrap();
-            assert_eq!(lazy_c, lazy_i, "existential answer differs on {src}");
+            let v = evaluate(&ast, &ctx).unwrap();
+            assert_eq!(render(&doc, &v), value, "materialized value of {src}");
+            assert_eq!(evaluate_exists(&ast, &ctx).unwrap(), exists, "existential answer of {src}");
         }
     }
 
     #[test]
-    fn compiled_attribute_queries_agree() {
+    fn attribute_queries() {
         let src = "<r><a id=\"1\" lang=\"en\"/><a id=\"2\"/></r>";
         let (doc, _) = parse_document(src).unwrap();
-        let ctx = Context::root(&doc);
-        for q in ["//a/@id", "//a[@id = '2']", "//a[@lang]", "//a/@*", "//a/@nope"] {
-            let ast = parse(q).unwrap();
-            let (prog, root) = compile(&ast);
-            assert_eq!(
-                prog.evaluate_nodes(root, &doc).unwrap(),
-                evaluate_nodes(&ast, &ctx).unwrap(),
-                "attribute query differs on {q}"
-            );
+        for (q, nodes) in [
+            ("//a/@id", "[a1/@id a2/@id]"),
+            ("//a[@id = '2']", "[a2]"),
+            ("//a[@lang]", "[a1]"),
+            ("//a/@*", "[a1/@id a1/@lang a2/@id]"),
+            ("//a/@nope", "[]"),
+        ] {
+            let v = evaluate(&parse(q).unwrap(), &Context::root(&doc)).unwrap();
+            assert_eq!(render(&doc, &v), nodes, "attribute query {q}");
         }
     }
 
@@ -1123,61 +1122,56 @@ mod tests {
     }
 
     #[test]
-    fn unbound_slot_errors_like_interpreter() {
+    fn unbound_slot_errors_only_when_read() {
         let (doc, _) = parse_document(DOC).unwrap();
-        let ast = parse("$nope").unwrap();
-        let (prog, root) = compile(&ast);
-        let err = prog.evaluate_nodes(root, &doc).unwrap_err();
+        let ctx = Context::root(&doc);
+        let err = evaluate(&parse("$nope").unwrap(), &ctx).unwrap_err();
         assert_eq!(err, EvalError::UndefinedVariable("nope".to_string()));
         // …but a short-circuit that never reads the slot never errors.
-        let ast2 = parse("//track or $nope").unwrap();
-        let (prog2, root2) = compile(&ast2);
-        assert!(prog2.evaluate_exists(root2, &doc).unwrap());
+        assert!(evaluate_exists(&parse("//track or $nope").unwrap(), &ctx).unwrap());
     }
 
     #[test]
-    fn errors_match_interpreter() {
+    fn error_texts() {
         let (doc, _) = parse_document("<r/>").unwrap();
-        let ctx = Context::root(&doc);
-        for src in ["count(1)", "1 | 2", "frob()", "position(1)", "concat('a')"] {
-            let ast = parse(src).unwrap();
-            let (prog, root) = compile(&ast);
-            let ie = evaluate(&ast, &ctx).unwrap_err();
-            let ce = prog
-                .evaluate_nodes(root, &doc)
-                .map(|_| ())
-                .unwrap_err();
-            assert_eq!(ce.to_string(), ie.to_string(), "error differs on {src}");
+        for (src, text) in [
+            ("count(1)", "count() of Num(1.0)"),
+            ("1 | 2", "union of non-node-sets"),
+            ("frob()", "unknown function frob()"),
+            ("position(1)", "position() expects 0 argument(s), got 1"),
+            ("concat('a')", "concat() expects at least 2 arguments"),
+        ] {
+            let err = evaluate(&parse(src).unwrap(), &Context::root(&doc)).unwrap_err();
+            assert_eq!(err.to_string(), text, "error of {src}");
         }
     }
 
     #[test]
-    fn visit_counters_match_interpreter() {
+    fn existential_visit_counts() {
         let (doc, _) = parse_document(DOC).unwrap();
-        let ctx = Context::root(&doc);
-        for src in ["//sub", "//rev[name = 'Ann']/sub", "//zzz", "//auts/name/.."] {
+        for (src, visits) in [
+            ("//sub", 15),
+            ("//rev[name = 'Ann']/sub", 16),
+            ("//zzz", 85),
+            ("//auts/name/..", 24),
+        ] {
             let ast = parse(src).unwrap();
-            let (prog, root) = compile(&ast);
             xic_obs::reset();
-            let _ = evaluate_exists(&ast, &ctx).unwrap();
-            let interp_visits = xic_obs::counter(xic_obs::Counter::XpathNodesVisited);
-            xic_obs::reset();
-            let _ = prog.evaluate_exists(root, &doc).unwrap();
-            let ir_visits = xic_obs::counter(xic_obs::Counter::XpathNodesVisited);
+            let _ = evaluate_exists(&ast, &Context::root(&doc)).unwrap();
             assert_eq!(
-                ir_visits, interp_visits,
-                "existential visit count differs on {src}"
+                xic_obs::counter(xic_obs::Counter::XpathNodesVisited),
+                visits,
+                "existential visit count of {src}"
             );
         }
     }
 
     #[test]
-    fn budget_exhaustion_matches() {
+    fn budget_exhaustion_is_reported() {
         let (doc, _) = parse_document(DOC).unwrap();
         let ast = parse("//sub/auts/name").unwrap();
-        let (prog, root) = compile(&ast);
         let guard = crate::budget::arm(crate::budget::EvalBudget::new(3));
-        let err = prog.evaluate_nodes(root, &doc).unwrap_err();
+        let err = evaluate_nodes(&ast, &Context::root(&doc)).unwrap_err();
         drop(guard);
         assert_eq!(err, EvalError::BudgetExhausted);
     }

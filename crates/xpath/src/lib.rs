@@ -26,6 +26,10 @@
 //! }
 //! ```
 //!
+//! There is one evaluator: [`ir`] compiles an expression into a flat
+//! program once and runs it many times; [`evaluate`], [`evaluate_nodes`]
+//! and [`evaluate_exists`] are the one-shot forms (compile, then run).
+//!
 //! In the system-inventory table of `DESIGN.md` this crate is item 4 (XPath engine).
 
 pub mod ast;
@@ -39,7 +43,7 @@ pub mod value;
 pub use ast::{Axis, BinOp, Expr, NodeTest, Path, PathStart, Step};
 pub use budget::{BudgetGuard, EvalBudget};
 pub use eval::{
-    compare_values, dedupe_doc_order, eval_variable, evaluate, evaluate_exists, evaluate_nodes,
+    compare_values, dedupe_doc_order, evaluate, evaluate_exists, evaluate_nodes,
     evaluate_nonempty, expr_mentions_var, Context, EvalError,
 };
 pub use parser::{parse, XPathParseError, P};

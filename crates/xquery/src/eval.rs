@@ -1,14 +1,13 @@
-//! XQuery evaluation.
+//! XQuery evaluation: the one-shot entry points (query in, value out)
+//! and the AST- and item-level pieces the evaluator in [`crate::ir`]
+//! shares.
 
 use crate::ast::{Clause, XQuery};
-use crate::item::{
-    effective_boolean, sequence_to_xvalue, xvalue_to_sequence, Constructed, ConstructedChild,
-    Item, Sequence,
-};
-use std::collections::HashMap;
+use crate::ir::XProgram;
+use crate::item::{Constructed, ConstructedChild, Sequence};
 use std::fmt;
 use xic_xml::{Document, NodeKind};
-use xic_xpath::{compare_values, BinOp, Context, NodeRef, XValue};
+use xic_xpath::NodeRef;
 
 /// XQuery evaluation failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,37 +45,30 @@ impl XQueryError {
     }
 }
 
-/// Deducts one FLWOR/quantifier binding from the thread's armed step
-/// budget (free when no budget is armed).
-#[inline]
-fn charge_budget() -> Result<(), XQueryError> {
-    xic_xpath::budget::charge(1)
-        .map_err(|_| XQueryError::XPath(xic_xpath::EvalError::BudgetExhausted))
-}
-
-/// Evaluates a query against a document with no initial bindings.
+/// Evaluates a query against a document with no initial bindings: the
+/// one-shot entry point (compile, then run on [`XProgram`]). Callers that
+/// evaluate one query many times compile it once instead.
 pub fn eval_query(q: &XQuery, doc: &Document) -> Result<Sequence, XQueryError> {
-    let env = Env::new();
-    eval(q, doc, &env)
+    XProgram::compile(q).eval_seq(doc, &[])
 }
 
 /// Evaluates a query and reduces the result to its effective boolean
 /// value (the form the integrity checker consumes: `true` = violation).
 ///
-/// This is the *materializing* evaluator: it builds the full result
+/// This is the *materializing* evaluation: it builds the full result
 /// sequence first. The checker uses [`eval_query_exists`] instead; this
-/// entry point remains as the reference/ablation baseline the benches
-/// and the difftest oracle compare against.
+/// entry point remains as the baseline the benches and the difftest
+/// oracle compare against.
 pub fn eval_query_bool(q: &XQuery, doc: &Document) -> Result<bool, XQueryError> {
-    Ok(effective_boolean(&eval_query(q, doc)?))
+    XProgram::compile(q).eval_bool(doc, &[])
 }
 
 /// Existential evaluation: the query's effective boolean value, computed
 /// with first-witness short-circuit. Returns exactly what
 /// [`eval_query_bool`] returns (the difftest oracle enforces this), but:
 ///
-/// * embedded XPath goes through [`xic_xpath::evaluate_exists`], which
-///   stops a path walk at the first node it reaches;
+/// * embedded XPath is evaluated existentially, which stops a path walk
+///   at the first node it reaches;
 /// * `exists(FLWOR)` stops at the first binding whose `where` clause
 ///   passes instead of materializing every violation witness;
 /// * quantifier `satisfies` conditions are themselves consumed lazily.
@@ -86,310 +78,7 @@ pub fn eval_query_bool(q: &XQuery, doc: &Document) -> Result<bool, XQueryError> 
 ///
 /// [`Checker`]: ../xicheck/struct.Checker.html
 pub fn eval_query_exists(q: &XQuery, doc: &Document) -> Result<bool, XQueryError> {
-    eval_ebv(q, doc, &Env::new())
-}
-
-/// Lazy effective-boolean-value evaluation (see [`eval_query_exists`]).
-fn eval_ebv(q: &XQuery, doc: &Document, env: &Env) -> Result<bool, XQueryError> {
-    match q {
-        XQuery::XPath(e) => {
-            let ctx = env.xpath_context(doc)?;
-            Ok(xic_xpath::evaluate_exists(e, &ctx)?)
-        }
-        XQuery::Quantified {
-            some,
-            binds,
-            satisfies,
-        } => eval_quantified(binds, satisfies, doc, env, *some, true),
-        XQuery::If { cond, then, els } => {
-            if eval_ebv(cond, doc, env)? {
-                eval_ebv(then, doc, env)
-            } else {
-                eval_ebv(els, doc, env)
-            }
-        }
-        XQuery::Binary(a, BinOp::Or, b) => {
-            Ok(eval_ebv(a, doc, env)? || eval_ebv(b, doc, env)?)
-        }
-        XQuery::Binary(a, BinOp::And, b) => {
-            Ok(eval_ebv(a, doc, env)? && eval_ebv(b, doc, env)?)
-        }
-        XQuery::Call(name, args) if args.len() == 1 => match name.as_str() {
-            "exists" => eval_nonempty(&args[0], doc, env),
-            "empty" => Ok(!eval_nonempty(&args[0], doc, env)?),
-            "not" => Ok(!eval_ebv(&args[0], doc, env)?),
-            "boolean" => eval_ebv(&args[0], doc, env),
-            _ => Ok(effective_boolean(&eval(q, doc, env)?)),
-        },
-        _ => Ok(effective_boolean(&eval(q, doc, env)?)),
-    }
-}
-
-/// Lazy sequence-nonemptiness (the `exists()`/`empty()` semantics:
-/// `[""]` is non-empty even though its effective boolean value is false).
-fn eval_nonempty(q: &XQuery, doc: &Document, env: &Env) -> Result<bool, XQueryError> {
-    match q {
-        XQuery::XPath(e) => {
-            let ctx = env.xpath_context(doc)?;
-            Ok(xic_xpath::evaluate_nonempty(e, &ctx)?)
-        }
-        XQuery::Sequence(items) => {
-            for i in items {
-                if eval_nonempty(i, doc, env)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-        XQuery::Flwor { clauses, ret } => flwor_nonempty(clauses, 0, ret, doc, env),
-        XQuery::If { cond, then, els } => {
-            if eval_ebv(cond, doc, env)? {
-                eval_nonempty(then, doc, env)
-            } else {
-                eval_nonempty(els, doc, env)
-            }
-        }
-        // A constructor always yields exactly one element.
-        XQuery::Construct { .. } => Ok(true),
-        // Everything else yields a single item by construction (booleans,
-        // numbers, comparison results) or has no cheaper existential form
-        // than evaluating it (unions); fall back to the materializer.
-        _ => Ok(!eval(q, doc, env)?.is_empty()),
-    }
-}
-
-/// Existential FLWOR: true iff the iteration would emit at least one
-/// item, stopping at the first binding whose `where` chain passes and
-/// whose `return` is non-empty.
-fn flwor_nonempty(
-    clauses: &[Clause],
-    idx: usize,
-    ret: &XQuery,
-    doc: &Document,
-    env: &Env,
-) -> Result<bool, XQueryError> {
-    let Some(clause) = clauses.get(idx) else {
-        return eval_nonempty(ret, doc, env);
-    };
-    match clause {
-        Clause::For { var, source } => {
-            for item in eval(source, doc, env)? {
-                xic_obs::incr(xic_obs::Counter::XqueryBindingsVisited);
-                charge_budget()?;
-                let env2 = env.bind(var, vec![item]);
-                if flwor_nonempty(clauses, idx + 1, ret, doc, &env2)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
-        Clause::Let { var, value } => {
-            let seq = eval(value, doc, env)?;
-            let env2 = env.bind(var, seq);
-            flwor_nonempty(clauses, idx + 1, ret, doc, &env2)
-        }
-        Clause::Where(cond) => {
-            if eval_ebv(cond, doc, env)? {
-                flwor_nonempty(clauses, idx + 1, ret, doc, env)
-            } else {
-                Ok(false)
-            }
-        }
-    }
-}
-
-/// The dynamic environment: variable → sequence.
-#[derive(Debug, Clone, Default)]
-pub struct Env {
-    vars: HashMap<String, Sequence>,
-}
-
-impl Env {
-    /// Empty environment.
-    pub fn new() -> Env {
-        Env::default()
-    }
-
-    /// Returns a copy with one more binding.
-    #[must_use]
-    pub fn bind(&self, var: &str, seq: Sequence) -> Env {
-        let mut e = self.clone();
-        e.vars.insert(var.to_string(), seq);
-        e
-    }
-
-    /// Builds the XPath context equivalent of this environment.
-    fn xpath_context<'d>(&self, doc: &'d Document) -> Result<Context<'d>, XQueryError> {
-        let mut ctx = Context::root(doc);
-        for (name, seq) in &self.vars {
-            let v = sequence_to_xvalue(seq)
-                .map_err(|m| XQueryError::Type(format!("variable ${name}: {m}")))?;
-            ctx.vars.insert(name.clone(), v);
-        }
-        Ok(ctx)
-    }
-}
-
-fn eval(q: &XQuery, doc: &Document, env: &Env) -> Result<Sequence, XQueryError> {
-    match q {
-        XQuery::XPath(e) => {
-            let ctx = env.xpath_context(doc)?;
-            let v = if let xic_xpath::Expr::Path(p) = e {
-                xic_xpath::eval_variable(p, &ctx)?
-            } else {
-                xic_xpath::evaluate(e, &ctx)?
-            };
-            Ok(xvalue_to_sequence(v))
-        }
-        XQuery::Sequence(items) => {
-            let mut out = Vec::new();
-            for i in items {
-                out.extend(eval(i, doc, env)?);
-            }
-            Ok(out)
-        }
-        XQuery::Flwor { clauses, ret } => {
-            let mut out = Vec::new();
-            eval_flwor(clauses, 0, ret, doc, env, &mut out)?;
-            Ok(out)
-        }
-        XQuery::Quantified {
-            some,
-            binds,
-            satisfies,
-        } => {
-            let r = eval_quantified(binds, satisfies, doc, env, *some, false)?;
-            Ok(vec![Item::Bool(r)])
-        }
-        XQuery::If { cond, then, els } => {
-            if effective_boolean(&eval(cond, doc, env)?) {
-                eval(then, doc, env)
-            } else {
-                eval(els, doc, env)
-            }
-        }
-        XQuery::Construct { name, content } => {
-            let mut children = Vec::new();
-            for c in content {
-                for item in eval(c, doc, env)? {
-                    children.push(match item {
-                        Item::Node(n) => node_to_constructed(doc, &n),
-                        Item::Elem(e) => ConstructedChild::Elem(*e),
-                        atomic => ConstructedChild::Text(atomic.string_value(doc)),
-                    });
-                }
-            }
-            Ok(vec![Item::Elem(Box::new(Constructed {
-                name: name.clone(),
-                attrs: Vec::new(),
-                children,
-            }))])
-        }
-        XQuery::Call(name, args) => eval_call(name, args, doc, env),
-        XQuery::Binary(a, op, b) => eval_binary(a, *op, b, doc, env),
-    }
-}
-
-fn eval_flwor(
-    clauses: &[Clause],
-    idx: usize,
-    ret: &XQuery,
-    doc: &Document,
-    env: &Env,
-    out: &mut Sequence,
-) -> Result<(), XQueryError> {
-    let Some(clause) = clauses.get(idx) else {
-        out.extend(eval(ret, doc, env)?);
-        return Ok(());
-    };
-    match clause {
-        Clause::For { var, source } => {
-            for item in eval(source, doc, env)? {
-                xic_obs::incr(xic_obs::Counter::XqueryBindingsVisited);
-                charge_budget()?;
-                let env2 = env.bind(var, vec![item]);
-                eval_flwor(clauses, idx + 1, ret, doc, &env2, out)?;
-            }
-            Ok(())
-        }
-        Clause::Let { var, value } => {
-            let seq = eval(value, doc, env)?;
-            let env2 = env.bind(var, seq);
-            eval_flwor(clauses, idx + 1, ret, doc, &env2, out)
-        }
-        Clause::Where(cond) => {
-            if effective_boolean(&eval(cond, doc, env)?) {
-                eval_flwor(clauses, idx + 1, ret, doc, env, out)
-            } else {
-                Ok(())
-            }
-        }
-    }
-}
-
-fn eval_quantified(
-    binds: &[(String, XQuery)],
-    satisfies: &XQuery,
-    doc: &Document,
-    env: &Env,
-    some: bool,
-    lazy: bool,
-) -> Result<bool, XQueryError> {
-    // Hoist loop-invariant sources: a binding whose source mentions none
-    // of the earlier binder names has the same value in every iteration
-    // of the enclosing loops, so evaluate it once up front. This turns
-    // `some $a in //x, $b in //y satisfies …` from O(|x|·eval(//y)) into
-    // two sequence scans plus the pair loop.
-    let hoisted: Vec<Option<Sequence>> = binds
-        .iter()
-        .enumerate()
-        .map(|(i, (_, src))| {
-            let depends = binds[..i].iter().any(|(v, _)| mentions_var(src, v));
-            if depends || i == 0 {
-                Ok(None) // index 0 is evaluated exactly once anyway
-            } else {
-                eval(src, doc, env).map(Some)
-            }
-        })
-        .collect::<Result<_, _>>()?;
-    eval_quantified_rec(binds, &hoisted, 0, satisfies, doc, env, some, lazy)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_quantified_rec(
-    binds: &[(String, XQuery)],
-    hoisted: &[Option<Sequence>],
-    idx: usize,
-    satisfies: &XQuery,
-    doc: &Document,
-    env: &Env,
-    some: bool,
-    lazy: bool,
-) -> Result<bool, XQueryError> {
-    let Some((var, source)) = binds.get(idx) else {
-        // Existential mode consumes the satisfies condition lazily — it
-        // is a boolean test either way, so the result is identical.
-        return if lazy {
-            eval_ebv(satisfies, doc, env)
-        } else {
-            Ok(effective_boolean(&eval(satisfies, doc, env)?))
-        };
-    };
-    let items = match &hoisted[idx] {
-        Some(seq) => seq.clone(),
-        None => eval(source, doc, env)?,
-    };
-    for item in items {
-        xic_obs::incr(xic_obs::Counter::XqueryBindingsVisited);
-        charge_budget()?;
-        let env2 = env.bind(var, vec![item]);
-        let r = eval_quantified_rec(binds, hoisted, idx + 1, satisfies, doc, &env2, some, lazy)?;
-        if r == some {
-            // `some`: a witness suffices; `every`: a counterexample kills.
-            return Ok(some);
-        }
-    }
-    Ok(!some)
+    XProgram::compile(q).eval_exists(doc, &[])
 }
 
 /// True if `q` mentions variable `name`. Over-approximates under
@@ -440,139 +129,10 @@ pub(crate) fn node_to_constructed(doc: &Document, n: &NodeRef) -> ConstructedChi
     }
 }
 
-fn eval_call(
-    name: &str,
-    args: &[XQuery],
-    doc: &Document,
-    env: &Env,
-) -> Result<Sequence, XQueryError> {
-    let one = |args: &[XQuery]| -> Result<Sequence, XQueryError> {
-        if args.len() == 1 {
-            eval(&args[0], doc, env)
-        } else {
-            Err(XQueryError::Type(format!(
-                "{name}() expects 1 argument, got {}",
-                args.len()
-            )))
-        }
-    };
-    match name {
-        "exists" => Ok(vec![Item::Bool(!one(args)?.is_empty())]),
-        "distinct-values" => {
-            let seq = one(args)?;
-            let mut seen = std::collections::HashSet::new();
-            let mut out = Vec::new();
-            for item in seq {
-                let s = item.string_value(doc);
-                if seen.insert(s.clone()) {
-                    out.push(Item::Str(s));
-                }
-            }
-            Ok(out)
-        }
-        "max" | "min" => {
-            let seq = one(args)?;
-            let mut best: Option<f64> = None;
-            for item in seq {
-                let v = item
-                    .string_value(doc)
-                    .trim()
-                    .parse::<f64>()
-                    .unwrap_or(f64::NAN);
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        if (name == "max") == (v > b) {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.map(Item::Num).into_iter().collect())
-        }
-        "empty" => Ok(vec![Item::Bool(one(args)?.is_empty())]),
-        "count" => Ok(vec![Item::Num(one(args)?.len() as f64)]),
-        "not" => Ok(vec![Item::Bool(!effective_boolean(&one(args)?))]),
-        "boolean" => Ok(vec![Item::Bool(effective_boolean(&one(args)?))]),
-        "string" => {
-            let seq = one(args)?;
-            Ok(vec![Item::Str(
-                seq.first().map(|i| i.string_value(doc)).unwrap_or_default(),
-            )])
-        }
-        other => Err(XQueryError::Type(format!(
-            "unsupported XQuery-level function {other}()"
-        ))),
-    }
-}
-
-fn eval_binary(
-    a: &XQuery,
-    op: BinOp,
-    b: &XQuery,
-    doc: &Document,
-    env: &Env,
-) -> Result<Sequence, XQueryError> {
-    match op {
-        BinOp::Or => {
-            let l = effective_boolean(&eval(a, doc, env)?);
-            if l {
-                return Ok(vec![Item::Bool(true)]);
-            }
-            let r = effective_boolean(&eval(b, doc, env)?);
-            return Ok(vec![Item::Bool(r)]);
-        }
-        BinOp::And => {
-            let l = effective_boolean(&eval(a, doc, env)?);
-            if !l {
-                return Ok(vec![Item::Bool(false)]);
-            }
-            let r = effective_boolean(&eval(b, doc, env)?);
-            return Ok(vec![Item::Bool(r)]);
-        }
-        _ => {}
-    }
-    let va = to_xvalue(&eval(a, doc, env)?)?;
-    let vb = to_xvalue(&eval(b, doc, env)?)?;
-    match op {
-        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            Ok(vec![Item::Bool(compare_values(&va, op, &vb, doc))])
-        }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            let x = va.to_num(doc);
-            let y = vb.to_num(doc);
-            let r = match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-                BinOp::Mod => x % y,
-                _ => unreachable!(),
-            };
-            Ok(vec![Item::Num(r)])
-        }
-        BinOp::Union => match (va, vb) {
-            (XValue::Nodes(mut x), XValue::Nodes(y)) => {
-                x.extend(y);
-                // Document order + dedupe, via the shared rank-based path.
-                xic_xpath::dedupe_doc_order(doc, &mut x);
-                Ok(x.into_iter().map(Item::Node).collect())
-            }
-            _ => Err(XQueryError::Type("union of non-node-sets".to_string())),
-        },
-        BinOp::Or | BinOp::And => unreachable!("handled above"),
-    }
-}
-
-fn to_xvalue(seq: &Sequence) -> Result<XValue, XQueryError> {
-    sequence_to_xvalue(seq).map_err(XQueryError::Type)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::Item;
     use crate::parser::parse_query;
     use xic_xml::parse_document;
 

@@ -1,5 +1,5 @@
-//! Compiled XQuery: slot-bound FLWOR/quantifier evaluation over the
-//! flat XPath IR.
+//! The XQuery evaluator: slot-bound FLWOR/quantifier evaluation over
+//! the flat XPath IR.
 //!
 //! [`XProgram::compile`] lowers an [`XQuery`] tree into a flat node
 //! arena whose embedded XPath leaves all share one
@@ -7,22 +7,22 @@
 //! scoping is resolved at compile time: every `for`/`let`/quantifier
 //! binder gets a dense slot, and each XPath leaf records which slots are
 //! visible at its position, so evaluation never builds (or clones) a
-//! name-keyed environment — the interpreter's dominant per-binding cost.
+//! name-keyed environment per binding.
 //!
 //! Sequence → XPath-value conversion happens once per *binding* instead
 //! of once per variable per embedded XPath evaluation; a conversion
-//! failure is remembered on the slot and raised, with the interpreter's
-//! exact message, as soon as any XPath leaf with that slot in scope is
-//! evaluated — preserving the interpreter's eager whole-environment
-//! conversion semantics.
+//! failure is remembered on the slot and raised as soon as any XPath
+//! leaf with that slot in scope is evaluated — a variable with no XPath
+//! equivalent is an error wherever it is visible, used or not.
 //!
 //! The existential FLWOR and quantifier drivers run on an explicit
 //! backtracking frame stack (clause index + live item iterator) rather
-//! than recursing per clause, with the same item order, short-circuit
-//! behavior, `XqueryBindingsVisited` counts and budget charges as
-//! [`crate::eval`]. The materializing evaluator remains structurally
-//! recursive (depth bounded by the query text, never by the data) and is
-//! the parity baseline the difftest three-way oracle compares against.
+//! than recursing per clause. The materializing evaluator is
+//! structurally recursive (depth bounded by the query text, never by
+//! the data). This is the only evaluator: the one-shot entry points in
+//! [`crate::eval`] compile and run here, the expected-value tests there
+//! are its specification, and the difftest oracle holds it to the naive
+//! reference answer for every generated query.
 
 use crate::ast::{Clause, XQuery};
 use crate::eval::{mentions_var, node_to_constructed, XQueryError};
@@ -58,8 +58,8 @@ pub enum XCall {
     Boolean,
     /// `string(seq)`
     String,
-    /// Unsupported at the XQuery level; errors when evaluated, exactly
-    /// like the interpreter.
+    /// Unsupported at the XQuery level; errors when (and only when)
+    /// evaluated.
     Unknown(Box<str>),
 }
 
@@ -125,8 +125,10 @@ pub struct QBind {
     pub source: XId,
     /// True if the source is loop-invariant w.r.t. earlier binders and
     /// may be evaluated once up front (decided at compile time from the
-    /// AST, mirroring the interpreter's hoist analysis; index 0 is never
-    /// hoisted because it is evaluated exactly once anyway).
+    /// AST; index 0 is never hoisted because it is evaluated exactly
+    /// once anyway). Hoisting turns `some $a in //x, $b in //y satisfies
+    /// …` from O(|x|·eval(//y)) into two sequence scans plus the pair
+    /// loop.
     pub hoistable: bool,
 }
 
@@ -222,20 +224,20 @@ impl XProgram {
         }
     }
 
-    /// Existential evaluation (the checker's mode): parity with
+    /// Existential evaluation (the checker's mode); see
     /// [`crate::eval_query_exists`].
     pub fn eval_exists(&self, doc: &Document, params: &[XValue]) -> Result<bool, XQueryError> {
         let mut st = self.state(doc, params);
         eval_ebv(self.root, &mut st)
     }
 
-    /// Materializing boolean evaluation: parity with
+    /// Materializing boolean evaluation; see
     /// [`crate::eval_query_bool`].
     pub fn eval_bool(&self, doc: &Document, params: &[XValue]) -> Result<bool, XQueryError> {
         Ok(effective_boolean(&self.eval_seq(doc, params)?))
     }
 
-    /// Materializing evaluation: parity with [`crate::eval_query`].
+    /// Materializing evaluation; see [`crate::eval_query`].
     pub fn eval_seq(&self, doc: &Document, params: &[XValue]) -> Result<Sequence, XQueryError> {
         let mut st = self.state(doc, params);
         eval(self.root, &mut st)
@@ -425,8 +427,8 @@ impl<'p, 'd> St<'p, 'd> {
         }
     }
 
-    /// Raises the interpreter's eager environment-conversion error for
-    /// any in-scope slot whose last binding had no XPath equivalent.
+    /// Raises the conversion error of any in-scope slot whose last
+    /// binding had no XPath equivalent.
     fn check_scope(&self, scope: &[SlotId]) -> Result<(), XQueryError> {
         for &s in scope {
             if let Some(m) = &self.conv[s as usize] {
@@ -458,8 +460,8 @@ fn charge_budget() -> Result<(), XQueryError> {
         .map_err(|_| XQueryError::XPath(xic_xpath::EvalError::BudgetExhausted))
 }
 
-/// Lazy effective-boolean-value evaluation, mirroring the interpreter's
-/// `eval_ebv`.
+/// Lazy effective-boolean-value evaluation (see
+/// [`crate::eval_query_exists`]).
 fn eval_ebv(id: XId, st: &mut St) -> Result<bool, XQueryError> {
     match st.inst(id) {
         XInst::XPath { expr, scope } => {
@@ -491,8 +493,8 @@ fn eval_ebv(id: XId, st: &mut St) -> Result<bool, XQueryError> {
     }
 }
 
-/// Lazy sequence-nonemptiness, mirroring the interpreter's
-/// `eval_nonempty`.
+/// Lazy sequence-nonemptiness (the `exists()`/`empty()` semantics:
+/// `[""]` is non-empty even though its effective boolean value is false).
 fn eval_nonempty(id: XId, st: &mut St) -> Result<bool, XQueryError> {
     match st.inst(id) {
         XInst::XPath { expr, scope } => {
@@ -515,7 +517,11 @@ fn eval_nonempty(id: XId, st: &mut St) -> Result<bool, XQueryError> {
                 eval_nonempty(*els, st)
             }
         }
+        // A constructor always yields exactly one element.
         XInst::Construct { .. } => Ok(true),
+        // Everything else yields a single item by construction (booleans,
+        // numbers, comparison results) or has no cheaper existential form
+        // than evaluating it (unions); fall back to the materializer.
         _ => Ok(!eval(id, st)?.is_empty()),
     }
 }
@@ -524,8 +530,8 @@ fn eval_nonempty(id: XId, st: &mut St) -> Result<bool, XQueryError> {
 /// iteration would emit at least one item. One frame per `for` clause
 /// holds its clause index and live item iterator; `let` bindings are
 /// (re)established on each descent, so no unbinding is needed on
-/// backtrack. Item order, binding counts and budget charges match the
-/// interpreter's recursive `flwor_nonempty` exactly.
+/// backtrack. Stops at the first binding whose `where` chain passes and
+/// whose `return` is non-empty.
 fn flwor_exists(clauses: &[XClause], ret: XId, st: &mut St) -> Result<bool, XQueryError> {
     let mut frames: Vec<(usize, std::vec::IntoIter<Item>)> = Vec::new();
     let mut idx = 0;
@@ -582,7 +588,7 @@ fn flwor_exists(clauses: &[XClause], ret: XId, st: &mut St) -> Result<bool, XQue
 }
 
 /// Materializing FLWOR on the same backtracking stack, collecting every
-/// emitted item (the interpreter's `eval_flwor`).
+/// emitted item.
 fn flwor_collect(
     clauses: &[XClause],
     ret: XId,
@@ -643,8 +649,9 @@ fn flwor_collect(
 
 /// Quantifier evaluation on an explicit frame stack. Hoistable sources
 /// (loop-invariant, decided at compile time) are evaluated once up
-/// front, in binding order, exactly like the interpreter's hoist pass.
-/// `lazy` selects existential consumption of the satisfies condition.
+/// front, in binding order. `lazy` selects existential consumption of
+/// the satisfies condition — it is a boolean test either way, so the
+/// result is identical.
 fn eval_quantified(
     binds: &[QBind],
     satisfies: XId,
@@ -707,7 +714,7 @@ fn eval_quantified(
     }
 }
 
-/// Materializing evaluation, mirroring the interpreter's `eval`.
+/// Materializing evaluation.
 fn eval(id: XId, st: &mut St) -> Result<Sequence, XQueryError> {
     match st.inst(id) {
         XInst::XPath { expr, scope } => {
@@ -884,7 +891,7 @@ fn eval_binary(a: XId, op: BinOp, b: XId, st: &mut St) -> Result<Sequence, XQuer
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval_query, eval_query_bool, eval_query_exists};
+    use crate::eval::eval_query;
     use crate::parser::parse_query;
     use xic_xml::parse_document;
 
@@ -904,85 +911,177 @@ mod tests {
         </track>\
       </review>";
 
-    const QUERIES: &[&str] = &[
-        "some $lr in //rev satisfies $lr/sub/auts/name/text() = $lr/name/text()",
-        "some $lr in //rev[name/text() = 'Dan'] satisfies \
-         $lr/sub/auts/name/text() = $lr/name/text()",
-        "exists(for $lr in //rev let $d := $lr/sub where count($d) > 4 return <idle/>)",
-        "exists(for $lr in //rev let $d := $lr/sub where count($d) > 5 return <idle/>)",
-        "every $s in //sub satisfies count($s/auts) = 1",
-        "every $r in //rev satisfies count($r/sub) > 3",
-        "not(exists(for $z in //zzz return $z))",
-        "empty(//zzz)",
-        "exists(//rev | //track)",
-        "if (count(//rev) = 2) then 'yes' else ''",
-        "boolean((for $x in //track return $x/name))",
-        "exists(('', ''))",
-        "boolean('')",
-        "count((1, 2, 3)) + 1",
-        "2 >= 3 or count(//sub) = 7",
-        "some $a in //rev, $b in //rev satisfies $a/name/text() = $b/name/text()",
-        "some $h in //auts, $r in //rev satisfies $h/name/text() = $r/name/text()",
-        "for $s in //sub return $s/title/text()",
-        "for $s in //sub where $s/auts/name = 'Eve' return $s",
-        "for $a in //rev, $b in //rev return <idle/>",
-        "for $r in //rev let $titles := $r/sub/title return count($titles)",
-        "(for $x in //track return $x/name) | //rev/name",
-        "element wrap { //track/name }",
-        "some $Ir in //rev, $H in //aut \
-         satisfies $H/name/text() = $Ir/name/text() \
-         and $H/../aut/name/text() = $Ir/sub/auts/name/text()",
-    ];
-
-    /// Compiled evaluation must agree with the interpreter on every mode:
-    /// materialized sequence, materialized boolean, existential boolean.
-    #[test]
-    fn compiled_agrees_with_interpreter() {
-        let (doc, _) = parse_document(DOC).unwrap();
-        for query in QUERIES {
-            let q = parse_query(query).unwrap_or_else(|e| panic!("{query}: {e}"));
-            let prog = XProgram::compile(&q);
-            let seq_i = eval_query(&q, &doc).unwrap_or_else(|e| panic!("{query}: {e}"));
-            let seq_c = prog.eval_seq(&doc, &[]).unwrap_or_else(|e| panic!("{query}: {e}"));
-            assert_eq!(seq_c, seq_i, "sequence differs on {query}");
-            assert_eq!(
-                prog.eval_bool(&doc, &[]).unwrap(),
-                eval_query_bool(&q, &doc).unwrap(),
-                "materialized boolean differs on {query}"
-            );
-            assert_eq!(
-                prog.eval_exists(&doc, &[]).unwrap(),
-                eval_query_exists(&q, &doc).unwrap(),
-                "existential answer differs on {query}"
-            );
+    /// `tagK` names the K-th `tag` element in document order; text nodes
+    /// hang off their parent's label. A golden written this way pins a
+    /// sequence's members and their order.
+    fn label(doc: &Document, n: &NodeRef) -> String {
+        let elem = |id: xic_xml::NodeId| {
+            let tag = doc.name(id).expect("an element");
+            let k = doc
+                .descendants(doc.document_node())
+                .filter(|&d| doc.name(d) == Some(tag))
+                .position(|d| d == id)
+                .expect("attached");
+            format!("{tag}{}", k + 1)
+        };
+        match n {
+            NodeRef::Attr { owner, name } => format!("{}/@{name}", elem(*owner)),
+            NodeRef::Node(id) if doc.name(*id).is_some() => elem(*id),
+            NodeRef::Node(id) => match doc.node(*id).parent {
+                Some(p) => format!("{}/text()", elem(p)),
+                None => "/".to_string(),
+            },
         }
     }
 
-    /// The compiled existential driver must short-circuit at the same
-    /// binding as the interpreter (same obs counter value), and the
-    /// materializing driver must enumerate the same bindings.
+    /// The sequence, or `error: <text>`.
+    fn render(doc: &Document, r: Result<Sequence, XQueryError>) -> String {
+        let seq = match r {
+            Ok(seq) => seq,
+            Err(e) => return format!("error: {e}"),
+        };
+        let items: Vec<String> = seq
+            .iter()
+            .map(|i| match i {
+                Item::Node(n) => label(doc, n),
+                Item::Str(s) => format!("{s:?}"),
+                Item::Num(n) => format!("{n}"),
+                Item::Bool(b) => format!("{b}"),
+                Item::Elem(e) => e.to_xml(),
+            })
+            .collect();
+        format!("({})", items.join(", "))
+    }
+
+    const TITLES: &str = "(title1/text(), title2/text(), title3/text(), title4/text(), \
+        title5/text(), title6/text(), title7/text())";
+
+    /// Query, materialized sequence, effective boolean value (materialized
+    /// and existential agree on it) and the number of bindings either
+    /// driver visits — the values the tree-walking interpreter (retired at
+    /// PR 14) returned.
+    const GOLDEN: &[(&str, &str, bool, u64)] = &[
+        (
+            "some $lr in //rev satisfies $lr/sub/auts/name/text() = $lr/name/text()",
+            "(true)", true, 1,
+        ),
+        (
+            "some $lr in //rev[name/text() = 'Dan'] satisfies \
+             $lr/sub/auts/name/text() = $lr/name/text()",
+            "(false)", false, 1,
+        ),
+        (
+            "exists(for $lr in //rev let $d := $lr/sub where count($d) > 4 return <idle/>)",
+            "(true)", true, 2,
+        ),
+        (
+            "exists(for $lr in //rev let $d := $lr/sub where count($d) > 5 return <idle/>)",
+            "(false)", false, 2,
+        ),
+        (
+            "every $s in //sub satisfies count($s/auts) = 1",
+            "(true)", true, 7,
+        ),
+        (
+            "every $r in //rev satisfies count($r/sub) > 3",
+            "(false)", false, 1,
+        ),
+        (
+            "not(exists(for $z in //zzz return $z))",
+            "(true)", true, 0,
+        ),
+        (
+            "empty(//zzz)",
+            "(true)", true, 0,
+        ),
+        (
+            "exists(//rev | //track)",
+            "(true)", true, 0,
+        ),
+        (
+            "if (count(//rev) = 2) then 'yes' else ''",
+            "(\"yes\")", true, 0,
+        ),
+        (
+            "boolean((for $x in //track return $x/name))",
+            "(true)", true, 1,
+        ),
+        (
+            "exists(('', ''))",
+            "(true)", true, 0,
+        ),
+        (
+            "boolean('')",
+            "(false)", false, 0,
+        ),
+        (
+            "count((1, 2, 3)) + 1",
+            "(4)", true, 0,
+        ),
+        (
+            "2 >= 3 or count(//sub) = 7",
+            "(true)", true, 0,
+        ),
+        (
+            "some $a in //rev, $b in //rev satisfies $a/name/text() = $b/name/text()",
+            "(true)", true, 2,
+        ),
+        (
+            "some $h in //auts, $r in //rev satisfies $h/name/text() = $r/name/text()",
+            "(true)", true, 5,
+        ),
+        (
+            "for $s in //sub return $s/title/text()",
+            TITLES, true, 7,
+        ),
+        (
+            "for $s in //sub where $s/auts/name = 'Eve' return $s",
+            "(sub3)", true, 7,
+        ),
+        (
+            "for $a in //rev, $b in //rev return <idle/>",
+            "(<idle/>, <idle/>, <idle/>, <idle/>)", true, 6,
+        ),
+        (
+            "for $r in //rev let $titles := $r/sub/title return count($titles)",
+            "(2, 5)", true, 2,
+        ),
+        (
+            "(for $x in //track return $x/name) | //rev/name",
+            "(name1, name2, name5)", true, 1,
+        ),
+        (
+            "element wrap { //track/name }",
+            "(<wrap><name>DB</name></wrap>)", true, 0,
+        ),
+        (
+            "some $Ir in //rev, $H in //aut \
+             satisfies $H/name/text() = $Ir/name/text() \
+             and $H/../aut/name/text() = $Ir/sub/auts/name/text()",
+            "(false)", false, 2,
+        ),
+    ];
+
     #[test]
-    fn binding_counters_match_interpreter() {
+    fn sequences_booleans_and_binding_counts() {
         let (doc, _) = parse_document(DOC).unwrap();
-        for query in QUERIES {
-            let q = parse_query(query).unwrap();
+        for &(query, seq, ebv, bindings) in GOLDEN {
+            let q = parse_query(query).unwrap_or_else(|e| panic!("{query}: {e}"));
             let prog = XProgram::compile(&q);
             xic_obs::reset();
-            let _ = eval_query_exists(&q, &doc).unwrap();
-            let interp = xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited);
-            xic_obs::reset();
-            let _ = prog.eval_exists(&doc, &[]).unwrap();
-            let compiled = xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited);
-            assert_eq!(compiled, interp, "existential binding count on {query}");
-            xic_obs::reset();
-            let _ = eval_query(&q, &doc).unwrap();
-            let interp_full = xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited);
-            xic_obs::reset();
-            let _ = prog.eval_seq(&doc, &[]).unwrap();
-            let compiled_full = xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited);
+            assert_eq!(render(&doc, prog.eval_seq(&doc, &[])), seq, "sequence of {query}");
             assert_eq!(
-                compiled_full, interp_full,
-                "materializing binding count on {query}"
+                xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited),
+                bindings,
+                "materializing binding count of {query}"
+            );
+            assert_eq!(prog.eval_bool(&doc, &[]).unwrap(), ebv, "materialized boolean of {query}");
+            xic_obs::reset();
+            assert_eq!(prog.eval_exists(&doc, &[]).unwrap(), ebv, "existential answer of {query}");
+            assert_eq!(
+                xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited),
+                bindings,
+                "existential binding count of {query}"
             );
         }
     }
@@ -1018,59 +1117,44 @@ mod tests {
         let query = "for $x in //rev return (for $x in $x/sub return $x/title/text())";
         let q = parse_query(query).unwrap();
         let prog = XProgram::compile(&q);
-        assert_eq!(
-            prog.eval_seq(&doc, &[]).unwrap(),
-            eval_query(&q, &doc).unwrap()
-        );
+        assert_eq!(render(&doc, prog.eval_seq(&doc, &[])), TITLES);
     }
 
     #[test]
-    fn type_errors_match_interpreter() {
+    fn type_error_texts() {
         let (doc, _) = parse_document("<r/>").unwrap();
-        for query in [
-            "('a', 'b') = 'a'",
-            "1 | 2",
-            "frob(//x)",
-            "exists(//x, //y)",
-            "for $v in (for $a in ('a','b') return $a) return exists($v)",
+        for (query, outcome) in [
+            ("('a', 'b') = 'a'", "error: sequence has no XPath 1.0 value equivalent"),
+            ("1 | 2", "error: union of non-node-sets"),
+            ("frob(//x)", "error: unknown function frob()"),
+            ("exists(//x, //y)", "error: exists() expects 1 argument, got 2"),
+            ("for $v in (for $a in ('a','b') return $a) return exists($v)", "(true, true)"),
         ] {
             let q = parse_query(query).unwrap();
             let prog = XProgram::compile(&q);
-            let i = eval_query(&q, &doc);
-            let c = prog.eval_seq(&doc, &[]);
-            match (i, c) {
-                (Err(ie), Err(ce)) => {
-                    assert_eq!(ce.to_string(), ie.to_string(), "error differs on {query}")
-                }
-                (i, c) => assert_eq!(c, i, "result differs on {query}"),
-            }
+            assert_eq!(render(&doc, prog.eval_seq(&doc, &[])), outcome, "outcome of {query}");
         }
     }
 
     #[test]
     fn conversion_error_raised_even_for_unused_variable() {
-        // The interpreter converts every in-scope variable eagerly when
-        // entering an XPath leaf; the compiled engine must preserve that.
+        // Every in-scope variable must have an XPath value when an XPath
+        // leaf is entered, whether or not the leaf mentions it.
         let (doc, _) = parse_document(DOC).unwrap();
         let query = "for $bad in exists((let $m := ('a','b') return 1)) return $bad";
-        if let Ok(q) = parse_query(query) {
-            let prog = XProgram::compile(&q);
-            assert_eq!(
-                prog.eval_seq(&doc, &[]).is_err(),
-                eval_query(&q, &doc).is_err()
-            );
-        }
+        let prog = XProgram::compile(&parse_query(query).unwrap());
+        assert_eq!(
+            render(&doc, prog.eval_seq(&doc, &[])),
+            "error: variable $m: sequence has no XPath 1.0 value equivalent"
+        );
         // Direct form: a multi-atomic let in scope of an unrelated path.
         let query2 = "some $r in //rev satisfies \
             exists(for $m in ('a', 'b') let $two := ('x', 'y') where //track return $m)";
-        let q2 = parse_query(query2).unwrap();
-        let prog2 = XProgram::compile(&q2);
-        let i = eval_query_exists(&q2, &doc);
-        let c = prog2.eval_exists(&doc, &[]);
-        match (i, c) {
-            (Err(ie), Err(ce)) => assert_eq!(ce.to_string(), ie.to_string()),
-            (i, c) => assert_eq!(c, i),
-        }
+        let prog2 = XProgram::compile(&parse_query(query2).unwrap());
+        assert_eq!(
+            prog2.eval_exists(&doc, &[]).unwrap_err().to_string(),
+            "variable $two: sequence has no XPath 1.0 value equivalent"
+        );
     }
 
     #[test]

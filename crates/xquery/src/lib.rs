@@ -35,6 +35,11 @@
 //! assert!(!eval_query_bool(&q, &doc).unwrap()); // only 2 subs: no violation
 //! ```
 //!
+//! There is one evaluator: [`XProgram`] is a query compiled once (the
+//! checker keeps one per constraint and per update-pattern template) and
+//! [`eval_query`], [`eval_query_bool`] and [`eval_query_exists`] are the
+//! one-shot forms (compile, then run).
+//!
 //! In the system-inventory table of `DESIGN.md` this crate is item 5 (XQuery engine).
 
 pub mod ast;
