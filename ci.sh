@@ -15,18 +15,11 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # and the translator's quantifier and aggregate-FLWOR shapes must all
 # agree. The run exits nonzero on any discrepancy or if a run of at least
 # 100 cases compared no queries (the report's "reference_queries" counts
-# them).
+# them). Every case also replays through a checker pair with the static
+# update/constraint independence mask on and off (oracle 6): verdicts,
+# violation reports and post-states must be byte-identical.
 cargo run --release -q -p xic-difftest -- --cases 500 --seed 1 \
   --out /tmp/BENCH_DIFFTEST_CI.json
-
-echo "== independence on/off oracle (>= 200 cases) =="
-# The PR8 gate: every case also replays through a checker pair with the
-# static update/constraint independence mask forced on and forced off —
-# verdicts, violation reports and post-states must be byte-identical.
-# Pinning the process default *off* additionally catches any code path
-# that consults the default where it should honor the per-checker flag.
-cargo run --release -q -p xic-difftest -- --cases 200 --seed 11 \
-  --independence off --out /tmp/BENCH_DIFFTEST_INDEP_CI.json
 
 echo "== difftest corpus replay =="
 # Every checked-in regression seed replays against the current oracles
@@ -130,13 +123,6 @@ echo "== bench smoke (order/exists fast paths) =="
 # The criterion harness runs each benchmark a handful of times; this is a
 # does-it-run gate, not a performance assertion.
 cargo bench -q -p xic-bench --bench order_exists
-
-echo "== experiments smoke (shards section: E14 recovery + mixed traffic) =="
-# The sharded-store experiment must run end to end: whole-set recovery
-# at 1/4/16 shards (sequential vs parallel fan-out) plus the Zipf
-# mixed-traffic throughput panel. The real report is BENCH_PR10.json.
-cargo run --release -q -p xic-bench --bin experiments -- shards \
-  --iters=1 --out=/tmp/BENCH_SHARDS_SMOKE.json
 
 echo "== benchmark smoke (wire-level benchmark builds and runs against these crates) =="
 # The benchmark is a package of its own over ../crates/*: a product-API

@@ -1,45 +1,10 @@
-//! E4 — ablations for the design choices DESIGN.md calls out:
-//!
-//! * the element-name index (`//tag` as a lookup vs a full scan), which
-//!   stands in for a repository's structural index;
-//! * parameter instantiation: the simplified check with concrete values
-//!   vs the same check shape with a fresh quantifier (what the optimized
-//!   query would cost without the update-time placeholders).
+//! E4 — ablation for a design choice DESIGN.md calls out: parameter
+//! instantiation, the simplified check with concrete values vs the same
+//! check shape with a fresh quantifier (what the optimized query would
+//! cost without the update-time placeholders).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xic_bench::{dtd_text, Experiment};
-use xic_workload::{generate, WorkloadConfig};
-use xicheck::Checker;
-
-fn bench_name_index(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_name_index");
-    group.sample_size(10);
-    for kib in [32usize, 128] {
-        let w = generate(WorkloadConfig::sized_kib(kib, 1));
-        let mut checker = Checker::new(
-            &w.xml,
-            dtd_text(),
-            xic_workload::conflict_constraint(),
-        )
-        .unwrap();
-        group.bench_with_input(BenchmarkId::new("full_check_indexed", kib), &kib, |b, _| {
-            b.iter(|| {
-                assert!(checker.check_full().unwrap().is_none());
-            });
-        });
-        checker.doc_mut().disable_name_index();
-        group.bench_with_input(
-            BenchmarkId::new("full_check_unindexed", kib),
-            &kib,
-            |b, _| {
-                b.iter(|| {
-                    assert!(checker.check_full().unwrap().is_none());
-                });
-            },
-        );
-    }
-    group.finish();
-}
+use criterion::{criterion_group, criterion_main, Criterion};
+use xic_bench::Experiment;
 
 fn bench_instantiation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_parameter_instantiation");
@@ -73,5 +38,5 @@ fn bench_instantiation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_name_index, bench_instantiation);
+criterion_group!(benches, bench_instantiation);
 criterion_main!(benches);

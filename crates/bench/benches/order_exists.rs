@@ -58,15 +58,9 @@ fn bench_order_exists(c: &mut Criterion) {
         let mut violating = instance(Experiment::ConflictOfInterests, kib, 1);
         let illegal = violating.illegal.clone();
         violating.checker.apply_unchecked(&illegal).unwrap();
-        violating.checker.set_parallel_full(Some(false));
         group.bench_function(&format!("check_full_exists_{kib}k"), |b| {
             b.iter(|| {
                 assert!(violating.checker.check_full().unwrap().is_some());
-            });
-        });
-        group.bench_function(&format!("check_full_materialized_{kib}k"), |b| {
-            b.iter(|| {
-                assert!(violating.checker.check_full_materialized().unwrap().is_some());
             });
         });
     }

@@ -63,8 +63,12 @@ fn bench_simplify(c: &mut Criterion) {
     .unwrap();
     c.bench_function("compile_pattern_end_to_end", |b| {
         b.iter(|| {
-            let compiled =
-                xicheck::compile_pattern(&mapped, inst.checker.constraints(), inst.checker.schema());
+            let compiled = xicheck::compile_pattern(
+                &mapped,
+                inst.checker.constraints(),
+                inst.checker.schema(),
+                true,
+            );
             assert!(compiled.is_incremental());
         });
     });

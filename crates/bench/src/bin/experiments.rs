@@ -2,9 +2,9 @@
 //! machine-readable report (`BENCH_PR3.json`).
 //!
 //! ```text
-//! experiments [fig1a] [fig1b] [illegal] [simp] [exists] [ordercache]
+//! experiments [fig1a] [fig1b] [illegal] [simp] [ordercache]
 //!             [journal] [budget] [checkpoint] [service] [independence]
-//!             [overload] [shards] [all]
+//!             [overload] [all]
 //!             [--sizes=32,64,128,256,512] [--iters=3] [--seed=1]
 //!             [--out=BENCH_PR3.json]
 //! ```
@@ -14,9 +14,7 @@
 //! update + full check + undo (triangles). `illegal` prints the
 //! early-detection comparison (E5); `simp` reports compile-time
 //! simplification latency (the paper's footnote 4: "generated in less
-//! than 50 ms"); `exists` compares the short-circuiting existential full
-//! check (sequential and parallel) against the materializing baseline on
-//! a violating state; `ordercache` compares a dedupe-heavy query with and
+//! than 50 ms"); `ordercache` compares a dedupe-heavy query with and
 //! without the cached document-order ranks; `journal` measures the
 //! write-ahead journal's per-update overhead (off / on without fsync / on
 //! with per-record fsync); `budget` measures evaluation-step budgeting on
@@ -33,12 +31,9 @@
 //! (E12 — conventionally written to `BENCH_PR8.json` via `--out`);
 //! `overload` sweeps closed-loop client counts against a small admission
 //! queue and reports offered load, goodput, shed rate and p99 latency
-//! (E13 — conventionally written to `BENCH_PR9.json` via `--out`);
-//! `shards` measures whole-set crash recovery of a multi-document
-//! [`xicheck::ShardSet`] at 1/4/16 shards — sequential versus the
-//! scoped-thread parallel fan-out — plus Zipf-skewed mixed-traffic
-//! throughput with one writer per shard (E14 — conventionally written
-//! to `BENCH_PR10.json` via `--out`).
+//! (E13 — conventionally written to `BENCH_PR9.json` via `--out`).
+//! Sharded recovery and mixed traffic are measured by the wire-level
+//! benchmark (`benchmark/`, workload `shard-zipf`), not here.
 //!
 //! Every run also rewrites the JSON report: the sections just measured
 //! replace their previous versions, sections from earlier invocations are
@@ -48,8 +43,8 @@
 
 use std::time::Instant;
 use xic_bench::{
-    instance, measure_budget, measure_exists, measure_illegal, measure_journal,
-    measure_order_cache, measure_row, measure_service, Experiment,
+    instance, measure_budget, measure_illegal, measure_journal, measure_order_cache, measure_row,
+    measure_service, Experiment,
 };
 use xic_mapping::map_update;
 use xicheck::obs::{self, json};
@@ -87,8 +82,8 @@ fn parse_args() -> Args {
     }
     if what.is_empty() || what.iter().any(|w| w == "all") {
         what = [
-            "fig1a", "fig1b", "illegal", "simp", "exists", "ordercache", "journal",
-            "budget", "checkpoint", "service", "independence", "overload", "shards",
+            "fig1a", "fig1b", "illegal", "simp", "ordercache", "journal", "budget",
+            "checkpoint", "service", "independence", "overload",
         ]
         .iter()
         .map(std::string::ToString::to_string)
@@ -201,7 +196,7 @@ fn simp_latency(args: &Args) -> json::Value {
         let n = 200u32;
         let start = Instant::now();
         for _ in 0..n {
-            let compiled = compile_pattern(&mapped, gamma, schema);
+            let compiled = compile_pattern(&mapped, gamma, schema, true);
             assert!(compiled.is_incremental(), "{:?}", compiled.unsupported);
         }
         let per = start.elapsed().as_secs_f64() * 1e3 / f64::from(n);
@@ -217,68 +212,6 @@ fn simp_latency(args: &Args) -> json::Value {
     println!();
     json::Value::Object(vec![
         ("seed".to_string(), num(args.seed as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
-}
-
-fn exists_section(args: &Args) -> json::Value {
-    println!("== Existential short-circuit: check_full vs materialized baseline (PR3) ==");
-    println!(
-        "{:>12} {:>9} {:>10} {:>8} {:>12} {:>13} {:>13}",
-        "experiment", "size/KiB", "exists/ms", "mat/ms", "parallel/ms", "nodes e/m", "binds e/m"
-    );
-    obs::reset();
-    let mut rows = Vec::new();
-    for (exp, name) in [
-        (Experiment::ConflictOfInterests, "conflict"),
-        (Experiment::ConferenceWorkload, "workload"),
-    ] {
-        for &kib in &args.sizes {
-            let r = measure_exists(exp, kib, args.seed, args.iters);
-            println!(
-                "{name:>12} {:>9} {:>10.3} {:>8.2} {:>12.3} {:>6}/{:<6} {:>6}/{:<6}",
-                r.kib,
-                r.exists_ms,
-                r.materialized_ms,
-                r.parallel_ms,
-                r.exists_nodes_visited,
-                r.materialized_nodes_visited,
-                r.exists_bindings_visited,
-                r.materialized_bindings_visited,
-            );
-            rows.push(json::Value::Object(vec![
-                (
-                    "experiment".to_string(),
-                    json::Value::String(name.to_string()),
-                ),
-                ("kib".to_string(), num(r.kib as f64)),
-                ("exists_ms".to_string(), num(r.exists_ms)),
-                ("materialized_ms".to_string(), num(r.materialized_ms)),
-                ("parallel_ms".to_string(), num(r.parallel_ms)),
-                (
-                    "exists_nodes_visited".to_string(),
-                    num(r.exists_nodes_visited as f64),
-                ),
-                (
-                    "materialized_nodes_visited".to_string(),
-                    num(r.materialized_nodes_visited as f64),
-                ),
-                (
-                    "exists_bindings_visited".to_string(),
-                    num(r.exists_bindings_visited as f64),
-                ),
-                (
-                    "materialized_bindings_visited".to_string(),
-                    num(r.materialized_bindings_visited as f64),
-                ),
-            ]));
-        }
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
         ("rows".to_string(), json::Value::Array(rows)),
         ("obs".to_string(), obs::snapshot().to_json_value()),
     ])
@@ -580,71 +513,6 @@ fn overload_section(args: &Args) -> json::Value {
     ])
 }
 
-fn shards_section(args: &Args) -> json::Value {
-    println!("== Sharded store: parallel recovery and mixed traffic (E14) ==");
-    // The fan-out can only beat the sequential loop given real cores;
-    // record what this host offers so a ~1.0x speedup column is
-    // interpretable.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!("(host offers {cores} core(s) to the parallel fan-out)");
-    println!(
-        "{:>8} {:>9} {:>12} {:>12} {:>9}",
-        "shards", "commits", "seq rec/ms", "par rec/ms", "speedup"
-    );
-    obs::reset();
-    let mut recovery_rows = Vec::new();
-    for &shards in &[1usize, 4, 16] {
-        let r = xic_bench::measure_shard_recovery(shards, args.seed, args.iters);
-        println!(
-            "{:>8} {:>9} {:>12.2} {:>12.2} {:>8.2}x",
-            r.shards,
-            r.commits,
-            r.seq_recover_ms,
-            r.par_recover_ms,
-            r.speedup()
-        );
-        recovery_rows.push(json::Value::Object(vec![
-            ("shards".to_string(), num(r.shards as f64)),
-            ("commits".to_string(), num(r.commits as f64)),
-            ("seq_recover_ms".to_string(), num(r.seq_recover_ms)),
-            ("par_recover_ms".to_string(), num(r.par_recover_ms)),
-            ("speedup".to_string(), num(r.speedup())),
-        ]));
-    }
-    println!("\n-- Zipf-skewed mixed traffic, one writer per shard --");
-    println!(
-        "{:>8} {:>9} {:>7} {:>9} {:>11}",
-        "shards", "offered", "acked", "wall/ms", "commits/s"
-    );
-    let mut throughput_rows = Vec::new();
-    for &shards in &[1usize, 4, 16] {
-        let r = xic_bench::measure_shard_throughput(shards, args.seed);
-        println!(
-            "{:>8} {:>9} {:>7} {:>9.1} {:>11.0}",
-            r.shards, r.offered, r.acked, r.wall_ms, r.throughput_per_s
-        );
-        throughput_rows.push(json::Value::Object(vec![
-            ("shards".to_string(), num(r.shards as f64)),
-            ("offered".to_string(), num(r.offered as f64)),
-            ("acked".to_string(), num(r.acked as f64)),
-            ("wall_ms".to_string(), num(r.wall_ms)),
-            ("throughput_per_s".to_string(), num(r.throughput_per_s)),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("host_cores".to_string(), num(cores as f64)),
-        ("recovery_rows".to_string(), json::Value::Array(recovery_rows)),
-        (
-            "throughput_rows".to_string(),
-            json::Value::Array(throughput_rows),
-        ),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
-}
-
 /// Rewrites `path`, replacing the sections in `fresh` and keeping every
 /// other section from a previous run, so `experiments fig1a` followed by
 /// `experiments fig1b` accumulates both figures in one report.
@@ -706,7 +574,6 @@ fn main() {
             ),
             "illegal" => illegal(&args),
             "simp" => simp_latency(&args),
-            "exists" => exists_section(&args),
             "ordercache" => order_cache_section(&args),
             "journal" => journal_section(&args),
             "budget" => budget_section(&args),
@@ -714,12 +581,10 @@ fn main() {
             "service" => service_section(&args),
             "independence" => independence_section(&args),
             "overload" => overload_section(&args),
-            "shards" => shards_section(&args),
             other => {
                 eprintln!(
                     "unknown experiment {other} (expected all, fig1a, fig1b, illegal, simp, \
-                     exists, ordercache, journal, budget, checkpoint, service, independence, \
-                     overload, shards)"
+                     ordercache, journal, budget, checkpoint, service, independence, overload)"
                 );
                 failed = true;
                 continue;
@@ -727,7 +592,6 @@ fn main() {
         };
         // Report-facing section names for the PR3 additions.
         let key = match w.as_str() {
-            "exists" => "exists-short-circuit",
             "ordercache" => "order-key-cache",
             "journal" => "journal-overhead",
             "budget" => "budget-overhead",

@@ -223,69 +223,6 @@ fn counter_value(snap: &xic_obs::Snapshot, name: &str) -> u64 {
         .map_or(0, |(_, v)| *v)
 }
 
-/// Existential short-circuiting vs the materializing baseline: one full
-/// check on a *violating* document state (so a witness exists for the
-/// short-circuit to stop at), measured in wall time and engine visit
-/// counters.
-#[derive(Debug, Clone, Copy)]
-pub struct ExistsRow {
-    /// Corpus size in KiB.
-    pub kib: usize,
-    /// `check_full` (existential, sequential) mean time (ms).
-    pub exists_ms: f64,
-    /// `check_full_materialized` mean time (ms).
-    pub materialized_ms: f64,
-    /// `check_full` with the parallel fan-out forced on (ms).
-    pub parallel_ms: f64,
-    /// XPath nodes visited by one existential check.
-    pub exists_nodes_visited: u64,
-    /// XPath nodes visited by one materializing check.
-    pub materialized_nodes_visited: u64,
-    /// XQuery FLWOR bindings visited by one existential check.
-    pub exists_bindings_visited: u64,
-    /// XQuery FLWOR bindings visited by one materializing check.
-    pub materialized_bindings_visited: u64,
-}
-
-/// Measures the exists-short-circuit scenario: the instance's illegal
-/// statement is applied *unchecked*, so the constraint has a witness and
-/// the full check must detect it under both evaluation modes.
-pub fn measure_exists(exp: Experiment, kib: usize, seed: u64, iters: usize) -> ExistsRow {
-    let mut inst = instance(exp, kib, seed);
-    let illegal = inst.illegal.clone();
-    inst.checker.apply_unchecked(&illegal).expect("illegal statement applies");
-
-    inst.checker.set_parallel_full(Some(false));
-    xic_obs::reset();
-    assert!(inst.checker.check_full().expect("check").is_some());
-    let exists_snap = inst.checker.obs_snapshot();
-    xic_obs::reset();
-    assert!(inst.checker.check_full_materialized().expect("check").is_some());
-    let mat_snap = inst.checker.obs_snapshot();
-
-    let exists = time_mean(iters, || {
-        assert!(inst.checker.check_full().expect("check").is_some());
-    });
-    let materialized = time_mean(iters, || {
-        assert!(inst.checker.check_full_materialized().expect("check").is_some());
-    });
-    inst.checker.set_parallel_full(Some(true));
-    let parallel = time_mean(iters, || {
-        assert!(inst.checker.check_full().expect("check").is_some());
-    });
-
-    ExistsRow {
-        kib,
-        exists_ms: exists.as_secs_f64() * 1e3,
-        materialized_ms: materialized.as_secs_f64() * 1e3,
-        parallel_ms: parallel.as_secs_f64() * 1e3,
-        exists_nodes_visited: counter_value(&exists_snap, "xpath_nodes_visited"),
-        materialized_nodes_visited: counter_value(&mat_snap, "xpath_nodes_visited"),
-        exists_bindings_visited: counter_value(&exists_snap, "xquery_bindings_visited"),
-        materialized_bindings_visited: counter_value(&mat_snap, "xquery_bindings_visited"),
-    }
-}
-
 /// Cached document-order ranks vs from-scratch path keys on a
 /// deduplication-heavy query.
 #[derive(Debug, Clone, Copy)]
@@ -554,14 +491,15 @@ pub fn measure_checkpoint(history: usize, interval: u64, kib: usize, seed: u64, 
         checker.set_checkpoint_policy(xicheck::CheckpointPolicy::every_commits(interval));
         commit_history(&mut checker);
     } // crash
-    let (_c, rep) = Checker::recover_store(&dir, &w.xml, dtd_text(), constraints)
-        .expect("store recovery");
+    let gamma = xicheck::SharedGamma::compile(dtd_text(), constraints).expect("Γ compiles");
+    let (_c, rep) =
+        Checker::recover_store(&dir, &w.xml, &gamma, true).expect("store recovery");
     assert!(!rep.degraded);
     assert_eq!(rep.base_commit_seq as usize + rep.replayed, history);
     let (ckpt_replayed, generation) = (rep.replayed, rep.generation);
     let ckpt = time_mean(iters, || {
         let (_c, rep) =
-            Checker::recover_store(&dir, &w.xml, dtd_text(), constraints).expect("store recovery");
+            Checker::recover_store(&dir, &w.xml, &gamma, true).expect("store recovery");
         assert!(!rep.degraded);
     });
     let _ = std::fs::remove_dir_all(&dir);
@@ -947,190 +885,6 @@ pub fn measure_independence(constraints: usize, seed: u64, updates: usize) -> In
     }
 }
 
-/// One point on the E14 recovery curve: a K-shard store with committed
-/// history on every shard, recovered sequentially and in parallel.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardRecoveryRow {
-    /// Shard count.
-    pub shards: usize,
-    /// Commits durably applied across all shards before the recovery.
-    pub commits: usize,
-    /// Mean whole-set recovery time, one shard at a time (ms).
-    pub seq_recover_ms: f64,
-    /// Mean whole-set recovery time, scoped-thread fan-out (ms).
-    pub par_recover_ms: f64,
-}
-
-impl ShardRecoveryRow {
-    /// Sequential-over-parallel wall-clock ratio (> 1 means the fan-out
-    /// pays off).
-    pub fn speedup(&self) -> f64 {
-        if self.par_recover_ms == 0.0 {
-            0.0
-        } else {
-            self.seq_recover_ms / self.par_recover_ms
-        }
-    }
-}
-
-fn shard_root_tmp(tag: &str, shards: usize, seed: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "xic-bench-shards-{}-{tag}-{shards}-{seed}",
-        std::process::id()
-    ))
-}
-
-/// Measures [`ShardRecoveryRow`]: builds a K-shard set over distinct
-/// DBLP-style corpora, drives a Zipf-skewed event stream into it
-/// (organically refused statements are fine — only durable commits
-/// count), then times whole-set recovery with the sequential and the
-/// parallel fan-out. Recovery over a cleanly shut-down store is
-/// idempotent, so both timings replay identical bytes.
-pub fn measure_shard_recovery(shards: usize, seed: u64, iters: usize) -> ShardRecoveryRow {
-    use xic_workload::shards::{generate_corpora, shard_events, ShardTrafficConfig};
-    use xicheck::{ShardSet, ShardSetConfig};
-
-    // A heavier event budget than the throughput panel: recovery replay
-    // is what's under test, so give every shard a real journal suffix.
-    let corpora = generate_corpora(ShardTrafficConfig {
-        seed,
-        shards,
-        events: 192 * shards,
-    });
-    let bases = corpora.bases();
-    let constraints = xic_workload::conflict_constraint();
-    let cfg = ShardSetConfig {
-        service: xicheck::ServiceConfig {
-            executor: Executor::Sync,
-            ..Default::default()
-        },
-        sync: false,
-        ..Default::default()
-    };
-    let root = shard_root_tmp("recover", shards, seed);
-    let _ = std::fs::remove_dir_all(&root);
-    let set = ShardSet::create(&root, &bases, dtd_text(), constraints, cfg)
-        .expect("shard set creation");
-    let mut commits = 0usize;
-    for e in shard_events(&corpora) {
-        // A generated statement may no longer match after earlier events
-        // on its shard — that refusal is part of the workload's shape.
-        if let Ok(out) = set.submit(e.shard, &e.stmt) {
-            if out.outcome.applied() {
-                commits += 1;
-            }
-        }
-    }
-    set.shutdown().expect("clean shutdown");
-    drop(set);
-
-    let recover = |parallel: bool| {
-        let (set, report) =
-            ShardSet::recover(&root, &bases, dtd_text(), constraints, cfg, parallel)
-                .expect("shard set recovery");
-        assert_eq!(report.shards.len(), shards);
-        assert!(report.degraded_shards().is_empty());
-        let _ = set.shutdown();
-    };
-    let seq = time_mean(iters, || recover(false));
-    let par = time_mean(iters, || recover(true));
-    let _ = std::fs::remove_dir_all(&root);
-
-    ShardRecoveryRow {
-        shards,
-        commits,
-        seq_recover_ms: seq.as_secs_f64() * 1e3,
-        par_recover_ms: par.as_secs_f64() * 1e3,
-    }
-}
-
-/// K-shard mixed-traffic throughput (E14's second panel): one writer
-/// thread per shard drains that shard's slice of a Zipf-skewed event
-/// stream, all against one [`xicheck::ShardSet`] sharing a compiled Γ
-/// and pattern cache.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardThroughputRow {
-    /// Shard count (= writer threads).
-    pub shards: usize,
-    /// Events offered across all shards.
-    pub offered: usize,
-    /// Events acknowledged as applied.
-    pub acked: usize,
-    /// Wall-clock time for the whole run (ms).
-    pub wall_ms: f64,
-    /// Acknowledged commits per second across the set.
-    pub throughput_per_s: f64,
-}
-
-/// Measures [`ShardThroughputRow`]. Statement refusals (constraint
-/// violations or selects emptied by earlier traffic) are counted against
-/// `offered` but not `acked`; shard-level errors are a bug.
-pub fn measure_shard_throughput(shards: usize, seed: u64) -> ShardThroughputRow {
-    use xic_workload::shards::{
-        generate_corpora, per_shard_streams, shard_events, ShardTrafficConfig,
-    };
-    use xicheck::{ShardSet, ShardSetConfig};
-
-    let corpora = generate_corpora(ShardTrafficConfig::with_shards(shards, seed));
-    let bases = corpora.bases();
-    let constraints = xic_workload::conflict_constraint();
-    let cfg = ShardSetConfig {
-        service: xicheck::ServiceConfig {
-            executor: Executor::Sync,
-            ..Default::default()
-        },
-        sync: false,
-        ..Default::default()
-    };
-    let root = shard_root_tmp("throughput", shards, seed);
-    let _ = std::fs::remove_dir_all(&root);
-    let set = ShardSet::create(&root, &bases, dtd_text(), constraints, cfg)
-        .expect("shard set creation");
-    let events = shard_events(&corpora);
-    let streams = per_shard_streams(&events, shards);
-
-    let start = Instant::now();
-    let acked: usize = std::thread::scope(|scope| {
-        let set = &set;
-        let handles: Vec<_> = streams
-            .iter()
-            .enumerate()
-            .map(|(id, stream)| {
-                scope.spawn(move || {
-                    let mut ok = 0usize;
-                    for stmt in stream {
-                        match set.submit(id, stmt) {
-                            Ok(out) if out.outcome.applied() => ok += 1,
-                            Ok(_) => {}
-                            Err(e) => {
-                                // Refused selects surface as statement
-                                // errors; anything else is a bug.
-                                assert!(
-                                    e.to_string().contains("bad statement"),
-                                    "shard {id}: {e}"
-                                );
-                            }
-                        }
-                    }
-                    ok
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("writer thread")).sum()
-    });
-    let wall = start.elapsed();
-    set.shutdown().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&root);
-
-    ShardThroughputRow {
-        shards,
-        offered: events.len(),
-        acked,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        throughput_per_s: acked as f64 / wall.as_secs_f64(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1147,17 +901,6 @@ mod tests {
             let out = inst.checker.try_update(&inst.illegal).unwrap();
             assert!(!out.applied(), "{exp:?}");
         }
-    }
-
-    #[test]
-    fn shard_rows_measure_recovery_and_throughput() {
-        let r = measure_shard_recovery(2, 5, 1);
-        assert_eq!(r.shards, 2);
-        assert!(r.commits > 0, "{r:?}");
-        assert!(r.seq_recover_ms > 0.0 && r.par_recover_ms > 0.0);
-        let t = measure_shard_throughput(2, 5);
-        assert_eq!(t.shards, 2);
-        assert!(t.acked > 0 && t.acked <= t.offered, "{t:?}");
     }
 
     #[test]
@@ -1182,18 +925,6 @@ mod tests {
         let r = measure_illegal(Experiment::ConferenceWorkload, 8, 2, 1);
         assert!(r.optimized_reject_ms > 0.0);
         assert!(r.baseline_reject_ms > 0.0);
-    }
-
-    #[test]
-    fn exists_rows_short_circuit() {
-        let r = measure_exists(Experiment::ConflictOfInterests, 8, 3, 1);
-        assert!(r.exists_ms > 0.0 && r.materialized_ms > 0.0 && r.parallel_ms > 0.0);
-        assert!(
-            r.exists_nodes_visited <= r.materialized_nodes_visited,
-            "existential mode must not visit more nodes ({} vs {})",
-            r.exists_nodes_visited,
-            r.materialized_nodes_visited,
-        );
     }
 
     #[test]

@@ -23,6 +23,12 @@
 //! the service degrades to read-only. See README.md, *Running as a
 //! service* and *Operating under failure*, for worked examples.
 //!
+//! Restarting over an existing `--journal FILE` or `--store DIR` resumes
+//! it: the committed statements are replayed (the count goes to stderr)
+//! and `VERSION` continues where the previous run stopped. `--no-sync`
+//! is restated on every start; a recovered *bare journal* is the one
+//! exception — it always resumes with fsync per record.
+//!
 //! `--shards K` hosts K independent documents (each seeded from
 //! `--xml`) under one process and one compiled constraint set
 //! (DESIGN.md row 24). It requires `--store DIR`: each shard keeps its
@@ -36,7 +42,9 @@ use std::io::{BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xicheck::protocol::{serve_connection, serve_connection_sharded};
-use xicheck::{Checker, CheckerService, Executor, ServiceConfig, ShardSet, ShardSetConfig};
+use xicheck::{
+    Checker, CheckerService, Executor, ServiceConfig, ShardSet, ShardSetConfig, SharedGamma,
+};
 
 struct Args {
     xml: PathBuf,
@@ -242,14 +250,39 @@ fn run(args: &Args) -> Result<(), String> {
         });
     }
 
-    let mut checker =
-        Checker::new(&xml, &dtd, &constraints).map_err(|e| e.to_string())?;
-    if let Some(path) = &args.journal {
-        checker.attach_journal(path, args.sync).map_err(|e| e.to_string())?;
-    }
-    if let Some(dir) = &args.store {
-        checker.attach_store(dir, args.sync).map_err(|e| e.to_string())?;
-    }
+    // Like the sharded branch, a restart over an existing store directory
+    // or journal file resumes it instead of starting over.
+    let checker = match (&args.store, &args.journal) {
+        (Some(dir), _) => {
+            let gamma = SharedGamma::compile(&dtd, &constraints).map_err(|e| e.to_string())?;
+            let (checker, report) =
+                Checker::open_store(dir, &xml, &gamma, args.sync).map_err(|e| e.to_string())?;
+            eprintln!("xic-serve: store {}, {} commits replayed", dir.display(), report.replayed);
+            if report.degraded {
+                eprintln!("xic-serve: warning: store recovered degraded (read-only)");
+            }
+            checker
+        }
+        (None, Some(path)) if path.exists() => {
+            let (checker, report) =
+                Checker::recover(&xml, &dtd, &constraints, path).map_err(|e| e.to_string())?;
+            eprintln!("xic-serve: journal {}, {} commits replayed", path.display(), report.replayed);
+            if !args.sync {
+                eprintln!(
+                    "xic-serve: note: a recovered bare journal always fsyncs per record; \
+                     --no-sync applies to journals this run creates (or use --store)"
+                );
+            }
+            checker
+        }
+        (None, journal) => {
+            let mut checker = Checker::new(&xml, &dtd, &constraints).map_err(|e| e.to_string())?;
+            if let Some(path) = journal {
+                checker.attach_journal(path, args.sync).map_err(|e| e.to_string())?;
+            }
+            checker
+        }
+    };
     let service = CheckerService::with_config(checker, config);
     serve_sessions(&args.socket, |input, output| serve_connection(&service, input, output))
 }

@@ -54,29 +54,20 @@ impl CompiledPattern {
     }
 }
 
-/// Compiles a mapped update pattern against the constraint set Γ with the
-/// process-default independence setting (see
-/// [`crate::checker::default_independence`]). Never fails outright:
-/// constructs that cannot be simplified or translated are recorded in
-/// `unsupported`.
-pub fn compile_pattern(
-    mapped: &MappedUpdate,
-    gamma: &[Denial],
-    schema: &RelSchema,
-) -> CompiledPattern {
-    compile_pattern_with(mapped, gamma, schema, crate::checker::default_independence())
-}
-
-/// [`compile_pattern`] with an explicit independence setting. When on,
-/// constraints whose read footprint shares no relation with the pattern's
-/// added tuples are pre-filtered before simplification — they would be
+/// Compiles a mapped update pattern against the constraint set Γ. Never
+/// fails outright: constructs that cannot be simplified or translated are
+/// recorded in `unsupported`.
+///
+/// With `independence` on (a checker's default), constraints whose read
+/// footprint shares no relation with the pattern's added tuples are
+/// pre-filtered before simplification — they would be
 /// expanded unchanged by `After` and eliminated by hypothesis subsumption
 /// anyway (the pattern's templates are identical either way), so the
 /// filter only saves compile time and records the liveness bitset. A
 /// constraint that could make simplification unsupported always mentions
 /// an added predicate and is therefore always retained: supportedness
 /// does not depend on the flag.
-pub fn compile_pattern_with(
+pub fn compile_pattern(
     mapped: &MappedUpdate,
     gamma: &[Denial],
     schema: &RelSchema,
@@ -199,7 +190,7 @@ mod tests {
         )
         .unwrap();
         let mapped = map_update(&doc, &schema, &stmt, &xpath_resolver).unwrap();
-        let compiled = compile_pattern(&mapped, &gamma, &schema);
+        let compiled = compile_pattern(&mapped, &gamma, &schema, true);
         assert!(compiled.is_incremental(), "{:?}", compiled.unsupported);
         // Example 6 yields two simplified denials.
         assert_eq!(compiled.simplified.len(), 2, "{:?}", compiled.simplified);

@@ -63,23 +63,38 @@
 //! The [`protocol`] module puts a line-oriented wire protocol on top;
 //! the `xic-serve` binary serves it over stdin/stdout or a Unix socket.
 //!
+//! # Layout
+//!
+//! [`checker`] is the façade and the update path. What it evaluates
+//! lives beside it: [`gamma`] (the compiled constraint set and the one
+//! baseline evaluator — apply, check all of Γ, undo) and [`optimized`]
+//! (the one pre-update evaluator and the pattern store), both shared by
+//! the writer and every snapshot reader. [`durability`] owns the commit
+//! log and crash recovery. Settings are fixed where they are given: a
+//! journal's sync mode is an argument of the call that attaches or
+//! recovers it and is never changed afterwards, the checkpoint
+//! retention window is a constant, and only the rotation policy
+//! ([`Checker::set_checkpoint_policy`]) may be set later. There is no
+//! process-wide default of any kind.
+//!
 //! In the system-inventory table of `DESIGN.md` this crate is item 11
-//! (integrity-checking façade); the service layer is item 19.
+//! (integrity-checking façade); the service layer is item 19, the
+//! evaluators items 25–26, the commit log item 27.
 
 pub mod checker;
 pub mod compile;
+pub mod durability;
 pub mod footprint;
+pub mod gamma;
 pub mod optimized;
 pub mod protocol;
 pub mod resolver;
 pub mod service;
 pub mod shards;
 
-pub use checker::{
-    default_independence, set_default_independence, Checker, CheckerError, CheckpointPolicy,
-    RecoverOptions, RecoveryReport, SharedGamma, Stats,
-    Strategy, UpdateOutcome, Violation,
-};
+pub use checker::{Checker, CheckerError, Stats, Strategy, UpdateOutcome, Violation};
+pub use durability::{CheckpointPolicy, RecoveryReport};
+pub use gamma::SharedGamma;
 pub use optimized::PatternCache;
 pub use shards::{
     ShardHealth, ShardSet, ShardSetConfig, ShardSetError, ShardSetRecoveryReport, ShardStatus,
@@ -89,7 +104,7 @@ pub use service::{
     BatchStmt, CheckerService, Executor, Health, ReadSnapshot, ServiceConfig, ServiceError,
     ServiceStats, SubmitOutcome, DEADLINE_STEPS_PER_MS,
 };
-pub use compile::{compile_pattern, compile_pattern_with, CompiledPattern};
+pub use compile::{compile_pattern, CompiledPattern};
 pub use footprint::{select_target, IndependenceIndex};
 pub use resolver::xpath_resolver;
 

@@ -12,16 +12,18 @@
 //! the pattern lookup as a closure, and serves
 //! [`crate::Checker::try_update`], [`crate::Checker::check_optimized`],
 //! [`crate::Checker::decide_only`] and
-//! [`crate::service::ReadSnapshot::decide`] alike. What differs between
-//! those callers is only *where compiled patterns live* (the writer's
-//! local map, the shared [`PatternCache`], or both) and what they do
+//! [`crate::service::ReadSnapshot::decide`] alike. Compiled patterns live
+//! in one place, the [`PatternCache`] the caller hands in (a checker's
+//! own, or the one a service or shard set shares); what differs between
+//! the callers is only whether a first sight compiles and what they do
 //! with a `Verdict::NotIncremental` answer (fall back to the baseline
 //! strategy, or report it).
 //!
 //! In `DESIGN.md`'s system inventory this is row 25.
 
-use crate::checker::{CheckerError, SharedGamma, Violation};
-use crate::compile::{compile_pattern_with, CompiledPattern};
+use crate::checker::{CheckerError, Violation};
+use crate::compile::{compile_pattern, CompiledPattern};
+use crate::gamma::SharedGamma;
 use crate::resolver::xpath_resolver;
 use std::collections::HashMap;
 use std::fmt;
@@ -48,8 +50,7 @@ struct IrTemplate {
 /// precompilation failed and the template is instantiated, parsed and
 /// compiled per check instead.
 /// Entries are immutable once built, so they are shared (`Arc`) between
-/// a checker's local map, the cross-checker [`PatternCache`] and every
-/// reader evaluating against a snapshot.
+/// the [`PatternCache`] and everyone evaluating through it.
 pub(crate) struct PatternEntry {
     pub(crate) compiled: CompiledPattern,
     ir: Vec<Option<IrTemplate>>,
@@ -62,9 +63,10 @@ impl PatternEntry {
     }
 }
 
-/// A pattern cache shared across checkers and snapshot readers
-/// (DESIGN.md row 23): the shards of a [`crate::shards::ShardSet`] hand
-/// every checker the same cache, so an update pattern first seen on one
+/// The pattern store (DESIGN.md row 23): every checker has exactly one —
+/// its own fresh one until [`crate::Checker::set_pattern_cache`] swaps in
+/// a shared one. The shards of a [`crate::shards::ShardSet`] hand every
+/// checker the same cache, so an update pattern first seen on one
 /// shard is compiled (and IR-precompiled) exactly once — siblings adopt
 /// the entry instead of re-running Simp<sup>U</sup><sub>Δ</sub> and
 /// template compilation — and a [`crate::service::CheckerService`]
@@ -74,9 +76,9 @@ impl PatternEntry {
 /// Patterns are keyed by [`xic_mapping::pattern_key`], which is a pure
 /// function of the statement shape and the relational schema — never of
 /// a document instance — so an entry compiled against one document is
-/// valid on every document sharing the same [`SharedGamma`]. Like a
-/// checker's local map, entries are not recompiled when the independence
-/// flag flips (the templates are identical either way).
+/// valid on every document sharing the same [`SharedGamma`]. Entries are
+/// not recompiled when a checker's independence flag flips (the
+/// templates are identical either way).
 #[derive(Default)]
 pub struct PatternCache {
     entries: RwLock<HashMap<String, Arc<PatternEntry>>>,
@@ -107,6 +109,22 @@ impl PatternCache {
 
     pub(crate) fn get(&self, key: &str) -> Option<Arc<PatternEntry>> {
         self.read_entries().get(key).cloned()
+    }
+
+    /// The compiled patterns currently cached, in no particular order.
+    pub(crate) fn compiled(&self) -> Vec<CompiledPattern> {
+        self.read_entries().values().map(|e| e.compiled.clone()).collect()
+    }
+
+    /// Publishes every entry of this cache into `other` (first publisher
+    /// wins there, as always). The entries are copied out first, so no
+    /// lock is held across the two caches (`other` may be `self`).
+    pub(crate) fn republish_into(&self, other: &PatternCache) {
+        let entries: Vec<_> =
+            self.read_entries().iter().map(|(k, e)| (k.clone(), Arc::clone(e))).collect();
+        for (key, entry) in entries {
+            other.publish(&key, entry);
+        }
     }
 
     /// Publishes `entry` under `key` unless a sibling got there first,
@@ -252,6 +270,19 @@ pub(crate) enum Verdict {
     Exhausted,
 }
 
+impl Verdict {
+    /// The verdict as the explicit check entry points report it: no
+    /// pattern and an exhausted budget are errors there, not fallbacks.
+    pub(crate) fn decision(self) -> Result<Option<Violation>, CheckerError> {
+        match self {
+            Verdict::Legal => Ok(None),
+            Verdict::Violated(v) => Ok(Some(v)),
+            Verdict::Exhausted => Err(CheckerError::BudgetExhausted),
+            Verdict::NotIncremental(reason) => Err(CheckerError::Statement(reason.to_string())),
+        }
+    }
+}
+
 /// The optimized pre-update check over one document state: everything
 /// the evaluation reads, none of it mutable.
 pub(crate) struct OptimizedCheck<'a> {
@@ -273,7 +304,7 @@ impl OptimizedCheck<'_> {
     /// Compiles `mapped`'s pattern against Γ, IR-precompiled and ready
     /// to share.
     fn compile(&self, mapped: &xic_mapping::MappedUpdate) -> Arc<PatternEntry> {
-        PatternEntry::build(compile_pattern_with(
+        PatternEntry::build(compile_pattern(
             mapped,
             self.gamma.constraints(),
             self.gamma.schema(),

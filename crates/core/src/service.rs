@@ -64,17 +64,16 @@
 //!
 //! [sync-now]: xic_xml::journal::Journal::sync_now
 
-use crate::checker::{Checker, CheckerError, SharedGamma, UpdateOutcome, Violation};
+use crate::checker::{panic_message, Checker, CheckerError, UpdateOutcome, Violation};
+use crate::gamma::{Baseline, SharedGamma};
 use crate::optimized::{Fallback, OptimizedCheck, PatternCache, Verdict};
-use crate::resolver::xpath_resolver;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xic_simplify::live_set;
-use xic_xml::{apply, serialize, undo, Document, XUpdateDoc};
+use xic_xml::{serialize, Document, XUpdateDoc};
 use xic_xpath::EvalBudget;
 
 /// Default cap on statements drained into one group-commit batch. Large
@@ -330,7 +329,7 @@ pub fn deadline_budget(remaining_ms: u64) -> EvalBudget {
 /// The check inputs, shared immutably by every snapshot the service
 /// publishes: the checker's [`SharedGamma`] (denials, query texts,
 /// compiled programs, footprints) and the [`PatternCache`] the writer's
-/// checker compiles into and adopts from. The gamma `Arc` (and, in a
+/// checker compiles into and looks up from. The gamma `Arc` (and, in a
 /// `ShardSet`, the cache) is the same compiled set shared across every
 /// shard — publishing a snapshot never re-compiles anything.
 struct CheckSet {
@@ -343,42 +342,21 @@ struct CheckSet {
 }
 
 impl CheckSet {
-    /// Captures `checker`'s check inputs, attaching a fresh pattern cache
-    /// to it first when it has none (its already-registered patterns are
-    /// published into it), so readers and the writer share one.
-    fn from_checker(checker: &mut Checker) -> CheckSet {
+    /// Captures `checker`'s check inputs: readers and the writer share its
+    /// Γ and its pattern store.
+    fn from_checker(checker: &Checker) -> CheckSet {
         CheckSet {
             gamma: Arc::clone(checker.shared_gamma()),
-            patterns: checker.ensure_pattern_cache(),
+            patterns: Arc::clone(checker.pattern_cache()),
             independence: checker.independence(),
             decides: DecideCells::default(),
         }
     }
 
-    /// Number of compiled constraints.
-    fn len(&self) -> usize {
-        self.gamma.full_ir().len()
-    }
-
-    /// The violation report for constraint `i`.
-    fn violation(&self, i: usize) -> Violation {
-        Violation {
-            denial: self.gamma.constraints()[i].to_string(),
-            query: self.gamma.full_queries()[i].text.clone(),
-        }
-    }
-
-    /// Evaluates constraint `i` existentially against `doc`. An exhausted
-    /// (deadline) budget stays distinguishable from an engine error,
-    /// mirroring `Checker::check_full`.
-    fn eval_exists(&self, i: usize, doc: &Document) -> Result<bool, CheckerError> {
-        self.gamma.full_ir()[i].eval_exists(doc, &[]).map_err(|e| {
-            if e.is_budget_exhausted() {
-                CheckerError::BudgetExhausted
-            } else {
-                CheckerError::Query(format!("{}: {e}", self.gamma.full_queries()[i].text))
-            }
-        })
+    /// The baseline evaluator as snapshot readers run it: never fanned
+    /// out (every reader is a thread of its own already).
+    fn baseline(&self) -> Baseline<'_> {
+        Baseline { gamma: &self.gamma, independence: self.independence, fan_out: false }
     }
 }
 
@@ -415,18 +393,10 @@ impl ReadSnapshot {
 
     /// Runs the full constraint check against the snapshot, returning
     /// the first violation (in constraint order), if any. Exactly
-    /// [`Checker::check_full`]'s sequential verdict, but against the
-    /// snapshot — safe to call from any number of threads while the
-    /// writer commits.
+    /// [`Checker::check_full`]'s verdict, but against the snapshot — safe
+    /// to call from any number of threads while the writer commits.
     pub fn check_full(&self) -> Result<Option<Violation>, CheckerError> {
-        let _check = xic_obs::phase("check");
-        let _full = xic_obs::phase("snapshot_full");
-        for i in 0..self.checks.len() {
-            if self.checks.eval_exists(i, &self.doc)? {
-                return Ok(Some(self.checks.violation(i)));
-            }
-        }
-        Ok(None)
+        self.checks.baseline().run(&self.doc, None)
     }
 
     /// [`ReadSnapshot::check_full`] bounded by `deadline_ms`: the
@@ -524,52 +494,10 @@ impl ReadSnapshot {
     /// Like every snapshot read, the decision is against **this
     /// snapshot's version**.
     pub fn decide_full(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
+        let mut doc = self.doc.clone();
         // The live mask comes from the snapshot's pre-state (trust bit
         // captured at publish), mirroring the writer's baseline path.
-        let live = if self.checks.independence {
-            let _footprint = xic_obs::phase("footprint");
-            let wfp = self.checks.gamma.indep_index().write_footprint(stmt, self.nesting_trusted);
-            Some(live_set(self.checks.gamma.read_fps(), &wfp))
-        } else {
-            None
-        };
-        let mut doc = self.doc.clone();
-        let applied = apply(&mut doc, stmt, &xpath_resolver).map_err(|(e, partial)| {
-            undo(&mut doc, partial);
-            CheckerError::Statement(e.to_string())
-        })?;
-        let verdict = {
-            let _check = xic_obs::phase("check");
-            let _full = xic_obs::phase("snapshot_full");
-            if let Some(mask) = &live {
-                let total = self.checks.len();
-                let retained = mask.iter().filter(|&&l| l).count().min(total);
-                xic_obs::add(xic_obs::Counter::ChecksSkippedStatic, (total - retained) as u64);
-                xic_obs::add(xic_obs::Counter::ChecksRetainedStatic, retained as u64);
-            }
-            let mut found = None;
-            for i in 0..self.checks.len() {
-                if let Some(mask) = &live {
-                    if !mask.get(i).copied().unwrap_or(true) {
-                        continue;
-                    }
-                }
-                match self.checks.eval_exists(i, &doc) {
-                    Ok(false) => {}
-                    Ok(true) => {
-                        found = Some(self.checks.violation(i));
-                        break;
-                    }
-                    Err(e) => {
-                        undo(&mut doc, applied);
-                        return Err(e);
-                    }
-                }
-            }
-            found
-        };
-        undo(&mut doc, applied); // symmetry only; the copy is dropped next
-        Ok(verdict)
+        self.checks.baseline().decide_by_rollback(&mut doc, stmt, self.nesting_trusted)
     }
 }
 
@@ -666,15 +594,6 @@ pub struct CheckerService {
     poisoned: AtomicBool,
     /// Set by [`CheckerService::shutdown`]: no new submissions.
     draining: AtomicBool,
-    /// The checker's journal sync mode at service construction;
-    /// [`CheckerService::recover`] restates it so a recovered writer
-    /// keeps its configured durability instead of whatever a failed
-    /// batch left armed (the `recover_store_with` hazard of PR 5, at
-    /// the service layer).
-    journal_sync: bool,
-    /// The checker's checkpoint retention at service construction,
-    /// restated by [`CheckerService::recover`] alongside the sync mode.
-    checkpoint_retain: u64,
     /// Submissions admitted but not yet picked up by the writer (group
     /// mode) / in flight (sync mode); the admission bound.
     queued: AtomicUsize,
@@ -690,17 +609,13 @@ impl CheckerService {
     }
 
     /// Starts a service over `checker` with the full configuration.
-    pub fn with_config(mut checker: Checker, config: ServiceConfig) -> Arc<CheckerService> {
+    pub fn with_config(checker: Checker, config: ServiceConfig) -> Arc<CheckerService> {
         let config = ServiceConfig {
             queue_depth: config.queue_depth.max(1),
             fsync_attempts: config.fsync_attempts.max(1),
             ..config
         };
-        let checks = Arc::new(CheckSet::from_checker(&mut checker));
-        // Captured before the checker is handed to the writer; recovery
-        // restates these configured settings (see the field docs).
-        let journal_sync = checker.journal_sync();
-        let checkpoint_retain = checker.checkpoint_retain();
+        let checks = Arc::new(CheckSet::from_checker(&checker));
         let initial = Arc::new(ReadSnapshot {
             doc: checker.doc().clone(),
             version: checker.committed(),
@@ -734,8 +649,6 @@ impl CheckerService {
                 degraded: AtomicBool::new(false),
                 poisoned: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
-                journal_sync,
-                checkpoint_retain,
                 queued: AtomicUsize::new(0),
                 stats: StatsCells::default(),
                 inner,
@@ -925,12 +838,6 @@ impl CheckerService {
             Inner::Sync(slot) => {
                 let mut guard = slot.lock().expect("sync-executor checker poisoned");
                 let checker = guard.as_mut().ok_or(ServiceError::Stopped)?;
-                // Restate the configured durability settings before the
-                // flush: recovery must not leave the writer armed with
-                // whatever a failed batch (or a generation fallback)
-                // happened to set.
-                checker.set_journal_sync(self.journal_sync);
-                checker.set_checkpoint_retain(self.checkpoint_retain);
                 checker
                     .sync_journal()
                     .map_err(|e| ServiceError::SyncFailed(e.to_string()))?;
@@ -1174,12 +1081,6 @@ fn writer_recover(
     checker: &mut Checker,
     service: &std::sync::Weak<CheckerService>,
 ) -> Result<(), ServiceError> {
-    // Restate the configured durability settings before the flush (see
-    // the sync-executor path of [`CheckerService::recover`]).
-    if let Some(service) = service.upgrade() {
-        checker.set_journal_sync(service.journal_sync);
-        checker.set_checkpoint_retain(service.checkpoint_retain);
-    }
     checker
         .sync_journal()
         .map_err(|e| ServiceError::SyncFailed(e.to_string()))?;
@@ -1263,22 +1164,21 @@ pub fn apply_batch_resilient(
     items: &[BatchStmt],
     fsync_attempts: u32,
 ) -> BatchOutcome {
-    let prev_sync = checker.journal_sync();
-    checker.set_journal_sync(false);
-    let mut results = Vec::with_capacity(items.len());
-    for item in items {
-        xic_obs::incr(xic_obs::Counter::GroupCommitStatement);
-        let _budget = item.budget.map(xic_xpath::budget::arm);
-        let result = checker
-            .try_update_str(item.stmt)
-            .map(|outcome| SubmitOutcome { version: checker.committed(), outcome })
-            .map_err(ServiceError::Checker);
-        results.push(result);
-    }
-    // Restore the configured sync mode before the flush. (A rotation
-    // inside the batch swaps in a fresh segment configured with the
-    // store's own sync mode; restoring here converges the modes again.)
-    checker.set_journal_sync(prev_sync);
+    // The whole batch appends unsynced — a segment rotated in by an
+    // automatic checkpoint mid-batch included — and is flushed once below.
+    let mut results = checker.with_deferred_sync(|checker| {
+        items
+            .iter()
+            .map(|item| {
+                xic_obs::incr(xic_obs::Counter::GroupCommitStatement);
+                let _budget = item.budget.map(xic_xpath::budget::arm);
+                checker
+                    .try_update_str(item.stmt)
+                    .map(|outcome| SubmitOutcome { version: checker.committed(), outcome })
+                    .map_err(ServiceError::Checker)
+            })
+            .collect::<Vec<_>>()
+    });
     xic_obs::incr(xic_obs::Counter::GroupCommitBatch);
     let attempts = fsync_attempts.max(1);
     let mut retries = 0u32;
@@ -1287,10 +1187,9 @@ pub fn apply_batch_resilient(
         flush = match catch_unwind(AssertUnwindSafe(|| checker.sync_journal())) {
             Ok(Ok(())) => Ok(()),
             Ok(Err(e)) => Err(e.to_string()),
-            Err(payload) => Err(format!(
-                "panic during batch fsync: {}",
-                panic_text(payload.as_ref())
-            )),
+            Err(payload) => {
+                Err(format!("panic during batch fsync: {}", panic_message(payload.as_ref())))
+            }
         };
         if flush.is_ok() {
             break;
@@ -1322,13 +1221,4 @@ pub fn apply_batch_resilient(
             }
         }
     }
-}
-
-/// Best-effort text of a contained panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("<non-string panic payload>")
 }

@@ -45,9 +45,9 @@
 //!
 //! [`CheckpointError::ForeignEntry`]: xic_xml::CheckpointError
 
-use crate::checker::{
-    Checker, CheckerError, CheckpointPolicy, RecoverOptions, RecoveryReport, SharedGamma,
-};
+use crate::checker::{Checker, CheckerError};
+use crate::durability::{CheckpointPolicy, RecoveryReport};
+use crate::gamma::SharedGamma;
 use crate::optimized::PatternCache;
 use crate::service::{
     CheckerService, Health, ReadSnapshot, ServiceConfig, ServiceError, ServiceStats,
@@ -64,12 +64,10 @@ pub struct ShardSetConfig {
     /// default deadline, fsync attempts). Every shard gets its own
     /// writer under this configuration.
     pub service: ServiceConfig,
-    /// Whether each shard's journal fsyncs per record (see
-    /// [`Checker::attach_store`]).
+    /// Whether each shard's journal fsyncs per record: handed to
+    /// [`Checker::open_store`] / [`Checker::recover_store`] every time a
+    /// shard's store is opened, and nowhere else.
     pub sync: bool,
-    /// Checkpoint retention window per shard (see
-    /// [`Checker::set_checkpoint_retain`]).
-    pub retain: u64,
     /// Automatic checkpoint-rotation policy applied to every shard (see
     /// [`Checker::set_checkpoint_policy`]; the default never rotates
     /// automatically).
@@ -78,11 +76,9 @@ pub struct ShardSetConfig {
 
 impl Default for ShardSetConfig {
     fn default() -> ShardSetConfig {
-        let opts = RecoverOptions::default();
         ShardSetConfig {
             service: ServiceConfig::default(),
-            sync: opts.sync,
-            retain: opts.retain,
+            sync: true,
             policy: CheckpointPolicy::default(),
         }
     }
@@ -287,6 +283,19 @@ fn validate_root(root: &Path, count: usize) -> Result<(), ShardSetError> {
     Ok(())
 }
 
+/// Puts a shard's checker — its store already open — in service under
+/// the set's configuration: rotation policy, the cross-shard pattern
+/// store, one writer.
+fn start_shard(
+    mut checker: Checker,
+    patterns: &Arc<PatternCache>,
+    config: &ShardSetConfig,
+) -> Arc<CheckerService> {
+    checker.set_checkpoint_policy(config.policy);
+    checker.set_pattern_cache(Arc::clone(patterns));
+    CheckerService::with_config(checker, config.service)
+}
+
 /// One shard's slot: its store directory, its recovery base document,
 /// and the currently live service. The service is behind a lock so
 /// [`ShardSet::recover_shard`] can swap in a replacement while sibling
@@ -339,17 +348,13 @@ impl ShardSet {
             let dir = shard_dir(root, id);
             let mut checker = Checker::from_shared(xml, gamma)
                 .map_err(|source| ShardSetError::Shard { id, source })?;
-            checker.set_pattern_cache(Arc::clone(&patterns));
             checker
                 .attach_store(&dir, config.sync)
                 .map_err(|source| ShardSetError::Shard { id, source })?;
-            checker.set_checkpoint_retain(config.retain);
-            checker.set_checkpoint_policy(config.policy);
-            let service = CheckerService::with_config(checker, config.service);
             shards.push(ShardSlot {
                 dir,
                 base_xml: (*xml).to_string(),
-                service: RwLock::new(service),
+                service: RwLock::new(start_shard(checker, &patterns, &config)),
             });
         }
         Ok(ShardSet {
@@ -363,8 +368,8 @@ impl ShardSet {
 
     /// Rebuilds a shard set from its on-disk root after a crash: Γ is
     /// compiled once, the root layout validated, and every shard
-    /// recovered from its own generations ([`Checker::recover_store_shared`]
-    /// per shard — each replays only its own journal suffix). With
+    /// recovered from its own generations ([`Checker::open_store`] per
+    /// shard — each replays only its own journal suffix). With
     /// `parallel` the per-shard recoveries fan out across scoped
     /// threads, one per shard; the recovered state is byte-identical to
     /// the sequential fan-out (the shard crash matrix asserts this), so
@@ -396,25 +401,11 @@ impl ShardSet {
         parallel: bool,
     ) -> Result<(ShardSet, ShardSetRecoveryReport), ShardSetError> {
         validate_root(root, base_xmls.len())?;
-        let opts = RecoverOptions { sync: config.sync, retain: config.retain };
         let recover_one = |id: usize, xml: &str| -> Result<(Checker, RecoveryReport), ShardSetError> {
-            let dir = shard_dir(root, id);
-            if !dir.exists() {
-                // Never written: bring the shard up fresh, exactly as
-                // `create` would.
-                let mut checker = Checker::from_shared(xml, gamma)
-                    .map_err(|source| ShardSetError::Shard { id, source })?;
-                checker
-                    .attach_store(&dir, config.sync)
-                    .map_err(|source| ShardSetError::Shard { id, source })?;
-                checker.set_checkpoint_retain(config.retain);
-                checker.set_checkpoint_policy(config.policy);
-                return Ok((checker, RecoveryReport::default()));
-            }
-            let (mut checker, report) = Checker::recover_store_shared(&dir, xml, gamma, opts)
-                .map_err(|source| ShardSetError::Shard { id, source })?;
-            checker.set_checkpoint_policy(config.policy);
-            Ok((checker, report))
+            // A shard that was never written comes up fresh, exactly as
+            // `create` would bring it up.
+            Checker::open_store(&shard_dir(root, id), xml, gamma, config.sync)
+                .map_err(|source| ShardSetError::Shard { id, source })
         };
         let results: Vec<Result<(Checker, RecoveryReport), ShardSetError>> = if parallel {
             std::thread::scope(|scope| {
@@ -448,13 +439,11 @@ impl ShardSet {
         let mut shards = Vec::with_capacity(base_xmls.len());
         let mut reports = Vec::with_capacity(base_xmls.len());
         for (id, result) in results.into_iter().enumerate() {
-            let (mut checker, report) = result?;
-            checker.set_pattern_cache(Arc::clone(&patterns));
-            let service = CheckerService::with_config(checker, config.service);
+            let (checker, report) = result?;
             shards.push(ShardSlot {
                 dir: shard_dir(root, id),
                 base_xml: base_xmls[id].to_string(),
-                service: RwLock::new(service),
+                service: RwLock::new(start_shard(checker, &patterns, &config)),
             });
             reports.push(report);
         }
@@ -564,8 +553,8 @@ impl ShardSet {
     }
 
     /// Re-arms shard `id` in place after *journal* trouble: delegates
-    /// to [`CheckerService::recover`] (flush, republish, restate the
-    /// configured sync/retention, leave degraded mode). This is the
+    /// to [`CheckerService::recover`] (flush, republish, leave degraded
+    /// mode). This is the
     /// light path — a poisoned shard needs the heavy path,
     /// [`ShardSet::recover_shard`].
     pub fn recover_service(&self, id: usize) -> Result<(), ShardSetError> {
@@ -575,7 +564,7 @@ impl ShardSet {
     /// Rebuilds shard `id` from its own store directory and swaps the
     /// replacement in, leaving every sibling untouched: the old service
     /// is drained (its file handles released), the shard's generations
-    /// are replayed ([`Checker::recover_store_shared`] — newest valid
+    /// are replayed ([`Checker::recover_store`] — newest valid
     /// generation wins, with per-generation fallback), and a fresh
     /// service goes live in the slot. This is how a *poisoned* shard
     /// rejoins the set — poisoning is sticky on a service, so recovery
@@ -591,13 +580,10 @@ impl ShardSet {
         // are dropped before the directory is re-opened. A second
         // shutdown reports Stopped; either way the old writer is gone.
         let _ = guard.shutdown();
-        let opts = RecoverOptions { sync: self.config.sync, retain: self.config.retain };
-        let (mut checker, report) =
-            Checker::recover_store_shared(&slot.dir, &slot.base_xml, &self.gamma, opts)
+        let (checker, report) =
+            Checker::recover_store(&slot.dir, &slot.base_xml, &self.gamma, self.config.sync)
                 .map_err(|source| ShardSetError::Shard { id, source })?;
-        checker.set_checkpoint_policy(self.config.policy);
-        checker.set_pattern_cache(Arc::clone(&self.patterns));
-        *guard = CheckerService::with_config(checker, self.config.service);
+        *guard = start_shard(checker, &self.patterns, &self.config);
         Ok(report)
     }
 

@@ -42,6 +42,15 @@ fn store_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xic-ckpt-store-{}-{tag}-{n}", std::process::id()))
 }
 
+/// Recovers the store at `dir` over a freshly compiled Γ.
+fn recover_store(
+    dir: &std::path::Path,
+    sync: bool,
+) -> Result<(Checker, xicheck::RecoveryReport), CheckerError> {
+    let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT)?;
+    Checker::recover_store(dir, CORPUS, &gamma, sync)
+}
+
 fn serialize(c: &Checker) -> String {
     xic_xml::serialize(c.doc())
 }
@@ -65,7 +74,6 @@ fn explicit_checkpoint_bounds_recovery_to_the_suffix() {
     let dir = store_dir("explicit");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     c.attach_store(&dir, true).unwrap();
-    assert!(c.store_attached());
     assert_eq!(c.store_generation(), 0);
 
     commit_n(&mut c, 0, 3);
@@ -75,7 +83,7 @@ fn explicit_checkpoint_bounds_recovery_to_the_suffix() {
     assert_eq!(c.committed(), 5);
     drop(c); // crash
 
-    let (r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.generation, 1, "newest snapshot must win");
     assert_eq!(report.base_commit_seq, 3, "snapshot bakes in the first 3 commits");
     assert_eq!(report.replayed, 2, "only the suffix is replayed");
@@ -103,7 +111,7 @@ fn automatic_policy_rotates_and_recovery_prefers_newest_generation() {
     let committed_state = serialize(&c);
     drop(c);
 
-    let (r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.generation, generation);
     assert!(report.replayed <= 2, "replay is bounded by the rotation interval");
     assert_eq!(report.base_commit_seq as usize + report.replayed, 7);
@@ -140,7 +148,7 @@ fn corrupt_newest_snapshot_falls_back_one_generation() {
     // (generation 0 replays its own full segment, which ends where the
     // corrupt snapshot began).
     flip_byte(&Store::ckpt_path(&dir, 1), 32);
-    let (r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.generation, 0, "must fall back to the base generation");
     assert_eq!(report.fallbacks, 1);
     assert_eq!(report.fallback_reasons.len(), 1);
@@ -169,7 +177,7 @@ fn missing_segment_recovers_snapshot_with_empty_suffix() {
     drop(c);
     std::fs::remove_file(Store::wal_path(&dir, 1)).unwrap();
 
-    let (mut r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (mut r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.generation, 1);
     assert_eq!(report.base_commit_seq, 3);
     assert_eq!(report.replayed, 0);
@@ -198,7 +206,7 @@ fn degraded_mode_serves_reads_but_refuses_mutations() {
     std::fs::write(Store::wal_path(&dir, 1), b"NOTAJOURNAL!").unwrap();
     std::fs::write(Store::wal_path(&dir, 0), b"NOTAJOURNAL!").unwrap();
 
-    let (mut r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (mut r, report) = recover_store(&dir, true).unwrap();
     assert!(report.degraded);
     assert!(r.degraded());
     assert_eq!(report.fallbacks, 2, "generations 1 and 0 both failed");
@@ -230,7 +238,7 @@ fn recovered_store_checker_resumes_rotating() {
     assert_eq!(c.checkpoint().unwrap(), 1);
     drop(c);
 
-    let (mut r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (mut r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.generation, 1);
     commit_n(&mut r, 2, 2);
     assert_eq!(r.checkpoint().unwrap(), 2, "rotation resumes from the recovered generation");
@@ -238,7 +246,7 @@ fn recovered_store_checker_resumes_rotating() {
     let state = serialize(&r);
     drop(r);
 
-    let (r2, report2) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (r2, report2) = recover_store(&dir, true).unwrap();
     assert_eq!(report2.generation, 2);
     assert_eq!(report2.base_commit_seq, 4);
     assert_eq!(report2.replayed, 1);
@@ -250,7 +258,6 @@ fn recovered_store_checker_resumes_rotating() {
 fn policy_off_by_default_and_checkpoint_requires_a_store() {
     let dir = store_dir("off");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    assert_eq!(c.checkpoint_policy(), CheckpointPolicy::default());
     assert!(
         matches!(c.checkpoint(), Err(CheckerError::Checkpoint(_))),
         "checkpoint without a store must be a clean error"
@@ -274,7 +281,7 @@ fn fallback_counter_increments_on_generation_skips() {
     flip_byte(&Store::ckpt_path(&dir, 1), 32);
 
     xic_obs::reset();
-    let (_r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (_r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.fallbacks, 1);
     let snap = xic_obs::snapshot();
     assert_eq!(snap.counter(xic_obs::Counter::RecoveryGenerationFallback), 1);
@@ -310,7 +317,7 @@ fn failed_rotation_then_commits_then_crash_loses_nothing() {
     drop(c);
 
     // …and a crash now must recover all three commits.
-    let (r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.generation, 0);
     assert_eq!(report.replayed, 3);
     assert_eq!(report.fallbacks, 0);
@@ -342,7 +349,7 @@ fn orphan_snapshot_with_newer_commits_on_an_older_segment_is_rejected() {
     )
     .unwrap();
 
-    let (r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.generation, 0, "the orphan must not win");
     assert_eq!(report.fallbacks, 1);
     assert!(
@@ -375,7 +382,7 @@ fn reattaching_a_store_does_not_resurrect_the_previous_incarnation() {
     let state = serialize(&c);
     drop(c);
 
-    let (r, report) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    let (r, report) = recover_store(&dir, true).unwrap();
     assert_eq!(report.generation, 0);
     assert_eq!(report.replayed, 1);
     assert_eq!(serialize(&r), state, "recovery must restore the new incarnation");
@@ -383,40 +390,36 @@ fn reattaching_a_store_does_not_resurrect_the_previous_incarnation() {
 }
 
 #[test]
-fn recover_store_with_restates_the_resume_configuration() {
+fn recover_store_resumes_in_the_sync_mode_it_is_given() {
     let dir = store_dir("opts");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     c.attach_store(&dir, true).unwrap();
     commit_n(&mut c, 0, 1);
     assert_eq!(c.checkpoint().unwrap(), 1);
     drop(c);
+    let fsyncs = || xic_obs::snapshot().counter(xic_obs::Counter::JournalFsync);
 
-    // A wide retention window must survive recovery: subsequent
-    // rotations keep every generation instead of unlinking down to the
-    // DEFAULT_RETAIN = 2 the plain recover_store resets to.
-    let (mut r, _report) = Checker::recover_store_with(
-        &dir,
-        CORPUS,
-        DTD,
-        CONFLICT,
-        xicheck::RecoverOptions { sync: false, retain: 10 },
-    )
-    .unwrap();
+    // The mode is the caller's to restate, in either direction: without
+    // sync no commit fsyncs, on the recovered segment or on one a later
+    // rotation creates.
+    let (mut r, _report) = recover_store(&dir, false).unwrap();
+    let before = fsyncs();
     commit_n(&mut r, 1, 1);
     assert_eq!(r.checkpoint().unwrap(), 2);
     commit_n(&mut r, 2, 1);
-    assert_eq!(r.checkpoint().unwrap(), 3);
-    assert_eq!(
-        Store::snapshot_generations(&dir),
-        vec![3, 2, 1],
-        "retain=10 must keep all generations"
-    );
+    assert_eq!(fsyncs() - before, 0, "sync = false must not fsync journal records");
     drop(r);
 
-    // The conservative default still prunes.
-    let (mut r2, _) = Checker::recover_store(&dir, CORPUS, DTD, CONFLICT).unwrap();
+    // With sync every commit fsyncs its record (plus one fsync for the
+    // header of the segment the rotation creates).
+    let (mut r2, _) = recover_store(&dir, true).unwrap();
+    let before = fsyncs();
     commit_n(&mut r2, 3, 1);
-    assert_eq!(r2.checkpoint().unwrap(), 4);
-    assert_eq!(Store::snapshot_generations(&dir), vec![4, 3]);
+    assert_eq!(fsyncs() - before, 1);
+    assert_eq!(r2.checkpoint().unwrap(), 3);
+    commit_n(&mut r2, 4, 1);
+    assert_eq!(fsyncs() - before, 3);
+    // Retention is the constant: the live generation plus one fallback.
+    assert_eq!(Store::snapshot_generations(&dir), vec![3, 2]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -37,7 +37,7 @@ fn malformed_xupdate_is_statement_error_and_leaves_doc_untouched() {
         let err = c.try_update_str(bad).unwrap_err();
         assert!(matches!(err, CheckerError::Statement(_)), "{bad}: {err}");
         assert_eq!(serialize(c.doc()), before, "document mutated by {bad}");
-        c.doc().audit_name_index().expect("index intact");
+        c.doc().audit_symbols().expect("symbols intact");
     }
 }
 
@@ -57,7 +57,7 @@ fn unmatched_select_is_statement_error_and_rolls_back_partial_state() {
         .unwrap_err();
     assert!(matches!(err, CheckerError::Statement(_)), "{err}");
     assert_eq!(serialize(c.doc()), before, "partial batch not rolled back");
-    c.doc().audit_name_index().expect("index intact");
+    c.doc().audit_symbols().expect("symbols intact");
 }
 
 #[test]
@@ -136,5 +136,5 @@ fn decide_only_never_mutates() {
     let err = c.decide_only(&broken, Strategy::FullWithRollback).unwrap_err();
     assert!(matches!(err, CheckerError::Statement(_)), "{err}");
     assert_eq!(serialize(c.doc()), before);
-    c.doc().audit_name_index().expect("index intact");
+    c.doc().audit_symbols().expect("symbols intact");
 }

@@ -90,7 +90,6 @@ fn recovered_checker_keeps_journaling() {
 
     let (mut r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
     assert_eq!(report.replayed, 1);
-    assert!(r.journal_attached());
     assert!(r.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap().applied());
     let state = serialize(&r);
     drop(r);

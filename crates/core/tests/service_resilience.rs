@@ -219,12 +219,11 @@ fn persistent_fsync_failure_degrades_then_recovers() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Recovery restates the service's *originally configured* durability
-/// settings — journal sync mode and checkpoint retention — instead of
-/// leaving whatever the failure path had armed (the service-layer
-/// analogue of the `recover_store_with` fix for the bare checker).
+/// A failed batch and the recovery after it leave the log in the sync
+/// mode it was attached with: the mode is fixed at attach, the batch
+/// path only defers it for the length of a batch.
 #[test]
-fn recover_restates_configured_sync_and_retention() {
+fn recover_keeps_the_configured_sync_mode() {
     let _guard = FAULTS.lock().expect("fault serialization");
     let dir = {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -233,10 +232,7 @@ fn recover_restates_configured_sync_and_retention() {
     };
     let _ = std::fs::remove_dir_all(&dir);
     let mut c = checker();
-    // Deliberately non-default configuration: group-commit-only fsync
-    // (sync=false) and a widened retention window.
-    c.attach_store(&dir, false).expect("attach store");
-    c.set_checkpoint_retain(5);
+    c.attach_store(&dir, true).expect("attach store");
     let service = CheckerService::with_config(
         c,
         ServiceConfig { fsync_attempts: 1, ..Default::default() },
@@ -254,16 +250,15 @@ fn recover_restates_configured_sync_and_retention() {
     let out = service.submit(&legal("after")).expect("post-recovery submit");
     assert!(out.outcome.applied());
 
-    let recovered = service.shutdown().expect("shutdown");
-    assert!(
-        !recovered.journal_sync(),
-        "the configured no-sync mode must survive recovery, not revert to a default"
-    );
-    assert_eq!(
-        recovered.checkpoint_retain(),
-        5,
-        "the configured retention window must survive recovery"
-    );
+    // Back on this thread (whose counters we can read): every commit
+    // outside a batch fsyncs its own record.
+    let mut recovered = service.shutdown().expect("shutdown");
+    let fsyncs = || xicheck::obs::snapshot().counter(xicheck::obs::Counter::JournalFsync);
+    for tag in ["direct-1", "direct-2"] {
+        let before = fsyncs();
+        assert!(recovered.try_update_str(&legal(tag)).expect("update").applied());
+        assert_eq!(fsyncs() - before, 1, "sync = true must survive the failed batch and recover()");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -196,8 +196,44 @@ fn rejected_statement_does_not_poison_batch_mates() {
     assert!(results[2].as_ref().expect("third").outcome.applied(), "batch-mate poisoned");
     assert!(!c.poisoned());
     assert_eq!(c.committed(), 2);
-    assert!(c.journal_sync(), "batch must restore the configured sync mode");
+    // The batch's deferred-sync scope is over: a commit outside a batch
+    // fsyncs its own record again.
+    let before = journal_fsyncs();
+    assert!(c.try_update_str(&legal("c")).expect("update").applied());
+    assert_eq!(journal_fsyncs() - before, 1, "batch must leave the configured sync mode in force");
     let _ = std::fs::remove_file(&path);
+}
+
+/// This thread's `journal_fsyncs` counter.
+fn journal_fsyncs() -> u64 {
+    xicheck::obs::snapshot().counter(xicheck::obs::Counter::JournalFsync)
+}
+
+/// A batch that crosses automatic rotations stays deferred on the
+/// segments rotated in: no record is fsync'd on its own, whichever
+/// segment it lands on.
+#[test]
+fn batch_across_a_rotation_shares_one_fsync() {
+    let dir = journal_path("rotate").with_extension("store");
+    let mut c = checker();
+    c.attach_store(&dir, true).expect("attach store");
+    c.set_checkpoint_policy(xicheck::CheckpointPolicy::every_commits(2));
+    let before = journal_fsyncs();
+    let stmts: Vec<String> = (0..5).map(|i| legal(&format!("r{i}"))).collect();
+    let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
+    for r in apply_batch(&mut c, &refs) {
+        assert!(r.expect("outcome").outcome.applied());
+    }
+    assert_eq!(c.store_generation(), 2, "rotations after commits 2 and 4");
+    // Each rotation fsyncs the header of the segment it creates; the five
+    // records share the batch's one flush.
+    assert_eq!(journal_fsyncs() - before, 2 + 1, "a record was fsync'd on its own");
+    // Outside the batch the rotated-in segment fsyncs per record.
+    c.set_checkpoint_policy(xicheck::CheckpointPolicy::default());
+    let before = journal_fsyncs();
+    assert!(c.try_update_str(&legal("after")).expect("update").applied());
+    assert_eq!(journal_fsyncs() - before, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

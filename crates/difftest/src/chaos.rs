@@ -382,7 +382,7 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
 
     // Replay-fidelity oracle: rebuild from disk and compare.
     let (recovered, report) = if plan.store_mode {
-        Checker::recover_store(&store_dir, &case.doc_xml, &case.dtd, &case.constraints)
+        crate::recover_store(&store_dir, &case)
     } else {
         Checker::recover(&case.doc_xml, &case.dtd, &case.constraints, &journal)
     }

@@ -330,7 +330,7 @@ fn run_case(
     // mode the prefix length is the winning snapshot's baked-in commits
     // plus the suffix replayed on top of it.
     let (recovered, report) = if store_mode {
-        Checker::recover_store(&store_dir, &case.doc_xml, &case.dtd, &case.constraints)
+        crate::recover_store(&store_dir, &case)
     } else {
         Checker::recover(&case.doc_xml, &case.dtd, &case.constraints, &journal)
     }
@@ -469,7 +469,7 @@ fn run_rotation_error_case(
     drop(crashed); // the crash: in-memory state is gone
 
     let (recovered, report) =
-        Checker::recover_store(&store_dir, &case.doc_xml, &case.dtd, &case.constraints).map_err(
+        crate::recover_store(&store_dir, &case).map_err(
             |e| {
                 cleanup_store(&store_dir);
                 diverge(format!("recovery failed: {e}"))

@@ -17,8 +17,8 @@
 //!    accept/reject/fail identically, and agree with a plain
 //!    apply-then-serialize reference on the final document state.
 //! 2. **Rollback fidelity** — applying a statement and undoing it must
-//!    restore a byte-identical serialization *and* an intact element-name
-//!    index ([`xic_xml::Document::audit_name_index`]), for both complete
+//!    restore a byte-identical serialization *and* coherent tag-name
+//!    symbols ([`xic_xml::Document::audit_symbols`]), for both complete
 //!    and mid-batch-failed applications.
 //! 3. **DTD-validity preservation** — when an accepted update's post-state
 //!    conforms to the DTD under plain application, the checker's final
@@ -83,6 +83,16 @@ pub(crate) fn scratch_name(kind: &str, seed: u64) -> String {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     format!("xic-{kind}-{}-{n}-{seed}", std::process::id())
+}
+
+/// Recovers `case`'s checkpointed store at `dir` after a simulated crash
+/// (fsync per record, as the crash and chaos passes attach it).
+pub(crate) fn recover_store(
+    dir: &std::path::Path,
+    case: &Case,
+) -> Result<(Checker, xicheck::RecoveryReport), CheckerError> {
+    let gamma = xicheck::SharedGamma::compile(&case.dtd, &case.constraints)?;
+    Checker::recover_store(dir, &case.doc_xml, &gamma, true)
 }
 
 /// The paper's combined DTD (publication catalog + review tree), the
@@ -390,8 +400,8 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             "apply + undo did not restore a byte-identical document".to_string(),
         ));
     }
-    doc.audit_name_index()
-        .map_err(|e| ("rollback", format!("name index corrupt after undo: {e}")))?;
+    doc.audit_symbols()
+        .map_err(|e| ("rollback", format!("tag-name symbols corrupt after undo: {e}")))?;
 
     // Oracle 1: decision equivalence. The baseline decides via apply +
     // full check + rollback; the optimized engine decides however
@@ -484,8 +494,8 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
                 ));
             }
             opt.doc()
-                .audit_name_index()
-                .map_err(|e| ("rollback", format!("checker name index corrupt: {e}")))?;
+                .audit_symbols()
+                .map_err(|e| ("rollback", format!("checker tag-name symbols corrupt: {e}")))?;
 
             // Cross-check the pure optimized decision path where it is
             // defined (insertion-only statements with an incremental

@@ -65,7 +65,6 @@ struct Args {
     shard_chaos: bool,
     snapshot_decide: bool,
     sites: Option<String>,
-    independence: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -79,7 +78,6 @@ fn parse_args() -> Result<Args, String> {
     let mut shard_chaos = false;
     let mut snapshot_decide = false;
     let mut sites: Option<String> = None;
-    let mut independence = true;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     // Accept both `--key=value` and `--key value`.
@@ -120,13 +118,6 @@ fn parse_args() -> Result<Args, String> {
             "--snapshot-decide" => snapshot_decide = true,
             "--sites" => {
                 sites = Some(next_value(&mut i, inline.as_deref())?);
-            }
-            "--independence" => {
-                independence = match next_value(&mut i, inline.as_deref())?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--independence: {other} (on|off)")),
-                };
             }
             other => return Err(format!("unknown argument {other}")),
         }
@@ -170,7 +161,6 @@ fn parse_args() -> Result<Args, String> {
         shard_chaos,
         snapshot_decide,
         sites,
-        independence,
     })
 }
 
@@ -563,17 +553,11 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: difftest [--crash-matrix [--sites PAT,PAT…] | --chaos | \
                  --shard-matrix | --shard-chaos | --snapshot-decide] [--cases N] [--seed N] \
-                 [--independence on|off] [--out FILE]"
+                 [--out FILE]"
             );
             return ExitCode::from(2);
         }
     };
-    // Every checker constructed anywhere below (oracles, crash twins,
-    // shrinker replays) starts in the requested independence setting.
-    // The independence oracle itself overrides the default per checker,
-    // so the pin governs every *other* checker — catching code paths that
-    // consult the process default where they should not.
-    xicheck::set_default_independence(args.independence);
     if args.crash_matrix {
         return run_crash_matrix(&args);
     }
@@ -611,11 +595,10 @@ fn main() -> ExitCode {
         eprintln!("{}", d.report());
     }
     println!(
-        "difftest: {} cases from seed {} (independence default: {}) — \
+        "difftest: {} cases from seed {} — \
          {} discrepancies, {} shrink steps, {} reference queries",
         args.cases,
         args.seed,
-        if args.independence { "on" } else { "off" },
         report.discrepancies.len(),
         snapshot.counter(obs::Counter::DifftestShrinkStep),
         snapshot.counter(obs::Counter::DifftestReferenceQuery),
@@ -630,10 +613,6 @@ fn main() -> ExitCode {
         ("bench".to_string(), Value::String("difftest".to_string())),
         ("seed".to_string(), Value::Number(args.seed as f64)),
         ("cases".to_string(), Value::Number(args.cases as f64)),
-        (
-            "independence_default".to_string(),
-            Value::String(if args.independence { "on" } else { "off" }.to_string()),
-        ),
         (
             "reference_queries".to_string(),
             Value::Number(snapshot.counter(obs::Counter::DifftestReferenceQuery) as f64),

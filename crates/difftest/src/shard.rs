@@ -233,7 +233,6 @@ fn run_shard_case(seed: u64, chaos: bool, dir: &Path) -> Result<ShardOutcome, Sh
     let cfg = ShardSetConfig {
         service: ServiceConfig { executor: Executor::Sync, ..Default::default() },
         sync: true,
-        retain: 2,
         policy: CheckpointPolicy::every_commits(plan.rotate_every),
     };
     let refs: Vec<&str> = case.bases.iter().map(String::as_str).collect();

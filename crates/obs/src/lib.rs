@@ -62,10 +62,6 @@ pub enum Counter {
     PatternCacheHit,
     /// `Checker::try_update` had to compile the pattern from scratch.
     PatternCacheMiss,
-    /// `Document::elements_named` answered from the element-name index.
-    NameIndexHit,
-    /// `Document::elements_named` fell back to a full tree scan.
-    NameIndexMiss,
     /// Nodes considered by XPath step evaluation (axis candidates).
     XpathNodesVisited,
     /// Bindings iterated by XQuery FLWOR / quantifier evaluation.
@@ -165,11 +161,9 @@ pub enum Counter {
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 42] = [
+pub const ALL_COUNTERS: [Counter; 40] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
-    Counter::NameIndexHit,
-    Counter::NameIndexMiss,
     Counter::XpathNodesVisited,
     Counter::XqueryBindingsVisited,
     Counter::ClausesExpanded,
@@ -218,8 +212,6 @@ impl Counter {
         match self {
             Counter::PatternCacheHit => "pattern_cache_hit",
             Counter::PatternCacheMiss => "pattern_cache_miss",
-            Counter::NameIndexHit => "name_index_hit",
-            Counter::NameIndexMiss => "name_index_miss",
             Counter::XpathNodesVisited => "xpath_nodes_visited",
             Counter::XqueryBindingsVisited => "xquery_bindings_visited",
             Counter::ClausesExpanded => "clauses_expanded",
@@ -574,12 +566,12 @@ mod tests {
     #[test]
     fn counters_are_per_thread() {
         reset();
-        incr(Counter::NameIndexHit);
-        let other = thread::spawn(|| counter(Counter::NameIndexHit))
+        incr(Counter::PatternCacheHit);
+        let other = thread::spawn(|| counter(Counter::PatternCacheHit))
             .join()
             .unwrap();
         assert_eq!(other, 0);
-        assert_eq!(counter(Counter::NameIndexHit), 1);
+        assert_eq!(counter(Counter::PatternCacheHit), 1);
     }
 
     #[test]

@@ -123,7 +123,10 @@ mod tests {
              <rev><name>R</name></rev></track></review>",
         )
         .unwrap();
-        let rev = doc.elements_named("rev")[0];
+        let rev = doc
+            .descendants(doc.document_node())
+            .find(|&n| doc.name(n) == Some("rev"))
+            .unwrap();
         let t = QueryTemplate {
             text: "some $d in //aut satisfies $d/name/text() = %{n} and \
                    %{ir}/name/text() = $d/name/text()"

@@ -17,7 +17,6 @@
 //! In the system-inventory table of `DESIGN.md` this crate is item 12 (workload generator).
 
 pub mod multi;
-pub mod shards;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

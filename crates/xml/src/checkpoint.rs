@@ -273,8 +273,9 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(format!("{name}.tmp"))
 }
 
-/// Generations of (snapshot, journal-segment) pairs retained by default:
-/// the live one plus one fallback.
+/// Generations of (snapshot, journal-segment) pairs a store retains: the
+/// live one plus one corruption fallback; older pairs are unlinked on
+/// rotation.
 pub const DEFAULT_RETAIN: u64 = 2;
 
 /// Whether `name` is a file the store itself writes: a generation
@@ -295,11 +296,9 @@ pub struct Store {
     /// The live generation (0 until the first rotation; generation 0 has
     /// no snapshot file — its base document lives outside the store).
     generation: u64,
-    /// How many generations (including the live one) to keep as
-    /// corruption fallbacks; older pairs are unlinked on rotation.
-    retain: u64,
     /// Whether journal segments fsync per record (checkpoint files are
-    /// always fsync'd — rotation durability is the whole point).
+    /// always fsync'd — rotation durability is the whole point). Fixed
+    /// when the handle is created or resumed.
     sync: bool,
 }
 
@@ -336,45 +335,18 @@ impl Store {
         }
         let journal = Journal::create(&Self::wal_path(dir, 0), base_crc, sync)?;
         fsync_dir(dir)?;
-        Ok((Store { dir: dir.to_path_buf(), generation: 0, retain: DEFAULT_RETAIN, sync }, journal))
+        Ok((Store { dir: dir.to_path_buf(), generation: 0, sync }, journal))
     }
 
     /// Re-opens a store handle positioned at `generation` (used after
     /// recovery picked a generation to resume from).
     pub fn resume(dir: &Path, generation: u64, sync: bool) -> Store {
-        Store { dir: dir.to_path_buf(), generation, retain: DEFAULT_RETAIN, sync }
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Store { dir: dir.to_path_buf(), generation, sync }
     }
 
     /// The live generation number.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Sets the retention window (clamped to ≥ 1: the live generation is
-    /// never unlinked).
-    pub fn set_retain(&mut self, retain: u64) {
-        self.retain = retain.max(1);
-    }
-
-    /// The configured retention window (generations kept, live included).
-    pub fn retain(&self) -> u64 {
-        self.retain
-    }
-
-    /// Whether journal segments created by rotations fsync per record.
-    pub fn sync(&self) -> bool {
-        self.sync
-    }
-
-    /// Sets whether journal segments created by future rotations fsync
-    /// per record (snapshots themselves are always fsync'd).
-    pub fn set_sync(&mut self, sync: bool) {
-        self.sync = sync;
     }
 
     /// Path of generation `g`'s snapshot (`g ≥ 1`).
@@ -438,7 +410,7 @@ impl Store {
         // injected *error* here leaves the (already complete) rotation
         // intact, while a Panic-mode fault still simulates a crash.
         if xic_faults::fire("rotation.pre_old_unlink").is_ok() {
-            for g in (0..next.saturating_sub(self.retain - 1)).rev() {
+            for g in (0..next.saturating_sub(DEFAULT_RETAIN - 1)).rev() {
                 let _ = std::fs::remove_file(Self::wal_path(&self.dir, g));
                 if g > 0 {
                     let _ = std::fs::remove_file(Self::ckpt_path(&self.dir, g));
@@ -652,13 +624,14 @@ mod tests {
         let dir = tmp_dir("unlinkerr");
         let (mut store, j0) = Store::create(&dir, 0, false).expect("create");
         drop(j0);
-        store.set_retain(1);
+        drop(store.rotate(1, "<db><one/></db>").expect("first rotation"));
+        // The second rotation is the first to expire a generation (0).
         xic_faults::disarm_all();
         xic_faults::arm("rotation.pre_old_unlink", 1, xic_faults::FaultMode::Error);
-        let j = store.rotate(1, "<db><kept/></db>").expect("rotation still succeeds");
+        let j = store.rotate(2, "<db><kept/></db>").expect("rotation still succeeds");
         xic_faults::disarm_all();
         drop(j);
-        assert_eq!(store.generation(), 1);
+        assert_eq!(store.generation(), 2);
         // The unlink was skipped, so the expired generation 0 survives
         // as an extra (harmless) fallback.
         assert!(Store::wal_path(&dir, 0).exists());

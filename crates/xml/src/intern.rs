@@ -1,9 +1,8 @@
 //! Element/attribute name interning.
 //!
 //! A [`SymbolTable`] maps names to dense `u32` [`Symbol`]s so the hot
-//! query path can compare tag names as integers instead of strings and
-//! key the element-name index by symbol. Tables are *append-only*: a
-//! symbol, once handed out, stays valid for the table's lifetime and a
+//! query path can compare tag names as integers instead of strings.
+//! Tables are *append-only*: a symbol, once handed out, stays valid for the table's lifetime and a
 //! [`SymbolTable::lookup`] miss means the name has never named anything
 //! in the document's lifetime — which is what lets a compiled query
 //! soundly treat an unresolvable name test as "matches nothing".

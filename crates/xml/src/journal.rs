@@ -266,11 +266,6 @@ impl Journal {
         Ok(Journal { file, sync, committed_len: HEADER_LEN, broken: false })
     }
 
-    /// Whether appends fsync before returning.
-    pub fn sync(&self) -> bool {
-        self.sync
-    }
-
     /// Bytes of valid journal on disk (header plus every durable record)
     /// — the size the rotation policy measures growth against.
     pub fn byte_len(&self) -> u64 {
@@ -278,16 +273,17 @@ impl Journal {
     }
 
     /// Enable or disable fsync-per-append (the durability/throughput knob
-    /// measured in `BENCH_PR4.json`).
+    /// measured in `BENCH_PR4.json`). The checker's commit log is the one
+    /// caller: it defers the mode for the length of a group-commit batch.
     pub fn set_sync(&mut self, sync: bool) {
         self.sync = sync;
     }
 
     /// Flush every appended record to stable storage with one fsync,
     /// regardless of the per-append sync mode. This is the group-commit
-    /// primitive (DESIGN.md row 19): a batch of appends runs with
-    /// `set_sync(false)`, then one `sync_now` makes the whole batch
-    /// durable before any of its submitters is acknowledged.
+    /// primitive (DESIGN.md row 19): a batch of appends runs unsynced,
+    /// then one `sync_now` makes the whole batch durable before any of
+    /// its submitters is acknowledged.
     ///
     /// A *transient* (`Interrupted`-class) failure is retried in place up
     /// to [`MAX_APPEND_ATTEMPTS`] times — the same bounded-retry policy

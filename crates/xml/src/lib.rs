@@ -8,10 +8,12 @@
 //!   by [`NodeId`]; identifiers are allocated from a monotone counter and
 //!   never reused, which is exactly the freshness property the constraint
 //!   simplifier's Δ hypotheses rely on (Section 5, Example 6).
-//! * **Element-name index.** The document maintains a name → nodes index
-//!   (kept up to date across updates) so `//tag` queries are lookups
-//!   rather than full traversals, mirroring a real repository's structural
-//!   index. It can be disabled for the ablation benchmarks.
+//! * **Interned tag names.** Every element caches the [`Symbol`] of its
+//!   tag name (kept up to date across renames), so the compiled query
+//!   engine matches `//tag` steps by integer comparison while streaming
+//!   [`Document::descendants`]; [`Document::audit_symbols`] checks the
+//!   cache against the names. There is no name → nodes index: nothing
+//!   read one, and maintaining it cost every mutation and every clone.
 //! * **Ordered children with positions.** The XML data model is ordered;
 //!   positions (1-based, counted over element children) are what the
 //!   relational mapping exposes in each predicate's second column.

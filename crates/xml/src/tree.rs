@@ -2,7 +2,6 @@
 
 use crate::intern::{Symbol, SymbolTable};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{RwLock, RwLockReadGuard};
 
@@ -82,7 +81,7 @@ struct OrderCache {
 }
 
 /// An in-memory XML document: an arena of nodes rooted at a document node,
-/// plus an element-name index and a document-order rank cache.
+/// plus interned tag-name symbols and a document-order rank cache.
 #[derive(Debug)]
 pub struct Document {
     nodes: Vec<Node>,
@@ -93,11 +92,6 @@ pub struct Document {
     /// node, [`NO_SYM`] for every other node kind. Kept in lockstep with
     /// the arena by `alloc` and `rename`.
     elem_sym: Vec<u32>,
-    /// tag-name symbol → element nodes currently attached under the
-    /// document node, kept sorted in document order (see
-    /// [`doc_order_cmp`]).
-    name_index: HashMap<Symbol, Vec<NodeId>>,
-    index_enabled: bool,
     /// Structural version, bumped by every attach/detach. Content edits
     /// (`set_text`, `set_attr`, `rename`) do not move nodes and leave it
     /// alone.
@@ -125,65 +119,10 @@ impl Clone for Document {
             nodes: self.nodes.clone(),
             symbols: self.symbols.clone(),
             elem_sym: self.elem_sym.clone(),
-            name_index: self.name_index.clone(),
-            index_enabled: self.index_enabled,
             version: self.version,
             // The clone starts with a cold cache; it is rebuilt on first use.
             order_cache: RwLock::new(OrderCache::default()),
             order_cache_enabled: self.order_cache_enabled,
-        }
-    }
-}
-
-/// Compares two *attached* nodes of the same document in document order
-/// without allocating: walk both to their lowest common ancestor and
-/// compare the child indexes of the diverging children (an ancestor
-/// precedes its descendants).
-///
-/// # Panics
-/// Panics if the nodes do not share a root (e.g. one of them is
-/// detached) — callers guarantee attachment.
-fn doc_order_cmp(nodes: &[Node], a: NodeId, b: NodeId) -> Ordering {
-    if a == b {
-        return Ordering::Equal;
-    }
-    let depth = |mut n: NodeId| {
-        let mut d = 0usize;
-        while let Some(p) = nodes[n.index()].parent {
-            d += 1;
-            n = p;
-        }
-        d
-    };
-    let (mut x, mut y) = (a, b);
-    let (mut dx, mut dy) = (depth(a), depth(b));
-    let (mut last_x, mut last_y) = (None, None);
-    let up = |n: NodeId| nodes[n.index()].parent.expect("nodes share a root");
-    while dx > dy {
-        last_x = Some(x);
-        x = up(x);
-        dx -= 1;
-    }
-    while dy > dx {
-        last_y = Some(y);
-        y = up(y);
-        dy -= 1;
-    }
-    while x != y {
-        last_x = Some(x);
-        last_y = Some(y);
-        x = up(x);
-        y = up(y);
-    }
-    match (last_x, last_y) {
-        // One node is an ancestor of the other; the ancestor comes first.
-        (None, _) => Ordering::Less,
-        (_, None) => Ordering::Greater,
-        (Some(cx), Some(cy)) => {
-            let siblings = &nodes[x.index()].children;
-            let px = siblings.iter().position(|&c| c == cx);
-            let py = siblings.iter().position(|&c| c == cy);
-            px.cmp(&py)
         }
     }
 }
@@ -199,24 +138,10 @@ impl Document {
             }],
             symbols: SymbolTable::new(),
             elem_sym: vec![NO_SYM],
-            name_index: HashMap::new(),
-            index_enabled: true,
             version: 0,
             order_cache: RwLock::new(OrderCache::default()),
             order_cache_enabled: true,
         }
-    }
-
-    /// Disables the element-name index (ablation experiments). Existing
-    /// entries are cleared; `elements_named` falls back to a full scan.
-    pub fn disable_name_index(&mut self) {
-        self.index_enabled = false;
-        self.name_index.clear();
-    }
-
-    /// True if the name index is maintained.
-    pub fn name_index_enabled(&self) -> bool {
-        self.index_enabled
     }
 
     /// Disables the document-order rank cache (ablation experiments):
@@ -225,11 +150,6 @@ impl Document {
     pub fn disable_order_cache(&mut self) {
         self.order_cache_enabled = false;
         *self.order_cache.get_mut().expect("order cache lock poisoned") = OrderCache::default();
-    }
-
-    /// True if the document-order rank cache is maintained.
-    pub fn order_cache_enabled(&self) -> bool {
-        self.order_cache_enabled
     }
 
     /// The structural version: bumped by every attach/detach, stable
@@ -397,9 +317,6 @@ impl Document {
         siblings.insert(idx, child);
         self.node_mut(child).parent = Some(parent);
         self.version += 1;
-        if self.index_enabled && self.is_attached(parent) {
-            self.index_subtree(child, true);
-        }
     }
 
     /// Detaches `child` from its parent, returning its previous index.
@@ -408,9 +325,6 @@ impl Document {
     /// Panics if the node is not attached.
     pub fn detach(&mut self, child: NodeId) -> usize {
         let parent = self.node(child).parent.expect("node is not attached");
-        if self.index_enabled && self.is_attached(parent) {
-            self.index_subtree(child, false);
-        }
         let siblings = &mut self.node_mut(parent).children;
         let idx = siblings
             .iter()
@@ -420,63 +334,6 @@ impl Document {
         self.node_mut(child).parent = None;
         self.version += 1;
         idx
-    }
-
-    /// True if the node is reachable from the document node.
-    pub fn is_attached(&self, id: NodeId) -> bool {
-        let mut cur = id;
-        loop {
-            if cur == self.document_node() {
-                return true;
-            }
-            match self.node(cur).parent {
-                Some(p) => cur = p,
-                None => return false,
-            }
-        }
-    }
-
-    /// (Un)indexes every element in the subtree rooted at `id`, keeping
-    /// each name bucket sorted in document order. Both directions rely on
-    /// the subtree being linked into the attached tree at call time
-    /// (insert indexes *after* linking, detach unindexes *before*
-    /// unlinking), so [`doc_order_cmp`] can navigate parent chains.
-    /// Attaching or detaching a subtree never reorders the *surviving*
-    /// bucket entries relative to each other, so sorted insertion /
-    /// binary-search removal preserves the invariant.
-    fn index_subtree(&mut self, id: NodeId, add: bool) {
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            if matches!(self.node(n).kind, NodeKind::Element { .. }) {
-                self.index_subtree_single(n, add);
-            }
-            stack.extend(self.node(n).children.iter().copied());
-        }
-    }
-
-    /// All attached elements with the given tag name, in document order.
-    pub fn elements_named(&self, name: &str) -> Vec<NodeId> {
-        if self.index_enabled {
-            xic_obs::incr(xic_obs::Counter::NameIndexHit);
-            // Buckets are maintained in document order — no re-sort. A
-            // name the table has never seen cannot have indexed elements.
-            self.symbols
-                .lookup(name)
-                .and_then(|s| self.name_index.get(&s).cloned())
-                .unwrap_or_default()
-        } else {
-            xic_obs::incr(xic_obs::Counter::NameIndexMiss);
-            // Preorder scan yields document order directly.
-            let mut v = Vec::new();
-            let mut stack = vec![self.document_node()];
-            while let Some(n) = stack.pop() {
-                if self.name(n) == Some(name) {
-                    v.push(n);
-                }
-                stack.extend(self.node(n).children.iter().rev().copied());
-            }
-            v
-        }
     }
 
     /// Replaces the text content of a text node, returning the old value.
@@ -496,63 +353,26 @@ impl Document {
     /// Panics if `id` is not an element.
     pub fn rename(&mut self, id: NodeId, new_name: impl Into<String>) -> String {
         let new_name = new_name.into();
-        let attached = self.index_enabled && self.is_attached(id);
-        if attached {
-            self.index_subtree_single(id, false);
-        }
         let new_sym = self.symbols.intern(&new_name).0;
         let old = match &mut self.node_mut(id).kind {
             NodeKind::Element { name, .. } => std::mem::replace(name, new_name),
             other => panic!("rename on non-element node: {other:?}"),
         };
         self.elem_sym[id.index()] = new_sym;
-        if attached {
-            self.index_subtree_single(id, true);
-        }
         old
     }
 
-    fn index_subtree_single(&mut self, id: NodeId, add: bool) {
-        let sym = self.elem_sym[id.index()];
-        if sym == NO_SYM {
-            return;
-        }
-        // Split borrows: the comparator walks `nodes` while the bucket
-        // lives in `name_index`.
-        let Document {
-            nodes, name_index, ..
-        } = self;
-        let entry = name_index.entry(Symbol(sym)).or_default();
-        if add {
-            let pos = entry.partition_point(|&e| doc_order_cmp(nodes, e, id) == Ordering::Less);
-            entry.insert(pos, id);
-        } else if let Ok(pos) = entry.binary_search_by(|&e| doc_order_cmp(nodes, e, id)) {
-            entry.remove(pos);
-        }
-    }
-
-    /// Audits the element-name index against a full scan of the attached
-    /// tree: every attached element must be indexed exactly once under its
-    /// current name, every bucket must be sorted in document order, and
-    /// the index must hold nothing else. A trivially `Ok` no-op when the
-    /// index is disabled.
-    ///
-    /// This is the invariant the rollback-fidelity oracle of
-    /// `xic-difftest` checks after every apply/undo round trip — an update
-    /// path that forgets to (un)index a subtree corrupts `//tag` query
-    /// results long before it corrupts the serialized tree, and a bucket
-    /// that loses sortedness silently breaks `elements_named` (which no
-    /// longer re-sorts).
-    pub fn audit_name_index(&self) -> Result<(), String> {
-        if !self.index_enabled {
-            return Ok(());
-        }
-        let mut expected: HashMap<Symbol, Vec<NodeId>> = HashMap::new();
-        // Preorder scan — `expected` buckets come out in document order.
-        let mut stack = vec![self.document_node()];
-        while let Some(n) = stack.pop() {
+    /// Audits the cached tag-name symbols against a scan of the attached
+    /// tree: every attached element must cache the symbol its current
+    /// name interns to. The compiled query engine matches `//tag` steps
+    /// by symbol, so an update path that renames or re-creates an element
+    /// without refreshing its symbol corrupts query results long before
+    /// it corrupts the serialized tree — which is why the
+    /// rollback-fidelity oracle of `xic-difftest` checks this after every
+    /// apply/undo round trip.
+    pub fn audit_symbols(&self) -> Result<(), String> {
+        for n in self.descendants(self.document_node()) {
             if let NodeKind::Element { name, .. } = &self.node(n).kind {
-                // The cached symbol must agree with the current tag name.
                 let sym = self
                     .symbol(n)
                     .ok_or_else(|| format!("element {n} ({name:?}) has no cached symbol"))?;
@@ -563,26 +383,6 @@ impl Document {
                         self.symbols.lookup(name)
                     ));
                 }
-                expected.entry(sym).or_default().push(n);
-            }
-            stack.extend(self.node(n).children.iter().rev().copied());
-        }
-        for (&sym, want) in &expected {
-            let name = self.symbols.resolve(sym).unwrap_or_default();
-            let got = self.name_index.get(&sym).map_or(&[][..], Vec::as_slice);
-            if got != want.as_slice() {
-                return Err(format!(
-                    "name index for {name:?} holds {got:?}, attached tree in document \
-                     order has {want:?} (membership or sortedness violation)"
-                ));
-            }
-        }
-        for (&sym, ids) in &self.name_index {
-            if !ids.is_empty() && !expected.contains_key(&sym) {
-                let name = self.symbols.resolve(sym).unwrap_or_default();
-                return Err(format!(
-                    "name index has stale entries {ids:?} under {name:?}"
-                ));
             }
         }
         Ok(())
@@ -850,28 +650,23 @@ mod tests {
         assert_eq!(d.name(track), Some("track"));
     }
 
-    #[test]
-    fn name_index_tracks_attach_and_detach() {
-        let (mut d, root, track, _) = small_doc();
-        assert_eq!(d.elements_named("track"), vec![track]);
-        let t2 = d.create_element("track");
-        assert_eq!(d.elements_named("track").len(), 1, "detached not indexed");
-        d.append_child(root, t2);
-        assert_eq!(d.elements_named("track").len(), 2);
-        d.detach(track);
-        assert_eq!(d.elements_named("track"), vec![t2]);
-        // Detaching unindexes the whole subtree.
-        assert!(d.elements_named("name").is_empty());
+    /// All attached elements called `name`, in document order.
+    fn named(d: &Document, name: &str) -> Vec<NodeId> {
+        d.descendants(d.document_node()).filter(|&n| d.name(n) == Some(name)).collect()
     }
 
     #[test]
-    fn index_disabled_falls_back_to_scan() {
-        let (mut d, _, track, _) = small_doc();
-        d.disable_name_index();
-        assert_eq!(d.elements_named("track"), vec![track]);
+    fn descendants_track_attach_and_detach() {
+        let (mut d, root, track, _) = small_doc();
+        assert_eq!(named(&d, "track"), vec![track]);
         let t2 = d.create_element("track");
-        d.append_child(d.root_element().unwrap(), t2);
-        assert_eq!(d.elements_named("track").len(), 2);
+        assert_eq!(named(&d, "track").len(), 1, "detached not reachable");
+        d.append_child(root, t2);
+        assert_eq!(named(&d, "track").len(), 2);
+        d.detach(track);
+        assert_eq!(named(&d, "track"), vec![t2]);
+        // Detaching takes the whole subtree along.
+        assert!(named(&d, "name").is_empty());
     }
 
     #[test]
@@ -899,8 +694,7 @@ mod tests {
         d.append_child(track, rev2);
         let rev_mid = d.create_element("rev");
         d.insert_child(track, 2, rev_mid); // between rev1 and rev2
-        let revs = d.elements_named("rev");
-        assert_eq!(revs, vec![rev1, rev_mid, rev2]);
+        assert_eq!(named(&d, "rev"), vec![rev1, rev_mid, rev2]);
         assert_eq!(d.same_name_position(rev_mid), Some(2));
         assert_eq!(d.element_position(rev_mid), Some(3)); // name, rev, rev
         assert_eq!(d.element_position(name), Some(1));
@@ -950,12 +744,13 @@ mod tests {
     }
 
     #[test]
-    fn rename_updates_index() {
+    fn rename_updates_name_and_symbol() {
         let (mut d, _, track, _) = small_doc();
         let old = d.rename(track, "session");
         assert_eq!(old, "track");
-        assert!(d.elements_named("track").is_empty());
-        assert_eq!(d.elements_named("session"), vec![track]);
+        assert_eq!(d.name(track), Some("session"));
+        assert_eq!(d.symbol(track), d.symbols().lookup("session"));
+        d.audit_symbols().expect("symbol follows the rename");
     }
 
     #[test]
@@ -1056,30 +851,13 @@ mod tests {
     }
 
     #[test]
-    fn name_index_buckets_stay_sorted() {
-        let (mut d, root, track, _) = small_doc();
-        let t2 = d.create_element("track");
-        d.append_child(root, t2);
-        let t0 = d.create_element("track");
-        d.insert_child(root, 0, t0);
-        assert_eq!(d.elements_named("track"), vec![t0, track, t2]);
-        d.audit_name_index().expect("sorted and complete");
-        d.detach(track);
-        assert_eq!(d.elements_named("track"), vec![t0, t2]);
-        d.audit_name_index().expect("sorted after removal");
-    }
-
-    #[test]
-    fn audit_rejects_unsorted_bucket() {
-        let (mut d, root, track, _) = small_doc();
-        let t2 = d.create_element("track");
-        d.append_child(root, t2);
-        // Corrupt the bucket order behind the API's back.
-        let sym = d.symbols.lookup("track").unwrap();
-        d.name_index.get_mut(&sym).unwrap().swap(0, 1);
-        let err = d.audit_name_index().expect_err("audit catches disorder");
-        assert!(err.contains("sortedness"), "unexpected message: {err}");
-        assert_eq!(d.name_index[&sym], vec![t2, track]);
+    fn audit_rejects_stale_symbol() {
+        let (mut d, _, track, name) = small_doc();
+        d.audit_symbols().expect("fresh document is coherent");
+        // Corrupt the cached symbol behind the API's back.
+        d.elem_sym[track.index()] = d.elem_sym[name.index()];
+        let err = d.audit_symbols().expect_err("audit catches the stale symbol");
+        assert!(err.contains("caches symbol"), "unexpected message: {err}");
     }
 
     #[test]

@@ -563,6 +563,11 @@ mod tests {
     use crate::parse::parse_document;
     use crate::serialize::serialize;
 
+    /// All attached elements called `name`, in document order.
+    fn named(doc: &Document, name: &str) -> Vec<NodeId> {
+        doc.descendants(doc.document_node()).filter(|&n| doc.name(n) == Some(name)).collect()
+    }
+
     /// A positional path resolver good enough for tests:
     /// `/name[i]/name[j]/...` with the same-name index semantics.
     fn resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, String> {
@@ -638,7 +643,7 @@ mod tests {
         let after = serialize(&doc);
         assert!(after.contains("Taming Web Services"), "{after}");
         // The new sub is the second sub of the rev.
-        let subs = doc.elements_named("sub");
+        let subs = named(&doc, "sub");
         assert_eq!(subs.len(), 2);
         assert_eq!(doc.same_name_position(subs[1]), Some(2));
         // Position over all element children: name, sub, sub → 3.
@@ -659,7 +664,7 @@ mod tests {
         )
         .unwrap();
         apply(&mut doc, &u, &resolver).unwrap();
-        let subs = doc.elements_named("sub");
+        let subs = named(&doc, "sub");
         assert_eq!(doc.text_content(doc.element_children(subs[0])[0]), "S0");
     }
 
@@ -741,7 +746,7 @@ mod tests {
         // The §7 rollback path beyond single ops: when op k of n fails,
         // the preceding k-1 ops (of every kind) have already mutated the
         // document, and undoing the partial record must restore the exact
-        // pre-batch serialization and name index.
+        // pre-batch serialization and tag-name symbols.
         let (mut doc, _) = parse_document(
             "<r><a>old</a><b><x/></b><c/><d>keep</d></r>",
         )
@@ -768,7 +773,7 @@ mod tests {
         assert!(!serialize(&doc).contains("never reached"));
         undo(&mut doc, partial);
         assert_eq!(serialize(&doc), before, "partial undo must restore");
-        doc.audit_name_index().expect("index intact after partial undo");
+        doc.audit_symbols().expect("symbols intact after partial undo");
     }
 
     #[test]
@@ -827,10 +832,10 @@ mod tests {
         )
         .unwrap();
         let applied = apply(&mut doc, &u, &resolver).unwrap();
-        doc.audit_name_index().expect("index intact after batch");
+        doc.audit_symbols().expect("symbols intact after batch");
         undo(&mut doc, applied);
         assert_eq!(serialize(&doc), before);
-        doc.audit_name_index().expect("index intact after undo");
+        doc.audit_symbols().expect("symbols intact after undo");
     }
 
     #[test]
