@@ -119,10 +119,15 @@ echo "== concurrency stress smoke (snapshot readers + group-commit writers) =="
 # this names the gate so a red run points straight at the service layer.
 cargo test -q --release -p xicheck --test service_stress
 
-echo "== bench smoke (order/exists fast paths) =="
-# The criterion harness runs each benchmark a handful of times; this is a
-# does-it-run gate, not a performance assertion.
-cargo bench -q -p xic-bench --bench order_exists
+echo "== experiments smoke (paper tables + BENCH_PAPER.json, bad input exits 1) =="
+# A does-it-run gate, not a performance assertion; then one malformed
+# flag, which must be refused with exit 1 (not a panic's 101).
+cargo run --release -q -p xic-bench --bin experiments -- fig1a illegal simp \
+  --sizes=32 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
+status=0
+cargo run --release -q -p xic-bench --bin experiments -- fig1a --sizes=abc \
+  --out=/tmp/BENCH_PAPER_CI.json 2>/dev/null || status=$?
+[ "$status" -eq 1 ] || { echo "experiments --sizes=abc exited $status, expected 1" >&2; exit 1; }
 
 echo "== benchmark smoke (wire-level benchmark builds and runs against these crates) =="
 # The benchmark is a package of its own over ../crates/*: a product-API

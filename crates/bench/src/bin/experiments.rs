@@ -1,55 +1,39 @@
 //! Regenerates the paper's evaluation tables on stdout and emits a
-//! machine-readable report (`BENCH_PR3.json`).
+//! machine-readable report (`BENCH_PAPER.json`).
 //!
 //! ```text
-//! experiments [fig1a] [fig1b] [illegal] [simp] [ordercache]
-//!             [journal] [budget] [checkpoint] [service] [independence]
-//!             [overload] [all]
+//! experiments [fig1a] [fig1b] [illegal] [simp] [checkpoint] [overload] [all]
 //!             [--sizes=32,64,128,256,512] [--iters=3] [--seed=1]
-//!             [--out=BENCH_PR3.json]
+//!             [--out=BENCH_PAPER.json]
 //! ```
 //!
-//! Each figure prints one row per document size with the three curves of
-//! Figure 1: full check (diamonds), optimized check (squares), and
-//! update + full check + undo (triangles). `illegal` prints the
-//! early-detection comparison (E5); `simp` reports compile-time
-//! simplification latency (the paper's footnote 4: "generated in less
-//! than 50 ms"); `ordercache` compares a dedupe-heavy query with and
-//! without the cached document-order ranks; `journal` measures the
-//! write-ahead journal's per-update overhead (off / on without fsync / on
-//! with per-record fsync); `budget` measures evaluation-step budgeting on
-//! the optimized fast path and the cost of its baseline fallback (E8);
-//! `checkpoint` measures crash-recovery time against committed-history
-//! length with and without checkpointing, and the cost of one atomic
-//! snapshot as the document grows (E9); `service` measures multi-client
-//! throughput and submit→ack latency through the concurrent checker
-//! service under the sequential and group-commit executors (E10 —
-//! conventionally written to `BENCH_PR6.json` via `--out`);
-//! `independence` measures per-update latency against a growing
-//! multi-tenant constraint set with the static update/constraint
-//! independence mask on versus off, plus the masked run's skip rate
-//! (E12 — conventionally written to `BENCH_PR8.json` via `--out`);
-//! `overload` sweeps closed-loop client counts against a small admission
-//! queue and reports offered load, goodput, shed rate and p99 latency
-//! (E13 — conventionally written to `BENCH_PR9.json` via `--out`).
-//! Sharded recovery and mixed traffic are measured by the wire-level
-//! benchmark (`benchmark/`, workload `shard-zipf`), not here.
+//! `fig1a` / `fig1b` print one row per document size with the three
+//! curves of Figure 1: full check (diamonds), optimized check (squares),
+//! update + full check + undo (triangles). `illegal` is the
+//! early-detection comparison (E5), `simp` the compile-time
+//! simplification latency (footnote 4: "generated in less than 50 ms"),
+//! `checkpoint` recovery time against committed-history length with and
+//! without checkpointing (E9), `overload` the goodput / shed-rate curve
+//! of closed-loop clients against a small admission queue (E13). Every
+//! other cost — journal, service, shards, each layer of a request — is
+//! the wire-level benchmark's (`benchmark/`), not measured here.
 //!
-//! Every run also rewrites the JSON report: the sections just measured
-//! replace their previous versions, sections from earlier invocations are
-//! preserved. Each figure section carries the per-size timings of the
-//! three curves plus an observability snapshot (phase timings and event
-//! counters, see `xic-obs`) captured across that figure's measurement.
+//! Every run rewrites the JSON report: sections just measured replace
+//! their previous versions, the others are preserved, `meta` records the
+//! host and arguments. A section is its table rows plus an observability
+//! snapshot (`xic-obs` phase timings and counters) taken across its
+//! measurement. Bad arguments and an unwritable `--out` exit 1.
 
 use std::time::Instant;
+use xic_bench::report::{col, emit, run_meta, write_report, Column, SECTIONS};
 use xic_bench::{
-    instance, measure_budget, measure_illegal, measure_journal, measure_order_cache, measure_row,
-    measure_service, Experiment,
+    instance, measure_checkpoint, measure_illegal, measure_overload, measure_row, Experiment,
 };
 use xic_mapping::map_update;
-use xicheck::obs::{self, json};
+use xicheck::obs::json::Value;
 use xicheck::{compile_pattern, xpath_resolver};
 
+#[derive(Debug)]
 struct Args {
     what: Vec<String>,
     sizes: Vec<usize>,
@@ -58,498 +42,160 @@ struct Args {
     out: String,
 }
 
-fn parse_args() -> Args {
-    let mut what = Vec::new();
-    let mut sizes = vec![32, 64, 128, 256, 512];
-    let mut iters = 3;
-    let mut seed = 1;
-    let mut out = "BENCH_PR3.json".to_string();
-    for a in std::env::args().skip(1) {
+fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let (mut what, mut sizes, mut iters, mut seed) = (Vec::new(), vec![32, 64, 128, 256, 512], 3, 1);
+    let mut out = "BENCH_PAPER.json".to_string();
+    for a in argv {
         if let Some(v) = a.strip_prefix("--sizes=") {
-            sizes = v
-                .split(',')
-                .map(|s| s.trim().parse().expect("size in KiB"))
-                .collect();
+            let parsed: Result<_, _> = v.split(',').map(|s| s.trim().parse()).collect();
+            sizes = parsed.map_err(|_| format!("--sizes wants KiB counts like 32,64, got {v:?}"))?;
         } else if let Some(v) = a.strip_prefix("--iters=") {
-            iters = v.parse().expect("iteration count");
+            let parsed = v.parse().ok().filter(|&n| n > 0);
+            iters = parsed.ok_or(format!("--iters wants a count of at least 1, got {v:?}"))?;
         } else if let Some(v) = a.strip_prefix("--seed=") {
-            seed = v.parse().expect("seed");
+            seed = v.parse().map_err(|_| format!("--seed wants an unsigned integer, got {v:?}"))?;
         } else if let Some(v) = a.strip_prefix("--out=") {
             out = v.to_string();
-        } else {
+        } else if a == "all" || SECTIONS.contains(&a.as_str()) {
             what.push(a);
+        } else {
+            return Err(format!("unknown experiment {a} (expected all, {})", SECTIONS.join(", ")));
         }
     }
     if what.is_empty() || what.iter().any(|w| w == "all") {
-        what = [
-            "fig1a", "fig1b", "illegal", "simp", "ordercache", "journal", "budget",
-            "checkpoint", "service", "independence", "overload",
-        ]
-        .iter()
-        .map(std::string::ToString::to_string)
-        .collect();
+        what = SECTIONS.map(String::from).to_vec();
     }
-    Args {
-        what,
-        sizes,
-        iters,
-        seed,
-        out,
-    }
+    Ok(Args { what, sizes, iters, seed, out })
 }
 
-fn num(v: f64) -> json::Value {
-    json::Value::Number(v)
+fn text(s: &str) -> Value {
+    Value::String(s.to_string())
 }
 
-fn figure(exp: Experiment, title: &str, args: &Args) -> json::Value {
-    println!("== {title} ==");
-    println!(
-        "{:>9} {:>9} {:>12} {:>14} {:>21}",
-        "size/KiB", "bytes", "full/ms", "optimized/ms", "update+full+undo/ms"
-    );
-    obs::reset();
-    let mut rows = Vec::new();
-    for &kib in &args.sizes {
-        let row = measure_row(exp, kib, args.seed, args.iters);
-        println!(
-            "{:>9} {:>9} {:>12.2} {:>14.3} {:>21.2}",
-            row.kib, row.bytes, row.full_ms, row.optimized_ms, row.update_full_undo_ms
-        );
-        rows.push(json::Value::Object(vec![
-            ("kib".to_string(), num(row.kib as f64)),
-            ("bytes".to_string(), num(row.bytes as f64)),
-            ("full_ms".to_string(), num(row.full_ms)),
-            ("optimized_ms".to_string(), num(row.optimized_ms)),
-            (
-                "update_full_undo_ms".to_string(),
-                num(row.update_full_undo_ms),
-            ),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("title".to_string(), json::Value::String(title.to_string())),
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
+fn figure(exp: Experiment, title: &str, args: &Args) -> Value {
+    const COLUMNS: &[Column] = &[
+        col("kib", "size/KiB", 9, 0),
+        col("bytes", "bytes", 9, 0),
+        col("full_ms", "full/ms", 12, 2),
+        col("optimized_ms", "optimized/ms", 14, 3),
+        col("update_full_undo_ms", "update+full+undo/ms", 21, 2),
+    ];
+    let rows = args.sizes.iter().map(|&kib| {
+        let r = measure_row(exp, kib, args.seed, args.iters);
+        let cells = [r.kib as f64, r.bytes as f64, r.full_ms, r.optimized_ms, r.update_full_undo_ms];
+        cells.map(Value::Number).to_vec()
+    });
+    emit(title, COLUMNS, &[("seed", args.seed as f64), ("iters", args.iters as f64)], rows)
 }
 
-fn illegal(args: &Args) -> json::Value {
-    println!("== Illegal updates: early detection vs apply+check+rollback (E5) ==");
-    println!(
-        "{:>12} {:>9} {:>21} {:>21}",
-        "experiment", "size/KiB", "optimized reject/ms", "baseline reject/ms"
-    );
-    obs::reset();
-    let mut rows = Vec::new();
-    for (exp, name) in [
-        (Experiment::ConflictOfInterests, "conflict"),
-        (Experiment::ConferenceWorkload, "workload"),
-    ] {
-        for &kib in &args.sizes {
-            let r = measure_illegal(exp, kib, args.seed, args.iters);
-            println!(
-                "{name:>12} {:>9} {:>21.3} {:>21.2}",
-                r.kib, r.optimized_reject_ms, r.baseline_reject_ms
-            );
-            rows.push(json::Value::Object(vec![
-                (
-                    "experiment".to_string(),
-                    json::Value::String(name.to_string()),
-                ),
-                ("kib".to_string(), num(r.kib as f64)),
-                (
-                    "optimized_reject_ms".to_string(),
-                    num(r.optimized_reject_ms),
-                ),
-                ("baseline_reject_ms".to_string(), num(r.baseline_reject_ms)),
-            ]));
-        }
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
+fn illegal(args: &Args) -> Value {
+    const COLUMNS: &[Column] = &[
+        col("experiment", "experiment", 12, 0),
+        col("kib", "size/KiB", 9, 0),
+        col("optimized_reject_ms", "optimized reject/ms", 21, 3),
+        col("baseline_reject_ms", "baseline reject/ms", 21, 2),
+    ];
+    let cases =
+        [(Experiment::ConflictOfInterests, "conflict"), (Experiment::ConferenceWorkload, "workload")];
+    let sweep = cases.iter().flat_map(|case| args.sizes.iter().map(move |&kib| (case, kib)));
+    let rows = sweep.map(|(&(exp, name), kib)| {
+        let r = measure_illegal(exp, kib, args.seed, args.iters);
+        let times = [r.kib as f64, r.optimized_reject_ms, r.baseline_reject_ms];
+        std::iter::once(text(name)).chain(times.map(Value::Number)).collect()
+    });
+    let title = "Illegal updates: early detection vs apply+check+rollback (E5)";
+    emit(title, COLUMNS, &[("seed", args.seed as f64), ("iters", args.iters as f64)], rows)
 }
 
-fn simp_latency(args: &Args) -> json::Value {
-    println!("== Compile-time simplification latency (paper: < 50 ms, E3) ==");
-    let kib = args.sizes.first().copied().unwrap_or(32);
-    obs::reset();
-    let mut rows = Vec::new();
-    for (exp, name) in [
+fn simp_latency(args: &Args) -> Value {
+    const COLUMNS: &[Column] = &[
+        col("experiment", "experiment", 20, 0),
+        col("ms_per_pattern", "map+simp+translate ms/pattern", 31, 3),
+    ];
+    const PATTERNS: u32 = 200;
+    let cases = [
         (Experiment::ConflictOfInterests, "conflict (Ex. 1/6)"),
         (Experiment::ConferenceWorkload, "workload (Ex. 2/7)"),
-    ] {
-        let inst = instance(exp, kib, args.seed);
-        let stmt = inst.legal.clone();
-        let mapped = map_update(inst.checker.doc(), inst.checker.schema(), &stmt, &xpath_resolver)
+    ];
+    let rows = cases.iter().map(|&(exp, name)| {
+        let inst = instance(exp, args.sizes[0], args.seed);
+        let (gamma, schema) = (inst.checker.constraints(), inst.checker.schema());
+        let mapped = map_update(inst.checker.doc(), schema, &inst.legal, &xpath_resolver)
             .expect("mappable update");
-        let gamma = inst.checker.constraints();
-        let schema = inst.checker.schema();
-        let n = 200u32;
         let start = Instant::now();
-        for _ in 0..n {
+        for _ in 0..PATTERNS {
             let compiled = compile_pattern(&mapped, gamma, schema, true);
             assert!(compiled.is_incremental(), "{:?}", compiled.unsupported);
         }
-        let per = start.elapsed().as_secs_f64() * 1e3 / f64::from(n);
-        println!("  {name:<22} map+simp+translate: {per:.3} ms/pattern");
-        rows.push(json::Value::Object(vec![
-            (
-                "experiment".to_string(),
-                json::Value::String(name.to_string()),
-            ),
-            ("ms_per_pattern".to_string(), num(per)),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
+        vec![text(name), Value::Number(start.elapsed().as_secs_f64() * 1e3 / f64::from(PATTERNS))]
+    });
+    let title = "Compile-time simplification latency (paper: < 50 ms, E3)";
+    emit(title, COLUMNS, &[("seed", args.seed as f64)], rows)
 }
 
-fn order_cache_section(args: &Args) -> json::Value {
-    println!("== Document-order rank cache: dedupe-heavy query `//name/..` (PR3) ==");
-    println!(
-        "{:>9} {:>10} {:>12} {:>11} {:>11}",
-        "size/KiB", "cached/ms", "uncached/ms", "fast sorts", "path sorts"
-    );
-    obs::reset();
-    let mut rows = Vec::new();
-    for &kib in &args.sizes {
-        let r = measure_order_cache(kib, args.seed, args.iters);
-        println!(
-            "{:>9} {:>10.3} {:>12.3} {:>11} {:>11}",
-            r.kib, r.cached_ms, r.uncached_ms, r.fast_sorts, r.path_sorts
-        );
-        rows.push(json::Value::Object(vec![
-            ("kib".to_string(), num(r.kib as f64)),
-            ("cached_ms".to_string(), num(r.cached_ms)),
-            ("uncached_ms".to_string(), num(r.uncached_ms)),
-            ("fast_sorts".to_string(), num(r.fast_sorts as f64)),
-            ("path_sorts".to_string(), num(r.path_sorts as f64)),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
-}
-
-fn journal_section(args: &Args) -> json::Value {
-    println!("== Write-ahead journal overhead on the update workload (E8) ==");
-    println!(
-        "{:>9} {:>9} {:>11} {:>10} {:>13} {:>9} {:>8}",
-        "size/KiB", "off/ms", "nosync/ms", "fsync/ms", "nosync ovh/%", "appends", "fsyncs"
-    );
-    obs::reset();
-    let mut rows = Vec::new();
-    for &kib in &args.sizes {
-        let r = measure_journal(Experiment::ConflictOfInterests, kib, args.seed, args.iters);
-        println!(
-            "{:>9} {:>9.3} {:>11.3} {:>10.3} {:>13.2} {:>9} {:>8}",
-            r.kib, r.off_ms, r.nosync_ms, r.fsync_ms, r.nosync_overhead_pct, r.appends, r.fsyncs
-        );
-        rows.push(json::Value::Object(vec![
-            ("kib".to_string(), num(r.kib as f64)),
-            ("journal_off_ms".to_string(), num(r.off_ms)),
-            ("journal_nosync_ms".to_string(), num(r.nosync_ms)),
-            ("journal_fsync_ms".to_string(), num(r.fsync_ms)),
-            ("nosync_overhead_pct".to_string(), num(r.nosync_overhead_pct)),
-            ("appends".to_string(), num(r.appends as f64)),
-            ("fsyncs".to_string(), num(r.fsyncs as f64)),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
-}
-
-fn budget_section(args: &Args) -> json::Value {
-    println!("== Evaluation-budget overhead on the optimized fast path (E8) ==");
-    println!(
-        "{:>9} {:>14} {:>12} {:>8} {:>21}",
-        "size/KiB", "unbudgeted/ms", "budgeted/ms", "ovh/%", "exhausted fallback/ms"
-    );
-    obs::reset();
-    let mut rows = Vec::new();
-    for &kib in &args.sizes {
-        let r = measure_budget(Experiment::ConflictOfInterests, kib, args.seed, args.iters);
-        println!(
-            "{:>9} {:>14.3} {:>12.3} {:>8.2} {:>21.2}",
-            r.kib, r.unbudgeted_ms, r.budgeted_ms, r.overhead_pct, r.exhausted_fallback_ms
-        );
-        rows.push(json::Value::Object(vec![
-            ("kib".to_string(), num(r.kib as f64)),
-            ("unbudgeted_ms".to_string(), num(r.unbudgeted_ms)),
-            ("budgeted_ms".to_string(), num(r.budgeted_ms)),
-            ("overhead_pct".to_string(), num(r.overhead_pct)),
-            (
-                "exhausted_fallback_ms".to_string(),
-                num(r.exhausted_fallback_ms),
-            ),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
-}
-
-fn independence_section(args: &Args) -> json::Value {
-    println!("== Static independence: per-update latency vs constraint count (E12) ==");
-    println!(
-        "{:>12} {:>8} {:>10} {:>11} {:>8} {:>7} {:>9} {:>9}",
-        "constraints", "updates", "on ms/upd", "off ms/upd", "speedup", "skip%", "skipped", "retained"
-    );
-    obs::reset();
-    // Constraint counts double per step so the curves separate cleanly;
-    // the update stream grows with --iters.
-    let ks = [4usize, 16, 64, 256];
-    let updates = 20 * args.iters.max(1);
-    let mut rows = Vec::new();
-    for &k in &ks {
-        let r = xic_bench::measure_independence(k, args.seed, updates);
-        println!(
-            "{:>12} {:>8} {:>10.3} {:>11.3} {:>8.2} {:>7.1} {:>9} {:>9}",
-            r.constraints,
-            r.updates,
-            r.on_ms,
-            r.off_ms,
-            r.speedup(),
-            r.skip_rate() * 100.0,
-            r.skipped,
-            r.retained,
-        );
-        rows.push(json::Value::Object(vec![
-            ("constraints".to_string(), num(r.constraints as f64)),
-            ("updates".to_string(), num(r.updates as f64)),
-            ("on_ms".to_string(), num(r.on_ms)),
-            ("off_ms".to_string(), num(r.off_ms)),
-            ("speedup".to_string(), num(r.speedup())),
-            ("skip_rate".to_string(), num(r.skip_rate())),
-            ("checks_skipped_static".to_string(), num(r.skipped as f64)),
-            ("checks_retained_static".to_string(), num(r.retained as f64)),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
-}
-
-fn checkpoint_section(args: &Args) -> json::Value {
-    println!("== Checkpointing: recovery time vs history length (E9) ==");
+fn checkpoint_section(args: &Args) -> Value {
+    const COLUMNS: &[Column] = &[
+        col("history", "history", 9, 0),
+        col("interval", "interval", 10, 0),
+        col("no_ckpt_recover_ms", "no-ckpt rec/ms", 16, 2),
+        col("ckpt_recover_ms", "ckpt rec/ms", 14, 2),
+        col("ckpt_replayed", "replayed", 10, 0),
+        col("generation", "gen", 4, 0),
+    ];
     const INTERVAL: u64 = 50;
     // Off the interval boundary so the checkpointed runs replay a real
     // (but bounded) suffix.
-    let histories = [60usize, 120, 240, 480];
-    println!(
-        "{:>9} {:>10} {:>16} {:>14} {:>10} {:>4}",
-        "history", "interval", "no-ckpt rec/ms", "ckpt rec/ms", "replayed", "gen"
-    );
-    obs::reset();
-    let mut recovery_rows = Vec::new();
-    for &history in &histories {
-        let r = xic_bench::measure_checkpoint(history, INTERVAL, 16, args.seed, args.iters);
-        println!(
-            "{:>9} {:>10} {:>16.2} {:>14.2} {:>10} {:>4}",
-            r.history, r.interval, r.no_ckpt_recover_ms, r.ckpt_recover_ms, r.ckpt_replayed,
-            r.generation
-        );
-        recovery_rows.push(json::Value::Object(vec![
-            ("history".to_string(), num(r.history as f64)),
-            ("interval".to_string(), num(r.interval as f64)),
-            ("no_ckpt_recover_ms".to_string(), num(r.no_ckpt_recover_ms)),
-            ("ckpt_recover_ms".to_string(), num(r.ckpt_recover_ms)),
-            ("ckpt_replayed".to_string(), num(r.ckpt_replayed as f64)),
-            ("generation".to_string(), num(r.generation as f64)),
-        ]));
-    }
-    println!("\n-- atomic snapshot write cost vs document size --");
-    println!("{:>9} {:>9} {:>9}", "size/KiB", "bytes", "write/ms");
-    let mut write_rows = Vec::new();
-    for &kib in &args.sizes {
-        let r = xic_bench::measure_checkpoint_write(
-            Experiment::ConflictOfInterests,
-            kib,
-            args.seed,
-            args.iters,
-        );
-        println!("{:>9} {:>9} {:>9.3}", r.kib, r.bytes, r.write_ms);
-        write_rows.push(json::Value::Object(vec![
-            ("kib".to_string(), num(r.kib as f64)),
-            ("bytes".to_string(), num(r.bytes as f64)),
-            ("write_ms".to_string(), num(r.write_ms)),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("iters".to_string(), num(args.iters as f64)),
-        ("recovery_rows".to_string(), json::Value::Array(recovery_rows)),
-        ("write_rows".to_string(), json::Value::Array(write_rows)),
-        ("obs".to_string(), obs::snapshot().to_json_value()),
-    ])
+    let rows = [60usize, 120, 240, 480].into_iter().map(|history| {
+        let r = measure_checkpoint(history, INTERVAL, 16, args.seed, args.iters);
+        let cells = [
+            r.history as f64, r.interval as f64, r.no_ckpt_recover_ms, r.ckpt_recover_ms,
+            r.ckpt_replayed as f64, r.generation as f64,
+        ];
+        cells.map(Value::Number).to_vec()
+    });
+    let title = "Checkpointing: recovery time vs history length (E9)";
+    emit(title, COLUMNS, &[("seed", args.seed as f64), ("iters", args.iters as f64)], rows)
 }
 
-fn service_section(args: &Args) -> json::Value {
-    println!("== Concurrent service: sequential vs group-commit executor (E10) ==");
-    const PER_CLIENT: usize = 64;
-    let kib = args.sizes.first().copied().unwrap_or(32);
-    println!(
-        "{:>8} {:>13} {:>8} {:>9} {:>12} {:>8} {:>8}",
-        "clients", "executor", "updates", "wall/ms", "updates/s", "p50/ms", "p99/ms"
-    );
-    let mut rows = Vec::new();
-    for &clients in &[1usize, 4, 16] {
-        let mut throughput = [0.0f64; 2];
-        for (i, executor) in [xicheck::Executor::Sync, xicheck::Executor::group_commit()]
-            .into_iter()
-            .enumerate()
-        {
-            let r = measure_service(kib, args.seed, clients, PER_CLIENT, executor);
-            throughput[i] = r.throughput_per_s;
-            println!(
-                "{:>8} {:>13} {:>8} {:>9.1} {:>12.0} {:>8.3} {:>8.3}",
-                r.clients, r.executor, r.updates, r.wall_ms, r.throughput_per_s, r.p50_ms, r.p99_ms
-            );
-            rows.push(json::Value::Object(vec![
-                ("clients".to_string(), num(r.clients as f64)),
-                (
-                    "executor".to_string(),
-                    json::Value::String(r.executor.to_string()),
-                ),
-                ("updates".to_string(), num(r.updates as f64)),
-                ("wall_ms".to_string(), num(r.wall_ms)),
-                ("throughput_per_s".to_string(), num(r.throughput_per_s)),
-                ("p50_ms".to_string(), num(r.p50_ms)),
-                ("p99_ms".to_string(), num(r.p99_ms)),
-            ]));
-        }
-        println!(
-            "{:>8} group-commit speedup: {:.2}x",
-            clients,
-            throughput[1] / throughput[0]
-        );
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("kib".to_string(), num(kib as f64)),
-        ("per_client".to_string(), num(PER_CLIENT as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-    ])
-}
-
-fn overload_section(args: &Args) -> json::Value {
-    println!("== Overload: offered load vs goodput under bounded admission (E13) ==");
+fn overload_section(args: &Args) -> Value {
+    const COLUMNS: &[Column] = &[
+        col("clients", "clients", 8, 0),
+        col("queue_depth", "depth", 7, 0),
+        col("offered", "offered", 9, 0),
+        col("acked", "acked", 7, 0),
+        col("shed", "shed", 6, 0),
+        Column { scale: 100.0, ..col("shed_rate", "shed/%", 8, 1) },
+        col("wall_ms", "", 0, 0),
+        col("offered_per_s", "offered/s", 11, 0),
+        col("goodput_per_s", "goodput/s", 11, 0),
+        col("p99_ms", "p99/ms", 8, 3),
+    ];
     const PER_CLIENT: usize = 32;
     // A deliberately small queue so client counts past it actually shed;
     // the production default (256) would just absorb this sweep.
     const QUEUE_DEPTH: usize = 4;
-    let kib = args.sizes.first().copied().unwrap_or(32);
-    println!(
-        "{:>8} {:>7} {:>9} {:>7} {:>6} {:>8} {:>11} {:>11} {:>8}",
-        "clients", "depth", "offered", "acked", "shed", "shed/%", "offered/s", "goodput/s", "p99/ms"
-    );
-    let mut rows = Vec::new();
-    for &clients in &[1usize, 2, 4, 8, 16, 32] {
-        let r = xic_bench::measure_overload(kib, args.seed, clients, PER_CLIENT, QUEUE_DEPTH);
-        println!(
-            "{:>8} {:>7} {:>9} {:>7} {:>6} {:>8.1} {:>11.0} {:>11.0} {:>8.3}",
-            r.clients,
-            r.queue_depth,
-            r.offered,
-            r.acked,
-            r.shed,
-            r.shed_rate() * 100.0,
-            r.offered_per_s,
-            r.goodput_per_s,
-            r.p99_ms,
-        );
-        rows.push(json::Value::Object(vec![
-            ("clients".to_string(), num(r.clients as f64)),
-            ("queue_depth".to_string(), num(r.queue_depth as f64)),
-            ("offered".to_string(), num(r.offered as f64)),
-            ("acked".to_string(), num(r.acked as f64)),
-            ("shed".to_string(), num(r.shed as f64)),
-            ("shed_rate".to_string(), num(r.shed_rate())),
-            ("wall_ms".to_string(), num(r.wall_ms)),
-            ("offered_per_s".to_string(), num(r.offered_per_s)),
-            ("goodput_per_s".to_string(), num(r.goodput_per_s)),
-            ("p99_ms".to_string(), num(r.p99_ms)),
-        ]));
-    }
-    println!();
-    json::Value::Object(vec![
-        ("seed".to_string(), num(args.seed as f64)),
-        ("kib".to_string(), num(kib as f64)),
-        ("per_client".to_string(), num(PER_CLIENT as f64)),
-        ("queue_depth".to_string(), num(QUEUE_DEPTH as f64)),
-        ("rows".to_string(), json::Value::Array(rows)),
-    ])
-}
-
-/// Rewrites `path`, replacing the sections in `fresh` and keeping every
-/// other section from a previous run, so `experiments fig1a` followed by
-/// `experiments fig1b` accumulates both figures in one report.
-fn write_report(path: &str, fresh: Vec<(String, json::Value)>) -> bool {
-    let mut sections: Vec<(String, json::Value)> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok())
-        .and_then(|v| v.get("sections").and_then(|s| s.as_object().map(<[_]>::to_vec)))
-        .unwrap_or_default();
-    for (name, value) in fresh {
-        match sections.iter_mut().find(|(n, _)| *n == name) {
-            Some(slot) => slot.1 = value,
-            None => sections.push((name, value)),
-        }
-    }
-    let report = json::Value::Object(vec![
-        ("schema_version".to_string(), num(1.0)),
-        (
-            "generator".to_string(),
-            json::Value::String("xic-bench experiments".to_string()),
-        ),
-        ("sections".to_string(), json::Value::Object(sections)),
-    ]);
-    match std::fs::write(path, report.render_pretty(2) + "\n") {
-        Ok(()) => {
-            println!("report written to {path}");
-            true
-        }
-        Err(e) => {
-            eprintln!("could not write {path}: {e}");
-            false
-        }
-    }
+    let kib = args.sizes[0];
+    let rows = [1usize, 2, 4, 8, 16, 32].into_iter().map(|clients| {
+        let r = measure_overload(kib, args.seed, clients, PER_CLIENT, QUEUE_DEPTH);
+        let counts = [r.clients, r.queue_depth, r.offered, r.acked, r.shed].map(|n| n as f64);
+        let rates = [r.shed_rate(), r.wall_ms, r.offered_per_s, r.goodput_per_s, r.p99_ms];
+        counts.into_iter().chain(rates).map(Value::Number).collect()
+    });
+    let title = "Overload: offered load vs goodput under bounded admission (E13)";
+    let params = [
+        ("seed", args.seed as f64),
+        ("kib", kib as f64),
+        ("per_client", PER_CLIENT as f64),
+        ("queue_depth", QUEUE_DEPTH as f64),
+    ];
+    emit(title, COLUMNS, &params, rows)
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        std::process::exit(1);
+    });
     println!(
         "xicheck experiments — sizes {:?} KiB, {} iterations, seed {}",
         args.sizes, args.iters, args.seed
@@ -558,51 +204,44 @@ fn main() {
         "(document sizes are scaled down from the paper's 32–256 MB so the whole\n\
          sweep runs in minutes; the curves' shape is the reproduction target)\n"
     );
-    let mut sections = Vec::new();
-    let mut failed = false;
-    for w in &args.what.clone() {
-        let section = match w.as_str() {
-            "fig1a" => figure(
-                Experiment::ConflictOfInterests,
-                "Figure 1(a): Conflict of interests",
-                &args,
-            ),
-            "fig1b" => figure(
-                Experiment::ConferenceWorkload,
-                "Figure 1(b): Conference workload",
-                &args,
-            ),
-            "illegal" => illegal(&args),
-            "simp" => simp_latency(&args),
-            "ordercache" => order_cache_section(&args),
-            "journal" => journal_section(&args),
-            "budget" => budget_section(&args),
-            "checkpoint" => checkpoint_section(&args),
-            "service" => service_section(&args),
-            "independence" => independence_section(&args),
-            "overload" => overload_section(&args),
-            other => {
-                eprintln!(
-                    "unknown experiment {other} (expected all, fig1a, fig1b, illegal, simp, \
-                     ordercache, journal, budget, checkpoint, service, independence, overload)"
-                );
-                failed = true;
-                continue;
-            }
-        };
-        // Report-facing section names for the PR3 additions.
-        let key = match w.as_str() {
-            "ordercache" => "order-key-cache",
-            "journal" => "journal-overhead",
-            "budget" => "budget-overhead",
-            other => other,
-        };
-        sections.push((key.to_string(), section));
-    }
-    if !write_report(&args.out, sections) {
-        failed = true;
-    }
-    if failed {
+    let section = |name: &str| match name {
+        "fig1a" => figure(Experiment::ConflictOfInterests, "Figure 1(a): Conflict of interests", &args),
+        "fig1b" => figure(Experiment::ConferenceWorkload, "Figure 1(b): Conference workload", &args),
+        "illegal" => illegal(&args),
+        "simp" => simp_latency(&args),
+        "checkpoint" => checkpoint_section(&args),
+        "overload" => overload_section(&args),
+        other => unreachable!("parse_args admits only SECTIONS, got {other}"),
+    };
+    let sections = args.what.iter().map(|w| (w.clone(), section(w))).collect();
+    if let Err(e) = write_report(&args.out, run_meta(args.seed, args.iters, &args.sizes), sections) {
+        eprintln!("experiments: could not write {}: {e}", args.out);
         std::process::exit(1);
+    }
+    println!("report written to {}", args.out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| (*s).to_string()))
+    }
+
+    #[test]
+    fn bad_arguments_are_one_line_errors_and_good_ones_parse() {
+        for bad in ["--sizes=abc", "--sizes=", "--iters=x", "--iters=0", "--seed=x", "journal"] {
+            let err = parse(&["fig1a", bad]).expect_err(bad);
+            assert!(!err.contains('\n'), "one line for {bad}: {err}");
+        }
+        for all in [&[][..], &["simp", "all"]] {
+            let args = parse(all).unwrap();
+            assert_eq!(args.what, SECTIONS);
+            assert_eq!((args.iters, args.seed, args.out.as_str()), (3, 1, "BENCH_PAPER.json"));
+        }
+        let args = parse(&["fig1b", "--sizes=8, 16", "--iters=2", "--seed=7", "--out=x.json"]).unwrap();
+        assert_eq!(args.what, ["fig1b"]);
+        assert_eq!((args.sizes, args.iters, args.seed), (vec![8, 16], 2, 7));
     }
 }

@@ -14,8 +14,9 @@
 //!           [--socket PATH]
 //! ```
 //!
-//! `--executor sync` is the ablation baseline (one fsync per commit);
-//! the default is the group-commit writer. `--queue-depth` bounds the
+//! `--executor sync` is the deterministic in-thread executor (one fsync
+//! per commit) that tests, difftest and the benchmark's twins drive; the
+//! default is the group-commit writer. `--queue-depth` bounds the
 //! admission queue (excess submissions get `ERR overloaded`),
 //! `--deadline-ms` sets a default per-request evaluation deadline
 //! (clients can override it per line, e.g. `UPDATE 250 <stmt>`), and

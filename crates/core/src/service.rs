@@ -4,8 +4,8 @@
 //! The [`Checker`] façade is single-threaded by construction — every
 //! mutating entry point takes `&mut self` and, with a journal attached,
 //! pays one fsync per committed statement (0.2–0.5 ms on the benchmark
-//! machine, `BENCH_PR4.json`), a hard ~2–5k updates/s ceiling. This
-//! module turns it into a service:
+//! machine, `journal.sync_us` in the wire-level suite), a hard ~2–5k
+//! updates/s ceiling. This module turns it into a service:
 //!
 //! * **Readers never block writers.** Read-only entry points
 //!   ([`ReadSnapshot::check_full`], [`ReadSnapshot::decide`]) run
@@ -34,7 +34,7 @@
 //!   [`ServiceError::Overloaded`] (wire reply `ERR overloaded`) and the
 //!   client retries with jittered backoff. Goodput plateaus at
 //!   saturation instead of collapsing under unbounded queueing
-//!   (`BENCH_PR9.json`, EXPERIMENTS.md E13).
+//!   (EXPERIMENTS.md E13, `experiments -- overload`).
 //! * **Requests carry deadlines.** A `deadline_ms` budget (from the
 //!   protocol's optional `UPDATE 250 <stmt>` prefix, or
 //!   [`ServiceConfig::default_deadline_ms`]) bounds queue wait *and*
@@ -50,11 +50,12 @@
 //!   serving the last *durably published* snapshot, UPDATE gets
 //!   [`ServiceError::Degraded`] — until an explicit
 //!   [`CheckerService::recover`] re-arms it after the journal heals.
-//! * **The sequential path survives as the ablation baseline.** The
-//!   [`Executor`] enum selects between `Sync` (caller-thread execution,
-//!   fsync per commit — the pre-service behavior) and `GroupCommit`;
-//!   benchmarks compare the two under identical client load
-//!   (`BENCH_PR6.json`, EXPERIMENTS.md E10).
+//! * **The sequential path survives as the deterministic executor.**
+//!   The [`Executor`] enum selects between `Sync` (in-thread execution
+//!   on the caller, fsync per commit — the pre-service behavior) and
+//!   `GroupCommit`; tests, difftest and the wire-level benchmark's
+//!   in-process twins drive `Sync`, where no writer thread or batch
+//!   stands between a submit and its effect.
 //!
 //! The batching rules, the snapshot-handoff protocol (when readers
 //! observe a new version) and the failure-mode state machine
@@ -104,10 +105,10 @@ pub const DEADLINE_STEPS_PER_MS: u64 = 50_000;
 /// How the service executes submitted updates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// Sequential ablation baseline: submitters take a mutex on the
-    /// checker and commit one at a time, fsync'ing per commit exactly
-    /// like a bare [`Checker`]. Kept so benchmarks can isolate what
-    /// group commit buys (EXPERIMENTS.md E10).
+    /// Deterministic in-thread executor: submitters take a mutex on the
+    /// checker and commit one at a time on their own thread, fsync'ing
+    /// per commit exactly like a bare [`Checker`]. It is what tests,
+    /// difftest and the wire-level benchmark's in-process twins drive.
     Sync,
     /// Group commit: a dedicated writer thread owns the checker, drains
     /// up to `max_batch` queued statements per round, and shares one

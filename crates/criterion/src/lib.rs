@@ -3,8 +3,8 @@
 //! The build environment for this repository has no access to crates.io,
 //! so this vendored crate provides the subset of the `criterion 0.5` API
 //! the workspace's `harness = false` benches use — [`Criterion`],
-//! [`BenchmarkGroup`], [`Bencher`], [`BenchmarkId`], [`Throughput`] and
-//! the [`criterion_group!`] / [`criterion_main!`] macros — with **zero**
+//! [`BenchmarkGroup`], [`Bencher`], [`BenchmarkId`] and the
+//! [`criterion_group!`] / [`criterion_main!`] macros — with **zero**
 //! external dependencies.
 //!
 //! Instead of criterion's full statistical pipeline (warm-up, outlier
@@ -30,15 +30,6 @@ pub fn black_box<T>(x: T) -> T {
         std::mem::forget(x);
         ret
     }
-}
-
-/// Units a group's measurements are scaled by (stand-in subset).
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
-    /// Elements processed per iteration.
-    Elements(u64),
 }
 
 /// Identifies one parameterized benchmark within a group.
@@ -115,13 +106,6 @@ impl BenchmarkGroup<'_> {
     /// budget).
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n as u32;
-        self
-    }
-
-    /// Records the group's throughput unit (printed, not used for
-    /// scaling in this stand-in).
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        println!("# group {}: throughput {t:?}", self.name);
         self
     }
 
@@ -226,7 +210,7 @@ mod tests {
     fn group_api_composes() {
         let mut c = Criterion::default();
         let mut g = c.benchmark_group("t");
-        g.sample_size(3).throughput(Throughput::Bytes(10));
+        g.sample_size(3);
         g.bench_function("plain", |b| b.iter(|| black_box(1 + 1)));
         g.bench_with_input(BenchmarkId::new("param", 32), &32, |b, &n| {
             b.iter(|| black_box(n * 2))

@@ -1,5 +1,5 @@
 //! A minimal JSON reader/writer used for [`Snapshot`](crate::Snapshot)
-//! round-trips and the benchmark report (`BENCH_PR3.json`).
+//! round-trips and the benchmark report (`BENCH_PAPER.json`).
 //!
 //! Objects preserve insertion order (they are `Vec<(String, Value)>`),
 //! which keeps emitted reports stable and diff-friendly. Numbers are

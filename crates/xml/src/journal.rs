@@ -273,8 +273,9 @@ impl Journal {
     }
 
     /// Enable or disable fsync-per-append (the durability/throughput knob
-    /// measured in `BENCH_PR4.json`). The checker's commit log is the one
-    /// caller: it defers the mode for the length of a group-commit batch.
+    /// the suite's `journal.sync_us` prices). The checker's commit log is
+    /// the one caller: it defers the mode for the length of a
+    /// group-commit batch.
     pub fn set_sync(&mut self, sync: bool) {
         self.sync = sync;
     }
