@@ -222,18 +222,18 @@ pub fn measure_illegal(exp: Experiment, kib: usize, seed: u64, iters: usize) -> 
     }
 }
 
-/// A scratch journal file or store directory private to this process.
+/// A scratch store directory private to this process.
 fn scratch_path(tag: &str, n: usize, seed: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("xic-bench-{}-{tag}-{n}-{seed}", std::process::id()))
 }
 
 /// Recovery time versus committed-history length, with and without
-/// checkpointing. Without checkpoints, [`Checker::recover`] replays the
-/// whole history — cost linear in `history`. With an automatic rotation
-/// policy, [`Checker::recover_store`] replays only the suffix since the
-/// newest snapshot — cost bounded by the rotation interval, flat in
-/// `history` (the durability analogue of the paper's Simp making check
-/// cost flat in document size).
+/// checkpointing. A store that never rotates is one journal:
+/// [`Checker::recover_store`] replays the whole history — cost linear in
+/// `history`. With an automatic rotation policy it replays only the
+/// suffix since the newest snapshot — cost bounded by the rotation
+/// interval, flat in `history` (the durability analogue of the paper's
+/// Simp making check cost flat in document size).
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointRow {
     /// Committed statements before the simulated crash.
@@ -278,43 +278,41 @@ pub fn measure_checkpoint(history: usize, interval: u64, kib: usize, seed: u64, 
         }
     };
 
-    // Without checkpoints: one journal holding the entire history.
-    let path = scratch_path("ckpt-none.wal", history, seed);
-    {
-        let mut checker = Checker::new(&w.xml, dtd_text(), constraints).expect("corpus loads");
-        checker.register_pattern(&legal).expect("pattern registration");
-        checker.attach_journal(&path, false).expect("journal attaches");
-        commit_history(&mut checker);
-    } // crash
-    let no_ckpt = time_mean(iters, || {
-        let (_c, rep) = Checker::recover(&w.xml, dtd_text(), constraints, &path)
-            .expect("recovery");
-        assert_eq!(rep.replayed, history);
-    });
-    let _ = std::fs::remove_file(&path);
-
-    // With checkpoints: same history, automatic rotation every `interval`.
-    let dir = scratch_path("ckpt-store", history, seed);
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let mut checker = Checker::new(&w.xml, dtd_text(), constraints).expect("corpus loads");
-        checker.register_pattern(&legal).expect("pattern registration");
-        checker.attach_store(&dir, false).expect("store attaches");
-        checker.set_checkpoint_policy(xicheck::CheckpointPolicy::every_commits(interval));
-        commit_history(&mut checker);
-    } // crash
     let gamma = xicheck::SharedGamma::compile(dtd_text(), constraints).expect("Γ compiles");
-    let (_c, rep) =
-        Checker::recover_store(&dir, &w.xml, &gamma, true).expect("store recovery");
-    assert!(!rep.degraded);
-    assert_eq!(rep.base_commit_seq as usize + rep.replayed, history);
+    // The same history into a fresh store under `policy`, then a crash;
+    // returns the mean recovery time and what recovery reported.
+    let crash_and_recover = |tag: &str, policy: xicheck::CheckpointPolicy| {
+        let dir = scratch_path(tag, history, seed);
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let mut checker = Checker::new(&w.xml, dtd_text(), constraints).expect("corpus loads");
+            checker.register_pattern(&legal).expect("pattern registration");
+            checker.attach_store(&dir, false).expect("store attaches");
+            checker.set_checkpoint_policy(policy);
+            commit_history(&mut checker);
+        } // crash
+        let recover = || {
+            let (_c, rep) =
+                Checker::recover_store(&dir, &w.xml, &gamma, true).expect("store recovery");
+            assert!(!rep.degraded);
+            assert_eq!(rep.base_commit_seq as usize + rep.replayed, history);
+            rep
+        };
+        let report = recover();
+        let mean = time_mean(iters, || {
+            recover();
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        (mean, report)
+    };
+
+    // Without checkpoints: rotation off, one segment holding the entire
+    // history. With: the same history, automatic rotation every `interval`.
+    let (no_ckpt, rep) = crash_and_recover("ckpt-none", xicheck::CheckpointPolicy::default());
+    assert_eq!(rep.replayed, history);
+    let (ckpt, rep) =
+        crash_and_recover("ckpt-store", xicheck::CheckpointPolicy::every_commits(interval));
     let (ckpt_replayed, generation) = (rep.replayed, rep.generation);
-    let ckpt = time_mean(iters, || {
-        let (_c, rep) =
-            Checker::recover_store(&dir, &w.xml, &gamma, true).expect("store recovery");
-        assert!(!rep.degraded);
-    });
-    let _ = std::fs::remove_dir_all(&dir);
 
     CheckpointRow {
         history,
@@ -386,9 +384,9 @@ pub fn measure_overload(
     let pattern =
         XUpdateDoc::parse(&xic_workload::legal_insert(0, 0, 900_002)).expect("legal stmt");
     checker.register_pattern(&pattern).expect("pattern registration");
-    let path = scratch_path(&format!("ovl-{clients}.wal"), kib, seed);
-    let _ = std::fs::remove_file(&path);
-    checker.attach_journal(&path, true).expect("journal attaches");
+    let path = scratch_path(&format!("ovl-{clients}"), kib, seed);
+    let _ = std::fs::remove_dir_all(&path);
+    checker.attach_store(&path, true).expect("store attaches");
     let service = CheckerService::with_config(
         checker,
         ServiceConfig {
@@ -452,7 +450,7 @@ pub fn measure_overload(
     let live = service.shutdown().expect("first shutdown succeeds");
     let acked = clients * per_client;
     assert_eq!(live.committed(), acked as u64);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
     let p99 = latencies_ms[(latencies_ms.len() * 99 / 100).min(latencies_ms.len() - 1)];

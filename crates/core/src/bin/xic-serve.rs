@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! xic-serve --xml doc.xml --dtd schema.dtd --constraints gamma.xpl \
-//!           [--journal FILE | --store DIR] [--no-sync] \
+//!           [--store DIR] [--no-sync] \
 //!           [--shards K] [--executor sync|group-commit] [--max-batch N] \
 //!           [--queue-depth N] [--deadline-ms N] [--fsync-attempts N] \
 //!           [--socket PATH]
@@ -24,11 +24,11 @@
 //! the service degrades to read-only. See README.md, *Running as a
 //! service* and *Operating under failure*, for worked examples.
 //!
-//! Restarting over an existing `--journal FILE` or `--store DIR` resumes
-//! it: the committed statements are replayed (the count goes to stderr)
-//! and `VERSION` continues where the previous run stopped. `--no-sync`
-//! is restated on every start; a recovered *bare journal* is the one
-//! exception — it always resumes with fsync per record.
+//! Without `--store` the document lives in memory only. Restarting over
+//! an existing `--store DIR` resumes it: the committed statements are
+//! replayed (the count goes to stderr) and `VERSION` continues where the
+//! previous run stopped. `--no-sync` is restated on every start. A `DIR`
+//! holding anything but the store's own files is refused.
 //!
 //! `--shards K` hosts K independent documents (each seeded from
 //! `--xml`) under one process and one compiled constraint set
@@ -51,7 +51,6 @@ struct Args {
     xml: PathBuf,
     dtd: PathBuf,
     constraints: PathBuf,
-    journal: Option<PathBuf>,
     store: Option<PathBuf>,
     sync: bool,
     shards: Option<usize>,
@@ -66,7 +65,6 @@ fn parse_args() -> Result<Args, String> {
     let mut xml = None;
     let mut dtd = None;
     let mut constraints = None;
-    let mut journal = None;
     let mut store = None;
     let mut sync = true;
     let mut shards = None;
@@ -93,7 +91,6 @@ fn parse_args() -> Result<Args, String> {
             "--xml" => xml = Some(PathBuf::from(value(&mut args)?)),
             "--dtd" => dtd = Some(PathBuf::from(value(&mut args)?)),
             "--constraints" => constraints = Some(PathBuf::from(value(&mut args)?)),
-            "--journal" => journal = Some(PathBuf::from(value(&mut args)?)),
             "--store" => store = Some(PathBuf::from(value(&mut args)?)),
             "--no-sync" => sync = false,
             "--shards" => {
@@ -135,9 +132,6 @@ fn parse_args() -> Result<Args, String> {
         "group-commit" | "group" => Executor::GroupCommit { max_batch },
         other => return Err(format!("--executor must be sync or group-commit, got {other:?}")),
     };
-    if journal.is_some() && store.is_some() {
-        return Err("--journal and --store are mutually exclusive".to_string());
-    }
     if let Some(k) = shards {
         if k == 0 {
             return Err("--shards must be at least 1".to_string());
@@ -150,7 +144,6 @@ fn parse_args() -> Result<Args, String> {
         xml: xml.ok_or("--xml FILE is required")?,
         dtd: dtd.ok_or("--dtd FILE is required")?,
         constraints: constraints.ok_or("--constraints FILE is required")?,
-        journal,
         store,
         sync,
         shards,
@@ -252,9 +245,9 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     // Like the sharded branch, a restart over an existing store directory
-    // or journal file resumes it instead of starting over.
-    let checker = match (&args.store, &args.journal) {
-        (Some(dir), _) => {
+    // resumes it instead of starting over.
+    let checker = match &args.store {
+        Some(dir) => {
             let gamma = SharedGamma::compile(&dtd, &constraints).map_err(|e| e.to_string())?;
             let (checker, report) =
                 Checker::open_store(dir, &xml, &gamma, args.sync).map_err(|e| e.to_string())?;
@@ -264,25 +257,7 @@ fn run(args: &Args) -> Result<(), String> {
             }
             checker
         }
-        (None, Some(path)) if path.exists() => {
-            let (checker, report) =
-                Checker::recover(&xml, &dtd, &constraints, path).map_err(|e| e.to_string())?;
-            eprintln!("xic-serve: journal {}, {} commits replayed", path.display(), report.replayed);
-            if !args.sync {
-                eprintln!(
-                    "xic-serve: note: a recovered bare journal always fsyncs per record; \
-                     --no-sync applies to journals this run creates (or use --store)"
-                );
-            }
-            checker
-        }
-        (None, journal) => {
-            let mut checker = Checker::new(&xml, &dtd, &constraints).map_err(|e| e.to_string())?;
-            if let Some(path) = journal {
-                checker.attach_journal(path, args.sync).map_err(|e| e.to_string())?;
-            }
-            checker
-        }
+        None => Checker::new(&xml, &dtd, &constraints).map_err(|e| e.to_string())?,
     };
     let service = CheckerService::with_config(checker, config);
     serve_sessions(&args.socket, |input, output| serve_connection(&service, input, output))

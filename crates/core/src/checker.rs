@@ -96,7 +96,7 @@ pub enum CheckerError {
     Panicked(String),
     /// A mutating operation was refused because an earlier contained
     /// panic left the in-memory state suspect. Rebuild via
-    /// [`Checker::recover`] (or a fresh constructor).
+    /// [`Checker::recover_store`] (or a fresh constructor).
     Poisoned,
     /// Write-ahead journal failure: create/append/fsync, or a recovery
     /// that cannot proceed (base-snapshot mismatch, out-of-sequence or
@@ -162,7 +162,7 @@ pub struct Stats {
 }
 
 /// The integrity-checking façade: document + DTD + compiled constraint
-/// set, with optional journal/store durability.
+/// set, with optional store durability.
 ///
 /// # Ownership under concurrency
 ///
@@ -459,7 +459,7 @@ impl Checker {
         (verdict, hit)
     }
 
-    /// Statements committed (and journaled, when a journal is attached)
+    /// Statements committed (and journaled, when a store is attached)
     /// since construction or recovery.
     pub fn committed(&self) -> u64 {
         self.log.committed()
@@ -479,7 +479,7 @@ impl Checker {
     /// True once a contained panic has poisoned this checker: the
     /// in-memory tree may be half-updated, so mutating operations return
     /// [`CheckerError::Poisoned`]. Rebuild the state with
-    /// [`Checker::recover`].
+    /// [`Checker::recover_store`].
     pub fn poisoned(&self) -> bool {
         self.poisoned
     }
@@ -562,7 +562,7 @@ impl Checker {
     }
 
     /// Applies `stmt` without any integrity check (workload setup). With a
-    /// journal attached the statement is journaled like a committed
+    /// store attached the statement is journaled like a committed
     /// update, so recovery replays it.
     pub fn apply_unchecked(&mut self, stmt: &XUpdateDoc) -> Result<(), CheckerError> {
         self.refuse_if_poisoned()?;
@@ -628,8 +628,8 @@ impl Checker {
     /// Any panic escaping evaluation or apply is contained here
     /// (`catch_unwind`): it is returned as [`CheckerError::Panicked`] and
     /// the checker is poisoned — mutating operations are refused until the
-    /// state is rebuilt with [`Checker::recover`]. With a journal attached
-    /// the commit record is durable before the verdict is returned.
+    /// state is rebuilt with [`Checker::recover_store`]. With a store
+    /// attached the commit record is durable before the verdict is returned.
     pub fn try_update(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
         self.refuse_if_poisoned()?;
         self.refuse_if_degraded()?;

@@ -70,9 +70,11 @@
 //! baseline evaluator — apply, check all of Γ, undo) and [`optimized`]
 //! (the one pre-update evaluator and the pattern store), both shared by
 //! the writer and every snapshot reader. [`durability`] owns the commit
-//! log and crash recovery. Settings are fixed where they are given: a
-//! journal's sync mode is an argument of the call that attaches or
-//! recovers it and is never changed afterwards, the checkpoint
+//! log and the replay half of crash recovery; the on-disk side — one
+//! durable log, [`Store`], generation 0 of which is a plain write-ahead
+//! journal — lives in `xic_xml::checkpoint`. Settings are fixed where
+//! they are given: a store's sync mode is an argument of the call that
+//! attaches or recovers it and is never changed afterwards, the checkpoint
 //! retention window is a constant, and only the rotation policy
 //! ([`Checker::set_checkpoint_policy`]) may be set later. There is no
 //! process-wide default of any kind.

@@ -33,7 +33,7 @@ use xic_mapping::{map_update, pattern_key, UpdateMapError};
 use xic_translate::{ParamKind, QueryTemplate, TemplateError};
 use xic_xml::{Document, NodeId, XUpdateDoc};
 use xic_xpath::{EvalBudget, NodeRef, XValue};
-use xic_xquery::{eval_query_exists, parse_query, XProgram};
+use xic_xquery::{parse_query, XProgram};
 
 /// One precompiled pattern template: `%{name}` placeholders become
 /// leading program parameters (`$xic_p_name`) instead of text
@@ -46,19 +46,27 @@ struct IrTemplate {
 }
 
 /// A compiled update pattern bundled with its IR precompilation: one
-/// program per template in `compiled.queries`, `None` where
-/// precompilation failed and the template is instantiated, parsed and
-/// compiled per check instead.
+/// program per template in `compiled.queries`.
 /// Entries are immutable once built, so they are shared (`Arc`) between
 /// the [`PatternCache`] and everyone evaluating through it.
 pub(crate) struct PatternEntry {
     pub(crate) compiled: CompiledPattern,
-    ir: Vec<Option<IrTemplate>>,
+    ir: Vec<IrTemplate>,
 }
 
 impl PatternEntry {
-    pub(crate) fn build(compiled: CompiledPattern) -> Arc<PatternEntry> {
-        let ir = compiled.queries.iter().map(compile_template_ir).collect();
+    /// Precompiles `compiled`'s templates. A template that cannot be
+    /// precompiled makes the whole pattern non-incremental (the reason is
+    /// recorded in `unsupported`), so its statements take the baseline.
+    pub(crate) fn build(mut compiled: CompiledPattern) -> Arc<PatternEntry> {
+        let ir = match compiled.queries.iter().map(compile_template_ir).collect() {
+            Ok(ir) => ir,
+            Err(reason) => {
+                compiled.queries.clear();
+                compiled.unsupported = Some(reason);
+                Vec::new()
+            }
+        };
         Arc::new(PatternEntry { compiled, ir })
     }
 }
@@ -150,25 +158,25 @@ impl PatternCache {
     }
 }
 
-/// Precompiles a query template. Returns `None` when the template
-/// cannot be precompiled (placeholder name that is not a legal variable
-/// suffix, or text that no longer parses after substitution); each check
-/// then instantiates, parses and compiles that template's text.
-fn compile_template_ir(t: &QueryTemplate) -> Option<IrTemplate> {
+/// Precompiles a query template, or says why it cannot be (placeholder
+/// name that is not a legal variable suffix, or text that no longer
+/// parses after substitution).
+fn compile_template_ir(t: &QueryTemplate) -> Result<IrTemplate, String> {
     let mut text = t.text.clone();
     let mut params = Vec::with_capacity(t.params.len());
     let mut names = Vec::with_capacity(t.params.len());
     for (name, kind) in &t.params {
         if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-            return None;
+            return Err(format!("check template placeholder {name:?} is not a variable name"));
         }
         let var = format!("xic_p_{name}");
         text = text.replace(&format!("%{{{name}}}"), &format!("${var}"));
         params.push((name.clone(), *kind));
         names.push(var);
     }
-    let parsed = parse_query(&text).ok()?;
-    Some(IrTemplate {
+    let parsed =
+        parse_query(&text).map_err(|e| format!("check template does not parse: {text}: {e}"))?;
+    Ok(IrTemplate {
         program: XProgram::compile_with_params(&parsed, &names),
         params,
     })
@@ -177,7 +185,7 @@ fn compile_template_ir(t: &QueryTemplate) -> Option<IrTemplate> {
 /// Renders an update's bindings as IR parameter values, mirroring
 /// [`QueryTemplate::instantiate`]'s validation exactly: unbound
 /// placeholders, detached/non-integer node parameters and unquotable
-/// strings fail with the same [`TemplateError`]s the text path reports.
+/// strings fail with the same [`TemplateError`]s rendering the text reports.
 fn bind_ir_params(
     t: &IrTemplate,
     doc: &Document,
@@ -351,14 +359,8 @@ impl OptimizedCheck<'_> {
             );
         }
         let _budget = self.budget.map(xic_xpath::budget::arm);
-        for (i, (q, d)) in compiled
-            .queries
-            .iter()
-            .zip(&compiled.simplified)
-            .enumerate()
-        {
-            let ir = entry.ir.get(i).and_then(|t| t.as_ref());
-            match self.eval_template(ir, q, &mapped.bindings)? {
+        for ((t, q), d) in entry.ir.iter().zip(&compiled.queries).zip(&compiled.simplified) {
+            match self.eval_template(t, q, &mapped.bindings)? {
                 TemplateVerdict::Pass => {}
                 TemplateVerdict::Violated(text) => {
                     return Ok(Verdict::Violated(Violation {
@@ -375,41 +377,27 @@ impl OptimizedCheck<'_> {
         Ok(Verdict::Legal)
     }
 
-    /// One template evaluation. A precompiled template binds the update's
-    /// parameters directly (mirroring [`QueryTemplate::instantiate`]'s
-    /// validation) and only renders the instantiated text when a
-    /// violation must be reported; verdicts and reports are the same
-    /// either way.
+    /// One template evaluation: binds the update's parameters directly
+    /// (mirroring [`QueryTemplate::instantiate`]'s validation) and only
+    /// renders the instantiated text when a violation must be reported.
     fn eval_template(
         &self,
-        ir: Option<&IrTemplate>,
+        t: &IrTemplate,
         q: &QueryTemplate,
         bindings: &HashMap<String, Value>,
     ) -> Result<TemplateVerdict, CheckerError> {
-        if let Some(t) = ir {
-            let params = bind_ir_params(t, self.doc, bindings)
-                .map_err(|e| CheckerError::Query(e.to_string()))?;
-            return match t.program.eval_exists(self.doc, &params) {
-                Ok(false) => Ok(TemplateVerdict::Pass),
-                Ok(true) => {
-                    let text = q
-                        .instantiate(self.doc, bindings)
-                        .map_err(|e| CheckerError::Query(e.to_string()))?;
-                    Ok(TemplateVerdict::Violated(text))
-                }
-                Err(e) if e.is_budget_exhausted() => Ok(TemplateVerdict::Exhausted),
-                Err(e) => Err(CheckerError::Query(format!("{}: {e}", q.text))),
-            };
-        }
-        let text = q
-            .instantiate(self.doc, bindings)
+        let params = bind_ir_params(t, self.doc, bindings)
             .map_err(|e| CheckerError::Query(e.to_string()))?;
-        let parsed = parse_query(&text).map_err(|e| CheckerError::Query(format!("{text}: {e}")))?;
-        match eval_query_exists(&parsed, self.doc) {
-            Ok(true) => Ok(TemplateVerdict::Violated(text)),
+        match t.program.eval_exists(self.doc, &params) {
             Ok(false) => Ok(TemplateVerdict::Pass),
+            Ok(true) => {
+                let text = q
+                    .instantiate(self.doc, bindings)
+                    .map_err(|e| CheckerError::Query(e.to_string()))?;
+                Ok(TemplateVerdict::Violated(text))
+            }
             Err(e) if e.is_budget_exhausted() => Ok(TemplateVerdict::Exhausted),
-            Err(e) => Err(CheckerError::Query(format!("{text}: {e}"))),
+            Err(e) => Err(CheckerError::Query(format!("{}: {e}", q.text))),
         }
     }
 }

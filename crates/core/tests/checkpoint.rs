@@ -2,8 +2,8 @@
 //! the newest snapshot, automatic rotation policy, generation-by-generation
 //! fallback when a snapshot is corrupt, missing-segment handling (crash
 //! between snapshot rename and segment create), degraded read-only mode
-//! when nothing validates, and the checkpoint-off path staying identical
-//! to the plain journal.
+//! when nothing validates, the refusal of a directory that is not a store,
+//! and the checkpoint-off path never rotating.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,7 +223,7 @@ fn degraded_mode_serves_reads_but_refuses_mutations() {
     assert!(matches!(r.apply_unchecked(&stmt), Err(CheckerError::Degraded)));
     assert!(matches!(r.checkpoint(), Err(CheckerError::Degraded)));
     assert!(matches!(
-        r.attach_journal(&dir.join("new.wal"), true),
+        r.attach_store(&store_dir("degraded-new"), true),
         Err(CheckerError::Degraded)
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -421,5 +421,37 @@ fn recover_store_resumes_in_the_sync_mode_it_is_given() {
     assert_eq!(fsyncs() - before, 3);
     // Retention is the constant: the live generation plus one fallback.
     assert_eq!(Store::snapshot_generations(&dir), vec![3, 2]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn opening_a_directory_with_foreign_entries_is_refused_not_degraded() {
+    // A directory holding something that is not a store artifact is not
+    // ours to open — with or without valid generations beside it — and
+    // the refusal is the typed one `attach_store` gives, not a degraded
+    // checker over the base document.
+    let dir = store_dir("foreign");
+    let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).unwrap();
+    for with_generation in [false, true] {
+        if with_generation {
+            let (mut c, _) = Checker::open_store(&dir, CORPUS, &gamma, true).unwrap();
+            commit_n(&mut c, 0, 1);
+        }
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("notes.txt"), b"not ours").unwrap();
+        match Checker::open_store(&dir, CORPUS, &gamma, true) {
+            Err(CheckerError::Checkpoint(m)) => assert!(m.contains("\"notes.txt\""), "{m}"),
+            Err(e) => panic!("expected a checkpoint error, got {e}"),
+            Ok((c, report)) => {
+                panic!("opened: degraded = {}, {:?}", c.degraded(), report.fallback_reasons)
+            }
+        }
+        assert!(matches!(recover_store(&dir, true), Err(CheckerError::Checkpoint(_))));
+        std::fs::remove_file(dir.join("notes.txt")).unwrap();
+    }
+    // Without the intruder the same directory opens and replays.
+    let (c, report) = Checker::open_store(&dir, CORPUS, &gamma, true).unwrap();
+    assert!(!c.degraded());
+    assert_eq!(report.replayed, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,13 +1,13 @@
-//! Durability and fault-tolerance integration tests: write-ahead journal
-//! commit/recover, mid-batch abort records, panic containment with
-//! poisoning, evaluation-budget fallback, and the recovery edge cases
-//! (empty journal, torn-tail-only journal, double recovery, snapshot
-//! newer than the journal head).
+//! Durability and fault-tolerance integration tests over a store that
+//! never rotates (a plain write-ahead journal): commit/recover, mid-batch
+//! abort records, panic containment with poisoning, evaluation-budget
+//! fallback, and the recovery edge cases (empty journal, torn-tail-only
+//! journal, double recovery, snapshot newer than the journal head).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xic_faults::FaultMode;
-use xicheck::{Checker, CheckerError, EvalBudget, Strategy};
+use xicheck::{Checker, CheckerError, EvalBudget, RecoveryReport, Store, Strategy};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
     <!ELEMENT dblp (pub)*>\n<!ELEMENT pub (title, aut+)>\n\
@@ -47,7 +47,13 @@ const TEXT_BATCH: &str = r#"<xupdate:modifications xmlns:xupdate="x">
 fn journal_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("xic-recovery-{}-{tag}-{n}.wal", std::process::id()))
+    std::env::temp_dir().join(format!("xic-recovery-{}-{tag}-{n}.store", std::process::id()))
+}
+
+/// Recovers the store at `dir` onto `base_xml` over a freshly compiled Γ.
+fn recover(base_xml: &str, dir: &std::path::Path) -> (Checker, RecoveryReport) {
+    let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).unwrap();
+    Checker::recover_store(dir, base_xml, &gamma, true).unwrap()
 }
 
 fn serialize(c: &Checker) -> String {
@@ -58,7 +64,7 @@ fn serialize(c: &Checker) -> String {
 fn journal_commits_and_recovery_replays_them() {
     let path = journal_path("replay");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, true).unwrap();
+    c.attach_store(&path, true).unwrap();
 
     // One optimized-path commit, one baseline-path commit, one rejection
     // (rejections leave no record), one unchecked apply (journaled too).
@@ -71,33 +77,33 @@ fn journal_commits_and_recovery_replays_them() {
     let committed_state = serialize(&c);
     drop(c); // crash: the in-memory tree is gone
 
-    let (r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r, report) = recover(CORPUS, &path);
     assert_eq!(report.replayed, 3);
     assert_eq!(report.aborts_skipped, 0);
     assert!(!report.torn_tail_truncated);
     assert_eq!(serialize(&r), committed_state, "recovered state must be byte-identical");
     assert_eq!(r.committed(), 3);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn recovered_checker_keeps_journaling() {
     let path = journal_path("resume");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, false).unwrap();
+    c.attach_store(&path, false).unwrap();
     assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().applied());
     drop(c);
 
-    let (mut r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (mut r, report) = recover(CORPUS, &path);
     assert_eq!(report.replayed, 1);
     assert!(r.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap().applied());
     let state = serialize(&r);
     drop(r);
 
-    let (r2, report2) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r2, report2) = recover(CORPUS, &path);
     assert_eq!(report2.replayed, 2, "post-recovery commits land in the same journal");
     assert_eq!(serialize(&r2), state);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
@@ -106,7 +112,7 @@ fn mid_batch_apply_failure_rolls_back_and_journals_abort_at_every_op_index() {
     for op_index in 1..=3u64 {
         let path = journal_path("midbatch");
         let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-        c.attach_journal(&path, true).unwrap();
+        c.attach_store(&path, true).unwrap();
         let before = serialize(&c);
 
         xic_faults::disarm_all();
@@ -124,11 +130,11 @@ fn mid_batch_apply_failure_rolls_back_and_journals_abort_at_every_op_index() {
         // The abort record is on disk; recovery skips it and yields the
         // base document.
         drop(c);
-        let (r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+        let (r, report) = recover(CORPUS, &path);
         assert_eq!(report.replayed, 0, "op {op_index}");
         assert_eq!(report.aborts_skipped, 1, "op {op_index}");
         assert_eq!(serialize(&r), before, "op {op_index}");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&path);
     }
 }
 
@@ -183,7 +189,7 @@ fn budget_exhausted_optimized_check_falls_back_with_same_verdict() {
 fn contained_panic_poisons_checker_until_recovery() {
     let path = journal_path("panic");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, true).unwrap();
+    c.attach_store(&path, true).unwrap();
     assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().applied());
     let committed_state = serialize(&c);
 
@@ -214,34 +220,34 @@ fn contained_panic_poisons_checker_until_recovery() {
     // Recovery rebuilds the committed prefix; the panicked statement never
     // committed, so it is not replayed.
     drop(c);
-    let (mut r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (mut r, report) = recover(CORPUS, &path);
     assert_eq!(report.replayed, 1);
     assert!(!r.poisoned());
     assert_eq!(serialize(&r), committed_state);
     assert!(r.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap().applied());
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn recovery_of_empty_journal_yields_base_document() {
     let path = journal_path("empty");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, true).unwrap();
+    c.attach_store(&path, true).unwrap();
     let base = serialize(&c);
     drop(c); // crash before any update
 
-    let (r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r, report) = recover(CORPUS, &path);
     assert_eq!(report.replayed, 0);
     assert!(!report.torn_tail_truncated);
     assert_eq!(serialize(&r), base);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn recovery_of_torn_tail_only_journal_yields_base_document() {
     let path = journal_path("tornonly");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, true).unwrap();
+    c.attach_store(&path, true).unwrap();
     let base = serialize(&c);
 
     // Crash (panic, contained) halfway through the very first record: the
@@ -253,74 +259,78 @@ fn recovery_of_torn_tail_only_journal_yields_base_document() {
     assert!(matches!(err, CheckerError::Panicked(_)), "{err}");
     drop(c);
 
-    let (r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r, report) = recover(CORPUS, &path);
     assert_eq!(report.replayed, 0);
     assert!(report.torn_tail_truncated, "the half-record must be detected");
     assert_eq!(serialize(&r), base, "an uncommitted update must not survive");
 
     // Double recovery is idempotent: the tail is already truncated.
     drop(r);
-    let (r2, report2) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r2, report2) = recover(CORPUS, &path);
     assert_eq!(report2.replayed, 0);
     assert!(!report2.torn_tail_truncated);
     assert_eq!(serialize(&r2), base);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn double_recovery_is_idempotent() {
     let path = journal_path("double");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, true).unwrap();
+    c.attach_store(&path, true).unwrap();
     assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().applied());
     assert!(c.try_update_str(TEXT_BATCH).unwrap().applied());
     let committed_state = serialize(&c);
     drop(c);
 
-    let (r1, rep1) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r1, rep1) = recover(CORPUS, &path);
     drop(r1);
-    let (r2, rep2) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r2, rep2) = recover(CORPUS, &path);
     assert_eq!(rep1.replayed, 2);
     assert_eq!(rep2.replayed, 2);
     assert_eq!(serialize(&r2), committed_state);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn recovery_rejects_snapshot_newer_than_journal_base() {
     let path = journal_path("newer");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, true).unwrap();
+    c.attach_store(&path, true).unwrap();
     assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().applied());
     let newer_snapshot = serialize(&c); // already contains the journaled update
     drop(c);
 
     // Recovering onto the newer snapshot would double-apply record 1; the
-    // base checksum catches the mismatch.
-    let err = match Checker::recover(&newer_snapshot, DTD, CONFLICT, &path) {
-        Err(e) => e,
-        Ok(_) => panic!("recovery onto a newer snapshot must fail"),
-    };
-    assert!(
-        matches!(&err, CheckerError::Journal(m) if m.contains("does not match")),
-        "{err}"
-    );
+    // base checksum catches the mismatch, and with no generation left the
+    // checker serves the document it was given read-only.
+    let (mut r, report) = recover(&newer_snapshot, &path);
+    assert!(report.degraded && r.degraded());
+    assert!(report.fallback_reasons[0].contains("does not match"), "{:?}", report.fallback_reasons);
+    assert_eq!(serialize(&r), newer_snapshot, "nothing was replayed onto it");
+    assert!(matches!(
+        r.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")),
+        Err(CheckerError::Degraded)
+    ));
     // The true base still recovers.
-    assert!(Checker::recover(CORPUS, DTD, CONFLICT, &path).is_ok());
-    let _ = std::fs::remove_file(&path);
+    let (_, report) = recover(CORPUS, &path);
+    assert!(!report.degraded);
+    assert_eq!(report.replayed, 1);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn recovery_rejects_non_monotonic_version_records() {
     // Commit versions must run 1, 2, 3… consecutively; a hand-built
     // journal that skips (or repeats) a version is unreplayable — it
-    // means records were lost or duplicated, not merely torn.
+    // means records were lost or duplicated, not merely torn — and with
+    // its only generation rejected the store comes up degraded.
     for versions in [[1u64, 3], [2, 3], [1, 1]] {
         let path = journal_path("nonmono");
         let c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
         let base_crc = xic_xml::journal::crc32(serialize(&c).as_bytes());
         drop(c);
-        let mut j = xicheck::Journal::create(&path, base_crc, true).unwrap();
+        let mut j = Store::create(&path, base_crc, true).unwrap();
         for v in versions {
             j.append(
                 xic_xml::journal::RecordKind::Commit,
@@ -330,15 +340,18 @@ fn recovery_rejects_non_monotonic_version_records() {
             .unwrap();
         }
         drop(j);
-        let err = match Checker::recover(CORPUS, DTD, CONFLICT, &path) {
-            Err(e) => e,
-            Ok(_) => panic!("versions {versions:?} must be rejected"),
-        };
+        let (mut r, report) = recover(CORPUS, &path);
+        assert!(report.degraded, "versions {versions:?} must be rejected");
         assert!(
-            matches!(&err, CheckerError::Journal(m) if m.contains("out of sequence")),
-            "versions {versions:?}: {err}"
+            report.fallback_reasons[0].contains("out of sequence"),
+            "versions {versions:?}: {:?}",
+            report.fallback_reasons
         );
-        let _ = std::fs::remove_file(&path);
+        assert!(matches!(
+            r.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")),
+            Err(CheckerError::Degraded)
+        ));
+        let _ = std::fs::remove_dir_all(&path);
     }
 }
 
@@ -346,7 +359,7 @@ fn recovery_rejects_non_monotonic_version_records() {
 fn journal_append_failure_rolls_the_update_back() {
     let path = journal_path("appenderr");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, true).unwrap();
+    c.attach_store(&path, true).unwrap();
     let base = serialize(&c);
 
     xic_faults::disarm_all();
@@ -362,17 +375,17 @@ fn journal_append_failure_rolls_the_update_back() {
     assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap().applied());
     let state = serialize(&c);
     drop(c);
-    let (r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r, report) = recover(CORPUS, &path);
     assert_eq!(report.replayed, 1);
     assert_eq!(serialize(&r), state);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn failure_after_durable_commit_poisons_instead_of_diverging() {
     let path = journal_path("postcommit");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_journal(&path, true).unwrap();
+    c.attach_store(&path, true).unwrap();
 
     xic_faults::disarm_all();
     xic_faults::arm("checker.commit.post", 1, FaultMode::Error);
@@ -385,8 +398,8 @@ fn failure_after_durable_commit_poisons_instead_of_diverging() {
 
     // Recovery replays the durable commit — it agrees with the in-memory
     // state the poisoned checker was carrying.
-    let (r, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).unwrap();
+    let (r, report) = recover(CORPUS, &path);
     assert_eq!(report.replayed, 1);
     assert_eq!(serialize(&r), in_memory);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }

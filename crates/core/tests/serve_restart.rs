@@ -1,6 +1,8 @@
 //! Process-level restart test for `xic-serve` without `--shards`: a
 //! commit acknowledged by one run must still be there in the next run
-//! over the same `--store` directory or `--journal` file.
+//! over the same `--store` directory; a directory that is not a store,
+//! and the `--journal` flag that left with the bare-journal mode, are
+//! refused with one line.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -37,9 +39,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// One stdin-mode run of the server: feeds `requests`, returns the reply
-/// lines.
-fn serve(dir: &Path, storage: &[&str], requests: &str) -> Vec<String> {
+/// One stdin-mode run of the server: feeds `requests`, returns the
+/// process output.
+fn run(dir: &Path, storage: &[&str], requests: &str) -> std::process::Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_xic-serve"))
         .arg("--xml")
         .arg(dir.join("doc.xml"))
@@ -50,21 +52,39 @@ fn serve(dir: &Path, storage: &[&str], requests: &str) -> Vec<String> {
         .args(storage)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn xic-serve");
-    child.stdin.take().expect("stdin").write_all(requests.as_bytes()).expect("send requests");
-    let output = child.wait_with_output().expect("xic-serve exits");
+    // A server that refuses to start may be gone before the write lands.
+    let _ = child.stdin.take().expect("stdin").write_all(requests.as_bytes());
+    child.wait_with_output().expect("xic-serve exits")
+}
+
+/// A run that must succeed: the reply lines.
+fn serve(dir: &Path, storage: &[&str], requests: &str) -> Vec<String> {
+    let output = run(dir, storage, requests);
     assert!(output.status.success(), "xic-serve failed: {:?}", output.status);
     String::from_utf8(output.stdout).expect("utf-8 replies").lines().map(str::to_string).collect()
 }
 
+/// A run that must be refused at startup: exit 1, nothing served, and
+/// one `xic-serve:` line on stderr, which is returned.
+fn refused(dir: &Path, storage: &[&str]) -> String {
+    let output = run(dir, storage, "VERSION\nQUIT\n");
+    assert_eq!(output.status.code(), Some(1), "{:?}", output.status);
+    assert!(output.stdout.is_empty(), "a refused server must not answer");
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    assert!(stderr.starts_with("xic-serve: ") && stderr.lines().count() == 1, "{stderr}");
+    stderr
+}
+
 /// Commits one statement in a first run and asks a second run for the
 /// version.
-fn commit_then_restart(tag: &str, flag: &str, target: &str) {
-    let dir = scratch(tag);
-    let target = dir.join(target);
-    let storage = [flag, target.to_str().expect("utf-8 path")];
+#[test]
+fn store_survives_a_restart() {
+    let dir = scratch("store");
+    let target = dir.join("store");
+    let storage = ["--store", target.to_str().expect("utf-8 path")];
 
     let replies = serve(&dir, &storage, &format!("UPDATE {LEGAL}\nQUIT\n"));
     assert_eq!(replies, ["OK 1 APPLIED optimized", "BYE"]);
@@ -76,11 +96,21 @@ fn commit_then_restart(tag: &str, flag: &str, target: &str) {
 }
 
 #[test]
-fn store_survives_a_restart() {
-    commit_then_restart("store", "--store", "store");
+fn journal_flag_is_refused() {
+    let dir = scratch("journal");
+    let target = dir.join("doc.wal");
+    let line = refused(&dir, &["--journal", target.to_str().expect("utf-8 path")]);
+    assert!(line.contains("--journal"), "{line}");
+    assert!(!target.exists(), "nothing may be created for a refused flag");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn journal_survives_a_restart() {
-    commit_then_restart("journal", "--journal", "doc.wal");
+fn store_over_a_foreign_directory_is_refused() {
+    // The scratch directory holds the three input files: not a store.
+    let dir = scratch("foreign");
+    let line = refused(&dir, &["--store", dir.to_str().expect("utf-8 path")]);
+    assert!(line.contains("unrecognized entry"), "{line}");
+    assert!(dir.join("doc.xml").exists(), "a refusal must leave the directory alone");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -43,7 +43,7 @@ fn legal(tag: &str) -> String {
 fn journal_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("xic-resil-{}-{tag}-{n}.wal", std::process::id()))
+    std::env::temp_dir().join(format!("xic-resil-{}-{tag}-{n}.store", std::process::id()))
 }
 
 fn checker() -> Checker {
@@ -146,7 +146,7 @@ fn fsync_retry_absorbs_a_transient_failure() {
     let _guard = FAULTS.lock().expect("fault serialization");
     let path = journal_path("retry");
     let mut c = checker();
-    c.attach_journal(&path, true).expect("attach journal");
+    c.attach_store(&path, true).expect("attach store");
     let service = CheckerService::new(c, Executor::group_commit());
 
     xic_faults::arm_any_thread("journal.sync", 1, FaultMode::Error);
@@ -157,7 +157,7 @@ fn fsync_retry_absorbs_a_transient_failure() {
     assert!(service.stats().fsync_retries >= 1, "the retry was not counted");
     assert_eq!(service.stats().service_degraded, 0);
     service.shutdown().expect("shutdown");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 /// With the retry budget exhausted (`fsync_attempts = 1`) a failing
@@ -170,7 +170,7 @@ fn persistent_fsync_failure_degrades_then_recovers() {
     let _guard = FAULTS.lock().expect("fault serialization");
     let path = journal_path("degrade");
     let mut c = checker();
-    c.attach_journal(&path, true).expect("attach journal");
+    c.attach_store(&path, true).expect("attach store");
     let service = CheckerService::with_config(
         c,
         ServiceConfig {
@@ -213,10 +213,12 @@ fn persistent_fsync_failure_degrades_then_recovers() {
     service.shutdown().expect("shutdown");
 
     // And the journal agrees: both commits replay.
-    let (recovered, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).expect("recover");
+    let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).expect("Γ compiles");
+    let (recovered, report) =
+        Checker::recover_store(&path, CORPUS, &gamma, true).expect("recover");
     assert_eq!(report.replayed, 2);
     assert_eq!(recovered.committed(), 2);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 /// A failed batch and the recovery after it leave the log in the sync

@@ -47,7 +47,7 @@ fn illegal() -> String {
 fn journal_path(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("xic-service-{}-{tag}-{n}.wal", std::process::id()))
+    std::env::temp_dir().join(format!("xic-service-{}-{tag}-{n}.store", std::process::id()))
 }
 
 fn checker() -> Checker {
@@ -66,7 +66,7 @@ fn stress(executor: Executor, tag: &str) {
 
     let path = journal_path(tag);
     let mut c = checker();
-    c.attach_journal(&path, true).expect("attach journal");
+    c.attach_store(&path, true).expect("attach store");
     let service = CheckerService::new(c, executor);
 
     let done = AtomicBool::new(false);
@@ -160,10 +160,12 @@ fn stress(executor: Executor, tag: &str) {
 
     // And the journal agrees: recovery replays exactly the acknowledged
     // commits.
-    let (recovered, report) = Checker::recover(CORPUS, DTD, CONFLICT, &path).expect("recover");
+    let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).expect("Γ compiles");
+    let (recovered, report) =
+        Checker::recover_store(&path, CORPUS, &gamma, true).expect("recover");
     assert_eq!(report.replayed, applied.len());
     assert_eq!(xic_xml::serialize(recovered.doc()), final_snapshot.serialize());
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
@@ -187,7 +189,7 @@ fn sync_executor_matches_sequential_replay() {
 fn rejected_statement_does_not_poison_batch_mates() {
     let path = journal_path("reject");
     let mut c = checker();
-    c.attach_journal(&path, true).expect("attach journal");
+    c.attach_store(&path, true).expect("attach store");
     let stmts = [legal("a"), illegal(), legal("b")];
     let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
     let results = apply_batch(&mut c, &refs);
@@ -201,7 +203,7 @@ fn rejected_statement_does_not_poison_batch_mates() {
     let before = journal_fsyncs();
     assert!(c.try_update_str(&legal("c")).expect("update").applied());
     assert_eq!(journal_fsyncs() - before, 1, "batch must leave the configured sync mode in force");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 /// This thread's `journal_fsyncs` counter.
@@ -214,7 +216,7 @@ fn journal_fsyncs() -> u64 {
 /// segment it lands on.
 #[test]
 fn batch_across_a_rotation_shares_one_fsync() {
-    let dir = journal_path("rotate").with_extension("store");
+    let dir = journal_path("rotate");
     let mut c = checker();
     c.attach_store(&dir, true).expect("attach store");
     c.set_checkpoint_policy(xicheck::CheckpointPolicy::every_commits(2));
@@ -240,7 +242,7 @@ fn batch_across_a_rotation_shares_one_fsync() {
 fn batch_shares_one_fsync() {
     let path = journal_path("fsync");
     let mut c = checker();
-    c.attach_journal(&path, true).expect("attach journal");
+    c.attach_store(&path, true).expect("attach store");
     let before = xicheck::obs::snapshot();
     let stmts: Vec<String> = (0..8).map(|i| legal(&format!("f{i}"))).collect();
     let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
@@ -256,7 +258,7 @@ fn batch_shares_one_fsync() {
     assert_eq!(delta("journal_fsyncs"), 1, "one shared fsync per batch");
     assert_eq!(delta("group_commit_batches"), 1);
     assert_eq!(delta("group_commit_statements"), 8);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]

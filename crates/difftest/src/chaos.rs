@@ -8,13 +8,13 @@
 //! function of its `u64` seed:
 //!
 //! 1. Materialize the seed's [`Case`] and derive a **fault plan**: a
-//!    site (journal write path, plus checkpoint/rotation sites in store
-//!    mode), a [`FaultMode`] (`Error` / `Transient` / `Panic`), a
+//!    site (journal write path, plus checkpoint/rotation sites when the
+//!    store rotates), a [`FaultMode`] (`Error` / `Transient` / `Panic`), a
 //!    1-based trigger hit, a batch size, and the service-level
 //!    [`fsync_attempts`](xicheck::service::apply_batch_resilient) knob
 //!    (1 = degrade on first sync failure, 3 = bounded retry absorbs a
 //!    one-shot failure).
-//! 2. **Twin run** (no faults, no journal): the reference
+//! 2. **Twin run** (no faults, no store): the reference
 //!    committed-prefix states.
 //! 3. **Chaos run**: the same statements through the *production batch
 //!    path* ([`apply_batch_resilient`] — unsynced appends, one shared
@@ -66,8 +66,8 @@ pub struct ChaosConfig {
     pub cases: u64,
 }
 
-/// Sites the chaos pass arms in journal mode: the group-commit write
-/// path from statement apply to the shared fsync.
+/// Sites the chaos pass arms whether or not the store rotates: the
+/// group-commit write path from statement apply to the shared fsync.
 pub(crate) const JOURNAL_SITES: &[&str] = &[
     "xupdate.apply.op",
     "journal.append.pre",
@@ -79,7 +79,7 @@ pub(crate) const JOURNAL_SITES: &[&str] = &[
     "checker.commit.post",
 ];
 
-/// Checkpoint/rotation sites, reachable only with a store attached
+/// Checkpoint/rotation sites, reachable only when the store rotates
 /// (automatic rotation runs inside the commit path).
 pub(crate) const STORE_SITES: &[&str] = &[
     "checkpoint.tmp.mid_write",
@@ -103,9 +103,9 @@ pub struct ChaosPlan {
     pub batch_size: usize,
     /// Service-level attempts for the shared batch fsync.
     pub fsync_attempts: u32,
-    /// Whether the run uses a checkpointed store (reaching the
-    /// checkpoint/rotation sites) instead of a bare journal.
-    pub store_mode: bool,
+    /// Whether the run's store rotates automatically (reaching the
+    /// checkpoint/rotation sites) or stays a plain journal.
+    pub rotating: bool,
 }
 
 /// SplitMix64-style field mixer: plan fields drawn by *dividing* the
@@ -132,16 +132,16 @@ pub fn chaos_plan(seed: u64) -> ChaosPlan {
     let fsync_attempts = if mix(seed, 2) % 2 == 0 { 1 } else { 3 };
     let nth = 1 + mix(seed, 3) % 3;
     let batch_size = 2 + mix(seed, 4) as usize % 3;
-    let store_mode = mix(seed, 5) % 2 == 1;
-    let site = if store_mode {
-        // Store runs alternate between write-path and rotation sites.
+    let rotating = mix(seed, 5) % 2 == 1;
+    let site = if rotating {
+        // Rotating runs alternate between write-path and rotation sites.
         let all: Vec<&'static str> =
             JOURNAL_SITES.iter().chain(STORE_SITES).copied().collect();
         all[(mix(seed, 6) % all.len() as u64) as usize]
     } else {
         JOURNAL_SITES[(mix(seed, 6) % JOURNAL_SITES.len() as u64) as usize]
     };
-    ChaosPlan { site, mode, nth, batch_size, fsync_attempts, store_mode }
+    ChaosPlan { site, mode, nth, batch_size, fsync_attempts, rotating }
 }
 
 /// Terminal service state a chaos case ended in.
@@ -173,7 +173,7 @@ impl ChaosDivergence {
     pub fn report(&self) -> String {
         format!(
             "chaos divergence (seed {seed}, site {site}, mode {mode:?}, hit {nth}, \
-             batch {batch}, fsync_attempts {fa}{store})\n  {detail}\n  replay: \
+             batch {batch}, fsync_attempts {fa}{rotating})\n  {detail}\n  replay: \
              cargo run -p xic-difftest -- --chaos --seed {seed} --cases 1",
             seed = self.seed,
             site = self.plan.site,
@@ -181,7 +181,7 @@ impl ChaosDivergence {
             nth = self.plan.nth,
             batch = self.plan.batch_size,
             fa = self.plan.fsync_attempts,
-            store = if self.plan.store_mode { ", store" } else { "" },
+            rotating = if self.plan.rotating { ", rotating" } else { "" },
             detail = self.detail,
         )
     }
@@ -201,8 +201,8 @@ pub struct ChaosReport {
     pub retry_absorbed: u64,
     /// Cases ending poisoned by a contained panic.
     pub poisoned: u64,
-    /// Cases run in store mode.
-    pub store_cases: u64,
+    /// Cases whose store rotated automatically.
+    pub rotating_cases: u64,
     /// Total acknowledged commits across all cases.
     pub acked: u64,
     /// Total commits restored by the per-case recovery check.
@@ -227,7 +227,7 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
     let case: Case = generate_case(seed);
     let statements: Vec<String> = case.ops.iter().map(|op| crate::crash::wrap_op(op)).collect();
 
-    // Twin run: sequential, no faults, no journal.
+    // Twin run: sequential, no faults, no store.
     let mut twin = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| diverge(format!("twin checker setup failed: {e}")))?;
     let base_xml = xic_xml::serialize(twin.doc());
@@ -240,25 +240,19 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
         }
     }
 
-    // Chaos run: journal or store attached, the plan's fault armed.
-    let journal = dir.join(crate::scratch_name("chaos", seed) + ".wal");
+    // Chaos run: store attached, the plan's fault armed.
     let store_dir = dir.join(crate::scratch_name("chaos-store", seed));
     let cleanup = || {
-        let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_dir_all(&store_dir);
     };
     let mut checker = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| diverge(format!("chaos checker setup failed: {e}")))?;
-    if plan.store_mode {
-        checker
-            .attach_store(&store_dir, true)
-            .map_err(|e| diverge(format!("attach_store failed: {e}")))?;
+    checker
+        .attach_store(&store_dir, true)
+        .map_err(|e| diverge(format!("attach_store failed: {e}")))?;
+    if plan.rotating {
         // Aggressive cadence so rotation sites are reachable in-batch.
         checker.set_checkpoint_policy(CheckpointPolicy::every_commits(1 + (seed / 9) % 3));
-    } else {
-        checker
-            .attach_journal(&journal, true)
-            .map_err(|e| diverge(format!("attach_journal failed: {e}")))?;
     }
     xic_faults::disarm_all();
     xic_faults::arm(plan.site, plan.nth, plan.mode);
@@ -381,12 +375,7 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
     drop(checker);
 
     // Replay-fidelity oracle: rebuild from disk and compare.
-    let (recovered, report) = if plan.store_mode {
-        crate::recover_store(&store_dir, &case)
-    } else {
-        Checker::recover(&case.doc_xml, &case.dtd, &case.constraints, &journal)
-    }
-    .map_err(|e| {
+    let (recovered, report) = crate::recover_store(&store_dir, &case).map_err(|e| {
         cleanup();
         diverge(format!("recovery failed: {e}"))
     })?;
@@ -453,15 +442,14 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
         degraded: 0,
         retry_absorbed: 0,
         poisoned: 0,
-        store_cases: 0,
+        rotating_cases: 0,
         acked: 0,
         replayed: 0,
         divergences: Vec::new(),
     };
     for i in 0..cases {
         let seed = seed0.wrapping_add(i);
-        obs::incr(obs::Counter::DifftestCase);
-        report.store_cases += chaos_plan(seed).store_mode as u64;
+        report.rotating_cases += chaos_plan(seed).rotating as u64;
         match run_chaos_case(seed, &dir) {
             Ok(out) => {
                 report.fired += out.fired as u64;
@@ -471,10 +459,7 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
                 report.acked += out.acked as u64;
                 report.replayed += out.replayed as u64;
             }
-            Err(d) => {
-                obs::incr(obs::Counter::DifftestDiscrepancy);
-                report.divergences.push(d);
-            }
+            Err(d) => report.divergences.push(d),
         }
     }
     report
@@ -494,13 +479,13 @@ mod tests {
         assert!(plans.iter().any(|p| p.mode == FaultMode::Panic));
         assert!(plans.iter().any(|p| p.fsync_attempts == 1));
         assert!(plans.iter().any(|p| p.fsync_attempts == 3));
-        assert!(plans.iter().any(|p| p.store_mode));
-        assert!(plans.iter().any(|p| !p.store_mode));
+        assert!(plans.iter().any(|p| p.rotating));
+        assert!(plans.iter().any(|p| !p.rotating));
         assert!(plans.iter().any(|p| p.site == "journal.sync"));
         assert!(plans.iter().any(|p| is_rotation_site(p.site)));
-        // Rotation/checkpoint sites only appear in store mode, where
-        // they are reachable.
-        assert!(plans.iter().all(|p| !is_rotation_site(p.site) || p.store_mode));
+        // Rotation/checkpoint sites only appear when the store rotates,
+        // where they are reachable.
+        assert!(plans.iter().all(|p| !is_rotation_site(p.site) || p.rotating));
     }
 
     #[test]

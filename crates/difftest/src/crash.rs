@@ -9,18 +9,18 @@
 //!    statement batch) and derive the crash point from the seed: a site
 //!    from [`xic_faults::SITES`], a 1-based trigger hit, and whether the
 //!    journal fsyncs.
-//! 2. **Twin run** (no faults, no journal): drive the statements through
+//! 2. **Twin run** (no faults, no store): drive the statements through
 //!    [`Checker::try_update`], recording the serialized document after
 //!    every commit. `snaps[k]` is the state after `k + 1` commits.
-//! 3. **Crashed run**: a fresh checker with a journal attached, the fault
+//! 3. **Crashed run**: a fresh checker with a store attached, the fault
 //!    armed in [`FaultMode::Panic`]. Drive the same statements until the
 //!    injected panic fires (contained by the checker, which poisons
 //!    itself — the in-memory tree is as good as lost) or the batch ends.
-//! 4. **Recovery**: [`Checker::recover`] rebuilds a checker from the base
-//!    document plus the journal. With `p` commits replayed, the recovered
-//!    serialization must be byte-identical to `snaps[p - 1]` (the base
-//!    document when `p == 0`) — an uncommitted update surviving, or a
-//!    committed one going missing, is a divergence.
+//! 4. **Recovery**: [`Checker::recover_store`] rebuilds a checker from
+//!    the base document plus the store. With `p` commits restored, the
+//!    recovered serialization must be byte-identical to `snaps[p - 1]`
+//!    (the base document when `p == 0`) — an uncommitted update
+//!    surviving, or a committed one going missing, is a divergence.
 //!
 //! The in-process panic is on-disk equivalent to a real crash at the same
 //! point because journal writes are unbuffered: every byte the journal
@@ -30,13 +30,13 @@
 //! journal actually retained and cross-checks it against the twin.)
 //!
 //! Half the seeds — and every seed landing on a `checkpoint.*` /
-//! `rotation.*` site — run in **store mode**: the crashed run uses a
-//! checkpointed store with an aggressive automatic rotation policy, and
-//! recovery goes through [`Checker::recover_store`] (newest valid
-//! generation, generation-by-generation fallback). The oracle is the
-//! same: snapshot-base commits plus the replayed suffix must reproduce
-//! the twin's committed prefix byte for byte, proving rotation never
-//! loses a committed record whatever step the crash lands on.
+//! `rotation.*` site — run **rotating**: the crashed run's store has an
+//! aggressive automatic rotation policy, so recovery picks among
+//! generations (newest valid one, generation-by-generation fallback).
+//! The rest never rotate — generation 0 only, a plain write-ahead journal.
+//! The oracle is the same: snapshot-base commits plus the replayed suffix
+//! must reproduce the twin's committed prefix byte for byte, proving
+//! rotation never loses a committed record whatever step the crash lands on.
 //!
 //! When the site list reaches the rotation sites, a **failed-rotation
 //! pass** follows the matrix proper: each checkpoint/rotation site is
@@ -60,7 +60,9 @@
 //! (`cargo run -p xic-difftest -- --crash-matrix --seed N --cases 1`,
 //! plus the run's `--sites` filter when one was set); the site and
 //! trigger are re-derived from the seed, so the seed alone is a complete
-//! reproducer.
+//! reproducer. The report counts, per site, the cases of all three passes
+//! in which the armed fault fired (`fired_by_site`): a site that fell off
+//! the write path shows as a zero.
 
 use std::path::Path;
 use xic_faults::{FaultMode, SITES};
@@ -122,15 +124,20 @@ pub fn crash_point(seed: u64) -> CrashPoint {
 /// re-derive the same point.
 pub fn crash_point_in(sites: &[&'static str], seed: u64) -> CrashPoint {
     CrashPoint {
-        site: sites[(seed % sites.len() as u64) as usize],
+        site: site_of(sites, seed),
         nth: 1 + (seed / sites.len() as u64) % 3,
         sync: (seed / 2) % 2 == 0,
     }
 }
 
+/// The site `seed` arms out of `sites`: consecutive seeds walk the list
+/// round-robin, in every pass.
+fn site_of(sites: &[&'static str], seed: u64) -> &'static str {
+    sites[(seed % sites.len() as u64) as usize]
+}
+
 /// True for sites that only fire while a checkpoint rotation is running;
-/// cases landing on one are forced into store mode so the site is
-/// reachable.
+/// cases landing on one always rotate so the site is reachable.
 pub(crate) fn is_rotation_site(site: &str) -> bool {
     site.starts_with("checkpoint.") || site.starts_with("rotation.")
 }
@@ -147,6 +154,19 @@ pub struct CrashDivergence {
     pub sites: Option<String>,
     /// What went wrong.
     pub detail: String,
+}
+
+impl CrashReport {
+    /// Sites of the run's list whose fault fired in no case of any pass.
+    pub fn silent_sites(&self) -> Vec<&'static str> {
+        self.fired_by_site.iter().filter(|(_, n)| *n == 0).map(|(s, _)| *s).collect()
+    }
+
+    fn note_fired(&mut self, site: &'static str, fired: bool) {
+        if let Some((_, n)) = self.fired_by_site.iter_mut().find(|(s, _)| *s == site) {
+            *n += fired as u64;
+        }
+    }
 }
 
 impl CrashDivergence {
@@ -178,11 +198,11 @@ pub struct CrashReport {
     pub torn_tails: u64,
     /// Total commits replayed across all recoveries.
     pub replayed: u64,
-    /// Cases run in store mode (checkpointed store + rotation policy
-    /// instead of a bare journal).
-    pub store_cases: u64,
-    /// Store-mode recoveries won by a checkpoint generation (> 0) rather
-    /// than the base document.
+    /// Cases whose store rotated automatically (every 1–3 commits); the
+    /// rest never rotate.
+    pub rotating_cases: u64,
+    /// Recoveries won by a checkpoint generation (> 0) rather than the
+    /// base document.
     pub checkpoint_wins: u64,
     /// Failed-rotation cases run after the crash matrix proper: an
     /// [`FaultMode::Error`] fault mid-rotation, commits continuing on the
@@ -197,6 +217,9 @@ pub struct CrashReport {
     pub group_commit_cases: u64,
     /// Group-commit cases in which the armed panic actually fired.
     pub group_commit_fired: u64,
+    /// Per site of the (filtered) list, the cases of all three passes in
+    /// which the fault armed there fired.
+    pub fired_by_site: Vec<(&'static str, u64)>,
     /// All divergences, in seed order.
     pub divergences: Vec<CrashDivergence>,
 }
@@ -214,30 +237,65 @@ struct CaseOutcome {
     fired: bool,
     torn: bool,
     replayed: usize,
-    store_mode: bool,
+    rotating: bool,
     checkpoint_won: bool,
 }
 
-/// Removes a case's on-disk artifacts (journal file or store directory).
-fn cleanup(journal: &Path, store_dir: &Path) {
-    let _ = std::fs::remove_file(journal);
-    cleanup_store(store_dir);
-}
-
+/// Removes a case's store directory.
 fn cleanup_store(store_dir: &Path) {
     let _ = std::fs::remove_dir_all(store_dir);
+}
+
+/// Recovers `case`'s store after a simulated crash (removing it
+/// afterwards) and holds the result to the twin: not degraded, and
+/// byte-identical to the twin's state after the `p` commits recovery
+/// restored — the winning snapshot's baked-in commits plus the suffix
+/// replayed on top of it (`snaps[p - 1]`, the base document when
+/// `p == 0`). Returns `p` and the recovery report.
+fn recover_prefix(
+    store_dir: &Path,
+    case: &Case,
+    base_xml: &str,
+    snaps: &[String],
+) -> Result<(usize, xicheck::RecoveryReport), String> {
+    let recovery = crate::recover_store(store_dir, case);
+    cleanup_store(store_dir);
+    let (recovered, report) = recovery.map_err(|e| format!("recovery failed: {e}"))?;
+    if report.degraded {
+        return Err(format!(
+            "recovery entered degraded mode: {}",
+            report.fallback_reasons.join("; ")
+        ));
+    }
+    let p = report.base_commit_seq as usize + report.replayed;
+    let outcome = format!(
+        "generation {}, {} replayed; twin committed {} in total",
+        report.generation,
+        report.replayed,
+        snaps.len()
+    );
+    if p > snaps.len() {
+        return Err(format!("recovery restored {p} commits ({outcome})"));
+    }
+    let expected = if p == 0 { base_xml } else { &snaps[p - 1] };
+    let got = xic_xml::serialize(recovered.doc());
+    if got != expected {
+        return Err(format!(
+            "recovered document differs from the twin's state after {p} commits \
+             ({outcome})\n  expected: {expected}\n  recovered: {got}"
+        ));
+    }
+    Ok((p, report))
 }
 
 /// Runs the crash oracle for one seed. `Ok` carries bookkeeping for the
 /// matrix report; `Err` is a confirmed divergence.
 ///
 /// Half the seeds (and every seed whose site only exists inside a
-/// rotation) run in **store mode**: the crashed run gets a checkpointed
-/// store with an automatic every-N-commits rotation policy instead of a
-/// bare journal, and recovery goes through [`Checker::recover_store`] —
-/// proving that a crash at any rotation step leaves a store that recovers
-/// to the committed prefix, and that rotation never loses a committed
-/// record.
+/// rotation) run **rotating**: the crashed run's store gets an automatic
+/// every-N-commits rotation policy — proving that a crash at any rotation
+/// step leaves a store that recovers to the committed prefix, and that
+/// rotation never loses a committed record. The rest never rotate.
 fn run_case(
     seed: u64,
     dir: &Path,
@@ -251,7 +309,7 @@ fn run_case(
         sites: sites_arg.map(str::to_string),
         detail,
     };
-    let store_mode = is_rotation_site(point.site) || (seed / 4) % 2 == 1;
+    let rotating = is_rotation_site(point.site) || (seed / 4) % 2 == 1;
     // Aggressive rotation cadence (every 1–3 commits) so mid-batch
     // rotations — and 2nd/3rd-hit triggers on rotation sites — are
     // actually reached within a short statement batch.
@@ -264,7 +322,7 @@ fn run_case(
         .collect::<Result<_, _>>()
         .map_err(|e| diverge(format!("generated statement does not parse: {e}")))?;
 
-    // Twin run: no journal, no faults. Statement outcomes are
+    // Twin run: no store, no faults. Statement outcomes are
     // deterministic, so the crashed run's pre-crash commits are a prefix
     // of the twin's.
     let mut twin = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
@@ -282,21 +340,15 @@ fn run_case(
         }
     }
 
-    // Crashed run: journal (or checkpointed store) attached, panic armed
-    // at the derived point.
-    let journal = dir.join(crate::scratch_name("crash", seed) + ".wal");
+    // Crashed run: store attached, panic armed at the derived point.
     let store_dir = dir.join(crate::scratch_name("crash-store", seed));
     let mut crashed = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| diverge(format!("crashed-run checker setup failed: {e}")))?;
-    if store_mode {
-        crashed
-            .attach_store(&store_dir, point.sync)
-            .map_err(|e| diverge(format!("attach_store failed: {e}")))?;
+    crashed
+        .attach_store(&store_dir, point.sync)
+        .map_err(|e| diverge(format!("attach_store failed: {e}")))?;
+    if rotating {
         crashed.set_checkpoint_policy(CheckpointPolicy::every_commits(checkpoint_every));
-    } else {
-        crashed
-            .attach_journal(&journal, point.sync)
-            .map_err(|e| diverge(format!("attach_journal failed: {e}")))?;
     }
     xic_faults::disarm_all();
     xic_faults::arm(point.site, point.nth, FaultMode::Panic);
@@ -310,7 +362,7 @@ fn run_case(
             }
             Err(e) => {
                 xic_faults::disarm_all();
-                cleanup(&journal, &store_dir);
+                cleanup_store(&store_dir);
                 return Err(diverge(format!("crashed run failed pre-crash: {e}")));
             }
         }
@@ -318,7 +370,7 @@ fn run_case(
     let fired = xic_faults::hits(point.site) >= point.nth;
     xic_faults::disarm_all();
     if fired && !panicked {
-        cleanup(&journal, &store_dir);
+        cleanup_store(&store_dir);
         return Err(diverge(format!(
             "armed panic at {} hit {} fired but was not contained as a crash",
             point.site, point.nth
@@ -326,52 +378,12 @@ fn run_case(
     }
     drop(crashed); // the in-memory tree is gone
 
-    // Recovery must reproduce the committed prefix of the twin. In store
-    // mode the prefix length is the winning snapshot's baked-in commits
-    // plus the suffix replayed on top of it.
-    let (recovered, report) = if store_mode {
-        crate::recover_store(&store_dir, &case)
-    } else {
-        Checker::recover(&case.doc_xml, &case.dtd, &case.constraints, &journal)
-    }
-    .map_err(|e| {
-        cleanup(&journal, &store_dir);
-        diverge(format!("recovery failed: {e}"))
-    })?;
-    cleanup(&journal, &store_dir);
-    if report.degraded {
-        return Err(diverge(format!(
-            "recovery entered degraded mode: {}",
-            report.fallback_reasons.join("; ")
-        )));
-    }
-    let p = report.base_commit_seq as usize + report.replayed;
-    if p > snaps.len() {
-        return Err(diverge(format!(
-            "recovery restored {p} commits (generation {} + {} replayed) but the twin \
-             only committed {}",
-            report.generation,
-            report.replayed,
-            snaps.len()
-        )));
-    }
-    let expected = if p == 0 { &base_xml } else { &snaps[p - 1] };
-    let got = xic_xml::serialize(recovered.doc());
-    if got != *expected {
-        return Err(diverge(format!(
-            "recovered document differs from the twin's state after {p} commits \
-             (generation {}, {} replayed; twin committed {} in total)\n  \
-             expected: {expected}\n  recovered: {got}",
-            report.generation,
-            report.replayed,
-            snaps.len()
-        )));
-    }
+    let (p, report) = recover_prefix(&store_dir, &case, &base_xml, &snaps).map_err(&diverge)?;
     Ok(CaseOutcome {
         fired,
         torn: report.torn_tail_truncated,
         replayed: p,
-        store_mode,
+        rotating,
         checkpoint_won: report.generation > 0,
     })
 }
@@ -392,7 +404,7 @@ fn run_rotation_error_case(
     rot_sites: &[&'static str],
     sites_arg: Option<&str>,
 ) -> Result<bool, CrashDivergence> {
-    let site = rot_sites[(seed % rot_sites.len() as u64) as usize];
+    let site = site_of(rot_sites, seed);
     let sync = (seed / 2) % 2 == 0;
     // Half the cases rotate successfully once up front, so the failed
     // rotation's orphan would shadow a real snapshot generation rather
@@ -509,7 +521,7 @@ fn run_group_commit_case(
     gc_sites: &[&'static str],
     sites_arg: Option<&str>,
 ) -> Result<(bool, bool, usize), CrashDivergence> {
-    let site = gc_sites[(seed % gc_sites.len() as u64) as usize];
+    let site = site_of(gc_sites, seed);
     let nth = 1 + (seed / gc_sites.len() as u64) % 4;
     let point = CrashPoint { site, nth, sync: true };
     let batch_size = 2 + (seed / 8) as usize % 3;
@@ -522,7 +534,7 @@ fn run_group_commit_case(
     let case: Case = generate_case(seed);
     let statements: Vec<String> = case.ops.iter().map(|op| wrap_op(op)).collect();
 
-    // Twin run: sequential, no journal, no faults — the reference
+    // Twin run: sequential, no store, no faults — the reference
     // committed-prefix states.
     let mut twin = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| diverge(format!("twin checker setup failed: {e}")))?;
@@ -536,12 +548,12 @@ fn run_group_commit_case(
         }
     }
 
-    let journal = dir.join(crate::scratch_name("crash-gc", seed) + ".wal");
+    let store_dir = dir.join(crate::scratch_name("crash-gc", seed));
     let mut crashed = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| diverge(format!("crashed-run checker setup failed: {e}")))?;
     crashed
-        .attach_journal(&journal, true)
-        .map_err(|e| diverge(format!("attach_journal failed: {e}")))?;
+        .attach_store(&store_dir, true)
+        .map_err(|e| diverge(format!("attach_store failed: {e}")))?;
     xic_faults::disarm_all();
     xic_faults::arm(site, nth, FaultMode::Panic);
     let mut panicked = false;
@@ -574,7 +586,7 @@ fn run_group_commit_case(
                 }
                 Err(e) => {
                     xic_faults::disarm_all();
-                    let _ = std::fs::remove_file(&journal);
+                    cleanup_store(&store_dir);
                     return Err(diverge(format!("crashed run failed pre-crash: {e}")));
                 }
             }
@@ -587,46 +599,25 @@ fn run_group_commit_case(
     let fired = xic_faults::hits(site) >= nth;
     xic_faults::disarm_all();
     if fired && !panicked && !sync_failed {
-        let _ = std::fs::remove_file(&journal);
+        cleanup_store(&store_dir);
         return Err(diverge(format!(
             "armed panic at {site} hit {nth} fired but was not contained as a crash"
         )));
     }
     drop(crashed); // the in-memory tree is gone
 
-    let (recovered, report) =
-        Checker::recover(&case.doc_xml, &case.dtd, &case.constraints, &journal).map_err(|e| {
-            let _ = std::fs::remove_file(&journal);
-            diverge(format!("recovery failed: {e}"))
-        })?;
-    let _ = std::fs::remove_file(&journal);
-    let p = report.replayed;
+    let (p, report) = recover_prefix(&store_dir, &case, &base_xml, &snaps).map_err(&diverge)?;
     if p < acked {
         return Err(diverge(format!(
             "recovery lost acknowledged commits: {acked} were in fsynced batches but only \
-             {p} replayed"
-        )));
-    }
-    if p > snaps.len() {
-        return Err(diverge(format!(
-            "recovery restored {p} commits but the twin only committed {}",
-            snaps.len()
-        )));
-    }
-    let expected = if p == 0 { &base_xml } else { &snaps[p - 1] };
-    let got = xic_xml::serialize(recovered.doc());
-    if got != *expected {
-        return Err(diverge(format!(
-            "recovered document differs from the twin's state after {p} commits \
-             (twin committed {} in total)\n  expected: {expected}\n  recovered: {got}",
-            snaps.len()
+             {p} restored"
         )));
     }
     Ok((fired, report.torn_tail_truncated, p))
 }
 
-/// Runs `config.cases` crash cases starting at `config.seed`. Journal
-/// files live in the system temp directory and are removed per case.
+/// Runs `config.cases` crash cases starting at `config.seed`. Store
+/// directories live in the system temp directory and are removed per case.
 pub fn run_matrix(config: CrashConfig) -> CrashReport {
     let _phase = obs::phase("crash_matrix");
     let dir = std::env::temp_dir();
@@ -638,12 +629,13 @@ pub fn run_matrix(config: CrashConfig) -> CrashReport {
         fired: 0,
         torn_tails: 0,
         replayed: 0,
-        store_cases: 0,
+        rotating_cases: 0,
         checkpoint_wins: 0,
         rotation_error_cases: 0,
         rotation_error_injected: 0,
         group_commit_cases: 0,
         group_commit_fired: 0,
+        fired_by_site: sites.iter().map(|&s| (s, 0)).collect(),
         divergences: Vec::new(),
     };
     if sites.is_empty() {
@@ -657,19 +649,16 @@ pub fn run_matrix(config: CrashConfig) -> CrashReport {
     }
     for i in 0..cases {
         let seed = seed0.wrapping_add(i);
-        obs::incr(obs::Counter::DifftestCase);
         match run_case(seed, &dir, &sites, sites_arg.as_deref()) {
             Ok(out) => {
                 report.fired += out.fired as u64;
+                report.note_fired(site_of(&sites, seed), out.fired);
                 report.torn_tails += out.torn as u64;
                 report.replayed += out.replayed as u64;
-                report.store_cases += out.store_mode as u64;
+                report.rotating_cases += out.rotating as u64;
                 report.checkpoint_wins += out.checkpoint_won as u64;
             }
-            Err(d) => {
-                obs::incr(obs::Counter::DifftestDiscrepancy);
-                report.divergences.push(d);
-            }
+            Err(d) => report.divergences.push(d),
         }
     }
     // Failed-rotation pass: Error-mode faults at each reachable
@@ -681,14 +670,13 @@ pub fn run_matrix(config: CrashConfig) -> CrashReport {
     if !rot_sites.is_empty() {
         for i in 0..2 * rot_sites.len() as u64 {
             let seed = seed0.wrapping_add(i);
-            obs::incr(obs::Counter::DifftestCase);
             report.rotation_error_cases += 1;
             match run_rotation_error_case(seed, &dir, &rot_sites, sites_arg.as_deref()) {
-                Ok(injected) => report.rotation_error_injected += injected as u64,
-                Err(d) => {
-                    obs::incr(obs::Counter::DifftestDiscrepancy);
-                    report.divergences.push(d);
+                Ok(injected) => {
+                    report.rotation_error_injected += injected as u64;
+                    report.note_fired(site_of(&rot_sites, seed), injected);
                 }
+                Err(d) => report.divergences.push(d),
             }
         }
     }
@@ -702,18 +690,15 @@ pub fn run_matrix(config: CrashConfig) -> CrashReport {
     if !gc_sites.is_empty() {
         for i in 0..2 * gc_sites.len() as u64 {
             let seed = seed0.wrapping_add(i);
-            obs::incr(obs::Counter::DifftestCase);
             report.group_commit_cases += 1;
             match run_group_commit_case(seed, &dir, &gc_sites, sites_arg.as_deref()) {
                 Ok((fired, torn, replayed)) => {
                     report.group_commit_fired += fired as u64;
+                    report.note_fired(site_of(&gc_sites, seed), fired);
                     report.torn_tails += torn as u64;
                     report.replayed += replayed as u64;
                 }
-                Err(d) => {
-                    obs::incr(obs::Counter::DifftestDiscrepancy);
-                    report.divergences.push(d);
-                }
+                Err(d) => report.divergences.push(d),
             }
         }
     }
@@ -748,7 +733,11 @@ mod tests {
         }
         assert!(report.divergences.is_empty());
         assert!(report.fired > 0, "no armed fault ever fired");
-        assert!(report.store_cases > 0, "no case ran in store mode");
+        assert!(report.rotating_cases > 0, "no case rotated");
+        assert!(report.rotating_cases < report.config.cases, "no case ran without rotation");
+        // Every registered site fired somewhere across the three passes.
+        assert_eq!(report.fired_by_site.len(), SITES.len());
+        assert!(report.silent_sites().is_empty(), "silent: {:?}", report.silent_sites());
         // The unfiltered site list reaches the rotation sites, so the
         // failed-rotation pass must have run and actually injected.
         assert!(report.rotation_error_cases > 0, "no failed-rotation case ran");
@@ -798,7 +787,7 @@ mod tests {
             eprintln!("{}", d.report());
         }
         assert!(report.divergences.is_empty());
-        assert_eq!(report.store_cases, rotation.len() as u64);
+        assert_eq!(report.rotating_cases, rotation.len() as u64);
         // The failed-rotation pass covers every rotation site twice
         // (with and without a pre-existing snapshot generation).
         assert_eq!(report.rotation_error_cases, 2 * rotation.len() as u64);

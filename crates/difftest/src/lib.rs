@@ -51,9 +51,9 @@
 //!
 //! Discrepancies are greedily minimized ([`shrink`]) and reported with a
 //! one-line replay command (`cargo run -p xic-difftest -- --seed N`).
-//! Progress is observable through `xic-obs` counters
-//! (`difftest_case`, `difftest_discrepancy`, `difftest_shrink_step`, and
-//! one `difftest_op_*` counter per operation kind).
+//! Progress is observable through the harness's own [`tally`] counters
+//! (`difftest_shrink_step`, `reference_queries` and one `difftest_op_*`
+//! counter per operation kind).
 //!
 //! In the system-inventory table of `DESIGN.md` this crate is item 15 (differential fuzzer).
 
@@ -64,9 +64,11 @@ pub mod reference;
 pub mod shard;
 pub mod shrink;
 pub mod snapshot;
+pub mod tally;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tally::Tally;
 use xic_obs as obs;
 use xic_workload::{
     conflict_constraint, generate, random_batch, review_load_constraint, workload_constraint,
@@ -339,14 +341,14 @@ fn independence_oracle(case: &Case, stmt: &XUpdateDoc) -> Result<(), String> {
     Ok(())
 }
 
-fn op_counter(op: &XUpdateOp) -> obs::Counter {
+fn op_counter(op: &XUpdateOp) -> Tally {
     match op {
-        XUpdateOp::InsertBefore { .. } => obs::Counter::DifftestOpInsertBefore,
-        XUpdateOp::InsertAfter { .. } => obs::Counter::DifftestOpInsertAfter,
-        XUpdateOp::Append { .. } => obs::Counter::DifftestOpAppend,
-        XUpdateOp::Remove { .. } => obs::Counter::DifftestOpRemove,
-        XUpdateOp::Update { .. } => obs::Counter::DifftestOpUpdate,
-        XUpdateOp::Rename { .. } => obs::Counter::DifftestOpRename,
+        XUpdateOp::InsertBefore { .. } => Tally::OpInsertBefore,
+        XUpdateOp::InsertAfter { .. } => Tally::OpInsertAfter,
+        XUpdateOp::Append { .. } => Tally::OpAppend,
+        XUpdateOp::Remove { .. } => Tally::OpRemove,
+        XUpdateOp::Update { .. } => Tally::OpUpdate,
+        XUpdateOp::Rename { .. } => Tally::OpRename,
     }
 }
 
@@ -364,7 +366,7 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     let stmt = XUpdateDoc::parse(&case.stmt_text())
         .map_err(|e| gen_err("statement does not parse", &e))?;
     for op in &stmt.ops {
-        obs::incr(op_counter(op));
+        tally::incr(op_counter(op));
     }
     let original = serialize(&doc);
 
@@ -525,9 +527,8 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
 }
 
 /// Generates and checks the case for `seed`; `None` means all oracles
-/// passed. Increments the `difftest_case` counter.
+/// passed.
 pub fn run_case(seed: u64) -> Option<(&'static str, String)> {
-    obs::incr(obs::Counter::DifftestCase);
     check_case(&generate_case(seed)).err()
 }
 
@@ -538,10 +539,8 @@ pub fn run(config: Config) -> Report {
     let mut discrepancies = Vec::new();
     for i in 0..config.cases {
         let seed = config.seed.wrapping_add(i);
-        obs::incr(obs::Counter::DifftestCase);
         let case = generate_case(seed);
         if let Err((oracle, detail)) = check_case(&case) {
-            obs::incr(obs::Counter::DifftestDiscrepancy);
             let minimized = shrink::minimize(&case, oracle);
             discrepancies.push(Discrepancy {
                 seed,

@@ -14,8 +14,11 @@
 //!
 //! `--crash-matrix` switches to the crash-recovery oracle (the `crash`
 //! module in the library): each case injects a contained panic at a fault site
-//! derived from the seed and asserts that journal recovery reproduces the
-//! committed prefix of a never-crashed twin run, byte for byte.
+//! derived from the seed and asserts that store recovery reproduces the
+//! committed prefix of a never-crashed twin run, byte for byte. Its report
+//! counts the cases in which each site's fault fired (`fired_by_site`);
+//! a run long enough to reach every site of its list three times exits 1
+//! if one of them never fired.
 //!
 //! `--chaos` drives batched traffic through the resilient group-commit
 //! path while a seeded fault (error, transient, or panic) fires at a
@@ -50,6 +53,7 @@
 //! written as JSON (default `BENCH_DIFFTEST.json`).
 
 use std::process::ExitCode;
+use xic_difftest::tally::{self, Tally};
 use xic_difftest::{run, Config};
 use xic_obs as obs;
 use xic_obs::json::Value;
@@ -190,7 +194,7 @@ fn run_crash_matrix(args: &Args) -> ExitCode {
     }
     println!(
         "crash-matrix: {} cases from seed {}{} — {} divergences, {} faults fired, \
-         {} torn tails truncated, {} commits restored, {} store-mode cases \
+         {} torn tails truncated, {} commits restored, {} rotating cases \
          ({} won by a checkpoint), {} failed-rotation cases ({} injected), \
          {} group-commit cases ({} crashed mid-batch)",
         args.cases,
@@ -203,13 +207,16 @@ fn run_crash_matrix(args: &Args) -> ExitCode {
         report.fired,
         report.torn_tails,
         report.replayed,
-        report.store_cases,
+        report.rotating_cases,
         report.checkpoint_wins,
         report.rotation_error_cases,
         report.rotation_error_injected,
         report.group_commit_cases,
         report.group_commit_fired,
     );
+    let by_site: Vec<String> =
+        report.fired_by_site.iter().map(|(site, n)| format!("{site}={n}")).collect();
+    println!("fired by site: {}", by_site.join(" "));
     let json = Value::Object(vec![
         ("bench".to_string(), Value::String("crash-matrix".to_string())),
         ("seed".to_string(), Value::Number(args.seed as f64)),
@@ -234,8 +241,8 @@ fn run_crash_matrix(args: &Args) -> ExitCode {
             Value::Number(report.replayed as f64),
         ),
         (
-            "store_cases".to_string(),
-            Value::Number(report.store_cases as f64),
+            "rotating_cases".to_string(),
+            Value::Number(report.rotating_cases as f64),
         ),
         (
             "checkpoint_wins".to_string(),
@@ -256,6 +263,16 @@ fn run_crash_matrix(args: &Args) -> ExitCode {
         (
             "group_commit_fired".to_string(),
             Value::Number(report.group_commit_fired as f64),
+        ),
+        (
+            "fired_by_site".to_string(),
+            Value::Object(
+                report
+                    .fired_by_site
+                    .iter()
+                    .map(|(site, n)| (site.to_string(), Value::Number(*n as f64)))
+                    .collect(),
+            ),
         ),
         (
             "failing_seeds".to_string(),
@@ -281,6 +298,17 @@ fn run_crash_matrix(args: &Args) -> ExitCode {
         eprintln!("crash-matrix: no armed fault ever fired in {} cases", args.cases);
         return ExitCode::from(1);
     }
+    // Once every site of the list was armed at each of its three trigger
+    // hits, a site that fired in no case has fallen off the write path.
+    let silent = report.silent_sites();
+    if args.cases >= 3 * report.fired_by_site.len() as u64 && !silent.is_empty() {
+        eprintln!(
+            "crash-matrix: fault sites that fired in none of {} cases: {}",
+            args.cases,
+            silent.join(", ")
+        );
+        return ExitCode::from(1);
+    }
     ExitCode::SUCCESS
 }
 
@@ -302,7 +330,7 @@ fn run_chaos(args: &Args) -> ExitCode {
     println!(
         "chaos: {} cases from seed {} — {} divergences, {} faults fired, \
          {} degraded, {} absorbed by fsync retry, {} poisoned, \
-         {} store-mode cases, {} commits acked, {} commits replayed",
+         {} rotating cases, {} commits acked, {} commits replayed",
         args.cases,
         args.seed,
         report.divergences.len(),
@@ -310,7 +338,7 @@ fn run_chaos(args: &Args) -> ExitCode {
         report.degraded,
         report.retry_absorbed,
         report.poisoned,
-        report.store_cases,
+        report.rotating_cases,
         report.acked,
         report.replayed,
     );
@@ -330,8 +358,8 @@ fn run_chaos(args: &Args) -> ExitCode {
         ),
         ("poisoned".to_string(), Value::Number(report.poisoned as f64)),
         (
-            "store_cases".to_string(),
-            Value::Number(report.store_cases as f64),
+            "rotating_cases".to_string(),
+            Value::Number(report.rotating_cases as f64),
         ),
         ("commits_acked".to_string(), Value::Number(report.acked as f64)),
         (
@@ -536,15 +564,6 @@ fn run_snapshot_decide(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-const OP_COUNTERS: [obs::Counter; 6] = [
-    obs::Counter::DifftestOpInsertBefore,
-    obs::Counter::DifftestOpInsertAfter,
-    obs::Counter::DifftestOpAppend,
-    obs::Counter::DifftestOpRemove,
-    obs::Counter::DifftestOpUpdate,
-    obs::Counter::DifftestOpRename,
-];
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -591,6 +610,8 @@ fn main() -> ExitCode {
         cases: args.cases,
     });
     let snapshot = obs::snapshot();
+    let counts = tally::counts();
+    let reference_queries = counts[Tally::ReferenceQuery as usize];
     for d in &report.discrepancies {
         eprintln!("{}", d.report());
     }
@@ -600,13 +621,11 @@ fn main() -> ExitCode {
         args.cases,
         args.seed,
         report.discrepancies.len(),
-        snapshot.counter(obs::Counter::DifftestShrinkStep),
-        snapshot.counter(obs::Counter::DifftestReferenceQuery),
+        counts[Tally::ShrinkStep as usize],
+        reference_queries,
     );
-    let mix: Vec<String> = OP_COUNTERS
-        .iter()
-        .map(|&c| format!("{}={}", c.name(), snapshot.counter(c)))
-        .collect();
+    let mix: Vec<String> =
+        tally::OPS.map(|i| format!("{}={}", tally::NAMES[i], counts[i])).collect();
     println!("op mix: {}", mix.join(" "));
 
     let json = Value::Object(vec![
@@ -615,7 +634,7 @@ fn main() -> ExitCode {
         ("cases".to_string(), Value::Number(args.cases as f64)),
         (
             "reference_queries".to_string(),
-            Value::Number(snapshot.counter(obs::Counter::DifftestReferenceQuery) as f64),
+            Value::Number(reference_queries as f64),
         ),
         (
             "discrepancies".to_string(),
@@ -631,6 +650,7 @@ fn main() -> ExitCode {
                     .collect(),
             ),
         ),
+        ("tally".to_string(), tally::to_json_value()),
         ("obs".to_string(), snapshot.to_json_value()),
     ]);
     if let Err(e) = std::fs::write(&args.out, json.render_pretty(2) + "\n") {
@@ -647,11 +667,8 @@ fn main() -> ExitCode {
     // oracle must actually have compared queries (it runs per case, so a silent
     // regression that skips it would otherwise pass).
     if args.cases >= 100 {
-        let missing: Vec<&str> = OP_COUNTERS
-            .iter()
-            .filter(|&&c| snapshot.counter(c) == 0)
-            .map(|&c| c.name())
-            .collect();
+        let missing: Vec<&str> =
+            tally::OPS.filter(|&i| counts[i] == 0).map(|i| tally::NAMES[i]).collect();
         if !missing.is_empty() {
             eprintln!(
                 "difftest: operation kinds never generated in {} cases: {}",
@@ -660,7 +677,7 @@ fn main() -> ExitCode {
             );
             return ExitCode::from(1);
         }
-        if snapshot.counter(obs::Counter::DifftestReferenceQuery) == 0 {
+        if reference_queries == 0 {
             eprintln!(
                 "difftest: engine-vs-reference oracle never ran in {} cases",
                 args.cases

@@ -12,7 +12,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xic_obs as obs;
 use xic_xml::{Document, Dtd, NodeId, NodeKind};
 use xic_xpath::{evaluate_exists, evaluate_nodes, parse, Context, NodeRef};
 use xic_xquery::{eval_query_bool, eval_query_exists, parse_query};
@@ -179,7 +178,7 @@ pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> 
     for _ in 0..6 {
         let q = random_query(&mut rng, &names);
         let text = q.to_string();
-        obs::incr(obs::Counter::DifftestReferenceQuery);
+        crate::tally::incr(crate::tally::Tally::ReferenceQuery);
         let expected = eval_reference(doc, &q);
         let expr =
             parse(&text).map_err(|e| format!("engine failed to parse query {text}: {e}"))?;

@@ -573,7 +573,6 @@ pub fn run_shards(config: ShardConfig) -> ShardReport {
     };
     for i in 0..cases {
         let seed = seed0.wrapping_add(i);
-        obs::incr(obs::Counter::DifftestCase);
         match run_shard_case(seed, chaos, &dir) {
             Ok(out) => {
                 report.fired += out.fired as u64;
@@ -583,10 +582,7 @@ pub fn run_shards(config: ShardConfig) -> ShardReport {
                 report.acked += out.acked as u64;
                 report.replayed += out.replayed as u64;
             }
-            Err(d) => {
-                obs::incr(obs::Counter::DifftestDiscrepancy);
-                report.divergences.push(d);
-            }
+            Err(d) => report.divergences.push(d),
         }
     }
     report

@@ -8,7 +8,6 @@
 //! longer hold) and the minimized reproducer would be misleading.
 
 use crate::{check_case, Case};
-use xic_obs as obs;
 use xic_xml::{parse_document, serialize, Dtd, NodeId};
 use xicheck::Checker;
 
@@ -17,7 +16,7 @@ use xicheck::Checker;
 const MAX_PRUNE_ATTEMPTS: usize = 160;
 
 /// Minimizes `case`, preserving failure of `oracle`. Every attempted
-/// reduction increments the `difftest_shrink_step` counter.
+/// reduction increments the `difftest_shrink_step` tally.
 pub fn minimize(case: &Case, oracle: &'static str) -> Case {
     let mut cur = case.clone();
     // Pass 1: drop whole operations.
@@ -87,7 +86,7 @@ fn valid_case(case: &Case) -> bool {
 }
 
 fn still_fails(case: &Case, oracle: &'static str) -> bool {
-    obs::incr(obs::Counter::DifftestShrinkStep);
+    crate::tally::incr(crate::tally::Tally::ShrinkStep);
     matches!(check_case(case), Err((o, _)) if o == oracle)
 }
 

@@ -1,0 +1,56 @@
+//! The harness's own event counts. They describe the test run, not the
+//! product, so they live here and not in `xic_obs::Counter`; like the
+//! product's counters they are thread-local, because tests of one binary
+//! run in parallel and each must see only its own cases.
+
+use std::cell::Cell;
+use xic_obs::json::Value;
+
+/// An event the harness counts about itself; the discriminant indexes
+/// [`NAMES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tally {
+    ShrinkStep,
+    OpInsertBefore,
+    OpInsertAfter,
+    OpAppend,
+    OpRemove,
+    OpUpdate,
+    OpRename,
+    ReferenceQuery,
+}
+
+/// The key each [`Tally`] is reported under, in declaration order.
+pub const NAMES: [&str; 8] = [
+    "difftest_shrink_step",
+    "difftest_op_insert_before",
+    "difftest_op_insert_after",
+    "difftest_op_append",
+    "difftest_op_remove",
+    "difftest_op_update",
+    "difftest_op_rename",
+    "reference_queries",
+];
+
+/// The operation-kind tallies (`NAMES[1..7]`): a long run must move every one.
+pub const OPS: std::ops::Range<usize> = 1..7;
+
+thread_local! {
+    static COUNTS: [Cell<u64>; NAMES.len()] = const { [const { Cell::new(0) }; NAMES.len()] };
+}
+
+/// Adds 1 to `tally` on this thread.
+pub fn incr(tally: Tally) {
+    COUNTS.with(|c| c[tally as usize].set(c[tally as usize].get() + 1));
+}
+
+/// This thread's counts, in [`NAMES`] order.
+pub fn counts() -> [u64; NAMES.len()] {
+    COUNTS.with(|c| std::array::from_fn(|i| c[i].get()))
+}
+
+/// This thread's tallies as a JSON object keyed by [`NAMES`].
+pub fn to_json_value() -> Value {
+    let pairs = NAMES.iter().zip(counts());
+    Value::Object(pairs.map(|(name, n)| (name.to_string(), Value::Number(n as f64))).collect())
+}

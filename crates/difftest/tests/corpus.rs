@@ -5,8 +5,7 @@
 //! without re-running a full fuzzing campaign. A failing seed prints a
 //! one-line replay command.
 
-use xic_difftest::{check_case, generate_case, run_case};
-use xic_obs as obs;
+use xic_difftest::{check_case, generate_case, run_case, tally};
 
 const CORPUS: &str = include_str!("../corpus/regressions.txt");
 
@@ -47,25 +46,14 @@ fn op_coverage_across_a_case_window() {
     // kind — the same gate the CLI applies to runs of ≥ 100 cases. The
     // coverage counters are thread-local, so this test observes only its
     // own cases.
-    obs::reset();
     for seed in 10_000..10_150 {
         // Discrepancies are reported by the corpus test above and the CI
         // fuzzing run; here only the generated operation mix matters.
         let _ = check_case(&generate_case(seed));
     }
-    let snapshot = obs::snapshot();
-    let missing: Vec<&str> = [
-        obs::Counter::DifftestOpInsertBefore,
-        obs::Counter::DifftestOpInsertAfter,
-        obs::Counter::DifftestOpAppend,
-        obs::Counter::DifftestOpRemove,
-        obs::Counter::DifftestOpUpdate,
-        obs::Counter::DifftestOpRename,
-    ]
-    .iter()
-    .filter(|&&c| snapshot.counter(c) == 0)
-    .map(|&c| c.name())
-    .collect();
+    let counts = tally::counts();
+    let missing: Vec<&str> =
+        tally::OPS.filter(|&i| counts[i] == 0).map(|i| tally::NAMES[i]).collect();
     assert!(
         missing.is_empty(),
         "operation kinds never generated in 150 cases: {}",

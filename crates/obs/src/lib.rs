@@ -72,24 +72,6 @@ pub enum Counter {
     ClausesSurviving,
     /// Denials pruned by θ-subsumption during `Optimize`.
     DenialsSubsumed,
-    /// Differential-fuzzing cases executed by `xic-difftest`.
-    DifftestCase,
-    /// Oracle discrepancies detected by `xic-difftest`.
-    DifftestDiscrepancy,
-    /// Successful greedy shrink steps taken while minimizing a reproducer.
-    DifftestShrinkStep,
-    /// `insert-before` operations in the generated statement mix.
-    DifftestOpInsertBefore,
-    /// `insert-after` operations in the generated statement mix.
-    DifftestOpInsertAfter,
-    /// `append` operations in the generated statement mix.
-    DifftestOpAppend,
-    /// `remove` operations in the generated statement mix.
-    DifftestOpRemove,
-    /// `update` operations in the generated statement mix.
-    DifftestOpUpdate,
-    /// `rename` operations in the generated statement mix.
-    DifftestOpRename,
     /// The document-order rank cache was (re)built from scratch.
     OrderCacheRebuild,
     /// A document-order sort/dedup answered from cached preorder ranks.
@@ -103,7 +85,7 @@ pub enum Counter {
     JournalAppend,
     /// `fsync` calls issued by the journal (0 when sync is disabled).
     JournalFsync,
-    /// `Checker::recover` replays completed from a journal.
+    /// `Checker::recover_store` recoveries completed.
     Recovery,
     /// Optimized checks that ran out of `EvalBudget` steps and degraded
     /// to the materialized baseline pass.
@@ -134,9 +116,6 @@ pub enum Counter {
     SnapshotPublish,
     /// Read snapshots handed out to concurrent readers.
     SnapshotRead,
-    /// Generated queries cross-checked by the engine oracle (compiled IR
-    /// vs naive reference).
-    DifftestReferenceQuery,
     /// Constraints skipped by the static independence analysis: their
     /// read footprint provably misses the statement's write footprint,
     /// so the check cannot change verdict and is not evaluated.
@@ -161,7 +140,7 @@ pub enum Counter {
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 40] = [
+pub const ALL_COUNTERS: [Counter; 30] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
     Counter::XpathNodesVisited,
@@ -169,15 +148,6 @@ pub const ALL_COUNTERS: [Counter; 40] = [
     Counter::ClausesExpanded,
     Counter::ClausesSurviving,
     Counter::DenialsSubsumed,
-    Counter::DifftestCase,
-    Counter::DifftestDiscrepancy,
-    Counter::DifftestShrinkStep,
-    Counter::DifftestOpInsertBefore,
-    Counter::DifftestOpInsertAfter,
-    Counter::DifftestOpAppend,
-    Counter::DifftestOpRemove,
-    Counter::DifftestOpUpdate,
-    Counter::DifftestOpRename,
     Counter::OrderCacheRebuild,
     Counter::DocOrderFastSort,
     Counter::DocOrderPathSort,
@@ -195,7 +165,6 @@ pub const ALL_COUNTERS: [Counter; 40] = [
     Counter::GroupCommitStatement,
     Counter::SnapshotPublish,
     Counter::SnapshotRead,
-    Counter::DifftestReferenceQuery,
     Counter::ChecksSkippedStatic,
     Counter::ChecksRetainedStatic,
     Counter::RequestShed,
@@ -217,15 +186,6 @@ impl Counter {
             Counter::ClausesExpanded => "clauses_expanded",
             Counter::ClausesSurviving => "clauses_surviving",
             Counter::DenialsSubsumed => "denials_subsumed",
-            Counter::DifftestCase => "difftest_case",
-            Counter::DifftestDiscrepancy => "difftest_discrepancy",
-            Counter::DifftestShrinkStep => "difftest_shrink_step",
-            Counter::DifftestOpInsertBefore => "difftest_op_insert_before",
-            Counter::DifftestOpInsertAfter => "difftest_op_insert_after",
-            Counter::DifftestOpAppend => "difftest_op_append",
-            Counter::DifftestOpRemove => "difftest_op_remove",
-            Counter::DifftestOpUpdate => "difftest_op_update",
-            Counter::DifftestOpRename => "difftest_op_rename",
             Counter::OrderCacheRebuild => "order_cache_rebuild",
             Counter::DocOrderFastSort => "doc_order_fast_sort",
             Counter::DocOrderPathSort => "doc_order_path_sort",
@@ -243,7 +203,6 @@ impl Counter {
             Counter::GroupCommitStatement => "group_commit_statements",
             Counter::SnapshotPublish => "snapshot_publishes",
             Counter::SnapshotRead => "snapshot_reads",
-            Counter::DifftestReferenceQuery => "reference_queries",
             Counter::ChecksSkippedStatic => "checks_skipped_static",
             Counter::ChecksRetainedStatic => "checks_retained_static",
             Counter::RequestShed => "requests_shed",

@@ -1,11 +1,16 @@
-//! Atomic checkpoint snapshots and journal-segment rotation.
+//! Atomic checkpoint snapshots, journal-segment rotation and recovery:
+//! the one durable log.
 //!
 //! The write-ahead [`journal`](crate::journal) makes every committed
 //! statement durable, but by itself it grows without bound and recovery
 //! must replay the *entire* committed history — O(all updates ever).
 //! Checkpointing bounds both: a [`Store`] directory holds generation-
 //! numbered (snapshot, journal-segment) pairs, and recovery replays only
-//! the suffix journaled since the newest valid snapshot.
+//! the suffix journaled since the newest valid snapshot. A store that
+//! never rotates is a plain journal, `gen-0.wal`. [`Store`] alone knows
+//! the file names, the rotation steps and what a crash between them
+//! leaves: it owns the live segment and [`Store::recover`]; its caller
+//! only rebuilds a base document and replays records onto it.
 //!
 //! # On-disk format
 //!
@@ -55,7 +60,7 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::journal::{crc32, Journal, JournalError};
+use crate::journal::{crc32, Journal, JournalError, JournalRecord, RecordKind};
 
 /// Checkpoint file magic, bumped if the snapshot layout ever changes.
 pub const CKPT_MAGIC: &[u8; 8] = b"XICCKPT1";
@@ -113,6 +118,10 @@ pub enum CheckpointError {
         /// The offending entry's file name.
         name: String,
     },
+    /// A snapshot at `commit_seq` has no segment while an older
+    /// generation's segment holds a newer committed `version`: a failed
+    /// rotation's orphan, which recovery must not let win.
+    Orphan { commit_seq: u64, segment_generation: u64, version: u64 },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -129,6 +138,12 @@ impl std::fmt::Display for CheckpointError {
                 "store directory {} contains unrecognized entry {name:?}; \
                  refusing to open (a store directory must hold only gen-* artifacts)",
                 dir.display()
+            ),
+            CheckpointError::Orphan { commit_seq, segment_generation, version } => write!(
+                f,
+                "snapshot at commit {commit_seq} has no segment while generation \
+                 {segment_generation}'s segment holds committed version {version}; treating it \
+                 as a failed-rotation orphan"
             ),
         }
     }
@@ -173,7 +188,7 @@ impl From<JournalError> for CheckpointError {
 
 /// Opens `dir` and syncs it, making freshly created/renamed/unlinked
 /// entries durable (the POSIX idiom behind atomic file replacement).
-pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
+fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
@@ -278,28 +293,47 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// rotation.
 pub const DEFAULT_RETAIN: u64 = 2;
 
-/// Whether `name` is a file the store itself writes: a generation
-/// snapshot, a journal segment, or a torn in-progress snapshot.
-/// [`Store::create`] clears these when reusing a directory and refuses
-/// anything else.
-pub fn is_store_artifact(name: &str) -> bool {
-    name.strip_prefix("gen-").is_some_and(|rest| {
-        rest.ends_with(".ckpt") || rest.ends_with(".wal") || rest.ends_with(".ckpt.tmp")
-    })
+/// The generation number in an artifact name `gen-<g><suffix>`.
+fn generation_of(name: &str, suffix: &str) -> Option<u64> {
+    name.strip_prefix("gen-")?.strip_suffix(suffix)?.parse().ok()
+}
+
+/// The entries of `dir`, all of them files the store itself writes — a
+/// generation snapshot, a journal segment, or a torn in-progress
+/// snapshot. Anything else is refused with
+/// [`CheckpointError::ForeignEntry`]: a foreign file means the directory
+/// is shared with something else, and neither clearing it nor coexisting
+/// with it is safe.
+fn artifacts(dir: &Path) -> Result<Vec<String>, CheckpointError> {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        let ours = [".ckpt", ".wal", ".ckpt.tmp"];
+        if !(name.starts_with("gen-") && ours.iter().any(|suffix| name.ends_with(suffix))) {
+            return Err(CheckpointError::ForeignEntry { dir: dir.to_path_buf(), name });
+        }
+        names.push(name);
+    }
+    Ok(names)
 }
 
 /// A checkpointed store directory: generation-numbered snapshot/segment
-/// pairs plus the rotation protocol over them.
+/// pairs, the live segment commits are appended to, and the rotation and
+/// recovery protocols over them.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     /// The live generation (0 until the first rotation; generation 0 has
     /// no snapshot file — its base document lives outside the store).
     generation: u64,
-    /// Whether journal segments fsync per record (checkpoint files are
-    /// always fsync'd — rotation durability is the whole point). Fixed
-    /// when the handle is created or resumed.
+    /// The live generation's journal segment.
+    segment: Journal,
+    /// Whether segments fsync per record outside a deferred-sync scope
+    /// (checkpoint files are always fsync'd — rotation durability is the
+    /// whole point). Fixed when the store is created or recovered.
     sync: bool,
+    /// True inside a deferred-sync scope.
+    deferred: bool,
 }
 
 impl Store {
@@ -310,43 +344,47 @@ impl Store {
     /// A reused directory is wiped of any previous incarnation's
     /// `gen-*` artifacts first: recovery prefers the newest snapshot on
     /// disk, and a stale pair is internally self-consistent, so leaving
-    /// one behind would let a later [`recover`](crate::checkpoint::read)
-    /// silently resurrect the old incarnation's document over this one.
-    ///
-    /// A directory containing anything *other* than recognized `gen-*`
-    /// artifacts is refused with [`CheckpointError::ForeignEntry`]: a
-    /// foreign file means the directory is shared with something else,
-    /// and neither clearing it nor coexisting with it is safe.
-    pub fn create(dir: &Path, base_crc: u32, sync: bool) -> Result<(Store, Journal), CheckpointError> {
+    /// one behind would let a later [`Store::recover`] silently
+    /// resurrect the old incarnation's document over this one. A
+    /// directory containing anything else is refused
+    /// ([`CheckpointError::ForeignEntry`]).
+    pub fn create(dir: &Path, base_crc: u32, sync: bool) -> Result<Store, CheckpointError> {
         std::fs::create_dir_all(dir)?;
-        let mut stale = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if is_store_artifact(&name) {
-                stale.push(entry.path());
-            } else {
-                return Err(CheckpointError::ForeignEntry { dir: dir.to_path_buf(), name });
-            }
+        for stale in artifacts(dir)? {
+            std::fs::remove_file(dir.join(stale))?;
         }
-        for path in stale {
-            std::fs::remove_file(path)?;
-        }
-        let journal = Journal::create(&Self::wal_path(dir, 0), base_crc, sync)?;
+        let segment = Journal::create(&Self::wal_path(dir, 0), base_crc, sync)?;
         fsync_dir(dir)?;
-        Ok((Store { dir: dir.to_path_buf(), generation: 0, sync }, journal))
-    }
-
-    /// Re-opens a store handle positioned at `generation` (used after
-    /// recovery picked a generation to resume from).
-    pub fn resume(dir: &Path, generation: u64, sync: bool) -> Store {
-        Store { dir: dir.to_path_buf(), generation, sync }
+        Ok(Store { dir: dir.to_path_buf(), generation: 0, segment, sync, deferred: false })
     }
 
     /// The live generation number.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Bytes of valid journal in the live segment.
+    pub fn segment_bytes(&self) -> u64 {
+        self.segment.byte_len()
+    }
+
+    /// Appends one record to the live segment ([`Journal::append`]).
+    pub fn append(&mut self, kind: RecordKind, version: u64, stmt: &str) -> Result<(), JournalError> {
+        self.segment.append(kind, version, stmt)
+    }
+
+    /// Flushes the live segment with one fsync ([`Journal::sync_now`]).
+    pub fn sync_now(&mut self) -> Result<(), JournalError> {
+        self.segment.sync_now()
+    }
+
+    /// Enters (`true`) or leaves (`false`) a deferred-sync scope: inside
+    /// it appends are unsynced on whichever segment is live, one rotated
+    /// in mid-scope included. Leaving restores the configured mode; it
+    /// does not flush — [`Store::sync_now`] does.
+    pub fn defer_sync(&mut self, deferred: bool) {
+        self.deferred = deferred;
+        self.segment.set_sync(self.sync && !deferred);
     }
 
     /// Path of generation `g`'s snapshot (`g ≥ 1`).
@@ -363,39 +401,30 @@ impl Store {
     /// (the external base document) is always an implicit final fallback
     /// and is not listed.
     pub fn snapshot_generations(dir: &Path) -> Vec<u64> {
-        let mut gens: Vec<u64> = std::fs::read_dir(dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter_map(|entry| {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                name.strip_prefix("gen-")?.strip_suffix(".ckpt")?.parse().ok()
-            })
-            .collect();
+        let names = artifacts(dir).unwrap_or_default();
+        let mut gens: Vec<u64> = names.iter().filter_map(|n| generation_of(n, ".ckpt")).collect();
         gens.sort_unstable_by(|a, b| b.cmp(a));
         gens
     }
 
     /// Rotates to a new generation: durably snapshot `doc_xml` (the
-    /// document after `commit_seq` committed statements), start a fresh
-    /// journal segment keyed to it, and unlink generations that fell out
-    /// of the retention window. Returns the new segment, which the caller
-    /// must append all *subsequent* commits to.
+    /// document after `commit_seq` committed statements), make a fresh
+    /// journal segment keyed to it the live one, and unlink generations
+    /// that fell out of the retention window. Returns the new generation.
     ///
     /// On error the store stays on its current generation and the old
     /// (snapshot, journal) pair remains the recoverable one: any partial
     /// artifacts of the failed rotation — in particular a `gen-<g+1>.ckpt`
     /// that already became visible or durable — are unlinked before the
     /// error is reported. Leaving such an orphan behind would be poison:
-    /// the caller keeps committing to the *old* segment, so a later crash
+    /// commits keep going to the *old* segment, so a later crash
     /// would let recovery prefer the orphan snapshot (with an empty
     /// suffix) and silently discard every commit acknowledged after it.
-    pub fn rotate(&mut self, commit_seq: u64, doc_xml: &str) -> Result<Journal, CheckpointError> {
+    pub fn rotate(&mut self, commit_seq: u64, doc_xml: &str) -> Result<u64, CheckpointError> {
         let next = self.generation + 1;
         let ckpt = Checkpoint { commit_seq, doc_xml: doc_xml.to_string() };
-        let journal = match self.rotate_inner(next, &ckpt) {
-            Ok(journal) => journal,
+        let mut segment = match self.rotate_inner(next, &ckpt) {
+            Ok(segment) => segment,
             Err(e) => {
                 let _ = std::fs::remove_file(Self::ckpt_path(&self.dir, next));
                 let _ = std::fs::remove_file(Self::wal_path(&self.dir, next));
@@ -403,6 +432,10 @@ impl Store {
                 return Err(e);
             }
         };
+        // A rotation inside a deferred-sync scope must not bring
+        // fsync-per-record back for the rest of the batch.
+        segment.set_sync(self.sync && !self.deferred);
+        self.segment = segment;
         self.generation = next;
         xic_obs::incr(xic_obs::Counter::Rotation);
         // Unlink expired generations, best-effort: their presence is
@@ -417,7 +450,7 @@ impl Store {
                 }
             }
         }
-        Ok(journal)
+        Ok(next)
     }
 
     /// The fallible prefix of a rotation: snapshot write, segment create,
@@ -433,12 +466,129 @@ impl Store {
         fsync_dir(&self.dir)?;
         Ok(journal)
     }
+
+    /// Recovers the store in `dir`, to resume in the `sync` mode given
+    /// (recovery itself always fsyncs what it writes). Generations are
+    /// tried newest snapshot first, generation 0 — the external base
+    /// document — last. Each one whose snapshot validates is offered to
+    /// `replay`, which rebuilds the base, opens the segment keyed to it
+    /// ([`Candidate::open_segment`]) and replays the records, or says why
+    /// the generation cannot be used. The first one accepted wins.
+    ///
+    /// A directory with a foreign entry is refused as by
+    /// [`Store::create`]; a missing or unreadable one holds no generation.
+    pub fn recover<T>(
+        dir: &Path,
+        sync: bool,
+        mut replay: impl FnMut(&mut Candidate<'_>) -> Result<T, String>,
+    ) -> Result<Recovery<T>, CheckpointError> {
+        if let Err(e @ CheckpointError::ForeignEntry { .. }) = artifacts(dir) {
+            return Err(e);
+        }
+        let mut generations = Self::snapshot_generations(dir);
+        generations.push(0);
+        let mut rejected = Vec::new();
+        for generation in generations {
+            let mut candidate = Candidate { generation, snapshot: None, dir, sync, segment: None };
+            let outcome = candidate.read_snapshot().and_then(|()| replay(&mut candidate));
+            match (outcome, candidate.segment) {
+                (Ok(value), Some(mut segment)) => {
+                    segment.set_sync(sync);
+                    let dir = dir.to_path_buf();
+                    let store = Store { dir, generation, segment, sync, deferred: false };
+                    return Ok(Recovery { resumed: Some((store, value)), rejected });
+                }
+                (outcome, _) => {
+                    xic_obs::incr(xic_obs::Counter::RecoveryGenerationFallback);
+                    let reason = outcome.err().unwrap_or_else(|| "segment never opened".to_string());
+                    rejected.push(format!("generation {generation}: {reason}"));
+                }
+            }
+        }
+        Ok(Recovery { resumed: None, rejected })
+    }
+}
+
+/// What [`Store::recover`] found.
+#[derive(Debug)]
+pub struct Recovery<T> {
+    /// The store resumed on the winning generation, with `replay`'s value
+    /// for it; `None` if every generation was rejected.
+    pub resumed: Option<(Store, T)>,
+    /// Why each rejected generation was rejected, newest first.
+    pub rejected: Vec<String>,
+}
+
+/// One generation [`Store::recover`] offers for replay.
+#[derive(Debug)]
+pub struct Candidate<'a> {
+    /// The generation number (0 = the external base document).
+    pub generation: u64,
+    /// The validated snapshot to rebuild the base from; `None` for
+    /// generation 0, whose base the caller holds.
+    pub snapshot: Option<Checkpoint>,
+    dir: &'a Path,
+    sync: bool,
+    segment: Option<Journal>,
+}
+
+impl Candidate<'_> {
+    fn read_snapshot(&mut self) -> Result<(), String> {
+        if self.generation > 0 {
+            let ckpt = read(&Store::ckpt_path(self.dir, self.generation));
+            self.snapshot = Some(ckpt.map_err(|e| e.to_string())?);
+        }
+        Ok(())
+    }
+
+    /// Opens the generation's segment, which must be keyed to `base_crc`
+    /// — the checksum of the base as the caller serializes it — and
+    /// returns its records and whether a torn tail was truncated.
+    ///
+    /// A snapshot whose segment is missing is what a crash between the
+    /// snapshot's directory fsync and the segment create leaves: durable
+    /// with an empty suffix, so the segment is started now. But a
+    /// *failed* rotation whose orphan unlink did not stick leaves the
+    /// same shape while commits kept flowing to the old segment, and
+    /// accepting the snapshot then would silently discard them — so the
+    /// older segments are cross-checked first
+    /// ([`CheckpointError::Orphan`]).
+    pub fn open_segment(
+        &mut self,
+        base_crc: u32,
+    ) -> Result<(Vec<JournalRecord>, bool), CheckpointError> {
+        let wal = Store::wal_path(self.dir, self.generation);
+        let missing = self.snapshot.as_ref().filter(|_| !wal.exists());
+        let Some(commit_seq) = missing.map(|ckpt| ckpt.commit_seq) else {
+            let recovered = Journal::recover(&wal, Some(base_crc))?;
+            self.segment = Some(recovered.journal);
+            return Ok((recovered.records, recovered.torn));
+        };
+        for name in artifacts(self.dir).unwrap_or_default() {
+            let Some(g) = generation_of(&name, ".wal").filter(|&g| g < self.generation) else {
+                continue;
+            };
+            // Versions matter here, not the base, so no crc is expected;
+            // an unreadable segment proves nothing (its own candidate
+            // will surface the problem).
+            let Ok(older) = Journal::recover(&Store::wal_path(self.dir, g), None) else { continue };
+            let commits = older.records.iter().filter(|r| r.kind == RecordKind::Commit);
+            if let Some(version) = commits.map(|r| r.version).max().filter(|&v| v > commit_seq) {
+                return Err(CheckpointError::Orphan { commit_seq, segment_generation: g, version });
+            }
+        }
+        self.segment = Some(Journal::create(&wal, base_crc, self.sync)?);
+        // Rotation step 5's directory fsync: without it an OS crash could
+        // drop the fresh segment's name — and every commit appended to it
+        // — while the snapshot survives, re-entering this path.
+        fsync_dir(self.dir)?;
+        Ok((Vec::new(), false))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::RecordKind;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -500,15 +650,14 @@ mod tests {
     #[test]
     fn rotation_starts_a_segment_keyed_to_the_snapshot() {
         let dir = tmp_dir("rotate");
-        let (mut store, mut j0) = Store::create(&dir, 111, false).expect("create");
+        let mut store = Store::create(&dir, 111, false).expect("create");
         assert_eq!(store.generation(), 0);
-        j0.append(RecordKind::Commit, 1, "one").expect("append");
-        drop(j0);
+        store.append(RecordKind::Commit, 1, "one").expect("append");
 
-        let mut j1 = store.rotate(1, "<db><after-one/></db>").expect("rotate");
+        assert_eq!(store.rotate(1, "<db><after-one/></db>").expect("rotate"), 1);
         assert_eq!(store.generation(), 1);
-        j1.append(RecordKind::Commit, 2, "two").expect("append");
-        drop(j1);
+        store.append(RecordKind::Commit, 2, "two").expect("append");
+        drop(store);
 
         assert_eq!(Store::snapshot_generations(&dir), vec![1]);
         let snap = read(&Store::ckpt_path(&dir, 1)).expect("snapshot");
@@ -525,11 +674,9 @@ mod tests {
     #[test]
     fn retention_unlinks_expired_generations() {
         let dir = tmp_dir("retain");
-        let (mut store, j0) = Store::create(&dir, 0, false).expect("create");
-        drop(j0);
+        let mut store = Store::create(&dir, 0, false).expect("create");
         for g in 1..=3u64 {
-            let j = store.rotate(g, &format!("<db><g{g}/></db>")).expect("rotate");
-            drop(j);
+            store.rotate(g, &format!("<db><g{g}/></db>")).expect("rotate");
         }
         // retain = 2: generations 3 (live) and 2 (fallback) survive.
         assert_eq!(Store::snapshot_generations(&dir), vec![3, 2]);
@@ -544,18 +691,15 @@ mod tests {
     #[test]
     fn create_clears_stale_generations_from_a_reused_directory() {
         let dir = tmp_dir("stale");
-        let (mut store, j0) = Store::create(&dir, 1, false).expect("create");
-        drop(j0);
-        let j1 = store.rotate(5, "<db><old-incarnation/></db>").expect("rotate");
-        drop(j1);
+        let mut store = Store::create(&dir, 1, false).expect("create");
+        store.rotate(5, "<db><old-incarnation/></db>").expect("rotate");
         std::fs::write(dir.join("gen-9.ckpt.tmp"), b"torn").expect("tmp");
         assert_eq!(Store::snapshot_generations(&dir), vec![1]);
 
         // Re-creating the store on the same directory is a new
         // incarnation: the stale (self-consistent!) generation-1 pair
         // must not survive to win a later recovery.
-        let (store2, j) = Store::create(&dir, 2, false).expect("re-create");
-        drop(j);
+        let store2 = Store::create(&dir, 2, false).expect("re-create");
         assert_eq!(store2.generation(), 0);
         assert!(Store::snapshot_generations(&dir).is_empty());
         assert!(!Store::wal_path(&dir, 1).exists());
@@ -580,6 +724,11 @@ mod tests {
         // Nothing was cleared or created: the refusal is a clean no-op.
         assert!(dir.join("notes.txt").exists());
         assert!(!Store::wal_path(&dir, 0).exists());
+        // Recovery applies the same rule before it opens anything.
+        let refused = Store::recover(&dir, false, |_| -> Result<(), String> {
+            panic!("no candidate may be offered in a shared directory")
+        });
+        assert!(matches!(refused, Err(CheckpointError::ForeignEntry { .. })));
         // Subdirectories are foreign too (a nested store is not ours).
         std::fs::remove_file(dir.join("notes.txt")).expect("rm");
         std::fs::create_dir(dir.join("shard-0")).expect("mkdir");
@@ -587,6 +736,67 @@ mod tests {
             Store::create(&dir, 1, false),
             Err(CheckpointError::ForeignEntry { .. })
         ));
+        cleanup(&dir);
+    }
+
+    /// The caller's half of recovery with no document behind it: the
+    /// base checksum is the snapshot text's (7 for generation 0) and
+    /// every record is accepted.
+    fn open_only(c: &mut Candidate<'_>) -> Result<(Vec<JournalRecord>, bool), String> {
+        let crc = c.snapshot.as_ref().map_or(7, Checkpoint::doc_crc);
+        c.open_segment(crc).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn recover_starts_a_missing_segment_and_makes_it_durable() {
+        // Crash between rotation steps 4 and 5: gen-1.ckpt is durable,
+        // gen-1.wal was never created.
+        let dir = tmp_dir("nosegment");
+        let mut store = Store::create(&dir, 7, true).expect("create");
+        store.append(RecordKind::Commit, 1, "one").expect("append");
+        store.rotate(1, "<db><one/></db>").expect("rotate");
+        drop(store);
+        std::fs::remove_file(Store::wal_path(&dir, 1)).expect("rm segment");
+
+        let fsyncs = || xic_obs::snapshot().counter(xic_obs::Counter::JournalFsync);
+        let before = fsyncs();
+        let Recovery { resumed, rejected } = Store::recover(&dir, true, open_only).expect("recover");
+        let (mut store, (records, torn)) = resumed.expect("the snapshot wins");
+        assert!(rejected.is_empty(), "{rejected:?}");
+        assert_eq!(store.generation(), 1);
+        assert!(records.is_empty() && !torn, "empty suffix");
+        assert!(Store::wal_path(&dir, 1).exists(), "recovery must start the segment");
+        assert_eq!(fsyncs() - before, 1, "the fresh segment's header is fsync'd");
+        // The segment is keyed to the snapshot and live.
+        store.append(RecordKind::Commit, 2, "two").expect("append");
+        drop(store);
+        let snap = read(&Store::ckpt_path(&dir, 1)).expect("snapshot");
+        let rec = Journal::recover(&Store::wal_path(&dir, 1), Some(snap.doc_crc())).expect("keyed");
+        assert_eq!(rec.records.len(), 1);
+        cleanup(&dir);
+    }
+
+    #[test]
+    fn recover_rejects_an_orphan_snapshot_naming_generation_and_version() {
+        // A failed rotation whose orphan unlink did not stick: gen-1.ckpt
+        // at commit 1 with no segment, while gen-0.wal went on to commit 3.
+        let dir = tmp_dir("orphanrec");
+        let mut store = Store::create(&dir, 7, true).expect("create");
+        for v in 1..=3 {
+            store.append(RecordKind::Commit, v, "stmt").expect("append");
+        }
+        drop(store);
+        let orphan = Checkpoint { commit_seq: 1, doc_xml: "<db><one/></db>".to_string() };
+        write_atomic(&Store::ckpt_path(&dir, 1), &orphan).expect("plant orphan");
+
+        let Recovery { resumed, rejected } = Store::recover(&dir, true, open_only).expect("recover");
+        let (store, (records, _)) = resumed.expect("generation 0 wins");
+        assert_eq!(store.generation(), 0, "the orphan must not win");
+        assert_eq!(records.len(), 3);
+        assert_eq!(rejected.len(), 1);
+        assert!(rejected[0].starts_with("generation 1: snapshot at commit 1"), "{rejected:?}");
+        assert!(rejected[0].contains("generation 0's segment holds committed version 3"));
+        assert!(!Store::wal_path(&dir, 1).exists(), "a rejected orphan gets no segment");
         cleanup(&dir);
     }
 
@@ -599,8 +809,7 @@ mod tests {
         // those commits.
         for site in ["rotation.pre_new_segment", "checkpoint.pre_dir_fsync"] {
             let dir = tmp_dir("orphan");
-            let (mut store, j0) = Store::create(&dir, 5, false).expect("create");
-            drop(j0);
+            let mut store = Store::create(&dir, 5, false).expect("create");
             xic_faults::disarm_all();
             xic_faults::arm(site, 1, xic_faults::FaultMode::Error);
             let err = store.rotate(1, "<db><orphan/></db>").expect_err("injected");
@@ -622,15 +831,13 @@ mod tests {
         // rotation.pre_old_unlink guards a best-effort step: an injected
         // error there must not fail the (already durable) rotation.
         let dir = tmp_dir("unlinkerr");
-        let (mut store, j0) = Store::create(&dir, 0, false).expect("create");
-        drop(j0);
-        drop(store.rotate(1, "<db><one/></db>").expect("first rotation"));
+        let mut store = Store::create(&dir, 0, false).expect("create");
+        store.rotate(1, "<db><one/></db>").expect("first rotation");
         // The second rotation is the first to expire a generation (0).
         xic_faults::disarm_all();
         xic_faults::arm("rotation.pre_old_unlink", 1, xic_faults::FaultMode::Error);
-        let j = store.rotate(2, "<db><kept/></db>").expect("rotation still succeeds");
+        store.rotate(2, "<db><kept/></db>").expect("rotation still succeeds");
         xic_faults::disarm_all();
-        drop(j);
         assert_eq!(store.generation(), 2);
         // The unlink was skipped, so the expired generation 0 survives
         // as an extra (harmless) fallback.
@@ -641,8 +848,7 @@ mod tests {
     #[test]
     fn torn_tmp_write_leaves_old_generation_intact() {
         let dir = tmp_dir("torntmp");
-        let (mut store, j0) = Store::create(&dir, 5, false).expect("create");
-        drop(j0);
+        let mut store = Store::create(&dir, 5, false).expect("create");
         xic_faults::disarm_all();
         xic_faults::arm("checkpoint.tmp.mid_write", 1, xic_faults::FaultMode::Error);
         let err = store.rotate(1, "<db><victim/></db>").expect_err("injected");
@@ -652,8 +858,7 @@ mod tests {
         assert!(Store::snapshot_generations(&dir).is_empty());
         assert!(Store::wal_path(&dir, 0).exists(), "old pair must survive");
         // The next rotation succeeds and overwrites any tmp remnants.
-        let j = store.rotate(1, "<db><victim/></db>").expect("retry rotation");
-        drop(j);
+        store.rotate(1, "<db><victim/></db>").expect("retry rotation");
         assert_eq!(Store::snapshot_generations(&dir), vec![1]);
         cleanup(&dir);
     }

@@ -4,10 +4,10 @@
 //! [`RecordKind::Commit`] after a statement is applied and found legal
 //! (fsync'd before the verdict is returned to the caller), or a
 //! [`RecordKind::Abort`] documenting a batch that failed partway through
-//! apply and was rolled back. After a crash,
-//! `Checker::recover` replays the committed prefix of the journal onto the
-//! base document; torn or corrupt tails (a crash mid-append) are detected
-//! by length/checksum validation and truncated.
+//! apply and was rolled back. After a crash, recovery replays the
+//! committed prefix of the journal onto the base document; torn or corrupt
+//! tails (a crash mid-append) are detected by length/checksum validation
+//! and truncated.
 //!
 //! # On-disk format
 //!
@@ -273,9 +273,11 @@ impl Journal {
     }
 
     /// Enable or disable fsync-per-append (the durability/throughput knob
-    /// the suite's `journal.sync_us` prices). The checker's commit log is
-    /// the one caller: it defers the mode for the length of a
+    /// the suite's `journal.sync_us` prices). The [`Store`] that owns the
+    /// segment is the one caller: it defers the mode for the length of a
     /// group-commit batch.
+    ///
+    /// [`Store`]: crate::checkpoint::Store
     pub fn set_sync(&mut self, sync: bool) {
         self.sync = sync;
     }
