@@ -14,12 +14,13 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # reference — node-sets, existential short-circuits, count() cardinalities
 # and the translator's quantifier and aggregate-FLWOR shapes must all
 # agree. The run exits nonzero on any discrepancy or if a run of at least
-# 100 cases compared no queries (the report's "reference_queries" counts
-# them). Every case also replays through a checker pair with the static
-# update/constraint independence mask on and off (oracle 6): verdicts,
-# violation reports and post-states must be byte-identical.
-cargo run --release -q -p xic-difftest -- --cases 500 --seed 1 \
-  --out /tmp/BENCH_DIFFTEST_CI.json
+# 100 cases compared no queries (the summary line's "reference queries"
+# counts them) or missed an operation kind. Every case also replays
+# through a checker pair with the static update/constraint independence
+# mask on and off (oracle 6): verdicts, violation reports and post-states
+# must be byte-identical. Every difftest gate below is decided the same
+# way: the exit code, and the one summary line on stdout.
+cargo run --release -q -p xic-difftest -- --cases 500 --seed 1
 
 echo "== difftest corpus replay =="
 # Every checked-in regression seed replays against the current oracles
@@ -28,9 +29,7 @@ echo "== difftest corpus replay =="
 grep -v '^[[:space:]]*#' crates/difftest/corpus/regressions.txt \
   | grep -v '^[[:space:]]*$' \
   | while read -r seed; do
-      cargo run --release -q -p xic-difftest -- \
-        --cases 1 --seed "$seed" \
-        --out /tmp/BENCH_DIFFTEST_CORPUS.json
+      cargo run --release -q -p xic-difftest -- --cases 1 --seed "$seed"
     done
 
 echo "== crash-matrix smoke (journal recovery under injected crashes) =="
@@ -39,19 +38,20 @@ echo "== crash-matrix smoke (journal recovery under injected crashes) =="
 # the seed, drives a random statement batch against a journaled checker,
 # recovers, and asserts byte-identity with the committed prefix of a
 # never-crashed twin. Exits nonzero on any divergence (replay:
-# difftest -- --crash-matrix --seed N --cases 1 [--sites PAT]).
+# difftest -- --crash-matrix --seed N --cases 1 [--sites PAT]), when no
+# armed fault fired in a run of at least 40 cases (the floor of every
+# fault-injecting pass, and the smallest count any of them runs at
+# here), and when a site of the list fired in no case.
 CRASH_CASES="${CRASH_CASES:-100}"
 cargo run --release -q -p xic-difftest -- --crash-matrix --cases "$CRASH_CASES" --seed 1 \
-  ${CRASH_SITES:+--sites "$CRASH_SITES"} \
-  --out /tmp/BENCH_CRASH_CI.json
+  ${CRASH_SITES:+--sites "$CRASH_SITES"}
 
 echo "== crash-matrix rotation pass (checkpoint + rotation fault sites) =="
 # Same oracle, restricted to the checkpoint/rotation protocol steps so
 # every rotation interleaving is crashed mid-batch: tmp write, tmp fsync,
 # rename, directory fsync, new-segment create, old-generation unlink.
 cargo run --release -q -p xic-difftest -- --crash-matrix \
-  --cases "${CRASH_ROTATION_CASES:-60}" --seed 7 --sites checkpoint,rotation \
-  --out /tmp/BENCH_CRASH_ROTATION_CI.json
+  --cases "${CRASH_ROTATION_CASES:-60}" --seed 7 --sites checkpoint,rotation
 
 echo "== crash-matrix group-commit pass (service batch path, shared fsync) =="
 # Write-path sites only: the matrix proper plus the group-commit pass,
@@ -60,8 +60,7 @@ echo "== crash-matrix group-commit pass (service batch path, shared fsync) =="
 # Recovery must reproduce the twin's committed prefix and keep every
 # commit from a batch whose shared fsync completed.
 cargo run --release -q -p xic-difftest -- --crash-matrix \
-  --cases "${CRASH_GC_CASES:-40}" --seed 3 --sites journal,checker,xupdate \
-  --out /tmp/BENCH_CRASH_GC_CI.json
+  --cases "${CRASH_GC_CASES:-40}" --seed 3 --sites journal,checker,xupdate
 
 echo "== chaos pass (overload & failure resilience, seeded faults) =="
 # The PR9 gate (count overridable via CHAOS_CASES): each seeded case
@@ -73,8 +72,7 @@ echo "== chaos pass (overload & failure resilience, seeded faults) =="
 # recovered, or cleanly poisoned terminal state (replay:
 # difftest -- --chaos --seed N --cases 1).
 CHAOS_CASES="${CHAOS_CASES:-100}"
-cargo run --release -q -p xic-difftest -- --chaos --cases "$CHAOS_CASES" --seed 1 \
-  --out /tmp/BENCH_CHAOS_CI.json
+cargo run --release -q -p xic-difftest -- --chaos --cases "$CHAOS_CASES" --seed 1
 
 echo "== shard crash matrix (fault-isolated shards, parallel recovery) =="
 # The PR10 gate (count overridable via SHARD_CRASH_CASES): each seeded
@@ -87,8 +85,7 @@ echo "== shard crash matrix (fault-isolated shards, parallel recovery) =="
 # recovery byte for byte (replay: difftest -- --shard-matrix --seed N
 # --cases 1).
 SHARD_CRASH_CASES="${SHARD_CRASH_CASES:-60}"
-cargo run --release -q -p xic-difftest -- --shard-matrix --cases "$SHARD_CRASH_CASES" \
-  --seed 1 --out /tmp/BENCH_SHARD_CRASH_CI.json
+cargo run --release -q -p xic-difftest -- --shard-matrix --cases "$SHARD_CRASH_CASES" --seed 1
 
 echo "== shard chaos pass (in-place shard rebuild while siblings commit) =="
 # Same isolation oracles with error/transient/panic faults and the
@@ -96,8 +93,7 @@ echo "== shard chaos pass (in-place shard rebuild while siblings commit) =="
 # committing — per-shard twins assert no cross-shard contamination in
 # either direction (replay: difftest -- --shard-chaos --seed N --cases 1).
 cargo run --release -q -p xic-difftest -- --shard-chaos \
-  --cases "${SHARD_CHAOS_CASES:-60}" --seed 1 \
-  --out /tmp/BENCH_SHARD_CHAOS_CI.json
+  --cases "${SHARD_CHAOS_CASES:-60}" --seed 1
 
 echo "== snapshot-decide oracle (DECIDE on read snapshots == the writer's answer) =="
 # The PR12 gate (count overridable via SNAPSHOT_DECIDE_CASES): every
@@ -109,8 +105,7 @@ echo "== snapshot-decide oracle (DECIDE on read snapshots == the writer's answer
 # decided cases (replay: difftest -- --snapshot-decide --seed N
 # --cases 1).
 cargo run --release -q -p xic-difftest -- --snapshot-decide \
-  --cases "${SNAPSHOT_DECIDE_CASES:-300}" --seed 1 \
-  --out /tmp/BENCH_SNAPSHOT_DECIDE_CI.json
+  --cases "${SNAPSHOT_DECIDE_CASES:-300}" --seed 1
 
 echo "== concurrency stress smoke (snapshot readers + group-commit writers) =="
 # The service stress oracle: concurrent writers and snapshot readers,
@@ -119,7 +114,7 @@ echo "== concurrency stress smoke (snapshot readers + group-commit writers) =="
 # this names the gate so a red run points straight at the service layer.
 cargo test -q --release -p xicheck --test service_stress
 
-echo "== experiments smoke (paper tables + BENCH_PAPER.json, bad input exits 1) =="
+echo "== experiments smoke (paper tables + their one report file, bad input exits 1) =="
 # A does-it-run gate, not a performance assertion; then one malformed
 # flag, which must be refused with exit 1 (not a panic's 101).
 cargo run --release -q -p xic-bench --bin experiments -- fig1a illegal simp \
@@ -145,7 +140,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== clippy lib gate (-D clippy::unwrap_used) =="
 # Library code (the user-reachable surface) must not panic through bare
-# unwrap(); tests, benches and bins may. Internal invariants use
+# unwrap(); tests and bins may. Internal invariants use
 # expect() with a message.
 cargo clippy --workspace --lib -- -D warnings -D clippy::unwrap_used
 

@@ -18,8 +18,9 @@
 //! per commit) that tests, difftest and the benchmark's twins drive; the
 //! default is the group-commit writer. `--queue-depth` bounds the
 //! admission queue (excess submissions get `ERR overloaded`),
-//! `--deadline-ms` sets a default per-request evaluation deadline
-//! (clients can override it per line, e.g. `UPDATE 250 <stmt>`), and
+//! `--deadline-ms` sets a default per-request evaluation deadline for
+//! all three checking verbs — `CHECK`, `DECIDE` and `UPDATE` — (clients
+//! can override it per line, e.g. `UPDATE 250 <stmt>`), and
 //! `--fsync-attempts` bounds the group-commit fsync retry budget before
 //! the service degrades to read-only. See README.md, *Running as a
 //! service* and *Operating under failure*, for worked examples.

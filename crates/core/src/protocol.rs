@@ -228,16 +228,6 @@ fn violation_text(v: &Violation) -> String {
     one_line(&v.denial)
 }
 
-/// Renders a deadlined read's error, counting a timeout into the
-/// service's `requests_timed_out` stat on the way (snapshots are
-/// detached from the service and cannot count it themselves).
-fn read_error_text(service: &CheckerService, e: crate::service::ServiceError) -> String {
-    if matches!(e, crate::service::ServiceError::Timeout { .. }) {
-        service.note_read_timeout();
-    }
-    e.to_string()
-}
-
 /// The counter fields of a `STATS` reply, shared by the single-document
 /// and the sharded (summed) rendering.
 fn stats_fields(stats: &ServiceStats) -> String {
@@ -260,14 +250,20 @@ fn stats_fields(stats: &ServiceStats) -> String {
 /// Returns `Reply::Bye` for [`Command::Quit`]; the caller closes the
 /// connection after writing it.
 pub fn execute(service: &CheckerService, command: &Command) -> Reply {
+    // A request's own deadline overrides the configured default — for
+    // the reads as for UPDATE.
+    let deadline = match command {
+        Command::Check(own) | Command::Decide(_, own) | Command::Update(_, own) => {
+            own.or(service.config().default_deadline_ms)
+        }
+        _ => None,
+    };
     match command {
-        Command::Check(deadline) => {
+        Command::Check(_) => {
             let snap = service.snapshot();
             let verdict = match deadline {
                 None => snap.check_full().map_err(|e| e.to_string()),
-                Some(ms) => snap
-                    .check_full_deadline(*ms)
-                    .map_err(|e| read_error_text(service, e)),
+                Some(ms) => snap.check_full_deadline(ms).map_err(|e| e.to_string()),
             };
             match verdict {
                 Ok(None) => Reply::Ok { version: snap.version(), detail: "CONSISTENT".to_string() },
@@ -278,7 +274,7 @@ pub fn execute(service: &CheckerService, command: &Command) -> Reply {
                 Err(e) => Reply::Err(e),
             }
         }
-        Command::Decide(stmt, deadline) => {
+        Command::Decide(stmt, _) => {
             let parsed = match xic_xml::XUpdateDoc::parse(stmt) {
                 Ok(p) => p,
                 Err(e) => return Reply::Err(format!("bad statement: {e}")),
@@ -286,9 +282,7 @@ pub fn execute(service: &CheckerService, command: &Command) -> Reply {
             let snap = service.snapshot();
             let verdict = match deadline {
                 None => snap.decide(&parsed).map_err(|e| e.to_string()),
-                Some(ms) => snap
-                    .decide_deadline(&parsed, *ms)
-                    .map_err(|e| read_error_text(service, e)),
+                Some(ms) => snap.decide_deadline(&parsed, ms).map_err(|e| e.to_string()),
             };
             match verdict {
                 Ok(None) => Reply::Ok { version: snap.version(), detail: "LEGAL".to_string() },
@@ -299,12 +293,8 @@ pub fn execute(service: &CheckerService, command: &Command) -> Reply {
                 Err(e) => Reply::Err(e),
             }
         }
-        Command::Update(stmt, deadline) => {
-            let result = match deadline {
-                None => service.submit(stmt),
-                Some(ms) => service.submit_with(stmt, Some(*ms)),
-            };
-            match result {
+        Command::Update(stmt, _) => {
+            match service.submit_with(stmt, deadline) {
                 Ok(out) => match &out.outcome {
                     UpdateOutcome::Applied { strategy } => Reply::Ok {
                         version: out.version,
@@ -481,17 +471,7 @@ pub fn serve_connection_sharded(
     input: impl BufRead,
     output: impl Write,
 ) -> std::io::Result<()> {
-    serve_connection_sharded_capped(set, input, output, MAX_LINE_BYTES)
-}
-
-/// [`serve_connection_sharded`] with an explicit line cap.
-pub fn serve_connection_sharded_capped(
-    set: &ShardSet,
-    input: impl BufRead,
-    output: impl Write,
-    max_line: usize,
-) -> std::io::Result<()> {
-    serve_lines(|command| execute_sharded(set, command), input, output, max_line)
+    serve_lines(|command| execute_sharded(set, command), input, output, MAX_LINE_BYTES)
 }
 
 /// The shared read-parse-execute-reply loop behind both connection
@@ -714,6 +694,33 @@ mod tests {
         );
         // The snapshot is untouched and later requests are unaffected.
         assert_eq!(execute(&service, &Command::Check(None)).render(), "OK 0 CONSISTENT");
+    }
+
+    #[test]
+    fn the_default_deadline_covers_all_three_verbs_and_a_request_overrides_it() {
+        let checker = Checker::new(XML, DTD, CONFLICT).expect("setup");
+        let config = crate::service::ServiceConfig {
+            executor: Executor::Sync,
+            default_deadline_ms: Some(0),
+            ..Default::default()
+        };
+        let service = CheckerService::with_config(checker, config);
+        for command in [
+            Command::Check(None),
+            Command::Decide(insert("erin"), None),
+            Command::Update(insert("erin"), None),
+        ] {
+            let line = execute(&service, &command).render();
+            assert!(line.starts_with("ERR timeout:"), "{command:?} answered {line:?}");
+        }
+        assert_eq!(
+            execute(&service, &Command::Check(Some(10_000))).render(),
+            "OK 0 CONSISTENT"
+        );
+        let r = execute(&service, &Command::Decide(insert("erin"), Some(10_000)));
+        assert_eq!(r.render(), "OK 0 LEGAL");
+        let r = execute(&service, &Command::Update(insert("erin"), Some(10_000)));
+        assert_eq!(r.render(), "OK 1 APPLIED optimized");
     }
 
     #[test]

@@ -37,10 +37,10 @@
 //!   (EXPERIMENTS.md E13, `experiments -- overload`).
 //! * **Requests carry deadlines.** A `deadline_ms` budget (from the
 //!   protocol's optional `UPDATE 250 <stmt>` prefix, or
-//!   [`ServiceConfig::default_deadline_ms`]) bounds queue wait *and*
-//!   evaluation: expired requests are dropped with
-//!   [`ServiceError::Timeout`], and the remaining allowance is armed as
-//!   an [`EvalBudget`] around the check so a pathological
+//!   [`ServiceConfig::default_deadline_ms`], for reads as for writes)
+//!   bounds queue wait *and* evaluation: expired requests are dropped
+//!   with [`ServiceError::Timeout`], and the remaining allowance is
+//!   armed as an [`EvalBudget`] around the check so a pathological
 //!   statement/constraint pair times out instead of hanging.
 //! * **A failed batch fsync degrades, it does not kill.** The shared
 //!   fsync is retried with bounded backoff (the journal's own
@@ -134,9 +134,11 @@ pub struct ServiceConfig {
     /// Bounded-admission depth: submissions beyond this many waiting are
     /// shed with [`ServiceError::Overloaded`]. Clamped to at least 1.
     pub queue_depth: usize,
-    /// Deadline applied to requests that do not carry their own
-    /// (`None`: no deadline — requests may wait and evaluate without
-    /// bound, the pre-PR9 behavior).
+    /// Deadline applied to requests that do not carry their own:
+    /// [`CheckerService::submit`] and, through the protocol, all three
+    /// checking verbs — `CHECK` and `DECIDE` on a snapshot as well as
+    /// `UPDATE` (`None`: no deadline — requests may wait and evaluate
+    /// without bound, the pre-PR9 behavior).
     pub default_deadline_ms: Option<u64>,
     /// Total attempts for the shared batch fsync (first try + retries
     /// with exponential backoff) before the service degrades. Clamped to
@@ -305,7 +307,6 @@ pub struct ServiceStats {
 #[derive(Default)]
 struct StatsCells {
     shed: AtomicU64,
-    timed_out: AtomicU64,
     degraded_transitions: AtomicU64,
     fsync_retries: AtomicU64,
 }
@@ -340,6 +341,9 @@ struct CheckSet {
     /// at service start; snapshot decisions follow the same setting.
     independence: bool,
     decides: DecideCells,
+    /// Requests that exceeded their deadline, on the write path or on a
+    /// snapshot: counted where it happens, like `decides`.
+    timed_out: AtomicU64,
 }
 
 impl CheckSet {
@@ -351,7 +355,13 @@ impl CheckSet {
             patterns: Arc::clone(checker.pattern_cache()),
             independence: checker.independence(),
             decides: DecideCells::default(),
+            timed_out: AtomicU64::new(0),
         }
+    }
+
+    fn note_timeout(&self) {
+        self.timed_out.fetch_add(1, Ordering::Relaxed);
+        xic_obs::incr(xic_obs::Counter::RequestTimedOut);
     }
 
     /// The baseline evaluator as snapshot readers run it: never fanned
@@ -409,7 +419,7 @@ impl ReadSnapshot {
         deadline_ms: u64,
     ) -> Result<Option<Violation>, ServiceError> {
         let _budget = xic_xpath::budget::arm(deadline_budget(deadline_ms));
-        self.check_full().map_err(|e| timeout_or(e, deadline_ms))
+        self.check_full().map_err(|e| self.timeout_or(e, deadline_ms))
     }
 
     /// Decides — without committing — whether `stmt` would be legal in
@@ -481,7 +491,7 @@ impl ReadSnapshot {
         deadline_ms: u64,
     ) -> Result<Option<Violation>, ServiceError> {
         let _budget = xic_xpath::budget::arm(deadline_budget(deadline_ms));
-        self.decide(stmt).map_err(|e| timeout_or(e, deadline_ms))
+        self.decide(stmt).map_err(|e| self.timeout_or(e, deadline_ms))
     }
 
     /// The baseline decision: applies `stmt` to a private copy of the
@@ -500,6 +510,18 @@ impl ReadSnapshot {
         // captured at publish), mirroring the writer's baseline path.
         self.checks.baseline().decide_by_rollback(&mut doc, stmt, self.nesting_trusted)
     }
+
+    /// Maps a deadline-budget exhaustion to [`ServiceError::Timeout`],
+    /// counting it into the service's `requests_timed_out`; any other
+    /// checker error passes through.
+    fn timeout_or(&self, e: CheckerError, deadline_ms: u64) -> ServiceError {
+        if is_budget_exhaustion(&e) {
+            self.checks.note_timeout();
+            ServiceError::Timeout { ms: deadline_ms }
+        } else {
+            ServiceError::Checker(e)
+        }
+    }
 }
 
 /// True when `e` is (or wraps) an exhausted evaluation budget. The
@@ -514,17 +536,6 @@ fn is_budget_exhaustion(e: &CheckerError) -> bool {
             m.contains("step budget exhausted")
         }
         _ => false,
-    }
-}
-
-/// Maps a deadline-budget exhaustion to [`ServiceError::Timeout`]; any
-/// other checker error passes through.
-fn timeout_or(e: CheckerError, deadline_ms: u64) -> ServiceError {
-    if is_budget_exhaustion(&e) {
-        xic_obs::incr(xic_obs::Counter::RequestTimedOut);
-        ServiceError::Timeout { ms: deadline_ms }
-    } else {
-        ServiceError::Checker(e)
     }
 }
 
@@ -686,7 +697,7 @@ impl CheckerService {
         let decides = &self.checks.decides;
         ServiceStats {
             requests_shed: self.stats.shed.load(Ordering::Relaxed),
-            requests_timed_out: self.stats.timed_out.load(Ordering::Relaxed),
+            requests_timed_out: self.checks.timed_out.load(Ordering::Relaxed),
             service_degraded: self.stats.degraded_transitions.load(Ordering::Relaxed),
             fsync_retries: self.stats.fsync_retries.load(Ordering::Relaxed),
             decides_optimized: decides.optimized.load(Ordering::Relaxed),
@@ -775,7 +786,7 @@ impl CheckerService {
                         match reply_rx.recv_timeout(wait) {
                             Ok(result) => result,
                             Err(mpsc::RecvTimeoutError::Timeout) => {
-                                self.note_timeout();
+                                self.checks.note_timeout();
                                 Err(ServiceError::Timeout { ms: d.ms })
                             }
                             Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -803,7 +814,7 @@ impl CheckerService {
             Some(d) => {
                 let left = d.remaining_ms(Instant::now());
                 if left == 0 {
-                    self.note_timeout();
+                    self.checks.note_timeout();
                     return Err(ServiceError::Timeout { ms: d.ms });
                 }
                 Some((deadline_budget(left), d.ms))
@@ -816,7 +827,7 @@ impl CheckerService {
         }
         let outcome = attempted.map_err(|e| match budget {
             Some((_, ms)) if is_budget_exhaustion(&e) => {
-                self.note_timeout();
+                self.checks.note_timeout();
                 ServiceError::Timeout { ms }
             }
             _ => ServiceError::Checker(e),
@@ -886,19 +897,6 @@ impl CheckerService {
     /// [`Health::Poisoned`]).
     fn note_poisoned(&self) {
         self.poisoned.store(true, Ordering::Release);
-    }
-
-    fn note_timeout(&self) {
-        self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
-        xic_obs::incr(xic_obs::Counter::RequestTimedOut);
-    }
-
-    /// Counts a read-path (snapshot) deadline expiry. Snapshots are
-    /// detached from the service, so the protocol layer reports these;
-    /// the obs counter was already incremented where the exhaustion was
-    /// classified (`timeout_or`).
-    pub(crate) fn note_read_timeout(&self) {
-        self.stats.timed_out.fetch_add(1, Ordering::Relaxed);
     }
 
     fn note_fsync_retries(&self, n: u32) {
@@ -1022,7 +1020,7 @@ fn run_batch(
         match req.deadline {
             Some(d) if d.remaining_ms(now) == 0 => {
                 if let Some(service) = service.upgrade() {
-                    service.note_timeout();
+                    service.checks.note_timeout();
                 }
                 let _ = req.reply.send(Err(ServiceError::Timeout { ms: d.ms }));
             }
@@ -1066,7 +1064,7 @@ fn run_batch(
             // bare budget error.
             (Err(ServiceError::Checker(e)), Some(d)) if is_budget_exhaustion(&e) => {
                 if let Some(service) = service.upgrade() {
-                    service.note_timeout();
+                    service.checks.note_timeout();
                 }
                 Err(ServiceError::Timeout { ms: d.ms })
             }

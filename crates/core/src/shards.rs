@@ -309,7 +309,6 @@ struct ShardSlot {
 /// N single-writer document shards sharing one compiled constraint set
 /// (see the [module docs](self)).
 pub struct ShardSet {
-    root: PathBuf,
     gamma: Arc<SharedGamma>,
     patterns: Arc<PatternCache>,
     config: ShardSetConfig,
@@ -358,7 +357,6 @@ impl ShardSet {
             });
         }
         Ok(ShardSet {
-            root: root.to_path_buf(),
             gamma: Arc::clone(gamma),
             patterns,
             config,
@@ -449,7 +447,6 @@ impl ShardSet {
         }
         Ok((
             ShardSet {
-                root: root.to_path_buf(),
                 gamma: Arc::clone(gamma),
                 patterns,
                 config,
@@ -469,11 +466,6 @@ impl ShardSet {
         self.shards.is_empty()
     }
 
-    /// The on-disk root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The compiled constraint set every shard shares.
     pub fn gamma(&self) -> &Arc<SharedGamma> {
         &self.gamma
@@ -482,11 +474,6 @@ impl ShardSet {
     /// The cross-shard compiled-pattern cache.
     pub fn patterns(&self) -> &Arc<PatternCache> {
         &self.patterns
-    }
-
-    /// The per-shard configuration.
-    pub fn config(&self) -> &ShardSetConfig {
-        &self.config
     }
 
     fn slot(&self, id: usize) -> Result<&ShardSlot, ShardSetError> {
@@ -514,18 +501,6 @@ impl ShardSet {
         self.shard(id)?.submit(stmt).map_err(|source| ShardSetError::Service { id, source })
     }
 
-    /// [`ShardSet::submit`] with an explicit deadline.
-    pub fn submit_with(
-        &self,
-        id: usize,
-        stmt: &str,
-        deadline_ms: Option<u64>,
-    ) -> Result<SubmitOutcome, ShardSetError> {
-        self.shard(id)?
-            .submit_with(stmt, deadline_ms)
-            .map_err(|source| ShardSetError::Service { id, source })
-    }
-
     /// Per-shard health, one status per shard. A poisoned or degraded
     /// shard shows up here without affecting any sibling's row.
     pub fn health(&self) -> ShardHealth {
@@ -550,15 +525,6 @@ impl ShardSet {
     /// One shard's resilience counters.
     pub fn stats(&self, id: usize) -> Result<ServiceStats, ShardSetError> {
         Ok(self.shard(id)?.stats())
-    }
-
-    /// Re-arms shard `id` in place after *journal* trouble: delegates
-    /// to [`CheckerService::recover`] (flush, republish, leave degraded
-    /// mode). This is the
-    /// light path — a poisoned shard needs the heavy path,
-    /// [`ShardSet::recover_shard`].
-    pub fn recover_service(&self, id: usize) -> Result<(), ShardSetError> {
-        self.shard(id)?.recover().map_err(|source| ShardSetError::Service { id, source })
     }
 
     /// Rebuilds shard `id` from its own store directory and swaps the

@@ -122,6 +122,23 @@ fn expired_deadline_times_out_without_executing() {
     service.shutdown().expect("shutdown");
 }
 
+/// A deadline that runs out on a snapshot is counted where it happens:
+/// a library caller of the deadlined reads moves `requests_timed_out`
+/// with no protocol layer to count on the snapshot's behalf.
+#[test]
+fn snapshot_read_timeouts_are_counted_by_the_snapshot() {
+    let service = CheckerService::new(checker(), Executor::Sync);
+    let snapshot = service.snapshot();
+    assert!(matches!(snapshot.check_full_deadline(0), Err(ServiceError::Timeout { ms: 0 })));
+    assert_eq!(service.stats().requests_timed_out, 1);
+    let stmt = xic_xml::XUpdateDoc::parse(&legal("late")).expect("statement parses");
+    assert!(matches!(snapshot.decide_deadline(&stmt, 0), Err(ServiceError::Timeout { ms: 0 })));
+    assert_eq!(service.stats().requests_timed_out, 2);
+    assert!(matches!(snapshot.check_full_deadline(60_000), Ok(None)));
+    assert_eq!(service.stats().requests_timed_out, 2, "a read within its deadline counts nothing");
+    service.shutdown().expect("shutdown");
+}
+
 /// A generous deadline changes nothing: the statement commits normally.
 #[test]
 fn generous_deadline_commits_normally() {

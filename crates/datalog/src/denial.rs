@@ -235,13 +235,6 @@ impl VarGen {
         self.next += 1;
         format!("{stem}__{n}")
     }
-
-    /// Returns a fresh anonymous-variable name.
-    pub fn fresh_anon(&mut self) -> String {
-        let n = self.next;
-        self.next += 1;
-        format!("_A{n}")
-    }
 }
 
 #[cfg(test)]

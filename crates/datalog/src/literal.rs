@@ -241,11 +241,6 @@ impl Literal {
         self.collect_vars(&mut out);
         out
     }
-
-    /// True if this literal is a positive database atom.
-    pub fn is_db_atom(&self) -> bool {
-        matches!(self, Literal::Pos(_))
-    }
 }
 
 impl fmt::Display for Literal {

@@ -51,20 +51,10 @@
 
 use std::path::Path;
 use xic_faults::FaultMode;
-use xic_obs as obs;
 use xicheck::service::{apply_batch_resilient, BatchDisposition, BatchStmt, ServiceError};
 use xicheck::{Checker, CheckerError, CheckpointPolicy};
 
-use crate::{generate_case, Case};
-
-/// Chaos-pass run parameters.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// Base seed; case `i` uses seed `seed + i`.
-    pub seed: u64,
-    /// Number of cases to run.
-    pub cases: u64,
-}
+use crate::{each_case, fault_floor, generate_case, Case, Config, Outcome};
 
 /// Sites the chaos pass arms whether or not the store rotates: the
 /// group-commit write path from statement apply to the shared fsync.
@@ -188,10 +178,10 @@ impl ChaosDivergence {
 }
 
 /// Aggregate chaos-pass report.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ChaosReport {
     /// The run's parameters.
-    pub config: ChaosConfig,
+    pub config: Config,
     /// Cases in which the armed fault actually fired.
     pub fired: u64,
     /// Cases that entered (and left) read-only degraded mode.
@@ -209,6 +199,28 @@ pub struct ChaosReport {
     pub replayed: u64,
     /// All divergences, in seed order.
     pub divergences: Vec<ChaosDivergence>,
+}
+
+impl ChaosReport {
+    /// The run's [`Outcome`]. Floor: a fault fired (`fault_floor`).
+    pub fn outcome(&self) -> Outcome {
+        let Config { seed, cases } = self.config;
+        let summary = format!(
+            "chaos: {cases} cases from seed {seed} — {} divergences, {} faults fired, \
+             {} degraded, {} absorbed by fsync retry, {} poisoned, \
+             {} rotating cases, {} commits acked, {} commits replayed",
+            self.divergences.len(),
+            self.fired,
+            self.degraded,
+            self.retry_absorbed,
+            self.poisoned,
+            self.rotating_cases,
+            self.acked,
+            self.replayed,
+        );
+        let divergences = self.divergences.iter().map(ChaosDivergence::report).collect();
+        Outcome { summary, divergences, floor: fault_floor("chaos", cases, self.fired) }
+    }
 }
 
 struct ChaosOutcome {
@@ -432,25 +444,11 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
 
 /// Runs `config.cases` chaos cases starting at `config.seed`. On-disk
 /// artifacts live in the system temp directory, removed per case.
-pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
-    let _phase = obs::phase("chaos");
-    let dir = std::env::temp_dir();
-    let (seed0, cases) = (config.seed, config.cases);
-    let mut report = ChaosReport {
-        config,
-        fired: 0,
-        degraded: 0,
-        retry_absorbed: 0,
-        poisoned: 0,
-        rotating_cases: 0,
-        acked: 0,
-        replayed: 0,
-        divergences: Vec::new(),
-    };
-    for i in 0..cases {
-        let seed = seed0.wrapping_add(i);
+pub fn run_chaos(config: Config) -> ChaosReport {
+    let mut report = ChaosReport { config, ..Default::default() };
+    each_case(config, |seed, dir| {
         report.rotating_cases += chaos_plan(seed).rotating as u64;
-        match run_chaos_case(seed, &dir) {
+        match run_chaos_case(seed, dir) {
             Ok(out) => {
                 report.fired += out.fired as u64;
                 report.degraded += out.degraded as u64;
@@ -461,7 +459,7 @@ pub fn run_chaos(config: ChaosConfig) -> ChaosReport {
             }
             Err(d) => report.divergences.push(d),
         }
-    }
+    });
     report
 }
 
@@ -489,10 +487,23 @@ mod tests {
     }
 
     #[test]
+    fn floor_catches_a_run_in_which_no_fault_fired() {
+        let report = |cases, fired| ChaosReport {
+            config: Config { seed: 1, cases },
+            fired,
+            ..Default::default()
+        };
+        let floor = report(crate::FAULT_FLOOR_CASES, 0).outcome().floor.unwrap_err();
+        assert_eq!(floor, "chaos: no armed fault ever fired in 40 cases");
+        assert_eq!(report(crate::FAULT_FLOOR_CASES - 1, 0).outcome().floor, Ok(()));
+        assert_eq!(report(100, 47).outcome().floor, Ok(()));
+    }
+
+    #[test]
     fn small_chaos_run_has_no_divergences() {
         // Enough seeds to hit every mode × retry-budget combination on
         // the sync site at least once; ci.sh runs the 100-case gate.
-        let report = run_chaos(ChaosConfig { seed: 1, cases: 60 });
+        let report = run_chaos(Config { seed: 1, cases: 60 });
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }

@@ -66,24 +66,11 @@
 
 use std::path::Path;
 use xic_faults::{FaultMode, SITES};
-use xic_obs as obs;
 use xic_xml::XUpdateDoc;
 use xicheck::service::{apply_batch, ServiceError};
 use xicheck::{Checker, CheckerError, CheckpointPolicy};
 
-use crate::{generate_case, Case};
-
-/// Crash-matrix run parameters.
-#[derive(Debug, Clone)]
-pub struct CrashConfig {
-    /// Base seed; case `i` uses seed `seed + i`.
-    pub seed: u64,
-    /// Number of cases to run.
-    pub cases: u64,
-    /// Comma-separated substring filter on fault-site names (e.g.
-    /// `checkpoint,rotation`); `None` walks every registered site.
-    pub sites: Option<String>,
-}
+use crate::{each_case, fault_floor, generate_case, Case, Config, Outcome};
 
 /// Resolves a `--sites` filter against [`xic_faults::SITES`]: each
 /// comma-separated pattern matches by substring; `None` keeps all sites.
@@ -167,6 +154,47 @@ impl CrashReport {
             *n += fired as u64;
         }
     }
+
+    /// The run's [`Outcome`]. Floors: a fault fired (`fault_floor`);
+    /// and once every site of the list was armed at each of its three
+    /// trigger hits, a site that fired in no case has fallen off the
+    /// write path.
+    pub fn outcome(&self) -> Outcome {
+        let Config { seed, cases } = self.config;
+        let filter = self.sites.as_deref().map(|s| format!(" (sites: {s})")).unwrap_or_default();
+        let by_site: Vec<String> =
+            self.fired_by_site.iter().map(|(site, n)| format!("{site}={n}")).collect();
+        let summary = format!(
+            "crash-matrix: {cases} cases from seed {seed}{filter} — {} divergences, \
+             {} faults fired, {} torn tails truncated, {} commits restored, \
+             {} rotating cases ({} won by a checkpoint), {} failed-rotation cases \
+             ({} injected), {} group-commit cases ({} crashed mid-batch)\n\
+             fired by site: {}",
+            self.divergences.len(),
+            self.fired,
+            self.torn_tails,
+            self.replayed,
+            self.rotating_cases,
+            self.checkpoint_wins,
+            self.rotation_error_cases,
+            self.rotation_error_injected,
+            self.group_commit_cases,
+            self.group_commit_fired,
+            by_site.join(" "),
+        );
+        let silent = self.silent_sites();
+        let none_silent = if cases >= 3 * self.fired_by_site.len() as u64 && !silent.is_empty() {
+            Err(format!(
+                "crash-matrix: fault sites that fired in none of {cases} cases: {}",
+                silent.join(", ")
+            ))
+        } else {
+            Ok(())
+        };
+        let floor = fault_floor("crash-matrix", cases, self.fired).and(none_silent);
+        let divergences = self.divergences.iter().map(CrashDivergence::report).collect();
+        Outcome { summary, divergences, floor }
+    }
 }
 
 impl CrashDivergence {
@@ -186,10 +214,13 @@ impl CrashDivergence {
 }
 
 /// Outcome of a crash-matrix run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CrashReport {
     /// The configuration that produced it.
-    pub config: CrashConfig,
+    pub config: Config,
+    /// Comma-separated substring filter on fault-site names (e.g.
+    /// `checkpoint,rotation`); `None` walked every registered site.
+    pub sites: Option<String>,
     /// Cases in which the armed fault actually fired (the site was
     /// reached often enough). Cases where it never fired still run the
     /// full oracle — they degenerate to "recovery of a clean journal".
@@ -616,70 +647,54 @@ fn run_group_commit_case(
     Ok((fired, report.torn_tail_truncated, p))
 }
 
-/// Runs `config.cases` crash cases starting at `config.seed`. Store
-/// directories live in the system temp directory and are removed per case.
-pub fn run_matrix(config: CrashConfig) -> CrashReport {
-    let _phase = obs::phase("crash_matrix");
-    let dir = std::env::temp_dir();
-    let sites = filter_sites(config.sites.as_deref());
-    let sites_arg = config.sites.clone();
-    let (seed0, cases) = (config.seed, config.cases);
+/// Runs `config.cases` crash cases starting at `config.seed` over the
+/// sites `sites_arg` keeps (see [`filter_sites`]). Store directories live
+/// in the system temp directory and are removed per case.
+pub fn run_matrix(config: Config, sites_arg: Option<&str>) -> CrashReport {
+    let sites = filter_sites(sites_arg);
     let mut report = CrashReport {
         config,
-        fired: 0,
-        torn_tails: 0,
-        replayed: 0,
-        rotating_cases: 0,
-        checkpoint_wins: 0,
-        rotation_error_cases: 0,
-        rotation_error_injected: 0,
-        group_commit_cases: 0,
-        group_commit_fired: 0,
+        sites: sites_arg.map(str::to_string),
         fired_by_site: sites.iter().map(|&s| (s, 0)).collect(),
-        divergences: Vec::new(),
+        ..Default::default()
     };
     if sites.is_empty() {
         report.divergences.push(CrashDivergence {
-            seed: seed0,
+            seed: config.seed,
             point: CrashPoint { site: "<none>", nth: 0, sync: false },
-            sites: sites_arg,
+            sites: report.sites.clone(),
             detail: "the --sites filter matches no registered fault site".to_string(),
         });
         return report;
     }
-    for i in 0..cases {
-        let seed = seed0.wrapping_add(i);
-        match run_case(seed, &dir, &sites, sites_arg.as_deref()) {
-            Ok(out) => {
-                report.fired += out.fired as u64;
-                report.note_fired(site_of(&sites, seed), out.fired);
-                report.torn_tails += out.torn as u64;
-                report.replayed += out.replayed as u64;
-                report.rotating_cases += out.rotating as u64;
-                report.checkpoint_wins += out.checkpoint_won as u64;
-            }
-            Err(d) => report.divergences.push(d),
+    each_case(config, |seed, dir| match run_case(seed, dir, &sites, sites_arg) {
+        Ok(out) => {
+            report.fired += out.fired as u64;
+            report.note_fired(site_of(&sites, seed), out.fired);
+            report.torn_tails += out.torn as u64;
+            report.replayed += out.replayed as u64;
+            report.rotating_cases += out.rotating as u64;
+            report.checkpoint_wins += out.checkpoint_won as u64;
         }
-    }
+        Err(d) => report.divergences.push(d),
+    });
     // Failed-rotation pass: Error-mode faults at each reachable
     // checkpoint/rotation site, with commits continuing after the
     // injected failure and the crash landing later. Two cases per site
     // cover both halves of the `pre_rotate` toggle.
     let rot_sites: Vec<&'static str> =
         sites.iter().copied().filter(|s| is_rotation_site(s)).collect();
-    if !rot_sites.is_empty() {
-        for i in 0..2 * rot_sites.len() as u64 {
-            let seed = seed0.wrapping_add(i);
-            report.rotation_error_cases += 1;
-            match run_rotation_error_case(seed, &dir, &rot_sites, sites_arg.as_deref()) {
-                Ok(injected) => {
-                    report.rotation_error_injected += injected as u64;
-                    report.note_fired(site_of(&rot_sites, seed), injected);
-                }
-                Err(d) => report.divergences.push(d),
+    let rot_pass = Config { cases: 2 * rot_sites.len() as u64, ..config };
+    each_case(rot_pass, |seed, dir| {
+        report.rotation_error_cases += 1;
+        match run_rotation_error_case(seed, dir, &rot_sites, sites_arg) {
+            Ok(injected) => {
+                report.rotation_error_injected += injected as u64;
+                report.note_fired(site_of(&rot_sites, seed), injected);
             }
+            Err(d) => report.divergences.push(d),
         }
-    }
+    });
     // Group-commit pass: the same statements driven through the
     // service's batch path (unsynced appends, one shared fsync per
     // batch) with a panic armed at each write-path site. Recovery must
@@ -687,21 +702,19 @@ pub fn run_matrix(config: CrashConfig) -> CrashReport {
     // from a batch whose shared fsync completed.
     let gc_sites: Vec<&'static str> =
         sites.iter().copied().filter(|s| !is_rotation_site(s)).collect();
-    if !gc_sites.is_empty() {
-        for i in 0..2 * gc_sites.len() as u64 {
-            let seed = seed0.wrapping_add(i);
-            report.group_commit_cases += 1;
-            match run_group_commit_case(seed, &dir, &gc_sites, sites_arg.as_deref()) {
-                Ok((fired, torn, replayed)) => {
-                    report.group_commit_fired += fired as u64;
-                    report.note_fired(site_of(&gc_sites, seed), fired);
-                    report.torn_tails += torn as u64;
-                    report.replayed += replayed as u64;
-                }
-                Err(d) => report.divergences.push(d),
+    let gc_pass = Config { cases: 2 * gc_sites.len() as u64, ..config };
+    each_case(gc_pass, |seed, dir| {
+        report.group_commit_cases += 1;
+        match run_group_commit_case(seed, dir, &gc_sites, sites_arg) {
+            Ok((fired, torn, replayed)) => {
+                report.group_commit_fired += fired as u64;
+                report.note_fired(site_of(&gc_sites, seed), fired);
+                report.torn_tails += torn as u64;
+                report.replayed += replayed as u64;
             }
+            Err(d) => report.divergences.push(d),
         }
-    }
+    });
     report
 }
 
@@ -723,11 +736,7 @@ mod tests {
     fn small_matrix_has_no_divergences() {
         // Enough cases to cover every site at least twice, kept small so
         // `cargo test` stays fast; ci.sh runs the 100-case smoke.
-        let report = run_matrix(CrashConfig {
-            seed: 1,
-            cases: 2 * SITES.len() as u64,
-            sites: None,
-        });
+        let report = run_matrix(Config { seed: 1, cases: 2 * SITES.len() as u64 }, None);
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }
@@ -749,14 +758,30 @@ mod tests {
     }
 
     #[test]
+    fn floors_catch_a_run_that_fired_nothing_and_a_silent_site() {
+        let report = |cases, fired_by_site: Vec<(&'static str, u64)>| CrashReport {
+            config: Config { seed: 1, cases },
+            fired: fired_by_site.iter().map(|(_, n)| n).sum(),
+            fired_by_site,
+            ..Default::default()
+        };
+        let floor = report(100, vec![("journal.sync", 0)]).outcome().floor.unwrap_err();
+        assert!(floor.contains("no armed fault ever fired in 100 cases"), "{floor}");
+        assert_eq!(report(2, vec![("journal.sync", 0)]).outcome().floor, Ok(()));
+        // Three rounds over a two-site list: each site was armed at each
+        // of its trigger hits, so the one that never fired is reported.
+        let one_silent = || vec![("journal.sync", 4), ("checker.commit.pre", 0)];
+        let floor = report(6, one_silent()).outcome().floor.unwrap_err();
+        assert!(floor.contains("fired in none of 6 cases: checker.commit.pre"), "{floor}");
+        assert_eq!(report(5, one_silent()).outcome().floor, Ok(()));
+        assert_eq!(report(100, vec![("journal.sync", 43)]).outcome().floor, Ok(()));
+    }
+
+    #[test]
     fn group_commit_pass_skipped_for_rotation_only_filter() {
         // A rotation-only site filter has no write-path sites for the
         // group-commit pass to arm; it must be skipped, not fail.
-        let report = run_matrix(CrashConfig {
-            seed: 3,
-            cases: 2,
-            sites: Some("checkpoint,rotation".to_string()),
-        });
+        let report = run_matrix(Config { seed: 3, cases: 2 }, Some("checkpoint,rotation"));
         assert!(report.divergences.is_empty());
         assert_eq!(report.group_commit_cases, 0);
     }
@@ -778,11 +803,10 @@ mod tests {
         // injected at every individual rotation step must leave a store
         // that recovers to the committed prefix.
         let rotation = filter_sites(Some("checkpoint,rotation"));
-        let report = run_matrix(CrashConfig {
-            seed: 11,
-            cases: rotation.len() as u64,
-            sites: Some("checkpoint,rotation".to_string()),
-        });
+        let report = run_matrix(
+            Config { seed: 11, cases: rotation.len() as u64 },
+            Some("checkpoint,rotation"),
+        );
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }

@@ -55,6 +55,15 @@
 //! (`difftest_shrink_step`, `reference_queries` and one `difftest_op_*`
 //! counter per operation kind).
 //!
+//! **Gates.** Every pass — this campaign, [`crash`], [`chaos`], [`shard`]
+//! (matrix and chaos), [`snapshot`] — takes the same [`Config`], walks its
+//! seeds through `each_case` (case `i` is seed `seed + i`, so a printed
+//! seed replays alone with `--cases 1`), keeps a typed report, and
+//! condenses it into one [`Outcome`]: the summary the `difftest` binary
+//! prints, the rendered divergences, and the verdict of the pass's
+//! coverage floors. The binary is a table of those passes and nothing
+//! else; a new proof obligation is one oracle module and one row.
+//!
 //! In the system-inventory table of `DESIGN.md` this crate is item 15 (differential fuzzer).
 
 pub mod chaos;
@@ -69,7 +78,6 @@ pub mod tally;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tally::Tally;
-use xic_obs as obs;
 use xic_workload::{
     conflict_constraint, generate, random_batch, review_load_constraint, workload_constraint,
     WorkloadConfig,
@@ -106,13 +114,56 @@ pub const PAPER_DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
     <!ELEMENT sub (title, auts+)>\n<!ELEMENT title (#PCDATA)>\n\
     <!ELEMENT auts (name)>\n<!ELEMENT name (#PCDATA)>";
 
-/// Fuzzing-run parameters.
-#[derive(Debug, Clone, Copy)]
+/// Run parameters, the same for every pass.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Config {
     /// Base seed; case `i` uses seed `seed + i`.
     pub seed: u64,
     /// Number of cases to run.
     pub cases: u64,
+}
+
+/// Calls `case(seed, scratch)` for each seed of a run — case `i` is
+/// `config.seed + i`, wrapping, in every pass — with the directory its
+/// on-disk artifacts go under (each case names its own entry with
+/// [`scratch_name`] and removes it).
+pub(crate) fn each_case(config: Config, mut case: impl FnMut(u64, &std::path::Path)) {
+    let scratch = std::env::temp_dir();
+    for i in 0..config.cases {
+        case(config.seed.wrapping_add(i), &scratch);
+    }
+}
+
+/// What a pass hands the `difftest` binary: all it prints and exits on.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The pass's stdout summary: one line starting with the pass's name
+    /// (the campaign and the crash matrix add a second, `op mix: …` /
+    /// `fired by site: …`).
+    pub summary: String,
+    /// Every divergence, rendered, each ending in its one-line replay
+    /// command.
+    pub divergences: Vec<String>,
+    /// The coverage floors' verdict: `Err` says which floor a run long
+    /// enough to be held to it fell under.
+    pub floor: Result<(), String>,
+}
+
+/// From this many cases on, a campaign or snapshot-decide run must have
+/// covered what it exists to cover (every operation kind, …).
+pub(crate) const COVERAGE_FLOOR_CASES: u64 = 100;
+
+/// From this many cases on, a fault-injecting pass in which no armed
+/// fault ever fired has tested nothing. The smallest count ci.sh runs
+/// any of them at, so every fault-injecting stage is under the floor.
+pub(crate) const FAULT_FLOOR_CASES: u64 = 40;
+
+/// The floor the three fault-injecting passes share.
+pub(crate) fn fault_floor(pass: &str, cases: u64, fired: u64) -> Result<(), String> {
+    if cases >= FAULT_FLOOR_CASES && fired == 0 {
+        return Err(format!("{pass}: no armed fault ever fired in {cases} cases"));
+    }
+    Ok(())
 }
 
 /// One fully materialized differential case. Every field is a pure
@@ -189,6 +240,46 @@ pub struct Report {
     pub config: Config,
     /// All confirmed discrepancies, in seed order.
     pub discrepancies: Vec<Discrepancy>,
+    /// What the run added to the [`tally`], in [`tally::NAMES`] order.
+    pub counts: [u64; tally::NAMES.len()],
+}
+
+impl Report {
+    /// The run's [`Outcome`]. Floors: a run long enough to be
+    /// statistically meaningful must have exercised every operation
+    /// kind, and the engine-vs-reference oracle must actually have
+    /// compared queries (it runs per case, so a silent regression that
+    /// skips it would otherwise pass).
+    pub fn outcome(&self) -> Outcome {
+        let Config { seed, cases } = self.config;
+        let reference_queries = self.counts[Tally::ReferenceQuery as usize];
+        let mix: Vec<String> =
+            tally::OPS.map(|i| format!("{}={}", tally::NAMES[i], self.counts[i])).collect();
+        let summary = format!(
+            "difftest: {cases} cases from seed {seed} — \
+             {} discrepancies, {} shrink steps, {reference_queries} reference queries\n\
+             op mix: {}",
+            self.discrepancies.len(),
+            self.counts[Tally::ShrinkStep as usize],
+            mix.join(" "),
+        );
+        let missing: Vec<&str> =
+            tally::OPS.filter(|&i| self.counts[i] == 0).map(|i| tally::NAMES[i]).collect();
+        let floor = if cases < COVERAGE_FLOOR_CASES {
+            Ok(())
+        } else if !missing.is_empty() {
+            Err(format!(
+                "difftest: operation kinds never generated in {cases} cases: {}",
+                missing.join(", ")
+            ))
+        } else if reference_queries == 0 {
+            Err(format!("difftest: engine-vs-reference oracle never ran in {cases} cases"))
+        } else {
+            Ok(())
+        };
+        let divergences = self.discrepancies.iter().map(Discrepancy::report).collect();
+        Outcome { summary, divergences, floor }
+    }
 }
 
 /// Materializes the case for `seed`. Roughly half the seeds draw a
@@ -341,7 +432,8 @@ fn independence_oracle(case: &Case, stmt: &XUpdateDoc) -> Result<(), String> {
     Ok(())
 }
 
-fn op_counter(op: &XUpdateOp) -> Tally {
+/// The campaign's one `op → kind` classification.
+pub(crate) fn op_counter(op: &XUpdateOp) -> Tally {
     match op {
         XUpdateOp::InsertBefore { .. } => Tally::OpInsertBefore,
         XUpdateOp::InsertAfter { .. } => Tally::OpInsertAfter,
@@ -535,10 +627,9 @@ pub fn run_case(seed: u64) -> Option<(&'static str, String)> {
 /// Runs `config.cases` seeds starting at `config.seed`, minimizing every
 /// discrepancy found.
 pub fn run(config: Config) -> Report {
-    let _phase = obs::phase("difftest");
+    let before = tally::counts();
     let mut discrepancies = Vec::new();
-    for i in 0..config.cases {
-        let seed = config.seed.wrapping_add(i);
+    each_case(config, |seed, _| {
         let case = generate_case(seed);
         if let Err((oracle, detail)) = check_case(&case) {
             let minimized = shrink::minimize(&case, oracle);
@@ -549,10 +640,12 @@ pub fn run(config: Config) -> Report {
                 minimized,
             });
         }
-    }
+    });
+    let after = tally::counts();
     Report {
         config,
         discrepancies,
+        counts: std::array::from_fn(|i| after[i] - before[i]),
     }
 }
 
@@ -587,6 +680,26 @@ mod tests {
                 "seed {seed}: initial document violates its constraints"
             );
         }
+    }
+
+    #[test]
+    fn campaign_floors_hold_from_100_cases() {
+        let report = |cases, counts| Report {
+            config: Config { seed: 1, cases },
+            discrepancies: Vec::new(),
+            counts,
+        };
+        let covered = [0, 1, 1, 1, 1, 1, 1, 6];
+        assert_eq!(report(100, covered).outcome().floor, Ok(()));
+        let mut no_rename = covered;
+        no_rename[Tally::OpRename as usize] = 0;
+        let floor = report(100, no_rename).outcome().floor.unwrap_err();
+        assert!(floor.contains("never generated") && floor.contains("difftest_op_rename"), "{floor}");
+        assert_eq!(report(99, no_rename).outcome().floor, Ok(()), "a short run is not held to it");
+        let mut no_reference = covered;
+        no_reference[Tally::ReferenceQuery as usize] = 0;
+        let floor = report(100, no_reference).outcome().floor.unwrap_err();
+        assert!(floor.contains("engine-vs-reference oracle never ran"), "{floor}");
     }
 
     #[test]

@@ -44,7 +44,6 @@ use std::path::Path;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xic_faults::FaultMode;
-use xic_obs as obs;
 use xic_workload::{conflict_constraint, generate, random_batch, WorkloadConfig};
 use xicheck::service::ServiceError;
 use xicheck::{
@@ -53,19 +52,7 @@ use xicheck::{
 };
 
 use crate::chaos::{mix, JOURNAL_SITES, STORE_SITES};
-use crate::PAPER_DTD;
-
-/// Shard-pass run parameters.
-#[derive(Debug, Clone)]
-pub struct ShardConfig {
-    /// Base seed; case `i` uses seed `seed + i`.
-    pub seed: u64,
-    /// Number of cases to run.
-    pub cases: u64,
-    /// `false`: crash matrix (panic faults, recovery after death).
-    /// `true`: chaos pass (all fault modes, in-place shard rebuild).
-    pub chaos: bool,
-}
+use crate::{each_case, fault_floor, Config, Outcome, PAPER_DTD};
 
 /// The per-seed fault plan (a pure function of the seed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,10 +163,13 @@ impl ShardDivergence {
 }
 
 /// Aggregate shard-pass report.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ShardReport {
     /// The run's parameters.
-    pub config: ShardConfig,
+    pub config: Config,
+    /// `false`: crash matrix (panic faults, recovery after death).
+    /// `true`: chaos pass (all fault modes, in-place shard rebuild).
+    pub chaos: bool,
     /// Cases in which the armed fault actually fired on the victim.
     pub fired: u64,
     /// Cases whose victim ended (at any point) poisoned.
@@ -195,6 +185,28 @@ pub struct ShardReport {
     pub replayed: u64,
     /// All divergences, in seed order.
     pub divergences: Vec<ShardDivergence>,
+}
+
+impl ShardReport {
+    /// The run's [`Outcome`]. Floor: a fault fired (`fault_floor`).
+    pub fn outcome(&self) -> Outcome {
+        let Config { seed, cases } = self.config;
+        let name = if self.chaos { "shard-chaos" } else { "shard-matrix" };
+        let summary = format!(
+            "{name}: {cases} cases from seed {seed} — {} divergences, {} faults fired, \
+             {} victims poisoned, {} in-place recoveries, {} fallback cases, \
+             {} commits acked, {} commits restored",
+            self.divergences.len(),
+            self.fired,
+            self.poisoned,
+            self.in_place_recoveries,
+            self.fallback_cases,
+            self.acked,
+            self.replayed,
+        );
+        let divergences = self.divergences.iter().map(ShardDivergence::report).collect();
+        Outcome { summary, divergences, floor: fault_floor(name, cases, self.fired) }
+    }
 }
 
 struct ShardOutcome {
@@ -555,36 +567,22 @@ fn copy_dir(src: &Path, dst: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs `config.cases` shard cases starting at `config.seed`. On-disk
-/// shard roots live in the system temp directory, removed per case.
-pub fn run_shards(config: ShardConfig) -> ShardReport {
-    let _phase = obs::phase(if config.chaos { "shard-chaos" } else { "shard-matrix" });
-    let dir = std::env::temp_dir();
-    let (seed0, cases, chaos) = (config.seed, config.cases, config.chaos);
-    let mut report = ShardReport {
-        config,
-        fired: 0,
-        poisoned: 0,
-        in_place_recoveries: 0,
-        fallback_cases: 0,
-        acked: 0,
-        replayed: 0,
-        divergences: Vec::new(),
-    };
-    for i in 0..cases {
-        let seed = seed0.wrapping_add(i);
-        match run_shard_case(seed, chaos, &dir) {
-            Ok(out) => {
-                report.fired += out.fired as u64;
-                report.poisoned += out.poisoned as u64;
-                report.in_place_recoveries += out.in_place as u64;
-                report.fallback_cases += out.fallback as u64;
-                report.acked += out.acked as u64;
-                report.replayed += out.replayed as u64;
-            }
-            Err(d) => report.divergences.push(d),
+/// Runs `config.cases` shard cases starting at `config.seed` — the
+/// matrix, or with `chaos` the chaos pass. On-disk shard roots live in
+/// the system temp directory, removed per case.
+pub fn run_shards(config: Config, chaos: bool) -> ShardReport {
+    let mut report = ShardReport { config, chaos, ..Default::default() };
+    each_case(config, |seed, dir| match run_shard_case(seed, chaos, dir) {
+        Ok(out) => {
+            report.fired += out.fired as u64;
+            report.poisoned += out.poisoned as u64;
+            report.in_place_recoveries += out.in_place as u64;
+            report.fallback_cases += out.fallback as u64;
+            report.acked += out.acked as u64;
+            report.replayed += out.replayed as u64;
         }
-    }
+        Err(d) => report.divergences.push(d),
+    });
     report
 }
 
@@ -610,10 +608,26 @@ mod tests {
     }
 
     #[test]
+    fn floor_catches_a_run_in_which_no_fault_fired() {
+        let report = |cases, chaos, fired| ShardReport {
+            config: Config { seed: 1, cases },
+            chaos,
+            fired,
+            ..Default::default()
+        };
+        let floor = report(60, false, 0).outcome().floor.unwrap_err();
+        assert_eq!(floor, "shard-matrix: no armed fault ever fired in 60 cases");
+        let floor = report(crate::FAULT_FLOOR_CASES, true, 0).outcome().floor.unwrap_err();
+        assert_eq!(floor, "shard-chaos: no armed fault ever fired in 40 cases");
+        assert_eq!(report(crate::FAULT_FLOOR_CASES - 1, true, 0).outcome().floor, Ok(()));
+        assert_eq!(report(60, true, 45).outcome().floor, Ok(()));
+    }
+
+    #[test]
     fn small_shard_matrix_has_no_divergences() {
         // ci.sh runs the full SHARD_CRASH_CASES gate; this is the smoke
         // slice.
-        let report = run_shards(ShardConfig { seed: 1, cases: 20, chaos: false });
+        let report = run_shards(Config { seed: 1, cases: 20 }, false);
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }
@@ -625,7 +639,7 @@ mod tests {
 
     #[test]
     fn small_shard_chaos_rebuilds_victims_in_place() {
-        let report = run_shards(ShardConfig { seed: 1, cases: 20, chaos: true });
+        let report = run_shards(Config { seed: 1, cases: 20 }, true);
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }

@@ -24,21 +24,12 @@
 //! Divergences print a single-line replay command
 //! (`cargo run -p xic-difftest -- --snapshot-decide --seed N --cases 1`).
 
-use crate::{generate_case, Case};
-use xic_xml::{XUpdateDoc, XUpdateOp};
+use crate::{each_case, generate_case, tally, Case, Config, Outcome, COVERAGE_FLOOR_CASES};
+use xic_xml::XUpdateDoc;
 use xicheck::service::ReadSnapshot;
 use xicheck::{
     Checker, CheckerError, CheckerService, Executor, Strategy, UpdateOutcome, Violation,
 };
-
-/// Snapshot-decide run parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotConfig {
-    /// Base seed; case `i` uses seed `seed + i`.
-    pub seed: u64,
-    /// Number of cases to run.
-    pub cases: u64,
-}
 
 /// One failed case, with the setting it failed under.
 #[derive(Debug, Clone)]
@@ -70,10 +61,10 @@ impl SnapshotDivergence {
 }
 
 /// Outcome of a snapshot-decide run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SnapshotReport {
     /// The configuration that produced it.
-    pub config: SnapshotConfig,
+    pub config: Config,
     /// Decisions (cases × settings) the optimized check answered.
     pub decided_optimized: u64,
     /// Decisions that fell back to the baseline.
@@ -84,7 +75,8 @@ pub struct SnapshotReport {
     pub divergences: Vec<SnapshotDivergence>,
 }
 
-/// The six XUpdate operation kinds, naming [`SnapshotReport::ops`].
+/// The summary line's labels for [`SnapshotReport::ops`]: the six
+/// XUpdate operation kinds in [`tally::OPS`] order.
 pub const OP_KINDS: [&str; 6] = [
     "insert-before",
     "insert-after",
@@ -94,14 +86,39 @@ pub const OP_KINDS: [&str; 6] = [
     "rename",
 ];
 
-fn op_kind(op: &XUpdateOp) -> usize {
-    match op {
-        XUpdateOp::InsertBefore { .. } => 0,
-        XUpdateOp::InsertAfter { .. } => 1,
-        XUpdateOp::Append { .. } => 2,
-        XUpdateOp::Remove { .. } => 3,
-        XUpdateOp::Update { .. } => 4,
-        XUpdateOp::Rename { .. } => 5,
+impl SnapshotReport {
+    /// The run's [`Outcome`]. Floors: a run of ≥ 100 cases must have
+    /// taken both the optimized and the fallback path and generated all
+    /// six operation kinds.
+    pub fn outcome(&self) -> Outcome {
+        let Config { seed, cases } = self.config;
+        let (optimized, fallback) = (self.decided_optimized, self.decided_fallback);
+        let mix: Vec<String> =
+            OP_KINDS.iter().zip(self.ops).map(|(kind, n)| format!("{kind}={n}")).collect();
+        let summary = format!(
+            "snapshot-decide: {cases} cases from seed {seed} (independence on and off) — \
+             {} divergences, {optimized} decided optimized, {fallback} decided by fallback; \
+             op mix: {}",
+            self.divergences.len(),
+            mix.join(" "),
+        );
+        let floor = if cases < COVERAGE_FLOOR_CASES {
+            Ok(())
+        } else if optimized == 0 || fallback == 0 {
+            Err(format!(
+                "snapshot-decide: {cases} cases never took both paths \
+                 ({optimized} optimized, {fallback} fallback)"
+            ))
+        } else if let Some(i) = self.ops.iter().position(|&n| n == 0) {
+            Err(format!(
+                "snapshot-decide: operation kind {} never generated in {cases} cases",
+                OP_KINDS[i]
+            ))
+        } else {
+            Ok(())
+        };
+        let divergences = self.divergences.iter().map(SnapshotDivergence::report).collect();
+        Outcome { summary, divergences, floor }
     }
 }
 
@@ -202,16 +219,9 @@ fn check_setting(
 }
 
 /// Runs `config.cases` cases starting at `config.seed`.
-pub fn run_snapshot_decide(config: SnapshotConfig) -> SnapshotReport {
-    let mut report = SnapshotReport {
-        config,
-        decided_optimized: 0,
-        decided_fallback: 0,
-        ops: [0; 6],
-        divergences: Vec::new(),
-    };
-    for i in 0..config.cases {
-        let seed = config.seed.wrapping_add(i);
+pub fn run_snapshot_decide(config: Config) -> SnapshotReport {
+    let mut report = SnapshotReport { config, ..Default::default() };
+    each_case(config, |seed, _| {
         let case = generate_case(seed);
         let text = case.stmt_text();
         let stmt = match XUpdateDoc::parse(&text) {
@@ -223,11 +233,11 @@ pub fn run_snapshot_decide(config: SnapshotConfig) -> SnapshotReport {
                     stmt: text,
                     detail: format!("generated statement does not parse: {e}"),
                 });
-                continue;
+                return;
             }
         };
         for op in &stmt.ops {
-            report.ops[op_kind(op)] += 1;
+            report.ops[crate::op_counter(op) as usize - tally::OPS.start] += 1;
         }
         for independence in [true, false] {
             match check_setting(&case, &stmt, independence) {
@@ -246,7 +256,7 @@ pub fn run_snapshot_decide(config: SnapshotConfig) -> SnapshotReport {
                 }
             }
         }
-    }
+    });
     report
 }
 
@@ -256,7 +266,7 @@ mod tests {
 
     #[test]
     fn small_run_has_no_divergences_and_takes_both_paths() {
-        let report = run_snapshot_decide(SnapshotConfig { seed: 1, cases: 40 });
+        let report = run_snapshot_decide(Config { seed: 1, cases: 40 });
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }
@@ -269,6 +279,23 @@ mod tests {
             report.decided_fallback > 0,
             "no case fell back to the baseline"
         );
+    }
+
+    #[test]
+    fn floors_need_both_decide_paths_and_all_six_op_kinds() {
+        let report = |cases, decided_fallback, ops| SnapshotReport {
+            config: Config { seed: 1, cases },
+            decided_optimized: 166,
+            decided_fallback,
+            ops,
+            divergences: Vec::new(),
+        };
+        assert_eq!(report(100, 34, [1; 6]).outcome().floor, Ok(()));
+        let floor = report(100, 0, [1; 6]).outcome().floor.unwrap_err();
+        assert!(floor.contains("never took both paths (166 optimized, 0 fallback)"), "{floor}");
+        let floor = report(100, 34, [1, 1, 1, 1, 1, 0]).outcome().floor.unwrap_err();
+        assert!(floor.contains("operation kind rename never generated"), "{floor}");
+        assert_eq!(report(99, 0, [0; 6]).outcome().floor, Ok(()), "a short run is not held to it");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! run in parallel and each must see only its own cases.
 
 use std::cell::Cell;
-use xic_obs::json::Value;
 
 /// An event the harness counts about itself; the discriminant indexes
 /// [`NAMES`].
@@ -47,10 +46,4 @@ pub fn incr(tally: Tally) {
 /// This thread's counts, in [`NAMES`] order.
 pub fn counts() -> [u64; NAMES.len()] {
     COUNTS.with(|c| std::array::from_fn(|i| c[i].get()))
-}
-
-/// This thread's tallies as a JSON object keyed by [`NAMES`].
-pub fn to_json_value() -> Value {
-    let pairs = NAMES.iter().zip(counts());
-    Value::Object(pairs.map(|(name, n)| (name.to_string(), Value::Number(n as f64))).collect())
 }

@@ -15,7 +15,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use xic_datalog::{Atom, Term, Update, Value};
 use xic_xml::xupdate::{Fragment, XUpdateDoc, XUpdateOp};
-use xic_xml::{Document, NodeId, SelectResolver};
+use xic_xml::{Document, SelectResolver};
 
 /// A mapped update: the parameterized transaction, this statement's
 /// parameter bindings, and which parameters denote fresh node ids.
@@ -279,17 +279,11 @@ pub fn pattern_key(update: &Update) -> String {
     out
 }
 
-/// Resolves a positional insertion target for the store's node id: used by
-/// the runtime to find the node a pattern parameter denotes.
-pub fn node_id_value(id: NodeId) -> Value {
-    Value::Int(i64::from(id.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::paper_dtd;
-    use xic_xml::parse_document;
+    use xic_xml::{parse_document, NodeId};
 
     const CORPUS: &str = "<collection><dblp/>\
         <review>\

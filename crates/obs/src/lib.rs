@@ -229,13 +229,6 @@ pub struct PhaseStat {
     pub total_ns: u64,
 }
 
-impl PhaseStat {
-    /// Total time in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.total_ns as f64 / 1e6
-    }
-}
-
 struct Sink {
     counters: [Cell<u64>; N_COUNTERS],
     // (path segment, start) for each currently open phase.

@@ -12,8 +12,8 @@
 //! output stream differs from the real `rand::rngs::StdRng` (ChaCha12),
 //! so seeds produce different — but equally deterministic — workloads.
 //!
-//! See `DESIGN.md` § dependencies and `crates/proptest` / `crates/criterion`
-//! for the sibling stand-ins.
+//! See `DESIGN.md` § dependencies and `crates/proptest` for the sibling
+//! stand-in.
 //!
 //! [`rand`]: https://docs.rs/rand/0.8
 
