@@ -8,15 +8,12 @@
 //!
 //! ```text
 //! xic-serve --xml doc.xml --dtd schema.dtd --constraints gamma.xpl \
-//!           [--store DIR] [--no-sync] \
-//!           [--shards K] [--executor sync|group-commit] [--max-batch N] \
+//!           [--store DIR] [--no-sync] [--shards K] \
 //!           [--queue-depth N] [--deadline-ms N] [--fsync-attempts N] \
 //!           [--socket PATH]
 //! ```
 //!
-//! `--executor sync` is the deterministic in-thread executor (one fsync
-//! per commit) that tests, difftest and the benchmark's twins drive; the
-//! default is the group-commit writer. `--queue-depth` bounds the
+//! The server runs the group-commit writer. `--queue-depth` bounds the
 //! admission queue (excess submissions get `ERR overloaded`),
 //! `--deadline-ms` sets a default per-request evaluation deadline for
 //! all three checking verbs — `CHECK`, `DECIDE` and `UPDATE` — (clients
@@ -44,9 +41,7 @@ use std::io::{BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use xicheck::protocol::{serve_connection, serve_connection_sharded};
-use xicheck::{
-    Checker, CheckerService, Executor, ServiceConfig, ShardSet, ShardSetConfig, SharedGamma,
-};
+use xicheck::{Checker, CheckerService, ServiceConfig, ShardSet, ShardSetConfig, SharedGamma};
 
 struct Args {
     xml: PathBuf,
@@ -55,7 +50,6 @@ struct Args {
     store: Option<PathBuf>,
     sync: bool,
     shards: Option<usize>,
-    executor: Executor,
     queue_depth: usize,
     deadline_ms: Option<u64>,
     fsync_attempts: u32,
@@ -69,8 +63,6 @@ fn parse_args() -> Result<Args, String> {
     let mut store = None;
     let mut sync = true;
     let mut shards = None;
-    let mut executor_kind = "group-commit".to_string();
-    let mut max_batch = xicheck::service::DEFAULT_MAX_BATCH;
     let mut queue_depth = xicheck::service::DEFAULT_QUEUE_DEPTH;
     let mut deadline_ms = None;
     let mut fsync_attempts = xicheck::service::DEFAULT_FSYNC_ATTEMPTS;
@@ -93,6 +85,7 @@ fn parse_args() -> Result<Args, String> {
             "--dtd" => dtd = Some(PathBuf::from(value(&mut args)?)),
             "--constraints" => constraints = Some(PathBuf::from(value(&mut args)?)),
             "--store" => store = Some(PathBuf::from(value(&mut args)?)),
+            "--no-sync" if inline.is_some() => return Err("--no-sync takes no value".to_string()),
             "--no-sync" => sync = false,
             "--shards" => {
                 shards = Some(
@@ -100,12 +93,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("--shards: {e}"))?,
                 );
-            }
-            "--executor" => executor_kind = value(&mut args)?,
-            "--max-batch" => {
-                max_batch = value(&mut args)?
-                    .parse()
-                    .map_err(|e| format!("--max-batch: {e}"))?;
             }
             "--queue-depth" => {
                 queue_depth = value(&mut args)?
@@ -128,11 +115,6 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    let executor = match executor_kind.as_str() {
-        "sync" => Executor::Sync,
-        "group-commit" | "group" => Executor::GroupCommit { max_batch },
-        other => return Err(format!("--executor must be sync or group-commit, got {other:?}")),
-    };
     if let Some(k) = shards {
         if k == 0 {
             return Err("--shards must be at least 1".to_string());
@@ -148,7 +130,6 @@ fn parse_args() -> Result<Args, String> {
         store,
         sync,
         shards,
-        executor,
         queue_depth,
         deadline_ms,
         fsync_attempts,
@@ -210,10 +191,10 @@ fn run(args: &Args) -> Result<(), String> {
     let dtd = read(&args.dtd)?;
     let constraints = read(&args.constraints)?;
     let config = ServiceConfig {
-        executor: args.executor,
         queue_depth: args.queue_depth,
         default_deadline_ms: args.deadline_ms,
         fsync_attempts: args.fsync_attempts,
+        ..ServiceConfig::default()
     };
 
     if let Some(count) = args.shards {

@@ -190,12 +190,6 @@ pub struct Checker {
     /// paths and pre-filters pattern compilation (on unless
     /// [`Checker::set_independence`] turns it off).
     independence: bool,
-    /// True while every parent→child element edge in `doc` is known to be
-    /// DTD-licensed (see [`crate::footprint`]). Seeded by an edge walk at
-    /// construction and degraded monotonically on commits that are not
-    /// provably conformance-preserving; the reachability-based write
-    /// footprints fall back to "all live" once it is lost.
-    nesting_trusted: bool,
     /// Journal, store, rotation policy and commit counters.
     pub(crate) log: CommitLog,
     /// Set by [`Checker::recover_store`] when no generation validated:
@@ -252,19 +246,14 @@ impl Checker {
     /// preserve DTD validity, so a snapshot may legitimately fail
     /// re-validation even though replaying the same history from the base
     /// document would accept it; integrity of the snapshot bytes is
-    /// already guaranteed by its crc.
+    /// already guaranteed by its crc. Nothing here walks the document:
+    /// no state the checker keeps is derived from the instance.
     pub(crate) fn assemble(doc: Document, shared: Arc<SharedGamma>) -> Checker {
-        let nesting_trusted = {
-            let _compile = xic_obs::phase("compile");
-            let _footprint = xic_obs::phase("footprint");
-            shared.indep_index().edges_conform(&doc)
-        };
         Checker {
             doc,
             shared,
             patterns: PatternCache::new(),
             independence: true,
-            nesting_trusted,
             log: CommitLog::default(),
             degraded: false,
             poisoned: false,
@@ -301,21 +290,9 @@ impl Checker {
     }
 
     /// Mutable document access (for setup code such as workload loading).
-    ///
-    /// Untracked mutation invalidates the nesting-trust bit behind the
-    /// independence analysis, so this conservatively clears it; call
-    /// [`Checker::refresh_nesting_trust`] after setup to re-establish it
-    /// with an O(n) edge walk.
+    /// A mutation made through it is neither checked nor journaled.
     pub fn doc_mut(&mut self) -> &mut Document {
-        self.nesting_trusted = false;
         &mut self.doc
-    }
-
-    /// Recomputes the nesting-trust bit by walking the document's element
-    /// edges against the DTD name graph (used after direct mutation via
-    /// [`Checker::doc_mut`]).
-    pub fn refresh_nesting_trust(&mut self) {
-        self.nesting_trusted = self.shared.indep_index().edges_conform(&self.doc);
     }
 
     /// The DTD.
@@ -363,24 +340,10 @@ impl Checker {
         self.independence = enabled;
     }
 
-    /// Whether the document's element nesting is currently known to be
-    /// DTD-licensed (see [`crate::footprint::IndependenceIndex`]).
-    pub fn nesting_trusted(&self) -> bool {
-        self.nesting_trusted
-    }
-
     /// The baseline evaluator's view of this checker (see
     /// [`crate::gamma`]); as the single writer it may fan out.
     fn baseline(&self) -> Baseline<'_> {
         Baseline { gamma: &self.shared, independence: self.independence, fan_out: true }
-    }
-
-    /// Lowers the nesting-trust bit after committing `stmt` unless the
-    /// statement is provably conformance-preserving.
-    fn note_committed(&mut self, stmt: &XUpdateDoc) {
-        if self.nesting_trusted && !self.shared.indep_index().stmt_preserves_nesting(stmt) {
-            self.nesting_trusted = false;
-        }
     }
 
     /// Runtime counters.
@@ -556,7 +519,7 @@ impl Checker {
             // (and restores) the document.
             Strategy::FullWithRollback => {
                 Baseline { gamma: &self.shared, independence: self.independence, fan_out: true }
-                    .decide_by_rollback(&mut self.doc, stmt, self.nesting_trusted)
+                    .decide_by_rollback(&mut self.doc, stmt)
             }
         }
     }
@@ -568,7 +531,6 @@ impl Checker {
         self.refuse_if_poisoned()?;
         self.refuse_if_degraded()?;
         let applied = self.apply_or_abort(stmt)?;
-        self.note_committed(stmt);
         self.commit(stmt, applied)
     }
 
@@ -683,22 +645,17 @@ impl Checker {
                 // Legal: now (and only now) execute the update, then make
                 // the commit durable before returning the verdict.
                 let applied = self.apply_or_abort(stmt)?;
-                self.note_committed(stmt);
                 self.commit(stmt, applied)?;
                 return Ok(UpdateOutcome::Applied {
                     strategy: Strategy::Optimized,
                 });
             }
         }
-        // Baseline: apply, check (masked to the statically live
-        // constraints), roll back on violation. The mask is computed
-        // against the pre-state, whose nesting trust justifies the
-        // footprint's reachability arguments.
+        // Baseline: apply, check (masked to the constraints the applied
+        // delta can reach), roll back on violation.
         self.stats.full_checks += 1;
-        let live = self.baseline().live_mask(stmt, self.nesting_trusted);
-        let trusted_before = self.nesting_trusted;
         let applied = self.apply_or_abort(stmt)?;
-        self.note_committed(stmt);
+        let live = self.baseline().live_mask(&self.doc, &applied);
         let refusal = match self.baseline().run(&self.doc, live.as_deref()) {
             Ok(None) => {
                 self.commit(stmt, applied)?;
@@ -719,7 +676,6 @@ impl Checker {
             let _rollback = xic_obs::phase("rollback");
             undo(&mut self.doc, applied);
         }
-        self.nesting_trusted = trusted_before;
         let violation = refusal?;
         self.stats.rollbacks += 1;
         Ok(UpdateOutcome::Rejected {

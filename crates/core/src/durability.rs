@@ -405,8 +405,5 @@ fn replay_candidate(
         }
         report.replayed += 1;
     }
-    // The replayed statements bypassed per-commit trust maintenance;
-    // re-derive the nesting-trust bit from the final state in one walk.
-    checker.refresh_nesting_trust();
     Ok((checker, report))
 }

@@ -1,593 +1,184 @@
-//! Statement-level write footprints for the static independence analysis.
+//! Statement-level write footprints for the static independence analysis,
+//! read off the applied delta.
 //!
-//! [`IndependenceIndex`] precomputes the DTD name graph (which element
-//! names may nest under which) together with the relational ownership map
-//! (which predicate column stores which compacted element's text), and uses
-//! them to over-approximate the set of relational cells an XUpdate
-//! statement can write.  Intersecting that write footprint with the
-//! per-constraint read footprints from `xic_simplify::footprint` yields the
-//! live-constraint mask consulted by the checker's full-check paths.
+//! Both callers of the live-constraint mask apply a statement before they
+//! check it, so what the statement inserted, removed and renamed is
+//! already in hand as the [`AppliedUpdate`]'s undo log.
+//! [`IndependenceIndex::delta_footprint`] maps that log to the relational
+//! cells the statement wrote, using only the two maps the relational
+//! schema yields (which element names are predicates, which predicate
+//! column stores which compacted element's text).  Intersecting the
+//! result with the per-constraint read footprints from
+//! `xic_simplify::footprint` yields the live-constraint mask consulted by
+//! the checker's full-check paths.
 //!
-//! Soundness hinges on *nesting trust*: DTD-reachability arguments (e.g.
-//! "removing a `region` subtree can only delete `region`/`item` tuples")
-//! are valid only while every parent→child element edge in the document is
-//! licensed by the DTD.  The index therefore also implements the trust
-//! maintenance predicate [`IndependenceIndex::stmt_preserves_nesting`]; the
-//! checker seeds trust from the initial DTD validation and monotonically
-//! degrades it on commits that are not provably conformance-preserving.
-//! Whenever trust is lost, footprints fall back to [`WriteFootprint::All`]
-//! for the operations that need reachability, so skips stay sound.
+//! Nothing is predicted.  Names are those of the nodes the log points at
+//! (a removed subtree stays intact while detached), parents and following
+//! siblings are the ones the document actually has, so the footprint
+//! reads neither the statement's `select` text nor the DTD, and holds on
+//! a document that no longer conforms to it.  It is complete because the
+//! undo log is: a change `apply` made without logging would survive
+//! `undo`, which the rollback-fidelity oracle of `xic-difftest` checks on
+//! every case.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use xic_mapping::RelSchema;
 use xic_simplify::{WriteFootprint, WriteSet};
-use xic_xml::dtd::ContentModel;
-use xic_xml::xupdate::Fragment;
-use xic_xml::{Dtd, XUpdateDoc, XUpdateOp};
+use xic_xml::{AppliedUpdate, Document, NodeId, NodeKind, UndoEntry};
 
-/// Precomputed schema structure backing statement write-footprint
-/// extraction.  Built once per checker from the DTD and relational schema;
-/// cheap to share (cloned into service snapshots).
+/// The relational ownership maps backing write-footprint extraction.
+/// Built once per compiled Γ from the relational schema alone.
 #[derive(Debug, Clone)]
 pub struct IndependenceIndex {
-    /// DTD name graph: element name → element names allowed as children.
-    children: BTreeMap<String, BTreeSet<String>>,
-    /// Inverse of `children`.
-    parents: BTreeMap<String, BTreeSet<String>>,
-    /// Reflexive transitive closure of `children`.
-    reach: BTreeMap<String, BTreeSet<String>>,
+    /// Element names that have their own predicate → its data columns.
+    preds: BTreeMap<String, Range<usize>>,
     /// Compacted element name → (owning predicate, column index) pairs.
     owners: BTreeMap<String, BTreeSet<(String, usize)>>,
-    /// Element names that have their own predicate.
-    preds: BTreeSet<String>,
 }
 
 impl IndependenceIndex {
-    /// Builds the index from a DTD and its derived relational schema.
-    pub fn new(dtd: &Dtd, schema: &RelSchema) -> IndependenceIndex {
-        let all_names: BTreeSet<String> =
-            dtd.elements().iter().map(|e| e.name.clone()).collect();
-        let mut children: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut parents: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for decl in dtd.elements() {
-            let mut kids = BTreeSet::new();
-            model_names(&decl.model, &all_names, &mut kids);
-            for k in &kids {
-                parents
-                    .entry(k.clone())
-                    .or_default()
-                    .insert(decl.name.clone());
-            }
-            children.insert(decl.name.clone(), kids);
-        }
-        // Reflexive transitive closure by fixpoint; DTDs are tiny.
-        let mut reach: BTreeMap<String, BTreeSet<String>> = all_names
-            .iter()
-            .map(|n| (n.clone(), BTreeSet::from([n.clone()])))
-            .collect();
-        loop {
-            let mut changed = false;
-            for name in &all_names {
-                let mut add = BTreeSet::new();
-                if let Some(kids) = children.get(name) {
-                    for k in kids {
-                        if let Some(below) = reach.get(k) {
-                            add.extend(below.iter().cloned());
-                        }
-                    }
-                }
-                let entry = reach.entry(name.clone()).or_default();
-                let before = entry.len();
-                entry.extend(add);
-                changed |= entry.len() != before;
-            }
-            if !changed {
-                break;
-            }
-        }
+    /// Builds the index from a relational schema.
+    pub fn new(schema: &RelSchema) -> IndependenceIndex {
+        let mut preds = BTreeMap::new();
         let mut owners: BTreeMap<String, BTreeSet<(String, usize)>> = BTreeMap::new();
-        let mut preds = BTreeSet::new();
         for (name, info) in schema.preds() {
-            preds.insert(name.to_string());
-            for (i, col) in info.cols.iter().enumerate() {
+            preds.insert(
+                name.to_string(),
+                info.arity() - info.cols.len()..info.arity(),
+            );
+            for col in &info.cols {
+                let index = info.col_index(col).expect("a predicate's own column");
                 owners
                     .entry(col.clone())
                     .or_default()
-                    .insert((name.to_string(), i + 3));
+                    .insert((name.to_string(), index));
             }
         }
-        IndependenceIndex { children, parents, reach, owners, preds }
+        IndependenceIndex { preds, owners }
     }
 
-    /// Over-approximates the relational cells `stmt` can write.
+    /// The relational cells the statement behind `applied` wrote, read off
+    /// its undo log against `doc` — the document *after* the apply (and
+    /// before any undo).
     ///
-    /// `nesting_trusted` says whether every parent→child element edge in
-    /// the current document is known to be licensed by the DTD; without it
-    /// the reachability-based cases degrade to [`WriteFootprint::All`].
-    /// Multi-op statements apply sequentially, so trust is re-evaluated
-    /// after each op: once an op is not provably conformance-preserving,
-    /// the remaining ops are footprinted untrusted.
-    pub fn write_footprint(&self, stmt: &XUpdateDoc, nesting_trusted: bool) -> WriteFootprint {
-        let mut fp = WriteFootprint::empty();
-        let mut trusted = nesting_trusted;
-        for op in &stmt.ops {
-            fp = fp.union(self.op_write_footprint(op, trusted));
-            trusted = trusted && self.op_preserves_nesting(op);
-            if matches!(fp, WriteFootprint::All) {
+    /// * An inserted or removed **element** writes, for every element name
+    ///   in its subtree, the name's tuple membership and the columns that
+    ///   compact it; and it displaces the element siblings that follow it
+    ///   under its parent (for a removal: the children from its old index
+    ///   on), shifting the `Pos` of those that are predicates.
+    /// * An inserted or removed **text** node changes the value stored
+    ///   for its parent's name.
+    /// * A **rename** writes both for both names: tuples move between
+    ///   relations and the element's text changes owners. Node ids,
+    ///   positions and parent links are unchanged.
+    ///
+    /// Multi-op statements need no rule of their own. Insertion and
+    /// removal keep the relative order of the siblings that survive, so a
+    /// sibling displaced by one op is still behind that op's position in
+    /// the final child list unless a later op removed something before
+    /// it — and then that op's entry covers it; a sibling a later op
+    /// removed or renamed is in the log itself, so its name is already in
+    /// `existence`. Any other node kind (comment, processing instruction)
+    /// is not classified: [`WriteFootprint::All`].
+    pub fn delta_footprint(&self, doc: &Document, applied: &AppliedUpdate) -> WriteFootprint {
+        let mut ws = WriteSet::default();
+        for entry in applied.log() {
+            let classified = match entry {
+                UndoEntry::Detach(node) => {
+                    // Inserted, and still where it was put unless a later
+                    // op of the statement removed it again.
+                    let parent = doc.node(*node).parent;
+                    let after = parent
+                        .and_then(|p| doc.node(p).children.iter().position(|c| c == node))
+                        .map_or(0, |i| i + 1);
+                    self.node_delta(doc, *node, parent, after, &mut ws)
+                }
+                UndoEntry::Reattach {
+                    parent,
+                    index,
+                    node,
+                } => self.node_delta(doc, *node, Some(*parent), *index, &mut ws),
+                UndoEntry::Rename { node, old } => doc.name(*node).map(|new| {
+                    for name in [old.as_str(), new] {
+                        self.membership(name, &mut ws);
+                        self.value(name, &mut ws);
+                    }
+                }),
+            };
+            if classified.is_none() {
                 return WriteFootprint::All;
             }
         }
-        fp
+        WriteFootprint::Cells(ws)
     }
 
-    /// True if applying `stmt` to a DTD-edge-conformant document is
-    /// guaranteed to leave every parent→child element edge DTD-licensed.
-    /// Conservative: unknown select targets or undeclared names fail.
-    pub fn stmt_preserves_nesting(&self, stmt: &XUpdateDoc) -> bool {
-        stmt.ops.iter().all(|op| self.op_preserves_nesting(op))
-    }
-
-    /// True if every parent→child element edge in `doc` is licensed by
-    /// the DTD name graph — the O(n) walk that seeds the checker's nesting
-    /// trust.  Weaker than full DTD validation (no content-model
-    /// sequencing), which is exactly what the reachability arguments need:
-    /// a document that drifted from content-model validity under committed
-    /// updates can still be edge-conformant and keep precise footprints.
-    pub fn edges_conform(&self, doc: &xic_xml::Document) -> bool {
-        let doc_node = doc.document_node();
-        for id in doc.descendants(doc_node) {
-            let Some(name) = doc.name(id) else { continue };
-            let Some(pid) = doc.node(id).parent else { continue };
-            if pid == doc_node {
-                continue;
-            }
-            let Some(pname) = doc.name(pid) else { continue };
-            if !self
-                .children
-                .get(pname)
-                .is_some_and(|kids| kids.contains(name))
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// All data columns licensed to hold `name`'s compacted text.
-    fn owner_cells(&self, name: &str) -> BTreeSet<(String, usize)> {
-        self.owners.get(name).cloned().unwrap_or_default()
-    }
-
-    /// Every (predicate, data column) pair in the schema — the fallback
-    /// when the affected container cannot be pinned down.
-    fn all_owner_cells(&self) -> BTreeSet<(String, usize)> {
-        self.owners.values().flatten().cloned().collect()
-    }
-
-    /// Predicates among the DTD children of any possible parent of `t` —
-    /// the relations whose `Pos` column a sibling insertion/removal at a
-    /// `t` node can shift.  `None` when `t` has no declared parent (only
-    /// the root, where no sibling shift is possible anyway).
-    fn sibling_shift(&self, t: &str) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        if let Some(ps) = self.parents.get(t) {
-            for p in ps {
-                if let Some(kids) = self.children.get(p) {
-                    out.extend(kids.intersection(&self.preds).cloned());
+    /// `node` was inserted under, or removed from, `parent`, displacing
+    /// the children of `parent` from child index `from` on. `None` for a
+    /// node kind with no relational reading.
+    fn node_delta(
+        &self,
+        doc: &Document,
+        node: NodeId,
+        parent: Option<NodeId>,
+        from: usize,
+        ws: &mut WriteSet,
+    ) -> Option<()> {
+        match doc.node(node).kind {
+            NodeKind::Element { .. } => {
+                let names: BTreeSet<&str> = std::iter::once(node)
+                    .chain(doc.descendants(node))
+                    .filter_map(|n| doc.name(n))
+                    .collect();
+                for name in names {
+                    self.membership(name, ws);
                 }
-            }
-        }
-        out
-    }
-
-    /// True when `name` may appear as a *proper* descendant of itself (the
-    /// DTD name graph has a cycle through `name`). `reach` alone cannot
-    /// tell — it is reflexive by construction — so this asks whether any
-    /// declared child reaches back to `name`.
-    fn is_recursive(&self, name: &str) -> bool {
-        self.children.get(name).is_some_and(|kids| {
-            kids.iter().any(|k| self.reach.get(k).is_some_and(|r| r.contains(name)))
-        })
-    }
-
-    /// Footprint of the element fragments in inserted content: existence of
-    /// every predicate name, owner cells of every compacted name.  The
-    /// second component reports whether the content also carries top-level
-    /// text nodes, whose effect depends on the receiving parent and is
-    /// handled per-operation by the caller.
-    fn content_footprint(&self, content: &[Fragment]) -> (WriteSet, bool) {
-        let mut ws = WriteSet::default();
-        let mut names = BTreeSet::new();
-        let mut top_text = false;
-        for f in content {
-            match f {
-                Fragment::Text(_) => top_text = true,
-                Fragment::Element { .. } => collect_fragment_names(f, &mut names),
-            }
-        }
-        for n in &names {
-            if self.preds.contains(n) {
-                ws.existence.insert(n.clone());
-            }
-            ws.cells.extend(self.owner_cells(n));
-        }
-        (ws, top_text)
-    }
-
-    fn op_write_footprint(&self, op: &XUpdateOp, trusted: bool) -> WriteFootprint {
-        match op {
-            XUpdateOp::Append { select, child, content } => {
-                let target = select_target(select).map(|(t, _)| t);
-                let (mut ws, top_text) = self.content_footprint(content);
-                if top_text {
-                    // Text appended into the target changes a compacted
-                    // value only if the target itself is compacted.  The
-                    // name test pins the target's name regardless of
-                    // nesting trust.
-                    match &target {
-                        Some(t) => ws.cells.extend(self.owner_cells(t)),
-                        None => ws.cells.extend(self.all_owner_cells()),
+                let siblings = parent.map_or(&[][..], |p| &doc.node(p).children);
+                for name in siblings.iter().skip(from).filter_map(|&s| doc.name(s)) {
+                    if self.preds.contains_key(name) && !ws.pos_shift.contains(name) {
+                        ws.pos_shift.insert(name.to_string());
                     }
                 }
-                if child.is_some() {
-                    // Positional insert shifts later siblings inside the
-                    // target; at the end (`child: None`) nothing shifts.
-                    match (&target, trusted) {
-                        (Some(t), true) => {
-                            if let Some(kids) = self.children.get(t.as_str()) {
-                                ws.pos_shift
-                                    .extend(kids.intersection(&self.preds).cloned());
-                            }
-                        }
-                        _ => ws.pos_shift.extend(self.preds.iter().cloned()),
-                    }
-                }
-                WriteFootprint::Cells(ws)
+                Some(())
             }
-            XUpdateOp::InsertBefore { select, content }
-            | XUpdateOp::InsertAfter { select, content } => {
-                let parsed = select_target(select);
-                let (mut ws, top_text) = self.content_footprint(content);
-                // Text siblings land inside the target's parent.  Under
-                // trust, the parent of an element target licenses element
-                // content and is therefore never a compacted (PCDATA-only)
-                // container, so the text is relationally invisible.
-                if top_text && !(trusted && parsed.is_some()) {
-                    ws.cells.extend(self.all_owner_cells());
+            NodeKind::Text(_) => {
+                if let Some(name) = parent.and_then(|p| doc.name(p)) {
+                    self.value(name, ws);
                 }
-                ws.pos_shift.extend(match (&parsed, trusted) {
-                    (Some((t, _)), true) => self.sibling_shift(t),
-                    _ => self.preds.clone(),
-                });
-                WriteFootprint::Cells(ws)
+                Some(())
             }
-            XUpdateOp::Remove { select } => {
-                let Some((t, _)) = select_target(select) else {
-                    return WriteFootprint::All;
-                };
-                if !trusted {
-                    return WriteFootprint::All;
-                }
-                let mut ws = WriteSet::default();
-                if let Some(below) = self.reach.get(&t) {
-                    for d in below {
-                        if self.preds.contains(d) {
-                            ws.existence.insert(d.clone());
-                        }
-                        ws.cells.extend(self.owner_cells(d));
-                    }
-                } else {
-                    return WriteFootprint::All;
-                }
-                ws.pos_shift.extend(self.sibling_shift(&t));
-                WriteFootprint::Cells(ws)
-            }
-            XUpdateOp::Update { select, .. } => {
-                let Some((t, _)) = select_target(select) else {
-                    return WriteFootprint::All;
-                };
-                if !trusted {
-                    return WriteFootprint::All;
-                }
-                // All children subtrees of the target are detached and
-                // replaced by a single text node. The target itself keeps
-                // its tuple — unless the DTD is recursive through it, in
-                // which case *nested* same-name tuples are deleted too and
-                // its existence column is live after all.
-                let mut ws = WriteSet::default();
-                if let Some(below) = self.reach.get(&t) {
-                    for d in below {
-                        if (d != &t || self.is_recursive(&t)) && self.preds.contains(d) {
-                            ws.existence.insert(d.clone());
-                        }
-                        ws.cells.extend(self.owner_cells(d));
-                    }
-                } else {
-                    return WriteFootprint::All;
-                }
-                // The target keeps its tuple, but every data column of it
-                // may change (compacted children removed, text replaced).
-                if self.preds.contains(&t) {
-                    for cells in self.owners.values() {
-                        for (p, c) in cells {
-                            if p == &t {
-                                ws.cells.insert((p.clone(), *c));
-                            }
-                        }
-                    }
-                }
-                ws.cells.extend(self.owner_cells(&t));
-                WriteFootprint::Cells(ws)
-            }
-            XUpdateOp::Rename { select, name } => {
-                let Some((t, _)) = select_target(select) else {
-                    return WriteFootprint::All;
-                };
-                // Node ids, positions, and parent links are unchanged by a
-                // rename, so this is precise even without nesting trust.
-                let mut ws = WriteSet::default();
-                for n in [t.as_str(), name.as_str()] {
-                    if self.preds.contains(n) {
-                        ws.existence.insert(n.to_string());
-                    }
-                    ws.cells.extend(self.owner_cells(n));
-                }
-                // A renamed predicate node carries its data columns along:
-                // tuples move between relations, covered by existence; but
-                // compacted children of the target change owners.
-                for n in [t.as_str(), name.as_str()] {
-                    if self.preds.contains(n) {
-                        for cells in self.owners.values() {
-                            for (p, c) in cells {
-                                if p == n {
-                                    ws.cells.insert((p.clone(), *c));
-                                }
-                            }
-                        }
-                    }
-                }
-                WriteFootprint::Cells(ws)
-            }
+            _ => None,
         }
     }
 
-    fn op_preserves_nesting(&self, op: &XUpdateOp) -> bool {
-        match op {
-            XUpdateOp::Append { select, content, .. } => {
-                let Some((t, _)) = select_target(select) else {
-                    return false;
-                };
-                let Some(kids) = self.children.get(&t) else {
-                    return false;
-                };
-                content.iter().all(|f| match f {
-                    Fragment::Text(_) => true,
-                    Fragment::Element { name, .. } => {
-                        kids.contains(name) && self.fragment_conforms(f)
-                    }
-                })
-            }
-            XUpdateOp::InsertBefore { select, content }
-            | XUpdateOp::InsertAfter { select, content } => {
-                let Some((t, _)) = select_target(select) else {
-                    return false;
-                };
-                // The real parent is *some* parent of `t`; require the
-                // inserted roots to be licensed under every candidate.
-                let Some(ps) = self.parents.get(&t) else {
-                    return false;
-                };
-                if ps.is_empty() {
-                    return false;
-                }
-                content.iter().all(|f| match f {
-                    Fragment::Text(_) => true,
-                    Fragment::Element { name, .. } => {
-                        ps.iter().all(|p| {
-                            self.children
-                                .get(p)
-                                .is_some_and(|kids| kids.contains(name))
-                        }) && self.fragment_conforms(f)
-                    }
-                })
-            }
-            // Removing nodes only deletes edges.
-            XUpdateOp::Remove { .. } => true,
-            // Replacing children with a text node only deletes element
-            // edges.
-            XUpdateOp::Update { .. } => true,
-            XUpdateOp::Rename { select, name } => {
-                let Some((t, _)) = select_target(select) else {
-                    return false;
-                };
-                // Every possible parent must license the new name, and the
-                // new name must license every child the old name could
-                // have.
-                let parents_ok = self
-                    .parents
-                    .get(&t)
-                    .map(|ps| {
-                        ps.iter().all(|p| {
-                            self.children
-                                .get(p)
-                                .is_some_and(|kids| kids.contains(name))
-                        })
-                    })
-                    .unwrap_or(true);
-                let children_ok = match (self.children.get(&t), self.children.get(name)) {
-                    (Some(old), Some(new)) => old.is_subset(new),
-                    (Some(old), None) => old.is_empty(),
-                    (None, _) => false,
-                };
-                parents_ok && children_ok
-            }
+    /// Elements called `name` appeared or vanished: its tuples, if it is
+    /// a predicate, and the value it compacts into its owners' columns.
+    fn membership(&self, name: &str, ws: &mut WriteSet) {
+        if self.preds.contains_key(name) {
+            ws.existence.insert(name.to_string());
         }
+        ws.cells
+            .extend(self.owners.get(name).into_iter().flatten().cloned());
     }
 
-    /// True if every internal parent→child element edge of the fragment is
-    /// licensed by the DTD.
-    fn fragment_conforms(&self, f: &Fragment) -> bool {
-        match f {
-            Fragment::Text(_) => true,
-            Fragment::Element { name, children, .. } => {
-                let Some(kids) = self.children.get(name) else {
-                    return false;
-                };
-                children.iter().all(|c| match c {
-                    Fragment::Text(_) => true,
-                    Fragment::Element { name: cn, .. } => {
-                        kids.contains(cn) && self.fragment_conforms(c)
-                    }
-                })
-            }
+    /// The content of a surviving element called `name` changed: the
+    /// columns that compact it and, if it is a predicate, every data
+    /// column of its own tuple.
+    fn value(&self, name: &str, ws: &mut WriteSet) {
+        ws.cells
+            .extend(self.owners.get(name).into_iter().flatten().cloned());
+        if let Some(cols) = self.preds.get(name) {
+            ws.cells.extend(cols.clone().map(|c| (name.to_string(), c)));
         }
-    }
-}
-
-/// Collects every element name occurring in the fragment tree.
-fn collect_fragment_names(f: &Fragment, out: &mut BTreeSet<String>) {
-    if let Fragment::Element { name, children, .. } = f {
-        out.insert(name.clone());
-        for c in children {
-            collect_fragment_names(c, out);
-        }
-    }
-}
-
-/// Collects the element names a content model can produce as children.
-/// `ContentModel::Any` licenses every declared name.
-fn model_names(model: &ContentModel, all: &BTreeSet<String>, out: &mut BTreeSet<String>) {
-    match model {
-        ContentModel::Empty | ContentModel::PcData => {}
-        ContentModel::Any => out.extend(all.iter().cloned()),
-        ContentModel::Mixed(names) => out.extend(names.iter().cloned()),
-        ContentModel::Name(n) => {
-            out.insert(n.clone());
-        }
-        ContentModel::Seq(parts) | ContentModel::Choice(parts) => {
-            for p in parts {
-                model_names(p, all, out);
-            }
-        }
-        ContentModel::Optional(inner)
-        | ContentModel::Star(inner)
-        | ContentModel::Plus(inner) => model_names(inner, all, out),
-    }
-}
-
-/// Extracts the element name a select expression targets, plus — when it
-/// can be read off syntactically — the name of the parent step.
-///
-/// Returns `None` for anything that is not a plain downward path ending in
-/// a name test (attribute steps, wildcards, functions, `.`/`..`), which
-/// makes callers fall back to the conservative footprint.  A trailing
-/// predicate (`item[2]`, `name[text()="x"]`) is stripped: whatever it
-/// filters, the matched nodes are still named by the name test.
-pub fn select_target(select: &str) -> Option<(String, Option<String>)> {
-    let segs = split_top_level(select);
-    let mut names: Vec<Option<String>> = segs.iter().map(|s| segment_name(s)).collect();
-    let last = names.pop()?;
-    let target = last?;
-    // `//name` leaves an empty segment before the target: the parent is
-    // statically unknown (descendant axis).
-    let parent = match names.last() {
-        Some(Some(p)) if !p.is_empty() => Some(p.clone()),
-        _ => None,
-    };
-    Some((target, parent))
-}
-
-/// Splits a path on `/` at nesting depth zero, respecting `[...]`
-/// predicates and string literals.
-fn split_top_level(s: &str) -> Vec<String> {
-    let mut segs = Vec::new();
-    let mut cur = String::new();
-    let mut depth = 0usize;
-    let mut quote: Option<char> = None;
-    for ch in s.chars() {
-        if let Some(q) = quote {
-            cur.push(ch);
-            if ch == q {
-                quote = None;
-            }
-            continue;
-        }
-        match ch {
-            '"' | '\'' => {
-                quote = Some(ch);
-                cur.push(ch);
-            }
-            '[' | '(' => {
-                depth += 1;
-                cur.push(ch);
-            }
-            ']' | ')' => {
-                depth = depth.saturating_sub(1);
-                cur.push(ch);
-            }
-            '/' if depth == 0 => {
-                segs.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(ch),
-        }
-    }
-    segs.push(cur);
-    segs
-}
-
-/// The element name a single path segment tests for, if it is a plain name
-/// test (optionally `child::`-prefixed, optionally followed by balanced
-/// `[...]` predicates).  Empty segments (from `//`) map to `Some("")` so
-/// the caller can tell "descendant step" apart from "unparseable".
-fn segment_name(seg: &str) -> Option<String> {
-    let s = seg.trim();
-    if s.is_empty() {
-        return Some(String::new());
-    }
-    let s = s.strip_prefix("child::").unwrap_or(s);
-    // Strip trailing balanced predicate groups.
-    let mut core = s;
-    while core.ends_with(']') {
-        let mut depth = 0usize;
-        let mut start = None;
-        for (i, ch) in core.char_indices().rev() {
-            match ch {
-                ']' => depth += 1,
-                '[' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        start = Some(i);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        match start {
-            Some(i) => core = core[..i].trim_end(),
-            None => return None,
-        }
-    }
-    if core.is_empty() {
-        return None;
-    }
-    let mut chars = core.chars();
-    let first = chars.next()?;
-    if !(first.is_ascii_alphabetic() || first == '_') {
-        return None;
-    }
-    if chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.')) {
-        Some(core.to_string())
-    } else {
-        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xic_mapping::RelSchema;
+    use crate::resolver::xpath_resolver;
+    use xic_xml::{apply, parse_document, Dtd, XUpdateDoc};
 
     const DTD: &str = r#"
 <!ELEMENT db (region*, misc?)>
@@ -599,151 +190,123 @@ mod tests {
 <!ELEMENT qty (#PCDATA)>
 "#;
 
-    fn index() -> (Dtd, RelSchema, IndependenceIndex) {
-        let dtd = Dtd::parse(DTD).expect("test DTD parses");
+    const DOC: &str = "<db>\
+        <region><name>r1</name>\
+          <item><name>a</name><qty>1</qty></item><item><name>b</name><qty>2</qty></item>\
+        </region>\
+        <region><name>r2</name></region>\
+        <misc><note>n</note></misc></db>";
+
+    fn setup(dtd: &str, xml: &str) -> (IndependenceIndex, Document) {
+        let dtd = Dtd::parse(dtd).expect("test DTD parses");
         let schema = RelSchema::from_dtd(&dtd).expect("schema derives");
-        let idx = IndependenceIndex::new(&dtd, &schema);
-        (dtd, schema, idx)
+        let (doc, _) = parse_document(xml).expect("test document parses");
+        (IndependenceIndex::new(&schema), doc)
     }
 
-    fn stmt(xml: &str) -> XUpdateDoc {
-        XUpdateDoc::parse(xml).expect("test statement parses")
+    /// Applies the single operation `op` to `doc` (and leaves it applied)
+    /// and returns the footprint read off its log.
+    fn applied_footprint(idx: &IndependenceIndex, doc: &mut Document, op: &str) -> WriteFootprint {
+        let stmt = XUpdateDoc::parse(&format!(
+            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">{op}</xupdate:modifications>"#
+        ))
+        .expect("test statement parses");
+        let applied = apply(doc, &stmt, &xpath_resolver).expect("test statement applies");
+        idx.delta_footprint(doc, &applied)
     }
 
-    #[test]
-    fn select_target_parses_plain_paths() {
-        assert_eq!(
-            select_target("/db/region/item"),
-            Some(("item".to_string(), Some("region".to_string())))
-        );
-        assert_eq!(
-            select_target("/db/region[2]/item[1]"),
-            Some(("item".to_string(), Some("region".to_string())))
-        );
-        // `//` hides the parent but still names the target.
-        assert_eq!(
-            select_target("//item"),
-            Some(("item".to_string(), None))
-        );
-        assert_eq!(select_target("/db/region/@id"), None);
-        assert_eq!(select_target("/db/*"), None);
-        assert_eq!(select_target("/db/.."), None);
+    fn cells(fp: WriteFootprint) -> WriteSet {
+        match fp {
+            WriteFootprint::Cells(ws) => ws,
+            WriteFootprint::All => panic!("expected a bounded footprint"),
+        }
+    }
+
+    fn names(set: &BTreeSet<String>) -> Vec<&str> {
+        set.iter().map(String::as_str).collect()
     }
 
     #[test]
     fn append_at_end_has_no_pos_shift() {
-        let (_, _, idx) = index();
-        let s = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:append select="/db/region"><item><name>n</name><qty>1</qty></item></xupdate:append>
-</xupdate:modifications>"#,
-        );
-        match idx.write_footprint(&s, true) {
-            WriteFootprint::Cells(ws) => {
-                assert!(ws.existence.contains("item"));
-                assert!(ws.pos_shift.is_empty());
-                assert!(!ws.existence.contains("misc"));
-            }
-            WriteFootprint::All => panic!("expected precise footprint"),
-        }
+        let (idx, mut doc) = setup(DTD, DOC);
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:append select="/db/region[1]"><item><name>n</name><qty>1</qty></item></xupdate:append>"#,
+        ));
+        assert_eq!(names(&ws.existence), ["item"]);
+        assert!(ws.pos_shift.is_empty());
+        // The new item's compacted children are values of item columns.
+        assert!(ws.cells.contains(&("item".to_string(), 3)));
+        assert!(ws.cells.contains(&("item".to_string(), 4)));
     }
 
     #[test]
-    fn positional_append_shifts_siblings() {
-        let (_, _, idx) = index();
-        let s = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:append select="/db/region" child="1"><item><name>n</name><qty>1</qty></item></xupdate:append>
-</xupdate:modifications>"#,
-        );
-        match idx.write_footprint(&s, true) {
-            WriteFootprint::Cells(ws) => {
-                assert!(ws.pos_shift.contains("item"));
-                assert!(!ws.pos_shift.contains("note"));
-            }
-            WriteFootprint::All => panic!("expected precise footprint"),
-        }
+    fn positional_append_shifts_only_the_following_siblings() {
+        let (idx, mut doc) = setup(DTD, DOC);
+        // Lands between the second region and misc: the regions before it
+        // keep their positions.
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:append select="/db" child="2"><region><name>r3</name></region></xupdate:append>"#,
+        ));
+        assert_eq!(names(&ws.existence), ["region"]);
+        assert_eq!(names(&ws.pos_shift), ["misc"]);
     }
 
     #[test]
-    fn remove_uses_descendant_closure_only_when_trusted() {
-        let (_, _, idx) = index();
-        let s = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:remove select="/db/region[1]"/>
-</xupdate:modifications>"#,
-        );
-        match idx.write_footprint(&s, true) {
-            WriteFootprint::Cells(ws) => {
-                assert!(ws.existence.contains("region"));
-                assert!(ws.existence.contains("item"));
-                assert!(!ws.existence.contains("misc"));
-                assert!(!ws.existence.contains("note"));
-            }
-            WriteFootprint::All => panic!("expected precise footprint"),
-        }
-        assert!(matches!(idx.write_footprint(&s, false), WriteFootprint::All));
+    fn remove_writes_the_names_in_the_removed_subtree() {
+        let (idx, mut doc) = setup(DTD, DOC);
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:remove select="/db/region[1]"/>"#,
+        ));
+        assert_eq!(names(&ws.existence), ["item", "region"]);
+        assert_eq!(names(&ws.pos_shift), ["misc", "region"]);
     }
 
     #[test]
-    fn rename_is_precise_without_trust() {
-        let (_, _, idx) = index();
-        let s = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:rename select="/db/misc/note">name</xupdate:rename>
-</xupdate:modifications>"#,
-        );
-        match idx.write_footprint(&s, false) {
-            WriteFootprint::Cells(ws) => {
-                assert!(!ws.existence.contains("region"));
-            }
-            WriteFootprint::All => panic!("rename should stay precise untrusted"),
-        }
+    fn rename_touches_only_its_two_names() {
+        let (idx, mut doc) = setup(DTD, DOC);
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:rename select="/db/misc/note">name</xupdate:rename>"#,
+        ));
+        assert_eq!(names(&ws.existence), ["note"]);
+        assert!(ws.pos_shift.is_empty());
     }
 
     #[test]
-    fn attribute_select_falls_back_to_all() {
-        let (_, _, idx) = index();
-        let s = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:remove select="/db/region/@id"/>
-</xupdate:modifications>"#,
+    fn removing_a_non_conforming_subtree_writes_what_is_in_it() {
+        // The case nesting trust existed for: no DTD path leads from
+        // `region` to `note`, but a committed rename put one there. The
+        // names are read off the detached subtree, so it is seen.
+        let (idx, mut doc) = setup(DTD, DOC);
+        applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:rename select="/db/region[1]/item[1]">note</xupdate:rename>"#,
         );
-        assert!(matches!(idx.write_footprint(&s, true), WriteFootprint::All));
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:remove select="/db/region[1]"/>"#,
+        ));
+        assert_eq!(names(&ws.existence), ["item", "note", "region"]);
     }
 
     #[test]
-    fn nesting_preservation_rules() {
-        let (_, _, idx) = index();
-        // Legal append: item under region.
-        let ok = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:append select="/db/region"><item><name>n</name><qty>1</qty></item></xupdate:append>
-</xupdate:modifications>"#,
-        );
-        assert!(idx.stmt_preserves_nesting(&ok));
-        // Illegal append: note under region.
-        let bad = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:append select="/db/region"><note>x</note></xupdate:append>
-</xupdate:modifications>"#,
-        );
-        assert!(!idx.stmt_preserves_nesting(&bad));
-        // Removals always preserve.
-        let rm = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:remove select="//item"/>
-</xupdate:modifications>"#,
-        );
-        assert!(idx.stmt_preserves_nesting(&rm));
-        // Rename note -> name is fine everywhere name is licensed; but
-        // note's parents (misc) do not license name, so it must fail.
-        let rn = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:rename select="/db/misc/note">name</xupdate:rename>
-</xupdate:modifications>"#,
-        );
-        assert!(!idx.stmt_preserves_nesting(&rn));
+    fn union_select_writes_every_operand() {
+        let (idx, mut doc) = setup(DTD, DOC);
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:remove select="/db/region[1]/item[1] | /db/misc/note[1]"/>"#,
+        ));
+        assert_eq!(names(&ws.existence), ["item", "note"]);
     }
 
     #[test]
@@ -751,53 +314,62 @@ mod tests {
         // Under `<!ELEMENT part (name, part*)>`, updating a `part` node
         // replaces its content with text — deleting nested `part`
         // subtrees. The target's own tuple survives, but same-name tuples
-        // *below* it do not, so `part` existence must be in the write
-        // footprint (it was dropped by a `d != t` guard that could not
-        // see recursion through the reflexive closure).
-        let dtd = Dtd::parse(
-            r#"
-<!ELEMENT db (part*)>
-<!ELEMENT part (name, part*)>
-<!ELEMENT name (#PCDATA)>
-"#,
-        )
-        .expect("recursive DTD parses");
-        let schema = RelSchema::from_dtd(&dtd).expect("recursive schema derives");
-        let idx = IndependenceIndex::new(&dtd, &schema);
-        let s = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:update select="/db/part">zzz</xupdate:update>
-</xupdate:modifications>"#,
+        // *below* it do not: they are in the detached subtrees.
+        let (idx, mut doc) = setup(
+            "<!ELEMENT db (part*)>\n<!ELEMENT part (name, part*)>\n<!ELEMENT name (#PCDATA)>",
+            "<db><part><name>a</name><part><name>b</name></part></part></db>",
         );
-        match idx.write_footprint(&s, true) {
-            WriteFootprint::Cells(ws) => {
-                assert!(
-                    ws.existence.contains("part"),
-                    "update on recursive element must cover deletion of \
-                     nested same-name tuples, got {:?}",
-                    ws.existence
-                );
-            }
-            WriteFootprint::All => {}
-        }
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:update select="/db/part">zzz</xupdate:update>"#,
+        ));
+        assert_eq!(names(&ws.existence), ["part"]);
+        assert!(ws.cells.contains(&("part".to_string(), 3)));
+        assert!(
+            ws.pos_shift.is_empty(),
+            "every sibling of the removed children went with them"
+        );
     }
 
     #[test]
-    fn descendant_select_over_approximates() {
-        let (_, _, idx) = index();
-        // `//name` could be under region or item: sibling shift must cover
-        // both parents' predicate children.
-        let s = stmt(
-            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:remove select="//name"/>
-</xupdate:modifications>"#,
+    fn descendant_select_shifts_the_siblings_it_finds() {
+        let (idx, mut doc) = setup(DTD, DOC);
+        // `//name` matches under region and under item; the items that
+        // follow a removed region name move up.
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:remove select="//name"/>"#,
+        ));
+        assert_eq!(names(&ws.pos_shift), ["item"]);
+        assert!(
+            ws.existence.is_empty(),
+            "name is compacted, not a predicate"
         );
-        match idx.write_footprint(&s, true) {
-            WriteFootprint::Cells(ws) => {
-                assert!(ws.pos_shift.contains("item"));
-                assert!(!ws.existence.contains("region"));
-            }
-            WriteFootprint::All => panic!("expected precise footprint"),
-        }
+        assert!(ws.cells.contains(&("region".to_string(), 3)));
+    }
+
+    #[test]
+    fn text_update_writes_the_value_of_its_parent() {
+        let (idx, mut doc) = setup(DTD, DOC);
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:update select="/db/region[1]/item[2]/qty">9</xupdate:update>"#,
+        ));
+        assert!(ws.existence.is_empty() && ws.pos_shift.is_empty());
+        assert_eq!(ws.cells, BTreeSet::from([("item".to_string(), 4)]));
+    }
+
+    #[test]
+    fn unclassified_node_kind_falls_back_to_all() {
+        let (idx, mut doc) = setup(DTD, "<db><!--c--><misc/></db>");
+        let fp = applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:remove select="/db/comment()"/>"#,
+        );
+        assert_eq!(fp, WriteFootprint::All);
     }
 }

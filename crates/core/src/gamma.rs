@@ -27,7 +27,7 @@ use xic_datalog::Denial;
 use xic_mapping::{map_denials, RelSchema};
 use xic_simplify::{live_set, read_footprints, ReadFootprint};
 use xic_translate::{translate_denials, QueryTemplate};
-use xic_xml::{apply, undo, Document, Dtd, XUpdateDoc};
+use xic_xml::{apply, undo, AppliedUpdate, Document, Dtd, XUpdateDoc};
 use xic_xquery::{parse_query, XProgram};
 
 /// Documents below this node count are always checked sequentially: the
@@ -37,7 +37,7 @@ const PARALLEL_FULL_MIN_NODES: usize = 8192;
 /// The compiled constraint-template set Γ plus everything derived from
 /// the DTD: relational schema, Datalog denials, translated full-check
 /// queries (parsed and IR-compiled), per-constraint read footprints and
-/// the DTD name-graph independence index.
+/// the ownership maps that turn an applied delta into a write footprint.
 ///
 /// None of it depends on a document *instance*, only on the schema and
 /// the constraints — so one `SharedGamma` is compiled once and shared
@@ -58,7 +58,7 @@ pub struct SharedGamma {
     full_ir: Vec<XProgram>,
     /// Per-constraint read footprints, in `gamma` order.
     read_fps: Vec<ReadFootprint>,
-    /// DTD name-graph index for statement-level write footprints.
+    /// Ownership maps for statement-level write footprints.
     indep_index: IndependenceIndex,
 }
 
@@ -92,7 +92,7 @@ impl SharedGamma {
         let (read_fps, indep_index) = {
             let _compile = xic_obs::phase("compile");
             let _footprint = xic_obs::phase("footprint");
-            (read_footprints(&gamma), IndependenceIndex::new(&dtd, &schema))
+            (read_footprints(&gamma), IndependenceIndex::new(&schema))
         };
         Ok(Arc::new(SharedGamma {
             dtd,
@@ -125,10 +125,6 @@ impl SharedGamma {
         &self.full_queries
     }
 
-    /// The DTD name-graph index backing statement write footprints.
-    pub(crate) fn indep_index(&self) -> &IndependenceIndex {
-        &self.indep_index
-    }
 }
 
 /// The baseline strategy over one compiled Γ: the full check and the
@@ -147,16 +143,16 @@ pub(crate) struct Baseline<'a> {
 }
 
 impl Baseline<'_> {
-    /// The live-constraint mask for `stmt`, or `None` when the analysis
-    /// is off. The write footprint over-approximates the statement's
-    /// delta from the statement text alone; `nesting_trusted` is the
-    /// *pre-state* trust bit that justifies its reachability arguments.
-    pub(crate) fn live_mask(&self, stmt: &XUpdateDoc, nesting_trusted: bool) -> Option<Vec<bool>> {
+    /// The live-constraint mask for the statement just applied to `doc`,
+    /// or `None` when the analysis is off. The write footprint is read
+    /// off `applied`'s log (see [`IndependenceIndex::delta_footprint`]),
+    /// so it must be taken after the apply and before any undo.
+    pub(crate) fn live_mask(&self, doc: &Document, applied: &AppliedUpdate) -> Option<Vec<bool>> {
         if !self.independence {
             return None;
         }
         let _footprint = xic_obs::phase("footprint");
-        let wfp = self.gamma.indep_index.write_footprint(stmt, nesting_trusted);
+        let wfp = self.gamma.indep_index.delta_footprint(doc, applied);
         Some(live_set(&self.gamma.read_fps, &wfp))
     }
 
@@ -205,7 +201,7 @@ impl Baseline<'_> {
     }
 
     /// Decides `stmt` by the baseline strategy without leaving a
-    /// modification behind: mask, apply, full check in the new state,
+    /// modification behind: apply, mask, full check in the new state,
     /// and **always** undo, whatever the verdict. A statement that fails
     /// to apply is rolled back from its partial state and reported as a
     /// [`CheckerError::Statement`].
@@ -213,9 +209,7 @@ impl Baseline<'_> {
         &self,
         doc: &mut Document,
         stmt: &XUpdateDoc,
-        nesting_trusted: bool,
     ) -> Result<Option<Violation>, CheckerError> {
-        let live = self.live_mask(stmt, nesting_trusted);
         let applied = {
             let _update = xic_obs::phase("update");
             let _apply = xic_obs::phase("apply");
@@ -224,6 +218,7 @@ impl Baseline<'_> {
                 CheckerError::Statement(e.to_string())
             })?
         };
+        let live = self.live_mask(doc, &applied);
         let verdict = self.run(doc, live.as_deref());
         let _update = xic_obs::phase("update");
         let _rollback = xic_obs::phase("rollback");

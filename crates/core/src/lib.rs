@@ -107,7 +107,7 @@ pub use service::{
     ServiceStats, SubmitOutcome, DEADLINE_STEPS_PER_MS,
 };
 pub use compile::{compile_pattern, CompiledPattern};
-pub use footprint::{select_target, IndependenceIndex};
+pub use footprint::IndependenceIndex;
 pub use resolver::xpath_resolver;
 
 // Re-exports for downstream users (examples, benches, tests).

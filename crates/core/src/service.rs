@@ -380,10 +380,6 @@ pub struct ReadSnapshot {
     doc: Document,
     version: u64,
     checks: Arc<CheckSet>,
-    /// The writer's nesting-trust bit at publish time — the premise for
-    /// this snapshot's reachability-based write footprints (see
-    /// [`crate::footprint::IndependenceIndex`]).
-    nesting_trusted: bool,
 }
 
 impl ReadSnapshot {
@@ -499,16 +495,16 @@ impl ReadSnapshot {
     /// — [`Checker::decide_only`] under
     /// [`crate::Strategy::FullWithRollback`], for concurrent readers.
     /// [`ReadSnapshot::decide`] falls back to this; it costs a deep
-    /// clone of the document plus an evaluation of all of Γ, whatever
-    /// the statement.
+    /// clone of the document plus an evaluation of the constraints the
+    /// delta applied to the copy can reach (all of Γ with the
+    /// independence analysis off) — the writer's mask, from the same
+    /// code.
     ///
     /// Like every snapshot read, the decision is against **this
     /// snapshot's version**.
     pub fn decide_full(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
         let mut doc = self.doc.clone();
-        // The live mask comes from the snapshot's pre-state (trust bit
-        // captured at publish), mirroring the writer's baseline path.
-        self.checks.baseline().decide_by_rollback(&mut doc, stmt, self.nesting_trusted)
+        self.checks.baseline().decide_by_rollback(&mut doc, stmt)
     }
 
     /// Maps a deadline-budget exhaustion to [`ServiceError::Timeout`],
@@ -632,7 +628,6 @@ impl CheckerService {
             doc: checker.doc().clone(),
             version: checker.committed(),
             checks: checks.clone(),
-            nesting_trusted: checker.nesting_trusted(),
         });
         // The service is created inside an `Arc` because the writer
         // thread and every client share it.
@@ -879,7 +874,6 @@ impl CheckerService {
             doc: checker.doc().clone(),
             version: checker.committed(),
             checks: self.checks.clone(),
-            nesting_trusted: checker.nesting_trusted(),
         });
         *self.snapshot.write().expect("snapshot slot poisoned") = snap;
         xic_obs::incr(xic_obs::Counter::SnapshotPublish);

@@ -1,12 +1,12 @@
 //! Checker-level tests of the static update/constraint independence
 //! analysis: skip counters over the multi-tenant workload, behavioral
-//! equality between masked and unmasked full checks, and the edge cases
-//! where the analysis must stay conservative (descendant axes,
-//! aggregates over renamed paths, loss of DTD-edge trust).
+//! equality between masked and unmasked full checks (union selects and a
+//! document that left its DTD included), and the edge cases where a
+//! constraint must stay live (descendant axes, aggregates over renamed
+//! paths).
 //!
-//! These tests only use the per-checker [`Checker::set_independence`]
-//! override — never the process-global default, which would race with
-//! parallel tests in this binary.
+//! The unmasked reference is a twin checker with
+//! [`Checker::set_independence`] turned off.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +15,9 @@ use xic_workload::multi::{
     random_multi_statement, MultiConfig,
 };
 use xicheck::obs::{self, Counter};
-use xicheck::{serialize, Checker, Strategy, UpdateOutcome, XUpdateDoc};
+use xicheck::{
+    serialize, Checker, CheckerService, Executor, Strategy, UpdateOutcome, XUpdateDoc,
+};
 
 fn checker_for(w: &xic_workload::multi::MultiWorkload) -> Checker {
     Checker::new(&w.xml, &w.dtd, &w.constraints_text()).expect("multi workload must assemble")
@@ -26,7 +28,6 @@ fn multi_workload_verdicts_and_skip_counters() {
     let w = generate_multi(MultiConfig::with_regions(8, 1));
     let mut c = checker_for(&w);
     assert!(c.independence());
-    assert!(c.nesting_trusted(), "generated corpus conforms to its DTD");
 
     obs::reset();
     let ok = c.try_update_str(&legal_multi_insert(0, 1)).unwrap();
@@ -61,6 +62,33 @@ fn baseline_remove_skips_all_but_own_region() {
     assert_eq!(snap.counter(Counter::ChecksSkippedStatic), 14);
 }
 
+/// One op whose select joins two region-local targets from different
+/// regions with ` | `, cycling through update, remove and rename. The
+/// update writes `k-{a}-0` into a key of each region, so it is the
+/// *first* operand that can duplicate a key.
+fn union_statement(n: usize, regions: usize, items: usize) -> String {
+    let (a, b) = (n % regions + 1, (n + 1) % regions + 1);
+    let j = (n + 1) % items + 1;
+    let item = |i: usize| format!("/db/region{i}/item{i}[{j}]");
+    let op = match n % 3 {
+        0 => format!(
+            "<xupdate:update select=\"{}/key{a} | {}/key{b}\">k-{a}-0</xupdate:update>",
+            item(a),
+            item(b)
+        ),
+        1 => format!("<xupdate:remove select=\"{} | {}\"/>", item(a), item(b)),
+        _ => format!(
+            "<xupdate:rename select=\"{}/val{a} | {}/val{b}\">key{a}</xupdate:rename>",
+            item(a),
+            item(b)
+        ),
+    };
+    format!(
+        "<xupdate:modifications version=\"1.0\" \
+         xmlns:xupdate=\"http://www.xmldb.org/xupdate\">{op}</xupdate:modifications>"
+    )
+}
+
 /// The independence oracle in miniature: the same random stream through
 /// a masked and an unmasked checker must produce identical verdicts,
 /// violation reports, and post-states.
@@ -77,8 +105,10 @@ fn masked_and_unmasked_checkers_agree_on_random_stream() {
     for step in 0..60 {
         let text = if step % 17 == 16 {
             // Occasionally break DTD conformance so the stream also
-            // compares the conservative-fallback regime.
+            // compares masks on a document that left its DTD.
             hostile_multi_statement(&mut rng, &w)
+        } else if step % 5 == 4 {
+            union_statement(step / 5, w.config.regions, w.config.items_per_region)
         } else {
             random_multi_statement(&mut rng, &w)
         };
@@ -144,7 +174,6 @@ fn aggregate_constraint_retained_under_rename() {
         "<db><region><itemA>1</itemA><itemA>2</itemA><itemB>3</itemB></region></db>";
     let constraint = "<- //region -> R & cnt{R/itemA} > 2";
     let mut c = Checker::new(doc, dtd, constraint).unwrap();
-    assert!(c.nesting_trusted());
     let out = c
         .try_update_str(
             "<xupdate:modifications version=\"1.0\" \
@@ -160,81 +189,73 @@ fn aggregate_constraint_retained_under_rename() {
 }
 
 #[test]
-fn hostile_rename_drops_trust_and_disables_skipping() {
-    let w = generate_multi(MultiConfig::with_regions(4, 5));
-    let mut c = checker_for(&w);
-    assert!(c.nesting_trusted());
+fn masks_stay_exact_on_a_non_conforming_document() {
+    let w = generate_multi(MultiConfig::with_regions(8, 5));
+    let mut on = checker_for(&w);
+    let mut off = checker_for(&w);
+    off.set_independence(false);
 
     // Rename region1's first item into region2's vocabulary: no parent
-    // licenses item2 under region1, so committing this must demote the
-    // checker to conservative footprints.
-    let out = c
-        .try_update_str(
-            "<xupdate:modifications version=\"1.0\" \
-             xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
-             <xupdate:rename select=\"/db/region1/item1[1]\">item2</xupdate:rename>\
-             </xupdate:modifications>",
-        )
-        .unwrap();
-    assert!(out.applied(), "{out:?}");
-    assert!(!c.nesting_trusted(), "non-conforming commit must drop trust");
+    // licenses item2 under region1, so once this commits the document no
+    // longer conforms to its DTD.
+    let hostile = "<xupdate:modifications version=\"1.0\" \
+         xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+         <xupdate:rename select=\"/db/region1/item1[1]\">item2</xupdate:rename>\
+         </xupdate:modifications>";
+    assert!(on.try_update_str(hostile).unwrap().applied());
+    assert!(off.try_update_str(hostile).unwrap().applied());
 
-    // With trust gone, a region-local remove can no longer prove
-    // disjointness: every constraint is retained.
+    // The write set is read off the applied delta, not derived from the
+    // DTD, so a region-local remove still retains exactly its own pair.
+    let remove = "<xupdate:modifications version=\"1.0\" \
+         xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+         <xupdate:remove select=\"/db/region3/item3[1]\"/>\
+         </xupdate:modifications>";
     obs::reset();
-    let out = c
-        .try_update_str(
-            "<xupdate:modifications version=\"1.0\" \
-             xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
-             <xupdate:remove select=\"/db/region3/item3[1]\"/>\
-             </xupdate:modifications>",
-        )
-        .unwrap();
-    assert!(out.applied(), "{out:?}");
+    let masked = on.try_update_str(remove).unwrap();
     let snap = obs::snapshot();
-    assert_eq!(snap.counter(Counter::ChecksSkippedStatic), 0);
-    assert_eq!(
-        snap.counter(Counter::ChecksRetainedStatic),
-        w.config.total_constraints() as u64
-    );
-
-    // The document genuinely fails edge conformance now, so a refresh
-    // cannot restore trust.
-    c.refresh_nesting_trust();
-    assert!(!c.nesting_trusted());
+    assert_eq!(snap.counter(Counter::ChecksRetainedStatic), 2);
+    assert_eq!(snap.counter(Counter::ChecksSkippedStatic), 14);
+    let unmasked = off.try_update_str(remove).unwrap();
+    assert!(masked.applied(), "{masked:?}");
+    assert_eq!(format!("{masked:?}"), format!("{unmasked:?}"));
+    assert_eq!(serialize(on.doc()), serialize(off.doc()));
 }
 
+/// A union select writes every operand's names, not the last one's: the
+/// `remove` below takes the region under the `itemA` floor while also
+/// touching `itemB`, and a mask built from `itemB` alone would commit
+/// the violation.
 #[test]
-fn rejected_baseline_update_restores_trust() {
-    // A rename that *would* lose trust but is rejected by the full check
-    // must roll the trust bit back along with the document.
-    // `stray` is only licensed under the (absent) `attic`, so renaming an
-    // item into it breaks conformance; declaring the attic keeps the DTD
-    // single-rooted.
-    let dtd = "<!ELEMENT db (region*, attic?)>\n<!ELEMENT attic (stray)*>\n\
-               <!ELEMENT region (itemA | itemB)*>\n\
-               <!ELEMENT itemA (#PCDATA)>\n<!ELEMENT itemB (#PCDATA)>\n\
-               <!ELEMENT stray (#PCDATA)>";
-    let doc = "<db><region><itemA>1</itemA><itemA>2</itemA><itemA>3</itemA>\
-               <itemB>4</itemB></region></db>";
-    // Rejects any state where a `stray` exists... and also caps itemA.
-    let constraint = "<- //stray -> S . <- //region -> R & cnt{R/itemA} > 3";
-    let mut c = Checker::new(doc, dtd, constraint).unwrap();
-    assert!(c.nesting_trusted());
-    // `stray` is not licensed under region, so this rename breaks
-    // conformance *and* the first constraint: it must be rejected, and
-    // the pre-state trust must survive the rollback.
-    let out = c
-        .try_update_str(
-            "<xupdate:modifications version=\"1.0\" \
-             xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
-             <xupdate:rename select=\"/db/region[1]/itemB[1]\">stray</xupdate:rename>\
-             </xupdate:modifications>",
-        )
-        .unwrap();
-    assert!(!out.applied(), "{out:?}");
-    assert!(
-        c.nesting_trusted(),
-        "rollback must restore the pre-statement trust bit"
-    );
+fn union_select_remove_is_rejected_masked_and_unmasked() {
+    let dtd = "<!ELEMENT db (region)*>\n<!ELEMENT region (itemA | itemB)*>\n\
+               <!ELEMENT itemA (#PCDATA)>\n<!ELEMENT itemB (#PCDATA)>";
+    let doc =
+        "<db><region><itemA>1</itemA><itemA>2</itemA><itemB>3</itemB></region></db>";
+    let constraints = "<- //region -> R & cnt{R/itemA} < 2 . <- //region -> R & cnt{R/itemB} > 5";
+    let stmt = XUpdateDoc::parse(
+        "<xupdate:modifications version=\"1.0\" \
+         xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+         <xupdate:remove select=\"/db/region[1]/itemA[1] | /db/region[1]/itemB[1]\"/>\
+         </xupdate:modifications>",
+    )
+    .unwrap();
+    let mut on = Checker::new(doc, dtd, constraints).unwrap();
+    let mut off = Checker::new(doc, dtd, constraints).unwrap();
+    off.set_independence(false);
+    let before = serialize(on.doc());
+
+    let masked = on.try_update(&stmt).unwrap();
+    let unmasked = off.try_update(&stmt).unwrap();
+    let UpdateOutcome::Rejected { strategy: Strategy::FullWithRollback, violation } = &masked
+    else {
+        panic!("one itemA left is below the floor: {masked:?}");
+    };
+    assert_eq!(format!("{masked:?}"), format!("{unmasked:?}"));
+    assert_eq!(serialize(on.doc()), before, "a rejected statement leaves no trace");
+
+    // Snapshot readers share the mask.
+    let service = CheckerService::new(on, Executor::Sync);
+    let decided = service.snapshot().decide(&stmt).unwrap();
+    assert_eq!(decided.as_ref(), Some(violation));
 }

@@ -1,8 +1,9 @@
 //! Process-level restart test for `xic-serve` without `--shards`: a
 //! commit acknowledged by one run must still be there in the next run
 //! over the same `--store` directory; a directory that is not a store,
-//! and the `--journal` flag that left with the bare-journal mode, are
-//! refused with one line.
+//! the flags that left with the modes they selected (`--journal`,
+//! `--executor`, `--max-batch`) and a value on a boolean flag are refused
+//! with one line.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -102,6 +103,18 @@ fn journal_flag_is_refused() {
     let line = refused(&dir, &["--journal", target.to_str().expect("utf-8 path")]);
     assert!(line.contains("--journal"), "{line}");
     assert!(!target.exists(), "nothing may be created for a refused flag");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ablation_flags_and_valued_booleans_are_refused() {
+    let dir = scratch("flags");
+    // A value on a boolean is refused, not read as the bare flag (which
+    // would turn sync off).
+    for args in [&["--executor", "sync"][..], &["--max-batch", "4"], &["--no-sync=false"]] {
+        let line = refused(&dir, args);
+        assert!(line.contains(args[0].split('=').next().expect("flag name")), "{line}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -398,8 +398,7 @@ fn order_cache_oracle(doc: &Document) -> Result<(), String> {
 /// with the static skip mask forced on and forced off. Soundness of the
 /// analysis means the mask is *observationally invisible*: decisions,
 /// violation reports and post-states must not depend on it — including
-/// after a statement that breaks DTD-edge conformance and demotes the
-/// masked checker to conservative footprints.
+/// for a statement that breaks DTD-edge conformance.
 fn independence_oracle(case: &Case, stmt: &XUpdateDoc) -> Result<(), String> {
     let mut on = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| format!("masked checker setup failed: {e}"))?;

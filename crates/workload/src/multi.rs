@@ -171,9 +171,9 @@ pub fn illegal_multi_insert(region: usize) -> String {
 /// Draws one random single-op statement against a Zipf-skewed region:
 /// low-numbered regions are hot, the tail is cold, mirroring real
 /// multi-tenant traffic. The mix covers all six `XUpdateOp` kinds and
-/// every operation is *nesting-conformance-preserving*, so a checker's
-/// DTD-edge trust survives the stream and the write footprints stay
-/// precise (see `xicheck::IndependenceIndex`).
+/// every operation stays inside its region's vocabulary, so each writes
+/// the cells of one region's two constraints only (see
+/// `xicheck::IndependenceIndex`).
 pub fn random_multi_statement(rng: &mut StdRng, w: &MultiWorkload) -> String {
     let i = skewed(rng, w.config.regions) + 1;
     let j = rng.gen_range(0..w.config.items_per_region.max(1)) + 1;
@@ -198,10 +198,8 @@ pub fn random_multi_statement(rng: &mut StdRng, w: &MultiWorkload) -> String {
             format!("<xupdate:update select=\"{sel}\">{text}</xupdate:update>")
         }
         _ => {
-            // `val → key` is licensed under item{i} (both are declared
-            // children), so the rename preserves nesting conformance —
-            // and may create a duplicate key the join constraint must
-            // catch.
+            // `val → key` stays inside item{i}'s vocabulary and may
+            // create a duplicate key the join constraint must catch.
             format!("<xupdate:rename select=\"{item_sel}/val{i}\">key{i}</xupdate:rename>")
         }
     };
@@ -213,9 +211,9 @@ pub fn random_multi_statement(rng: &mut StdRng, w: &MultiWorkload) -> String {
 
 /// A statement that *breaks* DTD nesting conformance: it renames an item
 /// of one region into another region's vocabulary, which no parent
-/// licenses. Committing it forces a sound checker to drop its DTD-edge
-/// trust and fall back to conservative (check-everything) footprints —
-/// differential tests use this to exercise the fallback path.
+/// licenses. Once it commits the document no longer conforms to its
+/// DTD; differential tests use it to check that write footprints, read
+/// off the applied delta, stay exact on such a document.
 pub fn hostile_multi_statement(rng: &mut StdRng, w: &MultiWorkload) -> String {
     let i = skewed(rng, w.config.regions) + 1;
     let other = (i % w.config.regions.max(1)) + 1;

@@ -401,19 +401,28 @@ fn parse_fragment(doc: &Document, node: NodeId) -> Result<Option<Fragment>, XUpd
 // Application with undo
 // ---------------------------------------------------------------------
 
-/// One compensating action.
+/// One compensating action — read the other way round, one thing the
+/// update did to the tree.
 #[derive(Debug, Clone)]
-enum UndoEntry {
+pub enum UndoEntry {
     /// Detach a node that the update inserted.
     Detach(NodeId),
     /// Re-attach a node that the update removed, at its original index.
     Reattach {
+        /// The parent the node was removed from.
         parent: NodeId,
+        /// Its child index under `parent` when it was removed.
         index: usize,
+        /// The removed node; its subtree stays intact while detached.
         node: NodeId,
     },
     /// Restore an element's old name.
-    Rename { node: NodeId, old: String },
+    Rename {
+        /// The renamed element.
+        node: NodeId,
+        /// Its name before the update.
+        old: String,
+    },
 }
 
 /// The record of an applied update: inserted roots (for inspection) and a
@@ -423,6 +432,15 @@ pub struct AppliedUpdate {
     /// Roots of subtrees the update inserted.
     pub inserted: Vec<NodeId>,
     log: Vec<UndoEntry>,
+}
+
+impl AppliedUpdate {
+    /// Every change the update made to the tree, in application order.
+    /// The log is complete by construction: [`undo`] restores the
+    /// pre-update state from nothing else.
+    pub fn log(&self) -> &[UndoEntry] {
+        &self.log
+    }
 }
 
 /// Applies `upd` to `doc`. `resolve` maps each operation's select string
