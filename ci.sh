@@ -13,9 +13,17 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # Every generated query is evaluated by the query engine and by the naive
 # reference — node-sets, existential short-circuits, count() cardinalities
 # and the translator's quantifier and aggregate-FLWOR shapes must all
-# agree. The run exits nonzero on any discrepancy or if a run of at least
-# 100 cases compared no queries (the summary line's "reference queries"
-# counts them) or missed an operation kind. Every case also replays
+# agree, and so must the shapes the engine answers from keyed sequences:
+# value joins (`some $a in Q1, $b in Q2 satisfies $a/c/text() =
+# $b/d/text()`, operands swapped, with a second conjunct, and as an
+# unplanned `every`) and grouped aggregates (`for $v in distinct-values(…)
+# let $g := //p[c/text() = $v] let $h := //q[p[c/text() = $v]] …`). The
+# run exits nonzero on any discrepancy or if a run of at least 100 cases
+# compared no queries (the summary line's "reference queries" counts
+# them), missed an operation kind, or planned no join — in the reference
+# queries or in any case's constraint set (random cases draw a key or a
+# grouped-aggregate denial half the time), so the planned evaluation
+# cannot go unchecked unnoticed. Every case also replays
 # through a checker pair with the static update/constraint independence
 # mask on and off (oracle 6): verdicts, violation reports and post-states
 # must be byte-identical. Every difftest gate below is decided the same
@@ -115,10 +123,13 @@ echo "== concurrency stress smoke (snapshot readers + group-commit writers) =="
 cargo test -q --release -p xicheck --test service_stress
 
 echo "== experiments smoke (paper tables + their one report file, bad input exits 1) =="
-# A does-it-run gate, not a performance assertion; then one malformed
-# flag, which must be refused with exit 1 (not a panic's 101).
-cargo run --release -q -p xic-bench --bin experiments -- fig1a illegal simp \
-  --sizes=32 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
+# A does-it-run gate, not a performance assertion (how the full check
+# scales is asserted by counts in crates/core/tests/full_check_scaling.rs);
+# fig1b is here so the aggregate shape — cntd, the keyed steps under a
+# `for` — runs through the paper harness too. Then one malformed flag,
+# which must be refused with exit 1 (not a panic's 101).
+cargo run --release -q -p xic-bench --bin experiments -- fig1a fig1b illegal simp \
+  --sizes=32,64 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
 status=0
 cargo run --release -q -p xic-bench --bin experiments -- fig1a --sizes=abc \
   --out=/tmp/BENCH_PAPER_CI.json 2>/dev/null || status=$?

@@ -401,3 +401,50 @@ impl OptimizedCheck<'_> {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Checker;
+    use xic_workload::{
+        conflict_constraint, generate, legal_insert, review_load_constraint, workload_constraint,
+        WorkloadConfig,
+    };
+
+    const DTD: &str = "<!ELEMENT collection (dblp, review)>\n<!ELEMENT dblp (pub)*>\n\
+        <!ELEMENT pub (title, aut+)>\n<!ELEMENT aut (name)>\n\
+        <!ELEMENT review (track)+>\n<!ELEMENT track (name,rev+)>\n\
+        <!ELEMENT rev (name, sub+)>\n<!ELEMENT sub (title, auts+)>\n\
+        <!ELEMENT title (#PCDATA)>\n<!ELEMENT auts (name)>\n<!ELEMENT name (#PCDATA)>";
+
+    /// A pre-update check compares the document against `%{param}`s, which
+    /// take one value per evaluation: one probe each, nothing for a keyed
+    /// sequence to amortise. The suite's templates therefore compile to
+    /// the scans they always were, while the full-check queries of the
+    /// same Γ are planned.
+    #[test]
+    fn pre_update_templates_are_not_planned_as_joins() {
+        let w = generate(WorkloadConfig::sized_kib(8, 1));
+        let gamma = format!(
+            "{}. {}. {}",
+            conflict_constraint(),
+            workload_constraint(3, 1_000),
+            review_load_constraint(1_000)
+        );
+        let mut c = Checker::new(&w.xml, DTD, &gamma).expect("corpus loads");
+        let key = c.register_pattern_str(&legal_insert(0, 0, 1)).expect("pattern compiles");
+        let pattern = c.patterns().find(|p| p.key == key).expect("just registered");
+        assert_eq!(pattern.queries.len(), 4);
+        for q in &pattern.queries {
+            let template = compile_template_ir(q).expect("precompiles");
+            assert_eq!(template.program.plan_sites(), 0, "{}", q.text);
+        }
+        let planned: Vec<usize> = c
+            .shared_gamma()
+            .full_queries()
+            .iter()
+            .map(|q| XProgram::compile(&parse_query(&q.text).expect("parses")).plan_sites())
+            .collect();
+        assert_eq!(planned, [0, 1, 2, 0]);
+    }
+}

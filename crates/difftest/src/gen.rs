@@ -9,7 +9,7 @@
 //! escape that steers runaway walks to the nearest accepting position.
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use xic_xml::{ContentModel, Document, Dtd, NodeId};
 use xicheck::{Checker, RelSchema};
@@ -394,13 +394,23 @@ fn write_element(rng: &mut StdRng, schema: &Schema, name: &str, budget: &mut i32
 // Constraints
 // ---------------------------------------------------------------------
 
-/// Draws 1–2 XPathLog denials over `schema` that (a) the full
+/// Draws 1–3 XPathLog denials over `schema` that (a) the full
 /// map→simplify→translate pipeline accepts and (b) the initial document
 /// satisfies — the paper's standing assumption that the database is
 /// consistent before every update. Denials failing either test are
 /// dropped; if none survive, a never-firing fallback denial keeps the
 /// constraint machinery engaged.
+///
+/// One or two are a count bound or a forbidden value; half the cases add
+/// a denial that joins on values — a key (no two `p` share a `c`, the
+/// paper's Example 4) or a grouped aggregate (no value occurs in more
+/// than k `p`s and in a `p2` as well) — whose full check the engine
+/// answers from keyed sequences.
 pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> String {
+    // The join denial comes from a stream of its own, so a seed draws the
+    // same first denials (and, after them, the same statement) it always
+    // did.
+    let mut join_rng = StdRng::seed_from_u64(rng.clone().gen());
     let mut denials = Vec::new();
     let n = 1 + rng.gen_range(0..2);
     for _ in 0..n {
@@ -412,6 +422,20 @@ pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> S
             format!("<- //{p}/{c}/text() -> V & V = \"forbidden\"")
         };
         denials.push(d);
+    }
+    if join_rng.gen_bool(0.5) {
+        let mut pair = || &schema.value_pairs[join_rng.gen_range(0..schema.value_pairs.len())];
+        let ((p, c), (p2, c2)) = (pair(), pair());
+        denials.push(if join_rng.gen_bool(0.5) {
+            format!(
+                "<- //{p}[{c}/text() -> I] -> B & //{p}[{c}/text() -> J] -> C & I = J & not B = C"
+            )
+        } else {
+            format!(
+                "<- cntd{{[V]; //{p}[{c}/text() -> V]}} > {} & cntd{{[V]; //{p2}[{c2}/text() -> V]}} >= 1",
+                1 + join_rng.gen_range(0..2)
+            )
+        });
     }
     denials.retain(|d| match Checker::new(doc_xml, &schema.dtd_text, d) {
         Ok(c) => matches!(c.check_full(), Ok(None)),

@@ -27,7 +27,9 @@
 //!    generated subset are evaluated by the real engine and by the naive
 //!    reference evaluator in [`mod@reference`]; node-sets, `count()` values
 //!    and the short-circuiting existential evaluators
-//!    (`evaluate_exists` / `eval_query_exists`) must agree.
+//!    (`evaluate_exists` / `eval_query_exists`) must agree, value joins
+//!    and grouped aggregates — the shapes the engine answers from keyed
+//!    sequences — included.
 //! 5. **Order-cache coherence** — sorting and deduplicating an adversarial
 //!    node multiset through the cached document-order ranks must agree
 //!    with a from-scratch path-key recomputation, on the pre-state, after
@@ -52,8 +54,9 @@
 //! Discrepancies are greedily minimized ([`shrink`]) and reported with a
 //! one-line replay command (`cargo run -p xic-difftest -- --seed N`).
 //! Progress is observable through the harness's own [`tally`] counters
-//! (`difftest_shrink_step`, `reference_queries` and one `difftest_op_*`
-//! counter per operation kind).
+//! (`difftest_shrink_step`, `reference_queries`, the two
+//! `*_joins_planned` counts and one `difftest_op_*` counter per operation
+//! kind).
 //!
 //! **Gates.** Every pass — this campaign, [`crash`], [`chaos`], [`shard`]
 //! (matrix and chaos), [`snapshot`] — takes the same [`Config`], walks its
@@ -247,17 +250,23 @@ pub struct Report {
 impl Report {
     /// The run's [`Outcome`]. Floors: a run long enough to be
     /// statistically meaningful must have exercised every operation
-    /// kind, and the engine-vs-reference oracle must actually have
-    /// compared queries (it runs per case, so a silent regression that
-    /// skips it would otherwise pass).
+    /// kind, the engine-vs-reference oracle must actually have compared
+    /// queries (it runs per case, so a silent regression that skips it
+    /// would otherwise pass), and both it and the strategy oracles must
+    /// have seen queries the engine planned a join for — or the planned
+    /// evaluation went unchecked.
     pub fn outcome(&self) -> Outcome {
         let Config { seed, cases } = self.config;
         let reference_queries = self.counts[Tally::ReferenceQuery as usize];
+        let reference_joins = self.counts[Tally::ReferenceJoin as usize];
+        let constraint_joins = self.counts[Tally::ConstraintJoin as usize];
         let mix: Vec<String> =
             tally::OPS.map(|i| format!("{}={}", tally::NAMES[i], self.counts[i])).collect();
         let summary = format!(
             "difftest: {cases} cases from seed {seed} — \
-             {} discrepancies, {} shrink steps, {reference_queries} reference queries\n\
+             {} discrepancies, {} shrink steps, {reference_queries} reference queries \
+             ({reference_joins} XQuery shapes over them planned as joins), {constraint_joins} \
+             cases with a planned join in their constraints\n\
              op mix: {}",
             self.discrepancies.len(),
             self.counts[Tally::ShrinkStep as usize],
@@ -274,6 +283,11 @@ impl Report {
             ))
         } else if reference_queries == 0 {
             Err(format!("difftest: engine-vs-reference oracle never ran in {cases} cases"))
+        } else if reference_joins == 0 || constraint_joins == 0 {
+            Err(format!(
+                "difftest: no join was planned in {cases} cases ({reference_joins} reference \
+                 queries, {constraint_joins} constraint sets)"
+            ))
         } else {
             Ok(())
         };
@@ -445,8 +459,8 @@ pub(crate) fn op_counter(op: &XUpdateOp) -> Tally {
 
 /// Runs the five oracles against one case. `Err((oracle, detail))` names
 /// the first oracle that tripped. Does not touch the case counters (the
-/// shrinker re-enters this function), except for the per-operation-kind
-/// coverage counters.
+/// shrinker re-enters this function), except for the coverage counters
+/// (operation kinds, planned joins).
 pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     let gen_err = |what: &str, e: &dyn std::fmt::Display| {
         ("generator", format!("{what}: {e}"))
@@ -503,6 +517,13 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     // must equal plain application's.
     let mut base = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
         .map_err(|e| ("setup", format!("baseline checker setup failed: {e}")))?;
+    let planned = |q: &xicheck::QueryTemplate| {
+        xic_xquery::parse_query(&q.text)
+            .is_ok_and(|parsed| xic_xquery::XProgram::compile(&parsed).plan_sites() > 0)
+    };
+    if base.shared_gamma().full_queries().iter().any(planned) {
+        tally::incr(Tally::ConstraintJoin);
+    }
     let baseline = base.decide_only(&stmt, Strategy::FullWithRollback);
     if serialize(base.doc()) != original {
         return Err((
@@ -688,7 +709,7 @@ mod tests {
             discrepancies: Vec::new(),
             counts,
         };
-        let covered = [0, 1, 1, 1, 1, 1, 1, 6];
+        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1];
         assert_eq!(report(100, covered).outcome().floor, Ok(()));
         let mut no_rename = covered;
         no_rename[Tally::OpRename as usize] = 0;
@@ -699,6 +720,13 @@ mod tests {
         no_reference[Tally::ReferenceQuery as usize] = 0;
         let floor = report(100, no_reference).outcome().floor.unwrap_err();
         assert!(floor.contains("engine-vs-reference oracle never ran"), "{floor}");
+        for unplanned in [Tally::ReferenceJoin, Tally::ConstraintJoin] {
+            let mut counts = covered;
+            counts[unplanned as usize] = 0;
+            let floor = report(100, counts).outcome().floor.unwrap_err();
+            assert!(floor.contains("no join was planned"), "{floor}");
+            assert_eq!(report(99, counts).outcome().floor, Ok(()));
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! predicates on child steps, and a trailing `text()` — is evaluated here
 //! by brute-force tree walking (sets are re-sorted into document order
 //! after every step), and independently by the real `xic-xpath` engine
-//! and, for cardinalities, quantifiers and aggregate FLWORs over the
-//! path, by `xic-xquery`. Any disagreement is an engine bug by
+//! and, for cardinalities, quantifiers, aggregate FLWORs and value joins
+//! over the path, by `xic-xquery`. Any disagreement is an engine bug by
 //! construction: the two implementations share no code beyond the
 //! document arena.
 
@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xic_xml::{Document, Dtd, NodeId, NodeKind};
 use xic_xpath::{evaluate_exists, evaluate_nodes, parse, Context, NodeRef};
-use xic_xquery::{eval_query_bool, eval_query_exists, parse_query};
+use xic_xquery::{parse_query, XProgram};
 
 /// One step of a reference query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,14 +139,43 @@ fn children_named(doc: &Document, n: NodeId, name: &str) -> usize {
         .count()
 }
 
+/// The contents of the text children of `n`'s children named `name`:
+/// the string values of `$x/name/text()` when `$x` is `n`.
+fn child_texts<'d>(doc: &'d Document, n: NodeId, name: &str) -> Vec<&'d str> {
+    let kids = doc.node(n).children.iter().filter(|&&c| doc.name(c) == Some(name));
+    kids.flat_map(|&c| &doc.node(c).children)
+        .filter_map(|&t| match &doc.node(t).kind {
+            NodeKind::Text(text) => Some(text.as_str()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A random one of `among`, or of `names` when there is none.
+fn pick<'a>(rng: &mut StdRng, among: &[&'a str], names: &[&'a str]) -> &'a str {
+    let among = if among.is_empty() { names } else { among };
+    among[rng.gen_range(0..among.len())]
+}
+
+/// Every element named `name`: what `//name` selects.
+fn elements_named<'d>(doc: &'d Document, name: &'d str) -> impl Iterator<Item = NodeId> + 'd {
+    doc.descendants(doc.document_node()).filter(move |&n| doc.name(n) == Some(name))
+}
+
 /// Evaluates `query` both existentially and through full
-/// materialization; both must return `expected`.
+/// materialization; both must return `expected`. Counts the queries the
+/// engine planned a keyed sequence for.
 fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), String> {
     let parsed = parse_query(query).map_err(|e| format!("xquery failed to parse {query}: {e}"))?;
-    let lazy = eval_query_exists(&parsed, doc)
+    let prog = XProgram::compile(&parsed);
+    if prog.plan_sites() > 0 {
+        crate::tally::incr(crate::tally::Tally::ReferenceJoin);
+    }
+    let lazy = prog
+        .eval_exists(doc, &[])
         .map_err(|e| format!("xquery failed existential evaluation of {query}: {e}"))?;
-    let eager = eval_query_bool(&parsed, doc)
-        .map_err(|e| format!("xquery failed to evaluate {query}: {e}"))?;
+    let eager =
+        prog.eval_bool(doc, &[]).map_err(|e| format!("xquery failed to evaluate {query}: {e}"))?;
     if lazy != expected || eager != expected {
         return Err(format!(
             "{query}: lazy {lazy}, eager {eager}, reference says {expected}"
@@ -163,14 +192,24 @@ fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), Str
 /// (`some`/`every $x in Q satisfies $x/c`) and an aggregate FLWOR
 /// (`exists(for $x in Q let $d := $x/c where count($d) > k return
 /// <idle/>)`), whose expected answers are brute-forced over the
-/// reference node-set. Every XQuery answer is taken both existentially
-/// and through full materialization. The two sides share no evaluation
-/// code, so any disagreement is a bug by construction.
+/// reference node-set. Each path is also joined on values with a second
+/// one — `some $a in Q, $b in Q2 satisfies $a/c/text() = $b/d/text()`,
+/// with the operands swapped and a second conjunct, and as an `every` —
+/// and grouped by them — `exists(for $v in distinct-values(Q/c/text())
+/// let $g := //p[c/text() = $v] let $h := //q[p[c/text() = $v]] where
+/// count($g) + count($h) > k return <idle/>)` — the shapes the engine
+/// answers from keyed sequences, expected answers brute-forced from the
+/// reference node-sets and the text content. Every XQuery answer is
+/// taken both existentially and through full materialization. The two
+/// sides share no evaluation code, so any disagreement is a bug by
+/// construction.
 pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    // The quantifier/FLWOR parameters come from a stream of their own, so
-    // a seed draws the same six paths it always did.
+    // The quantifier/FLWOR parameters and the join partners each come
+    // from a stream of their own, so a seed draws the same six paths and
+    // shapes it always did.
     let mut shape_rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
+    let mut join_rng = StdRng::seed_from_u64(seed ^ 0x6a09_e667_f3bc_c908);
     let names: Vec<&str> = dtd.elements().iter().map(|e| e.name.as_str()).collect();
     if names.is_empty() {
         return Ok(());
@@ -231,6 +270,75 @@ pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> 
             ),
             doc,
             expected.iter().any(|&n| children_named(doc, n, child) > k),
+        )?;
+
+        // Names under which the joins have something to compare, where
+        // the document has any: a text-bearing child of the path's nodes
+        // (`c`) and of the partner's (`d`), an element with a `c` (`p`)
+        // and one with a `p` (`q`).
+        let texty = |nodes: &[NodeId]| -> Vec<&str> {
+            let mut found: Vec<&str> = nodes
+                .iter()
+                .flat_map(|&n| doc.node(n).children.iter().map(move |&k| (n, k)))
+                .filter_map(|(n, k)| doc.name(k).filter(|name| !child_texts(doc, n, name).is_empty()))
+                .collect();
+            found.sort_unstable();
+            found.dedup();
+            found
+        };
+        let parents_of = |name: &str| -> Vec<&str> {
+            let mut found: Vec<&str> = elements_named(doc, name)
+                .filter_map(|n| doc.name(doc.node(n).parent?))
+                .collect();
+            found.sort_unstable();
+            found.dedup();
+            found
+        };
+        let partner = random_query(&mut join_rng, &names);
+        let partners = eval_reference(doc, &partner);
+        let c = pick(&mut join_rng, &texty(&expected), &names);
+        let d = pick(&mut join_rng, &texty(&partners), &names);
+        let p = pick(&mut join_rng, &parents_of(c), &names);
+        let q = pick(&mut join_rng, &parents_of(p), &names);
+        let joined = |&a: &NodeId, &b: &NodeId| {
+            let keys = child_texts(doc, b, d);
+            child_texts(doc, a, c).iter().any(|t| keys.contains(t))
+        };
+        let pairs = || expected.iter().flat_map(|a| partners.iter().map(move |b| (a, b)));
+        expect_verdict(
+            &format!("some $a in {text}, $b in {partner} satisfies $a/{c}/text() = $b/{d}/text()"),
+            doc,
+            pairs().any(|(a, b)| joined(a, b)),
+        )?;
+        expect_verdict(
+            &format!(
+                "some $a in {text}, $b in {partner} satisfies $b/{d}/text() = $a/{c}/text() \
+                 and count($b/{d}) > {k}"
+            ),
+            doc,
+            pairs().any(|(a, b)| joined(a, b) && children_named(doc, *b, d) > k),
+        )?;
+        expect_verdict(
+            &format!("every $a in {text}, $b in {partner} satisfies $a/{c}/text() = $b/{d}/text()"),
+            doc,
+            pairs().all(|(a, b)| joined(a, b)),
+        )?;
+        let keyed = |&n: &NodeId, v: &str| child_texts(doc, n, c).contains(&v);
+        let group_size = |v: &str| {
+            let direct = elements_named(doc, p).filter(|n| keyed(n, v)).count();
+            let nested = elements_named(doc, q).filter(|&n| {
+                doc.node(n).children.iter().any(|k| doc.name(*k) == Some(p) && keyed(k, v))
+            });
+            direct + nested.count()
+        };
+        expect_verdict(
+            &format!(
+                "exists(for $v in distinct-values({text}/{c}/text()) \
+                 let $g := //{p}[{c}/text() = $v] let $h := //{q}[{p}[{c}/text() = $v]] \
+                 where count($g) + count($h) > {k} return <idle/>)"
+            ),
+            doc,
+            expected.iter().flat_map(|&n| child_texts(doc, n, c)).any(|v| group_size(v) > k),
         )?;
     }
     Ok(())

@@ -17,10 +17,14 @@ pub enum Tally {
     OpUpdate,
     OpRename,
     ReferenceQuery,
+    /// A reference query the engine compiled with a keyed-sequence plan.
+    ReferenceJoin,
+    /// A case whose constraint set has a full-check query with one.
+    ConstraintJoin,
 }
 
 /// The key each [`Tally`] is reported under, in declaration order.
-pub const NAMES: [&str; 8] = [
+pub const NAMES: [&str; 10] = [
     "difftest_shrink_step",
     "difftest_op_insert_before",
     "difftest_op_insert_after",
@@ -29,6 +33,8 @@ pub const NAMES: [&str; 8] = [
     "difftest_op_update",
     "difftest_op_rename",
     "reference_queries",
+    "reference_joins_planned",
+    "constraint_joins_planned",
 ];
 
 /// The operation-kind tallies (`NAMES[1..7]`): a long run must move every one.

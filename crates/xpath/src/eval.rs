@@ -2,7 +2,7 @@
 //! (expression in, value out) and the value-level pieces the evaluator
 //! in [`crate::ir`] is built from.
 
-use crate::ast::{Axis, BinOp, Expr, Path, PathStart};
+use crate::ast::{Axis, BinOp, Expr};
 use crate::ir;
 use crate::value::{NodeRef, XValue};
 use std::collections::HashMap;
@@ -98,6 +98,7 @@ fn run<T>(
         size: ctx.size,
         slots: &slots,
         resolved: &resolved,
+        keyed: &prog.keyed_cache(),
     };
     f(root, &scope)
 }
@@ -281,33 +282,6 @@ pub fn dedupe_doc_order(doc: &Document, nodes: &mut Vec<NodeRef>) {
     nodes.dedup();
 }
 
-/// True if the expression mentions variable `name` (used by the XQuery
-/// engine to hoist loop-invariant quantifier sources).
-pub fn expr_mentions_var(e: &Expr, name: &str) -> bool {
-    fn path(p: &Path, name: &str) -> bool {
-        if matches!(&p.start, PathStart::Variable(v) if v == name) {
-            return true;
-        }
-        p.steps
-            .iter()
-            .any(|s| s.predicates.iter().any(|q| expr_mentions_var(q, name)))
-    }
-    match e {
-        Expr::Path(p) => path(p, name),
-        Expr::Filter { primary, predicates, steps } => {
-            expr_mentions_var(primary, name)
-                || predicates.iter().any(|q| expr_mentions_var(q, name))
-                || steps
-                    .iter()
-                    .any(|s| s.predicates.iter().any(|q| expr_mentions_var(q, name)))
-        }
-        Expr::Literal(_) | Expr::Number(_) => false,
-        Expr::Binary(a, _, b) => expr_mentions_var(a, name) || expr_mentions_var(b, name),
-        Expr::Neg(x) => expr_mentions_var(x, name),
-        Expr::Call(_, args) => args.iter().any(|a| expr_mentions_var(a, name)),
-    }
-}
-
 /// XPath 1.0 comparison semantics: existential over node-sets. Public so
 /// the XQuery layer can reuse the exact same general-comparison rules.
 pub fn compare_values(a: &XValue, op: BinOp, b: &XValue, doc: &Document) -> bool {
@@ -330,16 +304,21 @@ pub fn compare_values(a: &XValue, op: BinOp, b: &XValue, doc: &Document) -> bool
         ),
     };
     match (a, b) {
-        (XValue::Nodes(xs), XValue::Nodes(ys)) => xs.iter().any(|x| {
-            let sx = x.string_value(doc);
-            ys.iter().any(|y| cmp_str(&sx, &y.string_value(doc)))
-        }),
+        (XValue::Nodes(xs), XValue::Nodes(ys)) => {
+            // One string per right-hand node per call, not per pair; text
+            // nodes lend theirs.
+            let sys: Vec<_> = ys.iter().map(|y| y.str_value(doc)).collect();
+            xs.iter().any(|x| {
+                let sx = x.str_value(doc);
+                sys.iter().any(|sy| cmp_str(&sx, sy))
+            })
+        }
         (XValue::Nodes(xs), other) | (other, XValue::Nodes(xs)) => {
             let flipped = !matches!(a, XValue::Nodes(_));
             let eff_op = if flipped { flip(op) } else { op };
             match other {
                 XValue::Num(n) => xs.iter().any(|x| {
-                    let v = x.string_value(doc).trim().parse().unwrap_or(f64::NAN);
+                    let v = x.str_value(doc).trim().parse().unwrap_or(f64::NAN);
                     match eff_op {
                         BinOp::Eq => v == *n,
                         BinOp::Ne => v != *n,
@@ -351,10 +330,10 @@ pub fn compare_values(a: &XValue, op: BinOp, b: &XValue, doc: &Document) -> bool
                     }
                 }),
                 XValue::Str(s) => xs.iter().any(|x| {
-                    let sv = x.string_value(doc);
+                    let sv = x.str_value(doc);
                     match eff_op {
-                        BinOp::Eq => sv == *s,
-                        BinOp::Ne => sv != *s,
+                        BinOp::Eq => sv == s.as_str(),
+                        BinOp::Ne => sv != s.as_str(),
                         _ => cmp_num(
                             sv.trim().parse().unwrap_or(f64::NAN),
                             s.trim().parse().unwrap_or(f64::NAN),
@@ -541,6 +520,23 @@ mod tests {
         assert_eq!(v, XValue::Bool(true));
         let v2 = eval_str(DOC, "//track/name/text() = //auts/name/text()");
         assert_eq!(v2, XValue::Bool(false));
+        // Elements compare by their concatenated text, attributes by value,
+        // and the relational operators through numbers, pair by pair.
+        let src = "<r><a k=\"3\"><n>1</n><n>x</n></a><b k=\"3\"><n>2</n></b><c><n>1</n>0</c></r>";
+        for (query, expected) in [
+            ("//a/n = //c/n", true),
+            ("//a/n = //b/n", false),
+            ("//a/n != //a/n", true),
+            ("//b/n != //b/n", false),
+            ("//a/n < //b/n", true),
+            ("//b/n < //a/n", false),
+            ("//a/@k = //b/@k", true),
+            ("//c = //a/n", false),
+            ("//c = 10", true),
+            ("//a/n = //zzz", false),
+        ] {
+            assert_eq!(eval_str(src, query), XValue::Bool(expected), "{query}");
+        }
     }
 
     #[test]

@@ -11,6 +11,22 @@
 //! never seen matches nothing, soundly, because the table is
 //! append-only).
 //!
+//! **Keyed sequences.** A correlated value predicate inside a loop —
+//! `for $R in … let $g := //rev[name/text() = $R]/sub` — makes a scan of
+//! `//rev` per binding of `$R`. Where an absolute, slot-free path prefix
+//! is followed by a step whose one predicate is `K = O` (or the nested
+//! existential spelling `c[K = O]`) with `K` a slot-free path relative to
+//! the step's candidates and `O` a path from a *loop-bound* slot (the
+//! XQuery compiler says which slots those are), the compiler emits
+//! [`Inst::Keyed`] beside the ordinary path: the prefix is materialized
+//! once per evaluation into a [`KeyedSeq`] — its members hashed by the
+//! string values of `K(member)` — and each evaluation of the step is a
+//! probe with `O`'s value. That is a compile-time fact of
+//! the program, not a mode. An evaluation whose table cannot be built
+//! (the build raised), or whose `O` raises or is a number or boolean
+//! (`=` is then not a string match), runs the ordinary path instead, so
+//! values, order and errors are those of the scan.
+//!
 //! This is the only evaluator: the one-shot entry points in
 //! [`crate::eval`] compile and run here, and the expected-value tests
 //! there are its specification (short-circuit rules, document-order
@@ -26,6 +42,7 @@
 use crate::ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
 use crate::eval::{axis_iter, compare_values, dedupe_doc_order, same_depth, EvalError};
 use crate::value::{NodeRef, XValue};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use xic_xml::{Document, NodeKind, Symbol};
 
@@ -196,6 +213,24 @@ pub enum Inst {
     Binary(ExprId, BinOp, ExprId),
     /// Function call.
     Call(FnOp, Box<[ExprId]>),
+    /// A path `/members[K = O]/rest` answered from a [`KeyedSeq`]: see
+    /// the module documentation.
+    Keyed {
+        /// This site's cell in the evaluation's [`KeyedCache`].
+        site: u32,
+        /// The same path as an ordinary [`Inst::Path`]: what this node
+        /// means, and what runs when the probe cannot answer.
+        scan: ExprId,
+        /// The sequence `S`: the absolute, slot-free steps through the
+        /// keyed one, its predicate dropped.
+        members: Box<[IrStep]>,
+        /// The key path `K`, relative to a member.
+        key: Box<[IrStep]>,
+        /// The outer operand `O`.
+        outer: ExprId,
+        /// The steps after the keyed one.
+        rest: Box<[IrStep]>,
+    },
 }
 
 /// A compiled XPath program: a flat expression arena plus its name pool
@@ -210,6 +245,8 @@ pub struct Program {
     pub names: Vec<String>,
     /// Slot → variable name (used for error messages and late binding).
     pub var_names: Vec<String>,
+    /// Number of [`Inst::Keyed`] sites.
+    pub keyed_sites: u32,
 }
 
 impl Program {
@@ -233,6 +270,35 @@ impl Program {
             .position(|v| v == name)
             .map(|i| u32::try_from(i).expect("slot count fits u32"))
     }
+
+    /// An empty per-evaluation cache for this program's keyed sites.
+    pub fn keyed_cache(&self) -> KeyedCache {
+        KeyedCache((0..self.keyed_sites).map(|_| OnceCell::new()).collect())
+    }
+
+    /// True if evaluating `expr` can read a slot `is` accepts, anywhere
+    /// in it (step predicates included). Slots are per binding site, so
+    /// unlike a test on variable names this is exact under shadowing.
+    pub fn reads_slot(&self, expr: ExprId, is: &dyn Fn(SlotId) -> bool) -> bool {
+        let any = |ids: &[ExprId]| ids.iter().any(|&e| self.reads_slot(e, is));
+        match &self.exprs[expr as usize] {
+            Inst::Literal(_) | Inst::Number(_) => false,
+            Inst::Neg(e) => self.reads_slot(*e, is),
+            Inst::Path { start, steps } => {
+                matches!(start, IrStart::Slot(s) if is(*s)) || self.steps_read_slot(steps, is)
+            }
+            Inst::Filter { primary, predicates, steps } => {
+                self.reads_slot(*primary, is) || any(predicates) || self.steps_read_slot(steps, is)
+            }
+            Inst::Binary(a, _, b) => self.reads_slot(*a, is) || self.reads_slot(*b, is),
+            Inst::Call(_, args) => any(args),
+            Inst::Keyed { scan, .. } => self.reads_slot(*scan, is),
+        }
+    }
+
+    fn steps_read_slot(&self, steps: &[IrStep], is: &dyn Fn(SlotId) -> bool) -> bool {
+        steps.iter().any(|s| s.predicates.iter().any(|&p| self.reads_slot(p, is)))
+    }
 }
 
 /// Compiles one expression into a fresh single-rooted program. Free
@@ -252,6 +318,9 @@ pub struct Builder {
     name_ids: HashMap<String, NameId>,
     /// Free variables (not resolved by any scope) share one slot per name.
     free_slots: HashMap<String, SlotId>,
+    /// Per slot: bound once per iteration of a loop (see
+    /// [`Builder::fresh_loop_slot`]).
+    loop_bound: Vec<bool>,
 }
 
 impl Builder {
@@ -265,6 +334,17 @@ impl Builder {
     pub fn fresh_slot(&mut self, name: &str) -> SlotId {
         let id = u32::try_from(self.prog.var_names.len()).expect("slot count fits u32");
         self.prog.var_names.push(name.to_string());
+        self.loop_bound.push(false);
+        id
+    }
+
+    /// [`Builder::fresh_slot`] for a binder that takes a new value per
+    /// iteration (`for`, `some`, `every`): a path comparing against it is
+    /// evaluated once per binding, which is what makes a keyed sequence
+    /// pay. Parameters, `let`s and free variables are not loop-bound.
+    pub fn fresh_loop_slot(&mut self, name: &str) -> SlotId {
+        let id = self.fresh_slot(name);
+        self.loop_bound[id as usize] = true;
         id
     }
 
@@ -339,7 +419,8 @@ impl Builder {
                     PathStart::Variable(v) => IrStart::Slot(self.slot_for_var(v, scope)),
                 };
                 let steps = self.add_steps(&p.steps, scope);
-                self.push(Inst::Path { start, steps })
+                let path = self.push(Inst::Path { start, steps });
+                self.plan_keyed(path)
             }
             Expr::Filter {
                 primary,
@@ -367,11 +448,153 @@ impl Builder {
         }
     }
 
+    /// Wraps the path just compiled in an [`Inst::Keyed`] if it has the
+    /// planned shape (module documentation), else returns it unchanged.
+    fn plan_keyed(&mut self, path: ExprId) -> ExprId {
+        let Inst::Path { start: IrStart::Root, steps } = &self.prog.exprs[path as usize] else {
+            return path;
+        };
+        for (i, step) in steps.iter().enumerate() {
+            let keyed = match &*step.predicates {
+                [pred] => self.key_of(*pred),
+                _ => None,
+            };
+            if let Some((key, outer)) = keyed {
+                let mut members = steps[..=i].to_vec();
+                members[i].predicates = Box::new([]);
+                let inst = Inst::Keyed {
+                    site: self.prog.keyed_sites,
+                    scan: path,
+                    members: members.into(),
+                    key: key.into(),
+                    outer,
+                    rest: steps[i + 1..].into(),
+                };
+                self.prog.keyed_sites += 1;
+                return self.push(inst);
+            }
+            if self.prog.steps_read_slot(std::slice::from_ref(step), &|_| true) {
+                return path; // the prefix must be the same sequence for every binding
+            }
+        }
+        path
+    }
+
+    /// Reads a predicate as `K = O` — a slot-free path `K` from the
+    /// context node compared for equality, in either order, with a path
+    /// `O` from a loop-bound slot — looking through the existential
+    /// nesting `c[K = O]`, which tests the same thing with key `c/K`.
+    fn key_of(&self, pred: ExprId) -> Option<(Vec<IrStep>, ExprId)> {
+        let inst = |e: ExprId| &self.prog.exprs[e as usize];
+        let slot_free = |steps: &[IrStep]| !self.prog.steps_read_slot(steps, &|_| true);
+        match inst(pred) {
+            Inst::Binary(a, BinOp::Eq, b) => {
+                [(*a, *b), (*b, *a)].into_iter().find_map(|(k, o)| match (inst(k), inst(o)) {
+                    (
+                        Inst::Path { start: IrStart::Context, steps },
+                        Inst::Path { start: IrStart::Slot(s), .. },
+                    ) if self.loop_bound[*s as usize] && slot_free(steps) => {
+                        Some((steps.to_vec(), o))
+                    }
+                    _ => None,
+                })
+            }
+            Inst::Path { start: IrStart::Context, steps } => {
+                let (last, init) = steps.split_last()?;
+                let [inner] = &*last.predicates else {
+                    return None;
+                };
+                if !slot_free(init) {
+                    return None;
+                }
+                let (inner_key, outer) = self.key_of(*inner)?;
+                let mut key = init.to_vec();
+                key.push(IrStep { predicates: Box::new([]), ..last.clone() });
+                key.extend(inner_key);
+                Some((key, outer))
+            }
+            _ => None,
+        }
+    }
+
+    /// The program so far.
+    pub fn program(&self) -> &Program {
+        &self.prog
+    }
+
     /// Finalizes the program.
     pub fn finish(self) -> Program {
         self.prog
     }
 }
+
+/// A keyed sequence: a node sequence `S` and, for a key path `K`, the map
+/// string-value of a node of `K(member)` → positions of those members in
+/// `S`, ascending. Built once, it answers `S[K = O]` — XPath's
+/// existential `=` between `K(member)` and a string or node-set `O` — by
+/// lookup instead of by evaluating `K` on every member again.
+#[derive(Debug)]
+pub struct KeyedSeq {
+    members: Vec<NodeRef>,
+    by_key: HashMap<String, Vec<u32>>,
+}
+
+impl KeyedSeq {
+    /// Hashes `members` by `key(member)`. Charges the step budget one
+    /// step per member on top of whatever `key` charges.
+    pub fn build<E: From<EvalError>>(
+        members: Vec<NodeRef>,
+        doc: &Document,
+        mut key: impl FnMut(&NodeRef) -> Result<Vec<NodeRef>, E>,
+    ) -> Result<KeyedSeq, E> {
+        visit(members.len() as u64)?;
+        let mut by_key: HashMap<String, Vec<u32>> = HashMap::new();
+        for (i, m) in members.iter().enumerate() {
+            let i = u32::try_from(i).expect("sequence length fits u32");
+            for k in key(m)? {
+                let value = k.str_value(doc);
+                match by_key.get_mut(&*value) {
+                    Some(at) if at.last() == Some(&i) => {}
+                    Some(at) => at.push(i),
+                    None => {
+                        by_key.insert(value.into_owned(), vec![i]);
+                    }
+                }
+            }
+        }
+        Ok(KeyedSeq { members, by_key })
+    }
+
+    /// Positions, ascending, of the members `m` with `K(m) = outer`; or
+    /// `None` when `outer` is a number or boolean, for which `=` is not a
+    /// comparison of string values.
+    pub fn probe(&self, outer: &XValue, doc: &Document) -> Option<Vec<u32>> {
+        match outer {
+            XValue::Str(s) => Some(self.by_key.get(s.as_str()).cloned().unwrap_or_default()),
+            XValue::Nodes(ns) => {
+                let mut hits: Vec<u32> = Vec::new();
+                for n in ns {
+                    hits.extend(self.by_key.get(&*n.str_value(doc)).into_iter().flatten());
+                }
+                hits.sort_unstable();
+                hits.dedup();
+                Some(hits)
+            }
+            XValue::Num(_) | XValue::Bool(_) => None,
+        }
+    }
+
+    /// The member at position `i`.
+    pub fn member(&self, i: u32) -> &NodeRef {
+        &self.members[i as usize]
+    }
+}
+
+/// The keyed sequences of one evaluation, one cell per [`Inst::Keyed`]
+/// site ([`Program::keyed_cache`]). A cell holding `None` records that
+/// the build raised, so the site scans for the rest of the evaluation.
+#[derive(Debug)]
+pub struct KeyedCache(Vec<OnceCell<Option<KeyedSeq>>>);
 
 /// The dynamic context of an evaluation: document, context item, slot
 /// values, and the per-evaluation resolved name pool. Borrowed slices
@@ -395,6 +618,8 @@ pub struct Scope<'p, 'd, 'a> {
     pub slots: &'a [Option<XValue>],
     /// `resolved[name_id]`: the document symbol for each pooled name.
     pub resolved: &'a [Option<Symbol>],
+    /// The evaluation's keyed sequences.
+    pub keyed: &'a KeyedCache,
 }
 
 impl<'p, 'd, 'a> Scope<'p, 'd, 'a> {
@@ -425,6 +650,12 @@ impl<'p, 'd, 'a> Scope<'p, 'd, 'a> {
 #[inline]
 fn charge_budget(n: u64) -> Result<(), EvalError> {
     crate::budget::charge(n).map_err(|_| EvalError::BudgetExhausted)
+}
+
+/// Counts and charges `n` nodes considered.
+fn visit(n: u64) -> Result<(), EvalError> {
+    xic_obs::add(xic_obs::Counter::XpathNodesVisited, n);
+    charge_budget(n)
 }
 
 /// Pre-resolved node test. Element name tests are integer compares
@@ -485,7 +716,40 @@ pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
         }
         Inst::Binary(a, op, b) => eval_binary(*a, *op, *b, scope),
         Inst::Call(op, args) => eval_call(op, args, scope),
+        Inst::Keyed { site, scan, members, key, outer, rest } => {
+            match probe_site(*site, members, key, *outer, scope)? {
+                Some(hits) => Ok(XValue::Nodes(eval_steps(hits, rest, scope)?)),
+                None => eval(*scan, scope),
+            }
+        }
     }
+}
+
+/// The keyed step's result by probe, or `None` when this evaluation has
+/// to scan (see the module documentation). The table is built by the
+/// first probe that needs it.
+fn probe_site(
+    site: u32,
+    members: &[IrStep],
+    key: &[IrStep],
+    outer: ExprId,
+    scope: &Scope,
+) -> Result<Option<Vec<NodeRef>>, EvalError> {
+    let Ok(outer) = eval_operand(outer, scope) else {
+        return Ok(None);
+    };
+    let Some(keyed) = scope.keyed.0[site as usize].get_or_init(|| {
+        let root = vec![NodeRef::Node(scope.doc.document_node())];
+        let seq = eval_steps(root, members, scope).ok()?;
+        KeyedSeq::build(seq, scope.doc, |m| eval_steps(vec![m.clone()], key, scope)).ok()
+    }) else {
+        return Ok(None);
+    };
+    let Some(hits) = keyed.probe(&outer, scope.doc) else {
+        return Ok(None);
+    };
+    visit(hits.len() as u64)?;
+    Ok(Some(hits.into_iter().map(|i| keyed.member(i).clone()).collect()))
 }
 
 /// Existential evaluation; see [`crate::eval::evaluate_exists`].
@@ -603,7 +867,14 @@ fn path_start_nodes(
 }
 
 fn eval_path(start: IrStart, steps: &[IrStep], scope: &Scope) -> Result<Vec<NodeRef>, EvalError> {
-    let mut cur = path_start_nodes(start, steps, scope)?;
+    eval_steps(path_start_nodes(start, steps, scope)?, steps, scope)
+}
+
+fn eval_steps(
+    mut cur: Vec<NodeRef>,
+    steps: &[IrStep],
+    scope: &Scope,
+) -> Result<Vec<NodeRef>, EvalError> {
     for step in steps {
         cur = eval_step(&cur, step, scope)?;
     }
@@ -706,8 +977,7 @@ fn step_once(item: &NodeRef, step: &IrStep, scope: &Scope) -> Result<Vec<NodeRef
         .inspect(|_| visited += 1)
         .filter(|n| node_test(scope, n, &step.test))
         .collect();
-    xic_obs::add(xic_obs::Counter::XpathNodesVisited, visited);
-    charge_budget(visited)?;
+    visit(visited)?;
     for &pred in step.predicates.iter() {
         tested = apply_predicate(&tested, pred, scope, step.axis.is_reverse())?;
     }
@@ -1116,6 +1386,7 @@ mod tests {
             size: 1,
             slots: &slots,
             resolved: &resolved,
+            keyed: &prog.keyed_cache(),
         };
         let v = eval(root, &scope).unwrap();
         assert_eq!(v.as_nodes().unwrap().len(), 2);
@@ -1164,6 +1435,163 @@ mod tests {
                 "existential visit count of {src}"
             );
         }
+    }
+
+    /// Compiles `src` with `$R` bound the way the XQuery compiler binds a
+    /// `for` variable (`looped`) or a parameter.
+    fn compile_with_r(src: &str, looped: bool) -> (Program, ExprId) {
+        let mut b = Builder::new();
+        let slot = if looped { b.fresh_loop_slot("R") } else { b.fresh_slot("R") };
+        let root = b.add_expr(&parse(src).unwrap(), &|name| (name == "R").then_some(slot));
+        (b.finish(), root)
+    }
+
+    /// Evaluates `id` with `$R` = `r` against `cache`; the rendered value
+    /// and the nodes visited.
+    fn eval_with_r(
+        prog: &Program,
+        id: ExprId,
+        doc: &Document,
+        r: XValue,
+        cache: &KeyedCache,
+    ) -> (String, u64) {
+        let slots = [Some(r)];
+        let scope = Scope {
+            prog,
+            doc,
+            item: NodeRef::Node(doc.document_node()),
+            position: 1,
+            size: 1,
+            slots: &slots,
+            resolved: &prog.resolve(doc),
+            keyed: cache,
+        };
+        xic_obs::reset();
+        let value = match eval(id, &scope) {
+            Ok(v) => render(doc, &v),
+            Err(e) => format!("error: {e}"),
+        };
+        (value, xic_obs::counter(xic_obs::Counter::XpathNodesVisited))
+    }
+
+    #[test]
+    fn keyed_steps_are_planned_for_loop_bound_comparisons_only() {
+        for (src, looped, sites) in [
+            ("//rev[name/text() = $R]/sub", true, 1),
+            ("//rev[$R = name/text()]", true, 1),
+            ("//track[rev[name/text() = $R]]", true, 1),
+            ("//track[rev/sub[auts/name = $R/x]]/name", true, 1),
+            ("/review/track[name = 'DB']/rev[name = $R]", true, 1),
+            // A parameter or `let` takes one value per evaluation.
+            ("//rev[name/text() = $R]/sub", false, 0),
+            // Not a string-keyed equality of the candidate alone.
+            ("//rev[name/text() != $R]", true, 0),
+            ("//rev[name/text() = 'Ann']", true, 0),
+            ("//rev[name/text() = $R][2]", true, 0),
+            ("//rev[sub[title = $R]/auts]", true, 0),
+            ("//rev[sub[1][title = $R]]", true, 0),
+            ("//rev[name[. = $R]/text() = $R]", true, 0),
+            ("//rev[count(sub) = $R]", true, 0),
+            // Not an absolute, slot-free prefix.
+            ("$R/rev[name = $R]", true, 0),
+            ("//track[name = $R]/rev[name = $R]", true, 1),
+            ("//track[$R]/rev[name = $R]", true, 0),
+            ("name[. = $R]", true, 0),
+        ] {
+            let (prog, _) = compile_with_r(src, looped);
+            assert_eq!(prog.keyed_sites, sites, "plan sites of {src} (looped: {looped})");
+        }
+        // The first keyed step wins; the one before it stays a scan.
+        let (prog, root) = compile_with_r("//track[name = $R]/rev[name = $R]", true);
+        let Inst::Keyed { members, rest, .. } = &prog.exprs[root as usize] else {
+            panic!("{:?}", prog.exprs[root as usize]);
+        };
+        assert_eq!((members.len(), rest.len()), (2, 1));
+    }
+
+    #[test]
+    fn a_probe_answers_what_the_scan_answers() {
+        let (doc, _) = parse_document(DOC).unwrap();
+        let name = |k: usize| {
+            let ns = evaluate_nodes(&parse("//rev/name/text()").unwrap(), &Context::root(&doc));
+            XValue::Nodes(vec![ns.unwrap()[k].clone()])
+        };
+        for src in [
+            "//rev[name/text() = $R]/sub",
+            "//rev[$R = name/text()]/sub/title",
+            "//track[rev[name/text() = $R]]",
+            "//sub[auts/name = $R]",
+            "/review/track[name = 'DB']/rev[name = $R]",
+        ] {
+            let (prog, root) = compile_with_r(src, true);
+            let Inst::Keyed { scan, .. } = prog.exprs[root as usize] else {
+                panic!("{src} is not planned");
+            };
+            let cache = prog.keyed_cache();
+            for r in [
+                XValue::Str("Ann".into()),
+                XValue::Str("Dan".into()),
+                XValue::Str("nobody".into()),
+                XValue::Str(String::new()),
+                name(1),
+                XValue::Nodes(vec![]),
+                // Both revs, in reverse document order and twice.
+                XValue::Nodes([name(1), name(0), name(1)].iter().flat_map(|v| v.as_nodes().unwrap().to_vec()).collect()),
+                // `=` against these is not a string match: the site scans.
+                XValue::Num(7.0),
+                XValue::Bool(true),
+                XValue::Bool(false),
+            ] {
+                let (probed, _) = eval_with_r(&prog, root, &doc, r.clone(), &cache);
+                let (scanned, _) = eval_with_r(&prog, scan, &doc, r.clone(), &prog.keyed_cache());
+                assert_eq!(probed, scanned, "{src} with $R = {r:?}");
+            }
+        }
+        // A number is compared as a number, which no string table can do.
+        let (numbers, _) = parse_document("<r><a><n>2.0</n></a><a><n>2</n></a><a><n>x</n></a></r>").unwrap();
+        let (prog, root) = compile_with_r("//a[n = $R]", true);
+        let cache = prog.keyed_cache();
+        assert_eq!(eval_with_r(&prog, root, &numbers, XValue::Num(2.0), &cache).0, "[a1 a2]");
+        assert_eq!(eval_with_r(&prog, root, &numbers, XValue::Str("2".into()), &cache).0, "[a2]");
+    }
+
+    #[test]
+    fn the_table_is_built_once_per_evaluation() {
+        let (doc, _) = parse_document(DOC).unwrap();
+        let (prog, root) = compile_with_r("//rev[name/text() = $R]/sub", true);
+        let Inst::Keyed { scan, .. } = prog.exprs[root as usize] else {
+            panic!("not planned");
+        };
+        let ann = || XValue::Str("Ann".into());
+        let cache = prog.keyed_cache();
+        // The scan walks the document to `//rev` (85 visits: the 43 nodes
+        // from the root down, then the 42 children of them all) on every
+        // call, evaluates `name/text()` on the three revs (7 + 3) and
+        // steps to `/sub` from the two it keeps (3 + 2 children).
+        let (_, scan_visits) = eval_with_r(&prog, scan, &doc, ann(), &prog.keyed_cache());
+        assert_eq!(scan_visits, 85 + 10 + 5);
+        // The first probe does the same walk and key evaluations to build
+        // the table, is charged one step per member, then one per hit.
+        let (_, first) = eval_with_r(&prog, root, &doc, ann(), &cache);
+        assert_eq!(first, 85 + 10 + 3 + 2 + 5);
+        // Every later one is the hits and the step from them.
+        let (value, second) = eval_with_r(&prog, root, &doc, ann(), &cache);
+        assert_eq!(value, "[sub1 sub2 sub4]");
+        assert_eq!(second, 2 + 5);
+        // A fresh cache is a fresh evaluation.
+        assert_eq!(eval_with_r(&prog, root, &doc, ann(), &prog.keyed_cache()).1, first);
+    }
+
+    #[test]
+    fn a_budget_that_runs_out_during_the_build_is_reported() {
+        let (doc, _) = parse_document(DOC).unwrap();
+        let (prog, root) = compile_with_r("//rev[name/text() = $R]/sub", true);
+        let unbudgeted = eval_with_r(&prog, root, &doc, XValue::Str("Ann".into()), &prog.keyed_cache()).1;
+        // Enough for the walk to `//rev`, not for keying its members.
+        let guard = crate::budget::arm(crate::budget::EvalBudget::new(unbudgeted - 10));
+        let (outcome, _) = eval_with_r(&prog, root, &doc, XValue::Str("Ann".into()), &prog.keyed_cache());
+        drop(guard);
+        assert_eq!(outcome, "error: evaluation step budget exhausted");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use ast::{Axis, BinOp, Expr, NodeTest, Path, PathStart, Step};
 pub use budget::{BudgetGuard, EvalBudget};
 pub use eval::{
     compare_values, dedupe_doc_order, evaluate, evaluate_exists, evaluate_nodes,
-    evaluate_nonempty, expr_mentions_var, Context, EvalError,
+    evaluate_nonempty, Context, EvalError,
 };
 pub use parser::{parse, XPathParseError, P};
 pub use lexer::{tokenize, Tok};

@@ -1,5 +1,6 @@
 //! The XPath 1.0 value model: node-sets, strings, numbers, booleans.
 
+use std::borrow::Cow;
 use xic_xml::{Document, NodeId, NodeKind};
 
 /// A reference to a tree node or an attribute "node".
@@ -27,15 +28,21 @@ impl NodeRef {
 
     /// The XPath string-value of this node.
     pub fn string_value(&self, doc: &Document) -> String {
+        self.str_value(doc).into_owned()
+    }
+
+    /// [`NodeRef::string_value`] without the copy where the document
+    /// already holds the text (text, comment, PI and attribute nodes);
+    /// only an element's concatenated content is built.
+    pub fn str_value<'d>(&self, doc: &'d Document) -> Cow<'d, str> {
         match self {
             NodeRef::Node(n) => match &doc.node(*n).kind {
-                NodeKind::Text(t) => t.clone(),
-                NodeKind::Comment(t) => t.clone(),
-                NodeKind::Pi { data, .. } => data.clone(),
-                _ => doc.text_content(*n),
+                NodeKind::Text(t) | NodeKind::Comment(t) => Cow::Borrowed(t),
+                NodeKind::Pi { data, .. } => Cow::Borrowed(data),
+                _ => Cow::Owned(doc.text_content(*n)),
             },
             NodeRef::Attr { owner, name } => {
-                doc.attr(*owner, name).unwrap_or_default().to_string()
+                Cow::Borrowed(doc.attr(*owner, name).unwrap_or_default())
             }
         }
     }

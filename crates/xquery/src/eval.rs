@@ -2,7 +2,7 @@
 //! and the AST- and item-level pieces the evaluator in [`crate::ir`]
 //! shares.
 
-use crate::ast::{Clause, XQuery};
+use crate::ast::XQuery;
 use crate::ir::XProgram;
 use crate::item::{Constructed, ConstructedChild, Sequence};
 use std::fmt;
@@ -79,32 +79,6 @@ pub fn eval_query_bool(q: &XQuery, doc: &Document) -> Result<bool, XQueryError> 
 /// [`Checker`]: ../xicheck/struct.Checker.html
 pub fn eval_query_exists(q: &XQuery, doc: &Document) -> Result<bool, XQueryError> {
     XProgram::compile(q).eval_exists(doc, &[])
-}
-
-/// True if `q` mentions variable `name`. Over-approximates under
-/// shadowing (an inner rebinding of the same name still counts), which
-/// only costs a missed hoist, never correctness.
-pub(crate) fn mentions_var(q: &XQuery, name: &str) -> bool {
-    match q {
-        XQuery::XPath(e) => xic_xpath::expr_mentions_var(e, name),
-        XQuery::Sequence(items) => items.iter().any(|i| mentions_var(i, name)),
-        XQuery::Flwor { clauses, ret } => {
-            clauses.iter().any(|c| match c {
-                Clause::For { source, .. } => mentions_var(source, name),
-                Clause::Let { value, .. } => mentions_var(value, name),
-                Clause::Where(e) => mentions_var(e, name),
-            }) || mentions_var(ret, name)
-        }
-        XQuery::Quantified { binds, satisfies, .. } => {
-            binds.iter().any(|(_, s)| mentions_var(s, name)) || mentions_var(satisfies, name)
-        }
-        XQuery::If { cond, then, els } => {
-            mentions_var(cond, name) || mentions_var(then, name) || mentions_var(els, name)
-        }
-        XQuery::Construct { content, .. } => content.iter().any(|c| mentions_var(c, name)),
-        XQuery::Call(_, args) => args.iter().any(|a| mentions_var(a, name)),
-        XQuery::Binary(a, _, b) => mentions_var(a, name) || mentions_var(b, name),
-    }
 }
 
 pub(crate) fn node_to_constructed(doc: &Document, n: &NodeRef) -> ConstructedChild {
