@@ -122,6 +122,34 @@ echo "== concurrency stress smoke (snapshot readers + group-commit writers) =="
 # this names the gate so a red run points straight at the service layer.
 cargo test -q --release -p xicheck --test service_stress
 
+echo "== wire hostility smoke (hostile statements through xic-serve on stdin) =="
+# The real process boundary: a non-tail insert that shifts a position Γ
+# reads (the baseline must reject it), a rename aimed at a text node (a
+# typed ERR, not a contained panic) and a value holding both quote
+# characters (decided like any other). Fails unless the last CHECK
+# answers CONSISTENT and the last HEALTH answers ok.
+hostile="$(mktemp -d)"
+echo '<!ELEMENT db (region)*> <!ELEMENT region (item)*> <!ELEMENT item (v, w)>
+  <!ELEMENT v (#PCDATA)> <!ELEMENT w (#PCDATA)>' > "$hostile/dtd"
+echo '<db><region><item><v>ok</v><w>1</w></item><item><v>bad</v><w>2</w></item></region></db>' > "$hostile/xml"
+echo '<- //region/item[3]/v/text() -> V & V = "bad"' > "$hostile/gamma"
+m='<xupdate:modifications xmlns:xupdate="x">' e='</xupdate:modifications>'
+item='<item><v>it'"'"'s "x"</v><w>0</w></item>'
+replies="$(target/release/xic-serve --xml "$hostile/xml" --dtd "$hostile/dtd" \
+  --constraints "$hostile/gamma" <<EOF
+UPDATE $m<xupdate:insert-before select="/db/region[1]/item[1]">$item</xupdate:insert-before>$e
+CHECK
+UPDATE $m<xupdate:rename select="/db/region[1]/item[1]/v/text()">x</xupdate:rename>$e
+UPDATE $m<xupdate:append select="/db/region[1]">$item</xupdate:append>$e
+CHECK
+HEALTH
+EOF
+)"
+rm -rf "$hostile"
+echo "$replies"
+[ "$(tail -n 2 <<<"$replies")" = $'OK 1 CONSISTENT\nOK 1 ok' ] \
+  || { echo "wire hostility smoke: expected a consistent document and a healthy server" >&2; exit 1; }
+
 echo "== experiments smoke (paper tables + their one report file, bad input exits 1) =="
 # A does-it-run gate, not a performance assertion (how the full check
 # scales is asserted by counts in crates/core/tests/full_check_scaling.rs);

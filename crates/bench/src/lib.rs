@@ -17,7 +17,7 @@ pub mod report;
 use std::time::{Duration, Instant};
 use xic_workload::{generate, Workload, WorkloadConfig};
 use xic_xml::{apply, undo, XUpdateDoc};
-use xicheck::{Checker, CheckerService, UpdateOutcome};
+use xicheck::{Checker, CheckerService, Strategy, UpdateOutcome};
 
 /// Which of the two running examples an experiment exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +160,7 @@ pub fn measure_row(exp: Experiment, kib: usize, seed: u64, iters: usize) -> Row 
 
     let legal = inst.legal.clone();
     let optimized = time_mean(iters, || {
-        let v = inst.checker.check_optimized(&legal).expect("optimized");
+        let v = inst.checker.decide_only(&legal, Strategy::Optimized).expect("optimized");
         assert!(v.is_none(), "legal update must pass");
     });
 
@@ -477,7 +477,7 @@ mod tests {
             let mut inst = instance(exp, 8, 42);
             assert!(inst.checker.check_full().unwrap().is_none(), "{exp:?}");
             assert!(
-                inst.checker.check_optimized(&inst.legal).unwrap().is_none(),
+                inst.checker.decide_only(&inst.legal, Strategy::Optimized).unwrap().is_none(),
                 "{exp:?}"
             );
             let out = inst.checker.try_update(&inst.illegal).unwrap();

@@ -15,8 +15,9 @@ use std::sync::Arc;
 use xic_datalog::Denial;
 use xic_mapping::{map_update, RelSchema};
 use xic_translate::QueryTemplate;
-use xic_xml::{apply, parse_document, undo, AppliedUpdate, Document, Dtd, XUpdateDoc};
-use xic_xpath::EvalBudget;
+use xic_xml::{
+    apply, parse_document, undo, AppliedUpdate, Document, Dtd, XUpdateDoc, XUpdateError,
+};
 
 /// Which strategy handled an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,10 +87,10 @@ pub enum CheckerError {
     Statement(String),
     /// Internal query failure (a bug or an unsupported corner).
     Query(String),
-    /// The armed [`EvalBudget`] ran out of steps before the check
-    /// finished. Only surfaced by the explicit check entry points
-    /// ([`Checker::check_optimized`]); [`Checker::try_update`] instead
-    /// degrades to the baseline pass.
+    /// The step budget armed around the call
+    /// ([`xic_xpath::budget::arm`] — the service arms one per request
+    /// deadline) ran out before the check finished. Nothing was applied
+    /// and nothing is retried on a costlier path.
     BudgetExhausted,
     /// A panic escaped from evaluation or apply and was contained; the
     /// payload message is preserved. The checker is now poisoned.
@@ -136,11 +137,35 @@ impl fmt::Display for CheckerError {
 
 impl std::error::Error for CheckerError {}
 
+impl CheckerError {
+    /// An evaluation failure of the check `query`. An exhausted budget
+    /// can only be one the caller armed (a request deadline): it stays
+    /// typed, so the service can answer "timeout", not "query error".
+    pub(crate) fn eval(query: &str, e: xic_xquery::XQueryError) -> CheckerError {
+        if e.is_budget_exhausted() {
+            CheckerError::BudgetExhausted
+        } else {
+            CheckerError::Query(format!("{query}: {e}"))
+        }
+    }
+}
+
+/// A statement that does not apply is the client's error; a `select`
+/// that ran out of budget is a timeout.
+impl From<XUpdateError> for CheckerError {
+    fn from(e: XUpdateError) -> CheckerError {
+        match e {
+            XUpdateError::BudgetExhausted => CheckerError::BudgetExhausted,
+            e => CheckerError::Statement(e.to_string()),
+        }
+    }
+}
+
 /// Runtime counters, useful for the experiments.
 ///
 /// These are per-[`Checker`] totals. For system-wide instrumentation —
 /// phase timings and counters contributed by the XPath/XQuery engines and
-/// the simplifier — see [`Checker::obs_snapshot`].
+/// the simplifier — see [`xic_obs::snapshot`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Updates checked through a compiled pattern.
@@ -155,10 +180,6 @@ pub struct Stats {
     pub pattern_cache_hits: u64,
     /// Updates whose pattern had to be compiled on first sight.
     pub pattern_cache_misses: u64,
-    /// Optimized checks abandoned because the [`EvalBudget`] ran out
-    /// (each one fell back to the baseline pass, so it is also counted
-    /// in `full_checks`).
-    pub budget_exhausted: u64,
 }
 
 /// The integrity-checking façade: document + DTD + compiled constraint
@@ -198,8 +219,6 @@ pub struct Checker {
     /// Set when a contained panic leaves the in-memory tree suspect;
     /// mutating operations are refused until recovery.
     poisoned: bool,
-    /// Step budget armed around the optimized pre-update check.
-    eval_budget: Option<EvalBudget>,
     stats: Stats,
 }
 
@@ -257,7 +276,6 @@ impl Checker {
             log: CommitLog::default(),
             degraded: false,
             poisoned: false,
-            eval_budget: None,
             stats: Stats::default(),
         }
     }
@@ -341,32 +359,14 @@ impl Checker {
     }
 
     /// The baseline evaluator's view of this checker (see
-    /// [`crate::gamma`]); as the single writer it may fan out.
+    /// [`crate::gamma`]).
     fn baseline(&self) -> Baseline<'_> {
-        Baseline { gamma: &self.shared, independence: self.independence, fan_out: true }
+        Baseline { gamma: &self.shared, independence: self.independence }
     }
 
     /// Runtime counters.
     pub fn stats(&self) -> Stats {
         self.stats
-    }
-
-    /// A JSON-serializable snapshot of the system-wide observability
-    /// state: phase timings (`compile/after`, `check/full`, `update/apply`,
-    /// …) and event counters contributed by every layer this thread drove
-    /// (pattern cache, XPath/XQuery node visits, simplifier
-    /// clause counts). See [`xic_obs`] for the underlying machinery.
-    ///
-    /// The sink is thread-local and shared by all checkers on the thread;
-    /// pair with [`Checker::obs_reset`] to scope a measurement.
-    pub fn obs_snapshot(&self) -> xic_obs::Snapshot {
-        xic_obs::snapshot()
-    }
-
-    /// Clears this thread's observability counters and phase accumulators
-    /// (the per-checker [`Stats`] are unaffected).
-    pub fn obs_reset(&self) {
-        xic_obs::reset();
     }
 
     /// The compiled patterns in this checker's store (every sharer's, once
@@ -397,46 +397,18 @@ impl Checker {
         self.register_pattern(&stmt)
     }
 
-    /// The evaluator's view of this checker: the live document, Γ and the
-    /// engine settings (see [`crate::optimized`]).
-    fn optimized_check(&self) -> OptimizedCheck<'_> {
-        OptimizedCheck {
-            doc: &self.doc,
-            gamma: &self.shared,
-            independence: self.independence,
-            budget: self.eval_budget,
-        }
-    }
-
-    /// Runs the optimized pre-update check for `stmt`, compiling and
-    /// publishing its pattern on first sight. Also reports whether the
-    /// pattern was already in the store (no compilation ran); `None` when
-    /// the statement never got as far as a pattern key.
+    /// Runs the optimized pre-update check for `stmt` against the live
+    /// document (see [`crate::optimized`]); also says whether its pattern
+    /// was already compiled.
     fn pre_check(&self, stmt: &XUpdateDoc) -> (Result<Verdict, CheckerError>, Option<bool>) {
-        let mut hit = None;
-        let verdict = self.optimized_check().decide(stmt, |key, compile| {
-            let cached = self.patterns.get(key);
-            hit = Some(cached.is_some());
-            Some(cached.unwrap_or_else(|| self.patterns.publish(key, compile())))
-        });
-        (verdict, hit)
+        OptimizedCheck { doc: &self.doc, gamma: &self.shared, independence: self.independence }
+            .decide(stmt, &self.patterns)
     }
 
     /// Statements committed (and journaled, when a store is attached)
     /// since construction or recovery.
     pub fn committed(&self) -> u64 {
         self.log.committed()
-    }
-
-    /// Arms (or disarms, with `None`) a step budget for the optimized
-    /// pre-update check. When the budget runs out mid-check,
-    /// [`Checker::try_update`] degrades to the baseline pass (apply, full
-    /// check, rollback on violation) — same verdict, bounded
-    /// optimized-path latency — and [`Checker::check_optimized`] returns
-    /// [`CheckerError::BudgetExhausted`]. The baseline pass itself always
-    /// runs unbudgeted.
-    pub fn set_eval_budget(&mut self, budget: Option<EvalBudget>) {
-        self.eval_budget = budget;
     }
 
     /// True once a contained panic has poisoned this checker: the
@@ -456,8 +428,8 @@ impl Checker {
     }
 
     /// True if [`Checker::recover_store`] found no generation that
-    /// validates and came up in degraded read-only mode: `check_full`,
-    /// `check_optimized` and `decide_only` still serve answers against
+    /// validates and came up in degraded read-only mode: `check_full`
+    /// and `decide_only` still serve answers against
     /// the base document, but mutating entry points return
     /// [`CheckerError::Degraded`].
     pub fn degraded(&self) -> bool {
@@ -474,20 +446,10 @@ impl Checker {
 
     /// Runs the full (non-simplified) constraint check against the current
     /// document state and returns the first violation in constraint order,
-    /// if any. Each constraint is evaluated *existentially*; large
-    /// documents fan the constraints out across cores (see [`crate::gamma`]).
+    /// if any. Each constraint is evaluated *existentially* (see
+    /// [`crate::gamma`]).
     pub fn check_full(&self) -> Result<Option<Violation>, CheckerError> {
         self.baseline().run(&self.doc, None)
-    }
-
-    /// Runs only the *optimized* pre-update check for `stmt` (no document
-    /// modification). `Ok(None)`: the update is legal; `Ok(Some(v))`: it
-    /// would violate `v`. Errors when the statement matches no compiled
-    /// incremental pattern.
-    pub fn check_optimized(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
-        let verdict =
-            self.optimized_check().decide(stmt, |key, _compile| self.patterns.get(key))?;
-        verdict.decision()
     }
 
     /// Decides whether `stmt` would be accepted under the given strategy
@@ -518,7 +480,7 @@ impl Checker {
             // Field-wise borrows: the evaluator reads Γ while it mutates
             // (and restores) the document.
             Strategy::FullWithRollback => {
-                Baseline { gamma: &self.shared, independence: self.independence, fan_out: true }
+                Baseline { gamma: &self.shared, independence: self.independence }
                     .decide_by_rollback(&mut self.doc, stmt)
             }
         }
@@ -536,7 +498,9 @@ impl Checker {
 
     /// Applies `stmt`; on a mid-batch failure rolls the already-applied
     /// prefix back and journals an abort record before reporting the
-    /// error (the document is unchanged either way).
+    /// error (the document is unchanged either way). A `select` that ran
+    /// out of the request's budget is a timeout, not a fact about the
+    /// statement: it leaves no record.
     fn apply_or_abort(&mut self, stmt: &XUpdateDoc) -> Result<AppliedUpdate, CheckerError> {
         let _update = xic_obs::phase("update");
         let _apply = xic_obs::phase("apply");
@@ -544,8 +508,10 @@ impl Checker {
             Ok(applied) => Ok(applied),
             Err((e, partial)) => {
                 undo(&mut self.doc, partial);
-                self.log.abort(stmt);
-                Err(CheckerError::Statement(e.to_string()))
+                if e != XUpdateError::BudgetExhausted {
+                    self.log.abort(stmt);
+                }
+                Err(e.into())
             }
         }
     }
@@ -606,9 +572,9 @@ impl Checker {
     }
 
     fn try_update_inner(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
-        // Try the optimized path; anything but a verdict degrades to the
-        // baseline pass (non-insertion statement, no incremental pattern,
-        // or evaluation budget exhausted).
+        // Try the optimized path; a statement it has no check for takes
+        // the baseline pass. An error — a spent budget included — is the
+        // answer: nothing has been applied yet.
         let (verdict, hit) = self.pre_check(stmt);
         match hit {
             Some(true) => {
@@ -621,19 +587,13 @@ impl Checker {
             }
             None => {}
         }
-        // Anything else — an evaluation error included — means the
-        // simplified checks ran.
-        if !matches!(verdict, Ok(Verdict::NotIncremental(_))) {
+        // An incremental pattern was found, so the simplified checks ran
+        // (an evaluation error included).
+        if hit.is_some() && !matches!(verdict, Ok(Verdict::NotIncremental(_))) {
             self.stats.optimized_checks += 1;
         }
         match verdict? {
             Verdict::NotIncremental(_) => {}
-            Verdict::Exhausted => {
-                // Degrade gracefully: the (unbudgeted) baseline pass below
-                // materializes the update and full-checks the new state,
-                // returning the verdict the optimized check would have.
-                self.stats.budget_exhausted += 1;
-            }
             Verdict::Violated(violation) => {
                 self.stats.early_rejections += 1;
                 return Ok(UpdateOutcome::Rejected {
@@ -832,16 +792,6 @@ mod tests {
         assert!(!out.applied(), "third sub must be rejected");
         assert_eq!(out.strategy(), Strategy::Optimized);
         assert_eq!(subs(&c), 3);
-    }
-
-    #[test]
-    fn check_optimized_errors_without_pattern() {
-        let c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-        let stmt = XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap();
-        assert!(matches!(
-            c.check_optimized(&stmt),
-            Err(CheckerError::Statement(_))
-        ));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Schema-design-time compilation of update patterns.
 
-use std::collections::HashMap;
 use xic_datalog::{Denial, Update};
 use xic_mapping::{pattern_key, MappedUpdate, RelSchema};
 use xic_simplify::{
@@ -36,21 +35,6 @@ impl CompiledPattern {
     /// True if the optimized pre-update check is available.
     pub fn is_incremental(&self) -> bool {
         self.unsupported.is_none()
-    }
-
-    /// Instantiates every compiled query against concrete parameter
-    /// bindings, yielding runnable XQuery sources paired with the denial
-    /// they check.
-    pub fn instantiate(
-        &self,
-        doc: &xic_xml::Document,
-        bindings: &HashMap<String, xic_datalog::Value>,
-    ) -> Result<Vec<(String, String)>, xic_translate::TemplateError> {
-        self.queries
-            .iter()
-            .zip(&self.simplified)
-            .map(|(q, d)| Ok((q.instantiate(doc, bindings)?, d.to_string())))
-            .collect()
     }
 }
 
@@ -196,9 +180,9 @@ mod tests {
         assert_eq!(compiled.simplified.len(), 2, "{:?}", compiled.simplified);
         assert_eq!(compiled.queries.len(), 2);
         // Instantiation produces runnable queries.
-        let qs = compiled.instantiate(&doc, &mapped.bindings).unwrap();
-        for (q, _) in &qs {
-            xic_xquery::parse_query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        for q in &compiled.queries {
+            let q = q.instantiate(&doc, &mapped.bindings).unwrap();
+            xic_xquery::parse_query(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
         }
     }
 }

@@ -12,10 +12,7 @@
 //! check, neither needs a [`crate::Checker`] or the thread that owns
 //! one, so [`crate::Checker::check_full`],
 //! [`crate::Checker::decide_only`], [`crate::Checker::try_update`]'s
-//! fallback and [`crate::service::ReadSnapshot`] all call the same code;
-//! what differs between them is only whether the caller may fan the
-//! constraints out across cores (the single writer may, readers — many
-//! threads already — never do).
+//! fallback and [`crate::service::ReadSnapshot`] all call the same code.
 //!
 //! In `DESIGN.md`'s system inventory this is row 26.
 
@@ -25,14 +22,11 @@ use crate::resolver::xpath_resolver;
 use std::sync::Arc;
 use xic_datalog::Denial;
 use xic_mapping::{map_denials, RelSchema};
+use xic_simplify::footprint::POS_COL;
 use xic_simplify::{live_set, read_footprints, ReadFootprint};
 use xic_translate::{translate_denials, QueryTemplate};
 use xic_xml::{apply, undo, AppliedUpdate, Document, Dtd, XUpdateDoc};
 use xic_xquery::{parse_query, XProgram};
-
-/// Documents below this node count are always checked sequentially: the
-/// per-thread spawn/merge overhead dominates the §7 small-document regime.
-const PARALLEL_FULL_MIN_NODES: usize = 8192;
 
 /// The compiled constraint-template set Γ plus everything derived from
 /// the DTD: relational schema, Datalog denials, translated full-check
@@ -125,6 +119,10 @@ impl SharedGamma {
         &self.full_queries
     }
 
+    /// True if some constraint reads the `Pos` column of relation `rel`.
+    pub(crate) fn reads_pos(&self, rel: &str) -> bool {
+        self.read_fps.iter().any(|fp| fp.reads_cell(rel, POS_COL))
+    }
 }
 
 /// The baseline strategy over one compiled Γ: the full check and the
@@ -136,10 +134,6 @@ pub(crate) struct Baseline<'a> {
     /// Whether the static independence analysis masks the check to the
     /// constraints a statement can affect.
     pub(crate) independence: bool,
-    /// Whether a large document's constraints may be fanned out over
-    /// scoped threads: the writer's checker says yes, snapshot readers
-    /// (already one thread per request) say no.
-    pub(crate) fan_out: bool,
 }
 
 impl Baseline<'_> {
@@ -163,13 +157,10 @@ impl Baseline<'_> {
     /// skipped constraints' verdicts could not have changed, which is
     /// what the caller's footprint intersection established.
     ///
-    /// Constraints are evaluated *existentially* — each stops at its
-    /// first witness binding. With [`Baseline::fan_out`], more than one
-    /// constraint, a large document, more than one core and no step
-    /// budget armed they run on scoped threads; the verdict is identical.
-    /// An armed budget (a per-request deadline) forces the sequential
-    /// pass because budgets are thread-local: workers would run
-    /// unbounded.
+    /// Constraints are evaluated *existentially*, in constraint order,
+    /// on the calling thread — each stops at its first witness binding,
+    /// and the pass stops at the first violation or error. A step budget
+    /// the caller armed (a per-request deadline) bounds the whole pass.
     pub(crate) fn run(
         &self,
         doc: &Document,
@@ -188,16 +179,15 @@ impl Baseline<'_> {
                 retained
             }
         };
-        let parallel = self.fan_out
-            && indices.len() > 1
-            && doc.node_count() >= PARALLEL_FULL_MIN_NODES
-            && xic_xpath::budget::remaining().is_none()
-            && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1);
-        if parallel {
-            self.run_parallel(doc, &indices)
-        } else {
-            self.run_seq(doc, &indices)
+        for i in indices {
+            if self.holds_violation(doc, i)? {
+                return Ok(Some(Violation {
+                    denial: self.gamma.gamma[i].to_string(),
+                    query: self.gamma.full_queries[i].text.clone(),
+                }));
+            }
         }
+        Ok(None)
     }
 
     /// Decides `stmt` by the baseline strategy without leaving a
@@ -215,7 +205,7 @@ impl Baseline<'_> {
             let _apply = xic_obs::phase("apply");
             apply(doc, stmt, &xpath_resolver).map_err(|(e, partial)| {
                 undo(doc, partial);
-                CheckerError::Statement(e.to_string())
+                CheckerError::from(e)
             })?
         };
         let live = self.live_mask(doc, &applied);
@@ -226,82 +216,11 @@ impl Baseline<'_> {
         verdict
     }
 
-    /// Evaluates constraint `i` existentially. An exhausted budget can
-    /// only be an externally armed one (a per-request deadline): keep it
-    /// distinguishable so the service can answer "timeout" instead of
-    /// "query error".
+    /// Evaluates constraint `i` existentially.
     fn holds_violation(&self, doc: &Document, i: usize) -> Result<bool, CheckerError> {
-        self.gamma.full_ir[i].eval_exists(doc, &[]).map_err(|e| {
-            if e.is_budget_exhausted() {
-                CheckerError::BudgetExhausted
-            } else {
-                CheckerError::Query(format!("{}: {e}", self.gamma.full_queries[i].text))
-            }
-        })
-    }
-
-    /// Resolves per-constraint verdicts, given in constraint order, to
-    /// the first error or violation.
-    fn first_violation(
-        &self,
-        verdicts: impl Iterator<Item = (usize, Result<bool, CheckerError>)>,
-    ) -> Result<Option<Violation>, CheckerError> {
-        for (i, violated) in verdicts {
-            if violated? {
-                return Ok(Some(Violation {
-                    denial: self.gamma.gamma[i].to_string(),
-                    query: self.gamma.full_queries[i].text.clone(),
-                }));
-            }
-        }
-        Ok(None)
-    }
-
-    fn run_seq(&self, doc: &Document, indices: &[usize]) -> Result<Option<Violation>, CheckerError> {
-        // Lazy: evaluation stops at the first violation or error.
-        self.first_violation(indices.iter().map(|&i| (i, self.holds_violation(doc, i))))
-    }
-
-    /// Fans the constraints out over scoped threads reading the shared
-    /// `&Document`. Each worker evaluates a contiguous chunk and ships
-    /// its thread-local observability snapshot back; the parent merges
-    /// the snapshots and resolves the verdicts in constraint order, so
-    /// the outcome is identical to [`Baseline::run_seq`].
-    fn run_parallel(
-        &self,
-        doc: &Document,
-        indices: &[usize],
-    ) -> Result<Option<Violation>, CheckerError> {
-        xic_obs::incr(xic_obs::Counter::CheckFullParallel);
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(indices.len())
-            .max(1);
-        let chunk = indices.len().div_ceil(workers).max(1);
-        let per_worker: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = indices
-                .chunks(chunk)
-                .map(|idxs| {
-                    s.spawn(move || {
-                        let verdicts: Vec<_> =
-                            idxs.iter().map(|&i| (i, self.holds_violation(doc, i))).collect();
-                        (verdicts, xic_obs::snapshot())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("full-check worker panicked"))
-                .collect()
-        });
-        // Chunks are contiguous and joined in spawn order, so the
-        // concatenation is already in constraint order.
-        let mut verdicts = Vec::with_capacity(indices.len());
-        for (vs, snapshot) in per_worker {
-            xic_obs::merge(&snapshot);
-            verdicts.extend(vs);
-        }
-        self.first_violation(verdicts.into_iter())
+        self.gamma.full_ir[i]
+            .eval_exists(doc, &[])
+            .map_err(|e| CheckerError::eval(&self.gamma.full_queries[i].text, e))
     }
 }
 
@@ -318,46 +237,13 @@ mod tests {
         <!ELEMENT rev (name, sub+)>\n<!ELEMENT sub (title, auts+)>\n\
         <!ELEMENT title (#PCDATA)>\n<!ELEMENT auts (name)>\n<!ELEMENT name (#PCDATA)>";
 
-    /// A checker over a document big enough for the fan-out rule, with
-    /// two constraints — a review-load bound (constraint 0) nothing
-    /// violates and the conflict-of-interests denial (constraint 1) —
-    /// plus a statement that violates the latter.
-    fn large_checker() -> (Checker, XUpdateDoc) {
+    #[test]
+    fn armed_budget_bounds_the_full_check_of_a_large_document() {
         let w = generate(WorkloadConfig::sized_kib(128, 1));
         let constraints = format!("{} . {}", review_load_constraint(1_000), conflict_constraint());
         let c = Checker::new(&w.xml, DTD, &constraints).expect("corpus loads");
-        assert!(c.doc().node_count() >= PARALLEL_FULL_MIN_NODES, "{}", c.doc().node_count());
-        let self_review = xic_workload::illegal_insert(0, 0, &w.reviewers[0][0]);
-        (c, XUpdateDoc::parse(&self_review).expect("statement parses"))
-    }
-
-    #[test]
-    fn armed_budget_bounds_the_full_check_of_a_large_document() {
-        let (c, _) = large_checker();
         assert_eq!(c.check_full().expect("unbudgeted check"), None);
-        // Budgets are thread-local: fanned-out workers would run
-        // unbounded, so an armed budget must take the sequential pass.
         let _armed = xic_xpath::budget::arm(EvalBudget::new(0));
         assert!(matches!(c.check_full(), Err(CheckerError::BudgetExhausted)));
-    }
-
-    #[test]
-    fn parallel_pass_matches_sequential() {
-        // Drive the document into a state violating only the *second*
-        // constraint, so verdict order matters.
-        let (mut c, self_review) = large_checker();
-        c.apply_unchecked(&self_review).expect("applies");
-
-        let baseline = Baseline { gamma: c.shared_gamma(), independence: true, fan_out: true };
-        let indices = [0, 1];
-        let seq = baseline.run_seq(c.doc(), &indices).unwrap().expect("self-review must violate");
-        xic_obs::reset();
-        let par = baseline.run_parallel(c.doc(), &indices).unwrap().expect("must violate");
-        assert_eq!(seq, par, "parallel verdict must match sequential");
-        assert!(par.denial.contains("rev"), "{par}");
-        let snap = xic_obs::snapshot();
-        assert_eq!(snap.counter(xic_obs::Counter::CheckFullParallel), 1);
-        // The workers' engine counters were merged back into this thread.
-        assert!(snap.counter(xic_obs::Counter::XqueryBindingsVisited) > 0, "{:?}", snap.counters);
     }
 }

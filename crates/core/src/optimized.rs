@@ -8,16 +8,18 @@
 //! compiled on first sight), and each one is evaluated existentially
 //! with the bindings plugged in. Nothing here needs write access to the
 //! document, a [`crate::Checker`], or the thread that owns one — so
-//! `OptimizedCheck::decide` takes the document by shared reference and
-//! the pattern lookup as a closure, and serves
-//! [`crate::Checker::try_update`], [`crate::Checker::check_optimized`],
+//! `OptimizedCheck::decide` is a function of the document, Γ and the
+//! pattern store, and serves [`crate::Checker::try_update`],
 //! [`crate::Checker::decide_only`] and
 //! [`crate::service::ReadSnapshot::decide`] alike. Compiled patterns live
 //! in one place, the [`PatternCache`] the caller hands in (a checker's
-//! own, or the one a service or shard set shares); what differs between
-//! the callers is only whether a first sight compiles and what they do
-//! with a `Verdict::NotIncremental` answer (fall back to the baseline
-//! strategy, or report it).
+//! own, or the one a service or shard set shares); a first sight compiles
+//! and publishes there, whoever the caller is. What differs between the
+//! callers is only what they do with a `Verdict::NotIncremental` answer
+//! (fall back to the baseline strategy, or report it). The only bound on
+//! an evaluation is the step budget the caller armed around the call
+//! ([`xic_xpath::budget::arm`]); when it runs out the answer is
+//! [`CheckerError::BudgetExhausted`], never a retry on the costlier path.
 //!
 //! In `DESIGN.md`'s system inventory this is row 25.
 
@@ -32,7 +34,7 @@ use xic_datalog::Value;
 use xic_mapping::{map_update, pattern_key, UpdateMapError};
 use xic_translate::{ParamKind, QueryTemplate, TemplateError};
 use xic_xml::{Document, NodeId, XUpdateDoc};
-use xic_xpath::{EvalBudget, NodeRef, XValue};
+use xic_xpath::{NodeRef, XValue};
 use xic_xquery::{parse_query, XProgram};
 
 /// One precompiled pattern template: `%{name}` placeholders become
@@ -142,20 +144,6 @@ impl PatternCache {
         let mut map = self.entries.write().unwrap_or_else(|e| e.into_inner());
         Arc::clone(map.entry(key.to_string()).or_insert(entry))
     }
-
-    /// The cached entry for `key`, compiling and publishing it on a miss.
-    /// Compilation runs outside the lock, so concurrent first sights of
-    /// one pattern may each compile it; exactly one result is kept.
-    pub(crate) fn get_or_publish(
-        &self,
-        key: &str,
-        compile: impl FnOnce() -> Arc<PatternEntry>,
-    ) -> Arc<PatternEntry> {
-        match self.get(key) {
-            Some(entry) => entry,
-            None => self.publish(key, compile()),
-        }
-    }
 }
 
 /// Precompiles a query template, or says why it cannot be (placeholder
@@ -182,10 +170,10 @@ fn compile_template_ir(t: &QueryTemplate) -> Result<IrTemplate, String> {
     })
 }
 
-/// Renders an update's bindings as IR parameter values, mirroring
-/// [`QueryTemplate::instantiate`]'s validation exactly: unbound
-/// placeholders, detached/non-integer node parameters and unquotable
-/// strings fail with the same [`TemplateError`]s rendering the text reports.
+/// Renders an update's bindings as IR parameter values. Unbound
+/// placeholders and detached or non-integer node parameters fail with the
+/// [`TemplateError`]s [`QueryTemplate::instantiate`] reports for them; a
+/// string is passed as it is — a value needs no quoting.
 fn bind_ir_params(
     t: &IrTemplate,
     doc: &Document,
@@ -210,26 +198,11 @@ fn bind_ir_params(
                 }
                 ParamKind::Value => match value {
                     Value::Int(i) => XValue::Num(*i as f64),
-                    Value::Str(s) => {
-                        if s.contains('"') && s.contains('\'') {
-                            return Err(TemplateError::Unquotable(s.clone()));
-                        }
-                        XValue::Str(s.clone())
-                    }
+                    Value::Str(s) => XValue::Str(s.clone()),
                 },
             })
         })
         .collect()
-}
-
-/// Outcome of one optimized-check template evaluation.
-enum TemplateVerdict {
-    /// The simplified check is satisfied.
-    Pass,
-    /// Violated; carries the instantiated query text for the report.
-    Violated(String),
-    /// The armed [`EvalBudget`] ran out mid-evaluation.
-    Exhausted,
 }
 
 /// Why a statement has no optimized pre-update check — exactly the cases
@@ -244,11 +217,18 @@ pub(crate) enum Fallback {
     /// does not fit the schema).
     Unmappable(UpdateMapError),
     /// The statement's pattern has no incremental check: simplification
-    /// or translation is unsupported for it, or the caller's lookup knows
-    /// no compiled pattern under this key.
+    /// or translation is unsupported for it.
     NonIncremental {
         /// The statement's pattern key.
         key: String,
+    },
+    /// A non-tail insert pushes existing siblings one position on, and a
+    /// constraint reads the `Pos` column of their relation. The update
+    /// pattern holds only the added tuples, so the simplified checks
+    /// would not see the shift (ROADMAP item 2 models it).
+    PosShift {
+        /// The displaced siblings' relation.
+        rel: String,
     },
 }
 
@@ -259,6 +239,9 @@ impl fmt::Display for Fallback {
             Fallback::Unmappable(e) => e.fmt(f),
             Fallback::NonIncremental { key } => {
                 write!(f, "no compiled incremental pattern for key {key}")
+            }
+            Fallback::PosShift { rel } => {
+                write!(f, "the insert shifts `{rel}` siblings whose position a constraint reads")
             }
         }
     }
@@ -274,18 +257,15 @@ pub(crate) enum Verdict {
     /// No optimized check exists for this statement in this state; the
     /// baseline strategy (apply, full check, roll back) decides it.
     NotIncremental(Fallback),
-    /// The armed [`EvalBudget`] ran out mid-check.
-    Exhausted,
 }
 
 impl Verdict {
-    /// The verdict as the explicit check entry points report it: no
-    /// pattern and an exhausted budget are errors there, not fallbacks.
+    /// The verdict as the decide-only entry point reports it: a statement
+    /// without an optimized check is an error there, not a fallback.
     pub(crate) fn decision(self) -> Result<Option<Violation>, CheckerError> {
         match self {
             Verdict::Legal => Ok(None),
             Verdict::Violated(v) => Ok(Some(v)),
-            Verdict::Exhausted => Err(CheckerError::BudgetExhausted),
             Verdict::NotIncremental(reason) => Err(CheckerError::Statement(reason.to_string())),
         }
     }
@@ -302,10 +282,6 @@ pub(crate) struct OptimizedCheck<'a> {
     /// Whether the static independence analysis is on (compile-time
     /// pre-filtering of Γ and the skip/retain counters).
     pub(crate) independence: bool,
-    /// Step budget armed around the template evaluations only (the
-    /// checker's own bound on the optimized path; a per-request deadline
-    /// budget is armed by the caller around the whole call instead).
-    pub(crate) budget: Option<EvalBudget>,
 }
 
 impl OptimizedCheck<'_> {
@@ -320,30 +296,52 @@ impl OptimizedCheck<'_> {
         ))
     }
 
-    /// Decides `stmt` against the document without touching it.
-    ///
-    /// `pattern` resolves the statement's pattern key to a compiled
-    /// entry; it is handed a compile thunk for first sights and decides
-    /// itself whether to run it, where to cache the result, and whether
-    /// a miss is an answer (`None` → [`Fallback::NonIncremental`]).
+    /// Decides `stmt` against the document without touching it, and
+    /// reports whether its pattern was already in `patterns` (`None` when
+    /// the statement never got as far as a pattern key). A first sight is
+    /// compiled here and published; a sibling that published the same key
+    /// meanwhile wins and its entry is the one evaluated.
     pub(crate) fn decide(
         &self,
         stmt: &XUpdateDoc,
-        pattern: impl FnOnce(&str, &dyn Fn() -> Arc<PatternEntry>) -> Option<Arc<PatternEntry>>,
+        patterns: &PatternCache,
+    ) -> (Result<Verdict, CheckerError>, Option<bool>) {
+        let mut hit = None;
+        let verdict = match self.decide_inner(stmt, patterns, &mut hit) {
+            // A spent budget cannot pay for the costlier path either: say
+            // so before a reader copies the document to find out.
+            Ok(Verdict::NotIncremental(_)) if xic_xpath::budget::remaining() == Some(0) => {
+                Err(CheckerError::BudgetExhausted)
+            }
+            verdict => verdict,
+        };
+        (verdict, hit)
+    }
+
+    fn decide_inner(
+        &self,
+        stmt: &XUpdateDoc,
+        patterns: &PatternCache,
+        hit: &mut Option<bool>,
     ) -> Result<Verdict, CheckerError> {
         if !stmt.insertions_only() {
             return Ok(Verdict::NotIncremental(Fallback::NonInsertion));
         }
         let mapped = match map_update(self.doc, self.gamma.schema(), stmt, &xpath_resolver) {
             Ok(mapped) => mapped,
+            Err(UpdateMapError::BudgetExhausted) => return Err(CheckerError::BudgetExhausted),
             Err(e) => return Ok(Verdict::NotIncremental(Fallback::Unmappable(e))),
         };
+        if let Some(rel) = mapped.displaced.iter().find(|rel| self.gamma.reads_pos(rel)) {
+            return Ok(Verdict::NotIncremental(Fallback::PosShift { rel: rel.clone() }));
+        }
         let key = pattern_key(&mapped.update);
-        let Some(entry) =
-            pattern(&key, &|| self.compile(&mapped)).filter(|e| e.compiled.is_incremental())
-        else {
+        let cached = patterns.get(&key);
+        *hit = Some(cached.is_some());
+        let entry = cached.unwrap_or_else(|| patterns.publish(&key, self.compile(&mapped)));
+        if !entry.compiled.is_incremental() {
             return Ok(Verdict::NotIncremental(Fallback::NonIncremental { key }));
-        };
+        }
         let compiled = &entry.compiled;
         // The compiled pattern's parameter names are positionally
         // identical to the freshly mapped ones (the mapping is
@@ -358,47 +356,29 @@ impl OptimizedCheck<'_> {
                 (compiled.live.len() - skipped) as u64,
             );
         }
-        let _budget = self.budget.map(xic_xpath::budget::arm);
         for ((t, q), d) in entry.ir.iter().zip(&compiled.queries).zip(&compiled.simplified) {
-            match self.eval_template(t, q, &mapped.bindings)? {
-                TemplateVerdict::Pass => {}
-                TemplateVerdict::Violated(text) => {
-                    return Ok(Verdict::Violated(Violation {
-                        denial: d.to_string(),
-                        query: text,
-                    }));
-                }
-                TemplateVerdict::Exhausted => {
-                    xic_obs::incr(xic_obs::Counter::BudgetExhausted);
-                    return Ok(Verdict::Exhausted);
-                }
+            if self.violates(t, q, &mapped.bindings)? {
+                // The text is for the report only: a value that cannot be
+                // quoted leaves the template as it is.
+                let query =
+                    q.instantiate(self.doc, &mapped.bindings).unwrap_or_else(|_| q.text.clone());
+                return Ok(Verdict::Violated(Violation { denial: d.to_string(), query }));
             }
         }
         Ok(Verdict::Legal)
     }
 
-    /// One template evaluation: binds the update's parameters directly
-    /// (mirroring [`QueryTemplate::instantiate`]'s validation) and only
-    /// renders the instantiated text when a violation must be reported.
-    fn eval_template(
+    /// One template evaluation with the update's parameters bound
+    /// directly: does the simplified denial fire?
+    fn violates(
         &self,
         t: &IrTemplate,
         q: &QueryTemplate,
         bindings: &HashMap<String, Value>,
-    ) -> Result<TemplateVerdict, CheckerError> {
+    ) -> Result<bool, CheckerError> {
         let params = bind_ir_params(t, self.doc, bindings)
             .map_err(|e| CheckerError::Query(e.to_string()))?;
-        match t.program.eval_exists(self.doc, &params) {
-            Ok(false) => Ok(TemplateVerdict::Pass),
-            Ok(true) => {
-                let text = q
-                    .instantiate(self.doc, bindings)
-                    .map_err(|e| CheckerError::Query(e.to_string()))?;
-                Ok(TemplateVerdict::Violated(text))
-            }
-            Err(e) if e.is_budget_exhausted() => Ok(TemplateVerdict::Exhausted),
-            Err(e) => Err(CheckerError::Query(format!("{}: {e}", q.text))),
-        }
+        t.program.eval_exists(self.doc, &params).map_err(|e| CheckerError::eval(&q.text, e))
     }
 }
 

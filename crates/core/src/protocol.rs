@@ -234,7 +234,8 @@ fn stats_fields(stats: &ServiceStats) -> String {
     format!(
         "requests_shed={} requests_timed_out={} service_degraded={} fsync_retries={} \
          decides_optimized={} decides_fallback_non_insertion={} \
-         decides_fallback_unmappable={} decides_fallback_non_incremental={}",
+         decides_fallback_unmappable={} decides_fallback_non_incremental={} \
+         decides_fallback_pos_shift={}",
         stats.requests_shed,
         stats.requests_timed_out,
         stats.service_degraded,
@@ -243,6 +244,7 @@ fn stats_fields(stats: &ServiceStats) -> String {
         stats.decides_fallback_non_insertion,
         stats.decides_fallback_unmappable,
         stats.decides_fallback_non_incremental,
+        stats.decides_fallback_pos_shift,
     )
 }
 
@@ -369,6 +371,7 @@ pub fn execute_sharded(set: &ShardSet, command: &Command) -> Reply {
                     total.decides_fallback_unmappable += stats.decides_fallback_unmappable;
                     total.decides_fallback_non_incremental +=
                         stats.decides_fallback_non_incremental;
+                    total.decides_fallback_pos_shift += stats.decides_fallback_pos_shift;
                 }
             }
             let detail = format!(
@@ -633,7 +636,8 @@ mod tests {
             "OK 0 executor=sync queue_depth=256 health=ok requests_shed=0 \
              requests_timed_out=0 service_degraded=0 fsync_retries=0 \
              decides_optimized=0 decides_fallback_non_insertion=0 \
-             decides_fallback_unmappable=0 decides_fallback_non_incremental=0"
+             decides_fallback_unmappable=0 decides_fallback_non_incremental=0 \
+             decides_fallback_pos_shift=0"
         );
         assert_eq!(execute(&service, &Command::Health).render(), "OK 0 ok");
         // A legal update commits and bumps the version…

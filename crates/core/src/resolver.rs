@@ -1,14 +1,17 @@
 //! XPath-backed resolver for XUpdate `select` expressions.
 
-use xic_xml::{Document, NodeId};
-use xic_xpath::{evaluate_nodes, parse, Context, NodeRef};
+use xic_xml::{Document, NodeId, SelectError};
+use xic_xpath::{evaluate_nodes, parse, Context, EvalError, NodeRef};
 
-/// Resolves an XUpdate `select` expression to element/document node ids in
-/// document order, using the full XPath engine.
-pub fn xpath_resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, String> {
-    let expr = parse(select).map_err(|e| e.to_string())?;
+/// Resolves an XUpdate `select` expression to node ids (of any kind but
+/// attribute) in document order, using the full XPath engine.
+pub fn xpath_resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, SelectError> {
+    let expr = parse(select).map_err(|e| SelectError::Other(e.to_string()))?;
     let ctx = Context::root(doc);
-    let nodes = evaluate_nodes(&expr, &ctx).map_err(|e| e.to_string())?;
+    let nodes = evaluate_nodes(&expr, &ctx).map_err(|e| match e {
+        EvalError::BudgetExhausted => SelectError::BudgetExhausted,
+        e => SelectError::Other(e.to_string()),
+    })?;
     Ok(nodes
         .into_iter()
         .filter_map(|n| match n {

@@ -302,6 +302,9 @@ pub struct ServiceStats {
     pub decides_fallback_unmappable: u64,
     /// … because the statement's pattern has no incremental check.
     pub decides_fallback_non_incremental: u64,
+    /// … because the insert shifts existing siblings whose position a
+    /// constraint reads.
+    pub decides_fallback_pos_shift: u64,
 }
 
 #[derive(Default)]
@@ -319,6 +322,7 @@ struct DecideCells {
     fallback_non_insertion: AtomicU64,
     fallback_unmappable: AtomicU64,
     fallback_non_incremental: AtomicU64,
+    fallback_pos_shift: AtomicU64,
 }
 
 /// Converts a deadline's remaining milliseconds into an [`EvalBudget`]
@@ -364,10 +368,9 @@ impl CheckSet {
         xic_obs::incr(xic_obs::Counter::RequestTimedOut);
     }
 
-    /// The baseline evaluator as snapshot readers run it: never fanned
-    /// out (every reader is a thread of its own already).
+    /// The baseline evaluator over the writer's Γ and settings.
     fn baseline(&self) -> Baseline<'_> {
-        Baseline { gamma: &self.gamma, independence: self.independence, fan_out: false }
+        Baseline { gamma: &self.gamma, independence: self.independence }
     }
 }
 
@@ -426,19 +429,18 @@ impl ReadSnapshot {
     /// [`ReadSnapshot::decide_full`] only for what
     /// [`Checker::try_update`] also sends down the baseline: a
     /// non-insertion statement, a target that does not map to an update
-    /// pattern here, a pattern without an incremental check. A pattern
+    /// pattern here, a pattern without an incremental check, a non-tail
+    /// insert shifting siblings whose position Γ reads. A pattern
     /// no one has seen yet is compiled here and published to the cache
     /// the writer shares (first publisher wins; the writer adopts the
     /// entry on its next local miss).
     ///
     /// The answer is the one `UPDATE` would give at this version —
     /// same verdict, same violated denial, same error for a statement
-    /// that does not apply — minus the commit. (One exception in the
-    /// denial text: a checker-level [`Checker::set_eval_budget`] bounds
-    /// the *writer's* optimized check and makes it fall back when it
-    /// runs out; snapshots do not arm it.) A budget armed by the caller
-    /// that runs out is reported as [`CheckerError::BudgetExhausted`],
-    /// never retried on the costlier path.
+    /// that does not apply — minus the commit. A budget armed by the
+    /// caller that runs out is reported as
+    /// [`CheckerError::BudgetExhausted`], never retried on the costlier
+    /// path.
     ///
     /// Note the decision is against **this snapshot's version**; a
     /// commit racing past it can invalidate the answer, exactly as with
@@ -449,29 +451,21 @@ impl ReadSnapshot {
             doc: &self.doc,
             gamma: &checks.gamma,
             independence: checks.independence,
-            budget: None,
         };
         let decides = &checks.decides;
         let optimized = |verdict| {
             decides.optimized.fetch_add(1, Ordering::Relaxed);
             Ok(verdict)
         };
-        let pattern = |key: &str, compile: &dyn Fn() -> _| {
-            Some(checks.patterns.get_or_publish(key, compile))
-        };
-        match check.decide(stmt, pattern)? {
+        match check.decide(stmt, &checks.patterns).0? {
             Verdict::Legal => optimized(None),
             Verdict::Violated(violation) => optimized(Some(violation)),
-            Verdict::Exhausted => Err(CheckerError::BudgetExhausted),
             Verdict::NotIncremental(fallback) => {
-                // A spent budget cannot pay for the costlier path either.
-                if xic_xpath::budget::remaining() == Some(0) {
-                    return Err(CheckerError::BudgetExhausted);
-                }
                 match fallback {
                     Fallback::NonInsertion => &decides.fallback_non_insertion,
                     Fallback::Unmappable(_) => &decides.fallback_unmappable,
                     Fallback::NonIncremental { .. } => &decides.fallback_non_incremental,
+                    Fallback::PosShift { .. } => &decides.fallback_pos_shift,
                 }
                 .fetch_add(1, Ordering::Relaxed);
                 self.decide_full(stmt)
@@ -511,27 +505,12 @@ impl ReadSnapshot {
     /// counting it into the service's `requests_timed_out`; any other
     /// checker error passes through.
     fn timeout_or(&self, e: CheckerError, deadline_ms: u64) -> ServiceError {
-        if is_budget_exhaustion(&e) {
+        if matches!(e, CheckerError::BudgetExhausted) {
             self.checks.note_timeout();
             ServiceError::Timeout { ms: deadline_ms }
         } else {
             ServiceError::Checker(e)
         }
-    }
-}
-
-/// True when `e` is (or wraps) an exhausted evaluation budget. The
-/// XUpdate `select` resolver stringifies its XPath error before the
-/// checker sees it, so exhaustion inside `apply` surfaces as a
-/// `Statement` (or `Query`) error carrying the engine's canonical
-/// budget message rather than the typed variant.
-fn is_budget_exhaustion(e: &CheckerError) -> bool {
-    match e {
-        CheckerError::BudgetExhausted => true,
-        CheckerError::Statement(m) | CheckerError::Query(m) => {
-            m.contains("step budget exhausted")
-        }
-        _ => false,
     }
 }
 
@@ -701,6 +680,7 @@ impl CheckerService {
             decides_fallback_non_incremental: decides
                 .fallback_non_incremental
                 .load(Ordering::Relaxed),
+            decides_fallback_pos_shift: decides.fallback_pos_shift.load(Ordering::Relaxed),
         }
     }
 
@@ -820,12 +800,12 @@ impl CheckerService {
         if checker.poisoned() {
             self.note_poisoned();
         }
-        let outcome = attempted.map_err(|e| match budget {
-            Some((_, ms)) if is_budget_exhaustion(&e) => {
+        let outcome = attempted.map_err(|e| match (e, budget) {
+            (CheckerError::BudgetExhausted, Some((_, ms))) => {
                 self.checks.note_timeout();
                 ServiceError::Timeout { ms }
             }
-            _ => ServiceError::Checker(e),
+            (e, _) => ServiceError::Checker(e),
         })?;
         let result = SubmitOutcome { version: checker.committed(), outcome };
         if result.outcome.applied() {
@@ -1056,7 +1036,7 @@ fn run_batch(
         let result = match (result, req.deadline) {
             // An exhausted deadline budget surfaces as a timeout, not a
             // bare budget error.
-            (Err(ServiceError::Checker(e)), Some(d)) if is_budget_exhaustion(&e) => {
+            (Err(ServiceError::Checker(CheckerError::BudgetExhausted)), Some(d)) => {
                 if let Some(service) = service.upgrade() {
                     service.checks.note_timeout();
                 }

@@ -100,11 +100,11 @@ fn automatic_policy_rotates_and_recovery_prefers_newest_generation() {
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     c.attach_store(&dir, false).unwrap();
     c.set_checkpoint_policy(CheckpointPolicy::every_commits(2));
-    c.obs_reset();
+    xic_obs::reset();
     commit_n(&mut c, 0, 7);
     let generation = c.store_generation();
     assert!(generation >= 3, "7 commits at every-2 must have rotated ≥ 3 times, got {generation}");
-    let snap = c.obs_snapshot();
+    let snap = xic_obs::snapshot();
     let count = |n: &str| snap.counters.iter().find(|(k, _)| k == n).map_or(0, |(_, v)| *v);
     assert!(count("rotations") >= 3, "{:?}", snap.counters);
     assert!(count("checkpoints_written") >= 3, "{:?}", snap.counters);

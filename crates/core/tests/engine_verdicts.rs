@@ -1,10 +1,13 @@
 //! Expected verdicts of the query engine on every checker entry point:
-//! decisions, violation reports, final document states, parallel vs
-//! sequential vs materialized full checks, and budget-exhaustion
-//! degradation. The verdict and report goldens are what the tree-walking
+//! decisions, violation reports, final document states, and the
+//! statements on which the optimized and the baseline strategy once
+//! disagreed. The verdict and report goldens are what the tree-walking
 //! interpreter (retired at PR 14) answered for the same statements.
 
-use xicheck::{Checker, CheckerService, EvalBudget, Executor, Strategy, UpdateOutcome, Violation};
+use xicheck::{
+    Checker, CheckerError, CheckerService, Executor, Strategy, UpdateOutcome, Violation,
+    XUpdateDoc,
+};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
     <!ELEMENT dblp (pub)*>\n<!ELEMENT pub (title, aut+)>\n\
@@ -135,7 +138,7 @@ fn decide_only_verdicts_per_strategy() {
         ],
     ];
     for (stmt, per_strategy) in statements().iter().zip(expected) {
-        let parsed = xicheck::XUpdateDoc::parse(stmt).unwrap();
+        let parsed = XUpdateDoc::parse(stmt).unwrap();
         for (strategy, want) in
             [Strategy::Optimized, Strategy::FullWithRollback].into_iter().zip(per_strategy)
         {
@@ -148,13 +151,12 @@ fn decide_only_verdicts_per_strategy() {
 #[test]
 fn check_full_reports_the_first_violation() {
     // Append a violating sub unchecked, so the full check has something
-    // to find. (Parallel ≡ sequential is a unit test beside the
-    // evaluator, `gamma.rs`.)
+    // to find.
     for violating in [false, true] {
         let mut c = checker();
         if violating {
             let stmt =
-                xicheck::XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'ann']", "ann"))
+                XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'ann']", "ann"))
                     .unwrap();
             c.apply_unchecked(&stmt).unwrap();
         }
@@ -163,47 +165,81 @@ fn check_full_reports_the_first_violation() {
     }
 }
 
-/// An exhausted budget must degrade `try_update` to the baseline pass:
-/// same verdict as the unbudgeted twin, baseline strategy, stats bump.
+/// A non-tail insert pushes the siblings behind it one position on. The
+/// update pattern holds only the added tuple, so when Γ reads the `Pos`
+/// of a displaced sibling the simplified check cannot be trusted: the
+/// baseline decides, and rejects what the optimized path used to commit.
 #[test]
-fn budget_exhaustion_degrades_to_the_baseline_pass() {
-    let legal = insert_sub("//rev[name/text() = 'dan']", "zoe");
-    let illegal = insert_sub("//rev[name/text() = 'ann']", "ann");
-    // Reference verdicts from an unbudgeted twin.
-    let mut free = checker();
-    assert!(free.try_update_str(&legal).unwrap().applied());
-    assert!(!free.try_update_str(&illegal).unwrap().applied());
-    assert_eq!(free.stats().budget_exhausted, 0);
+fn a_positional_insert_that_shifts_a_read_position_takes_the_baseline() {
+    const DTD: &str = "<!ELEMENT db (region)*> <!ELEMENT region (item)*> \
+        <!ELEMENT item (v, w)> <!ELEMENT v (#PCDATA)> <!ELEMENT w (#PCDATA)>";
+    const DOC: &str = "<db><region><item><v>ok</v><w>1</w></item>\
+        <item><v>bad</v><w>2</w></item></region></db>";
+    const GAMMA: &str = "<- //region/item[3]/v/text() -> V & V = \"bad\"";
+    let insert = |op: &str, select: &str| {
+        XUpdateDoc::parse(&format!(
+            r#"<xupdate:modifications xmlns:xupdate="x"><xupdate:{op} select="{select}">
+               <item><v>new</v><w>0</w></item></xupdate:{op}></xupdate:modifications>"#
+        ))
+        .unwrap()
+    };
 
-    // A zero-step budget exhausts immediately.
-    let mut tight = checker();
-    tight.set_eval_budget(Some(EvalBudget::new(0)));
-    let out = tight.try_update_str(&legal).unwrap();
-    assert!(out.applied(), "same verdict as unbudgeted");
-    assert_eq!(
-        out.strategy(),
-        Strategy::FullWithRollback,
-        "exhausted check degrades to the baseline pass"
+    // In front of item[1]: "bad" would become item[3].
+    let shifting = insert("insert-before", "/db/region[1]/item[1]");
+    let mut c = Checker::new(DOC, DTD, GAMMA).unwrap();
+    let full = c.decide_only(&shifting, Strategy::FullWithRollback).unwrap();
+    assert!(full.is_some(), "the baseline rejects");
+    let optimized = c.decide_only(&shifting, Strategy::Optimized).unwrap_err();
+    assert!(
+        matches!(&optimized, CheckerError::Statement(m) if m.contains("shifts `item` siblings")),
+        "{optimized}"
     );
-    let out = tight.try_update_str(&illegal).unwrap();
-    assert!(!out.applied(), "same verdict as unbudgeted");
-    assert_eq!(out.strategy(), Strategy::FullWithRollback);
-    assert_eq!(tight.stats().budget_exhausted, 2);
-    assert_eq!(
-        xic_xml::serialize(free.doc()),
-        xic_xml::serialize(tight.doc()),
-        "budgeted and unbudgeted twins converge"
-    );
+    let UpdateOutcome::Rejected { strategy, violation } = c.try_update(&shifting).unwrap() else {
+        panic!("a committed violation");
+    };
+    assert_eq!(strategy, Strategy::FullWithRollback);
+    assert_eq!(Some(violation), full);
+    assert_eq!(xic_xml::serialize(c.doc()), DOC);
+    assert_eq!(c.check_full().unwrap(), None);
+
+    // Behind the last item nothing is displaced: still decided pre-update.
+    let tails = [insert("insert-after", "/db/region[1]/item[2]"), insert("append", "/db/region[1]")];
+    for tail in tails {
+        let out = c.try_update(&tail).unwrap();
+        assert!(out.applied());
+        assert_eq!(out.strategy(), Strategy::Optimized);
+    }
+    assert_eq!(c.check_full().unwrap(), None);
 }
 
+/// A value holding both quote characters cannot be written as an XQuery
+/// literal, but the pre-update check binds values, it does not quote
+/// them: same verdicts and same post-state as the baseline twin.
 #[test]
-fn explicit_check_optimized_reports_exhaustion() {
-    let stmt = xicheck::XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap();
-    let mut c = checker();
-    c.register_pattern(&stmt).unwrap();
-    c.set_eval_budget(Some(EvalBudget::new(0)));
-    let err = c.check_optimized(&stmt).unwrap_err();
-    assert!(matches!(err, xicheck::CheckerError::BudgetExhausted), "{err}");
+fn a_value_with_both_quote_characters_is_decided_like_any_other() {
+    const NAME: &str = "it's \"x\"";
+    let corpus = CORPUS.replace("<name>dan</name>", &format!("<name>{NAME}</name>"));
+    let rev2 = "/collection/review/track[1]/rev[2]";
+    let mut optimized = Checker::new(&corpus, DTD, CONFLICT).unwrap();
+    let mut baseline = Checker::new(&corpus, DTD, CONFLICT).unwrap();
+
+    // Legal: the awkward author under another reviewer.
+    let legal = XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'ann']", NAME)).unwrap();
+    assert_eq!(baseline.decide_only(&legal, Strategy::FullWithRollback).unwrap(), None);
+    baseline.apply_unchecked(&legal).unwrap();
+    let out = optimized.try_update(&legal).unwrap();
+    assert!(out.applied());
+    assert_eq!(out.strategy(), Strategy::Optimized);
+    assert_eq!(xic_xml::serialize(optimized.doc()), xic_xml::serialize(baseline.doc()));
+
+    // Illegal: the awkward reviewer reviewing their own paper. The report
+    // renders what it can; the verdict does not depend on it.
+    let illegal = XUpdateDoc::parse(&insert_sub(rev2, NAME)).unwrap();
+    assert!(baseline.decide_only(&illegal, Strategy::FullWithRollback).unwrap().is_some());
+    let out = optimized.try_update(&illegal).unwrap();
+    assert!(!out.applied());
+    assert_eq!(out.strategy(), Strategy::Optimized);
+    assert_eq!(xic_xml::serialize(optimized.doc()), xic_xml::serialize(baseline.doc()));
 }
 
 #[test]
@@ -212,7 +248,7 @@ fn service_snapshots_check_like_the_writer() {
     let snap = service.snapshot();
     assert!(snap.check_full().unwrap().is_none());
     let stmt =
-        xicheck::XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'ann']", "ann")).unwrap();
+        XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'ann']", "ann")).unwrap();
     assert_eq!(snap.decide_full(&stmt).unwrap(), Some(self_review_full()));
     assert!(
         service.submit(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().outcome.applied()

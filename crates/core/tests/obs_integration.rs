@@ -38,7 +38,7 @@ fn insert_sub(rev_sel: &str, author: &str) -> String {
 #[test]
 fn pattern_cache_hits_after_first_compile() {
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.obs_reset();
+    obs::reset();
     // First statement of this shape: compiled on sight (miss).
     let out = c
         .try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe"))
@@ -54,7 +54,7 @@ fn pattern_cache_hits_after_first_compile() {
     assert_eq!(c.stats().pattern_cache_misses, 1);
     assert_eq!(c.stats().pattern_cache_hits, 1);
 
-    let snap = c.obs_snapshot();
+    let snap = obs::snapshot();
     assert_eq!(snap.counter(Counter::PatternCacheMiss), 1);
     assert_eq!(snap.counter(Counter::PatternCacheHit), 1);
     // Exactly one compile phase ran, with its nested sub-phases.
@@ -67,7 +67,7 @@ fn pattern_cache_hits_after_first_compile() {
 #[test]
 fn counters_survive_try_update_round_trip() {
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.obs_reset();
+    obs::reset();
     // An illegal statement: optimized check fires, nothing is applied.
     let out = c
         .try_update_str(&insert_sub("//rev[name/text() = 'ann']", "ann"))
@@ -75,7 +75,7 @@ fn counters_survive_try_update_round_trip() {
     assert!(!out.applied());
     assert_eq!(out.strategy(), Strategy::Optimized);
 
-    let snap = c.obs_snapshot();
+    let snap = obs::snapshot();
     // The evaluators reported work under check/optimized...
     assert!(snap.counter(Counter::XpathNodesVisited) > 0);
     assert!(snap.phase("check/optimized").is_some());
@@ -94,7 +94,7 @@ fn counters_survive_try_update_round_trip() {
         .try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe"))
         .unwrap();
     assert!(out.applied());
-    let snap = c.obs_snapshot();
+    let snap = obs::snapshot();
     assert_eq!(snap.phase("update/apply").map(|p| p.calls), Some(1));
     // Counters accumulated across both calls (monotonic).
     assert!(snap.counter(Counter::XpathNodesVisited) > 0);
@@ -103,7 +103,7 @@ fn counters_survive_try_update_round_trip() {
 #[test]
 fn baseline_path_records_full_check_and_rollback() {
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.obs_reset();
+    obs::reset();
     // A rename is not an insertion: baseline apply + full check; rewriting
     // Cat's name to Ann makes it a self-review, so it rolls back.
     let out = c
@@ -116,7 +116,7 @@ fn baseline_path_records_full_check_and_rollback() {
     assert!(!out.applied());
     assert_eq!(out.strategy(), Strategy::FullWithRollback);
 
-    let snap = c.obs_snapshot();
+    let snap = obs::snapshot();
     assert_eq!(snap.phase("update/apply").map(|p| p.calls), Some(1));
     assert_eq!(snap.phase("update/rollback").map(|p| p.calls), Some(1));
     assert_eq!(snap.phase("check/full").map(|p| p.calls), Some(1));
@@ -126,11 +126,11 @@ fn baseline_path_records_full_check_and_rollback() {
 #[test]
 fn snapshot_round_trips_through_json_with_live_data() {
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.obs_reset();
+    obs::reset();
     let _ = c
         .try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe"))
         .unwrap();
-    let snap = c.obs_snapshot();
+    let snap = obs::snapshot();
     let text = snap.to_json();
     let back = obs::Snapshot::from_json(&text).expect("parse own output");
     assert_eq!(back, snap);
@@ -161,15 +161,15 @@ fn exists_short_circuit_reduces_nodes_visited() {
     );
     let c = Checker::new(&corpus, DTD, "<- //rev -> R & cnt{R/sub} > 2").unwrap();
 
-    c.obs_reset();
+    obs::reset();
     assert!(c.check_full().unwrap().is_some(), "r1 is overloaded");
-    let lazy = c.obs_snapshot();
+    let lazy = obs::snapshot();
 
     // The materializing evaluation of the same translated query.
     let query = xic_xquery::parse_query(&c.full_queries()[0].text).unwrap();
-    c.obs_reset();
+    obs::reset();
     assert!(xic_xquery::eval_query_bool(&query, c.doc()).unwrap());
-    let eager = c.obs_snapshot();
+    let eager = obs::snapshot();
 
     assert!(
         lazy.counter(Counter::XqueryBindingsVisited)

@@ -1,7 +1,7 @@
 //! Durability and fault-tolerance integration tests over a store that
 //! never rotates (a plain write-ahead journal): commit/recover, mid-batch
 //! abort records, panic containment with poisoning, evaluation-budget
-//! fallback, and the recovery edge cases (empty journal, torn-tail-only
+//! exhaustion, and the recovery edge cases (empty journal, torn-tail-only
 //! journal, double recovery, snapshot newer than the journal head).
 
 use std::path::PathBuf;
@@ -138,51 +138,63 @@ fn mid_batch_apply_failure_rolls_back_and_journals_abort_at_every_op_index() {
     }
 }
 
+/// The budget armed around a call is the only evaluation bound: when it
+/// runs out — in the pre-update check or in `apply`'s own `select` —
+/// `try_update` answers `BudgetExhausted` at once, with the document as
+/// it was, nothing journaled (no abort record either) and no retry on the
+/// baseline; the first allowance that suffices changes nothing.
 #[test]
-fn budget_exhausted_optimized_check_falls_back_with_same_verdict() {
-    // Twin without a budget gives the reference verdicts.
-    let mut reference = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    let legal = insert_sub("//rev[name/text() = 'dan']", "zoe");
-    let illegal = insert_sub("//rev[name/text() = 'ann']", "ann");
-    let ref_legal = reference.try_update_str(&legal).unwrap();
-    assert_eq!(ref_legal.strategy(), Strategy::Optimized);
-    let ref_illegal = reference.try_update_str(&illegal).unwrap();
-    assert!(!ref_illegal.applied());
-
-    // Budgeted twin: a zero-step budget exhausts on the first axis visit.
+fn an_exhausted_budget_is_the_answer_and_leaves_no_trace() {
+    let path = journal_path("budget");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.set_eval_budget(Some(EvalBudget::new(0)));
-    c.obs_reset();
-    let out = c.try_update_str(&legal).unwrap();
-    assert!(out.applied(), "same verdict as the unbudgeted run");
-    assert_eq!(
-        out.strategy(),
-        Strategy::FullWithRollback,
-        "exhaustion must degrade to the baseline pass"
-    );
-    let out = c.try_update_str(&illegal).unwrap();
-    assert!(!out.applied(), "same verdict as the unbudgeted run");
-    assert_eq!(out.strategy(), Strategy::FullWithRollback);
-    assert_eq!(c.stats().budget_exhausted, 2);
-    assert_eq!(c.stats().full_checks, 2);
-    let snap = c.obs_snapshot();
-    let count = |n: &str| snap.counters.iter().find(|(k, _)| k == n).map_or(0, |(_, v)| *v);
-    assert_eq!(count("budget_exhausted"), 2);
-    // Both documents ended in the same state.
-    assert_eq!(serialize(&c), serialize(&reference));
+    c.attach_store(&path, true).unwrap();
+    let before = serialize(&c);
+    let legal =
+        xicheck::XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap();
+    let appends = || xic_obs::snapshot().counter(xic_obs::Counter::JournalAppend);
+    let appends_before = appends();
+    let arm = |steps| xic_xpath::budget::arm(EvalBudget::new(steps));
 
-    // The explicit check entry point surfaces the exhaustion as an error.
-    let stmt = xicheck::XUpdateDoc::parse(&legal).unwrap();
-    c.register_pattern(&stmt).unwrap();
-    assert!(matches!(c.check_optimized(&stmt), Err(CheckerError::BudgetExhausted)));
-
-    // A generous budget changes nothing and stays on the optimized path.
-    let mut generous = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    generous.set_eval_budget(Some(EvalBudget::new(1_000_000)));
-    let out = generous.try_update_str(&legal).unwrap();
+    // The steps one whole pre-update check of the statement takes.
+    let check_steps = (0..)
+        .find(|&steps| {
+            let _armed = arm(steps);
+            c.decide_only(&legal, Strategy::Optimized).is_ok()
+        })
+        .unwrap();
+    assert!(check_steps > 1, "{check_steps}");
+    // Every allowance short of the whole call, one step at a time.
+    let mut allowance = 0;
+    let out = loop {
+        let _armed = arm(allowance);
+        match c.try_update(&legal) {
+            Ok(out) => break out,
+            Err(err) => {
+                assert!(
+                    matches!(err, CheckerError::BudgetExhausted),
+                    "allowance {allowance}: {err}"
+                );
+                assert_eq!(serialize(&c), before, "allowance {allowance}");
+                assert_eq!(c.committed(), 0, "allowance {allowance}");
+                assert_eq!(appends(), appends_before, "allowance {allowance}");
+                allowance += 1;
+            }
+        }
+    };
+    assert!(allowance > check_steps, "apply's select is charged too: {allowance} / {check_steps}");
     assert!(out.applied());
-    assert_eq!(out.strategy(), Strategy::Optimized);
-    assert_eq!(generous.stats().budget_exhausted, 0);
+    assert_eq!(out.strategy(), Strategy::Optimized, "a sufficient budget changes nothing");
+    assert_eq!(c.stats().full_checks, 0, "a spent budget is never retried on the baseline");
+    assert_eq!(c.stats().rollbacks, 0);
+    assert_eq!(c.committed(), 1);
+    assert_eq!(appends(), appends_before + 1);
+    let committed_state = serialize(&c);
+    drop(c);
+
+    let (r, report) = recover(CORPUS, &path);
+    assert_eq!((report.replayed, report.aborts_skipped), (1, 0));
+    assert_eq!(serialize(&r), committed_state);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
@@ -195,12 +207,12 @@ fn contained_panic_poisons_checker_until_recovery() {
 
     xic_faults::disarm_all();
     xic_faults::arm("xupdate.apply.op", 1, FaultMode::Panic);
-    c.obs_reset();
+    xic_obs::reset();
     let err = c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap_err();
     xic_faults::disarm_all();
     assert!(matches!(&err, CheckerError::Panicked(m) if m.contains("injected fault")), "{err}");
     assert!(c.poisoned());
-    let snap = c.obs_snapshot();
+    let snap = xic_obs::snapshot();
     let contained =
         snap.counters.iter().find(|(k, _)| k == "panics_contained").map_or(0, |(_, v)| *v);
     assert_eq!(contained, 1);

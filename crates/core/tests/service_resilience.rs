@@ -329,3 +329,57 @@ fn sync_executor_shutdown_is_a_result_too() {
     assert!(matches!(service.submit(&legal("y")), Err(ServiceError::Draining)));
     assert!(matches!(service.shutdown(), Err(ServiceError::Stopped)));
 }
+
+/// Client input never reaches the contained-panic path: every operation
+/// aimed at a node kind it is not defined for — a `select` hands text,
+/// comment, processing-instruction and document nodes through like
+/// elements — is answered with a typed `ERR` over the wire, before the
+/// first mutation, and the server stays healthy for everyone else.
+/// (`rename` of a text node used to poison the checker.)
+#[test]
+fn an_operation_aimed_at_the_wrong_node_kind_is_an_error_not_a_panic() {
+    const COMMENTED: &str = "<collection><!--note--><?app data?><dblp>\
+        <pub><title>P1</title><aut><name>ann</name></aut></pub></dblp><review><track>\
+        <name>T</name><rev><name>dan</name><sub><title>S</title><auts><name>eve</name></auts>\
+        </sub></rev></track></review></collection>";
+    const TARGETS: [(&str, &str, &[&str]); 5] = [
+        ("//pub/title/text()", "a text node", &["rename", "append", "update"]),
+        ("/collection/comment()", "a comment", &["rename", "append", "update"]),
+        ("/collection/node()[2]", "a processing instruction", &["rename", "append", "update"]),
+        (
+            "/",
+            "the document node",
+            &["rename", "append", "update", "remove", "insert-before", "insert-after"],
+        ),
+        ("/collection", "the root element", &["remove", "insert-before", "insert-after"]),
+    ];
+    let service = CheckerService::new(
+        Checker::new(COMMENTED, DTD, CONFLICT).expect("corpus setup"),
+        Executor::group_commit(),
+    );
+    for (select, what, ops) in TARGETS {
+        for op in ops {
+            // A second op behind a legal first one: the prefix is undone.
+            let request = format!(
+                "UPDATE <xupdate:modifications xmlns:xupdate=\"x\">\
+                 <xupdate:update select=\"//track/name\">T2</xupdate:update>\
+                 <xupdate:{op} select=\"{select}\">x</xupdate:{op}>\
+                 </xupdate:modifications>\nHEALTH\n"
+            );
+            let mut replies = Vec::new();
+            xicheck::protocol::serve_connection(&service, request.as_bytes(), &mut replies)
+                .expect("in-memory connection");
+            let replies = String::from_utf8(replies).expect("replies are text");
+            let (refusal, health) = replies.trim_end().split_once('\n').expect("two replies");
+            assert!(
+                refusal.starts_with("ERR bad statement: ") && refusal.contains(what),
+                "{op} {select}: {refusal}"
+            );
+            assert_eq!(health, "OK 0 ok", "{op} {select}");
+            assert_eq!(service.snapshot().serialize(), COMMENTED, "{op} {select}");
+        }
+    }
+    let out = service.submit(&legal("after")).expect("the writer still commits");
+    assert!(out.outcome.applied());
+    service.shutdown().expect("shutdown");
+}

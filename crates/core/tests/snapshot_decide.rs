@@ -219,7 +219,8 @@ fn zero_deadline_decide_times_out_once() {
     assert!(
         lines[1].ends_with(
             "decides_optimized=0 decides_fallback_non_insertion=0 \
-             decides_fallback_unmappable=0 decides_fallback_non_incremental=0"
+             decides_fallback_unmappable=0 decides_fallback_non_incremental=0 \
+             decides_fallback_pos_shift=0"
         ),
         "a timed-out DECIDE is neither a decision nor a fallback: {}",
         lines[1]
@@ -290,7 +291,9 @@ fn preregistered_patterns_are_visible_to_readers() {
 /// being answered, then `STATS`.
 #[test]
 fn stats_count_every_way_a_decide_is_answered() {
-    let service = service(TRACKED_REVIEWERS);
+    // The second constraint reads a `sub`'s position.
+    let ninth_sub = "<- //rev/sub[9]/title/text() -> T & T = \"never\"";
+    let service = service(&format!("{TRACKED_REVIEWERS} . {ninth_sub}"));
     let retitle = stmt(
         "<xupdate:update select=\"//rev[name/text() = 'dan']/sub/title\">Retitled</xupdate:update>",
     );
@@ -300,21 +303,28 @@ fn stats_count_every_way_a_decide_is_answered() {
         "<xupdate:append select=\"//track\"><rev><name>zed</name>\
          <sub><title>New</title><auts><name>zoe</name></auts></sub></rev></xupdate:append>",
     );
+    // In front of dan's only `sub`, which moves one position on.
+    let in_front = stmt(
+        "<xupdate:insert-before select=\"//rev[name/text() = 'dan']/sub[1]\">\
+         <sub><title>New</title><auts><name>zoe</name></auts></sub></xupdate:insert-before>",
+    );
     let script = format!(
-        "DECIDE {}\nDECIDE {retitle}\nDECIDE {two_targets}\nDECIDE {new_reviewer}\nSTATS\n",
+        "DECIDE {}\nDECIDE {retitle}\nDECIDE {two_targets}\nDECIDE {new_reviewer}\n\
+         DECIDE {in_front}\nSTATS\n",
         legal("a")
     );
     let mut out = Vec::new();
     serve_connection(&service, Cursor::new(script), &mut out).expect("serve");
     let text = String::from_utf8(out).expect("utf8 replies");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines[..4], ["OK 0 LEGAL"; 4], "{lines:?}");
+    assert_eq!(lines[..5], ["OK 0 LEGAL"; 5], "{lines:?}");
     assert!(
-        lines[4].ends_with(
+        lines[5].ends_with(
             "decides_optimized=1 decides_fallback_non_insertion=1 \
-             decides_fallback_unmappable=1 decides_fallback_non_incremental=1"
+             decides_fallback_unmappable=1 decides_fallback_non_incremental=1 \
+             decides_fallback_pos_shift=1"
         ),
         "{}",
-        lines[4]
+        lines[5]
     );
 }

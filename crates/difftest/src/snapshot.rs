@@ -211,7 +211,8 @@ fn check_setting(
     let stats = service.stats();
     let fallback = stats.decides_fallback_non_insertion
         + stats.decides_fallback_unmappable
-        + stats.decides_fallback_non_incremental;
+        + stats.decides_fallback_non_incremental
+        + stats.decides_fallback_pos_shift;
     if stats.decides_optimized + fallback != 1 {
         return Err(format!("one decide, but the service counted {stats:?}"));
     }

@@ -15,7 +15,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use xic_datalog::{Atom, Term, Update, Value};
 use xic_xml::xupdate::{Fragment, XUpdateDoc, XUpdateOp};
-use xic_xml::{Document, SelectResolver};
+use xic_xml::{Document, SelectError, SelectResolver};
 
 /// A mapped update: the parameterized transaction, this statement's
 /// parameter bindings, and which parameters denote fresh node ids.
@@ -31,6 +31,12 @@ pub struct MappedUpdate {
     /// the translator must render them as positional node paths, never as
     /// value literals.
     pub node_params: BTreeSet<String>,
+    /// Predicate names of the existing element siblings a non-tail insert
+    /// pushes one position on. Their `Pos + 1` is not part of `update`
+    /// (it holds additions only), so a caller whose constraints read the
+    /// `Pos` column of one of them must not trust the simplified check.
+    /// Empty for a tail append.
+    pub displaced: BTreeSet<String>,
 }
 
 /// Update mapping failure.
@@ -44,6 +50,9 @@ pub enum UpdateMapError {
     Target(String),
     /// The inserted fragment does not fit the schema.
     Schema(String),
+    /// A select ran out of the step budget armed around the call: a
+    /// timeout, not a property of the statement.
+    BudgetExhausted,
 }
 
 impl fmt::Display for UpdateMapError {
@@ -54,6 +63,7 @@ impl fmt::Display for UpdateMapError {
             }
             UpdateMapError::Target(m) => write!(f, "target resolution: {m}"),
             UpdateMapError::Schema(m) => write!(f, "fragment/schema mismatch: {m}"),
+            UpdateMapError::BudgetExhausted => SelectError::BudgetExhausted.fmt(f),
         }
     }
 }
@@ -75,13 +85,17 @@ pub fn map_update(
         bindings: HashMap::new(),
         fresh_params: BTreeSet::new(),
         node_params: BTreeSet::new(),
+        displaced: BTreeSet::new(),
     };
     // Hypothetical fresh ids: strictly greater than every allocated id.
     let mut next_fresh = doc.node_count() as i64;
     let mut param_counter = 0usize;
 
     for (k, op) in stmt.ops.iter().enumerate() {
-        let targets = resolve(doc, op.select()).map_err(UpdateMapError::Target)?;
+        let targets = resolve(doc, op.select()).map_err(|e| match e {
+            SelectError::BudgetExhausted => UpdateMapError::BudgetExhausted,
+            SelectError::Other(m) => UpdateMapError::Target(m),
+        })?;
         let [target] = targets.as_slice() else {
             return Err(UpdateMapError::Target(format!(
                 "select {:?} matched {} nodes; patterns require exactly one",
@@ -126,6 +140,14 @@ pub fn map_update(
             }
             _ => return Err(UpdateMapError::NotInsertion),
         };
+        // The element children from position `base_pos` on move one up.
+        let element_names = doc.node(parent).children.iter().filter_map(|&c| doc.name(c));
+        out.displaced.extend(
+            element_names
+                .skip(base_pos - 1)
+                .filter(|name| schema.pred(name).is_some())
+                .map(str::to_string),
+        );
 
         // Target-parent parameter.
         let t_param = format!("t{k}");
@@ -300,10 +322,11 @@ mod tests {
           </track>\
         </review></collection>";
 
-    fn resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, String> {
-        let expr = xic_xpath::parse(select).map_err(|e| e.to_string())?;
+    fn resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, SelectError> {
+        let other = |e: &dyn fmt::Display| SelectError::Other(e.to_string());
+        let expr = xic_xpath::parse(select).map_err(|e| other(&e))?;
         let ctx = xic_xpath::Context::root(doc);
-        let nodes = xic_xpath::evaluate_nodes(&expr, &ctx).map_err(|e| e.to_string())?;
+        let nodes = xic_xpath::evaluate_nodes(&expr, &ctx).map_err(|e| other(&e))?;
         Ok(nodes
             .into_iter()
             .filter_map(|n| match n {
@@ -370,6 +393,9 @@ mod tests {
         let m1 = map_update(&doc, &schema, &stmt1, &resolver).unwrap();
         let m2 = map_update(&doc, &schema, &stmt2, &resolver).unwrap();
         assert_eq!(pattern_key(&m1.update), pattern_key(&m2.update));
+        // Behind the last `sub` nothing moves; in front of the first, it does.
+        assert!(m1.displaced.is_empty(), "{:?}", m1.displaced);
+        assert_eq!(m2.displaced.iter().collect::<Vec<_>>(), ["sub"]);
         // A two-author submission is a different pattern.
         let stmt3 = XUpdateDoc::parse(
             r#"<xupdate:modifications xmlns:xupdate="x">

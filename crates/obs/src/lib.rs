@@ -79,17 +79,12 @@ pub enum Counter {
     /// A document-order sort/dedup fell back to path-key recomputation
     /// (cache disabled, or the set contained detached nodes).
     DocOrderPathSort,
-    /// `Checker::check_full` fanned constraints out across threads.
-    CheckFullParallel,
     /// Records appended to the write-ahead journal (commit + abort).
     JournalAppend,
     /// `fsync` calls issued by the journal (0 when sync is disabled).
     JournalFsync,
     /// `Checker::recover_store` recoveries completed.
     Recovery,
-    /// Optimized checks that ran out of `EvalBudget` steps and degraded
-    /// to the materialized baseline pass.
-    BudgetExhausted,
     /// Panics caught by the checker's `catch_unwind` containment.
     PanicContained,
     /// Atomic checkpoint snapshots durably written (tmp + fsync + rename
@@ -140,7 +135,7 @@ pub enum Counter {
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 30] = [
+pub const ALL_COUNTERS: [Counter; 28] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
     Counter::XpathNodesVisited,
@@ -151,11 +146,9 @@ pub const ALL_COUNTERS: [Counter; 30] = [
     Counter::OrderCacheRebuild,
     Counter::DocOrderFastSort,
     Counter::DocOrderPathSort,
-    Counter::CheckFullParallel,
     Counter::JournalAppend,
     Counter::JournalFsync,
     Counter::Recovery,
-    Counter::BudgetExhausted,
     Counter::PanicContained,
     Counter::CheckpointWritten,
     Counter::Rotation,
@@ -189,11 +182,9 @@ impl Counter {
             Counter::OrderCacheRebuild => "order_cache_rebuild",
             Counter::DocOrderFastSort => "doc_order_fast_sort",
             Counter::DocOrderPathSort => "doc_order_path_sort",
-            Counter::CheckFullParallel => "check_full_parallel",
             Counter::JournalAppend => "journal_appends",
             Counter::JournalFsync => "journal_fsyncs",
             Counter::Recovery => "recoveries",
-            Counter::BudgetExhausted => "budget_exhausted",
             Counter::PanicContained => "panics_contained",
             Counter::CheckpointWritten => "checkpoints_written",
             Counter::Rotation => "rotations",
@@ -318,32 +309,6 @@ pub fn reset() {
             c.set(0);
         }
         s.phases.borrow_mut().clear();
-    });
-}
-
-/// Folds a snapshot's counters and phase accumulators into *this*
-/// thread's sink — the aggregation primitive for fan-out work. The
-/// parallel full check uses it to merge each worker thread's counters
-/// back into the coordinating thread, so a subsequent [`snapshot`] sees
-/// the whole fan-out as if it had run locally. Counter names unknown to
-/// this build (snapshots from a newer binary) are ignored.
-pub fn merge(snap: &Snapshot) {
-    for (name, v) in &snap.counters {
-        if let Some(c) = Counter::from_name(name) {
-            add(c, *v);
-        }
-    }
-    SINK.with(|s| {
-        let mut phases = s.phases.borrow_mut();
-        for p in &snap.phases {
-            match phases.iter_mut().find(|q| q.path == p.path) {
-                Some(q) => {
-                    q.calls += p.calls;
-                    q.total_ns += p.total_ns;
-                }
-                None => phases.push(p.clone()),
-            }
-        }
     });
 }
 
@@ -542,32 +507,6 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.counter(Counter::ClausesExpanded), 12);
         assert_eq!(back.phase("check/full").unwrap().calls, 1);
-    }
-
-    #[test]
-    fn merge_folds_worker_snapshots_into_local_sink() {
-        reset();
-        incr(Counter::XpathNodesVisited);
-        {
-            let _check = phase("check");
-        }
-        let worker = thread::spawn(|| {
-            add(Counter::XpathNodesVisited, 9);
-            {
-                let _check = phase("check");
-            }
-            {
-                let _other = phase("worker_only");
-            }
-            snapshot()
-        })
-        .join()
-        .unwrap();
-        merge(&worker);
-        let snap = snapshot();
-        assert_eq!(snap.counter(Counter::XpathNodesVisited), 10);
-        assert_eq!(snap.phase("check").unwrap().calls, 2);
-        assert_eq!(snap.phase("worker_only").unwrap().calls, 1);
     }
 
     #[test]

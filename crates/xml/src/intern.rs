@@ -8,8 +8,8 @@
 //! soundly treat an unresolvable name test as "matches nothing".
 //!
 //! Interior mutability is `RwLock`-based (not `RefCell`) so `&Document`
-//! stays `Sync`: concurrent readers (the parallel full check, service
-//! snapshots) may intern/look up names through a shared reference.
+//! stays `Sync`: concurrent readers (the threads sharing a service
+//! snapshot) may intern/look up names through a shared reference.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -98,7 +98,7 @@ pub struct Document {
     version: u64,
     /// Version-stamped preorder ranks; interior-mutable so `&Document`
     /// reads can rebuild it lazily, `RwLock`ed (not `RefCell`ed) so the
-    /// document stays `Sync` for the parallel full check.
+    /// document stays `Sync` for the readers sharing a service snapshot.
     order_cache: RwLock<OrderCache>,
     order_cache_enabled: bool,
 }
@@ -476,7 +476,7 @@ impl Document {
     ///
     /// Holding the guard pins the table for a whole sort/dedup pass — one
     /// lock acquisition per operation, not per comparison. Concurrent
-    /// readers (e.g. the parallel full check) share the read lock; the
+    /// readers (the threads sharing a service snapshot) share the read lock; the
     /// write lock is only ever taken for a rebuild, which at most one
     /// thread performs per version.
     pub fn order_ranks(&self) -> Option<OrderRanks<'_>> {

@@ -11,7 +11,26 @@ use std::fmt;
 
 /// Resolves an XUpdate `select` expression to target nodes, in document
 /// order.
-pub type SelectResolver<'a> = &'a dyn Fn(&Document, &str) -> Result<Vec<NodeId>, String>;
+pub type SelectResolver<'a> = &'a dyn Fn(&Document, &str) -> Result<Vec<NodeId>, SelectError>;
+
+/// Why a [`SelectResolver`] produced no targets.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SelectError {
+    /// The evaluation ran out of the step budget armed around it (a
+    /// request deadline): a timeout, not a defect of the statement.
+    BudgetExhausted,
+    /// The expression does not parse or does not evaluate.
+    Other(String),
+}
+
+impl fmt::Display for SelectError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SelectError::BudgetExhausted => f.write_str("evaluation step budget exhausted"),
+            SelectError::Other(m) => f.write_str(m),
+        }
+    }
+}
 
 /// A content fragment to be inserted (already detached from any document).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,11 +149,24 @@ pub struct XUpdateDoc {
 
 /// XUpdate parsing/application failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct XUpdateError(pub String);
+pub enum XUpdateError {
+    /// The statement is malformed, or does not apply to this document: a
+    /// `select` that fails or matches nothing, an operation aimed at a
+    /// node it is not defined for.
+    Invalid(String),
+    /// A `select` ran out of the step budget armed around the call
+    /// ([`SelectError::BudgetExhausted`]).
+    BudgetExhausted,
+}
 
 impl fmt::Display for XUpdateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "XUpdate error: {}", self.0)
+        match self {
+            XUpdateError::Invalid(m) => write!(f, "XUpdate error: {m}"),
+            XUpdateError::BudgetExhausted => {
+                write!(f, "XUpdate error: {}", SelectError::BudgetExhausted)
+            }
+        }
     }
 }
 
@@ -148,7 +180,7 @@ impl XUpdateDoc {
     /// Parses an XUpdate statement from XML text.
     pub fn parse(text: &str) -> Result<XUpdateDoc, XUpdateError> {
         let (doc, _) = crate::parse::parse_document(text)
-            .map_err(|e| XUpdateError(format!("malformed XUpdate XML: {e}")))?;
+            .map_err(|e| XUpdateError::Invalid(format!("malformed XUpdate XML: {e}")))?;
         Self::from_document(&doc)
     }
 
@@ -156,9 +188,9 @@ impl XUpdateDoc {
     pub fn from_document(doc: &Document) -> Result<XUpdateDoc, XUpdateError> {
         let root = doc
             .root_element()
-            .ok_or_else(|| XUpdateError("no root element".to_string()))?;
+            .ok_or_else(|| XUpdateError::Invalid("no root element".to_string()))?;
         if local_name(doc.name(root).unwrap_or("")) != "modifications" {
-            return Err(XUpdateError(format!(
+            return Err(XUpdateError::Invalid(format!(
                 "root element must be xupdate:modifications, found <{}>",
                 doc.name(root).unwrap_or("?")
             )));
@@ -168,7 +200,7 @@ impl XUpdateDoc {
             let op_name = local_name(doc.name(op_node).expect("element"));
             let select = doc
                 .attr(op_node, "select")
-                .ok_or_else(|| XUpdateError(format!("<{op_name}> without select")))?
+                .ok_or_else(|| XUpdateError::Invalid(format!("<{op_name}> without select")))?
                 .to_string();
             let op = match op_name {
                 "insert-before" => XUpdateOp::InsertBefore {
@@ -185,7 +217,9 @@ impl XUpdateDoc {
                         .attr(op_node, "child")
                         .map(|c| {
                             c.parse::<usize>()
-                                .map_err(|_| XUpdateError(format!("bad child index {c:?}")))
+                                .map_err(|_| {
+                                    XUpdateError::Invalid(format!("bad child index {c:?}"))
+                                })
                         })
                         .transpose()?,
                     content: parse_content(doc, op_node)?,
@@ -200,7 +234,7 @@ impl XUpdateDoc {
                     name: doc.text_content(op_node).trim().to_string(),
                 },
                 other => {
-                    return Err(XUpdateError(format!(
+                    return Err(XUpdateError::Invalid(format!(
                         "unsupported XUpdate operation <{other}>"
                     )))
                 }
@@ -343,7 +377,7 @@ fn parse_fragment(doc: &Document, node: NodeId) -> Result<Option<Fragment>, XUpd
                             .find(|(k, _)| k == "name")
                             .map(|(_, v)| v.clone())
                             .ok_or_else(|| {
-                                XUpdateError("xupdate:element without name".to_string())
+                                XUpdateError::Invalid("xupdate:element without name".to_string())
                             })?;
                         let mut children = Vec::new();
                         let mut el_attrs = Vec::new();
@@ -355,7 +389,7 @@ fn parse_fragment(doc: &Document, node: NodeId) -> Result<Option<Fragment>, XUpd
                                         .find(|(k, _)| k == "name")
                                         .map(|(_, v)| v.clone())
                                         .ok_or_else(|| {
-                                            XUpdateError(
+                                            XUpdateError::Invalid(
                                                 "xupdate:attribute without name".to_string(),
                                             )
                                         })?;
@@ -374,7 +408,7 @@ fn parse_fragment(doc: &Document, node: NodeId) -> Result<Option<Fragment>, XUpd
                         }))
                     }
                     "text" => Ok(Some(Fragment::Text(doc.text_content(node)))),
-                    other => Err(XUpdateError(format!(
+                    other => Err(XUpdateError::Invalid(format!(
                         "unsupported content constructor xupdate:{other}"
                     ))),
                 }
@@ -459,13 +493,46 @@ pub fn apply(
         // the op index within the batch (crash-matrix + mid-batch
         // rollback tests).
         if let Err(e) = xic_faults::fire("xupdate.apply.op") {
-            return Err((XUpdateError(e.to_string()), applied));
+            return Err((XUpdateError::Invalid(e.to_string()), applied));
         }
         if let Err(e) = apply_op(doc, op, resolve, &mut applied) {
             return Err((e, applied));
         }
     }
     Ok(applied)
+}
+
+/// Refuses an operation aimed at a node it is not defined for: only an
+/// element can be renamed, appended to or have its content replaced; a
+/// sibling of the root element would be a second root, and removing the
+/// root element leaves no document. A `select` reaches text, comment and
+/// processing-instruction nodes and the document node as easily as
+/// elements, so this is input validation, not an internal invariant.
+fn check_target(doc: &Document, op: &XUpdateOp, target: NodeId) -> Result<(), XUpdateError> {
+    let node = doc.node(target);
+    let is_element = matches!(node.kind, NodeKind::Element { .. });
+    let at_top = node.parent == Some(doc.document_node());
+    let (verb, defined) = match op {
+        XUpdateOp::InsertBefore { .. } => ("insert before", node.parent.is_some() && !at_top),
+        XUpdateOp::InsertAfter { .. } => ("insert after", node.parent.is_some() && !at_top),
+        XUpdateOp::Remove { .. } => ("remove", node.parent.is_some() && !(at_top && is_element)),
+        XUpdateOp::Append { .. } => ("append to", is_element),
+        XUpdateOp::Update { .. } => ("update", is_element),
+        XUpdateOp::Rename { .. } => ("rename", is_element),
+    };
+    if defined {
+        return Ok(());
+    }
+    let what = match &node.kind {
+        NodeKind::Document => "the document node",
+        NodeKind::Element { .. } if at_top => "the root element",
+        _ if at_top => "a child of the document node",
+        NodeKind::Element { .. } => "a detached element",
+        NodeKind::Text(_) => "a text node",
+        NodeKind::Comment(_) => "a comment",
+        NodeKind::Pi { .. } => "a processing instruction",
+    };
+    Err(XUpdateError::Invalid(format!("cannot {verb} {what} (select {:?})", op.select())))
 }
 
 #[allow(clippy::explicit_counter_loop)]
@@ -475,19 +542,24 @@ fn apply_op(
     resolve: SelectResolver,
     applied: &mut AppliedUpdate,
 ) -> Result<(), XUpdateError> {
-    let targets = resolve(doc, op.select()).map_err(XUpdateError)?;
+    let targets = resolve(doc, op.select()).map_err(|e| match e {
+        SelectError::BudgetExhausted => XUpdateError::BudgetExhausted,
+        SelectError::Other(m) => XUpdateError::Invalid(m),
+    })?;
     if targets.is_empty() {
-        return Err(XUpdateError(format!(
+        return Err(XUpdateError::Invalid(format!(
             "select {:?} matched no nodes",
             op.select()
         )));
     }
+    // Every target is checked before the first is touched.
+    for &target in &targets {
+        check_target(doc, op, target)?;
+    }
     for target in targets {
         match op {
             XUpdateOp::InsertBefore { content, .. } | XUpdateOp::InsertAfter { content, .. } => {
-                let parent = doc.node(target).parent.ok_or_else(|| {
-                    XUpdateError("insert target has no parent".to_string())
-                })?;
+                let parent = doc.node(target).parent.expect("check_target: attached");
                 let base = doc
                     .node(parent)
                     .children
@@ -521,10 +593,7 @@ fn apply_op(
                 }
             }
             XUpdateOp::Remove { .. } => {
-                let parent = doc
-                    .node(target)
-                    .parent
-                    .ok_or_else(|| XUpdateError("remove target has no parent".to_string()))?;
+                let parent = doc.node(target).parent.expect("check_target: attached");
                 let index = doc.detach(target);
                 applied.log.push(UndoEntry::Reattach {
                     parent,
@@ -588,7 +657,7 @@ mod tests {
 
     /// A positional path resolver good enough for tests:
     /// `/name[i]/name[j]/...` with the same-name index semantics.
-    fn resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, String> {
+    fn resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, SelectError> {
         let mut cur = doc.document_node();
         for seg in select.split('/').filter(|s| !s.is_empty()) {
             let (name, idx) = match seg.find('[') {
@@ -596,7 +665,7 @@ mod tests {
                     let n = &seg[..b];
                     let i: usize = seg[b + 1..seg.len() - 1]
                         .parse()
-                        .map_err(|_| format!("bad index in {seg}"))?;
+                        .map_err(|_| SelectError::Other(format!("bad index in {seg}")))?;
                     (n, i)
                 }
                 None => (seg, 1),
@@ -612,7 +681,7 @@ mod tests {
                     }
                 }
             }
-            cur = found.ok_or_else(|| format!("{select}: no {name}[{idx}]"))?;
+            cur = found.ok_or_else(|| SelectError::Other(format!("{select}: no {name}[{idx}]")))?;
         }
         Ok(vec![cur])
     }
@@ -753,7 +822,7 @@ mod tests {
         )
         .unwrap();
         let (err, partial) = apply(&mut doc, &u, &resolver).unwrap_err();
-        assert!(err.0.contains("matched no nodes") || err.0.contains("no zzz"), "{err}");
+        assert!(err.to_string().contains("no zzz"), "{err}");
         // Rolling back the partial application restores the original.
         undo(&mut doc, partial);
         assert_eq!(serialize(&doc), "<r><a/></r>");
@@ -782,10 +851,7 @@ mod tests {
         )
         .unwrap();
         let (err, partial) = apply(&mut doc, &u, &resolver).unwrap_err();
-        assert!(
-            err.0.contains("matched no nodes") || err.0.contains("no missing"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("no missing"), "{err}");
         // Ops 1-4 really did run before op 5 failed.
         assert!(serialize(&doc).contains("inserted"));
         assert!(!serialize(&doc).contains("never reached"));
@@ -830,7 +896,7 @@ mod tests {
         xic_faults::arm("xupdate.apply.op", 2, xic_faults::FaultMode::Error);
         let (err, partial) = apply(&mut doc, &u, &resolver).unwrap_err();
         xic_faults::disarm_all();
-        assert!(err.0.contains("injected fault"), "{err}");
+        assert!(err.to_string().contains("injected fault"), "{err}");
         // Op 1 ran before the injected failure at op 2; undo restores.
         assert!(serialize(&doc).contains("<aa/>"));
         undo(&mut doc, partial);

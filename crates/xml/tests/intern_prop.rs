@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use xic_xml::{parse_document, Document, NodeId, Symbol, SymbolTable, XUpdateDoc};
+use xic_xml::{parse_document, Document, NodeId, SelectError, Symbol, SymbolTable, XUpdateDoc};
 
 const TAGS: &[&str] = &["a", "b", "c", "d", "e"];
 
@@ -134,13 +134,13 @@ proptest! {
             // A tiny hand-rolled resolver for the three selector shapes the
             // generator emits: `/r`, `//tag` and `//tag[1]`. Kept free of
             // xic-xpath so this crate's tests stay dependency-closed.
-            let resolver = |d: &Document, sel: &str| -> Result<Vec<NodeId>, String> {
+            let resolver = |d: &Document, sel: &str| -> Result<Vec<NodeId>, SelectError> {
                 if sel == "/r" {
                     return Ok(d.root_element().into_iter().collect());
                 }
                 let rest = sel
                     .strip_prefix("//")
-                    .ok_or_else(|| format!("unknown selector {sel}"))?;
+                    .ok_or_else(|| SelectError::Other(format!("unknown selector {sel}")))?;
                 let (tag, first_only) = match rest.strip_suffix("[1]") {
                     Some(tag) => (tag, true),
                     None => (rest, false),

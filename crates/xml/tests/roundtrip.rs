@@ -3,7 +3,9 @@
 //! random update batches.
 
 use proptest::prelude::*;
-use xic_xml::{apply, parse_document, serialize, undo, Document, NodeId, XUpdateDoc};
+use xic_xml::{
+    apply, parse_document, serialize, undo, Document, NodeId, SelectError, XUpdateDoc,
+};
 
 const TAGS: &[&str] = &["a", "b", "c", "d"];
 
@@ -74,11 +76,11 @@ proptest! {
             "<xupdate:modifications xmlns:xupdate=\"x\">{body}</xupdate:modifications>"
         );
         let Ok(stmt) = XUpdateDoc::parse(&stmt) else { return Ok(()); };
-        let resolver = |d: &Document, sel: &str| -> Result<Vec<NodeId>, String> {
+        let resolver = |d: &Document, sel: &str| -> Result<Vec<NodeId>, SelectError> {
             if sel == "/root" {
                 Ok(d.root_element().into_iter().collect())
             } else {
-                Err(format!("unknown {sel}"))
+                Err(SelectError::Other(format!("unknown {sel}")))
             }
         };
         match apply(&mut doc, &stmt, &resolver) {

@@ -5,14 +5,13 @@
 //! `xpath_nodes_visited` / `xquery_bindings_visited` observability
 //! counters record. Arming a budget caps the total steps the current
 //! thread may spend before evaluation bails out with
-//! `EvalError::BudgetExhausted`; the checker uses this to bound its
-//! optimized pre-update check and degrade gracefully to the baseline pass
-//! instead of hanging on a pathological constraint/document pair.
+//! `EvalError::BudgetExhausted`; the service arms one per request
+//! deadline around the whole check, so a pathological
+//! constraint/document pair is answered with a timeout instead of a hang.
 //!
 //! The budget is thread-local and scoped by an RAII [`BudgetGuard`], so a
-//! budgeted region cannot leak into later evaluations (including the
-//! baseline fallback, which must run unbudgeted) even on early return or
-//! panic.
+//! budgeted region cannot leak into later evaluations even on early
+//! return or panic.
 
 use std::cell::Cell;
 
