@@ -23,12 +23,23 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # them), missed an operation kind, or planned no join — in the reference
 # queries or in any case's constraint set (random cases draw a key or a
 # grouped-aggregate denial half the time), so the planned evaluation
-# cannot go unchecked unnoticed. Every case also replays
+# cannot go unchecked unnoticed. Half the seeds evaluate those shapes on
+# a copy of the document holding the value indexes each query demands,
+# so the planned sites probe the persistent index; ≥ 100 cases in which
+# none did is exit 1 too. The rollback oracle demands an index for every
+# key shape the case's document has and audits all of them (and the
+# per-tag lists and attached bits) against a scan after apply and after
+# undo; every recovery in the crash / chaos / shard rows below is audited
+# the same way after its replay. Every case also replays
 # through a checker pair with the static update/constraint independence
 # mask on and off (oracle 6): verdicts, violation reports and post-states
 # must be byte-identical. Every difftest gate below is decided the same
 # way: the exit code, and the one summary line on stdout.
 cargo run --release -q -p xic-difftest -- --cases 500 --seed 1
+# Figure 1's shape by counts: engine steps of an optimized decision within
+# 1.5× from 32 to 512 KiB while the full check doubles per doubling, and
+# no rank-table rebuild across the decisions of an insert stream.
+cargo test -q --release -p xicheck --test decide_scaling
 
 echo "== difftest corpus replay =="
 # Every checked-in regression seed replays against the current oracles

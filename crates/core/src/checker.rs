@@ -180,6 +180,24 @@ pub struct Stats {
     pub pattern_cache_hits: u64,
     /// Updates whose pattern had to be compiled on first sight.
     pub pattern_cache_misses: u64,
+    /// Planned joins and keyed steps of [`Checker::try_update`]'s checks
+    /// that the document's value index answered
+    /// ([`xic_obs::Counter::IndexProbe`]).
+    pub index_probes: u64,
+    /// … that scanned instead ([`xic_obs::Counter::IndexScan`]): a
+    /// pattern's first sight comes before its indexes are built.
+    pub index_scans: u64,
+}
+
+/// Runs `f` and reports, beside its result, how many planned sites it
+/// answered from a document's index and how many it scanned (this
+/// thread's [`xic_obs::Counter::IndexProbe`] / `IndexScan` deltas).
+pub(crate) fn index_reads<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
+    let read = || [xic_obs::Counter::IndexProbe, xic_obs::Counter::IndexScan].map(xic_obs::counter);
+    let before = read();
+    let value = f();
+    let after = read();
+    (value, [after[0].saturating_sub(before[0]), after[1].saturating_sub(before[1])])
 }
 
 /// The integrity-checking façade: document + DTD + compiled constraint
@@ -265,9 +283,13 @@ impl Checker {
     /// preserve DTD validity, so a snapshot may legitimately fail
     /// re-validation even though replaying the same history from the base
     /// document would accept it; integrity of the snapshot bytes is
-    /// already guaranteed by its crc. Nothing here walks the document:
-    /// no state the checker keeps is derived from the instance.
-    pub(crate) fn assemble(doc: Document, shared: Arc<SharedGamma>) -> Checker {
+    /// already guaranteed by its crc. The one thing derived from the
+    /// instance is inside the document: the value indexes Γ's full check
+    /// probes, built here (one pass over each shape's members).
+    pub(crate) fn assemble(mut doc: Document, shared: Arc<SharedGamma>) -> Checker {
+        for shape in shared.index_demands() {
+            doc.ensure_index(shape);
+        }
         Checker {
             doc,
             shared,
@@ -400,7 +422,12 @@ impl Checker {
     /// Runs the optimized pre-update check for `stmt` against the live
     /// document (see [`crate::optimized`]); also says whether its pattern
     /// was already compiled.
-    fn pre_check(&self, stmt: &XUpdateDoc) -> (Result<Verdict, CheckerError>, Option<bool>) {
+    fn pre_check(&mut self, stmt: &XUpdateDoc) -> (Result<Verdict, CheckerError>, Option<bool>) {
+        // The indexes the known patterns probe: built on their first
+        // sight, a few comparisons on every later one. A pattern first
+        // seen by this very statement scans, like a snapshot cloned
+        // before it was demanded.
+        self.patterns.ensure_indexes(&mut self.doc);
         OptimizedCheck { doc: &self.doc, gamma: &self.shared, independence: self.independence }
             .decide(stmt, &self.patterns)
     }
@@ -561,8 +588,12 @@ impl Checker {
     pub fn try_update(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
         self.refuse_if_poisoned()?;
         self.refuse_if_degraded()?;
-        match catch_unwind(AssertUnwindSafe(|| self.try_update_inner(stmt))) {
-            Ok(result) => result,
+        match catch_unwind(AssertUnwindSafe(|| index_reads(|| self.try_update_inner(stmt)))) {
+            Ok((result, [probes, scans])) => {
+                self.stats.index_probes += probes;
+                self.stats.index_scans += scans;
+                result
+            }
             Err(payload) => {
                 self.poisoned = true;
                 xic_obs::incr(xic_obs::Counter::PanicContained);

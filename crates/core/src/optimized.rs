@@ -33,7 +33,7 @@ use std::sync::{Arc, RwLock};
 use xic_datalog::Value;
 use xic_mapping::{map_update, pattern_key, UpdateMapError};
 use xic_translate::{ParamKind, QueryTemplate, TemplateError};
-use xic_xml::{Document, NodeId, XUpdateDoc};
+use xic_xml::{Document, KeyShape, NodeId, XUpdateDoc};
 use xic_xpath::{NodeRef, XValue};
 use xic_xquery::{parse_query, XProgram};
 
@@ -54,6 +54,8 @@ struct IrTemplate {
 pub(crate) struct PatternEntry {
     pub(crate) compiled: CompiledPattern,
     ir: Vec<IrTemplate>,
+    /// The value indexes the templates probe when a document holds them.
+    demands: Vec<KeyShape>,
 }
 
 impl PatternEntry {
@@ -61,7 +63,7 @@ impl PatternEntry {
     /// precompiled makes the whole pattern non-incremental (the reason is
     /// recorded in `unsupported`), so its statements take the baseline.
     pub(crate) fn build(mut compiled: CompiledPattern) -> Arc<PatternEntry> {
-        let ir = match compiled.queries.iter().map(compile_template_ir).collect() {
+        let ir: Vec<IrTemplate> = match compiled.queries.iter().map(compile_template_ir).collect() {
             Ok(ir) => ir,
             Err(reason) => {
                 compiled.queries.clear();
@@ -69,7 +71,8 @@ impl PatternEntry {
                 Vec::new()
             }
         };
-        Arc::new(PatternEntry { compiled, ir })
+        let demands = ir.iter().flat_map(|t| t.program.index_demands()).collect();
+        Arc::new(PatternEntry { compiled, ir, demands })
     }
 }
 
@@ -92,6 +95,11 @@ impl PatternEntry {
 #[derive(Default)]
 pub struct PatternCache {
     entries: RwLock<HashMap<String, Arc<PatternEntry>>>,
+    /// Every value index a published pattern's templates can probe, each
+    /// once. A writer builds them on its document before it evaluates
+    /// ([`PatternCache::ensure_indexes`]); the snapshots it publishes from
+    /// then on carry them.
+    demands: RwLock<Vec<KeyShape>>,
 }
 
 impl PatternCache {
@@ -142,7 +150,21 @@ impl PatternCache {
     /// publisher wins, everyone else adopts the winner.
     pub(crate) fn publish(&self, key: &str, entry: Arc<PatternEntry>) -> Arc<PatternEntry> {
         let mut map = self.entries.write().unwrap_or_else(|e| e.into_inner());
+        let mut demands = self.demands.write().unwrap_or_else(|e| e.into_inner());
+        for shape in &entry.demands {
+            if !demands.contains(shape) {
+                demands.push(shape.clone());
+            }
+        }
         Arc::clone(map.entry(key.to_string()).or_insert(entry))
+    }
+
+    /// Builds on `doc` whichever demanded index it does not hold yet: one
+    /// pass per shape per document, a few comparisons from then on.
+    pub(crate) fn ensure_indexes(&self, doc: &mut Document) {
+        for shape in self.demands.read().unwrap_or_else(|e| e.into_inner()).iter() {
+            doc.ensure_index(shape);
+        }
     }
 }
 
@@ -191,7 +213,7 @@ fn bind_ir_params(
                         .as_int()
                         .and_then(|i| u32::try_from(i).ok())
                         .ok_or_else(|| TemplateError::BadNode(name.clone()))?;
-                    if doc.positional_path(NodeId(id)).is_none() {
+                    if !doc.is_attached(NodeId(id)) {
                         return Err(TemplateError::BadNode(name.clone()));
                     }
                     XValue::Nodes(vec![NodeRef::Node(NodeId(id))])
@@ -398,12 +420,14 @@ mod tests {
         <!ELEMENT title (#PCDATA)>\n<!ELEMENT auts (name)>\n<!ELEMENT name (#PCDATA)>";
 
     /// A pre-update check compares the document against `%{param}`s, which
-    /// take one value per evaluation: one probe each, nothing for a keyed
-    /// sequence to amortise. The suite's templates therefore compile to
-    /// the scans they always were, while the full-check queries of the
-    /// same Γ are planned.
+    /// take one value per evaluation: one probe each, which the document's
+    /// own index answers. The templates that look a value up anywhere in
+    /// the document (3: `some … in //aut`, 4: the two keyed steps) are
+    /// planned and demand their indexes; the two that only navigate from
+    /// the update's target have nothing to plan. The full-check queries
+    /// of the same Γ are planned as they were.
     #[test]
-    fn pre_update_templates_are_not_planned_as_joins() {
+    fn pre_update_templates_probe_the_documents_index() {
         let w = generate(WorkloadConfig::sized_kib(8, 1));
         let gamma = format!(
             "{}. {}. {}",
@@ -414,11 +438,21 @@ mod tests {
         let mut c = Checker::new(&w.xml, DTD, &gamma).expect("corpus loads");
         let key = c.register_pattern_str(&legal_insert(0, 0, 1)).expect("pattern compiles");
         let pattern = c.patterns().find(|p| p.key == key).expect("just registered");
-        assert_eq!(pattern.queries.len(), 4);
-        for q in &pattern.queries {
-            let template = compile_template_ir(q).expect("precompiles");
-            assert_eq!(template.program.plan_sites(), 0, "{}", q.text);
-        }
+        let sites: Vec<usize> = pattern
+            .queries
+            .iter()
+            .map(|q| compile_template_ir(q).expect("precompiles").program.plan_sites())
+            .collect();
+        assert_eq!(sites, [0, 0, 1, 2]);
+        let shape = |tag: &str, path: &[&str]| KeyShape {
+            tag: tag.to_string(),
+            path: path.iter().map(|s| s.to_string()).collect(),
+        };
+        let entry = c.pattern_cache().get(&key).expect("published");
+        assert_eq!(
+            entry.demands,
+            [shape("aut", &["name"]), shape("track", &["rev", "name"]), shape("rev", &["name"])]
+        );
         let planned: Vec<usize> = c
             .shared_gamma()
             .full_queries()

@@ -65,7 +65,9 @@
 //!
 //! [sync-now]: xic_xml::journal::Journal::sync_now
 
-use crate::checker::{panic_message, Checker, CheckerError, UpdateOutcome, Violation};
+use crate::checker::{
+    index_reads, panic_message, Checker, CheckerError, UpdateOutcome, Violation,
+};
 use crate::gamma::{Baseline, SharedGamma};
 use crate::optimized::{Fallback, OptimizedCheck, PatternCache, Verdict};
 use std::fmt;
@@ -291,6 +293,13 @@ pub struct ServiceStats {
     pub service_degraded: u64,
     /// Service-level batch-fsync retries.
     pub fsync_retries: u64,
+    /// Planned joins and keyed steps answered from a document's value
+    /// index ([`crate::Stats::index_probes`]): the snapshot reads', plus
+    /// the writer's as of the last publish.
+    pub index_probes: u64,
+    /// … that scanned instead ([`crate::Stats::index_scans`]): a snapshot
+    /// cloned before the index was demanded, a pattern's first sight.
+    pub index_scans: u64,
     /// [`ReadSnapshot::decide`] calls answered by the optimized
     /// pre-update check.
     pub decides_optimized: u64,
@@ -318,6 +327,10 @@ struct StatsCells {
 /// snapshots of one service share these through their [`CheckSet`].
 #[derive(Default)]
 struct DecideCells {
+    /// Index probes and scans of the snapshot reads, and (stored at each
+    /// publish) of the writer's checker.
+    index_reads: [AtomicU64; 2],
+    writer_index_reads: [AtomicU64; 2],
     optimized: AtomicU64,
     fallback_non_insertion: AtomicU64,
     fallback_unmappable: AtomicU64,
@@ -372,6 +385,15 @@ impl CheckSet {
     fn baseline(&self) -> Baseline<'_> {
         Baseline { gamma: &self.gamma, independence: self.independence }
     }
+
+    /// Runs a snapshot read, counting its index probes and scans.
+    fn read<T>(&self, f: impl FnOnce() -> T) -> T {
+        let (value, reads) = index_reads(f);
+        for (cell, n) in self.decides.index_reads.iter().zip(reads) {
+            cell.fetch_add(n, Ordering::Relaxed);
+        }
+        value
+    }
 }
 
 /// An immutable, versioned view of the document, served to concurrent
@@ -406,7 +428,7 @@ impl ReadSnapshot {
     /// [`Checker::check_full`]'s verdict, but against the snapshot — safe
     /// to call from any number of threads while the writer commits.
     pub fn check_full(&self) -> Result<Option<Violation>, CheckerError> {
-        self.checks.baseline().run(&self.doc, None)
+        self.checks.read(|| self.checks.baseline().run(&self.doc, None))
     }
 
     /// [`ReadSnapshot::check_full`] bounded by `deadline_ms`: the
@@ -457,7 +479,7 @@ impl ReadSnapshot {
             decides.optimized.fetch_add(1, Ordering::Relaxed);
             Ok(verdict)
         };
-        match check.decide(stmt, &checks.patterns).0? {
+        match checks.read(|| check.decide(stmt, &checks.patterns)).0? {
             Verdict::Legal => optimized(None),
             Verdict::Violated(violation) => optimized(Some(violation)),
             Verdict::NotIncremental(fallback) => {
@@ -498,7 +520,7 @@ impl ReadSnapshot {
     /// snapshot's version**.
     pub fn decide_full(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
         let mut doc = self.doc.clone();
-        self.checks.baseline().decide_by_rollback(&mut doc, stmt)
+        self.checks.read(|| self.checks.baseline().decide_by_rollback(&mut doc, stmt))
     }
 
     /// Maps a deadline-budget exhaustion to [`ServiceError::Timeout`],
@@ -669,11 +691,17 @@ impl CheckerService {
     /// `STATS` reply).
     pub fn stats(&self) -> ServiceStats {
         let decides = &self.checks.decides;
+        let reads = |i: usize| {
+            decides.index_reads[i].load(Ordering::Relaxed)
+                + decides.writer_index_reads[i].load(Ordering::Relaxed)
+        };
         ServiceStats {
             requests_shed: self.stats.shed.load(Ordering::Relaxed),
             requests_timed_out: self.checks.timed_out.load(Ordering::Relaxed),
             service_degraded: self.stats.degraded_transitions.load(Ordering::Relaxed),
             fsync_retries: self.stats.fsync_retries.load(Ordering::Relaxed),
+            index_probes: reads(0),
+            index_scans: reads(1),
             decides_optimized: decides.optimized.load(Ordering::Relaxed),
             decides_fallback_non_insertion: decides.fallback_non_insertion.load(Ordering::Relaxed),
             decides_fallback_unmappable: decides.fallback_unmappable.load(Ordering::Relaxed),
@@ -856,6 +884,10 @@ impl CheckerService {
             checks: self.checks.clone(),
         });
         *self.snapshot.write().expect("snapshot slot poisoned") = snap;
+        let stats = checker.stats();
+        let writer = &self.checks.decides.writer_index_reads;
+        writer[0].store(stats.index_probes, Ordering::Relaxed);
+        writer[1].store(stats.index_scans, Ordering::Relaxed);
         xic_obs::incr(xic_obs::Counter::SnapshotPublish);
     }
 

@@ -17,9 +17,13 @@
 //!    accept/reject/fail identically, and agree with a plain
 //!    apply-then-serialize reference on the final document state.
 //! 2. **Rollback fidelity** — applying a statement and undoing it must
-//!    restore a byte-identical serialization *and* coherent tag-name
-//!    symbols ([`xic_xml::Document::audit_symbols`]), for both complete
-//!    and mid-batch-failed applications.
+//!    restore a byte-identical serialization, coherent tag-name symbols
+//!    ([`xic_xml::Document::audit_symbols`]) *and* — after the apply as
+//!    after the undo — element and value indexes equal to a scan
+//!    ([`xic_xml::Document::audit_indexes`], over indexes demanded for
+//!    every key shape the document has), for both complete and
+//!    mid-batch-failed applications; every recovery is audited the same
+//!    way after its replay.
 //! 3. **DTD-validity preservation** — when an accepted update's post-state
 //!    conforms to the DTD under plain application, the checker's final
 //!    state must validate too.
@@ -105,7 +109,42 @@ pub(crate) fn recover_store(
     case: &Case,
 ) -> Result<(Checker, xicheck::RecoveryReport), CheckerError> {
     let gamma = xicheck::SharedGamma::compile(&case.dtd, &case.constraints)?;
-    Checker::recover_store(dir, &case.doc_xml, &gamma, true)
+    let (checker, report) = Checker::recover_store(dir, &case.doc_xml, &gamma, true)?;
+    // Γ's value indexes were built on the base state and maintained
+    // through the replay: they must equal a scan of what it produced.
+    checker
+        .doc()
+        .audit_indexes()
+        .map_err(|e| CheckerError::Query(format!("indexes corrupt after replay: {e}")))?;
+    Ok((checker, report))
+}
+
+/// Demands a value index for every element that has a text node zero,
+/// one or two levels below it, keyed by that path — `tag` by `text()`,
+/// by `child/text()` and by `child/grandchild/text()`, the shapes the
+/// translator's joins take — over whatever the generator produced, so
+/// that a statement's edits land on members, on key paths and beside
+/// them.
+fn demand_indexes(doc: &mut Document) {
+    let mut shapes: Vec<xic_xml::KeyShape> = Vec::new();
+    for text in doc.descendants(doc.document_node()) {
+        if !matches!(doc.node(text).kind, xic_xml::NodeKind::Text(_)) {
+            continue;
+        }
+        let mut path: Vec<String> = Vec::new();
+        let mut member = doc.node(text).parent;
+        while let (Some(tag), true) = (member.and_then(|m| doc.name(m)), path.len() < 3) {
+            let shape = xic_xml::KeyShape { tag: tag.to_string(), path: path.clone() };
+            if !shapes.contains(&shape) {
+                shapes.push(shape);
+            }
+            path.insert(0, tag.to_string());
+            member = member.and_then(|m| doc.node(m).parent);
+        }
+    }
+    for shape in &shapes {
+        doc.ensure_index(shape);
+    }
 }
 
 /// The paper's combined DTD (publication catalog + review tree), the
@@ -260,13 +299,15 @@ impl Report {
         let reference_queries = self.counts[Tally::ReferenceQuery as usize];
         let reference_joins = self.counts[Tally::ReferenceJoin as usize];
         let constraint_joins = self.counts[Tally::ConstraintJoin as usize];
+        let index_probes = self.counts[Tally::ReferenceIndexProbe as usize];
         let mix: Vec<String> =
             tally::OPS.map(|i| format!("{}={}", tally::NAMES[i], self.counts[i])).collect();
         let summary = format!(
             "difftest: {cases} cases from seed {seed} — \
              {} discrepancies, {} shrink steps, {reference_queries} reference queries \
-             ({reference_joins} XQuery shapes over them planned as joins), {constraint_joins} \
-             cases with a planned join in their constraints\n\
+             ({reference_joins} XQuery shapes over them planned as joins, {index_probes} sites \
+             answered from a persistent index), {constraint_joins} cases with a planned join in \
+             their constraints\n\
              op mix: {}",
             self.discrepancies.len(),
             self.counts[Tally::ShrinkStep as usize],
@@ -287,6 +328,10 @@ impl Report {
             Err(format!(
                 "difftest: no join was planned in {cases} cases ({reference_joins} reference \
                  queries, {constraint_joins} constraint sets)"
+            ))
+        } else if index_probes == 0 {
+            Err(format!(
+                "difftest: no planned site was answered from a persistent index in {cases} cases"
             ))
         } else {
             Ok(())
@@ -485,8 +530,13 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     // Oracle 2: rollback fidelity of plain apply + undo — and, along the
     // way, the plain-application post-state the decision oracle compares
     // final documents against.
+    demand_indexes(&mut doc);
+    let audit = |doc: &Document, when: &str| {
+        doc.audit_indexes().map_err(|e| ("rollback", format!("indexes corrupt after {when}: {e}")))
+    };
     let (post_xml, post_conforming) = match apply(&mut doc, &stmt, &xpath_resolver) {
         Ok(applied) => {
+            audit(&doc, "apply")?;
             let post = serialize(&doc);
             let conforming = dtd.validate(&doc).is_ok();
             // …after the statement mutated the tree (cache invalidation)…
@@ -509,6 +559,7 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     }
     doc.audit_symbols()
         .map_err(|e| ("rollback", format!("tag-name symbols corrupt after undo: {e}")))?;
+    audit(&doc, "undo")?;
 
     // Oracle 1: decision equivalence. The baseline decides via apply +
     // full check + rollback; the optimized engine decides however
@@ -610,6 +661,8 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             opt.doc()
                 .audit_symbols()
                 .map_err(|e| ("rollback", format!("checker tag-name symbols corrupt: {e}")))?;
+            audit(opt.doc(), "the checker's update")?;
+            audit(base.doc(), "the baseline's apply and undo")?;
 
             // Cross-check the pure optimized decision path where it is
             // defined (insertion-only statements with an incremental
@@ -709,7 +762,7 @@ mod tests {
             discrepancies: Vec::new(),
             counts,
         };
-        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1];
+        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1, 1];
         assert_eq!(report(100, covered).outcome().floor, Ok(()));
         let mut no_rename = covered;
         no_rename[Tally::OpRename as usize] = 0;
@@ -720,6 +773,10 @@ mod tests {
         no_reference[Tally::ReferenceQuery as usize] = 0;
         let floor = report(100, no_reference).outcome().floor.unwrap_err();
         assert!(floor.contains("engine-vs-reference oracle never ran"), "{floor}");
+        let mut unprobed = covered;
+        unprobed[Tally::ReferenceIndexProbe as usize] = 0;
+        let floor = report(100, unprobed).outcome().floor.unwrap_err();
+        assert!(floor.contains("answered from a persistent index"), "{floor}");
         for unplanned in [Tally::ReferenceJoin, Tally::ConstraintJoin] {
             let mut counts = covered;
             counts[unplanned as usize] = 0;

@@ -163,19 +163,40 @@ fn elements_named<'d>(doc: &'d Document, name: &'d str) -> impl Iterator<Item = 
 }
 
 /// Evaluates `query` both existentially and through full
-/// materialization; both must return `expected`. Counts the queries the
-/// engine planned a keyed sequence for.
-fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), String> {
+/// materialization; both must return `expected`. With `indexed` — a copy
+/// of `doc` — the query's index demands are built there first and it is
+/// evaluated there, so its planned sites probe the persistent index
+/// (node ids are the original's: `expected` stands). Counts the queries
+/// the engine planned a keyed sequence for and the sites the index
+/// answered.
+fn expect_verdict(
+    query: &str,
+    doc: &Document,
+    indexed: Option<&mut Document>,
+    expected: bool,
+) -> Result<(), String> {
     let parsed = parse_query(query).map_err(|e| format!("xquery failed to parse {query}: {e}"))?;
     let prog = XProgram::compile(&parsed);
     if prog.plan_sites() > 0 {
         crate::tally::incr(crate::tally::Tally::ReferenceJoin);
     }
+    let doc = match indexed {
+        Some(copy) => {
+            for shape in prog.index_demands() {
+                copy.ensure_index(&shape);
+            }
+            &*copy
+        }
+        None => doc,
+    };
+    let probes = xicheck::obs::counter(xicheck::obs::Counter::IndexProbe);
     let lazy = prog
         .eval_exists(doc, &[])
         .map_err(|e| format!("xquery failed existential evaluation of {query}: {e}"))?;
     let eager =
         prog.eval_bool(doc, &[]).map_err(|e| format!("xquery failed to evaluate {query}: {e}"))?;
+    let probes = xicheck::obs::counter(xicheck::obs::Counter::IndexProbe) - probes;
+    crate::tally::add(crate::tally::Tally::ReferenceIndexProbe, probes);
     if lazy != expected || eager != expected {
         return Err(format!(
             "{query}: lazy {lazy}, eager {eager}, reference says {expected}"
@@ -200,9 +221,12 @@ fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), Str
 /// count($g) + count($h) > k return <idle/>)` — the shapes the engine
 /// answers from keyed sequences, expected answers brute-forced from the
 /// reference node-sets and the text content. Every XQuery answer is
-/// taken both existentially and through full materialization. The two
-/// sides share no evaluation code, so any disagreement is a bug by
-/// construction.
+/// taken both existentially and through full materialization; half the
+/// seeds (a stream of its own again) evaluate them on a copy of the
+/// document that holds the value indexes each query demands, so the
+/// planned sites probe the persistent index instead of building a table.
+/// The two sides share no evaluation code, so any disagreement is a bug
+/// by construction.
 pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     // The quantifier/FLWOR parameters and the join partners each come
@@ -210,6 +234,12 @@ pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> 
     // shapes it always did.
     let mut shape_rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
     let mut join_rng = StdRng::seed_from_u64(seed ^ 0x6a09_e667_f3bc_c908);
+    let mut indexed =
+        StdRng::seed_from_u64(seed ^ 0xbb67_ae85_84ca_a73b).gen_bool(0.5).then(|| doc.clone());
+    // Every verdict below goes through the copy when the seed drew one.
+    let mut expect_verdict = |query: &str, doc: &Document, expected: bool| {
+        expect_verdict(query, doc, indexed.as_mut(), expected)
+    };
     let names: Vec<&str> = dtd.elements().iter().map(|e| e.name.as_str()).collect();
     if names.is_empty() {
         return Ok(());
@@ -394,14 +424,14 @@ mod tests {
         let counts: Vec<usize> =
             eval_reference(&d, &q).iter().map(|&n| children_named(&d, n, "b")).collect();
         assert_eq!(counts, [2, 1, 1]);
-        expect_verdict("every $x in //a satisfies $x/b", &d, true).unwrap();
-        expect_verdict("some $x in //a satisfies $x/c", &d, false).unwrap();
+        expect_verdict("every $x in //a satisfies $x/b", &d, None, true).unwrap();
+        expect_verdict("some $x in //a satisfies $x/c", &d, None, false).unwrap();
         let flwor = |k: usize| {
             format!("exists(for $x in //a let $d := $x/b where count($d) > {k} return <idle/>)")
         };
-        expect_verdict(&flwor(1), &d, true).unwrap();
-        expect_verdict(&flwor(2), &d, false).unwrap();
-        let err = expect_verdict(&flwor(2), &d, true).unwrap_err();
+        expect_verdict(&flwor(1), &d, None, true).unwrap();
+        expect_verdict(&flwor(2), &d, None, false).unwrap();
+        let err = expect_verdict(&flwor(2), &d, None, true).unwrap_err();
         assert!(err.contains("reference says true"), "{err}");
     }
 

@@ -21,10 +21,13 @@ pub enum Tally {
     ReferenceJoin,
     /// A case whose constraint set has a full-check query with one.
     ConstraintJoin,
+    /// A planned site of a reference query answered from a document's
+    /// persistent index (`xic_obs::Counter::IndexProbe`).
+    ReferenceIndexProbe,
 }
 
 /// The key each [`Tally`] is reported under, in declaration order.
-pub const NAMES: [&str; 10] = [
+pub const NAMES: [&str; 11] = [
     "difftest_shrink_step",
     "difftest_op_insert_before",
     "difftest_op_insert_after",
@@ -35,6 +38,7 @@ pub const NAMES: [&str; 10] = [
     "reference_queries",
     "reference_joins_planned",
     "constraint_joins_planned",
+    "reference_index_probes",
 ];
 
 /// The operation-kind tallies (`NAMES[1..7]`): a long run must move every one.
@@ -46,7 +50,12 @@ thread_local! {
 
 /// Adds 1 to `tally` on this thread.
 pub fn incr(tally: Tally) {
-    COUNTS.with(|c| c[tally as usize].set(c[tally as usize].get() + 1));
+    add(tally, 1);
+}
+
+/// Adds `n` to `tally` on this thread.
+pub fn add(tally: Tally, n: u64) {
+    COUNTS.with(|c| c[tally as usize].set(c[tally as usize].get() + n));
 }
 
 /// This thread's counts, in [`NAMES`] order.

@@ -77,7 +77,8 @@ pub enum Counter {
     /// A document-order sort/dedup answered from cached preorder ranks.
     DocOrderFastSort,
     /// A document-order sort/dedup fell back to path-key recomputation
-    /// (cache disabled, or the set contained detached nodes).
+    /// (cache disabled, the set contained detached nodes, or a small set
+    /// met a stale rank table).
     DocOrderPathSort,
     /// Records appended to the write-ahead journal (commit + abort).
     JournalAppend,
@@ -132,10 +133,18 @@ pub enum Counter {
     /// Batch-fsync attempts retried by the service after a failure,
     /// before either succeeding or declaring the service degraded.
     FsyncRetry,
+    /// A planned join or keyed step answered from the document's
+    /// persistent value index.
+    IndexProbe,
+    /// A planned join or keyed step of a shape a document can index that
+    /// scanned its members — directly, or to build a per-evaluation table
+    /// — because this document lacked the index (or the operand was not
+    /// a string to probe it with).
+    IndexScan,
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 28] = [
+pub const ALL_COUNTERS: [Counter; 30] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
     Counter::XpathNodesVisited,
@@ -164,6 +173,8 @@ pub const ALL_COUNTERS: [Counter; 28] = [
     Counter::RequestTimedOut,
     Counter::ServiceDegraded,
     Counter::FsyncRetry,
+    Counter::IndexProbe,
+    Counter::IndexScan,
 ];
 
 const N_COUNTERS: usize = ALL_COUNTERS.len();
@@ -200,6 +211,8 @@ impl Counter {
             Counter::RequestTimedOut => "requests_timed_out",
             Counter::ServiceDegraded => "service_degraded",
             Counter::FsyncRetry => "fsync_retries",
+            Counter::IndexProbe => "index_probes",
+            Counter::IndexScan => "index_scans",
         }
     }
 

@@ -39,7 +39,9 @@ pub use intern::{Symbol, SymbolTable};
 pub use journal::{Journal, JournalError, JournalRecord, RecordKind, Recovered};
 pub use parse::{parse_document, XmlError};
 pub use serialize::{serialize, serialize_equal, serialize_node};
-pub use tree::{Descendants, Document, Node, NodeId, NodeKind, OrderRanks};
+pub use tree::{
+    Descendants, Document, KeyShape, Node, NodeId, NodeKind, OrderRanks, ValueIndexRef,
+};
 pub use xupdate::{
     apply, undo, AppliedUpdate, SelectError, SelectResolver, UndoEntry, XUpdateDoc, XUpdateError,
     XUpdateOp,

@@ -3,6 +3,8 @@
 use crate::intern::{Symbol, SymbolTable};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::Hasher;
+use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
 use std::sync::{RwLock, RwLockReadGuard};
 
 /// A stable node identifier. Identifiers are allocated from a monotone
@@ -80,8 +82,64 @@ struct OrderCache {
     ranks: Vec<u32>,
 }
 
+/// While the rank table is stale, this many ids may be put in document
+/// order by comparing path keys before a sort pays for the rebuild: a
+/// handful of index hits per decision never walks the whole document.
+const PATH_SORT_ALLOWANCE: u32 = 64;
+
+/// The shape of an on-demand value index: its members are the attached
+/// `tag` elements, and a member is keyed by the string of every text node
+/// at `member/path[0]/…/path[k-1]/text()` (child steps only).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyShape {
+    /// The members' tag name.
+    pub tag: String,
+    /// The element names between a member and its key text nodes.
+    pub path: Vec<String>,
+}
+
+/// One demanded value index. Postings are plain integers — the 64-bit
+/// hash of a key string and the member it keys, sorted — so cloning the
+/// index is one copy, and a probe re-checks the candidates' keys.
+#[derive(Debug, Clone)]
+struct ValueIndex {
+    tag: u32,
+    path: Box<[u32]>,
+    /// One posting per key *node*: a member with two equal keys is
+    /// listed twice, and loses one posting when one of them goes.
+    postings: Vec<(u64, NodeId)>,
+}
+
+/// Adds (or removes) the posting of `member` under the key `value`.
+fn post(postings: &mut Vec<(u64, NodeId)>, value: &str, member: NodeId, add: bool) {
+    let posting = (hash_value(value), member);
+    let at = postings.partition_point(|p| *p < posting);
+    if add {
+        postings.insert(at, posting);
+    } else {
+        assert_eq!(postings.get(at), Some(&posting), "value index lost a posting");
+        postings.remove(at);
+    }
+}
+
+fn hash_value(value: &str) -> u64 {
+    // Fixed keys: a clone, and a fresh build, hash as the original did.
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    h.write(value.as_bytes());
+    h.finish()
+}
+
 /// An in-memory XML document: an arena of nodes rooted at a document node,
-/// plus interned tag-name symbols and a document-order rank cache.
+/// plus interned tag-name symbols, a document-order rank cache and the
+/// element and value indexes.
+///
+/// **Index invariant.** `attached`, `by_tag` and every demanded value
+/// index describe exactly the tree reachable from the document node. They
+/// are maintained inside the primitive mutators (`insert_child`, `detach`,
+/// `set_text`, `rename`) and nowhere else, so whoever edits the tree —
+/// `apply`, `undo`, the parser, a test — cannot leave them stale, and a
+/// clone carries them. [`Document::audit_indexes`] checks the invariant
+/// against a scan.
 #[derive(Debug)]
 pub struct Document {
     nodes: Vec<Node>,
@@ -101,6 +159,18 @@ pub struct Document {
     /// document stays `Sync` for the readers sharing a service snapshot.
     order_cache: RwLock<OrderCache>,
     order_cache_enabled: bool,
+    /// Ids sorted by path key since the last structural change (see
+    /// [`PATH_SORT_ALLOWANCE`]).
+    path_sorted: AtomicU32,
+    /// `attached[id.index()]`: the node is reachable from the document
+    /// node.
+    attached: Vec<bool>,
+    /// `by_tag[symbol]`: the attached elements carrying that tag,
+    /// ascending by id (which is document order only until the first
+    /// non-tail insert).
+    by_tag: Vec<Vec<NodeId>>,
+    /// The demanded value indexes ([`Document::ensure_index`]).
+    value_indexes: Vec<ValueIndex>,
 }
 
 impl Default for Document {
@@ -123,6 +193,10 @@ impl Clone for Document {
             // The clone starts with a cold cache; it is rebuilt on first use.
             order_cache: RwLock::new(OrderCache::default()),
             order_cache_enabled: self.order_cache_enabled,
+            path_sorted: AtomicU32::new(0),
+            attached: self.attached.clone(),
+            by_tag: self.by_tag.clone(),
+            value_indexes: self.value_indexes.clone(),
         }
     }
 }
@@ -141,6 +215,10 @@ impl Document {
             version: 0,
             order_cache: RwLock::new(OrderCache::default()),
             order_cache_enabled: true,
+            path_sorted: AtomicU32::new(0),
+            attached: vec![true],
+            by_tag: Vec::new(),
+            value_indexes: Vec::new(),
         }
     }
 
@@ -201,6 +279,7 @@ impl Document {
             children: Vec::new(),
         });
         self.elem_sym.push(sym);
+        self.attached.push(false);
         id
     }
 
@@ -316,7 +395,10 @@ impl Document {
         assert!(idx <= siblings.len(), "insert index out of bounds");
         siblings.insert(idx, child);
         self.node_mut(child).parent = Some(parent);
-        self.version += 1;
+        self.structure_changed();
+        if self.attached[parent.index()] {
+            self.index_subtree(child, true);
+        }
     }
 
     /// Detaches `child` from its parent, returning its previous index.
@@ -325,6 +407,9 @@ impl Document {
     /// Panics if the node is not attached.
     pub fn detach(&mut self, child: NodeId) -> usize {
         let parent = self.node(child).parent.expect("node is not attached");
+        if self.attached[child.index()] {
+            self.index_subtree(child, false);
+        }
         let siblings = &mut self.node_mut(parent).children;
         let idx = siblings
             .iter()
@@ -332,8 +417,13 @@ impl Document {
             .expect("parent/child link out of sync");
         siblings.remove(idx);
         self.node_mut(child).parent = None;
-        self.version += 1;
+        self.structure_changed();
         idx
+    }
+
+    fn structure_changed(&mut self) {
+        self.version += 1;
+        *self.path_sorted.get_mut() = 0;
     }
 
     /// Replaces the text content of a text node, returning the old value.
@@ -341,10 +431,18 @@ impl Document {
     /// # Panics
     /// Panics if `id` is not a text node.
     pub fn set_text(&mut self, id: NodeId, text: impl Into<String>) -> String {
-        match &mut self.node_mut(id).kind {
+        let keyed = self.attached[id.index()] && !self.value_indexes.is_empty();
+        if keyed {
+            self.index_above(id, false);
+        }
+        let old = match &mut self.node_mut(id).kind {
             NodeKind::Text(t) => std::mem::replace(t, text.into()),
             other => panic!("set_text on non-text node: {other:?}"),
+        };
+        if keyed {
+            self.index_above(id, true);
         }
+        old
     }
 
     /// Renames an element, returning the old name.
@@ -354,12 +452,205 @@ impl Document {
     pub fn rename(&mut self, id: NodeId, new_name: impl Into<String>) -> String {
         let new_name = new_name.into();
         let new_sym = self.symbols.intern(&new_name).0;
-        let old = match &mut self.node_mut(id).kind {
-            NodeKind::Element { name, .. } => std::mem::replace(name, new_name),
-            other => panic!("rename on non-element node: {other:?}"),
-        };
+        let kind = &self.node(id).kind;
+        assert!(matches!(kind, NodeKind::Element { .. }), "rename on non-element node: {kind:?}");
+        // An attached element is listed under its tag, is a member of that
+        // tag's value indexes and a step of its ancestors' key paths: all
+        // three follow the name.
+        let attached = self.attached[id.index()];
+        if attached {
+            self.index_above(id, false);
+            self.index_element(id, false);
+        }
         self.elem_sym[id.index()] = new_sym;
+        let NodeKind::Element { name, .. } = &mut self.node_mut(id).kind else {
+            unreachable!("checked above");
+        };
+        let old = std::mem::replace(name, new_name);
+        if attached {
+            self.index_element(id, true);
+            self.index_above(id, true);
+        }
         old
+    }
+
+    /// True if `id` is a node of this document reachable from the
+    /// document node.
+    pub fn is_attached(&self, id: NodeId) -> bool {
+        self.attached.get(id.index()).copied().unwrap_or(false)
+    }
+
+    /// The attached elements tagged `tag`, ascending by id — `//tag` as a
+    /// list read. Not in document order: sort what you keep.
+    pub fn elements_named(&self, tag: Symbol) -> &[NodeId] {
+        self.by_tag.get(tag.0 as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Builds the value index of `shape` unless the document has it: one
+    /// pass over the members, once per shape per document; from then on
+    /// the mutators keep it. Derived state — it is never written to a
+    /// journal or checkpoint, and a clone carries it.
+    pub fn ensure_index(&mut self, shape: &KeyShape) {
+        let tag = self.symbols.intern(&shape.tag).0;
+        let path: Box<[u32]> = shape.path.iter().map(|n| self.symbols.intern(n).0).collect();
+        if self.value_indexes.iter().any(|vi| vi.tag == tag && vi.path == path) {
+            return;
+        }
+        let postings = self.scan_postings(&path, self.elements_named(Symbol(tag)));
+        self.value_indexes.push(ValueIndex { tag, path, postings });
+    }
+
+    /// The sorted postings of `members` under the key path `path`.
+    fn scan_postings(&self, path: &[u32], members: &[NodeId]) -> Vec<(u64, NodeId)> {
+        let mut postings = Vec::new();
+        for &m in members {
+            self.for_each_key(m, path, &mut |v| postings.push((hash_value(v), m)));
+        }
+        postings.sort_unstable();
+        postings
+    }
+
+    /// The `(tag, path)` value index, or `None` if the document has no
+    /// such index (nobody demanded it before this state was cloned).
+    pub fn value_index(&self, tag: Symbol, path: &[Symbol]) -> Option<ValueIndexRef<'_>> {
+        let index = self
+            .value_indexes
+            .iter()
+            .find(|vi| vi.tag == tag.0 && vi.path.iter().eq(path.iter().map(|step| &step.0)))?;
+        Some(ValueIndexRef { doc: self, index })
+    }
+
+    /// Calls `f` with the string of every text node at
+    /// `from/path[0]/…/text()`.
+    fn for_each_key(&self, from: NodeId, path: &[u32], f: &mut dyn FnMut(&str)) {
+        for &c in &self.node(from).children {
+            match (path.split_first(), &self.node(c).kind) {
+                (None, NodeKind::Text(t)) => f(t),
+                (Some((&step, rest)), _) if self.elem_sym[c.index()] == step => {
+                    self.for_each_key(c, rest, f);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Marks the subtree at `root` attached (or detached) and adds it to
+    /// (or takes it out of) every index. Called with the subtree linked
+    /// under its attached parent.
+    fn index_subtree(&mut self, root: NodeId, add: bool) {
+        let nodes: Vec<NodeId> = std::iter::once(root).chain(self.descendants(root)).collect();
+        for n in nodes {
+            self.attached[n.index()] = add;
+            if self.elem_sym[n.index()] != NO_SYM {
+                self.index_element(n, add);
+            }
+        }
+        self.index_above(root, add);
+    }
+
+    /// Lists (or unlists) the attached element `e` under its tag, and as a
+    /// member of that tag's value indexes.
+    fn index_element(&mut self, e: NodeId, add: bool) {
+        let sym = self.elem_sym[e.index()];
+        if self.by_tag.len() <= sym as usize {
+            self.by_tag.resize_with(sym as usize + 1, Vec::new);
+        }
+        let list = &mut self.by_tag[sym as usize];
+        match (list.binary_search(&e), add) {
+            (Err(at), true) => list.insert(at, e),
+            (Ok(at), false) => {
+                list.remove(at);
+            }
+            _ => panic!("tag list out of step with the tree at {e}"),
+        }
+        let mut indexes = std::mem::take(&mut self.value_indexes);
+        for ValueIndex { path, postings, .. } in indexes.iter_mut().filter(|vi| vi.tag == sym) {
+            self.for_each_key(e, path, &mut |v| post(postings, v, e, add));
+        }
+        self.value_indexes = indexes;
+    }
+
+    /// Adds (or removes) the keys the attached node `x` carries for the
+    /// members *above* it: `x` is a key text node, or an element on the
+    /// key path of an ancestor at most `path.len()` levels up.
+    fn index_above(&mut self, x: NodeId, add: bool) {
+        let mut indexes = std::mem::take(&mut self.value_indexes);
+        for ValueIndex { tag, path, postings } in &mut indexes {
+            for depth in 1..=path.len() + 1 {
+                let Some(member) = self.member_above(*tag, path, x, depth) else {
+                    continue;
+                };
+                match &self.node(x).kind {
+                    NodeKind::Text(t) => post(postings, t, member, add),
+                    _ => self.for_each_key(x, &path[depth..], &mut |v| post(postings, v, member, add)),
+                }
+            }
+        }
+        self.value_indexes = indexes;
+    }
+
+    /// The `tag` element `depth` levels above `x` whose key path `path`
+    /// runs through `x`: a text node at `depth == path.len() + 1`, an
+    /// element named `path[depth - 1]` otherwise, under elements named by
+    /// the steps before it.
+    fn member_above(&self, tag: u32, path: &[u32], x: NodeId, depth: usize) -> Option<NodeId> {
+        let mut cur = x;
+        for d in (1..=depth).rev() {
+            let on_path = match path.get(d - 1) {
+                Some(&step) => self.elem_sym[cur.index()] == step,
+                None => matches!(self.node(cur).kind, NodeKind::Text(_)),
+            };
+            if !on_path {
+                return None;
+            }
+            cur = self.node(cur).parent?;
+        }
+        (self.elem_sym[cur.index()] == tag).then_some(cur)
+    }
+
+    /// Audits the attached bits, the per-tag lists and every demanded
+    /// value index against a scan of the tree reachable from the document
+    /// node — the maintenance invariant of the mutators, checked by the
+    /// rollback and recovery oracles of `xic-difftest` beside
+    /// [`Document::audit_symbols`].
+    pub fn audit_indexes(&self) -> Result<(), String> {
+        let mut attached = vec![false; self.nodes.len()];
+        let mut by_tag: Vec<Vec<NodeId>> = vec![Vec::new(); self.by_tag.len()];
+        attached[0] = true;
+        for n in self.descendants(self.document_node()) {
+            attached[n.index()] = true;
+            if let Some(Symbol(sym)) = self.symbol(n) {
+                match by_tag.get_mut(sym as usize) {
+                    Some(list) => list.push(n),
+                    None => return Err(format!("attached element {n} has no tag list")),
+                }
+            }
+        }
+        if let Some(n) = (0..self.nodes.len()).find(|&i| attached[i] != self.attached[i]) {
+            let (bit, reachable) = (self.attached[n], attached[n]);
+            return Err(format!("node #{n}: attached bit {bit}, reachable {reachable}"));
+        }
+        let tag_name = |sym: u32| self.symbols.resolve(Symbol(sym)).unwrap_or_default();
+        for (sym, (scan, list)) in by_tag.iter_mut().zip(&self.by_tag).enumerate() {
+            scan.sort_unstable();
+            if scan != list {
+                let tag = tag_name(sym as u32);
+                return Err(format!("tag list of {tag:?} holds {list:?}, a scan finds {scan:?}"));
+            }
+        }
+        for vi in &self.value_indexes {
+            let members = by_tag.get(vi.tag as usize).map_or(&[][..], Vec::as_slice);
+            let scan = self.scan_postings(&vi.path, members);
+            if scan != vi.postings {
+                return Err(format!(
+                    "value index on {:?} holds {} postings, a scan finds {}",
+                    tag_name(vi.tag),
+                    vi.postings.len(),
+                    scan.len()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Audits the cached tag-name symbols against a scan of the attached
@@ -480,6 +771,16 @@ impl Document {
     /// write lock is only ever taken for a rebuild, which at most one
     /// thread performs per version.
     pub fn order_ranks(&self) -> Option<OrderRanks<'_>> {
+        self.order_ranks_for(usize::MAX)
+    }
+
+    /// [`Document::order_ranks`] for putting `set_len` ids in order: a
+    /// current table is returned as it is, but a stale one is not rebuilt
+    /// — `None`, so the caller compares path keys — while the sets sorted
+    /// since the last structural change stay within a small allowance
+    /// (64 ids). Sorting a handful of index hits then
+    /// costs their depth, not a pass over the document.
+    pub fn order_ranks_for(&self, set_len: usize) -> Option<OrderRanks<'_>> {
         if !self.order_cache_enabled {
             return None;
         }
@@ -488,6 +789,12 @@ impl Document {
             if guard.built_at == Some(self.version) {
                 return Some(OrderRanks { guard });
             }
+        }
+        let set_len = u32::try_from(set_len).unwrap_or(u32::MAX);
+        let spent = self.path_sorted.load(AtomicOrdering::Relaxed).saturating_add(set_len);
+        if spent <= PATH_SORT_ALLOWANCE {
+            self.path_sorted.store(spent, AtomicOrdering::Relaxed);
+            return None;
         }
         {
             let mut guard = self.order_cache.write().expect("order cache lock poisoned");
@@ -536,7 +843,7 @@ impl Document {
         if ids.len() <= 1 {
             return;
         }
-        if let Some(ranks) = self.order_ranks() {
+        if let Some(ranks) = self.order_ranks_for(ids.len()) {
             if ids.iter().all(|&n| ranks.rank(n).is_some()) {
                 xic_obs::incr(xic_obs::Counter::DocOrderFastSort);
                 ids.sort_unstable_by_key(|&n| ranks.rank(n).expect("all ids checked attached"));
@@ -585,6 +892,38 @@ impl Document {
         }
         segments.reverse();
         Some(segments.concat())
+    }
+}
+
+/// One of a document's value indexes; created by
+/// [`Document::value_index`].
+#[derive(Debug, Clone, Copy)]
+pub struct ValueIndexRef<'d> {
+    doc: &'d Document,
+    index: &'d ValueIndex,
+}
+
+impl ValueIndexRef<'_> {
+    /// The members keyed by one of `values`, in document order.
+    pub fn members_keyed<'v>(&self, values: impl IntoIterator<Item = &'v str>) -> Vec<NodeId> {
+        let (doc, vi) = (self.doc, self.index);
+        let mut hits = Vec::new();
+        for value in values {
+            let h = hash_value(value);
+            let from = vi.postings.partition_point(|p| p.0 < h);
+            for &(_, m) in vi.postings[from..].iter().take_while(|p| p.0 == h) {
+                // Equal hashes are candidates; the member's keys decide.
+                let mut keyed = false;
+                doc.for_each_key(m, &vi.path, &mut |v| keyed |= v == value);
+                if keyed {
+                    hits.push(m);
+                }
+            }
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        doc.sort_document_order(&mut hits);
+        hits
     }
 }
 
@@ -867,5 +1206,255 @@ mod tests {
         let d2 = d.clone();
         assert_eq!(d2.version(), d.version());
         assert_eq!(d2.order_ranks().unwrap().rank(root), Some(1));
+    }
+
+    // -----------------------------------------------------------------
+    // The element and value indexes
+    // -----------------------------------------------------------------
+
+    fn shape(tag: &str, path: &[&str]) -> KeyShape {
+        KeyShape { tag: tag.to_string(), path: path.iter().map(|s| s.to_string()).collect() }
+    }
+
+    /// The `(tag, path)` index's members keyed by `value`.
+    fn keyed(d: &Document, tag: &str, path: &[&str], value: &str) -> Vec<NodeId> {
+        let sym = |n: &str| d.symbols().lookup(n).expect("an interned name");
+        let path: Vec<Symbol> = path.iter().map(|n| sym(n)).collect();
+        d.value_index(sym(tag), &path).expect("a demanded index").members_keyed([value])
+    }
+
+    /// What the indexes answer, for comparing a state with a later one:
+    /// every tag list plus the probes the tests below care about.
+    fn answers(d: &Document) -> String {
+        let mut out = String::new();
+        for tag in ["r", "m", "k", "c", "x", "o", "z"] {
+            let list = d.symbols().lookup(tag).map_or(&[][..], |s| d.elements_named(s));
+            out.push_str(&format!("{tag}: {list:?}\n"));
+        }
+        for v in ["v1", "v2", "v3", "v4", "u"] {
+            out.push_str(&format!("m/k/c = {v}: {:?}\n", keyed(d, "m", &["k", "c"], v)));
+            out.push_str(&format!("k/c = {v}: {:?}\n", keyed(d, "k", &["c"], v)));
+            out.push_str(&format!("x = {v}: {:?}\n", keyed(d, "x", &[], v)));
+        }
+        out
+    }
+
+    /// One primitive mutation; [`mutate`] returns the one that undoes it.
+    #[derive(Debug, Clone)]
+    enum Edit {
+        Insert(NodeId, usize, NodeId),
+        Detach(NodeId),
+        SetText(NodeId, String),
+        Rename(NodeId, String),
+    }
+
+    fn mutate(d: &mut Document, edit: Edit) -> Edit {
+        match edit {
+            Edit::Insert(parent, at, node) => {
+                d.insert_child(parent, at, node);
+                Edit::Detach(node)
+            }
+            Edit::Detach(node) => {
+                let parent = d.node(node).parent.expect("attached somewhere");
+                Edit::Insert(parent, d.detach(node), node)
+            }
+            Edit::SetText(node, text) => Edit::SetText(node, d.set_text(node, text)),
+            Edit::Rename(node, name) => Edit::Rename(node, d.rename(node, name)),
+        }
+    }
+
+    /// `<t0><t1>…value…</t1></t0>` for `tags`, detached: the ids of the
+    /// elements, outermost first, then of the text.
+    fn chain(d: &mut Document, tags: &[&str], value: &str) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = tags.iter().map(|t| d.create_element(*t)).collect();
+        ids.push(d.create_text(value));
+        for pair in ids.windows(2).rev() {
+            d.append_child(pair[0], pair[1]);
+        }
+        ids
+    }
+
+    /// `<tag><k><c>value</c></k></tag>`, detached: `[tag, k, c, text]`.
+    fn keyed_subtree(d: &mut Document, tag: &str, value: &str) -> [NodeId; 4] {
+        chain(d, &[tag, "k", "c"], value).try_into().expect("four nodes")
+    }
+
+    /// `<r><m><k><c>v1</c></k><k><c>v2</c></k><x>u</x></m>
+    ///     <m><k><c>v1</c></k></m><o><k><c>v3</c></k></o></r>`
+    /// with three demanded shapes: `m` by `k/c/text()` (a key two
+    /// levels below its member), `k` by `c/text()`, `x` by `text()`.
+    struct Indexed {
+        d: Document,
+        r: NodeId,
+        m1: [NodeId; 4],
+        k2: [NodeId; 3],
+        x: NodeId,
+        u: NodeId,
+        m2: [NodeId; 4],
+        o: [NodeId; 4],
+    }
+
+    fn indexed_doc() -> Indexed {
+        let mut d = Document::new();
+        let r = d.create_element("r");
+        d.append_child(d.document_node(), r);
+        let m1 = keyed_subtree(&mut d, "m", "v1");
+        let k2: [NodeId; 3] = chain(&mut d, &["k", "c"], "v2").try_into().expect("three nodes");
+        let [x, u]: [NodeId; 2] = chain(&mut d, &["x"], "u").try_into().expect("two nodes");
+        let m2 = keyed_subtree(&mut d, "m", "v1");
+        let o = keyed_subtree(&mut d, "o", "v3");
+        // Half the tree is attached top-down, half bottom-up.
+        d.append_child(r, m1[0]);
+        d.append_child(m1[0], k2[0]);
+        d.append_child(m1[0], x);
+        d.append_child(r, m2[0]);
+        d.append_child(r, o[0]);
+        for s in [shape("m", &["k", "c"]), shape("k", &["c"]), shape("x", &[])] {
+            d.ensure_index(&s);
+            d.ensure_index(&s); // idempotent
+        }
+        d.audit_indexes().expect("a fresh build equals a scan");
+        Indexed { d, r, m1, k2, x, u, m2, o }
+    }
+
+    #[test]
+    fn indexes_answer_by_tag_and_by_key() {
+        let t = indexed_doc();
+        let d = &t.d;
+        assert_eq!(d.elements_named(d.symbols().lookup("m").unwrap()), [t.m1[0], t.m2[0]]);
+        assert_eq!(keyed(d, "m", &["k", "c"], "v1"), [t.m1[0], t.m2[0]]);
+        assert_eq!(keyed(d, "m", &["k", "c"], "v2"), [t.m1[0]]);
+        assert_eq!(keyed(d, "m", &["k", "c"], "v3"), [], "o is not an m");
+        assert_eq!(keyed(d, "k", &["c"], "v3"), [t.o[1]]);
+        assert_eq!(keyed(d, "x", &[], "u"), [t.x]);
+        // Hits come back in document order, whatever the ids are.
+        assert_eq!(keyed(d, "k", &["c"], "v1"), [t.m1[1], t.m2[1]]);
+        let sym = |n: &str| d.symbols().lookup(n).unwrap();
+        let index = d.value_index(sym("k"), &[sym("c")]).unwrap();
+        assert_eq!(index.members_keyed(["v3", "v1", "v3", "nope"]), [t.m1[1], t.m2[1], t.o[1]]);
+        // A shape nobody demanded is not there; a clone carries the rest.
+        assert!(d.value_index(sym("m"), &[sym("k")]).is_none());
+        let copy = d.clone();
+        assert_eq!(answers(&copy), answers(d));
+        copy.audit_indexes().expect("the clone's indexes equal a scan of the clone");
+        assert!(d.is_attached(t.u) && d.is_attached(d.document_node()));
+        assert!(!d.is_attached(NodeId(10_000)));
+    }
+
+    /// Every mutator on an attached node in each role — a member, a node
+    /// on a member's key path, a node on neither — keeps the indexes equal
+    /// to a scan, moves exactly the answers it should, and is undone by
+    /// its inverse.
+    #[test]
+    fn every_attached_edit_keeps_the_indexes_and_undoes() {
+        let t = indexed_doc();
+        type Case = (&'static str, fn(&Indexed, &mut Document) -> Edit, &'static [(&'static str, usize)]);
+        // (what, the edit, the `m/k/c` and `k/c` hit counts it leaves for v1)
+        let cases: &[Case] = &[
+            ("detach a member", |t, _| Edit::Detach(t.m1[0]), &[("m", 1), ("k", 1)]),
+            ("detach a key-path element", |t, _| Edit::Detach(t.m1[1]), &[("m", 1), ("k", 1)]),
+            ("detach the inner key-path element", |t, _| Edit::Detach(t.m1[2]), &[("m", 1), ("k", 1)]),
+            ("detach a key text", |t, _| Edit::Detach(t.m1[3]), &[("m", 1), ("k", 1)]),
+            ("detach an unrelated element", |t, _| Edit::Detach(t.x), &[("m", 2), ("k", 2)]),
+            ("detach another tag's subtree", |t, _| Edit::Detach(t.o[0]), &[("m", 2), ("k", 2)]),
+            ("insert a member", |t, d| Edit::Insert(t.r, 1, keyed_subtree(d, "m", "v1")[0]), &[("m", 3), ("k", 3)]),
+            ("insert a key-path subtree", |t, d| Edit::Insert(t.m2[0], 0, chain(d, &["k", "c"], "v1")[0]), &[("m", 2), ("k", 3)]),
+            ("insert a second key text", |t, d| Edit::Insert(t.k2[1], 1, d.create_text("v1")), &[("m", 2), ("k", 3)]),
+            ("insert an unrelated element", |t, d| Edit::Insert(t.r, 0, d.create_element("z")), &[("m", 2), ("k", 2)]),
+            ("edit a text two levels below a member", |t, _| Edit::SetText(t.m1[3], "v4".into()), &[("m", 1), ("k", 1)]),
+            ("edit a key text to a value the member has", |t, _| Edit::SetText(t.k2[2], "v1".into()), &[("m", 2), ("k", 3)]),
+            ("edit an unrelated text", |t, _| Edit::SetText(t.u, "v1".into()), &[("m", 2), ("k", 2)]),
+            ("rename a member out of the demanded tag", |t, _| Edit::Rename(t.m1[0], "z".into()), &[("m", 1), ("k", 2)]),
+            ("rename an element into the demanded tag", |t, _| Edit::Rename(t.o[0], "m".into()), &[("m", 2), ("k", 2)]),
+            ("rename a key-path element", |t, _| Edit::Rename(t.m1[1], "z".into()), &[("m", 1), ("k", 1)]),
+            ("rename the inner key-path element", |t, _| Edit::Rename(t.m2[2], "z".into()), &[("m", 1), ("k", 1)]),
+            ("rename an element onto a key path", |t, _| Edit::Rename(t.x, "k".into()), &[("m", 2), ("k", 2)]),
+            ("rename an unrelated element", |t, _| Edit::Rename(t.x, "z".into()), &[("m", 2), ("k", 2)]),
+        ];
+        for (what, edit, v1_hits) in cases {
+            let mut d = t.d.clone();
+            let before = answers(&d);
+            let edit = edit(&t, &mut d);
+            let inverse = mutate(&mut d, edit.clone());
+            d.audit_indexes().unwrap_or_else(|e| panic!("{what} ({edit:?}): {e}"));
+            for &(tag, hits) in *v1_hits {
+                let path: &[&str] = if tag == "m" { &["k", "c"] } else { &["c"] };
+                assert_eq!(keyed(&d, tag, path, "v1").len(), hits, "{what}: {tag} keyed by v1");
+            }
+            mutate(&mut d, inverse);
+            d.audit_indexes().unwrap_or_else(|e| panic!("undo of {what}: {e}"));
+            assert_eq!(answers(&d), before, "undo of {what}");
+        }
+    }
+
+    /// Nothing detached is indexed, whatever is done to it; attaching it
+    /// indexes it as it then is.
+    #[test]
+    fn detached_edits_touch_no_index_until_the_subtree_attaches() {
+        let t = indexed_doc();
+        let mut d = t.d.clone();
+        let before = answers(&d);
+        let [m, k, c, text] = keyed_subtree(&mut d, "m", "v1");
+        let spare = chain(&mut d, &["k", "c"], "v2");
+        for edit in [
+            Edit::SetText(text, "v3".into()),
+            Edit::Rename(k, "z".into()),
+            Edit::Rename(k, "k".into()),
+            Edit::Rename(m, "o".into()),
+            Edit::Rename(m, "m".into()),
+            Edit::Insert(m, 1, spare[0]),
+            Edit::Detach(c),
+            Edit::Insert(k, 0, c),
+        ] {
+            mutate(&mut d, edit.clone());
+            d.audit_indexes().unwrap_or_else(|e| panic!("{edit:?} on a detached subtree: {e}"));
+            assert_eq!(answers(&d), before, "{edit:?} on a detached subtree");
+            assert!(!d.is_attached(text) && !d.is_attached(m));
+        }
+        d.append_child(t.r, m);
+        d.audit_indexes().expect("the attached subtree is indexed");
+        assert!(d.is_attached(text));
+        assert_eq!(keyed(&d, "m", &["k", "c"], "v3"), [m]);
+        assert_eq!(keyed(&d, "m", &["k", "c"], "v2"), [t.m1[0], m]);
+        assert_eq!(keyed(&d, "m", &["k", "c"], "v1"), [t.m1[0], t.m2[0]]);
+        d.detach(m);
+        assert_eq!(answers(&d), before);
+    }
+
+    #[test]
+    fn audit_rejects_a_stale_index() {
+        let t = indexed_doc();
+        let mut stale_list = t.d.clone();
+        stale_list.by_tag.iter_mut().find(|l| l.contains(&t.x)).unwrap().clear();
+        assert!(stale_list.audit_indexes().unwrap_err().contains("tag list"));
+        let mut stale_bit = t.d.clone();
+        stale_bit.attached[t.u.index()] = false;
+        assert!(stale_bit.audit_indexes().unwrap_err().contains("attached bit"));
+        let mut stale_value = t.d.clone();
+        stale_value.value_indexes[0].postings.pop();
+        assert!(stale_value.audit_indexes().unwrap_err().contains("value index"));
+    }
+
+    /// A commit makes the rank table stale; a handful of hits is then put
+    /// in order by path keys, and only a larger set pays for the rebuild.
+    #[test]
+    fn small_sorts_leave_a_stale_rank_table_alone() {
+        let (mut d, root, track, name) = small_doc();
+        let _ = d.order_ranks();
+        let t0 = d.create_element("track");
+        d.insert_child(root, 0, t0);
+        xic_obs::reset();
+        let mut ids = vec![name, track, t0];
+        d.sort_document_order(&mut ids);
+        assert_eq!(ids, vec![t0, track, name]);
+        assert_eq!(xic_obs::counter(xic_obs::Counter::OrderCacheRebuild), 0);
+        assert_eq!(xic_obs::counter(xic_obs::Counter::DocOrderPathSort), 1);
+        // The allowance is per structural version, not per sort.
+        for _ in 0..PATH_SORT_ALLOWANCE {
+            d.sort_document_order(&mut ids);
+        }
+        assert_eq!(ids, vec![t0, track, name]);
+        assert_eq!(xic_obs::counter(xic_obs::Counter::OrderCacheRebuild), 1);
+        assert!(xic_obs::counter(xic_obs::Counter::DocOrderFastSort) > 0);
     }
 }

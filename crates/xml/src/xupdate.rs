@@ -787,10 +787,24 @@ mod tests {
         )
         .unwrap();
         assert!(!u.insertions_only());
+        // The three operations touch a key text, a member and a tag of the
+        // demanded indexes; the mutators keep them through apply and undo.
+        let key = |tag: &str| crate::KeyShape { tag: tag.to_string(), path: Vec::new() };
+        for tag in ["a", "b", "d"] {
+            doc.ensure_index(&key(tag));
+        }
+        let keyed_new = |doc: &Document| {
+            let a = doc.symbols().lookup("a").unwrap();
+            doc.value_index(a, &[]).unwrap().members_keyed(["new"]).len()
+        };
         let applied = apply(&mut doc, &u, &resolver).unwrap();
         assert_eq!(serialize(&doc), "<r><a>new</a><d/></r>");
+        doc.audit_indexes().expect("indexes follow the apply");
+        assert_eq!(keyed_new(&doc), 1);
         undo(&mut doc, applied);
         assert_eq!(serialize(&doc), before);
+        doc.audit_indexes().expect("indexes follow the undo");
+        assert_eq!(keyed_new(&doc), 0);
     }
 
     #[test]

@@ -254,7 +254,7 @@ pub fn dedupe_doc_order(doc: &Document, nodes: &mut Vec<NodeRef>) {
     if nodes.len() <= 1 {
         return;
     }
-    if let Some(ranks) = doc.order_ranks() {
+    if let Some(ranks) = doc.order_ranks_for(nodes.len()) {
         if nodes.iter().all(|n| ranks.rank(n.anchor()).is_some()) {
             xic_obs::incr(xic_obs::Counter::DocOrderFastSort);
             nodes.sort_unstable_by(|a, b| {

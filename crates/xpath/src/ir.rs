@@ -31,7 +31,20 @@
 //! [`crate::eval`] compile and run here, and the expected-value tests
 //! there are its specification (short-circuit rules, document-order
 //! normalization and the `sibling_safe` skip, `EvalBudget` charging and
-//! `xic-obs` counters, error messages). The hot existential path walk
+//! `xic-obs` counters, error messages).
+//!
+//! **The document's index.** Where the sequence is `//tag` and the key is
+//! child name steps ending in `text()`, the site also carries that
+//! [`IndexShape`], and an evaluation asks the document first
+//! ([`xic_xml::Document::value_index`]): a document that holds the index
+//! answers the probe from it — no table, no walk, the hits charged and
+//! nothing else — and one that does not runs the per-evaluation table
+//! above. With the document's index a single probe pays too, so such a
+//! site is also planned when `O` starts at a *parameter* slot, which
+//! takes one value per evaluation; without the index that site runs the
+//! ordinary path, as it did before it was planned.
+//!
+//! The hot existential path walk
 //! (`path_exists_from`), whose recursion depth scales with the number
 //! of location steps times the tree fan-out, runs on an explicit frame
 //! stack instead of the call stack; fixed-depth structural recursion
@@ -44,7 +57,7 @@ use crate::eval::{axis_iter, compare_values, dedupe_doc_order, same_depth, EvalE
 use crate::value::{NodeRef, XValue};
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use xic_xml::{Document, NodeKind, Symbol};
+use xic_xml::{Document, KeyShape, NodeId, NodeKind, Symbol, ValueIndexRef};
 
 /// Index of an expression node in [`Program::exprs`].
 pub type ExprId = u32;
@@ -213,11 +226,17 @@ pub enum Inst {
     Binary(ExprId, BinOp, ExprId),
     /// Function call.
     Call(FnOp, Box<[ExprId]>),
-    /// A path `/members[K = O]/rest` answered from a [`KeyedSeq`]: see
-    /// the module documentation.
+    /// A path `/members[K = O]/rest` answered from the document's index
+    /// or a [`KeyedSeq`]: see the module documentation.
     Keyed {
         /// This site's cell in the evaluation's [`KeyedCache`].
         site: u32,
+        /// What to ask the document for, when `members` and `key` have an
+        /// indexable shape.
+        index: Option<IndexShape>,
+        /// `O` starts at a loop-bound slot: without the document's index,
+        /// a per-evaluation table pays.
+        looped: bool,
         /// The same path as an ordinary [`Inst::Path`]: what this node
         /// means, and what runs when the probe cannot answer.
         scan: ExprId,
@@ -231,6 +250,77 @@ pub enum Inst {
         /// The steps after the keyed one.
         rest: Box<[IrStep]>,
     },
+}
+
+/// The shape of a value index a document may hold
+/// ([`xic_xml::KeyShape`], over this program's name pool): the members
+/// `//tag`, keyed by `path[0]/…/text()`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexShape {
+    /// The members' tag.
+    pub tag: NameId,
+    /// The child element steps between a member and its key text nodes.
+    pub path: Box<[NameId]>,
+}
+
+impl IndexShape {
+    /// The shape of `members[key = …]`, if `members` is `//tag` and `key`
+    /// is predicate-free child name steps ending in `text()`.
+    pub fn of(members: &[IrStep], key: &[IrStep]) -> Option<IndexShape> {
+        let bare = |s: &IrStep, axis: Axis| s.axis == axis && s.predicates.is_empty();
+        let [all, tag] = members else {
+            return None;
+        };
+        let (text, names) = key.split_last()?;
+        let plain = bare(all, Axis::DescendantOrSelf)
+            && all.test == IrTest::Node
+            && bare(tag, Axis::Child)
+            && bare(text, Axis::Child)
+            && text.test == IrTest::Text;
+        let IrTest::Name(tag) = tag.test else {
+            return None;
+        };
+        let path = names.iter().map(|s| match s.test {
+            IrTest::Name(n) if bare(s, Axis::Child) => Some(n),
+            _ => None,
+        });
+        Some(IndexShape { tag, path: path.collect::<Option<_>>()? }).filter(|_| plain)
+    }
+
+    /// The document's index of this shape, if it holds one.
+    pub fn in_document<'d>(
+        &self,
+        doc: &'d Document,
+        resolved: &[Option<Symbol>],
+    ) -> Option<ValueIndexRef<'d>> {
+        let path: Option<Vec<Symbol>> = self.path.iter().map(|&n| resolved[n as usize]).collect();
+        doc.value_index(resolved[self.tag as usize]?, &path?)
+    }
+
+    /// The shape by name, as a document is asked to index it.
+    pub fn demand(&self, names: &[String]) -> KeyShape {
+        KeyShape {
+            tag: names[self.tag as usize].clone(),
+            path: self.path.iter().map(|&n| names[n as usize].clone()).collect(),
+        }
+    }
+}
+
+/// The members of `index` that `=` pairs with `outer` — in document order,
+/// counted as one [`xic_obs::Counter::IndexProbe`] — or `None` when
+/// `outer` is a number or boolean, for which `=` is not a comparison of
+/// string values.
+pub fn index_members(index: ValueIndexRef, outer: &XValue, doc: &Document) -> Option<Vec<NodeId>> {
+    let hits = match outer {
+        XValue::Str(s) => index.members_keyed([s.as_str()]),
+        XValue::Nodes(ns) => {
+            let values: Vec<_> = ns.iter().map(|n| n.str_value(doc)).collect();
+            index.members_keyed(values.iter().map(|v| &**v))
+        }
+        XValue::Num(_) | XValue::Bool(_) => return None,
+    };
+    xic_obs::incr(xic_obs::Counter::IndexProbe);
+    Some(hits)
 }
 
 /// A compiled XPath program: a flat expression arena plus its name pool
@@ -269,6 +359,14 @@ impl Program {
             .iter()
             .position(|v| v == name)
             .map(|i| u32::try_from(i).expect("slot count fits u32"))
+    }
+
+    /// The value indexes this program's keyed steps can be answered from.
+    pub fn index_demands(&self) -> impl Iterator<Item = KeyShape> + '_ {
+        self.exprs.iter().filter_map(|inst| match inst {
+            Inst::Keyed { index, .. } => index.as_ref().map(|shape| shape.demand(&self.names)),
+            _ => None,
+        })
     }
 
     /// An empty per-evaluation cache for this program's keyed sites.
@@ -321,6 +419,9 @@ pub struct Builder {
     /// Per slot: bound once per iteration of a loop (see
     /// [`Builder::fresh_loop_slot`]).
     loop_bound: Vec<bool>,
+    /// Per slot: a caller-supplied parameter (see
+    /// [`Builder::fresh_param_slot`]).
+    param: Vec<bool>,
 }
 
 impl Builder {
@@ -335,13 +436,24 @@ impl Builder {
         let id = u32::try_from(self.prog.var_names.len()).expect("slot count fits u32");
         self.prog.var_names.push(name.to_string());
         self.loop_bound.push(false);
+        self.param.push(false);
+        id
+    }
+
+    /// [`Builder::fresh_slot`] for a parameter of the whole program: one
+    /// value per evaluation, so a path comparing against it is one probe
+    /// — worth planning where the document's own index can answer it.
+    pub fn fresh_param_slot(&mut self, name: &str) -> SlotId {
+        let id = self.fresh_slot(name);
+        self.param[id as usize] = true;
         id
     }
 
     /// [`Builder::fresh_slot`] for a binder that takes a new value per
     /// iteration (`for`, `some`, `every`): a path comparing against it is
     /// evaluated once per binding, which is what makes a keyed sequence
-    /// pay. Parameters, `let`s and free variables are not loop-bound.
+    /// pay. `let`s and free variables are neither loop-bound nor
+    /// parameters.
     pub fn fresh_loop_slot(&mut self, name: &str) -> SlotId {
         let id = self.fresh_slot(name);
         self.loop_bound[id as usize] = true;
@@ -459,11 +571,17 @@ impl Builder {
                 [pred] => self.key_of(*pred),
                 _ => None,
             };
-            if let Some((key, outer)) = keyed {
+            if let Some((key, outer, looped)) = keyed {
                 let mut members = steps[..=i].to_vec();
                 members[i].predicates = Box::new([]);
+                let index = IndexShape::of(&members, &key);
+                if !looped && index.is_none() {
+                    return path; // one probe per evaluation: only a persistent index pays
+                }
                 let inst = Inst::Keyed {
                     site: self.prog.keyed_sites,
+                    index,
+                    looped,
                     scan: path,
                     members: members.into(),
                     key: key.into(),
@@ -482,9 +600,10 @@ impl Builder {
 
     /// Reads a predicate as `K = O` — a slot-free path `K` from the
     /// context node compared for equality, in either order, with a path
-    /// `O` from a loop-bound slot — looking through the existential
-    /// nesting `c[K = O]`, which tests the same thing with key `c/K`.
-    fn key_of(&self, pred: ExprId) -> Option<(Vec<IrStep>, ExprId)> {
+    /// `O` from a loop-bound or parameter slot (the flag says which) —
+    /// looking through the existential nesting `c[K = O]`, which tests
+    /// the same thing with key `c/K`.
+    fn key_of(&self, pred: ExprId) -> Option<(Vec<IrStep>, ExprId, bool)> {
         let inst = |e: ExprId| &self.prog.exprs[e as usize];
         let slot_free = |steps: &[IrStep]| !self.prog.steps_read_slot(steps, &|_| true);
         match inst(pred) {
@@ -493,8 +612,10 @@ impl Builder {
                     (
                         Inst::Path { start: IrStart::Context, steps },
                         Inst::Path { start: IrStart::Slot(s), .. },
-                    ) if self.loop_bound[*s as usize] && slot_free(steps) => {
-                        Some((steps.to_vec(), o))
+                    ) if (self.loop_bound[*s as usize] || self.param[*s as usize])
+                        && slot_free(steps) =>
+                    {
+                        Some((steps.to_vec(), o, self.loop_bound[*s as usize]))
                     }
                     _ => None,
                 })
@@ -507,11 +628,11 @@ impl Builder {
                 if !slot_free(init) {
                     return None;
                 }
-                let (inner_key, outer) = self.key_of(*inner)?;
+                let (inner_key, outer, looped) = self.key_of(*inner)?;
                 let mut key = init.to_vec();
                 key.push(IrStep { predicates: Box::new([]), ..last.clone() });
                 key.extend(inner_key);
-                Some((key, outer))
+                Some((key, outer, looped))
             }
             _ => None,
         }
@@ -533,6 +654,14 @@ impl Builder {
 /// `S`, ascending. Built once, it answers `S[K = O]` — XPath's
 /// existential `=` between `K(member)` and a string or node-set `O` — by
 /// lookup instead of by evaluating `K` on every member again.
+///
+/// This is the per-evaluation table of a loop-bound site whose document
+/// holds no index for it (one [`xic_obs::Counter::IndexScan`] per build,
+/// where the site has a shape a document could index).
+/// Against the step budget the build is charged one step per member on
+/// top of the walk that found them, and every probe its hits; a probe of
+/// the document's own index ([`index_members`]) has no build, so it is
+/// charged its hits and nothing else — never the member count.
 #[derive(Debug)]
 pub struct KeyedSeq {
     members: Vec<NodeRef>,
@@ -716,29 +845,37 @@ pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
         }
         Inst::Binary(a, op, b) => eval_binary(*a, *op, *b, scope),
         Inst::Call(op, args) => eval_call(op, args, scope),
-        Inst::Keyed { site, scan, members, key, outer, rest } => {
-            match probe_site(*site, members, key, *outer, scope)? {
-                Some(hits) => Ok(XValue::Nodes(eval_steps(hits, rest, scope)?)),
-                None => eval(*scan, scope),
-            }
-        }
+        Inst::Keyed { scan, rest, .. } => match probe_site(scope.inst(id), scope)? {
+            Some(hits) => Ok(XValue::Nodes(eval_steps(hits, rest, scope)?)),
+            None => eval(*scan, scope),
+        },
     }
 }
 
-/// The keyed step's result by probe, or `None` when this evaluation has
-/// to scan (see the module documentation). The table is built by the
-/// first probe that needs it.
-fn probe_site(
-    site: u32,
-    members: &[IrStep],
-    key: &[IrStep],
-    outer: ExprId,
-    scope: &Scope,
-) -> Result<Option<Vec<NodeRef>>, EvalError> {
-    let Ok(outer) = eval_operand(outer, scope) else {
+/// The keyed step's result by probe — of the document's index if it
+/// holds one for the site, else of the evaluation's table, built by the
+/// first probe that needs it — or `None` when this evaluation has to
+/// scan (see the module documentation).
+fn probe_site(keyed: &Inst, scope: &Scope) -> Result<Option<Vec<NodeRef>>, EvalError> {
+    let Inst::Keyed { site, index, looped, members, key, outer, .. } = keyed else {
+        unreachable!("probe_site is called on keyed sites only");
+    };
+    let Ok(outer) = eval_operand(*outer, scope) else {
         return Ok(None);
     };
-    let Some(keyed) = scope.keyed.0[site as usize].get_or_init(|| {
+    let persistent = index.as_ref().and_then(|shape| shape.in_document(scope.doc, scope.resolved));
+    if let Some(hits) = persistent.and_then(|index| index_members(index, &outer, scope.doc)) {
+        visit(hits.len() as u64)?;
+        return Ok(Some(hits.into_iter().map(NodeRef::Node).collect()));
+    }
+    if !looped {
+        xic_obs::incr(xic_obs::Counter::IndexScan);
+        return Ok(None);
+    }
+    let Some(keyed) = scope.keyed.0[*site as usize].get_or_init(|| {
+        if index.is_some() {
+            xic_obs::incr(xic_obs::Counter::IndexScan);
+        }
         let root = vec![NodeRef::Node(scope.doc.document_node())];
         let seq = eval_steps(root, members, scope).ok()?;
         KeyedSeq::build(seq, scope.doc, |m| eval_steps(vec![m.clone()], key, scope)).ok()
@@ -1438,10 +1575,15 @@ mod tests {
     }
 
     /// Compiles `src` with `$R` bound the way the XQuery compiler binds a
-    /// `for` variable (`looped`) or a parameter.
+    /// `for` variable (`looped`) or a `let`.
     fn compile_with_r(src: &str, looped: bool) -> (Program, ExprId) {
+        compile_binding_r(src, if looped { Builder::fresh_loop_slot } else { Builder::fresh_slot })
+    }
+
+    /// … or, with [`Builder::fresh_param_slot`], a program parameter.
+    fn compile_binding_r(src: &str, bind: fn(&mut Builder, &str) -> SlotId) -> (Program, ExprId) {
         let mut b = Builder::new();
-        let slot = if looped { b.fresh_loop_slot("R") } else { b.fresh_slot("R") };
+        let slot = bind(&mut b, "R");
         let root = b.add_expr(&parse(src).unwrap(), &|name| (name == "R").then_some(slot));
         (b.finish(), root)
     }
@@ -1482,7 +1624,7 @@ mod tests {
             ("//track[rev[name/text() = $R]]", true, 1),
             ("//track[rev/sub[auts/name = $R/x]]/name", true, 1),
             ("/review/track[name = 'DB']/rev[name = $R]", true, 1),
-            // A parameter or `let` takes one value per evaluation.
+            // A `let` takes one value per evaluation.
             ("//rev[name/text() = $R]/sub", false, 0),
             // Not a string-keyed equality of the candidate alone.
             ("//rev[name/text() != $R]", true, 0),
@@ -1507,6 +1649,88 @@ mod tests {
             panic!("{:?}", prog.exprs[root as usize]);
         };
         assert_eq!((members.len(), rest.len()), (2, 1));
+    }
+
+    /// A parameter takes one value per evaluation too, but the document
+    /// may hold an index that answers one probe: such a site is planned
+    /// exactly where it has the shape a document indexes.
+    #[test]
+    fn parameter_comparisons_are_planned_where_the_document_can_index_them() {
+        let shape = |tag: &str, path: &[&str]| KeyShape {
+            tag: tag.to_string(),
+            path: path.iter().map(|s| s.to_string()).collect(),
+        };
+        for (src, demand) in [
+            ("//rev[name/text() = $R]/sub", Some(shape("rev", &["name"]))),
+            ("//track[rev[name/text() = $R/name/text()]]", Some(shape("track", &["rev", "name"]))),
+            ("//name[$R = text()]", Some(shape("name", &[]))),
+            // Not `//tag`, or not child names down to a `text()`.
+            ("/review/track[name/text() = $R]", None),
+            ("//track/rev[name/text() = $R]", None),
+            ("//*[name/text() = $R]", None),
+            ("//rev[name = $R]", None),
+            ("//rev[sub/auts/name/.. = $R]", None),
+            ("//rev[sub[1]/title/text() = $R]", None),
+            ("//rev[@id = $R]", None),
+        ] {
+            let (prog, _) = compile_binding_r(src, Builder::fresh_param_slot);
+            assert_eq!(prog.index_demands().collect::<Vec<_>>(), Vec::from_iter(demand.clone()), "{src}");
+            assert_eq!(prog.keyed_sites, u32::from(demand.is_some()), "{src} as a parameter site");
+            // Under a loop the same shapes are demanded, and every site is
+            // planned: without the index a table pays.
+            let (looped, _) = compile_with_r(src, true);
+            assert_eq!(looped.index_demands().collect::<Vec<_>>(), Vec::from_iter(demand), "{src}");
+        }
+    }
+
+    #[test]
+    fn the_documents_index_answers_a_probe_with_its_hits_and_nothing_else() {
+        let (plain, _) = parse_document(DOC).unwrap();
+        let mut indexed = plain.clone();
+        let counters = || {
+            let c = xic_obs::counter;
+            (c(xic_obs::Counter::IndexProbe), c(xic_obs::Counter::IndexScan))
+        };
+        let ann = || XValue::Str("Ann".into());
+        for bind in [Builder::fresh_loop_slot, Builder::fresh_param_slot] {
+            let (prog, root) = compile_binding_r("//rev[name/text() = $R]/sub", bind);
+            let Inst::Keyed { scan, looped, .. } = prog.exprs[root as usize] else {
+                panic!("not planned");
+            };
+            for shape in prog.index_demands() {
+                indexed.ensure_index(&shape);
+            }
+            // No walk to `//rev`, no key evaluation, no table: the two hits
+            // and the step from them (their 3 + 2 children).
+            let (value, visits) = eval_with_r(&prog, root, &indexed, ann(), &prog.keyed_cache());
+            assert_eq!((value.as_str(), visits), ("[sub1 sub2 sub4]", 2 + 5));
+            assert_eq!(counters(), (1, 0));
+            // A document without the index: a loop-bound site builds its
+            // table, a parameter site runs the scan it always was.
+            let (scanned, scan_visits) = eval_with_r(&prog, scan, &plain, ann(), &prog.keyed_cache());
+            let (value, visits) = eval_with_r(&prog, root, &plain, ann(), &prog.keyed_cache());
+            assert_eq!(value, scanned);
+            assert_eq!(counters(), (0, 1));
+            assert_eq!(visits, if looped { 85 + 10 + 3 + 2 + 5 } else { scan_visits });
+        }
+        // Values, order and errors are the scan's, whatever `$R` holds.
+        let names = evaluate_nodes(&parse("//rev/name/text()").unwrap(), &Context::root(&plain)).unwrap();
+        let (prog, root) = compile_with_r("//track[rev[name/text() = $R]]/name", true);
+        for shape in prog.index_demands() {
+            indexed.ensure_index(&shape);
+        }
+        for r in [
+            ann(),
+            XValue::Str("nobody".into()),
+            XValue::Nodes(names.iter().rev().cloned().collect()),
+            XValue::Nodes(vec![]),
+            XValue::Num(7.0),
+            XValue::Bool(true),
+        ] {
+            let probed = eval_with_r(&prog, root, &indexed, r.clone(), &prog.keyed_cache()).0;
+            let Inst::Keyed { scan, .. } = prog.exprs[root as usize] else { panic!("not planned") };
+            assert_eq!(probed, eval_with_r(&prog, scan, &plain, r.clone(), &prog.keyed_cache()).0, "{r:?}");
+        }
     }
 
     #[test]

@@ -44,6 +44,20 @@
 //! boolean; a conjunct before the join raises; `B` holds a non-node or
 //! `K` raised on a member — iterates all of `B`, which is the scan.
 //!
+//! **The document's index.** When the binder's source is `//tag` and the
+//! first join's `K` is child name steps ending in `text()`, the probe
+//! also carries that [`IndexShape`], and a document that holds the index
+//! ([`xic_xml::Document::value_index`]) answers the join from it: the
+//! candidates are its hits, in document order, and the source is never
+//! walked. (Further joins are left to the `satisfies`; where they could
+//! narrow through tables instead — the binder has a loop around it —
+//! the probe keeps to tables for all of them.) With it one probe
+//! pays, so `O` may read any variable but the binder — a program
+//! parameter, which takes one value per evaluation, included — and a
+//! `some` with a single binder is planned when it has the shape; on a
+//! document without the index that one iterates its source, as it did
+//! before it was planned.
+//!
 //! This is the only evaluator: the one-shot entry points in
 //! [`crate::eval`] compile and run here, the expected-value tests there
 //! are its specification, and the difftest oracle holds it to the naive
@@ -56,8 +70,8 @@ use crate::item::{
     Item, Sequence,
 };
 use std::cell::OnceCell;
-use xic_xml::{Document, Symbol};
-use xic_xpath::ir::{self, Builder, ExprId, IrStart, KeyedSeq, Scope, SlotId};
+use xic_xml::{Document, KeyShape, NodeId, Symbol};
+use xic_xpath::ir::{self, Builder, ExprId, IndexShape, IrStart, KeyedSeq, Scope, SlotId};
 use xic_xpath::{BinOp, NodeRef, XValue};
 
 /// Index of a node in [`XProgram::insts`].
@@ -150,6 +164,9 @@ pub struct Probe {
     /// members every one of them selects; a later one that cannot be
     /// probed for some outer binding just stops narrowing them.
     pub joins: Box<[(XId, XId)]>,
+    /// What to ask the document for in place of the first join's table
+    /// (and of the binder's source), when they have an indexable shape.
+    pub index: Option<IndexShape>,
 }
 
 /// One compiled clause of a loop nest.
@@ -259,7 +276,7 @@ impl XProgram {
             scope: Vec::new(),
         };
         for p in params {
-            let slot = c.xp.fresh_slot(p);
+            let slot = c.xp.fresh_param_slot(p);
             c.scope.push((p.clone(), slot));
         }
         let root = c.add(q);
@@ -282,6 +299,19 @@ impl XProgram {
             .filter(|i| matches!(i, XInst::Quantified { binds, .. } if binds.iter().any(probed)))
             .count();
         self.xp.keyed_sites as usize + quantifiers
+    }
+
+    /// The value indexes ([`xic_xml::Document::ensure_index`]) this
+    /// query's keyed steps and joins can be answered from.
+    pub fn index_demands(&self) -> Vec<KeyShape> {
+        let probes = self.insts.iter().filter_map(|inst| match inst {
+            XInst::Quantified { binds, .. } => match binds.last()? {
+                XClause::For(f) => f.probe.as_ref()?.index.as_ref(),
+                _ => None,
+            },
+            _ => None,
+        });
+        self.xp.index_demands().chain(probes.map(|p| p.demand(&self.xp.names))).collect()
     }
 
     /// Existential evaluation (the checker's mode); see
@@ -366,14 +396,12 @@ impl Compiler {
 
     /// The value-join plan for `last`, the final binder of a `some` over
     /// `satisfies` (module documentation), if the query has that shape.
-    fn plan_probe(&self, earlier: &[XClause], last: &XFor, satisfies: XId) -> Option<Probe> {
-        if !last.hoistable {
-            return None;
-        }
+    fn plan_probe(&self, last: &XFor, satisfies: XId) -> Option<Probe> {
         let reads_last = |id: XId| self.reads_slot(id, &|s| s == last.slot);
+        let xp = self.xp.program();
         // `c` as a join `(K, O)`: an equality, in either order, between a
         // path from `$b` that reads nothing else and an operand that does
-        // not read `$b` but does read the loops around it.
+        // not read `$b` but does read some other variable.
         let join = |c: XId| {
             let XInst::Binary(l, BinOp::Eq, r) = self.insts[c as usize] else {
                 return None;
@@ -382,7 +410,6 @@ impl Compiler {
                 let XInst::XPath { expr, .. } = self.insts[key as usize] else {
                     return false;
                 };
-                let xp = self.xp.program();
                 let from_last = matches!(
                     xp.exprs[expr as usize],
                     ir::Inst::Path { start: IrStart::Slot(s), .. } if s == last.slot
@@ -390,14 +417,35 @@ impl Compiler {
                 from_last
                     && !xp.reads_slot(expr, &|s| s != last.slot)
                     && !reads_last(outer)
-                    && self.reads_slot_of(outer, earlier)
+                    && self.reads_slot(outer, &|s| s != last.slot)
             })
         };
         let mut conjuncts = Vec::new();
         self.conjuncts(satisfies, &mut conjuncts);
         let at = conjuncts.iter().position(|&c| reads_last(c))?;
         let joins: Box<[_]> = conjuncts[at..].iter().map_while(|&c| join(c)).collect();
-        (!joins.is_empty()).then(|| Probe { guards: conjuncts[..at].into(), joins })
+        let steps_of = |id: XId| match self.insts[id as usize] {
+            XInst::XPath { expr, .. } => match &xp.exprs[expr as usize] {
+                ir::Inst::Path { start, steps } => Some((*start, &**steps)),
+                _ => None,
+            },
+            _ => None,
+        };
+        // The index stands in for the source and the first join's table.
+        // Further joins of a binder with a loop around it narrow through
+        // tables over the source, which is then walked anyway: all tables.
+        let index = match (steps_of(last.source), steps_of(joins.first()?.0)) {
+            (Some((IrStart::Root, members)), Some((_, key)))
+                if !(last.hoistable && joins.len() > 1) =>
+            {
+                IndexShape::of(members, key)
+            }
+            _ => None,
+        };
+        // Without a loop around it a binder is probed once per evaluation:
+        // only the document's own index can pay for that.
+        (last.hoistable || index.is_some())
+            .then(|| Probe { guards: conjuncts[..at].into(), joins, index })
     }
 
     /// Flattens the `and` tree rooted at `id` into its conjuncts, in the
@@ -501,8 +549,8 @@ impl Compiler {
                 }
                 let satisfies = self.add(satisfies);
                 self.scope.truncate(depth);
-                if let (true, Some((XClause::For(last), earlier))) = (*some, compiled.split_last_mut()) {
-                    last.probe = self.plan_probe(earlier, last, satisfies);
+                if let (true, Some(XClause::For(last))) = (*some, compiled.last_mut()) {
+                    last.probe = self.plan_probe(last, satisfies);
                 }
                 self.push(XInst::Quantified {
                     some: *some,
@@ -712,6 +760,9 @@ enum Items {
     All(std::ops::Range<usize>),
     /// The positions of it a probe selected.
     Probed(std::vec::IntoIter<u32>),
+    /// The members the document's index selected, standing in for the
+    /// source.
+    Indexed(std::vec::IntoIter<NodeId>),
 }
 
 /// The one loop driver: runs the loop nest `clauses` on an explicit
@@ -754,7 +805,10 @@ fn for_each_tuple(
                     }
                 }
                 XClause::For(f) => {
-                    let items = if f.hoistable {
+                    let indexed = f.probe.as_ref().and_then(|p| indexed_candidates(p, st, lazy));
+                    let items = if let Some(hits) = indexed {
+                        Items::Indexed(hits.into_iter())
+                    } else if f.hoistable {
                         if hoisted[idx].is_none() {
                             let items = eval(f.source, st)?;
                             let joins = f.probe.as_ref().map_or(0, |p| p.joins.len());
@@ -767,6 +821,9 @@ fn for_each_tuple(
                             None => Items::All(0..h.items.len()),
                         }
                     } else {
+                        if f.probe.is_some() {
+                            xic_obs::incr(xic_obs::Counter::IndexScan);
+                        }
                         Items::Owned(eval(f.source, st)?.into_iter())
                     };
                     frames.push((idx, items));
@@ -785,6 +842,7 @@ fn for_each_tuple(
                 Items::Owned(iter) => iter.next(),
                 Items::All(range) => range.next().map(at),
                 Items::Probed(hits) => hits.next().map(|i| at(i as usize)),
+                Items::Indexed(hits) => hits.next().map(|n| Item::Node(NodeRef::Node(n))),
             };
             match next {
                 Some(item) => {
@@ -805,6 +863,31 @@ fn for_each_tuple(
     }
 }
 
+/// The value-join plan answered by the document: the members its index
+/// pairs with the current outer binding under the probe's first join, or
+/// `None` when the binder has to be iterated from its source — the
+/// document holds no such index, a guard or the operand raises, or the
+/// operand is a number or boolean.
+fn indexed_candidates(probe: &Probe, st: &mut St, lazy: bool) -> Option<Vec<NodeId>> {
+    let index = probe.index.as_ref()?.in_document(st.doc, &st.resolved)?;
+    if !guards_hold(probe, st, lazy)? {
+        return Some(Vec::new());
+    }
+    let outer = eval_xvalue(probe.joins[0].1, st).ok()?;
+    ir::index_members(index, &outer, st.doc)
+}
+
+/// Whether every guard of `probe` holds for the current outer binding;
+/// `None` if one raises (the scan then raises it where it should).
+fn guards_hold(probe: &Probe, st: &mut St, lazy: bool) -> Option<bool> {
+    for &guard in probe.guards.iter() {
+        if !truth(guard, st, lazy).ok()? {
+            return Some(false);
+        }
+    }
+    Some(true)
+}
+
 /// The value-join plan at run time: the positions of `hoisted.items` the
 /// current outer binding can pair with, or `None` when it has to try them
 /// all (see [`Probe`] and the module documentation). A table is built by
@@ -816,13 +899,11 @@ fn candidates(
     st: &mut St,
     lazy: bool,
 ) -> Option<Vec<u32>> {
-    for &guard in probe.guards.iter() {
-        if !truth(guard, st, lazy).ok()? {
-            return Some(Vec::new());
-        }
+    if !guards_hold(probe, st, lazy)? {
+        return Some(Vec::new());
     }
     let mut hits: Option<Vec<u32>> = None;
-    for (&(key, outer), cell) in probe.joins.iter().zip(&hoisted.keyed) {
+    for (i, (&(key, outer), cell)) in probe.joins.iter().zip(&hoisted.keyed).enumerate() {
         if hits.as_ref().is_some_and(Vec::is_empty) {
             break;
         }
@@ -830,6 +911,9 @@ fn candidates(
             break;
         };
         let keyed = cell.get_or_init(|| {
+            if i == 0 && probe.index.is_some() {
+                xic_obs::incr(xic_obs::Counter::IndexScan);
+            }
             let Ok(XValue::Nodes(members)) = sequence_to_xvalue(&hoisted.items) else {
                 return None;
             };
@@ -1279,10 +1363,20 @@ mod tests {
             ("some $a in //rev, $b in //aut satisfies $a/name != $b/name", 0),
             ("some $a in //rev, $b in //aut satisfies $b/name = $b/../aut/name", 0),
             ("some $a in //rev, $b in //aut satisfies $b/name[. = $a/name] = $a/name", 0),
-            // One value per evaluation is one probe: nothing to amortise.
+            // A constant is not an operand to probe with.
             ("some $a in //rev, $b in //aut satisfies $b/name/text() = 'Ann'", 0),
-            ("some $b in //aut satisfies $b/name/text() = $p/name/text()", 0),
-            ("some $a in $p/sub, $b in //aut satisfies $b/name/text() = $p/name/text()", 0),
+            // (3) a parameter is: one value per evaluation, which the
+            // document's own index answers — where there is a loop around
+            // the binder to amortise a table over, or the shape
+            // (`//tag` keyed by `…/text()`) the document can index.
+            ("some $b in //aut satisfies $b/name/text() = $p/name/text()", 1),
+            ("some $b in //aut satisfies frob($p) and $p/name/text() = $b/name/text()", 1),
+            ("some $a in $p/sub, $b in //aut satisfies $b/name/text() = $p/name/text()", 1),
+            ("some $a in $p/sub, $b in //aut satisfies $b/name = $p/name/text()", 1),
+            ("some $b in //aut satisfies $b/name = $p/name/text()", 0),
+            ("some $b in //pub/aut satisfies $b/name/text() = $p/name/text()", 0),
+            ("some $b in //aut satisfies $b/../aut/name/text() = $p/name/text()", 0),
+            ("some $b in //aut[name] satisfies $b/name/text() = $p/name/text()", 0),
             // (2) a keyed step under a loop variable.
             (
                 "exists(for $R in distinct-values(//rev/name/text()) \
@@ -1291,7 +1385,8 @@ mod tests {
                 2,
             ),
             ("some $a in //rev satisfies //aut[name/text() = $a/name/text()]", 1),
-            ("exists(let $g := //track[rev[name/text() = $p/name/text()]] return $g)", 0),
+            ("exists(let $g := //track[rev[name/text() = $p/name/text()]] return $g)", 1),
+            ("exists(let $g := //track[rev[name = $p/name/text()]] return $g)", 0),
             ("exists(for $a in //rev let $n := $a/name return //aut[name = $n])", 0),
         ] {
             let q = parse_query(query).unwrap_or_else(|e| panic!("{query}: {e}"));
@@ -1359,6 +1454,108 @@ mod tests {
         let numeric = parse_document("<r><a><x/><x/></a><b><v>2.0</v></b></r>").unwrap().0;
         let q = "some $a in //a, $b in //b satisfies count($a/x) = $b/v/text()";
         assert!(XProgram::compile(&parse_query(q).unwrap()).eval_exists(&numeric, &[]).unwrap());
+    }
+
+    /// A lone binder probed with a parameter — the pre-update templates'
+    /// shape — on a document that holds the index and on one that does not.
+    #[test]
+    fn the_documents_index_stands_in_for_the_source_and_the_first_join() {
+        let plain = doc_with_catalog();
+        let ann = || {
+            let all = parse_query("for $r in //rev return $r").unwrap();
+            let Item::Node(n) = eval_query(&all, &plain).unwrap().remove(0) else { panic!() };
+            XValue::Nodes(vec![n])
+        };
+        // (query, $p, outcome, bindings and (probes, scans) with the index,
+        // bindings without it)
+        for (query, p, outcome, bindings, counts, scan_bindings) in [
+            // One aut is called Ann: one candidate, not all three auts.
+            ("some $b in //aut satisfies $b/name/text() = $p/name/text()", ann(), "(true)", 1, (1, 0), 1),
+            ("some $b in //aut satisfies $b/name/text() = $p", XValue::Str("Dan".into()), "(true)", 1, (1, 0), 3),
+            ("some $b in //aut satisfies $b/name/text() = $p", XValue::Str("Zed".into()), "(false)", 0, (1, 0), 3),
+            // The guard is evaluated once, and a false one leaves nothing to try.
+            (
+                "some $b in //aut satisfies exists($p/self::sub) and $b/name/text() = $p/name/text()",
+                ann(),
+                "(false)",
+                0,
+                (0, 0),
+                3,
+            ),
+            // The later join is the `satisfies`' business: Ann's aut is
+            // tried and rejected (her co-author is Bob, not Dan).
+            (
+                "some $b in //aut satisfies $b/name/text() = $p/name/text() \
+                 and $b/../aut/name/text() = 'Dan'",
+                ann(),
+                "(false)",
+                1,
+                (1, 0),
+                3,
+            ),
+            // What cannot be probed is scanned, and raises what the scan raises.
+            ("some $b in //aut satisfies $b/name/text() = count($p)", ann(), "(false)", 3, (0, 1), 3),
+            (
+                "some $b in //aut satisfies frob($p) and $b/name/text() = $p",
+                XValue::Str("Ann".into()),
+                "error: unknown function frob()",
+                1,
+                (0, 1),
+                1,
+            ),
+            (
+                "some $b in //aut satisfies $b/name/text() = frob($p)",
+                XValue::Str("Ann".into()),
+                "error: unknown function frob()",
+                1,
+                (0, 1),
+                1,
+            ),
+        ] {
+            let prog = XProgram::compile_with_params(&parse_query(query).unwrap(), &["p".to_string()]);
+            assert_eq!(prog.plan_sites(), 1, "{query} is planned");
+            let mut indexed = plain.clone();
+            for shape in prog.index_demands() {
+                indexed.ensure_index(&shape);
+            }
+            for (doc, bindings, counts) in [(&indexed, bindings, counts), (&plain, scan_bindings, (0, 1))] {
+                xic_obs::reset();
+                let lazy = prog.eval_exists(doc, std::slice::from_ref(&p)).map(|b| vec![Item::Bool(b)]);
+                assert_eq!(render(doc, lazy), outcome, "existential {query}");
+                assert_eq!(
+                    xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited),
+                    bindings,
+                    "bindings of {query}"
+                );
+                let probed = xic_obs::counter(xic_obs::Counter::IndexProbe);
+                let scanned = xic_obs::counter(xic_obs::Counter::IndexScan);
+                assert_eq!((probed, scanned), counts, "probes and scans of {query}");
+                assert_eq!(render(doc, prog.eval_seq(doc, std::slice::from_ref(&p))), outcome, "materialized {query}");
+            }
+        }
+        // With a loop around the binder and one join, the full-check shape:
+        // the same answers, and the source `//aut` is never walked.
+        let query = "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text()";
+        let prog = XProgram::compile(&parse_query(query).unwrap());
+        let mut indexed = plain.clone();
+        for shape in prog.index_demands() {
+            indexed.ensure_index(&shape);
+        }
+        let visits = |doc: &Document| {
+            xic_obs::reset();
+            assert!(prog.eval_exists(doc, &[]).unwrap());
+            xic_obs::counter(xic_obs::Counter::XpathNodesVisited)
+        };
+        let walk = {
+            xic_obs::reset();
+            XProgram::compile(&parse_query("//aut").unwrap()).eval_seq(&plain, &[]).unwrap();
+            xic_obs::counter(xic_obs::Counter::XpathNodesVisited)
+        };
+        assert!(visits(&indexed) + walk <= visits(&plain));
+        // Two joins narrow through tables over the source: no demand.
+        let two = "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text() \
+                   and $a/sub/auts/name/text() = $b/../aut/name/text()";
+        assert_eq!(XProgram::compile(&parse_query(two).unwrap()).index_demands(), []);
     }
 
     #[test]
