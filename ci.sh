@@ -23,14 +23,17 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # them), missed an operation kind, or planned no join — in the reference
 # queries or in any case's constraint set (random cases draw a key or a
 # grouped-aggregate denial half the time), so the planned evaluation
-# cannot go unchecked unnoticed. Half the seeds evaluate those shapes on
-# a copy of the document holding the value indexes each query demands,
-# so the planned sites probe the persistent index; ≥ 100 cases in which
-# none did is exit 1 too. The rollback oracle demands an index for every
-# key shape the case's document has and audits all of them (and the
-# per-tag lists and attached bits) against a scan after apply and after
-# undo; every recovery in the crash / chaos / shard rows below is audited
-# the same way after its replay. Every case also replays
+# cannot go unchecked unnoticed. The shapes are evaluated on the case's
+# own document, under two more floors: ≥ 100 cases in which no planned
+# site was answered from the document's index (built by the first that
+# asks), or no query was planned with a per-evaluation table, is exit 1
+# too. The rollback oracle asks for an index in every key shape the
+# case's document has and audits all of them (and the per-tag lists and
+# attached bits) against a scan after apply and after undo; every
+# recovery in the crash / chaos / shard rows below is audited after its
+# replay. Random cases draw a denial that reads a position two times in
+# five; ≥ 100 cases in which none met an insert-before or a removal is
+# exit 1. Every case also replays
 # through a checker pair with the static update/constraint independence
 # mask on and off (oracle 6): verdicts, violation reports and post-states
 # must be byte-identical. Every difftest gate below is decided the same
@@ -160,6 +163,32 @@ rm -rf "$hostile"
 echo "$replies"
 [ "$(tail -n 2 <<<"$replies")" = $'OK 1 CONSISTENT\nOK 1 ok' ] \
   || { echo "wire hostility smoke: expected a consistent document and a healthy server" >&2; exit 1; }
+# First sight of an insert pattern: the snapshot the first DECIDE reads
+# builds the index its probe asks for, the writer's document builds its
+# own at the UPDATE, and the snapshot published from that carries it —
+# the second DECIDE probes and builds nothing.
+first="$(mktemp -d)"
+echo '<!ELEMENT collection (dblp, review)> <!ELEMENT dblp (pub)*>
+  <!ELEMENT pub (title, aut+)> <!ELEMENT aut (name)> <!ELEMENT review (track)+>
+  <!ELEMENT track (name,rev+)> <!ELEMENT rev (name, sub+)> <!ELEMENT sub (title, auts+)>
+  <!ELEMENT title (#PCDATA)> <!ELEMENT auts (name)> <!ELEMENT name (#PCDATA)>' > "$first/dtd"
+echo '<collection><dblp><pub><title>P</title><aut><name>ann</name></aut></pub></dblp><review><track><name>T</name><rev><name>bob</name><sub><title>S</title><auts><name>cat</name></auts></sub></rev></track></review></collection>' > "$first/xml"
+echo '<- //rev[name/text() -> R]/sub/auts/name/text() -> A & (A = R | //pub[aut/name/text() -> A & aut/name/text() -> R])' > "$first/gamma"
+sub='<xupdate:append select="/collection/review/track[1]/rev[1]"><sub><title>N</title><auts><name>dan</name></auts></sub></xupdate:append>'
+replies="$(target/release/xic-serve --xml "$first/xml" --dtd "$first/dtd" \
+  --constraints "$first/gamma" <<EOF
+DECIDE $m$sub$e
+STATS
+UPDATE $m$sub$e
+DECIDE $m$sub$e
+STATS
+EOF
+)"
+rm -rf "$first"
+echo "$replies"
+stats="$(grep -o 'index_[a-z]*=[0-9]*' <<<"$replies" | tr '\n' ' ')"
+[ "$stats" = 'index_probes=1 index_builds=1 index_probes=3 index_builds=2 ' ] \
+  || { echo "wire hostility smoke: first sight read '$stats'" >&2; exit 1; }
 
 echo "== experiments smoke (paper tables + their one report file, bad input exits 1) =="
 # A does-it-run gate, not a performance assertion (how the full check

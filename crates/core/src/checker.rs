@@ -184,16 +184,16 @@ pub struct Stats {
     /// that the document's value index answered
     /// ([`xic_obs::Counter::IndexProbe`]).
     pub index_probes: u64,
-    /// … that scanned instead ([`xic_obs::Counter::IndexScan`]): a
-    /// pattern's first sight comes before its indexes are built.
-    pub index_scans: u64,
+    /// Value indexes those probes built, a shape's first on this document
+    /// ([`xic_obs::Counter::IndexBuild`]).
+    pub index_builds: u64,
 }
 
 /// Runs `f` and reports, beside its result, how many planned sites it
-/// answered from a document's index and how many it scanned (this
-/// thread's [`xic_obs::Counter::IndexProbe`] / `IndexScan` deltas).
+/// answered from a document's index and how many indexes that built (this
+/// thread's [`xic_obs::Counter::IndexProbe`] / `IndexBuild` deltas).
 pub(crate) fn index_reads<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
-    let read = || [xic_obs::Counter::IndexProbe, xic_obs::Counter::IndexScan].map(xic_obs::counter);
+    let read = || [xic_obs::Counter::IndexProbe, xic_obs::Counter::IndexBuild].map(xic_obs::counter);
     let before = read();
     let value = f();
     let after = read();
@@ -283,13 +283,8 @@ impl Checker {
     /// preserve DTD validity, so a snapshot may legitimately fail
     /// re-validation even though replaying the same history from the base
     /// document would accept it; integrity of the snapshot bytes is
-    /// already guaranteed by its crc. The one thing derived from the
-    /// instance is inside the document: the value indexes Γ's full check
-    /// probes, built here (one pass over each shape's members).
-    pub(crate) fn assemble(mut doc: Document, shared: Arc<SharedGamma>) -> Checker {
-        for shape in shared.index_demands() {
-            doc.ensure_index(shape);
-        }
+    /// already guaranteed by its crc.
+    pub(crate) fn assemble(doc: Document, shared: Arc<SharedGamma>) -> Checker {
         Checker {
             doc,
             shared,
@@ -422,12 +417,7 @@ impl Checker {
     /// Runs the optimized pre-update check for `stmt` against the live
     /// document (see [`crate::optimized`]); also says whether its pattern
     /// was already compiled.
-    fn pre_check(&mut self, stmt: &XUpdateDoc) -> (Result<Verdict, CheckerError>, Option<bool>) {
-        // The indexes the known patterns probe: built on their first
-        // sight, a few comparisons on every later one. A pattern first
-        // seen by this very statement scans, like a snapshot cloned
-        // before it was demanded.
-        self.patterns.ensure_indexes(&mut self.doc);
+    fn pre_check(&self, stmt: &XUpdateDoc) -> (Result<Verdict, CheckerError>, Option<bool>) {
         OptimizedCheck { doc: &self.doc, gamma: &self.shared, independence: self.independence }
             .decide(stmt, &self.patterns)
     }
@@ -589,9 +579,9 @@ impl Checker {
         self.refuse_if_poisoned()?;
         self.refuse_if_degraded()?;
         match catch_unwind(AssertUnwindSafe(|| index_reads(|| self.try_update_inner(stmt)))) {
-            Ok((result, [probes, scans])) => {
+            Ok((result, [probes, builds])) => {
                 self.stats.index_probes += probes;
-                self.stats.index_scans += scans;
+                self.stats.index_builds += builds;
                 result
             }
             Err(payload) => {

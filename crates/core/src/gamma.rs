@@ -25,7 +25,7 @@ use xic_mapping::{map_denials, RelSchema};
 use xic_simplify::footprint::POS_COL;
 use xic_simplify::{live_set, read_footprints, ReadFootprint};
 use xic_translate::{translate_denials, QueryTemplate};
-use xic_xml::{apply, undo, AppliedUpdate, Document, Dtd, KeyShape, XUpdateDoc};
+use xic_xml::{apply, undo, AppliedUpdate, Document, Dtd, XUpdateDoc};
 use xic_xquery::{parse_query, XProgram};
 
 /// The compiled constraint-template set Γ plus everything derived from
@@ -50,10 +50,6 @@ pub struct SharedGamma {
     /// are closed, so the programs never change): the full check never
     /// re-parses the constraint set per statement.
     full_ir: Vec<XProgram>,
-    /// The value indexes the full check's joins and keyed steps can be
-    /// answered from ([`XProgram::index_demands`]); every checker over
-    /// this Γ builds them on its document at construction.
-    index_demands: Vec<KeyShape>,
     /// Per-constraint read footprints, in `gamma` order.
     read_fps: Vec<ReadFootprint>,
     /// Ownership maps for statement-level write footprints.
@@ -87,7 +83,6 @@ impl SharedGamma {
                 Err(e) => Err(CheckerError::Setup(format!("{}: {e}", q.text))),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let index_demands = full_ir.iter().flat_map(XProgram::index_demands).collect();
         let (read_fps, indep_index) = {
             let _compile = xic_obs::phase("compile");
             let _footprint = xic_obs::phase("footprint");
@@ -99,7 +94,6 @@ impl SharedGamma {
             gamma,
             full_queries,
             full_ir,
-            index_demands,
             read_fps,
             indep_index,
         }))
@@ -123,11 +117,6 @@ impl SharedGamma {
     /// The translated full-check queries.
     pub fn full_queries(&self) -> &[QueryTemplate] {
         &self.full_queries
-    }
-
-    /// The value indexes the full check probes when a document holds them.
-    pub(crate) fn index_demands(&self) -> &[KeyShape] {
-        &self.index_demands
     }
 
     /// True if some constraint reads the `Pos` column of relation `rel`.

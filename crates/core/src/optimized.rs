@@ -33,7 +33,7 @@ use std::sync::{Arc, RwLock};
 use xic_datalog::Value;
 use xic_mapping::{map_update, pattern_key, UpdateMapError};
 use xic_translate::{ParamKind, QueryTemplate, TemplateError};
-use xic_xml::{Document, KeyShape, NodeId, XUpdateDoc};
+use xic_xml::{Document, NodeId, XUpdateDoc};
 use xic_xpath::{NodeRef, XValue};
 use xic_xquery::{parse_query, XProgram};
 
@@ -54,8 +54,6 @@ struct IrTemplate {
 pub(crate) struct PatternEntry {
     pub(crate) compiled: CompiledPattern,
     ir: Vec<IrTemplate>,
-    /// The value indexes the templates probe when a document holds them.
-    demands: Vec<KeyShape>,
 }
 
 impl PatternEntry {
@@ -71,8 +69,7 @@ impl PatternEntry {
                 Vec::new()
             }
         };
-        let demands = ir.iter().flat_map(|t| t.program.index_demands()).collect();
-        Arc::new(PatternEntry { compiled, ir, demands })
+        Arc::new(PatternEntry { compiled, ir })
     }
 }
 
@@ -95,11 +92,6 @@ impl PatternEntry {
 #[derive(Default)]
 pub struct PatternCache {
     entries: RwLock<HashMap<String, Arc<PatternEntry>>>,
-    /// Every value index a published pattern's templates can probe, each
-    /// once. A writer builds them on its document before it evaluates
-    /// ([`PatternCache::ensure_indexes`]); the snapshots it publishes from
-    /// then on carry them.
-    demands: RwLock<Vec<KeyShape>>,
 }
 
 impl PatternCache {
@@ -150,21 +142,7 @@ impl PatternCache {
     /// publisher wins, everyone else adopts the winner.
     pub(crate) fn publish(&self, key: &str, entry: Arc<PatternEntry>) -> Arc<PatternEntry> {
         let mut map = self.entries.write().unwrap_or_else(|e| e.into_inner());
-        let mut demands = self.demands.write().unwrap_or_else(|e| e.into_inner());
-        for shape in &entry.demands {
-            if !demands.contains(shape) {
-                demands.push(shape.clone());
-            }
-        }
         Arc::clone(map.entry(key.to_string()).or_insert(entry))
-    }
-
-    /// Builds on `doc` whichever demanded index it does not hold yet: one
-    /// pass per shape per document, a few comparisons from then on.
-    pub(crate) fn ensure_indexes(&self, doc: &mut Document) {
-        for shape in self.demands.read().unwrap_or_else(|e| e.into_inner()).iter() {
-            doc.ensure_index(shape);
-        }
     }
 }
 
@@ -423,7 +401,7 @@ mod tests {
     /// take one value per evaluation: one probe each, which the document's
     /// own index answers. The templates that look a value up anywhere in
     /// the document (3: `some … in //aut`, 4: the two keyed steps) are
-    /// planned and demand their indexes; the two that only navigate from
+    /// planned and ask for their indexes; the two that only navigate from
     /// the update's target have nothing to plan. The full-check queries
     /// of the same Γ are planned as they were.
     #[test]
@@ -444,15 +422,16 @@ mod tests {
             .map(|q| compile_template_ir(q).expect("precompiles").program.plan_sites())
             .collect();
         assert_eq!(sites, [0, 0, 1, 2]);
-        let shape = |tag: &str, path: &[&str]| KeyShape {
-            tag: tag.to_string(),
-            path: path.iter().map(|s| s.to_string()).collect(),
-        };
-        let entry = c.pattern_cache().get(&key).expect("published");
-        assert_eq!(
-            entry.demands,
-            [shape("aut", &["name"]), shape("track", &["rev", "name"]), shape("rev", &["name"])]
-        );
+        // Deciding the insert asks the document for the templates' three
+        // shapes — `aut` by `name`, `track` by `rev/name`, `rev` by `name`
+        // — once; the next decision finds them built.
+        let stmt = XUpdateDoc::parse(&legal_insert(0, 0, 1)).expect("statement parses");
+        for builds in [3, 0] {
+            xic_obs::reset();
+            assert_eq!(c.decide_only(&stmt, crate::Strategy::Optimized).expect("decides"), None);
+            assert_eq!(xic_obs::counter(xic_obs::Counter::IndexProbe), 3);
+            assert_eq!(xic_obs::counter(xic_obs::Counter::IndexBuild), builds);
+        }
         let planned: Vec<usize> = c
             .shared_gamma()
             .full_queries()

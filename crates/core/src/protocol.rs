@@ -233,7 +233,7 @@ fn violation_text(v: &Violation) -> String {
 fn stats_fields(stats: &ServiceStats) -> String {
     format!(
         "requests_shed={} requests_timed_out={} service_degraded={} fsync_retries={} \
-         index_probes={} index_scans={} \
+         index_probes={} index_builds={} \
          decides_optimized={} decides_fallback_non_insertion={} \
          decides_fallback_unmappable={} decides_fallback_non_incremental={} \
          decides_fallback_pos_shift={}",
@@ -242,7 +242,7 @@ fn stats_fields(stats: &ServiceStats) -> String {
         stats.service_degraded,
         stats.fsync_retries,
         stats.index_probes,
-        stats.index_scans,
+        stats.index_builds,
         stats.decides_optimized,
         stats.decides_fallback_non_insertion,
         stats.decides_fallback_unmappable,
@@ -370,7 +370,7 @@ pub fn execute_sharded(set: &ShardSet, command: &Command) -> Reply {
                     total.service_degraded += stats.service_degraded;
                     total.fsync_retries += stats.fsync_retries;
                     total.index_probes += stats.index_probes;
-                    total.index_scans += stats.index_scans;
+                    total.index_builds += stats.index_builds;
                     total.decides_optimized += stats.decides_optimized;
                     total.decides_fallback_non_insertion += stats.decides_fallback_non_insertion;
                     total.decides_fallback_unmappable += stats.decides_fallback_unmappable;
@@ -640,7 +640,7 @@ mod tests {
             execute(&service, &Command::Stats).render(),
             "OK 0 executor=sync queue_depth=256 health=ok requests_shed=0 \
              requests_timed_out=0 service_degraded=0 fsync_retries=0 \
-             index_probes=0 index_scans=0 \
+             index_probes=0 index_builds=0 \
              decides_optimized=0 decides_fallback_non_insertion=0 \
              decides_fallback_unmappable=0 decides_fallback_non_incremental=0 \
              decides_fallback_pos_shift=0"

@@ -297,9 +297,10 @@ pub struct ServiceStats {
     /// index ([`crate::Stats::index_probes`]): the snapshot reads', plus
     /// the writer's as of the last publish.
     pub index_probes: u64,
-    /// … that scanned instead ([`crate::Stats::index_scans`]): a snapshot
-    /// cloned before the index was demanded, a pattern's first sight.
-    pub index_scans: u64,
+    /// Value indexes those probes built ([`crate::Stats::index_builds`]);
+    /// it keeps growing when readers ask a shape the writer never does,
+    /// built again on every published snapshot.
+    pub index_builds: u64,
     /// [`ReadSnapshot::decide`] calls answered by the optimized
     /// pre-update check.
     pub decides_optimized: u64,
@@ -327,7 +328,7 @@ struct StatsCells {
 /// snapshots of one service share these through their [`CheckSet`].
 #[derive(Default)]
 struct DecideCells {
-    /// Index probes and scans of the snapshot reads, and (stored at each
+    /// Index probes and builds of the snapshot reads, and (stored at each
     /// publish) of the writer's checker.
     index_reads: [AtomicU64; 2],
     writer_index_reads: [AtomicU64; 2],
@@ -386,7 +387,7 @@ impl CheckSet {
         Baseline { gamma: &self.gamma, independence: self.independence }
     }
 
-    /// Runs a snapshot read, counting its index probes and scans.
+    /// Runs a snapshot read, counting its index probes and builds.
     fn read<T>(&self, f: impl FnOnce() -> T) -> T {
         let (value, reads) = index_reads(f);
         for (cell, n) in self.decides.index_reads.iter().zip(reads) {
@@ -701,7 +702,7 @@ impl CheckerService {
             service_degraded: self.stats.degraded_transitions.load(Ordering::Relaxed),
             fsync_retries: self.stats.fsync_retries.load(Ordering::Relaxed),
             index_probes: reads(0),
-            index_scans: reads(1),
+            index_builds: reads(1),
             decides_optimized: decides.optimized.load(Ordering::Relaxed),
             decides_fallback_non_insertion: decides.fallback_non_insertion.load(Ordering::Relaxed),
             decides_fallback_unmappable: decides.fallback_unmappable.load(Ordering::Relaxed),
@@ -887,7 +888,7 @@ impl CheckerService {
         let stats = checker.stats();
         let writer = &self.checks.decides.writer_index_reads;
         writer[0].store(stats.index_probes, Ordering::Relaxed);
-        writer[1].store(stats.index_scans, Ordering::Relaxed);
+        writer[1].store(stats.index_builds, Ordering::Relaxed);
         xic_obs::incr(xic_obs::Counter::SnapshotPublish);
     }
 

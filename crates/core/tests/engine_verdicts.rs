@@ -210,6 +210,23 @@ fn a_positional_insert_that_shifts_a_read_position_takes_the_baseline() {
         assert_eq!(out.strategy(), Strategy::Optimized);
     }
     assert_eq!(c.check_full().unwrap(), None);
+
+    // Two appends under one parent in one statement: each is mapped
+    // against the pre-state, so the second's position is off by the first
+    // (difftest seed 5759). "bad" lands at item[3]; the baseline decides.
+    let mut c = Checker::new("<db><region><item><v>ok</v><w>1</w></item></region></db>", DTD, GAMMA).unwrap();
+    let append = |v: &str| {
+        format!(r#"<xupdate:append select="/db/region[1]"><item><v>{v}</v><w>0</w></item></xupdate:append>"#)
+    };
+    let twice = XUpdateDoc::parse(&format!(
+        r#"<xupdate:modifications xmlns:xupdate="x">{}{}</xupdate:modifications>"#,
+        append("new"),
+        append("bad")
+    ))
+    .unwrap();
+    let out = c.try_update(&twice).unwrap();
+    assert!(!out.applied(), "a committed violation");
+    assert_eq!(out.strategy(), Strategy::FullWithRollback);
 }
 
 /// A value holding both quote characters cannot be written as an XQuery

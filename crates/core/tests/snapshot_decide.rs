@@ -204,6 +204,65 @@ fn first_sight_race_compiles_into_one_shared_entry() {
     assert_eq!(checker.stats().optimized_checks, COMMITS as u64);
 }
 
+/// The readers of a snapshot share its document, and what they build on
+/// it ([`xicheck::ReadSnapshot`] is `Sync` by what it holds, not by fiat).
+const _: fn() = || {
+    fn shared<T: Sync + Send>() {}
+    shared::<xicheck::ReadSnapshot>();
+};
+
+/// (b′) Eight readers decide a never-seen pattern on one snapshot: its
+/// document builds each index the pattern asks for once, whoever asks
+/// first, and every verdict is the writer's. The writer's own first
+/// decision builds on its document; the snapshot it publishes carries
+/// that, so the next `DECIDE` builds nothing.
+#[test]
+fn first_sight_on_one_snapshot_builds_each_index_once() {
+    const READERS: usize = 8;
+    let gamma = format!(
+        "{}. {}. {}",
+        conflict_constraint(),
+        xic_workload::workload_constraint(3, 1_000),
+        xic_workload::review_load_constraint(1_000)
+    );
+    // A lone decision asks for the pattern's three shapes.
+    let twin = service(&gamma);
+    assert_eq!(decide(&twin, &legal("twin")), "OK 0 LEGAL");
+    assert_eq!(twin.stats().index_builds, 3);
+    let probes = twin.stats().index_probes;
+
+    let service = service(&gamma);
+    let snap = service.snapshot();
+    let start = Barrier::new(READERS);
+    let verdicts: Vec<_> = std::thread::scope(|scope| {
+        let (snap, start) = (&snap, &start);
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                scope.spawn(move || {
+                    let stmt = XUpdateDoc::parse(&legal(&format!("reader-{r}"))).expect("parses");
+                    start.wait();
+                    snap.decide(&stmt)
+                })
+            })
+            .collect();
+        readers.into_iter().map(|h| h.join().expect("reader panicked")).collect()
+    });
+    for verdict in &verdicts {
+        assert!(matches!(verdict, Ok(None)), "the writer says LEGAL, a reader {verdict:?}");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.index_probes, probes * READERS as u64);
+    assert_eq!(stats.index_builds, 3, "each shape once, not once per reader");
+    snap.doc().audit_indexes().expect("what the readers built equals a scan");
+
+    let reply = update(&service, &legal("writer"));
+    assert_eq!(reply, "OK 1 APPLIED optimized");
+    let after_update = service.stats().index_builds;
+    assert_eq!(after_update, stats.index_builds + 3, "the writer's document was never asked");
+    assert_eq!(decide(&service, &legal("later")), "OK 1 LEGAL");
+    assert_eq!(service.stats().index_builds, after_update);
+}
+
 /// (c) A zero deadline is a timeout — answered as such, counted once,
 /// and not retried down the baseline.
 #[test]

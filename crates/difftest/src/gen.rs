@@ -405,12 +405,16 @@ fn write_element(rng: &mut StdRng, schema: &Schema, name: &str, budget: &mut i32
 /// a denial that joins on values — a key (no two `p` share a `c`, the
 /// paper's Example 4) or a grouped aggregate (no value occurs in more
 /// than k `p`s and in a `p2` as well) — whose full check the engine
-/// answers from keyed sequences.
+/// answers from keyed sequences; two cases in five add one that reads a
+/// position (the k-th `p` of a `g`, or every `p` from the k-th on, must
+/// not hold a pool value), which a non-tail insert or a removal among
+/// those siblings shifts ([`reads_position`]).
 pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> String {
-    // The join denial comes from a stream of its own, so a seed draws the
-    // same first denials (and, after them, the same statement) it always
-    // did.
+    // The join and the positional denial each come from a stream of their
+    // own, so a seed draws the same first denials (and, after them, the
+    // same statement) it always did.
     let mut join_rng = StdRng::seed_from_u64(rng.clone().gen());
+    let mut pos_rng = StdRng::seed_from_u64(rng.clone().gen::<u64>() ^ 0x3c6e_f372_fe94_f82b);
     let mut denials = Vec::new();
     let n = 1 + rng.gen_range(0..2);
     for _ in 0..n {
@@ -437,6 +441,24 @@ pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> S
             )
         });
     }
+    if pos_rng.gen_bool(0.4) {
+        let k = 1 + pos_rng.gen_range(0..3);
+        let v = random_text(&mut pos_rng);
+        // A repeating child with a value of its own, where the schema has
+        // one: `p[k]` then names a sibling an insert can displace.
+        let nested: Vec<_> = schema
+            .many_pairs
+            .iter()
+            .flat_map(|(g, p)| schema.value_pairs.iter().filter(move |(q, _)| q == p).map(move |(_, c)| (g, p, c)))
+            .collect();
+        denials.push(if !nested.is_empty() && pos_rng.gen_bool(0.5) {
+            let (g, p, c) = nested[pos_rng.gen_range(0..nested.len())];
+            format!("<- //{g}/{p}[{k}]/{c}/text() -> V & V = \"{v}\"")
+        } else {
+            let (p, c) = &schema.value_pairs[pos_rng.gen_range(0..schema.value_pairs.len())];
+            format!("<- //{p}[position() = N]/{c}/text() -> V & N >= {k} & V = \"{v}\"")
+        });
+    }
     denials.retain(|d| match Checker::new(doc_xml, &schema.dtd_text, d) {
         Ok(c) => matches!(c.check_full(), Ok(None)),
         Err(_) => false,
@@ -446,6 +468,13 @@ pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> S
         denials.push(format!("<- //{p}/{c}/text() -> V & V = \"{NEVER_TEXT}\""));
     }
     denials.join(" . ")
+}
+
+/// True if a denial of `constraints` (as [`random_constraints`] writes
+/// them) reads an element's position among its siblings.
+pub fn reads_position(constraints: &str) -> bool {
+    constraints.contains("[position()")
+        || constraints.split('[').skip(1).any(|q| q.starts_with(|c: char| c.is_ascii_digit()))
 }
 
 // ---------------------------------------------------------------------

@@ -20,7 +20,7 @@
 //!    restore a byte-identical serialization, coherent tag-name symbols
 //!    ([`xic_xml::Document::audit_symbols`]) *and* — after the apply as
 //!    after the undo — element and value indexes equal to a scan
-//!    ([`xic_xml::Document::audit_indexes`], over indexes demanded for
+//!    ([`xic_xml::Document::audit_indexes`], over indexes asked for in
 //!    every key shape the document has), for both complete and
 //!    mid-batch-failed applications; every recovery is audited the same
 //!    way after its replay.
@@ -110,8 +110,10 @@ pub(crate) fn recover_store(
 ) -> Result<(Checker, xicheck::RecoveryReport), CheckerError> {
     let gamma = xicheck::SharedGamma::compile(&case.dtd, &case.constraints)?;
     let (checker, report) = Checker::recover_store(dir, &case.doc_xml, &gamma, true)?;
-    // Γ's value indexes were built on the base state and maintained
-    // through the replay: they must equal a scan of what it produced.
+    // The attached bits and per-tag lists were maintained through the
+    // replay: they must equal a scan of what it produced. (Value indexes
+    // are kept by the same four mutators; the rollback oracle audits those
+    // with every shape of the case's document built.)
     checker
         .doc()
         .audit_indexes()
@@ -119,31 +121,31 @@ pub(crate) fn recover_store(
     Ok((checker, report))
 }
 
-/// Demands a value index for every element that has a text node zero,
-/// one or two levels below it, keyed by that path — `tag` by `text()`,
-/// by `child/text()` and by `child/grandchild/text()`, the shapes the
-/// translator's joins take — over whatever the generator produced, so
-/// that a statement's edits land on members, on key paths and beside
-/// them.
-fn demand_indexes(doc: &mut Document) {
-    let mut shapes: Vec<xic_xml::KeyShape> = Vec::new();
+/// Asks the document for the members of every shape it has — an element
+/// with a text node zero, one or two levels below it, keyed by that path:
+/// `tag` by `text()`, by `child/text()` and by `child/grandchild/text()`,
+/// the shapes the translator's joins take — so that every one of those
+/// indexes is built, over whatever the generator produced, and a
+/// statement's edits land on members, on key paths and beside them.
+fn ask_indexes(doc: &Document) {
+    let mut shapes: Vec<(Option<xic_xml::Symbol>, Vec<Option<xic_xml::Symbol>>)> = Vec::new();
     for text in doc.descendants(doc.document_node()) {
         if !matches!(doc.node(text).kind, xic_xml::NodeKind::Text(_)) {
             continue;
         }
-        let mut path: Vec<String> = Vec::new();
+        let mut path = Vec::new();
         let mut member = doc.node(text).parent;
-        while let (Some(tag), true) = (member.and_then(|m| doc.name(m)), path.len() < 3) {
-            let shape = xic_xml::KeyShape { tag: tag.to_string(), path: path.clone() };
+        while let (Some(tag), true) = (member.and_then(|m| doc.symbol(m)), path.len() < 3) {
+            let shape = (Some(tag), path.clone());
             if !shapes.contains(&shape) {
                 shapes.push(shape);
             }
-            path.insert(0, tag.to_string());
+            path.insert(0, Some(tag));
             member = member.and_then(|m| doc.node(m).parent);
         }
     }
-    for shape in &shapes {
-        doc.ensure_index(shape);
+    for (tag, path) in &shapes {
+        doc.members_keyed(*tag, path, []);
     }
 }
 
@@ -300,14 +302,17 @@ impl Report {
         let reference_joins = self.counts[Tally::ReferenceJoin as usize];
         let constraint_joins = self.counts[Tally::ConstraintJoin as usize];
         let index_probes = self.counts[Tally::ReferenceIndexProbe as usize];
+        let tables = self.counts[Tally::ReferenceTable as usize];
+        let pos_shifts = self.counts[Tally::PosShift as usize];
         let mix: Vec<String> =
             tally::OPS.map(|i| format!("{}={}", tally::NAMES[i], self.counts[i])).collect();
         let summary = format!(
             "difftest: {cases} cases from seed {seed} — \
              {} discrepancies, {} shrink steps, {reference_queries} reference queries \
-             ({reference_joins} XQuery shapes over them planned as joins, {index_probes} sites \
-             answered from a persistent index), {constraint_joins} cases with a planned join in \
-             their constraints\n\
+             ({reference_joins} XQuery shapes over them planned as joins, {tables} with a \
+             per-evaluation table, {index_probes} sites answered from the document's index), \
+             {constraint_joins} cases with a planned join in their constraints, {pos_shifts} \
+             shifting a position their constraints read\n\
              op mix: {}",
             self.discrepancies.len(),
             self.counts[Tally::ShrinkStep as usize],
@@ -329,9 +334,16 @@ impl Report {
                 "difftest: no join was planned in {cases} cases ({reference_joins} reference \
                  queries, {constraint_joins} constraint sets)"
             ))
-        } else if index_probes == 0 {
+        } else if index_probes == 0 || tables == 0 {
             Err(format!(
-                "difftest: no planned site was answered from a persistent index in {cases} cases"
+                "difftest: a tier of the planned evaluation went unchecked in {cases} cases \
+                 ({index_probes} sites answered from the document's index, {tables} queries \
+                 with a per-evaluation table)"
+            ))
+        } else if pos_shifts == 0 {
+            Err(format!(
+                "difftest: no case paired a position-reading denial with a non-tail insert or \
+                 a removal in {cases} cases"
             ))
         } else {
             Ok(())
@@ -505,7 +517,7 @@ pub(crate) fn op_counter(op: &XUpdateOp) -> Tally {
 /// Runs the five oracles against one case. `Err((oracle, detail))` names
 /// the first oracle that tripped. Does not touch the case counters (the
 /// shrinker re-enters this function), except for the coverage counters
-/// (operation kinds, planned joins).
+/// (operation kinds, planned joins, shifted position reads).
 pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     let gen_err = |what: &str, e: &dyn std::fmt::Display| {
         ("generator", format!("{what}: {e}"))
@@ -530,7 +542,7 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     // Oracle 2: rollback fidelity of plain apply + undo — and, along the
     // way, the plain-application post-state the decision oracle compares
     // final documents against.
-    demand_indexes(&mut doc);
+    ask_indexes(&doc);
     let audit = |doc: &Document, when: &str| {
         doc.audit_indexes().map_err(|e| ("rollback", format!("indexes corrupt after {when}: {e}")))
     };
@@ -574,6 +586,10 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     };
     if base.shared_gamma().full_queries().iter().any(planned) {
         tally::incr(Tally::ConstraintJoin);
+    }
+    let shifts = |op: &XUpdateOp| matches!(op, XUpdateOp::InsertBefore { .. } | XUpdateOp::Remove { .. });
+    if gen::reads_position(&case.constraints) && stmt.ops.iter().any(shifts) {
+        tally::incr(Tally::PosShift);
     }
     let baseline = base.decide_only(&stmt, Strategy::FullWithRollback);
     if serialize(base.doc()) != original {
@@ -762,7 +778,7 @@ mod tests {
             discrepancies: Vec::new(),
             counts,
         };
-        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1, 1];
+        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1, 1, 1, 1];
         assert_eq!(report(100, covered).outcome().floor, Ok(()));
         let mut no_rename = covered;
         no_rename[Tally::OpRename as usize] = 0;
@@ -773,10 +789,16 @@ mod tests {
         no_reference[Tally::ReferenceQuery as usize] = 0;
         let floor = report(100, no_reference).outcome().floor.unwrap_err();
         assert!(floor.contains("engine-vs-reference oracle never ran"), "{floor}");
-        let mut unprobed = covered;
-        unprobed[Tally::ReferenceIndexProbe as usize] = 0;
-        let floor = report(100, unprobed).outcome().floor.unwrap_err();
-        assert!(floor.contains("answered from a persistent index"), "{floor}");
+        for tier in [Tally::ReferenceIndexProbe, Tally::ReferenceTable] {
+            let mut counts = covered;
+            counts[tier as usize] = 0;
+            let floor = report(100, counts).outcome().floor.unwrap_err();
+            assert!(floor.contains("a tier of the planned evaluation went unchecked"), "{floor}");
+        }
+        let mut unshifted = covered;
+        unshifted[Tally::PosShift as usize] = 0;
+        let floor = report(100, unshifted).outcome().floor.unwrap_err();
+        assert!(floor.contains("position-reading denial"), "{floor}");
         for unplanned in [Tally::ReferenceJoin, Tally::ConstraintJoin] {
             let mut counts = covered;
             counts[unplanned as usize] = 0;

@@ -21,13 +21,18 @@ pub enum Tally {
     ReferenceJoin,
     /// A case whose constraint set has a full-check query with one.
     ConstraintJoin,
-    /// A planned site of a reference query answered from a document's
-    /// persistent index (`xic_obs::Counter::IndexProbe`).
+    /// A planned site of a reference query answered from the document's
+    /// index (`xic_obs::Counter::IndexProbe`).
     ReferenceIndexProbe,
+    /// A reference query with a per-evaluation table in its plan.
+    ReferenceTable,
+    /// A case whose constraints read a position and whose statement holds
+    /// an `insert-before` or a `remove`: siblings shift under the read.
+    PosShift,
 }
 
 /// The key each [`Tally`] is reported under, in declaration order.
-pub const NAMES: [&str; 11] = [
+pub const NAMES: [&str; 13] = [
     "difftest_shrink_step",
     "difftest_op_insert_before",
     "difftest_op_insert_after",
@@ -39,6 +44,8 @@ pub const NAMES: [&str; 11] = [
     "reference_joins_planned",
     "constraint_joins_planned",
     "reference_index_probes",
+    "reference_tables_planned",
+    "pos_reads_shifted",
 ];
 
 /// The operation-kind tallies (`NAMES[1..7]`): a long run must move every one.

@@ -15,7 +15,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use xic_datalog::{Atom, Term, Update, Value};
 use xic_xml::xupdate::{Fragment, XUpdateDoc, XUpdateOp};
-use xic_xml::{Document, SelectError, SelectResolver};
+use xic_xml::{Document, NodeId, SelectError, SelectResolver};
 
 /// A mapped update: the parameterized transaction, this statement's
 /// parameter bindings, and which parameters denote fresh node ids.
@@ -35,7 +35,10 @@ pub struct MappedUpdate {
     /// pushes one position on. Their `Pos + 1` is not part of `update`
     /// (it holds additions only), so a caller whose constraints read the
     /// `Pos` column of one of them must not trust the simplified check.
-    /// Empty for a tail append.
+    /// Likewise the elements two operations of one statement insert under
+    /// one parent: each operation is mapped against the pre-state, so the
+    /// positions bound for them do not count each other. Empty for a
+    /// single tail append.
     pub displaced: BTreeSet<String>,
 }
 
@@ -90,6 +93,8 @@ pub fn map_update(
     // Hypothetical fresh ids: strictly greater than every allocated id.
     let mut next_fresh = doc.node_count() as i64;
     let mut param_counter = 0usize;
+    // Per parent, the predicate-named elements inserted under it so far.
+    let mut inserted: HashMap<NodeId, BTreeSet<String>> = HashMap::new();
 
     for (k, op) in stmt.ops.iter().enumerate() {
         let targets = resolve(doc, op.select()).map_err(|e| match e {
@@ -148,6 +153,16 @@ pub fn map_update(
                 .filter(|name| schema.pred(name).is_some())
                 .map(str::to_string),
         );
+        let earlier = inserted.entry(parent).or_default();
+        let names = content.iter().filter_map(|frag| match frag {
+            Fragment::Element { name, .. } if schema.pred(name).is_some() => Some(name.clone()),
+            _ => None,
+        });
+        let shared = !earlier.is_empty();
+        earlier.extend(names);
+        if shared {
+            out.displaced.extend(earlier.iter().cloned());
+        }
 
         // Target-parent parameter.
         let t_param = format!("t{k}");

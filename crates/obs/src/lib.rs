@@ -136,11 +136,9 @@ pub enum Counter {
     /// A planned join or keyed step answered from the document's
     /// persistent value index.
     IndexProbe,
-    /// A planned join or keyed step of a shape a document can index that
-    /// scanned its members — directly, or to build a per-evaluation table
-    /// — because this document lacked the index (or the operand was not
-    /// a string to probe it with).
-    IndexScan,
+    /// A value index built by the first probe that asked a document for
+    /// its shape (one pass over the shape's members, kept from then on).
+    IndexBuild,
 }
 
 /// All counters, in snapshot order.
@@ -174,7 +172,7 @@ pub const ALL_COUNTERS: [Counter; 30] = [
     Counter::ServiceDegraded,
     Counter::FsyncRetry,
     Counter::IndexProbe,
-    Counter::IndexScan,
+    Counter::IndexBuild,
 ];
 
 const N_COUNTERS: usize = ALL_COUNTERS.len();
@@ -212,13 +210,8 @@ impl Counter {
             Counter::ServiceDegraded => "service_degraded",
             Counter::FsyncRetry => "fsync_retries",
             Counter::IndexProbe => "index_probes",
-            Counter::IndexScan => "index_scans",
+            Counter::IndexBuild => "index_builds",
         }
-    }
-
-    /// The counter with the given snapshot name, if any.
-    pub fn from_name(name: &str) -> Option<Counter> {
-        ALL_COUNTERS.iter().copied().find(|c| c.name() == name)
     }
 }
 
@@ -520,13 +513,5 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.counter(Counter::ClausesExpanded), 12);
         assert_eq!(back.phase("check/full").unwrap().calls, 1);
-    }
-
-    #[test]
-    fn counter_names_are_bijective() {
-        for c in ALL_COUNTERS {
-            assert_eq!(Counter::from_name(c.name()), Some(c));
-        }
-        assert_eq!(Counter::from_name("no_such_counter"), None);
     }
 }

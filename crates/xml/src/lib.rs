@@ -40,7 +40,7 @@ pub use journal::{Journal, JournalError, JournalRecord, RecordKind, Recovered};
 pub use parse::{parse_document, XmlError};
 pub use serialize::{serialize, serialize_equal, serialize_node};
 pub use tree::{
-    Descendants, Document, KeyShape, Node, NodeId, NodeKind, OrderRanks, ValueIndexRef,
+    Descendants, Document, Node, NodeId, NodeKind, OrderRanks,
 };
 pub use xupdate::{
     apply, undo, AppliedUpdate, SelectError, SelectResolver, UndoEntry, XUpdateDoc, XUpdateError,

@@ -87,20 +87,12 @@ struct OrderCache {
 /// handful of index hits per decision never walks the whole document.
 const PATH_SORT_ALLOWANCE: u32 = 64;
 
-/// The shape of an on-demand value index: its members are the attached
-/// `tag` elements, and a member is keyed by the string of every text node
-/// at `member/path[0]/…/path[k-1]/text()` (child steps only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyShape {
-    /// The members' tag name.
-    pub tag: String,
-    /// The element names between a member and its key text nodes.
-    pub path: Vec<String>,
-}
-
-/// One demanded value index. Postings are plain integers — the 64-bit
-/// hash of a key string and the member it keys, sorted — so cloning the
-/// index is one copy, and a probe re-checks the candidates' keys.
+/// One value index: its members are the attached `tag` elements, and a
+/// member is keyed by the string of every text node at
+/// `member/path[0]/…/path[k-1]/text()` (child steps only). Postings are
+/// plain integers — the 64-bit hash of a key string and the member it
+/// keys, sorted — so cloning the index is one copy, and a probe re-checks
+/// the candidates' keys.
 #[derive(Debug, Clone)]
 struct ValueIndex {
     tag: u32,
@@ -133,8 +125,8 @@ fn hash_value(value: &str) -> u64 {
 /// plus interned tag-name symbols, a document-order rank cache and the
 /// element and value indexes.
 ///
-/// **Index invariant.** `attached`, `by_tag` and every demanded value
-/// index describe exactly the tree reachable from the document node. They
+/// **Index invariant.** `attached`, `by_tag` and every value index built
+/// so far describe exactly the tree reachable from the document node. They
 /// are maintained inside the primitive mutators (`insert_child`, `detach`,
 /// `set_text`, `rename`) and nowhere else, so whoever edits the tree —
 /// `apply`, `undo`, the parser, a test — cannot leave them stale, and a
@@ -169,8 +161,10 @@ pub struct Document {
     /// ascending by id (which is document order only until the first
     /// non-tail insert).
     by_tag: Vec<Vec<NodeId>>,
-    /// The demanded value indexes ([`Document::ensure_index`]).
-    value_indexes: Vec<ValueIndex>,
+    /// The value indexes asked for so far: `RwLock`ed as `order_cache` is,
+    /// so [`Document::members_keyed`] builds one under `&self`; the
+    /// mutators go through `get_mut` (no lock on the write path).
+    value_indexes: RwLock<Vec<ValueIndex>>,
 }
 
 impl Default for Document {
@@ -196,7 +190,7 @@ impl Clone for Document {
             path_sorted: AtomicU32::new(0),
             attached: self.attached.clone(),
             by_tag: self.by_tag.clone(),
-            value_indexes: self.value_indexes.clone(),
+            value_indexes: RwLock::new(self.read_value_indexes().clone()),
         }
     }
 }
@@ -218,7 +212,7 @@ impl Document {
             path_sorted: AtomicU32::new(0),
             attached: vec![true],
             by_tag: Vec::new(),
-            value_indexes: Vec::new(),
+            value_indexes: RwLock::default(),
         }
     }
 
@@ -431,7 +425,7 @@ impl Document {
     /// # Panics
     /// Panics if `id` is not a text node.
     pub fn set_text(&mut self, id: NodeId, text: impl Into<String>) -> String {
-        let keyed = self.attached[id.index()] && !self.value_indexes.is_empty();
+        let keyed = self.attached[id.index()] && !self.value_indexes_mut().is_empty();
         if keyed {
             self.index_above(id, false);
         }
@@ -486,18 +480,76 @@ impl Document {
         self.by_tag.get(tag.0 as usize).map_or(&[], Vec::as_slice)
     }
 
-    /// Builds the value index of `shape` unless the document has it: one
-    /// pass over the members, once per shape per document; from then on
-    /// the mutators keep it. Derived state — it is never written to a
-    /// journal or checkpoint, and a clone carries it.
-    pub fn ensure_index(&mut self, shape: &KeyShape) {
-        let tag = self.symbols.intern(&shape.tag).0;
-        let path: Box<[u32]> = shape.path.iter().map(|n| self.symbols.intern(n).0).collect();
-        if self.value_indexes.iter().any(|vi| vi.tag == tag && vi.path == path) {
-            return;
+    /// The attached `tag` elements with a text node at
+    /// `member/path[0]/…/text()` (child steps only) equal to one of
+    /// `values`, in document order, read off the `(tag, path)` index. The
+    /// first call for a shape builds its index (one pass over the `tag`
+    /// elements, one [`xic_obs::Counter::IndexBuild`]) and returns the
+    /// members it walked beside the hits, for the caller to charge to
+    /// whatever bounds its evaluation; later calls return 0. `None` is a
+    /// name [`SymbolTable::lookup`] missed: no element carries it, so the
+    /// answer is empty and nothing is built.
+    pub fn members_keyed<'v>(
+        &self,
+        tag: Option<Symbol>,
+        path: &[Option<Symbol>],
+        values: impl IntoIterator<Item = &'v str>,
+    ) -> (Vec<NodeId>, usize) {
+        let (Some(Symbol(tag)), false) = (tag, path.contains(&None)) else {
+            return (Vec::new(), 0);
+        };
+        let at = |indexes: &[ValueIndex]| {
+            let steps = path.iter().copied();
+            indexes.iter().position(|vi| {
+                vi.tag == tag && vi.path.iter().map(|&step| Some(Symbol(step))).eq(steps.clone())
+            })
+        };
+        let mut walked = 0;
+        let mut indexes = self.read_value_indexes();
+        let mut found = at(&indexes);
+        if found.is_none() {
+            drop(indexes);
+            let mut building = self.value_indexes.write().expect("value index lock poisoned");
+            // Another reader of this snapshot may have built it meanwhile.
+            if at(&building).is_none() {
+                xic_obs::incr(xic_obs::Counter::IndexBuild);
+                let path: Box<[u32]> = path.iter().flatten().map(|step| step.0).collect();
+                let members = self.elements_named(Symbol(tag));
+                walked = members.len();
+                let postings = self.scan_postings(&path, members);
+                building.push(ValueIndex { tag, path, postings });
+            }
+            drop(building);
+            indexes = self.read_value_indexes();
+            found = at(&indexes);
         }
-        let postings = self.scan_postings(&path, self.elements_named(Symbol(tag)));
-        self.value_indexes.push(ValueIndex { tag, path, postings });
+        let vi = &indexes[found.expect("found or built above")];
+        let mut hits = Vec::new();
+        for value in values {
+            let h = hash_value(value);
+            let from = vi.postings.partition_point(|p| p.0 < h);
+            for &(_, m) in vi.postings[from..].iter().take_while(|p| p.0 == h) {
+                // Equal hashes are candidates; the member's keys decide.
+                let mut keyed = false;
+                self.for_each_key(m, &vi.path, &mut |v| keyed |= v == value);
+                if keyed {
+                    hits.push(m);
+                }
+            }
+        }
+        drop(indexes);
+        hits.sort_unstable();
+        hits.dedup();
+        self.sort_document_order(&mut hits);
+        (hits, walked)
+    }
+
+    fn read_value_indexes(&self) -> RwLockReadGuard<'_, Vec<ValueIndex>> {
+        self.value_indexes.read().expect("value index lock poisoned")
+    }
+
+    fn value_indexes_mut(&mut self) -> &mut Vec<ValueIndex> {
+        self.value_indexes.get_mut().expect("value index lock poisoned")
     }
 
     /// The sorted postings of `members` under the key path `path`.
@@ -508,16 +560,6 @@ impl Document {
         }
         postings.sort_unstable();
         postings
-    }
-
-    /// The `(tag, path)` value index, or `None` if the document has no
-    /// such index (nobody demanded it before this state was cloned).
-    pub fn value_index(&self, tag: Symbol, path: &[Symbol]) -> Option<ValueIndexRef<'_>> {
-        let index = self
-            .value_indexes
-            .iter()
-            .find(|vi| vi.tag == tag.0 && vi.path.iter().eq(path.iter().map(|step| &step.0)))?;
-        Some(ValueIndexRef { doc: self, index })
     }
 
     /// Calls `f` with the string of every text node at
@@ -563,18 +605,18 @@ impl Document {
             }
             _ => panic!("tag list out of step with the tree at {e}"),
         }
-        let mut indexes = std::mem::take(&mut self.value_indexes);
+        let mut indexes = std::mem::take(self.value_indexes_mut());
         for ValueIndex { path, postings, .. } in indexes.iter_mut().filter(|vi| vi.tag == sym) {
             self.for_each_key(e, path, &mut |v| post(postings, v, e, add));
         }
-        self.value_indexes = indexes;
+        *self.value_indexes_mut() = indexes;
     }
 
     /// Adds (or removes) the keys the attached node `x` carries for the
     /// members *above* it: `x` is a key text node, or an element on the
     /// key path of an ancestor at most `path.len()` levels up.
     fn index_above(&mut self, x: NodeId, add: bool) {
-        let mut indexes = std::mem::take(&mut self.value_indexes);
+        let mut indexes = std::mem::take(self.value_indexes_mut());
         for ValueIndex { tag, path, postings } in &mut indexes {
             for depth in 1..=path.len() + 1 {
                 let Some(member) = self.member_above(*tag, path, x, depth) else {
@@ -586,7 +628,7 @@ impl Document {
                 }
             }
         }
-        self.value_indexes = indexes;
+        *self.value_indexes_mut() = indexes;
     }
 
     /// The `tag` element `depth` levels above `x` whose key path `path`
@@ -608,8 +650,8 @@ impl Document {
         (self.elem_sym[cur.index()] == tag).then_some(cur)
     }
 
-    /// Audits the attached bits, the per-tag lists and every demanded
-    /// value index against a scan of the tree reachable from the document
+    /// Audits the attached bits, the per-tag lists and every value index
+    /// built so far against a scan of the tree reachable from the document
     /// node — the maintenance invariant of the mutators, checked by the
     /// rollback and recovery oracles of `xic-difftest` beside
     /// [`Document::audit_symbols`].
@@ -638,7 +680,7 @@ impl Document {
                 return Err(format!("tag list of {tag:?} holds {list:?}, a scan finds {scan:?}"));
             }
         }
-        for vi in &self.value_indexes {
+        for vi in self.read_value_indexes().iter() {
             let members = by_tag.get(vi.tag as usize).map_or(&[][..], Vec::as_slice);
             let scan = self.scan_postings(&vi.path, members);
             if scan != vi.postings {
@@ -790,10 +832,10 @@ impl Document {
                 return Some(OrderRanks { guard });
             }
         }
-        let set_len = u32::try_from(set_len).unwrap_or(u32::MAX);
-        let spent = self.path_sorted.load(AtomicOrdering::Relaxed).saturating_add(set_len);
-        if spent <= PATH_SORT_ALLOWANCE {
-            self.path_sorted.store(spent, AtomicOrdering::Relaxed);
+        // One read-modify-write (a snapshot's readers share the allowance),
+        // capped so it cannot wrap before the rebuild below ends the spending.
+        let set_len = u32::try_from(set_len).unwrap_or(u32::MAX).min(PATH_SORT_ALLOWANCE + 1);
+        if self.path_sorted.fetch_add(set_len, AtomicOrdering::Relaxed) + set_len <= PATH_SORT_ALLOWANCE {
             return None;
         }
         {
@@ -892,38 +934,6 @@ impl Document {
         }
         segments.reverse();
         Some(segments.concat())
-    }
-}
-
-/// One of a document's value indexes; created by
-/// [`Document::value_index`].
-#[derive(Debug, Clone, Copy)]
-pub struct ValueIndexRef<'d> {
-    doc: &'d Document,
-    index: &'d ValueIndex,
-}
-
-impl ValueIndexRef<'_> {
-    /// The members keyed by one of `values`, in document order.
-    pub fn members_keyed<'v>(&self, values: impl IntoIterator<Item = &'v str>) -> Vec<NodeId> {
-        let (doc, vi) = (self.doc, self.index);
-        let mut hits = Vec::new();
-        for value in values {
-            let h = hash_value(value);
-            let from = vi.postings.partition_point(|p| p.0 < h);
-            for &(_, m) in vi.postings[from..].iter().take_while(|p| p.0 == h) {
-                // Equal hashes are candidates; the member's keys decide.
-                let mut keyed = false;
-                doc.for_each_key(m, &vi.path, &mut |v| keyed |= v == value);
-                if keyed {
-                    hits.push(m);
-                }
-            }
-        }
-        hits.sort_unstable();
-        hits.dedup();
-        doc.sort_document_order(&mut hits);
-        hits
     }
 }
 
@@ -1212,15 +1222,19 @@ mod tests {
     // The element and value indexes
     // -----------------------------------------------------------------
 
-    fn shape(tag: &str, path: &[&str]) -> KeyShape {
-        KeyShape { tag: tag.to_string(), path: path.iter().map(|s| s.to_string()).collect() }
+    /// The `tag` members keyed by one of `values` under `path`, and the
+    /// members walked to answer.
+    fn ask(d: &Document, tag: &str, path: &[&str], values: &[&str]) -> (Vec<NodeId>, usize) {
+        let path: Vec<Option<Symbol>> = path.iter().map(|n| d.symbols().lookup(n)).collect();
+        d.members_keyed(d.symbols().lookup(tag), &path, values.iter().copied())
     }
 
-    /// The `(tag, path)` index's members keyed by `value`.
     fn keyed(d: &Document, tag: &str, path: &[&str], value: &str) -> Vec<NodeId> {
-        let sym = |n: &str| d.symbols().lookup(n).expect("an interned name");
-        let path: Vec<Symbol> = path.iter().map(|n| sym(n)).collect();
-        d.value_index(sym(tag), &path).expect("a demanded index").members_keyed([value])
+        ask(d, tag, path, &[value]).0
+    }
+
+    fn builds() -> u64 {
+        xic_obs::counter(xic_obs::Counter::IndexBuild)
     }
 
     /// What the indexes answer, for comparing a state with a later one:
@@ -1281,8 +1295,9 @@ mod tests {
 
     /// `<r><m><k><c>v1</c></k><k><c>v2</c></k><x>u</x></m>
     ///     <m><k><c>v1</c></k></m><o><k><c>v3</c></k></o></r>`
-    /// with three demanded shapes: `m` by `k/c/text()` (a key two
-    /// levels below its member), `k` by `c/text()`, `x` by `text()`.
+    /// The tests ask for three shapes: `m` by `k/c/text()` (a key two
+    /// levels below its member), `k` by `c/text()`, `x` by `text()`
+    /// ([`answers`] asks for all of them); nothing is built here.
     struct Indexed {
         d: Document,
         r: NodeId,
@@ -1309,11 +1324,6 @@ mod tests {
         d.append_child(m1[0], x);
         d.append_child(r, m2[0]);
         d.append_child(r, o[0]);
-        for s in [shape("m", &["k", "c"]), shape("k", &["c"]), shape("x", &[])] {
-            d.ensure_index(&s);
-            d.ensure_index(&s); // idempotent
-        }
-        d.audit_indexes().expect("a fresh build equals a scan");
         Indexed { d, r, m1, k2, x, u, m2, o }
     }
 
@@ -1321,33 +1331,67 @@ mod tests {
     fn indexes_answer_by_tag_and_by_key() {
         let t = indexed_doc();
         let d = &t.d;
+        xic_obs::reset();
         assert_eq!(d.elements_named(d.symbols().lookup("m").unwrap()), [t.m1[0], t.m2[0]]);
-        assert_eq!(keyed(d, "m", &["k", "c"], "v1"), [t.m1[0], t.m2[0]]);
-        assert_eq!(keyed(d, "m", &["k", "c"], "v2"), [t.m1[0]]);
+        // The first ask of a shape builds it and reports the members it
+        // walked; every later one reads what was built.
+        assert_eq!(ask(d, "m", &["k", "c"], &["v1"]), (vec![t.m1[0], t.m2[0]], 2));
+        assert_eq!(ask(d, "m", &["k", "c"], &["v2"]), (vec![t.m1[0]], 0));
         assert_eq!(keyed(d, "m", &["k", "c"], "v3"), [], "o is not an m");
-        assert_eq!(keyed(d, "k", &["c"], "v3"), [t.o[1]]);
-        assert_eq!(keyed(d, "x", &[], "u"), [t.x]);
+        assert_eq!(builds(), 1);
+        assert_eq!(ask(d, "k", &["c"], &["v3"]), (vec![t.o[1]], 4));
+        assert_eq!(ask(d, "x", &[], &["u"]), (vec![t.x], 1));
         // Hits come back in document order, whatever the ids are.
         assert_eq!(keyed(d, "k", &["c"], "v1"), [t.m1[1], t.m2[1]]);
-        let sym = |n: &str| d.symbols().lookup(n).unwrap();
-        let index = d.value_index(sym("k"), &[sym("c")]).unwrap();
-        assert_eq!(index.members_keyed(["v3", "v1", "v3", "nope"]), [t.m1[1], t.m2[1], t.o[1]]);
-        // A shape nobody demanded is not there; a clone carries the rest.
-        assert!(d.value_index(sym("m"), &[sym("k")]).is_none());
+        assert_eq!(ask(d, "k", &["c"], &["v3", "v1", "v3", "nope"]).0, [t.m1[1], t.m2[1], t.o[1]]);
+        assert_eq!(builds(), 3);
+        d.audit_indexes().expect("a fresh build equals a scan");
+        // A clone carries what has been built, and builds the rest itself.
         let copy = d.clone();
         assert_eq!(answers(&copy), answers(d));
+        assert_eq!(builds(), 3);
+        assert_eq!(ask(&copy, "m", &["k"], &["v1"]), (vec![], 2));
+        assert_eq!(builds(), 4);
+        assert_eq!(ask(d, "m", &["k"], &["v1"]), (vec![], 2));
         copy.audit_indexes().expect("the clone's indexes equal a scan of the clone");
         assert!(d.is_attached(t.u) && d.is_attached(d.document_node()));
         assert!(!d.is_attached(NodeId(10_000)));
     }
 
+    /// A name the symbol table never interned is on no element: the
+    /// answer is empty, and no index is built to find that out.
+    #[test]
+    fn an_uninterned_name_answers_empty_and_builds_nothing() {
+        let t = indexed_doc();
+        xic_obs::reset();
+        assert_eq!(ask(&t.d, "nope", &["k", "c"], &["v1"]), (vec![], 0));
+        assert_eq!(ask(&t.d, "m", &["k", "nope"], &["v1"]), (vec![], 0));
+        assert_eq!(builds(), 0);
+        assert!(t.d.read_value_indexes().is_empty());
+        // An interned name on no attached element is a shape like any other.
+        let mut d = t.d.clone();
+        d.create_element("spare");
+        assert_eq!(ask(&d, "spare", &[], &["v1"]), (vec![], 0));
+        assert_eq!(builds(), 1);
+    }
+
+    /// The readers of one snapshot share the document (and what any of
+    /// them builds on it).
+    const _: fn() = || {
+        fn shared<T: Sync + Send>() {}
+        shared::<Document>();
+    };
+
     /// Every mutator on an attached node in each role — a member, a node
     /// on a member's key path, a node on neither — keeps the indexes equal
     /// to a scan, moves exactly the answers it should, and is undone by
-    /// its inverse.
+    /// its inverse; whether the shapes were first asked for before the
+    /// edit (the mutators maintain them through it) or after it (they are
+    /// built from the edited tree, then maintained through the undo).
     #[test]
     fn every_attached_edit_keeps_the_indexes_and_undoes() {
         let t = indexed_doc();
+        let before = answers(&t.d.clone());
         type Case = (&'static str, fn(&Indexed, &mut Document) -> Edit, &'static [(&'static str, usize)]);
         // (what, the edit, the `m/k/c` and `k/c` hit counts it leaves for v1)
         let cases: &[Case] = &[
@@ -1372,18 +1416,24 @@ mod tests {
             ("rename an unrelated element", |t, _| Edit::Rename(t.x, "z".into()), &[("m", 2), ("k", 2)]),
         ];
         for (what, edit, v1_hits) in cases {
-            let mut d = t.d.clone();
-            let before = answers(&d);
-            let edit = edit(&t, &mut d);
-            let inverse = mutate(&mut d, edit.clone());
-            d.audit_indexes().unwrap_or_else(|e| panic!("{what} ({edit:?}): {e}"));
-            for &(tag, hits) in *v1_hits {
-                let path: &[&str] = if tag == "m" { &["k", "c"] } else { &["c"] };
-                assert_eq!(keyed(&d, tag, path, "v1").len(), hits, "{what}: {tag} keyed by v1");
+            for asked_before in [true, false] {
+                let what = format!("{what} (shapes asked for before the edit: {asked_before})");
+                let mut d = t.d.clone();
+                if asked_before {
+                    assert_eq!(answers(&d), before);
+                }
+                let edit = edit(&t, &mut d);
+                let inverse = mutate(&mut d, edit.clone());
+                d.audit_indexes().unwrap_or_else(|e| panic!("{what} ({edit:?}): {e}"));
+                for &(tag, hits) in *v1_hits {
+                    let path: &[&str] = if tag == "m" { &["k", "c"] } else { &["c"] };
+                    assert_eq!(keyed(&d, tag, path, "v1").len(), hits, "{what}: {tag} keyed by v1");
+                }
+                d.audit_indexes().unwrap_or_else(|e| panic!("first ask after {what}: {e}"));
+                mutate(&mut d, inverse);
+                d.audit_indexes().unwrap_or_else(|e| panic!("undo of {what}: {e}"));
+                assert_eq!(answers(&d), before, "undo of {what}");
             }
-            mutate(&mut d, inverse);
-            d.audit_indexes().unwrap_or_else(|e| panic!("undo of {what}: {e}"));
-            assert_eq!(answers(&d), before, "undo of {what}");
         }
     }
 
@@ -1431,7 +1481,8 @@ mod tests {
         stale_bit.attached[t.u.index()] = false;
         assert!(stale_bit.audit_indexes().unwrap_err().contains("attached bit"));
         let mut stale_value = t.d.clone();
-        stale_value.value_indexes[0].postings.pop();
+        assert_eq!(keyed(&stale_value, "k", &["c"], "v1").len(), 2);
+        stale_value.value_indexes_mut()[0].postings.pop();
         assert!(stale_value.audit_indexes().unwrap_err().contains("value index"));
     }
 

@@ -34,15 +34,12 @@
 //! `xic-obs` counters, error messages).
 //!
 //! **The document's index.** Where the sequence is `//tag` and the key is
-//! child name steps ending in `text()`, the site also carries that
-//! [`IndexShape`], and an evaluation asks the document first
-//! ([`xic_xml::Document::value_index`]): a document that holds the index
-//! answers the probe from it — no table, no walk, the hits charged and
-//! nothing else — and one that does not runs the per-evaluation table
-//! above. With the document's index a single probe pays too, so such a
-//! site is also planned when `O` starts at a *parameter* slot, which
-//! takes one value per evaluation; without the index that site runs the
-//! ordinary path, as it did before it was planned.
+//! child name steps ending in `text()`, the site carries that
+//! [`IndexShape`] and asks the document instead
+//! ([`xic_xml::Document::members_keyed`], which builds the index the first
+//! time): no table, no walk, the hits charged and — once — the members a
+//! build walked. One probe pays then, so such a site is also planned when
+//! `O` starts at a *parameter* slot, which takes one value per evaluation.
 //!
 //! The hot existential path walk
 //! (`path_exists_from`), whose recursion depth scales with the number
@@ -57,7 +54,7 @@ use crate::eval::{axis_iter, compare_values, dedupe_doc_order, same_depth, EvalE
 use crate::value::{NodeRef, XValue};
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use xic_xml::{Document, KeyShape, NodeId, NodeKind, Symbol, ValueIndexRef};
+use xic_xml::{Document, NodeId, NodeKind, Symbol};
 
 /// Index of an expression node in [`Program::exprs`].
 pub type ExprId = u32;
@@ -232,11 +229,9 @@ pub enum Inst {
         /// This site's cell in the evaluation's [`KeyedCache`].
         site: u32,
         /// What to ask the document for, when `members` and `key` have an
-        /// indexable shape.
+        /// indexable shape; a site without one (`O` then starts at a
+        /// loop-bound slot) builds a per-evaluation table.
         index: Option<IndexShape>,
-        /// `O` starts at a loop-bound slot: without the document's index,
-        /// a per-evaluation table pays.
-        looped: bool,
         /// The same path as an ordinary [`Inst::Path`]: what this node
         /// means, and what runs when the probe cannot answer.
         scan: ExprId,
@@ -252,9 +247,8 @@ pub enum Inst {
     },
 }
 
-/// The shape of a value index a document may hold
-/// ([`xic_xml::KeyShape`], over this program's name pool): the members
-/// `//tag`, keyed by `path[0]/…/text()`.
+/// What a site asks [`xic_xml::Document::members_keyed`] for, over this
+/// program's name pool: the members `//tag`, keyed by `path[0]/…/text()`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexShape {
     /// The members' tag.
@@ -286,41 +280,34 @@ impl IndexShape {
         });
         Some(IndexShape { tag, path: path.collect::<Option<_>>()? }).filter(|_| plain)
     }
-
-    /// The document's index of this shape, if it holds one.
-    pub fn in_document<'d>(
-        &self,
-        doc: &'d Document,
-        resolved: &[Option<Symbol>],
-    ) -> Option<ValueIndexRef<'d>> {
-        let path: Option<Vec<Symbol>> = self.path.iter().map(|&n| resolved[n as usize]).collect();
-        doc.value_index(resolved[self.tag as usize]?, &path?)
-    }
-
-    /// The shape by name, as a document is asked to index it.
-    pub fn demand(&self, names: &[String]) -> KeyShape {
-        KeyShape {
-            tag: names[self.tag as usize].clone(),
-            path: self.path.iter().map(|&n| names[n as usize].clone()).collect(),
-        }
-    }
 }
 
-/// The members of `index` that `=` pairs with `outer` — in document order,
-/// counted as one [`xic_obs::Counter::IndexProbe`] — or `None` when
-/// `outer` is a number or boolean, for which `=` is not a comparison of
-/// string values.
-pub fn index_members(index: ValueIndexRef, outer: &XValue, doc: &Document) -> Option<Vec<NodeId>> {
-    let hits = match outer {
-        XValue::Str(s) => index.members_keyed([s.as_str()]),
+/// The `shape` members that `=` pairs with `outer`, asked of the document
+/// — in document order, one [`xic_obs::Counter::IndexProbe`] — or `None`
+/// when `outer` is a number or boolean, for which `=` is not a comparison
+/// of string values. The members a first ask made the document walk are
+/// charged here, once, by [`KeyedSeq::build`]'s rule.
+pub fn index_members(
+    shape: &IndexShape,
+    outer: &XValue,
+    doc: &Document,
+    resolved: &[Option<Symbol>],
+) -> Result<Option<Vec<NodeId>>, EvalError> {
+    let path: Vec<_> = shape.path.iter().map(|&n| resolved[n as usize]).collect();
+    let ask = |values: &mut dyn Iterator<Item = &str>| {
+        doc.members_keyed(resolved[shape.tag as usize], &path, values)
+    };
+    let (hits, walked) = match outer {
+        XValue::Str(s) => ask(&mut std::iter::once(s.as_str())),
         XValue::Nodes(ns) => {
             let values: Vec<_> = ns.iter().map(|n| n.str_value(doc)).collect();
-            index.members_keyed(values.iter().map(|v| &**v))
+            ask(&mut values.iter().map(|v| &**v))
         }
-        XValue::Num(_) | XValue::Bool(_) => return None,
+        XValue::Num(_) | XValue::Bool(_) => return Ok(None),
     };
     xic_obs::incr(xic_obs::Counter::IndexProbe);
-    Some(hits)
+    visit(walked as u64)?;
+    Ok(Some(hits))
 }
 
 /// A compiled XPath program: a flat expression arena plus its name pool
@@ -359,14 +346,6 @@ impl Program {
             .iter()
             .position(|v| v == name)
             .map(|i| u32::try_from(i).expect("slot count fits u32"))
-    }
-
-    /// The value indexes this program's keyed steps can be answered from.
-    pub fn index_demands(&self) -> impl Iterator<Item = KeyShape> + '_ {
-        self.exprs.iter().filter_map(|inst| match inst {
-            Inst::Keyed { index, .. } => index.as_ref().map(|shape| shape.demand(&self.names)),
-            _ => None,
-        })
     }
 
     /// An empty per-evaluation cache for this program's keyed sites.
@@ -576,12 +555,11 @@ impl Builder {
                 members[i].predicates = Box::new([]);
                 let index = IndexShape::of(&members, &key);
                 if !looped && index.is_none() {
-                    return path; // one probe per evaluation: only a persistent index pays
+                    return path; // one probe per evaluation: only the document's index pays
                 }
                 let inst = Inst::Keyed {
                     site: self.prog.keyed_sites,
                     index,
-                    looped,
                     scan: path,
                     members: members.into(),
                     key: key.into(),
@@ -655,13 +633,11 @@ impl Builder {
 /// existential `=` between `K(member)` and a string or node-set `O` — by
 /// lookup instead of by evaluating `K` on every member again.
 ///
-/// This is the per-evaluation table of a loop-bound site whose document
-/// holds no index for it (one [`xic_obs::Counter::IndexScan`] per build,
-/// where the site has a shape a document could index).
-/// Against the step budget the build is charged one step per member on
-/// top of the walk that found them, and every probe its hits; a probe of
-/// the document's own index ([`index_members`]) has no build, so it is
-/// charged its hits and nothing else — never the member count.
+/// This is the per-evaluation table of a loop-bound site without an
+/// [`IndexShape`]. Against the step budget the build is charged one step
+/// per member on top of the walk that found them, and every probe its
+/// hits; a probe of the document's own index ([`index_members`]) is
+/// charged its hits, and the member count only if it built.
 #[derive(Debug)]
 pub struct KeyedSeq {
     members: Vec<NodeRef>,
@@ -852,30 +828,25 @@ pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
     }
 }
 
-/// The keyed step's result by probe — of the document's index if it
-/// holds one for the site, else of the evaluation's table, built by the
+/// The keyed step's result by probe — of the document's index where the
+/// site has a shape for it, else of the evaluation's table, built by the
 /// first probe that needs it — or `None` when this evaluation has to
 /// scan (see the module documentation).
 fn probe_site(keyed: &Inst, scope: &Scope) -> Result<Option<Vec<NodeRef>>, EvalError> {
-    let Inst::Keyed { site, index, looped, members, key, outer, .. } = keyed else {
+    let Inst::Keyed { site, index, members, key, outer, .. } = keyed else {
         unreachable!("probe_site is called on keyed sites only");
     };
     let Ok(outer) = eval_operand(*outer, scope) else {
         return Ok(None);
     };
-    let persistent = index.as_ref().and_then(|shape| shape.in_document(scope.doc, scope.resolved));
-    if let Some(hits) = persistent.and_then(|index| index_members(index, &outer, scope.doc)) {
+    if let Some(shape) = index {
+        let Some(hits) = index_members(shape, &outer, scope.doc, scope.resolved)? else {
+            return Ok(None);
+        };
         visit(hits.len() as u64)?;
         return Ok(Some(hits.into_iter().map(NodeRef::Node).collect()));
     }
-    if !looped {
-        xic_obs::incr(xic_obs::Counter::IndexScan);
-        return Ok(None);
-    }
     let Some(keyed) = scope.keyed.0[*site as usize].get_or_init(|| {
-        if index.is_some() {
-            xic_obs::incr(xic_obs::Counter::IndexScan);
-        }
         let root = vec![NodeRef::Node(scope.doc.document_node())];
         let seq = eval_steps(root, members, scope).ok()?;
         KeyedSeq::build(seq, scope.doc, |m| eval_steps(vec![m.clone()], key, scope)).ok()
@@ -1651,19 +1622,24 @@ mod tests {
         assert_eq!((members.len(), rest.len()), (2, 1));
     }
 
-    /// A parameter takes one value per evaluation too, but the document
-    /// may hold an index that answers one probe: such a site is planned
-    /// exactly where it has the shape a document indexes.
+    /// The shape the site at `root` asks the document for, by name.
+    fn asks_for(prog: &Program, root: ExprId) -> Option<(&str, Vec<&str>)> {
+        let Inst::Keyed { index: Some(shape), .. } = &prog.exprs[root as usize] else {
+            return None;
+        };
+        let name = |n: &NameId| prog.names[*n as usize].as_str();
+        Some((name(&shape.tag), shape.path.iter().map(name).collect()))
+    }
+
+    /// A parameter takes one value per evaluation too, but the document's
+    /// index answers one probe: such a site is planned exactly where it
+    /// has the shape a document indexes.
     #[test]
     fn parameter_comparisons_are_planned_where_the_document_can_index_them() {
-        let shape = |tag: &str, path: &[&str]| KeyShape {
-            tag: tag.to_string(),
-            path: path.iter().map(|s| s.to_string()).collect(),
-        };
-        for (src, demand) in [
-            ("//rev[name/text() = $R]/sub", Some(shape("rev", &["name"]))),
-            ("//track[rev[name/text() = $R/name/text()]]", Some(shape("track", &["rev", "name"]))),
-            ("//name[$R = text()]", Some(shape("name", &[]))),
+        for (src, shape) in [
+            ("//rev[name/text() = $R]/sub", Some(("rev", vec!["name"]))),
+            ("//track[rev[name/text() = $R/name/text()]]", Some(("track", vec!["rev", "name"]))),
+            ("//name[$R = text()]", Some(("name", vec![]))),
             // Not `//tag`, or not child names down to a `text()`.
             ("/review/track[name/text() = $R]", None),
             ("//track/rev[name/text() = $R]", None),
@@ -1673,52 +1649,58 @@ mod tests {
             ("//rev[sub[1]/title/text() = $R]", None),
             ("//rev[@id = $R]", None),
         ] {
-            let (prog, _) = compile_binding_r(src, Builder::fresh_param_slot);
-            assert_eq!(prog.index_demands().collect::<Vec<_>>(), Vec::from_iter(demand.clone()), "{src}");
-            assert_eq!(prog.keyed_sites, u32::from(demand.is_some()), "{src} as a parameter site");
-            // Under a loop the same shapes are demanded, and every site is
-            // planned: without the index a table pays.
-            let (looped, _) = compile_with_r(src, true);
-            assert_eq!(looped.index_demands().collect::<Vec<_>>(), Vec::from_iter(demand), "{src}");
+            let (prog, root) = compile_binding_r(src, Builder::fresh_param_slot);
+            assert_eq!(asks_for(&prog, root), shape, "{src}");
+            assert_eq!(prog.keyed_sites, u32::from(shape.is_some()), "{src} as a parameter site");
+            // Under a loop the same sites ask the document, and the others
+            // are planned too: a table pays there.
+            let (looped, root) = compile_with_r(src, true);
+            assert_eq!(asks_for(&looped, root), shape, "{src}");
+            assert_eq!(looped.keyed_sites, 1, "{src} under a loop");
         }
     }
 
     #[test]
-    fn the_documents_index_answers_a_probe_with_its_hits_and_nothing_else() {
-        let (plain, _) = parse_document(DOC).unwrap();
-        let mut indexed = plain.clone();
+    fn the_documents_index_answers_a_probe_with_its_hits_and_whatever_it_built() {
+        let (doc, _) = parse_document(DOC).unwrap();
         let counters = || {
             let c = xic_obs::counter;
-            (c(xic_obs::Counter::IndexProbe), c(xic_obs::Counter::IndexScan))
+            (c(xic_obs::Counter::IndexProbe), c(xic_obs::Counter::IndexBuild))
         };
         let ann = || XValue::Str("Ann".into());
         for bind in [Builder::fresh_loop_slot, Builder::fresh_param_slot] {
             let (prog, root) = compile_binding_r("//rev[name/text() = $R]/sub", bind);
-            let Inst::Keyed { scan, looped, .. } = prog.exprs[root as usize] else {
-                panic!("not planned");
-            };
-            for shape in prog.index_demands() {
-                indexed.ensure_index(&shape);
-            }
-            // No walk to `//rev`, no key evaluation, no table: the two hits
-            // and the step from them (their 3 + 2 children).
-            let (value, visits) = eval_with_r(&prog, root, &indexed, ann(), &prog.keyed_cache());
+            let fresh = doc.clone();
+            // No walk to `//rev`, no key evaluation, no table: the first
+            // probe of a document builds its index (the three revs), then
+            // the two hits and the step from them (their 3 + 2 children).
+            let (value, visits) = eval_with_r(&prog, root, &fresh, ann(), &prog.keyed_cache());
+            assert_eq!((value.as_str(), visits), ("[sub1 sub2 sub4]", 3 + 2 + 5));
+            assert_eq!(counters(), (1, 1));
+            // The index is the document's: a later evaluation pays the
+            // hits and nothing else.
+            let (value, visits) = eval_with_r(&prog, root, &fresh, ann(), &prog.keyed_cache());
             assert_eq!((value.as_str(), visits), ("[sub1 sub2 sub4]", 2 + 5));
             assert_eq!(counters(), (1, 0));
-            // A document without the index: a loop-bound site builds its
-            // table, a parameter site runs the scan it always was.
-            let (scanned, scan_visits) = eval_with_r(&prog, scan, &plain, ann(), &prog.keyed_cache());
-            let (value, visits) = eval_with_r(&prog, root, &plain, ann(), &prog.keyed_cache());
-            assert_eq!(value, scanned);
-            assert_eq!(counters(), (0, 1));
-            assert_eq!(visits, if looped { 85 + 10 + 3 + 2 + 5 } else { scan_visits });
+            // A budget that cannot afford the build says so; the pass was
+            // made all the same, and is not made again.
+            let fresh = doc.clone();
+            let guard = crate::budget::arm(crate::budget::EvalBudget::new(0));
+            let (outcome, _) = eval_with_r(&prog, root, &fresh, ann(), &prog.keyed_cache());
+            drop(guard);
+            assert_eq!(outcome, "error: evaluation step budget exhausted");
+            assert_eq!(counters(), (1, 1));
+            assert_eq!(eval_with_r(&prog, root, &fresh, ann(), &prog.keyed_cache()).1, 2 + 5);
+            assert_eq!(counters(), (1, 0));
         }
+        // A name the document never interned is on no element: an empty
+        // answer, and nothing built to find that out.
+        let (prog, root) = compile_with_r("//rev[nickname/text() = $R]/sub", true);
+        assert_eq!(eval_with_r(&prog, root, &doc, ann(), &prog.keyed_cache()), ("[]".into(), 0));
+        assert_eq!(counters(), (1, 0));
         // Values, order and errors are the scan's, whatever `$R` holds.
-        let names = evaluate_nodes(&parse("//rev/name/text()").unwrap(), &Context::root(&plain)).unwrap();
+        let names = evaluate_nodes(&parse("//rev/name/text()").unwrap(), &Context::root(&doc)).unwrap();
         let (prog, root) = compile_with_r("//track[rev[name/text() = $R]]/name", true);
-        for shape in prog.index_demands() {
-            indexed.ensure_index(&shape);
-        }
         for r in [
             ann(),
             XValue::Str("nobody".into()),
@@ -1727,9 +1709,9 @@ mod tests {
             XValue::Num(7.0),
             XValue::Bool(true),
         ] {
-            let probed = eval_with_r(&prog, root, &indexed, r.clone(), &prog.keyed_cache()).0;
+            let probed = eval_with_r(&prog, root, &doc, r.clone(), &prog.keyed_cache()).0;
             let Inst::Keyed { scan, .. } = prog.exprs[root as usize] else { panic!("not planned") };
-            assert_eq!(probed, eval_with_r(&prog, scan, &plain, r.clone(), &prog.keyed_cache()).0, "{r:?}");
+            assert_eq!(probed, eval_with_r(&prog, scan, &doc, r.clone(), &prog.keyed_cache()).0, "{r:?}");
         }
     }
 
@@ -1782,22 +1764,24 @@ mod tests {
     #[test]
     fn the_table_is_built_once_per_evaluation() {
         let (doc, _) = parse_document(DOC).unwrap();
-        let (prog, root) = compile_with_r("//rev[name/text() = $R]/sub", true);
-        let Inst::Keyed { scan, .. } = prog.exprs[root as usize] else {
-            panic!("not planned");
+        // Keyed by an element's string value: not a shape a document
+        // indexes, so the site keeps a table per evaluation.
+        let (prog, root) = compile_with_r("//rev[name = $R]/sub", true);
+        let Inst::Keyed { scan, index: None, .. } = prog.exprs[root as usize] else {
+            panic!("not planned as a table");
         };
         let ann = || XValue::Str("Ann".into());
         let cache = prog.keyed_cache();
         // The scan walks the document to `//rev` (85 visits: the 43 nodes
         // from the root down, then the 42 children of them all) on every
-        // call, evaluates `name/text()` on the three revs (7 + 3) and
+        // call, evaluates `name` on the three revs (their 7 children) and
         // steps to `/sub` from the two it keeps (3 + 2 children).
         let (_, scan_visits) = eval_with_r(&prog, scan, &doc, ann(), &prog.keyed_cache());
-        assert_eq!(scan_visits, 85 + 10 + 5);
+        assert_eq!(scan_visits, 85 + 7 + 5);
         // The first probe does the same walk and key evaluations to build
         // the table, is charged one step per member, then one per hit.
         let (_, first) = eval_with_r(&prog, root, &doc, ann(), &cache);
-        assert_eq!(first, 85 + 10 + 3 + 2 + 5);
+        assert_eq!(first, 85 + 7 + 3 + 2 + 5);
         // Every later one is the hits and the step from them.
         let (value, second) = eval_with_r(&prog, root, &doc, ann(), &cache);
         assert_eq!(value, "[sub1 sub2 sub4]");
@@ -1809,7 +1793,7 @@ mod tests {
     #[test]
     fn a_budget_that_runs_out_during_the_build_is_reported() {
         let (doc, _) = parse_document(DOC).unwrap();
-        let (prog, root) = compile_with_r("//rev[name/text() = $R]/sub", true);
+        let (prog, root) = compile_with_r("//rev[name = $R]/sub", true);
         let unbudgeted = eval_with_r(&prog, root, &doc, XValue::Str("Ann".into()), &prog.keyed_cache()).1;
         // Enough for the walk to `//rev`, not for keying its members.
         let guard = crate::budget::arm(crate::budget::EvalBudget::new(unbudgeted - 10));

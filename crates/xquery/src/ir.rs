@@ -46,17 +46,14 @@
 //!
 //! **The document's index.** When the binder's source is `//tag` and the
 //! first join's `K` is child name steps ending in `text()`, the probe
-//! also carries that [`IndexShape`], and a document that holds the index
-//! ([`xic_xml::Document::value_index`]) answers the join from it: the
-//! candidates are its hits, in document order, and the source is never
-//! walked. (Further joins are left to the `satisfies`; where they could
-//! narrow through tables instead — the binder has a loop around it —
-//! the probe keeps to tables for all of them.) With it one probe
-//! pays, so `O` may read any variable but the binder — a program
-//! parameter, which takes one value per evaluation, included — and a
-//! `some` with a single binder is planned when it has the shape; on a
-//! document without the index that one iterates its source, as it did
-//! before it was planned.
+//! carries that [`IndexShape`] and asks the document instead
+//! ([`xic_xml::Document::members_keyed`]): the candidates are its hits,
+//! in document order, and the source is never walked. (Further joins are
+//! left to the `satisfies`; where they could narrow through tables
+//! instead — the binder has a loop around it — the probe keeps to tables
+//! for all of them.) One probe pays then, so `O` may read any variable but
+//! the binder — a program parameter included — and a `some` with a single
+//! binder is planned when it has the shape.
 //!
 //! This is the only evaluator: the one-shot entry points in
 //! [`crate::eval`] compile and run here, the expected-value tests there
@@ -70,7 +67,7 @@ use crate::item::{
     Item, Sequence,
 };
 use std::cell::OnceCell;
-use xic_xml::{Document, KeyShape, NodeId, Symbol};
+use xic_xml::{Document, NodeId, Symbol};
 use xic_xpath::ir::{self, Builder, ExprId, IndexShape, IrStart, KeyedSeq, Scope, SlotId};
 use xic_xpath::{BinOp, NodeRef, XValue};
 
@@ -299,19 +296,6 @@ impl XProgram {
             .filter(|i| matches!(i, XInst::Quantified { binds, .. } if binds.iter().any(probed)))
             .count();
         self.xp.keyed_sites as usize + quantifiers
-    }
-
-    /// The value indexes ([`xic_xml::Document::ensure_index`]) this
-    /// query's keyed steps and joins can be answered from.
-    pub fn index_demands(&self) -> Vec<KeyShape> {
-        let probes = self.insts.iter().filter_map(|inst| match inst {
-            XInst::Quantified { binds, .. } => match binds.last()? {
-                XClause::For(f) => f.probe.as_ref()?.index.as_ref(),
-                _ => None,
-            },
-            _ => None,
-        });
-        self.xp.index_demands().chain(probes.map(|p| p.demand(&self.xp.names))).collect()
     }
 
     /// Existential evaluation (the checker's mode); see
@@ -805,7 +789,8 @@ fn for_each_tuple(
                     }
                 }
                 XClause::For(f) => {
-                    let indexed = f.probe.as_ref().and_then(|p| indexed_candidates(p, st, lazy));
+                    let indexed =
+                        f.probe.as_ref().and_then(|p| indexed_candidates(p, st, lazy)).transpose()?;
                     let items = if let Some(hits) = indexed {
                         Items::Indexed(hits.into_iter())
                     } else if f.hoistable {
@@ -821,9 +806,6 @@ fn for_each_tuple(
                             None => Items::All(0..h.items.len()),
                         }
                     } else {
-                        if f.probe.is_some() {
-                            xic_obs::incr(xic_obs::Counter::IndexScan);
-                        }
                         Items::Owned(eval(f.source, st)?.into_iter())
                     };
                     frames.push((idx, items));
@@ -865,16 +847,21 @@ fn for_each_tuple(
 
 /// The value-join plan answered by the document: the members its index
 /// pairs with the current outer binding under the probe's first join, or
-/// `None` when the binder has to be iterated from its source — the
-/// document holds no such index, a guard or the operand raises, or the
-/// operand is a number or boolean.
-fn indexed_candidates(probe: &Probe, st: &mut St, lazy: bool) -> Option<Vec<NodeId>> {
-    let index = probe.index.as_ref()?.in_document(st.doc, &st.resolved)?;
+/// `None` when the binder has to be iterated from its source — the probe
+/// has no shape to ask for, a guard or the operand raises, or the operand
+/// is a number or boolean. The one error is a budget that the document's
+/// first build of the index exhausted.
+fn indexed_candidates(
+    probe: &Probe,
+    st: &mut St,
+    lazy: bool,
+) -> Option<Result<Vec<NodeId>, XQueryError>> {
+    let shape = probe.index.as_ref()?;
     if !guards_hold(probe, st, lazy)? {
-        return Some(Vec::new());
+        return Some(Ok(Vec::new()));
     }
     let outer = eval_xvalue(probe.joins[0].1, st).ok()?;
-    ir::index_members(index, &outer, st.doc)
+    ir::index_members(shape, &outer, st.doc, &st.resolved).map_err(Into::into).transpose()
 }
 
 /// Whether every guard of `probe` holds for the current outer binding;
@@ -903,7 +890,7 @@ fn candidates(
         return Some(Vec::new());
     }
     let mut hits: Option<Vec<u32>> = None;
-    for (i, (&(key, outer), cell)) in probe.joins.iter().zip(&hoisted.keyed).enumerate() {
+    for (&(key, outer), cell) in probe.joins.iter().zip(&hoisted.keyed) {
         if hits.as_ref().is_some_and(Vec::is_empty) {
             break;
         }
@@ -911,9 +898,6 @@ fn candidates(
             break;
         };
         let keyed = cell.get_or_init(|| {
-            if i == 0 && probe.index.is_some() {
-                xic_obs::incr(xic_obs::Counter::IndexScan);
-            }
             let Ok(XValue::Nodes(members)) = sequence_to_xvalue(&hoisted.items) else {
                 return None;
             };
@@ -1457,7 +1441,7 @@ mod tests {
     }
 
     /// A lone binder probed with a parameter — the pre-update templates'
-    /// shape — on a document that holds the index and on one that does not.
+    /// shape — on a document nobody asked before, and again.
     #[test]
     fn the_documents_index_stands_in_for_the_source_and_the_first_join() {
         let plain = doc_with_catalog();
@@ -1466,21 +1450,23 @@ mod tests {
             let Item::Node(n) = eval_query(&all, &plain).unwrap().remove(0) else { panic!() };
             XValue::Nodes(vec![n])
         };
-        // (query, $p, outcome, bindings and (probes, scans) with the index,
-        // bindings without it)
-        for (query, p, outcome, bindings, counts, scan_bindings) in [
+        let counters = || {
+            let c = xic_obs::counter;
+            (c(xic_obs::Counter::IndexProbe), c(xic_obs::Counter::IndexBuild))
+        };
+        // (query, $p, outcome, bindings, probes)
+        for (query, p, outcome, bindings, probes) in [
             // One aut is called Ann: one candidate, not all three auts.
-            ("some $b in //aut satisfies $b/name/text() = $p/name/text()", ann(), "(true)", 1, (1, 0), 1),
-            ("some $b in //aut satisfies $b/name/text() = $p", XValue::Str("Dan".into()), "(true)", 1, (1, 0), 3),
-            ("some $b in //aut satisfies $b/name/text() = $p", XValue::Str("Zed".into()), "(false)", 0, (1, 0), 3),
+            ("some $b in //aut satisfies $b/name/text() = $p/name/text()", ann(), "(true)", 1, 1),
+            ("some $b in //aut satisfies $b/name/text() = $p", XValue::Str("Dan".into()), "(true)", 1, 1),
+            ("some $b in //aut satisfies $b/name/text() = $p", XValue::Str("Zed".into()), "(false)", 0, 1),
             // The guard is evaluated once, and a false one leaves nothing to try.
             (
                 "some $b in //aut satisfies exists($p/self::sub) and $b/name/text() = $p/name/text()",
                 ann(),
                 "(false)",
                 0,
-                (0, 0),
-                3,
+                0,
             ),
             // The later join is the `satisfies`' business: Ann's aut is
             // tried and rejected (her co-author is Bob, not Dan).
@@ -1490,35 +1476,31 @@ mod tests {
                 ann(),
                 "(false)",
                 1,
-                (1, 0),
-                3,
+                1,
             ),
-            // What cannot be probed is scanned, and raises what the scan raises.
-            ("some $b in //aut satisfies $b/name/text() = count($p)", ann(), "(false)", 3, (0, 1), 3),
+            // What cannot be probed iterates the source, and raises what
+            // that raises.
+            ("some $b in //aut satisfies $b/name/text() = count($p)", ann(), "(false)", 3, 0),
             (
                 "some $b in //aut satisfies frob($p) and $b/name/text() = $p",
                 XValue::Str("Ann".into()),
                 "error: unknown function frob()",
                 1,
-                (0, 1),
-                1,
+                0,
             ),
             (
                 "some $b in //aut satisfies $b/name/text() = frob($p)",
                 XValue::Str("Ann".into()),
                 "error: unknown function frob()",
                 1,
-                (0, 1),
-                1,
+                0,
             ),
         ] {
             let prog = XProgram::compile_with_params(&parse_query(query).unwrap(), &["p".to_string()]);
             assert_eq!(prog.plan_sites(), 1, "{query} is planned");
-            let mut indexed = plain.clone();
-            for shape in prog.index_demands() {
-                indexed.ensure_index(&shape);
-            }
-            for (doc, bindings, counts) in [(&indexed, bindings, counts), (&plain, scan_bindings, (0, 1))] {
+            let doc = &plain.clone();
+            // The first probe of a document builds; no later one does.
+            for builds in [probes, 0] {
                 xic_obs::reset();
                 let lazy = prog.eval_exists(doc, std::slice::from_ref(&p)).map(|b| vec![Item::Bool(b)]);
                 assert_eq!(render(doc, lazy), outcome, "existential {query}");
@@ -1527,35 +1509,52 @@ mod tests {
                     bindings,
                     "bindings of {query}"
                 );
-                let probed = xic_obs::counter(xic_obs::Counter::IndexProbe);
-                let scanned = xic_obs::counter(xic_obs::Counter::IndexScan);
-                assert_eq!((probed, scanned), counts, "probes and scans of {query}");
+                assert_eq!(counters(), (probes, builds), "probes and builds of {query}");
                 assert_eq!(render(doc, prog.eval_seq(doc, std::slice::from_ref(&p))), outcome, "materialized {query}");
             }
         }
-        // With a loop around the binder and one join, the full-check shape:
-        // the same answers, and the source `//aut` is never walked.
-        let query = "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text()";
-        let prog = XProgram::compile(&parse_query(query).unwrap());
-        let mut indexed = plain.clone();
-        for shape in prog.index_demands() {
-            indexed.ensure_index(&shape);
-        }
-        let visits = |doc: &Document| {
+        // The build is charged its members (the three auts), once; a budget
+        // that cannot afford it says so, and the index is there afterwards.
+        let query = "some $b in //aut satisfies $b/name/text() = $p";
+        let prog = XProgram::compile_with_params(&parse_query(query).unwrap(), &["p".to_string()]);
+        let dan = [XValue::Str("Dan".into())];
+        let steps = |doc: &Document| {
             xic_obs::reset();
-            assert!(prog.eval_exists(doc, &[]).unwrap());
+            assert!(prog.eval_exists(doc, &dan).unwrap());
             xic_obs::counter(xic_obs::Counter::XpathNodesVisited)
         };
+        let doc = plain.clone();
+        let first = steps(&doc);
+        assert_eq!(first, steps(&doc) + 3);
+        let doc = plain.clone();
+        let guard = xic_xpath::budget::arm(xic_xpath::budget::EvalBudget::new(0));
+        let spent = prog.eval_exists(&doc, &dan);
+        drop(guard);
+        assert!(matches!(spent, Err(XQueryError::XPath(xic_xpath::EvalError::BudgetExhausted))), "{spent:?}");
+        assert_eq!(steps(&doc) + 3, first);
+        assert_eq!(counters(), (1, 0));
+        // With a loop around the binder and one join, the full-check shape:
+        // the source `//aut` is never walked — one walk of the document
+        // (to `//rev`), not two.
+        let query = "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text()";
+        let prog = XProgram::compile(&parse_query(query).unwrap());
         let walk = {
             xic_obs::reset();
             XProgram::compile(&parse_query("//aut").unwrap()).eval_seq(&plain, &[]).unwrap();
             xic_obs::counter(xic_obs::Counter::XpathNodesVisited)
         };
-        assert!(visits(&indexed) + walk <= visits(&plain));
-        // Two joins narrow through tables over the source: no demand.
+        xic_obs::reset();
+        assert!(prog.eval_exists(&plain.clone(), &[]).unwrap());
+        assert_eq!(counters(), (1, 1));
+        let visits = xic_obs::counter(xic_obs::Counter::XpathNodesVisited);
+        assert!(walk <= visits && visits < 2 * walk, "{visits} visits, {walk} per walk");
+        // Two joins narrow through tables over the source: nothing to ask.
         let two = "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text() \
                    and $a/sub/auts/name/text() = $b/../aut/name/text()";
-        assert_eq!(XProgram::compile(&parse_query(two).unwrap()).index_demands(), []);
+        let two = XProgram::compile(&parse_query(two).unwrap());
+        xic_obs::reset();
+        assert!(two.eval_exists(&plain.clone(), &[]).is_ok());
+        assert_eq!(counters(), (0, 0));
     }
 
     #[test]
