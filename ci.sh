@@ -40,8 +40,9 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # way: the exit code, and the one summary line on stdout.
 cargo run --release -q -p xic-difftest -- --cases 500 --seed 1
 # Figure 1's shape by counts: engine steps of an optimized decision within
-# 1.5× from 32 to 512 KiB while the full check doubles per doubling, and
-# no rank-table rebuild across the decisions of an insert stream.
+# 1.5× from 32 to 512 KiB while the full check doubles per doubling, no
+# rank-table rebuild across the decisions of an insert stream, and publish
+# in O(Δ): equal chunk copies per commit at 32 and 512 KiB, at most 4.
 cargo test -q --release -p xicheck --test decide_scaling
 
 echo "== difftest corpus replay =="

@@ -497,9 +497,10 @@ impl ReadSnapshot {
     /// snapshot document, full-checks the result, and discards the copy
     /// — [`Checker::decide_only`] under
     /// [`crate::Strategy::FullWithRollback`], for concurrent readers.
-    /// [`ReadSnapshot::decide`] falls back to this; it costs a deep
-    /// clone of the document plus an evaluation of the constraints the
-    /// delta applied to the copy can reach (all of Γ with the
+    /// [`ReadSnapshot::decide`] falls back to this; it costs a copy that
+    /// shares every chunk of the snapshot's document but the ones the
+    /// apply writes, plus an evaluation of the constraints the delta
+    /// applied to the copy can reach (all of Γ with the
     /// independence analysis off) — the writer's mask, from the same
     /// code.
     ///
@@ -822,7 +823,13 @@ impl CheckerService {
             version: checker.committed(),
             checks: self.checks.clone(),
         });
-        *self.snapshot.write().expect("snapshot slot poisoned") = snap;
+        // Swap under the write lock, drop the old snapshot after releasing
+        // it: a reader's `snapshot()` / `version()` never waits on a free.
+        let old = {
+            let mut slot = self.snapshot.write().expect("snapshot slot poisoned");
+            std::mem::replace(&mut *slot, snap)
+        };
+        drop(old);
         let stats = checker.stats();
         let writer = &self.checks.decides.writer_index_reads;
         writer[0].store(stats.index_probes, Ordering::Relaxed);

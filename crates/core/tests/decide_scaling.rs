@@ -102,6 +102,32 @@ fn the_decisions_of_an_insert_stream_never_rebuild_the_rank_table() {
     c.doc().audit_indexes().expect("a hundred commits on, the indexes equal a scan");
 }
 
+/// The chunk copies of each of 100 `legal_insert` commits through a
+/// service, which publishes a snapshot after every one: what a commit
+/// writes is copied out of the chunks the last snapshot shares.
+fn chunk_copies_per_commit(kib: usize) -> Vec<u64> {
+    let (w, c) = corpus(kib);
+    let service = CheckerService::new(c, Executor::Sync);
+    (0..100)
+        .map(|i| {
+            let (track, rev) = (i % w.config.tracks, i % w.config.revs_per_track);
+            obs::reset();
+            let out = service.submit(&legal_insert(track, rev, i)).expect("commits");
+            assert!(out.outcome.applied() && out.outcome.strategy() == Strategy::Optimized);
+            obs::counter(Counter::ChunkCopy)
+        })
+        .collect()
+}
+
+/// Publish is O(Δ): a commit copies the same few chunks of a 32 KiB and
+/// of a 512 KiB document, and the snapshot keeps the rest.
+#[test]
+fn a_commit_copies_as_many_chunks_at_32_as_at_512_kib() {
+    let (small, large) = (chunk_copies_per_commit(32), chunk_copies_per_commit(512));
+    assert_eq!(small, large, "chunk copies per commit at 32 and at 512 KiB");
+    assert!(small.iter().all(|&n| (1..=4).contains(&n)), "{small:?}");
+}
+
 /// Whoever asks a document first builds: the snapshot a pattern's first
 /// `DECIDE` reads, then the writer at its first `UPDATE` — whose next
 /// snapshot carries the index, so the next `DECIDE` builds nothing.

@@ -154,6 +154,44 @@ fn decide_answers_what_update_would_at_the_same_version() {
     );
 }
 
+/// (a′) A snapshot held across a hundred commits of all six operation
+/// kinds stays the state it was published at: each commit wrote copies of
+/// the chunks the snapshot shares, never the chunks themselves.
+#[test]
+fn a_held_snapshot_survives_a_hundred_commits_of_every_kind() {
+    let w = generate(WorkloadConfig {
+        seed: 7,
+        pubs: 8,
+        tracks: 2,
+        revs_per_track: 2,
+        subs_per_rev: 2,
+        name_pool: 10,
+    });
+    let checker = Checker::new(&w.xml, DTD, conflict_constraint()).expect("workload setup");
+    let service = CheckerService::new(checker, Executor::Sync);
+    let snap = service.snapshot();
+    // The snapshot builds the index the pattern's join asks for.
+    assert_eq!(decide(&service, &xic_workload::legal_insert(0, 0, 0)), "OK 0 LEGAL");
+    let before = snap.serialize();
+    let mut rng = StdRng::seed_from_u64(2027);
+    let mut kinds = std::collections::HashSet::new();
+    for _ in 0..1_000 {
+        if service.version() == 100 {
+            break;
+        }
+        let s = random_batch(&mut rng, &w, 1);
+        if update(&service, &s).split(' ').nth(2) == Some("APPLIED") {
+            let parsed = XUpdateDoc::parse(&s).expect("generated statement parses");
+            kinds.insert(std::mem::discriminant(&parsed.ops[0]));
+        }
+    }
+    assert_eq!((service.version(), kinds.len()), (100, 6), "a hundred commits of six kinds");
+    assert_eq!(snap.version(), 0);
+    assert_eq!(snap.serialize(), before, "a commit wrote into the held snapshot");
+    snap.doc().audit_indexes().expect("the held snapshot's indexes equal a scan");
+    snap.doc().audit_symbols().expect("the held snapshot's symbols are coherent");
+}
+
 /// (b) Eight readers decide a never-seen insertion pattern while the
 /// writer commits statements of the same pattern: whoever compiles it
 /// first publishes it, everyone else adopts that entry.

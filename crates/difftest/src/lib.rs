@@ -22,8 +22,9 @@
 //!    after the undo — element and value indexes equal to a scan
 //!    ([`xic_xml::Document::audit_indexes`], over indexes asked for in
 //!    every key shape the document has), for both complete and
-//!    mid-batch-failed applications; every recovery is audited the same
-//!    way after its replay.
+//!    mid-batch-failed applications, while a clone taken before the
+//!    apply stays the pre-state and audits clean; every recovery is
+//!    audited the same way after its replay.
 //! 3. **DTD-validity preservation** — when an accepted update's post-state
 //!    conforms to the DTD under plain application, the checker's final
 //!    state must validate too.
@@ -563,9 +564,21 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     let audit = |doc: &Document, when: &str| {
         doc.audit_indexes().map_err(|e| ("rollback", format!("indexes corrupt after {when}: {e}")))
     };
+    // A clone shares every chunk of the pre-state (as a service snapshot
+    // does): the apply and the undo write copies, never the shared chunks.
+    let pinned = doc.clone();
+    let intact = |when: &str| {
+        let fail = |e: String| ("rollback", format!("the clone taken before the apply, after {when}: {e}"));
+        if serialize(&pinned) != original {
+            return Err(fail("no longer serializes to the pre-state".to_string()));
+        }
+        pinned.audit_indexes().map_err(fail)?;
+        pinned.audit_symbols().map_err(fail)
+    };
     let (post_xml, post_conforming) = match apply(&mut doc, &stmt, &xpath_resolver) {
         Ok(applied) => {
             audit(&doc, "apply")?;
+            intact("apply")?;
             let post = serialize(&doc);
             let conforming = dtd.validate(&doc).is_ok();
             // …after the statement mutated the tree (cache invalidation)…
@@ -574,6 +587,7 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             (Some(post), conforming)
         }
         Err((_, partial)) => {
+            intact("a failed apply")?;
             undo(&mut doc, partial);
             (None, false)
         }
@@ -589,6 +603,7 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     doc.audit_symbols()
         .map_err(|e| ("rollback", format!("tag-name symbols corrupt after undo: {e}")))?;
     audit(&doc, "undo")?;
+    intact("undo")?;
 
     // Oracle 1: decision equivalence. The baseline decides via apply +
     // full check + rollback; the optimized engine decides however

@@ -133,10 +133,13 @@ pub enum Counter {
     /// A value index built by the first probe that asked a document for
     /// its shape (one pass over the shape's members, kept from then on).
     IndexBuild,
+    /// A document arena chunk copied by its first write after a clone
+    /// (a service snapshot) shared it.
+    ChunkCopy,
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 28] = [
+pub const ALL_COUNTERS: [Counter; 29] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
     Counter::XpathNodesVisited,
@@ -165,6 +168,7 @@ pub const ALL_COUNTERS: [Counter; 28] = [
     Counter::ServiceDegraded,
     Counter::IndexProbe,
     Counter::IndexBuild,
+    Counter::ChunkCopy,
 ];
 
 const N_COUNTERS: usize = ALL_COUNTERS.len();
@@ -201,6 +205,7 @@ impl Counter {
             Counter::ServiceDegraded => "service_degraded",
             Counter::IndexProbe => "index_probes",
             Counter::IndexBuild => "index_builds",
+            Counter::ChunkCopy => "chunk_copies",
         }
     }
 }

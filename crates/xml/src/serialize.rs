@@ -6,11 +6,7 @@ use crate::tree::{Document, NodeId, NodeKind};
 /// Serializes the whole document (children of the document node, in
 /// order), without an XML declaration.
 pub fn serialize(doc: &Document) -> String {
-    let mut out = String::new();
-    for &c in &doc.node(doc.document_node()).children {
-        write_node(doc, c, &mut out);
-    }
-    out
+    serialize_node(doc, doc.document_node())
 }
 
 /// True if the two documents serialize to byte-identical XML text — the
@@ -21,56 +17,62 @@ pub fn serialize_equal(a: &Document, b: &Document) -> bool {
 }
 
 /// Serializes a single node (and its subtree).
+///
+/// Iterative at any depth: each open element keeps its end tag and the
+/// siblings after it on a heap stack, not a call frame.
 pub fn serialize_node(doc: &Document, id: NodeId) -> String {
     let mut out = String::new();
-    write_node(doc, id, &mut out);
-    out
-}
-
-fn write_node(doc: &Document, id: NodeId, out: &mut String) {
-    match &doc.node(id).kind {
-        NodeKind::Document => {
-            for &c in &doc.node(id).children {
-                write_node(doc, c, out);
-            }
-        }
-        NodeKind::Element { name, attrs } => {
-            out.push('<');
+    let mut stack: Vec<(&[NodeId], &str)> = Vec::new();
+    let mut rest: &[NodeId] = std::slice::from_ref(&id);
+    loop {
+        let Some((&id, after)) = rest.split_first() else {
+            let Some((siblings, name)) = stack.pop() else {
+                return out;
+            };
+            out.push_str("</");
             out.push_str(name);
-            for (k, v) in attrs {
-                out.push(' ');
-                out.push_str(k);
-                out.push_str("=\"");
-                out.push_str(&escape_attr(v));
-                out.push('"');
-            }
-            let children = &doc.node(id).children;
-            if children.is_empty() {
-                out.push_str("/>");
-            } else {
-                out.push('>');
-                for &c in children {
-                    write_node(doc, c, out);
-                }
-                out.push_str("</");
+            out.push('>');
+            rest = siblings;
+            continue;
+        };
+        rest = after;
+        let node = doc.node(id);
+        match &node.kind {
+            // Never a child, so only ever the subtree's root.
+            NodeKind::Document => rest = &node.children,
+            NodeKind::Element { name, attrs } => {
+                out.push('<');
                 out.push_str(name);
-                out.push('>');
+                for (k, v) in attrs {
+                    out.push(' ');
+                    out.push_str(k);
+                    out.push_str("=\"");
+                    out.push_str(&escape_attr(v));
+                    out.push('"');
+                }
+                if node.children.is_empty() {
+                    out.push_str("/>");
+                } else {
+                    out.push('>');
+                    stack.push((rest, name));
+                    rest = &node.children;
+                }
             }
-        }
-        NodeKind::Text(t) => out.push_str(&escape_text(t)),
-        NodeKind::Comment(t) => {
-            out.push_str("<!--");
-            out.push_str(t);
-            out.push_str("-->");
-        }
-        NodeKind::Pi { target, data } => {
-            out.push_str("<?");
-            out.push_str(target);
-            if !data.is_empty() {
-                out.push(' ');
-                out.push_str(data);
+            NodeKind::Text(t) => out.push_str(&escape_text(t)),
+            NodeKind::Comment(t) => {
+                out.push_str("<!--");
+                out.push_str(t);
+                out.push_str("-->");
             }
-            out.push_str("?>");
+            NodeKind::Pi { target, data } => {
+                out.push_str("<?");
+                out.push_str(target);
+                if !data.is_empty() {
+                    out.push(' ');
+                    out.push_str(data);
+                }
+                out.push_str("?>");
+            }
         }
     }
 }

@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
-use std::sync::{RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// A stable node identifier. Identifiers are allocated from a monotone
 /// per-document counter and never reused — detached nodes keep their slot.
@@ -64,6 +64,35 @@ pub struct Node {
     /// Children in document order (empty for text/comment/PI nodes).
     pub children: Vec<NodeId>,
 }
+
+/// Slots per arena chunk, a power of two: a node id splits into its chunk
+/// (`id >> CHUNK_BITS`) and its slot in it (`id & CHUNK_MASK`).
+const CHUNK_BITS: u32 = 6;
+const CHUNK: usize = 1 << CHUNK_BITS;
+const CHUNK_MASK: usize = CHUNK - 1;
+
+/// One arena slot: a node, the interned tag-name symbol of an element
+/// ([`NO_SYM`] for every other kind) and whether the node is reachable
+/// from the document node.
+#[derive(Debug, Clone)]
+struct NodeRec {
+    node: Node,
+    sym: u32,
+    attached: bool,
+}
+
+/// What a chunk holds past the document's last node.
+const VACANT: NodeRec = NodeRec {
+    node: Node {
+        kind: NodeKind::Document,
+        parent: None,
+        children: Vec::new(),
+    },
+    sym: NO_SYM,
+    attached: false,
+};
+
+type Chunk = [NodeRec; CHUNK];
 
 /// Sentinel rank for nodes that were detached when the order cache was
 /// built (`u32::MAX` can never be a real preorder rank: ids are `u32`
@@ -125,23 +154,28 @@ fn hash_value(value: &str) -> u64 {
 /// plus interned tag-name symbols, a document-order rank cache and the
 /// element and value indexes.
 ///
-/// **Index invariant.** `attached`, `by_tag` and every value index built
-/// so far describe exactly the tree reachable from the document node. They
-/// are maintained inside the primitive mutators (`insert_child`, `detach`,
-/// `set_text`, `rename`) and nowhere else, so whoever edits the tree —
-/// `apply`, `undo`, the parser, a test — cannot leave them stale, and a
-/// clone carries them. [`Document::audit_indexes`] checks the invariant
-/// against a scan.
+/// **Copy-on-write arena.** The nodes live in fixed-size chunks, each
+/// behind an `Arc`, so a clone shares every chunk with its original; the
+/// first write to a chunk that a clone still shares copies that one chunk
+/// (one [`xic_obs::Counter::ChunkCopy`]). A service snapshot therefore
+/// shares every chunk the batch after it did not write.
+///
+/// **Index invariant.** The attached bits, `by_tag` and every value index
+/// built so far describe exactly the tree reachable from the document
+/// node. They are maintained inside the primitive mutators
+/// (`insert_child`, `detach`, `set_text`, `rename`) and nowhere else, so
+/// whoever edits the tree — `apply`, `undo`, the parser, a test — cannot
+/// leave them stale, and a clone carries them.
+/// [`Document::audit_indexes`] checks the invariant against a scan.
 #[derive(Debug)]
 pub struct Document {
-    nodes: Vec<Node>,
+    /// `chunks[i >> CHUNK_BITS][i & CHUNK_MASK]`: node `i`; the slots at
+    /// `len` and beyond are [`VACANT`].
+    chunks: Vec<Arc<Chunk>>,
+    len: usize,
     /// Interned element/attribute names; append-only for the document's
     /// lifetime, so a missed lookup proves the name never occurred.
     symbols: SymbolTable,
-    /// `elem_sym[id.index()]`: the interned tag-name symbol of an element
-    /// node, [`NO_SYM`] for every other node kind. Kept in lockstep with
-    /// the arena by `alloc` and `rename`.
-    elem_sym: Vec<u32>,
     /// Structural version, bumped by every attach/detach. Content edits
     /// (`set_text`, `set_attr`, `rename`) do not move nodes and leave it
     /// alone.
@@ -154,9 +188,6 @@ pub struct Document {
     /// Ids sorted by path key since the last structural change (see
     /// [`PATH_SORT_ALLOWANCE`]).
     path_sorted: AtomicU32,
-    /// `attached[id.index()]`: the node is reachable from the document
-    /// node.
-    attached: Vec<bool>,
     /// `by_tag[symbol]`: the attached elements carrying that tag,
     /// ascending by id (which is document order only until the first
     /// non-tail insert).
@@ -180,15 +211,14 @@ const NO_SYM: u32 = u32::MAX;
 impl Clone for Document {
     fn clone(&self) -> Document {
         Document {
-            nodes: self.nodes.clone(),
+            chunks: self.chunks.clone(),
+            len: self.len,
             symbols: self.symbols.clone(),
-            elem_sym: self.elem_sym.clone(),
             version: self.version,
             // The clone starts with a cold cache; it is rebuilt on first use.
             order_cache: RwLock::new(OrderCache::default()),
             order_cache_enabled: self.order_cache_enabled,
             path_sorted: AtomicU32::new(0),
-            attached: self.attached.clone(),
             by_tag: self.by_tag.clone(),
             value_indexes: RwLock::new(self.read_value_indexes().clone()),
         }
@@ -198,22 +228,20 @@ impl Clone for Document {
 impl Document {
     /// Creates an empty document (just the document node).
     pub fn new() -> Document {
-        Document {
-            nodes: vec![Node {
-                kind: NodeKind::Document,
-                parent: None,
-                children: Vec::new(),
-            }],
+        let mut doc = Document {
+            chunks: Vec::new(),
+            len: 0,
             symbols: SymbolTable::new(),
-            elem_sym: vec![NO_SYM],
             version: 0,
             order_cache: RwLock::new(OrderCache::default()),
             order_cache_enabled: true,
             path_sorted: AtomicU32::new(0),
-            attached: vec![true],
             by_tag: Vec::new(),
             value_indexes: RwLock::default(),
-        }
+        };
+        let root = doc.alloc(NodeKind::Document);
+        doc.rec_mut(root).attached = true;
+        doc
     }
 
     /// Disables the document-order rank cache (ablation experiments):
@@ -237,7 +265,7 @@ impl Document {
 
     /// The root element, if any.
     pub fn root_element(&self) -> Option<NodeId> {
-        self.nodes[0]
+        self.node(self.document_node())
             .children
             .iter()
             .copied()
@@ -246,34 +274,70 @@ impl Document {
 
     /// Total number of allocated nodes (including detached ones).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// Immutable access to a node.
     ///
     /// # Panics
     /// Panics if the id does not belong to this document.
+    #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+        &self.rec(id).node
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
+        &mut self.rec_mut(id).node
+    }
+
+    /// The arena slot of `id`, `None` past the last allocated node.
+    #[inline]
+    fn slot(&self, id: NodeId) -> Option<&NodeRec> {
+        let i = id.index();
+        (i < self.len).then(|| &self.chunks[i >> CHUNK_BITS][i & CHUNK_MASK])
+    }
+
+    #[inline]
+    fn rec(&self, id: NodeId) -> &NodeRec {
+        match self.slot(id) {
+            Some(rec) => rec,
+            None => panic!("node {id} does not belong to this document"),
+        }
+    }
+
+    /// The slot of `id` for writing: the one place a chunk a clone still
+    /// shares is copied.
+    fn rec_mut(&mut self, id: NodeId) -> &mut NodeRec {
+        let i = id.index();
+        assert!(i < self.len, "node {id} does not belong to this document");
+        let chunk = &mut self.chunks[i >> CHUNK_BITS];
+        let shared = Arc::as_ptr(chunk);
+        let chunk = Arc::make_mut(chunk);
+        if !std::ptr::eq(shared, chunk) {
+            xic_obs::incr(xic_obs::Counter::ChunkCopy);
+        }
+        &mut chunk[i & CHUNK_MASK]
     }
 
     fn alloc(&mut self, kind: NodeKind) -> NodeId {
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("node arena overflow"));
+        let id = NodeId(u32::try_from(self.len).expect("node arena overflow"));
         let sym = match &kind {
             NodeKind::Element { name, .. } => self.symbols.intern(name).0,
             _ => NO_SYM,
         };
-        self.nodes.push(Node {
-            kind,
-            parent: None,
-            children: Vec::new(),
-        });
-        self.elem_sym.push(sym);
-        self.attached.push(false);
+        if self.len & CHUNK_MASK == 0 {
+            self.chunks.push(Arc::new([VACANT; CHUNK]));
+        }
+        self.len += 1;
+        *self.rec_mut(id) = NodeRec {
+            node: Node {
+                kind,
+                parent: None,
+                children: Vec::new(),
+            },
+            sym,
+            attached: false,
+        };
         id
     }
 
@@ -287,10 +351,15 @@ impl Document {
     /// nodes. An integer compare against this is equivalent to a string
     /// compare against [`Document::name`].
     pub fn symbol(&self, id: NodeId) -> Option<Symbol> {
-        match self.elem_sym.get(id.index()) {
-            Some(&s) if s != NO_SYM => Some(Symbol(s)),
+        match self.slot(id) {
+            Some(rec) if rec.sym != NO_SYM => Some(Symbol(rec.sym)),
             _ => None,
         }
+    }
+
+    /// The cached symbol of `id` as stored: [`NO_SYM`] for non-elements.
+    fn sym(&self, id: NodeId) -> u32 {
+        self.rec(id).sym
     }
 
     /// Creates a detached element.
@@ -390,7 +459,7 @@ impl Document {
         siblings.insert(idx, child);
         self.node_mut(child).parent = Some(parent);
         self.structure_changed();
-        if self.attached[parent.index()] {
+        if self.is_attached(parent) {
             self.index_subtree(child, true);
         }
     }
@@ -401,7 +470,7 @@ impl Document {
     /// Panics if the node is not attached.
     pub fn detach(&mut self, child: NodeId) -> usize {
         let parent = self.node(child).parent.expect("node is not attached");
-        if self.attached[child.index()] {
+        if self.is_attached(child) {
             self.index_subtree(child, false);
         }
         let siblings = &mut self.node_mut(parent).children;
@@ -425,7 +494,7 @@ impl Document {
     /// # Panics
     /// Panics if `id` is not a text node.
     pub fn set_text(&mut self, id: NodeId, text: impl Into<String>) -> String {
-        let keyed = self.attached[id.index()] && !self.value_indexes_mut().is_empty();
+        let keyed = self.is_attached(id) && !self.value_indexes_mut().is_empty();
         if keyed {
             self.index_above(id, false);
         }
@@ -451,13 +520,14 @@ impl Document {
         // An attached element is listed under its tag, is a member of that
         // tag's value indexes and a step of its ancestors' key paths: all
         // three follow the name.
-        let attached = self.attached[id.index()];
+        let attached = self.is_attached(id);
         if attached {
             self.index_above(id, false);
             self.index_element(id, false);
         }
-        self.elem_sym[id.index()] = new_sym;
-        let NodeKind::Element { name, .. } = &mut self.node_mut(id).kind else {
+        let rec = self.rec_mut(id);
+        rec.sym = new_sym;
+        let NodeKind::Element { name, .. } = &mut rec.node.kind else {
             unreachable!("checked above");
         };
         let old = std::mem::replace(name, new_name);
@@ -471,7 +541,7 @@ impl Document {
     /// True if `id` is a node of this document reachable from the
     /// document node.
     pub fn is_attached(&self, id: NodeId) -> bool {
-        self.attached.get(id.index()).copied().unwrap_or(false)
+        self.slot(id).is_some_and(|rec| rec.attached)
     }
 
     /// The attached elements tagged `tag`, ascending by id — `//tag` as a
@@ -568,7 +638,7 @@ impl Document {
         for &c in &self.node(from).children {
             match (path.split_first(), &self.node(c).kind) {
                 (None, NodeKind::Text(t)) => f(t),
-                (Some((&step, rest)), _) if self.elem_sym[c.index()] == step => {
+                (Some((&step, rest)), _) if self.sym(c) == step => {
                     self.for_each_key(c, rest, f);
                 }
                 _ => {}
@@ -582,8 +652,9 @@ impl Document {
     fn index_subtree(&mut self, root: NodeId, add: bool) {
         let nodes: Vec<NodeId> = std::iter::once(root).chain(self.descendants(root)).collect();
         for n in nodes {
-            self.attached[n.index()] = add;
-            if self.elem_sym[n.index()] != NO_SYM {
+            let rec = self.rec_mut(n);
+            rec.attached = add;
+            if rec.sym != NO_SYM {
                 self.index_element(n, add);
             }
         }
@@ -593,7 +664,7 @@ impl Document {
     /// Lists (or unlists) the attached element `e` under its tag, and as a
     /// member of that tag's value indexes.
     fn index_element(&mut self, e: NodeId, add: bool) {
-        let sym = self.elem_sym[e.index()];
+        let sym = self.sym(e);
         if self.by_tag.len() <= sym as usize {
             self.by_tag.resize_with(sym as usize + 1, Vec::new);
         }
@@ -639,7 +710,7 @@ impl Document {
         let mut cur = x;
         for d in (1..=depth).rev() {
             let on_path = match path.get(d - 1) {
-                Some(&step) => self.elem_sym[cur.index()] == step,
+                Some(&step) => self.sym(cur) == step,
                 None => matches!(self.node(cur).kind, NodeKind::Text(_)),
             };
             if !on_path {
@@ -647,7 +718,7 @@ impl Document {
             }
             cur = self.node(cur).parent?;
         }
-        (self.elem_sym[cur.index()] == tag).then_some(cur)
+        (self.sym(cur) == tag).then_some(cur)
     }
 
     /// Audits the attached bits, the per-tag lists and every value index
@@ -656,7 +727,7 @@ impl Document {
     /// rollback and recovery oracles of `xic-difftest` beside
     /// [`Document::audit_symbols`].
     pub fn audit_indexes(&self) -> Result<(), String> {
-        let mut attached = vec![false; self.nodes.len()];
+        let mut attached = vec![false; self.len];
         let mut by_tag: Vec<Vec<NodeId>> = vec![Vec::new(); self.by_tag.len()];
         attached[0] = true;
         for n in self.descendants(self.document_node()) {
@@ -668,8 +739,9 @@ impl Document {
                 }
             }
         }
-        if let Some(n) = (0..self.nodes.len()).find(|&i| attached[i] != self.attached[i]) {
-            let (bit, reachable) = (self.attached[n], attached[n]);
+        let bit = |i: usize| self.is_attached(NodeId(i as u32));
+        if let Some(n) = (0..self.len).find(|&i| attached[i] != bit(i)) {
+            let (bit, reachable) = (bit(n), attached[n]);
             return Err(format!("node #{n}: attached bit {bit}, reachable {reachable}"));
         }
         let tag_name = |sym: u32| self.symbols.resolve(Symbol(sym)).unwrap_or_default();
@@ -723,19 +795,31 @@ impl Document {
 
     /// The concatenated text content of the subtree rooted at `id` (the
     /// XPath `string()` value of an element).
+    ///
+    /// Iterative at any depth: each open element keeps the siblings after
+    /// it on a heap stack, not a call frame (a last child keeps nothing).
     pub fn text_content(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.collect_text(id, &mut out);
-        out
-    }
-
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        match &self.node(id).kind {
-            NodeKind::Text(t) => out.push_str(t),
-            NodeKind::Comment(_) | NodeKind::Pi { .. } => {}
-            _ => {
-                for &c in &self.node(id).children {
-                    self.collect_text(c, out);
+        let mut stack: Vec<&[NodeId]> = Vec::new();
+        let mut rest: &[NodeId] = std::slice::from_ref(&id);
+        loop {
+            let Some((&n, after)) = rest.split_first() else {
+                let Some(siblings) = stack.pop() else {
+                    return out;
+                };
+                rest = siblings;
+                continue;
+            };
+            rest = after;
+            let node = self.node(n);
+            match &node.kind {
+                NodeKind::Text(t) => out.push_str(t),
+                NodeKind::Comment(_) | NodeKind::Pi { .. } => {}
+                _ => {
+                    if !rest.is_empty() {
+                        stack.push(rest);
+                    }
+                    rest = &node.children;
                 }
             }
         }
@@ -853,7 +937,7 @@ impl Document {
     fn rebuild_order_cache(&self, cache: &mut OrderCache) {
         xic_obs::incr(xic_obs::Counter::OrderCacheRebuild);
         cache.ranks.clear();
-        cache.ranks.resize(self.nodes.len(), RANK_DETACHED);
+        cache.ranks.resize(self.len, RANK_DETACHED);
         let mut next = 0u32;
         let mut stack = vec![self.document_node()];
         while let Some(n) = stack.pop() {
@@ -916,9 +1000,7 @@ impl Document {
     /// representation Section 6 uses to instantiate node-id parameters in
     /// translated XQuery.
     pub fn positional_path(&self, id: NodeId) -> Option<String> {
-        if id.index() >= self.nodes.len() {
-            return None;
-        }
+        self.slot(id)?;
         let mut segments = Vec::new();
         let mut cur = id;
         loop {
@@ -1204,7 +1286,7 @@ mod tests {
         let (mut d, _, track, name) = small_doc();
         d.audit_symbols().expect("fresh document is coherent");
         // Corrupt the cached symbol behind the API's back.
-        d.elem_sym[track.index()] = d.elem_sym[name.index()];
+        d.rec_mut(track).sym = d.sym(name);
         let err = d.audit_symbols().expect_err("audit catches the stale symbol");
         assert!(err.contains("caches symbol"), "unexpected message: {err}");
     }
@@ -1387,11 +1469,20 @@ mod tests {
     /// to a scan, moves exactly the answers it should, and is undone by
     /// its inverse; whether the shapes were first asked for before the
     /// edit (the mutators maintain them through it) or after it (they are
-    /// built from the edited tree, then maintained through the undo).
+    /// built from the edited tree, then maintained through the undo). Each
+    /// edit lands on one of a document and its clone, which share every
+    /// chunk until then: the other one stays byte-identical and audits
+    /// clean through the edit and its undo.
     #[test]
     fn every_attached_edit_keeps_the_indexes_and_undoes() {
         let t = indexed_doc();
         let before = answers(&t.d.clone());
+        let xml = crate::serialize::serialize(&t.d);
+        let untouched = |pinned: &Document, when: &str| {
+            assert_eq!(crate::serialize::serialize(pinned), xml, "{when}: the other side changed");
+            pinned.audit_indexes().unwrap_or_else(|e| panic!("{when}, the other side: {e}"));
+            pinned.audit_symbols().unwrap_or_else(|e| panic!("{when}, the other side: {e}"));
+        };
         type Case = (&'static str, fn(&Indexed, &mut Document) -> Edit, &'static [(&'static str, usize)]);
         // (what, the edit, the `m/k/c` and `k/c` hit counts it leaves for v1)
         let cases: &[Case] = &[
@@ -1416,25 +1507,100 @@ mod tests {
             ("rename an unrelated element", |t, _| Edit::Rename(t.x, "z".into()), &[("m", 2), ("k", 2)]),
         ];
         for (what, edit, v1_hits) in cases {
-            for asked_before in [true, false] {
-                let what = format!("{what} (shapes asked for before the edit: {asked_before})");
-                let mut d = t.d.clone();
+            for (asked_before, edit_the_clone) in [(true, false), (false, false), (true, true), (false, true)] {
+                let what = format!(
+                    "{what} (shapes asked for before the edit: {asked_before}, \
+                     made to the clone: {edit_the_clone})"
+                );
+                let mut original = t.d.clone();
                 if asked_before {
-                    assert_eq!(answers(&d), before);
+                    assert_eq!(answers(&original), before);
                 }
-                let edit = edit(&t, &mut d);
-                let inverse = mutate(&mut d, edit.clone());
+                let mut clone = original.clone();
+                let (d, pinned) = if edit_the_clone {
+                    (&mut clone, &original)
+                } else {
+                    (&mut original, &clone)
+                };
+                let edit = edit(&t, d);
+                let inverse = mutate(d, edit.clone());
                 d.audit_indexes().unwrap_or_else(|e| panic!("{what} ({edit:?}): {e}"));
+                d.audit_symbols().unwrap_or_else(|e| panic!("{what} ({edit:?}): {e}"));
+                untouched(pinned, &what);
                 for &(tag, hits) in *v1_hits {
                     let path: &[&str] = if tag == "m" { &["k", "c"] } else { &["c"] };
-                    assert_eq!(keyed(&d, tag, path, "v1").len(), hits, "{what}: {tag} keyed by v1");
+                    assert_eq!(keyed(d, tag, path, "v1").len(), hits, "{what}: {tag} keyed by v1");
                 }
                 d.audit_indexes().unwrap_or_else(|e| panic!("first ask after {what}: {e}"));
-                mutate(&mut d, inverse);
+                mutate(d, inverse);
                 d.audit_indexes().unwrap_or_else(|e| panic!("undo of {what}: {e}"));
-                assert_eq!(answers(&d), before, "undo of {what}");
+                assert_eq!(answers(d), before, "undo of {what}");
+                untouched(pinned, &format!("undo of {what}"));
             }
         }
+    }
+
+    /// The chunks of `b` that are not `a`'s chunk at the same place.
+    fn unshared(a: &Document, b: &Document) -> usize {
+        let shared = |(i, c): &(usize, &Arc<Chunk>)| a.chunks.get(*i).is_some_and(|o| Arc::ptr_eq(o, c));
+        b.chunks.iter().enumerate().filter(|ic| !shared(ic)).count()
+    }
+
+    /// A clone shares every chunk, and one tail append writes the tail
+    /// chunk (or starts a new one) and the parent's, whatever the size:
+    /// copying what a clone shares is the one place chunks are copied.
+    #[test]
+    fn a_tail_append_after_a_clone_unshares_at_most_three_chunks() {
+        for children in [3, 16_000] {
+            let mut d = Document::new();
+            let r = d.create_element("r");
+            d.append_child(d.document_node(), r);
+            for i in 0..children {
+                let c = chain(&mut d, &["c"], &i.to_string())[0];
+                d.append_child(r, c);
+            }
+            assert_eq!(d.node_count(), 2 + 2 * children, "the document node, `r`, each `c` and its text");
+            let snapshot = d.clone();
+            let xml = crate::serialize::serialize(&snapshot);
+            assert_eq!(unshared(&snapshot, &d), 0);
+            xic_obs::reset();
+            let c = chain(&mut d, &["c"], "new")[0];
+            d.append_child(r, c);
+            let (copied, started) = (unshared(&snapshot, &d), d.chunks.len() - snapshot.chunks.len());
+            assert!(copied <= 3, "{copied} of {} chunks unshared", d.chunks.len());
+            assert_eq!(xic_obs::counter(xic_obs::Counter::ChunkCopy) as usize, copied - started);
+            assert_eq!(crate::serialize::serialize(&snapshot), xml);
+            d.audit_indexes().expect("the appended side audits clean");
+            snapshot.audit_indexes().expect("the snapshot audits clean");
+        }
+    }
+
+    /// A document one level deeper per node: the serializer and the
+    /// string value keep their stacks on the heap.
+    #[test]
+    fn a_hundred_thousand_levels_serialize_on_a_small_stack() {
+        const DEPTH: usize = 100_000;
+        let mut d = Document::new();
+        // `<e><e>…leaf…x</e>x</e>`, built from the leaf up.
+        let mut below = d.create_text("leaf");
+        for _ in 0..DEPTH {
+            let e = d.create_element("e");
+            d.append_child(e, below);
+            let x = d.create_text("x");
+            d.append_child(e, x);
+            below = e;
+        }
+        d.append_child(d.document_node(), below);
+        let (xml, text) = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || (crate::serialize::serialize(&d), d.text_content(d.document_node())))
+            .expect("thread spawns")
+            .join()
+            .expect("neither walk overflows the stack");
+        assert_eq!(xml.len(), "leaf".len() + DEPTH * "<e>x</e>".len());
+        assert!(xml.starts_with("<e><e>") && xml.ends_with("x</e>x</e>"));
+        assert_eq!(text.len(), "leaf".len() + DEPTH);
+        assert!(text.starts_with("leafxx"));
     }
 
     /// Nothing detached is indexed, whatever is done to it; attaching it
@@ -1478,7 +1644,7 @@ mod tests {
         stale_list.by_tag.iter_mut().find(|l| l.contains(&t.x)).unwrap().clear();
         assert!(stale_list.audit_indexes().unwrap_err().contains("tag list"));
         let mut stale_bit = t.d.clone();
-        stale_bit.attached[t.u.index()] = false;
+        stale_bit.rec_mut(t.u).attached = false;
         assert!(stale_bit.audit_indexes().unwrap_err().contains("attached bit"));
         let mut stale_value = t.d.clone();
         assert_eq!(keyed(&stale_value, "k", &["c"], "v1").len(), 2);
