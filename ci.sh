@@ -24,7 +24,11 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # queries or in any case's constraint set (random cases draw a key or a
 # grouped-aggregate denial half the time), so the planned evaluation
 # cannot go unchecked unnoticed. The shapes are evaluated on the case's
-# own document, under two more floors: ≥ 100 cases in which no planned
+# own document, and again on its post-state after the statement applies
+# (before the undo), where an insert-before or -after has left the
+# per-tag lists `//tag` reads out of document order, a rename has moved
+# an element between them and a removal has left allocated nodes
+# detached — under two more floors: ≥ 100 cases in which no planned
 # site was answered from the document's index (built by the first that
 # asks), or no query was planned with a per-evaluation table, is exit 1
 # too. The rollback oracle asks for an index in every key shape the
@@ -193,7 +197,9 @@ stats="$(grep -o 'index_[a-z]*=[0-9]*' <<<"$replies" | tr '\n' ' ')"
 
 echo "== experiments smoke (paper tables + their one report file, bad input exits 1) =="
 # A does-it-run gate, not a performance assertion (how the full check
-# scales is asserted by counts in crates/core/tests/full_check_scaling.rs);
+# scales — linearly, and the review checks not at all with the catalog,
+# whose `//tag`s are list reads — is asserted by counts in
+# crates/core/tests/full_check_scaling.rs);
 # fig1b is here so the aggregate shape — cntd, the keyed steps under a
 # `for` — runs through the paper harness too. Then one malformed flag,
 # which must be refused with exit 1 (not a panic's 101).

@@ -550,7 +550,8 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     }
     let original = serialize(&doc);
 
-    // Oracle 4: XPath/XQuery vs the naive reference evaluator (pre-state).
+    // Oracle 4: XPath/XQuery vs the naive reference evaluator, on the
+    // pre-state here and on the post-state below.
     reference::differential(case.seed, &dtd, &doc).map_err(|d| ("xpath-differential", d))?;
 
     // Oracle 5: cached document-order keys vs from-scratch recomputation,
@@ -581,6 +582,12 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             intact("apply")?;
             let post = serialize(&doc);
             let conforming = dtd.validate(&doc).is_ok();
+            // Oracle 4 again, while the rank table is stale: an insert-before
+            // or -after leaves the per-tag lists out of document order, a
+            // rename moves an element between them, a removal leaves
+            // allocated nodes detached.
+            reference::differential(case.seed, &dtd, &doc)
+                .map_err(|d| ("xpath-differential", format!("after apply: {d}")))?;
             // …after the statement mutated the tree (cache invalidation)…
             order_cache_oracle(&doc).map_err(|d| ("order-cache", d))?;
             undo(&mut doc, applied);

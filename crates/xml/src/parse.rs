@@ -278,21 +278,22 @@ impl<'a> Parser<'a> {
         Ok(c)
     }
 
-    fn element(&mut self, doc: &mut Document) -> Result<NodeId, XmlError> {
+    /// A start tag, `<name attr="…" …>` or the empty-element `<name …/>`:
+    /// the new element, its name, and whether the tag was empty.
+    fn start_tag(&mut self, doc: &mut Document) -> Result<(NodeId, String, bool), XmlError> {
         self.expect("<")?;
         let name = self.name()?;
         let el = doc.create_element(name.clone());
-        // Attributes.
         loop {
             self.skip_ws();
             let rest = self.rest();
             if rest.starts_with("/>") {
                 self.advance(2);
-                return Ok(el);
+                return Ok((el, name, true));
             }
             if rest.starts_with('>') {
                 self.advance(1);
-                break;
+                return Ok((el, name, false));
             }
             let attr_name = self.name()?;
             self.skip_ws();
@@ -301,56 +302,77 @@ impl<'a> Parser<'a> {
             let value = self.attr_value()?;
             doc.set_attr(el, attr_name, value);
         }
-        // Content.
-        let mut text = String::new();
+    }
+
+    /// The element whose start tag is next, with everything inside it.
+    ///
+    /// Iterative at any depth: the open elements — each with its name and
+    /// the character data read since its last child — are a heap stack,
+    /// not call frames. A closed element is appended to the one it was
+    /// opened in.
+    fn element(&mut self, doc: &mut Document) -> Result<NodeId, XmlError> {
+        let mut open: Vec<(NodeId, String, String)> = Vec::new();
         loop {
-            let rest = self.rest();
-            if rest.is_empty() {
-                return Err(self.error(format!("unterminated element <{name}>")));
-            }
-            if let Some(stripped) = rest.strip_prefix("</") {
-                flush_text(doc, el, &mut text);
-                // Closing tag.
-                self.advance(2);
-                let close = self.name()?;
-                if close != name {
-                    let _ = stripped;
-                    return Err(self.error(format!(
-                        "mismatched closing tag: expected </{name}>, found </{close}>"
-                    )));
-                }
-                self.skip_ws();
-                self.expect(">")?;
-                return Ok(el);
-            }
-            if rest.starts_with("<!--") {
-                flush_text(doc, el, &mut text);
-                let c = self.comment()?;
-                let n = doc.create_comment(c);
-                doc.append_child(el, n);
-            } else if rest.starts_with("<![CDATA[") {
-                self.advance("<![CDATA[".len());
-                let end = self
-                    .rest()
-                    .find("]]>")
-                    .ok_or_else(|| self.error("unterminated CDATA section"))?;
-                text.push_str(&self.rest()[..end]);
-                self.advance(end + 3);
-            } else if rest.starts_with("<?") {
-                flush_text(doc, el, &mut text);
-                let (target, data) = self.pi()?;
-                let n = doc.create_pi(target, data);
-                doc.append_child(el, n);
-            } else if rest.starts_with('<') {
-                flush_text(doc, el, &mut text);
-                let child = self.element(doc)?;
-                doc.append_child(el, child);
-            } else if rest.starts_with('&') {
-                text.push(self.entity()?);
+            let (el, name, empty) = self.start_tag(doc)?;
+            let mut closed = if empty {
+                Some(el)
             } else {
-                let c = rest.chars().next().expect("non-empty");
-                text.push(c);
-                self.advance(c.len_utf8());
+                open.push((el, name, String::new()));
+                None
+            };
+            // Content of the innermost open element, up to a child's start tag.
+            loop {
+                if let Some(child) = closed.take() {
+                    let Some((parent, ..)) = open.last() else {
+                        return Ok(child);
+                    };
+                    doc.append_child(*parent, child);
+                }
+                let (el, name, text) = open.last_mut().expect("an element is open");
+                let rest = self.rest();
+                if rest.is_empty() {
+                    return Err(self.error(format!("unterminated element <{name}>")));
+                }
+                if rest.starts_with("</") {
+                    flush_text(doc, *el, text);
+                    self.advance(2);
+                    let close = self.name()?;
+                    if close != *name {
+                        return Err(self.error(format!(
+                            "mismatched closing tag: expected </{name}>, found </{close}>"
+                        )));
+                    }
+                    self.skip_ws();
+                    self.expect(">")?;
+                    closed = open.pop().map(|(el, ..)| el);
+                } else if rest.starts_with("<!--") {
+                    flush_text(doc, *el, text);
+                    let c = self.comment()?;
+                    let n = doc.create_comment(c);
+                    doc.append_child(*el, n);
+                } else if rest.starts_with("<![CDATA[") {
+                    self.advance("<![CDATA[".len());
+                    let end = self
+                        .rest()
+                        .find("]]>")
+                        .ok_or_else(|| self.error("unterminated CDATA section"))?;
+                    text.push_str(&self.rest()[..end]);
+                    self.advance(end + 3);
+                } else if rest.starts_with("<?") {
+                    flush_text(doc, *el, text);
+                    let (target, data) = self.pi()?;
+                    let n = doc.create_pi(target, data);
+                    doc.append_child(*el, n);
+                } else if rest.starts_with('<') {
+                    flush_text(doc, *el, text);
+                    break;
+                } else if rest.starts_with('&') {
+                    text.push(self.entity()?);
+                } else {
+                    let c = rest.chars().next().expect("non-empty");
+                    text.push(c);
+                    self.advance(c.len_utf8());
+                }
             }
         }
     }
@@ -449,6 +471,61 @@ mod tests {
         assert!(parse_document("<a/><b/>").is_err());
         assert!(parse_document("plain text").is_err());
         assert!(parse_document("<a>&nope;</a>").is_err());
+    }
+
+    #[test]
+    fn error_texts_and_positions() {
+        for (src, text) in [
+            ("<a>\n  <b></c>\n</a>", "XML error at 2:9: mismatched closing tag: expected </b>, found </c>"),
+            ("<a><b>", "XML error at 1:7: unterminated element <b>"),
+            ("<a><b></b>", "XML error at 1:11: unterminated element <a>"),
+            ("<a x=1/>", "XML error at 1:6: expected quoted attribute value"),
+            ("<a x=\"1/>", "XML error at 1:10: unterminated attribute value"),
+            ("<a><b x></b></a>", "XML error at 1:8: expected \"=\""),
+            ("<a></ >", "XML error at 1:6: expected a name"),
+            ("<a></a >x", "XML error at 1:9: unexpected content after root element"),
+            ("<a><!-- open</a>", "XML error at 1:8: unterminated comment"),
+            ("<a><![CDATA[x</a>", "XML error at 1:13: unterminated CDATA section"),
+            ("<a><?pi x</a>", "XML error at 1:8: unterminated processing instruction"),
+            ("<a>&nope;</a>", "XML error at 1:5: unknown entity &nope;"),
+            ("<a>\n<b>&amp</b></a>", "XML error at 2:5: unterminated entity reference"),
+            ("<a><1/></a>", "XML error at 1:5: expected a name"),
+            ("<a></b", "XML error at 1:7: mismatched closing tag: expected </a>, found </b>"),
+        ] {
+            let err = parse_document(src).unwrap_err();
+            assert_eq!(err.to_string(), text, "{src:?}");
+        }
+    }
+
+    /// A document one level deeper per element parses on a small stack: a
+    /// checkpoint of one must recover.
+    #[test]
+    fn a_hundred_thousand_levels_parse_on_a_small_stack() {
+        const DEPTH: usize = 100_000;
+        let mut d = Document::new();
+        // `<e k="v"><e k="v">…leaf…<!--c-->x</e><!--c-->x</e>`, from the leaf up.
+        let mut below = d.create_text("leaf");
+        for _ in 0..DEPTH {
+            let e = d.create_element("e");
+            d.set_attr(e, "k", "v");
+            d.append_child(e, below);
+            let c = d.create_comment("c");
+            d.append_child(e, c);
+            let x = d.create_text("x");
+            d.append_child(e, x);
+            below = e;
+        }
+        d.append_child(d.document_node(), below);
+        let xml = serialize(&d);
+        let back = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || parse_document(&xml).map(|(doc, _)| (serialize(&doc), xml)))
+            .expect("thread spawns")
+            .join()
+            .expect("the parser does not overflow the stack");
+        let (reparsed, xml) = back.expect("the serialized chain parses");
+        assert!(reparsed == xml, "the chain round-trips byte for byte");
+        assert!(xml.starts_with("<e k=\"v\"><e k=\"v\">") && xml.ends_with("<!--c-->x</e>"));
     }
 
     #[test]

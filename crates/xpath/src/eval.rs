@@ -638,7 +638,8 @@ mod tests {
     fn evaluate_exists_short_circuits_node_visits() {
         let (doc, _) = parse_document(DOC).unwrap();
         let ctx = Context::root(&doc);
-        let e = parse("//sub").unwrap();
+        // A walk (`//sub` alone would read the document's list of subs).
+        let e = parse("/review//sub").unwrap();
         xic_obs::reset();
         assert!(evaluate_exists(&e, &ctx).unwrap());
         let lazy = xic_obs::counter(xic_obs::Counter::XpathNodesVisited);

@@ -40,6 +40,11 @@
 //! time): no table, no walk, the hits charged and — once — the members a
 //! build walked. One probe pays then, so such a site is also planned when
 //! `O` starts at a *parameter* slot, which takes one value per evaluation.
+//! Any other `//tag` (no predicate on either step) from the document node
+//! — a path, a keyed site's members, an existential walk — reads the
+//! document's list of the tag ([`xic_xml::Document::elements_named`]),
+//! charged its members: sorted into document order where it is
+//! materialized, streamed as listed where only existence is asked.
 //!
 //! The hot existential path walk
 //! (`path_exists_from`), whose recursion depth scales with the number
@@ -261,25 +266,61 @@ impl IndexShape {
     /// The shape of `members[key = …]`, if `members` is `//tag` and `key`
     /// is predicate-free child name steps ending in `text()`.
     pub fn of(members: &[IrStep], key: &[IrStep]) -> Option<IndexShape> {
-        let bare = |s: &IrStep, axis: Axis| s.axis == axis && s.predicates.is_empty();
-        let [all, tag] = members else {
+        let Some((tag, [])) = leading_tag(members) else {
             return None;
         };
         let (text, names) = key.split_last()?;
-        let plain = bare(all, Axis::DescendantOrSelf)
-            && all.test == IrTest::Node
-            && bare(tag, Axis::Child)
-            && bare(text, Axis::Child)
-            && text.test == IrTest::Text;
-        let IrTest::Name(tag) = tag.test else {
+        if !(bare(text, Axis::Child) && text.test == IrTest::Text) {
             return None;
-        };
+        }
         let path = names.iter().map(|s| match s.test {
             IrTest::Name(n) if bare(s, Axis::Child) => Some(n),
             _ => None,
         });
-        Some(IndexShape { tag, path: path.collect::<Option<_>>()? }).filter(|_| plain)
+        Some(IndexShape { tag, path: path.collect::<Option<_>>()? })
     }
+}
+
+fn bare(step: &IrStep, axis: Axis) -> bool {
+    step.axis == axis && step.predicates.is_empty()
+}
+
+/// The tag `steps` open with when they open with `//tag` —
+/// `descendant-or-self::node()/child::tag`, neither step predicated — and
+/// the steps after it. From the document node those two steps select
+/// exactly the attached elements the document lists under the tag
+/// ([`xic_xml::Document::elements_named`]).
+fn leading_tag(steps: &[IrStep]) -> Option<(NameId, &[IrStep])> {
+    let [all, tag, rest @ ..] = steps else {
+        return None;
+    };
+    match tag.test {
+        IrTest::Name(name)
+            if bare(all, Axis::DescendantOrSelf)
+                && all.test == IrTest::Node
+                && bare(tag, Axis::Child) =>
+        {
+            Some((name, rest))
+        }
+        _ => None,
+    }
+}
+
+/// `steps` applied to `input` as the document's list of a tag and the
+/// steps after it, when `input` is the document node alone and `steps`
+/// open with `//tag`. The list is ascending by id, not in document order;
+/// a name the document never interned lists nothing.
+fn listed<'d, 's>(
+    input: &[NodeRef],
+    steps: &'s [IrStep],
+    scope: &Scope<'_, 'd, '_>,
+) -> Option<(&'d [NodeId], &'s [IrStep])> {
+    let (tag, rest) = leading_tag(steps)?;
+    if !matches!(input, [NodeRef::Node(n)] if *n == scope.doc.document_node()) {
+        return None;
+    }
+    let list = scope.resolved[tag as usize].map_or(&[][..], |sym| scope.doc.elements_named(sym));
+    Some((list, rest))
 }
 
 /// The `shape` members that `=` pairs with `outer`, asked of the document
@@ -980,9 +1021,16 @@ fn eval_path(start: IrStart, steps: &[IrStep], scope: &Scope) -> Result<Vec<Node
 
 fn eval_steps(
     mut cur: Vec<NodeRef>,
-    steps: &[IrStep],
+    mut steps: &[IrStep],
     scope: &Scope,
 ) -> Result<Vec<NodeRef>, EvalError> {
+    if let Some((list, rest)) = listed(&cur, steps, scope) {
+        let mut hits = list.to_vec();
+        visit(hits.len() as u64)?;
+        scope.doc.sort_document_order(&mut hits);
+        cur = hits.into_iter().map(NodeRef::Node).collect();
+        steps = rest;
+    }
     for step in steps {
         cur = eval_step(&cur, step, scope)?;
     }
@@ -1012,7 +1060,9 @@ enum Frame<'d> {
 /// charged before its node test) and descend immediately, so the walk
 /// stops at the first witness; steps with predicates materialize one
 /// step's per-item result (positional predicates need the whole
-/// candidate list) and continue existentially from it.
+/// candidate list) and continue existentially from it. A `//tag` from the
+/// document node streams the document's list of the tag instead, in id
+/// order: existence does not depend on the order, so nothing is sorted.
 pub(crate) fn path_exists_from(
     input: &[NodeRef],
     steps: &[IrStep],
@@ -1021,10 +1071,17 @@ pub(crate) fn path_exists_from(
     if steps.is_empty() {
         return Ok(!input.is_empty());
     }
-    let mut stack: Vec<Frame> = vec![Frame::Ready {
-        depth: 0,
-        iter: Vec::from(input).into_iter(),
-    }];
+    let first = match listed(input, steps, scope) {
+        Some((list, rest)) => Frame::Axis {
+            depth: steps.len() - rest.len(),
+            iter: Box::new(list.iter().map(|&n| NodeRef::Node(n))),
+        },
+        None => Frame::Ready {
+            depth: 0,
+            iter: Vec::from(input).into_iter(),
+        },
+    };
+    let mut stack: Vec<Frame> = vec![first];
     while let Some(top) = stack.last_mut() {
         // Pull the next item entering `depth`, charging each raw axis
         // candidate.
@@ -1529,10 +1586,15 @@ mod tests {
     fn existential_visit_counts() {
         let (doc, _) = parse_document(DOC).unwrap();
         for (src, visits) in [
-            ("//sub", 15),
+            // `//tag` streams the document's list: the first sub is a witness…
+            ("//sub", 1),
+            // …and a name no element carries is no list at all.
+            ("//zzz", 0),
+            ("//auts/name/..", 3),
+            // A walk stops at its first witness, or considers every node.
+            ("/review//sub", 14),
+            ("/review//zzz", 84),
             ("//rev[name = 'Ann']/sub", 16),
-            ("//zzz", 85),
-            ("//auts/name/..", 24),
         ] {
             let ast = parse(src).unwrap();
             xic_obs::reset();
@@ -1772,16 +1834,18 @@ mod tests {
         };
         let ann = || XValue::Str("Ann".into());
         let cache = prog.keyed_cache();
-        // The scan walks the document to `//rev` (85 visits: the 43 nodes
-        // from the root down, then the 42 children of them all) on every
-        // call, evaluates `name` on the three revs (their 7 children) and
-        // steps to `/sub` from the two it keeps (3 + 2 children).
+        // The scan walks the document to `//rev[…]` (85 visits: the 43
+        // nodes from the root down, then the 42 children of them all) on
+        // every call — a predicated step is no list read — evaluates
+        // `name` on the three revs (their 7 children) and steps to `/sub`
+        // from the two it keeps (3 + 2 children).
         let (_, scan_visits) = eval_with_r(&prog, scan, &doc, ann(), &prog.keyed_cache());
         assert_eq!(scan_visits, 85 + 7 + 5);
-        // The first probe does the same walk and key evaluations to build
-        // the table, is charged one step per member, then one per hit.
+        // The first probe reads the members, `//rev`, off the document's
+        // list (3) and evaluates their keys to build the table, is charged
+        // one step per member, then one per hit.
         let (_, first) = eval_with_r(&prog, root, &doc, ann(), &cache);
-        assert_eq!(first, 85 + 7 + 3 + 2 + 5);
+        assert_eq!(first, 3 + 7 + 3 + 2 + 5);
         // Every later one is the hits and the step from them.
         let (value, second) = eval_with_r(&prog, root, &doc, ann(), &cache);
         assert_eq!(value, "[sub1 sub2 sub4]");
@@ -1795,7 +1859,7 @@ mod tests {
         let (doc, _) = parse_document(DOC).unwrap();
         let (prog, root) = compile_with_r("//rev[name = $R]/sub", true);
         let unbudgeted = eval_with_r(&prog, root, &doc, XValue::Str("Ann".into()), &prog.keyed_cache()).1;
-        // Enough for the walk to `//rev`, not for keying its members.
+        // Enough for the list of `//rev` and its keys, not for the table.
         let guard = crate::budget::arm(crate::budget::EvalBudget::new(unbudgeted - 10));
         let (outcome, _) = eval_with_r(&prog, root, &doc, XValue::Str("Ann".into()), &prog.keyed_cache());
         drop(guard);
@@ -1810,5 +1874,72 @@ mod tests {
         let err = evaluate_nodes(&ast, &Context::root(&doc)).unwrap_err();
         drop(guard);
         assert_eq!(err, EvalError::BudgetExhausted);
+    }
+
+    /// `//tag` reads the document's list of the tag, which an insert-before
+    /// leaves out of document order, a rename moves an element between and
+    /// a removal takes a subtree off: every answer is a `descendants`
+    /// scan's, in its order, and an allowance of nothing runs out as the
+    /// walk (`//tag[true()]`, a predicated step) runs out.
+    #[test]
+    fn a_tag_list_answers_what_a_scan_answers_on_an_edited_tree() {
+        let (mut doc, _) = parse_document(DOC).unwrap();
+        let scan = |doc: &Document, tag: &str| -> Vec<NodeId> {
+            doc.descendants(doc.document_node()).filter(|&n| doc.name(n) == Some(tag)).collect()
+        };
+        let (track, revs, subs) = (scan(&doc, "track")[0], scan(&doc, "rev"), scan(&doc, "sub"));
+        let (new_rev, name, zed, sub) = (
+            doc.create_element("rev"),
+            doc.create_element("name"),
+            doc.create_text("Zed"),
+            doc.create_element("sub"),
+        );
+        doc.append_child(name, zed);
+        doc.append_child(new_rev, name);
+        doc.append_child(new_rev, sub);
+        doc.insert_child(track, 1, new_rev);
+        doc.rename(subs[0], "rev");
+        doc.detach(revs[1]);
+        let rev = doc.symbols().lookup("rev").unwrap();
+        assert_ne!(doc.elements_named(rev), scan(&doc, "rev"), "the list is out of document order");
+
+        let ctx = Context::root(&doc);
+        let ids = |v: XValue| -> Vec<NodeId> {
+            v.as_nodes().unwrap().iter().map(|n| match n {
+                NodeRef::Node(id) => *id,
+                NodeRef::Attr { .. } => panic!("an attribute"),
+            }).collect()
+        };
+        let under = |n: NodeId, tag: &str| doc.node(n).parent.filter(|&p| doc.name(p) == Some(tag));
+        for tag in ["rev", "sub", "name", "track", "review"] {
+            let texts: Vec<NodeId> = doc
+                .descendants(doc.document_node())
+                .filter(|&t| matches!(doc.node(t).kind, NodeKind::Text(_)))
+                .filter(|&t| under(t, "name").and_then(|name| under(name, tag)).is_some())
+                .collect();
+            let elements = scan(&doc, tag);
+            for (list, walk, expected) in [
+                (format!("//{tag}"), format!("//{tag}[true()]"), &elements),
+                (format!("//{tag}/name/text()"), format!("//{tag}[true()]/name/text()"), &texts),
+            ] {
+                let (list, walk) = (parse(&list).unwrap(), parse(&walk).unwrap());
+                assert_eq!(&ids(evaluate(&list, &ctx).unwrap()), expected, "{list:?}");
+                assert_eq!(&ids(evaluate(&walk, &ctx).unwrap()), expected, "{walk:?}");
+                let exists = evaluate_exists(&list, &ctx).unwrap();
+                assert_eq!(exists, !expected.is_empty(), "{list:?} exists");
+                let guard = crate::budget::arm(crate::budget::EvalBudget::new(0));
+                for e in [&list, &walk] {
+                    assert_eq!(evaluate(e, &ctx), Err(EvalError::BudgetExhausted), "{e:?}");
+                    assert_eq!(evaluate_exists(e, &ctx), Err(EvalError::BudgetExhausted), "{e:?}");
+                }
+                drop(guard);
+            }
+            let count = evaluate(&parse(&format!("count(//{tag})")).unwrap(), &ctx).unwrap();
+            assert_eq!(count, XValue::Num(elements.len() as f64), "count(//{tag})");
+        }
+        // A name no element ever carried is no list: nothing to read.
+        let guard = crate::budget::arm(crate::budget::EvalBudget::new(0));
+        assert_eq!(evaluate(&parse("//zzz/name").unwrap(), &ctx), Ok(XValue::Nodes(vec![])));
+        drop(guard);
     }
 }
