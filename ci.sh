@@ -62,9 +62,10 @@ grep -v '^[[:space:]]*#' crates/difftest/corpus/regressions.txt \
 echo "== crash-matrix smoke (journal recovery under injected crashes) =="
 # Seeded, replayable cases (count/filter overridable via CRASH_CASES /
 # CRASH_SITES): each arms a contained panic at a fault site derived from
-# the seed, drives a random statement batch against a journaled checker,
-# recovers, and asserts byte-identity with the committed prefix of a
-# never-crashed twin. Exits nonzero on any divergence (replay:
+# the seed, drives a random statement batch against a journaled checker
+# (each direct commit flushes once, so `journal.sync` is on the path
+# whenever the seed's store syncs), recovers, and asserts byte-identity
+# with the committed prefix of a never-crashed twin. Exits nonzero on any divergence (replay:
 # difftest -- --crash-matrix --seed N --cases 1 [--sites PAT]), when no
 # armed fault fired in a run of at least 40 cases (the floor of every
 # fault-injecting pass, and the smallest count any of them runs at
@@ -83,7 +84,7 @@ cargo run --release -q -p xic-difftest -- --crash-matrix \
 echo "== crash-matrix group-commit pass (service batch path, shared fsync) =="
 # Write-path sites only: the matrix proper plus the group-commit pass,
 # which drives every case's statements through the service's batch path
-# (unsynced appends, one shared fsync per batch) and crashes mid-batch.
+# (unsynced appends, one flush per batch) and crashes mid-batch.
 # Recovery must reproduce the twin's committed prefix and keep every
 # commit from a batch whose shared fsync completed.
 cargo run --release -q -p xic-difftest -- --crash-matrix \
@@ -91,9 +92,9 @@ cargo run --release -q -p xic-difftest -- --crash-matrix \
 
 echo "== chaos pass (overload & failure resilience, seeded faults) =="
 # The PR9 gate (count overridable via CHAOS_CASES): each seeded case
-# drives batched traffic through the group-commit path while a single
-# fault — error or panic, at a journal or checkpoint site — fires
-# mid-stream. Oracles: no acknowledged commit is lost on recovery,
+# drives batched traffic through the batch path both executors run
+# while a single fault — error or panic, at a journal or checkpoint
+# site — fires mid-stream. Oracles: no acknowledged commit is lost on recovery,
 # degraded reads serve the committed prefix, a failed fsync is never
 # retried, and a degraded or poisoned checker comes back by replaying
 # its store; ≥ 100 cases with no failed fsync is exit 1 (replay:
@@ -105,9 +106,10 @@ echo "== shard crash matrix (fault-isolated shards, parallel recovery) =="
 # The PR10 gate (count overridable via SHARD_CRASH_CASES): each seeded
 # case drives distinct workloads into the shards of one ShardSet while a
 # contained panic crashes exactly one shard — mid-rotation cases
-# included (every shard rotates aggressively). Oracles: sibling shards
-# stay healthy, at their acked version, and byte-identical to their
-# per-shard twins; the victim's acked prefix survives whole-set
+# included (every shard rotates aggressively), and mid-flush ones: the
+# sync executor runs the batch path, so every planned `journal.sync`
+# case fires. Oracles: sibling shards stay healthy, at their acked
+# version, and byte-identical to their per-shard twins; the victim's acked prefix survives whole-set
 # recovery; and the parallel recovery fan-out equals sequential
 # recovery byte for byte (replay: difftest -- --shard-matrix --seed N
 # --cases 1).

@@ -12,13 +12,14 @@
 //!           [--queue-depth N] [--deadline-ms N] [--socket PATH]
 //! ```
 //!
-//! The server runs the group-commit writer. `--queue-depth` bounds the
-//! admission queue (excess submissions get `ERR overloaded`), and
-//! `--deadline-ms` sets a default per-request evaluation deadline for
-//! all three checking verbs — `CHECK`, `DECIDE` and `UPDATE` — (clients
-//! can override it per line, e.g. `UPDATE 250 <stmt>`). A failed batch
-//! fsync is never retried: the document turns read-only (`HEALTH` →
-//! `degraded`) until the server is restarted over its `--store`. See
+//! The server runs the group-commit writer: one fsync per batch that
+//! committed, none with `--no-sync`. `--queue-depth` bounds the admission queue (excess
+//! submissions get `ERR overloaded`), and `--deadline-ms` sets a default
+//! per-request evaluation deadline for all three checking verbs —
+//! `CHECK`, `DECIDE` and `UPDATE` — (clients can override it per line,
+//! e.g. `UPDATE 250 <stmt>`). A failed batch fsync is never retried: the
+//! document turns read-only (`HEALTH` → `degraded`) until the server is
+//! restarted over its `--store`. See
 //! README.md, *Running as a service* and *Operating under failure*, for
 //! worked examples.
 //!

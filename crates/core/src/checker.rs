@@ -107,10 +107,10 @@ pub enum CheckerError {
     /// [`Checker::checkpoint`] only; automatic-policy failures are
     /// non-fatal because the previous generation stays recoverable).
     Checkpoint(String),
-    /// A mutating operation was refused because the checker came up in
+    /// A mutating operation was refused because the checker is in
     /// degraded read-only mode: [`Checker::recover_store`] found no
-    /// generation that validates, so only the base document is being
-    /// served and writes cannot be made durable.
+    /// generation that validates, or a journal flush failed, so writes
+    /// cannot be made durable. Reopening the store is the way back.
     Degraded,
 }
 
@@ -128,8 +128,8 @@ impl fmt::Display for CheckerError {
             CheckerError::Journal(m) => write!(f, "journal error: {m}"),
             CheckerError::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
             CheckerError::Degraded => f.write_str(
-                "checker is in degraded read-only mode (no journal generation validated); \
-                 mutations are refused",
+                "checker is in degraded read-only mode (no journal generation validated, \
+                 or a journal fsync failed); mutations are refused",
             ),
         }
     }
@@ -231,8 +231,9 @@ pub struct Checker {
     independence: bool,
     /// Journal, store, rotation policy and commit counters.
     pub(crate) log: CommitLog,
-    /// Set by [`Checker::recover_store`] when no generation validated:
-    /// the checker serves reads but refuses mutations.
+    /// Set by [`Checker::recover_store`] when no generation validated,
+    /// and by a failed flush: the checker serves reads but refuses
+    /// mutations.
     pub(crate) degraded: bool,
     /// Set when a contained panic leaves the in-memory tree suspect;
     /// mutating operations are refused until recovery.
@@ -444,11 +445,15 @@ impl Checker {
         }
     }
 
-    /// True if [`Checker::recover_store`] found no generation that
-    /// validates and came up in degraded read-only mode: `check_full`
-    /// and `decide_only` still serve answers against
-    /// the base document, but mutating entry points return
-    /// [`CheckerError::Degraded`].
+    /// True in degraded read-only mode — [`Checker::recover_store`] found
+    /// no generation that validates, or a journal flush failed:
+    /// `check_full` and `decide_only` still serve answers against the
+    /// in-memory document, but mutating entry points return
+    /// [`CheckerError::Degraded`] until [`Checker::open_store`] reopens
+    /// the store. After a failed flush the in-memory document and
+    /// [`Checker::committed`] still include the statements that flush
+    /// covered, though none of them was acknowledged; the reopened store
+    /// is the authority on which of them survived.
     pub fn degraded(&self) -> bool {
         self.degraded
     }
@@ -504,14 +509,49 @@ impl Checker {
     }
 
     /// Applies `stmt` without any integrity check (workload setup). With a
-    /// store attached the statement is journaled like a committed
-    /// update, so recovery replays it.
+    /// store attached the statement is journaled and flushed like a
+    /// committed update, so recovery replays it.
     pub fn apply_unchecked(&mut self, stmt: &XUpdateDoc) -> Result<(), CheckerError> {
+        let written = self.write(|checker| {
+            let applied = checker.apply_or_abort(stmt)?;
+            checker.commit(stmt, applied)
+        });
+        self.flush()?;
+        written
+    }
+
+    /// The one write step behind [`Checker::try_update`],
+    /// [`Checker::apply_unchecked`] and [`crate::service::apply_batch`]:
+    /// refuses a poisoned or degraded checker, moves a reopened store to
+    /// a fresh segment, then runs `step`, which decides, applies and
+    /// appends the commit record. Nothing is flushed: the caller runs
+    /// [`Checker::flush`] before it acknowledges. A panic escaping `step`
+    /// is contained here ([`CheckerError::Panicked`]) and poisons the
+    /// checker.
+    fn write<T>(
+        &mut self,
+        step: impl FnOnce(&mut Checker) -> Result<T, CheckerError>,
+    ) -> Result<T, CheckerError> {
         self.refuse_if_poisoned()?;
         self.refuse_if_degraded()?;
-        self.log.rotate_if_reopened(&self.doc)?;
-        let applied = self.apply_or_abort(stmt)?;
-        self.commit(stmt, applied)
+        let run = AssertUnwindSafe(|| {
+            index_reads(|| {
+                self.log.rotate_if_reopened(&self.doc)?;
+                step(self)
+            })
+        });
+        match catch_unwind(run) {
+            Ok((result, [probes, builds])) => {
+                self.stats.index_probes += probes;
+                self.stats.index_builds += builds;
+                result
+            }
+            Err(payload) => {
+                self.poisoned = true;
+                xic_obs::incr(xic_obs::Counter::PanicContained);
+                Err(CheckerError::Panicked(panic_message(&*payload)))
+            }
+        }
     }
 
     /// Applies `stmt`; on a mid-batch failure rolls the already-applied
@@ -535,10 +575,9 @@ impl Checker {
     }
 
     /// Makes the in-memory update `applied` a commit: appends its record
-    /// (durable, per the log's sync mode, before the caller sees the
-    /// verdict). On append failure the update is rolled back so document
-    /// and journal stay in step; on a failure *after* the record is
-    /// durable the checker is poisoned instead.
+    /// (unflushed). On append failure the update is rolled back so
+    /// document and journal stay in step; on a failure *after* the record
+    /// is appended the checker is poisoned instead.
     fn commit(&mut self, stmt: &XUpdateDoc, applied: AppliedUpdate) -> Result<(), CheckerError> {
         match self.log.commit(stmt, &self.doc) {
             Ok(()) => Ok(()),
@@ -546,7 +585,7 @@ impl Checker {
                 undo(&mut self.doc, applied);
                 Err(e)
             }
-            Err(CommitError::AfterDurable(e)) => {
+            Err(CommitError::AfterAppend(e)) => {
                 self.poisoned = true;
                 Err(e)
             }
@@ -575,26 +614,23 @@ impl Checker {
     /// (`catch_unwind`): it is returned as [`CheckerError::Panicked`] and
     /// the checker is poisoned — mutating operations are refused until the
     /// state is rebuilt with [`Checker::recover_store`]. With a store
-    /// attached the commit record is durable before the verdict is returned.
+    /// attached the commit record is flushed before the verdict is
+    /// returned; a failed flush is a [`CheckerError::Journal`] error and
+    /// leaves the checker [degraded](Checker::degraded) with the
+    /// unacknowledged statement still applied in memory.
     pub fn try_update(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
-        self.refuse_if_poisoned()?;
-        self.refuse_if_degraded()?;
-        match catch_unwind(AssertUnwindSafe(|| index_reads(|| self.try_update_inner(stmt)))) {
-            Ok((result, [probes, builds])) => {
-                self.stats.index_probes += probes;
-                self.stats.index_builds += builds;
-                result
-            }
-            Err(payload) => {
-                self.poisoned = true;
-                xic_obs::incr(xic_obs::Counter::PanicContained);
-                Err(CheckerError::Panicked(panic_message(&*payload)))
-            }
-        }
+        let outcome = self.update_unflushed(stmt);
+        self.flush()?;
+        outcome
     }
 
-    fn try_update_inner(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
-        self.log.rotate_if_reopened(&self.doc)?;
+    /// [`Checker::try_update`] minus the flush: a batch runs it per
+    /// statement and flushes once.
+    pub(crate) fn update_unflushed(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
+        self.write(|checker| checker.decide_and_commit(stmt))
+    }
+
+    fn decide_and_commit(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
         // Try the optimized path; a statement it has no check for takes
         // the baseline pass. An error — a spent budget included — is the
         // answer: nothing has been applied yet.
@@ -625,8 +661,8 @@ impl Checker {
                 });
             }
             Verdict::Legal => {
-                // Legal: now (and only now) execute the update, then make
-                // the commit durable before returning the verdict.
+                // Legal: now (and only now) execute the update, then
+                // append its commit record.
                 let applied = self.apply_or_abort(stmt)?;
                 self.commit(stmt, applied)?;
                 return Ok(UpdateOutcome::Applied {

@@ -13,17 +13,18 @@
 //! attached or recovered (it is never changed afterwards), the retention
 //! window is the constant [`xic_xml::checkpoint::DEFAULT_RETAIN`], and
 //! only the rotation policy may be set later
-//! ([`Checker::set_checkpoint_policy`]). Group commit does not flip the
-//! sync mode either: it asks for a *deferred-sync scope*
-//! (`Checker::with_deferred_sync`) — appends inside it are unsynced,
-//! on whichever segment is live, a segment rotated in mid-scope included
-//! — and then flushes once with [`Checker::sync_journal`].
+//! ([`Checker::set_checkpoint_policy`]). A commit only appends its
+//! record; `Checker::flush` is the one flush point — once per direct
+//! statement, once per batch, an fsync only if something was appended —
+//! and a failed flush is final: the checker turns degraded until the
+//! store is reopened.
 //!
 //! In `DESIGN.md`'s system inventory this is row 27.
 
-use crate::checker::{Checker, CheckerError};
+use crate::checker::{panic_message, Checker, CheckerError};
 use crate::gamma::SharedGamma;
 use crate::resolver::xpath_resolver;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 use xic_xml::checkpoint::{Candidate, CheckpointError, Recovery, Store};
@@ -83,10 +84,10 @@ pub(crate) enum CommitError {
     /// No commit record was appended: roll the update back so document
     /// and journal stay in step.
     NotAppended(CheckerError),
-    /// The failure came *after* the record was durable: in-memory and
+    /// The failure came *after* the record was appended: in-memory and
     /// on-disk state agree with each other but not with the error the
     /// caller sees, so the checker must be poisoned.
-    AfterDurable(CheckerError),
+    AfterAppend(CheckerError),
 }
 
 /// A checker's commit log: the store its records go to, the rotation
@@ -95,7 +96,8 @@ pub(crate) enum CommitError {
 #[derive(Default)]
 pub(crate) struct CommitLog {
     /// The durable log; when attached, every committed update is
-    /// appended to its live segment before the verdict is returned.
+    /// appended to its live segment and flushed before the verdict is
+    /// returned.
     store: Option<Store>,
     /// Automatic rotation policy (default: off).
     policy: CheckpointPolicy,
@@ -145,7 +147,7 @@ impl CommitLog {
         Ok(generation)
     }
 
-    /// Runs a due automatic rotation after a durable commit. Failures are
+    /// Runs a due automatic rotation after an appended commit. Failures are
     /// swallowed: the old generation is still recoverable and the policy
     /// stays due, so the next commit retries.
     fn maybe_auto_checkpoint(&mut self, doc: &Document) {
@@ -165,9 +167,8 @@ impl CommitLog {
     }
 
     /// Appends the commit record for `stmt`, which is already applied to
-    /// `doc` in memory, fsync'ing (per the log's mode) before returning —
-    /// i.e. before the caller sees the verdict — and then runs a due
-    /// automatic rotation.
+    /// `doc` in memory, and then runs a due automatic rotation. Nothing
+    /// is flushed here: the caller flushes before it acknowledges.
     pub(crate) fn commit(&mut self, stmt: &XUpdateDoc, doc: &Document) -> Result<(), CommitError> {
         let Some(store) = self.store.as_mut() else {
             // Still a commit: `committed()` counts committed statements
@@ -184,8 +185,8 @@ impl CommitLog {
         append.map_err(|e| CommitError::NotAppended(CheckerError::Journal(e.to_string())))?;
         self.committed = next;
         if let Err(e) = xic_faults::fire("checker.commit.post") {
-            return Err(CommitError::AfterDurable(CheckerError::Journal(format!(
-                "{e} (after durable commit; checker poisoned)"
+            return Err(CommitError::AfterAppend(CheckerError::Journal(format!(
+                "{e} (after the commit record was appended; checker poisoned)"
             ))));
         }
         self.maybe_auto_checkpoint(doc);
@@ -200,8 +201,8 @@ impl Checker {
     /// a fresh journal segment keyed to a checksum of the *current*
     /// document state. From now on every statement committed by
     /// [`Checker::try_update`] / [`Checker::apply_unchecked`] is appended
-    /// (and, with `sync`, fsync'd) before the verdict is returned; the
-    /// mode is fixed here. [`Checker::checkpoint`] (or the automatic
+    /// and flushed (with `sync`, fsync'd) before the verdict is returned;
+    /// the mode is fixed here. [`Checker::checkpoint`] (or the automatic
     /// [`CheckpointPolicy`]) rotates to snapshot-backed generations,
     /// keeping [`xic_xml::checkpoint::DEFAULT_RETAIN`] of them. Recover
     /// with [`Checker::recover_store`] and the same base document text.
@@ -244,34 +245,26 @@ impl Checker {
         self.log.checkpoint(&self.doc)
     }
 
-    /// Runs `batch` inside a deferred-sync scope: commit records it
-    /// appends are *not* fsync'd one by one — on whichever segment is
-    /// live, one rotated in by an automatic checkpoint included — and are
-    /// durable only once a following [`Checker::sync_journal`] returns
-    /// `Ok`. This is how the group-commit executor ([`crate::service`])
-    /// shares one fsync across a batch without ever changing the log's
-    /// configured sync mode.
-    pub(crate) fn with_deferred_sync<R>(&mut self, batch: impl FnOnce(&mut Checker) -> R) -> R {
-        self.defer_sync(true);
-        let result = batch(self);
-        self.defer_sync(false);
-        result
-    }
-
-    fn defer_sync(&mut self, deferred: bool) {
-        if let Some(store) = self.log.store.as_mut() {
-            store.defer_sync(deferred);
-        }
-    }
-
-    /// Flushes every appended-but-unsynced journal record to stable
-    /// storage with one fsync (no-op without a store). This is the
-    /// group-commit flush point (see DESIGN.md row 19).
-    pub fn sync_journal(&mut self) -> Result<(), CheckerError> {
-        match self.log.store.as_mut() {
-            None => Ok(()),
-            Some(store) => store.sync_now().map_err(|e| CheckerError::Journal(e.to_string())),
-        }
+    /// The one flush point: makes every record appended since the last
+    /// flush durable with one [`Store::sync_now`] (an fsync iff the store
+    /// was opened with `sync` and a record was appended; nothing without
+    /// a store). It runs once after a direct statement and once after a
+    /// batch (DESIGN.md row 19), so a refusal, a rejection or a batch of
+    /// them costs no fsync.
+    ///
+    /// A failure — a panic during the fsync included — is final: nothing
+    /// retries it (the kernel may have dropped the pages, so a second
+    /// fsync proves nothing), and the checker turns degraded until its
+    /// store is reopened ([`Checker::open_store`]).
+    pub(crate) fn flush(&mut self) -> Result<(), CheckerError> {
+        let Some(store) = self.log.store.as_mut() else { return Ok(()) };
+        let failure = match catch_unwind(AssertUnwindSafe(|| store.sync_now())) {
+            Ok(Ok(())) => return Ok(()),
+            Ok(Err(e)) => e.to_string(),
+            Err(payload) => format!("panic during fsync: {}", panic_message(payload.as_ref())),
+        };
+        self.degraded = true;
+        Err(CheckerError::Journal(failure))
     }
 
     /// Rebuilds a checker from a checkpointed store directory (see
@@ -299,9 +292,9 @@ impl Checker {
     /// artifacts is refused ([`CheckerError::Checkpoint`]), as by
     /// [`Checker::attach_store`].
     ///
-    /// The recovered store resumes fsync'ing per record iff `sync` — the
-    /// crashed process's mode lived only in that process, so the caller
-    /// restates it exactly as for [`Checker::attach_store`].
+    /// The recovered store's flushes fsync iff `sync` — the crashed
+    /// process's mode lived only in that process, so the caller restates
+    /// it exactly as for [`Checker::attach_store`].
     pub fn recover_store(
         dir: &Path,
         base_xml: &str,

@@ -43,8 +43,8 @@
 //! `CHECK`, `DECIDE` and `VERSION` are **snapshot reads**: they never
 //! queue behind the writer, and the version in their reply names the
 //! snapshot they answered from. `UPDATE` blocks until its verdict is
-//! durable (in group-commit mode: until the shared batch fsync) and
-//! reports the version its statement left the service at.
+//! durable (until its batch's shared fsync) and reports the version its
+//! statement left the service at.
 //!
 //! **`DECIDE` ≡ `UPDATE` minus the commit:** `DECIDE s` answered from
 //! version *v* says what `UPDATE s` would answer at version *v*. The
@@ -76,7 +76,7 @@
 //! `xic-serve` binary) to a shared service.
 
 use crate::checker::{Strategy, UpdateOutcome, Violation};
-use crate::service::{CheckerService, Executor, ServiceStats};
+use crate::service::{CheckerService, Executor, ServiceStats, DEFAULT_MAX_BATCH};
 use crate::shards::ShardSet;
 use std::io::{BufRead, Write};
 
@@ -320,8 +320,8 @@ pub fn execute(service: &CheckerService, command: &Command) -> Reply {
         Command::Stats => {
             let executor = match service.executor() {
                 Executor::Sync => "executor=sync".to_string(),
-                Executor::GroupCommit { max_batch } => {
-                    format!("executor=group-commit max_batch={max_batch}")
+                Executor::GroupCommit => {
+                    format!("executor=group-commit max_batch={DEFAULT_MAX_BATCH}")
                 }
             };
             let detail = format!(
@@ -755,13 +755,26 @@ mod tests {
         assert!(line.starts_with("ERR no-shard:"), "unexpected reply {line:?}");
     }
 
+    /// `STATS` names the executor, and group commit's batch cap.
+    #[test]
+    fn stats_names_the_executor() {
+        let executors =
+            [(Executor::Sync, "executor=sync"), (Executor::GroupCommit, "executor=group-commit max_batch=32")];
+        for (executor, words) in executors {
+            let service = CheckerService::new(Checker::new(XML, DTD, CONFLICT).expect("setup"), executor);
+            let line = execute(&service, &Command::Stats).render();
+            assert!(line.starts_with(&format!("OK 0 {words} queue_depth=256 ")), "{line}");
+            service.shutdown().expect("shutdown");
+        }
+    }
+
     /// While shutdown is draining, reads still answer from the last
     /// published snapshot and UPDATE is refused with the distinct
     /// `draining:` token (not `degraded:`, not a bare stop) — under
     /// both executors.
     #[test]
     fn draining_service_answers_reads_and_refuses_updates() {
-        for executor in [Executor::Sync, Executor::group_commit()] {
+        for executor in [Executor::Sync, Executor::GroupCommit] {
             let checker = Checker::new(XML, DTD, CONFLICT).expect("setup");
             let service = CheckerService::new(checker, executor);
             assert_eq!(

@@ -3,9 +3,9 @@
 //!
 //! The [`Checker`] façade is single-threaded by construction — every
 //! mutating entry point takes `&mut self` and, with a journal attached,
-//! pays one fsync per committed statement (0.2–0.5 ms on the benchmark
-//! machine, `journal.sync_us` in the wire-level suite), a hard ~2–5k
-//! updates/s ceiling. This module turns it into a service:
+//! flushes once per committed statement (0.2–0.5 ms per fsync on the
+//! benchmark machine, `journal.sync_us` in the wire-level suite), a hard
+//! ~2–5k updates/s ceiling. This module turns it into a service:
 //!
 //! * **Readers never block writers.** Read-only entry points
 //!   ([`ReadSnapshot::check_full`], [`ReadSnapshot::decide`]) run
@@ -25,9 +25,9 @@
 //!   concurrent submitters' statements are drained into a batch
 //!   ([`apply_batch`]), their journal records appended *unsynced*, and
 //!   the whole batch made durable with **one shared fsync**
-//!   ([`Journal::sync_now`][sync-now]) before any submitter is
-//!   acknowledged. A rejected statement appends no record and cannot
-//!   poison its batch-mates.
+//!   ([`Journal::sync_now`][sync-now], the one durability point) before
+//!   any submitter is acknowledged. A rejected statement appends no
+//!   record and cannot poison its batch-mates.
 //! * **Overload sheds instead of queueing without bound.** Admission is
 //!   bounded by [`ServiceConfig::queue_depth`]: once that many
 //!   submissions are waiting, further ones fail fast with
@@ -45,16 +45,16 @@
 //! * **A failed batch fsync degrades, it does not kill.** The shared
 //!   fsync is attempted once and never retried (after a failed fsync the
 //!   kernel may have dropped the batch's pages, so a second one that
-//!   succeeds proves nothing). The service enters read-only **degraded
-//!   mode** — CHECK/DECIDE keep serving the last *durably published*
-//!   snapshot, UPDATE gets [`ServiceError::Degraded`] — and stays there:
-//!   like a poisoned one, a degraded service is replaced by replaying its
-//!   store (`ShardSet::recover_shard`, or a restart over `--store`).
-//! * **The sequential path survives as the deterministic executor.**
-//!   The [`Executor`] enum selects between `Sync` (in-thread execution
-//!   on the caller, fsync per commit — the pre-service behavior) and
-//!   `GroupCommit`; tests, difftest and the wire-level benchmark's
-//!   in-process twins drive `Sync`, where no writer thread or batch
+//!   succeeds proves nothing). The checker and the service enter
+//!   read-only **degraded mode** — CHECK/DECIDE keep serving the last
+//!   *durably published* snapshot, UPDATE gets [`ServiceError::Degraded`]
+//!   — and stay there: like a poisoned one, a degraded service is
+//!   replaced by replaying its store (`ShardSet::recover_shard`, or a
+//!   restart over `--store`).
+//! * **One batch path, two executors.** [`Executor::Sync`] runs the
+//!   same batch path as the writer thread, with a batch of one, on the
+//!   submitting thread under a mutex; tests, difftest and the wire-level
+//!   benchmark's in-process twins drive it, because no writer thread
 //!   stands between a submit and its effect.
 //!
 //! The batching rules, the snapshot-handoff protocol (when readers
@@ -65,13 +65,10 @@
 //!
 //! [sync-now]: xic_xml::journal::Journal::sync_now
 
-use crate::checker::{
-    index_reads, panic_message, Checker, CheckerError, UpdateOutcome, Violation,
-};
+use crate::checker::{index_reads, Checker, CheckerError, UpdateOutcome, Violation};
 use crate::gamma::{Baseline, SharedGamma};
 use crate::optimized::{Fallback, OptimizedCheck, PatternCache, Verdict};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -99,28 +96,19 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 /// wall-clock checks cannot reach (mid-traversal).
 pub const DEADLINE_STEPS_PER_MS: u64 = 50_000;
 
-/// How the service executes submitted updates.
+/// How the service executes submitted updates. Both run the same batch
+/// path ([`apply_batch`]); they differ only in who runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// Deterministic in-thread executor: submitters take a mutex on the
-    /// checker and commit one at a time on their own thread, fsync'ing
-    /// per commit exactly like a bare [`Checker`]. It is what tests,
-    /// difftest and the wire-level benchmark's in-process twins drive.
+    /// Deterministic in-thread executor: each submitter takes a mutex on
+    /// the checker and runs a batch of one on its own thread. It is what
+    /// tests, difftest and the wire-level benchmark's in-process twins
+    /// drive.
     Sync,
     /// Group commit: a dedicated writer thread owns the checker, drains
-    /// up to `max_batch` queued statements per round, and shares one
-    /// fsync across the batch.
-    GroupCommit {
-        /// Per-batch statement cap (see [`DEFAULT_MAX_BATCH`]).
-        max_batch: usize,
-    },
-}
-
-impl Executor {
-    /// The group-commit executor with the default batch cap.
-    pub fn group_commit() -> Executor {
-        Executor::GroupCommit { max_batch: DEFAULT_MAX_BATCH }
-    }
+    /// up to [`DEFAULT_MAX_BATCH`] queued statements per round, and
+    /// shares one fsync across the batch.
+    GroupCommit,
 }
 
 /// Full service configuration (the executor plus the resilience knobs).
@@ -142,7 +130,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
-            executor: Executor::group_commit(),
+            executor: Executor::GroupCommit,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             default_deadline_ms: None,
         }
@@ -155,9 +143,10 @@ impl Default for ServiceConfig {
 pub enum Health {
     /// Accepting reads and writes.
     Ok,
-    /// Read-only: a batch fsync failed. CHECK/DECIDE serve the last
-    /// durably published snapshot; UPDATE is refused with
-    /// [`ServiceError::Degraded`]. Sticky, like [`Health::Poisoned`].
+    /// Read-only: a journal fsync failed, under either executor.
+    /// CHECK/DECIDE serve the last durably published snapshot; UPDATE is
+    /// refused with [`ServiceError::Degraded`]. Sticky, like
+    /// [`Health::Poisoned`].
     Degraded,
     /// The writer's checker was poisoned by a contained panic
     /// mid-statement: every further UPDATE fails with
@@ -611,13 +600,12 @@ impl CheckerService {
         Arc::new_cyclic(|weak: &std::sync::Weak<CheckerService>| {
             let inner = match config.executor {
                 Executor::Sync => Inner::Sync(Mutex::new(Some(Box::new(checker)))),
-                Executor::GroupCommit { max_batch } => {
+                Executor::GroupCommit => {
                     let (tx, rx) = mpsc::channel::<UpdateReq>();
                     let weak = weak.clone();
-                    let max_batch = max_batch.max(1);
                     let handle = std::thread::Builder::new()
                         .name("xic-service-writer".to_string())
-                        .spawn(move || writer_loop(checker, rx, weak, max_batch))
+                        .spawn(move || writer_loop(checker, rx, weak))
                         .expect("spawn service writer thread");
                     Inner::Group {
                         tx: Mutex::new(Some(tx)),
@@ -700,9 +688,9 @@ impl CheckerService {
     }
 
     /// Submits one XUpdate statement for checked execution, blocking
-    /// until its verdict is durable (group mode: until the shared batch
-    /// fsync). Concurrent callers are safe; ordering between them is
-    /// the writer's arrival order. Applies the configured
+    /// until its verdict is durable (until its batch's shared fsync).
+    /// Concurrent callers are safe; ordering between them is the
+    /// writer's arrival order. Applies the configured
     /// [`ServiceConfig::default_deadline_ms`], if any.
     pub fn submit(&self, stmt: &str) -> Result<SubmitOutcome, ServiceError> {
         self.submit_with(stmt, self.config.default_deadline_ms)
@@ -732,26 +720,29 @@ impl CheckerService {
             xic_obs::incr(xic_obs::Counter::RequestShed);
             return Err(ServiceError::Overloaded { depth: self.config.queue_depth });
         }
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+        let req = UpdateReq { stmt: stmt.to_string(), deadline, reply: reply_tx };
         match &self.inner {
             Inner::Sync(slot) => {
-                // The counter bounds concurrent submitters (queue wait =
-                // mutex wait under the sequential executor).
-                let result = self.submit_sync(slot, stmt, deadline);
+                // The submitting thread is the writer: a batch of one
+                // under the mutex (queue wait = mutex wait, and the
+                // counter bounds concurrent submitters).
+                let mut checker = slot.lock().expect("sync-executor checker poisoned");
+                match checker.as_mut() {
+                    Some(checker) => self.run_batch(checker, vec![req]),
+                    None => drop(req),
+                }
+                drop(checker);
                 self.queued.fetch_sub(1, Ordering::AcqRel);
-                result
+                reply_rx.recv().map_err(|_| ServiceError::Stopped)?
             }
             Inner::Group { tx, .. } => {
-                let sender = match tx.lock().expect("submit queue poisoned").as_ref() {
-                    Some(sender) => sender.clone(),
-                    None => {
-                        self.queued.fetch_sub(1, Ordering::AcqRel);
-                        return Err(ServiceError::Stopped);
-                    }
-                };
-                let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-                let req =
-                    UpdateReq { stmt: stmt.to_string(), deadline, reply: reply_tx };
-                if sender.send(req).is_err() {
+                let sent = tx
+                    .lock()
+                    .expect("submit queue poisoned")
+                    .as_ref()
+                    .is_some_and(|sender| sender.send(req).is_ok());
+                if !sent {
                     self.queued.fetch_sub(1, Ordering::AcqRel);
                     return Err(ServiceError::Stopped);
                 }
@@ -776,44 +767,72 @@ impl CheckerService {
         }
     }
 
-    /// The sequential-executor submit path: mutex, optional deadline
-    /// budget, per-commit fsync inside the checker.
-    fn submit_sync(
-        &self,
-        slot: &Mutex<Option<Box<Checker>>>,
-        stmt: &str,
-        deadline: Option<Deadline>,
-    ) -> Result<SubmitOutcome, ServiceError> {
-        let mut guard = slot.lock().expect("sync-executor checker poisoned");
-        let checker = guard.as_mut().ok_or(ServiceError::Stopped)?;
-        let budget = match deadline {
-            None => None,
-            Some(d) => {
-                let left = d.remaining_ms(Instant::now());
-                if left == 0 {
-                    self.checks.note_timeout();
-                    return Err(ServiceError::Timeout { ms: d.ms });
-                }
-                Some((deadline_budget(left), d.ms))
+    /// Executes one admitted batch on the writer's thread — the writer
+    /// thread's, or under [`Executor::Sync`] the submitter's: refuse it
+    /// if degraded, expire overdue requests, run the batch path, publish
+    /// on success or degrade on a failed flush, acknowledge every
+    /// submitter.
+    fn run_batch(&self, checker: &mut Checker, batch: Vec<UpdateReq>) {
+        if self.degraded.load(Ordering::Acquire) {
+            // Read-only: refuse without touching the checker, so the
+            // in-memory state stays at the last (unflushed) batch.
+            for req in batch {
+                let _ = req.reply.send(Err(ServiceError::Degraded));
             }
-        };
-        let _armed = budget.map(|(b, _)| xic_xpath::budget::arm(b));
-        let attempted = checker.try_update_str(stmt);
+            return;
+        }
+        let now = Instant::now();
+        let mut live: Vec<UpdateReq> = Vec::with_capacity(batch.len());
+        for req in batch {
+            match req.deadline {
+                Some(d) if d.remaining_ms(now) == 0 => {
+                    self.checks.note_timeout();
+                    let _ = req.reply.send(Err(ServiceError::Timeout { ms: d.ms }));
+                }
+                _ => live.push(req),
+            }
+        }
+        if live.is_empty() {
+            return;
+        }
+        let items: Vec<BatchStmt> = live
+            .iter()
+            .map(|req| BatchStmt {
+                stmt: &req.stmt,
+                budget: req.deadline.map(|d| deadline_budget(d.remaining_ms(now))),
+            })
+            .collect();
+        let before = checker.committed();
+        let outcome = apply_batch(checker, &items);
         if checker.poisoned() {
             self.note_poisoned();
         }
-        let outcome = attempted.map_err(|e| match (e, budget) {
-            (CheckerError::BudgetExhausted, Some((_, ms))) => {
-                self.checks.note_timeout();
-                ServiceError::Timeout { ms }
+        match &outcome.disposition {
+            BatchDisposition::Committed => {
+                if checker.committed() != before {
+                    self.publish(checker);
+                }
             }
-            (e, _) => ServiceError::Checker(e),
-        })?;
-        let result = SubmitOutcome { version: checker.committed(), outcome };
-        if result.outcome.applied() {
-            self.publish(checker);
+            // The batch's commits are not durable: readers keep the last
+            // published (durable) snapshot, the service goes read-only.
+            BatchDisposition::SyncFailed(_) => self.enter_degraded(),
         }
-        Ok(result)
+        // Acknowledge only now: every commit in the batch is durable (or
+        // reported as SyncFailed/Timeout). A submitter that gave up
+        // waiting closed its reply channel; that is its loss, not an
+        // error here.
+        for (req, result) in live.into_iter().zip(outcome.results) {
+            let result = match (result, req.deadline) {
+                // An exhausted deadline budget surfaces as a timeout, not
+                // a bare budget error.
+                (Err(ServiceError::Checker(CheckerError::BudgetExhausted)), Some(d)) => {
+                    self.checks.note_timeout();
+                    Err(ServiceError::Timeout { ms: d.ms })
+                }
+                (result, _) => result,
+            };
+            let _ = req.reply.send(result);
+        }
     }
 
     /// Publishes the checker's current state as the new read snapshot.
@@ -882,109 +901,33 @@ impl CheckerService {
     }
 }
 
-/// The writer loop: drain a batch, apply it via [`apply_batch`],
-/// publish one snapshot, acknowledge every submitter. A failed batch
-/// fsync flips the service into degraded mode for good but keeps the
-/// loop alive, so queued submitters get answers and shutdown can drain.
+/// The writer loop: drain up to [`DEFAULT_MAX_BATCH`] queued requests
+/// and run them as one batch ([`CheckerService::run_batch`]). A failed
+/// batch fsync flips the service into degraded mode for good but keeps
+/// the loop alive, so queued submitters get answers and shutdown can
+/// drain.
 fn writer_loop(
     mut checker: Checker,
     rx: mpsc::Receiver<UpdateReq>,
     service: std::sync::Weak<CheckerService>,
-    max_batch: usize,
 ) -> Checker {
-    let dequeued = |req: UpdateReq| {
-        if let Some(service) = service.upgrade() {
-            service.queued.fetch_sub(1, Ordering::AcqRel);
-        }
-        req
-    };
     // The queue closing (shutdown) ends the loop once it is drained.
     while let Ok(first) = rx.recv() {
-        let mut batch = vec![dequeued(first)];
-        while batch.len() < max_batch {
+        let mut batch = vec![first];
+        while batch.len() < DEFAULT_MAX_BATCH {
             match rx.try_recv() {
-                Ok(req) => batch.push(dequeued(req)),
+                Ok(req) => batch.push(req),
                 Err(_) => break,
             }
         }
-        if service.upgrade().is_some_and(|s| s.degraded.load(Ordering::Acquire)) {
-            // Read-only: refuse without touching the checker, so the
-            // in-memory state stays at the last (unflushed) batch.
-            for req in batch {
-                let _ = req.reply.send(Err(ServiceError::Degraded));
-            }
-        } else {
-            run_batch(&mut checker, batch, &service);
+        // Submitters hold the service while they wait, so it outlives
+        // every batch they are in.
+        if let Some(service) = service.upgrade() {
+            service.queued.fetch_sub(batch.len(), Ordering::AcqRel);
+            service.run_batch(&mut checker, batch);
         }
     }
     checker
-}
-
-/// Executes one admitted batch on the writer thread: expire overdue
-/// requests, run the batch path, publish on success or degrade on a
-/// failed flush, acknowledge every submitter.
-fn run_batch(
-    checker: &mut Checker,
-    batch: Vec<UpdateReq>,
-    service: &std::sync::Weak<CheckerService>,
-) {
-    let now = Instant::now();
-    let mut live: Vec<UpdateReq> = Vec::with_capacity(batch.len());
-    for req in batch {
-        match req.deadline {
-            Some(d) if d.remaining_ms(now) == 0 => {
-                if let Some(service) = service.upgrade() {
-                    service.checks.note_timeout();
-                }
-                let _ = req.reply.send(Err(ServiceError::Timeout { ms: d.ms }));
-            }
-            _ => live.push(req),
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    let items: Vec<BatchStmt> = live
-        .iter()
-        .map(|req| BatchStmt {
-            stmt: &req.stmt,
-            budget: req.deadline.map(|d| deadline_budget(d.remaining_ms(now))),
-        })
-        .collect();
-    let before = checker.committed();
-    let outcome = apply_batch(checker, &items);
-    if let Some(service) = service.upgrade() {
-        if checker.poisoned() {
-            service.note_poisoned();
-        }
-        match &outcome.disposition {
-            BatchDisposition::Committed => {
-                if checker.committed() != before {
-                    service.publish(checker);
-                }
-            }
-            // The batch's commits are not durable: readers keep the last
-            // published (durable) snapshot, the service goes read-only.
-            BatchDisposition::SyncFailed(_) => service.enter_degraded(),
-        }
-    }
-    // Acknowledge only now: every commit in the batch is durable (or
-    // reported as SyncFailed/Timeout). A submitter that gave up waiting
-    // closed its reply channel; that is its loss, not an error here.
-    for (req, result) in live.into_iter().zip(outcome.results) {
-        let result = match (result, req.deadline) {
-            // An exhausted deadline budget surfaces as a timeout, not a
-            // bare budget error.
-            (Err(ServiceError::Checker(CheckerError::BudgetExhausted)), Some(d)) => {
-                if let Some(service) = service.upgrade() {
-                    service.checks.note_timeout();
-                }
-                Err(ServiceError::Timeout { ms: d.ms })
-            }
-            (result, _) => result,
-        };
-        let _ = req.reply.send(result);
-    }
 }
 
 /// One statement of a batch: the text plus an optional evaluation
@@ -1018,10 +961,11 @@ pub struct BatchOutcome {
     pub disposition: BatchDisposition,
 }
 
-/// Applies one group-commit batch to `checker`: every statement is
-/// checked (under its budget, if any) and, when legal, applied with its
-/// journal record appended *unsynced*; then one shared fsync makes the
-/// whole batch durable.
+/// Applies one batch to `checker`: every statement is checked (under its
+/// budget, if any) and, when legal, applied with its journal record
+/// appended *unsynced*; then one flush makes the whole batch durable. A
+/// batch that appended nothing has nothing to flush: it costs no fsync
+/// and cannot fail one.
 ///
 /// Per-statement outcomes are independent — a rejected or failed
 /// statement appends no commit record and cannot poison its
@@ -1029,36 +973,33 @@ pub struct BatchOutcome {
 /// statements after it in the batch fail with
 /// [`CheckerError::Poisoned`]; their submitters are told so
 /// individually). The fsync is attempted exactly once — a panic during
-/// it is contained and counts as a failure — and if it fails, every
-/// `Applied` outcome in the batch is downgraded to
-/// [`ServiceError::SyncFailed`], because its record may not have reached
-/// stable storage.
+/// it is contained and counts as a failure — and if it fails, the
+/// checker turns degraded and every `Applied` outcome in the batch is
+/// downgraded to [`ServiceError::SyncFailed`], because its record may
+/// not have reached stable storage.
 ///
-/// This *is* the production write path — the writer thread calls it for
+/// This *is* the production write path — both executors call it for
 /// every batch — and a free function so the crash and chaos oracles in
 /// `xic-difftest` can drive it directly under thread-scoped fault
 /// injection.
 pub fn apply_batch(checker: &mut Checker, items: &[BatchStmt]) -> BatchOutcome {
-    // The whole batch appends unsynced — a segment rotated in by an
-    // automatic checkpoint mid-batch included — and is flushed once below.
-    let mut results = checker.with_deferred_sync(|checker| {
-        items
-            .iter()
-            .map(|item| {
-                xic_obs::incr(xic_obs::Counter::GroupCommitStatement);
-                let _budget = item.budget.map(xic_xpath::budget::arm);
-                checker
-                    .try_update_str(item.stmt)
-                    .map(|outcome| SubmitOutcome { version: checker.committed(), outcome })
-                    .map_err(ServiceError::Checker)
-            })
-            .collect::<Vec<_>>()
-    });
+    let mut results: Vec<_> = items
+        .iter()
+        .map(|item| {
+            xic_obs::incr(xic_obs::Counter::GroupCommitStatement);
+            let _budget = item.budget.map(xic_xpath::budget::arm);
+            let stmt = XUpdateDoc::parse(item.stmt)
+                .map_err(|e| CheckerError::Statement(e.to_string()))?;
+            checker
+                .update_unflushed(&stmt)
+                .map(|outcome| SubmitOutcome { version: checker.committed(), outcome })
+                .map_err(ServiceError::Checker)
+        })
+        .collect();
     xic_obs::incr(xic_obs::Counter::GroupCommitBatch);
-    let flush = match catch_unwind(AssertUnwindSafe(|| checker.sync_journal())) {
-        Ok(Ok(())) => return BatchOutcome { results, disposition: BatchDisposition::Committed },
-        Ok(Err(e)) => e.to_string(),
-        Err(payload) => format!("panic during batch fsync: {}", panic_message(payload.as_ref())),
+    let flush = match checker.flush() {
+        Ok(()) => return BatchOutcome { results, disposition: BatchDisposition::Committed },
+        Err(e) => e.to_string(),
     };
     for result in results.iter_mut() {
         if matches!(result, Ok(out) if out.outcome.applied()) {

@@ -63,9 +63,10 @@ pub struct ShardSetConfig {
     /// default deadline). Every shard gets its own writer under this
     /// configuration.
     pub service: ServiceConfig,
-    /// Whether each shard's journal fsyncs per record: handed to
-    /// [`Checker::attach_store`] / [`Checker::open_store`] every time a
-    /// shard's store is opened, and nowhere else.
+    /// Whether each shard's store fsyncs at its flush point (once per
+    /// batch): handed to [`Checker::attach_store`] /
+    /// [`Checker::open_store`] every time a shard's store is opened, and
+    /// nowhere else.
     pub sync: bool,
     /// Automatic checkpoint-rotation policy applied to every shard (see
     /// [`Checker::set_checkpoint_policy`]; the default never rotates

@@ -261,7 +261,7 @@ fn a_value_with_both_quote_characters_is_decided_like_any_other() {
 
 #[test]
 fn service_snapshots_check_like_the_writer() {
-    let service = CheckerService::new(checker(), Executor::group_commit());
+    let service = CheckerService::new(checker(), Executor::GroupCommit);
     let snap = service.snapshot();
     assert!(snap.check_full().unwrap().is_none());
     let stmt =

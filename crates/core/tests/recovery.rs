@@ -106,6 +106,49 @@ fn recovered_checker_keeps_journaling() {
     let _ = std::fs::remove_dir_all(&path);
 }
 
+/// A bare checker's flush fails the way a batch's does: the commit is not
+/// acknowledged, the checker turns degraded — it refuses the next write
+/// and still answers reads, from a document that still holds the
+/// unacknowledged statement — and reopening the store brings back every
+/// acknowledged commit.
+#[test]
+fn a_failed_flush_degrades_a_bare_checker_until_the_store_is_reopened() {
+    let path = journal_path("flush");
+    let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
+    c.attach_store(&path, true).unwrap();
+    let dan = |author: &str| insert_sub("//rev[name/text() = 'dan']", author);
+    assert!(c.try_update_str(&dan("zoe")).unwrap().applied());
+    xic_faults::disarm_all();
+    xic_faults::arm("journal.sync", 1, FaultMode::Error);
+    // A rejected statement appends nothing, so there is nothing to flush:
+    // the armed fsync is not reached.
+    assert!(!c.try_update_str(&insert_sub("//rev[name/text() = 'ann']", "ann")).unwrap().applied());
+    assert_eq!(xic_faults::hits("journal.sync"), 0);
+    let err = c.try_update_str(&dan("kim")).unwrap_err();
+    assert_eq!(xic_faults::hits("journal.sync"), 1);
+    xic_faults::disarm_all();
+    assert!(matches!(err, CheckerError::Journal(_)), "{err}");
+    assert!(c.degraded());
+    // The failed flush leaves its statement applied in memory: the
+    // degraded checker reads the state the caller was told failed.
+    assert_eq!(c.committed(), 2);
+    assert!(serialize(&c).contains("<name>kim</name>"));
+    assert!(matches!(c.try_update_str(&dan("lee")), Err(CheckerError::Degraded)));
+    assert_eq!(c.committed(), 2, "a refused write changes nothing");
+    assert!(c.check_full().unwrap().is_none(), "a degraded checker still reads");
+    drop(c);
+
+    let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).unwrap();
+    let (mut r, report) = Checker::open_store(&path, CORPUS, &gamma, true).unwrap();
+    assert!(!report.degraded && !r.degraded());
+    // The unacknowledged record was written before its fsync failed, so
+    // replay may find it; the acknowledged one it must.
+    assert!(report.replayed >= 1);
+    assert!(serialize(&r).contains("<name>zoe</name>"));
+    assert!(r.try_update_str(&dan("lee")).unwrap().applied());
+    let _ = std::fs::remove_dir_all(&path);
+}
+
 #[test]
 fn mid_batch_apply_failure_rolls_back_and_journals_abort_at_every_op_index() {
     // The batch has 3 ops; inject an apply failure at each index in turn.

@@ -125,7 +125,7 @@ fn overload_sheds_excess_submissions_without_losing_retries() {
 /// still version 1.
 #[test]
 fn expired_deadline_times_out_without_executing() {
-    let service = CheckerService::new(checker(), Executor::group_commit());
+    let service = CheckerService::new(checker(), Executor::GroupCommit);
     match service.submit_with(&legal("dead"), Some(0)) {
         Err(ServiceError::Timeout { ms: 0 }) => {}
         other => panic!("expected Timeout, got {other:?}"),
@@ -204,7 +204,7 @@ fn a_failed_batch_fsync_degrades_for_good() {
     let path = journal_path("degrade");
     let mut c = checker();
     c.attach_store(&path, true).expect("attach store");
-    let service = CheckerService::new(c, Executor::group_commit());
+    let service = CheckerService::new(c, Executor::GroupCommit);
     assert!(service.submit(&legal("pre")).expect("submit").outcome.applied());
     let before = service.snapshot();
     xic_faults::arm_any_thread("journal.sync", 1, FaultMode::Error);
@@ -235,6 +235,76 @@ fn a_failed_batch_fsync_degrades_for_good() {
     assert_eq!(during.serialize(), before.serialize());
     assert!(during.check_full().expect("degraded read").is_none());
     service.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&path);
+}
+
+/// The sequential executor runs the same batch path, flush included, on
+/// the submitting thread — so a thread-scoped fault reaches its fsync,
+/// and a failure there is final exactly as under group commit: the
+/// commit is not acknowledged, `HEALTH` turns degraded, the next
+/// `UPDATE` is refused and reads serve the last published snapshot.
+#[test]
+fn a_failed_fsync_degrades_the_sync_executor_too() {
+    let path = journal_path("sync-executor");
+    let mut c = checker();
+    c.attach_store(&path, true).expect("attach store");
+    let service = CheckerService::new(c, Executor::Sync);
+    assert!(service.submit(&legal("pre")).expect("submit").outcome.applied());
+    let before = service.snapshot();
+    xic_faults::arm("journal.sync", 1, FaultMode::Error);
+    let err = service.submit(&legal("doomed")).expect_err("fsync must fail");
+    assert_eq!(xic_faults::hits("journal.sync"), 1);
+    xic_faults::disarm_all();
+    assert!(matches!(err, ServiceError::SyncFailed(_)), "expected SyncFailed, got {err:?}");
+
+    let mut replies = Vec::new();
+    let requests = format!("HEALTH\nUPDATE {}\nCHECK\nVERSION\n", legal("refused"));
+    xicheck::protocol::serve_connection(&service, requests.as_bytes(), &mut replies)
+        .expect("in-memory connection");
+    let replies = String::from_utf8(replies).expect("replies are text");
+    let replies: Vec<&str> = replies.lines().collect();
+    assert_eq!(replies[0], "OK 1 degraded");
+    assert!(replies[1].starts_with("ERR degraded"), "{}", replies[1]);
+    assert_eq!(replies[2..], ["OK 1 CONSISTENT", "OK 1"]);
+    assert_eq!(service.snapshot().serialize(), before.serialize());
+    assert_eq!(service.stats().service_degraded, 1);
+    service.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&path);
+}
+
+/// A checker that recovered degraded (no generation validated) refuses
+/// every write itself. Under either executor its service passes that
+/// refusal on: the refused batch appended nothing, so nothing is flushed,
+/// no fsync fails and the service does not turn degraded.
+#[test]
+fn a_checker_recovered_degraded_refuses_updates_without_degrading_its_service() {
+    let path = journal_path("recovered-degraded");
+    let mut c = checker();
+    c.attach_store(&path, true).expect("attach store");
+    assert!(c.try_update_str(&legal("pre")).expect("update").applied());
+    drop(c);
+    let gamma = SharedGamma::compile(DTD, CONFLICT).expect("gamma");
+    // A base the journal was not keyed to: no generation validates.
+    let other_base = CORPUS.replace("P1", "P9");
+    for executor in [Executor::Sync, Executor::GroupCommit] {
+        let (c, report) =
+            Checker::recover_store(&path, &other_base, &gamma, true).expect("recover");
+        assert!(report.degraded && c.degraded());
+        let service = CheckerService::new(c, executor);
+        let before = fsyncs();
+        let mut replies = Vec::new();
+        let requests = format!("UPDATE {}\nHEALTH\nCHECK\n", legal("refused"));
+        xicheck::protocol::serve_connection(&service, requests.as_bytes(), &mut replies)
+            .expect("in-memory connection");
+        let replies = String::from_utf8(replies).expect("replies are text");
+        let replies: Vec<&str> = replies.lines().collect();
+        assert!(replies[0].starts_with("ERR checker is in degraded"), "{}", replies[0]);
+        assert_eq!(replies[1..], ["OK 0 ok", "OK 0 CONSISTENT"], "{executor:?}");
+        assert_eq!(service.health(), Health::Ok);
+        assert_eq!(service.stats().service_degraded, 0, "{executor:?}");
+        assert_eq!(fsyncs() - before, 0, "{executor:?}");
+        service.shutdown().expect("shutdown");
+    }
     let _ = std::fs::remove_dir_all(&path);
 }
 
@@ -301,7 +371,7 @@ fn a_replayed_checker_keeps_the_configured_sync_mode() {
     let dir = journal_path("sync-mode");
     let mut c = checker();
     c.attach_store(&dir, true).expect("attach store");
-    let service = CheckerService::new(c, Executor::group_commit());
+    let service = CheckerService::new(c, Executor::GroupCommit);
     assert!(service.submit(&legal("pre")).expect("submit").outcome.applied());
     xic_faults::arm_any_thread("journal.sync", 1, FaultMode::Error);
     let err = service.submit(&legal("doomed")).expect_err("fsync must fail");
@@ -333,7 +403,7 @@ fn a_replayed_checker_keeps_the_configured_sync_mode() {
 /// this used to `Arc::try_unwrap` and die).
 #[test]
 fn shutdown_survives_live_read_handles() {
-    let service = CheckerService::new(checker(), Executor::group_commit());
+    let service = CheckerService::new(checker(), Executor::GroupCommit);
     let early = service.snapshot();
     for i in 0..2 {
         service.submit(&legal(&format!("s{i}"))).expect("submit");
@@ -393,7 +463,7 @@ fn an_operation_aimed_at_the_wrong_node_kind_is_an_error_not_a_panic() {
     ];
     let service = CheckerService::new(
         Checker::new(COMMENTED, DTD, CONFLICT).expect("corpus setup"),
-        Executor::group_commit(),
+        Executor::GroupCommit,
     );
     for (select, content, what, ops) in TARGETS {
         for op in ops {

@@ -5,7 +5,8 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use xicheck::service::{apply_batch, BatchStmt, ServiceError, SubmitOutcome};
+use std::sync::Barrier;
+use xicheck::service::{apply_batch, BatchStmt, ServiceError, SubmitOutcome, DEFAULT_MAX_BATCH};
 use xicheck::{Checker, CheckerService, Executor};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
@@ -54,15 +55,14 @@ fn checker() -> Checker {
     Checker::new(CORPUS, DTD, CONFLICT).expect("corpus setup")
 }
 
-/// The main stress oracle, run for both executors: M writers submit a
+/// The main stress oracle, run for both executors: `writers` threads,
+/// released together, each submit `per_writer` statements of a
 /// deterministic legal/illegal mix while N readers hammer snapshots;
-/// afterwards the acknowledged commits, replayed sequentially in
-/// version order, must reproduce the service's final state byte for
-/// byte — and recovery from the service's journal must agree too.
-fn stress(executor: Executor, tag: &str) {
-    const WRITERS: usize = 4;
+/// afterwards the acknowledged commits, replayed sequentially in version
+/// order, must reproduce the service's final state byte for byte — and
+/// recovery from the service's journal must agree too.
+fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) {
     const READERS: usize = 3;
-    const PER_WRITER: usize = 25;
 
     let path = journal_path(tag);
     let mut c = checker();
@@ -70,16 +70,19 @@ fn stress(executor: Executor, tag: &str) {
     let service = CheckerService::new(c, executor);
 
     let done = AtomicBool::new(false);
+    let start = Barrier::new(writers);
     // (version, stmt) for every acknowledged *applied* statement.
     let mut applied: Vec<(u64, String)> = Vec::new();
     std::thread::scope(|scope| {
         let service = &service;
         let done = &done;
-        let writers: Vec<_> = (0..WRITERS)
+        let start = &start;
+        let writers: Vec<_> = (0..writers)
             .map(|w| {
                 scope.spawn(move || {
+                    start.wait();
                     let mut acks = Vec::new();
-                    for i in 0..PER_WRITER {
+                    for i in 0..per_writer {
                         // Every fifth statement is a guaranteed
                         // violation; verdicts are state-independent, so
                         // any interleaving must reproduce them exactly.
@@ -139,7 +142,7 @@ fn stress(executor: Executor, tag: &str) {
     let versions: Vec<u64> = applied.iter().map(|(v, _)| *v).collect();
     let expected: Vec<u64> = (1..=applied.len() as u64).collect();
     assert_eq!(versions, expected, "acknowledged versions must be dense");
-    assert_eq!(applied.len(), WRITERS * (PER_WRITER - PER_WRITER / 5));
+    assert_eq!(applied.len(), writers * (per_writer - per_writer / 5));
 
     let final_snapshot = service.snapshot();
     assert_eq!(final_snapshot.version(), applied.len() as u64);
@@ -170,19 +173,20 @@ fn stress(executor: Executor, tag: &str) {
 
 #[test]
 fn group_commit_matches_sequential_replay() {
-    stress(Executor::group_commit(), "group");
+    stress(Executor::GroupCommit, "group", 4, 25);
 }
 
 #[test]
-fn small_batches_match_sequential_replay() {
-    // max_batch 2 forces many tiny batches → many publishes, exercising
-    // the snapshot-handoff path rather than one giant batch.
-    stress(Executor::GroupCommit { max_batch: 2 }, "group2");
+fn submitters_beyond_the_batch_cap_match_sequential_replay() {
+    // More submitters released at once than one batch holds: the queue
+    // splits at the cap, so batches hand off to each other through the
+    // snapshot path rather than one giant batch taking everything.
+    stress(Executor::GroupCommit, "group-cap", DEFAULT_MAX_BATCH + 8, 5);
 }
 
 #[test]
 fn sync_executor_matches_sequential_replay() {
-    stress(Executor::Sync, "sync");
+    stress(Executor::Sync, "sync", 4, 25);
 }
 
 #[test]
@@ -197,11 +201,36 @@ fn rejected_statement_does_not_poison_batch_mates() {
     assert!(results[2].as_ref().expect("third").outcome.applied(), "batch-mate poisoned");
     assert!(!c.poisoned());
     assert_eq!(c.committed(), 2);
-    // The batch's deferred-sync scope is over: a commit outside a batch
-    // fsyncs its own record again.
+    // A direct commit is a flush of its own: one fsync.
     let before = journal_fsyncs();
     assert!(c.try_update_str(&legal("c")).expect("update").applied());
-    assert_eq!(journal_fsyncs() - before, 1, "batch must leave the configured sync mode in force");
+    assert_eq!(journal_fsyncs() - before, 1, "a direct commit must flush once");
+    let _ = std::fs::remove_dir_all(&path);
+}
+
+/// A statement that appends no record has nothing to flush: a rejected
+/// submit under the sequential executor and a batch of refusals cost no
+/// fsync, while an applied submit costs one.
+#[test]
+fn a_rejected_submit_costs_no_fsync() {
+    let path = journal_path("reject-sync");
+    let mut c = checker();
+    c.attach_store(&path, true).expect("attach store");
+    let before = journal_fsyncs();
+    for r in batch(&mut c, &[illegal(), illegal()]) {
+        assert!(!r.expect("outcome").outcome.applied());
+    }
+    assert_eq!(journal_fsyncs() - before, 0, "a batch of refusals fsynced");
+    // The sequential executor runs the submit on this thread, so this
+    // thread's counter sees its flush.
+    let service = CheckerService::new(c, Executor::Sync);
+    let before = journal_fsyncs();
+    assert!(!service.submit(&illegal()).expect("submit").outcome.applied());
+    assert!(service.submit("<not-xupdate").is_err());
+    assert_eq!(journal_fsyncs() - before, 0, "a rejected submit fsynced");
+    assert!(service.submit(&legal("s")).expect("submit").outcome.applied());
+    assert_eq!(journal_fsyncs() - before, 1, "an applied submit flushes once");
+    service.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&path);
 }
 
@@ -216,9 +245,8 @@ fn journal_fsyncs() -> u64 {
     xicheck::obs::snapshot().counter(xicheck::obs::Counter::JournalFsync)
 }
 
-/// A batch that crosses automatic rotations stays deferred on the
-/// segments rotated in: no record is fsync'd on its own, whichever
-/// segment it lands on.
+/// A batch that crosses automatic rotations still flushes once: no
+/// record is fsync'd on its own, whichever segment it lands on.
 #[test]
 fn batch_across_a_rotation_shares_one_fsync() {
     let dir = journal_path("rotate");
@@ -234,12 +262,31 @@ fn batch_across_a_rotation_shares_one_fsync() {
     // Each rotation fsyncs the header of the segment it creates; the five
     // records share the batch's one flush.
     assert_eq!(journal_fsyncs() - before, 2 + 1, "a record was fsync'd on its own");
-    // Outside the batch the rotated-in segment fsyncs per record.
+    // Outside a batch a commit on the rotated-in segment flushes once.
     c.set_checkpoint_policy(xicheck::CheckpointPolicy::default());
     let before = journal_fsyncs();
     assert!(c.try_update_str(&legal("after")).expect("update").applied());
     assert_eq!(journal_fsyncs() - before, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Without sync the flush point fsyncs nothing, on the batch path and on
+/// the direct one alike.
+#[test]
+fn a_store_without_sync_never_fsyncs() {
+    let path = journal_path("nosync");
+    let mut c = checker();
+    c.attach_store(&path, false).expect("attach store");
+    let before = journal_fsyncs();
+    for r in batch(&mut c, &[legal("n1"), illegal(), legal("n2")]) {
+        r.expect("outcome");
+    }
+    assert_eq!(journal_fsyncs() - before, 0, "a batch fsynced without sync");
+    let before = journal_fsyncs();
+    assert!(c.try_update_str(&legal("n3")).expect("update").applied());
+    assert_eq!(journal_fsyncs() - before, 0, "a direct commit fsynced without sync");
+    assert_eq!(c.committed(), 3);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
@@ -266,7 +313,7 @@ fn batch_shares_one_fsync() {
 
 #[test]
 fn old_snapshots_stay_immutable_while_commits_proceed() {
-    let service = CheckerService::new(checker(), Executor::group_commit());
+    let service = CheckerService::new(checker(), Executor::GroupCommit);
     let old = service.snapshot();
     let old_bytes = old.serialize();
     assert_eq!(old.version(), 0);

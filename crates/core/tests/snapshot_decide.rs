@@ -202,7 +202,7 @@ fn first_sight_race_compiles_into_one_shared_entry() {
     let cache = PatternCache::new();
     let mut checker = Checker::new(CORPUS, DTD, CONFLICT).expect("corpus setup");
     checker.set_pattern_cache(cache.clone());
-    let service = CheckerService::new(checker, Executor::group_commit());
+    let service = CheckerService::new(checker, Executor::GroupCommit);
     assert!(cache.is_empty(), "nothing has seen the pattern yet");
     let start = Barrier::new(READERS + 1);
     let verdicts: Vec<String> = std::thread::scope(|scope| {

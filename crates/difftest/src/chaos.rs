@@ -1,5 +1,5 @@
-//! Chaos pass: failure-resilience oracle for the service's group-commit
-//! write path (DESIGN.md row 22).
+//! Chaos pass: failure-resilience oracle for the service's batch write
+//! path (DESIGN.md row 22), the one both executors run.
 //!
 //! Where the crash matrix (`crash.rs`) proves *recovery after death* —
 //! panic, process gone, rebuild from the journal — the chaos pass proves
@@ -16,18 +16,19 @@
 //! 2. **Twin run** (no faults, no store): the reference
 //!    committed-prefix states.
 //! 3. **Chaos run**: the same statements through the *production batch
-//!    path* ([`apply_batch`] — unsynced appends, one shared fsync,
-//!    catch_unwind around the flush), with the fault armed. Batches
+//!    path* ([`apply_batch`] — unsynced appends, one flush that contains
+//!    a panic and degrades the checker on failure), with the fault
+//!    armed. Batches
 //!    model concurrent submitters drained from the queue; the path is
 //!    driven in-thread because fault arming is thread-scoped (real
 //!    writer-thread traffic is covered by the `service_resilience`
 //!    integration tests via `arm_any_thread`).
 //! 4. **Oracles**, checked as the stream runs and after it ends:
-//!    * *Degraded reads are correct*: when the shared fsync fails or the
-//!      checker poisons, the service's published state — what
-//!      degraded-mode CHECK serves — must equal the twin's state on the
-//!      acknowledged prefix and, after a failed fsync, check clean under
-//!      a fresh checker.
+//!    * *Degraded reads are correct*: when the shared fsync fails (the
+//!      checker must then be degraded) or the checker poisons, the
+//!      service's published state — what degraded-mode CHECK serves —
+//!      must equal the twin's state on the acknowledged prefix and,
+//!      after a failed fsync, check clean under a fresh checker.
 //!    * *One way back*: the case then drops the checker and reopens the
 //!      store with `Checker::open_store` (replay; the first write then
 //!      checkpoints before it appends) — what a restart and
@@ -38,8 +39,8 @@
 //!      one higher), the document being the chaos run's own state after
 //!      `p` commits, and consistent. The stream continues on the
 //!      recovered checker.
-//!    * *Never retried*: a case armed at `journal.sync` hits it exactly
-//!      once per batch.
+//!    * *Never retried*: a case armed at `journal.sync` hits it at most
+//!      once per batch, and once in every batch that committed.
 //!    * *Terminal state*: every case ends [`Terminal::Healthy`] or
 //!      [`Terminal::Replayed`] — never wedged mid-batch, never an
 //!      unwound thread.
@@ -60,13 +61,12 @@ use xicheck::{Checker, CheckerError, CheckpointPolicy};
 use crate::{each_case, fault_floor, generate_case, Case, Config, Outcome, COVERAGE_FLOOR_CASES};
 
 /// Sites the chaos pass arms whether or not the store rotates: the
-/// group-commit write path from statement apply to the shared fsync.
+/// write path from statement apply to the batch's flush.
 pub(crate) const JOURNAL_SITES: &[&str] = &[
     "xupdate.apply.op",
     "journal.append.pre",
     "journal.append.mid",
     "journal.append.post_write",
-    "journal.append.post_fsync",
     "journal.sync",
     "checker.commit.pre",
     "checker.commit.post",
@@ -136,9 +136,10 @@ pub enum Terminal {
     /// Every batch committed (the fault never fired, or the statement it
     /// hit was refused and rolled back).
     Healthy,
-    /// A batch fsync failed (degraded) or a contained panic poisoned the
-    /// checker; either way the checker was replaced by replaying its
-    /// store, and the stream ran to completion on the replacement.
+    /// A batch fsync failed (the checker degraded) or a contained panic
+    /// poisoned the checker; either way the checker was replaced by
+    /// replaying its store, and the stream ran to completion on the
+    /// replacement.
     Replayed,
 }
 
@@ -281,12 +282,20 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
     let mut published_commits = 0usize;
     let mut terminal = Terminal::Healthy;
     let mut degraded = false;
-    let mut batches = 0u64;
     for chunk in statements.chunks(plan.batch_size) {
         let items: Vec<BatchStmt> =
             chunk.iter().map(|s| BatchStmt { stmt: s, budget: None }).collect();
+        let (sync_hits, commits) = (xic_faults::hits("journal.sync"), checker.committed());
         let outcome = apply_batch(&mut checker, &items);
-        batches += 1;
+        // Counted only while `journal.sync` is the armed site: a batch
+        // reaches the fsync at most once, and must when it committed.
+        let flushes = xic_faults::hits("journal.sync") - sync_hits;
+        let must_flush = plan.site == "journal.sync" && checker.committed() > commits;
+        if flushes > 1 || (must_flush && flushes == 0) {
+            return Err(fail(format!(
+                "a batch reached journal.sync {flushes} times: a fsync was retried or skipped"
+            )));
+        }
         let mut batch_applied = 0usize;
         for result in &outcome.results {
             match result {
@@ -329,6 +338,9 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
             )));
         }
         if sync_failed {
+            if !checker.degraded() {
+                return Err(fail("a failed batch fsync left the checker writable".to_string()));
+            }
             let ro = Checker::new(&published_xml, &case.dtd, &case.constraints)
                 .map_err(|e| fail(format!("read-only checker setup failed: {e}")))?;
             match ro.check_full() {
@@ -385,13 +397,7 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
         published_xml = got;
     }
     let fired = xic_faults::hits(plan.site) >= plan.nth;
-    let sync_hits = xic_faults::hits("journal.sync");
     xic_faults::disarm_all();
-    if plan.site == "journal.sync" && sync_hits != batches {
-        return Err(fail(format!(
-            "journal.sync hit {sync_hits} times over {batches} batches: a fsync was retried"
-        )));
-    }
     let final_xml = xic_xml::serialize(checker.doc());
     let committed_total = checker.committed() as usize;
     drop(checker);

@@ -8,14 +8,16 @@
 //! 1. Materialize the seed's [`Case`] (schema, document, constraints,
 //!    statement batch) and derive the crash point from the seed: a site
 //!    from [`xic_faults::SITES`], a 1-based trigger hit, and whether the
-//!    journal fsyncs.
+//!    store fsyncs at its flush point (`journal.sync` fires only then —
+//!    once per direct statement that appended a record).
 //! 2. **Twin run** (no faults, no store): drive the statements through
 //!    [`Checker::try_update`], recording the serialized document after
 //!    every commit. `snaps[k]` is the state after `k + 1` commits.
 //! 3. **Crashed run**: a fresh checker with a store attached, the fault
 //!    armed in [`FaultMode::Panic`]. Drive the same statements until the
 //!    injected panic fires (contained by the checker, which poisons
-//!    itself — the in-memory tree is as good as lost) or the batch ends.
+//!    itself — or, in the flush, degrades itself — the in-memory tree is
+//!    as good as lost) or the batch ends.
 //! 4. **Recovery**: [`Checker::recover_store`] rebuilds a checker from
 //!    the base document plus the store. With `p` commits restored, the
 //!    recovered serialization must be byte-identical to `snaps[p - 1]`
@@ -47,9 +49,10 @@
 //! silently truncate history to its own sequence number.
 //!
 //! When the site list reaches the write-path sites, a **group-commit
-//! pass** runs as well (PR 6): the same statements are driven through
-//! the service's batch path ([`xicheck::service::apply_batch`] — journal
-//! records appended unsynced, one shared fsync per batch) with a panic
+//! pass** runs as well: the same statements are driven through the
+//! service's batch path ([`xicheck::service::apply_batch`] — journal
+//! records appended unsynced, one shared fsync per batch that appended
+//! one) with a panic
 //! armed mid-batch. Recovery must equal the committed prefix of the
 //! sequential twin, and must never lose a commit from a batch whose
 //! shared fsync already succeeded (an *acknowledged* batch). The batch
@@ -67,7 +70,7 @@
 use std::path::Path;
 use xic_faults::{FaultMode, SITES};
 use xic_xml::XUpdateDoc;
-use xicheck::service::{apply_batch, BatchStmt, ServiceError};
+use xicheck::service::{apply_batch, BatchDisposition, BatchStmt, ServiceError};
 use xicheck::{Checker, CheckerError, CheckpointPolicy};
 
 use crate::{each_case, fault_floor, generate_case, Case, Config, Outcome};
@@ -95,7 +98,7 @@ pub struct CrashPoint {
     pub site: &'static str,
     /// 1-based hit on which the panic triggers.
     pub nth: u64,
-    /// Whether the journal fsyncs each record.
+    /// Whether the store fsyncs at its flush point.
     pub sync: bool,
 }
 
@@ -387,7 +390,11 @@ fn run_case(
     for stmt in &statements {
         match crashed.try_update(stmt) {
             Ok(_) | Err(CheckerError::Statement(_)) => {}
-            Err(CheckerError::Panicked(_)) => {
+            // A panic in the flush is contained there and degrades the
+            // checker instead of poisoning it: the crash all the same.
+            Err(CheckerError::Panicked(_) | CheckerError::Journal(_))
+                if crashed.poisoned() || crashed.degraded() =>
+            {
                 panicked = true;
                 break;
             }
@@ -588,10 +595,9 @@ fn run_group_commit_case(
     xic_faults::disarm_all();
     xic_faults::arm(site, nth, FaultMode::Panic);
     let mut panicked = false;
-    // A panic during the shared fsync is contained by the batch path
-    // (`apply_batch`'s catch_unwind) instead of unwinding the
-    // checker: the batch is reported `SyncFailed` — never acknowledged —
-    // and the real service would degrade here.
+    // A panic during the shared fsync is contained by the flush instead
+    // of unwinding the checker: the batch is reported `SyncFailed` —
+    // never acknowledged — and the checker and the service degrade.
     let mut sync_failed = false;
     // Commits in batches whose shared fsync completed: acknowledged to
     // their submitters, so recovery must never drop them.
@@ -604,8 +610,7 @@ fn run_group_commit_case(
         for result in &outcome.results {
             match result {
                 Ok(out) if out.outcome.applied() => batch_applied += 1,
-                Ok(_) => {}
-                Err(ServiceError::SyncFailed(_)) => sync_failed = true,
+                Ok(_) | Err(ServiceError::SyncFailed(_)) => {}
                 Err(ServiceError::Checker(
                     CheckerError::Statement(_) | CheckerError::Panicked(_) | CheckerError::Poisoned,
                 )) => {
@@ -623,6 +628,10 @@ fn run_group_commit_case(
                 }
             }
         }
+        // Read off the batch, not its results: a batch whose only record
+        // is an abort has no result to downgrade, yet its failed flush is
+        // the crash too.
+        sync_failed = matches!(outcome.disposition, BatchDisposition::SyncFailed(_));
         if panicked || sync_failed {
             break; // the crash: nothing after this batch was acknowledged
         }

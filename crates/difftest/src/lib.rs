@@ -107,7 +107,7 @@ pub(crate) fn scratch_name(kind: &str, seed: u64) -> String {
 }
 
 /// Recovers `case`'s checkpointed store at `dir` after a simulated crash
-/// (fsync per record, as the crash and chaos passes attach it).
+/// (with sync on, as the crash and chaos passes attach it).
 pub(crate) fn recover_store(dir: &Path, case: &Case) -> Result<Reopened, CheckerError> {
     reopen(dir, case, Checker::recover_store)
 }

@@ -14,10 +14,11 @@
 //!    byte-observable), plus one never-faulted **twin checker per
 //!    shard** driven in lockstep with the live set.
 //! 3. Drive the streams round-robin through [`ShardSet::submit`]. The
-//!    services run the sync executor, so a fault armed on the driving
-//!    thread immediately before a victim submission (and disarmed right
-//!    after) hits exactly the victim — thread-scoped arming *is*
-//!    shard-scoped arming.
+//!    services run the sync executor — the batch path, flush included,
+//!    with a batch of one on the submitting thread — so a fault armed on
+//!    the driving thread immediately before a victim submission (and
+//!    disarmed right after) hits exactly the victim: thread-scoped
+//!    arming *is* shard-scoped arming, `journal.sync` included.
 //! 4. **Oracles.** Siblings must stay healthy, keep committing, and end
 //!    byte-identical to their twins. In the **matrix** (`chaos =
 //!    false`, panic faults) the victim stops at the injected crash; the
@@ -613,6 +614,25 @@ mod tests {
         assert_eq!(floor, "shard-chaos: no armed fault ever fired in 40 cases");
         assert_eq!(report(crate::FAULT_FLOOR_CASES - 1, true, 0).outcome().floor, Ok(()));
         assert_eq!(report(60, true, 45).outcome().floor, Ok(()));
+    }
+
+    #[test]
+    fn every_planned_journal_sync_fault_fires() {
+        // The sync executor runs the batch path, so its flush reaches the
+        // one durability point. The flush fsyncs only after a victim
+        // statement appended a record, and the fault stays armed round
+        // after round until it fires: every case of the CI window that
+        // plans a `journal.sync` fault fires it, in both passes.
+        for chaos in [false, true] {
+            let seeds: Vec<u64> =
+                (1..=60).filter(|&seed| shard_plan(seed, chaos).site == "journal.sync").collect();
+            assert!(!seeds.is_empty(), "no journal.sync case planned (chaos: {chaos})");
+            for seed in seeds {
+                let out = run_shard_case(seed, chaos, &std::env::temp_dir())
+                    .unwrap_or_else(|d| panic!("{}", d.report()));
+                assert!(out.fired, "seed {seed} (chaos: {chaos}) never reached journal.sync");
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! damaging (mid-record journal writes, between apply and commit, per
 //! XUpdate operation). A test harness then *arms* a site with
 //! [`arm`]`(site, nth, mode)`: the `nth` time that site is hit, the
-//! configured fault triggers — a panic, a process abort, or an injected
-//! `Err` — and every other hit is a no-op.
+//! configured fault triggers — a panic or an injected `Err` — and every
+//! other hit is a no-op.
 //!
 //! Design constraints:
 //!
@@ -22,17 +22,13 @@
 //!   and [`disarm_all`] and [`hits`] only see the calling thread's
 //!   faults, so concurrently running tests (each on its own harness
 //!   thread) and unrelated worker threads cannot consume, trip, clear or
-//!   misread each other's faults. Cross-process injection calls
-//!   [`arm_from_env`] on the thread that will drive the workload. Thread
-//!   scoping is also what makes *shard-scoped* injection work: in a
-//!   multi-shard set whose services run the sync executor, a submission
-//!   executes on the submitting thread, so arming before a victim shard's
-//!   submission (and disarming after) faults exactly that shard while its
-//!   siblings commit untouched — the shard crash matrix and shard chaos
-//!   pass in `xic-difftest` are built on this.
-//! - **Cross-process.** [`arm_from_env`] arms sites from the `XIC_FAULTS`
-//!   environment variable (`site:nth:mode[,site:nth:mode...]`) so a parent
-//!   can inject a real `abort()` into a spawned child.
+//!   misread each other's faults. Thread scoping is also what makes
+//!   *shard-scoped* injection work: in a multi-shard set whose services
+//!   run the sync executor, a submission executes on the submitting
+//!   thread, so arming before a victim shard's submission (and disarming
+//!   after) faults exactly that shard while its siblings commit untouched
+//!   — the shard crash matrix and shard chaos pass in `xic-difftest` are
+//!   built on this.
 //!
 //! The canonical list of sites compiled into the workspace is [`SITES`];
 //! the crash-matrix harness in `xic-difftest` enumerates it.
@@ -49,24 +45,10 @@ pub enum FaultMode {
     /// exactly as a real crash would leave it, because journal writes are
     /// unbuffered.
     Panic,
-    /// `std::process::abort()` — a real crash, for child-process harnesses.
-    Abort,
     /// Return `Err(FaultError)` from [`fire`], exercising error-handling
     /// paths (rollback, abort records) without terminating anything.
     /// Nothing retries it: a failed write or fsync is final.
     Error,
-}
-
-impl FaultMode {
-    /// Parse the textual form used by `XIC_FAULTS`.
-    pub fn parse(s: &str) -> Option<FaultMode> {
-        match s {
-            "panic" => Some(FaultMode::Panic),
-            "abort" => Some(FaultMode::Abort),
-            "error" => Some(FaultMode::Error),
-            _ => None,
-        }
-    }
 }
 
 /// The injected error returned by [`fire`] for [`FaultMode::Error`]
@@ -98,19 +80,20 @@ pub const SITES: &[&str] = &[
     // Journal append, after the record is half-written: crashing here
     // leaves a torn tail that recovery must detect and truncate.
     "journal.append.mid",
-    // Journal append, after the full record is written but before fsync.
+    // Journal append, after the full record is written (appends never
+    // fsync).
     "journal.append.post_write",
-    // Journal append, after fsync: the record is durable.
-    "journal.append.post_fsync",
-    // The shared batch fsync (`Journal::sync_now`), before the data
-    // reaches the disk: the group-commit durability point. A fault here
-    // degrades the service to read-only; nothing retries the fsync.
+    // The flush (`Journal::sync_now`), before the data reaches the disk:
+    // the one durability point, once per direct statement or batch that
+    // appended a record. A
+    // fault here degrades the checker to read-only; nothing retries the
+    // fsync.
     "journal.sync",
     // Checker commit, after the update is applied and checked but before
     // the journal record is appended.
     "checker.commit.pre",
-    // Checker commit, after the journal record is durable but before the
-    // verdict is returned to the caller.
+    // Checker commit, after the journal record is appended but before it
+    // is flushed.
     "checker.commit.post",
     // Checkpoint write, with the snapshot tmp file half-written: crashing
     // here leaves a torn `*.ckpt.tmp` that recovery must ignore.
@@ -217,8 +200,7 @@ pub fn hits(site: &str) -> u64 {
 
 /// A fault site. Call this at the point in a write path where a crash or
 /// I/O failure should be injectable. Returns `Ok(())` unless an armed
-/// [`FaultMode::Error`] fault triggers; `Panic`/`Abort` faults do not
-/// return.
+/// [`FaultMode::Error`] fault triggers; `Panic` faults do not return.
 #[inline]
 pub fn fire(site: &'static str) -> Result<(), FaultError> {
     if !ANY_ARMED.load(Ordering::Relaxed) {
@@ -249,37 +231,7 @@ fn fire_slow(site: &'static str) -> Result<(), FaultError> {
         None => Ok(()),
         Some(FaultMode::Error) => Err(FaultError { site }),
         Some(FaultMode::Panic) => panic!("injected fault (panic) at site `{site}`"),
-        Some(FaultMode::Abort) => std::process::abort(),
     }
-}
-
-/// Environment variable read by [`arm_from_env`].
-pub const ENV_VAR: &str = "XIC_FAULTS";
-
-/// Arm faults from the `XIC_FAULTS` environment variable, used to inject
-/// real aborts into spawned child processes. The format is a
-/// comma-separated list of `site:nth:mode` triples, e.g.
-/// `journal.append.mid:2:abort`. Returns the number of faults armed, or
-/// a description of the first malformed entry.
-pub fn arm_from_env() -> Result<usize, String> {
-    let Ok(spec) = std::env::var(ENV_VAR) else {
-        return Ok(0);
-    };
-    let mut armed = 0;
-    for entry in spec.split(',').filter(|e| !e.trim().is_empty()) {
-        let parts: Vec<&str> = entry.trim().split(':').collect();
-        let [site, nth, mode] = parts[..] else {
-            return Err(format!("malformed {ENV_VAR} entry `{entry}` (want site:nth:mode)"));
-        };
-        let nth: u64 = nth
-            .parse()
-            .map_err(|_| format!("bad hit count in {ENV_VAR} entry `{entry}`"))?;
-        let mode = FaultMode::parse(mode)
-            .ok_or_else(|| format!("bad mode in {ENV_VAR} entry `{entry}` (want panic|abort|error)"))?;
-        arm(site, nth, mode);
-        armed += 1;
-    }
-    Ok(armed)
 }
 
 #[cfg(test)]
@@ -340,33 +292,6 @@ mod tests {
         disarm_all();
         arm("checker.commit.pre", 1, FaultMode::Error);
         assert!(fire("checker.commit.pre").is_err());
-        disarm_all();
-    }
-
-    #[test]
-    fn env_arming_parses_triples() {
-        let _g = serial();
-        disarm_all();
-        std::env::set_var(ENV_VAR, "journal.append.mid:2:error, xupdate.apply.op:1:panic");
-        let n = arm_from_env().expect("well-formed spec");
-        assert_eq!(n, 2);
-        assert!(fire("journal.append.mid").is_ok());
-        assert!(fire("journal.append.mid").is_err());
-        std::env::remove_var(ENV_VAR);
-        disarm_all();
-    }
-
-    #[test]
-    fn env_arming_rejects_malformed_entries() {
-        let _g = serial();
-        disarm_all();
-        std::env::set_var(ENV_VAR, "journal.append.mid:zap:error");
-        assert!(arm_from_env().is_err());
-        std::env::set_var(ENV_VAR, "journal.append.mid:1:sigsegv");
-        assert!(arm_from_env().is_err());
-        std::env::set_var(ENV_VAR, "just-a-site");
-        assert!(arm_from_env().is_err());
-        std::env::remove_var(ENV_VAR);
         disarm_all();
     }
 

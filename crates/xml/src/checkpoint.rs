@@ -312,7 +312,10 @@ fn artifacts(dir: &Path) -> Result<Vec<String>, CheckpointError> {
 
 /// A checkpointed store directory: generation-numbered snapshot/segment
 /// pairs, the live segment commits are appended to, and the rotation and
-/// recovery protocols over them.
+/// recovery protocols over them. Its one setting is `sync`: appends only
+/// write, and [`Store::sync_now`] — the caller's flush point, once per
+/// direct statement or per batch — fsyncs iff it is set and something
+/// was appended.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
@@ -321,12 +324,12 @@ pub struct Store {
     generation: u64,
     /// The live generation's journal segment.
     segment: Journal,
-    /// Whether segments fsync per record outside a deferred-sync scope
-    /// (checkpoint files are always fsync'd — rotation durability is the
-    /// whole point). Fixed when the store is created or recovered.
+    /// Whether [`Store::sync_now`] and segment headers fsync (checkpoint
+    /// files always are — rotation durability is the whole point). Fixed
+    /// when the store is created or recovered.
     sync: bool,
-    /// True inside a deferred-sync scope.
-    deferred: bool,
+    /// Set by an append, cleared by the next [`Store::sync_now`].
+    unsynced: bool,
 }
 
 impl Store {
@@ -348,7 +351,7 @@ impl Store {
         }
         let segment = Journal::create(&Self::wal_path(dir, 0), base_crc, sync)?;
         fsync_dir(dir)?;
-        Ok(Store { dir: dir.to_path_buf(), generation: 0, segment, sync, deferred: false })
+        Ok(Store { dir: dir.to_path_buf(), generation: 0, segment, sync, unsynced: false })
     }
 
     /// The live generation number.
@@ -356,23 +359,28 @@ impl Store {
         self.generation
     }
 
-    /// Appends one record to the live segment ([`Journal::append`]).
+    /// Appends one record to the live segment ([`Journal::append`]); it
+    /// is durable after the next [`Store::sync_now`].
     pub fn append(&mut self, kind: RecordKind, version: u64, stmt: &str) -> Result<(), JournalError> {
-        self.segment.append(kind, version, stmt)
+        self.segment.append(kind, version, stmt)?;
+        self.unsynced = true;
+        Ok(())
     }
 
-    /// Flushes the live segment with one fsync ([`Journal::sync_now`]).
+    /// Flushes the live segment with one fsync ([`Journal::sync_now`]) if
+    /// the store was opened with `sync` and a record was appended since
+    /// the last call; otherwise does nothing, so a statement or a batch
+    /// that appended nothing costs no fsync. Unsynced records on a
+    /// segment rotated away from need no flush of their own: the
+    /// rotation's durable snapshot already holds their effect.
+    ///
+    /// One attempt: a failure is returned, and the records it covered are
+    /// not offered to a later call (nothing retries a failed fsync).
     pub fn sync_now(&mut self) -> Result<(), JournalError> {
-        self.segment.sync_now()
-    }
-
-    /// Enters (`true`) or leaves (`false`) a deferred-sync scope: inside
-    /// it appends are unsynced on whichever segment is live, one rotated
-    /// in mid-scope included. Leaving restores the configured mode; it
-    /// does not flush — [`Store::sync_now`] does.
-    pub fn defer_sync(&mut self, deferred: bool) {
-        self.deferred = deferred;
-        self.segment.set_sync(self.sync && !deferred);
+        if std::mem::take(&mut self.unsynced) && self.sync {
+            self.segment.sync_now()?;
+        }
+        Ok(())
     }
 
     /// Path of generation `g`'s snapshot (`g ≥ 1`).
@@ -411,7 +419,7 @@ impl Store {
     pub fn rotate(&mut self, commit_seq: u64, doc_xml: &str) -> Result<u64, CheckpointError> {
         let next = self.generation + 1;
         let ckpt = Checkpoint { commit_seq, doc_xml: doc_xml.to_string() };
-        let mut segment = match self.rotate_inner(next, &ckpt) {
+        self.segment = match self.rotate_inner(next, &ckpt) {
             Ok(segment) => segment,
             Err(e) => {
                 let _ = std::fs::remove_file(Self::ckpt_path(&self.dir, next));
@@ -420,10 +428,6 @@ impl Store {
                 return Err(e);
             }
         };
-        // A rotation inside a deferred-sync scope must not bring
-        // fsync-per-record back for the rest of the batch.
-        segment.set_sync(self.sync && !self.deferred);
-        self.segment = segment;
         self.generation = next;
         xic_obs::incr(xic_obs::Counter::Rotation);
         // Unlink expired generations, best-effort: their presence is
@@ -480,10 +484,9 @@ impl Store {
             let mut candidate = Candidate { generation, snapshot: None, dir, sync, segment: None };
             let outcome = candidate.read_snapshot().and_then(|()| replay(&mut candidate));
             match (outcome, candidate.segment) {
-                (Ok(value), Some(mut segment)) => {
-                    segment.set_sync(sync);
+                (Ok(value), Some(segment)) => {
                     let dir = dir.to_path_buf();
-                    let store = Store { dir, generation, segment, sync, deferred: false };
+                    let store = Store { dir, generation, segment, sync, unsynced: false };
                     return Ok(Recovery { resumed: Some((store, value)), rejected });
                 }
                 (outcome, _) => {

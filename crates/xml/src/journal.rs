@@ -1,10 +1,12 @@
 //! Append-only write-ahead journal for update statements.
 //!
 //! The checker appends one record per *decided* update — a
-//! [`RecordKind::Commit`] after a statement is applied and found legal
-//! (fsync'd before the verdict is returned to the caller), or a
-//! [`RecordKind::Abort`] documenting a batch that failed partway through
-//! apply and was rolled back. After a crash, recovery replays the
+//! [`RecordKind::Commit`] after a statement is applied and found legal,
+//! or a [`RecordKind::Abort`] documenting a statement that failed partway
+//! through apply and was rolled back. Appending only writes; the one
+//! place a record is fsynced is [`Journal::sync_now`], which the checker
+//! calls once per direct statement or per batch that appended a record,
+//! before it acknowledges anything. After a crash, recovery replays the
 //! committed prefix of the journal onto the base document; torn or corrupt
 //! tails (a crash mid-append) are detected by length/checksum validation
 //! and truncated.
@@ -28,7 +30,7 @@
 //! Fault sites (see `xic-faults`): `journal.append.pre` before any byte is
 //! written, `journal.append.mid` with the record half-written (the torn
 //! case), `journal.append.post_write` after the record bytes, and
-//! `journal.append.post_fsync` after the record is durable.
+//! `journal.sync` before the fsync of [`Journal::sync_now`].
 //!
 //! I/O failures preserve their [`std::io::ErrorKind`] (and the original
 //! error as `Error::source()`). An append or fsync is attempted once: a
@@ -208,7 +210,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[derive(Debug)]
 pub struct Journal {
     file: File,
-    sync: bool,
     /// Length of the valid prefix. Appends that fail are rewound to this
     /// offset so an injected I/O error cannot leave garbage between
     /// records.
@@ -232,7 +233,7 @@ pub struct Recovered {
 
 impl Journal {
     /// Create (truncating) a journal for a document whose serialization
-    /// has checksum `base_crc`.
+    /// has checksum `base_crc`; with `sync` the header is fsynced.
     pub fn create(path: &Path, base_crc: u32, sync: bool) -> Result<Journal, JournalError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -248,29 +249,18 @@ impl Journal {
             file.sync_data()?;
             xic_obs::incr(xic_obs::Counter::JournalFsync);
         }
-        Ok(Journal { file, sync, committed_len: HEADER_LEN, broken: false })
+        Ok(Journal { file, committed_len: HEADER_LEN, broken: false })
     }
 
-    /// Bytes of valid journal on disk (header plus every durable record).
+    /// Bytes of valid journal on disk (header plus every appended record).
     pub fn byte_len(&self) -> u64 {
         self.committed_len
     }
 
-    /// Enable or disable fsync-per-append (the durability/throughput knob
-    /// the suite's `journal.sync_us` prices). The [`Store`] that owns the
-    /// segment is the one caller: it defers the mode for the length of a
-    /// group-commit batch.
-    ///
-    /// [`Store`]: crate::checkpoint::Store
-    pub fn set_sync(&mut self, sync: bool) {
-        self.sync = sync;
-    }
-
-    /// Flush every appended record to stable storage with one fsync,
-    /// regardless of the per-append sync mode. This is the group-commit
-    /// primitive (DESIGN.md row 19): a batch of appends runs unsynced,
-    /// then one `sync_now` makes the whole batch durable before any of
-    /// its submitters is acknowledged.
+    /// Flush every appended record to stable storage with one fsync: the
+    /// one durability point (DESIGN.md row 19). Appends run unsynced, then
+    /// one `sync_now` makes a direct commit, or a whole batch, durable
+    /// before anyone is acknowledged.
     ///
     /// One attempt: a failure is returned as is. A later call that
     /// succeeds does not vouch for the records this one failed on (the
@@ -282,10 +272,10 @@ impl Journal {
         Ok(())
     }
 
-    /// Append one record; with sync enabled the record is durable when
-    /// this returns. One attempt: on failure the journal is rewound to the
-    /// previous record boundary, so the on-disk prefix stays valid, and
-    /// the error is returned.
+    /// Append one record; it is durable once a later
+    /// [`Journal::sync_now`] returns. One attempt: on failure the journal
+    /// is rewound to the previous record boundary, so the on-disk prefix
+    /// stays valid, and the error is returned.
     pub fn append(&mut self, kind: RecordKind, version: u64, stmt: &str) -> Result<(), JournalError> {
         if self.broken {
             return Err(JournalError::from(std::io::Error::other(
@@ -319,11 +309,6 @@ impl Journal {
         xic_faults::fire("journal.append.mid")?;
         self.file.write_all(&buf[split..])?;
         xic_faults::fire("journal.append.post_write")?;
-        if self.sync {
-            self.file.sync_data()?;
-            xic_obs::incr(xic_obs::Counter::JournalFsync);
-        }
-        xic_faults::fire("journal.append.post_fsync")?;
         self.committed_len += buf.len() as u64;
         xic_obs::incr(xic_obs::Counter::JournalAppend);
         Ok(())
@@ -379,7 +364,7 @@ impl Journal {
         }
         file.seek(SeekFrom::Start(off as u64))?;
         Ok(Recovered {
-            journal: Journal { file, sync: true, committed_len: off as u64, broken: false },
+            journal: Journal { file, committed_len: off as u64, broken: false },
             records,
             torn,
             base_crc,
@@ -527,7 +512,6 @@ mod tests {
         j.append(RecordKind::Commit, 1, "one").expect("append");
         drop(j);
         let mut rec = Journal::recover(&p, Some(1)).expect("recover");
-        rec.journal.set_sync(false);
         rec.journal.append(RecordKind::Commit, 2, "two").expect("append");
         drop(rec);
         let rec = Journal::recover(&p, Some(1)).expect("recover");
