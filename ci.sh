@@ -49,6 +49,16 @@ cargo run --release -q -p xic-difftest -- --cases 500 --seed 1
 # in O(Δ): equal chunk copies per commit at 32 and 512 KiB, at most 4.
 cargo test -q --release -p xicheck --test decide_scaling
 
+echo "== full-check counts (Figure 1's full-check side) =="
+# Figure 1's diamonds by counts: the full check's engine steps grow
+# linearly with the document, the review checks do not read the catalog
+# at all, and each of Γ's four full-check queries takes exactly the steps
+# it took before its steps got cheaper (per-query step parity at 8, 32
+# and 64 KiB) — a speed-up that skips work fails here. Reports come in
+# constraint order, and every allowance short of a whole check is
+# `BudgetExhausted`.
+cargo test -q --release -p xicheck --test full_check_scaling
+
 echo "== difftest corpus replay =="
 # Every checked-in regression seed replays against the current oracles
 # (tests/corpus.rs covers these in-process too; this exercises the CLI
@@ -199,9 +209,8 @@ stats="$(grep -o 'index_[a-z]*=[0-9]*' <<<"$replies" | tr '\n' ' ')"
 
 echo "== experiments smoke (paper tables + their one report file, bad input exits 1) =="
 # A does-it-run gate, not a performance assertion (how the full check
-# scales — linearly, and the review checks not at all with the catalog,
-# whose `//tag`s are list reads — is asserted by counts in
-# crates/core/tests/full_check_scaling.rs);
+# scales, and what each of its queries costs, is asserted by counts in
+# the full-check counts stage above);
 # fig1b is here so the aggregate shape — cntd, the keyed steps under a
 # `for` — runs through the paper harness too. Then one malformed flag,
 # which must be refused with exit 1 (not a panic's 101).

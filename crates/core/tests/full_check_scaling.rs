@@ -1,13 +1,14 @@
 //! The full check over the suite's Γ (conflict of interests, conference
 //! workload, review load) answered from keyed sequences: how its work
-//! grows with the document, by counts — engine steps repeat exactly, so
-//! nothing here can flake on a slow host — and that what it reports, in
-//! which order, and how it runs out of budget are what the nested-loop
-//! evaluation reported.
+//! grows with the document and what each query takes, by counts — engine
+//! steps repeat exactly, so nothing here can flake on a slow host — and
+//! that what it reports, in which order, and how it runs out of budget
+//! are what the nested-loop evaluation reported.
 
 use xic_workload::{
     conflict_constraint, generate, review_load_constraint, workload_constraint, WorkloadConfig,
 };
+use xic_xquery::{parse_query, XProgram};
 use xicheck::obs::{self, Counter};
 use xicheck::{Checker, CheckerError, EvalBudget, Violation, XUpdateDoc};
 
@@ -60,6 +61,40 @@ fn full_check_work_grows_linearly_with_the_document() {
     // every `//tag` walked the document, 422 with nested-loop joins).
     let (nodes, last) = steps[2];
     assert!(last < 3 * nodes as u64, "{last} steps over {nodes} nodes: {steps:?}");
+}
+
+/// The work itself, not only its growth: on the `kib` KiB corpus (seed 1),
+/// once a first check has built the indexes Γ asks the document for,
+/// self-review, co-author conflict, workload and review load each take
+/// exactly the steps they took when every step paid a `Vec`, a boxed
+/// iterator and a depth walk per input item. A speed-up that comes from
+/// skipping work fails here.
+#[test]
+fn every_query_takes_the_steps_it_always_took() {
+    for (kib, expected) in [
+        (8, [299, 1_525, 100, 48]),
+        (32, [1_167, 6_263, 406, 198]),
+        (64, [2_396, 12_588, 841, 407]),
+    ] {
+        let w = generate(WorkloadConfig::sized_kib(kib, 1));
+        let c = Checker::new(&w.xml, DTD, &gamma(100_000)).expect("corpus loads");
+        full_check_steps(&c);
+        let per_query: Vec<u64> = c
+            .full_queries()
+            .iter()
+            .map(|q| {
+                let prog = XProgram::compile(&parse_query(&q.text).expect("query parses"));
+                obs::reset();
+                let violated = prog.eval_exists(c.doc(), &[]).expect("query runs");
+                assert!(!violated, "{}", q.text);
+                obs::counter(Counter::XpathNodesVisited)
+                    + obs::counter(Counter::XqueryBindingsVisited)
+            })
+            .collect();
+        assert_eq!(per_query, expected, "{kib} KiB");
+        let whole: u64 = expected.iter().sum();
+        assert_eq!(full_check_steps(&c), whole, "{kib} KiB, whole check");
+    }
 }
 
 /// The review-load and workload checks read the reviews: `//rev` is the

@@ -20,7 +20,8 @@
 //! XQuery compiler says which slots those are), the compiler emits
 //! [`Inst::Keyed`] beside the ordinary path: the prefix is materialized
 //! once per evaluation into a [`KeyedSeq`] — its members hashed by the
-//! string values of `K(member)` — and each evaluation of the step is a
+//! string values of `K`'s steps applied to each member, the one rule the
+//! XQuery joins build by too — and each evaluation of the step is a
 //! probe with `O`'s value. That is a compile-time fact of
 //! the program, not a mode. An evaluation whose table cannot be built
 //! (the build raised), or whose `O` raises or is a number or boolean
@@ -32,6 +33,24 @@
 //! there are its specification (short-circuit rules, document-order
 //! normalization and the `sibling_safe` skip, `EvalBudget` charging and
 //! `xic-obs` counters, error messages).
+//!
+//! **Paying per step, not per item.** A materialized step without
+//! predicates pushes every input item's candidates that pass the node
+//! test straight into the step's one result — a child step reads each
+//! node's stored children — and charges the budget and
+//! `XpathNodesVisited` once, with the candidates of all of them; a
+//! predicated step still takes one item at a time, since a positional
+//! predicate counts within one item's candidates. Normalization into
+//! document order is skipped where the result is ordered by construction:
+//! from one item, or through child, attribute or self from items at one
+//! depth. Whether the items sit at one depth is carried from step to step
+//! instead of re-derived by walking each of them to the root: a step from
+//! one item through child, attribute, self or parent leaves its result at
+//! one depth, and so does a step that skipped normalization. Only where
+//! nothing is known — a caller's sequence, a tag's list, a probe's hits,
+//! a normalized result — does the next flat step walk them (`same_depth`).
+//! The existential walk (`path_exists_from`) streams one candidate at a
+//! time instead.
 //!
 //! **The document's index.** Where the sequence is `//tag` and the key is
 //! child name steps ending in `text()`, the site carries that
@@ -417,6 +436,13 @@ impl Program {
     fn steps_read_slot(&self, steps: &[IrStep], is: &dyn Fn(SlotId) -> bool) -> bool {
         steps.iter().any(|s| s.predicates.iter().any(|&p| self.reads_slot(p, is)))
     }
+
+    /// True if no predicate of `steps` reads a slot: the steps select the
+    /// same nodes from an item whatever the slots hold — what a key must be
+    /// to be [`KeyedSeq::build`]'s.
+    pub fn slot_free(&self, steps: &[IrStep]) -> bool {
+        !self.steps_read_slot(steps, &|_| true)
+    }
 }
 
 /// Compiles one expression into a fresh single-rooted program. Free
@@ -610,7 +636,7 @@ impl Builder {
                 self.prog.keyed_sites += 1;
                 return self.push(inst);
             }
-            if self.prog.steps_read_slot(std::slice::from_ref(step), &|_| true) {
+            if !self.prog.slot_free(std::slice::from_ref(step)) {
                 return path; // the prefix must be the same sequence for every binding
             }
         }
@@ -624,7 +650,6 @@ impl Builder {
     /// the same thing with key `c/K`.
     fn key_of(&self, pred: ExprId) -> Option<(Vec<IrStep>, ExprId, bool)> {
         let inst = |e: ExprId| &self.prog.exprs[e as usize];
-        let slot_free = |steps: &[IrStep]| !self.prog.steps_read_slot(steps, &|_| true);
         match inst(pred) {
             Inst::Binary(a, BinOp::Eq, b) => {
                 [(*a, *b), (*b, *a)].into_iter().find_map(|(k, o)| match (inst(k), inst(o)) {
@@ -632,7 +657,7 @@ impl Builder {
                         Inst::Path { start: IrStart::Context, steps },
                         Inst::Path { start: IrStart::Slot(s), .. },
                     ) if (self.loop_bound[*s as usize] || self.param[*s as usize])
-                        && slot_free(steps) =>
+                        && self.prog.slot_free(steps) =>
                     {
                         Some((steps.to_vec(), o, self.loop_bound[*s as usize]))
                     }
@@ -644,7 +669,7 @@ impl Builder {
                 let [inner] = &*last.predicates else {
                     return None;
                 };
-                if !slot_free(init) {
+                if !self.prog.slot_free(init) {
                     return None;
                 }
                 let (inner_key, outer, looped) = self.key_of(*inner)?;
@@ -686,19 +711,20 @@ pub struct KeyedSeq {
 }
 
 impl KeyedSeq {
-    /// Hashes `members` by `key(member)`. Charges the step budget one
-    /// step per member on top of whatever `key` charges.
-    pub fn build<E: From<EvalError>>(
+    /// Hashes `members` by the nodes the slot-free `key` steps select from
+    /// each of them. Charges the step budget one step per member on top of
+    /// what the steps charge.
+    pub fn build(
         members: Vec<NodeRef>,
-        doc: &Document,
-        mut key: impl FnMut(&NodeRef) -> Result<Vec<NodeRef>, E>,
-    ) -> Result<KeyedSeq, E> {
+        key: &[IrStep],
+        scope: &Scope,
+    ) -> Result<KeyedSeq, EvalError> {
         visit(members.len() as u64)?;
         let mut by_key: HashMap<String, Vec<u32>> = HashMap::new();
         for (i, m) in members.iter().enumerate() {
             let i = u32::try_from(i).expect("sequence length fits u32");
-            for k in key(m)? {
-                let value = k.str_value(doc);
+            for k in eval_steps(vec![m.clone()], key, scope)? {
+                let value = k.str_value(scope.doc);
                 match by_key.get_mut(&*value) {
                     Some(at) if at.last() == Some(&i) => {}
                     Some(at) => at.push(i),
@@ -855,10 +881,7 @@ pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
             for &pred in predicates.iter() {
                 nodes = apply_predicate(&nodes, pred, scope, false)?;
             }
-            for step in steps.iter() {
-                nodes = eval_step(&nodes, step, scope)?;
-            }
-            Ok(XValue::Nodes(nodes))
+            Ok(XValue::Nodes(walk(nodes, steps, scope)?))
         }
         Inst::Binary(a, op, b) => eval_binary(*a, *op, *b, scope),
         Inst::Call(op, args) => eval_call(op, args, scope),
@@ -890,7 +913,7 @@ fn probe_site(keyed: &Inst, scope: &Scope) -> Result<Option<Vec<NodeRef>>, EvalE
     let Some(keyed) = scope.keyed.0[*site as usize].get_or_init(|| {
         let root = vec![NodeRef::Node(scope.doc.document_node())];
         let seq = eval_steps(root, members, scope).ok()?;
-        KeyedSeq::build(seq, scope.doc, |m| eval_steps(vec![m.clone()], key, scope)).ok()
+        KeyedSeq::build(seq, key, scope).ok()
     }) else {
         return Ok(None);
     };
@@ -1019,20 +1042,30 @@ fn eval_path(start: IrStart, steps: &[IrStep], scope: &Scope) -> Result<Vec<Node
     eval_steps(path_start_nodes(start, steps, scope)?, steps, scope)
 }
 
+/// `steps` applied to `input`, a leading `//tag` from the document node
+/// read off the document's list of the tag.
 fn eval_steps(
-    mut cur: Vec<NodeRef>,
-    mut steps: &[IrStep],
+    input: Vec<NodeRef>,
+    steps: &[IrStep],
     scope: &Scope,
 ) -> Result<Vec<NodeRef>, EvalError> {
-    if let Some((list, rest)) = listed(&cur, steps, scope) {
-        let mut hits = list.to_vec();
-        visit(hits.len() as u64)?;
-        scope.doc.sort_document_order(&mut hits);
-        cur = hits.into_iter().map(NodeRef::Node).collect();
-        steps = rest;
-    }
+    let Some((list, rest)) = listed(&input, steps, scope) else {
+        return walk(input, steps, scope);
+    };
+    let mut hits = list.to_vec();
+    visit(hits.len() as u64)?;
+    scope.doc.sort_document_order(&mut hits);
+    walk(hits.into_iter().map(NodeRef::Node).collect(), rest, scope)
+}
+
+/// `steps` applied to `cur` one after another, carrying from each step to
+/// the next whether its items are known to sit at one depth. Nothing is
+/// known of the items a walk starts from (a caller's sequence, a tag's
+/// list, a probe's hits) until a step says so.
+fn walk(mut cur: Vec<NodeRef>, steps: &[IrStep], scope: &Scope) -> Result<Vec<NodeRef>, EvalError> {
+    let mut level = false;
     for step in steps {
-        cur = eval_step(&cur, step, scope)?;
+        (cur, level) = eval_step(&cur, step, scope, level)?;
     }
     Ok(cur)
 }
@@ -1133,48 +1166,88 @@ pub(crate) fn path_exists_from(
     Ok(false)
 }
 
-/// Applies one step to a *single* context item: axis traversal (lazy),
-/// node test, then predicates over the per-item candidate list, so
-/// positional predicates count within one input item's candidates.
+/// Applies one step to a *single* context item: axis traversal and node
+/// test, then predicates over the per-item candidate list, so positional
+/// predicates count within one input item's candidates.
 fn step_once(item: &NodeRef, step: &IrStep, scope: &Scope) -> Result<Vec<NodeRef>, EvalError> {
-    let mut visited = 0u64;
-    let mut tested: Vec<NodeRef> = axis_iter(scope.doc, item, step.axis)
-        .inspect(|_| visited += 1)
-        .filter(|n| node_test(scope, n, &step.test))
-        .collect();
-    visit(visited)?;
+    let mut tested = stream_step(std::slice::from_ref(item), step, scope)?;
     for &pred in step.predicates.iter() {
         tested = apply_predicate(&tested, pred, scope, step.axis.is_reverse())?;
     }
     Ok(tested)
 }
 
-fn eval_step(input: &[NodeRef], step: &IrStep, scope: &Scope) -> Result<Vec<NodeRef>, EvalError> {
-    let mut merged: Vec<NodeRef> = Vec::new();
+/// `step`'s axis and node test, its predicates left to the caller, over
+/// every item of `input`: each item's candidates that pass the test,
+/// pushed in input order into one result, and charged once. A child step
+/// reads each node's children as they are stored.
+fn stream_step(input: &[NodeRef], step: &IrStep, scope: &Scope) -> Result<Vec<NodeRef>, EvalError> {
+    let mut out = Vec::new();
+    let mut visited = 0u64;
     for item in input {
-        merged.extend(step_once(item, step, scope)?);
+        match (item, step.axis) {
+            (NodeRef::Node(n), Axis::Child) => {
+                let children = &scope.doc.node(*n).children;
+                visited += children.len() as u64;
+                let tested = children.iter().map(|&c| NodeRef::Node(c));
+                out.extend(tested.filter(|c| node_test(scope, c, &step.test)));
+            }
+            _ => {
+                for c in axis_iter(scope.doc, item, step.axis) {
+                    visited += 1;
+                    if node_test(scope, &c, &step.test) {
+                        out.push(c);
+                    }
+                }
+            }
+        }
     }
+    visit(visited)?;
+    Ok(out)
+}
+
+/// One step over every item of `input`, and whether its result is known to
+/// sit at one depth. `level` says that of `input`.
+fn eval_step(
+    input: &[NodeRef],
+    step: &IrStep,
+    scope: &Scope,
+    level: bool,
+) -> Result<(Vec<NodeRef>, bool), EvalError> {
+    let mut merged = if step.predicates.is_empty() {
+        stream_step(input, step, scope)?
+    } else {
+        // A positional predicate counts within one item's candidates.
+        let mut merged = Vec::new();
+        for item in input {
+            merged.extend(step_once(item, step, scope)?);
+        }
+        merged
+    };
     // Normalization (document-order sort + dedup) is the dominant cost on
     // large documents; skip it when the result is ordered and duplicate-
     // free by construction: a single context node with a forward axis, or
     // doc-ordered non-nested inputs stepped through child/attribute/self
     // (disjoint result sets, concatenated in input order). Non-nesting is
     // guaranteed when all inputs sit at the same tree depth — the common
-    // case for homogeneous steps like `$x/sub/auts`.
+    // case for homogeneous steps like `$x/sub/auts`. A step from one node
+    // through child, attribute, self or parent, or a skipped normalization,
+    // leaves its result at one depth, so the next step knows without
+    // walking every item up to the root (`same_depth`).
+    let flat = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis);
     if input.len() <= 1 {
         if step.axis.is_reverse() {
             // Reverse-axis results from one node: flip into document order
             // (already duplicate-free).
             merged.reverse();
         }
-        return Ok(merged);
+        return Ok((merged, flat || step.axis == Axis::Parent));
     }
-    let sibling_safe = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis)
-        && same_depth(scope.doc, input);
+    let sibling_safe = flat && (level || same_depth(scope.doc, input));
     if !sibling_safe {
         dedupe_doc_order(scope.doc, &mut merged);
     }
-    Ok(merged)
+    Ok((merged, sibling_safe))
 }
 
 fn apply_predicate(
@@ -1879,8 +1952,9 @@ mod tests {
     /// `//tag` reads the document's list of the tag, which an insert-before
     /// leaves out of document order, a rename moves an element between and
     /// a removal takes a subtree off: every answer is a `descendants`
-    /// scan's, in its order, and an allowance of nothing runs out as the
-    /// walk (`//tag[true()]`, a predicated step) runs out.
+    /// scan's, in its order — the steps after the list's too — and an
+    /// allowance of nothing runs out as the walk (`//tag[true()]`, a
+    /// predicated step) runs out.
     #[test]
     fn a_tag_list_answers_what_a_scan_answers_on_an_edited_tree() {
         let (mut doc, _) = parse_document(DOC).unwrap();
@@ -1936,6 +2010,34 @@ mod tests {
             }
             let count = evaluate(&parse(&format!("count(//{tag})")).unwrap(), &ctx).unwrap();
             assert_eq!(count, XValue::Num(elements.len() as f64), "count(//{tag})");
+        }
+        // The steps after a list carry what they know of their items'
+        // depth from one to the next: child steps over many items, items
+        // at many depths, nested items, a parent step over many items.
+        let texts_under = |path: &[&str]| -> Vec<NodeId> {
+            doc.descendants(doc.document_node())
+                .filter(|&t| matches!(doc.node(t).kind, NodeKind::Text(_)))
+                .filter(|&t| path.iter().rev().try_fold(t, |n, tag| under(n, tag)).is_some())
+                .collect()
+        };
+        let beside_auts = |t: &NodeId| {
+            let parent = doc.node(*t).parent.expect("attached");
+            doc.node(parent).children.iter().any(|&c| doc.name(c) == Some("auts"))
+        };
+        for (src, expected) in [
+            ("//track/rev/sub/auts/name/text()", texts_under(&["track", "rev", "sub", "auts", "name"])),
+            ("//name/text()", texts_under(&["name"])),
+            ("/review//*/name/text()", texts_under(&["name"])),
+            ("//auts/../title", scan(&doc, "title").into_iter().filter(beside_auts).collect()),
+        ] {
+            assert!(!expected.is_empty(), "{src}");
+            let e = parse(src).unwrap();
+            assert_eq!(ids(evaluate(&e, &ctx).unwrap()), expected, "{src}");
+            assert!(evaluate_exists(&e, &ctx).unwrap(), "{src} exists");
+            let guard = crate::budget::arm(crate::budget::EvalBudget::new(0));
+            assert_eq!(evaluate(&e, &ctx), Err(EvalError::BudgetExhausted), "{src}");
+            assert_eq!(evaluate_exists(&e, &ctx), Err(EvalError::BudgetExhausted), "{src}");
+            drop(guard);
         }
         // A name no element ever carried is no list: nothing to read.
         let guard = crate::budget::arm(crate::budget::EvalBudget::new(0));

@@ -31,18 +31,23 @@
 //! **Value joins.** The translator's denials join on values: `some $a in
 //! A, $b in B satisfies K($b) = O($a) and …`. When the last binder of a
 //! `some` is hoistable and the first conjunct that reads it is such an
-//! equality — `K` a path from `$b` alone, `O` reading an earlier binder
-//! and not `$b` — the compiler attaches a [`Probe`]: `B` is hashed once
-//! per loop nest into a [`KeyedSeq`] on `K`, and each outer binding
-//! iterates only the members `O`'s value selects, in `B`'s order. The
-//! whole `satisfies` still runs on every candidate, so the table only
-//! ever skips members the scan would have found false. Like the XPath
-//! half of the plan ([`xic_xpath::ir::Inst::Keyed`], which this compiler
-//! enables by telling the XPath builder which slots are loop-bound) it
-//! is a compile-time fact, not a mode: an outer binding whose probe
-//! cannot stand in for the comparison — `O` raises, or is a number or
-//! boolean; a conjunct before the join raises; `B` holds a non-node or
-//! `K` raised on a member — iterates all of `B`, which is the scan.
+//! equality — `K` a path from `$b` whose steps read no variable (not even
+//! `$b`), `O` reading an earlier binder and not `$b` — the compiler
+//! attaches a [`Probe`]: `B` is hashed once per loop nest into a
+//! [`KeyedSeq`] on `K`, and each outer binding iterates only the members
+//! `O`'s value selects, in `B`'s order. A key is its steps applied to the
+//! member, exactly as the XPath half of the plan
+//! ([`xic_xpath::ir::Inst::Keyed`]) keys its table, through the same
+//! [`KeyedSeq::build`]: no binding of `$b` and no sequence conversion per
+//! member. The whole `satisfies` still runs on every candidate, so the
+//! table only ever skips members the scan would have found false. Like
+//! the XPath half (which this compiler enables by telling the XPath
+//! builder which slots are loop-bound) it is a compile-time fact, not a
+//! mode: an outer binding whose probe cannot stand in for the comparison
+//! — `O` raises, or is a number or boolean; a conjunct before the join
+//! raises; `B` holds a non-node, a binding in scope at `K` has no XPath
+//! value, or `K` raised on a member — iterates all of `B`, which is the
+//! scan.
 //!
 //! **The document's index.** When the binder's source is `//tag` and the
 //! first join's `K` is child name steps ending in `text()`, the probe
@@ -68,7 +73,7 @@ use crate::item::{
 };
 use std::cell::OnceCell;
 use xic_xml::{Document, NodeId, Symbol};
-use xic_xpath::ir::{self, Builder, ExprId, IndexShape, IrStart, KeyedSeq, Scope, SlotId};
+use xic_xpath::ir::{self, Builder, ExprId, IndexShape, IrStart, IrStep, KeyedSeq, Scope, SlotId};
 use xic_xpath::{BinOp, NodeRef, XValue};
 
 /// Index of a node in [`XProgram::insts`].
@@ -317,6 +322,18 @@ impl XProgram {
         eval(self.root, &mut st)
     }
 
+    /// A join key `K` of a [`Probe`]: the slots in scope at its XPath leaf,
+    /// and the steps it takes from the binder, which read no slot.
+    fn key_path(&self, key: XId) -> (&[SlotId], &[IrStep]) {
+        let XInst::XPath { expr, scope } = &self.insts[key as usize] else {
+            unreachable!("a join key is an XPath leaf");
+        };
+        let ir::Inst::Path { steps, .. } = &self.xp.exprs[*expr as usize] else {
+            unreachable!("a join key is a path from the binder");
+        };
+        (scope, steps)
+    }
+
     fn state<'p, 'd>(&'p self, doc: &'d Document, params: &[XValue]) -> St<'p, 'd> {
         assert_eq!(
             params.len(),
@@ -384,8 +401,8 @@ impl Compiler {
         let reads_last = |id: XId| self.reads_slot(id, &|s| s == last.slot);
         let xp = self.xp.program();
         // `c` as a join `(K, O)`: an equality, in either order, between a
-        // path from `$b` that reads nothing else and an operand that does
-        // not read `$b` but does read some other variable.
+        // path from `$b` whose steps read no variable and an operand that
+        // does not read `$b` but does read some other variable.
         let join = |c: XId| {
             let XInst::Binary(l, BinOp::Eq, r) = self.insts[c as usize] else {
                 return None;
@@ -394,14 +411,12 @@ impl Compiler {
                 let XInst::XPath { expr, .. } = self.insts[key as usize] else {
                     return false;
                 };
-                let from_last = matches!(
-                    xp.exprs[expr as usize],
-                    ir::Inst::Path { start: IrStart::Slot(s), .. } if s == last.slot
+                let key_path = matches!(
+                    &xp.exprs[expr as usize],
+                    ir::Inst::Path { start: IrStart::Slot(s), steps }
+                        if *s == last.slot && xp.slot_free(steps)
                 );
-                from_last
-                    && !xp.reads_slot(expr, &|s| s != last.slot)
-                    && !reads_last(outer)
-                    && self.reads_slot(outer, &|s| s != last.slot)
+                key_path && !reads_last(outer) && self.reads_slot(outer, &|s| s != last.slot)
             })
         };
         let mut conjuncts = Vec::new();
@@ -801,7 +816,7 @@ fn for_each_tuple(
                             hoisted[idx] = Some(Hoisted { items, keyed });
                         }
                         let h = hoisted[idx].as_ref().expect("just evaluated");
-                        match f.probe.as_ref().and_then(|p| candidates(p, f.slot, h, st, lazy)) {
+                        match f.probe.as_ref().and_then(|p| candidates(p, h, st, lazy)) {
                             Some(hits) => Items::Probed(hits.into_iter()),
                             None => Items::All(0..h.items.len()),
                         }
@@ -879,13 +894,7 @@ fn guards_hold(probe: &Probe, st: &mut St, lazy: bool) -> Option<bool> {
 /// current outer binding can pair with, or `None` when it has to try them
 /// all (see [`Probe`] and the module documentation). A table is built by
 /// the first outer binding that gets as far as needing it.
-fn candidates(
-    probe: &Probe,
-    slot: SlotId,
-    hoisted: &Hoisted,
-    st: &mut St,
-    lazy: bool,
-) -> Option<Vec<u32>> {
+fn candidates(probe: &Probe, hoisted: &Hoisted, st: &mut St, lazy: bool) -> Option<Vec<u32>> {
     if !guards_hold(probe, st, lazy)? {
         return Some(Vec::new());
     }
@@ -898,17 +907,14 @@ fn candidates(
             break;
         };
         let keyed = cell.get_or_init(|| {
+            let (leaf, steps) = st.prog.key_path(key);
+            // `K`'s leaf raises a binding in its scope that has no XPath
+            // value; then so does the scan, and there is no table.
+            st.check_scope(leaf).ok()?;
             let Ok(XValue::Nodes(members)) = sequence_to_xvalue(&hoisted.items) else {
                 return None;
             };
-            KeyedSeq::build(members, st.doc, |m| {
-                st.bind(slot, vec![Item::Node(m.clone())]);
-                match eval_xvalue(key, st)? {
-                    XValue::Nodes(ns) => Ok(ns),
-                    other => Err(XQueryError::Type(format!("key {other:?} is not a node-set"))),
-                }
-            })
-            .ok()
+            KeyedSeq::build(members, steps, &st.xp_scope()).ok()
         });
         let Some(selected) = keyed.as_ref().and_then(|k| k.probe(&outer, st.doc)) else {
             break;
@@ -1347,6 +1353,9 @@ mod tests {
             ("some $a in //rev, $b in //aut satisfies $a/name != $b/name", 0),
             ("some $a in //rev, $b in //aut satisfies $b/name = $b/../aut/name", 0),
             ("some $a in //rev, $b in //aut satisfies $b/name[. = $a/name] = $a/name", 0),
+            // A key is steps applied to the member: steps that read a
+            // variable, even the binder, are not one.
+            ("some $a in //rev, $b in //aut satisfies $b/name[. = $b/name]/text() = $a/name/text()", 0),
             // A constant is not an operand to probe with.
             ("some $a in //rev, $b in //aut satisfies $b/name/text() = 'Ann'", 0),
             // (3) a parameter is: one value per evaluation, which the
@@ -1438,6 +1447,42 @@ mod tests {
         let numeric = parse_document("<r><a><x/><x/></a><b><v>2.0</v></b></r>").unwrap().0;
         let q = "some $a in //a, $b in //b satisfies count($a/x) = $b/v/text()";
         assert!(XProgram::compile(&parse_query(q).unwrap()).eval_exists(&numeric, &[]).unwrap());
+    }
+
+    /// A key whose steps read the binder is left to the scan, which answers
+    /// what the table over the slot-free spelling of the same key answers,
+    /// by trying every pair up to the witness.
+    #[test]
+    fn a_key_that_reads_a_variable_answers_as_the_scan() {
+        let doc = doc_with_catalog();
+        for (query, sites, verdict, bindings) in [
+            ("some $a in //rev, $b in //aut satisfies $b/name/text() = $a/name/text()", 1, true, 2),
+            (
+                "some $a in //rev, $b in //aut satisfies $b/name[. = $b/name]/text() = $a/name/text()",
+                0,
+                true,
+                2,
+            ),
+            ("some $a in //rev, $b in //aut satisfies $b/name/text() = $a/sub/title/text()", 1, false, 2),
+            (
+                "some $a in //rev, $b in //aut satisfies \
+                 $b/name[. = $b/name]/text() = $a/sub/title/text()",
+                0,
+                false,
+                2 + 2 * 3,
+            ),
+        ] {
+            let prog = XProgram::compile(&parse_query(query).unwrap());
+            assert_eq!(prog.plan_sites(), sites, "plan sites of {query}");
+            xic_obs::reset();
+            assert_eq!(prog.eval_exists(&doc, &[]).unwrap(), verdict, "existential {query}");
+            assert_eq!(
+                xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited),
+                bindings,
+                "bindings of {query}"
+            );
+            assert_eq!(prog.eval_bool(&doc, &[]).unwrap(), verdict, "materialized {query}");
+        }
     }
 
     /// A lone binder probed with a parameter — the pre-update templates'
