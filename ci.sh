@@ -43,6 +43,12 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # must be byte-identical. Every difftest gate below is decided the same
 # way: the exit code, and the one summary line on stdout.
 cargo run --release -q -p xic-difftest -- --cases 500 --seed 1
+# The same six oracles over statements of one to four operations aimed by
+# union, `//`, `*`, `text()` and `last()` selects: a later select can
+# match other nodes once the operations before it ran, and one statement
+# can insert into a relation and remove from it. ≥ 100 cases in which
+# either never happened, or an operation kind was never drawn, is exit 1.
+cargo run --release -q -p xic-difftest -- --multi-op --cases 500 --seed 1
 # Figure 1's shape by counts: engine steps of an optimized decision within
 # 1.5× from 32 to 512 KiB while the full check doubles per doubling, no
 # rank-table rebuild across the decisions of an insert stream, and publish

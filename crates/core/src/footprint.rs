@@ -10,7 +10,9 @@
 //! column stores which compacted element's text).  Intersecting the
 //! result with the per-constraint read footprints from
 //! `xic_simplify::footprint` yields the live-constraint mask consulted by
-//! the checker's full-check paths.
+//! the checker's full-check paths. The log tells a removal from an
+//! insertion, so a relation the statement only deleted from keeps live
+//! only the constraints that fewer tuples could violate.
 //!
 //! Nothing is predicted.  Names are those of the nodes the log points at
 //! (a removed subtree stays intact while detached), parents and following
@@ -63,11 +65,17 @@ impl IndependenceIndex {
     /// its undo log against `doc` — the document *after* the apply (and
     /// before any undo).
     ///
-    /// * An inserted or removed **element** writes, for every element name
-    ///   in its subtree, the name's tuple membership and the columns that
-    ///   compact it; and it displaces the element siblings that follow it
-    ///   under its parent (for a removal: the children from its old index
-    ///   on), shifting the `Pos` of those that are predicates.
+    /// * An inserted **element** writes, for every element name in its
+    ///   subtree, the name's tuple membership and the columns that compact
+    ///   it. A removed one only deletes: the predicates in its subtree go
+    ///   to [`WriteSet::removed`], a compacted element whose parent in the
+    ///   subtree is a predicate left with that tuple and writes nothing,
+    ///   and any other compacted element (the removed root itself, say)
+    ///   writes the columns that compact it, since a surviving owner's
+    ///   value changed. Either way the element displaces the element
+    ///   siblings that follow it under its parent (for a removal: the
+    ///   children from its old index on), shifting the `Pos` of those that
+    ///   are predicates.
     /// * An inserted or removed **text** node changes the value stored
     ///   for its parent's name.
     /// * A **rename** writes both for both names: tuples move between
@@ -79,9 +87,10 @@ impl IndependenceIndex {
     /// sibling displaced by one op is still behind that op's position in
     /// the final child list unless a later op removed something before
     /// it — and then that op's entry covers it; a sibling a later op
-    /// removed or renamed is in the log itself, so its name is already in
-    /// `existence`. Any other node kind (comment, processing instruction)
-    /// is not classified: [`WriteFootprint::All`].
+    /// removed or renamed is in the log itself, so its name is already
+    /// written. A name one op inserts and another removes ends up in
+    /// `existence` ([`WriteSet::settle`]). Any other node kind (comment,
+    /// processing instruction) is not classified: [`WriteFootprint::All`].
     pub fn delta_footprint(&self, doc: &Document, applied: &AppliedUpdate) -> WriteFootprint {
         let mut ws = WriteSet::default();
         for entry in applied.log() {
@@ -93,13 +102,13 @@ impl IndependenceIndex {
                     let after = parent
                         .and_then(|p| doc.node(p).children.iter().position(|c| c == node))
                         .map_or(0, |i| i + 1);
-                    self.node_delta(doc, *node, parent, after, &mut ws)
+                    self.node_delta(doc, *node, parent, after, false, &mut ws)
                 }
                 UndoEntry::Reattach {
                     parent,
                     index,
                     node,
-                } => self.node_delta(doc, *node, Some(*parent), *index, &mut ws),
+                } => self.node_delta(doc, *node, Some(*parent), *index, true, &mut ws),
                 UndoEntry::Rename { node, old } => doc.name(*node).map(|new| {
                     for name in [old.as_str(), new] {
                         self.membership(name, &mut ws);
@@ -111,28 +120,34 @@ impl IndependenceIndex {
                 return WriteFootprint::All;
             }
         }
+        ws.settle();
         WriteFootprint::Cells(ws)
     }
 
-    /// `node` was inserted under, or removed from, `parent`, displacing
-    /// the children of `parent` from child index `from` on. `None` for a
-    /// node kind with no relational reading.
+    /// `node` was inserted under, or (`removed`) removed from, `parent`,
+    /// displacing the children of `parent` from child index `from` on.
+    /// `None` for a node kind with no relational reading.
     fn node_delta(
         &self,
         doc: &Document,
         node: NodeId,
         parent: Option<NodeId>,
         from: usize,
+        removed: bool,
         ws: &mut WriteSet,
     ) -> Option<()> {
         match doc.node(node).kind {
             NodeKind::Element { .. } => {
-                let names: BTreeSet<&str> = std::iter::once(node)
-                    .chain(doc.descendants(node))
-                    .filter_map(|n| doc.name(n))
-                    .collect();
-                for name in names {
-                    self.membership(name, ws);
+                if removed {
+                    self.removal(doc, node, ws);
+                } else {
+                    let names: BTreeSet<&str> = std::iter::once(node)
+                        .chain(doc.descendants(node))
+                        .filter_map(|n| doc.name(n))
+                        .collect();
+                    for name in names {
+                        self.membership(name, ws);
+                    }
                 }
                 let siblings = parent.map_or(&[][..], |p| &doc.node(p).children);
                 for name in siblings.iter().skip(from).filter_map(|&s| doc.name(s)) {
@@ -149,6 +164,23 @@ impl IndependenceIndex {
                 Some(())
             }
             _ => None,
+        }
+    }
+
+    /// The detached subtree under `root` left the document: its tuples
+    /// were deleted, and a compacted element outside any of them changed
+    /// its owner's value.
+    fn removal(&self, doc: &Document, root: NodeId, ws: &mut WriteSet) {
+        for n in std::iter::once(root).chain(doc.descendants(root)) {
+            let Some(name) = doc.name(n) else { continue };
+            if self.preds.contains_key(name) && !ws.removed.contains(name) {
+                ws.removed.insert(name.to_string());
+            }
+            let parent = doc.node(n).parent.and_then(|p| doc.name(p));
+            let in_tuple = n != root && parent.is_some_and(|p| self.preds.contains_key(p));
+            if !in_tuple {
+                ws.cells.extend(self.owners.get(name).into_iter().flatten().cloned());
+            }
         }
     }
 
@@ -263,7 +295,9 @@ mod tests {
             &mut doc,
             r#"<xupdate:remove select="/db/region[1]"/>"#,
         ));
-        assert_eq!(names(&ws.existence), ["item", "region"]);
+        assert_eq!(names(&ws.removed), ["item", "region"]);
+        assert!(ws.existence.is_empty(), "a removal adds no tuple");
+        assert!(ws.cells.is_empty(), "every name and qty left with its tuple");
         assert_eq!(names(&ws.pos_shift), ["misc", "region"]);
     }
 
@@ -295,7 +329,7 @@ mod tests {
             &mut doc,
             r#"<xupdate:remove select="/db/region[1]"/>"#,
         ));
-        assert_eq!(names(&ws.existence), ["item", "note", "region"]);
+        assert_eq!(names(&ws.removed), ["item", "note", "region"]);
     }
 
     #[test]
@@ -306,7 +340,7 @@ mod tests {
             &mut doc,
             r#"<xupdate:remove select="/db/region[1]/item[1] | /db/misc/note[1]"/>"#,
         ));
-        assert_eq!(names(&ws.existence), ["item", "note"]);
+        assert_eq!(names(&ws.removed), ["item", "note"]);
     }
 
     #[test]
@@ -324,7 +358,8 @@ mod tests {
             &mut doc,
             r#"<xupdate:update select="/db/part">zzz</xupdate:update>"#,
         ));
-        assert_eq!(names(&ws.existence), ["part"]);
+        assert_eq!(names(&ws.removed), ["part"]);
+        assert!(ws.existence.is_empty());
         assert!(ws.cells.contains(&("part".to_string(), 3)));
         assert!(
             ws.pos_shift.is_empty(),
@@ -344,10 +379,59 @@ mod tests {
         ));
         assert_eq!(names(&ws.pos_shift), ["item"]);
         assert!(
-            ws.existence.is_empty(),
+            ws.existence.is_empty() && ws.removed.is_empty(),
             "name is compacted, not a predicate"
         );
         assert!(ws.cells.contains(&("region".to_string(), 3)));
+    }
+
+    const PAPER_DTD: &str = "<!ELEMENT collection (dblp, review)>\n<!ELEMENT dblp (pub)*>\n\
+        <!ELEMENT pub (title, aut+)>\n<!ELEMENT aut (name)>\n\
+        <!ELEMENT review (track)+>\n<!ELEMENT track (name,rev+)>\n\
+        <!ELEMENT rev (name, sub+)>\n<!ELEMENT sub (title, auts+)>\n\
+        <!ELEMENT title (#PCDATA)>\n<!ELEMENT auts (name)>\n<!ELEMENT name (#PCDATA)>";
+
+    const PAPER_DOC: &str = "<collection><dblp><pub><title>P</title><aut><name>ann</name></aut></pub></dblp>\
+        <review><track><name>T</name><rev><name>bob</name>\
+          <sub><title>S1</title><auts><name>cat</name></auts></sub>\
+          <sub><title>S2</title><auts><name>dan</name></auts><auts><name>eve</name></auts></sub>\
+        </rev></track></review></collection>";
+
+    #[test]
+    fn removing_a_sub_only_deletes_tuples() {
+        let (idx, mut doc) = setup(PAPER_DTD, PAPER_DOC);
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:remove select="/collection/review/track[1]/rev[1]/sub[2]"/>"#,
+        ));
+        assert_eq!(names(&ws.removed), ["auts", "sub"]);
+        assert!(ws.existence.is_empty());
+        assert!(ws.cells.is_empty(), "title and the names left with their tuples: {ws:?}");
+    }
+
+    #[test]
+    fn removing_a_compacted_child_writes_its_owners_value() {
+        let (idx, mut doc) = setup(PAPER_DTD, PAPER_DOC);
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:remove select="/collection/review/track[1]/rev[1]/name"/>"#,
+        ));
+        assert!(ws.removed.is_empty() && ws.existence.is_empty());
+        assert!(ws.cells.contains(&("rev".to_string(), 3)), "{ws:?}");
+    }
+
+    #[test]
+    fn inserting_and_removing_one_name_is_existence() {
+        let (idx, mut doc) = setup(PAPER_DTD, PAPER_DOC);
+        let ws = cells(applied_footprint(
+            &idx,
+            &mut doc,
+            r#"<xupdate:append select="/collection/review/track[1]/rev[1]"><sub><title>N</title><auts><name>fay</name></auts></sub></xupdate:append><xupdate:remove select="/collection/review/track[1]/rev[1]/sub[1]"/>"#,
+        ));
+        assert_eq!(names(&ws.existence), ["auts", "sub"]);
+        assert!(ws.removed.is_empty(), "{ws:?}");
     }
 
     #[test]

@@ -27,14 +27,15 @@ use crate::checker::{CheckerError, Violation};
 use crate::compile::{compile_pattern, CompiledPattern};
 use crate::gamma::SharedGamma;
 use crate::resolver::xpath_resolver;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, RwLock};
 use xic_datalog::Value;
 use xic_mapping::{map_update, pattern_key, UpdateMapError};
 use xic_translate::{ParamKind, QueryTemplate, TemplateError};
-use xic_xml::{Document, NodeId, XUpdateDoc};
-use xic_xpath::{NodeRef, XValue};
+use xic_xml::xupdate::Fragment;
+use xic_xml::{Document, NodeId, XUpdateDoc, XUpdateOp};
+use xic_xpath::{Axis, BinOp, Expr, NodeRef, NodeTest, Step, XValue};
 use xic_xquery::{parse_query, XProgram};
 
 /// One precompiled pattern template: `%{name}` placeholders become
@@ -205,13 +206,98 @@ fn bind_ir_params(
         .collect()
 }
 
+/// The first operation of an insertion statement whose `select` could
+/// observe what an earlier operation inserted (see
+/// [`Fallback::ObservesEarlierOp`]). A single operation never does; a
+/// `select` that does not parse is left to `map_update` to report.
+fn observes_earlier_op(stmt: &XUpdateDoc) -> Option<usize> {
+    let mut inserted: HashSet<&str> = HashSet::new();
+    for (k, op) in stmt.ops.iter().enumerate() {
+        if k > 0 && xic_xpath::parse(op.select()).is_ok_and(|e| observes(&e, &inserted)) {
+            return Some(k);
+        }
+        let content = match op {
+            XUpdateOp::InsertBefore { content, .. }
+            | XUpdateOp::InsertAfter { content, .. }
+            | XUpdateOp::Append { content, .. } => content.as_slice(),
+            _ => &[],
+        };
+        let mut pending: Vec<&Fragment> = content.iter().collect();
+        while let Some(fragment) = pending.pop() {
+            if let Fragment::Element { name, children, .. } = fragment {
+                inserted.insert(name);
+                pending.extend(children);
+            }
+        }
+    }
+    None
+}
+
+/// True if `expr` can evaluate differently once elements named in
+/// `inserted` (with their text) were added somewhere: it names one of
+/// them, tests or counts nodes without naming them, or reads the string
+/// value of a node an insertion may have landed beneath.
+fn observes(expr: &Expr, inserted: &HashSet<&str>) -> bool {
+    let steps = |steps: &[Step]| {
+        steps.iter().any(|s| {
+            !matches!(&s.test, NodeTest::Name(n) if !inserted.contains(n.as_str()))
+                || s.predicates.iter().any(|p| observes(p, inserted))
+        })
+    };
+    // Compared, computed with or converted, a node-set stands for its
+    // nodes' string values; only an attribute's is out of an insertion's
+    // reach.
+    let value = |e: &Expr| {
+        let last = match e {
+            Expr::Path(path) => path.steps.last(),
+            Expr::Filter { steps, .. } => steps.last(),
+            _ => return observes(e, inserted),
+        };
+        !last.is_some_and(|s| s.axis == Axis::Attribute) || observes(e, inserted)
+    };
+    match expr {
+        Expr::Path(path) => steps(&path.steps),
+        Expr::Filter { primary, predicates, steps: trailing } => {
+            observes(primary, inserted)
+                || predicates.iter().any(|p| observes(p, inserted))
+                || steps(trailing)
+        }
+        Expr::Literal(_) | Expr::Number(_) => false,
+        Expr::Binary(a, BinOp::Or | BinOp::And | BinOp::Union, b) => {
+            observes(a, inserted) || observes(b, inserted)
+        }
+        Expr::Binary(a, _, b) => value(a) || value(b),
+        Expr::Neg(a) => value(a),
+        Expr::Call(name, args) => match name.as_str() {
+            "count" | "not" | "boolean" => args.iter().any(|a| observes(a, inserted)),
+            // Without arguments a call reads the context: its position,
+            // its size or its string value.
+            "true" | "false" => false,
+            _ => args.is_empty() || args.iter().any(value),
+        },
+    }
+}
+
 /// Why a statement has no optimized pre-update check — exactly the cases
 /// [`crate::Checker::try_update`] sends down the baseline strategy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Fallback {
     /// The statement removes, updates or renames; the simplification
-    /// framework targets insertions (Section 5).
+    /// framework targets insertions (Section 5). Such a statement costs
+    /// apply + write footprint, plus a full check of only the constraints
+    /// the footprint keeps live: none at all for a removal under a Γ that
+    /// fewer tuples cannot violate.
     NonInsertion,
+    /// A later operation's `select` could match differently once the
+    /// earlier operations of the statement ran, and `map_update` resolves
+    /// every `select` against the state before all of them: it uses `//`,
+    /// `*`, `node()`, `text()`, `comment()` or a context-reading function
+    /// such as `last()` or `position()`, names an element an earlier
+    /// operation inserts, or compares an element's string value.
+    ObservesEarlierOp {
+        /// The 0-based index of the first such operation.
+        op: usize,
+    },
     /// `map_update` could not abstract the statement against this
     /// document (select matching zero or several nodes, fragment that
     /// does not fit the schema).
@@ -236,6 +322,11 @@ impl fmt::Display for Fallback {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Fallback::NonInsertion => UpdateMapError::NotInsertion.fmt(f),
+            Fallback::ObservesEarlierOp { op } => write!(
+                f,
+                "the select of operation {} could observe an earlier operation of the statement",
+                op + 1
+            ),
             Fallback::Unmappable(e) => e.fmt(f),
             Fallback::NonIncremental { key } => {
                 write!(f, "no compiled incremental pattern for key {key}")
@@ -326,6 +417,9 @@ impl OptimizedCheck<'_> {
     ) -> Result<Verdict, CheckerError> {
         if !stmt.insertions_only() {
             return Ok(Verdict::NotIncremental(Fallback::NonInsertion));
+        }
+        if let Some(op) = observes_earlier_op(stmt) {
+            return Ok(Verdict::NotIncremental(Fallback::ObservesEarlierOp { op }));
         }
         let mapped = match map_update(self.doc, self.gamma.schema(), stmt, &xpath_resolver) {
             Ok(mapped) => mapped,
@@ -439,5 +533,46 @@ mod tests {
             .map(|q| XProgram::compile(&parse_query(&q.text).expect("parses")).plan_sites())
             .collect();
         assert_eq!(planned, [0, 1, 2, 0]);
+    }
+
+    /// Which later selects could observe an earlier operation (the
+    /// statement of seed 100287, `crates/core/tests/error_paths.rs`): one
+    /// operation, or a later one that names nothing the earlier ones
+    /// insert, keeps the optimized check.
+    #[test]
+    fn a_select_observes_what_it_names_or_does_not_name() {
+        let stmt = XUpdateDoc::parse(
+            "<xupdate:modifications xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+             <xupdate:insert-before select=\"/e0/e2[1]\"><e2><e3>beta</e3></e2></xupdate:insert-before>\
+             <xupdate:insert-before select=\"/e0/e2[1]/e4[1]\"><e4>gamma</e4></xupdate:insert-before>\
+             </xupdate:modifications>",
+        )
+        .expect("statement parses");
+        assert_eq!(observes_earlier_op(&stmt), Some(1), "it names the inserted e2");
+        let single = XUpdateDoc { ops: stmt.ops[..1].to_vec() };
+        assert_eq!(observes_earlier_op(&single), None);
+        let second_select = |s: &str| {
+            let mut apart = stmt.clone();
+            if let XUpdateOp::InsertBefore { select, .. } = &mut apart.ops[1] {
+                *select = s.to_string();
+            }
+            observes_earlier_op(&apart)
+        };
+        for apart in ["/e0/e1[1]", "/e0/e1[@a = 'x']", "/e0/e1[count(e5) = 1]"] {
+            assert_eq!(second_select(apart), None, "{apart}");
+        }
+        for observing in [
+            "//e1",
+            "/e0/*[1]",
+            "/e0/e1/text()",
+            "/e0/e1[last()]",
+            "/e0/e1[position() = 1]",
+            "/e0/e1[count(e3) = 1]",
+            // An e3 inserted beneath an e5 changes the e5's string value.
+            "/e0/e1[e5 = 'beta']",
+            "/e0/e1[string-length(e5) > 4]",
+        ] {
+            assert_eq!(second_select(observing), Some(1), "{observing}");
+        }
     }
 }

@@ -235,6 +235,7 @@ fn stats_fields(stats: &ServiceStats) -> String {
         "requests_shed={} requests_timed_out={} service_degraded={} \
          index_probes={} index_builds={} \
          decides_optimized={} decides_fallback_non_insertion={} \
+         decides_fallback_observes_earlier_op={} \
          decides_fallback_unmappable={} decides_fallback_non_incremental={} \
          decides_fallback_pos_shift={}",
         stats.requests_shed,
@@ -244,6 +245,7 @@ fn stats_fields(stats: &ServiceStats) -> String {
         stats.index_builds,
         stats.decides_optimized,
         stats.decides_fallback_non_insertion,
+        stats.decides_fallback_observes_earlier_op,
         stats.decides_fallback_unmappable,
         stats.decides_fallback_non_incremental,
         stats.decides_fallback_pos_shift,
@@ -371,6 +373,8 @@ pub fn execute_sharded(set: &ShardSet, command: &Command) -> Reply {
                     total.index_builds += stats.index_builds;
                     total.decides_optimized += stats.decides_optimized;
                     total.decides_fallback_non_insertion += stats.decides_fallback_non_insertion;
+                    total.decides_fallback_observes_earlier_op +=
+                        stats.decides_fallback_observes_earlier_op;
                     total.decides_fallback_unmappable += stats.decides_fallback_unmappable;
                     total.decides_fallback_non_incremental +=
                         stats.decides_fallback_non_incremental;
@@ -640,6 +644,7 @@ mod tests {
              requests_timed_out=0 service_degraded=0 \
              index_probes=0 index_builds=0 \
              decides_optimized=0 decides_fallback_non_insertion=0 \
+             decides_fallback_observes_earlier_op=0 \
              decides_fallback_unmappable=0 decides_fallback_non_incremental=0 \
              decides_fallback_pos_shift=0"
         );

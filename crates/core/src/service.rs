@@ -283,6 +283,9 @@ pub struct ServiceStats {
     /// … that fell back to [`ReadSnapshot::decide_full`] because the
     /// statement is not a pure insertion.
     pub decides_fallback_non_insertion: u64,
+    /// … because a later operation's `select` could observe an earlier
+    /// operation of the statement.
+    pub decides_fallback_observes_earlier_op: u64,
     /// … because the statement's target could not be mapped to an update
     /// pattern in the snapshot's state.
     pub decides_fallback_unmappable: u64,
@@ -309,6 +312,7 @@ struct DecideCells {
     writer_index_reads: [AtomicU64; 2],
     optimized: AtomicU64,
     fallback_non_insertion: AtomicU64,
+    fallback_observes_earlier_op: AtomicU64,
     fallback_unmappable: AtomicU64,
     fallback_non_incremental: AtomicU64,
     fallback_pos_shift: AtomicU64,
@@ -426,7 +430,8 @@ impl ReadSnapshot {
     /// with no copy of the document and nothing applied), the baseline
     /// [`ReadSnapshot::decide_full`] only for what
     /// [`Checker::try_update`] also sends down the baseline: a
-    /// non-insertion statement, a target that does not map to an update
+    /// non-insertion statement, a later `select` that could observe an
+    /// earlier operation, a target that does not map to an update
     /// pattern here, a pattern without an incremental check, a non-tail
     /// insert shifting siblings whose position Γ reads. A pattern
     /// no one has seen yet is compiled here and published to the cache
@@ -461,6 +466,7 @@ impl ReadSnapshot {
             Verdict::NotIncremental(fallback) => {
                 match fallback {
                     Fallback::NonInsertion => &decides.fallback_non_insertion,
+                    Fallback::ObservesEarlierOp { .. } => &decides.fallback_observes_earlier_op,
                     Fallback::Unmappable(_) => &decides.fallback_unmappable,
                     Fallback::NonIncremental { .. } => &decides.fallback_non_incremental,
                     Fallback::PosShift { .. } => &decides.fallback_pos_shift,
@@ -666,6 +672,9 @@ impl CheckerService {
             index_builds: reads(1),
             decides_optimized: decides.optimized.load(Ordering::Relaxed),
             decides_fallback_non_insertion: decides.fallback_non_insertion.load(Ordering::Relaxed),
+            decides_fallback_observes_earlier_op: decides
+                .fallback_observes_earlier_op
+                .load(Ordering::Relaxed),
             decides_fallback_unmappable: decides.fallback_unmappable.load(Ordering::Relaxed),
             decides_fallback_non_incremental: decides
                 .fallback_non_incremental

@@ -41,6 +41,38 @@ fn malformed_xupdate_is_statement_error_and_leaves_doc_untouched() {
     }
 }
 
+/// Seed 100287, minimized. The second `select` names the `e2` the first
+/// operation inserts in front of the only one, so once the first has run
+/// it finds a different `e2[1]`, one with no `e4`, and `apply` fails.
+/// Resolved against the state before both, it found the old `e2`, and the
+/// optimized check decided a statement that never applies.
+#[test]
+fn a_later_select_that_could_observe_an_earlier_op_takes_the_baseline() {
+    let dtd = "<!ELEMENT e0 (e1?, e2, e4?)> <!ELEMENT e1 (e4?)> <!ELEMENT e2 (e3, e4?)> \
+               <!ELEMENT e3 (#PCDATA)> <!ELEMENT e4 (#PCDATA)>";
+    let doc = "<e0><e2><e3>beta</e3><e4>forbidden</e4></e2></e0>";
+    let gamma = "<- //e2/e3/text() -> V & V = \"forbidden\" . \
+                 <- cntd{[V]; //e2[e3/text() -> V]} > 1 & cntd{[V]; //e2[e3/text() -> V]} >= 1";
+    let stmt = xic_xml::XUpdateDoc::parse(
+        "<xupdate:modifications xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+         <xupdate:insert-before select=\"/e0/e2[1]\"><e2><e3>beta</e3></e2></xupdate:insert-before>\
+         <xupdate:insert-before select=\"/e0/e2[1]/e4[1]\"><e4>gamma</e4></xupdate:insert-before>\
+         </xupdate:modifications>",
+    )
+    .unwrap();
+    let mut c = Checker::new(doc, dtd, gamma).unwrap();
+    let reason = c.decide_only(&stmt, Strategy::Optimized).unwrap_err();
+    assert!(reason.to_string().contains("operation 2 could observe"), "{reason}");
+    let baseline = c.decide_only(&stmt, Strategy::FullWithRollback);
+    let Err(CheckerError::Statement(failed)) = &baseline else {
+        panic!("the second select matches nothing after the first op: {baseline:?}");
+    };
+    assert!(failed.contains("matched no nodes"), "{failed}");
+    let outcome = c.try_update(&stmt);
+    assert_eq!(format!("{outcome:?}"), format!("{baseline:?}"));
+    assert_eq!(serialize(c.doc()), doc);
+}
+
 #[test]
 fn unmatched_select_is_statement_error_and_rolls_back_partial_state() {
     let mut c = checker();

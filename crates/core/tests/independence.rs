@@ -44,9 +44,11 @@ fn multi_workload_verdicts_and_skip_counters() {
 
 #[test]
 fn baseline_remove_skips_all_but_own_region() {
-    // A remove takes the baseline (apply + full check) path; with 8
-    // regions x 2 constraints, a region-local remove retains exactly the
-    // region's own pair and skips the other 14.
+    // A remove takes the baseline (apply + full check) path. With 8
+    // regions x 2 constraints, a region-local remove only deletes tuples
+    // of its own region, and neither of that region's constraints can be
+    // violated by fewer tuples: the key join is positive and the capacity
+    // aggregate bounds its count from below. So all 16 are skipped.
     let w = generate_multi(MultiConfig::with_regions(8, 2));
     let mut c = checker_for(&w);
     obs::reset();
@@ -58,8 +60,8 @@ fn baseline_remove_skips_all_but_own_region() {
     assert_eq!(out.strategy(), Strategy::FullWithRollback);
     assert!(out.applied(), "{out:?}");
     let snap = obs::snapshot();
-    assert_eq!(snap.counter(Counter::ChecksRetainedStatic), 2);
-    assert_eq!(snap.counter(Counter::ChecksSkippedStatic), 14);
+    assert_eq!(snap.counter(Counter::ChecksRetainedStatic), 0);
+    assert_eq!(snap.counter(Counter::ChecksSkippedStatic), 16);
 }
 
 /// One op whose select joins two region-local targets from different
@@ -206,7 +208,9 @@ fn masks_stay_exact_on_a_non_conforming_document() {
     assert!(off.try_update_str(hostile).unwrap().applied());
 
     // The write set is read off the applied delta, not derived from the
-    // DTD, so a region-local remove still retains exactly its own pair.
+    // DTD, so a region-local remove still writes only its own region, and
+    // deletes there what no constraint of the workload needs: it retains
+    // none of the 16.
     let remove = "<xupdate:modifications version=\"1.0\" \
          xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
          <xupdate:remove select=\"/db/region3/item3[1]\"/>\
@@ -214,8 +218,8 @@ fn masks_stay_exact_on_a_non_conforming_document() {
     obs::reset();
     let masked = on.try_update_str(remove).unwrap();
     let snap = obs::snapshot();
-    assert_eq!(snap.counter(Counter::ChecksRetainedStatic), 2);
-    assert_eq!(snap.counter(Counter::ChecksSkippedStatic), 14);
+    assert_eq!(snap.counter(Counter::ChecksRetainedStatic), 0);
+    assert_eq!(snap.counter(Counter::ChecksSkippedStatic), 16);
     let unmasked = off.try_update_str(remove).unwrap();
     assert!(masked.applied(), "{masked:?}");
     assert_eq!(format!("{masked:?}"), format!("{unmasked:?}"));
@@ -258,4 +262,35 @@ fn union_select_remove_is_rejected_masked_and_unmasked() {
     let service = CheckerService::new(on, Executor::Sync);
     let decided = service.snapshot().decide(&stmt).unwrap();
     assert_eq!(decided.as_ref(), Some(violation));
+}
+
+/// A floor is the one kind of constraint a removal can violate: the same
+/// region-local remove that skips all of the workload's constraints
+/// retains exactly a floor on its region's items, and the verdict is the
+/// unmasked twin's.
+#[test]
+fn remove_under_a_floor_retains_exactly_the_floor() {
+    let w = generate_multi(MultiConfig::with_regions(4, 1));
+    let floor = format!("<- //region3 -> R & cnt{{R/item3}} < {}", w.config.items_per_region);
+    let constraints = format!("{} . {floor}", w.constraints_text());
+    let mut on = Checker::new(&w.xml, &w.dtd, &constraints).unwrap();
+    let mut off = Checker::new(&w.xml, &w.dtd, &constraints).unwrap();
+    off.set_independence(false);
+    let remove = "<xupdate:modifications version=\"1.0\" \
+         xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+         <xupdate:remove select=\"/db/region3/item3[1]\"/>\
+         </xupdate:modifications>";
+    obs::reset();
+    let masked = on.try_update_str(remove).unwrap();
+    let snap = obs::snapshot();
+    assert_eq!(snap.counter(Counter::ChecksRetainedStatic), 1);
+    assert_eq!(snap.counter(Counter::ChecksSkippedStatic), 8);
+    let UpdateOutcome::Rejected { strategy: Strategy::FullWithRollback, violation } = &masked
+    else {
+        panic!("one item fewer is below the floor: {masked:?}");
+    };
+    assert!(violation.to_string().contains("cnt"), "{violation}");
+    let unmasked = off.try_update_str(remove).unwrap();
+    assert_eq!(format!("{masked:?}"), format!("{unmasked:?}"));
+    assert_eq!(serialize(on.doc()), serialize(off.doc()));
 }

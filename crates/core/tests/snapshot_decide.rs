@@ -316,6 +316,7 @@ fn zero_deadline_decide_times_out_once() {
     assert!(
         lines[1].ends_with(
             "decides_optimized=0 decides_fallback_non_insertion=0 \
+             decides_fallback_observes_earlier_op=0 \
              decides_fallback_unmappable=0 decides_fallback_non_incremental=0 \
              decides_fallback_pos_shift=0"
         ),
@@ -405,23 +406,31 @@ fn stats_count_every_way_a_decide_is_answered() {
         "<xupdate:insert-before select=\"//rev[name/text() = 'dan']/sub[1]\">\
          <sub><title>New</title><auts><name>zoe</name></auts></sub></xupdate:insert-before>",
     );
+    // The second `//rev[…]` could find a `rev` the first op inserts.
+    let sequential = stmt(
+        "<xupdate:append select=\"/collection/review/track[1]/rev[2]\">\
+         <sub><title>A</title><auts><name>zoe</name></auts></sub></xupdate:append>\
+         <xupdate:append select=\"//rev[name/text() = 'dan']\">\
+         <sub><title>B</title><auts><name>zed</name></auts></sub></xupdate:append>",
+    );
     let script = format!(
         "DECIDE {}\nDECIDE {retitle}\nDECIDE {two_targets}\nDECIDE {new_reviewer}\n\
-         DECIDE {in_front}\nSTATS\n",
+         DECIDE {in_front}\nDECIDE {sequential}\nSTATS\n",
         legal("a")
     );
     let mut out = Vec::new();
     serve_connection(&service, Cursor::new(script), &mut out).expect("serve");
     let text = String::from_utf8(out).expect("utf8 replies");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines[..5], ["OK 0 LEGAL"; 5], "{lines:?}");
+    assert_eq!(lines[..6], ["OK 0 LEGAL"; 6], "{lines:?}");
     assert!(
-        lines[5].ends_with(
+        lines[6].ends_with(
             "decides_optimized=1 decides_fallback_non_insertion=1 \
+             decides_fallback_observes_earlier_op=1 \
              decides_fallback_unmappable=1 decides_fallback_non_incremental=1 \
              decides_fallback_pos_shift=1"
         ),
         "{}",
-        lines[5]
+        lines[6]
     );
 }

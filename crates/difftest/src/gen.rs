@@ -349,23 +349,22 @@ pub fn random_text(rng: &mut StdRng) -> &'static str {
 pub fn random_document(rng: &mut StdRng, schema: &Schema) -> String {
     let mut out = String::new();
     let mut budget: i32 = 16 + rng.gen_range(0..32);
-    write_element(rng, schema, &schema.root, &mut budget, &mut out);
+    write_element(rng, &schema.dtd, &schema.root, &mut budget, &mut out);
     out
 }
 
 /// Generates one element subtree (serialized XML) — also used as insert
-/// content by the statement generator.
-pub fn random_subtree(rng: &mut StdRng, schema: &Schema, name: &str) -> String {
+/// content by the statement generators.
+pub fn random_subtree(rng: &mut StdRng, dtd: &Dtd, name: &str) -> String {
     let mut out = String::new();
     let mut budget: i32 = 1 + rng.gen_range(0..6);
-    write_element(rng, schema, name, &mut budget, &mut out);
+    write_element(rng, dtd, name, &mut budget, &mut out);
     out
 }
 
-fn write_element(rng: &mut StdRng, schema: &Schema, name: &str, budget: &mut i32, out: &mut String) {
+fn write_element(rng: &mut StdRng, dtd: &Dtd, name: &str, budget: &mut i32, out: &mut String) {
     *budget -= 1;
-    let model = &schema
-        .dtd
+    let model = &dtd
         .element(name)
         .unwrap_or_else(|| panic!("undeclared element {name}"))
         .model;
@@ -385,7 +384,7 @@ fn write_element(rng: &mut StdRng, schema: &Schema, name: &str, budget: &mut i32
     }
     let _ = write!(out, "<{name}>");
     for child in children {
-        write_element(rng, schema, &child, budget, out);
+        write_element(rng, dtd, &child, budget, out);
     }
     let _ = write!(out, "</{name}>");
 }
@@ -394,7 +393,7 @@ fn write_element(rng: &mut StdRng, schema: &Schema, name: &str, budget: &mut i32
 // Constraints
 // ---------------------------------------------------------------------
 
-/// Draws 1–3 XPathLog denials over `schema` that (a) the full
+/// Draws 1–5 XPathLog denials over `schema` that (a) the full
 /// map→simplify→translate pipeline accepts and (b) the initial document
 /// satisfies — the paper's standing assumption that the database is
 /// consistent before every update. Denials failing either test are
@@ -408,13 +407,18 @@ fn write_element(rng: &mut StdRng, schema: &Schema, name: &str, budget: &mut i32
 /// answers from keyed sequences; two cases in five add one that reads a
 /// position (the k-th `p` of a `g`, or every `p` from the k-th on, must
 /// not hold a pool value), which a non-tail insert or a removal among
-/// those siblings shifts ([`reads_position`]).
+/// those siblings shifts ([`reads_position`]). Four cases in five add a
+/// floor for every repeating `(p, c)` pair the document has one to state
+/// for — every `p` keeps at least as many `c` children as the one with
+/// fewest has now, as `cnt{…} < k` or `not cnt{…} >= k` — the one kind of
+/// denial a removal alone can violate.
 pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> String {
-    // The join and the positional denial each come from a stream of their
-    // own, so a seed draws the same first denials (and, after them, the
-    // same statement) it always did.
+    // The join, the positional denial and the floor each come from a
+    // stream of their own, so a seed draws the same first denials (and,
+    // after them, the same statement) it always did.
     let mut join_rng = StdRng::seed_from_u64(rng.clone().gen());
     let mut pos_rng = StdRng::seed_from_u64(rng.clone().gen::<u64>() ^ 0x3c6e_f372_fe94_f82b);
+    let mut floor_rng = StdRng::seed_from_u64(rng.clone().gen::<u64>() ^ 0xa54f_f53a_5f1d_36f1);
     let mut denials = Vec::new();
     let n = 1 + rng.gen_range(0..2);
     for _ in 0..n {
@@ -459,6 +463,20 @@ pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> S
             format!("<- //{p}[position() = N]/{c}/text() -> V & N >= {k} & V = \"{v}\"")
         });
     }
+    let floors: Vec<_> = schema
+        .many_pairs
+        .iter()
+        .filter_map(|(p, c)| Some((p, c, fewest_children(doc_xml, p, c).filter(|&k| k > 0)?)))
+        .collect();
+    if floor_rng.gen_bool(0.8) {
+        for (p, c, k) in floors {
+            denials.push(if floor_rng.gen_bool(0.5) {
+                format!("<- //{p} -> X & cnt{{X/{c}}} < {k}")
+            } else {
+                format!("<- //{p} -> X & not cnt{{X/{c}}} >= {k}")
+            });
+        }
+    }
     denials.retain(|d| match Checker::new(doc_xml, &schema.dtd_text, d) {
         Ok(c) => matches!(c.check_full(), Ok(None)),
         Err(_) => false,
@@ -468,6 +486,16 @@ pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> S
         denials.push(format!("<- //{p}/{c}/text() -> V & V = \"{NEVER_TEXT}\""));
     }
     denials.join(" . ")
+}
+
+/// The fewest `c` children any `p` element of the document has, or
+/// `None` when it has no `p`.
+fn fewest_children(doc_xml: &str, p: &str, c: &str) -> Option<usize> {
+    let (doc, _) = xic_xml::parse_document(doc_xml).ok()?;
+    doc.descendants(doc.document_node())
+        .filter(|&n| doc.name(n) == Some(p))
+        .map(|n| doc.node(n).children.iter().filter(|&&k| doc.name(k) == Some(c)).count())
+        .min()
 }
 
 /// True if a denial of `constraints` (as [`random_constraints`] writes
@@ -551,7 +579,7 @@ fn random_op(rng: &mut StdRng, schema: &Schema, doc: &Document) -> String {
                         .model,
                 );
                 let child = &names[rng.gen_range(0..names.len())];
-                let content = random_subtree(rng, schema, child);
+                let content = random_subtree(rng, &schema.dtd, child);
                 return format!(
                     "<xupdate:append select=\"{}\">{content}</xupdate:append>",
                     path(t)
@@ -559,7 +587,7 @@ fn random_op(rng: &mut StdRng, schema: &Schema, doc: &Document) -> String {
             }
             k @ (1 | 2) if !non_root.is_empty() => {
                 let t = non_root[rng.gen_range(0..non_root.len())];
-                let content = random_subtree(rng, schema, doc.name(t).expect("element"));
+                let content = random_subtree(rng, &schema.dtd, doc.name(t).expect("element"));
                 let tag = if k == 1 { "insert-before" } else { "insert-after" };
                 return format!(
                     "<xupdate:{tag} select=\"{}\">{content}</xupdate:{tag}>",
@@ -599,11 +627,85 @@ fn random_op(rng: &mut StdRng, schema: &Schema, doc: &Document) -> String {
             .model,
     );
     let child = &names[rng.gen_range(0..names.len())];
-    let content = random_subtree(rng, schema, child);
+    let content = random_subtree(rng, &schema.dtd, child);
     format!(
         "<xupdate:append select=\"{}\">{content}</xupdate:append>",
         path(root)
     )
+}
+
+/// Draws a 1–4 operation statement for the multi-operation campaign,
+/// over any DTD and document. Every operation kind is drawn, each aimed
+/// at an element of the pre-state through one of six select shapes: its
+/// positional path, a union of two, `//name`, `parent/*[k]`,
+/// `parent/name[last()]` or `path/text()`. An insertion adds an element
+/// of its target's name (a child its model allows, for an append), so a
+/// statement often inserts a name another of its operations removes, and
+/// a later select often counts or names what an earlier one inserted.
+/// Two statements in five only insert, and half the operations after the
+/// first aim at the previous one's target again: a statement the
+/// optimized check maps, in which a later select may find another node.
+pub fn multi_ops(rng: &mut StdRng, dtd: &Dtd, doc: &Document) -> Vec<String> {
+    let root = doc.root_element().expect("generated document has a root");
+    let elems: Vec<NodeId> = doc.descendants(root).filter(|&n| doc.name(n).is_some()).collect();
+    let names: Vec<&str> = dtd.elements().iter().map(|e| e.name.as_str()).collect();
+    let kinds = if rng.gen_bool(0.4) { 3 } else { 6 };
+    let count = 1 + rng.gen_range(0..4);
+    let mut target = None;
+    (0..count)
+        .map(|_| {
+            if target.is_none() || rng.gen_bool(0.5) {
+                target = elems.get(rng.gen_range(0..elems.len().max(1))).copied();
+            }
+            multi_op(rng, dtd, doc, target, kinds, &elems, &names)
+        })
+        .collect()
+}
+
+fn multi_op(
+    rng: &mut StdRng,
+    dtd: &Dtd,
+    doc: &Document,
+    target: Option<NodeId>,
+    kinds: usize,
+    elems: &[NodeId],
+    names: &[&str],
+) -> String {
+    let path = |n: NodeId| doc.positional_path(n).expect("attached element");
+    let Some(t) = target else {
+        let root = doc.root_element().expect("generated document has a root");
+        let name = names[rng.gen_range(0..names.len())];
+        let content = random_subtree(rng, dtd, name);
+        return format!("<xupdate:append select=\"{}\">{content}</xupdate:append>", path(root));
+    };
+    let name = doc.name(t).expect("element");
+    let parent = doc.node(t).parent.map(path).expect("a non-root element has a parent");
+    let select = match rng.gen_range(0..6) {
+        0 => path(t),
+        1 => format!("{} | {}", path(t), path(elems[rng.gen_range(0..elems.len())])),
+        2 => format!("//{name}"),
+        3 => {
+            let k = doc.element_position(t).expect("element");
+            format!("{parent}/*[{k}]")
+        }
+        4 => format!("{parent}/{name}[last()]"),
+        _ => format!("{}/text()", path(t)),
+    };
+    let tag = ["append", "insert-before", "insert-after", "remove", "update", "rename"]
+        [rng.gen_range(0..kinds)];
+    let body = match tag {
+        "append" => {
+            let model = &dtd.element(name).expect("declared").model;
+            let children = model_names(model);
+            let child = children.get(rng.gen_range(0..children.len().max(1))).map_or(name, String::as_str);
+            random_subtree(rng, dtd, child)
+        }
+        "insert-before" | "insert-after" => random_subtree(rng, dtd, name),
+        "remove" => return format!("<xupdate:remove select=\"{select}\"/>"),
+        "update" => random_text(rng).to_string(),
+        _ => names[rng.gen_range(0..names.len())].to_string(),
+    };
+    format!("<xupdate:{tag} select=\"{select}\">{body}</xupdate:{tag}>")
 }
 
 #[cfg(test)]

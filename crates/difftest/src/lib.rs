@@ -7,7 +7,9 @@
 //! satisfies (the paper's standing Σ-consistency assumption), and an
 //! XUpdate statement drawn from generators that cover **all six**
 //! operation kinds — insert-before, insert-after, append, remove, update,
-//! rename — including multi-operation batches.
+//! rename — including multi-operation batches. The [`multi_op`] pass runs
+//! the same oracles over statements of up to four operations whose
+//! selects may observe each other.
 //!
 //! Six oracles run per case (a seventh has a pass of its own):
 //!
@@ -63,13 +65,13 @@
 //! `*_joins_planned` counts and one `difftest_op_*` counter per operation
 //! kind).
 //!
-//! **Gates.** Every pass — this campaign, [`crash`], [`chaos`], [`shard`]
-//! (matrix and chaos), [`snapshot`] — takes the same [`Config`], walks its
-//! seeds through `each_case` (case `i` is seed `seed + i`, so a printed
-//! seed replays alone with `--cases 1`), keeps a typed report, and
-//! condenses it into one [`Outcome`]: the summary the `difftest` binary
-//! prints, the rendered divergences, and the verdict of the pass's
-//! coverage floors. The binary is a table of those passes and nothing
+//! **Gates.** Every pass — this campaign, [`multi_op`], [`crash`],
+//! [`chaos`], [`shard`] (matrix and chaos), [`snapshot`] — takes the same
+//! [`Config`], walks its seeds through `each_case` (case `i` is seed
+//! `seed + i`, so a printed seed replays alone with `--cases 1`), keeps a
+//! typed report, and condenses it into one [`Outcome`]: the summary the
+//! `difftest` binary prints, the rendered divergences, and the verdict of
+//! the pass's coverage floors. The binary is a table of those passes and nothing
 //! else; a new proof obligation is one oracle module and one row.
 //!
 //! In the system-inventory table of `DESIGN.md` this crate is item 15 (differential fuzzer).
@@ -77,6 +79,7 @@
 pub mod chaos;
 pub mod crash;
 pub mod gen;
+pub mod multi_op;
 pub mod reference;
 pub mod shard;
 pub mod shrink;

@@ -7,6 +7,7 @@
 //! cargo run --release -p xic-difftest -- --cases 2000 --seed 1
 //! cargo run -p xic-difftest -- --seed 4242            # replay one case
 //! cargo run -p xic-difftest -- --seed 4242 --dump     # print its artifacts
+//! cargo run --release -p xic-difftest -- --multi-op --cases 500 --seed 1
 //! cargo run -p xic-difftest -- --crash-matrix --cases 100 --seed 1
 //! cargo run -p xic-difftest -- --crash-matrix --cases 60 --sites checkpoint,rotation
 //! cargo run -p xic-difftest -- --chaos --cases 100 --seed 1
@@ -24,6 +25,12 @@
 //!   seed's generated artifacts instead of running them. Floors (≥ 100
 //!   cases): all six XUpdate operation kinds generated, and the
 //!   engine-vs-reference oracle compared queries.
+//! * `--multi-op` — `multi_op`: the campaign's six oracles over statements
+//!   of one to four operations aimed by union, `//`, `*`, `text()` and
+//!   `last()` selects. Floors (≥ 100 cases): all six operation kinds, a
+//!   statement that inserted into and removed from one relation, and one
+//!   whose later select matched other nodes after the operations before
+//!   it.
 //! * `--crash-matrix` — `crash`: a contained panic at a fault site derived
 //!   from the seed; store recovery must reproduce the committed prefix of
 //!   a never-crashed twin, byte for byte. `--sites PAT,PAT…` keeps the
@@ -54,7 +61,7 @@
 //! error.
 
 use std::process::ExitCode;
-use xic_difftest::{chaos, crash, shard, snapshot, Config, Outcome};
+use xic_difftest::{chaos, crash, multi_op, shard, snapshot, Config, Outcome};
 
 /// One pass the binary can run.
 struct Mode {
@@ -67,8 +74,13 @@ struct Mode {
     contained_panics: bool,
 }
 
-const MODES: [Mode; 6] = [
+const MODES: [Mode; 7] = [
     Mode { flag: "", run: |a| xic_difftest::run(a.config).outcome(), contained_panics: false },
+    Mode {
+        flag: "--multi-op",
+        run: |a| multi_op::run_multi_op(a.config).outcome(),
+        contained_panics: false,
+    },
     Mode {
         flag: "--crash-matrix",
         run: |a| crash::run_matrix(a.config, a.sites.as_deref()).outcome(),
@@ -159,7 +171,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("difftest: {e}");
             eprintln!(
-                "usage: difftest [--dump | --crash-matrix [--sites PAT,PAT…] | --chaos | \
+                "usage: difftest [--dump | --multi-op | --crash-matrix [--sites PAT,PAT…] | --chaos | \
                  --shard-matrix | --shard-chaos | --snapshot-decide] [--cases N] [--seed N]"
             );
             return ExitCode::from(2);

@@ -210,6 +210,7 @@ fn check_setting(
     compare(&decided, &optimized, &baseline, &updated)?;
     let stats = service.stats();
     let fallback = stats.decides_fallback_non_insertion
+        + stats.decides_fallback_observes_earlier_op
         + stats.decides_fallback_unmappable
         + stats.decides_fallback_non_incremental
         + stats.decides_fallback_pos_shift;

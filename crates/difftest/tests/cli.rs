@@ -23,6 +23,7 @@ fn scratch(name: &str) -> std::path::PathBuf {
 fn every_row_passes_prints_one_summary_line_and_writes_nothing() {
     let rows = [
         ("", "difftest:"),
+        ("--multi-op", "multi-op:"),
         ("--crash-matrix", "crash-matrix:"),
         ("--chaos", "chaos:"),
         ("--shard-matrix", "shard-matrix:"),

@@ -11,13 +11,21 @@
 //! the optimized strategy already assumes), the post-state check for
 //! that constraint can be skipped outright.
 //!
+//! The intersection has a polarity. A denial that reads a relation only
+//! through positive atoms and lower-bounded counts (`cnt … > k`,
+//! `cntd … >= k`) is *monotone* in it: a violation over fewer tuples is
+//! already a violation over the pre-state. So a relation an update only
+//! deleted from ([`WriteSet::removed`]) keeps live only the denials that
+//! are [shrink-sensitive](ReadFootprint::shrink_sensitive) to it, through
+//! a negated atom or any other aggregate comparison.
+//!
 //! Everything here is a *sound over-approximation*: whenever a shape is
 //! not recognized, the footprint inflates ([`ReadFootprint::unsound`] /
 //! [`WriteFootprint::All`]) and the intersection reports an overlap, so
 //! the caller falls back to checking everything.
 
 use std::collections::{BTreeMap, BTreeSet};
-use xic_datalog::{Atom, Denial, Literal, Term, Update};
+use xic_datalog::{AggFunc, Atom, Denial, Literal, Term, Update};
 
 /// Column index of the `Pos` argument in every shredded relation
 /// (`(Id, Pos, IdParent, col…)` — see `xic_mapping::shred`).
@@ -31,6 +39,10 @@ pub struct ReadFootprint {
     /// to that relation's *tuple membership* (insertions/removals),
     /// whatever the column mask says.
     rels: BTreeMap<String, BTreeSet<usize>>,
+    /// Relations whose tuples the denial reads under a negation or inside
+    /// an aggregate other than a lower-bounded count: removing tuples
+    /// from one of them can create a violation.
+    shrink: BTreeSet<String>,
 }
 
 impl ReadFootprint {
@@ -38,7 +50,7 @@ impl ReadFootprint {
     pub fn unsound() -> ReadFootprint {
         let mut rels = BTreeMap::new();
         rels.insert(ALL_RELS.to_string(), BTreeSet::new());
-        ReadFootprint { rels }
+        ReadFootprint { rels, shrink: BTreeSet::new() }
     }
 
     /// True if this is the reads-everything fallback.
@@ -50,6 +62,13 @@ impl ReadFootprint {
     /// `rel`.
     pub fn mentions(&self, rel: &str) -> bool {
         self.is_unsound() || self.rels.contains_key(rel)
+    }
+
+    /// True if deleting tuples of `rel` alone can violate the denial: it
+    /// reads `rel` under `not`, or inside an aggregate literal that is not
+    /// a `cnt`/`cntd` compared with `>` or `>=`.
+    pub fn shrink_sensitive(&self, rel: &str) -> bool {
+        self.is_unsound() || self.shrink.contains(rel)
     }
 
     /// True if the denial reads the value of column `col` of `rel`.
@@ -76,6 +95,10 @@ const ALL_RELS: &str = "\u{0}all";
 /// variable that occurs more than once across the whole body (join,
 /// comparison, or aggregated term) — a variable occurring exactly once
 /// is a wildcard whose value cannot influence satisfiability.
+///
+/// An atom under `not`, or inside an aggregate literal that is not a
+/// `cnt`/`cntd` compared with `>` or `>=`, also makes the denial
+/// shrink-sensitive to its relation.
 pub fn read_footprint(denial: &Denial) -> ReadFootprint {
     let mut occurrences: BTreeMap<String, usize> = BTreeMap::new();
     let mut count_term = |t: &Term| {
@@ -122,14 +145,23 @@ pub fn read_footprint(denial: &Denial) -> ReadFootprint {
     }
     for lit in &denial.body {
         match lit {
-            Literal::Pos(a) | Literal::Neg(a) => record(&mut fp, a, &shared, None),
+            Literal::Pos(a) => record(&mut fp, a, &shared, None),
+            Literal::Neg(a) => {
+                record(&mut fp, a, &shared, None);
+                fp.shrink.insert(a.pred.clone());
+            }
             Literal::Comp(..) => {}
-            Literal::Agg(agg, _, _) => {
+            Literal::Agg(agg, op, _) => {
                 // The aggregated term's value is read even if its
                 // variable occurs nowhere else (Sum/Max/Min aggregate
                 // over it), so force those columns on.
+                let monotone =
+                    matches!(agg.func, AggFunc::Cnt | AggFunc::CntD) && op.is_lower_bound();
                 for a in &agg.pattern {
                     record(&mut fp, a, &shared, agg.term.as_ref());
+                    if !monotone {
+                        fp.shrink.insert(a.pred.clone());
+                    }
                 }
             }
         }
@@ -155,14 +187,27 @@ pub enum WriteFootprint {
 /// The bounded form of a [`WriteFootprint`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WriteSet {
-    /// Relations whose tuple membership may change (insert/remove).
+    /// Relations that may have gained tuples (and may have lost some).
     pub existence: BTreeSet<String>,
+    /// Relations that may only have lost tuples. A relation that also
+    /// gained some belongs in `existence` instead.
+    pub removed: BTreeSet<String>,
     /// `(relation, column)` cells whose values may be overwritten in
     /// tuples that otherwise survive.
     pub cells: BTreeSet<(String, usize)>,
     /// Relations whose `Pos` column values may shift (sibling
     /// displacement by a positional insert or a removal).
     pub pos_shift: BTreeSet<String>,
+}
+
+impl WriteSet {
+    /// Restores the invariant between the two membership sets: a relation
+    /// that gained tuples is listed in `existence` only, whatever the
+    /// statement also removed from it.
+    pub fn settle(&mut self) {
+        let WriteSet { existence, removed, .. } = self;
+        removed.retain(|r| !existence.contains(r));
+    }
 }
 
 impl WriteFootprint {
@@ -177,8 +222,10 @@ impl WriteFootprint {
             (WriteFootprint::All, _) | (_, WriteFootprint::All) => WriteFootprint::All,
             (WriteFootprint::Cells(mut a), WriteFootprint::Cells(b)) => {
                 a.existence.extend(b.existence);
+                a.removed.extend(b.removed);
                 a.cells.extend(b.cells);
                 a.pos_shift.extend(b.pos_shift);
+                a.settle();
                 WriteFootprint::Cells(a)
             }
         }
@@ -196,6 +243,7 @@ impl WriteFootprint {
             WriteFootprint::All => true,
             WriteFootprint::Cells(w) => {
                 w.existence.iter().any(|r| read.mentions(r))
+                    || w.removed.iter().any(|r| read.shrink_sensitive(r))
                     || w.cells.iter().any(|(r, c)| read.reads_cell(r, *c))
                     || w.pos_shift.iter().any(|r| read.reads_cell(r, POS_COL))
             }
@@ -286,6 +334,54 @@ mod tests {
         assert!(!f.reads_cell("sub", 0));
         assert!(!f.reads_cell("sub", 1));
         assert!(f.reads_cell("sub", 2));
+    }
+
+    #[test]
+    fn negation_and_non_monotone_aggregates_are_shrink_sensitive() {
+        let neg = fp("<- rev(I, P, T, R) & not sub(S, X, I, R)");
+        assert!(neg.shrink_sensitive("sub"));
+        assert!(!neg.shrink_sensitive("rev"), "a positive atom is monotone");
+        for op in ["<", "<=", "=", "!="] {
+            let f = fp(&format!("<- rev(I, P, T) & cnt(; sub(S, X, I)) {op} 2"));
+            assert!(f.shrink_sensitive("sub"), "cnt {op}");
+            assert!(!f.shrink_sensitive("rev"), "cnt {op}");
+        }
+        for func in ["sum", "max", "min"] {
+            let f = fp(&format!("<- rev(I, P, T) & {func}(X; sub(S, X, I)) > 2"));
+            assert!(f.shrink_sensitive("sub"), "{func} >");
+        }
+        for func in ["cnt", "cntd"] {
+            for op in [">", ">="] {
+                let f = fp(&format!("<- rev(I, P, T) & {func}(S; sub(S, X, I)) {op} 2"));
+                assert!(f.mentions("sub"));
+                assert!(!f.shrink_sensitive("sub"), "{func} {op} is a lower bound");
+            }
+        }
+        assert!(ReadFootprint::unsound().shrink_sensitive("anything"));
+    }
+
+    #[test]
+    fn removal_overlaps_only_shrink_sensitive_reads() {
+        let floor = fp("<- rev(I, P, T) & cnt(; sub(S, X, I)) < 2");
+        let ceiling = fp("<- rev(I, P, T) & cnt(; sub(S, X, I)) > 5");
+        let mut w = WriteSet::default();
+        w.removed.insert("sub".to_string());
+        let w = WriteFootprint::Cells(w);
+        assert!(w.overlaps(&floor));
+        assert!(!w.overlaps(&ceiling), "fewer subs cannot exceed a ceiling");
+        assert!(w.overlaps(&ReadFootprint::unsound()));
+    }
+
+    #[test]
+    fn a_relation_that_also_gained_tuples_is_in_existence() {
+        let mut a = WriteSet::default();
+        a.removed.extend(["sub".to_string(), "auts".to_string()]);
+        let mut b = WriteSet::default();
+        b.existence.insert("sub".to_string());
+        let u = WriteFootprint::Cells(a).union(WriteFootprint::Cells(b));
+        let WriteFootprint::Cells(u) = &u else { panic!("bounded union") };
+        assert_eq!(u.existence, BTreeSet::from(["sub".to_string()]));
+        assert_eq!(u.removed, BTreeSet::from(["auts".to_string()]));
     }
 
     #[test]
