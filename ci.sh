@@ -31,7 +31,10 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # detached — under two more floors: ≥ 100 cases in which no planned
 # site was answered from the document's index (built by the first that
 # asks), or no query was planned with a per-evaluation table, is exit 1
-# too. The rollback oracle asks for an index in every key shape the
+# too, and so is ≥ 100 cases in which no index hit was narrowed by a later
+# join (the two-join shape `some $a in Q, $b in //m satisfies $b/d/text()
+# = $a/c/text() and $b/../e/f/text() = $a/g/text()`, the co-author check's,
+# is drawn per reference path). The rollback oracle asks for an index in every key shape the
 # case's document has and audits all of them (and the per-tag lists and
 # attached bits) against a scan after apply and after undo; every
 # recovery in the crash / chaos / shard rows below is audited after its
@@ -40,8 +43,14 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # exit 1. Every case also replays
 # through a checker pair with the static update/constraint independence
 # mask on and off (oracle 6): verdicts, violation reports and post-states
-# must be byte-identical. Every difftest gate below is decided the same
-# way: the exit code, and the one summary line on stdout.
+# must be byte-identical. Every case runs again as its hostile twin: one
+# operation aimed at a text node, a comment, a processing instruction, the
+# document node or the root element (pair seed mod 30); where XUpdate does
+# not define it, apply, the checker and a service's UPDATE must refuse it
+# with a typed error, the document unchanged, HEALTH still ok. ≥ 500 cases
+# that missed a (target, operation) pair is exit 1. Every difftest gate
+# below is decided the same way: the exit code, and the one summary line
+# on stdout.
 cargo run --release -q -p xic-difftest -- --cases 500 --seed 1
 # The same six oracles over statements of one to four operations aimed by
 # union, `//`, `*`, `text()` and `last()` selects: a later select can
@@ -58,9 +67,10 @@ cargo test -q --release -p xicheck --test decide_scaling
 echo "== full-check counts (Figure 1's full-check side) =="
 # Figure 1's diamonds by counts: the full check's engine steps grow
 # linearly with the document, the review checks do not read the catalog
-# at all, and each of Γ's four full-check queries takes exactly the steps
-# it took before its steps got cheaper (per-query step parity at 8, 32
-# and 64 KiB) — a speed-up that skips work fails here. Reports come in
+# at all, the co-author check reads only the reviewers' own pubs (a
+# catalog tripled with strangers' pubs leaves its steps as they are), and
+# each of Γ's four full-check queries takes exactly its pinned steps at
+# 8, 32 and 64 KiB — a speed-up that skips work fails here. Reports come in
 # constraint order, and every allowance short of a whole check is
 # `BudgetExhausted`.
 cargo test -q --release -p xicheck --test full_check_scaling

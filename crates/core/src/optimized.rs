@@ -33,8 +33,7 @@ use std::sync::{Arc, RwLock};
 use xic_datalog::Value;
 use xic_mapping::{map_update, pattern_key, UpdateMapError};
 use xic_translate::{ParamKind, QueryTemplate, TemplateError};
-use xic_xml::xupdate::Fragment;
-use xic_xml::{Document, NodeId, XUpdateDoc, XUpdateOp};
+use xic_xml::{Document, NodeId, XUpdateDoc};
 use xic_xpath::{Axis, BinOp, Expr, NodeRef, NodeTest, Step, XValue};
 use xic_xquery::{parse_query, XProgram};
 
@@ -216,18 +215,8 @@ fn observes_earlier_op(stmt: &XUpdateDoc) -> Option<usize> {
         if k > 0 && xic_xpath::parse(op.select()).is_ok_and(|e| observes(&e, &inserted)) {
             return Some(k);
         }
-        let content = match op {
-            XUpdateOp::InsertBefore { content, .. }
-            | XUpdateOp::InsertAfter { content, .. }
-            | XUpdateOp::Append { content, .. } => content.as_slice(),
-            _ => &[],
-        };
-        let mut pending: Vec<&Fragment> = content.iter().collect();
-        while let Some(fragment) = pending.pop() {
-            if let Fragment::Element { name, children, .. } = fragment {
-                inserted.insert(name);
-                pending.extend(children);
-            }
+        if let Some(content) = op.content() {
+            inserted.extend((0..content.nodes().len()).filter_map(|i| content.name(i)));
         }
     }
     None
@@ -480,6 +469,7 @@ impl OptimizedCheck<'_> {
 mod tests {
     use super::*;
     use crate::Checker;
+    use xic_xml::XUpdateOp;
     use xic_workload::{
         conflict_constraint, generate, legal_insert, review_load_constraint, workload_constraint,
         WorkloadConfig,

@@ -638,11 +638,12 @@ mod tests {
             "OK 0 CONSISTENT"
         );
         assert_eq!(execute(&service, &Command::Version).render(), "OK 0");
+        // The co-author check asked the snapshot's index of `aut` by name.
         assert_eq!(
             execute(&service, &Command::Stats).render(),
             "OK 0 executor=sync queue_depth=256 health=ok requests_shed=0 \
              requests_timed_out=0 service_degraded=0 \
-             index_probes=0 index_builds=0 \
+             index_probes=1 index_builds=1 \
              decides_optimized=0 decides_fallback_non_insertion=0 \
              decides_fallback_observes_earlier_op=0 \
              decides_fallback_unmappable=0 decides_fallback_non_incremental=0 \

@@ -74,10 +74,13 @@ fn the_optimized_decision_is_flat_while_the_full_check_doubles() {
         large as f64 <= 1.5 * small as f64,
         "a decision took {small} steps at 32 KiB and {large} at 512 KiB: {measured:?}"
     );
+    // 4 550, 9 652, 18 769, 46 324 and 91 458 steps: ×2.12, ×1.94, ×2.47 and
+    // ×1.97. The co-author check reads each reviewer's own pubs, and those
+    // go from 750 to 2 621 auts between the 128 and the 256 KiB corpus.
     for pair in measured.windows(2) {
         let (before, after) = (pair[0].1, pair[1].1);
         assert!(
-            after as f64 >= 1.7 * before as f64 && after as f64 <= 2.3 * before as f64,
+            after as f64 >= 1.7 * before as f64 && after as f64 <= 2.6 * before as f64,
             "a full check took {before} → {after} steps over one doubling: {measured:?}"
         );
     }

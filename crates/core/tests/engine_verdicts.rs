@@ -79,9 +79,9 @@ fn coauthor_full() -> Violation {
     violation(
         "<- rev(_m1, _m2, _m0, R) & sub(_m4, _m5, _m1, _m6) & auts(_m7, _m8, _m4, A) & \
          aut(_m14, _m15, _m11, A) & aut(_m17, _m18, _m11, R)",
-        "some $_m1 in //rev, $_m14 in //aut satisfies \
-         $_m1/sub/auts/name/text() = $_m14/name/text() and \
-         $_m1/name/text() = $_m14/../aut/name/text()",
+        "some $_m1 in //rev, $_m17 in //aut satisfies \
+         $_m1/name/text() = $_m17/name/text() and \
+         $_m1/sub/auts/name/text() = $_m17/../aut/name/text()",
     )
 }
 

@@ -170,3 +170,83 @@ fn decide_only_never_mutates() {
     assert_eq!(serialize(c.doc()), before);
     c.doc().audit_symbols().expect("symbols intact");
 }
+
+/// A statement nested 100 000 levels deep is parsed, mapped, applied,
+/// written back out and dropped on a 256 KiB stack: every walk over what
+/// it inserts is a loop over a flat list. It gets the answer any other
+/// statement gets, and the server stays healthy.
+#[test]
+fn a_hundred_thousand_level_statement_is_answered_on_a_small_stack() {
+    use xicheck::protocol::{execute, parse_command};
+    use xicheck::{CheckerService, Executor};
+    const DEPTH: usize = 100_000;
+    let chain = |leaf: &str| format!("{}{leaf}{}", "<x>".repeat(DEPTH), "</x>".repeat(DEPTH));
+    let append = |content: String| {
+        format!(
+            "<xupdate:modifications xmlns:xupdate=\"x\"><xupdate:append \
+             select=\"/collection/review/track[1]/rev[1]\">{content}</xupdate:append>\
+             </xupdate:modifications>"
+        )
+    };
+    // A chain no relation maps, which the baseline decides, and one inside
+    // a column's value, which the pre-update check decides.
+    let unmapped = append(chain("leaf"));
+    let in_a_column =
+        append(format!("<sub><title>{}</title><auts><name>zed</name></auts></sub>", chain("t")));
+    let replies = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            let service = CheckerService::new(checker(), Executor::Sync);
+            let mut replies = Vec::new();
+            for stmt in [unmapped, in_a_column] {
+                let parsed = xic_xml::XUpdateDoc::parse(&stmt).expect("the statement parses");
+                let written = xic_xml::XUpdateDoc::parse(&parsed.to_xml()).expect("and re-parses");
+                assert!(written == parsed, "the statement round-trips");
+                let request = parse_command(&format!("UPDATE {stmt}")).expect("a request");
+                replies.push(execute(&service, &request).render());
+            }
+            for request in ["CHECK", "HEALTH"] {
+                let request = parse_command(request).expect("a request");
+                replies.push(execute(&service, &request).render());
+            }
+            replies
+        })
+        .expect("thread spawns")
+        .join()
+        .expect("no walk overflows the stack");
+    assert_eq!(
+        replies,
+        ["OK 1 APPLIED full-with-rollback", "OK 2 APPLIED optimized", "OK 2 CONSISTENT", "OK 2 ok"]
+    );
+}
+
+/// Difftest seed 84, minimized: an insertion aimed at the root element,
+/// which would make a second root. `apply` refuses it, but the pre-update
+/// check decided it without applying it — and rejected it, since the new
+/// `e2` has two `e5`s — so one strategy answered REJECTED and the other
+/// ERR. The mapping now refuses what `apply` refuses, and the baseline
+/// gives the answer.
+#[test]
+fn an_insertion_aimed_where_it_is_undefined_is_refused_by_both_strategies() {
+    let dtd = "<!ELEMENT e0 (e1, e4)> <!ELEMENT e1 (e2, e5*)> <!ELEMENT e2 (e3?, e4, e5+)> \
+               <!ELEMENT e3 (#PCDATA)> <!ELEMENT e4 (#PCDATA)> <!ELEMENT e5 (#PCDATA)>";
+    let doc = "<e0><e1><e2><e4>forbidden</e4><e5>gamma</e5></e2></e1><e4>k2</e4></e0>";
+    let gamma = "<- //e2 -> X & cnt{X/e5} > 1";
+    let stmt = xic_xml::XUpdateDoc::parse(
+        "<xupdate:modifications xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+         <xupdate:insert-before select=\"/e0\"><e1><e2><e4>delta</e4><e5>beta</e5>\
+         <e5>forbidden</e5></e2></e1></xupdate:insert-before></xupdate:modifications>",
+    )
+    .unwrap();
+    let refused = "XUpdate error: cannot insert before the root element (select \"/e0\")";
+    for strategy in [Strategy::Optimized, Strategy::FullWithRollback] {
+        let mut c = Checker::new(doc, dtd, gamma).unwrap();
+        let err = c.decide_only(&stmt, strategy).unwrap_err();
+        let refused_here = matches!(&err, CheckerError::Statement(m) if m.contains(refused));
+        assert!(refused_here, "{strategy:?}: {err}");
+    }
+    let mut c = Checker::new(doc, dtd, gamma).unwrap();
+    let err = c.try_update(&stmt).unwrap_err();
+    assert!(matches!(&err, CheckerError::Statement(m) if m.contains(refused)), "{err}");
+    assert_eq!(serialize(c.doc()), doc);
+}

@@ -509,7 +509,7 @@ pub fn reads_position(constraints: &str) -> bool {
 // Statements
 // ---------------------------------------------------------------------
 
-fn model_names(model: &ContentModel) -> Vec<String> {
+pub(crate) fn model_names(model: &ContentModel) -> Vec<String> {
     match model {
         ContentModel::Name(n) => vec![n.clone()],
         ContentModel::Seq(parts) | ContentModel::Choice(parts) => {

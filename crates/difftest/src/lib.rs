@@ -58,6 +58,11 @@
 //!    elsewhere, under both engine modes and with independence on and
 //!    off.
 //!
+//! Every case also runs as its [`hostile`] twin: one operation aimed at a
+//! text node, a comment, a processing instruction, the document node or
+//! the root element, held to the same oracles and, where XUpdate does not
+//! define it, to a typed refusal everywhere.
+//!
 //! Discrepancies are greedily minimized ([`shrink`]) and reported with a
 //! one-line replay command (`cargo run -p xic-difftest -- --seed N`).
 //! Progress is observable through the harness's own [`tally`] counters
@@ -79,6 +84,7 @@
 pub mod chaos;
 pub mod crash;
 pub mod gen;
+pub mod hostile;
 pub mod multi_op;
 pub mod reference;
 pub mod shard;
@@ -307,7 +313,14 @@ pub struct Report {
     pub discrepancies: Vec<Discrepancy>,
     /// What the run added to the [`tally`], in [`tally::NAMES`] order.
     pub counts: [u64; tally::NAMES.len()],
+    /// The hostile cases it ran per (target, operation) pair
+    /// ([`hostile::covered`]).
+    pub hostile: [u64; hostile::PAIRS],
 }
+
+/// From this many cases on, a campaign must have aimed every operation
+/// kind at every hostile target.
+pub(crate) const HOSTILE_FLOOR_CASES: u64 = 500;
 
 impl Report {
     /// The run's [`Outcome`]. Floors: a run long enough to be
@@ -324,6 +337,7 @@ impl Report {
         let constraint_joins = self.counts[Tally::ConstraintJoin as usize];
         let index_probes = self.counts[Tally::ReferenceIndexProbe as usize];
         let tables = self.counts[Tally::ReferenceTable as usize];
+        let narrowed = self.counts[Tally::ReferenceNarrowed as usize];
         let pos_shifts = self.counts[Tally::PosShift as usize];
         let mix: Vec<String> =
             tally::OPS.map(|i| format!("{}={}", tally::NAMES[i], self.counts[i])).collect();
@@ -331,14 +345,22 @@ impl Report {
             "difftest: {cases} cases from seed {seed} — \
              {} discrepancies, {} shrink steps, {reference_queries} reference queries \
              ({reference_joins} XQuery shapes over them planned as joins, {tables} with a \
-             per-evaluation table, {index_probes} sites answered from the document's index), \
-             {constraint_joins} cases with a planned join in their constraints, {pos_shifts} \
-             shifting a position their constraints read\n\
+             per-evaluation table, {index_probes} sites answered from the document's index, \
+             {narrowed} hits narrowed by a later join), {constraint_joins} cases with a planned \
+             join in their constraints, {pos_shifts} shifting a position their constraints read, \
+             {} hostile statements over {}/{} (target, operation) pairs\n\
              op mix: {}",
             self.discrepancies.len(),
             self.counts[Tally::ShrinkStep as usize],
+            self.hostile.iter().sum::<u64>(),
+            self.hostile.iter().filter(|&&n| n > 0).count(),
+            hostile::PAIRS,
             mix.join(" "),
         );
+        let unaimed: Vec<String> = (0..hostile::PAIRS)
+            .filter(|&i| self.hostile[i] == 0)
+            .map(|i| format!("{} at {}", hostile::OPS[i % 6], hostile::TARGETS[i / 6]))
+            .collect();
         let missing: Vec<&str> =
             tally::OPS.filter(|&i| self.counts[i] == 0).map(|i| tally::NAMES[i]).collect();
         let floor = if cases < COVERAGE_FLOOR_CASES {
@@ -361,11 +383,15 @@ impl Report {
                  ({index_probes} sites answered from the document's index, {tables} queries \
                  with a per-evaluation table)"
             ))
+        } else if narrowed == 0 {
+            Err(format!("difftest: no probe's hit was narrowed by a later join in {cases} cases"))
         } else if pos_shifts == 0 {
             Err(format!(
                 "difftest: no case paired a position-reading denial with a non-tail insert or \
                  a removal in {cases} cases"
             ))
+        } else if cases >= HOSTILE_FLOOR_CASES && !unaimed.is_empty() {
+            Err(format!("difftest: never aimed in {cases} cases: {}", unaimed.join(", ")))
         } else {
             Ok(())
         };
@@ -491,11 +517,15 @@ fn order_cache_oracle(doc: &Document) -> Result<(), String> {
 /// analysis means the mask is *observationally invisible*: decisions,
 /// violation reports and post-states must not depend on it — including
 /// for a statement that breaks DTD-edge conformance.
-fn independence_oracle(case: &Case, stmt: &XUpdateDoc) -> Result<(), String> {
-    let mut on = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
+fn independence_oracle(
+    case: &Case,
+    gamma: &Arc<xicheck::SharedGamma>,
+    stmt: &XUpdateDoc,
+) -> Result<(), String> {
+    let mut on = Checker::from_shared(&case.doc_xml, gamma)
         .map_err(|e| format!("masked checker setup failed: {e}"))?;
     on.set_independence(true);
-    let mut off = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
+    let mut off = Checker::from_shared(&case.doc_xml, gamma)
         .map_err(|e| format!("unmasked checker setup failed: {e}"))?;
     off.set_independence(false);
 
@@ -554,8 +584,12 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     let original = serialize(&doc);
 
     // Oracle 4: XPath/XQuery vs the naive reference evaluator, on the
-    // pre-state here and on the post-state below.
-    reference::differential(case.seed, &dtd, &doc).map_err(|d| ("xpath-differential", d))?;
+    // pre-state here and on the post-state below — of the generated case:
+    // its hostile twin's document only adds a comment and a PI.
+    let twin = case.mode == "hostile";
+    if !twin {
+        reference::differential(case.seed, &dtd, &doc).map_err(|d| ("xpath-differential", d))?;
+    }
 
     // Oracle 5: cached document-order keys vs from-scratch recomputation,
     // on the pristine pre-state…
@@ -589,8 +623,10 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             // or -after leaves the per-tag lists out of document order, a
             // rename moves an element between them, a removal leaves
             // allocated nodes detached.
-            reference::differential(case.seed, &dtd, &doc)
-                .map_err(|d| ("xpath-differential", format!("after apply: {d}")))?;
+            if !twin {
+                reference::differential(case.seed, &dtd, &doc)
+                    .map_err(|d| ("xpath-differential", format!("after apply: {d}")))?;
+            }
             // …after the statement mutated the tree (cache invalidation)…
             order_cache_oracle(&doc).map_err(|d| ("order-cache", d))?;
             undo(&mut doc, applied);
@@ -620,7 +656,10 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
     // `try_update` sees fit (simplified pre-check for insertion patterns,
     // baseline otherwise). They must agree — and the accepted final state
     // must equal plain application's.
-    let mut base = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
+    // Γ compiled once: every checker of the case shares it.
+    let gamma = xicheck::SharedGamma::compile(&case.dtd, &case.constraints)
+        .map_err(|e| ("setup", format!("constraint set setup failed: {e}")))?;
+    let mut base = Checker::from_shared(&case.doc_xml, &gamma)
         .map_err(|e| ("setup", format!("baseline checker setup failed: {e}")))?;
     let planned = |q: &xicheck::QueryTemplate| {
         xic_xquery::parse_query(&q.text)
@@ -640,7 +679,7 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             "decide_only(FullWithRollback) left the document modified".to_string(),
         ));
     }
-    let mut opt = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
+    let mut opt = Checker::from_shared(&case.doc_xml, &gamma)
         .map_err(|e| ("setup", format!("optimized checker setup failed: {e}")))?;
     let outcome = opt.try_update(&stmt);
     match (&baseline, &outcome) {
@@ -745,38 +784,50 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
 
     // Oracle 6: the static independence mask must be observationally
     // invisible.
-    independence_oracle(case, &stmt).map_err(|d| ("independence", d))?;
+    independence_oracle(case, &gamma, &stmt).map_err(|d| ("independence", d))?;
+    if twin {
+        hostile::oracle(case, &gamma, &stmt).map_err(|d| ("hostile", d))?;
+    }
     Ok(())
 }
 
-/// Generates and checks the case for `seed`; `None` means all oracles
-/// passed.
+/// The cases the campaign runs for `seed`: the generated one and its
+/// [`hostile`] twin.
+fn cases(seed: u64) -> [Case; 2] {
+    let case = generate_case(seed);
+    [hostile::case(&case), case]
+}
+
+/// Generates and checks the cases for `seed`; `None` means all oracles
+/// passed on both.
 pub fn run_case(seed: u64) -> Option<(&'static str, String)> {
-    check_case(&generate_case(seed)).err()
+    cases(seed).iter().find_map(|case| check_case(case).err())
 }
 
 /// Runs `config.cases` seeds starting at `config.seed`, minimizing every
 /// discrepancy found.
 pub fn run(config: Config) -> Report {
-    let before = tally::counts();
+    let (before, hostile_before) = (tally::counts(), hostile::covered());
     let mut discrepancies = Vec::new();
     each_case(config, |seed, _| {
-        let case = generate_case(seed);
-        if let Err((oracle, detail)) = check_case(&case) {
-            let minimized = shrink::minimize(&case, oracle);
-            discrepancies.push(Discrepancy {
-                seed,
-                oracle,
-                detail,
-                minimized,
-            });
+        for case in cases(seed) {
+            if let Err((oracle, detail)) = check_case(&case) {
+                let minimized = shrink::minimize(&case, oracle);
+                discrepancies.push(Discrepancy {
+                    seed,
+                    oracle,
+                    detail,
+                    minimized,
+                });
+            }
         }
     });
-    let after = tally::counts();
+    let (after, hostile_after) = (tally::counts(), hostile::covered());
     Report {
         config,
         discrepancies,
         counts: std::array::from_fn(|i| after[i] - before[i]),
+        hostile: std::array::from_fn(|i| hostile_after[i] - hostile_before[i]),
     }
 }
 
@@ -819,8 +870,9 @@ mod tests {
             config: Config { seed: 1, cases },
             discrepancies: Vec::new(),
             counts,
+            hostile: [1; hostile::PAIRS],
         };
-        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1, 1, 1, 1];
+        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1, 1, 1, 1, 1];
         assert_eq!(report(100, covered).outcome().floor, Ok(()));
         let mut no_rename = covered;
         no_rename[Tally::OpRename as usize] = 0;
@@ -837,6 +889,17 @@ mod tests {
             let floor = report(100, counts).outcome().floor.unwrap_err();
             assert!(floor.contains("a tier of the planned evaluation went unchecked"), "{floor}");
         }
+        let mut unnarrowed = covered;
+        unnarrowed[Tally::ReferenceNarrowed as usize] = 0;
+        let floor = report(100, unnarrowed).outcome().floor.unwrap_err();
+        assert!(floor.contains("narrowed by a later join"), "{floor}");
+        assert_eq!(report(99, unnarrowed).outcome().floor, Ok(()));
+        let mut unaimed = report(500, covered);
+        unaimed.hostile[hostile::PAIRS - 1] = 0;
+        let floor = unaimed.outcome().floor.unwrap_err();
+        assert!(floor.contains("never aimed in 500 cases: rename at root"), "{floor}");
+        unaimed.config.cases = 499;
+        assert_eq!(unaimed.outcome().floor, Ok(()));
         let mut unshifted = covered;
         unshifted[Tally::PosShift as usize] = 0;
         let floor = report(100, unshifted).outcome().floor.unwrap_err();

@@ -181,9 +181,10 @@ fn plans_a_table(prog: &XProgram) -> bool {
 /// Evaluates `query` both existentially and through full
 /// materialization; both must return `expected`. Counts the queries the
 /// engine planned a keyed sequence for, those among them with a
-/// per-evaluation table in the plan, and the sites the document's index
-/// answered.
+/// per-evaluation table in the plan, the sites the document's index
+/// answered and the hits a later join narrowed away.
 fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), String> {
+    use xicheck::obs::{counter, Counter};
     let parsed = parse_query(query).map_err(|e| format!("xquery failed to parse {query}: {e}"))?;
     let prog = XProgram::compile(&parsed);
     if prog.plan_sites() > 0 {
@@ -192,14 +193,15 @@ fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), Str
     if plans_a_table(&prog) {
         crate::tally::incr(crate::tally::Tally::ReferenceTable);
     }
-    let probes = xicheck::obs::counter(xicheck::obs::Counter::IndexProbe);
+    let (probes, narrowed) = (counter(Counter::IndexProbe), counter(Counter::ProbeNarrowed));
     let lazy = prog
         .eval_exists(doc, &[])
         .map_err(|e| format!("xquery failed existential evaluation of {query}: {e}"))?;
     let eager =
         prog.eval_bool(doc, &[]).map_err(|e| format!("xquery failed to evaluate {query}: {e}"))?;
-    let probes = xicheck::obs::counter(xicheck::obs::Counter::IndexProbe) - probes;
-    crate::tally::add(crate::tally::Tally::ReferenceIndexProbe, probes);
+    use crate::tally::{add, Tally};
+    add(Tally::ReferenceIndexProbe, counter(Counter::IndexProbe) - probes);
+    add(Tally::ReferenceNarrowed, counter(Counter::ProbeNarrowed) - narrowed);
     if lazy != expected || eager != expected {
         return Err(format!(
             "{query}: lazy {lazy}, eager {eager}, reference says {expected}"
@@ -223,7 +225,11 @@ fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), Str
 /// let $g := //p[c/text() = $v] let $h := //q[p[c/text() = $v]] where
 /// count($g) + count($h) > k return <idle/>)` — the shapes the engine
 /// answers from keyed sequences, expected answers brute-forced from the
-/// reference node-sets and the text content. Every XQuery answer is
+/// reference node-sets and the text content — and joined twice through
+/// one binder, the co-author check's shape: `some $a in Q, $b in //m
+/// satisfies $b/d/text() = $a/c/text() and $b/../e/f/text() =
+/// $a/g/text()`, whose index hits the second join narrows. Every XQuery
+/// answer is
 /// taken both existentially and through full materialization, on the
 /// case's own document: a planned site with an indexable shape asks it
 /// (the first one builds), the others build their tables.
@@ -236,6 +242,7 @@ pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> 
     // shapes it always did.
     let mut shape_rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
     let mut join_rng = StdRng::seed_from_u64(seed ^ 0x6a09_e667_f3bc_c908);
+    let mut narrow_rng = StdRng::seed_from_u64(seed ^ 0x3c6e_f372_fe94_f82b);
     let names: Vec<&str> = dtd.elements().iter().map(|e| e.name.as_str()).collect();
     if names.is_empty() {
         return Ok(());
@@ -365,6 +372,46 @@ pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> 
             ),
             doc,
             expected.iter().flat_map(|&n| child_texts(doc, n, c)).any(|v| group_size(v) > k),
+        )?;
+
+        // Two joins through one binder, the co-author check's shape: the
+        // document's index answers the first, keyed by `d`, and the second
+        // narrows its hits through the member's parent — names drawn so
+        // that both sides have text to compare where the document has any.
+        let texty_names = texty(&doc.descendants(doc.document_node()).collect::<Vec<_>>());
+        let d = pick(&mut narrow_rng, &texty_names, &names);
+        let m = pick(&mut narrow_rng, &parents_of(d), &names);
+        let uncles: Vec<NodeId> =
+            elements_named(doc, m).filter_map(|b| doc.node(b).parent).collect();
+        let e = pick(&mut narrow_rng, &texty(&uncles), &names);
+        let e_nodes: Vec<NodeId> = elements_named(doc, e).collect();
+        let f = pick(&mut narrow_rng, &texty(&e_nodes), &names);
+        let c = pick(&mut narrow_rng, &texty(&expected), &names);
+        // A `g` some `$a` has several texts under, where there is one: the
+        // second join's outer operand is then a set, not a value.
+        let mut gs = texty(&expected);
+        if gs.iter().any(|g| expected.iter().any(|&a| child_texts(doc, a, g).len() > 1)) {
+            gs.retain(|g| expected.iter().any(|&a| child_texts(doc, a, g).len() > 1));
+        }
+        let g = pick(&mut narrow_rng, &gs, &names);
+        let through_parent = |b: NodeId| -> Vec<&str> {
+            let Some(parent) = doc.node(b).parent else { return Vec::new() };
+            let uncles = doc.node(parent).children.iter().filter(|&&u| doc.name(u) == Some(e));
+            uncles.flat_map(|&u| child_texts(doc, u, f)).collect()
+        };
+        let meets = |xs: &[&str], ys: &[&str]| xs.iter().any(|x| ys.contains(x));
+        expect_verdict(
+            &format!(
+                "some $a in {text}, $b in //{m} satisfies $b/{d}/text() = $a/{c}/text() \
+                 and $b/../{e}/{f}/text() = $a/{g}/text()"
+            ),
+            doc,
+            expected.iter().any(|&a| {
+                let (cs, gs) = (child_texts(doc, a, c), child_texts(doc, a, g));
+                elements_named(doc, m).any(|b| {
+                    meets(&child_texts(doc, b, d), &cs) && meets(&through_parent(b), &gs)
+                })
+            }),
         )?;
     }
     Ok(())

@@ -26,13 +26,16 @@ pub enum Tally {
     ReferenceIndexProbe,
     /// A reference query with a per-evaluation table in its plan.
     ReferenceTable,
+    /// A hit of a reference query's planned join that a later join
+    /// dropped (`xic_obs::Counter::ProbeNarrowed`).
+    ReferenceNarrowed,
     /// A case whose constraints read a position and whose statement holds
     /// an `insert-before` or a `remove`: siblings shift under the read.
     PosShift,
 }
 
 /// The key each [`Tally`] is reported under, in declaration order.
-pub const NAMES: [&str; 13] = [
+pub const NAMES: [&str; 14] = [
     "difftest_shrink_step",
     "difftest_op_insert_before",
     "difftest_op_insert_after",
@@ -45,6 +48,7 @@ pub const NAMES: [&str; 13] = [
     "constraint_joins_planned",
     "reference_index_probes",
     "reference_tables_planned",
+    "reference_hits_narrowed",
     "pos_reads_shifted",
 ];
 

@@ -14,7 +14,7 @@ use crate::schema::RelSchema;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use xic_datalog::{Atom, Term, Update, Value};
-use xic_xml::xupdate::{Fragment, XUpdateDoc, XUpdateOp};
+use xic_xml::xupdate::{check_target, Fragment, FragmentKind, XUpdateDoc, XUpdateOp};
 use xic_xml::{Document, NodeId, SelectError, SelectResolver};
 
 /// A mapped update: the parameterized transaction, this statement's
@@ -108,6 +108,9 @@ pub fn map_update(
                 targets.len()
             )));
         };
+        // An operation the target does not allow is refused by `apply`;
+        // mapped, it would be decided instead.
+        check_target(doc, op, *target).map_err(|e| UpdateMapError::Target(e.to_string()))?;
         let (parent, base_pos, content) = match op {
             XUpdateOp::InsertAfter { content, .. } => {
                 let parent = doc
@@ -154,10 +157,8 @@ pub fn map_update(
                 .map(str::to_string),
         );
         let earlier = inserted.entry(parent).or_default();
-        let names = content.iter().filter_map(|frag| match frag {
-            Fragment::Element { name, .. } if schema.pred(name).is_some() => Some(name.clone()),
-            _ => None,
-        });
+        let names = content.roots().filter_map(|r| content.name(r));
+        let names = names.filter(|name| schema.pred(name).is_some()).map(str::to_string);
         let shared = !earlier.is_empty();
         earlier.extend(names);
         if shared {
@@ -171,24 +172,23 @@ pub fn map_update(
         out.node_params.insert(t_param.clone());
 
         let mut pos_cursor = base_pos;
-        for frag in content {
-            let Fragment::Element { .. } = frag else {
-                if let Fragment::Text(t) = frag {
-                    if t.trim().is_empty() {
-                        continue;
-                    }
+        for root in content.roots() {
+            if content.name(root).is_none() {
+                if content.text(root).trim().is_empty() {
+                    continue;
                 }
                 return Err(UpdateMapError::Schema(
                     "top-level inserted content must be elements".to_string(),
                 ));
-            };
+            }
             // The root fragment's position is data-dependent: a parameter.
             let p_param = format!("p{param_counter}");
             param_counter += 1;
             out.bindings
                 .insert(p_param.clone(), Value::Int(pos_cursor as i64));
             map_fragment(
-                frag,
+                content,
+                root,
                 Term::param(t_param.clone()),
                 Term::param(p_param),
                 schema,
@@ -202,9 +202,14 @@ pub fn map_update(
     Ok(out)
 }
 
-/// Recursively maps a fragment element to addition atoms.
+/// Maps the element `root` of `content` and, in document order, the
+/// elements under it that are not compacted into a column, to addition
+/// atoms, off an explicit stack. The element children's positions inside
+/// the fragment are statically known constants.
+#[allow(clippy::too_many_arguments)]
 fn map_fragment(
-    frag: &Fragment,
+    content: &Fragment,
+    root: usize,
     parent: Term,
     pos: Term,
     schema: &RelSchema,
@@ -212,80 +217,76 @@ fn map_fragment(
     next_fresh: &mut i64,
     param_counter: &mut usize,
 ) -> Result<(), UpdateMapError> {
-    let Fragment::Element { name, children, .. } = frag else {
-        unreachable!("callers pass elements only")
-    };
-    let Some(info) = schema.pred(name) else {
-        return Err(UpdateMapError::Schema(format!(
-            "inserted element <{name}> does not map to a predicate"
-        )));
-    };
-    // Fresh id parameter.
-    let id_param = format!("n{param_counter}");
-    *param_counter += 1;
-    out.bindings
-        .insert(id_param.clone(), Value::Int(*next_fresh));
-    *next_fresh += 1;
-    out.fresh_params.insert(id_param.clone());
-    out.node_params.insert(id_param.clone());
-
-    // Column values from compacted children.
-    let mut args: Vec<Term> = vec![Term::param(id_param.clone()), pos, parent];
-    for col in &info.cols {
-        let text = children
-            .iter()
-            .find_map(|c| match c {
-                Fragment::Element { name: cn, children: cc, .. } if cn == col => {
-                    Some(fragment_text(cc))
-                }
-                _ => None,
-            })
-            .ok_or_else(|| {
-                UpdateMapError::Schema(format!(
-                    "<{name}> fragment is missing its <{col}> child"
-                ))
-            })?;
-        let v_param = format!("v{param_counter}");
+    let mut pending = vec![(root, parent, pos)];
+    while let Some((at, parent, pos)) = pending.pop() {
+        let name = content.name(at).expect("only elements are mapped");
+        let Some(info) = schema.pred(name) else {
+            return Err(UpdateMapError::Schema(format!(
+                "inserted element <{name}> does not map to a predicate"
+            )));
+        };
+        // Fresh id parameter.
+        let id_param = format!("n{param_counter}");
         *param_counter += 1;
-        out.bindings.insert(v_param.clone(), Value::Str(text));
-        args.push(Term::param(v_param));
-    }
-    out.update
-        .additions
-        .push(Atom::new(name.clone(), args));
+        out.bindings
+            .insert(id_param.clone(), Value::Int(*next_fresh));
+        *next_fresh += 1;
+        out.fresh_params.insert(id_param.clone());
+        out.node_params.insert(id_param.clone());
 
-    // Recurse into non-compacted element children; their positions inside
-    // the fragment are statically known constants.
-    let mut elem_pos = 0usize;
-    for c in children {
-        if let Fragment::Element { name: cn, .. } = c {
-            elem_pos += 1;
-            if schema.is_compacted(cn) {
-                continue;
-            }
-            map_fragment(
-                c,
-                Term::param(id_param.clone()),
-                Term::int(elem_pos as i64),
-                schema,
-                out,
-                next_fresh,
-                param_counter,
-            )?;
+        // Column values from compacted children.
+        let mut args: Vec<Term> = vec![Term::param(id_param.clone()), pos, parent];
+        for col in &info.cols {
+            let text = content
+                .children(at)
+                .find(|&c| content.name(c) == Some(col.as_str()))
+                .map(|c| column_text(content, c))
+                .ok_or_else(|| {
+                    UpdateMapError::Schema(format!(
+                        "<{name}> fragment is missing its <{col}> child"
+                    ))
+                })?;
+            let v_param = format!("v{param_counter}");
+            *param_counter += 1;
+            out.bindings.insert(v_param.clone(), Value::Str(text));
+            args.push(Term::param(v_param));
         }
+        out.update
+            .additions
+            .push(Atom::new(name.to_string(), args));
+
+        // The element children not compacted into a column, the first of
+        // them on top.
+        let elements = content.children(at).filter(|&c| content.name(c).is_some());
+        let mapped = elements.zip(1i64..).filter(|&(c, _)| {
+            !schema.is_compacted(content.name(c).expect("filtered to elements"))
+        });
+        let children: Vec<_> = mapped
+            .map(|(c, elem_pos)| (c, Term::param(id_param.clone()), Term::int(elem_pos)))
+            .collect();
+        pending.extend(children.into_iter().rev());
     }
     Ok(())
 }
 
-fn fragment_text(children: &[Fragment]) -> String {
-    let mut s = String::new();
-    for c in children {
-        match c {
-            Fragment::Text(t) => s.push_str(t),
-            Fragment::Element { children, .. } => s.push_str(&fragment_text(children)),
+/// The value of the column element `col`: its text children and the
+/// values of its element children, read the same way, concatenated and
+/// trimmed — each element's value is read before its parent's.
+fn column_text(content: &Fragment, col: usize) -> String {
+    let subtree = content.subtree(col);
+    let mut values = vec![String::new(); subtree.len()];
+    for at in subtree.rev() {
+        if content.name(at).is_none() {
+            continue;
         }
+        let parts = content.children(at).map(|c| match &content.nodes()[c].kind {
+            FragmentKind::Text(t) => t.as_str(),
+            FragmentKind::Element { .. } => values[c - col].as_str(),
+        });
+        let value = parts.collect::<String>().trim().to_string();
+        values[at - col] = value;
     }
-    s.trim().to_string()
+    std::mem::take(&mut values[0])
 }
 
 /// A canonical key for the update's *shape*: parameters are numbered by

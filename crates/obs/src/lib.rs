@@ -136,10 +136,14 @@ pub enum Counter {
     /// A document arena chunk copied by its first write after a clone
     /// (a service snapshot) shared it.
     ChunkCopy,
+    /// A member a planned join's first conjunct selected (a hit of the
+    /// document's index or of a table) that a later join of the same
+    /// `some` dropped before the `satisfies` ran on it.
+    ProbeNarrowed,
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 29] = [
+pub const ALL_COUNTERS: [Counter; 30] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
     Counter::XpathNodesVisited,
@@ -169,6 +173,7 @@ pub const ALL_COUNTERS: [Counter; 29] = [
     Counter::IndexProbe,
     Counter::IndexBuild,
     Counter::ChunkCopy,
+    Counter::ProbeNarrowed,
 ];
 
 const N_COUNTERS: usize = ALL_COUNTERS.len();
@@ -206,6 +211,7 @@ impl Counter {
             Counter::IndexProbe => "index_probes",
             Counter::IndexBuild => "index_builds",
             Counter::ChunkCopy => "chunk_copies",
+            Counter::ProbeNarrowed => "probe_hits_narrowed",
         }
     }
 }

@@ -156,39 +156,67 @@ fn occurrences(denial: &Denial) -> HashMap<String, Vec<usize>> {
     occ
 }
 
-/// Orders atoms parent-before-child (the paper's sorting step).
+/// Orders atoms parent-before-child (the paper's sorting step), in body
+/// order where that leaves a choice — but for one: an atom whose parent
+/// nobody binds becomes a `//pred` binder, and when several such atoms are
+/// ready and none has a parameter or constant column, the first that
+/// joins a data column of a node bound to a single node (another `//pred`
+/// binder, or a parameter id) is bound first. Its join then has one value
+/// per outer binding — a reviewer's name rather than the names of all the
+/// authors they review — for the document's index to answer, and the
+/// joins it leaves narrow the index's hits.
 fn order_atoms<'a>(atoms: &[&'a Atom]) -> Result<Vec<&'a Atom>, TranslateError> {
     let mut pending: Vec<&Atom> = atoms.to_vec();
     let mut out: Vec<&Atom> = Vec::new();
+    // Node variables bound so far: the ids of the atoms placed, and their
+    // parents, which are reached from them.
     let mut defined: HashSet<&str> = HashSet::new();
+    // Value variables first bound by a data column of a single node.
+    let mut single: HashSet<&str> = HashSet::new();
+    let mut columns: HashSet<&str> = HashSet::new();
+    fn id(a: &Atom) -> Option<&str> {
+        a.args.first().and_then(Term::var_name)
+    }
     while !pending.is_empty() {
-        let idx = pending.iter().position(|a| {
-            match a.args.get(2) {
-                Some(Term::Var(w)) => {
-                    // Ready if the parent var is already defined, or is not
-                    // the id of any pending atom.
-                    defined.contains(w.as_str())
-                        || !pending
-                            .iter()
-                            .any(|b| b.args.first().and_then(Term::var_name) == Some(w))
-                }
-                _ => true, // params/consts never wait
+        // Ready if the parent var is already defined, or is not the id of
+        // any pending atom; params/consts never wait.
+        let ready = |a: &Atom| match a.args.get(2) {
+            Some(Term::Var(w)) => {
+                defined.contains(w.as_str()) || !pending.iter().any(|b| id(b) == Some(w))
             }
-        });
-        match idx {
-            Some(i) => {
-                let a = pending.remove(i);
-                if let Some(Term::Var(v)) = a.args.first() {
-                    defined.insert(v.as_str());
-                }
-                out.push(a);
-            }
-            None => {
-                return Err(TranslateError::Unsupported(
-                    "cyclic parent links between atoms".to_string(),
-                ))
+            _ => true,
+        };
+        let binder = |a: &Atom| {
+            id(a).is_some()
+                && matches!(a.args.get(2), Some(Term::Var(w)) if !defined.contains(w.as_str()))
+        };
+        let Some(first) = pending.iter().position(|a| ready(a)) else {
+            return Err(TranslateError::Unsupported(
+                "cyclic parent links between atoms".to_string(),
+            ));
+        };
+        let mut idx = first;
+        if binder(pending[first]) {
+            let rivals: Vec<usize> =
+                (0..pending.len()).filter(|&i| ready(pending[i]) && binder(pending[i])).collect();
+            let rigid = |a: &Atom| a.args.iter().skip(1).any(|t| !matches!(t, Term::Var(_)));
+            let joins_single = |a: &Atom| {
+                a.args.iter().skip(3).filter_map(Term::var_name).any(|v| single.contains(v))
+            };
+            if !rivals.iter().any(|&i| rigid(pending[i])) {
+                idx = rivals.into_iter().find(|&i| joins_single(pending[i])).unwrap_or(first);
             }
         }
+        let one_node =
+            binder(pending[idx]) || matches!(pending[idx].args.first(), Some(Term::Param(_)));
+        let a = pending.remove(idx);
+        for v in a.args.iter().skip(3).filter_map(Term::var_name) {
+            if columns.insert(v) && one_node {
+                single.insert(v);
+            }
+        }
+        defined.extend([id(a), a.args.get(2).and_then(Term::var_name)].into_iter().flatten());
+        out.push(a);
     }
     Ok(out)
 }

@@ -448,11 +448,13 @@ impl Document {
             "node {child} is already attached"
         );
         assert!(child != self.document_node(), "cannot attach the document node");
-        // Cycle check: parent must not be inside child's subtree.
+        // Cycle check: parent must not be inside child's subtree. A child
+        // without children is its whole subtree, so building a fragment
+        // node by node never walks the chain it hangs from.
         let mut cur = Some(parent);
         while let Some(c) = cur {
             assert!(c != child, "attaching {child} under itself");
-            cur = self.node(c).parent;
+            cur = if self.node(child).children.is_empty() { None } else { self.node(c).parent };
         }
         let siblings = &mut self.node_mut(parent).children;
         assert!(idx <= siblings.len(), "insert index out of bounds");

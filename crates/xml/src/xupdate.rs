@@ -32,40 +32,127 @@ impl fmt::Display for SelectError {
     }
 }
 
-/// A content fragment to be inserted (already detached from any document).
+/// The content an insertion carries, detached from any document: its
+/// nodes in document order (pre-order), each with the index of its parent
+/// — the shape of [`Document`]'s arena. The nodes without a parent are the
+/// top-level nodes, inserted one after another. No walk over a fragment
+/// recurses, however deep it nests, and dropping one drops a `Vec`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Fragment {
+    nodes: Vec<FragmentNode>,
+    /// Per node, one past the index of its last descendant.
+    ends: Vec<usize>,
+}
+
+/// One node of a [`Fragment`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Fragment {
-    /// An element with attributes and child fragments.
+pub struct FragmentNode {
+    /// The index of the parent element in the fragment; `None` at the top.
+    pub parent: Option<usize>,
+    /// What the node is.
+    pub kind: FragmentKind,
+}
+
+/// What a [`FragmentNode`] is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FragmentKind {
+    /// An element with attributes.
     Element {
         /// Tag name.
         name: String,
         /// Attributes.
         attrs: Vec<(String, String)>,
-        /// Children.
-        children: Vec<Fragment>,
     },
     /// A text node.
     Text(String),
 }
 
 impl Fragment {
-    /// Materializes the fragment as detached nodes in `doc`, returning the
-    /// root of the new subtree.
-    pub fn build(&self, doc: &mut Document) -> NodeId {
-        match self {
-            Fragment::Text(t) => doc.create_text(t.clone()),
-            Fragment::Element { name, attrs, children } => {
-                let el = doc.create_element(name.clone());
-                for (k, v) in attrs {
-                    doc.set_attr(el, k.clone(), v.clone());
-                }
-                for c in children {
-                    let child = c.build(doc);
-                    doc.append_child(el, child);
-                }
-                el
-            }
+    /// The nodes, in document order.
+    pub fn nodes(&self) -> &[FragmentNode] {
+        &self.nodes
+    }
+
+    /// The indexes of the top-level nodes, in order.
+    pub fn roots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nodes.len()).filter(|&i| self.nodes[i].parent.is_none())
+    }
+
+    /// The indexes of `i`'s children, in order: each child's subtree is
+    /// stepped over, not walked.
+    pub fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let end = self.ends[i];
+        std::iter::successors(Some(i + 1), |&j| self.ends.get(j).copied())
+            .take_while(move |&j| j < end)
+    }
+
+    /// The indexes of `i` and its descendants.
+    pub fn subtree(&self, i: usize) -> std::ops::Range<usize> {
+        i..self.ends[i]
+    }
+
+    /// The text of `i`'s subtree, in document order.
+    pub fn text(&self, i: usize) -> String {
+        let texts = self.nodes[self.subtree(i)].iter().filter_map(|n| match &n.kind {
+            FragmentKind::Text(t) => Some(t.as_str()),
+            FragmentKind::Element { .. } => None,
+        });
+        texts.collect()
+    }
+
+    /// The element name of node `i`, if it is an element.
+    pub fn name(&self, i: usize) -> Option<&str> {
+        match &self.nodes[i].kind {
+            FragmentKind::Element { name, .. } => Some(name),
+            FragmentKind::Text(_) => None,
         }
+    }
+
+    fn push(&mut self, parent: Option<usize>, kind: FragmentKind) -> usize {
+        self.nodes.push(FragmentNode { parent, kind });
+        self.nodes.len() - 1
+    }
+
+    /// Records where each node's subtree ends, once every node is pushed:
+    /// a node's subtree ends where the first node after it that is not
+    /// its descendant starts.
+    fn finish(mut self) -> Fragment {
+        let n = self.nodes.len();
+        self.ends = vec![n; n];
+        let mut open: Vec<usize> = Vec::new();
+        for (j, node) in self.nodes.iter().enumerate() {
+            while let Some(&closed) = open.last().filter(|&&top| Some(top) != node.parent) {
+                self.ends[closed] = j;
+                open.pop();
+            }
+            open.push(j);
+        }
+        self
+    }
+
+    /// Materializes the fragment as detached nodes in `doc`, allocated in
+    /// document order, and returns the roots of the new subtrees.
+    pub fn build(&self, doc: &mut Document) -> Vec<NodeId> {
+        let mut built: Vec<NodeId> = Vec::with_capacity(self.nodes.len());
+        let mut roots = Vec::new();
+        for node in &self.nodes {
+            let n = match &node.kind {
+                FragmentKind::Text(t) => doc.create_text(t.clone()),
+                FragmentKind::Element { name, attrs } => {
+                    let el = doc.create_element(name.clone());
+                    for (k, v) in attrs {
+                        doc.set_attr(el, k.clone(), v.clone());
+                    }
+                    el
+                }
+            };
+            match node.parent {
+                Some(p) => doc.append_child(built[p], n),
+                None => roots.push(n),
+            }
+            built.push(n);
+        }
+        roots
     }
 }
 
@@ -76,15 +163,15 @@ pub enum XUpdateOp {
     InsertBefore {
         /// Target selection.
         select: String,
-        /// Content fragments inserted before each target.
-        content: Vec<Fragment>,
+        /// Content inserted before each target.
+        content: Fragment,
     },
     /// `<xupdate:insert-after select="…">content</…>`
     InsertAfter {
         /// Target selection.
         select: String,
-        /// Content fragments inserted after each target.
-        content: Vec<Fragment>,
+        /// Content inserted after each target.
+        content: Fragment,
     },
     /// `<xupdate:append select="…" [child="n"]>content</…>`
     Append {
@@ -92,8 +179,8 @@ pub enum XUpdateOp {
         select: String,
         /// 1-based child position; `None` appends at the end.
         child: Option<usize>,
-        /// Content fragments.
-        content: Vec<Fragment>,
+        /// Content appended to each target.
+        content: Fragment,
     },
     /// `<xupdate:remove select="…"/>`
     Remove {
@@ -133,10 +220,17 @@ impl XUpdateOp {
     /// True if the operation only inserts new content (the fragment the
     /// paper's simplification focuses on).
     pub fn is_insertion(&self) -> bool {
-        matches!(
-            self,
-            XUpdateOp::InsertBefore { .. } | XUpdateOp::InsertAfter { .. } | XUpdateOp::Append { .. }
-        )
+        self.content().is_some()
+    }
+
+    /// The content an insertion inserts.
+    pub fn content(&self) -> Option<&Fragment> {
+        match self {
+            XUpdateOp::InsertBefore { content, .. }
+            | XUpdateOp::InsertAfter { content, .. }
+            | XUpdateOp::Append { content, .. } => Some(content),
+            XUpdateOp::Remove { .. } | XUpdateOp::Update { .. } | XUpdateOp::Rename { .. } => None,
+        }
     }
 }
 
@@ -267,31 +361,41 @@ impl XUpdateDoc {
     pub fn to_xml(&self) -> String {
         use crate::escape::{escape_attr, escape_text};
         fn write_fragment(f: &Fragment, out: &mut String) {
-            match f {
-                Fragment::Text(t) => out.push_str(&escape_text(t)),
-                Fragment::Element { name, attrs, children } => {
-                    out.push('<');
+            // The elements whose end tag is still to be written, with the
+            // index their subtree ends at; each is closed when it is reached.
+            let mut open: Vec<(usize, &str)> = Vec::new();
+            let close_until = |at: usize, open: &mut Vec<(usize, &str)>, out: &mut String| {
+                while let Some(&(_, name)) = open.last().filter(|&&(end, _)| end <= at) {
+                    out.push_str("</");
                     out.push_str(name);
-                    for (k, v) in attrs {
-                        out.push(' ');
-                        out.push_str(k);
-                        out.push_str("=\"");
-                        out.push_str(&escape_attr(v));
-                        out.push('"');
-                    }
-                    if children.is_empty() {
-                        out.push_str("/>");
-                    } else {
-                        out.push('>');
-                        for c in children {
-                            write_fragment(c, out);
-                        }
-                        out.push_str("</");
+                    out.push('>');
+                    open.pop();
+                }
+            };
+            for (i, node) in f.nodes.iter().enumerate() {
+                close_until(i, &mut open, out);
+                match &node.kind {
+                    FragmentKind::Text(t) => out.push_str(&escape_text(t)),
+                    FragmentKind::Element { name, attrs } => {
+                        out.push('<');
                         out.push_str(name);
-                        out.push('>');
+                        for (k, v) in attrs {
+                            out.push(' ');
+                            out.push_str(k);
+                            out.push_str("=\"");
+                            out.push_str(&escape_attr(v));
+                            out.push('"');
+                        }
+                        if f.ends[i] == i + 1 {
+                            out.push_str("/>");
+                        } else {
+                            out.push('>');
+                            open.push((f.ends[i], name));
+                        }
                     }
                 }
             }
+            close_until(f.nodes.len(), &mut open, out);
         }
         fn write_op(tag: &str, select: &str, child: Option<usize>, body: &dyn Fn(&mut String), out: &mut String) {
             out.push_str("<xupdate:");
@@ -322,21 +426,21 @@ impl XUpdateDoc {
                     "insert-before",
                     select,
                     None,
-                    &|o| content.iter().for_each(|f| write_fragment(f, o)),
+                    &|o| write_fragment(content, o),
                     &mut out,
                 ),
                 XUpdateOp::InsertAfter { select, content } => write_op(
                     "insert-after",
                     select,
                     None,
-                    &|o| content.iter().for_each(|f| write_fragment(f, o)),
+                    &|o| write_fragment(content, o),
                     &mut out,
                 ),
                 XUpdateOp::Append { select, child, content } => write_op(
                     "append",
                     select,
                     *child,
-                    &|o| content.iter().for_each(|f| write_fragment(f, o)),
+                    &|o| write_fragment(content, o),
                     &mut out,
                 ),
                 XUpdateOp::Remove { select } => write_op("remove", select, None, &|_| {}, &mut out),
@@ -361,87 +465,61 @@ impl XUpdateDoc {
     }
 }
 
-fn parse_content(doc: &Document, op_node: NodeId) -> Result<Vec<Fragment>, XUpdateError> {
-    let mut out = Vec::new();
-    for &c in &doc.node(c_parent(op_node, doc)).children {
-        if let Some(f) = parse_fragment(doc, c)? {
-            out.push(f);
-        }
-    }
-    Ok(out)
-}
-
-fn c_parent(op_node: NodeId, _doc: &Document) -> NodeId {
-    op_node
-}
-
-fn parse_fragment(doc: &Document, node: NodeId) -> Result<Option<Fragment>, XUpdateError> {
-    match &doc.node(node).kind {
-        NodeKind::Text(t) => Ok(Some(Fragment::Text(t.clone()))),
-        NodeKind::Element { name, attrs } => {
-            let ln = local_name(name);
-            if name.starts_with("xupdate:") {
-                match ln {
-                    "element" => {
-                        let el_name = attrs
-                            .iter()
-                            .find(|(k, _)| k == "name")
-                            .map(|(_, v)| v.clone())
-                            .ok_or_else(|| {
-                                XUpdateError::Invalid("xupdate:element without name".to_string())
-                            })?;
-                        let el_name = xml_name(el_name, "xupdate:element name")?;
-                        let mut children = Vec::new();
-                        let mut el_attrs = Vec::new();
-                        for &c in &doc.node(node).children {
-                            if let NodeKind::Element { name: cn, attrs: ca } = &doc.node(c).kind {
-                                if local_name(cn) == "attribute" && cn.starts_with("xupdate:") {
-                                    let an = ca
-                                        .iter()
-                                        .find(|(k, _)| k == "name")
-                                        .map(|(_, v)| v.clone())
-                                        .ok_or_else(|| {
-                                            XUpdateError::Invalid(
-                                                "xupdate:attribute without name".to_string(),
-                                            )
-                                        })?;
-                                    let an = xml_name(an, "xupdate:attribute name")?;
-                                    el_attrs.push((an, doc.text_content(c)));
-                                    continue;
-                                }
-                            }
-                            if let Some(f) = parse_fragment(doc, c)? {
-                                children.push(f);
-                            }
-                        }
-                        Ok(Some(Fragment::Element {
-                            name: el_name,
-                            attrs: el_attrs,
-                            children,
-                        }))
-                    }
-                    "text" => Ok(Some(Fragment::Text(doc.text_content(node)))),
-                    other => Err(XUpdateError::Invalid(format!(
-                        "unsupported content constructor xupdate:{other}"
-                    ))),
-                }
-            } else {
-                // Literal element content.
-                let mut children = Vec::new();
-                for &c in &doc.node(node).children {
-                    if let Some(f) = parse_fragment(doc, c)? {
-                        children.push(f);
-                    }
-                }
-                Ok(Some(Fragment::Element {
-                    name: name.clone(),
-                    attrs: attrs.clone(),
-                    children,
-                }))
+/// The content under `op_node` as a [`Fragment`], read in document order
+/// off an explicit stack: text and literal elements as they are,
+/// `xupdate:element` with the attributes its `xupdate:attribute` children
+/// give, `xupdate:text` as its text; comments and processing
+/// instructions are dropped.
+fn parse_content(doc: &Document, op_node: NodeId) -> Result<Fragment, XUpdateError> {
+    let named = |attrs: &[(String, String)], what: &str| {
+        let name = attrs.iter().find(|(k, _)| k == "name").map(|(_, v)| v.clone());
+        let name = name.ok_or_else(|| XUpdateError::Invalid(format!("{what} without name")))?;
+        xml_name(name, &format!("{what} name"))
+    };
+    let mut out = Fragment::default();
+    // (node, the fragment index of its parent, whether that parent is an
+    // `xupdate:element`, whose `xupdate:attribute` children give it
+    // attributes)
+    let mut pending: Vec<(NodeId, Option<usize>, bool)> =
+        doc.node(op_node).children.iter().rev().map(|&c| (c, None, false)).collect();
+    while let Some((node, parent, constructed)) = pending.pop() {
+        let (name, attrs) = match &doc.node(node).kind {
+            NodeKind::Text(t) => {
+                out.push(parent, FragmentKind::Text(t.clone()));
+                continue;
             }
-        }
-        _ => Ok(None),
+            NodeKind::Element { name, attrs } => (name, attrs),
+            _ => continue,
+        };
+        let constructor = name.starts_with("xupdate:");
+        let kind = match (constructor, local_name(name)) {
+            (true, "attribute") if constructed => {
+                let attr = (named(attrs, "xupdate:attribute")?, doc.text_content(node));
+                let owner = parent.expect("an xupdate:element is in the fragment");
+                let FragmentKind::Element { attrs, .. } = &mut out.nodes[owner].kind else {
+                    unreachable!("an xupdate:element is an element");
+                };
+                attrs.push(attr);
+                continue;
+            }
+            (true, "element") => {
+                FragmentKind::Element { name: named(attrs, "xupdate:element")?, attrs: Vec::new() }
+            }
+            (true, "text") => {
+                out.push(parent, FragmentKind::Text(doc.text_content(node)));
+                continue;
+            }
+            (true, other) => {
+                return Err(XUpdateError::Invalid(format!(
+                    "unsupported content constructor xupdate:{other}"
+                )))
+            }
+            (false, _) => FragmentKind::Element { name: name.clone(), attrs: attrs.clone() },
+        };
+        let at = out.push(parent, kind);
+        pending.extend(doc.node(node).children.iter().rev().map(|&c| (c, Some(at), constructor)));
     }
+    Ok(out.finish())
 }
 
 // ---------------------------------------------------------------------
@@ -520,8 +598,10 @@ pub fn apply(
 /// sibling of the root element would be a second root, and removing the
 /// root element leaves no document. A `select` reaches text, comment and
 /// processing-instruction nodes and the document node as easily as
-/// elements, so this is input validation, not an internal invariant.
-fn check_target(doc: &Document, op: &XUpdateOp, target: NodeId) -> Result<(), XUpdateError> {
+/// elements, so this is input validation, not an internal invariant —
+/// and a check that decides a statement without applying it refuses what
+/// [`apply`] would.
+pub fn check_target(doc: &Document, op: &XUpdateOp, target: NodeId) -> Result<(), XUpdateError> {
     let node = doc.node(target);
     let is_element = matches!(node.kind, NodeKind::Element { .. });
     let at_top = node.parent == Some(doc.document_node());
@@ -584,8 +664,7 @@ fn apply_op(
                 } else {
                     base
                 };
-                for f in content {
-                    let n = f.build(doc);
+                for n in content.build(doc) {
                     doc.insert_child(parent, at, n);
                     applied.inserted.push(n);
                     applied.log.push(UndoEntry::Detach(n));
@@ -597,8 +676,7 @@ fn apply_op(
                     Some(c) => (*c).min(doc.node(target).children.len()),
                     None => doc.node(target).children.len(),
                 };
-                for f in content {
-                    let n = f.build(doc);
+                for n in content.build(doc) {
                     doc.insert_child(target, at, n);
                     applied.inserted.push(n);
                     applied.log.push(UndoEntry::Detach(n));
@@ -720,14 +798,16 @@ mod tests {
         match &u.ops[0] {
             XUpdateOp::InsertAfter { select, content } => {
                 assert_eq!(select, "/review/track[1]/rev[1]/sub[1]");
-                assert_eq!(content.len(), 1);
-                match &content[0] {
-                    Fragment::Element { name, children, .. } => {
-                        assert_eq!(name, "sub");
-                        assert_eq!(children.len(), 2);
-                    }
-                    other => panic!("unexpected fragment {other:?}"),
-                }
+                let roots: Vec<usize> = content.roots().collect();
+                assert_eq!(roots.len(), 1);
+                let sub = roots[0];
+                assert_eq!(content.name(sub), Some("sub"));
+                let children: Vec<&str> =
+                    content.children(sub).filter_map(|c| content.name(c)).collect();
+                assert_eq!(children, ["title", "auts"]);
+                let text = content.text(sub);
+                let words: Vec<&str> = text.split_whitespace().collect();
+                assert_eq!(words, ["Taming", "Web", "Services", "Jack"]);
             }
             other => panic!("unexpected op {other:?}"),
         }

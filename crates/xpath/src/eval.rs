@@ -4,7 +4,7 @@
 
 use crate::ast::{Axis, BinOp, Expr};
 use crate::ir;
-use crate::value::{NodeRef, XValue};
+use crate::value::{NodeRef, ValueSet, XValue};
 use std::collections::HashMap;
 use std::fmt;
 use xic_xml::{Document, NodeKind};
@@ -304,6 +304,11 @@ pub fn compare_values(a: &XValue, op: BinOp, b: &XValue, doc: &Document) -> bool
         ),
     };
     match (a, b) {
+        // `=` meets the smaller side's values with the larger side's nodes.
+        (XValue::Nodes(xs), XValue::Nodes(ys)) if op == BinOp::Eq => {
+            let (few, many) = if xs.len() <= ys.len() { (xs, ys) } else { (ys, xs) };
+            ValueSet::of_nodes(few, doc).met_by(many, doc)
+        }
         (XValue::Nodes(xs), XValue::Nodes(ys)) => {
             // One string per right-hand node per call, not per pair; text
             // nodes lend theirs.
@@ -537,6 +542,36 @@ mod tests {
         ] {
             assert_eq!(eval_str(src, query), XValue::Bool(expected), "{query}");
         }
+    }
+
+    /// `=` between two node-sets meets one side's hashed values with the
+    /// other's nodes: the verdict of the pair-by-pair loop, whichever side
+    /// is smaller, with duplicates, empty sets and values that only look
+    /// like numbers (`1` and `1.0` are different strings).
+    #[test]
+    fn node_set_equality_answers_what_the_pairwise_loop_answers() {
+        let src = "<r><a><n>1</n><n>1</n><n>x</n></a><b><n>1.0</n><n>y</n><n> 1</n></b>\
+                   <c><n>y</n><n>y</n></c><d><n>x</n></d><e/></r>";
+        let (doc, _) = parse_document(src).unwrap();
+        let sides = ["a", "b", "c", "d", "e"].map(|tag| {
+            let q = format!("//{tag}/n/text()");
+            evaluate_nodes(&parse(&q).unwrap(), &Context::root(&doc)).unwrap()
+        });
+        let pairwise = |xs: &[NodeRef], ys: &[NodeRef]| {
+            xs.iter().any(|x| ys.iter().any(|y| x.string_value(&doc) == y.string_value(&doc)))
+        };
+        let mut met = 0;
+        for xs in &sides {
+            for ys in &sides {
+                let (x, y) = (XValue::Nodes(xs.clone()), XValue::Nodes(ys.clone()));
+                let hashed = compare_values(&x, BinOp::Eq, &y, &doc);
+                assert_eq!(hashed, pairwise(xs, ys), "{xs:?} = {ys:?}");
+                met += usize::from(hashed);
+            }
+        }
+        // a=a, a=d, d=a, b=b, b=c, c=b, c=c, d=d: nothing meets `e`'s empty
+        // set, and `1` meets neither `1.0` nor ` 1`.
+        assert_eq!(met, 8);
     }
 
     #[test]

@@ -723,7 +723,7 @@ impl KeyedSeq {
         let mut by_key: HashMap<String, Vec<u32>> = HashMap::new();
         for (i, m) in members.iter().enumerate() {
             let i = u32::try_from(i).expect("sequence length fits u32");
-            for k in eval_steps(vec![m.clone()], key, scope)? {
+            for k in key_nodes(m.clone(), key, scope)? {
                 let value = k.str_value(scope.doc);
                 match by_key.get_mut(&*value) {
                     Some(at) if at.last() == Some(&i) => {}
@@ -760,6 +760,17 @@ impl KeyedSeq {
     pub fn member(&self, i: u32) -> &NodeRef {
         &self.members[i as usize]
     }
+}
+
+/// The nodes the slot-free `key` steps select from `member`: the key a
+/// [`KeyedSeq`] hashes the member by, and what a later join of an XQuery
+/// probe tests the member's key against, charged as the steps charge.
+pub fn key_nodes(
+    member: NodeRef,
+    key: &[IrStep],
+    scope: &Scope,
+) -> Result<Vec<NodeRef>, EvalError> {
+    eval_steps(vec![member], key, scope)
 }
 
 /// The keyed sequences of one evaluation, one cell per [`Inst::Keyed`]

@@ -48,4 +48,4 @@ pub use eval::{
 };
 pub use parser::{parse, XPathParseError, P};
 pub use lexer::{tokenize, Tok};
-pub use value::{NodeRef, XValue};
+pub use value::{NodeRef, ValueSet, XValue};

@@ -1,6 +1,7 @@
 //! The XPath 1.0 value model: node-sets, strings, numbers, booleans.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 use xic_xml::{Document, NodeId, NodeKind};
 
 /// A reference to a tree node or an attribute "node".
@@ -107,6 +108,52 @@ impl XValue {
             XValue::Nodes(ns) => Some(ns),
             _ => None,
         }
+    }
+}
+
+/// The string values one side of an XPath `=` offers, ready to be met:
+/// `K = O`, `K` a node-set and `O` a string or node-set, holds iff a node
+/// of `K` has one of `O`'s values. One value is kept as it is; more are
+/// hashed, so meeting them costs a lookup per node of `K`, not a compare
+/// per pair.
+#[derive(Debug)]
+pub enum ValueSet<'a> {
+    /// A single value.
+    One(Cow<'a, str>),
+    /// None, or several.
+    Many(HashSet<Cow<'a, str>>),
+}
+
+impl<'a> ValueSet<'a> {
+    /// `O`'s values, or `None` when `O` is a number or boolean, for which
+    /// `=` is not a comparison of string values.
+    pub fn of(outer: &'a XValue, doc: &'a Document) -> Option<ValueSet<'a>> {
+        match outer {
+            XValue::Str(s) => Some(ValueSet::One(Cow::Borrowed(s))),
+            XValue::Nodes(ns) => Some(ValueSet::of_nodes(ns, doc)),
+            XValue::Num(_) | XValue::Bool(_) => None,
+        }
+    }
+
+    /// The string values of `nodes`.
+    pub fn of_nodes(nodes: &[NodeRef], doc: &'a Document) -> ValueSet<'a> {
+        match nodes {
+            [one] => ValueSet::One(one.str_value(doc)),
+            _ => ValueSet::Many(nodes.iter().map(|n| n.str_value(doc)).collect()),
+        }
+    }
+
+    /// Whether `value` is one of the values.
+    pub fn contains(&self, value: &str) -> bool {
+        match self {
+            ValueSet::One(v) => v == value,
+            ValueSet::Many(vs) => vs.contains(value),
+        }
+    }
+
+    /// Whether a node of `nodes` has one of the values: `nodes = O`.
+    pub fn met_by(&self, nodes: &[NodeRef], doc: &Document) -> bool {
+        nodes.iter().any(|n| self.contains(&n.str_value(doc)))
     }
 }
 

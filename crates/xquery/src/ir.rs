@@ -53,12 +53,22 @@
 //! first join's `K` is child name steps ending in `text()`, the probe
 //! carries that [`IndexShape`] and asks the document instead
 //! ([`xic_xml::Document::members_keyed`]): the candidates are its hits,
-//! in document order, and the source is never walked. (Further joins are
-//! left to the `satisfies`; where they could narrow through tables
-//! instead — the binder has a loop around it — the probe keeps to tables
-//! for all of them.) One probe pays then, so `O` may read any variable but
-//! the binder — a program parameter included — and a `some` with a single
-//! binder is planned when it has the shape.
+//! in document order, and the source is never walked. One probe pays then,
+//! so `O` may read any variable but the binder — a program parameter
+//! included — and a `some` with a single binder is planned when it has the
+//! shape.
+//!
+//! **Narrowing.** Each join after the first narrows the first join's hits
+//! — the index's or the table's — instead of keying a table of its own:
+//! its `O` is evaluated once per outer binding into a [`ValueSet`], and a
+//! hit stays if its `K` meets it. A join that cannot stand in for its
+//! comparison for this outer binding (its `O` raises or is a number or
+//! boolean, or its `K` raises on a hit) stops the narrowing there and
+//! leaves the rest to the `satisfies`, which raises what the scan raises.
+//! So the co-author check, `some $r in //rev, $a in //aut satisfies
+//! $r/name/text() = $a/name/text() and $r/sub/auts/name/text() =
+//! $a/../aut/name/text()`, reads each reviewer's own `aut`s off the index
+//! and keeps those whose pub names an author the reviewer reviews.
 //!
 //! This is the only evaluator: the one-shot entry points in
 //! [`crate::eval`] compile and run here, the expected-value tests there
@@ -74,7 +84,7 @@ use crate::item::{
 use std::cell::OnceCell;
 use xic_xml::{Document, NodeId, Symbol};
 use xic_xpath::ir::{self, Builder, ExprId, IndexShape, IrStart, IrStep, KeyedSeq, Scope, SlotId};
-use xic_xpath::{BinOp, NodeRef, XValue};
+use xic_xpath::{BinOp, EvalError, NodeRef, ValueSet, XValue};
 
 /// Index of a node in [`XProgram::insts`].
 pub type XId = u32;
@@ -430,15 +440,10 @@ impl Compiler {
             },
             _ => None,
         };
-        // The index stands in for the source and the first join's table.
-        // Further joins of a binder with a loop around it narrow through
-        // tables over the source, which is then walked anyway: all tables.
+        // The index stands in for the source and the first join's table;
+        // further joins narrow its hits.
         let index = match (steps_of(last.source), steps_of(joins.first()?.0)) {
-            (Some((IrStart::Root, members)), Some((_, key)))
-                if !(last.hoistable && joins.len() > 1) =>
-            {
-                IndexShape::of(members, key)
-            }
+            (Some((IrStart::Root, members)), Some((_, key))) => IndexShape::of(members, key),
             _ => None,
         };
         // Without a loop around it a binder is probed once per evaluation:
@@ -744,11 +749,12 @@ fn eval_quantified(
 }
 
 /// A hoistable `for` source, evaluated when its clause was first reached,
-/// and, keyed for each join of the clause's [`Probe`], the table over it,
-/// built when first asked for (a cell holding `None`: it could not be).
+/// and the table over it keyed for the first join of the clause's
+/// [`Probe`], built when first asked for (a cell holding `None`: it could
+/// not be).
 struct Hoisted {
     items: Sequence,
-    keyed: Vec<OnceCell<Option<KeyedSeq>>>,
+    keyed: OnceCell<Option<KeyedSeq>>,
 }
 
 /// Where the items of one `for` frame come from.
@@ -811,12 +817,12 @@ fn for_each_tuple(
                     } else if f.hoistable {
                         if hoisted[idx].is_none() {
                             let items = eval(f.source, st)?;
-                            let joins = f.probe.as_ref().map_or(0, |p| p.joins.len());
-                            let keyed = (0..joins).map(|_| OnceCell::new()).collect();
-                            hoisted[idx] = Some(Hoisted { items, keyed });
+                            hoisted[idx] = Some(Hoisted { items, keyed: OnceCell::new() });
                         }
                         let h = hoisted[idx].as_ref().expect("just evaluated");
-                        match f.probe.as_ref().and_then(|p| candidates(p, h, st, lazy)) {
+                        let probed =
+                            f.probe.as_ref().and_then(|p| candidates(p, h, st, lazy)).transpose()?;
+                        match probed {
                             Some(hits) => Items::Probed(hits.into_iter()),
                             None => Items::All(0..h.items.len()),
                         }
@@ -861,11 +867,12 @@ fn for_each_tuple(
 }
 
 /// The value-join plan answered by the document: the members its index
-/// pairs with the current outer binding under the probe's first join, or
-/// `None` when the binder has to be iterated from its source — the probe
-/// has no shape to ask for, a guard or the operand raises, or the operand
-/// is a number or boolean. The one error is a budget that the document's
-/// first build of the index exhausted.
+/// pairs with the current outer binding under the probe's first join,
+/// [`narrow`]ed by the joins after it, or `None` when the binder has to be
+/// iterated from its source — the probe has no shape to ask for, a guard
+/// or the operand raises, or the operand is a number or boolean. The one
+/// error is a spent budget: in the document's first build of the index, or
+/// while narrowing.
 fn indexed_candidates(
     probe: &Probe,
     st: &mut St,
@@ -876,7 +883,11 @@ fn indexed_candidates(
         return Some(Ok(Vec::new()));
     }
     let outer = eval_xvalue(probe.joins[0].1, st).ok()?;
-    ir::index_members(shape, &outer, st.doc, &st.resolved).map_err(Into::into).transpose()
+    let hits = match ir::index_members(shape, &outer, st.doc, &st.resolved) {
+        Ok(hits) => hits?,
+        Err(e) => return Some(Err(e.into())),
+    };
+    Some(narrow(probe, hits, |&n| NodeRef::Node(n), st))
 }
 
 /// Whether every guard of `probe` holds for the current outer binding;
@@ -891,43 +902,82 @@ fn guards_hold(probe: &Probe, st: &mut St, lazy: bool) -> Option<bool> {
 }
 
 /// The value-join plan at run time: the positions of `hoisted.items` the
-/// current outer binding can pair with, or `None` when it has to try them
-/// all (see [`Probe`] and the module documentation). A table is built by
-/// the first outer binding that gets as far as needing it.
-fn candidates(probe: &Probe, hoisted: &Hoisted, st: &mut St, lazy: bool) -> Option<Vec<u32>> {
+/// current outer binding can pair with under the probe's first join,
+/// [`narrow`]ed by the joins after it, or `None` when it has to try them
+/// all (see [`Probe`] and the module documentation). The table is built by
+/// the first outer binding that gets as far as needing it. The one error
+/// is a budget spent while narrowing.
+fn candidates(
+    probe: &Probe,
+    hoisted: &Hoisted,
+    st: &mut St,
+    lazy: bool,
+) -> Option<Result<Vec<u32>, XQueryError>> {
     if !guards_hold(probe, st, lazy)? {
-        return Some(Vec::new());
+        return Some(Ok(Vec::new()));
     }
-    let mut hits: Option<Vec<u32>> = None;
-    for (&(key, outer), cell) in probe.joins.iter().zip(&hoisted.keyed) {
-        if hits.as_ref().is_some_and(Vec::is_empty) {
+    let (key, outer) = probe.joins[0];
+    let outer = eval_xvalue(outer, st).ok()?;
+    let keyed = hoisted.keyed.get_or_init(|| {
+        let (leaf, steps) = st.prog.key_path(key);
+        // `K`'s leaf raises a binding in its scope that has no XPath
+        // value; then so does the scan, and there is no table.
+        st.check_scope(leaf).ok()?;
+        let Ok(XValue::Nodes(members)) = sequence_to_xvalue(&hoisted.items) else {
+            return None;
+        };
+        KeyedSeq::build(members, steps, &st.xp_scope()).ok()
+    });
+    let keyed = keyed.as_ref()?;
+    let hits = keyed.probe(&outer, st.doc)?;
+    Some(narrow(probe, hits, |&i| keyed.member(i).clone(), st))
+}
+
+/// `hits`, the members the probe's first join selected for the current
+/// outer binding, narrowed by each join `K = O` after it to the members
+/// `m` with `K(m) = O`: `O` is evaluated once, and `K` on each member. A
+/// join stops the narrowing, and leaves the rest to the `satisfies`,
+/// where it cannot stand in for the comparison: `O` raises or is a number
+/// or boolean, a binding in scope at `K` has no XPath value, or `K` raises
+/// on a member — that member and those after it are kept, so the
+/// `satisfies` raises where the scan would. The `satisfies` still runs on
+/// every member kept, so narrowing only drops members it would find false.
+/// The one error is a spent budget.
+fn narrow<T>(
+    probe: &Probe,
+    mut hits: Vec<T>,
+    member: impl Fn(&T) -> NodeRef,
+    st: &mut St,
+) -> Result<Vec<T>, XQueryError> {
+    for &(key, outer) in &probe.joins[1..] {
+        if hits.is_empty() {
             break;
         }
         let Ok(outer) = eval_xvalue(outer, st) else {
             break;
         };
-        let keyed = cell.get_or_init(|| {
-            let (leaf, steps) = st.prog.key_path(key);
-            // `K`'s leaf raises a binding in its scope that has no XPath
-            // value; then so does the scan, and there is no table.
-            st.check_scope(leaf).ok()?;
-            let Ok(XValue::Nodes(members)) = sequence_to_xvalue(&hoisted.items) else {
-                return None;
-            };
-            KeyedSeq::build(members, steps, &st.xp_scope()).ok()
-        });
-        let Some(selected) = keyed.as_ref().and_then(|k| k.probe(&outer, st.doc)) else {
+        let (leaf, steps) = st.prog.key_path(key);
+        let (Some(values), Ok(())) = (ValueSet::of(&outer, st.doc), st.check_scope(leaf)) else {
             break;
         };
-        hits = Some(match hits {
-            None => selected,
-            Some(mut hits) => {
-                hits.retain(|i| selected.binary_search(i).is_ok());
-                hits
+        let scope = st.xp_scope();
+        let mut kept = Vec::with_capacity(hits.len());
+        let mut rest = hits.into_iter();
+        while let Some(hit) = rest.next() {
+            match ir::key_nodes(member(&hit), steps, &scope) {
+                Ok(keys) if values.met_by(&keys, st.doc) => kept.push(hit),
+                Ok(_) => xic_obs::incr(xic_obs::Counter::ProbeNarrowed),
+                Err(e @ EvalError::BudgetExhausted) => return Err(e.into()),
+                Err(_) => {
+                    kept.push(hit);
+                    kept.extend(rest);
+                    return Ok(kept);
+                }
             }
-        });
+        }
+        hits = kept;
     }
-    hits
+    Ok(hits)
 }
 
 /// Materializing evaluation.
@@ -1444,8 +1494,14 @@ mod tests {
             );
             assert_eq!(prog.eval_bool(&doc, &[]).unwrap(), verdict, "materialized {query}");
         }
-        let numeric = parse_document("<r><a><x/><x/></a><b><v>2.0</v></b></r>").unwrap().0;
+        let numeric =
+            parse_document("<r><a><y>k</y><x/><x/></a><b><v>2.0</v><w>k</w></b></r>").unwrap().0;
         let q = "some $a in //a, $b in //b satisfies count($a/x) = $b/v/text()";
+        assert!(XProgram::compile(&parse_query(q).unwrap()).eval_exists(&numeric, &[]).unwrap());
+        // A later join against a number does not narrow the index's hits:
+        // 2 = "2.0" as numbers, not as strings.
+        let q = "some $a in //a, $b in //w satisfies $a/y/text() = $b/text() \
+                 and count($a/x) = $b/../v/text()";
         assert!(XProgram::compile(&parse_query(q).unwrap()).eval_exists(&numeric, &[]).unwrap());
     }
 
@@ -1589,13 +1645,16 @@ mod tests {
         assert!(prog.eval_exists(&plain.clone(), &[]).unwrap());
         assert_eq!(counters(), (1, 1));
         assert_eq!(xic_obs::counter(xic_obs::Counter::XpathNodesVisited), 2 + 4 + 3 + 4 + 2);
-        // Two joins narrow through tables over the source: nothing to ask.
+        // Two joins, the full check's co-author shape: the index answers the
+        // first, and the second narrows its hits — Ann's one aut, whose pub
+        // has Bob, one of her sub-authors, is tried and is the witness.
         let two = "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text() \
                    and $a/sub/auts/name/text() = $b/../aut/name/text()";
         let two = XProgram::compile(&parse_query(two).unwrap());
         xic_obs::reset();
-        assert!(two.eval_exists(&plain.clone(), &[]).is_ok());
-        assert_eq!(counters(), (0, 0));
+        assert!(two.eval_exists(&plain.clone(), &[]).unwrap());
+        assert_eq!(counters(), (1, 1));
+        assert_eq!(xic_obs::counter(xic_obs::Counter::XqueryBindingsVisited), 2);
     }
 
     #[test]
@@ -1625,6 +1684,13 @@ mod tests {
                 "some $a in //rev, $b in //aut satisfies $a/sub/title/text() = $b/name/text() \
                  and $b/../aut/name = frob($a)",
                 "(false)",
+            ),
+            // A later join's key that raises on a hit keeps the hit: the
+            // `satisfies` raises on Ann's aut, where the scan does.
+            (
+                "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text() \
+                 and $a/sub/auts/name/text() = $b/../aut[frob()]/name/text()",
+                "error: unknown function frob()",
             ),
             // A conjunct behind the joins raises on the first candidate.
             (
