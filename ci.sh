@@ -222,6 +222,11 @@ echo "$replies"
 stats="$(grep -o 'index_[a-z]*=[0-9]*' <<<"$replies" | tr '\n' ' ')"
 [ "$stats" = 'index_probes=1 index_builds=1 index_probes=3 index_builds=2 ' ] \
   || { echo "wire hostility smoke: first sight read '$stats'" >&2; exit 1; }
+# The first DECIDE compiled the pattern into the cache the writer shares;
+# the UPDATE and the second DECIDE found it there.
+compiles="$(grep -o 'patterns_compiled=[0-9]*' <<<"$replies" | tr '\n' ' ')"
+[ "$compiles" = 'patterns_compiled=1 patterns_compiled=1 ' ] \
+  || { echo "wire hostility smoke: first sight compiled '$compiles'" >&2; exit 1; }
 
 echo "== experiments smoke (paper tables + their one report file, bad input exits 1) =="
 # A does-it-run gate, not a performance assertion (how the full check

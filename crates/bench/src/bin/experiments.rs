@@ -10,8 +10,9 @@
 //! `fig1a` / `fig1b` print one row per document size with the three
 //! curves of Figure 1: full check (diamonds), optimized check (squares),
 //! update + full check + undo (triangles). `illegal` is the
-//! early-detection comparison (E5), `simp` the compile-time
-//! simplification latency (footnote 4: "generated in less than 50 ms"),
+//! early-detection comparison (E5), `simp` what the first sight of an
+//! update pattern costs — map, Simp, translate and template
+//! precompilation (footnote 4: "generated in less than 50 ms"),
 //! `checkpoint` recovery time against committed-history length with and
 //! without checkpointing (E9), `overload` the goodput / shed-rate curve
 //! of closed-loop clients against a small admission queue (E13). Every
@@ -24,14 +25,13 @@
 //! snapshot (`xic-obs` phase timings and counters) taken across its
 //! measurement. Bad arguments and an unwritable `--out` exit 1.
 
-use std::time::Instant;
 use xic_bench::report::{col, emit, run_meta, write_report, Column, SECTIONS};
 use xic_bench::{
-    instance, measure_checkpoint, measure_illegal, measure_overload, measure_row, Experiment,
+    authored_insert, benchmark_checker, instance, measure_checkpoint, measure_first_sight,
+    measure_illegal, measure_overload, measure_row, Experiment,
 };
-use xic_mapping::map_update;
+use xic_xml::XUpdateDoc;
 use xicheck::obs::json::Value;
-use xicheck::{compile_pattern, xpath_resolver};
 
 #[derive(Debug)]
 struct Args {
@@ -110,27 +110,29 @@ fn illegal(args: &Args) -> Value {
 fn simp_latency(args: &Args) -> Value {
     const COLUMNS: &[Column] = &[
         col("experiment", "experiment", 20, 0),
-        col("ms_per_pattern", "map+simp+translate ms/pattern", 31, 3),
+        col("authors", "authors", 9, 0),
+        col("ms_per_pattern", "map+simp+translate+build ms/pattern", 37, 3),
     ];
     const PATTERNS: u32 = 200;
-    let cases = [
+    let kib = args.sizes[0];
+    let paper = [
         (Experiment::ConflictOfInterests, "conflict (Ex. 1/6)"),
         (Experiment::ConferenceWorkload, "workload (Ex. 2/7)"),
-    ];
-    let rows = cases.iter().map(|&(exp, name)| {
-        let inst = instance(exp, args.sizes[0], args.seed);
-        let (gamma, schema) = (inst.checker.constraints(), inst.checker.schema());
-        let mapped = map_update(inst.checker.doc(), schema, &inst.legal, &xpath_resolver)
-            .expect("mappable update");
-        let start = Instant::now();
-        for _ in 0..PATTERNS {
-            let compiled = compile_pattern(&mapped, gamma, schema, true);
-            assert!(compiled.is_incremental(), "{:?}", compiled.unsupported);
-        }
-        vec![text(name), Value::Number(start.elapsed().as_secs_f64() * 1e3 / f64::from(PATTERNS))]
+    ]
+    .map(|(exp, name)| {
+        let inst = instance(exp, kib, args.seed);
+        (name, 1, inst.checker, inst.legal)
     });
-    let title = "Compile-time simplification latency (paper: < 50 ms, E3)";
-    emit(title, COLUMNS, &[("seed", args.seed as f64)], rows)
+    let benchmark = [1, 2, 4, 8].map(|authors| {
+        let stmt = XUpdateDoc::parse(&authored_insert(authors)).expect("insert parses");
+        ("benchmark Γ", authors, benchmark_checker(kib, args.seed), stmt)
+    });
+    let rows = paper.into_iter().chain(benchmark).map(|(name, authors, mut checker, stmt)| {
+        let ms = measure_first_sight(&mut checker, &stmt, PATTERNS);
+        vec![text(name), Value::Number(authors as f64), Value::Number(ms)]
+    });
+    let title = "First-sight compile latency (paper: < 50 ms, E3)";
+    emit(title, COLUMNS, &[("seed", args.seed as f64), ("kib", kib as f64)], rows)
 }
 
 fn checkpoint_section(args: &Args) -> Value {

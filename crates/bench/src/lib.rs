@@ -70,6 +70,45 @@ fn multi_insert(track: usize, rev: usize, n: usize, serial: usize) -> String {
     )
 }
 
+/// A statement appending one submission with `authors` fresh authors to
+/// the first reviewer: one more `auts` is one more pattern shape.
+pub fn authored_insert(authors: usize) -> String {
+    let auts: String =
+        (0..authors).map(|i| format!("<auts><name>newcomer{i:05}</name></auts>")).collect();
+    format!(
+        r#"<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate">
+  <xupdate:append select="/collection/review/track[1]/rev[1]"><sub><title>Fresh</title>{auts}</sub></xupdate:append>
+</xupdate:modifications>"#
+    )
+}
+
+/// The wire-level benchmark's three constraints — conflict of interests,
+/// conference workload, review load — over a sized corpus, at thresholds
+/// no insertion reaches.
+pub fn benchmark_checker(kib: usize, seed: u64) -> Checker {
+    let w = generate(WorkloadConfig::sized_kib(kib, seed));
+    let gamma = format!(
+        "{}. {}. {}",
+        xic_workload::conflict_constraint(),
+        xic_workload::workload_constraint(3, 1_000_000),
+        xic_workload::review_load_constraint(1_000_000),
+    );
+    Checker::new(&w.xml, dtd_text(), &gamma).expect("generated corpus must load")
+}
+
+/// Mean milliseconds a first sight of `stmt`'s pattern costs `checker`
+/// over `runs` compiles: map + Simp + translate + template precompilation,
+/// all that `register_pattern` runs.
+pub fn measure_first_sight(checker: &mut Checker, stmt: &XUpdateDoc, runs: u32) -> f64 {
+    let start = Instant::now();
+    for _ in 0..runs {
+        checker.register_pattern(stmt).expect("pattern registration");
+    }
+    let ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(runs);
+    assert!(checker.patterns().all(|p| p.is_incremental()), "every pattern is incremental");
+    ms
+}
+
 /// Builds an experiment instance at roughly `kib` KiB.
 ///
 /// For the conference-workload experiment the aggregate thresholds are

@@ -398,14 +398,15 @@ impl Checker {
     pub fn register_pattern(&mut self, stmt: &XUpdateDoc) -> Result<String, CheckerError> {
         let mapped = map_update(&self.doc, self.shared.schema(), stmt, &xpath_resolver)
             .map_err(|e| CheckerError::Statement(e.to_string()))?;
-        let compiled = compile_pattern(
-            &mapped,
-            self.shared.constraints(),
-            self.shared.schema(),
-            self.independence,
-        );
-        let key = compiled.key.clone();
-        self.patterns.publish(&key, PatternEntry::build(compiled));
+        let key = xic_mapping::pattern_key(&mapped.update);
+        self.patterns.compile_and_publish(&key, || {
+            PatternEntry::build(compile_pattern(
+                &mapped,
+                self.shared.constraints(),
+                self.shared.schema(),
+                self.independence,
+            ))
+        });
         Ok(key)
     }
 
@@ -608,8 +609,8 @@ impl Checker {
     ///
     /// Statements new to the checker are compiled on first sight (the
     /// paper generates simplifications at schema design time; compiling
-    /// lazily here only changes *when* the one-off cost is paid — see the
-    /// `simplify_time` benchmark for its magnitude).
+    /// lazily here only changes *when* the one-off cost is paid — see
+    /// EXPERIMENTS E3 for its magnitude; `STATS` counts the compiles).
     /// Any panic escaping evaluation or apply is contained here
     /// (`catch_unwind`): it is returned as [`CheckerError::Panicked`] and
     /// the checker is poisoned — mutating operations are refused until the

@@ -1,4 +1,5 @@
-//! Schema-design-time compilation of update patterns.
+//! Compilation of update patterns: at registration, or on the first
+//! sight of a statement of the pattern's shape.
 
 use xic_datalog::{Denial, Update};
 use xic_mapping::{pattern_key, MappedUpdate, RelSchema};

@@ -234,6 +234,7 @@ fn stats_fields(stats: &ServiceStats) -> String {
     format!(
         "requests_shed={} requests_timed_out={} service_degraded={} \
          index_probes={} index_builds={} \
+         patterns_compiled={} pattern_compile_us={} \
          decides_optimized={} decides_fallback_non_insertion={} \
          decides_fallback_observes_earlier_op={} \
          decides_fallback_unmappable={} decides_fallback_non_incremental={} \
@@ -243,6 +244,8 @@ fn stats_fields(stats: &ServiceStats) -> String {
         stats.service_degraded,
         stats.index_probes,
         stats.index_builds,
+        stats.patterns_compiled,
+        stats.pattern_compile_us,
         stats.decides_optimized,
         stats.decides_fallback_non_insertion,
         stats.decides_fallback_observes_earlier_op,
@@ -363,7 +366,10 @@ pub fn execute_sharded(set: &ShardSet, command: &Command) -> Reply {
         Command::Stats => {
             let health = set.health();
             let version: u64 = health.shards.iter().map(|s| s.version).sum();
-            let mut total = ServiceStats::default();
+            // The shards share one pattern cache: it is reported once.
+            let (patterns_compiled, pattern_compile_us) = set.patterns().compile_stats();
+            let mut total =
+                ServiceStats { patterns_compiled, pattern_compile_us, ..ServiceStats::default() };
             for id in 0..set.len() {
                 if let Ok(stats) = set.stats(id) {
                     total.requests_shed += stats.requests_shed;
@@ -644,6 +650,7 @@ mod tests {
             "OK 0 executor=sync queue_depth=256 health=ok requests_shed=0 \
              requests_timed_out=0 service_degraded=0 \
              index_probes=1 index_builds=1 \
+             patterns_compiled=0 pattern_compile_us=0 \
              decides_optimized=0 decides_fallback_non_insertion=0 \
              decides_fallback_observes_earlier_op=0 \
              decides_fallback_unmappable=0 decides_fallback_non_incremental=0 \
@@ -851,6 +858,12 @@ mod tests {
         let stats = execute_sharded(&set, &Command::Stats).render();
         assert!(stats.starts_with("OK 1 shards=2 health=ok"), "got {stats:?}");
         assert!(stats.contains(" decides_optimized=2 "), "got {stats:?}");
+        // The shards share one pattern cache, which compiled the insert's
+        // shape once (at the UPDATE): every STATS reports that one
+        // compile, the aggregate too — not once per shard.
+        for stats in [stats, execute_sharded(&set, &Command::Doc(1, Box::new(Command::Stats))).render()] {
+            assert!(stats.contains(" patterns_compiled=1 pattern_compile_us="), "got {stats:?}");
+        }
         // An out-of-range shard is an error, not a panic.
         let line = execute_sharded(&set, &Command::Doc(9, Box::new(Command::Version))).render();
         assert!(line.starts_with("ERR no-shard:"), "got {line:?}");

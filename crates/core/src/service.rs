@@ -277,6 +277,11 @@ pub struct ServiceStats {
     /// it keeps growing when readers ask a shape the writer never does,
     /// built again on every published snapshot.
     pub index_builds: u64,
+    /// Update patterns compiled for the service's [`PatternCache`]
+    /// (shared with every shard of a `ShardSet`).
+    pub patterns_compiled: u64,
+    /// Their total wall time, in µs.
+    pub pattern_compile_us: u64,
     /// [`ReadSnapshot::decide`] calls answered by the optimized
     /// pre-update check.
     pub decides_optimized: u64,
@@ -664,12 +669,15 @@ impl CheckerService {
             decides.index_reads[i].load(Ordering::Relaxed)
                 + decides.writer_index_reads[i].load(Ordering::Relaxed)
         };
+        let (patterns_compiled, pattern_compile_us) = self.checks.patterns.compile_stats();
         ServiceStats {
             requests_shed: self.stats.shed.load(Ordering::Relaxed),
             requests_timed_out: self.checks.timed_out.load(Ordering::Relaxed),
             service_degraded: self.stats.degraded_transitions.load(Ordering::Relaxed),
             index_probes: reads(0),
             index_builds: reads(1),
+            patterns_compiled,
+            pattern_compile_us,
             decides_optimized: decides.optimized.load(Ordering::Relaxed),
             decides_fallback_non_insertion: decides.fallback_non_insertion.load(Ordering::Relaxed),
             decides_fallback_observes_earlier_op: decides

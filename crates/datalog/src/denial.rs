@@ -6,7 +6,7 @@ use crate::subst::Subst;
 use crate::term::Term;
 use crate::value::Value;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A denial `← L1 ∧ … ∧ Ln`: the database is consistent with it iff no
 /// variable binding satisfies the whole body (Section 3 of the paper).
@@ -80,17 +80,6 @@ impl Denial {
         Denial::new(self.body.iter().map(|l| s.apply_literal(l)).collect())
     }
 
-    /// Renames every variable with a fresh name drawn from `gen`, so the
-    /// result shares no variables with any other clause. Used before
-    /// unification-based operations (subsumption, `After` on aggregates).
-    pub fn rename_apart(&self, gen: &mut VarGen) -> Denial {
-        let mut s = Subst::new();
-        for v in self.vars() {
-            s.bind(&v, &Term::Var(gen.fresh(&v)));
-        }
-        self.apply(&s)
-    }
-
     /// Replaces parameters with concrete values. Parameters missing from
     /// `bindings` are left in place.
     pub fn instantiate(&self, bindings: &HashMap<String, Value>) -> Denial {
@@ -156,42 +145,43 @@ impl Denial {
         // Replace variable names with occurrence indexes. Variables are
         // identifiers starting with an uppercase letter or underscore in
         // our rendering; re-tokenize the rendered string.
-        let mut map: HashMap<String, usize> = HashMap::new();
+        let mut names: Vec<&str> = Vec::new();
         let mut out = String::with_capacity(joined.len());
-        let mut chars = joined.chars().peekable();
+        let mut rest = joined.as_str();
         // A variable token may only start where an identifier is not
         // already in progress (otherwise `$v0_0` would be split into a
         // parameter prefix and a spurious variable `_0`).
         let mut in_ident = false;
-        while let Some(c) = chars.next() {
-            if c == '"' {
+        while let Some(c) = rest.chars().next() {
+            let len = if c == '"' {
                 // Skip string literal verbatim.
                 in_ident = false;
-                out.push(c);
-                for d in chars.by_ref() {
-                    out.push(d);
-                    if d == '"' {
-                        break;
-                    }
-                }
+                let len = rest[1..].find('"').map_or(rest.len(), |j| j + 2);
+                out.push_str(&rest[..len]);
+                len
             } else if !in_ident && (c.is_ascii_uppercase() || c == '_') {
-                let mut name = String::new();
-                name.push(c);
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        name.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                let len = rest
+                    .find(|d: char| !(d.is_ascii_alphanumeric() || d == '_'))
+                    .unwrap_or(rest.len());
+                let name = &rest[..len];
+                if rest[len..].starts_with('(') {
+                    // A predicate named like a variable: an XML tag may
+                    // start with a capital or an underscore.
+                    out.push_str(name);
+                } else {
+                    let idx = names.iter().position(|n| *n == name).unwrap_or_else(|| {
+                        names.push(name);
+                        names.len() - 1
+                    });
+                    let _ = write!(out, "V{idx}");
                 }
-                let n = map.len();
-                let idx = *map.entry(name).or_insert(n);
-                out.push_str(&format!("V{idx}"));
+                len
             } else {
                 in_ident = c.is_ascii_alphanumeric() || c == '_' || c == '$';
                 out.push(c);
-            }
+                c.len_utf8()
+            };
+            rest = &rest[len..];
         }
         out
     }
@@ -227,6 +217,11 @@ impl VarGen {
         VarGen::default()
     }
 
+    /// Skips `n` names, as `n` calls of [`VarGen::fresh`] would.
+    pub fn skip(&mut self, n: usize) {
+        self.next += n as u64;
+    }
+
     /// Returns a fresh variable name based on `base` (its existing numeric
     /// suffix, if any, is kept — only uniqueness matters).
     pub fn fresh(&mut self, base: &str) -> String {
@@ -253,18 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn rename_apart_disjoint() {
-        let d = parse_denial("<- p(X,Y) & q(Y,Z)").unwrap();
-        let mut g = VarGen::new();
-        let r1 = d.rename_apart(&mut g);
-        let r2 = d.rename_apart(&mut g);
-        let v1: std::collections::HashSet<_> = r1.vars().into_iter().collect();
-        let v2: std::collections::HashSet<_> = r2.vars().into_iter().collect();
-        assert!(v1.is_disjoint(&v2));
-        assert!(r1.is_variant_of(&d));
-    }
-
-    #[test]
     fn instantiate_params() {
         let d = parse_denial("<- p($i, Y) & Y != $t").unwrap();
         let mut b = HashMap::new();
@@ -274,12 +257,31 @@ mod tests {
     }
 
     #[test]
+    fn var_gen_names_are_fresh() {
+        let mut g = VarGen::new();
+        let names = [g.fresh("X"), g.fresh("X"), g.fresh("X__0"), g.fresh("Y")];
+        assert_eq!(names, ["X__0", "X__1", "X__2", "Y__3"]);
+        g.skip(2);
+        assert_eq!(g.fresh("Z"), "Z__6");
+    }
+
+    #[test]
     fn variant_detects_renaming_and_reordering() {
         let a = parse_denial("<- p(X,Y) & q(Y)").unwrap();
         let b = parse_denial("<- q(B) & p(A,B)").unwrap();
         assert!(a.is_variant_of(&b));
         let c = parse_denial("<- p(X,X) & q(X)").unwrap();
         assert!(!a.is_variant_of(&c));
+    }
+
+    #[test]
+    fn variant_keeps_predicates_named_like_variables() {
+        let on = |pred: &str, var: &str| {
+            Denial::new(vec![Literal::Pos(Atom::new(pred, vec![Term::var(var)]))])
+        };
+        assert!(!on("Book", "X").is_variant_of(&on("Paper", "X")));
+        assert!(!on("_b", "X").is_variant_of(&on("_p", "X")));
+        assert!(on("Book", "X").is_variant_of(&on("Book", "Y")));
     }
 
     #[test]

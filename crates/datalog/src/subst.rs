@@ -1,4 +1,4 @@
-//! Substitutions, unification and one-sided matching.
+//! Substitutions and unification.
 
 use crate::atom::Atom;
 use crate::literal::{Aggregate, Literal};
@@ -149,35 +149,6 @@ pub fn unify_atoms(a: &Atom, b: &Atom, s: &mut Subst) -> bool {
         .all(|(x, y)| unify_terms(x, y, s))
 }
 
-/// One-sided matching: finds θ extending `s` with `pattern·θ == target`,
-/// binding only variables of `pattern`. The target may contain variables,
-/// but they are treated as rigid symbols (this is θ-subsumption matching,
-/// not unification).
-pub fn match_term(pattern: &Term, target: &Term, s: &mut Subst) -> bool {
-    let rp = s.resolve(pattern);
-    match (&rp, target) {
-        (Term::Var(x), t) => {
-            s.bind(x, t);
-            true
-        }
-        (Term::Const(u), Term::Const(v)) => u == v,
-        (Term::Param(p), Term::Param(q)) => p == q,
-        _ => false,
-    }
-}
-
-/// One-sided matching on atoms; see [`match_term`].
-pub fn match_atom(pattern: &Atom, target: &Atom, s: &mut Subst) -> bool {
-    if pattern.pred != target.pred || pattern.args.len() != target.args.len() {
-        return false;
-    }
-    pattern
-        .args
-        .iter()
-        .zip(&target.args)
-        .all(|(p, t)| match_term(p, t, s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,17 +192,6 @@ mod tests {
         assert!(!unify_atoms(&a, &b, &mut s));
         let c = Atom::new("p", vec![Term::int(1), Term::int(2)]);
         assert!(!unify_atoms(&a, &c, &mut s));
-    }
-
-    #[test]
-    fn matching_is_one_sided() {
-        let mut s = Subst::new();
-        // Pattern variable binds to target variable (rigidly).
-        assert!(match_term(&v("X"), &v("Y"), &mut s));
-        assert_eq!(s.apply_term(&v("X")), v("Y"));
-        // Target variable does NOT bind to pattern constant.
-        let mut s2 = Subst::new();
-        assert!(!match_term(&Term::int(1), &v("Z"), &mut s2));
     }
 
     #[test]

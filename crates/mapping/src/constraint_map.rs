@@ -87,7 +87,7 @@ pub fn map_constraint(
         m.formula(n, &Ctx::Unanchored)?;
     }
     let placeholders = m.placeholders.clone();
-    match reduce(&Denial::new(m.literals)) {
+    match reduce(Denial::new(m.literals)) {
         Reduced::Denial(d) => Ok(Some(prune_implied_atoms(d, &placeholders, schema, dtd))),
         Reduced::TriviallySatisfied => Ok(None),
     }

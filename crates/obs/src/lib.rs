@@ -140,10 +140,13 @@ pub enum Counter {
     /// document's index or of a table) that a later join of the same
     /// `some` dropped before the `satisfies` ran on it.
     ProbeNarrowed,
+    /// Pairs of denials `Optimize` searched for a θ-subsumption: those
+    /// whose literal signatures did not already rule it out.
+    SubsumptionSearches,
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 30] = [
+pub const ALL_COUNTERS: [Counter; 31] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
     Counter::XpathNodesVisited,
@@ -174,6 +177,7 @@ pub const ALL_COUNTERS: [Counter; 30] = [
     Counter::IndexBuild,
     Counter::ChunkCopy,
     Counter::ProbeNarrowed,
+    Counter::SubsumptionSearches,
 ];
 
 const N_COUNTERS: usize = ALL_COUNTERS.len();
@@ -212,6 +216,7 @@ impl Counter {
             Counter::IndexBuild => "index_builds",
             Counter::ChunkCopy => "chunk_copies",
             Counter::ProbeNarrowed => "probe_hits_narrowed",
+            Counter::SubsumptionSearches => "subsumption_searches",
         }
     }
 }

@@ -52,18 +52,14 @@ pub fn after(
     config: &SimpConfig,
 ) -> Result<Vec<Denial>, AfterError> {
     let mut gen = VarGen::new();
-    for d in gamma {
-        for v in d.vars() {
-            gen.fresh(&v);
-        }
-    }
+    gen.skip(gamma.iter().map(|d| d.vars().len()).sum());
     let mut out: Vec<Denial> = Vec::new();
     let mut seen: HashSet<String> = HashSet::new();
     for phi in gamma {
         let agg_variants = expand_aggregates(phi.clone(), 0, update, config, &mut gen)?;
         for v in agg_variants {
             for d in expand_atoms(&v, update) {
-                if let Reduced::Denial(r) = reduce(&d) {
+                if let Reduced::Denial(r) = reduce(d) {
                     if seen.insert(r.canonical_key()) {
                         out.push(r);
                     }
@@ -126,20 +122,23 @@ fn expand_atoms(denial: &Denial, update: &Update) -> Vec<Denial> {
             other => alternatives.push(vec![vec![other.clone()]]),
         }
     }
-    // Cartesian product.
-    let mut results: Vec<Vec<Literal>> = vec![Vec::new()];
-    for alts in alternatives {
-        let mut next = Vec::with_capacity(results.len() * alts.len());
-        for r in &results {
-            for alt in &alts {
-                let mut body = r.clone();
-                body.extend(alt.iter().cloned());
-                next.push(body);
-            }
-        }
-        results = next;
+    // Cartesian product, the last literal's alternative varying fastest;
+    // each case's body is cloned once, from its choice vector. A negated
+    // nullary atom an addition makes true leaves no case at all.
+    let mut results = Vec::new();
+    if alternatives.iter().any(Vec::is_empty) {
+        return results;
     }
-    results.into_iter().map(Denial::new).collect()
+    let mut pick = vec![0usize; alternatives.len()];
+    loop {
+        let body = alternatives.iter().zip(&pick).flat_map(|(alts, &p)| alts[p].iter().cloned());
+        results.push(Denial::new(body.collect()));
+        let Some(slot) = (0..pick.len()).rev().find(|&i| pick[i] + 1 < alternatives[i].len()) else {
+            return results;
+        };
+        pick[slot] += 1;
+        pick[slot + 1..].fill(0);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -151,7 +151,8 @@ pub fn simp_live(
     delta.extend_from_slice(extra_delta);
     let simplified = {
         let _span = xic_obs::phase("optimize");
-        let optimized = optimize(expanded, &delta);
+        // `after` already reduced and de-duplicated its output.
+        let optimized = optimize::optimize_reduced(expanded, &delta);
         eliminate_fresh_comparisons(optimized, &config.fresh)
     };
     xic_obs::add(xic_obs::Counter::ClausesSurviving, simplified.len() as u64);

@@ -18,7 +18,7 @@
 //! the size-restricted resolution proofs of \[16\].
 
 use crate::reduce::{reduce, Reduced};
-use crate::subsume::subsumes;
+use crate::subsume::Prepared;
 use std::collections::HashSet;
 use xic_datalog::Denial;
 
@@ -29,37 +29,48 @@ pub fn optimize(denials: Vec<Denial>, delta: &[Denial]) -> Vec<Denial> {
     let mut list: Vec<Denial> = Vec::with_capacity(denials.len());
     let mut seen: HashSet<String> = HashSet::new();
     for d in denials {
-        if let Reduced::Denial(r) = reduce(&d) {
+        if let Reduced::Denial(r) = reduce(d) {
             if seen.insert(r.canonical_key()) {
                 list.push(r);
             }
         }
     }
+    optimize_reduced(list, delta)
+}
 
+/// Phases 3 and 4 of [`optimize`], over denials already reduced and
+/// de-duplicated — what [`after`](crate::after::after) returns. Every
+/// clause and hypothesis is prepared for subsumption once.
+pub(crate) fn optimize_reduced(list: Vec<Denial>, delta: &[Denial]) -> Vec<Denial> {
     // Phase 3: hypothesis subsumption. Hypotheses are reduced first so
     // that, e.g., `← q(X,X,Y) ∧ X=X` still subsumes its own normal form.
-    let before_subsumption = list.len();
     let delta: Vec<Denial> = delta
         .iter()
-        .filter_map(|h| reduce(h).into_denial())
+        .filter_map(|h| reduce(h.clone()).into_denial())
         .collect();
-    list.retain(|d| !delta.iter().any(|h| subsumes(h, d)));
+    let hypotheses: Vec<Prepared> = delta.iter().map(Prepared::new).collect();
+    let prepared: Vec<Prepared> = list.iter().map(Prepared::new).collect();
+    let mut order: Vec<usize> = (0..list.len())
+        .filter(|&i| !hypotheses.iter().any(|h| h.subsumes(&prepared[i])))
+        .collect();
 
     // Phase 4: internal subsumption. Shorter clauses are stronger
-    // subsumers, so process in ascending body length; a clause is dropped
-    // if an already-kept clause subsumes it.
-    list.sort_by_key(|d| d.body.len());
-    let mut kept: Vec<Denial> = Vec::with_capacity(list.len());
-    for d in list {
-        if !kept.iter().any(|k| subsumes(k, &d)) {
-            kept.push(d);
+    // subsumers, so process in ascending body length (a stable sort: the
+    // first of equally long variants survives); a clause is dropped if an
+    // already-kept clause subsumes it.
+    order.sort_by_key(|&i| list[i].body.len());
+    let mut kept: Vec<usize> = Vec::with_capacity(order.len());
+    for i in order {
+        if !kept.iter().any(|&k| prepared[k].subsumes(&prepared[i])) {
+            kept.push(i);
         }
     }
     xic_obs::add(
         xic_obs::Counter::DenialsSubsumed,
-        (before_subsumption - kept.len()) as u64,
+        (list.len() - kept.len()) as u64,
     );
-    kept
+    let mut list: Vec<Option<Denial>> = list.into_iter().map(Some).collect();
+    kept.iter().filter_map(|&i| list[i].take()).collect()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! These are the local rewrite rules of the `Optimize` operator ("equalities
 //! involving variables are eliminated as needed", "a = a" removal, …).
 
-use xic_datalog::{CompOp, Denial, Literal, Subst, Term, Value};
+use xic_datalog::{CompOp, Denial, Literal, Term, Value};
 
 /// Result of reducing a denial.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,13 +67,14 @@ fn orient(a: Term, op: CompOp, b: Term) -> Literal {
 ///   `t < u` with `t >= u`, …) make the denial trivially satisfied;
 /// * counting aggregates compared against impossible constants (`cnt < 0`,
 ///   `cnt >= 0`, …) are decided.
-pub fn reduce(denial: &Denial) -> Reduced {
-    let mut body: Vec<Literal> = denial.body.clone();
+pub fn reduce(denial: Denial) -> Reduced {
+    let mut body: Vec<Literal> = denial.body;
     loop {
-        let mut subst: Option<Subst> = None;
+        // The one variable equality this pass consumes: `var := term`.
+        let mut subst: Option<(String, Term)> = None;
         let mut new_body: Vec<Literal> = Vec::with_capacity(body.len());
         let mut changed = false;
-        for lit in &body {
+        for lit in body {
             match lit {
                 Literal::Comp(a, op, b) => {
                     if a == b {
@@ -85,34 +86,28 @@ pub fn reduce(denial: &Denial) -> Reduced {
                         return Reduced::TriviallySatisfied;
                     }
                     if a.is_rigid() && b.is_rigid() {
-                        match eval_rigid(a, *op, b) {
+                        match eval_rigid(&a, op, &b) {
                             Some(true) => {
                                 changed = true;
                                 continue;
                             }
                             Some(false) => return Reduced::TriviallySatisfied,
                             None => {
-                                new_body.push(orient(a.clone(), *op, b.clone()));
+                                new_body.push(orient(a, op, b));
                                 continue;
                             }
                         }
                     }
                     // Equality with a variable on one side: substitute.
-                    if *op == CompOp::Eq && subst.is_none() {
-                        let bind = match (a, b) {
-                            (Term::Var(v), t) => Some((v.clone(), t.clone())),
-                            (t, Term::Var(v)) => Some((v.clone(), t.clone())),
-                            _ => None,
-                        };
-                        if let Some((v, t)) = bind {
-                            let mut s = Subst::new();
-                            s.bind(&v, &t);
-                            subst = Some(s);
-                            changed = true;
-                            continue; // literal consumed by the substitution
+                    match (a, b) {
+                        (Term::Var(v), t) | (t, Term::Var(v))
+                            if op == CompOp::Eq && subst.is_none() =>
+                        {
+                            subst = Some((v, t));
+                            changed = true; // literal consumed by the substitution
                         }
+                        (a, b) => new_body.push(orient(a, op, b)),
                     }
-                    new_body.push(orient(a.clone(), *op, b.clone()));
                 }
                 Literal::Agg(agg, op, t) => {
                     // Counting aggregates are always >= 0.
@@ -122,10 +117,10 @@ pub fn reduce(denial: &Denial) -> Reduced {
                     ) {
                         if let Term::Const(Value::Int(k)) = t {
                             let decided = match op {
-                                CompOp::Ge if *k <= 0 => Some(true),
-                                CompOp::Gt if *k < 0 => Some(true),
-                                CompOp::Lt if *k <= 0 => Some(false),
-                                CompOp::Le if *k < 0 => Some(false),
+                                CompOp::Ge if k <= 0 => Some(true),
+                                CompOp::Gt if k < 0 => Some(true),
+                                CompOp::Lt if k <= 0 => Some(false),
+                                CompOp::Le if k < 0 => Some(false),
                                 _ => None,
                             };
                             match decided {
@@ -138,16 +133,18 @@ pub fn reduce(denial: &Denial) -> Reduced {
                             }
                         }
                     }
-                    new_body.push(lit.clone());
+                    new_body.push(Literal::Agg(agg, op, t));
                 }
-                other => new_body.push(other.clone()),
+                other => new_body.push(other),
             }
         }
-        if let Some(s) = subst {
-            body = new_body.iter().map(|l| s.apply_literal(l)).collect();
+        body = new_body;
+        if let Some((v, t)) = &subst {
+            for l in &mut body {
+                substitute(l, v, t);
+            }
             continue;
         }
-        body = new_body;
         if !changed {
             break;
         }
@@ -184,6 +181,28 @@ pub fn reduce(denial: &Denial) -> Reduced {
     Reduced::Denial(Denial::new(deduped))
 }
 
+/// Replaces every occurrence of variable `v` in `l` (aggregate patterns
+/// included) by `t`.
+fn substitute(l: &mut Literal, v: &str, t: &Term) {
+    let set = |x: &mut Term| {
+        if x.var_name() == Some(v) {
+            *x = t.clone();
+        }
+    };
+    match l {
+        Literal::Pos(a) | Literal::Neg(a) => a.args.iter_mut().for_each(set),
+        Literal::Comp(x, _, y) => [x, y].into_iter().for_each(set),
+        Literal::Agg(g, _, threshold) => {
+            let pattern = g.pattern.iter_mut().flat_map(|a| &mut a.args);
+            g.term
+                .iter_mut()
+                .chain(pattern)
+                .chain([threshold])
+                .for_each(set);
+        }
+    }
+}
+
 /// True if `a op1 b ∧ a op2 b` is unsatisfiable for all values.
 fn contradictory(op1: CompOp, op2: CompOp) -> bool {
     use CompOp::{Eq, Ge, Gt, Le, Lt, Ne};
@@ -210,7 +229,7 @@ mod tests {
     use xic_datalog::parse_denial;
 
     fn red(s: &str) -> Reduced {
-        reduce(&parse_denial(s).unwrap())
+        reduce(parse_denial(s).unwrap())
     }
 
     fn red_str(s: &str) -> String {
@@ -291,6 +310,6 @@ mod tests {
     #[test]
     fn empty_body_survives() {
         let d = Denial::always_violated();
-        assert_eq!(reduce(&d), Reduced::Denial(Denial::always_violated()));
+        assert_eq!(reduce(d), Reduced::Denial(Denial::always_violated()));
     }
 }

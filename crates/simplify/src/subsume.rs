@@ -9,206 +9,248 @@
 //! restriction of the resolution-based redundancy check of \[16\] suffices
 //! for every example in the paper and keeps `Optimize` trivially
 //! terminating.
+//!
+//! A literal of ψ can only entail a literal of φ of the same *kind*: a
+//! positive atom with the same predicate and arity (negated atoms
+//! likewise), any comparison for a comparison, an aggregate with the same
+//! function and pattern length for an aggregate. So a pair is decided in
+//! two steps. First the *literal signatures*, the sorted sets of the two
+//! clauses' kinds: φ can only subsume ψ when ψ's covers φ's, one merge
+//! over two short lists, and most pairs `optimize` meets stop there. A
+//! pair that passes is searched by backtracking over `Prepared` clauses,
+//! pairing only literals of equal kind; their variables were numbered
+//! once, a binding is a slot per number, and each choice point undoes the
+//! bindings made since it from a trail.
 
-use std::collections::HashSet;
-use xic_datalog::{Aggregate, Atom, CompOp, Denial, Literal, Subst, Term, Value, VarGen};
+use xic_datalog::{Atom, CompOp, Denial, Literal, Term, Value};
 
 /// Returns true if `phi` θ-subsumes `psi`, i.e. some substitution of
 /// `phi`'s variables maps each of its literals to a literal of `psi` (or
-/// one entailed by it).
-///
-/// `phi`'s variables are renamed apart internally, so the two clauses may
-/// share variable names.
+/// one entailed by it). The two clauses may share variable names.
 pub fn subsumes(phi: &Denial, psi: &Denial) -> bool {
-    let mut gen = VarGen::new();
-    // Avoid collisions with psi's variables.
-    for v in psi.vars() {
-        gen.fresh(&v);
+    Prepared::new(phi).subsumes(&Prepared::new(psi))
+}
+
+/// A literal's kind: only a literal of ψ of φ's literal's kind can entail
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind<'a> {
+    Pos(&'a str, usize),
+    Neg(&'a str, usize),
+    Comp,
+    /// Aggregate function (as its discriminant) and pattern length.
+    Agg(u8, usize),
+}
+
+/// A term of a prepared clause: one of its variables by number, or a
+/// constant or parameter, which only matches itself.
+#[derive(Debug, Clone, Copy)]
+enum Slot<'a> {
+    Var(usize),
+    Rigid(&'a Term),
+}
+
+/// A denial prepared once for any number of subsumption tests, on either
+/// side: its literals' kinds, its signature and its terms with the
+/// variables numbered.
+#[derive(Debug)]
+pub(crate) struct Prepared<'a> {
+    body: &'a [Literal],
+    /// The kind of each literal of `body`.
+    kinds: Vec<Kind<'a>>,
+    /// `kinds`, sorted, without duplicates.
+    signature: Vec<Kind<'a>>,
+    /// Per literal, its terms in order; an aggregate's are its counted
+    /// term, its pattern atoms' arguments back to back, and its threshold.
+    slots: Vec<Vec<Slot<'a>>>,
+    vars: usize,
+}
+
+impl<'a> Prepared<'a> {
+    /// Numbers `denial`'s variables and computes its signature.
+    pub(crate) fn new(denial: &'a Denial) -> Prepared<'a> {
+        let mut names: Vec<&'a str> = Vec::new();
+        let mut slot = |t: &'a Term| match t {
+            Term::Var(v) => Slot::Var(names.iter().position(|n| n == v).unwrap_or_else(|| {
+                names.push(v);
+                names.len() - 1
+            })),
+            rigid => Slot::Rigid(rigid),
+        };
+        let mut kinds = Vec::with_capacity(denial.body.len());
+        let mut slots = Vec::with_capacity(denial.body.len());
+        for l in &denial.body {
+            let (kind, terms): (Kind<'a>, Vec<&'a Term>) = match l {
+                Literal::Pos(a) => (Kind::Pos(&a.pred, a.args.len()), a.args.iter().collect()),
+                Literal::Neg(a) => (Kind::Neg(&a.pred, a.args.len()), a.args.iter().collect()),
+                Literal::Comp(x, _, y) => (Kind::Comp, vec![x, y]),
+                Literal::Agg(g, _, t) => (
+                    Kind::Agg(g.func as u8, g.pattern.len()),
+                    g.term.iter().chain(g.pattern.iter().flat_map(|a| &a.args)).chain([t]).collect(),
+                ),
+            };
+            kinds.push(kind);
+            slots.push(terms.into_iter().map(&mut slot).collect());
+        }
+        let mut signature = kinds.clone();
+        signature.sort_unstable();
+        signature.dedup();
+        Prepared { body: &denial.body, kinds, signature, slots, vars: names.len() }
     }
-    let phi = phi.rename_apart(&mut gen);
-    let m = Matcher {
-        pattern_vars: phi.vars().into_iter().collect(),
-    };
-    let mut s = Subst::new();
-    m.try_match(&phi.body, 0, &psi.body, &mut s)
+
+    /// [`subsumes`] over prepared clauses: false at once when `psi`'s
+    /// signature does not cover this clause's, a backtracking search
+    /// (counted as `subsumption_searches`) when it does.
+    pub(crate) fn subsumes(&self, psi: &Prepared<'a>) -> bool {
+        let mut have = psi.signature.iter();
+        if !self.signature.iter().all(|k| have.any(|h| h == k)) {
+            return false;
+        }
+        xic_obs::incr(xic_obs::Counter::SubsumptionSearches);
+        let mut m = Matcher { bound: vec![None; self.vars], trail: Vec::new() };
+        m.search(self, 0, psi)
+    }
 }
 
 /// One-sided matcher: only variables of the pattern clause may be bound.
 /// Target variables are rigid symbols — binding them would wrongly let
 /// `← p(X,X)` subsume `← p(A,B)`.
-struct Matcher {
-    pattern_vars: HashSet<String>,
+struct Matcher<'a> {
+    /// The target term each pattern variable is bound to, by number.
+    bound: Vec<Option<&'a Term>>,
+    /// The variables bound so far, in binding order.
+    trail: Vec<usize>,
 }
 
-impl Matcher {
-    fn try_match(&self, pattern: &[Literal], idx: usize, target: &[Literal], s: &mut Subst) -> bool {
-        if idx == pattern.len() {
+impl<'a> Matcher<'a> {
+    /// Number of distinct entailment variants tried per comparison literal.
+    const VARIANTS: usize = 4;
+
+    fn search(&mut self, phi: &Prepared<'a>, idx: usize, psi: &Prepared<'a>) -> bool {
+        let Some(p) = phi.body.get(idx) else {
             return true;
-        }
-        for t in target {
-            // A comparison literal can entail the pattern under several
-            // distinct substitutions (direct/flipped orientation, with or
-            // without threshold weakening); each is a separate choice
-            // point for the backtracking search.
-            for variant in 0..Self::VARIANTS {
-                let saved = s.clone();
-                if self.literal_entails(t, &pattern[idx], s, variant)
-                    && self.try_match(pattern, idx + 1, target, s)
+        };
+        // A comparison literal can entail the pattern under several
+        // distinct substitutions (direct/flipped orientation, with or
+        // without threshold weakening); each is a separate choice point.
+        let variants = if matches!(p, Literal::Comp(..)) { Self::VARIANTS } else { 1 };
+        let candidates = psi.body.iter().zip(&psi.kinds).filter(|(_, k)| **k == phi.kinds[idx]);
+        for (t, _) in candidates {
+            for variant in 0..variants {
+                let mark = self.trail.len();
+                if self.literal_entails(t, p, &phi.slots[idx], variant)
+                    && self.search(phi, idx + 1, psi)
                 {
                     return true;
                 }
-                *s = saved;
-                if !matches!(pattern[idx], Literal::Comp(..)) {
-                    break; // non-comparison literals have one variant
-                }
+                self.undo(mark);
             }
         }
         false
     }
 
-    fn match_term(&self, pattern: &Term, target: &Term, s: &mut Subst) -> bool {
-        let rp = s.resolve(pattern);
-        match &rp {
-            Term::Var(x) if self.pattern_vars.contains(x) => {
-                s.bind(x, target);
-                true
-            }
-            other => other == target,
+    /// Unbinds every variable bound since the trail was `mark` long.
+    fn undo(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.bound[v] = None;
         }
     }
 
-    fn match_atom(&self, pattern: &Atom, target: &Atom, s: &mut Subst) -> bool {
-        pattern.pred == target.pred
-            && pattern.args.len() == target.args.len()
-            && pattern
-                .args
-                .iter()
-                .zip(&target.args)
-                .all(|(p, t)| self.match_term(p, t, s))
+    /// The target term `p` stands for, if it is rigid or bound.
+    fn resolve(&self, p: Slot<'a>) -> Option<&'a Term> {
+        match p {
+            Slot::Var(v) => self.bound[v],
+            Slot::Rigid(r) => Some(r),
+        }
     }
 
-    /// Number of distinct entailment variants tried per comparison literal.
-    const VARIANTS: usize = 4;
-
-    /// True if target literal `t` entails pattern literal `p·θ` for some
-    /// extension of `s`, using the selected match `variant` for comparison
-    /// literals (0: direct, 1: flipped, 2/3: same with threshold
-    /// weakening). Non-comparison literals ignore the variant beyond 0.
-    fn literal_entails(&self, t: &Literal, p: &Literal, s: &mut Subst, variant: usize) -> bool {
-        match (p, t) {
-            (Literal::Pos(pa), Literal::Pos(ta)) | (Literal::Neg(pa), Literal::Neg(ta)) => {
-                self.match_atom(pa, ta, s)
+    fn match_term(&mut self, p: Slot<'a>, t: &'a Term) -> bool {
+        match (p, self.resolve(p)) {
+            (Slot::Var(v), None) => {
+                self.bound[v] = Some(t);
+                self.trail.push(v);
+                true
             }
-            (Literal::Comp(pl, pop, pr), Literal::Comp(tl, top, tr)) => {
-                let weaken = variant >= 2;
-                if variant % 2 == 0 {
-                    self.comp_entails(*top, tl, tr, *pop, pl, pr, s, weaken)
-                } else {
-                    self.comp_entails(top.flip(), tr, tl, *pop, pl, pr, s, weaken)
+            (_, bound) => bound == Some(t),
+        }
+    }
+
+    fn match_args(&mut self, p: &[Slot<'a>], t: &'a Atom) -> bool {
+        p.iter().zip(&t.args).all(|(p, t)| self.match_term(*p, t))
+    }
+
+    /// True if target literal `t`, of the same kind, entails pattern
+    /// literal `p·θ` (terms `slots`) for some extension of the bindings,
+    /// using the selected match `variant` for comparison literals (0:
+    /// direct, 1: flipped, 2/3: same with threshold weakening).
+    fn literal_entails(&mut self, t: &'a Literal, p: &Literal, slots: &[Slot<'a>], variant: usize) -> bool {
+        match (p, t) {
+            (Literal::Pos(_) | Literal::Neg(_), Literal::Pos(ta) | Literal::Neg(ta)) => {
+                self.match_args(slots, ta)
+            }
+            (Literal::Comp(_, pop, _), Literal::Comp(tl, top, tr)) => {
+                let (top, a, b) = if variant % 2 == 0 { (*top, tl, tr) } else { (top.flip(), tr, tl) };
+                let (pl, pr) = (slots[0], slots[1]);
+                if variant < 2 {
+                    // Syntactic matching of both sides.
+                    return self.match_term(pl, a) && self.match_term(pr, b) && op_implies(top, *pop, None);
+                }
+                // Threshold weakening on constant right-hand sides:
+                // `x top c'` entails `x pop c` for suitable c, c'.
+                match (self.resolve(pr), b) {
+                    (Some(Term::Const(cp)), Term::Const(ct)) => {
+                        self.match_term(pl, a) && op_implies(top, *pop, Some((ct, cp)))
+                    }
+                    _ => false,
                 }
             }
-            (Literal::Agg(pagg, pop, pt), Literal::Agg(tagg, top, tt)) => {
-                self.agg_entails(tagg, *top, tt, pagg, *pop, pt, s)
+            (Literal::Agg(pagg, pop, _), Literal::Agg(tagg, top, tt)) => {
+                // Same function and pattern length (the kind), patterns
+                // equal as multisets under θ (the first embedding found is
+                // kept), threshold weakened at most.
+                match (&pagg.term, &tagg.term) {
+                    (None, None) => {}
+                    (Some(_), Some(t)) if self.match_term(slots[0], t) => {}
+                    _ => return false,
+                }
+                let mut used = vec![false; tagg.pattern.len()];
+                let atoms = &slots[usize::from(pagg.term.is_some())..];
+                if !self.embed(&pagg.pattern, atoms, &tagg.pattern, &mut used) {
+                    return false;
+                }
+                // Thresholds: the aggregate values coincide (same
+                // pattern), so the entailment table applies with identical
+                // left-hand sides.
+                let pt = slots[slots.len() - 1];
+                match (self.resolve(pt), tt) {
+                    (Some(rpt), _) if rpt == tt => op_implies(*top, *pop, None),
+                    (Some(Term::Const(cp)), Term::Const(ct)) => op_implies(*top, *pop, Some((ct, cp))),
+                    _ => self.match_term(pt, tt) && op_implies(*top, *pop, None),
+                }
             }
             _ => false,
         }
     }
 
-    /// True if `a top b` entails `(pl pop pr)·θ` where θ extends `s`.
-    #[allow(clippy::too_many_arguments)]
-    fn comp_entails(
-        &self,
-        top: CompOp,
-        a: &Term,
-        b: &Term,
-        pop: CompOp,
-        pl: &Term,
-        pr: &Term,
-        s: &mut Subst,
-        weaken: bool,
-    ) -> bool {
-        if !weaken {
-            // Syntactic matching of both sides.
-            return self.match_term(pl, a, s)
-                && self.match_term(pr, b, s)
-                && op_implies(top, pop, None);
-        }
-        // Threshold weakening on constant right-hand sides:
-        // `x top c'` entails `x pop c` for suitable c, c'.
-        if let (Term::Const(cp), Term::Const(ct)) = (&s.resolve(pr), b) {
-            let (cp, ct) = (cp.clone(), ct.clone());
-            return self.match_term(pl, a, s) && op_implies(top, pop, Some((&ct, &cp)));
-        }
-        false
-    }
-
-    /// True if target aggregate literal entails pattern aggregate literal:
-    /// same function, patterns equal as multisets under θ, threshold
-    /// weakened at most.
-    #[allow(clippy::too_many_arguments)]
-    fn agg_entails(
-        &self,
-        tagg: &Aggregate,
-        top: CompOp,
-        tt: &Term,
-        pagg: &Aggregate,
-        pop: CompOp,
-        pt: &Term,
-        s: &mut Subst,
-    ) -> bool {
-        if pagg.func != tagg.func || pagg.pattern.len() != tagg.pattern.len() {
-            return false;
-        }
-        match (&pagg.term, &tagg.term) {
-            (None, None) => {}
-            (Some(p), Some(t)) => {
-                if !self.match_term(p, t, s) {
-                    return false;
-                }
-            }
-            _ => return false,
-        }
-        let mut used = vec![false; tagg.pattern.len()];
-        if !self.match_pattern(&pagg.pattern, 0, &tagg.pattern, &mut used, s) {
-            return false;
-        }
-        // Thresholds: the aggregate values coincide (same pattern), so the
-        // entailment table applies with identical left-hand sides.
-        let rpt = s.resolve(pt);
-        if rpt == *tt {
-            return op_implies(top, pop, None);
-        }
-        if let (Term::Const(cp), Term::Const(ct)) = (&rpt, tt) {
-            return op_implies(top, pop, Some((ct, cp)));
-        }
-        self.match_term(pt, tt, s) && op_implies(top, pop, None)
-    }
-
-    /// Injective multiset matching of pattern atoms onto target atoms.
-    fn match_pattern(
-        &self,
-        pattern: &[Atom],
-        idx: usize,
-        target: &[Atom],
-        used: &mut Vec<bool>,
-        s: &mut Subst,
-    ) -> bool {
-        if idx == pattern.len() {
+    /// Injective multiset matching of pattern atoms (arguments `slots`,
+    /// back to back) onto target atoms.
+    fn embed(&mut self, pattern: &[Atom], slots: &[Slot<'a>], target: &'a [Atom], used: &mut [bool]) -> bool {
+        let Some((first, rest)) = pattern.split_first() else {
             return true;
-        }
-        for i in 0..target.len() {
+        };
+        let (args, later) = slots.split_at(first.args.len());
+        for (i, t) in target.iter().enumerate() {
             if used[i] {
                 continue;
             }
-            let saved = s.clone();
+            let mark = self.trail.len();
             used[i] = true;
-            if self.match_atom(&pattern[idx], &target[i], s)
-                && self.match_pattern(pattern, idx + 1, target, used, s)
-            {
+            let fits = first.pred == t.pred && args.len() == t.args.len();
+            if fits && self.match_args(args, t) && self.embed(rest, later, target, used) {
                 return true;
             }
             used[i] = false;
-            *s = saved;
+            self.undo(mark);
         }
         false
     }
