@@ -3,6 +3,17 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== doc byte budget (the four long docs do not grow back) =="
+# Each file stays within the bytes it had when the budget was set: a
+# change that adds prose to one removes as much elsewhere (an old
+# CHANGES entry condensed, a retired EXPERIMENTS section folded into its
+# table); raising a budget is a decision its CHANGES entry explains.
+for budget in CHANGES.md:151262 DESIGN.md:82238 EXPERIMENTS.md:68737 README.md:39219; do
+  file="${budget%%:*}" max="${budget##*:}"
+  size="$(wc -c < "$file")"
+  [ "$size" -le "$max" ] || { echo "$file: $size bytes, over its budget of $max" >&2; exit 1; }
+done
+
 echo "== build (release) =="
 cargo build --release --workspace
 
@@ -58,6 +69,18 @@ cargo run --release -q -p xic-difftest -- --cases 500 --seed 1
 # can insert into a relation and remove from it. ≥ 100 cases in which
 # either never happened, or an operation kind was never drawn, is exit 1.
 cargo run --release -q -p xic-difftest -- --multi-op --cases 500 --seed 1
+
+echo "== pattern digest (what Simp and the translator compile, byte for byte) =="
+# Every pattern the campaign's cases, their hostile twins and the
+# multi-operation cases compile over seeds 0-2999 (a decision and a
+# registration per case) -- its key, simplified denials and templates --
+# folded into one line of counts and an FNV-1a digest, which must equal
+# the golden line recorded before the Datalog layer stopped spelling its
+# variables. A change that means to alter what is compiled records a
+# new line (`difftest --pattern-digest --cases 3000 --seed 0 >
+# crates/difftest/corpus/patterns.digest`) and says why.
+cargo run --release -q -p xic-difftest -- --pattern-digest --cases 3000 --seed 0 \
+  | diff - crates/difftest/corpus/patterns.digest
 # Figure 1's shape by counts: engine steps of an optimized decision within
 # 1.5× from 32 to 512 KiB while the full check doubles per doubling, no
 # rank-table rebuild across the decisions of an insert stream, and publish

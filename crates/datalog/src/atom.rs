@@ -25,35 +25,6 @@ impl Atom {
             args,
         }
     }
-
-    /// The arity of this atom.
-    pub fn arity(&self) -> usize {
-        self.args.len()
-    }
-
-    /// Collects the variable names occurring in this atom into `out`,
-    /// preserving first-occurrence order without duplicates.
-    pub fn collect_vars(&self, out: &mut Vec<String>) {
-        for t in &self.args {
-            if let Term::Var(v) = t {
-                if !out.iter().any(|o| o == v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-    }
-
-    /// Returns the variable names of this atom in first-occurrence order.
-    pub fn vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out
-    }
-
-    /// True if the atom contains no variables (it may contain parameters).
-    pub fn is_ground_modulo_params(&self) -> bool {
-        self.args.iter().all(|t| !t.is_var())
-    }
 }
 
 impl fmt::Display for Atom {
@@ -72,24 +43,6 @@ impl fmt::Display for Atom {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vars_in_order_without_dups() {
-        let a = Atom::new(
-            "p",
-            vec![Term::var("X"), Term::int(1), Term::var("Y"), Term::var("X")],
-        );
-        assert_eq!(a.vars(), vec!["X", "Y"]);
-        assert_eq!(a.arity(), 4);
-    }
-
-    #[test]
-    fn groundness() {
-        let g = Atom::new("p", vec![Term::int(1), Term::param("a")]);
-        assert!(g.is_ground_modulo_params());
-        let ng = Atom::new("p", vec![Term::var("X")]);
-        assert!(!ng.is_ground_modulo_params());
-    }
 
     #[test]
     fn display() {

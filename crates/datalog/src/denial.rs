@@ -1,12 +1,10 @@
 //! Denials: headless clauses expressing integrity constraints.
 
-use crate::atom::Atom;
 use crate::literal::Literal;
-use crate::subst::Subst;
-use crate::term::Term;
-use crate::value::Value;
+use crate::term::{Term, Var, VarGen};
 use std::collections::HashMap;
-use std::fmt::{self, Write};
+use std::fmt;
+use std::sync::LazyLock;
 
 /// A denial `← L1 ∧ … ∧ Ln`: the database is consistent with it iff no
 /// variable binding satisfies the whole body (Section 3 of the paper).
@@ -29,98 +27,6 @@ impl Denial {
         Denial { body: Vec::new() }
     }
 
-    /// All variable names in first-occurrence order (including
-    /// aggregate-local variables).
-    pub fn vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for l in &self.body {
-            l.collect_vars(&mut out);
-        }
-        out
-    }
-
-    /// All parameter names, in first-occurrence order.
-    pub fn params(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        let mut push = |t: &Term| {
-            if let Term::Param(p) = t {
-                if !out.iter().any(|o| o == p) {
-                    out.push(p.clone());
-                }
-            }
-        };
-        let atom = |a: &Atom, push: &mut dyn FnMut(&Term)| {
-            for t in &a.args {
-                push(t);
-            }
-        };
-        for l in &self.body {
-            match l {
-                Literal::Pos(a) | Literal::Neg(a) => atom(a, &mut push),
-                Literal::Comp(a, _, b) => {
-                    push(a);
-                    push(b);
-                }
-                Literal::Agg(agg, _, t) => {
-                    if let Some(at) = &agg.term {
-                        push(at);
-                    }
-                    for a in &agg.pattern {
-                        atom(a, &mut push);
-                    }
-                    push(t);
-                }
-            }
-        }
-        out
-    }
-
-    /// Applies a substitution to the whole body.
-    pub fn apply(&self, s: &Subst) -> Denial {
-        Denial::new(self.body.iter().map(|l| s.apply_literal(l)).collect())
-    }
-
-    /// Replaces parameters with concrete values. Parameters missing from
-    /// `bindings` are left in place.
-    pub fn instantiate(&self, bindings: &HashMap<String, Value>) -> Denial {
-        fn inst_term(t: &Term, b: &HashMap<String, Value>) -> Term {
-            match t {
-                Term::Param(p) => match b.get(p) {
-                    Some(v) => Term::Const(v.clone()),
-                    None => t.clone(),
-                },
-                other => other.clone(),
-            }
-        }
-        fn inst_atom(a: &Atom, b: &HashMap<String, Value>) -> Atom {
-            Atom::new(
-                a.pred.clone(),
-                a.args.iter().map(|t| inst_term(t, b)).collect(),
-            )
-        }
-        Denial::new(
-            self.body
-                .iter()
-                .map(|l| match l {
-                    Literal::Pos(a) => Literal::Pos(inst_atom(a, bindings)),
-                    Literal::Neg(a) => Literal::Neg(inst_atom(a, bindings)),
-                    Literal::Comp(a, op, c) => {
-                        Literal::Comp(inst_term(a, bindings), *op, inst_term(c, bindings))
-                    }
-                    Literal::Agg(agg, op, t) => Literal::Agg(
-                        crate::literal::Aggregate::new(
-                            agg.func,
-                            agg.term.as_ref().map(|x| inst_term(x, bindings)),
-                            agg.pattern.iter().map(|a| inst_atom(a, bindings)).collect(),
-                        ),
-                        *op,
-                        inst_term(t, bindings),
-                    ),
-                })
-                .collect(),
-        )
-    }
-
     /// True if `self` and `other` are equal up to a bijective variable
     /// renaming and reordering of body literals (the *variant* relation).
     /// Used to deduplicate the output of `After`.
@@ -135,55 +41,26 @@ impl Denial {
         self.canonical_key() == other.canonical_key()
     }
 
-    /// A canonical string for variant comparison: literals are rendered,
-    /// variables replaced by their first-occurrence index, and the literal
-    /// list sorted.
-    pub fn canonical_key(&self) -> String {
-        let mut rendered: Vec<String> = self.body.iter().map(|l| l.to_string()).collect();
-        rendered.sort();
-        let joined = rendered.join(" & ");
-        // Replace variable names with occurrence indexes. Variables are
-        // identifiers starting with an uppercase letter or underscore in
-        // our rendering; re-tokenize the rendered string.
-        let mut names: Vec<&str> = Vec::new();
-        let mut out = String::with_capacity(joined.len());
-        let mut rest = joined.as_str();
-        // A variable token may only start where an identifier is not
-        // already in progress (otherwise `$v0_0` would be split into a
-        // parameter prefix and a spurious variable `_0`).
-        let mut in_ident = false;
-        while let Some(c) = rest.chars().next() {
-            let len = if c == '"' {
-                // Skip string literal verbatim.
-                in_ident = false;
-                let len = rest[1..].find('"').map_or(rest.len(), |j| j + 2);
-                out.push_str(&rest[..len]);
-                len
-            } else if !in_ident && (c.is_ascii_uppercase() || c == '_') {
-                let len = rest
-                    .find(|d: char| !(d.is_ascii_alphanumeric() || d == '_'))
-                    .unwrap_or(rest.len());
-                let name = &rest[..len];
-                if rest[len..].starts_with('(') {
-                    // A predicate named like a variable: an XML tag may
-                    // start with a capital or an underscore.
-                    out.push_str(name);
-                } else {
-                    let idx = names.iter().position(|n| *n == name).unwrap_or_else(|| {
-                        names.push(name);
-                        names.len() - 1
-                    });
-                    let _ = write!(out, "V{idx}");
+    /// A canonical form for variant comparison: the literals sorted by
+    /// their rendering, each variable replaced by the number of its first
+    /// occurrence in that order.
+    pub fn canonical_key(&self) -> Denial {
+        static NUMBERED: LazyLock<Var> = LazyLock::new(|| Var::new("V"));
+        let mut sorted: Vec<&Literal> = self.body.iter().collect();
+        sorted.sort_by_cached_key(|l| l.to_string());
+        let (mut numbers, mut numbered) = (VarGen::default(), HashMap::new());
+        let mut body = Vec::with_capacity(sorted.len());
+        for l in sorted {
+            let mut key = l.clone();
+            for (t, k) in l.terms().zip(key.terms_mut()) {
+                if let Term::Var(v) = t {
+                    let n = numbered.entry(v).or_insert_with(|| numbers.fresh(&NUMBERED));
+                    *k = Term::Var(n.clone());
                 }
-                len
-            } else {
-                in_ident = c.is_ascii_alphanumeric() || c == '_' || c == '$';
-                out.push(c);
-                c.len_utf8()
-            };
-            rest = &rest[len..];
+            }
+            body.push(key);
         }
-        out
+        Denial::new(body)
     }
 }
 
@@ -203,67 +80,11 @@ impl fmt::Display for Denial {
     }
 }
 
-/// A generator of fresh variable names. Names are of the form `base_k`
-/// with a globally increasing `k`, so clauses renamed with the same
-/// generator never share variables.
-#[derive(Debug, Default)]
-pub struct VarGen {
-    next: u64,
-}
-
-impl VarGen {
-    /// Creates a generator starting at suffix 0.
-    pub fn new() -> VarGen {
-        VarGen::default()
-    }
-
-    /// Skips `n` names, as `n` calls of [`VarGen::fresh`] would.
-    pub fn skip(&mut self, n: usize) {
-        self.next += n as u64;
-    }
-
-    /// Returns a fresh variable name based on `base` (its existing numeric
-    /// suffix, if any, is kept — only uniqueness matters).
-    pub fn fresh(&mut self, base: &str) -> String {
-        let stem: &str = base.split("__").next().unwrap_or(base);
-        let n = self.next;
-        self.next += 1;
-        format!("{stem}__{n}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::Atom;
     use crate::parse::parse_denial;
-
-    #[test]
-    fn vars_and_params() {
-        let d = parse_denial("<- rev(Ir,_,_,R) & sub(Is,_,Ir,$t) & R != $n").unwrap();
-        let vs = d.vars();
-        assert!(vs.contains(&"Ir".to_string()));
-        assert!(vs.contains(&"R".to_string()));
-        assert!(vs.contains(&"Is".to_string()));
-        assert_eq!(d.params(), vec!["t", "n"]);
-    }
-
-    #[test]
-    fn instantiate_params() {
-        let d = parse_denial("<- p($i, Y) & Y != $t").unwrap();
-        let mut b = HashMap::new();
-        b.insert("i".to_string(), Value::from(7));
-        let out = d.instantiate(&b);
-        assert_eq!(out.to_string(), "<- p(7, Y) & Y != $t");
-    }
-
-    #[test]
-    fn var_gen_names_are_fresh() {
-        let mut g = VarGen::new();
-        let names = [g.fresh("X"), g.fresh("X"), g.fresh("X__0"), g.fresh("Y")];
-        assert_eq!(names, ["X__0", "X__1", "X__2", "Y__3"]);
-        g.skip(2);
-        assert_eq!(g.fresh("Z"), "Z__6");
-    }
 
     #[test]
     fn variant_detects_renaming_and_reordering() {
@@ -291,6 +112,17 @@ mod tests {
         let a = parse_denial("<- p(X, \"Goofy\")").unwrap();
         let b = parse_denial("<- p(X, \"Duckburg\")").unwrap();
         assert!(!a.is_variant_of(&b));
+    }
+
+    #[test]
+    fn variant_respects_escaped_quotes_in_constants() {
+        // Read back from rendered text, `Foo` and `Bar` after an escaped
+        // quote were numbered as one variable.
+        let on = |c: &str| {
+            Denial::new(vec![Literal::Pos(Atom::new("p", vec![Term::var("X"), Term::str(c)]))])
+        };
+        assert!(!on("a \"Foo\" b").is_variant_of(&on("a \"Bar\" b")));
+        assert!(on("a \"Foo\" b").is_variant_of(&on("a \"Foo\" b")));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::atom::Atom;
 use crate::denial::Denial;
 use crate::literal::{AggFunc, Aggregate, CompOp, Literal};
 use crate::store::Database;
-use crate::term::Term;
+use crate::term::{Term, Var};
 use crate::value::Value;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -42,7 +42,7 @@ impl std::error::Error for EvalError {}
 
 /// A binding of variable names to values — a witness that a denial body is
 /// satisfiable (i.e. the constraint is violated).
-pub type Witness = HashMap<String, Value>;
+pub type Witness = HashMap<Var, Value>;
 
 /// Checks whether `denial` holds in `db` (body unsatisfiable).
 pub fn denial_holds(db: &Database, denial: &Denial) -> Result<bool, EvalError> {
@@ -63,10 +63,10 @@ pub fn denials_hold(db: &Database, denials: &[Denial]) -> Result<bool, EvalError
 /// `Some(witness)` when the constraint is violated, `None` when it holds.
 pub fn find_violation(db: &Database, denial: &Denial) -> Result<Option<Witness>, EvalError> {
     // Occurrence map: variable → indexes of body literals it appears in.
-    let mut occurs: HashMap<String, Vec<usize>> = HashMap::new();
+    let mut occurs: HashMap<Var, Vec<usize>> = HashMap::new();
     for (i, l) in denial.body.iter().enumerate() {
-        for v in l.vars() {
-            occurs.entry(v).or_default().push(i);
+        for v in l.terms().filter_map(Term::as_var) {
+            occurs.entry(v.clone()).or_default().push(i);
         }
     }
     let mut search = Search {
@@ -82,10 +82,15 @@ pub fn find_violation(db: &Database, denial: &Denial) -> Result<Option<Witness>,
     }
 }
 
+/// An unsafe-variable error naming `v`, or `?` when there is none.
+fn unsafe_var(v: Option<&Var>) -> EvalError {
+    EvalError::UnsafeVar(v.map_or_else(|| "?".to_string(), Var::to_string))
+}
+
 struct Search<'a> {
     db: &'a Database,
-    occurs: HashMap<String, Vec<usize>>,
-    binding: HashMap<String, Value>,
+    occurs: HashMap<Var, Vec<usize>>,
+    binding: HashMap<Var, Value>,
 }
 
 impl<'a> Search<'a> {
@@ -127,13 +132,10 @@ impl<'a> Search<'a> {
                     if self.literal_ready(l)? {
                         // Aggregates with unbound group vars are deferred
                         // to phase 3 unless nothing else can run.
-                        let unbound_group = match l {
-                            Literal::Agg(agg, _, _) => agg
-                                .vars()
-                                .iter()
-                                .any(|v| !self.binding.contains_key(v) && self.is_shared(v, i)),
-                            _ => false,
-                        };
+                        let unbound_group = matches!(l, Literal::Agg(..))
+                            && l.terms().filter_map(Term::as_var).any(|v| {
+                                !self.binding.contains_key(v) && self.is_shared(v, i)
+                            });
                         if !unbound_group {
                             return Ok(k);
                         }
@@ -178,16 +180,11 @@ impl<'a> Search<'a> {
         }
         // Nothing is evaluable: the clause is unsafe.
         let i = remaining[0];
-        let var = body[i]
-            .vars()
-            .into_iter()
-            .find(|v| !self.binding.contains_key(v))
-            .unwrap_or_else(|| "?".to_string());
-        Err(EvalError::UnsafeVar(var))
+        Err(unsafe_var(body[i].terms().filter_map(Term::as_var).find(|v| !self.binding.contains_key(*v))))
     }
 
     /// True if variable `v` occurs in some literal other than literal `i`.
-    fn is_shared(&self, v: &str, i: usize) -> bool {
+    fn is_shared(&self, v: &Var, i: usize) -> bool {
         self.occurs
             .get(v)
             .is_some_and(|ls| ls.iter().any(|&l| l != i))
@@ -235,12 +232,7 @@ impl<'a> Search<'a> {
                         self.bind_and_solve(x, b, body, &rest)
                     }
                     _ => {
-                        let v = x
-                            .var_name()
-                            .or(y.var_name())
-                            .unwrap_or("?")
-                            .to_string();
-                        Err(EvalError::UnsafeVar(v))
+                        Err(unsafe_var(x.as_var().or(y.as_var())))
                     }
                 }
             }
@@ -248,7 +240,7 @@ impl<'a> Search<'a> {
                 let threshold = self
                     .value_of(t)?
                     .ok_or_else(|| EvalError::UnsafeVar(t.to_string()))?;
-                let groups = self.aggregate_groups(agg, i)?;
+                let groups = self.aggregate_groups(&body[i], agg, i)?;
                 for (group_binding, value) in groups {
                     if op.eval(&value, &threshold) {
                         let saved = self.binding.clone();
@@ -272,9 +264,9 @@ impl<'a> Search<'a> {
         rest: &[usize],
     ) -> Result<bool, EvalError> {
         let name = var_term
-            .var_name()
+            .as_var()
             .ok_or_else(|| EvalError::UnsafeVar(var_term.to_string()))?
-            .to_string();
+            .clone();
         self.binding.insert(name.clone(), v);
         if self.solve(body, rest)? {
             return Ok(true);
@@ -289,9 +281,7 @@ impl<'a> Search<'a> {
             match self.value_of(t)? {
                 Some(v) => out.push(v),
                 None => {
-                    return Err(EvalError::UnsafeVar(
-                        t.var_name().unwrap_or("?").to_string(),
-                    ))
+                    return Err(unsafe_var(t.as_var()))
                 }
             }
         }
@@ -315,7 +305,7 @@ impl<'a> Search<'a> {
         // before we mutate `self.binding`.
         let candidates: Vec<Vec<Value>> = rel.select(&bound).map(<[Value]>::to_vec).collect();
         'tuples: for tuple in candidates {
-            let mut newly_bound: Vec<String> = Vec::new();
+            let mut newly_bound: Vec<Var> = Vec::new();
             let mut ok = true;
             for (t, v) in a.args.iter().zip(&tuple) {
                 match t {
@@ -367,22 +357,27 @@ impl<'a> Search<'a> {
     #[allow(clippy::type_complexity)]
     fn aggregate_groups(
         &self,
+        lit: &Literal,
         agg: &Aggregate,
         lit_index: usize,
-    ) -> Result<Vec<(HashMap<String, Value>, Value)>, EvalError> {
+    ) -> Result<Vec<(HashMap<Var, Value>, Value)>, EvalError> {
         // Enumerate all bindings of the pattern under the current binding.
-        let mut rows: Vec<HashMap<String, Value>> = Vec::new();
+        let mut rows: Vec<HashMap<Var, Value>> = Vec::new();
         self.enumerate_pattern(&agg.pattern, 0, &mut HashMap::new(), &mut rows)?;
 
         // Shared (group) variables: unbound here, used outside this literal.
-        let group_vars: Vec<String> = agg
-            .vars()
-            .into_iter()
-            .filter(|v| !self.binding.contains_key(v) && self.is_shared(v, lit_index))
-            .collect();
+        // (The threshold is bound, so only the aggregate's own variables
+        // can be.)
+        let mut group_vars: Vec<Var> = Vec::new();
+        for v in lit.terms().filter_map(Term::as_var) {
+            let group = !self.binding.contains_key(v) && self.is_shared(v, lit_index);
+            if group && !group_vars.contains(v) {
+                group_vars.push(v.clone());
+            }
+        }
 
         // Partition rows by group key.
-        let mut groups: BTreeMap<Vec<Value>, Vec<HashMap<String, Value>>> = BTreeMap::new();
+        let mut groups: BTreeMap<Vec<Value>, Vec<HashMap<Var, Value>>> = BTreeMap::new();
         for row in rows {
             let key: Vec<Value> = group_vars
                 .iter()
@@ -402,7 +397,7 @@ impl<'a> Search<'a> {
                 Some(v) => v,
                 None => continue, // Max/Min over empty pattern: no group
             };
-            let gb: HashMap<String, Value> = group_vars
+            let gb: HashMap<Var, Value> = group_vars
                 .iter()
                 .cloned()
                 .zip(key)
@@ -415,9 +410,9 @@ impl<'a> Search<'a> {
     fn aggregate_value(
         &self,
         agg: &Aggregate,
-        rows: &[HashMap<String, Value>],
+        rows: &[HashMap<Var, Value>],
     ) -> Result<Option<Value>, EvalError> {
-        let term_value = |row: &HashMap<String, Value>| -> Result<Value, EvalError> {
+        let term_value = |row: &HashMap<Var, Value>| -> Result<Value, EvalError> {
             match agg.term.as_ref() {
                 Some(Term::Const(c)) => Ok(c.clone()),
                 Some(Term::Var(v)) => row
@@ -485,8 +480,8 @@ impl<'a> Search<'a> {
         &self,
         pattern: &[Atom],
         idx: usize,
-        local: &mut HashMap<String, Value>,
-        out: &mut Vec<HashMap<String, Value>>,
+        local: &mut HashMap<Var, Value>,
+        out: &mut Vec<HashMap<Var, Value>>,
     ) -> Result<(), EvalError> {
         if idx == pattern.len() {
             out.push(local.clone());
@@ -510,7 +505,7 @@ impl<'a> Search<'a> {
         }
         let candidates: Vec<Vec<Value>> = rel.select(&bound).map(<[Value]>::to_vec).collect();
         for tuple in candidates {
-            let mut newly: Vec<String> = Vec::new();
+            let mut newly: Vec<Var> = Vec::new();
             let mut ok = true;
             for (t, v) in a.args.iter().zip(&tuple) {
                 match t {
@@ -591,8 +586,8 @@ mod tests {
             parse_denial("<- pub(Ip,_,_,\"Duckburg tales\") & aut(_,_,Ip,N) & N = \"Goofy\"")
                 .unwrap();
         let w = find_violation(&db, &d).unwrap().expect("violated");
-        assert_eq!(w.get("Ip"), Some(&Value::Int(10)));
-        assert_eq!(w.get("N"), Some(&Value::from("Goofy")));
+        assert_eq!(w.get(&Var::new("Ip")), Some(&Value::Int(10)));
+        assert_eq!(w.get(&Var::new("N")), Some(&Value::from("Goofy")));
     }
 
     #[test]
@@ -673,7 +668,7 @@ mod tests {
         )
         .unwrap();
         let w = find_violation(&db, &d).unwrap().expect("ann violates");
-        assert_eq!(w.get("R"), Some(&Value::from("ann")));
+        assert_eq!(w.get(&Var::new("R")), Some(&Value::from("ann")));
         let d2 = parse_denial("<- cntd(T; r(T,R)) >= 3 & cntd(S; s(S,R)) >= 3").unwrap();
         assert!(denial_holds(&db, &d2).unwrap());
     }

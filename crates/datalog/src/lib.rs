@@ -7,8 +7,9 @@
 //!
 //! The pieces provided here:
 //!
-//! * [`Value`], [`Term`]: constants, variables and *parameters* (the
-//!   boldface placeholders of the paper, standing for update-time values);
+//! * [`Value`], [`Term`], [`Var`]: constants, variables and *parameters*
+//!   (the boldface placeholders of the paper, standing for update-time
+//!   values); a variable is a value, spelled only when printed;
 //! * [`Atom`], [`Literal`], [`Denial`]: clause syntax, including built-in
 //!   comparisons and aggregate literals (`Cnt`, `Cnt_D`, `Sum`, `Max`,
 //!   `Min`) over conjunctive patterns;
@@ -33,13 +34,13 @@ pub mod term;
 pub mod value;
 
 pub use atom::Atom;
-pub use denial::{Denial, VarGen};
+pub use denial::Denial;
 pub use eval::{denial_holds, denials_hold, find_violation, EvalError};
 pub use literal::{AggFunc, Aggregate, CompOp, Literal};
 pub use parse::{parse_denial, parse_denials, parse_update, ParseError};
 pub use store::{Database, Relation};
 pub use subst::Subst;
-pub use term::Term;
+pub use term::{Term, Var, VarGen};
 pub use value::Value;
 
 /// An update transaction: a set of ground-modulo-parameters atoms that will

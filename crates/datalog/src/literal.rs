@@ -152,19 +152,6 @@ impl Aggregate {
     pub fn new(func: AggFunc, term: Option<Term>, pattern: Vec<Atom>) -> Aggregate {
         Aggregate { func, term, pattern }
     }
-
-    /// All variable names occurring in the pattern (and aggregated term),
-    /// in first-occurrence order.
-    pub fn vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if let Some(Term::Var(v)) = &self.term {
-            out.push(v.clone());
-        }
-        for a in &self.pattern {
-            a.collect_vars(&mut out);
-        }
-        out
-    }
 }
 
 impl fmt::Display for Aggregate {
@@ -209,37 +196,26 @@ impl Literal {
         Literal::Comp(a, CompOp::Ne, b)
     }
 
-    /// Collects variable names in first-occurrence order into `out`.
-    pub fn collect_vars(&self, out: &mut Vec<String>) {
-        fn push(out: &mut Vec<String>, t: &Term) {
-            if let Term::Var(v) = t {
-                if !out.iter().any(|o| o == v) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        match self {
-            Literal::Pos(a) | Literal::Neg(a) => a.collect_vars(out),
-            Literal::Comp(a, _, b) => {
-                push(out, a);
-                push(out, b);
-            }
-            Literal::Agg(agg, _, t) => {
-                for v in agg.vars() {
-                    if !out.contains(&v) {
-                        out.push(v);
-                    }
-                }
-                push(out, t);
-            }
-        }
+    /// Every term of this literal, in the order [`fmt::Display`] prints
+    /// them: an aggregate's counted term, its pattern's arguments, then its
+    /// threshold. The one walk over a literal's terms.
+    pub fn terms(&self) -> impl Iterator<Item = &Term> {
+        let (head, atoms, tail) = match self {
+            Literal::Pos(a) | Literal::Neg(a) => (None, std::slice::from_ref(a), None),
+            Literal::Comp(x, _, y) => (Some(x), &[][..], Some(y)),
+            Literal::Agg(g, _, t) => (g.term.as_ref(), &g.pattern[..], Some(t)),
+        };
+        head.into_iter().chain(atoms.iter().flat_map(|a| &a.args)).chain(tail)
     }
 
-    /// Returns the variables of this literal in first-occurrence order.
-    pub fn vars(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_vars(&mut out);
-        out
+    /// [`Literal::terms`], mutably.
+    pub fn terms_mut(&mut self) -> impl Iterator<Item = &mut Term> {
+        let (head, atoms, tail) = match self {
+            Literal::Pos(a) | Literal::Neg(a) => (None, std::slice::from_mut(a), None),
+            Literal::Comp(x, _, y) => (Some(x), &mut [][..], Some(y)),
+            Literal::Agg(g, _, t) => (g.term.as_mut(), &mut g.pattern[..], Some(t)),
+        };
+        head.into_iter().chain(atoms.iter_mut().flat_map(|a| &mut a.args)).chain(tail)
     }
 }
 
@@ -284,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_vars() {
+    fn terms_come_in_display_order() {
         let agg = Aggregate::new(
             AggFunc::CntD,
             Some(Term::var("Is")),
@@ -293,13 +269,19 @@ mod tests {
                 Atom::new("sub", vec![Term::var("Is"), Term::var("Ir")]),
             ],
         );
-        assert_eq!(agg.vars(), vec!["Is", "Ir", "R"]);
+        let mut l = Literal::Agg(agg, CompOp::Gt, Term::int(3));
+        let names: Vec<String> = l.terms().map(Term::to_string).collect();
+        assert_eq!(names, ["Is", "Ir", "R", "Is", "Ir", "3"]);
+        for t in l.terms_mut() {
+            *t = Term::param(t.to_string());
+        }
+        assert_eq!(l.to_string(), "cntd($Is; rev($Ir, $R), sub($Is, $Ir)) > $3");
     }
 
     #[test]
-    fn literal_vars_and_display() {
+    fn literal_terms_and_display() {
         let l = Literal::Comp(Term::var("X"), CompOp::Ne, Term::var("Y"));
-        assert_eq!(l.vars(), vec!["X", "Y"]);
+        assert_eq!(l.terms().collect::<Vec<_>>(), [&Term::var("X"), &Term::var("Y")]);
         assert_eq!(l.to_string(), "X != Y");
         let n = Literal::Neg(Atom::new("p", vec![Term::var("Z")]));
         assert_eq!(n.to_string(), "not p(Z)");

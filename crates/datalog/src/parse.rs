@@ -429,17 +429,22 @@ mod tests {
         assert_eq!(d.to_string(), "<- p(X, Y) & p(X, Z) & Y != Z");
     }
 
+    fn distinct_vars(d: &Denial) -> usize {
+        let vars: std::collections::HashSet<_> =
+            d.body.iter().flat_map(Literal::terms).filter_map(Term::as_var).collect();
+        vars.len()
+    }
+
     #[test]
     fn anonymous_vars_are_fresh() {
         let d = parse_denial("<- p(_, _) & q(_)").unwrap();
-        let vars = d.vars();
-        assert_eq!(vars.len(), 3, "each _ must be a distinct variable");
+        assert_eq!(distinct_vars(&d), 3, "each _ must be a distinct variable");
     }
 
     #[test]
     fn underscore_prefixed_names_are_one_variable() {
         let d = parse_denial("<- p(_x, _x)").unwrap();
-        assert_eq!(d.vars().len(), 1);
+        assert_eq!(distinct_vars(&d), 1);
     }
 
     #[test]

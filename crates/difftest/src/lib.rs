@@ -83,6 +83,7 @@
 
 pub mod chaos;
 pub mod crash;
+pub mod digest;
 pub mod gen;
 pub mod hostile;
 pub mod multi_op;

@@ -14,6 +14,7 @@
 //! cargo run -p xic-difftest -- --shard-matrix --cases 60 --seed 1
 //! cargo run -p xic-difftest -- --shard-chaos --cases 60 --seed 1
 //! cargo run -p xic-difftest -- --snapshot-decide --cases 300 --seed 1
+//! cargo run --release -p xic-difftest -- --pattern-digest --cases 3000 --seed 0
 //! ```
 //!
 //! At most one mode flag; each is a row of `MODES` over an oracle module
@@ -61,7 +62,7 @@
 //! error.
 
 use std::process::ExitCode;
-use xic_difftest::{chaos, crash, multi_op, shard, snapshot, Config, Outcome};
+use xic_difftest::{chaos, crash, digest, multi_op, shard, snapshot, Config, Outcome};
 
 /// One pass the binary can run.
 struct Mode {
@@ -74,7 +75,7 @@ struct Mode {
     contained_panics: bool,
 }
 
-const MODES: [Mode; 7] = [
+const MODES: [Mode; 8] = [
     Mode { flag: "", run: |a| xic_difftest::run(a.config).outcome(), contained_panics: false },
     Mode {
         flag: "--multi-op",
@@ -100,6 +101,11 @@ const MODES: [Mode; 7] = [
     Mode {
         flag: "--snapshot-decide",
         run: |a| snapshot::run_snapshot_decide(a.config).outcome(),
+        contained_panics: false,
+    },
+    Mode {
+        flag: "--pattern-digest",
+        run: |a| digest::run_pattern_digest(a.config).outcome(),
         contained_panics: false,
     },
 ];
@@ -172,7 +178,8 @@ fn main() -> ExitCode {
             eprintln!("difftest: {e}");
             eprintln!(
                 "usage: difftest [--dump | --multi-op | --crash-matrix [--sites PAT,PAT…] | --chaos | \
-                 --shard-matrix | --shard-chaos | --snapshot-decide] [--cases N] [--seed N]"
+                 --shard-matrix | --shard-chaos | --snapshot-decide | --pattern-digest] \
+                 [--cases N] [--seed N]"
             );
             return ExitCode::from(2);
         }

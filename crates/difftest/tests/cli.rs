@@ -29,6 +29,7 @@ fn every_row_passes_prints_one_summary_line_and_writes_nothing() {
         ("--shard-matrix", "shard-matrix:"),
         ("--shard-chaos", "shard-chaos:"),
         ("--snapshot-decide", "snapshot-decide:"),
+        ("--pattern-digest", "pattern-digest:"),
     ];
     let cwd = scratch("rows");
     for (flag, name) in rows {

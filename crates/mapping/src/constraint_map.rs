@@ -9,7 +9,7 @@
 use crate::schema::RelSchema;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use xic_datalog::{Aggregate, Atom, Denial, Literal, Term};
+use xic_datalog::{Aggregate, Atom, Denial, Literal, Term, Var};
 use xic_simplify::{reduce, Reduced};
 use xic_xml::Dtd;
 use xic_xpathlog::{
@@ -21,6 +21,9 @@ use xic_xpathlog::{
 pub enum MapError {
     /// A comparison or negation uses a variable never bound by a path.
     UnboundVar(String),
+    /// A variable is named like the mapping's own variables (it starts
+    /// with `_` or contains `__`), which it could capture.
+    ReservedVar(String),
     /// The construct has no sound relational translation under this
     /// schema.
     Unsupported(String),
@@ -30,6 +33,10 @@ impl fmt::Display for MapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MapError::UnboundVar(v) => write!(f, "variable {v} is never bound by a path"),
+            MapError::ReservedVar(v) => write!(
+                f,
+                "variable {v} is reserved: names starting with _ or containing __ are the mapping's"
+            ),
             MapError::Unsupported(m) => write!(f, "unsupported construct: {m}"),
         }
     }
@@ -102,41 +109,15 @@ pub fn map_constraint(
 /// such child atom).
 fn prune_implied_atoms(
     denial: Denial,
-    placeholders: &HashSet<String>,
+    placeholders: &HashSet<Var>,
     schema: &RelSchema,
     dtd: &Dtd,
 ) -> Denial {
     // Occurrence counts of every variable across the whole denial
     // (aggregates included).
-    let mut occurrences: HashMap<String, usize> = HashMap::new();
-    let count_atom = |a: &Atom, occ: &mut HashMap<String, usize>| {
-        for t in &a.args {
-            if let Term::Var(v) = t {
-                *occ.entry(v.clone()).or_insert(0) += 1;
-            }
-        }
-    };
-    for l in &denial.body {
-        match l {
-            Literal::Pos(a) | Literal::Neg(a) => count_atom(a, &mut occurrences),
-            Literal::Comp(x, _, y) => {
-                for t in [x, y] {
-                    if let Term::Var(v) = t {
-                        *occurrences.entry(v.clone()).or_insert(0) += 1;
-                    }
-                }
-            }
-            Literal::Agg(agg, _, t) => {
-                for a in &agg.pattern {
-                    count_atom(a, &mut occurrences);
-                }
-                for term in agg.term.iter().chain(std::iter::once(t)) {
-                    if let Term::Var(v) = term {
-                        *occurrences.entry(v.clone()).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
+    let mut occurrences: HashMap<&Var, usize> = HashMap::new();
+    for v in denial.body.iter().flat_map(Literal::terms).filter_map(Term::as_var) {
+        *occurrences.entry(v).or_insert(0) += 1;
     }
     let unused_placeholder = |t: &Term| match t {
         Term::Var(v) => placeholders.contains(v) && occurrences.get(v) == Some(&1),
@@ -177,7 +158,7 @@ fn prune_implied_atoms(
             }
             if let Literal::Pos(b) = other {
                 for (k, t) in b.args.iter().enumerate() {
-                    if t.var_name() == Some(id) {
+                    if t.as_var() == Some(id) {
                         if k == 2 && unique_parent(&b.pred, &a.pred) {
                             explained += 1;
                             has_child = true;
@@ -186,7 +167,7 @@ fn prune_implied_atoms(
                         }
                     }
                 }
-            } else if other.vars().iter().any(|v| v == id) {
+            } else if other.terms().any(|t| t.as_var() == Some(id)) {
                 explained = usize::MAX;
             }
             if explained == usize::MAX {
@@ -205,6 +186,17 @@ fn prune_implied_atoms(
             .filter_map(|(l, k)| k.then_some(l))
             .collect(),
     )
+}
+
+/// The Datalog variable for the XPathLog variable `v`, refused when named
+/// like the variables the pipeline makes itself — placeholders `_m{n}`,
+/// aggregate-local copies `{v}__ag{n}`, `Simp`'s fresh `{v}__{n}` — which
+/// it could capture.
+fn written(v: &str) -> Result<Term, MapError> {
+    if v.starts_with('_') || v.contains("__") {
+        return Err(MapError::ReservedVar(v.to_string()));
+    }
+    Ok(Term::var(v))
 }
 
 #[allow(clippy::type_complexity)]
@@ -298,20 +290,19 @@ enum PathVal {
 struct Mapper<'a> {
     schema: &'a RelSchema,
     dtd: &'a Dtd,
-    gen: u64,
+    gen: u32,
     env: HashMap<String, Binding>,
-    /// Variable names that are anonymous placeholders (replaceable).
-    placeholders: HashSet<String>,
+    /// The variables that are anonymous placeholders (replaceable).
+    placeholders: HashSet<Var>,
     literals: Vec<Literal>,
 }
 
 impl Mapper<'_> {
-    fn fresh(&mut self) -> String {
-        let n = self.gen;
+    fn fresh(&mut self) -> Term {
+        let v = Var::new(&format!("_m{}", self.gen));
         self.gen += 1;
-        let name = format!("_m{n}");
-        self.placeholders.insert(name.clone());
-        name
+        self.placeholders.insert(v.clone());
+        Term::Var(v)
     }
 
     fn operand(&self, op: &LOperand) -> Result<Term, MapError> {
@@ -381,14 +372,13 @@ impl Mapper<'_> {
                         // Safety: every variable must be bound elsewhere
                         // or be a placeholder… placeholders make the
                         // negation unsafe (¬∃ over a column), reject them.
-                        for v in atom.vars() {
-                            if self.placeholders.contains(&v) {
-                                return Err(MapError::Unsupported(
-                                    "negated path with unconstrained columns (¬∃) is not \
-                                     expressible as a safe negated atom"
-                                        .to_string(),
-                                ));
-                            }
+                        let mut vars = atom.args.iter().filter_map(Term::as_var);
+                        if vars.any(|v| self.placeholders.contains(v)) {
+                            return Err(MapError::Unsupported(
+                                "negated path with unconstrained columns (¬∃) is not \
+                                 expressible as a safe negated atom"
+                                    .to_string(),
+                            ));
                         }
                         self.literals.push(Literal::Neg(atom.clone()));
                         Ok(())
@@ -415,8 +405,7 @@ impl Mapper<'_> {
                 // Shared fresh variable: register in the outer scope so a
                 // second aggregate over the same group joins on it
                 // (Example 2's R).
-                self.env
-                    .insert(g.clone(), Binding::Value(Term::var(g.clone())));
+                self.env.insert(g.clone(), Binding::Value(written(g)?));
             }
         }
         let before = self.literals.len();
@@ -436,13 +425,14 @@ impl Mapper<'_> {
                 continue;
             }
             if let Term::Var(v) = b.term() {
-                rename.bind(v, &Term::var(format!("{v}__ag{}", self.gen)));
+                rename.bind(v, &Term::Var(v.apart(self.gen)));
                 self.gen += 1;
             }
         }
         let mut pattern = Vec::new();
-        for l in added {
-            match rename.apply_literal(&l) {
+        for mut l in added {
+            rename.apply(&mut l);
+            match l {
                 Literal::Pos(a) => pattern.push(a),
                 other => {
                     return Err(MapError::Unsupported(format!(
@@ -453,13 +443,13 @@ impl Mapper<'_> {
         }
         let counted: Option<Term> = match (&agg.func, &val) {
             (AggFunc::Cnt, _) => None,
-            (_, PathVal::Node { id, .. }) => Some(rename.apply_term(id)),
+            (_, PathVal::Node { id, .. }) => Some(rename.resolve(id)),
             (_, PathVal::Field { atom_idx: _, col: _ }) => {
                 return Err(MapError::Unsupported(
                     "aggregate over a compacted element requires text()".to_string(),
                 ))
             }
-            (_, PathVal::Value(t)) => Some(rename.apply_term(t)),
+            (_, PathVal::Value(t)) => Some(rename.resolve(t)),
             (_, PathVal::Dropped) => {
                 return Err(MapError::Unsupported(
                     "aggregate over dropped structure".to_string(),
@@ -565,15 +555,15 @@ impl Mapper<'_> {
         }
         let parent_term = match ctx {
             Ctx::Node { id, .. } => id.clone(),
-            Ctx::Unanchored | Ctx::Dropped(_) => Term::var(self.fresh()),
+            Ctx::Unanchored | Ctx::Dropped(_) => self.fresh(),
         };
         let id_term = match &step.binding {
             Some(v) => self.bind_node_var(v, name)?,
-            None => Term::var(self.fresh()),
+            None => self.fresh(),
         };
-        let mut args = vec![id_term.clone(), Term::var(self.fresh()), parent_term];
+        let mut args = vec![id_term.clone(), self.fresh(), parent_term];
         for _ in &info.cols {
-            args.push(Term::var(self.fresh()));
+            args.push(self.fresh());
         }
         let atom_idx = self.literals.len();
         self.literals
@@ -735,7 +725,7 @@ impl Mapper<'_> {
                 match self.env.get(v) {
                     Some(b) => Ok(b.term().clone()),
                     None => {
-                        let t = Term::var(v.clone());
+                        let t = written(v)?;
                         self.env.insert(v.clone(), Binding::Value(t.clone()));
                         Ok(t)
                     }
@@ -751,7 +741,7 @@ impl Mapper<'_> {
         if let Some(existing) = self.env.get(v) {
             return Ok(existing.term().clone());
         }
-        let t = Term::var(v.to_string());
+        let t = written(v)?;
         self.env.insert(
             v.to_string(),
             Binding::Node {
@@ -778,7 +768,7 @@ impl Mapper<'_> {
             self.set_or_eq(atom_idx, col, existing.clone())?;
             return Ok(existing);
         }
-        let term = Term::var(v.to_string());
+        let term = written(v)?;
         match &current {
             Term::Var(name) if self.placeholders.contains(name) => {
                 self.replace_arg(atom_idx, col, term.clone());
@@ -926,6 +916,24 @@ mod tests {
             map_denials(&[d], &schema, &dtd).unwrap_err(),
             MapError::UnboundVar("Z".to_string())
         );
+    }
+
+    #[test]
+    fn reserved_variable_names_are_refused() {
+        // `_m0` is the mapping's first placeholder: accepted, it would
+        // join the review's parent column to its name.
+        let dtd = paper_dtd();
+        let schema = RelSchema::from_dtd(&dtd).unwrap();
+        for (src, name) in [
+            ("<- //rev[name/text() -> _m0]/sub/auts/name/text() -> A & A = _m0", "_m0"),
+            ("<- //rev[name/text() -> R__1]/sub/auts/name/text() -> A & A = R__1", "R__1"),
+        ] {
+            let d = parse_l(src).unwrap();
+            assert_eq!(
+                map_denials(&[d], &schema, &dtd).unwrap_err(),
+                MapError::ReservedVar(name.to_string())
+            );
+        }
     }
 
     #[test]

@@ -308,8 +308,7 @@ pub fn pattern_key(update: &Update) -> String {
                     let idx = *names.entry(p.as_str()).or_insert(n);
                     out.push_str(&format!("${idx}"));
                 }
-                Term::Const(c) => out.push_str(&c.to_string()),
-                Term::Var(v) => out.push_str(v), // unreachable for updates
+                Term::Const(_) | Term::Var(_) => out.push_str(&t.to_string()),
             }
         }
         out.push(')');

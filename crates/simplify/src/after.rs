@@ -22,7 +22,7 @@ use crate::SimpConfig;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use xic_datalog::{
-    AggFunc, Aggregate, Atom, CompOp, Denial, Literal, Subst, Term, Update, Value, VarGen,
+    AggFunc, Aggregate, Atom, CompOp, Denial, Literal, Subst, Term, Update, Value, Var, VarGen,
 };
 
 /// The constraint/update combination falls outside the fragment for which
@@ -51,10 +51,9 @@ pub fn after(
     update: &Update,
     config: &SimpConfig,
 ) -> Result<Vec<Denial>, AfterError> {
-    let mut gen = VarGen::new();
-    gen.skip(gamma.iter().map(|d| d.vars().len()).sum());
+    let mut gen = VarGen::above(gamma);
     let mut out: Vec<Denial> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut seen: HashSet<Denial> = HashSet::new();
     for phi in gamma {
         let agg_variants = expand_aggregates(phi.clone(), 0, update, config, &mut gen)?;
         for v in agg_variants {
@@ -149,7 +148,7 @@ fn expand_atoms(denial: &Denial, update: &Update) -> Vec<Denial> {
 struct Vector {
     /// Variable bindings induced by unifying selected pattern atoms with
     /// their additions (both group and local variables).
-    bindings: BTreeMap<String, Term>,
+    bindings: BTreeMap<Var, Term>,
     /// Rigid equality conditions that must hold for the embedding.
     conditions: Vec<(Term, Term)>,
     /// Pattern atoms not matched to an addition, under `bindings`, with
@@ -234,17 +233,13 @@ fn aggregate_cases(
 
     // Variables of the denial that occur outside this aggregate literal
     // (group variables stay; everything else in the pattern is local).
-    let mut outer: HashSet<String> = HashSet::new();
+    let mut outer: HashSet<Var> = HashSet::new();
     for (j, l) in denial.body.iter().enumerate() {
         if j != lit_idx {
-            for v in l.vars() {
-                outer.insert(v);
-            }
+            outer.extend(l.terms().filter_map(Term::as_var).cloned());
         }
     }
-    if let Term::Var(v) = threshold {
-        outer.insert(v.clone());
-    }
+    outer.extend(threshold.as_var().cloned());
 
     let single_atom = agg.pattern.len() == 1;
 
@@ -387,7 +382,7 @@ fn aggregate_cases(
                     .bindings
                     .iter()
                     .filter(|(name, _)| outer.contains(*name))
-                    .map(|(name, t)| (Term::var(name.clone()), t.clone()))
+                    .map(|(name, t)| (Term::Var(name.clone()), t.clone()))
                     .collect();
                 conds.extend(v.conditions.iter().cloned());
                 if conds.is_empty() {
@@ -440,14 +435,14 @@ fn choices_get<'a>(
 fn build_vector(
     agg: &Aggregate,
     selected: &[(usize, &Atom)],
-    outer: &HashSet<String>,
+    outer: &HashSet<Var>,
     op: CompOp,
     _threshold: &Term,
     config: &SimpConfig,
     single_atom: bool,
     gen: &mut VarGen,
 ) -> Result<Option<Vector>, String> {
-    let mut bindings: BTreeMap<String, Term> = BTreeMap::new();
+    let mut bindings: BTreeMap<Var, Term> = BTreeMap::new();
     let mut conditions: Vec<(Term, Term)> = Vec::new();
     for (k, add) in selected {
         let pat = &agg.pattern[*k];
@@ -483,7 +478,7 @@ fn build_vector(
     // Residual pattern atoms (everything not selected), grounded through
     // the bindings, locals renamed fresh.
     let selected_idx: HashSet<usize> = selected.iter().map(|(k, _)| *k).collect();
-    let mut rename: BTreeMap<String, Term> = BTreeMap::new();
+    let mut rename: BTreeMap<Var, Term> = BTreeMap::new();
     let mut residuals = Vec::new();
     for (k, pat) in agg.pattern.iter().enumerate() {
         if selected_idx.contains(&k) {
@@ -630,12 +625,12 @@ fn assemble_case(
     lit_idx: usize,
     replacement: Vec<Literal>,
     in_set: &[impl std::borrow::Borrow<Vector>],
-    outer: &HashSet<String>,
+    outer: &HashSet<Var>,
     complements: &[Literal],
 ) -> Denial {
     // Merge group bindings; conflicts become equality conditions between
     // the competing addition terms.
-    let mut group: BTreeMap<String, Term> = BTreeMap::new();
+    let mut group: BTreeMap<Var, Term> = BTreeMap::new();
     let mut extra: Vec<Literal> = Vec::new();
     for v in in_set {
         let v = v.borrow();
@@ -672,7 +667,10 @@ fn assemble_case(
     for (name, t) in group {
         s.bind(&name, &t);
     }
-    Denial::new(body.iter().map(|l| s.apply_literal(l)).collect())
+    for l in &mut body {
+        s.apply(l);
+    }
+    Denial::new(body)
 }
 
 #[cfg(test)]
@@ -700,6 +698,20 @@ mod tests {
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out.iter().any(|s| s == "<- p(X, Y) & p(X, Z) & Y != Z"));
         assert!(out.iter().any(|s| s == "<- p($i, Y) & Y != $t"), "{out:?}");
+    }
+
+    #[test]
+    fn fresh_names_never_capture_an_input_variable() {
+        // The residual `b` keeps the aggregate-local `W` apart from the
+        // outer `W__4`: a capture would join them and miss violations.
+        let out = run(
+            "<- q(W__4) & cntd(S; a(S, Z), b(Z, W)) >= 2",
+            "{a($s, $z)}",
+            FreshSpec::params(["s"]),
+        )
+        .unwrap();
+        assert!(out.iter().any(|s| s.contains(">= 1 & b($z, W__5)")), "{out:?}");
+        assert!(out.iter().all(|s| !s.contains("b($z, W__4)")), "{out:?}");
     }
 
     #[test]

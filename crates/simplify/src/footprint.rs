@@ -24,8 +24,8 @@
 //! [`WriteFootprint::All`]) and the intersection reports an overlap, so
 //! the caller falls back to checking everything.
 
-use std::collections::{BTreeMap, BTreeSet};
-use xic_datalog::{AggFunc, Atom, Denial, Literal, Term, Update};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use xic_datalog::{AggFunc, Atom, Denial, Literal, Term, Update, Var};
 
 /// Column index of the `Pos` argument in every shredded relation
 /// (`(Id, Pos, IdParent, col…)` — see `xic_mapping::shred`).
@@ -100,32 +100,12 @@ const ALL_RELS: &str = "\u{0}all";
 /// `cnt`/`cntd` compared with `>` or `>=`, also makes the denial
 /// shrink-sensitive to its relation.
 pub fn read_footprint(denial: &Denial) -> ReadFootprint {
-    let mut occurrences: BTreeMap<String, usize> = BTreeMap::new();
-    let mut count_term = |t: &Term| {
-        if let Term::Var(v) = t {
-            *occurrences.entry(v.clone()).or_insert(0) += 1;
-        }
-    };
-    for lit in &denial.body {
-        match lit {
-            Literal::Pos(a) | Literal::Neg(a) => a.args.iter().for_each(&mut count_term),
-            Literal::Comp(l, _, r) => {
-                count_term(l);
-                count_term(r);
-            }
-            Literal::Agg(agg, _, rhs) => {
-                if let Some(t) = &agg.term {
-                    count_term(t);
-                }
-                for a in &agg.pattern {
-                    a.args.iter().for_each(&mut count_term);
-                }
-                count_term(rhs);
-            }
-        }
+    let mut occurrences: HashMap<&Var, usize> = HashMap::new();
+    for v in denial.body.iter().flat_map(Literal::terms).filter_map(Term::as_var) {
+        *occurrences.entry(v).or_insert(0) += 1;
     }
     let shared = |t: &Term| match t {
-        Term::Var(v) => occurrences.get(v.as_str()).copied().unwrap_or(0) > 1,
+        Term::Var(v) => occurrences.get(v).copied().unwrap_or(0) > 1,
         Term::Const(_) | Term::Param(_) => true,
     };
     let mut fp = ReadFootprint::default();

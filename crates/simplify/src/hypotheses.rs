@@ -14,7 +14,7 @@
 //! Both follow from node-id freshness in the XML store, where identifiers
 //! are allocated from a monotone counter and never reused.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use xic_datalog::{Atom, Denial, Literal, Term, Update};
 
 /// Column layout constants of the XML relational mapping (Section 4.1).
@@ -26,7 +26,7 @@ const PARENT_COL: usize = 2;
 /// the parameters standing for newly allocated node ids.
 pub fn freshness_hypotheses(update: &Update, fresh_params: &BTreeSet<String>) -> Vec<Denial> {
     let mut out: Vec<Denial> = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut seen: HashSet<Denial> = HashSet::new();
     let mut push = |pred: &str, arity: usize, col: usize, param: &str| {
         let args: Vec<Term> = (0..arity)
             .map(|j| {

@@ -27,7 +27,7 @@ use xic_datalog::Denial;
 pub fn optimize(denials: Vec<Denial>, delta: &[Denial]) -> Vec<Denial> {
     // Phase 1 + 2: reduce and de-duplicate.
     let mut list: Vec<Denial> = Vec::with_capacity(denials.len());
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut seen: HashSet<Denial> = HashSet::new();
     for d in denials {
         if let Reduced::Denial(r) = reduce(d) {
             if seen.insert(r.canonical_key()) {

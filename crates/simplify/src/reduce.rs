@@ -4,7 +4,7 @@
 //! These are the local rewrite rules of the `Optimize` operator ("equalities
 //! involving variables are eliminated as needed", "a = a" removal, …).
 
-use xic_datalog::{CompOp, Denial, Literal, Term, Value};
+use xic_datalog::{CompOp, Denial, Literal, Term, Value, Var};
 
 /// Result of reducing a denial.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,18 +40,25 @@ fn eval_rigid(a: &Term, op: CompOp, b: &Term) -> Option<bool> {
 }
 
 /// Canonical orientation for symmetric comparison literals (`=`, `!=`):
-/// variables first (alphabetically), then parameters, then constants. This
-/// makes variant detection and display deterministic.
+/// variables first (alphabetically), then parameters, then constants (by
+/// their rendering). This makes variant detection and display
+/// deterministic.
 fn orient(a: Term, op: CompOp, b: Term) -> Literal {
-    if matches!(op, CompOp::Eq | CompOp::Ne) {
-        let rank = |t: &Term| match t {
-            Term::Var(v) => (0u8, v.clone()),
-            Term::Param(p) => (1, p.clone()),
-            Term::Const(c) => (2, c.to_string()),
-        };
-        if rank(&b) < rank(&a) {
-            return Literal::Comp(b, op, a);
+    let before = |x: &Term, y: &Term| match (x, y) {
+        (Term::Var(x), Term::Var(y)) => x < y,
+        (Term::Param(x), Term::Param(y)) => x < y,
+        (Term::Const(x), Term::Const(y)) => x.to_string() < y.to_string(),
+        _ => {
+            let rank = |t: &Term| match t {
+                Term::Var(_) => 0,
+                Term::Param(_) => 1,
+                Term::Const(_) => 2,
+            };
+            rank(x) < rank(y)
         }
+    };
+    if matches!(op, CompOp::Eq | CompOp::Ne) && before(&b, &a) {
+        return Literal::Comp(b, op, a);
     }
     Literal::Comp(a, op, b)
 }
@@ -71,7 +78,7 @@ pub fn reduce(denial: Denial) -> Reduced {
     let mut body: Vec<Literal> = denial.body;
     loop {
         // The one variable equality this pass consumes: `var := term`.
-        let mut subst: Option<(String, Term)> = None;
+        let mut subst: Option<(Var, Term)> = None;
         let mut new_body: Vec<Literal> = Vec::with_capacity(body.len());
         let mut changed = false;
         for lit in body {
@@ -140,8 +147,11 @@ pub fn reduce(denial: Denial) -> Reduced {
         }
         body = new_body;
         if let Some((v, t)) = &subst {
-            for l in &mut body {
-                substitute(l, v, t);
+            // Every occurrence, aggregate patterns included.
+            for x in body.iter_mut().flat_map(Literal::terms_mut) {
+                if x.as_var() == Some(v) {
+                    *x = t.clone();
+                }
             }
             continue;
         }
@@ -179,28 +189,6 @@ pub fn reduce(denial: Denial) -> Reduced {
     }
 
     Reduced::Denial(Denial::new(deduped))
-}
-
-/// Replaces every occurrence of variable `v` in `l` (aggregate patterns
-/// included) by `t`.
-fn substitute(l: &mut Literal, v: &str, t: &Term) {
-    let set = |x: &mut Term| {
-        if x.var_name() == Some(v) {
-            *x = t.clone();
-        }
-    };
-    match l {
-        Literal::Pos(a) | Literal::Neg(a) => a.args.iter_mut().for_each(set),
-        Literal::Comp(x, _, y) => [x, y].into_iter().for_each(set),
-        Literal::Agg(g, _, threshold) => {
-            let pattern = g.pattern.iter_mut().flat_map(|a| &mut a.args);
-            g.term
-                .iter_mut()
-                .chain(pattern)
-                .chain([threshold])
-                .for_each(set);
-        }
-    }
 }
 
 /// True if `a op1 b ∧ a op2 b` is unsatisfiable for all values.

@@ -22,7 +22,7 @@
 //! once, a binding is a slot per number, and each choice point undoes the
 //! bindings made since it from a trail.
 
-use xic_datalog::{Atom, CompOp, Denial, Literal, Term, Value};
+use xic_datalog::{Atom, CompOp, Denial, Literal, Term, Value, Var};
 
 /// Returns true if `phi` θ-subsumes `psi`, i.e. some substitution of
 /// `phi`'s variables maps each of its literals to a literal of `psi` (or
@@ -69,9 +69,9 @@ pub(crate) struct Prepared<'a> {
 impl<'a> Prepared<'a> {
     /// Numbers `denial`'s variables and computes its signature.
     pub(crate) fn new(denial: &'a Denial) -> Prepared<'a> {
-        let mut names: Vec<&'a str> = Vec::new();
+        let mut names: Vec<&'a Var> = Vec::new();
         let mut slot = |t: &'a Term| match t {
-            Term::Var(v) => Slot::Var(names.iter().position(|n| n == v).unwrap_or_else(|| {
+            Term::Var(v) => Slot::Var(names.iter().position(|n| *n == v).unwrap_or_else(|| {
                 names.push(v);
                 names.len() - 1
             })),
@@ -80,17 +80,13 @@ impl<'a> Prepared<'a> {
         let mut kinds = Vec::with_capacity(denial.body.len());
         let mut slots = Vec::with_capacity(denial.body.len());
         for l in &denial.body {
-            let (kind, terms): (Kind<'a>, Vec<&'a Term>) = match l {
-                Literal::Pos(a) => (Kind::Pos(&a.pred, a.args.len()), a.args.iter().collect()),
-                Literal::Neg(a) => (Kind::Neg(&a.pred, a.args.len()), a.args.iter().collect()),
-                Literal::Comp(x, _, y) => (Kind::Comp, vec![x, y]),
-                Literal::Agg(g, _, t) => (
-                    Kind::Agg(g.func as u8, g.pattern.len()),
-                    g.term.iter().chain(g.pattern.iter().flat_map(|a| &a.args)).chain([t]).collect(),
-                ),
-            };
-            kinds.push(kind);
-            slots.push(terms.into_iter().map(&mut slot).collect());
+            kinds.push(match l {
+                Literal::Pos(a) => Kind::Pos(&a.pred, a.args.len()),
+                Literal::Neg(a) => Kind::Neg(&a.pred, a.args.len()),
+                Literal::Comp(..) => Kind::Comp,
+                Literal::Agg(g, _, _) => Kind::Agg(g.func as u8, g.pattern.len()),
+            });
+            slots.push(l.terms().map(&mut slot).collect());
         }
         let mut signature = kinds.clone();
         signature.sort_unstable();

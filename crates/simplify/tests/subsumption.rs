@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use xic_datalog::{AggFunc, Aggregate, Atom, CompOp, Denial, Literal, Term, Value};
+use xic_datalog::{AggFunc, Aggregate, Atom, CompOp, Denial, Literal, Term, Value, Var};
 use xic_simplify::subsumes;
 
 const VARS: &[&str] = &["X", "Y", "Z"];
@@ -135,7 +135,7 @@ fn pair() -> impl Strategy<Value = (Denial, Denial)> {
 // The reference
 // ---------------------------------------------------------------------
 
-type Bindings = HashMap<String, Term>;
+type Bindings = HashMap<Var, Term>;
 
 fn match_term(p: &Term, t: &Term, s: &mut Bindings) -> bool {
     match p {

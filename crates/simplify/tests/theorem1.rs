@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use xic_datalog::{
-    denials_hold, Atom, CompOp, Database, Denial, Literal, Term, Update, Value,
+    denials_hold, Atom, CompOp, Database, Denial, Literal, Term, Update, Value, Var,
 };
 use xic_simplify::{after, freshness_hypotheses, optimize, simp, FreshSpec, SimpConfig};
 
@@ -115,20 +115,10 @@ fn denial() -> impl Strategy<Value = Denial> {
         if let Some(t) = tail {
             // Only keep tails whose variables are bound by the atoms
             // (aggregate locals excepted).
-            let bound: Vec<String> = Denial::new(body.clone()).vars();
-            let ok = match &t {
-                Literal::Comp(a, _, b) => [a, b].iter().all(|x| match x {
-                    Term::Var(v) => bound.contains(v),
-                    _ => true,
-                }),
-                Literal::Agg(agg, _, _) => agg
-                    .vars()
-                    .iter()
-                    .filter(|v| !v.starts_with('L'))
-                    .all(|v| bound.contains(v)),
-                Literal::Neg(a) => a.vars().iter().all(|v| bound.contains(v)),
-                Literal::Pos(_) => true,
-            };
+            let bound: Vec<&Var> =
+                body.iter().flat_map(Literal::terms).filter_map(Term::as_var).collect();
+            let local = |v: &Var| ["L0", "L1", "L2"].iter().any(|l| v == l);
+            let ok = t.terms().filter_map(Term::as_var).all(|v| local(v) || bound.contains(&v));
             if ok {
                 body.push(t);
             }
@@ -200,7 +190,15 @@ fn update() -> impl Strategy<Value = (Update, HashMap<String, Value>, FreshSpec)
 
 /// Evaluates a set of denials after parameter instantiation.
 fn holds(db: &Database, denials: &[Denial], bindings: &HashMap<String, Value>) -> Option<bool> {
-    let inst: Vec<Denial> = denials.iter().map(|d| d.instantiate(bindings)).collect();
+    let mut inst = denials.to_vec();
+    for t in inst.iter_mut().flat_map(|d| &mut d.body).flat_map(Literal::terms_mut) {
+        if let Some(v) = match t {
+            Term::Param(p) => bindings.get(p),
+            _ => None,
+        } {
+            *t = Term::Const(v.clone());
+        }
+    }
     denials_hold(db, &inst).ok()
 }
 

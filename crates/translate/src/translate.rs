@@ -3,7 +3,7 @@
 use crate::template::{quote, ParamKind, QueryTemplate, TemplateError};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use xic_datalog::{AggFunc, Aggregate, Atom, CompOp, Denial, Literal, Term, Value};
+use xic_datalog::{AggFunc, Aggregate, Atom, CompOp, Denial, Literal, Term, Value, Var};
 use xic_mapping::RelSchema;
 
 /// Translation failure.
@@ -122,35 +122,11 @@ pub fn translate_denial_with(
 
 /// Variable occurrences across the denial: for each variable, the list of
 /// body-literal indexes it appears in (with multiplicity).
-fn occurrences(denial: &Denial) -> HashMap<String, Vec<usize>> {
-    let mut occ: HashMap<String, Vec<usize>> = HashMap::new();
-    let term = |t: &Term, i: usize, occ: &mut HashMap<String, Vec<usize>>| {
-        if let Term::Var(v) = t {
-            occ.entry(v.clone()).or_default().push(i);
-        }
-    };
+fn occurrences(denial: &Denial) -> HashMap<Var, Vec<usize>> {
+    let mut occ: HashMap<Var, Vec<usize>> = HashMap::new();
     for (i, l) in denial.body.iter().enumerate() {
-        match l {
-            Literal::Pos(a) | Literal::Neg(a) => {
-                for t in &a.args {
-                    term(t, i, &mut occ);
-                }
-            }
-            Literal::Comp(x, _, y) => {
-                term(x, i, &mut occ);
-                term(y, i, &mut occ);
-            }
-            Literal::Agg(agg, _, k) => {
-                for a in &agg.pattern {
-                    for t in &a.args {
-                        term(t, i, &mut occ);
-                    }
-                }
-                if let Some(t) = &agg.term {
-                    term(t, i, &mut occ);
-                }
-                term(k, i, &mut occ);
-            }
+        for v in l.terms().filter_map(Term::as_var) {
+            occ.entry(v.clone()).or_default().push(i);
         }
     }
     occ
@@ -170,25 +146,23 @@ fn order_atoms<'a>(atoms: &[&'a Atom]) -> Result<Vec<&'a Atom>, TranslateError> 
     let mut out: Vec<&Atom> = Vec::new();
     // Node variables bound so far: the ids of the atoms placed, and their
     // parents, which are reached from them.
-    let mut defined: HashSet<&str> = HashSet::new();
+    let mut defined: HashSet<&Var> = HashSet::new();
     // Value variables first bound by a data column of a single node.
-    let mut single: HashSet<&str> = HashSet::new();
-    let mut columns: HashSet<&str> = HashSet::new();
-    fn id(a: &Atom) -> Option<&str> {
-        a.args.first().and_then(Term::var_name)
+    let mut single: HashSet<&Var> = HashSet::new();
+    let mut columns: HashSet<&Var> = HashSet::new();
+    fn id(a: &Atom) -> Option<&Var> {
+        a.args.first().and_then(Term::as_var)
     }
     while !pending.is_empty() {
         // Ready if the parent var is already defined, or is not the id of
         // any pending atom; params/consts never wait.
         let ready = |a: &Atom| match a.args.get(2) {
-            Some(Term::Var(w)) => {
-                defined.contains(w.as_str()) || !pending.iter().any(|b| id(b) == Some(w))
-            }
+            Some(Term::Var(w)) => defined.contains(w) || !pending.iter().any(|b| id(b) == Some(w)),
             _ => true,
         };
         let binder = |a: &Atom| {
             id(a).is_some()
-                && matches!(a.args.get(2), Some(Term::Var(w)) if !defined.contains(w.as_str()))
+                && matches!(a.args.get(2), Some(Term::Var(w)) if !defined.contains(w))
         };
         let Some(first) = pending.iter().position(|a| ready(a)) else {
             return Err(TranslateError::Unsupported(
@@ -201,7 +175,7 @@ fn order_atoms<'a>(atoms: &[&'a Atom]) -> Result<Vec<&'a Atom>, TranslateError> 
                 (0..pending.len()).filter(|&i| ready(pending[i]) && binder(pending[i])).collect();
             let rigid = |a: &Atom| a.args.iter().skip(1).any(|t| !matches!(t, Term::Var(_)));
             let joins_single = |a: &Atom| {
-                a.args.iter().skip(3).filter_map(Term::var_name).any(|v| single.contains(v))
+                a.args.iter().skip(3).filter_map(Term::as_var).any(|v| single.contains(v))
             };
             if !rivals.iter().any(|&i| rigid(pending[i])) {
                 idx = rivals.into_iter().find(|&i| joins_single(pending[i])).unwrap_or(first);
@@ -210,12 +184,12 @@ fn order_atoms<'a>(atoms: &[&'a Atom]) -> Result<Vec<&'a Atom>, TranslateError> 
         let one_node =
             binder(pending[idx]) || matches!(pending[idx].args.first(), Some(Term::Param(_)));
         let a = pending.remove(idx);
-        for v in a.args.iter().skip(3).filter_map(Term::var_name) {
+        for v in a.args.iter().skip(3).filter_map(Term::as_var) {
             if columns.insert(v) && one_node {
                 single.insert(v);
             }
         }
-        defined.extend([id(a), a.args.get(2).and_then(Term::var_name)].into_iter().flatten());
+        defined.extend([id(a), a.args.get(2).and_then(Term::as_var)].into_iter().flatten());
         out.push(a);
     }
     Ok(out)
@@ -224,11 +198,11 @@ fn order_atoms<'a>(atoms: &[&'a Atom]) -> Result<Vec<&'a Atom>, TranslateError> 
 struct Tr<'a> {
     schema: &'a RelSchema,
     node_params: &'a std::collections::BTreeSet<String>,
-    occurrences: HashMap<String, Vec<usize>>,
+    occurrences: HashMap<Var, Vec<usize>>,
     /// Datalog node-id variable → XQuery node expression (`$v`, `%{p}`).
-    node_expr: HashMap<String, String>,
+    node_expr: HashMap<Var, String>,
     /// Datalog value variable → XQuery value expression.
-    var_expr: HashMap<String, String>,
+    var_expr: HashMap<Var, String>,
     /// `some`/`for` bindings, in order: (`$name`, source).
     bindings: Vec<(String, String)>,
     /// `let` bindings for aggregates.
@@ -254,12 +228,12 @@ impl Tr<'_> {
         format!("%{{{name}}}")
     }
 
-    fn used_elsewhere(&self, v: &str) -> bool {
+    fn used_elsewhere(&self, v: &Var) -> bool {
         self.occurrences.get(v).map_or(0, Vec::len) > 1
     }
 
     /// True if the variable occurs in a literal other than `lit_idx`.
-    fn occurs_outside(&self, v: &str, lit_idx: usize) -> bool {
+    fn occurs_outside(&self, v: &Var, lit_idx: usize) -> bool {
         self.occurrences
             .get(v)
             .is_some_and(|ls| ls.iter().any(|&l| l != lit_idx))
@@ -283,7 +257,7 @@ impl Tr<'_> {
                 } else if let Some(e) = self.node_expr.get(v) {
                     Ok(e.clone())
                 } else {
-                    Err(TranslateError::UnsafeVar(v.clone()))
+                    Err(TranslateError::UnsafeVar(v.to_string()))
                 }
             }
         }
@@ -386,7 +360,7 @@ impl Tr<'_> {
     /// The binding source for an atom with a variable id; the second
     /// component names a parent variable that must be defined from the
     /// child (`$w in $id/..`) *after* the child's own binding.
-    fn atom_source(&mut self, a: &Atom) -> Result<(String, Option<String>), TranslateError> {
+    fn atom_source(&mut self, a: &Atom) -> Result<(String, Option<Var>), TranslateError> {
         match a.args.get(2) {
             Some(Term::Var(w)) => {
                 if let Some(parent) = self.node_expr.get(w) {
@@ -498,12 +472,13 @@ impl Tr<'_> {
         // Group generators: pattern variables shared with the rest of the
         // denial but not yet defined get a `for $g in distinct-values(…)`
         // binding over the first column in which they occur.
-        let pattern_vars: HashSet<String> = agg
-            .pattern
-            .iter()
-            .flat_map(Atom::vars)
-            .collect();
-        for v in &pattern_vars {
+        let mut pattern_vars: Vec<&Var> = Vec::new();
+        for v in agg.pattern.iter().flat_map(|a| &a.args).filter_map(Term::as_var) {
+            if !pattern_vars.contains(&v) {
+                pattern_vars.push(v);
+            }
+        }
+        for v in pattern_vars {
             if self.node_expr.contains_key(v) || self.var_expr.contains_key(v) {
                 continue;
             }
@@ -529,13 +504,13 @@ impl Tr<'_> {
 
     /// A generator expression for an unbound group variable: the path to
     /// the first pattern column mentioning it.
-    fn group_generator(&mut self, agg: &Aggregate, v: &str) -> Result<String, TranslateError> {
+    fn group_generator(&mut self, agg: &Aggregate, v: &Var) -> Result<String, TranslateError> {
         for a in &agg.pattern {
             let info = self.schema.pred(&a.pred).ok_or_else(|| {
                 TranslateError::Schema(format!("unknown predicate {}", a.pred))
             })?;
             for (k, col) in info.cols.iter().enumerate() {
-                if a.args[3 + k].var_name() == Some(v) {
+                if a.args[3 + k].as_var() == Some(v) {
                     return Ok(format!("//{}/{col}/text()", a.pred));
                 }
             }
@@ -573,13 +548,13 @@ impl Tr<'_> {
                 if let Some(i) = agg
                     .pattern
                     .iter()
-                    .position(|a| a.args.first().and_then(Term::var_name) == Some(v))
+                    .position(|a| a.args.first().and_then(Term::as_var) == Some(v))
                 {
                     Target::Atom(i)
                 } else if let Some((i, k)) = agg.pattern.iter().enumerate().find_map(|(i, a)| {
                     a.args[3..]
                         .iter()
-                        .position(|t| t.var_name() == Some(v))
+                        .position(|t| t.as_var() == Some(v))
                         .map(|k| (i, k))
                 }) {
                     Target::Column(i, k)
@@ -603,10 +578,10 @@ impl Tr<'_> {
         // is atom j's id variable.
         let n = agg.pattern.len();
         let parent_of = |i: usize| -> Option<usize> {
-            let p = agg.pattern[i].args.get(2)?.var_name()?;
+            let p = agg.pattern[i].args.get(2)?.as_var()?;
             agg.pattern
                 .iter()
-                .position(|b| b.args.first().and_then(Term::var_name) == Some(p))
+                .position(|b| b.args.first().and_then(Term::as_var) == Some(p))
         };
         // Spine: target atom up to its root.
         let mut spine = vec![target_atom];
@@ -1022,6 +997,15 @@ mod tests {
         assert!(q.contains("count($agg0) >= 3"), "{q}");
         assert!(q.contains("count($agg1) > 10"), "{q}");
         xic_xquery::parse_query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+    }
+
+    #[test]
+    fn group_generators_follow_the_pattern() {
+        // Two group variables of one aggregate: one generator each, in the
+        // order the pattern mentions them, on every run.
+        let q = tr("<- cntd(S; sub(S,_,I,T), auts(_,_,S,N)) > 1 & T != N").text;
+        let (t, n) = (q.find("for $T in distinct-values"), q.find("$N in distinct-values"));
+        assert!(t.is_some() && t < n, "{q}");
     }
 
     #[test]
