@@ -4,7 +4,9 @@
 //! (i) verify the original constraint against the whole document, (ii)
 //! verify the optimized (simplified, pre-update) constraint, and (iii)
 //! execute an update, verify the original constraint, and undo the update
-//! — the paper's diamonds, squares and triangles.
+//! — the paper's diamonds, squares and triangles. (iii) is timed as the
+//! checker runs it: the update is executed on a copy, and the copy is
+//! dropped.
 //!
 //! Beside the paper's measurements the crate keeps the two sweeps no
 //! metric of the wire-level suite (`benchmark/`) covers — recovery time
@@ -16,7 +18,7 @@ pub mod report;
 
 use std::time::{Duration, Instant};
 use xic_workload::{generate, Workload, WorkloadConfig};
-use xic_xml::{apply, undo, XUpdateDoc};
+use xic_xml::XUpdateDoc;
 use xicheck::{Checker, CheckerService, Strategy, UpdateOutcome};
 
 /// Which of the two running examples an experiment exercises.
@@ -184,13 +186,14 @@ pub struct Row {
     pub full_ms: f64,
     /// (ii) optimized pre-update check (squares).
     pub optimized_ms: f64,
-    /// (iii) update + full check + undo (triangles).
+    /// (iii) update + full check + undo (triangles): the baseline
+    /// decision, `decide_only` under [`Strategy::FullWithRollback`].
     pub update_full_undo_ms: f64,
 }
 
 /// Measures one figure row.
 pub fn measure_row(exp: Experiment, kib: usize, seed: u64, iters: usize) -> Row {
-    let mut inst = instance(exp, kib, seed);
+    let inst = instance(exp, kib, seed);
 
     let full = time_mean(iters, || {
         let v = inst.checker.check_full().expect("full check");
@@ -204,11 +207,8 @@ pub fn measure_row(exp: Experiment, kib: usize, seed: u64, iters: usize) -> Row 
     });
 
     let update_full_undo = time_mean(iters, || {
-        let doc = inst.checker.doc_mut();
-        let applied = apply(doc, &legal, &xicheck::xpath_resolver).expect("apply");
-        let v = inst.checker.check_full().expect("full check");
-        assert!(v.is_none());
-        undo(inst.checker.doc_mut(), applied);
+        let v = inst.checker.decide_only(&legal, Strategy::FullWithRollback).expect("baseline");
+        assert!(v.is_none(), "legal update must pass");
     });
 
     Row {
@@ -221,15 +221,15 @@ pub fn measure_row(exp: Experiment, kib: usize, seed: u64, iters: usize) -> Row 
 }
 
 /// End-to-end handling of an illegal statement under both strategies
-/// (E5): optimized = reject before execution; baseline = apply + full
-/// check + compensating rollback.
+/// (E5): optimized = reject before execution; baseline = apply to a copy
+/// + full check, the copy dropped.
 #[derive(Debug, Clone, Copy)]
 pub struct IllegalRow {
     /// Corpus size in KiB.
     pub kib: usize,
     /// Optimized end-to-end rejection time (ms).
     pub optimized_reject_ms: f64,
-    /// Baseline apply + check + rollback time (ms).
+    /// Baseline apply + check + drop time (ms).
     pub baseline_reject_ms: f64,
 }
 
@@ -244,14 +244,11 @@ pub fn measure_illegal(exp: Experiment, kib: usize, seed: u64, iters: usize) -> 
         assert!(matches!(out, UpdateOutcome::Rejected { .. }));
     });
 
-    // Baseline: apply + full check + undo (the violation fires, so the
-    // compensating action always runs).
+    // Baseline: the decision `try_update` would reach without the
+    // optimized check — apply to a copy, full check, drop the copy.
     let baseline = time_mean(iters, || {
-        let doc = inst.checker.doc_mut();
-        let applied = apply(doc, &illegal, &xicheck::xpath_resolver).expect("apply");
-        let v = inst.checker.check_full().expect("full check");
+        let v = inst.checker.decide_only(&illegal, Strategy::FullWithRollback).expect("baseline");
         assert!(v.is_some(), "violation must be detected post-update");
-        undo(inst.checker.doc_mut(), applied);
     });
 
     IllegalRow {

@@ -6,7 +6,7 @@
 
 use crate::compile::{compile_pattern, CompiledPattern};
 use crate::durability::{CommitError, CommitLog};
-use crate::gamma::{Baseline, SharedGamma};
+use crate::gamma::{apply_to_copy, Baseline, SharedGamma};
 use crate::optimized::{OptimizedCheck, PatternCache, PatternEntry, Verdict};
 use crate::resolver::xpath_resolver;
 use std::fmt;
@@ -15,9 +15,7 @@ use std::sync::Arc;
 use xic_datalog::Denial;
 use xic_mapping::{map_update, RelSchema};
 use xic_translate::QueryTemplate;
-use xic_xml::{
-    apply, parse_document, undo, AppliedUpdate, Document, Dtd, XUpdateDoc, XUpdateError,
-};
+use xic_xml::{parse_document, Document, Dtd, XUpdateDoc, XUpdateError};
 
 /// Which strategy handled an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,8 +23,9 @@ pub enum Strategy {
     /// Optimized: the simplified check ran *before* the update; illegal
     /// statements were never executed.
     Optimized,
-    /// Baseline: the update was applied, the full constraints checked in
-    /// the new state, and a compensating rollback performed on violation.
+    /// Baseline: the update was applied to a copy of the document and the
+    /// full constraints checked in the copy, which is committed when legal
+    /// and dropped on violation.
     FullWithRollback,
 }
 
@@ -96,8 +95,9 @@ pub enum CheckerError {
     /// payload message is preserved. The checker is now poisoned.
     Panicked(String),
     /// A mutating operation was refused because an earlier contained
-    /// panic left the in-memory state suspect. Rebuild via
-    /// [`Checker::recover_store`] (or a fresh constructor).
+    /// panic, or a fault after a commit record was appended, left the
+    /// journal in doubt (the document is always a committed version).
+    /// Rebuild via [`Checker::recover_store`] (or a fresh constructor).
     Poisoned,
     /// Write-ahead journal failure: create/append/fsync, or a recovery
     /// that cannot proceed (base-snapshot mismatch, out-of-sequence or
@@ -170,9 +170,10 @@ impl From<XUpdateError> for CheckerError {
 pub struct Stats {
     /// Updates checked through a compiled pattern.
     pub optimized_checks: u64,
-    /// Updates checked through apply + full check (+ rollback).
+    /// Updates checked through apply to a copy + full check.
     pub full_checks: u64,
-    /// Rollbacks performed.
+    /// Statements the full check refused after they were applied to a
+    /// copy (the copy was dropped; the document never changed).
     pub rollbacks: u64,
     /// Statements rejected before execution.
     pub early_rejections: u64,
@@ -215,7 +216,9 @@ pub(crate) fn index_reads<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
 /// would serialize behind commits and the fsync in every commit would
 /// stall them (the service exists to avoid precisely that).
 pub struct Checker {
-    pub(crate) doc: Document,
+    /// The committed version: a statement is applied to a copy, which its
+    /// commit swaps in, so a published snapshot shares this `Arc`.
+    pub(crate) doc: Arc<Document>,
     /// The compiled constraint-template set Γ: everything derived from
     /// the DTD and the constraints but independent of the document
     /// instance. Shared (`Arc`) across every checker built over the same
@@ -235,8 +238,9 @@ pub struct Checker {
     /// and by a failed flush: the checker serves reads but refuses
     /// mutations.
     pub(crate) degraded: bool,
-    /// Set when a contained panic leaves the in-memory tree suspect;
-    /// mutating operations are refused until recovery.
+    /// Set when a contained panic or a fault after an appended commit
+    /// record leaves the journal in doubt; mutating operations are
+    /// refused until recovery.
     poisoned: bool,
     stats: Stats,
 }
@@ -287,7 +291,7 @@ impl Checker {
     /// already guaranteed by its crc.
     pub(crate) fn assemble(doc: Document, shared: Arc<SharedGamma>) -> Checker {
         Checker {
-            doc,
+            doc: Arc::new(doc),
             shared,
             patterns: PatternCache::new(),
             independence: true,
@@ -323,12 +327,6 @@ impl Checker {
     /// The document.
     pub fn doc(&self) -> &Document {
         &self.doc
-    }
-
-    /// Mutable document access (for setup code such as workload loading).
-    /// A mutation made through it is neither checked nor journaled.
-    pub fn doc_mut(&mut self) -> &mut Document {
-        &mut self.doc
     }
 
     /// The DTD.
@@ -430,10 +428,12 @@ impl Checker {
         self.log.committed()
     }
 
-    /// True once a contained panic has poisoned this checker: the
-    /// in-memory tree may be half-updated, so mutating operations return
-    /// [`CheckerError::Poisoned`]. Rebuild the state with
-    /// [`Checker::recover_store`].
+    /// True once a contained panic, or a fault after a commit record was
+    /// appended, has poisoned this checker. The document is a whole
+    /// committed version (statements are applied to a copy), but the
+    /// journal may hold a record the checker cannot vouch for, so mutating
+    /// operations return [`CheckerError::Poisoned`]. Rebuild the state
+    /// with [`Checker::recover_store`].
     pub fn poisoned(&self) -> bool {
         self.poisoned
     }
@@ -483,28 +483,24 @@ impl Checker {
     ///   sight (like [`Checker::try_update`]) and runs the simplified
     ///   pre-update checks; the document is never touched. Errors when the
     ///   pattern is not incrementally checkable.
-    /// * [`Strategy::FullWithRollback`] applies the statement, runs the
-    ///   full constraint check in the new state, and **always** rolls
-    ///   back, whatever the verdict. A statement that fails to apply is
-    ///   rolled back from its partial state and reported as a
+    /// * [`Strategy::FullWithRollback`] applies the statement to a copy,
+    ///   runs the full constraint check on the copy and drops it, whatever
+    ///   the verdict. A statement that fails to apply is reported as a
     ///   [`CheckerError::Statement`].
     ///
     /// Returns `Ok(None)` when the update would be accepted and
     /// `Ok(Some(v))` when it would be rejected with violation `v`. The
     /// per-checker [`Stats`] are not affected.
     pub fn decide_only(
-        &mut self,
+        &self,
         stmt: &XUpdateDoc,
         strategy: Strategy,
     ) -> Result<Option<Violation>, CheckerError> {
         self.refuse_if_poisoned()?;
         match strategy {
             Strategy::Optimized => self.pre_check(stmt).0?.decision(),
-            // Field-wise borrows: the evaluator reads Γ while it mutates
-            // (and restores) the document.
             Strategy::FullWithRollback => {
-                Baseline { gamma: &self.shared, independence: self.independence }
-                    .decide_by_rollback(&mut self.doc, stmt)
+                self.baseline().decide(&self.doc, stmt).map(|(_, verdict)| verdict)
             }
         }
     }
@@ -513,10 +509,7 @@ impl Checker {
     /// store attached the statement is journaled and flushed like a
     /// committed update, so recovery replays it.
     pub fn apply_unchecked(&mut self, stmt: &XUpdateDoc) -> Result<(), CheckerError> {
-        let written = self.write(|checker| {
-            let applied = checker.apply_or_abort(stmt)?;
-            checker.commit(stmt, applied)
-        });
+        let written = self.write(|checker| checker.apply_and_commit(stmt));
         self.flush()?;
         written
     }
@@ -524,8 +517,8 @@ impl Checker {
     /// The one write step behind [`Checker::try_update`],
     /// [`Checker::apply_unchecked`] and [`crate::service::apply_batch`]:
     /// refuses a poisoned or degraded checker, moves a reopened store to
-    /// a fresh segment, then runs `step`, which decides, applies and
-    /// appends the commit record. Nothing is flushed: the caller runs
+    /// a fresh segment, then runs `step`, which decides, applies to a
+    /// copy and commits it. Nothing is flushed: the caller runs
     /// [`Checker::flush`] before it acknowledges. A panic escaping `step`
     /// is contained here ([`CheckerError::Panicked`]) and poisons the
     /// checker.
@@ -555,38 +548,40 @@ impl Checker {
         }
     }
 
-    /// Applies `stmt`; on a mid-batch failure rolls the already-applied
-    /// prefix back and journals an abort record before reporting the
-    /// error (the document is unchanged either way). A `select` that ran
-    /// out of the request's budget is a timeout, not a fact about the
-    /// statement: it leaves no record.
-    fn apply_or_abort(&mut self, stmt: &XUpdateDoc) -> Result<AppliedUpdate, CheckerError> {
-        let _update = xic_obs::phase("update");
-        let _apply = xic_obs::phase("apply");
-        match apply(&mut self.doc, stmt, &xpath_resolver) {
-            Ok(applied) => Ok(applied),
-            Err((e, partial)) => {
-                undo(&mut self.doc, partial);
-                if e != XUpdateError::BudgetExhausted {
-                    self.log.abort(stmt);
-                }
-                Err(e.into())
-            }
-        }
+    /// Applies `stmt` to a copy of the document and commits the copy. A
+    /// statement that does not apply leaves the document as it was.
+    fn apply_and_commit(&mut self, stmt: &XUpdateDoc) -> Result<(), CheckerError> {
+        let applied = apply_to_copy(&self.doc, stmt);
+        let (next, _) = applied.map_err(|e| self.refused(stmt, e))?;
+        self.commit(stmt, next)
     }
 
-    /// Makes the in-memory update `applied` a commit: appends its record
-    /// (unflushed). On append failure the update is rolled back so
-    /// document and journal stay in step; on a failure *after* the record
-    /// is appended the checker is poisoned instead.
-    fn commit(&mut self, stmt: &XUpdateDoc, applied: AppliedUpdate) -> Result<(), CheckerError> {
-        match self.log.commit(stmt, &self.doc) {
-            Ok(()) => Ok(()),
-            Err(CommitError::NotAppended(e)) => {
-                undo(&mut self.doc, applied);
-                Err(e)
+    /// Journals an abort record for a statement that does not apply (a
+    /// [`CheckerError::Statement`]) and hands the error back. A `select`
+    /// that ran out of the request's budget is a timeout, and a failed
+    /// check is the checker's failure, not a fact about the statement:
+    /// neither leaves a record.
+    fn refused(&mut self, stmt: &XUpdateDoc, e: CheckerError) -> CheckerError {
+        if matches!(e, CheckerError::Statement(_)) {
+            self.log.abort(stmt);
+        }
+        e
+    }
+
+    /// Makes `next`, the document with `stmt` applied, the committed
+    /// version: appends the record (unflushed), then swaps `next` in. On
+    /// append failure `next` is dropped, so document and journal stay in
+    /// step; on a failure *after* the record is appended `next` is kept
+    /// and the checker is poisoned instead.
+    fn commit(&mut self, stmt: &XUpdateDoc, next: Document) -> Result<(), CheckerError> {
+        match self.log.commit(stmt, &next) {
+            Ok(()) => {
+                self.doc = Arc::new(next);
+                Ok(())
             }
+            Err(CommitError::NotAppended(e)) => Err(e),
             Err(CommitError::AfterAppend(e)) => {
+                self.doc = Arc::new(next);
                 self.poisoned = true;
                 Err(e)
             }
@@ -604,8 +599,9 @@ impl Checker {
     /// * If the statement matches a compiled incremental pattern, the
     ///   simplified checks run against the **current** state; on violation
     ///   the statement is rejected without being executed.
-    /// * Otherwise the baseline strategy runs: apply, full check in the
-    ///   new state, compensating rollback on violation.
+    /// * Otherwise the baseline strategy runs: apply to a copy, full check
+    ///   of the copy, which is committed when legal and dropped on
+    ///   violation.
     ///
     /// Statements new to the checker are compiled on first sight (the
     /// paper generates simplifications at schema design time; compiling
@@ -656,52 +652,29 @@ impl Checker {
             Verdict::NotIncremental(_) => {}
             Verdict::Violated(violation) => {
                 self.stats.early_rejections += 1;
-                return Ok(UpdateOutcome::Rejected {
-                    strategy: Strategy::Optimized,
-                    violation,
-                });
+                return Ok(UpdateOutcome::Rejected { strategy: Strategy::Optimized, violation });
             }
             Verdict::Legal => {
-                // Legal: now (and only now) execute the update, then
-                // append its commit record.
-                let applied = self.apply_or_abort(stmt)?;
-                self.commit(stmt, applied)?;
-                return Ok(UpdateOutcome::Applied {
-                    strategy: Strategy::Optimized,
-                });
+                // Legal: now (and only now) execute the update.
+                self.apply_and_commit(stmt)?;
+                return Ok(UpdateOutcome::Applied { strategy: Strategy::Optimized });
             }
         }
-        // Baseline: apply, check (masked to the constraints the applied
-        // delta can reach), roll back on violation.
+        // Baseline: apply to a copy and check it (masked to the constraints
+        // the applied delta can reach). A legal copy is committed; a
+        // violation drops it, and so does a check *error* (an exhausted
+        // per-request deadline budget, an engine failure): the document
+        // never holds a statement its journal lacks.
         self.stats.full_checks += 1;
-        let applied = self.apply_or_abort(stmt)?;
-        let live = self.baseline().live_mask(&self.doc, &applied);
-        let refusal = match self.baseline().run(&self.doc, live.as_deref()) {
-            Ok(None) => {
-                self.commit(stmt, applied)?;
-                return Ok(UpdateOutcome::Applied {
-                    strategy: Strategy::FullWithRollback,
-                });
-            }
-            Ok(Some(violation)) => Ok(violation),
-            Err(e) => Err(e),
-        };
-        // A violation rolls the applied update back, and so does a check
-        // *error* (an exhausted per-request deadline budget, an engine
-        // failure) before it propagates: verdict-or-error, never a
-        // modified document with no commit record — the journal and the
-        // in-memory state must not diverge under the service's batch path.
-        {
-            let _update = xic_obs::phase("update");
-            let _rollback = xic_obs::phase("rollback");
-            undo(&mut self.doc, applied);
+        let decided = self.baseline().decide(&self.doc, stmt);
+        let (next, violation) = decided.map_err(|e| self.refused(stmt, e))?;
+        let strategy = Strategy::FullWithRollback;
+        if let Some(violation) = violation {
+            self.stats.rollbacks += 1;
+            return Ok(UpdateOutcome::Rejected { strategy, violation });
         }
-        let violation = refusal?;
-        self.stats.rollbacks += 1;
-        Ok(UpdateOutcome::Rejected {
-            strategy: Strategy::FullWithRollback,
-            violation,
-        })
+        self.commit(stmt, next)?;
+        Ok(UpdateOutcome::Applied { strategy })
     }
 }
 
@@ -833,7 +806,32 @@ mod tests {
         assert!(!out.applied());
         assert_eq!(out.strategy(), Strategy::FullWithRollback);
         assert_eq!(c.stats().rollbacks, 1);
-        assert_eq!(xic_xml::serialize(c.doc()), before, "rollback must restore");
+        assert_eq!(xic_xml::serialize(c.doc()), before, "a refusal keeps the document");
+    }
+
+    /// A statement the baseline refuses was applied to a copy, and the
+    /// copy is dropped: a thousand refusals leave the writer's arena as
+    /// it was.
+    #[test]
+    fn refused_statements_leave_the_arena_alone() {
+        let w = xic_workload::generate(xic_workload::WorkloadConfig::sized_kib(32, 7));
+        let mut c = Checker::new(&w.xml, DTD, xic_workload::conflict_constraint()).unwrap();
+        let own_name = XUpdateDoc::parse(&format!(
+            r#"<xupdate:modifications xmlns:xupdate="x"><xupdate:update
+               select="/collection/review/track[1]/rev[1]/sub[1]/auts[1]/name">{}</xupdate:update>
+               </xupdate:modifications>"#,
+            w.reviewers[0][0]
+        ))
+        .unwrap();
+        let nodes = c.doc().node_count();
+        for _ in 0..1_000 {
+            let out = c.try_update(&own_name).unwrap();
+            assert!(!out.applied() && out.strategy() == Strategy::FullWithRollback);
+        }
+        assert_eq!(c.stats().rollbacks, 1_000);
+        assert_eq!(c.doc().node_count(), nodes);
+        assert!(c.decide_only(&own_name, Strategy::FullWithRollback).unwrap().is_some());
+        assert_eq!(c.doc().node_count(), nodes);
     }
 
     #[test]

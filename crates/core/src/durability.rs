@@ -29,7 +29,7 @@ use std::path::Path;
 use std::sync::Arc;
 use xic_xml::checkpoint::{Candidate, CheckpointError, Recovery, Store};
 use xic_xml::journal::{crc32, RecordKind};
-use xic_xml::{apply, parse_document, serialize, undo, Document, XUpdateDoc};
+use xic_xml::{apply, parse_document, serialize, Document, XUpdateDoc};
 
 /// What [`Checker::recover_store`] / [`Checker::open_store`] found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -37,7 +37,7 @@ pub struct RecoveryReport {
     /// Commit records replayed onto the recovery base (the winning
     /// snapshot, or the external base document for generation 0).
     pub replayed: usize,
-    /// Abort records skipped (rolled-back batches; nothing to replay).
+    /// Abort records skipped (statements that did not apply).
     pub aborts_skipped: usize,
     /// True if a torn or corrupt tail was detected and truncated.
     pub torn_tail_truncated: bool,
@@ -78,11 +78,11 @@ impl CheckpointPolicy {
     }
 }
 
-/// How [`CommitLog::commit`] failed, by what it means for the in-memory
-/// document the caller has already updated.
+/// How [`CommitLog::commit`] failed, by what it means for the version
+/// the caller applied the statement to.
 pub(crate) enum CommitError {
-    /// No commit record was appended: roll the update back so document
-    /// and journal stay in step.
+    /// No commit record was appended: drop the version so document and
+    /// journal stay in step.
     NotAppended(CheckerError),
     /// The failure came *after* the record was appended: in-memory and
     /// on-disk state agree with each other but not with the error the
@@ -156,9 +156,9 @@ impl CommitLog {
         }
     }
 
-    /// Best-effort abort record: documents a rolled-back batch. Failure to
-    /// append it is swallowed — the statement already failed, the document
-    /// is restored, and replay skips aborts anyway.
+    /// Best-effort abort record: documents a statement that did not apply.
+    /// Failure to append it is swallowed — the statement already failed,
+    /// the document never changed, and replay skips aborts anyway.
     pub(crate) fn abort(&mut self, stmt: &XUpdateDoc) {
         let next = self.committed + 1;
         if let Some(store) = self.store.as_mut() {
@@ -391,7 +391,8 @@ fn replay_candidate(
         base_commit_seq: base_seq,
         ..RecoveryReport::default()
     };
-    let doc = checker.doc_mut();
+    // The candidate's own document, edited in place: an error drops it.
+    let doc = Arc::make_mut(&mut checker.doc);
     for rec in records {
         if rec.kind == RecordKind::Abort {
             report.aborts_skipped += 1;
@@ -407,8 +408,7 @@ fn replay_candidate(
         let stmt = XUpdateDoc::parse(&rec.stmt).map_err(|e| {
             CheckerError::Journal(format!("record {expected} does not parse: {e}"))
         })?;
-        if let Err((e, partial)) = apply(doc, &stmt, &xpath_resolver) {
-            undo(doc, partial);
+        if let Err((e, _)) = apply(doc, &stmt, &xpath_resolver) {
             return Err(CheckerError::Journal(format!("replay of record {expected} failed: {e}")));
         }
         report.replayed += 1;

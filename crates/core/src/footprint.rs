@@ -62,8 +62,7 @@ impl IndependenceIndex {
     }
 
     /// The relational cells the statement behind `applied` wrote, read off
-    /// its undo log against `doc` — the document *after* the apply (and
-    /// before any undo).
+    /// its log against `doc`, the version the apply produced.
     ///
     /// * An inserted **element** writes, for every element name in its
     ///   subtree, the name's tuple membership and the columns that compact

@@ -1,5 +1,5 @@
 //! The compiled constraint set Γ and the baseline evaluator (the paper's
-//! diamonds): apply the update, check all of Γ in the new state, undo.
+//! diamonds): apply the update to a copy, check all of Γ in the copy.
 //!
 //! [`SharedGamma`] is everything derived from the DTD and the
 //! constraints but independent of a document instance, compiled once and
@@ -7,12 +7,14 @@
 //! schema. `Baseline` evaluates it: `Baseline::run` is the full
 //! check over one document state (first violation in constraint order,
 //! restricted to a live mask when the static independence analysis
-//! supplies one), `Baseline::decide_by_rollback` the decide-only
-//! baseline strategy around it. Like [`crate::optimized`]'s pre-update
-//! check, neither needs a [`crate::Checker`] or the thread that owns
-//! one, so [`crate::Checker::check_full`],
-//! [`crate::Checker::decide_only`], [`crate::Checker::try_update`]'s
-//! fallback and [`crate::service::ReadSnapshot`] all call the same code.
+//! supplies one), `Baseline::decide` the baseline strategy around it:
+//! the verdict on a copy with the update applied, and the copy, which
+//! the writer commits on a legal verdict and every other caller drops.
+//! Like [`crate::optimized`]'s pre-update check, neither needs a
+//! [`crate::Checker`] or the thread that owns one, so
+//! [`crate::Checker::check_full`], [`crate::Checker::decide_only`],
+//! [`crate::Checker::try_update`]'s fallback and
+//! [`crate::service::ReadSnapshot`] all call the same code.
 //!
 //! In `DESIGN.md`'s system inventory this is row 26.
 
@@ -25,7 +27,7 @@ use xic_mapping::{map_denials, RelSchema};
 use xic_simplify::footprint::POS_COL;
 use xic_simplify::{live_set, read_footprints, ReadFootprint};
 use xic_translate::{translate_denials, QueryTemplate};
-use xic_xml::{apply, undo, AppliedUpdate, Document, Dtd, XUpdateDoc};
+use xic_xml::{apply, AppliedUpdate, Document, Dtd, XUpdateDoc};
 use xic_xquery::{parse_query, XProgram};
 
 /// The compiled constraint-template set Γ plus everything derived from
@@ -125,9 +127,8 @@ impl SharedGamma {
     }
 }
 
-/// The baseline strategy over one compiled Γ: the full check and the
-/// decide-only apply → check → undo around it. The document is passed per
-/// call because the two need it differently (shared vs. exclusive).
+/// The baseline strategy over one compiled Γ: the full check of a
+/// document and the apply-to-a-copy → check around it.
 pub(crate) struct Baseline<'a> {
     /// The compiled constraint set.
     pub(crate) gamma: &'a SharedGamma,
@@ -139,9 +140,9 @@ pub(crate) struct Baseline<'a> {
 impl Baseline<'_> {
     /// The live-constraint mask for the statement just applied to `doc`,
     /// or `None` when the analysis is off. The write footprint is read
-    /// off `applied`'s log (see [`IndependenceIndex::delta_footprint`]),
-    /// so it must be taken after the apply and before any undo.
-    pub(crate) fn live_mask(&self, doc: &Document, applied: &AppliedUpdate) -> Option<Vec<bool>> {
+    /// off `applied`'s log (see [`IndependenceIndex::delta_footprint`])
+    /// against the version `applied` produced.
+    fn live_mask(&self, doc: &Document, applied: &AppliedUpdate) -> Option<Vec<bool>> {
         if !self.independence {
             return None;
         }
@@ -190,30 +191,20 @@ impl Baseline<'_> {
         Ok(None)
     }
 
-    /// Decides `stmt` by the baseline strategy without leaving a
-    /// modification behind: apply, mask, full check in the new state,
-    /// and **always** undo, whatever the verdict. A statement that fails
-    /// to apply is rolled back from its partial state and reported as a
-    /// [`CheckerError::Statement`].
-    pub(crate) fn decide_by_rollback(
+    /// Decides `stmt` by the baseline strategy on a copy of `doc`: apply
+    /// to the copy, mask, full check of the copy. Returns the copy — the
+    /// version a legal verdict commits — with the verdict; `doc` is never
+    /// touched. A statement that does not apply is a
+    /// [`CheckerError::Statement`], and its partial copy is dropped.
+    pub(crate) fn decide(
         &self,
-        doc: &mut Document,
+        doc: &Document,
         stmt: &XUpdateDoc,
-    ) -> Result<Option<Violation>, CheckerError> {
-        let applied = {
-            let _update = xic_obs::phase("update");
-            let _apply = xic_obs::phase("apply");
-            apply(doc, stmt, &xpath_resolver).map_err(|(e, partial)| {
-                undo(doc, partial);
-                CheckerError::from(e)
-            })?
-        };
-        let live = self.live_mask(doc, &applied);
-        let verdict = self.run(doc, live.as_deref());
-        let _update = xic_obs::phase("update");
-        let _rollback = xic_obs::phase("rollback");
-        undo(doc, applied);
-        verdict
+    ) -> Result<(Document, Option<Violation>), CheckerError> {
+        let (copy, applied) = apply_to_copy(doc, stmt)?;
+        let live = self.live_mask(&copy, &applied);
+        let verdict = self.run(&copy, live.as_deref())?;
+        Ok((copy, verdict))
     }
 
     /// Evaluates constraint `i` existentially.
@@ -222,6 +213,21 @@ impl Baseline<'_> {
             .eval_exists(doc, &[])
             .map_err(|e| CheckerError::eval(&self.gamma.full_queries[i].text, e))
     }
+}
+
+/// Applies `stmt` to a copy of `doc` — a new version that shares every
+/// chunk the statement does not write — and returns it with its delta.
+/// `doc` is never touched; a statement that does not apply leaves
+/// nothing behind but its error.
+pub(crate) fn apply_to_copy(
+    doc: &Document,
+    stmt: &XUpdateDoc,
+) -> Result<(Document, AppliedUpdate), CheckerError> {
+    let _update = xic_obs::phase("update");
+    let _apply = xic_obs::phase("apply");
+    let mut copy = doc.clone();
+    let applied = apply(&mut copy, stmt, &xpath_resolver).map_err(|(e, _)| e)?;
+    Ok((copy, applied))
 }
 
 #[cfg(test)]

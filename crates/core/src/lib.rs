@@ -16,8 +16,8 @@
 //! statement's pattern and evaluates the optimized check *before* touching
 //! the document — illegal updates are rejected without ever being
 //! executed. Unrecognized or unsupported statements fall back to the
-//! baseline strategy: apply, run the full check, roll back on violation
-//! (Section 7's un-optimized curve).
+//! baseline strategy: apply to a copy, run the full check, drop the copy
+//! on violation (Section 7's un-optimized curve).
 //!
 //! # Quickstart
 //!
@@ -65,11 +65,13 @@
 //!
 //! # Layout
 //!
-//! [`checker`] is the façade and the update path. What it evaluates
-//! lives beside it: [`gamma`] (the compiled constraint set and the one
-//! baseline evaluator — apply, check all of Γ, undo) and [`optimized`]
-//! (the one pre-update evaluator and the pattern store), both shared by
-//! the writer and every snapshot reader. [`durability`] owns the commit
+//! [`checker`] is the façade and the update path: every statement is
+//! applied to a copy of the document, a commit makes the copy the new
+//! version and a refusal drops it. What it evaluates lives beside it:
+//! [`gamma`] (the compiled constraint set and the one baseline evaluator
+//! — apply to a copy, check all of Γ in it) and [`optimized`] (the one
+//! pre-update evaluator and the pattern store), both shared by the
+//! writer and every snapshot reader. [`durability`] owns the commit
 //! log and the replay half of crash recovery; the on-disk side — one
 //! durable log, [`Store`], generation 0 of which is a plain write-ahead
 //! journal — lives in `xic_xml::checkpoint`. Settings are fixed where

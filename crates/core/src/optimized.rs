@@ -362,7 +362,7 @@ pub(crate) enum Verdict {
     /// A simplified check fired: executing the statement would violate Γ.
     Violated(Violation),
     /// No optimized check exists for this statement in this state; the
-    /// baseline strategy (apply, full check, roll back) decides it.
+    /// baseline strategy (apply to a copy, full check) decides it.
     NotIncremental(Fallback),
 }
 
@@ -589,7 +589,7 @@ mod tests {
         let xml = "<db><Book><t>a</t></Book><Paper><t>b</t></Paper><Rev><t>c</t></Rev></db>";
         let gamma = "<- //Book/t/text() -> X & //Rev/t/text() -> X. \
                      <- //Paper/t/text() -> X & //Rev/t/text() -> X";
-        let mut c = Checker::new(xml, dtd, gamma).expect("document loads");
+        let c = Checker::new(xml, dtd, gamma).expect("document loads");
         let stmt = XUpdateDoc::parse(
             "<xupdate:modifications xmlns:xupdate=\"x\"><xupdate:append select=\"/db\">\
              <Rev><t>b</t></Rev></xupdate:append></xupdate:modifications>",

@@ -385,9 +385,12 @@ impl CheckSet {
 /// readers while the writer keeps committing. Snapshots are published
 /// once per committed batch (not per statement); a reader holding one
 /// keeps it valid forever — later publishes swap the service's slot,
-/// they never mutate snapshots already handed out.
+/// they never mutate snapshots already handed out. A snapshot holds the
+/// writer's committed version itself: the writer applies each statement
+/// to a copy and never edits a version in place, so publishing copies no
+/// document.
 pub struct ReadSnapshot {
-    doc: Document,
+    doc: Arc<Document>,
     version: u64,
     checks: Arc<CheckSet>,
 }
@@ -494,9 +497,10 @@ impl ReadSnapshot {
     }
 
     /// The baseline decision: applies `stmt` to a private copy of the
-    /// snapshot document, full-checks the result, and discards the copy
-    /// — [`Checker::decide_only`] under
-    /// [`crate::Strategy::FullWithRollback`], for concurrent readers.
+    /// snapshot document, full-checks the copy, and drops it — the code
+    /// [`Checker::decide_only`] under
+    /// [`crate::Strategy::FullWithRollback`] and the writer's fallback
+    /// run, for concurrent readers.
     /// [`ReadSnapshot::decide`] falls back to this; it costs a copy that
     /// shares every chunk of the snapshot's document but the ones the
     /// apply writes, plus an evaluation of the constraints the delta
@@ -507,8 +511,7 @@ impl ReadSnapshot {
     /// Like every snapshot read, the decision is against **this
     /// snapshot's version**.
     pub fn decide_full(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
-        let mut doc = self.doc.clone();
-        self.checks.read(|| self.checks.baseline().decide_by_rollback(&mut doc, stmt))
+        self.checks.read(|| self.checks.baseline().decide(&self.doc, stmt)).map(|(_, v)| v)
     }
 
     /// Maps a deadline-budget exhaustion to [`ServiceError::Timeout`],
@@ -602,7 +605,7 @@ impl CheckerService {
         let config = ServiceConfig { queue_depth: config.queue_depth.max(1), ..config };
         let checks = Arc::new(CheckSet::from_checker(&checker));
         let initial = Arc::new(ReadSnapshot {
-            doc: checker.doc().clone(),
+            doc: Arc::clone(&checker.doc),
             version: checker.committed(),
             checks: checks.clone(),
         });
@@ -852,10 +855,11 @@ impl CheckerService {
         }
     }
 
-    /// Publishes the checker's current state as the new read snapshot.
+    /// Publishes the checker's committed version as the new read
+    /// snapshot: the snapshot shares the version's `Arc`.
     fn publish(&self, checker: &Checker) {
         let snap = Arc::new(ReadSnapshot {
-            doc: checker.doc().clone(),
+            doc: Arc::clone(&checker.doc),
             version: checker.committed(),
             checks: self.checks.clone(),
         });

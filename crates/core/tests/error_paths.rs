@@ -129,7 +129,7 @@ fn invalid_document_or_dtd_is_setup_error() {
 
 #[test]
 fn decide_only_never_mutates() {
-    let mut c = checker();
+    let c = checker();
     let before = serialize(c.doc());
     // A legal insertion: accepted by both strategies, document untouched.
     let legal = xic_xml::XUpdateDoc::parse(
@@ -240,7 +240,7 @@ fn an_insertion_aimed_where_it_is_undefined_is_refused_by_both_strategies() {
     .unwrap();
     let refused = "XUpdate error: cannot insert before the root element (select \"/e0\")";
     for strategy in [Strategy::Optimized, Strategy::FullWithRollback] {
-        let mut c = Checker::new(doc, dtd, gamma).unwrap();
+        let c = Checker::new(doc, dtd, gamma).unwrap();
         let err = c.decide_only(&stmt, strategy).unwrap_err();
         let refused_here = matches!(&err, CheckerError::Statement(m) if m.contains(refused));
         assert!(refused_here, "{strategy:?}: {err}");

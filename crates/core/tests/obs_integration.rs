@@ -85,9 +85,8 @@ fn counters_survive_try_update_round_trip() {
         snap.counter(Counter::ClausesSurviving) <= snap.counter(Counter::ClausesExpanded),
         "optimize can only shrink the clause set"
     );
-    // No update was executed, so no apply/rollback spans exist.
+    // No update was executed, so no apply span exists.
     assert!(snap.phase("update/apply").is_none());
-    assert!(snap.phase("update/rollback").is_none());
 
     // A legal statement through the same path does apply.
     let out = c
@@ -101,11 +100,12 @@ fn counters_survive_try_update_round_trip() {
 }
 
 #[test]
-fn baseline_path_records_full_check_and_rollback() {
+fn baseline_path_records_apply_and_full_check_only() {
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     obs::reset();
-    // A rename is not an insertion: baseline apply + full check; rewriting
-    // Cat's name to Ann makes it a self-review, so it rolls back.
+    // An update is not an insertion: baseline apply to a copy + full
+    // check; rewriting Cat's name to Ann makes it a self-review, so the
+    // copy is dropped, with nothing to roll back.
     let out = c
         .try_update_str(
             r#"<xupdate:modifications xmlns:xupdate="x">
@@ -118,7 +118,7 @@ fn baseline_path_records_full_check_and_rollback() {
 
     let snap = obs::snapshot();
     assert_eq!(snap.phase("update/apply").map(|p| p.calls), Some(1));
-    assert_eq!(snap.phase("update/rollback").map(|p| p.calls), Some(1));
+    assert!(snap.phase("update/rollback").is_none());
     assert_eq!(snap.phase("check/full").map(|p| p.calls), Some(1));
     assert!(snap.phase("check/optimized").is_none());
 }

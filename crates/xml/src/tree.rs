@@ -107,8 +107,21 @@ const RANK_DETACHED: u32 = u32::MAX;
 struct OrderCache {
     built_at: Option<u64>,
     /// `ranks[id.index()]`: preorder rank if attached, else
-    /// [`RANK_DETACHED`].
-    ranks: Vec<u32>,
+    /// [`RANK_DETACHED`]. Never written once built: a rebuild replaces
+    /// it, so a clone at the same version shares it.
+    ranks: Arc<[u32]>,
+}
+
+impl OrderCache {
+    /// What a clone of a document at `version` starts with: this table,
+    /// shared, when it is current, else a cold cache.
+    fn for_clone(&self, version: u64) -> OrderCache {
+        if self.built_at == Some(version) {
+            OrderCache { built_at: self.built_at, ranks: Arc::clone(&self.ranks) }
+        } else {
+            OrderCache::default()
+        }
+    }
 }
 
 /// While the rank table is stale, this many ids may be put in document
@@ -210,13 +223,16 @@ const NO_SYM: u32 = u32::MAX;
 
 impl Clone for Document {
     fn clone(&self) -> Document {
+        // No lock is held while the next is taken, so a clone never joins
+        // a lock cycle with the readers of a shared version.
+        let ranks =
+            self.order_cache.read().expect("order cache lock poisoned").for_clone(self.version);
         Document {
             chunks: self.chunks.clone(),
             len: self.len,
             symbols: self.symbols.clone(),
             version: self.version,
-            // The clone starts with a cold cache; it is rebuilt on first use.
-            order_cache: RwLock::new(OrderCache::default()),
+            order_cache: RwLock::new(ranks),
             order_cache_enabled: self.order_cache_enabled,
             path_sorted: AtomicU32::new(0),
             by_tag: self.by_tag.clone(),
@@ -938,16 +954,15 @@ impl Document {
 
     fn rebuild_order_cache(&self, cache: &mut OrderCache) {
         xic_obs::incr(xic_obs::Counter::OrderCacheRebuild);
-        cache.ranks.clear();
-        cache.ranks.resize(self.len, RANK_DETACHED);
+        let mut ranks = vec![RANK_DETACHED; self.len];
         let mut next = 0u32;
         let mut stack = vec![self.document_node()];
         while let Some(n) = stack.pop() {
-            cache.ranks[n.index()] = next;
+            ranks[n.index()] = next;
             next += 1;
             stack.extend(self.node(n).children.iter().rev().copied());
         }
-        cache.built_at = Some(self.version);
+        *cache = OrderCache { built_at: Some(self.version), ranks: ranks.into() };
     }
 
     /// Compares two nodes in document order: O(1) via cached preorder
@@ -1294,12 +1309,46 @@ mod tests {
     }
 
     #[test]
-    fn clone_starts_with_cold_cache_and_same_version() {
+    fn clone_keeps_the_version_and_the_ranks() {
         let (d, root, ..) = small_doc();
         let _ = d.order_ranks();
         let d2 = d.clone();
         assert_eq!(d2.version(), d.version());
         assert_eq!(d2.order_ranks().unwrap().rank(root), Some(1));
+    }
+
+    /// A commit is a clone: a copy starts with its original's current rank
+    /// table, so a content edit on it leaves a large sort as cheap as it
+    /// was, while a structural edit makes the copy rebuild its own.
+    #[test]
+    fn a_clone_of_a_warm_document_sorts_without_a_rebuild() {
+        let (mut d, root, track, name) = small_doc();
+        let items: Vec<NodeId> = (0..100)
+            .map(|_| {
+                let item = d.create_element("item");
+                d.append_child(root, item);
+                item
+            })
+            .collect();
+        let _ = d.order_ranks();
+        xic_obs::reset();
+        let mut copy = d.clone();
+        let text = d.node(name).children[0];
+        copy.set_text(text, "renamed track");
+        let mut ids: Vec<NodeId> = items.iter().rev().copied().chain([name, track]).collect();
+        assert!(ids.len() > PATH_SORT_ALLOWANCE as usize);
+        copy.sort_document_order(&mut ids);
+        assert_eq!(ids[..2], [track, name]);
+        assert_eq!(ids[2..], items[..]);
+        assert_eq!(xic_obs::counter(xic_obs::Counter::OrderCacheRebuild), 0);
+        // A structural edit on the copy rebuilds the copy's table only.
+        let extra = copy.create_element("item");
+        copy.insert_child(root, 0, extra);
+        copy.sort_document_order(&mut ids);
+        assert_eq!(xic_obs::counter(xic_obs::Counter::OrderCacheRebuild), 1);
+        assert_eq!(d.order_ranks().unwrap().rank(items[0]), Some(5));
+        assert_eq!(copy.order_ranks().unwrap().rank(items[0]), Some(6));
+        assert_eq!(xic_obs::counter(xic_obs::Counter::OrderCacheRebuild), 1);
     }
 
     // -----------------------------------------------------------------

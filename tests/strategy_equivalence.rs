@@ -1,13 +1,13 @@
 //! System-level property: for every insertion statement, the optimized
 //! strategy (simplified pre-update check) and the baseline strategy
-//! (apply + full check + rollback) must take the same accept/reject
+//! (apply to a copy + full check) must take the same accept/reject
 //! decision and leave equivalent documents behind.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xic_workload::{generate, WorkloadConfig};
-use xic_xml::{serialize, XUpdateDoc, XUpdateOp};
+use xic_xml::{serialize, Document, XUpdateDoc, XUpdateOp};
 use xicheck::{Checker, CheckerError, Strategy};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n<!ELEMENT dblp (pub)*>\n\
@@ -17,17 +17,19 @@ const DTD: &str = "<!ELEMENT collection (dblp, review)>\n<!ELEMENT dblp (pub)*>\
     <!ELEMENT title (#PCDATA)>\n<!ELEMENT auts (name)>\n\
     <!ELEMENT name (#PCDATA)>";
 
-/// Applies the baseline strategy directly: apply, full-check, undo on
-/// violation. Returns whether the statement was accepted.
-fn baseline_decide(checker: &mut Checker, stmt: &XUpdateDoc) -> bool {
-    let applied = xic_xml::apply(checker.doc_mut(), stmt, &xicheck::xpath_resolver)
+/// Applies the baseline strategy by hand: apply to a copy of the
+/// checker's document and evaluate every full-check query on the copy.
+/// Returns the copy when no constraint is violated.
+fn baseline_decide(checker: &Checker, stmt: &XUpdateDoc) -> Option<Document> {
+    let mut copy = checker.doc().clone();
+    xic_xml::apply(&mut copy, stmt, &xicheck::xpath_resolver)
         .map_err(|(e, _)| e)
         .expect("statement applies");
-    let violated = checker.check_full().expect("full check").is_some();
-    if violated {
-        xic_xml::undo(checker.doc_mut(), applied);
-    }
-    !violated
+    let violated = checker.full_queries().iter().any(|q| {
+        let query = xic_xquery::parse_query(&q.text).expect("full check parses");
+        xic_xquery::eval_query_exists(&query, &copy).expect("full check")
+    });
+    (!violated).then_some(copy)
 }
 
 fn submission_stmt(track: usize, rev: usize, authors: &[String]) -> String {
@@ -81,7 +83,7 @@ fn all_op_kinds_agree_with_rollback_decision() {
         }
 
         let mut opt = Checker::new(&w.xml, DTD, constraint).unwrap();
-        let mut base = Checker::new(&w.xml, DTD, constraint).unwrap();
+        let base = Checker::new(&w.xml, DTD, constraint).unwrap();
         let decision = base.decide_only(&stmt, Strategy::FullWithRollback);
         assert_eq!(
             serialize(base.doc()),
@@ -158,7 +160,7 @@ proptest! {
         let stmt = XUpdateDoc::parse(&stmt_text).unwrap();
 
         let mut optimized = Checker::new(&w.xml, DTD, xic_workload::conflict_constraint()).unwrap();
-        let mut baseline = Checker::new(&w.xml, DTD, xic_workload::conflict_constraint()).unwrap();
+        let baseline = Checker::new(&w.xml, DTD, xic_workload::conflict_constraint()).unwrap();
 
         let out = optimized.try_update(&stmt).unwrap();
         prop_assert_eq!(
@@ -166,22 +168,22 @@ proptest! {
             xicheck::Strategy::Optimized,
             "insertions must use the optimized path"
         );
-        let accepted_baseline = baseline_decide(&mut baseline, &stmt);
+        let accepted_baseline = baseline_decide(&baseline, &stmt);
         prop_assert_eq!(
             out.applied(),
-            accepted_baseline,
+            accepted_baseline.is_some(),
             "strategies disagree on {}",
             stmt_text
         );
         // When both accept, the resulting documents are identical.
-        if accepted_baseline {
-            prop_assert_eq!(serialize(optimized.doc()), serialize(baseline.doc()));
+        if let Some(copy) = accepted_baseline {
+            prop_assert_eq!(serialize(optimized.doc()), serialize(&copy));
         } else {
-            // When both reject, the optimized document is untouched and
-            // the baseline rolled back to the original.
+            // When both reject, the optimized document is untouched.
             prop_assert_eq!(serialize(optimized.doc()), w.xml.clone());
-            prop_assert_eq!(serialize(baseline.doc()), w.xml.clone());
         }
+        // The baseline decided on a copy.
+        prop_assert_eq!(serialize(baseline.doc()), w.xml.clone());
     }
 
     #[test]
@@ -212,9 +214,9 @@ proptest! {
         let _ = stmt;
 
         let mut optimized = Checker::new(&w.xml, DTD, &constraint).unwrap();
-        let mut baseline = Checker::new(&w.xml, DTD, &constraint).unwrap();
+        let baseline = Checker::new(&w.xml, DTD, &constraint).unwrap();
         let out = optimized.try_update(&multi).unwrap();
-        let accepted_baseline = baseline_decide(&mut baseline, &multi);
+        let accepted_baseline = baseline_decide(&baseline, &multi).is_some();
         prop_assert_eq!(out.applied(), accepted_baseline);
         let expect_legal = w.config.subs_per_rev + extra <= bound;
         prop_assert_eq!(out.applied(), expect_legal, "bound {}, extra {}", bound, extra);
