@@ -334,6 +334,24 @@ pub(crate) enum Fallback {
     },
 }
 
+impl Fallback {
+    /// The name of each kind of fallback, as `STATS` reports it after
+    /// `decides_fallback_`, in the order [`Fallback::kind`] numbers them.
+    pub(crate) const NAMES: [&'static str; 5] =
+        ["non_insertion", "observes_earlier_op", "unmappable", "non_incremental", "pos_shift"];
+
+    /// This fallback's kind: its index into [`Fallback::NAMES`].
+    pub(crate) fn kind(&self) -> usize {
+        match self {
+            Fallback::NonInsertion => 0,
+            Fallback::ObservesEarlierOp { .. } => 1,
+            Fallback::Unmappable(_) => 2,
+            Fallback::NonIncremental { .. } => 3,
+            Fallback::PosShift { .. } => 4,
+        }
+    }
+}
+
 impl fmt::Display for Fallback {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

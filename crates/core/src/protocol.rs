@@ -76,6 +76,7 @@
 //! `xic-serve` binary) to a shared service.
 
 use crate::checker::{Strategy, UpdateOutcome, Violation};
+use crate::optimized::Fallback;
 use crate::service::{CheckerService, Executor, ServiceStats, DEFAULT_MAX_BATCH};
 use crate::shards::ShardSet;
 use std::io::{BufRead, Write};
@@ -231,14 +232,11 @@ fn violation_text(v: &Violation) -> String {
 /// The counter fields of a `STATS` reply, shared by the single-document
 /// and the sharded (summed) rendering.
 fn stats_fields(stats: &ServiceStats) -> String {
-    format!(
+    let mut fields = format!(
         "requests_shed={} requests_timed_out={} service_degraded={} \
          index_probes={} index_builds={} \
          patterns_compiled={} pattern_compile_us={} \
-         decides_optimized={} decides_fallback_non_insertion={} \
-         decides_fallback_observes_earlier_op={} \
-         decides_fallback_unmappable={} decides_fallback_non_incremental={} \
-         decides_fallback_pos_shift={}",
+         decides_optimized={}",
         stats.requests_shed,
         stats.requests_timed_out,
         stats.service_degraded,
@@ -247,12 +245,11 @@ fn stats_fields(stats: &ServiceStats) -> String {
         stats.patterns_compiled,
         stats.pattern_compile_us,
         stats.decides_optimized,
-        stats.decides_fallback_non_insertion,
-        stats.decides_fallback_observes_earlier_op,
-        stats.decides_fallback_unmappable,
-        stats.decides_fallback_non_incremental,
-        stats.decides_fallback_pos_shift,
-    )
+    );
+    for (name, n) in Fallback::NAMES.iter().zip(stats.decides_fallback) {
+        fields.push_str(&format!(" decides_fallback_{name}={n}"));
+    }
+    fields
 }
 
 /// Executes one command against the service and builds the reply.
@@ -378,13 +375,9 @@ pub fn execute_sharded(set: &ShardSet, command: &Command) -> Reply {
                     total.index_probes += stats.index_probes;
                     total.index_builds += stats.index_builds;
                     total.decides_optimized += stats.decides_optimized;
-                    total.decides_fallback_non_insertion += stats.decides_fallback_non_insertion;
-                    total.decides_fallback_observes_earlier_op +=
-                        stats.decides_fallback_observes_earlier_op;
-                    total.decides_fallback_unmappable += stats.decides_fallback_unmappable;
-                    total.decides_fallback_non_incremental +=
-                        stats.decides_fallback_non_incremental;
-                    total.decides_fallback_pos_shift += stats.decides_fallback_pos_shift;
+                    for (sum, n) in total.decides_fallback.iter_mut().zip(stats.decides_fallback) {
+                        *sum += n;
+                    }
                 }
             }
             let detail = format!(

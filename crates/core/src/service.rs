@@ -285,20 +285,15 @@ pub struct ServiceStats {
     /// [`ReadSnapshot::decide`] calls answered by the optimized
     /// pre-update check.
     pub decides_optimized: u64,
-    /// … that fell back to [`ReadSnapshot::decide_full`] because the
-    /// statement is not a pure insertion.
-    pub decides_fallback_non_insertion: u64,
-    /// … because a later operation's `select` could observe an earlier
-    /// operation of the statement.
-    pub decides_fallback_observes_earlier_op: u64,
-    /// … because the statement's target could not be mapped to an update
-    /// pattern in the snapshot's state.
-    pub decides_fallback_unmappable: u64,
-    /// … because the statement's pattern has no incremental check.
-    pub decides_fallback_non_incremental: u64,
-    /// … because the insert shifts existing siblings whose position a
-    /// constraint reads.
-    pub decides_fallback_pos_shift: u64,
+    /// … that fell back to [`ReadSnapshot::decide_full`], by why, in the
+    /// order `STATS` names them: the statement is not a pure insertion
+    /// (`non_insertion`); a later operation's `select` could observe an
+    /// earlier operation of the statement (`observes_earlier_op`); its
+    /// target could not be mapped to an update pattern in the snapshot's
+    /// state (`unmappable`); its pattern has no incremental check
+    /// (`non_incremental`); the insert shifts existing siblings whose
+    /// position a constraint reads (`pos_shift`).
+    pub decides_fallback: [u64; Fallback::NAMES.len()],
 }
 
 #[derive(Default)]
@@ -316,11 +311,8 @@ struct DecideCells {
     index_reads: [AtomicU64; 2],
     writer_index_reads: [AtomicU64; 2],
     optimized: AtomicU64,
-    fallback_non_insertion: AtomicU64,
-    fallback_observes_earlier_op: AtomicU64,
-    fallback_unmappable: AtomicU64,
-    fallback_non_incremental: AtomicU64,
-    fallback_pos_shift: AtomicU64,
+    /// Per [`Fallback::kind`].
+    fallback: [AtomicU64; Fallback::NAMES.len()],
 }
 
 /// Converts a deadline's remaining milliseconds into an [`EvalBudget`]
@@ -472,14 +464,7 @@ impl ReadSnapshot {
             Verdict::Legal => optimized(None),
             Verdict::Violated(violation) => optimized(Some(violation)),
             Verdict::NotIncremental(fallback) => {
-                match fallback {
-                    Fallback::NonInsertion => &decides.fallback_non_insertion,
-                    Fallback::ObservesEarlierOp { .. } => &decides.fallback_observes_earlier_op,
-                    Fallback::Unmappable(_) => &decides.fallback_unmappable,
-                    Fallback::NonIncremental { .. } => &decides.fallback_non_incremental,
-                    Fallback::PosShift { .. } => &decides.fallback_pos_shift,
-                }
-                .fetch_add(1, Ordering::Relaxed);
+                decides.fallback[fallback.kind()].fetch_add(1, Ordering::Relaxed);
                 self.decide_full(stmt)
             }
         }
@@ -540,9 +525,13 @@ impl Deadline {
         Deadline { expires: Instant::now() + Duration::from_millis(ms), ms }
     }
 
-    /// Whole milliseconds left before expiry (0 once expired).
-    fn remaining_ms(&self, now: Instant) -> u64 {
-        self.expires.saturating_duration_since(now).as_millis() as u64
+    /// The step budget for the time left at `now`, counted in µs
+    /// ([`DEADLINE_STEPS_PER_MS`] per ms: 0.95 ms left is 47 500 steps), or
+    /// `None` once `now` has reached the expiry.
+    fn budget(&self, now: Instant) -> Option<EvalBudget> {
+        let left = self.expires.checked_duration_since(now).filter(|d| !d.is_zero())?;
+        let us = u64::try_from(left.as_micros()).unwrap_or(u64::MAX);
+        Some(EvalBudget::new(us.saturating_mul(DEADLINE_STEPS_PER_MS) / 1000))
     }
 }
 
@@ -682,15 +671,7 @@ impl CheckerService {
             patterns_compiled,
             pattern_compile_us,
             decides_optimized: decides.optimized.load(Ordering::Relaxed),
-            decides_fallback_non_insertion: decides.fallback_non_insertion.load(Ordering::Relaxed),
-            decides_fallback_observes_earlier_op: decides
-                .fallback_observes_earlier_op
-                .load(Ordering::Relaxed),
-            decides_fallback_unmappable: decides.fallback_unmappable.load(Ordering::Relaxed),
-            decides_fallback_non_incremental: decides
-                .fallback_non_incremental
-                .load(Ordering::Relaxed),
-            decides_fallback_pos_shift: decides.fallback_pos_shift.load(Ordering::Relaxed),
+            decides_fallback: decides.fallback.each_ref().map(|n| n.load(Ordering::Relaxed)),
         }
     }
 
@@ -802,26 +783,21 @@ impl CheckerService {
             return;
         }
         let now = Instant::now();
-        let mut live: Vec<UpdateReq> = Vec::with_capacity(batch.len());
+        let mut live: Vec<(UpdateReq, Option<EvalBudget>)> = Vec::with_capacity(batch.len());
         for req in batch {
-            match req.deadline {
-                Some(d) if d.remaining_ms(now) == 0 => {
-                    self.checks.note_timeout();
-                    let _ = req.reply.send(Err(ServiceError::Timeout { ms: d.ms }));
-                }
-                _ => live.push(req),
+            let budget = req.deadline.map(|d| d.budget(now));
+            if let (Some(d), Some(None)) = (req.deadline, budget) {
+                self.checks.note_timeout();
+                let _ = req.reply.send(Err(ServiceError::Timeout { ms: d.ms }));
+                continue;
             }
+            live.push((req, budget.flatten()));
         }
         if live.is_empty() {
             return;
         }
-        let items: Vec<BatchStmt> = live
-            .iter()
-            .map(|req| BatchStmt {
-                stmt: &req.stmt,
-                budget: req.deadline.map(|d| deadline_budget(d.remaining_ms(now))),
-            })
-            .collect();
+        let items: Vec<BatchStmt> =
+            live.iter().map(|(req, budget)| BatchStmt { stmt: &req.stmt, budget: *budget }).collect();
         let before = checker.committed();
         let outcome = apply_batch(checker, &items);
         if checker.poisoned() {
@@ -841,7 +817,7 @@ impl CheckerService {
         // reported as SyncFailed/Timeout). A submitter that gave up
         // waiting closed its reply channel; that is its loss, not an
         // error here.
-        for (req, result) in live.into_iter().zip(outcome.results) {
+        for ((req, _), result) in live.into_iter().zip(outcome.results) {
             let result = match (result, req.deadline) {
                 // An exhausted deadline budget surfaces as a timeout, not
                 // a bare budget error.

@@ -140,6 +140,18 @@ fn expired_deadline_times_out_without_executing() {
     service.shutdown().expect("shutdown");
 }
 
+/// A deadline expires when it passes, not on arrival: under
+/// `Executor::Sync` the submitter runs its batch at once, with most of a
+/// 1 ms deadline left, and a legal statement is applied.
+#[test]
+fn a_one_millisecond_deadline_is_met_by_a_legal_insert() {
+    let service = CheckerService::new(checker(), Executor::Sync);
+    let out = service.submit_with(&legal("quick"), Some(1)).expect("applied within 1 ms");
+    assert!(out.outcome.applied());
+    assert_eq!(service.stats().requests_timed_out, 0);
+    service.shutdown().expect("shutdown");
+}
+
 /// A deadline that runs out on a snapshot is counted where it happens:
 /// a library caller of the deadlined reads moves `requests_timed_out`
 /// with no protocol layer to count on the snapshot's behalf.

@@ -149,7 +149,7 @@ fn decide_answers_what_update_would_at_the_same_version() {
     );
     let stats = decider.stats();
     assert!(
-        stats.decides_optimized > 0 && stats.decides_fallback_non_insertion > 0,
+        stats.decides_optimized > 0 && stats.decides_fallback[0] > 0, // non_insertion
         "{stats:?}"
     );
 }

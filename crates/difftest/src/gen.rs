@@ -404,7 +404,7 @@ fn write_element(rng: &mut StdRng, dtd: &Dtd, name: &str, budget: &mut i32, out:
 /// a denial that joins on values — a key (no two `p` share a `c`, the
 /// paper's Example 4) or a grouped aggregate (no value occurs in more
 /// than k `p`s and in a `p2` as well) — whose full check the engine
-/// answers from keyed sequences; two cases in five add one that reads a
+/// answers from the document's index; two cases in five add one that reads a
 /// position (the k-th `p` of a `g`, or every `p` from the k-th on, must
 /// not hold a pool value), which a non-tail insert or a removal among
 /// those siblings shifts ([`reads_position`]). Four cases in five add a

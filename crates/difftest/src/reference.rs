@@ -13,9 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xic_xml::{Document, Dtd, NodeId, NodeKind};
-use xic_xpath::ir::Inst;
 use xic_xpath::{evaluate_exists, evaluate_nodes, parse, Context, NodeRef};
-use xic_xquery::ir::{Probe, XClause, XFor, XInst};
 use xic_xquery::{parse_query, XProgram};
 
 /// One step of a reference query.
@@ -164,24 +162,9 @@ fn elements_named<'d>(doc: &'d Document, name: &'d str) -> impl Iterator<Item = 
     doc.descendants(doc.document_node()).filter(move |&n| doc.name(n) == Some(name))
 }
 
-/// True if `prog` has a planned site with no shape to ask the document
-/// for: a keyed step, or a binder's joins, answered from per-evaluation
-/// tables.
-fn plans_a_table(prog: &XProgram) -> bool {
-    let keyed_step = |inst: &Inst| matches!(inst, Inst::Keyed { index: None, .. });
-    let joins = |inst: &XInst| match inst {
-        XInst::Quantified { binds, .. } => binds.iter().any(|bind| {
-            matches!(bind, XClause::For(XFor { probe: Some(Probe { index: None, .. }), .. }))
-        }),
-        _ => false,
-    };
-    prog.xp.exprs.iter().any(keyed_step) || prog.insts.iter().any(joins)
-}
-
 /// Evaluates `query` both existentially and through full
 /// materialization; both must return `expected`. Counts the queries the
-/// engine planned a keyed sequence for, those among them with a
-/// per-evaluation table in the plan, the sites the document's index
+/// engine planned a probe of the document's index for, the sites the index
 /// answered and the hits a later join narrowed away.
 fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), String> {
     use xicheck::obs::{counter, Counter};
@@ -189,9 +172,6 @@ fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), Str
     let prog = XProgram::compile(&parsed);
     if prog.plan_sites() > 0 {
         crate::tally::incr(crate::tally::Tally::ReferenceJoin);
-    }
-    if plans_a_table(&prog) {
-        crate::tally::incr(crate::tally::Tally::ReferenceTable);
     }
     let (probes, narrowed) = (counter(Counter::IndexProbe), counter(Counter::ProbeNarrowed));
     let lazy = prog
@@ -224,15 +204,16 @@ fn expect_verdict(query: &str, doc: &Document, expected: bool) -> Result<(), Str
 /// and grouped by them — `exists(for $v in distinct-values(Q/c/text())
 /// let $g := //p[c/text() = $v] let $h := //q[p[c/text() = $v]] where
 /// count($g) + count($h) > k return <idle/>)` — the shapes the engine
-/// answers from keyed sequences, expected answers brute-forced from the
-/// reference node-sets and the text content — and joined twice through
+/// answers from the document's index where they have its shape, expected
+/// answers brute-forced from the reference node-sets and the text content
+/// — and joined twice through
 /// one binder, the co-author check's shape: `some $a in Q, $b in //m
 /// satisfies $b/d/text() = $a/c/text() and $b/../e/f/text() =
 /// $a/g/text()`, whose index hits the second join narrows. Every XQuery
 /// answer is
 /// taken both existentially and through full materialization, on the
-/// case's own document: a planned site with an indexable shape asks it
-/// (the first one builds), the others build their tables.
+/// case's own document: a planned site asks its index (the first one
+/// builds), and every other shape is the scan.
 /// The two sides share no evaluation code, so any disagreement is a bug
 /// by construction.
 pub fn differential(seed: u64, dtd: &Dtd, doc: &Document) -> Result<(), String> {

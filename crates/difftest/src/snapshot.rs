@@ -209,11 +209,7 @@ fn check_setting(
     let updated = twin.try_update(stmt);
     compare(&decided, &optimized, &baseline, &updated)?;
     let stats = service.stats();
-    let fallback = stats.decides_fallback_non_insertion
-        + stats.decides_fallback_observes_earlier_op
-        + stats.decides_fallback_unmappable
-        + stats.decides_fallback_non_incremental
-        + stats.decides_fallback_pos_shift;
+    let fallback: u64 = stats.decides_fallback.iter().sum();
     if stats.decides_optimized + fallback != 1 {
         return Err(format!("one decide, but the service counted {stats:?}"));
     }

@@ -17,15 +17,14 @@ pub enum Tally {
     OpUpdate,
     OpRename,
     ReferenceQuery,
-    /// A reference query the engine compiled with a keyed-sequence plan.
+    /// A reference query the engine compiled with a probe of the document's
+    /// index in its plan.
     ReferenceJoin,
     /// A case whose constraint set has a full-check query with one.
     ConstraintJoin,
     /// A planned site of a reference query answered from the document's
     /// index (`xic_obs::Counter::IndexProbe`).
     ReferenceIndexProbe,
-    /// A reference query with a per-evaluation table in its plan.
-    ReferenceTable,
     /// A hit of a reference query's planned join that a later join
     /// dropped (`xic_obs::Counter::ProbeNarrowed`).
     ReferenceNarrowed,
@@ -35,7 +34,7 @@ pub enum Tally {
 }
 
 /// The key each [`Tally`] is reported under, in declaration order.
-pub const NAMES: [&str; 14] = [
+pub const NAMES: [&str; 13] = [
     "difftest_shrink_step",
     "difftest_op_insert_before",
     "difftest_op_insert_after",
@@ -47,7 +46,6 @@ pub const NAMES: [&str; 14] = [
     "reference_joins_planned",
     "constraint_joins_planned",
     "reference_index_probes",
-    "reference_tables_planned",
     "reference_hits_narrowed",
     "pos_reads_shifted",
 ];

@@ -98,7 +98,6 @@ fn run<T>(
         size: ctx.size,
         slots: &slots,
         resolved: &resolved,
-        keyed: &prog.keyed_cache(),
     };
     f(root, &scope)
 }

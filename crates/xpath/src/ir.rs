@@ -11,22 +11,22 @@
 //! never seen matches nothing, soundly, because the table is
 //! append-only).
 //!
-//! **Keyed sequences.** A correlated value predicate inside a loop —
-//! `for $R in … let $g := //rev[name/text() = $R]/sub` — makes a scan of
-//! `//rev` per binding of `$R`. Where an absolute, slot-free path prefix
-//! is followed by a step whose one predicate is `K = O` (or the nested
-//! existential spelling `c[K = O]`) with `K` a slot-free path relative to
-//! the step's candidates and `O` a path from a *loop-bound* slot (the
-//! XQuery compiler says which slots those are), the compiler emits
-//! [`Inst::Keyed`] beside the ordinary path: the prefix is materialized
-//! once per evaluation into a [`KeyedSeq`] — its members hashed by the
-//! string values of `K`'s steps applied to each member, the one rule the
-//! XQuery joins build by too — and each evaluation of the step is a
-//! probe with `O`'s value. That is a compile-time fact of
-//! the program, not a mode. An evaluation whose table cannot be built
-//! (the build raised), or whose `O` raises or is a number or boolean
-//! (`=` is then not a string match), runs the ordinary path instead, so
-//! values, order and errors are those of the scan.
+//! **Keyed steps.** A correlated value predicate — `//rev[name/text() =
+//! $R]/sub` with `$R` bound by a loop — makes a scan of `//rev` per
+//! binding of `$R`. Where a path from the document node opens with
+//! `//tag[K = O]` (or the nested existential spelling `//tag[c[K = O]]`),
+//! `K` child name steps ending in `text()` and `O` a path from a slot the
+//! XQuery compiler marks a parameter ([`Builder::fresh_param_slot`]: a
+//! program parameter or a `for`/`some`/`every` binder), the compiler emits
+//! [`Inst::Keyed`] beside the ordinary path. The site carries the
+//! [`IndexShape`] `(tag, K)` and each evaluation of it asks the document
+//! ([`xic_xml::Document::members_keyed`], which builds that index the first
+//! time) for the members `O`'s value selects: no walk to `//tag`, no key
+//! evaluated per member, the hits charged and — once — the members a build
+//! walked. That is a compile-time fact of the program, not a mode; any other
+//! shape is the scan. An evaluation whose `O` raises or is a number or
+//! boolean (`=` is then not a string match) runs the ordinary path instead,
+//! so values, order and errors are those of the scan.
 //!
 //! This is the only evaluator: the one-shot entry points in
 //! [`crate::eval`] compile and run here, and the expected-value tests
@@ -52,18 +52,11 @@
 //! The existential walk (`path_exists_from`) streams one candidate at a
 //! time instead.
 //!
-//! **The document's index.** Where the sequence is `//tag` and the key is
-//! child name steps ending in `text()`, the site carries that
-//! [`IndexShape`] and asks the document instead
-//! ([`xic_xml::Document::members_keyed`], which builds the index the first
-//! time): no table, no walk, the hits charged and — once — the members a
-//! build walked. One probe pays then, so such a site is also planned when
-//! `O` starts at a *parameter* slot, which takes one value per evaluation.
-//! Any other `//tag` (no predicate on either step) from the document node
-//! — a path, a keyed site's members, an existential walk — reads the
-//! document's list of the tag ([`xic_xml::Document::elements_named`]),
-//! charged its members: sorted into document order where it is
-//! materialized, streamed as listed where only existence is asked.
+//! **Tag lists.** A `//tag` (no predicate on either step) from the
+//! document node — a path, or an existential walk — reads the document's
+//! list of the tag ([`xic_xml::Document::elements_named`]), charged its
+//! members: sorted into document order where it is materialized, streamed
+//! as listed where only existence is asked.
 //!
 //! The hot existential path walk
 //! (`path_exists_from`), whose recursion depth scales with the number
@@ -76,7 +69,6 @@
 use crate::ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
 use crate::eval::{axis_iter, compare_values, dedupe_doc_order, same_depth, EvalError};
 use crate::value::{NodeRef, XValue};
-use std::cell::OnceCell;
 use std::collections::HashMap;
 use xic_xml::{Document, NodeId, NodeKind, Symbol};
 
@@ -247,23 +239,14 @@ pub enum Inst {
     Binary(ExprId, BinOp, ExprId),
     /// Function call.
     Call(FnOp, Box<[ExprId]>),
-    /// A path `/members[K = O]/rest` answered from the document's index
-    /// or a [`KeyedSeq`]: see the module documentation.
+    /// A path `//tag[K = O]/rest` answered from the document's index:
+    /// see the module documentation.
     Keyed {
-        /// This site's cell in the evaluation's [`KeyedCache`].
-        site: u32,
-        /// What to ask the document for, when `members` and `key` have an
-        /// indexable shape; a site without one (`O` then starts at a
-        /// loop-bound slot) builds a per-evaluation table.
-        index: Option<IndexShape>,
+        /// What to ask the document for: `tag` keyed by `K`.
+        index: IndexShape,
         /// The same path as an ordinary [`Inst::Path`]: what this node
         /// means, and what runs when the probe cannot answer.
         scan: ExprId,
-        /// The sequence `S`: the absolute, slot-free steps through the
-        /// keyed one, its predicate dropped.
-        members: Box<[IrStep]>,
-        /// The key path `K`, relative to a member.
-        key: Box<[IrStep]>,
         /// The outer operand `O`.
         outer: ExprId,
         /// The steps after the keyed one.
@@ -345,8 +328,8 @@ fn listed<'d, 's>(
 /// The `shape` members that `=` pairs with `outer`, asked of the document
 /// — in document order, one [`xic_obs::Counter::IndexProbe`] — or `None`
 /// when `outer` is a number or boolean, for which `=` is not a comparison
-/// of string values. The members a first ask made the document walk are
-/// charged here, once, by [`KeyedSeq::build`]'s rule.
+/// of string values. Against the step budget the members a first ask made
+/// the document walk are charged here, once; the caller charges the hits.
 pub fn index_members(
     shape: &IndexShape,
     outer: &XValue,
@@ -408,11 +391,6 @@ impl Program {
             .map(|i| u32::try_from(i).expect("slot count fits u32"))
     }
 
-    /// An empty per-evaluation cache for this program's keyed sites.
-    pub fn keyed_cache(&self) -> KeyedCache {
-        KeyedCache((0..self.keyed_sites).map(|_| OnceCell::new()).collect())
-    }
-
     /// True if evaluating `expr` can read a slot `is` accepts, anywhere
     /// in it (step predicates included). Slots are per binding site, so
     /// unlike a test on variable names this is exact under shadowing.
@@ -438,8 +416,7 @@ impl Program {
     }
 
     /// True if no predicate of `steps` reads a slot: the steps select the
-    /// same nodes from an item whatever the slots hold — what a key must be
-    /// to be [`KeyedSeq::build`]'s.
+    /// same nodes from an item whatever the slots hold — what a key must be.
     pub fn slot_free(&self, steps: &[IrStep]) -> bool {
         !self.steps_read_slot(steps, &|_| true)
     }
@@ -462,10 +439,7 @@ pub struct Builder {
     name_ids: HashMap<String, NameId>,
     /// Free variables (not resolved by any scope) share one slot per name.
     free_slots: HashMap<String, SlotId>,
-    /// Per slot: bound once per iteration of a loop (see
-    /// [`Builder::fresh_loop_slot`]).
-    loop_bound: Vec<bool>,
-    /// Per slot: a caller-supplied parameter (see
+    /// Per slot: a parameter a keyed step's `O` may read (see
     /// [`Builder::fresh_param_slot`]).
     param: Vec<bool>,
 }
@@ -481,28 +455,17 @@ impl Builder {
     pub fn fresh_slot(&mut self, name: &str) -> SlotId {
         let id = u32::try_from(self.prog.var_names.len()).expect("slot count fits u32");
         self.prog.var_names.push(name.to_string());
-        self.loop_bound.push(false);
         self.param.push(false);
         id
     }
 
-    /// [`Builder::fresh_slot`] for a parameter of the whole program: one
-    /// value per evaluation, so a path comparing against it is one probe
-    /// — worth planning where the document's own index can answer it.
+    /// [`Builder::fresh_slot`] for a parameter of what reads it: of the
+    /// whole program, or of a loop body — a binder that takes a new value
+    /// per iteration (`for`, `some`, `every`). A path comparing against it
+    /// may be a keyed step. `let`s and free variables are not parameters.
     pub fn fresh_param_slot(&mut self, name: &str) -> SlotId {
         let id = self.fresh_slot(name);
         self.param[id as usize] = true;
-        id
-    }
-
-    /// [`Builder::fresh_slot`] for a binder that takes a new value per
-    /// iteration (`for`, `some`, `every`): a path comparing against it is
-    /// evaluated once per binding, which is what makes a keyed sequence
-    /// pay. `let`s and free variables are neither loop-bound nor
-    /// parameters.
-    pub fn fresh_loop_slot(&mut self, name: &str) -> SlotId {
-        let id = self.fresh_slot(name);
-        self.loop_bound[id as usize] = true;
         id
     }
 
@@ -612,43 +575,29 @@ impl Builder {
         let Inst::Path { start: IrStart::Root, steps } = &self.prog.exprs[path as usize] else {
             return path;
         };
-        for (i, step) in steps.iter().enumerate() {
-            let keyed = match &*step.predicates {
-                [pred] => self.key_of(*pred),
-                _ => None,
-            };
-            if let Some((key, outer, looped)) = keyed {
-                let mut members = steps[..=i].to_vec();
-                members[i].predicates = Box::new([]);
-                let index = IndexShape::of(&members, &key);
-                if !looped && index.is_none() {
-                    return path; // one probe per evaluation: only the document's index pays
-                }
-                let inst = Inst::Keyed {
-                    site: self.prog.keyed_sites,
-                    index,
-                    scan: path,
-                    members: members.into(),
-                    key: key.into(),
-                    outer,
-                    rest: steps[i + 1..].into(),
-                };
-                self.prog.keyed_sites += 1;
-                return self.push(inst);
-            }
-            if !self.prog.slot_free(std::slice::from_ref(step)) {
-                return path; // the prefix must be the same sequence for every binding
-            }
-        }
-        path
+        let [all, keyed, rest @ ..] = &**steps else {
+            return path;
+        };
+        let [pred] = &*keyed.predicates else {
+            return path;
+        };
+        let Some((key, outer)) = self.key_of(*pred) else {
+            return path;
+        };
+        let members = [all.clone(), IrStep { predicates: Box::new([]), ..keyed.clone() }];
+        let Some(index) = IndexShape::of(&members, &key) else {
+            return path;
+        };
+        let inst = Inst::Keyed { index, scan: path, outer, rest: rest.into() };
+        self.prog.keyed_sites += 1;
+        self.push(inst)
     }
 
     /// Reads a predicate as `K = O` — a slot-free path `K` from the
     /// context node compared for equality, in either order, with a path
-    /// `O` from a loop-bound or parameter slot (the flag says which) —
-    /// looking through the existential nesting `c[K = O]`, which tests
-    /// the same thing with key `c/K`.
-    fn key_of(&self, pred: ExprId) -> Option<(Vec<IrStep>, ExprId, bool)> {
+    /// `O` from a parameter slot — looking through the existential nesting
+    /// `c[K = O]`, which tests the same thing with key `c/K`.
+    fn key_of(&self, pred: ExprId) -> Option<(Vec<IrStep>, ExprId)> {
         let inst = |e: ExprId| &self.prog.exprs[e as usize];
         match inst(pred) {
             Inst::Binary(a, BinOp::Eq, b) => {
@@ -656,10 +605,8 @@ impl Builder {
                     (
                         Inst::Path { start: IrStart::Context, steps },
                         Inst::Path { start: IrStart::Slot(s), .. },
-                    ) if (self.loop_bound[*s as usize] || self.param[*s as usize])
-                        && self.prog.slot_free(steps) =>
-                    {
-                        Some((steps.to_vec(), o, self.loop_bound[*s as usize]))
+                    ) if self.param[*s as usize] && self.prog.slot_free(steps) => {
+                        Some((steps.to_vec(), o))
                     }
                     _ => None,
                 })
@@ -672,11 +619,11 @@ impl Builder {
                 if !self.prog.slot_free(init) {
                     return None;
                 }
-                let (inner_key, outer, looped) = self.key_of(*inner)?;
+                let (inner_key, outer) = self.key_of(*inner)?;
                 let mut key = init.to_vec();
                 key.push(IrStep { predicates: Box::new([]), ..last.clone() });
                 key.extend(inner_key);
-                Some((key, outer, looped))
+                Some((key, outer))
             }
             _ => None,
         }
@@ -693,78 +640,9 @@ impl Builder {
     }
 }
 
-/// A keyed sequence: a node sequence `S` and, for a key path `K`, the map
-/// string-value of a node of `K(member)` → positions of those members in
-/// `S`, ascending. Built once, it answers `S[K = O]` — XPath's
-/// existential `=` between `K(member)` and a string or node-set `O` — by
-/// lookup instead of by evaluating `K` on every member again.
-///
-/// This is the per-evaluation table of a loop-bound site without an
-/// [`IndexShape`]. Against the step budget the build is charged one step
-/// per member on top of the walk that found them, and every probe its
-/// hits; a probe of the document's own index ([`index_members`]) is
-/// charged its hits, and the member count only if it built.
-#[derive(Debug)]
-pub struct KeyedSeq {
-    members: Vec<NodeRef>,
-    by_key: HashMap<String, Vec<u32>>,
-}
-
-impl KeyedSeq {
-    /// Hashes `members` by the nodes the slot-free `key` steps select from
-    /// each of them. Charges the step budget one step per member on top of
-    /// what the steps charge.
-    pub fn build(
-        members: Vec<NodeRef>,
-        key: &[IrStep],
-        scope: &Scope,
-    ) -> Result<KeyedSeq, EvalError> {
-        visit(members.len() as u64)?;
-        let mut by_key: HashMap<String, Vec<u32>> = HashMap::new();
-        for (i, m) in members.iter().enumerate() {
-            let i = u32::try_from(i).expect("sequence length fits u32");
-            for k in key_nodes(m.clone(), key, scope)? {
-                let value = k.str_value(scope.doc);
-                match by_key.get_mut(&*value) {
-                    Some(at) if at.last() == Some(&i) => {}
-                    Some(at) => at.push(i),
-                    None => {
-                        by_key.insert(value.into_owned(), vec![i]);
-                    }
-                }
-            }
-        }
-        Ok(KeyedSeq { members, by_key })
-    }
-
-    /// Positions, ascending, of the members `m` with `K(m) = outer`; or
-    /// `None` when `outer` is a number or boolean, for which `=` is not a
-    /// comparison of string values.
-    pub fn probe(&self, outer: &XValue, doc: &Document) -> Option<Vec<u32>> {
-        match outer {
-            XValue::Str(s) => Some(self.by_key.get(s.as_str()).cloned().unwrap_or_default()),
-            XValue::Nodes(ns) => {
-                let mut hits: Vec<u32> = Vec::new();
-                for n in ns {
-                    hits.extend(self.by_key.get(&*n.str_value(doc)).into_iter().flatten());
-                }
-                hits.sort_unstable();
-                hits.dedup();
-                Some(hits)
-            }
-            XValue::Num(_) | XValue::Bool(_) => None,
-        }
-    }
-
-    /// The member at position `i`.
-    pub fn member(&self, i: u32) -> &NodeRef {
-        &self.members[i as usize]
-    }
-}
-
-/// The nodes the slot-free `key` steps select from `member`: the key a
-/// [`KeyedSeq`] hashes the member by, and what a later join of an XQuery
-/// probe tests the member's key against, charged as the steps charge.
+/// The nodes the slot-free `key` steps select from `member`: what a later
+/// join of an XQuery probe tests the member's key against, charged as the
+/// steps charge.
 pub fn key_nodes(
     member: NodeRef,
     key: &[IrStep],
@@ -772,12 +650,6 @@ pub fn key_nodes(
 ) -> Result<Vec<NodeRef>, EvalError> {
     eval_steps(vec![member], key, scope)
 }
-
-/// The keyed sequences of one evaluation, one cell per [`Inst::Keyed`]
-/// site ([`Program::keyed_cache`]). A cell holding `None` records that
-/// the build raised, so the site scans for the rest of the evaluation.
-#[derive(Debug)]
-pub struct KeyedCache(Vec<OnceCell<Option<KeyedSeq>>>);
 
 /// The dynamic context of an evaluation: document, context item, slot
 /// values, and the per-evaluation resolved name pool. Borrowed slices
@@ -801,8 +673,6 @@ pub struct Scope<'p, 'd, 'a> {
     pub slots: &'a [Option<XValue>],
     /// `resolved[name_id]`: the document symbol for each pooled name.
     pub resolved: &'a [Option<Symbol>],
-    /// The evaluation's keyed sequences.
-    pub keyed: &'a KeyedCache,
 }
 
 impl<'p, 'd, 'a> Scope<'p, 'd, 'a> {
@@ -896,43 +766,28 @@ pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
         }
         Inst::Binary(a, op, b) => eval_binary(*a, *op, *b, scope),
         Inst::Call(op, args) => eval_call(op, args, scope),
-        Inst::Keyed { scan, rest, .. } => match probe_site(scope.inst(id), scope)? {
+        Inst::Keyed { index, scan, outer, rest } => match probe_site(index, *outer, scope)? {
             Some(hits) => Ok(XValue::Nodes(eval_steps(hits, rest, scope)?)),
             None => eval(*scan, scope),
         },
     }
 }
 
-/// The keyed step's result by probe — of the document's index where the
-/// site has a shape for it, else of the evaluation's table, built by the
-/// first probe that needs it — or `None` when this evaluation has to
-/// scan (see the module documentation).
-fn probe_site(keyed: &Inst, scope: &Scope) -> Result<Option<Vec<NodeRef>>, EvalError> {
-    let Inst::Keyed { site, index, members, key, outer, .. } = keyed else {
-        unreachable!("probe_site is called on keyed sites only");
-    };
-    let Ok(outer) = eval_operand(*outer, scope) else {
+/// The keyed step's result, asked of the document's index, or `None` when
+/// this evaluation has to scan (see the module documentation).
+fn probe_site(
+    index: &IndexShape,
+    outer: ExprId,
+    scope: &Scope,
+) -> Result<Option<Vec<NodeRef>>, EvalError> {
+    let Ok(outer) = eval_operand(outer, scope) else {
         return Ok(None);
     };
-    if let Some(shape) = index {
-        let Some(hits) = index_members(shape, &outer, scope.doc, scope.resolved)? else {
-            return Ok(None);
-        };
-        visit(hits.len() as u64)?;
-        return Ok(Some(hits.into_iter().map(NodeRef::Node).collect()));
-    }
-    let Some(keyed) = scope.keyed.0[*site as usize].get_or_init(|| {
-        let root = vec![NodeRef::Node(scope.doc.document_node())];
-        let seq = eval_steps(root, members, scope).ok()?;
-        KeyedSeq::build(seq, key, scope).ok()
-    }) else {
-        return Ok(None);
-    };
-    let Some(hits) = keyed.probe(&outer, scope.doc) else {
+    let Some(hits) = index_members(index, &outer, scope.doc, scope.resolved)? else {
         return Ok(None);
     };
     visit(hits.len() as u64)?;
-    Ok(Some(hits.into_iter().map(|i| keyed.member(i).clone()).collect()))
+    Ok(Some(hits.into_iter().map(NodeRef::Node).collect()))
 }
 
 /// Existential evaluation; see [`crate::eval::evaluate_exists`].
@@ -1635,7 +1490,6 @@ mod tests {
             size: 1,
             slots: &slots,
             resolved: &resolved,
-            keyed: &prog.keyed_cache(),
         };
         let v = eval(root, &scope).unwrap();
         assert_eq!(v.as_nodes().unwrap().len(), 2);
@@ -1692,28 +1546,17 @@ mod tests {
     }
 
     /// Compiles `src` with `$R` bound the way the XQuery compiler binds a
-    /// `for` variable (`looped`) or a `let`.
-    fn compile_with_r(src: &str, looped: bool) -> (Program, ExprId) {
-        compile_binding_r(src, if looped { Builder::fresh_loop_slot } else { Builder::fresh_slot })
-    }
-
-    /// … or, with [`Builder::fresh_param_slot`], a program parameter.
-    fn compile_binding_r(src: &str, bind: fn(&mut Builder, &str) -> SlotId) -> (Program, ExprId) {
+    /// parameter or a `for` variable (`param`), or a `let`.
+    fn compile_with_r(src: &str, param: bool) -> (Program, ExprId) {
         let mut b = Builder::new();
-        let slot = bind(&mut b, "R");
+        let slot = if param { b.fresh_param_slot("R") } else { b.fresh_slot("R") };
         let root = b.add_expr(&parse(src).unwrap(), &|name| (name == "R").then_some(slot));
         (b.finish(), root)
     }
 
-    /// Evaluates `id` with `$R` = `r` against `cache`; the rendered value
-    /// and the nodes visited.
-    fn eval_with_r(
-        prog: &Program,
-        id: ExprId,
-        doc: &Document,
-        r: XValue,
-        cache: &KeyedCache,
-    ) -> (String, u64) {
+    /// Evaluates `id` with `$R` = `r`; the rendered value and the nodes
+    /// visited.
+    fn eval_with_r(prog: &Program, id: ExprId, doc: &Document, r: XValue) -> (String, u64) {
         let slots = [Some(r)];
         let scope = Scope {
             prog,
@@ -1723,7 +1566,6 @@ mod tests {
             size: 1,
             slots: &slots,
             resolved: &prog.resolve(doc),
-            keyed: cache,
         };
         xic_obs::reset();
         let value = match eval(id, &scope) {
@@ -1733,76 +1575,52 @@ mod tests {
         (value, xic_obs::counter(xic_obs::Counter::XpathNodesVisited))
     }
 
-    #[test]
-    fn keyed_steps_are_planned_for_loop_bound_comparisons_only() {
-        for (src, looped, sites) in [
-            ("//rev[name/text() = $R]/sub", true, 1),
-            ("//rev[$R = name/text()]", true, 1),
-            ("//track[rev[name/text() = $R]]", true, 1),
-            ("//track[rev/sub[auts/name = $R/x]]/name", true, 1),
-            ("/review/track[name = 'DB']/rev[name = $R]", true, 1),
-            // A `let` takes one value per evaluation.
-            ("//rev[name/text() = $R]/sub", false, 0),
-            // Not a string-keyed equality of the candidate alone.
-            ("//rev[name/text() != $R]", true, 0),
-            ("//rev[name/text() = 'Ann']", true, 0),
-            ("//rev[name/text() = $R][2]", true, 0),
-            ("//rev[sub[title = $R]/auts]", true, 0),
-            ("//rev[sub[1][title = $R]]", true, 0),
-            ("//rev[name[. = $R]/text() = $R]", true, 0),
-            ("//rev[count(sub) = $R]", true, 0),
-            // Not an absolute, slot-free prefix.
-            ("$R/rev[name = $R]", true, 0),
-            ("//track[name = $R]/rev[name = $R]", true, 1),
-            ("//track[$R]/rev[name = $R]", true, 0),
-            ("name[. = $R]", true, 0),
-        ] {
-            let (prog, _) = compile_with_r(src, looped);
-            assert_eq!(prog.keyed_sites, sites, "plan sites of {src} (looped: {looped})");
-        }
-        // The first keyed step wins; the one before it stays a scan.
-        let (prog, root) = compile_with_r("//track[name = $R]/rev[name = $R]", true);
-        let Inst::Keyed { members, rest, .. } = &prog.exprs[root as usize] else {
-            panic!("{:?}", prog.exprs[root as usize]);
-        };
-        assert_eq!((members.len(), rest.len()), (2, 1));
-    }
-
     /// The shape the site at `root` asks the document for, by name.
     fn asks_for(prog: &Program, root: ExprId) -> Option<(&str, Vec<&str>)> {
-        let Inst::Keyed { index: Some(shape), .. } = &prog.exprs[root as usize] else {
+        let Inst::Keyed { index, .. } = &prog.exprs[root as usize] else {
             return None;
         };
         let name = |n: &NameId| prog.names[*n as usize].as_str();
-        Some((name(&shape.tag), shape.path.iter().map(name).collect()))
+        Some((name(&index.tag), index.path.iter().map(name).collect()))
     }
 
-    /// A parameter takes one value per evaluation too, but the document's
-    /// index answers one probe: such a site is planned exactly where it
-    /// has the shape a document indexes.
+    /// A site is planned exactly where `O` reads a parameter and the site
+    /// has the shape a document indexes; every other path is the scan.
     #[test]
-    fn parameter_comparisons_are_planned_where_the_document_can_index_them() {
+    fn keyed_steps_are_planned_at_the_documents_shapes_only() {
         for (src, shape) in [
             ("//rev[name/text() = $R]/sub", Some(("rev", vec!["name"]))),
+            ("//rev[$R = name/text()]", Some(("rev", vec!["name"]))),
             ("//track[rev[name/text() = $R/name/text()]]", Some(("track", vec!["rev", "name"]))),
             ("//name[$R = text()]", Some(("name", vec![]))),
             // Not `//tag`, or not child names down to a `text()`.
             ("/review/track[name/text() = $R]", None),
             ("//track/rev[name/text() = $R]", None),
+            ("/review/track[name = 'DB']/rev[name/text() = $R]", None),
             ("//*[name/text() = $R]", None),
             ("//rev[name = $R]", None),
+            ("//track[rev/sub[auts/name = $R/x]]/name", None),
             ("//rev[sub/auts/name/.. = $R]", None),
             ("//rev[sub[1]/title/text() = $R]", None),
             ("//rev[@id = $R]", None),
+            // Not a string-keyed equality of the candidate alone.
+            ("//rev[name/text() != $R]", None),
+            ("//rev[name/text() = 'Ann']", None),
+            ("//rev[name/text() = $R][2]", None),
+            ("//rev[sub[title/text() = $R]/auts]", None),
+            ("//rev[sub[1][title/text() = $R]]", None),
+            ("//rev[name[. = $R]/text() = $R]", None),
+            ("//rev[count(sub) = $R]", None),
+            // Not from the document node, or not slot-free before the key.
+            ("$R/rev[name/text() = $R]", None),
+            ("name[text() = $R]", None),
+            ("//track[$R]/rev[name/text() = $R]", None),
         ] {
-            let (prog, root) = compile_binding_r(src, Builder::fresh_param_slot);
+            let (prog, root) = compile_with_r(src, true);
             assert_eq!(asks_for(&prog, root), shape, "{src}");
-            assert_eq!(prog.keyed_sites, u32::from(shape.is_some()), "{src} as a parameter site");
-            // Under a loop the same sites ask the document, and the others
-            // are planned too: a table pays there.
-            let (looped, root) = compile_with_r(src, true);
-            assert_eq!(asks_for(&looped, root), shape, "{src}");
-            assert_eq!(looped.keyed_sites, 1, "{src} under a loop");
+            assert_eq!(prog.keyed_sites, u32::from(shape.is_some()), "plan sites of {src}");
+            // A `let` is not a parameter.
+            assert_eq!(compile_with_r(src, false).0.keyed_sites, 0, "{src} under a let");
         }
     }
 
@@ -1814,53 +1632,41 @@ mod tests {
             (c(xic_obs::Counter::IndexProbe), c(xic_obs::Counter::IndexBuild))
         };
         let ann = || XValue::Str("Ann".into());
-        for bind in [Builder::fresh_loop_slot, Builder::fresh_param_slot] {
-            let (prog, root) = compile_binding_r("//rev[name/text() = $R]/sub", bind);
+        let (prog, root) = compile_with_r("//rev[name/text() = $R]/sub", true);
+        let fresh = doc.clone();
+        // No walk to `//rev`, no key evaluation: the first probe of a
+        // document builds its index (the three revs), then the two hits and
+        // the step from them (their 3 + 2 children).
+        let (value, visits) = eval_with_r(&prog, root, &fresh, ann());
+        assert_eq!((value.as_str(), visits), ("[sub1 sub2 sub4]", 3 + 2 + 5));
+        assert_eq!(counters(), (1, 1));
+        // The index is the document's: a later evaluation pays the hits and
+        // nothing else.
+        let (value, visits) = eval_with_r(&prog, root, &fresh, ann());
+        assert_eq!((value.as_str(), visits), ("[sub1 sub2 sub4]", 2 + 5));
+        assert_eq!(counters(), (1, 0));
+        // A budget that cannot afford the build, or can afford it but not
+        // what follows, says so; the pass was made all the same, and is not
+        // made again.
+        for allowance in [0, 2, 3 + 2 + 4] {
             let fresh = doc.clone();
-            // No walk to `//rev`, no key evaluation, no table: the first
-            // probe of a document builds its index (the three revs), then
-            // the two hits and the step from them (their 3 + 2 children).
-            let (value, visits) = eval_with_r(&prog, root, &fresh, ann(), &prog.keyed_cache());
-            assert_eq!((value.as_str(), visits), ("[sub1 sub2 sub4]", 3 + 2 + 5));
-            assert_eq!(counters(), (1, 1));
-            // The index is the document's: a later evaluation pays the
-            // hits and nothing else.
-            let (value, visits) = eval_with_r(&prog, root, &fresh, ann(), &prog.keyed_cache());
-            assert_eq!((value.as_str(), visits), ("[sub1 sub2 sub4]", 2 + 5));
-            assert_eq!(counters(), (1, 0));
-            // A budget that cannot afford the build says so; the pass was
-            // made all the same, and is not made again.
-            let fresh = doc.clone();
-            let guard = crate::budget::arm(crate::budget::EvalBudget::new(0));
-            let (outcome, _) = eval_with_r(&prog, root, &fresh, ann(), &prog.keyed_cache());
+            let guard = crate::budget::arm(crate::budget::EvalBudget::new(allowance));
+            let (outcome, _) = eval_with_r(&prog, root, &fresh, ann());
             drop(guard);
-            assert_eq!(outcome, "error: evaluation step budget exhausted");
+            assert_eq!(outcome, "error: evaluation step budget exhausted", "allowance {allowance}");
             assert_eq!(counters(), (1, 1));
-            assert_eq!(eval_with_r(&prog, root, &fresh, ann(), &prog.keyed_cache()).1, 2 + 5);
+            assert_eq!(eval_with_r(&prog, root, &fresh, ann()).1, 2 + 5);
             assert_eq!(counters(), (1, 0));
         }
         // A name the document never interned is on no element: an empty
         // answer, and nothing built to find that out.
         let (prog, root) = compile_with_r("//rev[nickname/text() = $R]/sub", true);
-        assert_eq!(eval_with_r(&prog, root, &doc, ann(), &prog.keyed_cache()), ("[]".into(), 0));
+        assert_eq!(eval_with_r(&prog, root, &doc, ann()), ("[]".into(), 0));
         assert_eq!(counters(), (1, 0));
-        // Values, order and errors are the scan's, whatever `$R` holds.
-        let names = evaluate_nodes(&parse("//rev/name/text()").unwrap(), &Context::root(&doc)).unwrap();
-        let (prog, root) = compile_with_r("//track[rev[name/text() = $R]]/name", true);
-        for r in [
-            ann(),
-            XValue::Str("nobody".into()),
-            XValue::Nodes(names.iter().rev().cloned().collect()),
-            XValue::Nodes(vec![]),
-            XValue::Num(7.0),
-            XValue::Bool(true),
-        ] {
-            let probed = eval_with_r(&prog, root, &doc, r.clone(), &prog.keyed_cache()).0;
-            let Inst::Keyed { scan, .. } = prog.exprs[root as usize] else { panic!("not planned") };
-            assert_eq!(probed, eval_with_r(&prog, scan, &doc, r.clone(), &prog.keyed_cache()).0, "{r:?}");
-        }
     }
 
+    /// Values, order and errors are the scan's, whatever `$R` holds: an `O`
+    /// that raises or is a number or boolean makes the site scan.
     #[test]
     fn a_probe_answers_what_the_scan_answers() {
         let (doc, _) = parse_document(DOC).unwrap();
@@ -1871,15 +1677,17 @@ mod tests {
         for src in [
             "//rev[name/text() = $R]/sub",
             "//rev[$R = name/text()]/sub/title",
-            "//track[rev[name/text() = $R]]",
-            "//sub[auts/name = $R]",
-            "/review/track[name = 'DB']/rev[name = $R]",
+            "//track[rev[name/text() = $R]]/name",
+            "//sub[auts/name/text() = $R]",
+            // `O` raises on a string, where the scan raises too…
+            "//track[rev[name/text() = $R/name/text()]]",
+            // …except that the scan never evaluates it over no member.
+            "//zzz[name/text() = $R/name/text()]",
         ] {
             let (prog, root) = compile_with_r(src, true);
             let Inst::Keyed { scan, .. } = prog.exprs[root as usize] else {
                 panic!("{src} is not planned");
             };
-            let cache = prog.keyed_cache();
             for r in [
                 XValue::Str("Ann".into()),
                 XValue::Str("Dan".into()),
@@ -1894,60 +1702,17 @@ mod tests {
                 XValue::Bool(true),
                 XValue::Bool(false),
             ] {
-                let (probed, _) = eval_with_r(&prog, root, &doc, r.clone(), &cache);
-                let (scanned, _) = eval_with_r(&prog, scan, &doc, r.clone(), &prog.keyed_cache());
+                let (probed, _) = eval_with_r(&prog, root, &doc, r.clone());
+                let (scanned, _) = eval_with_r(&prog, scan, &doc, r.clone());
                 assert_eq!(probed, scanned, "{src} with $R = {r:?}");
             }
         }
-        // A number is compared as a number, which no string table can do.
+        // A number is compared as a number, which no index of strings can do.
         let (numbers, _) = parse_document("<r><a><n>2.0</n></a><a><n>2</n></a><a><n>x</n></a></r>").unwrap();
-        let (prog, root) = compile_with_r("//a[n = $R]", true);
-        let cache = prog.keyed_cache();
-        assert_eq!(eval_with_r(&prog, root, &numbers, XValue::Num(2.0), &cache).0, "[a1 a2]");
-        assert_eq!(eval_with_r(&prog, root, &numbers, XValue::Str("2".into()), &cache).0, "[a2]");
-    }
-
-    #[test]
-    fn the_table_is_built_once_per_evaluation() {
-        let (doc, _) = parse_document(DOC).unwrap();
-        // Keyed by an element's string value: not a shape a document
-        // indexes, so the site keeps a table per evaluation.
-        let (prog, root) = compile_with_r("//rev[name = $R]/sub", true);
-        let Inst::Keyed { scan, index: None, .. } = prog.exprs[root as usize] else {
-            panic!("not planned as a table");
-        };
-        let ann = || XValue::Str("Ann".into());
-        let cache = prog.keyed_cache();
-        // The scan walks the document to `//rev[…]` (85 visits: the 43
-        // nodes from the root down, then the 42 children of them all) on
-        // every call — a predicated step is no list read — evaluates
-        // `name` on the three revs (their 7 children) and steps to `/sub`
-        // from the two it keeps (3 + 2 children).
-        let (_, scan_visits) = eval_with_r(&prog, scan, &doc, ann(), &prog.keyed_cache());
-        assert_eq!(scan_visits, 85 + 7 + 5);
-        // The first probe reads the members, `//rev`, off the document's
-        // list (3) and evaluates their keys to build the table, is charged
-        // one step per member, then one per hit.
-        let (_, first) = eval_with_r(&prog, root, &doc, ann(), &cache);
-        assert_eq!(first, 3 + 7 + 3 + 2 + 5);
-        // Every later one is the hits and the step from them.
-        let (value, second) = eval_with_r(&prog, root, &doc, ann(), &cache);
-        assert_eq!(value, "[sub1 sub2 sub4]");
-        assert_eq!(second, 2 + 5);
-        // A fresh cache is a fresh evaluation.
-        assert_eq!(eval_with_r(&prog, root, &doc, ann(), &prog.keyed_cache()).1, first);
-    }
-
-    #[test]
-    fn a_budget_that_runs_out_during_the_build_is_reported() {
-        let (doc, _) = parse_document(DOC).unwrap();
-        let (prog, root) = compile_with_r("//rev[name = $R]/sub", true);
-        let unbudgeted = eval_with_r(&prog, root, &doc, XValue::Str("Ann".into()), &prog.keyed_cache()).1;
-        // Enough for the list of `//rev` and its keys, not for the table.
-        let guard = crate::budget::arm(crate::budget::EvalBudget::new(unbudgeted - 10));
-        let (outcome, _) = eval_with_r(&prog, root, &doc, XValue::Str("Ann".into()), &prog.keyed_cache());
-        drop(guard);
-        assert_eq!(outcome, "error: evaluation step budget exhausted");
+        let (prog, root) = compile_with_r("//a[n/text() = $R]", true);
+        assert!(asks_for(&prog, root).is_some());
+        assert_eq!(eval_with_r(&prog, root, &numbers, XValue::Num(2.0)).0, "[a1 a2]");
+        assert_eq!(eval_with_r(&prog, root, &numbers, XValue::Str("2".into())).0, "[a2]");
     }
 
     #[test]

@@ -29,46 +29,34 @@
 //! `$a`.
 //!
 //! **Value joins.** The translator's denials join on values: `some $a in
-//! A, $b in B satisfies K($b) = O($a) and …`. When the last binder of a
-//! `some` is hoistable and the first conjunct that reads it is such an
-//! equality — `K` a path from `$b` whose steps read no variable (not even
-//! `$b`), `O` reading an earlier binder and not `$b` — the compiler
-//! attaches a [`Probe`]: `B` is hashed once per loop nest into a
-//! [`KeyedSeq`] on `K`, and each outer binding iterates only the members
-//! `O`'s value selects, in `B`'s order. A key is its steps applied to the
-//! member, exactly as the XPath half of the plan
-//! ([`xic_xpath::ir::Inst::Keyed`]) keys its table, through the same
-//! [`KeyedSeq::build`]: no binding of `$b` and no sequence conversion per
-//! member. The whole `satisfies` still runs on every candidate, so the
-//! table only ever skips members the scan would have found false. Like
-//! the XPath half (which this compiler enables by telling the XPath
-//! builder which slots are loop-bound) it is a compile-time fact, not a
-//! mode: an outer binding whose probe cannot stand in for the comparison
-//! — `O` raises, or is a number or boolean; a conjunct before the join
-//! raises; `B` holds a non-node, a binding in scope at `K` has no XPath
-//! value, or `K` raised on a member — iterates all of `B`, which is the
-//! scan.
+//! A, $b in //tag satisfies K($b) = O($a) and …`. When the first conjunct
+//! of the `satisfies` that reads a `some`'s last binder `$b` is such an
+//! equality — `K` a path from `$b` of child name steps ending in `text()`,
+//! `O` reading some variable but not `$b` — and `$b`'s source is `//tag`,
+//! the compiler attaches a [`Probe`] carrying the [`IndexShape`] `(tag,
+//! K)`. Each outer binding then asks the document
+//! ([`xic_xml::Document::members_keyed`], which builds the index the first
+//! time) for the members `O`'s value selects, in document order, and
+//! iterates only those: the source is never walked. The whole `satisfies`
+//! still runs on every candidate, so the probe only ever skips members the
+//! scan would have found false. Like the XPath half
+//! ([`xic_xpath::ir::Inst::Keyed`], which this compiler enables by telling
+//! the XPath builder which slots are parameters) it is a compile-time
+//! fact, not a mode: an outer binding whose probe cannot stand in for the
+//! comparison — `O` raises, or is a number or boolean, or a conjunct
+//! before the join raises — iterates the source, which is the scan.
 //!
-//! **The document's index.** When the binder's source is `//tag` and the
-//! first join's `K` is child name steps ending in `text()`, the probe
-//! carries that [`IndexShape`] and asks the document instead
-//! ([`xic_xml::Document::members_keyed`]): the candidates are its hits,
-//! in document order, and the source is never walked. One probe pays then,
-//! so `O` may read any variable but the binder — a program parameter
-//! included — and a `some` with a single binder is planned when it has the
-//! shape.
-//!
-//! **Narrowing.** Each join after the first narrows the first join's hits
-//! — the index's or the table's — instead of keying a table of its own:
-//! its `O` is evaluated once per outer binding into a [`ValueSet`], and a
-//! hit stays if its `K` meets it. A join that cannot stand in for its
-//! comparison for this outer binding (its `O` raises or is a number or
-//! boolean, or its `K` raises on a hit) stops the narrowing there and
-//! leaves the rest to the `satisfies`, which raises what the scan raises.
-//! So the co-author check, `some $r in //rev, $a in //aut satisfies
-//! $r/name/text() = $a/name/text() and $r/sub/auts/name/text() =
-//! $a/../aut/name/text()`, reads each reviewer's own `aut`s off the index
-//! and keeps those whose pub names an author the reviewer reviews.
+//! **Narrowing.** Each join after the first narrows the index's hits
+//! instead of asking again: its `O` is evaluated once per outer binding
+//! into a [`ValueSet`], and a hit stays if its `K` — any slot-free steps —
+//! meets it. A join that cannot stand in for its comparison for this outer
+//! binding (its `O` raises or is a number or boolean, or its `K` raises on
+//! a hit) stops the narrowing there and leaves the rest to the
+//! `satisfies`, which raises what the scan raises. So the co-author check,
+//! `some $r in //rev, $a in //aut satisfies $r/name/text() =
+//! $a/name/text() and $r/sub/auts/name/text() = $a/../aut/name/text()`,
+//! reads each reviewer's own `aut`s off the index and keeps those whose pub
+//! names an author the reviewer reviews.
 //!
 //! This is the only evaluator: the one-shot entry points in
 //! [`crate::eval`] compile and run here, the expected-value tests there
@@ -81,9 +69,8 @@ use crate::item::{
     effective_boolean, sequence_to_xvalue, xvalue_to_sequence, Constructed, ConstructedChild,
     Item, Sequence,
 };
-use std::cell::OnceCell;
 use xic_xml::{Document, NodeId, Symbol};
-use xic_xpath::ir::{self, Builder, ExprId, IndexShape, IrStart, IrStep, KeyedSeq, Scope, SlotId};
+use xic_xpath::ir::{self, Builder, ExprId, IndexShape, IrStart, IrStep, Scope, SlotId};
 use xic_xpath::{BinOp, EvalError, NodeRef, ValueSet, XValue};
 
 /// Index of a node in [`XProgram::insts`].
@@ -163,8 +150,8 @@ pub struct XFor {
 }
 
 /// The joins `K($b) = O` found in a `some … satisfies` (module
-/// documentation): what to hash the binder's sequence on and what to
-/// look up per outer binding.
+/// documentation): what to ask the document's index per outer binding,
+/// and what to narrow its hits by.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Probe {
     /// The conjuncts before the first join, in order. None of them reads
@@ -176,9 +163,9 @@ pub struct Probe {
     /// members every one of them selects; a later one that cannot be
     /// probed for some outer binding just stops narrowing them.
     pub joins: Box<[(XId, XId)]>,
-    /// What to ask the document for in place of the first join's table
-    /// (and of the binder's source), when they have an indexable shape.
-    pub index: Option<IndexShape>,
+    /// What to ask the document for in place of the binder's source and
+    /// the first join.
+    pub index: IndexShape,
 }
 
 /// One compiled clause of a loop nest.
@@ -300,8 +287,8 @@ impl XProgram {
         }
     }
 
-    /// How many places of the query the compiler planned a keyed
-    /// sequence at: XPath steps answered by probe plus quantifier binders
+    /// How many places of the query the compiler planned a probe of the
+    /// document's index at: keyed XPath steps plus quantifier binders
     /// iterated by probe.
     pub fn plan_sites(&self) -> usize {
         let probed = |c: &XClause| matches!(c, XClause::For(f) if f.probe.is_some());
@@ -358,7 +345,6 @@ impl XProgram {
             xvals: vec![None; n],
             conv: vec![None; n],
             resolved: self.xp.resolve(doc),
-            keyed: self.xp.keyed_cache(),
         };
         for (i, v) in params.iter().enumerate() {
             st.xvals[i] = Some(v.clone());
@@ -400,7 +386,7 @@ impl Compiler {
         let source = self.add(source);
         let loops = earlier.iter().any(|c| matches!(c, XClause::For(_)));
         let hoistable = loops && !self.reads_slot_of(source, earlier);
-        let slot = self.xp.fresh_loop_slot(var);
+        let slot = self.xp.fresh_param_slot(var);
         self.scope.push((var.to_string(), slot));
         XFor { slot, source, hoistable, probe: None }
     }
@@ -440,16 +426,13 @@ impl Compiler {
             },
             _ => None,
         };
-        // The index stands in for the source and the first join's table;
-        // further joins narrow its hits.
-        let index = match (steps_of(last.source), steps_of(joins.first()?.0)) {
-            (Some((IrStart::Root, members)), Some((_, key))) => IndexShape::of(members, key),
-            _ => None,
+        // The index stands in for the source and the first join; further
+        // joins narrow its hits.
+        let (IrStart::Root, members) = steps_of(last.source)? else {
+            return None;
         };
-        // Without a loop around it a binder is probed once per evaluation:
-        // only the document's own index can pay for that.
-        (last.hoistable || index.is_some())
-            .then(|| Probe { guards: conjuncts[..at].into(), joins, index })
+        let index = IndexShape::of(members, steps_of(joins.first()?.0)?.1)?;
+        Some(Probe { guards: conjuncts[..at].into(), joins, index })
     }
 
     /// Flattens the `and` tree rooted at `id` into its conjuncts, in the
@@ -598,7 +581,6 @@ struct St<'p, 'd> {
     xvals: Vec<Option<XValue>>,
     conv: Vec<Option<String>>,
     resolved: Vec<Option<Symbol>>,
-    keyed: ir::KeyedCache,
 }
 
 impl<'p, 'd> St<'p, 'd> {
@@ -642,7 +624,6 @@ impl<'p, 'd> St<'p, 'd> {
             size: 1,
             slots: &self.xvals,
             resolved: &self.resolved,
-            keyed: &self.keyed,
         }
     }
 }
@@ -748,23 +729,12 @@ fn eval_quantified(
     Ok(stopped == some)
 }
 
-/// A hoistable `for` source, evaluated when its clause was first reached,
-/// and the table over it keyed for the first join of the clause's
-/// [`Probe`], built when first asked for (a cell holding `None`: it could
-/// not be).
-struct Hoisted {
-    items: Sequence,
-    keyed: OnceCell<Option<KeyedSeq>>,
-}
-
 /// Where the items of one `for` frame come from.
 enum Items {
     /// The source, evaluated for this descent.
     Owned(std::vec::IntoIter<Item>),
-    /// Every position of the clause's [`Hoisted`] sequence.
+    /// Every position of the clause's hoisted source.
     All(std::ops::Range<usize>),
-    /// The positions of it a probe selected.
-    Probed(std::vec::IntoIter<u32>),
     /// The members the document's index selected, standing in for the
     /// source.
     Indexed(std::vec::IntoIter<NodeId>),
@@ -783,7 +753,8 @@ fn for_each_tuple(
     lazy: bool,
     mut body: impl FnMut(&mut St) -> Result<bool, XQueryError>,
 ) -> Result<bool, XQueryError> {
-    let mut hoisted: Vec<Option<Hoisted>> = clauses.iter().map(|_| None).collect();
+    // A hoistable source, evaluated when its clause was first reached.
+    let mut hoisted: Vec<Option<Sequence>> = clauses.iter().map(|_| None).collect();
     let mut frames: Vec<(usize, Items)> = Vec::new();
     let mut idx = 0;
     let mut descending = true;
@@ -816,16 +787,9 @@ fn for_each_tuple(
                         Items::Indexed(hits.into_iter())
                     } else if f.hoistable {
                         if hoisted[idx].is_none() {
-                            let items = eval(f.source, st)?;
-                            hoisted[idx] = Some(Hoisted { items, keyed: OnceCell::new() });
+                            hoisted[idx] = Some(eval(f.source, st)?);
                         }
-                        let h = hoisted[idx].as_ref().expect("just evaluated");
-                        let probed =
-                            f.probe.as_ref().and_then(|p| candidates(p, h, st, lazy)).transpose()?;
-                        match probed {
-                            Some(hits) => Items::Probed(hits.into_iter()),
-                            None => Items::All(0..h.items.len()),
-                        }
+                        Items::All(0..hoisted[idx].as_ref().expect("just evaluated").len())
                     } else {
                         Items::Owned(eval(f.source, st)?.into_iter())
                     };
@@ -838,13 +802,11 @@ fn for_each_tuple(
                 return Ok(false);
             };
             let at = |i: usize| {
-                let h = hoisted[*fidx].as_ref().expect("evaluated before it is iterated");
-                h.items[i].clone()
+                hoisted[*fidx].as_ref().expect("evaluated before it is iterated")[i].clone()
             };
             let next = match items {
                 Items::Owned(iter) => iter.next(),
                 Items::All(range) => range.next().map(at),
-                Items::Probed(hits) => hits.next().map(|i| at(i as usize)),
                 Items::Indexed(hits) => hits.next().map(|n| Item::Node(NodeRef::Node(n))),
             };
             match next {
@@ -866,28 +828,26 @@ fn for_each_tuple(
     }
 }
 
-/// The value-join plan answered by the document: the members its index
+/// The value-join plan at run time: the members the document's index
 /// pairs with the current outer binding under the probe's first join,
 /// [`narrow`]ed by the joins after it, or `None` when the binder has to be
-/// iterated from its source — the probe has no shape to ask for, a guard
-/// or the operand raises, or the operand is a number or boolean. The one
-/// error is a spent budget: in the document's first build of the index, or
-/// while narrowing.
+/// iterated from its source — a guard or the operand raises, or the
+/// operand is a number or boolean. The one error is a spent budget: in the
+/// document's first build of the index, or while narrowing.
 fn indexed_candidates(
     probe: &Probe,
     st: &mut St,
     lazy: bool,
 ) -> Option<Result<Vec<NodeId>, XQueryError>> {
-    let shape = probe.index.as_ref()?;
     if !guards_hold(probe, st, lazy)? {
         return Some(Ok(Vec::new()));
     }
     let outer = eval_xvalue(probe.joins[0].1, st).ok()?;
-    let hits = match ir::index_members(shape, &outer, st.doc, &st.resolved) {
+    let hits = match ir::index_members(&probe.index, &outer, st.doc, &st.resolved) {
         Ok(hits) => hits?,
         Err(e) => return Some(Err(e.into())),
     };
-    Some(narrow(probe, hits, |&n| NodeRef::Node(n), st))
+    Some(narrow(probe, hits, st))
 }
 
 /// Whether every guard of `probe` holds for the current outer binding;
@@ -901,38 +861,6 @@ fn guards_hold(probe: &Probe, st: &mut St, lazy: bool) -> Option<bool> {
     Some(true)
 }
 
-/// The value-join plan at run time: the positions of `hoisted.items` the
-/// current outer binding can pair with under the probe's first join,
-/// [`narrow`]ed by the joins after it, or `None` when it has to try them
-/// all (see [`Probe`] and the module documentation). The table is built by
-/// the first outer binding that gets as far as needing it. The one error
-/// is a budget spent while narrowing.
-fn candidates(
-    probe: &Probe,
-    hoisted: &Hoisted,
-    st: &mut St,
-    lazy: bool,
-) -> Option<Result<Vec<u32>, XQueryError>> {
-    if !guards_hold(probe, st, lazy)? {
-        return Some(Ok(Vec::new()));
-    }
-    let (key, outer) = probe.joins[0];
-    let outer = eval_xvalue(outer, st).ok()?;
-    let keyed = hoisted.keyed.get_or_init(|| {
-        let (leaf, steps) = st.prog.key_path(key);
-        // `K`'s leaf raises a binding in its scope that has no XPath
-        // value; then so does the scan, and there is no table.
-        st.check_scope(leaf).ok()?;
-        let Ok(XValue::Nodes(members)) = sequence_to_xvalue(&hoisted.items) else {
-            return None;
-        };
-        KeyedSeq::build(members, steps, &st.xp_scope()).ok()
-    });
-    let keyed = keyed.as_ref()?;
-    let hits = keyed.probe(&outer, st.doc)?;
-    Some(narrow(probe, hits, |&i| keyed.member(i).clone(), st))
-}
-
 /// `hits`, the members the probe's first join selected for the current
 /// outer binding, narrowed by each join `K = O` after it to the members
 /// `m` with `K(m) = O`: `O` is evaluated once, and `K` on each member. A
@@ -943,12 +871,7 @@ fn candidates(
 /// `satisfies` raises where the scan would. The `satisfies` still runs on
 /// every member kept, so narrowing only drops members it would find false.
 /// The one error is a spent budget.
-fn narrow<T>(
-    probe: &Probe,
-    mut hits: Vec<T>,
-    member: impl Fn(&T) -> NodeRef,
-    st: &mut St,
-) -> Result<Vec<T>, XQueryError> {
+fn narrow(probe: &Probe, mut hits: Vec<NodeId>, st: &mut St) -> Result<Vec<NodeId>, XQueryError> {
     for &(key, outer) in &probe.joins[1..] {
         if hits.is_empty() {
             break;
@@ -964,7 +887,7 @@ fn narrow<T>(
         let mut kept = Vec::with_capacity(hits.len());
         let mut rest = hits.into_iter();
         while let Some(hit) = rest.next() {
-            match ir::key_nodes(member(&hit), steps, &scope) {
+            match ir::key_nodes(NodeRef::Node(hit), steps, &scope) {
                 Ok(keys) if values.met_by(&keys, st.doc) => kept.push(hit),
                 Ok(_) => xic_obs::incr(xic_obs::Counter::ProbeNarrowed),
                 Err(e @ EvalError::BudgetExhausted) => return Err(e.into()),
@@ -1391,31 +1314,34 @@ mod tests {
                  and $a/name/text() = $b/name/text() and count($b/../aut) > 1",
                 1,
             ),
-            ("some $a in //rev, $s in $a/sub, $b in //aut satisfies $s/auts/name = $b/name", 1),
-            ("some $a in //rev, $b in //aut satisfies count($a/sub) = $b/name", 1),
+            ("some $a in //rev, $s in $a/sub, $b in //aut satisfies $s/auts/name = $b/name/text()", 1),
+            ("some $a in //rev, $b in //aut satisfies count($a/sub) = $b/name/text()", 1),
             // `every` needs all pairs; a dependent source is not one sequence.
             ("every $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text()", 0),
             ("some $a in //rev, $b in $a/sub satisfies $a/name/text() = $b/auts/name/text()", 0),
             // Only the last binder; only a first conjunct on `$b` that is a join.
-            ("some $a in //rev, $b in //aut, $c in $b/.. satisfies $a/name = $b/name", 0),
-            ("some $a in //rev, $b in //aut satisfies count($b/../aut) > 1 and $a/name = $b/name", 0),
-            ("some $a in //rev, $b in //aut satisfies $a/name = $b/name or $a/name = 'x'", 0),
-            ("some $a in //rev, $b in //aut satisfies $a/name != $b/name", 0),
-            ("some $a in //rev, $b in //aut satisfies $b/name = $b/../aut/name", 0),
-            ("some $a in //rev, $b in //aut satisfies $b/name[. = $a/name] = $a/name", 0),
+            ("some $a in //rev, $b in //aut, $c in $b/.. satisfies $a/name = $b/name/text()", 0),
+            (
+                "some $a in //rev, $b in //aut satisfies count($b/../aut) > 1 \
+                 and $a/name = $b/name/text()",
+                0,
+            ),
+            ("some $a in //rev, $b in //aut satisfies $a/name = $b/name/text() or $a/name = 'x'", 0),
+            ("some $a in //rev, $b in //aut satisfies $a/name != $b/name/text()", 0),
+            ("some $a in //rev, $b in //aut satisfies $b/name/text() = $b/../aut/name", 0),
+            ("some $a in //rev, $b in //aut satisfies $b/name[. = $a/name]/text() = $a/name", 0),
             // A key is steps applied to the member: steps that read a
             // variable, even the binder, are not one.
             ("some $a in //rev, $b in //aut satisfies $b/name[. = $b/name]/text() = $a/name/text()", 0),
             // A constant is not an operand to probe with.
             ("some $a in //rev, $b in //aut satisfies $b/name/text() = 'Ann'", 0),
-            // (3) a parameter is: one value per evaluation, which the
-            // document's own index answers — where there is a loop around
-            // the binder to amortise a table over, or the shape
-            // (`//tag` keyed by `…/text()`) the document can index.
+            // (3) a parameter is, with or without a loop around the binder.
             ("some $b in //aut satisfies $b/name/text() = $p/name/text()", 1),
             ("some $b in //aut satisfies frob($p) and $p/name/text() = $b/name/text()", 1),
             ("some $a in $p/sub, $b in //aut satisfies $b/name/text() = $p/name/text()", 1),
-            ("some $a in $p/sub, $b in //aut satisfies $b/name = $p/name/text()", 1),
+            // Only the shape the document indexes: `//tag` keyed by child
+            // names down to a `text()`.
+            ("some $a in $p/sub, $b in //aut satisfies $b/name = $p/name/text()", 0),
             ("some $b in //aut satisfies $b/name = $p/name/text()", 0),
             ("some $b in //pub/aut satisfies $b/name/text() = $p/name/text()", 0),
             ("some $b in //aut satisfies $b/../aut/name/text() = $p/name/text()", 0),
@@ -1430,7 +1356,7 @@ mod tests {
             ("some $a in //rev satisfies //aut[name/text() = $a/name/text()]", 1),
             ("exists(let $g := //track[rev[name/text() = $p/name/text()]] return $g)", 1),
             ("exists(let $g := //track[rev[name = $p/name/text()]] return $g)", 0),
-            ("exists(for $a in //rev let $n := $a/name return //aut[name = $n])", 0),
+            ("exists(for $a in //rev let $n := $a/name return //aut[name/text() = $n])", 0),
         ] {
             let q = parse_query(query).unwrap_or_else(|e| panic!("{query}: {e}"));
             let prog = XProgram::compile_with_params(&q, &["p".to_string()]);
@@ -1444,19 +1370,17 @@ mod tests {
         for (query, verdict, bindings) in [
             // Ann ↔ the first aut: the witness.
             ("some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text()", true, 2),
-            // Both joins narrow: only Ann's own aut has a sub-author's
-            // name beside hers in one pub.
+            // Ann's sub-authors Bob and Ann both wrote P1, which she wrote too.
             (
-                "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/../aut/name/text() \
-                 and $a/sub/auts/name/text() = $b/name/text()",
+                "some $a in //rev, $b in //aut satisfies $a/sub/auts/name/text() = $b/name/text() \
+                 and $a/name/text() = $b/../aut/name/text()",
                 true,
                 2,
             ),
-            // Dan wrote alone, and nobody he reviews wrote with anyone: the
-            // second join leaves no candidate for either rev.
+            // Nobody Dan reviews wrote anything: no candidate.
             (
                 "some $a in //rev[name = 'Dan'], $b in //aut satisfies \
-                 $a/name/text() = $b/../aut/name/text() and $a/sub/auts/name/text() = $b/name/text()",
+                 $a/sub/auts/name/text() = $b/name/text() and $a/name/text() = $b/../aut/name/text()",
                 false,
                 1,
             ),
@@ -1480,8 +1404,6 @@ mod tests {
                 false,
                 16,
             ),
-            // Strings are not nodes: no table, every pair.
-            ("some $a in //rev, $b in ('Zed', 'Dan') satisfies $a/name/text() = $b", true, 6),
         ] {
             let prog = XProgram::compile(&parse_query(query).unwrap());
             assert_eq!(prog.plan_sites(), 1, "{query} is planned");
@@ -1663,10 +1585,10 @@ mod tests {
         for (query, outcome) in [
             // A guard that raises, with and without a pair to raise on.
             (
-                "some $a in //rev, $b in //aut satisfies frob($a) and $a/name = $b/name",
+                "some $a in //rev, $b in //aut satisfies frob($a) and $a/name = $b/name/text()",
                 "error: unknown function frob()",
             ),
-            ("some $a in //rev, $b in //zzz satisfies frob($a) and $a/name = $b/name", "(false)"),
+            ("some $a in //rev, $b in //zzz satisfies frob($a) and $a/name = $b/name/text()", "(false)"),
             // An outer operand that raises.
             (
                 "some $a in //rev, $b in //aut satisfies $b/name/text() = frob($a)",
@@ -1698,17 +1620,54 @@ mod tests {
                  and frob($b)",
                 "error: unknown function frob()",
             ),
-            // A key that raises on a member: no table, the scan raises.
-            (
-                "some $a in //rev, $b in ('Zed', 'Dan') satisfies $a/name/text() = $b/x",
-                "error: cannot navigate from non-node-set variable $b",
-            ),
         ] {
             let prog = XProgram::compile(&parse_query(query).unwrap());
             assert_eq!(prog.plan_sites(), 1, "{query} is planned");
             assert_eq!(render(&doc, prog.eval_seq(&doc, &[])), outcome, "materialized {query}");
             let lazy = prog.eval_exists(&doc, &[]).map(|b| vec![Item::Bool(b)]);
             assert_eq!(render(&doc, lazy), outcome, "existential {query}");
+        }
+    }
+
+    /// The shapes the document does not index are not planned, and answer
+    /// what the scan answers: a key on an element's string value, members
+    /// that are not `//tag` — by a path's step or a binder's — and a binder
+    /// over strings, whose key raises.
+    #[test]
+    fn shapes_the_index_cannot_answer_are_scanned() {
+        let doc = doc_with_catalog();
+        let ann = || {
+            let Item::Node(n) = eval_query(&parse_query("//rev").unwrap(), &doc).unwrap().remove(0)
+            else {
+                panic!("a rev")
+            };
+            XValue::Nodes(vec![n])
+        };
+        for (query, outcome) in [
+            ("//rev[name = $p/name/text()]/sub", "(sub1, sub2)"),
+            ("some $b in //aut satisfies $b/name = $p/name/text()", "(true)"),
+            ("some $a in //rev, $b in //aut satisfies $b/name = $a/sub/auts/name/text()", "(true)"),
+            ("/all/review/track/rev[name/text() = $p/name/text()]/sub/title/text()", "(title1/text(), title2/text())"),
+            ("some $b in /all/dblp/pub/aut satisfies $b/name/text() = $p/name/text()", "(true)"),
+            (
+                "some $a in //rev, $b in /all/dblp/pub/aut satisfies \
+                 $b/name/text() = $a/sub/title/text()",
+                "(false)",
+            ),
+            ("some $a in //rev, $b in ('Zed', 'Dan') satisfies $a/name/text() = $b", "(true)"),
+            (
+                "some $a in //rev, $b in ('Zed', 'Dan') satisfies $a/name/text() = $b/x",
+                "error: cannot navigate from non-node-set variable $b",
+            ),
+        ] {
+            let prog = XProgram::compile_with_params(&parse_query(query).unwrap(), &["p".to_string()]);
+            assert_eq!(prog.plan_sites(), 0, "{query} is not planned");
+            let p = [ann()];
+            let eager = prog.eval_seq(&doc, &p);
+            let lazy = prog.eval_exists(&doc, &p).map_err(|e| e.to_string());
+            let ebv = eager.as_ref().map(effective_boolean).map_err(|e| e.to_string());
+            assert_eq!(lazy, ebv, "existential {query}");
+            assert_eq!(render(&doc, eager), outcome, "materialized {query}");
         }
     }
 
@@ -1821,5 +1780,33 @@ mod tests {
         let err = prog.eval_exists(&doc, &[]).unwrap_err();
         drop(guard);
         assert!(err.is_budget_exhausted());
+    }
+
+    /// Every allowance short of what a planned evaluation costs ends in
+    /// `BudgetExhausted`, wherever it runs out: in the document's first
+    /// build of the index, on its hits, or while a later join narrows them
+    /// (Dan's one aut is narrowed away; Ann's is tried and rejected).
+    #[test]
+    fn a_budget_runs_out_in_the_build_and_the_narrowing_as_in_the_scan() {
+        let plain = doc_with_catalog();
+        let query = "some $a in //rev, $b in //aut satisfies $a/name/text() = $b/name/text() \
+                     and $a/sub/auts/name/text() = $b/../aut/name/text() and count($b/../aut) > 2";
+        let prog = XProgram::compile(&parse_query(query).unwrap());
+        assert_eq!(prog.plan_sites(), 1);
+        xic_obs::reset();
+        assert!(!prog.eval_exists(&plain.clone(), &[]).unwrap());
+        let c = xic_obs::counter;
+        assert_eq!((c(xic_obs::Counter::IndexBuild), c(xic_obs::Counter::ProbeNarrowed)), (1, 1));
+        let cost = c(xic_obs::Counter::XpathNodesVisited) + c(xic_obs::Counter::XqueryBindingsVisited);
+        for allowance in 0..=cost {
+            let guard = xic_xpath::budget::arm(xic_xpath::EvalBudget::new(allowance));
+            let outcome = prog.eval_exists(&plain.clone(), &[]);
+            drop(guard);
+            match outcome {
+                Ok(false) if allowance == cost => {}
+                Err(e) if allowance < cost && e.is_budget_exhausted() => {}
+                other => panic!("allowance {allowance} of {cost}: {other:?}"),
+            }
+        }
     }
 }
