@@ -1,8 +1,9 @@
 //! `xic-serve` — line-protocol front-end for the concurrent checker
-//! service (`xicheck::service`, DESIGN.md row 19).
+//! service (`xicheck::service`, DESIGN.md rows 19 and 24).
 //!
 //! Loads a document, DTD and XPathLog constraint set from files, starts
-//! a [`CheckerService`] and serves the protocol in
+//! a [`ShardSet`] of `--shards K` documents (default 1), each seeded from
+//! `--xml` under one compiled constraint set, and serves the protocol in
 //! [`xicheck::protocol`] either over stdin/stdout (default) or on a
 //! Unix socket (`--socket PATH`, one thread per client).
 //!
@@ -23,27 +24,24 @@
 //! README.md, *Running as a service* and *Operating under failure*, for
 //! worked examples.
 //!
-//! Without `--store` the document lives in memory only. Restarting over
-//! an existing `--store DIR` resumes it: the committed statements are
-//! replayed (the count goes to stderr), `VERSION` continues where the
-//! previous run stopped, and the first write takes a checkpoint before it
-//! appends. `--no-sync` is restated on every start. A `DIR`
-//! holding anything but the store's own files is refused.
+//! Without `--store` the documents live in memory only. With `--store
+//! DIR` each shard keeps its own `DIR/shard-<id>/` journal+checkpoint
+//! directory, and startup recovers all shards in parallel: restarting
+//! over an existing `DIR` resumes every document where it left off (the
+//! replayed count goes to stderr, `VERSION` continues where the previous
+//! run stopped, and the first write takes a checkpoint before it
+//! appends). `--no-sync` is restated on every start. A `DIR` holding
+//! anything but `shard-<id>` directories for its shards is refused.
 //!
-//! `--shards K` hosts K independent documents (each seeded from
-//! `--xml`) under one process and one compiled constraint set
-//! (DESIGN.md row 24). It requires `--store DIR`: each shard keeps its
-//! own `shard-<id>/` journal+checkpoint directory under the root, and
-//! startup recovers all shards in parallel, so restarting the server
-//! over an existing root resumes every document where it left off.
-//! Clients route per-document requests with the `DOC <id>` prefix; see
-//! README.md, *Running many documents*.
+//! Clients route per-document requests with the `DOC <id>` prefix, which
+//! a one-shard server does not need; see README.md, *Running as a
+//! service*.
 
 use std::io::{BufReader, Write as _};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use xicheck::protocol::{serve_connection, serve_connection_sharded};
-use xicheck::{Checker, CheckerService, ServiceConfig, ShardSet, ShardSetConfig, SharedGamma};
+use xicheck::protocol::{execute_sharded, serve_connection};
+use xicheck::{ServiceConfig, ShardSet, ShardSetConfig};
 
 struct Args {
     xml: PathBuf,
@@ -51,7 +49,7 @@ struct Args {
     constraints: PathBuf,
     store: Option<PathBuf>,
     sync: bool,
-    shards: Option<usize>,
+    shards: usize,
     queue_depth: usize,
     deadline_ms: Option<u64>,
     socket: Option<PathBuf>,
@@ -63,7 +61,7 @@ fn parse_args() -> Result<Args, String> {
     let mut constraints = None;
     let mut store = None;
     let mut sync = true;
-    let mut shards = None;
+    let mut shards = 1;
     let mut queue_depth = xicheck::service::DEFAULT_QUEUE_DEPTH;
     let mut deadline_ms = None;
     let mut socket = None;
@@ -88,11 +86,7 @@ fn parse_args() -> Result<Args, String> {
             "--no-sync" if inline.is_some() => return Err("--no-sync takes no value".to_string()),
             "--no-sync" => sync = false,
             "--shards" => {
-                shards = Some(
-                    value(&mut args)?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?,
-                );
+                shards = value(&mut args)?.parse().map_err(|e| format!("--shards: {e}"))?;
             }
             "--queue-depth" => {
                 queue_depth = value(&mut args)?
@@ -110,13 +104,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    if let Some(k) = shards {
-        if k == 0 {
-            return Err("--shards must be at least 1".to_string());
-        }
-        if store.is_none() {
-            return Err("--shards requires --store DIR (one shard-<id>/ per document)".to_string());
-        }
+    if shards == 0 {
+        return Err("--shards must be at least 1".to_string());
     }
     Ok(Args {
         xml: xml.ok_or("--xml FILE is required")?,
@@ -131,17 +120,13 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Serves `session` once over stdio, or per-connection on a Unix
-/// socket with one thread per client.
-fn serve_sessions<F>(socket: &Option<PathBuf>, session: F) -> Result<(), String>
-where
-    F: Fn(&mut dyn std::io::BufRead, &mut dyn std::io::Write) -> std::io::Result<()> + Sync,
-{
+/// Serves `set` once over stdio, or per-connection on a Unix socket
+/// with one thread per client.
+fn serve_sessions(socket: &Option<PathBuf>, set: &ShardSet) -> Result<(), String> {
+    let run = |command: &_| execute_sharded(set, command);
     match socket {
         None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            session(&mut stdin.lock(), &mut stdout.lock())
+            serve_connection(run, std::io::stdin().lock(), std::io::stdout().lock())
                 .map_err(|e| format!("stdio session: {e}"))?;
         }
         Some(path) => {
@@ -153,17 +138,16 @@ where
             std::thread::scope(|scope| {
                 for stream in listener.incoming() {
                     match stream {
-                        Ok(mut stream) => {
-                            let session = &session;
+                        Ok(stream) => {
                             scope.spawn(move || {
-                                let mut reader = match stream.try_clone() {
+                                let reader = match stream.try_clone() {
                                     Ok(r) => BufReader::new(r),
                                     Err(e) => {
                                         eprintln!("xic-serve: clone stream: {e}");
                                         return;
                                     }
                                 };
-                                if let Err(e) = session(&mut reader, &mut stream) {
+                                if let Err(e) = serve_connection(run, reader, stream) {
                                     eprintln!("xic-serve: session ended: {e}");
                                 }
                             });
@@ -184,58 +168,38 @@ fn run(args: &Args) -> Result<(), String> {
     let xml = read(&args.xml)?;
     let dtd = read(&args.dtd)?;
     let constraints = read(&args.constraints)?;
-    let config = ServiceConfig {
-        queue_depth: args.queue_depth,
-        default_deadline_ms: args.deadline_ms,
-        ..ServiceConfig::default()
+    let config = ShardSetConfig {
+        service: ServiceConfig {
+            queue_depth: args.queue_depth,
+            default_deadline_ms: args.deadline_ms,
+            ..ServiceConfig::default()
+        },
+        sync: args.sync,
+        ..Default::default()
     };
-
-    if let Some(count) = args.shards {
-        let root = args.store.as_ref().ok_or("--shards requires --store DIR")?;
-        let bases: Vec<&str> = vec![xml.as_str(); count];
+    let bases = vec![xml.as_str(); args.shards];
+    let set = match &args.store {
         // Recovery doubles as creation: shards without a directory yet
         // start fresh from the base document, existing ones replay
         // their own generations — so restarts over the same root
         // resume every document where it left off.
-        let (set, report) = ShardSet::recover(
-            root,
-            &bases,
-            &dtd,
-            &constraints,
-            ShardSetConfig { service: config, sync: args.sync, ..Default::default() },
-            true,
-        )
-        .map_err(|e| e.to_string())?;
-        eprintln!(
-            "xic-serve: {count} shards under {}, {} commits replayed",
-            root.display(),
-            report.total_replayed()
-        );
-        for id in report.degraded_shards() {
-            eprintln!("xic-serve: warning: shard {id} recovered degraded (read-only)");
-        }
-        return serve_sessions(&args.socket, |input, output| {
-            serve_connection_sharded(&set, input, output)
-        });
-    }
-
-    // Like the sharded branch, a restart over an existing store directory
-    // resumes it instead of starting over.
-    let checker = match &args.store {
-        Some(dir) => {
-            let gamma = SharedGamma::compile(&dtd, &constraints).map_err(|e| e.to_string())?;
-            let (checker, report) =
-                Checker::open_store(dir, &xml, &gamma, args.sync).map_err(|e| e.to_string())?;
-            eprintln!("xic-serve: store {}, {} commits replayed", dir.display(), report.replayed);
-            if report.degraded {
-                eprintln!("xic-serve: warning: store recovered degraded (read-only)");
+        Some(root) => {
+            let (set, report) = ShardSet::recover(root, &bases, &dtd, &constraints, config, true)
+                .map_err(|e| e.to_string())?;
+            eprintln!(
+                "xic-serve: {} shard(s) under {}, {} commits replayed",
+                args.shards,
+                root.display(),
+                report.total_replayed()
+            );
+            for id in report.degraded_shards() {
+                eprintln!("xic-serve: warning: shard {id} recovered degraded (read-only)");
             }
-            checker
+            set
         }
-        None => Checker::new(&xml, &dtd, &constraints).map_err(|e| e.to_string())?,
+        None => ShardSet::in_memory(&bases, &dtd, &constraints, config).map_err(|e| e.to_string())?,
     };
-    let service = CheckerService::with_config(checker, config);
-    serve_sessions(&args.socket, |input, output| serve_connection(&service, input, output))
+    serve_sessions(&args.socket, &set)
 }
 
 fn main() -> ExitCode {

@@ -1,11 +1,12 @@
-//! Line-oriented service protocol (the front-end of
-//! [`crate::service::CheckerService`]; DESIGN.md rows 19 and 22).
+//! Line-oriented service protocol (the front-end of a [`ShardSet`], one
+//! [`crate::service::CheckerService`] per document; DESIGN.md rows 19,
+//! 22 and 24).
 //!
 //! One request per line, one reply per line, UTF-8, no framing beyond
 //! `\n`. The grammar (also in README.md, *Running as a service*):
 //!
 //! ```text
-//! request  = ["DOC" SP index SP] verb     ; index routes to one shard (sharded server)
+//! request  = ["DOC" SP index SP] verb     ; index routes to one shard (optional with one)
 //! verb     = "CHECK" [SP deadline]          ; full check of the current snapshot
 //!          | "DECIDE" [SP deadline] SP xupdate ; hypothetical verdict, nothing committed
 //!          | "UPDATE" [SP deadline] SP xupdate ; checked, durable execution
@@ -31,14 +32,14 @@
 //! strategy = "optimized" | "full-with-rollback"
 //! ```
 //!
-//! A **sharded** server ([`serve_connection_sharded`] over a
-//! [`ShardSet`]) routes by the `DOC <index>` prefix: the verb behind it
-//! executes against that shard's service exactly as on a single-document
-//! server. Bare `HEALTH`/`STATS` aggregate across shards (overall state
-//! plus one `shard-<i>=<health>` field each; counters summed); the
-//! per-document verbs *require* the prefix and fail with `ERR
-//! doc-required: …` without it. A single-document server refuses the
-//! prefix with `ERR no-shard: …`.
+//! Every server is a [`ShardSet`] ([`execute_sharded`]), and `DOC
+//! <index>` routes: the verb behind it executes against that shard's
+//! service ([`execute`]). On a set of one shard a bare verb means `DOC 0
+//! <verb>`. On a set of more, bare `HEALTH`/`STATS` aggregate across
+//! shards (overall state plus one `shard-<i>=<health>` field each;
+//! counters summed), and the per-document verbs *require* the prefix
+//! and fail with `ERR doc-required: …` without it. A shard the set does
+//! not have is `ERR no-shard: …`.
 //!
 //! `CHECK`, `DECIDE` and `VERSION` are **snapshot reads**: they never
 //! queue behind the writer, and the version in their reply names the
@@ -73,7 +74,7 @@
 //! Parsing and rendering live here, free of any I/O, so unit tests
 //! drive the protocol without sockets; [`serve_connection`] wires a
 //! [`BufRead`]/[`Write`] pair (stdin/stdout or a Unix socket — see the
-//! `xic-serve` binary) to a shared service.
+//! `xic-serve` binary) to a shared server.
 
 use crate::checker::{Strategy, UpdateOutcome, Violation};
 use crate::optimized::Fallback;
@@ -339,22 +340,22 @@ pub fn execute(service: &CheckerService, command: &Command) -> Reply {
             detail: service.health().as_str().to_string(),
         },
         Command::Quit => Reply::Bye,
-        Command::Doc(id, _) => Reply::Err(format!(
-            "no-shard: this server hosts a single unnamed document, \
-             DOC {id} cannot be routed (start xic-serve with --shards)"
-        )),
+        Command::Doc(..) => Reply::Err("DOC does not nest".to_string()),
     }
 }
 
-/// Executes one command against a sharded server: `DOC <id> <verb>`
-/// routes to that shard's live service; bare `HEALTH`/`STATS` aggregate
-/// across shards; the per-document verbs require the prefix.
+/// Executes one command against a server: `DOC <id> <verb>` routes to
+/// that shard's live service, and so does every bare verb on a set of one
+/// shard. On a set of more, bare `HEALTH`/`STATS` aggregate across shards
+/// and the per-document verbs require the prefix.
 pub fn execute_sharded(set: &ShardSet, command: &Command) -> Reply {
+    let route = |id: usize, command: &Command| match set.shard(id) {
+        Ok(service) => execute(&service, command),
+        Err(e) => Reply::Err(format!("no-shard: {e}")),
+    };
     match command {
-        Command::Doc(id, inner) => match set.shard(*id) {
-            Ok(service) => execute(&service, inner),
-            Err(e) => Reply::Err(format!("no-shard: {e}")),
-        },
+        Command::Doc(id, inner) => route(*id, inner),
+        _ if set.len() == 1 => route(0, command),
         Command::Health => {
             let health = set.health();
             let version = health.shards.iter().map(|s| s.version).sum();
@@ -401,13 +402,16 @@ pub fn execute_sharded(set: &ShardSet, command: &Command) -> Reply {
 }
 
 /// One capped read: `Ok(None)` at EOF, `Ok(Some(Ok(line)))` for a line
-/// within `max` bytes (terminator stripped), `Ok(Some(Err(())))` for an
-/// oversized line — which is consumed through its newline in bounded
-/// memory, never accumulated.
+/// whose content is within `max` bytes (terminator stripped),
+/// `Ok(Some(Err(())))` for an oversized line — which is consumed through
+/// its newline in bounded memory, never accumulated.
 fn read_capped_line(
     input: &mut impl BufRead,
     max: usize,
 ) -> std::io::Result<Option<Result<String, ()>>> {
+    // The `\r` of a `\r\n` terminator is not content: the buffer may
+    // hold one byte past `max` until the terminator is stripped.
+    let limit = max.saturating_add(1);
     let mut buf: Vec<u8> = Vec::new();
     let mut oversized = false;
     loop {
@@ -420,7 +424,7 @@ fn read_capped_line(
         }
         match chunk.iter().position(|&b| b == b'\n') {
             Some(pos) => {
-                if !oversized && buf.len() + pos <= max {
+                if !oversized && buf.len() + pos <= limit {
                     buf.extend_from_slice(&chunk[..pos]);
                 } else {
                     oversized = true;
@@ -430,7 +434,7 @@ fn read_capped_line(
             }
             None => {
                 let len = chunk.len();
-                if !oversized && buf.len() + len <= max {
+                if !oversized && buf.len() + len <= limit {
                     buf.extend_from_slice(chunk);
                 } else {
                     oversized = true;
@@ -440,52 +444,33 @@ fn read_capped_line(
             }
         }
     }
-    if oversized {
-        return Ok(Some(Err(())));
-    }
     if buf.last() == Some(&b'\r') {
         buf.pop();
+    }
+    if oversized || buf.len() > max {
+        return Ok(Some(Err(())));
     }
     Ok(Some(Ok(String::from_utf8_lossy(&buf).into_owned())))
 }
 
 /// Serves one client connection: reads request lines from `input`,
-/// writes one reply line each to `output`, and returns on `QUIT`, EOF
-/// or a write error. Malformed requests get an `ERR` reply and the
-/// connection stays open; so do oversized lines (`ERR too-long: …`),
-/// which are discarded in bounded memory as they stream in.
+/// answers each with `run` — `|c| execute_sharded(&set, c)` on a server,
+/// `|c| execute(&service, c)` over one service — writes one reply line
+/// each to `output`, and returns on `QUIT`, EOF or a write error.
+/// Malformed requests get an `ERR` reply and the connection stays open;
+/// so do oversized lines (`ERR too-long: …`), which are discarded in
+/// bounded memory as they stream in.
 pub fn serve_connection(
-    service: &CheckerService,
+    run: impl FnMut(&Command) -> Reply,
     input: impl BufRead,
     output: impl Write,
 ) -> std::io::Result<()> {
-    serve_connection_capped(service, input, output, MAX_LINE_BYTES)
+    serve_capped(run, input, output, MAX_LINE_BYTES)
 }
 
 /// [`serve_connection`] with an explicit line cap (tests exercise the
 /// oversized path without forging megabyte requests).
-pub fn serve_connection_capped(
-    service: &CheckerService,
-    input: impl BufRead,
-    output: impl Write,
-    max_line: usize,
-) -> std::io::Result<()> {
-    serve_lines(|command| execute(service, command), input, output, max_line)
-}
-
-/// Serves one client connection against a sharded server (see the
-/// module docs: `DOC <index>` routes, bare `HEALTH`/`STATS` aggregate).
-pub fn serve_connection_sharded(
-    set: &ShardSet,
-    input: impl BufRead,
-    output: impl Write,
-) -> std::io::Result<()> {
-    serve_lines(|command| execute_sharded(set, command), input, output, MAX_LINE_BYTES)
-}
-
-/// The shared read-parse-execute-reply loop behind both connection
-/// flavors.
-fn serve_lines(
+fn serve_capped(
     mut run: impl FnMut(&Command) -> Reply,
     mut input: impl BufRead,
     mut output: impl Write,
@@ -753,12 +738,49 @@ mod tests {
         assert!(parse_command("DOC 1 DOC 2 VERSION").is_err(), "no nesting");
     }
 
+    /// On a set of one shard a bare verb is `DOC 0 <verb>`: the same
+    /// script, bare and prefixed, gets the same replies — the
+    /// single-document `HEALTH` and `STATS` included, up to the time a
+    /// compile took — and a shard the set does not have is still
+    /// refused.
     #[test]
-    fn single_document_server_refuses_doc() {
-        let service = service();
-        let r = execute(&service, &Command::Doc(0, Box::new(Command::Version)));
-        let line = r.render();
-        assert!(line.starts_with("ERR no-shard:"), "unexpected reply {line:?}");
+    fn a_one_shard_set_answers_a_bare_verb_as_doc_0() {
+        use crate::shards::{ShardSet, ShardSetConfig};
+        let verbs = [
+            "CHECK".to_string(),
+            format!("DECIDE {}", insert("bob")),
+            format!("UPDATE {}", insert("dave")),
+            format!("UPDATE {}", insert("bob")),
+            format!("DECIDE 0 {}", insert("erin")),
+            "VERSION".to_string(),
+            "STATS".to_string(),
+            "HEALTH".to_string(),
+        ];
+        let replies = |prefix: &str| {
+            let set = ShardSet::in_memory(&[XML], DTD, CONFLICT, ShardSetConfig::default())
+                .expect("one-shard set");
+            let script: String = verbs.iter().map(|v| format!("{prefix}{v}\n")).collect();
+            let mut out = Vec::new();
+            serve_connection(|c| execute_sharded(&set, c), Cursor::new(script), &mut out)
+                .expect("serve");
+            let line = execute_sharded(&set, &Command::Doc(1, Box::new(Command::Version))).render();
+            assert!(line.starts_with("ERR no-shard:"), "got {line:?}");
+            set.shutdown().expect("shutdown");
+            // A compile time is the one field two runs need not share.
+            let text = String::from_utf8(out).expect("utf8 replies");
+            let (head, tail) = text.split_once("pattern_compile_us=").expect("a STATS reply");
+            let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+            format!("{head}pattern_compile_us=_{tail}")
+        };
+        let bare = replies("");
+        assert_eq!(bare, replies("DOC 0 "));
+        let lines: Vec<&str> = bare.lines().collect();
+        assert_eq!(lines[2], "OK 1 APPLIED optimized");
+        assert!(lines[6].starts_with("OK 1 executor=group-commit max_batch=32 "), "{}", lines[6]);
+        assert_eq!(lines[7], "OK 1 ok");
+        // A service is one document: a `DOC` handed to it is refused.
+        let line = execute(&service(), &Command::Doc(0, Box::new(Command::Version))).render();
+        assert_eq!(line, "ERR DOC does not nest");
     }
 
     /// `STATS` names the executor, and group commit's batch cap.
@@ -866,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_connection_sharded_round_trips() {
+    fn serve_connection_round_trips_a_sharded_session() {
         use crate::shards::{ShardSet, ShardSetConfig};
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -879,7 +901,8 @@ mod tests {
             insert("dave")
         );
         let mut out = Vec::new();
-        serve_connection_sharded(&set, Cursor::new(script), &mut out).expect("serve");
+        serve_connection(|c| execute_sharded(&set, c), Cursor::new(script), &mut out)
+            .expect("serve");
         let text = String::from_utf8(out).expect("utf8 replies");
         assert_eq!(
             text.lines().collect::<Vec<_>>(),
@@ -903,7 +926,7 @@ mod tests {
             insert("erin")
         );
         let mut out = Vec::new();
-        serve_connection(&service, Cursor::new(script), &mut out).expect("serve");
+        serve_connection(|c| execute(&service, c), Cursor::new(script), &mut out).expect("serve");
         let text = String::from_utf8(out).expect("utf8 replies");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
@@ -926,7 +949,7 @@ mod tests {
         let long = format!("UPDATE {}", "x".repeat(200));
         let script = format!("VERSION\n{long}\nVERSION\nQUIT\n");
         let mut out = Vec::new();
-        serve_connection_capped(&service, Cursor::new(script), &mut out, 64).expect("serve");
+        serve_capped(|c| execute(&service, c), Cursor::new(script), &mut out, 64).expect("serve");
         let text = String::from_utf8(out).expect("utf8 replies");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "replies: {lines:?}");
@@ -945,7 +968,7 @@ mod tests {
         let service = service();
         let script = format!("VERSION\n{}", "y".repeat(500));
         let mut out = Vec::new();
-        serve_connection_capped(&service, Cursor::new(script), &mut out, 64).expect("serve");
+        serve_capped(|c| execute(&service, c), Cursor::new(script), &mut out, 64).expect("serve");
         let text = String::from_utf8(out).expect("utf8 replies");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "OK 0");
@@ -960,8 +983,25 @@ mod tests {
         assert_eq!(line.len(), 64);
         let script = format!("{line}\nQUIT\n");
         let mut out = Vec::new();
-        serve_connection_capped(&service, Cursor::new(script), &mut out, 64).expect("serve");
+        serve_capped(|c| execute(&service, c), Cursor::new(script), &mut out, 64).expect("serve");
         let text = String::from_utf8(out).expect("utf8 replies");
         assert_eq!(text.lines().collect::<Vec<_>>(), vec!["OK 0", "BYE"]);
+    }
+
+    /// The `\r` of a `\r\n` terminator is not content: a line whose
+    /// content is exactly the cap is served whichever way it ends.
+    #[test]
+    fn exact_cap_length_crlf_line_is_served() {
+        let service = service();
+        let line = format!("VERSION{}", " ".repeat(64 - "VERSION".len()));
+        let script = format!("{line}\r\n{line} \r\nQUIT\r\n");
+        let mut out = Vec::new();
+        serve_capped(|c| execute(&service, c), Cursor::new(script), &mut out, 64).expect("serve");
+        let text = String::from_utf8(out).expect("utf8 replies");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "replies: {lines:?}");
+        assert_eq!(lines[0], "OK 0");
+        assert!(lines[1].starts_with("ERR too-long:"), "one byte over the cap, got {:?}", lines[1]);
+        assert_eq!(lines[2], "BYE");
     }
 }

@@ -1,13 +1,15 @@
 //! Sharded multi-document store: N independent documents, one compiled Γ.
+//! Every server is one, and a one-document server is a set of one.
 //!
 //! Everything below the [`ShardSet`] is still the single-document stack —
 //! each shard owns its own [`Checker`], generation-numbered
-//! journal+checkpoint [`Store`][xic_xml::checkpoint::Store] pair, and
-//! single-writer commit stream (a [`CheckerService`]). What the shards
-//! *share* is the expensive read-only part: one [`SharedGamma`] (denials
-//! mapped, simplified, translated, parsed and IR-compiled exactly once)
-//! and one [`PatternCache`] (an update pattern compiled on any shard is
-//! adopted by every sibling). The paper's simplification machinery is
+//! journal+checkpoint [`Store`][xic_xml::checkpoint::Store] pair (none in
+//! a set made [`ShardSet::in_memory`]), and single-writer commit stream
+//! (a [`CheckerService`]). What the shards *share* is the expensive
+//! read-only part: one [`SharedGamma`] (denials mapped, simplified,
+//! translated, parsed and IR-compiled exactly once) and one
+//! [`PatternCache`] (an update pattern compiled on any shard is adopted
+//! by every sibling). The paper's simplification machinery is
 //! document-local, so a shard is the natural unit of both scale and
 //! failure containment.
 //!
@@ -105,6 +107,12 @@ pub enum ShardSetError {
         /// The underlying failure.
         source: ServiceError,
     },
+    /// [`ShardSet::recover_shard`] on a set with no store: there is
+    /// nothing to replay the shard from.
+    NoStore {
+        /// The shard asked for.
+        id: usize,
+    },
     /// A request named a shard the set does not have.
     NoSuchShard {
         /// The requested shard id.
@@ -137,6 +145,9 @@ impl fmt::Display for ShardSetError {
             ShardSetError::Compile(e) => write!(f, "constraint compilation failed: {e}"),
             ShardSetError::Shard { id, source } => write!(f, "shard {id}: {source}"),
             ShardSetError::Service { id, source } => write!(f, "shard {id}: {source}"),
+            ShardSetError::NoStore { id } => {
+                write!(f, "shard {id} has no store to recover from (the set is in memory)")
+            }
             ShardSetError::NoSuchShard { id, count } => {
                 write!(f, "no shard {id}: the set holds {count} shard(s)")
             }
@@ -296,15 +307,19 @@ fn start_shard(
     CheckerService::with_config(checker, config.service)
 }
 
-/// One shard's slot: its store directory, its recovery base document,
-/// and the currently live service. The service is behind a lock so
-/// [`ShardSet::recover_shard`] can swap in a replacement while sibling
-/// shards (other slots) stay untouched.
+/// One shard's slot: its store directory (none in memory), its recovery
+/// base document, and the currently live service. The service is behind
+/// a lock so [`ShardSet::recover_shard`] can swap in a replacement while
+/// sibling shards (other slots) stay untouched.
 struct ShardSlot {
-    dir: PathBuf,
+    dir: Option<PathBuf>,
     base_xml: String,
     service: RwLock<Arc<CheckerService>>,
 }
+
+/// One shard's checker as [`ShardSet::start`] opened it, with what its
+/// store's recovery found (nothing, for a store it created).
+type Opened = Result<(Checker, RecoveryReport), CheckerError>;
 
 /// N single-writer document shards sharing one compiled constraint set
 /// (see the [module docs](self)).
@@ -329,39 +344,29 @@ impl ShardSet {
         constraints: &str,
         config: ShardSetConfig,
     ) -> Result<ShardSet, ShardSetError> {
-        let gamma = SharedGamma::compile(dtd, constraints).map_err(ShardSetError::Compile)?;
-        ShardSet::create_shared(root, base_xmls, &gamma, config)
+        validate_root(root, base_xmls.len())?;
+        let open = |id, xml: &str, gamma: &Arc<SharedGamma>| {
+            let mut checker = Checker::from_shared(xml, gamma)?;
+            checker.attach_store(&shard_dir(root, id), config.sync)?;
+            Ok((checker, RecoveryReport::default()))
+        };
+        ShardSet::start(Some(root), base_xmls, dtd, constraints, config, false, open)
+            .map(|(set, _)| set)
     }
 
-    /// [`ShardSet::create`] over an already-compiled Γ.
-    fn create_shared(
-        root: &Path,
+    /// A shard set with no store: every document lives in memory, and a
+    /// restart begins again from `base_xmls`. [`ShardSet::recover_shard`]
+    /// answers [`ShardSetError::NoStore`].
+    pub fn in_memory(
         base_xmls: &[&str],
-        gamma: &Arc<SharedGamma>,
+        dtd: &str,
+        constraints: &str,
         config: ShardSetConfig,
     ) -> Result<ShardSet, ShardSetError> {
-        validate_root(root, base_xmls.len())?;
-        let patterns = PatternCache::new();
-        let mut shards = Vec::with_capacity(base_xmls.len());
-        for (id, xml) in base_xmls.iter().enumerate() {
-            let dir = shard_dir(root, id);
-            let mut checker = Checker::from_shared(xml, gamma)
-                .map_err(|source| ShardSetError::Shard { id, source })?;
-            checker
-                .attach_store(&dir, config.sync)
-                .map_err(|source| ShardSetError::Shard { id, source })?;
-            shards.push(ShardSlot {
-                dir,
-                base_xml: (*xml).to_string(),
-                service: RwLock::new(start_shard(checker, &patterns, &config)),
-            });
-        }
-        Ok(ShardSet {
-            gamma: Arc::clone(gamma),
-            patterns,
-            config,
-            shards,
-        })
+        let open = |_, xml: &str, gamma: &Arc<SharedGamma>| {
+            Ok((Checker::from_shared(xml, gamma)?, RecoveryReport::default()))
+        };
+        ShardSet::start(None, base_xmls, dtd, constraints, config, false, open).map(|(set, _)| set)
     }
 
     /// Rebuilds a shard set from its on-disk root after a crash: Γ is
@@ -386,74 +391,61 @@ impl ShardSet {
         config: ShardSetConfig,
         parallel: bool,
     ) -> Result<(ShardSet, ShardSetRecoveryReport), ShardSetError> {
-        let gamma = SharedGamma::compile(dtd, constraints).map_err(ShardSetError::Compile)?;
-        ShardSet::recover_shared(root, base_xmls, &gamma, config, parallel)
+        validate_root(root, base_xmls.len())?;
+        // A shard that was never written comes up fresh, exactly as
+        // `create` would bring it up.
+        let open = |id, xml: &str, gamma: &Arc<SharedGamma>| {
+            Checker::open_store(&shard_dir(root, id), xml, gamma, config.sync)
+        };
+        let (set, shards) =
+            ShardSet::start(Some(root), base_xmls, dtd, constraints, config, parallel, open)?;
+        Ok((set, ShardSetRecoveryReport { shards, parallel }))
     }
 
-    /// [`ShardSet::recover`] over an already-compiled Γ.
-    fn recover_shared(
-        root: &Path,
+    /// Compiles Γ, opens shard `i` over `base_xmls[i]` with `open` — on
+    /// one scoped thread per shard when `parallel` — and puts every shard
+    /// in service, its store directory under `root` if the set has one.
+    fn start(
+        root: Option<&Path>,
         base_xmls: &[&str],
-        gamma: &Arc<SharedGamma>,
+        dtd: &str,
+        constraints: &str,
         config: ShardSetConfig,
         parallel: bool,
-    ) -> Result<(ShardSet, ShardSetRecoveryReport), ShardSetError> {
-        validate_root(root, base_xmls.len())?;
-        let recover_one = |id: usize, xml: &str| -> Result<(Checker, RecoveryReport), ShardSetError> {
-            // A shard that was never written comes up fresh, exactly as
-            // `create` would bring it up.
-            Checker::open_store(&shard_dir(root, id), xml, gamma, config.sync)
-                .map_err(|source| ShardSetError::Shard { id, source })
-        };
-        let results: Vec<Result<(Checker, RecoveryReport), ShardSetError>> = if parallel {
+        open: impl Fn(usize, &str, &Arc<SharedGamma>) -> Opened + Sync,
+    ) -> Result<(ShardSet, Vec<RecoveryReport>), ShardSetError> {
+        let gamma = SharedGamma::compile(dtd, constraints).map_err(ShardSetError::Compile)?;
+        let open_one = |id: usize| open(id, base_xmls[id], &gamma);
+        let opened: Vec<Opened> = if parallel {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = base_xmls
-                    .iter()
-                    .enumerate()
-                    .map(|(id, xml)| {
-                        let recover_one = &recover_one;
-                        scope.spawn(move || recover_one(id, xml))
-                    })
-                    .collect();
+                let handles: Vec<_> =
+                    (0..base_xmls.len()).map(|id| scope.spawn(move || open_one(id))).collect();
                 handles
                     .into_iter()
-                    .enumerate()
-                    .map(|(id, handle)| {
+                    .map(|handle| {
                         handle.join().unwrap_or_else(|payload| {
-                            Err(ShardSetError::Shard {
-                                id,
-                                source: CheckerError::Panicked(crate::checker::panic_message(
-                                    payload.as_ref(),
-                                )),
-                            })
+                            let message = crate::checker::panic_message(payload.as_ref());
+                            Err(CheckerError::Panicked(message))
                         })
                     })
                     .collect()
             })
         } else {
-            base_xmls.iter().enumerate().map(|(id, xml)| recover_one(id, xml)).collect()
+            (0..base_xmls.len()).map(open_one).collect()
         };
         let patterns = PatternCache::new();
         let mut shards = Vec::with_capacity(base_xmls.len());
         let mut reports = Vec::with_capacity(base_xmls.len());
-        for (id, result) in results.into_iter().enumerate() {
-            let (checker, report) = result?;
+        for (id, result) in opened.into_iter().enumerate() {
+            let (checker, report) = result.map_err(|source| ShardSetError::Shard { id, source })?;
             shards.push(ShardSlot {
-                dir: shard_dir(root, id),
+                dir: root.map(|root| shard_dir(root, id)),
                 base_xml: base_xmls[id].to_string(),
                 service: RwLock::new(start_shard(checker, &patterns, &config)),
             });
             reports.push(report);
         }
-        Ok((
-            ShardSet {
-                gamma: Arc::clone(gamma),
-                patterns,
-                config,
-                shards,
-            },
-            ShardSetRecoveryReport { shards: reports, parallel },
-        ))
+        Ok((ShardSet { gamma, patterns, config, shards }, reports))
     }
 
     /// Number of shards.
@@ -536,20 +528,23 @@ impl ShardSet {
     /// *poisoned* or *degraded* shard rejoins the set — both are sticky
     /// on a service, so recovery is replacement. If reopening fails, the
     /// error is returned and the slot keeps the drained service (writes
-    /// answer `ERR draining: …`) until a later call succeeds.
+    /// answer `ERR draining: …`) until a later call succeeds. A set with
+    /// no store answers [`ShardSetError::NoStore`] and leaves the shard
+    /// as it was.
     ///
     /// Siblings' reads and writes proceed concurrently throughout; only
     /// requests routed to shard `id` wait (on the slot lock) for the
     /// swap.
     pub fn recover_shard(&self, id: usize) -> Result<RecoveryReport, ShardSetError> {
         let slot = self.slot(id)?;
+        let dir = slot.dir.as_deref().ok_or(ShardSetError::NoStore { id })?;
         let mut guard = slot.service.write().expect("shard slot poisoned");
         // Drain the old service so its checker (and store file handles)
         // are dropped before the directory is re-opened. A second
         // shutdown reports Stopped; either way the old writer is gone.
         let _ = guard.shutdown();
         let (checker, report) =
-            Checker::open_store(&slot.dir, &slot.base_xml, &self.gamma, self.config.sync)
+            Checker::open_store(dir, &slot.base_xml, &self.gamma, self.config.sync)
                 .map_err(|source| ShardSetError::Shard { id, source })?;
         *guard = start_shard(checker, &self.patterns, &self.config);
         Ok(report)

@@ -1,7 +1,8 @@
-//! Process-level restart test for `xic-serve` without `--shards`: a
-//! commit acknowledged by one run must still be there in the next run
-//! over the same `--store` directory; a directory that is not a store,
-//! the flags that left with the modes they selected (`--journal`,
+//! Process-level restart test for a one-document `xic-serve`: a commit
+//! acknowledged by one run must still be there in the next run over the
+//! same `--store` directory; a directory that is not a store (a store
+//! written straight into `DIR` rather than `DIR/shard-0/` included), the
+//! flags that left with the modes they selected (`--journal`,
 //! `--executor`, `--max-batch`) and a value on a boolean flag are refused
 //! with one line.
 
@@ -125,5 +126,29 @@ fn store_over_a_foreign_directory_is_refused() {
     let line = refused(&dir, &["--store", dir.to_str().expect("utf-8 path")]);
     assert!(line.contains("unrecognized entry"), "{line}");
     assert!(dir.join("doc.xml").exists(), "a refusal must leave the directory alone");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store whose generations sit in `DIR` itself, not in `DIR/shard-0/`,
+/// is refused by name and left as it is; moved into `shard-0/`, it
+/// resumes.
+#[test]
+fn store_files_outside_a_shard_directory_are_refused() {
+    let dir = scratch("flat-store");
+    let target = dir.join("store");
+    let storage = ["--store", target.to_str().expect("utf-8 path")];
+    let replies = serve(&dir, &storage, &format!("UPDATE {LEGAL}\nQUIT\n"));
+    assert_eq!(replies, ["OK 1 APPLIED optimized", "BYE"]);
+
+    let (nested, flat) = (target.join("shard-0").join("gen-0.wal"), target.join("gen-0.wal"));
+    std::fs::rename(&nested, &flat).expect("move the journal out of shard-0");
+    std::fs::remove_dir(target.join("shard-0")).expect("rmdir shard-0");
+    let line = refused(&dir, &storage);
+    assert!(line.contains("unrecognized entry \"gen-0.wal\""), "{line}");
+    assert!(flat.exists(), "a refusal must leave the store alone");
+
+    std::fs::create_dir(target.join("shard-0")).expect("mkdir shard-0");
+    std::fs::rename(&flat, &nested).expect("move the journal back");
+    assert_eq!(serve(&dir, &storage, "VERSION\nQUIT\n"), ["OK 1", "BYE"]);
     let _ = std::fs::remove_dir_all(&dir);
 }

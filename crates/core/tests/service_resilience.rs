@@ -7,8 +7,9 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use xic_faults::FaultMode;
+use xicheck::protocol::{execute, execute_sharded, serve_connection};
 use xicheck::service::{apply_batch, BatchDisposition, BatchStmt};
 use xicheck::{
     Checker, CheckerService, Executor, Health, ServiceConfig, ServiceError, ShardSet,
@@ -32,9 +33,16 @@ const CORPUS: &str = "<collection><dblp>\
 const CONFLICT: &str = "<- //rev[name/text() -> R]/sub/auts/name/text() -> A \
     & (A = R | //pub[aut/name/text() -> A & aut/name/text() -> R])";
 
-/// Serializes the tests that arm process-global (`any_thread`) faults so
-/// they cannot steal each other's single-shot trigger.
+/// Serializes every test that journals: a process-global (`any_thread`)
+/// fault fires on whichever thread reaches its site first, so a test
+/// that arms one must not share the journal sites with another.
 static FAULTS: Mutex<()> = Mutex::new(());
+
+/// Takes [`FAULTS`]. A test that failed while holding it says so
+/// itself; the lock it poisoned still serializes the rest.
+fn journaling() -> MutexGuard<'static, ()> {
+    FAULTS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn legal(tag: &str) -> String {
     format!(
@@ -63,7 +71,7 @@ fn fsyncs() -> u64 {
 /// Runs one protocol session against a sharded server; its replies.
 fn sharded(set: &ShardSet, requests: &str) -> Vec<String> {
     let mut replies = Vec::new();
-    xicheck::protocol::serve_connection_sharded(set, requests.as_bytes(), &mut replies)
+    serve_connection(|c| execute_sharded(set, c), requests.as_bytes(), &mut replies)
         .expect("in-memory connection");
     String::from_utf8(replies).expect("replies are text").lines().map(str::to_string).collect()
 }
@@ -193,7 +201,7 @@ fn generous_deadline_commits_normally() {
 /// journal — and reads keep serving the last durable snapshot.
 #[test]
 fn a_failed_batch_fsync_degrades_for_good() {
-    let _guard = FAULTS.lock().expect("fault serialization");
+    let _guard = journaling();
     let batch = |c: &mut Checker, tags: &[&str]| {
         let stmts: Vec<String> = tags.iter().map(|tag| legal(tag)).collect();
         let items: Vec<BatchStmt> =
@@ -232,7 +240,7 @@ fn a_failed_batch_fsync_degrades_for_good() {
     }
     let mut replies = Vec::new();
     let requests = format!("UPDATE {}\nHEALTH\n", legal("wire"));
-    xicheck::protocol::serve_connection(&service, requests.as_bytes(), &mut replies)
+    serve_connection(|c| execute(&service, c), requests.as_bytes(), &mut replies)
         .expect("in-memory connection");
     let replies = String::from_utf8(replies).expect("replies are text");
     let replies: Vec<&str> = replies.lines().collect();
@@ -257,6 +265,7 @@ fn a_failed_batch_fsync_degrades_for_good() {
 /// `UPDATE` is refused and reads serve the last published snapshot.
 #[test]
 fn a_failed_fsync_degrades_the_sync_executor_too() {
+    let _guard = journaling();
     let path = journal_path("sync-executor");
     let mut c = checker();
     c.attach_store(&path, true).expect("attach store");
@@ -271,7 +280,7 @@ fn a_failed_fsync_degrades_the_sync_executor_too() {
 
     let mut replies = Vec::new();
     let requests = format!("HEALTH\nUPDATE {}\nCHECK\nVERSION\n", legal("refused"));
-    xicheck::protocol::serve_connection(&service, requests.as_bytes(), &mut replies)
+    serve_connection(|c| execute(&service, c), requests.as_bytes(), &mut replies)
         .expect("in-memory connection");
     let replies = String::from_utf8(replies).expect("replies are text");
     let replies: Vec<&str> = replies.lines().collect();
@@ -290,6 +299,7 @@ fn a_failed_fsync_degrades_the_sync_executor_too() {
 /// no fsync fails and the service does not turn degraded.
 #[test]
 fn a_checker_recovered_degraded_refuses_updates_without_degrading_its_service() {
+    let _guard = journaling();
     let path = journal_path("recovered-degraded");
     let mut c = checker();
     c.attach_store(&path, true).expect("attach store");
@@ -306,7 +316,7 @@ fn a_checker_recovered_degraded_refuses_updates_without_degrading_its_service() 
         let before = fsyncs();
         let mut replies = Vec::new();
         let requests = format!("UPDATE {}\nHEALTH\nCHECK\n", legal("refused"));
-        xicheck::protocol::serve_connection(&service, requests.as_bytes(), &mut replies)
+        serve_connection(|c| execute(&service, c), requests.as_bytes(), &mut replies)
             .expect("in-memory connection");
         let replies = String::from_utf8(replies).expect("replies are text");
         let replies: Vec<&str> = replies.lines().collect();
@@ -327,7 +337,7 @@ fn a_checker_recovered_degraded_refuses_updates_without_degrading_its_service() 
 /// whole-set recovery byte for byte.
 #[test]
 fn a_degraded_shard_comes_back_by_replay() {
-    let _guard = FAULTS.lock().expect("fault serialization");
+    let _guard = journaling();
     let root = journal_path("shards");
     let set = ShardSet::create(&root, &[CORPUS, CORPUS], DTD, CONFLICT, ShardSetConfig::default())
         .expect("shard set");
@@ -379,7 +389,7 @@ fn a_degraded_shard_comes_back_by_replay() {
 /// batch fsyncs its own record.
 #[test]
 fn a_replayed_checker_keeps_the_configured_sync_mode() {
-    let _guard = FAULTS.lock().expect("fault serialization");
+    let _guard = journaling();
     let dir = journal_path("sync-mode");
     let mut c = checker();
     c.attach_store(&dir, true).expect("attach store");
@@ -488,7 +498,7 @@ fn an_operation_aimed_at_the_wrong_node_kind_is_an_error_not_a_panic() {
             );
             let request = format!("UPDATE {stmt}\nDECIDE {stmt}\nHEALTH\n");
             let mut replies = Vec::new();
-            xicheck::protocol::serve_connection(&service, request.as_bytes(), &mut replies)
+            serve_connection(|c| execute(&service, c), request.as_bytes(), &mut replies)
                 .expect("in-memory connection");
             let replies = String::from_utf8(replies).expect("replies are text");
             let replies: Vec<&str> = replies.lines().collect();

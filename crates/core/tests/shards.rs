@@ -86,6 +86,23 @@ fn shards_commit_independently_and_share_the_pattern_cache() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A set with no store has nothing to replay a shard from:
+/// `recover_shard` says so with a typed error and leaves the shard as it
+/// was, and its siblings keep serving.
+#[test]
+fn recovering_a_shard_of_an_in_memory_set_is_refused() {
+    let set = ShardSet::in_memory(&[CORPUS, CORPUS], DTD, CONFLICT, sync_config())
+        .expect("in-memory set");
+    assert!(set.submit(0, &legal("a")).expect("shard 0").outcome.applied());
+    assert!(matches!(set.recover_shard(0), Err(ShardSetError::NoStore { id: 0 })));
+    assert!(set.submit(0, &legal("b")).expect("shard 0 still serves").outcome.applied());
+    assert!(set.submit(1, &legal("c")).expect("shard 1").outcome.applied());
+    let versions: Vec<u64> = set.health().shards.iter().map(|s| s.version).collect();
+    assert_eq!(versions, vec![2, 1]);
+    assert_eq!(set.health().overall(), Health::Ok);
+    set.shutdown().expect("shutdown");
+}
+
 #[test]
 fn root_layout_refuses_foreign_entries() {
     let root = root_dir("layout");

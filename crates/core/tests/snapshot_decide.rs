@@ -308,7 +308,7 @@ fn zero_deadline_decide_times_out_once() {
     let service = service(CONFLICT);
     let script = format!("DECIDE 0 {}\nSTATS\nDECIDE {}\n", legal("a"), legal("a"));
     let mut out = Vec::new();
-    serve_connection(&service, Cursor::new(script), &mut out).expect("serve");
+    serve_connection(|c| execute(&service, c), Cursor::new(script), &mut out).expect("serve");
     let text = String::from_utf8(out).expect("utf8 replies");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines[0], "ERR timeout: deadline of 0 ms exceeded");
@@ -419,7 +419,7 @@ fn stats_count_every_way_a_decide_is_answered() {
         legal("a")
     );
     let mut out = Vec::new();
-    serve_connection(&service, Cursor::new(script), &mut out).expect("serve");
+    serve_connection(|c| execute(&service, c), Cursor::new(script), &mut out).expect("serve");
     let text = String::from_utf8(out).expect("utf8 replies");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines[..6], ["OK 0 LEGAL"; 6], "{lines:?}");
