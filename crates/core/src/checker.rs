@@ -207,14 +207,15 @@ pub(crate) fn index_reads<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
 /// # Ownership under concurrency
 ///
 /// A `Checker` is `Send` but deliberately **not** shared: all mutating
-/// entry points take `&mut self`, so concurrent use means handing the
-/// whole value to a single writer — exactly what
-/// [`crate::service::CheckerService`] does (one writer thread owns the
-/// `Checker`; readers see immutable [`crate::service::ReadSnapshot`]s
-/// published per committed batch). Do not wrap a `Checker` in a lock
-/// shared by readers and writers to "parallelize" it: read entry points
-/// would serialize behind commits and the fsync in every commit would
-/// stall them (the service exists to avoid precisely that).
+/// entry points take `&mut self`, so concurrent use means one writer at a
+/// time — exactly what [`crate::service::CheckerService`] does (the
+/// `Checker` sits behind a commit lock that only writers take: the
+/// submitter leading a batch holds it for that batch; readers see
+/// immutable [`crate::service::ReadSnapshot`]s published per committed
+/// batch). Do not wrap a `Checker` in a lock shared by readers and
+/// writers to "parallelize" it: read entry points would serialize behind
+/// commits and the fsync in every commit would stall them (the service
+/// exists to avoid precisely that).
 pub struct Checker {
     /// The committed version: a statement is applied to a copy, which its
     /// commit swaps in, so a published snapshot shares this `Arc`.

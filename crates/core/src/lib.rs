@@ -58,8 +58,10 @@
 //! A `Checker` is deliberately single-writer (`&mut self` everywhere).
 //! To serve concurrent clients, wrap it in a
 //! [`service::CheckerService`]: readers get immutable versioned
-//! [`service::ReadSnapshot`]s while a single writer thread batches
-//! submitted updates into group commits (one shared fsync per batch).
+//! [`service::ReadSnapshot`]s, and submitters commit their own updates:
+//! the one that finds no batch running leads the next under the commit
+//! lock, and statements queued meanwhile join it (one shared fsync per
+//! batch).
 //! The [`protocol`] module puts a line-oriented wire protocol on top;
 //! the `xic-serve` binary serves it over stdin/stdout or a Unix socket.
 //!

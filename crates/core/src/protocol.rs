@@ -488,7 +488,10 @@ fn serve_capped(
             },
         };
         let done = reply == Reply::Bye;
-        writeln!(output, "{}", reply.render())?;
+        // One `write` per reply: a client never wakes on half a line.
+        let mut line = reply.render();
+        line.push('\n');
+        output.write_all(line.as_bytes())?;
         output.flush()?;
         if done {
             break;
@@ -940,6 +943,31 @@ mod tests {
                 "BYE",
             ],
             "blank lines are skipped and nothing after QUIT is served"
+        );
+    }
+
+    /// Each reply reaches the output in one `write` call, its newline
+    /// included, so a client reading the socket never wakes on a partial
+    /// line.
+    #[test]
+    fn each_reply_is_one_write() {
+        struct Calls(Vec<String>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(String::from_utf8_lossy(buf).into_owned());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let service = service();
+        let script = format!("DECIDE {}\nVERSION\nbogus\nQUIT\n", insert("erin"));
+        let mut calls = Calls(Vec::new());
+        serve_connection(|c| execute(&service, c), Cursor::new(script), &mut calls).expect("serve");
+        assert_eq!(
+            calls.0,
+            ["OK 0 LEGAL\n", "OK 0\n", "ERR unknown request \"bogus\"\n", "BYE\n"]
         );
     }
 

@@ -21,13 +21,19 @@
 //!   its writer; the baseline ([`ReadSnapshot::decide_full`]: copy,
 //!   apply, check all of Γ) only decides what the writer also sends
 //!   down the baseline.
-//! * **Writers group-commit.** One writer thread owns the `Checker`;
-//!   concurrent submitters' statements are drained into a batch
-//!   ([`apply_batch`]), their journal records appended *unsynced*, and
-//!   the whole batch made durable with **one shared fsync**
+//! * **Submitters group-commit their own batches.** The `Checker` sits
+//!   behind one *commit lock*, and there is no writer thread. A submitter
+//!   queues its parsed statement; if no batch is running it becomes the
+//!   *leader*: it takes the commit lock, drains the queue into a batch
+//!   ([`apply_batch`]) whose journal records are appended *unsynced* and
+//!   made durable with **one shared fsync**
 //!   ([`Journal::sync_now`][sync-now], the one durability point) before
-//!   any submitter is acknowledged. A rejected statement appends no
-//!   record and cannot poison its batch-mates.
+//!   any submitter is acknowledged, then hands the lead to the first
+//!   submitter still queued. Everyone else waits for its answer, so an
+//!   uncontended `UPDATE` runs start to finish on its own thread, while
+//!   statements that arrive during a batch's fsync share the next one. A
+//!   rejected statement appends no record and cannot poison its
+//!   batch-mates.
 //! * **Overload sheds instead of queueing without bound.** Admission is
 //!   bounded by [`ServiceConfig::queue_depth`]: once that many
 //!   submissions are waiting, further ones fail fast with
@@ -41,7 +47,10 @@
 //!   bounds queue wait *and* evaluation: expired requests are dropped
 //!   with [`ServiceError::Timeout`], and the remaining allowance is
 //!   armed as an [`EvalBudget`] around the check so a pathological
-//!   statement/constraint pair times out instead of hanging.
+//!   statement/constraint pair times out instead of hanging. A waiting
+//!   submitter answers `Timeout` at its deadline; one with a deadline that
+//!   leads takes only its own statement, so no batch-mate's evaluation
+//!   delays its answer.
 //! * **A failed batch fsync degrades, it does not kill.** The shared
 //!   fsync is attempted once and never retried (after a failed fsync the
 //!   kernel may have dropped the batch's pages, so a second one that
@@ -51,11 +60,12 @@
 //!   — and stay there: like a poisoned one, a degraded service is
 //!   replaced by replaying its store (`ShardSet::recover_shard`, or a
 //!   restart over `--store`).
-//! * **One batch path, two executors.** [`Executor::Sync`] runs the
-//!   same batch path as the writer thread, with a batch of one, on the
-//!   submitting thread under a mutex; tests, difftest and the wire-level
-//!   benchmark's in-process twins drive it, because no writer thread
-//!   stands between a submit and its effect.
+//! * **One batch path, two batch caps.** [`Executor::Sync`] caps a batch
+//!   at one statement, so every statement runs on its own submitting
+//!   thread, one after another; tests, difftest and the wire-level
+//!   benchmark's in-process twins drive it, and thread-scoped fault
+//!   injection reaches every statement of the arming thread.
+//!   [`Executor::GroupCommit`] caps it at [`DEFAULT_MAX_BATCH`].
 //!
 //! The batching rules, the snapshot-handoff protocol (when readers
 //! observe a new version) and the failure-mode state machine (ok →
@@ -68,10 +78,11 @@
 use crate::checker::{index_reads, Checker, CheckerError, UpdateOutcome, Violation};
 use crate::gamma::{Baseline, SharedGamma};
 use crate::optimized::{Fallback, OptimizedCheck, PatternCache, Verdict};
+use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 use xic_xml::{serialize, Document, XUpdateDoc};
 use xic_xpath::EvalBudget;
@@ -81,7 +92,7 @@ use xic_xpath::EvalBudget;
 /// enough that a slow statement cannot starve later submitters for long.
 pub const DEFAULT_MAX_BATCH: usize = 32;
 
-/// Default bound on submissions waiting for the writer (admission
+/// Default bound on submissions waiting for a batch (admission
 /// control): the 257th concurrent waiter on a default-configured service
 /// is shed with [`ServiceError::Overloaded`] rather than queued. Eight
 /// default batches deep — enough to ride out a slow batch, small enough
@@ -96,19 +107,30 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 /// wall-clock checks cannot reach (mid-traversal).
 pub const DEADLINE_STEPS_PER_MS: u64 = 50_000;
 
-/// How the service executes submitted updates. Both run the same batch
-/// path ([`apply_batch`]); they differ only in who runs it.
+/// How many queued statements one batch may take. Under both, the
+/// submitter that finds no batch running leads the next one under the
+/// commit lock, on its own thread, through the same batch path
+/// ([`apply_batch`]); the executor only sets the batch cap (and the word
+/// `STATS` prints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// Deterministic in-thread executor: each submitter takes a mutex on
-    /// the checker and runs a batch of one on its own thread. It is what
-    /// tests, difftest and the wire-level benchmark's in-process twins
-    /// drive.
+    /// Batches of one: every statement is decided, applied and flushed on
+    /// its own submitting thread, one after another. It is what tests,
+    /// difftest and the wire-level benchmark's in-process twins drive.
     Sync,
-    /// Group commit: a dedicated writer thread owns the checker, drains
-    /// up to [`DEFAULT_MAX_BATCH`] queued statements per round, and
-    /// shares one fsync across the batch.
+    /// Group commit: a leader drains up to [`DEFAULT_MAX_BATCH`] queued
+    /// statements and shares one fsync across the batch.
     GroupCommit,
+}
+
+impl Executor {
+    /// The most queued statements one batch takes.
+    fn max_batch(self) -> usize {
+        match self {
+            Executor::Sync => 1,
+            Executor::GroupCommit => DEFAULT_MAX_BATCH,
+        }
+    }
 }
 
 /// Full service configuration (the executor plus the resilience knobs).
@@ -148,7 +170,7 @@ pub enum Health {
     /// refused with [`ServiceError::Degraded`]. Sticky, like
     /// [`Health::Poisoned`].
     Degraded,
-    /// The writer's checker was poisoned by a contained panic
+    /// The checker was poisoned by a contained panic
     /// mid-statement: every further UPDATE fails with
     /// [`CheckerError::Poisoned`]. Reads keep serving the last
     /// published snapshot. Neither this nor [`Health::Degraded`] is left
@@ -201,9 +223,9 @@ pub enum ServiceError {
     /// The service is draining for shutdown: the in-flight queue still
     /// gets its verdicts, but no new submissions are admitted. Distinct
     /// from [`ServiceError::Stopped`] so clients can tell an orderly
-    /// drain (reads still answer) from a writer that is simply gone.
+    /// drain (reads still answer) from a service already shut down.
     Draining,
-    /// The writer thread is gone (the service was shut down).
+    /// The service was shut down: its checker has been handed back.
     Stopped,
 }
 
@@ -535,22 +557,45 @@ impl Deadline {
     }
 }
 
-/// One queued submission awaiting the writer thread.
+/// One admitted submission: its parsed statement, its deadline, and the
+/// channel its submitter waits on.
 struct UpdateReq {
-    stmt: String,
+    /// Names the request in the queue, for a follower that withdraws.
+    ticket: u64,
+    stmt: XUpdateDoc,
     deadline: Option<Deadline>,
-    reply: mpsc::SyncSender<Result<SubmitOutcome, ServiceError>>,
+    wake: mpsc::SyncSender<Wake>,
 }
 
-enum Inner {
-    // The checker is boxed so the enum isn't sized by it; the Option is
-    // taken by `shutdown`, which therefore needs no exclusive ownership
-    // of the service (live reader handles stay valid).
-    Sync(Mutex<Option<Box<Checker>>>),
-    Group {
-        tx: Mutex<Option<mpsc::Sender<UpdateReq>>>,
-        handle: Mutex<Option<JoinHandle<Checker>>>,
-    },
+/// What a queued submitter is woken with: at most one of each, the lead
+/// first.
+enum Wake {
+    /// Lead the next batch.
+    Lead,
+    /// The statement's answer.
+    Answer(Result<SubmitOutcome, ServiceError>),
+}
+
+impl UpdateReq {
+    /// Answers the submitter. The first answer is the one it gets; a
+    /// submitter that gave up has dropped its end.
+    fn answer(&self, result: Result<SubmitOutcome, ServiceError>) {
+        let _ = self.wake.try_send(Wake::Answer(result));
+    }
+}
+
+/// The submissions waiting for a batch, and whether a leader is running
+/// one.
+#[derive(Default)]
+struct Queue {
+    pending: VecDeque<UpdateReq>,
+    /// Tickets handed out so far.
+    tickets: u64,
+    /// A submitter leads: it runs one batch under the commit lock, then
+    /// promotes `pending`'s front. While this is false `pending` is empty,
+    /// so a leader's own statement is always at the front of the batch it
+    /// drains.
+    leading: bool,
 }
 
 /// The concurrent checker service (DESIGN.md rows 19 and 22): one
@@ -560,26 +605,31 @@ enum Inner {
 ///
 /// Constructed over a fully-configured [`Checker`] (attach the journal
 /// or store, set policies and budgets *first* — the service takes
-/// ownership and, under [`Executor::GroupCommit`], hands the checker to
-/// its writer thread). [`CheckerService::shutdown`] stops admission,
-/// drains the queue, and gives the checker back.
+/// ownership and keeps it behind its commit lock, where the submitter
+/// leading each batch uses it). [`CheckerService::shutdown`] stops
+/// admission, drains the queue, and gives the checker back.
 pub struct CheckerService {
     snapshot: RwLock<Arc<ReadSnapshot>>,
     checks: Arc<CheckSet>,
     config: ServiceConfig,
     /// Read-only mode: a batch fsync failed. Sticky, like `poisoned`.
     degraded: AtomicBool,
-    /// The writer's checker took a contained panic mid-statement and
-    /// refuses all further mutations. Sticky: only replacing the
-    /// service (shard-level recovery) clears it.
+    /// A panic interrupted a batch — one the checker contained, or one
+    /// the leader caught — and every further UPDATE is refused. Sticky:
+    /// only replacing the service (shard-level recovery) clears it.
     poisoned: AtomicBool,
     /// Set by [`CheckerService::shutdown`]: no new submissions.
     draining: AtomicBool,
-    /// Submissions admitted but not yet picked up by the writer (group
-    /// mode) / in flight (sync mode); the admission bound.
+    /// Submissions admitted and not yet drained into a batch (under
+    /// `Sync`: not yet run): the admission bound.
     queued: AtomicUsize,
     stats: StatsCells,
-    inner: Inner,
+    /// The commit lock: held by the leading submitter for one batch.
+    /// `None` once [`CheckerService::shutdown`] has taken the checker.
+    checker: Mutex<Option<Checker>>,
+    queue: Mutex<Queue>,
+    /// Signalled when the lead lapses with nothing queued.
+    idle: Condvar,
 }
 
 impl CheckerService {
@@ -598,35 +648,18 @@ impl CheckerService {
             version: checker.committed(),
             checks: checks.clone(),
         });
-        // The service is created inside an `Arc` because the writer
-        // thread and every client share it.
-        Arc::new_cyclic(|weak: &std::sync::Weak<CheckerService>| {
-            let inner = match config.executor {
-                Executor::Sync => Inner::Sync(Mutex::new(Some(Box::new(checker)))),
-                Executor::GroupCommit => {
-                    let (tx, rx) = mpsc::channel::<UpdateReq>();
-                    let weak = weak.clone();
-                    let handle = std::thread::Builder::new()
-                        .name("xic-service-writer".to_string())
-                        .spawn(move || writer_loop(checker, rx, weak))
-                        .expect("spawn service writer thread");
-                    Inner::Group {
-                        tx: Mutex::new(Some(tx)),
-                        handle: Mutex::new(Some(handle)),
-                    }
-                }
-            };
-            CheckerService {
-                snapshot: RwLock::new(initial),
-                checks,
-                config,
-                degraded: AtomicBool::new(false),
-                poisoned: AtomicBool::new(false),
-                draining: AtomicBool::new(false),
-                queued: AtomicUsize::new(0),
-                stats: StatsCells::default(),
-                inner,
-            }
+        Arc::new(CheckerService {
+            snapshot: RwLock::new(initial),
+            checks,
+            config,
+            degraded: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            queued: AtomicUsize::new(0),
+            stats: StatsCells::default(),
+            checker: Mutex::new(Some(checker)),
+            queue: Mutex::new(Queue::default()),
+            idle: Condvar::new(),
         })
     }
 
@@ -676,7 +709,7 @@ impl CheckerService {
     }
 
     /// The current read snapshot (an `Arc` clone; never blocks on
-    /// writer I/O — the writer swaps the slot only after its batch is
+    /// commit I/O — a leader swaps the slot only after its batch is
     /// durable, holding the write lock just for the pointer swap).
     pub fn snapshot(&self) -> Arc<ReadSnapshot> {
         xic_obs::incr(xic_obs::Counter::SnapshotRead);
@@ -690,8 +723,8 @@ impl CheckerService {
 
     /// Submits one XUpdate statement for checked execution, blocking
     /// until its verdict is durable (until its batch's shared fsync).
-    /// Concurrent callers are safe; ordering between them is the
-    /// writer's arrival order. Applies the configured
+    /// Concurrent callers are safe; ordering between them is their
+    /// arrival order in the queue. Applies the configured
     /// [`ServiceConfig::default_deadline_ms`], if any.
     pub fn submit(&self, stmt: &str) -> Result<SubmitOutcome, ServiceError> {
         self.submit_with(stmt, self.config.default_deadline_ms)
@@ -702,6 +735,10 @@ impl CheckerService {
     /// bounds queue wait and evaluation; an expired request fails with
     /// [`ServiceError::Timeout`]. A timeout *while waiting for the ack*
     /// leaves the verdict unknown — the statement may still commit.
+    ///
+    /// The statement is parsed on the calling thread, before admission. It
+    /// then queues; if no batch is running, the caller leads the next one
+    /// itself, otherwise it waits for its answer or for the lead.
     pub fn submit_with(
         &self,
         stmt: &str,
@@ -713,7 +750,7 @@ impl CheckerService {
         if self.degraded.load(Ordering::Acquire) {
             return Err(ServiceError::Degraded);
         }
-        let deadline = deadline_ms.map(Deadline::new);
+        let stmt = XUpdateDoc::parse(stmt).map_err(|e| CheckerError::Statement(e.to_string()))?;
         // Bounded admission: shed before queueing, not after.
         if self.queued.fetch_add(1, Ordering::AcqRel) >= self.config.queue_depth {
             self.queued.fetch_sub(1, Ordering::AcqRel);
@@ -721,74 +758,185 @@ impl CheckerService {
             xic_obs::incr(xic_obs::Counter::RequestShed);
             return Err(ServiceError::Overloaded { depth: self.config.queue_depth });
         }
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let req = UpdateReq { stmt: stmt.to_string(), deadline, reply: reply_tx };
-        match &self.inner {
-            Inner::Sync(slot) => {
-                // The submitting thread is the writer: a batch of one
-                // under the mutex (queue wait = mutex wait, and the
-                // counter bounds concurrent submitters).
-                let mut checker = slot.lock().expect("sync-executor checker poisoned");
-                match checker.as_mut() {
-                    Some(checker) => self.run_batch(checker, vec![req]),
-                    None => drop(req),
-                }
-                drop(checker);
-                self.queued.fetch_sub(1, Ordering::AcqRel);
-                reply_rx.recv().map_err(|_| ServiceError::Stopped)?
+        let (wake, woken) = mpsc::sync_channel(1);
+        // The deadline starts as the request queues: it bounds the wait for
+        // a batch and the evaluation, not the parse.
+        let deadline = deadline_ms.map(Deadline::new);
+        let (ticket, lead) = {
+            let mut queue = self.queue();
+            queue.tickets += 1;
+            let ticket = queue.tickets;
+            queue.pending.push_back(UpdateReq { ticket, stmt, deadline, wake });
+            (ticket, !std::mem::replace(&mut queue.leading, true))
+        };
+        if lead {
+            self.lead(&woken, deadline)
+        } else {
+            self.follow(ticket, &woken, deadline)
+        }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("submission queue poisoned")
+    }
+
+    /// Leads one batch on the calling thread, under the commit lock, then
+    /// passes the lead on. The caller's own statement is the front of the
+    /// batch, so the batch answers it. A caller with a deadline takes only
+    /// its own statement: its batch-mates' evaluation is not bounded by
+    /// that deadline. A panic the checker did not contain poisons the
+    /// service and refuses the rest of the batch, so no follower waits on a
+    /// leader that stopped.
+    fn lead(
+        &self,
+        woken: &mpsc::Receiver<Wake>,
+        deadline: Option<Deadline>,
+    ) -> Result<SubmitOutcome, ServiceError> {
+        let cap = if deadline.is_some() { 1 } else { self.config.executor.max_batch() };
+        {
+            // Nothing unwinds past this guard (the batch runs under
+            // `catch_unwind`), so the lock is never poisoned.
+            let mut checker = self.checker.lock().expect("commit lock poisoned");
+            let batch = self.drain(cap);
+            // Under `GroupCommit` a drained statement stops counting
+            // against the admission bound at once; under `Sync` it counts
+            // until its batch has run, so the bound counts every submitter
+            // in flight there, the one running included.
+            let release = |n| self.queued.fetch_sub(n, Ordering::AcqRel);
+            let sync = self.config.executor == Executor::Sync;
+            if !sync {
+                release(batch.len());
             }
-            Inner::Group { tx, .. } => {
-                let sent = tx
-                    .lock()
-                    .expect("submit queue poisoned")
-                    .as_ref()
-                    .is_some_and(|sender| sender.send(req).is_ok());
-                if !sent {
-                    self.queued.fetch_sub(1, Ordering::AcqRel);
-                    return Err(ServiceError::Stopped);
-                }
-                // The writer decrements `queued` when it dequeues.
-                match deadline {
-                    None => reply_rx.recv().map_err(|_| ServiceError::Stopped)?,
-                    Some(d) => {
-                        let wait = d.expires.saturating_duration_since(Instant::now());
-                        match reply_rx.recv_timeout(wait) {
-                            Ok(result) => result,
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                self.checks.note_timeout();
-                                Err(ServiceError::Timeout { ms: d.ms })
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                Err(ServiceError::Stopped)
-                            }
+            match checker.as_mut() {
+                Some(checker) => {
+                    let ran = catch_unwind(AssertUnwindSafe(|| self.run_batch(checker, &batch)));
+                    if ran.is_err() {
+                        self.note_poisoned();
+                        for req in &batch {
+                            req.answer(Err(CheckerError::Poisoned.into()));
                         }
                     }
                 }
+                None => {
+                    for req in &batch {
+                        req.answer(Err(ServiceError::Stopped));
+                    }
+                }
+            }
+            if sync {
+                release(batch.len());
+            }
+        }
+        self.pass_lead(&mut self.queue());
+        match woken.try_recv() {
+            Ok(Wake::Answer(result)) => result,
+            _ => unreachable!("a batch answers every statement it drains, its leader's first"),
+        }
+    }
+
+    /// Takes the next batch, up to `cap` statements, off the queue.
+    fn drain(&self, cap: usize) -> Vec<UpdateReq> {
+        let mut queue = self.queue();
+        let n = queue.pending.len().min(cap);
+        queue.pending.drain(..n).collect()
+    }
+
+    /// Hands the lead to the first queued submitter, or lets it lapse when
+    /// nobody is queued.
+    fn pass_lead(&self, queue: &mut Queue) {
+        match queue.pending.front() {
+            Some(next) => {
+                // The front has not been drained, so nothing answered it.
+                let _ = next.wake.try_send(Wake::Lead);
+            }
+            None => {
+                queue.leading = false;
+                self.idle.notify_all();
             }
         }
     }
 
-    /// Executes one admitted batch on the writer's thread — the writer
-    /// thread's, or under [`Executor::Sync`] the submitter's: refuse it
-    /// if degraded, expire overdue requests, run the batch path, publish
-    /// on success or degrade on a failed flush, acknowledge every
-    /// submitter.
-    fn run_batch(&self, checker: &mut Checker, batch: Vec<UpdateReq>) {
-        if self.degraded.load(Ordering::Acquire) {
-            // Read-only: refuse without touching the checker, so the
-            // in-memory state stays at the last (unflushed) batch.
+    /// Waits for the statement's answer, or for the lead, which it then
+    /// takes. A deadline that passes first withdraws the statement.
+    fn follow(
+        &self,
+        ticket: u64,
+        woken: &mpsc::Receiver<Wake>,
+        deadline: Option<Deadline>,
+    ) -> Result<SubmitOutcome, ServiceError> {
+        let wake = match deadline {
+            None => woken.recv().map_err(|_| ServiceError::Stopped)?,
+            Some(d) => {
+                let left = d.expires.saturating_duration_since(Instant::now());
+                match woken.recv_timeout(left) {
+                    Ok(wake) => wake,
+                    Err(_) => return self.withdraw(ticket, woken, d),
+                }
+            }
+        };
+        match wake {
+            Wake::Lead => self.lead(woken, deadline),
+            Wake::Answer(result) => result,
+        }
+    }
+
+    /// A follower whose deadline passed leaves the queue, so its statement
+    /// never runs, and passes the lead on if it was just promoted. A
+    /// statement a running batch already holds may still commit: the
+    /// timeout leaves its verdict unknown.
+    fn withdraw(
+        &self,
+        ticket: u64,
+        woken: &mpsc::Receiver<Wake>,
+        d: Deadline,
+    ) -> Result<SubmitOutcome, ServiceError> {
+        // The lead is only handed on under the queue lock: holding it, the
+        // channel says whether this follower was promoted.
+        let mut queue = self.queue();
+        let promoted = match woken.try_recv() {
+            Ok(Wake::Answer(result)) => return result,
+            Ok(Wake::Lead) => true,
+            Err(_) => false,
+        };
+        if let Some(at) = queue.pending.iter().position(|req| req.ticket == ticket) {
+            queue.pending.remove(at);
+            self.queued.fetch_sub(1, Ordering::AcqRel);
+        }
+        if promoted {
+            self.pass_lead(&mut queue);
+        }
+        drop(queue);
+        self.checks.note_timeout();
+        Err(ServiceError::Timeout { ms: d.ms })
+    }
+
+    /// Executes one drained batch on the leader's thread: refuse it if the
+    /// service is degraded or poisoned, expire overdue requests, run the
+    /// batch path, publish on success or degrade on a failed flush,
+    /// answer every submitter.
+    fn run_batch(&self, checker: &mut Checker, batch: &[UpdateReq]) {
+        let refusal = if self.degraded.load(Ordering::Acquire) {
+            Some(ServiceError::Degraded)
+        } else if self.poisoned.load(Ordering::Acquire) {
+            Some(CheckerError::Poisoned.into())
+        } else {
+            None
+        };
+        if let Some(refusal) = refusal {
+            // Refuse without touching the checker, so the in-memory state
+            // stays at the last (unflushed) batch.
             for req in batch {
-                let _ = req.reply.send(Err(ServiceError::Degraded));
+                req.answer(Err(refusal.clone()));
             }
             return;
         }
         let now = Instant::now();
-        let mut live: Vec<(UpdateReq, Option<EvalBudget>)> = Vec::with_capacity(batch.len());
+        let mut live: Vec<(&UpdateReq, Option<EvalBudget>)> = Vec::with_capacity(batch.len());
         for req in batch {
             let budget = req.deadline.map(|d| d.budget(now));
             if let (Some(d), Some(None)) = (req.deadline, budget) {
                 self.checks.note_timeout();
-                let _ = req.reply.send(Err(ServiceError::Timeout { ms: d.ms }));
+                req.answer(Err(ServiceError::Timeout { ms: d.ms }));
                 continue;
             }
             live.push((req, budget.flatten()));
@@ -815,8 +963,7 @@ impl CheckerService {
         }
         // Acknowledge only now: every commit in the batch is durable (or
         // reported as SyncFailed/Timeout). A submitter that gave up
-        // waiting closed its reply channel; that is its loss, not an
-        // error here.
+        // waiting drops its answer.
         for ((req, _), result) in live.into_iter().zip(outcome.results) {
             let result = match (result, req.deadline) {
                 // An exhausted deadline budget surfaces as a timeout, not
@@ -827,7 +974,7 @@ impl CheckerService {
                 }
                 (result, _) => result,
             };
-            let _ = req.reply.send(result);
+            req.answer(result);
         }
     }
 
@@ -861,7 +1008,7 @@ impl CheckerService {
         }
     }
 
-    /// Records that the writer's checker is poisoned (sticky; see
+    /// Records that a panic interrupted a batch (sticky; see
     /// [`Health::Poisoned`]).
     fn note_poisoned(&self) {
         self.poisoned.store(true, Ordering::Release);
@@ -870,68 +1017,24 @@ impl CheckerService {
     /// Stops the service and returns the checker: admission closes
     /// ([`ServiceError::Draining`] for new submissions), the queue
     /// drains — every queued submission still gets its durable verdict
-    /// (or its degraded/timeout refusal) — and the writer thread joins.
-    /// Safe with any number of live service or snapshot handles; a
+    /// (or its degraded/timeout refusal) from the leaders — and the
+    /// checker is taken from behind the commit lock once the lead has
+    /// lapsed. Safe with any number of live service or snapshot handles; a
     /// second call returns [`ServiceError::Stopped`].
     pub fn shutdown(&self) -> Result<Checker, ServiceError> {
         self.draining.store(true, Ordering::Release);
-        match &self.inner {
-            Inner::Sync(slot) => slot
-                .lock()
-                .expect("sync-executor checker poisoned")
-                .take()
-                .map(|boxed| *boxed)
-                .ok_or(ServiceError::Stopped),
-            Inner::Group { tx, handle } => {
-                // Closing the queue lets the writer loop drain and exit.
-                drop(tx.lock().expect("submit queue poisoned").take());
-                let handle = handle
-                    .lock()
-                    .expect("writer handle poisoned")
-                    .take()
-                    .ok_or(ServiceError::Stopped)?;
-                // The writer contains batch panics, so a join error is
-                // unreachable short of a bug in the loop itself.
-                handle.join().map_err(|_| ServiceError::Stopped)
-            }
-        }
+        let idle = self.idle.wait_while(self.queue(), |queue| queue.leading);
+        drop(idle.expect("submission queue poisoned"));
+        self.checker.lock().expect("commit lock poisoned").take().ok_or(ServiceError::Stopped)
     }
 }
 
-/// The writer loop: drain up to [`DEFAULT_MAX_BATCH`] queued requests
-/// and run them as one batch ([`CheckerService::run_batch`]). A failed
-/// batch fsync flips the service into degraded mode for good but keeps
-/// the loop alive, so queued submitters get answers and shutdown can
-/// drain.
-fn writer_loop(
-    mut checker: Checker,
-    rx: mpsc::Receiver<UpdateReq>,
-    service: std::sync::Weak<CheckerService>,
-) -> Checker {
-    // The queue closing (shutdown) ends the loop once it is drained.
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        while batch.len() < DEFAULT_MAX_BATCH {
-            match rx.try_recv() {
-                Ok(req) => batch.push(req),
-                Err(_) => break,
-            }
-        }
-        // Submitters hold the service while they wait, so it outlives
-        // every batch they are in.
-        if let Some(service) = service.upgrade() {
-            service.queued.fetch_sub(batch.len(), Ordering::AcqRel);
-            service.run_batch(&mut checker, batch);
-        }
-    }
-    checker
-}
-
-/// One statement of a batch: the text plus an optional evaluation
-/// budget (a deadline's remaining allowance) armed around its check.
+/// One statement of a batch: the parsed statement plus an optional
+/// evaluation budget (a deadline's remaining allowance) armed around its
+/// check.
 pub struct BatchStmt<'a> {
     /// The XUpdate statement.
-    pub stmt: &'a str,
+    pub stmt: &'a XUpdateDoc,
     /// Armed around this statement's evaluation; exhaustion surfaces as
     /// [`CheckerError::BudgetExhausted`] in the statement's result.
     pub budget: Option<EvalBudget>,
@@ -985,10 +1088,8 @@ pub fn apply_batch(checker: &mut Checker, items: &[BatchStmt]) -> BatchOutcome {
         .map(|item| {
             xic_obs::incr(xic_obs::Counter::GroupCommitStatement);
             let _budget = item.budget.map(xic_xpath::budget::arm);
-            let stmt = XUpdateDoc::parse(item.stmt)
-                .map_err(|e| CheckerError::Statement(e.to_string()))?;
             checker
-                .update_unflushed(&stmt)
+                .update_unflushed(item.stmt)
                 .map(|outcome| SubmitOutcome { version: checker.committed(), outcome })
                 .map_err(ServiceError::Checker)
         })
@@ -1004,4 +1105,201 @@ pub fn apply_batch(checker: &mut Checker, items: &[BatchStmt]) -> BatchOutcome {
         }
     }
     BatchOutcome { results, disposition: BatchDisposition::SyncFailed(flush) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xic_faults::FaultMode;
+
+    const DTD: &str = "<!ELEMENT collection (dblp, review)>\n<!ELEMENT dblp (pub)*>\n\
+                       <!ELEMENT pub (title, aut+)>\n<!ELEMENT aut (name)>\n\
+                       <!ELEMENT review (track)+>\n<!ELEMENT track (name,rev+)>\n\
+                       <!ELEMENT rev (name, sub+)>\n<!ELEMENT sub (title, auts+)>\n\
+                       <!ELEMENT title (#PCDATA)>\n<!ELEMENT auts (name)>\n\
+                       <!ELEMENT name (#PCDATA)>";
+
+    const XML: &str = "<collection><dblp><pub><title>P</title>\
+                       <aut><name>alice</name></aut></pub></dblp>\
+                       <review><track><name>T</name><rev><name>bob</name>\
+                       <sub><title>S</title><auts><name>carol</name></auts></sub>\
+                       </rev></track></review></collection>";
+
+    const CONFLICT: &str = "<- //rev[name/text() -> R]/sub/auts/name/text() -> A & A = R";
+
+    /// More submitters queued behind a leader than one batch takes, so
+    /// the lead is handed on under either executor.
+    const FOLLOWERS: usize = DEFAULT_MAX_BATCH + 8;
+
+    type Answer = Result<SubmitOutcome, ServiceError>;
+
+    fn legal(author: &str) -> String {
+        format!(
+            "<xupdate:modifications version=\"1.0\" \
+             xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
+             <xupdate:append select=\"/collection/review/track[1]/rev[1]\">\
+             <sub><title>N</title><auts><name>{author}</name></auts></sub>\
+             </xupdate:append></xupdate:modifications>"
+        )
+    }
+
+    fn service(executor: Executor) -> Arc<CheckerService> {
+        CheckerService::new(Checker::new(XML, DTD, CONFLICT).expect("setup"), executor)
+    }
+
+    fn wait_for_queued(service: &CheckerService, n: usize) {
+        while service.queue().pending.len() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Holds the commit lock while `lead` submits (and so leads, blocked
+    /// on the lock) and `FOLLOWERS` legal statements queue behind it, then
+    /// lets the batches run. Every submitter's answer, the leader's first.
+    fn answers_behind_a_held_lead(
+        service: &CheckerService,
+        lead: impl FnOnce() -> Answer + Send,
+    ) -> Vec<Answer> {
+        let held = service.checker.lock().expect("commit lock");
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(lead);
+            wait_for_queued(service, 1);
+            let followers: Vec<_> = (0..FOLLOWERS)
+                .map(|i| scope.spawn(move || service.submit(&legal(&format!("f{i}")))))
+                .collect();
+            wait_for_queued(service, 1 + FOLLOWERS);
+            drop(held);
+            std::iter::once(leader)
+                .chain(followers)
+                .map(|submitter| submitter.join().expect("submitter thread"))
+                .collect()
+        })
+    }
+
+    /// A leader whose statement panics under an armed fault site still
+    /// answers its batch and hands the lead on: every follower gets the
+    /// poisoned refusal, none waits on a leader that stopped.
+    #[test]
+    fn a_leader_whose_statement_panics_answers_every_follower() {
+        for executor in [Executor::Sync, Executor::GroupCommit] {
+            let service = service(executor);
+            let answers = answers_behind_a_held_lead(&service, || {
+                xic_faults::arm("xupdate.apply.op", 1, FaultMode::Panic);
+                let answer = service.submit(&legal("boom"));
+                xic_faults::disarm_all();
+                answer
+            });
+            let (leader, followers) = answers.split_first().expect("the leader's answer");
+            assert!(
+                matches!(leader, Err(ServiceError::Checker(CheckerError::Panicked(_)))),
+                "{executor:?}: {leader:?}"
+            );
+            for answer in followers {
+                assert!(
+                    matches!(answer, Err(ServiceError::Checker(CheckerError::Poisoned))),
+                    "{executor:?}: {answer:?}"
+                );
+            }
+            assert_eq!(service.health(), Health::Poisoned);
+            assert_eq!(service.version(), 0);
+            assert_eq!(service.shutdown().expect("shutdown").committed(), 0);
+        }
+    }
+
+    /// A panic the checker does not contain — here the publish, over a
+    /// snapshot slot a panicking thread poisoned — is caught by the
+    /// leader: the service turns poisoned, the leader and every follower
+    /// are answered, and the lead passes on.
+    #[test]
+    fn a_panic_outside_the_checker_poisons_the_service_and_answers_everyone() {
+        for executor in [Executor::Sync, Executor::GroupCommit] {
+            let service = service(executor);
+            std::thread::scope(|scope| {
+                let poisoner = scope.spawn(|| {
+                    let _slot = service.snapshot.write();
+                    panic!("poisons the snapshot slot");
+                });
+                assert!(poisoner.join().is_err());
+            });
+            let answers = answers_behind_a_held_lead(&service, || service.submit(&legal("first")));
+            for answer in &answers {
+                assert!(
+                    matches!(answer, Err(ServiceError::Checker(CheckerError::Poisoned))),
+                    "{executor:?}: {answer:?}"
+                );
+            }
+            assert_eq!(service.health(), Health::Poisoned);
+            assert!(service.queue().pending.is_empty() && !service.queue().leading);
+            service.shutdown().expect("shutdown");
+        }
+    }
+
+    /// A follower's deadline holds while a batch ahead of it runs: it
+    /// answers `Timeout` by the deadline, leaves the queue, and its
+    /// statement never runs.
+    #[test]
+    fn a_follower_times_out_by_its_deadline_and_never_runs() {
+        let service = service(Executor::GroupCommit);
+        let held = service.checker.lock().expect("commit lock");
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| service.submit(&legal("first")));
+            wait_for_queued(&service, 1);
+            let late = service.submit_with(&legal("late"), Some(20));
+            assert!(matches!(late, Err(ServiceError::Timeout { ms: 20 })), "{late:?}");
+            assert_eq!(service.queue().pending.len(), 1, "the follower left the queue");
+            drop(held);
+            let first = leader.join().expect("leader").expect("the leader commits");
+            assert_eq!(first.version, 1);
+        });
+        assert_eq!(service.version(), 1, "the withdrawn statement ran");
+        assert_eq!(service.stats().requests_timed_out, 1);
+        service.shutdown().expect("shutdown");
+    }
+
+    /// A follower with a deadline that is promoted leads a batch of its own
+    /// statement only: the undeadlined statements queued behind it, whose
+    /// evaluation no deadline bounds, wait for the next leader instead of
+    /// holding its answer. Counted on the follower's thread, where the
+    /// batches it leads run.
+    #[test]
+    fn a_promoted_follower_with_a_deadline_leads_only_its_own_statement() {
+        const MATES: usize = 8;
+        let service = service(Executor::GroupCommit);
+        let ran = || xic_obs::counter(xic_obs::Counter::GroupCommitStatement);
+        let held = service.checker.lock().expect("commit lock");
+        let (deadlined, others) = std::thread::scope(|scope| {
+            let service = &service;
+            let spawn = |tags: std::ops::Range<usize>| -> Vec<_> {
+                tags.map(|i| scope.spawn(move || service.submit(&legal(&format!("s{i}")))))
+                    .collect()
+            };
+            // The leader and the rest of its full batch.
+            let mut others = spawn(0..1);
+            wait_for_queued(service, 1);
+            others.extend(spawn(1..DEFAULT_MAX_BATCH));
+            wait_for_queued(service, DEFAULT_MAX_BATCH);
+            // Front of the queue once that batch is drained.
+            let deadlined = scope.spawn(move || {
+                let before = ran();
+                let answer = service.submit_with(&legal("deadlined"), Some(60_000));
+                (answer, ran() - before)
+            });
+            wait_for_queued(service, DEFAULT_MAX_BATCH + 1);
+            others.extend(spawn(DEFAULT_MAX_BATCH..DEFAULT_MAX_BATCH + MATES));
+            wait_for_queued(service, DEFAULT_MAX_BATCH + 1 + MATES);
+            drop(held);
+            let others: Vec<Answer> =
+                others.into_iter().map(|t| t.join().expect("submitter thread")).collect();
+            (deadlined.join().expect("deadlined submitter"), others)
+        });
+        let (answer, statements_run) = deadlined;
+        let out = answer.expect("the deadlined statement commits");
+        assert_eq!(out.version, DEFAULT_MAX_BATCH as u64 + 1, "it commits after the first batch");
+        assert_eq!(statements_run, 1, "it ran its batch-mates");
+        for answer in &others {
+            assert!(matches!(answer, Ok(out) if out.outcome.applied()), "{answer:?}");
+        }
+        assert_eq!(service.version(), (DEFAULT_MAX_BATCH + 1 + MATES) as u64);
+        service.shutdown().expect("shutdown");
+    }
 }

@@ -62,8 +62,8 @@ use std::sync::{Arc, RwLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSetConfig {
     /// Per-shard service configuration (executor, admission bound,
-    /// default deadline). Every shard gets its own writer under this
-    /// configuration.
+    /// default deadline). Every shard gets its own service, and so its own
+    /// commit lock, under this configuration.
     pub service: ServiceConfig,
     /// Whether each shard's store fsyncs at its flush point (once per
     /// batch): handed to [`Checker::attach_store`] /
@@ -296,7 +296,7 @@ fn validate_root(root: &Path, count: usize) -> Result<(), ShardSetError> {
 
 /// Puts a shard's checker — its store already open — in service under
 /// the set's configuration: rotation policy, the cross-shard pattern
-/// store, one writer.
+/// store, one commit lock.
 fn start_shard(
     mut checker: Checker,
     patterns: &Arc<PatternCache>,
@@ -541,7 +541,7 @@ impl ShardSet {
         let mut guard = slot.service.write().expect("shard slot poisoned");
         // Drain the old service so its checker (and store file handles)
         // are dropped before the directory is re-opened. A second
-        // shutdown reports Stopped; either way the old writer is gone.
+        // shutdown reports Stopped; either way the old checker is gone.
         let _ = guard.shutdown();
         let (checker, report) =
             Checker::open_store(dir, &slot.base_xml, &self.gamma, self.config.sync)

@@ -13,7 +13,7 @@ use xicheck::protocol::{execute, execute_sharded, serve_connection};
 use xicheck::service::{apply_batch, BatchDisposition, BatchStmt};
 use xicheck::{
     Checker, CheckerService, Executor, Health, ServiceConfig, ServiceError, ShardSet,
-    ShardSetConfig, SharedGamma, Store,
+    ShardSetConfig, SharedGamma, Store, XUpdateDoc,
 };
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
@@ -203,7 +203,8 @@ fn generous_deadline_commits_normally() {
 fn a_failed_batch_fsync_degrades_for_good() {
     let _guard = journaling();
     let batch = |c: &mut Checker, tags: &[&str]| {
-        let stmts: Vec<String> = tags.iter().map(|tag| legal(tag)).collect();
+        let stmts: Vec<XUpdateDoc> =
+            tags.iter().map(|tag| XUpdateDoc::parse(&legal(tag)).expect("parses")).collect();
         let items: Vec<BatchStmt> =
             stmts.iter().map(|stmt| BatchStmt { stmt, budget: None }).collect();
         apply_batch(c, &items).disposition

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 use xicheck::service::{apply_batch, BatchStmt, ServiceError, SubmitOutcome, DEFAULT_MAX_BATCH};
-use xicheck::{Checker, CheckerService, Executor};
+use xicheck::{Checker, CheckerService, Executor, XUpdateDoc};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
     <!ELEMENT dblp (pub)*>\n<!ELEMENT pub (title, aut+)>\n\
@@ -60,8 +60,10 @@ fn checker() -> Checker {
 /// deterministic legal/illegal mix while N readers hammer snapshots;
 /// afterwards the acknowledged commits, replayed sequentially in version
 /// order, must reproduce the service's final state byte for byte — and
-/// recovery from the service's journal must agree too.
-fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) {
+/// recovery from the service's journal must agree too. Returns the
+/// acknowledged commits and the fsyncs the writer threads ran as batch
+/// leaders.
+fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) -> (usize, u64) {
     const READERS: usize = 3;
 
     let path = journal_path(tag);
@@ -73,6 +75,7 @@ fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) {
     let start = Barrier::new(writers);
     // (version, stmt) for every acknowledged *applied* statement.
     let mut applied: Vec<(u64, String)> = Vec::new();
+    let mut fsyncs = 0;
     std::thread::scope(|scope| {
         let service = &service;
         let done = &done;
@@ -81,6 +84,7 @@ fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) {
             .map(|w| {
                 scope.spawn(move || {
                     start.wait();
+                    let before = journal_fsyncs();
                     let mut acks = Vec::new();
                     for i in 0..per_writer {
                         // Every fifth statement is a guaranteed
@@ -97,7 +101,7 @@ fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) {
                             );
                         }
                     }
-                    acks
+                    (acks, journal_fsyncs() - before)
                 })
             })
             .collect();
@@ -129,7 +133,9 @@ fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) {
             })
             .collect();
         for handle in writers {
-            applied.extend(handle.join().expect("writer thread"));
+            let (acks, led) = handle.join().expect("writer thread");
+            applied.extend(acks);
+            fsyncs += led;
         }
         done.store(true, Ordering::Release);
         for handle in readers {
@@ -169,6 +175,7 @@ fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) {
     assert_eq!(report.replayed, applied.len());
     assert_eq!(xic_xml::serialize(recovered.doc()), final_snapshot.serialize());
     let _ = std::fs::remove_dir_all(&path);
+    (applied.len(), fsyncs)
 }
 
 #[test]
@@ -182,6 +189,16 @@ fn submitters_beyond_the_batch_cap_match_sequential_replay() {
     // splits at the cap, so batches hand off to each other through the
     // snapshot path rather than one giant batch taking everything.
     stress(Executor::GroupCommit, "group-cap", DEFAULT_MAX_BATCH + 8, 5);
+}
+
+/// Submitters lead their own batches, so the fsyncs run on their
+/// threads (`journal_fsyncs` is counted per thread): summed over the
+/// submitters, some ran and fewer ran than statements committed —
+/// statements that queue during a batch's fsync share the next one.
+#[test]
+fn concurrent_submitters_share_fsyncs() {
+    let (applied, fsyncs) = stress(Executor::GroupCommit, "grouped", 8, 25);
+    assert!(0 < fsyncs && fsyncs < applied as u64, "{fsyncs} fsyncs for {applied} commits");
 }
 
 #[test]
@@ -236,6 +253,8 @@ fn a_rejected_submit_costs_no_fsync() {
 
 /// Runs `stmts` as one group-commit batch; the per-statement results.
 fn batch(c: &mut Checker, stmts: &[String]) -> Vec<Result<SubmitOutcome, ServiceError>> {
+    let stmts: Vec<XUpdateDoc> =
+        stmts.iter().map(|stmt| XUpdateDoc::parse(stmt).expect("statement parses")).collect();
     let items: Vec<BatchStmt> = stmts.iter().map(|stmt| BatchStmt { stmt, budget: None }).collect();
     apply_batch(c, &items).results
 }

@@ -238,6 +238,11 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
     let diverge = |detail: String| ChaosDivergence { seed, plan, detail };
     let case: Case = generate_case(seed);
     let statements: Vec<String> = case.ops.iter().map(|op| crate::crash::wrap_op(op)).collect();
+    let parsed = statements
+        .iter()
+        .map(|stmt| xic_xml::XUpdateDoc::parse(stmt))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| diverge(format!("a statement does not parse: {e}")))?;
 
     // Twin run: sequential, no faults, no store.
     let mut twin = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
@@ -282,9 +287,9 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
     let mut published_commits = 0usize;
     let mut terminal = Terminal::Healthy;
     let mut degraded = false;
-    for chunk in statements.chunks(plan.batch_size) {
+    for chunk in parsed.chunks(plan.batch_size) {
         let items: Vec<BatchStmt> =
-            chunk.iter().map(|s| BatchStmt { stmt: s, budget: None }).collect();
+            chunk.iter().map(|stmt| BatchStmt { stmt, budget: None }).collect();
         let (sync_hits, commits) = (xic_faults::hits("journal.sync"), checker.committed());
         let outcome = apply_batch(&mut checker, &items);
         // Counted only while `journal.sync` is the armed site: a batch

@@ -56,8 +56,9 @@
 //! armed mid-batch. Recovery must equal the committed prefix of the
 //! sequential twin, and must never lose a commit from a batch whose
 //! shared fsync already succeeded (an *acknowledged* batch). The batch
-//! logic is driven in-thread — not through the service's writer thread —
-//! because fault arming is thread-scoped.
+//! logic is driven directly on the harness thread — not through a
+//! service, where another submitter may lead the batch — because fault
+//! arming is thread-scoped.
 //!
 //! Divergences print a single-line replay command
 //! (`cargo run -p xic-difftest -- --crash-matrix --seed N --cases 1`,
@@ -547,8 +548,8 @@ fn run_rotation_error_case(
 /// DESIGN.md row 19). The case's statements are driven through
 /// [`xicheck::service::apply_batch`] in batches of 2–4: records are
 /// appended **unsynced** and each batch ends with one shared fsync,
-/// exactly as the service writer thread runs it (in-thread here because
-/// fault arming is thread-scoped). A panic is armed at a write-path
+/// exactly as a service's batch leader runs it (on the harness thread
+/// here because fault arming is thread-scoped). A panic is armed at a write-path
 /// site so the crash lands mid-batch; recovery must reproduce the
 /// committed prefix of the sequential twin, and must retain every
 /// commit from a batch whose shared fsync completed — those were
@@ -571,6 +572,11 @@ fn run_group_commit_case(
     };
     let case: Case = generate_case(seed);
     let statements: Vec<String> = case.ops.iter().map(|op| wrap_op(op)).collect();
+    let parsed = statements
+        .iter()
+        .map(|stmt| XUpdateDoc::parse(stmt))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| diverge(format!("a statement does not parse: {e}")))?;
 
     // Twin run: sequential, no store, no faults — the reference
     // committed-prefix states.
@@ -602,7 +608,7 @@ fn run_group_commit_case(
     // Commits in batches whose shared fsync completed: acknowledged to
     // their submitters, so recovery must never drop them.
     let mut acked = 0usize;
-    for chunk in statements.chunks(batch_size) {
+    for chunk in parsed.chunks(batch_size) {
         let items: Vec<BatchStmt> =
             chunk.iter().map(|stmt| BatchStmt { stmt, budget: None }).collect();
         let outcome = apply_batch(&mut crashed, &items);

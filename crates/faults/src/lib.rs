@@ -151,7 +151,8 @@ pub fn arm(site: &str, nth: u64, mode: FaultMode) {
 
 /// Like [`arm`], but hits from *every* thread count and trigger. Needed
 /// to fault code that runs on threads the harness does not own — e.g.
-/// the service writer thread's batch fsync. Use sparingly: concurrent
+/// a batch fsync a service runs on another submitter's thread, when that
+/// submitter leads the batch. Use sparingly: concurrent
 /// tests arming the same site this way will consume each other's hits.
 pub fn arm_any_thread(site: &str, nth: u64, mode: FaultMode) {
     arm_inner(site, nth, mode, true);

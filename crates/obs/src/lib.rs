@@ -98,14 +98,14 @@ pub enum Counter {
     /// unreplayable) generation and fell back to an older snapshot/journal
     /// pair.
     RecoveryGenerationFallback,
-    /// Group-commit batches flushed by the service writer thread (one
+    /// Group-commit batches flushed by the service's batch leaders (one
     /// shared fsync per batch; see DESIGN.md row 19).
     GroupCommitBatch,
     /// Statements carried inside group-commit batches (the mean batch
     /// size is this over `group_commit_batches`).
     GroupCommitStatement,
-    /// Read snapshots published by the service writer (one per committed
-    /// batch, not one per committed statement).
+    /// Read snapshots published by the service's batch leaders (one per
+    /// committed batch, not one per committed statement).
     SnapshotPublish,
     /// Read snapshots handed out to concurrent readers.
     SnapshotRead,
