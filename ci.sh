@@ -8,7 +8,7 @@ echo "== doc byte budget (the four long docs do not grow back) =="
 # change that adds prose to one removes as much elsewhere (an old
 # CHANGES entry condensed, a retired EXPERIMENTS section folded into its
 # table); raising a budget is a decision its CHANGES entry explains.
-for budget in CHANGES.md:156468 DESIGN.md:76333 EXPERIMENTS.md:68712 README.md:38565; do
+for budget in CHANGES.md:160085 DESIGN.md:76079 EXPERIMENTS.md:68692 README.md:38559; do
   file="${budget%%:*}" max="${budget##*:}"
   size="$(wc -c < "$file")"
   [ "$size" -le "$max" ] || { echo "$file: $size bytes, over its budget of $max" >&2; exit 1; }
@@ -36,6 +36,21 @@ spawns="$(awk '
   !/^[[:space:]]*\/\// && /thread::(spawn|Builder)/ { print FILENAME ":" FNR ": " $0 }
 ' crates/core/src/service.rs)"
 [ -z "$spawns" ] || { echo "$spawns" >&2; echo "crates/core/src/service.rs starts a thread" >&2; exit 1; }
+
+echo "== one pattern store per Γ (only SharedGamma builds a PatternCache) =="
+# Compiled update patterns belong to the compiled Γ: `SharedGamma` builds
+# its store when Γ is compiled, with the independence setting fixed, and
+# every checker, snapshot and shard over that Γ shares both. No code line
+# before a file's first `#[cfg(test)]` in crates/*/src builds a
+# `PatternCache` outside crates/core/src/gamma.rs and the type's own
+# optimized.rs, or names `set_pattern_cache` or `set_independence`.
+stores="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_test = 0; own = FILENAME ~ /^crates\/core\/src\/(gamma|optimized)\.rs$/ }
+  /^#\[cfg\(test\)\]/ { in_test = 1 }
+  !in_test && !/^[[:space:]]*\/\// && ((!own && /PatternCache::/) || /set_pattern_cache|set_independence/) {
+    print FILENAME ":" FNR ": " $0
+  }')"
+[ -z "$stores" ] || { echo "$stores" >&2; echo "a pattern store built, or a checker setter named, outside SharedGamma" >&2; exit 1; }
 
 echo "== build (release) =="
 cargo build --release --workspace

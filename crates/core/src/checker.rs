@@ -1,13 +1,14 @@
 //! The runtime integrity checker: the [`Checker`] façade and its update
 //! path. What it evaluates lives in [`crate::gamma`] (the compiled Γ and
-//! the baseline check) and [`crate::optimized`] (the pre-update check and
-//! the pattern store); how commits become durable lives in
+//! the baseline check, with the pattern store every checker over it
+//! shares) and [`crate::optimized`] (the pre-update check); how commits
+//! become durable lives in
 //! [`crate::durability`].
 
-use crate::compile::{compile_pattern, CompiledPattern};
+use crate::compile::CompiledPattern;
 use crate::durability::{CommitError, CommitLog};
-use crate::gamma::{apply_to_copy, Baseline, SharedGamma};
-use crate::optimized::{OptimizedCheck, PatternCache, PatternEntry, Verdict};
+use crate::gamma::{apply_to_copy, SharedGamma};
+use crate::optimized::Verdict;
 use crate::resolver::xpath_resolver;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -220,19 +221,11 @@ pub struct Checker {
     /// The committed version: a statement is applied to a copy, which its
     /// commit swaps in, so a published snapshot shares this `Arc`.
     pub(crate) doc: Arc<Document>,
-    /// The compiled constraint-template set Γ: everything derived from
-    /// the DTD and the constraints but independent of the document
-    /// instance. Shared (`Arc`) across every checker built over the same
-    /// schema — see [`SharedGamma`].
+    /// The compiled constraint-template set Γ: everything a decision
+    /// reads besides the document — the independence setting and the
+    /// pattern store included. Shared (`Arc`) across every checker built
+    /// over the same Γ — see [`SharedGamma`].
     shared: Arc<SharedGamma>,
-    /// Compiled update patterns, by pattern key: fresh and private by
-    /// default, one store shared with siblings and snapshot readers after
-    /// [`Checker::set_pattern_cache`].
-    patterns: Arc<PatternCache>,
-    /// Whether the static independence analysis masks the full-check
-    /// paths and pre-filters pattern compilation (on unless
-    /// [`Checker::set_independence`] turns it off).
-    independence: bool,
     /// Journal, store, rotation policy and commit counters.
     pub(crate) log: CommitLog,
     /// Set by [`Checker::recover_store`] when no generation validated,
@@ -247,8 +240,9 @@ pub struct Checker {
 }
 
 impl Checker {
-    /// Builds a checker from XML text, DTD text and XPathLog constraints
-    /// (a `.`-separated list).
+    /// Builds a checker from XML text, DTD text (empty: the document's
+    /// inline DTD) and XPathLog constraints (a `.`-separated list), over a
+    /// Γ of its own with the static independence analysis on.
     pub fn new(xml: &str, dtd: &str, constraints: &str) -> Result<Checker, CheckerError> {
         let (doc, inline_dtd) = parse_document(xml).map_err(|e| CheckerError::Setup(e.to_string()))?;
         let dtd = if dtd.trim().is_empty() {
@@ -258,32 +252,21 @@ impl Checker {
         };
         let ldenials = xic_xpathlog::parse_denials(constraints)
             .map_err(|e| CheckerError::Setup(e.to_string()))?;
-        Checker::from_parts(doc, dtd, &ldenials)
-    }
-
-    /// Builds a checker from parsed parts.
-    pub fn from_parts(
-        doc: Document,
-        dtd: Dtd,
-        constraints: &[xic_xpathlog::LDenial],
-    ) -> Result<Checker, CheckerError> {
-        dtd.validate(&doc)
-            .map_err(|e| CheckerError::Setup(e.to_string()))?;
-        let shared = SharedGamma::from_parts(dtd, constraints)?;
-        Ok(Checker::assemble(doc, shared))
+        dtd.validate(&doc).map_err(|e| CheckerError::Setup(e.to_string()))?;
+        Ok(Checker::assemble(doc, SharedGamma::from_parts(dtd, &ldenials, true)?))
     }
 
     /// Builds a checker for `xml` over an already-compiled constraint set
     /// (validating the document against Γ's DTD). This is the shard
     /// constructor: N documents over one `Arc<SharedGamma>` pay Γ's
-    /// compilation once.
+    /// compilation once, and each pattern's compile once.
     pub fn from_shared(xml: &str, shared: &Arc<SharedGamma>) -> Result<Checker, CheckerError> {
         let (doc, _) = parse_document(xml).map_err(|e| CheckerError::Setup(e.to_string()))?;
         shared.dtd().validate(&doc).map_err(|e| CheckerError::Setup(e.to_string()))?;
         Ok(Checker::assemble(doc, Arc::clone(shared)))
     }
 
-    /// [`Checker::from_parts`] / [`Checker::from_shared`] minus the DTD
+    /// [`Checker::new`] / [`Checker::from_shared`] minus the DTD
     /// validation pass: used when rebuilding from a checkpoint snapshot,
     /// which records a *committed* state. Updates are not required to
     /// preserve DTD validity, so a snapshot may legitimately fail
@@ -294,8 +277,6 @@ impl Checker {
         Checker {
             doc: Arc::new(doc),
             shared,
-            patterns: PatternCache::new(),
-            independence: true,
             log: CommitLog::default(),
             degraded: false,
             poisoned: false,
@@ -307,22 +288,6 @@ impl Checker {
     /// across checkers; see [`SharedGamma`]).
     pub fn shared_gamma(&self) -> &Arc<SharedGamma> {
         &self.shared
-    }
-
-    /// Swaps in a cross-checker pattern store: patterns this checker
-    /// already holds are republished into it, pattern compilations it
-    /// performs from now on land in it, and patterns a sibling (or a
-    /// snapshot reader) already compiled are used instead of recompiled.
-    /// All sharing checkers must be built over the same [`SharedGamma`]
-    /// (pattern keys are schema-scoped).
-    pub fn set_pattern_cache(&mut self, cache: Arc<PatternCache>) {
-        self.patterns.republish_into(&cache);
-        self.patterns = cache;
-    }
-
-    /// The pattern store this checker compiles into and looks up from.
-    pub(crate) fn pattern_cache(&self) -> &Arc<PatternCache> {
-        &self.patterns
     }
 
     /// The document.
@@ -350,14 +315,9 @@ impl Checker {
         self.shared.full_queries()
     }
 
-    /// Whether the static independence analysis is active on this checker.
-    pub fn independence(&self) -> bool {
-        self.independence
-    }
-
-    /// Enables/disables the static independence analysis for this checker
-    /// (on by default). The differential oracles turn it off to obtain
-    /// the unmasked check as their reference.
+    /// Whether the static independence analysis is active: a property of
+    /// Γ, fixed when it was compiled ([`SharedGamma::compile_unmasked`]
+    /// builds the unmasked reference).
     ///
     /// When on, the full-check paths of [`Checker::try_update`] and
     /// [`Checker::decide_only`] evaluate only the constraints whose read
@@ -367,18 +327,9 @@ impl Checker {
     /// optimized checks, a skip assumes the pre-state satisfies the
     /// skipped constraint — which holds inductively from a consistent
     /// initial state, since every retained check guards its own
-    /// constraint. Note that patterns compiled under one flag value are
-    /// cached and not recompiled if the flag is flipped later (their
-    /// templates are identical either way; only compile cost and the
-    /// skip/retain counters differ).
-    pub fn set_independence(&mut self, enabled: bool) {
-        self.independence = enabled;
-    }
-
-    /// The baseline evaluator's view of this checker (see
-    /// [`crate::gamma`]).
-    fn baseline(&self) -> Baseline<'_> {
-        Baseline { gamma: &self.shared, independence: self.independence }
+    /// constraint.
+    pub fn independence(&self) -> bool {
+        self.shared.independence()
     }
 
     /// Runtime counters.
@@ -386,10 +337,10 @@ impl Checker {
         self.stats
     }
 
-    /// The compiled patterns in this checker's store (every sharer's, once
-    /// [`Checker::set_pattern_cache`] attached a shared one).
+    /// The compiled patterns in Γ's store: every pattern compiled by any
+    /// checker, snapshot or shard over the same [`SharedGamma`].
     pub fn patterns(&self) -> impl Iterator<Item = CompiledPattern> {
-        self.patterns.compiled().into_iter()
+        self.shared.patterns().compiled().into_iter()
     }
 
     /// Registers (at schema design time) the update pattern exemplified by
@@ -398,14 +349,7 @@ impl Checker {
         let mapped = map_update(&self.doc, self.shared.schema(), stmt, &xpath_resolver)
             .map_err(|e| CheckerError::Statement(e.to_string()))?;
         let key = xic_mapping::pattern_key(&mapped.update);
-        self.patterns.compile_and_publish(&key, || {
-            PatternEntry::build(compile_pattern(
-                &mapped,
-                self.shared.constraints(),
-                self.shared.schema(),
-                self.independence,
-            ))
-        });
+        self.shared.compile_and_publish(&key, &mapped);
         Ok(key)
     }
 
@@ -419,8 +363,7 @@ impl Checker {
     /// document (see [`crate::optimized`]); also says whether its pattern
     /// was already compiled.
     fn pre_check(&self, stmt: &XUpdateDoc) -> (Result<Verdict, CheckerError>, Option<bool>) {
-        OptimizedCheck { doc: &self.doc, gamma: &self.shared, independence: self.independence }
-            .decide(stmt, &self.patterns)
+        self.shared.decide_optimized(&self.doc, stmt)
     }
 
     /// Statements committed (and journaled, when a store is attached)
@@ -473,7 +416,7 @@ impl Checker {
     /// if any. Each constraint is evaluated *existentially* (see
     /// [`crate::gamma`]).
     pub fn check_full(&self) -> Result<Option<Violation>, CheckerError> {
-        self.baseline().run(&self.doc, None)
+        self.shared.check_full(&self.doc, None)
     }
 
     /// Decides whether `stmt` would be accepted under the given strategy
@@ -501,7 +444,7 @@ impl Checker {
         match strategy {
             Strategy::Optimized => self.pre_check(stmt).0?.decision(),
             Strategy::FullWithRollback => {
-                self.baseline().decide(&self.doc, stmt).map(|(_, verdict)| verdict)
+                self.shared.decide_full(&self.doc, stmt).map(|(_, verdict)| verdict)
             }
         }
     }
@@ -667,7 +610,7 @@ impl Checker {
         // per-request deadline budget, an engine failure): the document
         // never holds a statement its journal lacks.
         self.stats.full_checks += 1;
-        let decided = self.baseline().decide(&self.doc, stmt);
+        let decided = self.shared.decide_full(&self.doc, stmt);
         let (next, violation) = decided.map_err(|e| self.refused(stmt, e))?;
         let strategy = Strategy::FullWithRollback;
         if let Some(violation) = violation {

@@ -1,14 +1,16 @@
 //! The compiled constraint set Γ and the baseline evaluator (the paper's
 //! diamonds): apply the update to a copy, check all of Γ in the copy.
 //!
-//! [`SharedGamma`] is everything derived from the DTD and the
-//! constraints but independent of a document instance, compiled once and
-//! shared by every checker, shard and read snapshot over the same
-//! schema. `Baseline` evaluates it: `Baseline::run` is the full
-//! check over one document state (first violation in constraint order,
-//! restricted to a live mask when the static independence analysis
-//! supplies one), `Baseline::decide` the baseline strategy around it:
-//! the verdict on a copy with the update applied, and the copy, which
+//! [`SharedGamma`] is everything a decision reads besides the document:
+//! what is derived from the DTD and the constraints, the independence
+//! setting fixed when Γ is compiled, and the pattern store every
+//! compiled update pattern lands in. It is compiled once and shared by
+//! every checker, shard and read snapshot over the same schema, so they
+//! all share one store and one setting by construction. Its baseline
+//! methods are the full check over one document state (first violation
+//! in constraint order, restricted to a live mask when the static
+//! independence analysis supplies one) and the baseline strategy around
+//! it: the verdict on a copy with the update applied, and the copy, which
 //! the writer commits on a legal verdict and every other caller drops.
 //! Like [`crate::optimized`]'s pre-update check, neither needs a
 //! [`crate::Checker`] or the thread that owns one, so
@@ -20,6 +22,7 @@
 
 use crate::checker::{CheckerError, Violation};
 use crate::footprint::IndependenceIndex;
+use crate::optimized::PatternCache;
 use crate::resolver::xpath_resolver;
 use std::sync::Arc;
 use xic_datalog::Denial;
@@ -32,15 +35,16 @@ use xic_xquery::{parse_query, XProgram};
 
 /// The compiled constraint-template set Γ plus everything derived from
 /// the DTD: relational schema, Datalog denials, translated full-check
-/// queries (parsed and IR-compiled), per-constraint read footprints and
-/// the ownership maps that turn an applied delta into a write footprint.
+/// queries (parsed and IR-compiled), per-constraint read footprints, the
+/// ownership maps that turn an applied delta into a write footprint, and
+/// the store of update patterns compiled against it.
 ///
 /// None of it depends on a document *instance*, only on the schema and
 /// the constraints — so one `SharedGamma` is compiled once and shared
 /// (`Arc`) by every [`crate::Checker`] over the same schema. This is what
 /// makes a [`crate::shards::ShardSet`] cheap: N shards hold N documents
-/// but one Γ; the mapping, translation, IR compilation and footprint
-/// analysis are paid once, not N times.
+/// but one Γ; the mapping, translation, IR compilation, footprint
+/// analysis and every pattern compile are paid once, not N times.
 pub struct SharedGamma {
     dtd: Dtd,
     schema: RelSchema,
@@ -56,22 +60,46 @@ pub struct SharedGamma {
     read_fps: Vec<ReadFootprint>,
     /// Ownership maps for statement-level write footprints.
     indep_index: IndependenceIndex,
+    /// Whether the static independence analysis masks the full check to
+    /// the constraints a statement can affect and pre-filters pattern
+    /// compiles; fixed when Γ is compiled.
+    independence: bool,
+    /// The update patterns compiled against this Γ, whoever compiled them.
+    patterns: PatternCache,
 }
 
 impl SharedGamma {
     /// Compiles DTD text and an XPathLog constraint list (`.`-separated)
-    /// into a shareable Γ.
+    /// into a shareable Γ, with the static independence analysis on.
     pub fn compile(dtd: &str, constraints: &str) -> Result<Arc<SharedGamma>, CheckerError> {
+        SharedGamma::compile_text(dtd, constraints, true)
+    }
+
+    /// [`SharedGamma::compile`] with the static independence analysis
+    /// off: every full check evaluates all of Γ, and every pattern compile
+    /// simplifies all of it. The unmasked reference the differential
+    /// oracles compare a masked Γ against.
+    pub fn compile_unmasked(dtd: &str, constraints: &str) -> Result<Arc<SharedGamma>, CheckerError> {
+        SharedGamma::compile_text(dtd, constraints, false)
+    }
+
+    fn compile_text(
+        dtd: &str,
+        constraints: &str,
+        independence: bool,
+    ) -> Result<Arc<SharedGamma>, CheckerError> {
         let dtd = Dtd::parse(dtd).map_err(CheckerError::Setup)?;
         let ldenials = xic_xpathlog::parse_denials(constraints)
             .map_err(|e| CheckerError::Setup(e.to_string()))?;
-        SharedGamma::from_parts(dtd, &ldenials)
+        SharedGamma::from_parts(dtd, &ldenials, independence)
     }
 
-    /// Compiles a shareable Γ from parsed parts.
-    pub fn from_parts(
+    /// Compiles a shareable Γ from parsed parts, with an empty pattern
+    /// store.
+    pub(crate) fn from_parts(
         dtd: Dtd,
         constraints: &[xic_xpathlog::LDenial],
+        independence: bool,
     ) -> Result<Arc<SharedGamma>, CheckerError> {
         let schema = RelSchema::from_dtd(&dtd).map_err(|e| CheckerError::Setup(e.to_string()))?;
         let gamma =
@@ -98,6 +126,8 @@ impl SharedGamma {
             full_ir,
             read_fps,
             indep_index,
+            independence,
+            patterns: PatternCache::new(),
         }))
     }
 
@@ -121,23 +151,22 @@ impl SharedGamma {
         &self.full_queries
     }
 
+    /// Whether the static independence analysis is on for this Γ.
+    pub(crate) fn independence(&self) -> bool {
+        self.independence
+    }
+
+    /// The store of update patterns compiled against this Γ, shared by
+    /// every checker, snapshot and shard over it.
+    pub fn patterns(&self) -> &PatternCache {
+        &self.patterns
+    }
+
     /// True if some constraint reads the `Pos` column of relation `rel`.
     pub(crate) fn reads_pos(&self, rel: &str) -> bool {
         self.read_fps.iter().any(|fp| fp.reads_cell(rel, POS_COL))
     }
-}
 
-/// The baseline strategy over one compiled Γ: the full check of a
-/// document and the apply-to-a-copy → check around it.
-pub(crate) struct Baseline<'a> {
-    /// The compiled constraint set.
-    pub(crate) gamma: &'a SharedGamma,
-    /// Whether the static independence analysis masks the check to the
-    /// constraints a statement can affect.
-    pub(crate) independence: bool,
-}
-
-impl Baseline<'_> {
     /// The live-constraint mask for the statement just applied to `doc`,
     /// or `None` when the analysis is off. The write footprint is read
     /// off `applied`'s log (see [`IndependenceIndex::delta_footprint`])
@@ -147,8 +176,8 @@ impl Baseline<'_> {
             return None;
         }
         let _footprint = xic_obs::phase("footprint");
-        let wfp = self.gamma.indep_index.delta_footprint(doc, applied);
-        Some(live_set(&self.gamma.read_fps, &wfp))
+        let wfp = self.indep_index.delta_footprint(doc, applied);
+        Some(live_set(&self.read_fps, &wfp))
     }
 
     /// Runs the full (non-simplified) check against `doc`, restricted to
@@ -162,14 +191,14 @@ impl Baseline<'_> {
     /// on the calling thread — each stops at its first witness binding,
     /// and the pass stops at the first violation or error. A step budget
     /// the caller armed (a per-request deadline) bounds the whole pass.
-    pub(crate) fn run(
+    pub(crate) fn check_full(
         &self,
         doc: &Document,
         live: Option<&[bool]>,
     ) -> Result<Option<Violation>, CheckerError> {
         let _check = xic_obs::phase("check");
         let _full = xic_obs::phase("full");
-        let n = self.gamma.full_ir.len();
+        let n = self.full_ir.len();
         let indices: Vec<usize> = match live {
             None => (0..n).collect(),
             Some(mask) => {
@@ -183,8 +212,8 @@ impl Baseline<'_> {
         for i in indices {
             if self.holds_violation(doc, i)? {
                 return Ok(Some(Violation {
-                    denial: self.gamma.gamma[i].to_string(),
-                    query: self.gamma.full_queries[i].text.clone(),
+                    denial: self.gamma[i].to_string(),
+                    query: self.full_queries[i].text.clone(),
                 }));
             }
         }
@@ -196,22 +225,22 @@ impl Baseline<'_> {
     /// version a legal verdict commits — with the verdict; `doc` is never
     /// touched. A statement that does not apply is a
     /// [`CheckerError::Statement`], and its partial copy is dropped.
-    pub(crate) fn decide(
+    pub(crate) fn decide_full(
         &self,
         doc: &Document,
         stmt: &XUpdateDoc,
     ) -> Result<(Document, Option<Violation>), CheckerError> {
         let (copy, applied) = apply_to_copy(doc, stmt)?;
         let live = self.live_mask(&copy, &applied);
-        let verdict = self.run(&copy, live.as_deref())?;
+        let verdict = self.check_full(&copy, live.as_deref())?;
         Ok((copy, verdict))
     }
 
     /// Evaluates constraint `i` existentially.
     fn holds_violation(&self, doc: &Document, i: usize) -> Result<bool, CheckerError> {
-        self.gamma.full_ir[i]
+        self.full_ir[i]
             .eval_exists(doc, &[])
-            .map_err(|e| CheckerError::eval(&self.gamma.full_queries[i].text, e))
+            .map_err(|e| CheckerError::eval(&self.full_queries[i].text, e))
     }
 }
 

@@ -70,15 +70,18 @@
 //! [`checker`] is the façade and the update path: every statement is
 //! applied to a copy of the document, a commit makes the copy the new
 //! version and a refusal drops it. What it evaluates lives beside it:
-//! [`gamma`] (the compiled constraint set and the one baseline evaluator
-//! — apply to a copy, check all of Γ in it) and [`optimized`] (the one
-//! pre-update evaluator and the pattern store), both shared by the
+//! [`gamma`] (the compiled constraint set — everything a decision reads
+//! besides the document, the pattern store included — and the one
+//! baseline evaluator: apply to a copy, check all of Γ in it) and
+//! [`optimized`] (the one pre-update evaluator), both shared by the
 //! writer and every snapshot reader. [`durability`] owns the commit
 //! log and the replay half of crash recovery; the on-disk side — one
 //! durable log, [`Store`], generation 0 of which is a plain write-ahead
 //! journal — lives in `xic_xml::checkpoint`. Settings are fixed where
 //! they are given: a store's sync mode is an argument of the call that
-//! attaches or recovers it and is never changed afterwards, the checkpoint
+//! attaches or recovers it and is never changed afterwards, the
+//! independence analysis is on or off with the Γ that was compiled
+//! ([`SharedGamma::compile_unmasked`]), the checkpoint
 //! retention window is a constant, and only the rotation policy
 //! ([`Checker::set_checkpoint_policy`]) may be set later. There is no
 //! process-wide default of any kind.
@@ -106,7 +109,7 @@ pub use shards::{
     ShardHealth, ShardSet, ShardSetConfig, ShardSetError, ShardSetRecoveryReport, ShardStatus,
 };
 pub use service::{
-    apply_batch, deadline_budget, BatchDisposition, BatchOutcome, BatchStmt, CheckerService,
+    apply_batch, BatchDisposition, BatchOutcome, BatchStmt, CheckerService,
     Executor, Health, ReadSnapshot, ServiceConfig, ServiceError, ServiceStats, SubmitOutcome,
     DEADLINE_STEPS_PER_MS,
 };

@@ -7,13 +7,11 @@
 //! simplified denials Simp<sup>U</sup><sub>Δ</sub>(Γ) are looked up (or
 //! compiled on first sight), and each one is evaluated existentially
 //! with the bindings plugged in. Nothing here needs write access to the
-//! document, a [`crate::Checker`], or the thread that owns one — so
-//! `OptimizedCheck::decide` is a function of the document, Γ and the
-//! pattern store, and serves [`crate::Checker::try_update`],
-//! [`crate::Checker::decide_only`] and
+//! document, a [`crate::Checker`], or the thread that owns one — so the
+//! decision is a function of the document and Γ, and serves
+//! [`crate::Checker::try_update`], [`crate::Checker::decide_only`] and
 //! [`crate::service::ReadSnapshot::decide`] alike. Compiled patterns live
-//! in one place, the [`PatternCache`] the caller hands in (a checker's
-//! own, or the one a service or shard set shares); a first sight compiles
+//! in one place, the [`PatternCache`] that Γ owns; a first sight compiles
 //! and publishes there, whoever the caller is. What differs between the
 //! callers is only what they do with a `Verdict::NotIncremental` answer
 //! (fall back to the baseline strategy, or report it). The only bound on
@@ -33,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 use xic_datalog::Value;
-use xic_mapping::{map_update, pattern_key, UpdateMapError};
+use xic_mapping::{map_update, pattern_key, MappedUpdate, UpdateMapError};
 use xic_translate::{ParamKind, QueryTemplate, TemplateError};
 use xic_xml::{Document, NodeId, XUpdateDoc};
 use xic_xpath::{Axis, BinOp, Expr, NodeRef, NodeTest, Step, XValue};
@@ -62,7 +60,7 @@ impl PatternEntry {
     /// Precompiles `compiled`'s templates. A template that cannot be
     /// precompiled makes the whole pattern non-incremental (the reason is
     /// recorded in `unsupported`), so its statements take the baseline.
-    pub(crate) fn build(mut compiled: CompiledPattern) -> Arc<PatternEntry> {
+    fn build(mut compiled: CompiledPattern) -> Arc<PatternEntry> {
         let ir: Vec<IrTemplate> = match compiled.queries.iter().map(compile_template_ir).collect() {
             Ok(ir) => ir,
             Err(reason) => {
@@ -75,23 +73,20 @@ impl PatternEntry {
     }
 }
 
-/// The pattern store (DESIGN.md row 23): every checker has exactly one —
-/// its own fresh one until [`crate::Checker::set_pattern_cache`] swaps in
-/// a shared one. The shards of a [`crate::shards::ShardSet`] hand every
-/// checker the same cache, so an update pattern first seen on one
-/// shard is compiled (and IR-precompiled) exactly once — siblings adopt
-/// the entry instead of re-running Simp<sup>U</sup><sub>Δ</sub> and
-/// template compilation — and a [`crate::service::CheckerService`]
-/// hands it to its read snapshots, so `DECIDE` evaluates the same
-/// compiled checks the writer commits with.
+/// The pattern store (DESIGN.md row 23): every [`SharedGamma`] owns
+/// exactly one, built empty when Γ is compiled, and nothing else builds
+/// one. Every checker, shard and read snapshot over one Γ therefore
+/// shares it: an update pattern first seen anywhere is compiled (and
+/// IR-precompiled) exactly once — the others adopt the entry instead of
+/// re-running Simp<sup>U</sup><sub>Δ</sub> and template compilation — and
+/// `DECIDE` evaluates the same compiled checks the writer commits with.
 ///
 /// Patterns are keyed by [`xic_mapping::pattern_key`], which is a pure
 /// function of the statement shape and the relational schema — never of
-/// a document instance — so an entry compiled against one document is
-/// valid on every document sharing the same [`SharedGamma`]. Entries are
-/// not recompiled when a checker's independence flag flips (the
-/// templates are identical either way).
-#[derive(Default)]
+/// a document instance, nor of the constraints. An entry compiled against
+/// one document is valid on every document over the same Γ; checkers
+/// over two Γs never share a store, so a key cannot carry one Γ's checks
+/// into another.
 pub struct PatternCache {
     entries: RwLock<HashMap<String, Arc<PatternEntry>>>,
     /// Compiles run for this cache — a sibling's that lost the publish
@@ -101,10 +96,13 @@ pub struct PatternCache {
 }
 
 impl PatternCache {
-    /// A fresh, empty cache behind an `Arc`, ready to hand to
-    /// [`crate::Checker::set_pattern_cache`] on each sharing checker.
-    pub fn new() -> Arc<PatternCache> {
-        Arc::new(PatternCache::default())
+    /// An empty store, for a Γ being compiled.
+    pub(crate) fn new() -> PatternCache {
+        PatternCache {
+            entries: RwLock::default(),
+            compiles: AtomicU64::new(0),
+            compile_us: AtomicU64::new(0),
+        }
     }
 
     /// Compiled patterns currently cached.
@@ -123,24 +121,13 @@ impl PatternCache {
         self.entries.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    pub(crate) fn get(&self, key: &str) -> Option<Arc<PatternEntry>> {
+    fn get(&self, key: &str) -> Option<Arc<PatternEntry>> {
         self.read_entries().get(key).cloned()
     }
 
     /// The compiled patterns currently cached, in no particular order.
     pub(crate) fn compiled(&self) -> Vec<CompiledPattern> {
         self.read_entries().values().map(|e| e.compiled.clone()).collect()
-    }
-
-    /// Publishes every entry of this cache into `other` (first publisher
-    /// wins there, as always). The entries are copied out first, so no
-    /// lock is held across the two caches (`other` may be `self`).
-    pub(crate) fn republish_into(&self, other: &PatternCache) {
-        let entries: Vec<_> =
-            self.read_entries().iter().map(|(k, e)| (k.clone(), Arc::clone(e))).collect();
-        for (key, entry) in entries {
-            other.publish(&key, entry);
-        }
     }
 
     /// How many patterns were compiled for this cache, and in how many µs
@@ -152,7 +139,7 @@ impl PatternCache {
 
     /// Runs `compile`, counts it and its time, and publishes the entry
     /// under `key` (see [`PatternCache::publish`]).
-    pub(crate) fn compile_and_publish(
+    fn compile_and_publish(
         &self,
         key: &str,
         compile: impl FnOnce() -> Arc<PatternEntry>,
@@ -167,7 +154,7 @@ impl PatternCache {
     /// Publishes `entry` under `key` unless a sibling got there first,
     /// and returns the entry the cache holds afterwards: the first
     /// publisher wins, everyone else adopts the winner.
-    pub(crate) fn publish(&self, key: &str, entry: Arc<PatternEntry>) -> Arc<PatternEntry> {
+    fn publish(&self, key: &str, entry: Arc<PatternEntry>) -> Arc<PatternEntry> {
         let mut map = self.entries.write().unwrap_or_else(|e| e.into_inner());
         Arc::clone(map.entry(key.to_string()).or_insert(entry))
     }
@@ -396,43 +383,35 @@ impl Verdict {
     }
 }
 
-/// The optimized pre-update check over one document state: everything
-/// the evaluation reads, none of it mutable.
-pub(crate) struct OptimizedCheck<'a> {
-    /// The state the statement is decided against (the writer's live
-    /// document or a reader's snapshot).
-    pub(crate) doc: &'a Document,
-    /// The compiled constraint set.
-    pub(crate) gamma: &'a SharedGamma,
-    /// Whether the static independence analysis is on (compile-time
-    /// pre-filtering of Γ and the skip/retain counters).
-    pub(crate) independence: bool,
-}
-
-impl OptimizedCheck<'_> {
-    /// Compiles `mapped`'s pattern against Γ, IR-precompiled and ready
-    /// to share.
-    fn compile(&self, mapped: &xic_mapping::MappedUpdate) -> Arc<PatternEntry> {
-        PatternEntry::build(compile_pattern(
-            mapped,
-            self.gamma.constraints(),
-            self.gamma.schema(),
-            self.independence,
-        ))
+/// The optimized pre-update check: Γ's methods, over one document state.
+impl SharedGamma {
+    /// Compiles `mapped`'s pattern against Γ, IR-precompiled, and publishes
+    /// it under `key` in Γ's store (a sibling that published the key first
+    /// wins, and its entry is returned).
+    pub(crate) fn compile_and_publish(&self, key: &str, mapped: &MappedUpdate) -> Arc<PatternEntry> {
+        self.patterns().compile_and_publish(key, || {
+            PatternEntry::build(compile_pattern(
+                mapped,
+                self.constraints(),
+                self.schema(),
+                self.independence(),
+            ))
+        })
     }
 
-    /// Decides `stmt` against the document without touching it, and
-    /// reports whether its pattern was already in `patterns` (`None` when
-    /// the statement never got as far as a pattern key). A first sight is
-    /// compiled here and published; a sibling that published the same key
-    /// meanwhile wins and its entry is the one evaluated.
-    pub(crate) fn decide(
+    /// Decides `stmt` against `doc` — the writer's live document or a
+    /// reader's snapshot — without touching it, and reports whether its
+    /// pattern was already in Γ's store (`None` when the statement never
+    /// got as far as a pattern key). A first sight is compiled here and
+    /// published; a sibling that published the same key meanwhile wins and
+    /// its entry is the one evaluated.
+    pub(crate) fn decide_optimized(
         &self,
+        doc: &Document,
         stmt: &XUpdateDoc,
-        patterns: &PatternCache,
     ) -> (Result<Verdict, CheckerError>, Option<bool>) {
         let mut hit = None;
-        let verdict = match self.decide_inner(stmt, patterns, &mut hit) {
+        let verdict = match self.decide_inner(doc, stmt, &mut hit) {
             // A spent budget cannot pay for the costlier path either: say
             // so before a reader copies the document to find out.
             Ok(Verdict::NotIncremental(_)) if xic_xpath::budget::remaining() == Some(0) => {
@@ -445,8 +424,8 @@ impl OptimizedCheck<'_> {
 
     fn decide_inner(
         &self,
+        doc: &Document,
         stmt: &XUpdateDoc,
-        patterns: &PatternCache,
         hit: &mut Option<bool>,
     ) -> Result<Verdict, CheckerError> {
         if !stmt.insertions_only() {
@@ -455,19 +434,18 @@ impl OptimizedCheck<'_> {
         if let Some(op) = observes_earlier_op(stmt) {
             return Ok(Verdict::NotIncremental(Fallback::ObservesEarlierOp { op }));
         }
-        let mapped = match map_update(self.doc, self.gamma.schema(), stmt, &xpath_resolver) {
+        let mapped = match map_update(doc, self.schema(), stmt, &xpath_resolver) {
             Ok(mapped) => mapped,
             Err(UpdateMapError::BudgetExhausted) => return Err(CheckerError::BudgetExhausted),
             Err(e) => return Ok(Verdict::NotIncremental(Fallback::Unmappable(e))),
         };
-        if let Some(rel) = mapped.displaced.iter().find(|rel| self.gamma.reads_pos(rel)) {
+        if let Some(rel) = mapped.displaced.iter().find(|rel| self.reads_pos(rel)) {
             return Ok(Verdict::NotIncremental(Fallback::PosShift { rel: rel.clone() }));
         }
         let key = pattern_key(&mapped.update);
-        let cached = patterns.get(&key);
+        let cached = self.patterns().get(&key);
         *hit = Some(cached.is_some());
-        let entry =
-            cached.unwrap_or_else(|| patterns.compile_and_publish(&key, || self.compile(&mapped)));
+        let entry = cached.unwrap_or_else(|| self.compile_and_publish(&key, &mapped));
         if !entry.compiled.is_incremental() {
             return Ok(Verdict::NotIncremental(Fallback::NonIncremental { key }));
         }
@@ -477,7 +455,7 @@ impl OptimizedCheck<'_> {
         // deterministic), so the new bindings apply directly.
         let _check = xic_obs::phase("check");
         let _optimized = xic_obs::phase("optimized");
-        if self.independence {
+        if self.independence() {
             let skipped = compiled.live.iter().filter(|&&l| !l).count();
             xic_obs::add(xic_obs::Counter::ChecksSkippedStatic, skipped as u64);
             xic_obs::add(
@@ -486,29 +464,29 @@ impl OptimizedCheck<'_> {
             );
         }
         for ((t, q), d) in entry.ir.iter().zip(&compiled.queries).zip(&compiled.simplified) {
-            if self.violates(t, q, &mapped.bindings)? {
+            if violates(doc, t, q, &mapped.bindings)? {
                 // The text is for the report only: a value that cannot be
                 // quoted leaves the template as it is.
                 let query =
-                    q.instantiate(self.doc, &mapped.bindings).unwrap_or_else(|_| q.text.clone());
+                    q.instantiate(doc, &mapped.bindings).unwrap_or_else(|_| q.text.clone());
                 return Ok(Verdict::Violated(Violation { denial: d.to_string(), query }));
             }
         }
         Ok(Verdict::Legal)
     }
+}
 
-    /// One template evaluation with the update's parameters bound
-    /// directly: does the simplified denial fire?
-    fn violates(
-        &self,
-        t: &IrTemplate,
-        q: &QueryTemplate,
-        bindings: &HashMap<String, Value>,
-    ) -> Result<bool, CheckerError> {
-        let params = bind_ir_params(t, self.doc, bindings)
-            .map_err(|e| CheckerError::Query(e.to_string()))?;
-        t.program.eval_exists(self.doc, &params).map_err(|e| CheckerError::eval(&q.text, e))
-    }
+/// One template evaluation with the update's parameters bound directly:
+/// does the simplified denial fire on `doc`?
+fn violates(
+    doc: &Document,
+    t: &IrTemplate,
+    q: &QueryTemplate,
+    bindings: &HashMap<String, Value>,
+) -> Result<bool, CheckerError> {
+    let params =
+        bind_ir_params(t, doc, bindings).map_err(|e| CheckerError::Query(e.to_string()))?;
+    t.program.eval_exists(doc, &params).map_err(|e| CheckerError::eval(&q.text, e))
 }
 
 #[cfg(test)]

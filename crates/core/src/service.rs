@@ -17,8 +17,8 @@
 //!   the same optimized check the writer commits with
 //!   ([`crate::optimized`]) on the reader's own thread against the
 //!   snapshot — no copy of the document, no apply, no writer
-//!   round-trip — through the [`PatternCache`] the service shares with
-//!   its writer; the baseline ([`ReadSnapshot::decide_full`]: copy,
+//!   round-trip — through the pattern store of the Γ the writer checks
+//!   with; the baseline ([`ReadSnapshot::decide_full`]: copy,
 //!   apply, check all of Γ) only decides what the writer also sends
 //!   down the baseline.
 //! * **Submitters group-commit their own batches.** The `Checker` sits
@@ -76,8 +76,8 @@
 //! [sync-now]: xic_xml::journal::Journal::sync_now
 
 use crate::checker::{index_reads, Checker, CheckerError, UpdateOutcome, Violation};
-use crate::gamma::{Baseline, SharedGamma};
-use crate::optimized::{Fallback, OptimizedCheck, PatternCache, Verdict};
+use crate::gamma::SharedGamma;
+use crate::optimized::{Fallback, Verdict};
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -299,8 +299,9 @@ pub struct ServiceStats {
     /// it keeps growing when readers ask a shape the writer never does,
     /// built again on every published snapshot.
     pub index_builds: u64,
-    /// Update patterns compiled for the service's [`PatternCache`]
-    /// (shared with every shard of a `ShardSet`).
+    /// Update patterns compiled into the store of the service's Γ
+    /// ([`SharedGamma::patterns`]), by any checker, snapshot or shard
+    /// over that Γ.
     pub patterns_compiled: u64,
     /// Their total wall time, in µs.
     pub pattern_compile_us: u64,
@@ -337,25 +338,21 @@ struct DecideCells {
     fallback: [AtomicU64; Fallback::NAMES.len()],
 }
 
-/// Converts a deadline's remaining milliseconds into an [`EvalBudget`]
-/// (see [`DEADLINE_STEPS_PER_MS`]). A zero remainder yields a zero-step
-/// budget, which exhausts on the first charge.
-pub fn deadline_budget(remaining_ms: u64) -> EvalBudget {
-    EvalBudget::new(remaining_ms.saturating_mul(DEADLINE_STEPS_PER_MS))
+/// The step budget for `left` of a deadline, counted in µs
+/// ([`DEADLINE_STEPS_PER_MS`] per ms: 0.95 ms is 47 500 steps). A zero
+/// `left` yields a zero-step budget, which exhausts on the first charge.
+fn deadline_steps(left: Duration) -> EvalBudget {
+    let us = u64::try_from(left.as_micros()).unwrap_or(u64::MAX);
+    EvalBudget::new(us.saturating_mul(DEADLINE_STEPS_PER_MS) / 1000)
 }
 
 /// The check inputs, shared immutably by every snapshot the service
-/// publishes: the checker's [`SharedGamma`] (denials, query texts,
-/// compiled programs, footprints) and the [`PatternCache`] the writer's
-/// checker compiles into and looks up from. The gamma `Arc` (and, in a
-/// `ShardSet`, the cache) is the same compiled set shared across every
-/// shard — publishing a snapshot never re-compiles anything.
+/// publishes: the writer's [`SharedGamma`] (denials, query texts,
+/// compiled programs, footprints, the independence setting and the
+/// pattern store), the same `Arc` every shard of a `ShardSet` holds —
+/// publishing a snapshot never re-compiles anything.
 struct CheckSet {
     gamma: Arc<SharedGamma>,
-    patterns: Arc<PatternCache>,
-    /// Whether the writer's checker ran the static independence analysis
-    /// at service start; snapshot decisions follow the same setting.
-    independence: bool,
     decides: DecideCells,
     /// Requests that exceeded their deadline, on the write path or on a
     /// snapshot: counted where it happens, like `decides`.
@@ -363,26 +360,9 @@ struct CheckSet {
 }
 
 impl CheckSet {
-    /// Captures `checker`'s check inputs: readers and the writer share its
-    /// Γ and its pattern store.
-    fn from_checker(checker: &Checker) -> CheckSet {
-        CheckSet {
-            gamma: Arc::clone(checker.shared_gamma()),
-            patterns: Arc::clone(checker.pattern_cache()),
-            independence: checker.independence(),
-            decides: DecideCells::default(),
-            timed_out: AtomicU64::new(0),
-        }
-    }
-
     fn note_timeout(&self) {
         self.timed_out.fetch_add(1, Ordering::Relaxed);
         xic_obs::incr(xic_obs::Counter::RequestTimedOut);
-    }
-
-    /// The baseline evaluator over the writer's Γ and settings.
-    fn baseline(&self) -> Baseline<'_> {
-        Baseline { gamma: &self.gamma, independence: self.independence }
     }
 
     /// Runs a snapshot read, counting its index probes and builds.
@@ -430,7 +410,7 @@ impl ReadSnapshot {
     /// [`Checker::check_full`]'s verdict, but against the snapshot — safe
     /// to call from any number of threads while the writer commits.
     pub fn check_full(&self) -> Result<Option<Violation>, CheckerError> {
-        self.checks.read(|| self.checks.baseline().run(&self.doc, None))
+        self.checks.read(|| self.checks.gamma.check_full(&self.doc, None))
     }
 
     /// [`ReadSnapshot::check_full`] bounded by `deadline_ms`: the
@@ -441,7 +421,7 @@ impl ReadSnapshot {
         &self,
         deadline_ms: u64,
     ) -> Result<Option<Violation>, ServiceError> {
-        let _budget = xic_xpath::budget::arm(deadline_budget(deadline_ms));
+        let _budget = xic_xpath::budget::arm(deadline_steps(Duration::from_millis(deadline_ms)));
         self.check_full().map_err(|e| self.timeout_or(e, deadline_ms))
     }
 
@@ -456,9 +436,8 @@ impl ReadSnapshot {
     /// earlier operation, a target that does not map to an update
     /// pattern here, a pattern without an incremental check, a non-tail
     /// insert shifting siblings whose position Γ reads. A pattern
-    /// no one has seen yet is compiled here and published to the cache
-    /// the writer shares (first publisher wins; the writer adopts the
-    /// entry on its next local miss).
+    /// no one has seen yet is compiled here and published to Γ's store,
+    /// which the writer shares (first publisher wins).
     ///
     /// The answer is the one `UPDATE` would give at this version —
     /// same verdict, same violated denial, same error for a statement
@@ -472,17 +451,12 @@ impl ReadSnapshot {
     /// any read-your-writes-free read replica.
     pub fn decide(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
         let checks = &*self.checks;
-        let check = OptimizedCheck {
-            doc: &self.doc,
-            gamma: &checks.gamma,
-            independence: checks.independence,
-        };
         let decides = &checks.decides;
         let optimized = |verdict| {
             decides.optimized.fetch_add(1, Ordering::Relaxed);
             Ok(verdict)
         };
-        match checks.read(|| check.decide(stmt, &checks.patterns)).0? {
+        match checks.read(|| checks.gamma.decide_optimized(&self.doc, stmt)).0? {
             Verdict::Legal => optimized(None),
             Verdict::Violated(violation) => optimized(Some(violation)),
             Verdict::NotIncremental(fallback) => {
@@ -499,7 +473,7 @@ impl ReadSnapshot {
         stmt: &XUpdateDoc,
         deadline_ms: u64,
     ) -> Result<Option<Violation>, ServiceError> {
-        let _budget = xic_xpath::budget::arm(deadline_budget(deadline_ms));
+        let _budget = xic_xpath::budget::arm(deadline_steps(Duration::from_millis(deadline_ms)));
         self.decide(stmt).map_err(|e| self.timeout_or(e, deadline_ms))
     }
 
@@ -518,7 +492,7 @@ impl ReadSnapshot {
     /// Like every snapshot read, the decision is against **this
     /// snapshot's version**.
     pub fn decide_full(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
-        self.checks.read(|| self.checks.baseline().decide(&self.doc, stmt)).map(|(_, v)| v)
+        self.checks.read(|| self.checks.gamma.decide_full(&self.doc, stmt)).map(|(_, v)| v)
     }
 
     /// Maps a deadline-budget exhaustion to [`ServiceError::Timeout`],
@@ -547,13 +521,11 @@ impl Deadline {
         Deadline { expires: Instant::now() + Duration::from_millis(ms), ms }
     }
 
-    /// The step budget for the time left at `now`, counted in µs
-    /// ([`DEADLINE_STEPS_PER_MS`] per ms: 0.95 ms left is 47 500 steps), or
-    /// `None` once `now` has reached the expiry.
+    /// The step budget for the time left at `now`, or `None` once `now`
+    /// has reached the expiry.
     fn budget(&self, now: Instant) -> Option<EvalBudget> {
         let left = self.expires.checked_duration_since(now).filter(|d| !d.is_zero())?;
-        let us = u64::try_from(left.as_micros()).unwrap_or(u64::MAX);
-        Some(EvalBudget::new(us.saturating_mul(DEADLINE_STEPS_PER_MS) / 1000))
+        Some(deadline_steps(left))
     }
 }
 
@@ -642,7 +614,11 @@ impl CheckerService {
     /// Starts a service over `checker` with the full configuration.
     pub fn with_config(checker: Checker, config: ServiceConfig) -> Arc<CheckerService> {
         let config = ServiceConfig { queue_depth: config.queue_depth.max(1), ..config };
-        let checks = Arc::new(CheckSet::from_checker(&checker));
+        let checks = Arc::new(CheckSet {
+            gamma: Arc::clone(checker.shared_gamma()),
+            decides: DecideCells::default(),
+            timed_out: AtomicU64::new(0),
+        });
         let initial = Arc::new(ReadSnapshot {
             doc: Arc::clone(&checker.doc),
             version: checker.committed(),
@@ -694,7 +670,7 @@ impl CheckerService {
             decides.index_reads[i].load(Ordering::Relaxed)
                 + decides.writer_index_reads[i].load(Ordering::Relaxed)
         };
-        let (patterns_compiled, pattern_compile_us) = self.checks.patterns.compile_stats();
+        let (patterns_compiled, pattern_compile_us) = self.checks.gamma.patterns().compile_stats();
         ServiceStats {
             requests_shed: self.stats.shed.load(Ordering::Relaxed),
             requests_timed_out: self.checks.timed_out.load(Ordering::Relaxed),

@@ -7,9 +7,10 @@
 //! a set made [`ShardSet::in_memory`]), and single-writer commit stream
 //! (a [`CheckerService`]). What the shards *share* is the expensive
 //! read-only part: one [`SharedGamma`] (denials mapped, simplified,
-//! translated, parsed and IR-compiled exactly once) and one
-//! [`PatternCache`] (an update pattern compiled on any shard is adopted
-//! by every sibling). The paper's simplification machinery is
+//! translated, parsed and IR-compiled exactly once), and with it Γ's
+//! pattern store (an update pattern compiled on any shard is adopted by
+//! every sibling, a shard rebuilt by recovery included). The paper's
+//! simplification machinery is
 //! document-local, so a shard is the natural unit of both scale and
 //! failure containment.
 //!
@@ -295,15 +296,9 @@ fn validate_root(root: &Path, count: usize) -> Result<(), ShardSetError> {
 }
 
 /// Puts a shard's checker — its store already open — in service under
-/// the set's configuration: rotation policy, the cross-shard pattern
-/// store, one commit lock.
-fn start_shard(
-    mut checker: Checker,
-    patterns: &Arc<PatternCache>,
-    config: &ShardSetConfig,
-) -> Arc<CheckerService> {
+/// the set's configuration: rotation policy, one commit lock.
+fn start_shard(mut checker: Checker, config: &ShardSetConfig) -> Arc<CheckerService> {
     checker.set_checkpoint_policy(config.policy);
-    checker.set_pattern_cache(Arc::clone(patterns));
     CheckerService::with_config(checker, config.service)
 }
 
@@ -325,7 +320,6 @@ type Opened = Result<(Checker, RecoveryReport), CheckerError>;
 /// (see the [module docs](self)).
 pub struct ShardSet {
     gamma: Arc<SharedGamma>,
-    patterns: Arc<PatternCache>,
     config: ShardSetConfig,
     shards: Vec<ShardSlot>,
 }
@@ -433,7 +427,6 @@ impl ShardSet {
         } else {
             (0..base_xmls.len()).map(open_one).collect()
         };
-        let patterns = PatternCache::new();
         let mut shards = Vec::with_capacity(base_xmls.len());
         let mut reports = Vec::with_capacity(base_xmls.len());
         for (id, result) in opened.into_iter().enumerate() {
@@ -441,11 +434,11 @@ impl ShardSet {
             shards.push(ShardSlot {
                 dir: root.map(|root| shard_dir(root, id)),
                 base_xml: base_xmls[id].to_string(),
-                service: RwLock::new(start_shard(checker, &patterns, &config)),
+                service: RwLock::new(start_shard(checker, &config)),
             });
             reports.push(report);
         }
-        Ok((ShardSet { gamma, patterns, config, shards }, reports))
+        Ok((ShardSet { gamma, config, shards }, reports))
     }
 
     /// Number of shards.
@@ -463,9 +456,10 @@ impl ShardSet {
         &self.gamma
     }
 
-    /// The cross-shard compiled-pattern cache.
-    pub fn patterns(&self) -> &Arc<PatternCache> {
-        &self.patterns
+    /// The compiled-pattern store every shard shares: Γ's
+    /// ([`SharedGamma::patterns`]).
+    pub fn patterns(&self) -> &PatternCache {
+        self.gamma.patterns()
     }
 
     fn slot(&self, id: usize) -> Result<&ShardSlot, ShardSetError> {
@@ -546,7 +540,7 @@ impl ShardSet {
         let (checker, report) =
             Checker::open_store(dir, &slot.base_xml, &self.gamma, self.config.sync)
                 .map_err(|source| ShardSetError::Shard { id, source })?;
-        *guard = start_shard(checker, &self.patterns, &self.config);
+        *guard = start_shard(checker, &self.config);
         Ok(report)
     }
 

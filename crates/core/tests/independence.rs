@@ -5,8 +5,8 @@
 //! constraint must stay live (descendant axes, aggregates over renamed
 //! paths).
 //!
-//! The unmasked reference is a twin checker with
-//! [`Checker::set_independence`] turned off.
+//! The unmasked reference is a twin checker over a Γ of its own, compiled
+//! with the analysis off ([`SharedGamma::compile_unmasked`]).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,11 +16,22 @@ use xic_workload::multi::{
 };
 use xicheck::obs::{self, Counter};
 use xicheck::{
-    serialize, Checker, CheckerService, Executor, Strategy, UpdateOutcome, XUpdateDoc,
+    serialize, Checker, CheckerService, Executor, SharedGamma, Strategy, UpdateOutcome,
+    XUpdateDoc,
 };
 
 fn checker_for(w: &xic_workload::multi::MultiWorkload) -> Checker {
     Checker::new(&w.xml, &w.dtd, &w.constraints_text()).expect("multi workload must assemble")
+}
+
+/// A checker over a Γ of its own with the independence analysis off.
+fn unmasked(xml: &str, dtd: &str, constraints: &str) -> Checker {
+    let gamma = SharedGamma::compile_unmasked(dtd, constraints).expect("Γ compiles");
+    Checker::from_shared(xml, &gamma).expect("document loads")
+}
+
+fn unmasked_for(w: &xic_workload::multi::MultiWorkload) -> Checker {
+    unmasked(&w.xml, &w.dtd, &w.constraints_text())
 }
 
 #[test]
@@ -98,8 +109,7 @@ fn union_statement(n: usize, regions: usize, items: usize) -> String {
 fn masked_and_unmasked_checkers_agree_on_random_stream() {
     let w = generate_multi(MultiConfig::with_regions(6, 3));
     let mut on = checker_for(&w);
-    let mut off = checker_for(&w);
-    off.set_independence(false);
+    let mut off = unmasked_for(&w);
     assert!(!off.independence());
 
     let mut rng = StdRng::seed_from_u64(77);
@@ -194,8 +204,7 @@ fn aggregate_constraint_retained_under_rename() {
 fn masks_stay_exact_on_a_non_conforming_document() {
     let w = generate_multi(MultiConfig::with_regions(8, 5));
     let mut on = checker_for(&w);
-    let mut off = checker_for(&w);
-    off.set_independence(false);
+    let mut off = unmasked_for(&w);
 
     // Rename region1's first item into region2's vocabulary: no parent
     // licenses item2 under region1, so once this commits the document no
@@ -245,8 +254,7 @@ fn union_select_remove_is_rejected_masked_and_unmasked() {
     )
     .unwrap();
     let mut on = Checker::new(doc, dtd, constraints).unwrap();
-    let mut off = Checker::new(doc, dtd, constraints).unwrap();
-    off.set_independence(false);
+    let mut off = unmasked(doc, dtd, constraints);
     let before = serialize(on.doc());
 
     let masked = on.try_update(&stmt).unwrap();
@@ -274,8 +282,7 @@ fn remove_under_a_floor_retains_exactly_the_floor() {
     let floor = format!("<- //region3 -> R & cnt{{R/item3}} < {}", w.config.items_per_region);
     let constraints = format!("{} . {floor}", w.constraints_text());
     let mut on = Checker::new(&w.xml, &w.dtd, &constraints).unwrap();
-    let mut off = Checker::new(&w.xml, &w.dtd, &constraints).unwrap();
-    off.set_independence(false);
+    let mut off = unmasked(&w.xml, &w.dtd, &constraints);
     let remove = "<xupdate:modifications version=\"1.0\" \
          xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
          <xupdate:remove select=\"/db/region3/item3[1]\"/>\

@@ -9,7 +9,7 @@ use std::sync::Barrier;
 use xic_workload::{conflict_constraint, generate, random_batch, WorkloadConfig};
 use xicheck::obs;
 use xicheck::protocol::{execute, serve_connection, Command};
-use xicheck::{Checker, CheckerService, Executor, PatternCache, XUpdateDoc};
+use xicheck::{Checker, CheckerService, Executor, SharedGamma, XUpdateDoc};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
     <!ELEMENT dblp (pub)*>\n<!ELEMENT pub (title, aut+)>\n\
@@ -199,10 +199,10 @@ fn a_held_snapshot_survives_a_hundred_commits_of_every_kind() {
 fn first_sight_race_compiles_into_one_shared_entry() {
     const READERS: usize = 8;
     const COMMITS: usize = 12;
-    let cache = PatternCache::new();
-    let mut checker = Checker::new(CORPUS, DTD, CONFLICT).expect("corpus setup");
-    checker.set_pattern_cache(cache.clone());
+    let gamma = SharedGamma::compile(DTD, CONFLICT).expect("Γ compiles");
+    let checker = Checker::from_shared(CORPUS, &gamma).expect("corpus setup");
     let service = CheckerService::new(checker, Executor::GroupCommit);
+    let cache = gamma.patterns();
     assert!(cache.is_empty(), "nothing has seen the pattern yet");
     let start = Barrier::new(READERS + 1);
     let verdicts: Vec<String> = std::thread::scope(|scope| {

@@ -42,8 +42,9 @@
 //!    with a from-scratch path-key recomputation, on the pre-state, after
 //!    the statement mutates the tree, and after the compensating undo.
 //! 6. **Independence equivalence** — replaying the statement with the
-//!    static update/constraint independence mask forced *on* and forced
-//!    *off* ([`Checker::set_independence`]) must produce identical
+//!    static update/constraint independence mask *on* and *off* — two
+//!    checkers over two Γs, one compiled by
+//!    [`xicheck::SharedGamma::compile_unmasked`] — must produce identical
 //!    verdicts, violation reports, and byte-identical post-states, for
 //!    both `try_update` and `decide_only(FullWithRollback)`. Difftest
 //!    cases never arm evaluation budgets, so the on/off comparison is
@@ -511,21 +512,22 @@ fn order_cache_oracle(doc: &Document) -> Result<(), String> {
 }
 
 /// The independence oracle: a fresh checker pair replays the statement
-/// with the static skip mask forced on and forced off. Soundness of the
-/// analysis means the mask is *observationally invisible*: decisions,
-/// violation reports and post-states must not depend on it — including
-/// for a statement that breaks DTD-edge conformance.
-fn independence_oracle(
-    case: &Case,
-    gamma: &Arc<xicheck::SharedGamma>,
-    stmt: &XUpdateDoc,
-) -> Result<(), String> {
-    let mut on = Checker::from_shared(&case.doc_xml, gamma)
-        .map_err(|e| format!("masked checker setup failed: {e}"))?;
-    on.set_independence(true);
-    let mut off = Checker::from_shared(&case.doc_xml, gamma)
-        .map_err(|e| format!("unmasked checker setup failed: {e}"))?;
-    off.set_independence(false);
+/// with the static skip mask on and off, each over a Γ of its own, so the
+/// pre-filtered pattern compile is compared against the unfiltered one.
+/// Soundness of the analysis means the mask is *observationally
+/// invisible*: decisions, violation reports and post-states must not
+/// depend on it — including for a statement that breaks DTD-edge
+/// conformance.
+fn independence_oracle(case: &Case, stmt: &XUpdateDoc) -> Result<(), String> {
+    use xicheck::SharedGamma;
+    let checker = |gamma: Result<Arc<SharedGamma>, CheckerError>, side: &str| {
+        gamma
+            .and_then(|gamma| Checker::from_shared(&case.doc_xml, &gamma))
+            .map_err(|e| format!("{side} checker setup failed: {e}"))
+    };
+    let mut on = checker(SharedGamma::compile(&case.dtd, &case.constraints), "masked")?;
+    let off = SharedGamma::compile_unmasked(&case.dtd, &case.constraints);
+    let mut off = checker(off, "unmasked")?;
 
     // decide_only(FullWithRollback) exercises the masked full check
     // without committing, so the subsequent try_update still sees the
@@ -782,7 +784,7 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
 
     // Oracle 6: the static independence mask must be observationally
     // invisible.
-    independence_oracle(case, &gamma, &stmt).map_err(|d| ("independence", d))?;
+    independence_oracle(case, &stmt).map_err(|d| ("independence", d))?;
     if twin {
         hostile::oracle(case, &gamma, &stmt).map_err(|d| ("hostile", d))?;
     }

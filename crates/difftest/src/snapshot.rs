@@ -28,7 +28,8 @@ use crate::{each_case, generate_case, tally, Case, Config, Outcome, COVERAGE_FLO
 use xic_xml::XUpdateDoc;
 use xicheck::service::ReadSnapshot;
 use xicheck::{
-    Checker, CheckerError, CheckerService, Executor, Strategy, UpdateOutcome, Violation,
+    Checker, CheckerError, CheckerService, Executor, SharedGamma, Strategy, UpdateOutcome,
+    Violation,
 };
 
 /// One failed case, with the setting it failed under.
@@ -177,11 +178,14 @@ fn compare(
     Ok(())
 }
 
+/// A checker over a Γ of its own, compiled with the independence
+/// analysis on or off.
 fn checker(case: &Case, independence: bool) -> Result<Checker, String> {
-    let mut checker = Checker::new(&case.doc_xml, &case.dtd, &case.constraints)
-        .map_err(|e| format!("checker setup failed: {e}"))?;
-    checker.set_independence(independence);
-    Ok(checker)
+    let compile =
+        if independence { SharedGamma::compile } else { SharedGamma::compile_unmasked };
+    compile(&case.dtd, &case.constraints)
+        .and_then(|gamma| Checker::from_shared(&case.doc_xml, &gamma))
+        .map_err(|e| format!("checker setup failed: {e}"))
 }
 
 /// `decide` on `snapshot`, asserting it leaves the snapshot untouched.
