@@ -8,7 +8,7 @@ echo "== doc byte budget (the four long docs do not grow back) =="
 # change that adds prose to one removes as much elsewhere (an old
 # CHANGES entry condensed, a retired EXPERIMENTS section folded into its
 # table); raising a budget is a decision its CHANGES entry explains.
-for budget in CHANGES.md:160085 DESIGN.md:76079 EXPERIMENTS.md:68692 README.md:38559; do
+for budget in CHANGES.md:165773 DESIGN.md:76001 EXPERIMENTS.md:68627 README.md:38441; do
   file="${budget%%:*}" max="${budget##*:}"
   size="$(wc -c < "$file")"
   [ "$size" -le "$max" ] || { echo "$file: $size bytes, over its budget of $max" >&2; exit 1; }
@@ -51,6 +51,22 @@ stores="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     print FILENAME ":" FNR ": " $0
   }')"
 [ -z "$stores" ] || { echo "$stores" >&2; echo "a pattern store built, or a checker setter named, outside SharedGamma" >&2; exit 1; }
+
+echo "== a store holds checked commits only (no unchecked write, no abort record, one way back) =="
+# The journal holds exactly the statements the checker decided legal: a
+# statement that is refused or does not apply drops its copy and appends
+# nothing, and a checker comes back over its store one way,
+# `Checker::open_store`, whose first write checkpoints before it appends.
+# No code line before a file's first `#[cfg(test)]` in crates/*/src names
+# `recover_store` or `apply_unchecked`, or appends a `RecordKind::Abort`
+# (replay still decodes and skips the ones an older build wrote).
+forks="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_test = 0 }
+  /^#\[cfg\(test\)\]/ { in_test = 1 }
+  !in_test && !/^[[:space:]]*\/\// && (/(^|[^[:alnum:]_])(recover_store|apply_unchecked)([^[:alnum:]_]|$)/ || /append\([^)]*RecordKind::Abort/) {
+    print FILENAME ":" FNR ": " $0
+  }')"
+[ -z "$forks" ] || { echo "$forks" >&2; echo "an unchecked write, an abort record or a second way to reopen a store" >&2; exit 1; }
 
 echo "== build (release) =="
 cargo build --release --workspace

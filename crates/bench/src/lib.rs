@@ -265,7 +265,7 @@ fn scratch_path(tag: &str, n: usize, seed: u64) -> std::path::PathBuf {
 
 /// Recovery time versus committed-history length, with and without
 /// checkpointing. A store that never rotates is one journal:
-/// [`Checker::recover_store`] replays the whole history — cost linear in
+/// [`Checker::open_store`] replays the whole history — cost linear in
 /// `history`. With an automatic rotation policy it replays only the
 /// suffix since the newest snapshot — cost bounded by the rotation
 /// interval, flat in `history` (the durability analogue of the paper's
@@ -329,7 +329,7 @@ pub fn measure_checkpoint(history: usize, interval: u64, kib: usize, seed: u64, 
         } // crash
         let recover = || {
             let (_c, rep) =
-                Checker::recover_store(&dir, &w.xml, &gamma, true).expect("store recovery");
+                Checker::open_store(&dir, &w.xml, &gamma, true).expect("store recovery");
             assert!(!rep.degraded);
             assert_eq!(rep.base_commit_seq as usize + rep.replayed, history);
             rep

@@ -98,7 +98,7 @@ pub enum CheckerError {
     /// A mutating operation was refused because an earlier contained
     /// panic, or a fault after a commit record was appended, left the
     /// journal in doubt (the document is always a committed version).
-    /// Rebuild via [`Checker::recover_store`] (or a fresh constructor).
+    /// Rebuild via [`Checker::open_store`] (or a fresh constructor).
     Poisoned,
     /// Write-ahead journal failure: create/append/fsync, or a recovery
     /// that cannot proceed (base-snapshot mismatch, out-of-sequence or
@@ -109,7 +109,7 @@ pub enum CheckerError {
     /// non-fatal because the previous generation stays recoverable).
     Checkpoint(String),
     /// A mutating operation was refused because the checker is in
-    /// degraded read-only mode: [`Checker::recover_store`] found no
+    /// degraded read-only mode: [`Checker::open_store`] found no
     /// generation that validates, or a journal flush failed, so writes
     /// cannot be made durable. Reopening the store is the way back.
     Degraded,
@@ -228,7 +228,7 @@ pub struct Checker {
     shared: Arc<SharedGamma>,
     /// Journal, store, rotation policy and commit counters.
     pub(crate) log: CommitLog,
-    /// Set by [`Checker::recover_store`] when no generation validated,
+    /// Set by [`Checker::open_store`] when no generation validated,
     /// and by a failed flush: the checker serves reads but refuses
     /// mutations.
     pub(crate) degraded: bool,
@@ -377,7 +377,7 @@ impl Checker {
     /// committed version (statements are applied to a copy), but the
     /// journal may hold a record the checker cannot vouch for, so mutating
     /// operations return [`CheckerError::Poisoned`]. Rebuild the state
-    /// with [`Checker::recover_store`].
+    /// with [`Checker::open_store`].
     pub fn poisoned(&self) -> bool {
         self.poisoned
     }
@@ -390,7 +390,7 @@ impl Checker {
         }
     }
 
-    /// True in degraded read-only mode — [`Checker::recover_store`] found
+    /// True in degraded read-only mode — [`Checker::open_store`] found
     /// no generation that validates, or a journal flush failed:
     /// `check_full` and `decide_only` still serve answers against the
     /// in-memory document, but mutating entry points return
@@ -449,69 +449,6 @@ impl Checker {
         }
     }
 
-    /// Applies `stmt` without any integrity check (workload setup). With a
-    /// store attached the statement is journaled and flushed like a
-    /// committed update, so recovery replays it.
-    pub fn apply_unchecked(&mut self, stmt: &XUpdateDoc) -> Result<(), CheckerError> {
-        let written = self.write(|checker| checker.apply_and_commit(stmt));
-        self.flush()?;
-        written
-    }
-
-    /// The one write step behind [`Checker::try_update`],
-    /// [`Checker::apply_unchecked`] and [`crate::service::apply_batch`]:
-    /// refuses a poisoned or degraded checker, moves a reopened store to
-    /// a fresh segment, then runs `step`, which decides, applies to a
-    /// copy and commits it. Nothing is flushed: the caller runs
-    /// [`Checker::flush`] before it acknowledges. A panic escaping `step`
-    /// is contained here ([`CheckerError::Panicked`]) and poisons the
-    /// checker.
-    fn write<T>(
-        &mut self,
-        step: impl FnOnce(&mut Checker) -> Result<T, CheckerError>,
-    ) -> Result<T, CheckerError> {
-        self.refuse_if_poisoned()?;
-        self.refuse_if_degraded()?;
-        let run = AssertUnwindSafe(|| {
-            index_reads(|| {
-                self.log.rotate_if_reopened(&self.doc)?;
-                step(self)
-            })
-        });
-        match catch_unwind(run) {
-            Ok((result, [probes, builds])) => {
-                self.stats.index_probes += probes;
-                self.stats.index_builds += builds;
-                result
-            }
-            Err(payload) => {
-                self.poisoned = true;
-                xic_obs::incr(xic_obs::Counter::PanicContained);
-                Err(CheckerError::Panicked(panic_message(&*payload)))
-            }
-        }
-    }
-
-    /// Applies `stmt` to a copy of the document and commits the copy. A
-    /// statement that does not apply leaves the document as it was.
-    fn apply_and_commit(&mut self, stmt: &XUpdateDoc) -> Result<(), CheckerError> {
-        let applied = apply_to_copy(&self.doc, stmt);
-        let (next, _) = applied.map_err(|e| self.refused(stmt, e))?;
-        self.commit(stmt, next)
-    }
-
-    /// Journals an abort record for a statement that does not apply (a
-    /// [`CheckerError::Statement`]) and hands the error back. A `select`
-    /// that ran out of the request's budget is a timeout, and a failed
-    /// check is the checker's failure, not a fact about the statement:
-    /// neither leaves a record.
-    fn refused(&mut self, stmt: &XUpdateDoc, e: CheckerError) -> CheckerError {
-        if matches!(e, CheckerError::Statement(_)) {
-            self.log.abort(stmt);
-        }
-        e
-    }
-
     /// Makes `next`, the document with `stmt` applied, the committed
     /// version: appends the record (unflushed), then swaps `next` in. On
     /// append failure `next` is dropped, so document and journal stay in
@@ -554,7 +491,7 @@ impl Checker {
     /// Any panic escaping evaluation or apply is contained here
     /// (`catch_unwind`): it is returned as [`CheckerError::Panicked`] and
     /// the checker is poisoned — mutating operations are refused until the
-    /// state is rebuilt with [`Checker::recover_store`]. With a store
+    /// state is rebuilt with [`Checker::open_store`]. With a store
     /// attached the commit record is flushed before the verdict is
     /// returned; a failed flush is a [`CheckerError::Journal`] error and
     /// leaves the checker [degraded](Checker::degraded) with the
@@ -565,10 +502,34 @@ impl Checker {
         outcome
     }
 
-    /// [`Checker::try_update`] minus the flush: a batch runs it per
-    /// statement and flushes once.
+    /// [`Checker::try_update`] minus the flush — the one write step,
+    /// behind it and [`crate::service::apply_batch`] (a batch runs it per
+    /// statement and flushes once): refuses a poisoned or degraded
+    /// checker, moves a reopened store to a fresh segment, then decides,
+    /// applies to a copy and commits it. A panic escaping that is
+    /// contained here ([`CheckerError::Panicked`]) and poisons the
+    /// checker.
     pub(crate) fn update_unflushed(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
-        self.write(|checker| checker.decide_and_commit(stmt))
+        self.refuse_if_poisoned()?;
+        self.refuse_if_degraded()?;
+        let run = AssertUnwindSafe(|| {
+            index_reads(|| {
+                self.log.rotate_if_reopened(&self.doc)?;
+                self.decide_and_commit(stmt)
+            })
+        });
+        match catch_unwind(run) {
+            Ok((result, [probes, builds])) => {
+                self.stats.index_probes += probes;
+                self.stats.index_builds += builds;
+                result
+            }
+            Err(payload) => {
+                self.poisoned = true;
+                xic_obs::incr(xic_obs::Counter::PanicContained);
+                Err(CheckerError::Panicked(panic_message(&*payload)))
+            }
+        }
     }
 
     fn decide_and_commit(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
@@ -599,19 +560,21 @@ impl Checker {
                 return Ok(UpdateOutcome::Rejected { strategy: Strategy::Optimized, violation });
             }
             Verdict::Legal => {
-                // Legal: now (and only now) execute the update.
-                self.apply_and_commit(stmt)?;
+                // Legal: now (and only now) execute the update. A statement
+                // that does not apply drops its copy and appends nothing.
+                let (next, _) = apply_to_copy(&self.doc, stmt)?;
+                self.commit(stmt, next)?;
                 return Ok(UpdateOutcome::Applied { strategy: Strategy::Optimized });
             }
         }
         // Baseline: apply to a copy and check it (masked to the constraints
         // the applied delta can reach). A legal copy is committed; a
-        // violation drops it, and so does a check *error* (an exhausted
-        // per-request deadline budget, an engine failure): the document
-        // never holds a statement its journal lacks.
+        // violation drops it, and so does an error (a statement that does
+        // not apply, an exhausted per-request deadline budget, an engine
+        // failure): the document never holds a statement its journal
+        // lacks, and the journal never holds one the checker refused.
         self.stats.full_checks += 1;
-        let decided = self.shared.decide_full(&self.doc, stmt);
-        let (next, violation) = decided.map_err(|e| self.refused(stmt, e))?;
+        let (next, violation) = self.shared.decide_full(&self.doc, stmt)?;
         let strategy = Strategy::FullWithRollback;
         if let Some(violation) = violation {
             self.stats.rollbacks += 1;

@@ -5,12 +5,15 @@
 //! policy and the commit counters. The on-disk side — file names, the
 //! live journal segment, the rotation steps, which generation a recovery
 //! may trust — belongs to [`xic_xml::checkpoint::Store`] alone; recovery
-//! here ([`Checker::recover_store`], [`Checker::open_store`]) is the part
-//! that needs a document and the XPath resolver: rebuild the base the
-//! store offers, replay its records, or say why not.
+//! here ([`Checker::open_store`], the one way back over a store) is the
+//! part that needs a document and the XPath resolver: rebuild the base
+//! the store offers, replay its records, or say why not.
+//!
+//! The journal holds only statements the checker decided legal: a
+//! statement that is refused, or does not apply, appends nothing.
 //!
 //! Every setting is given exactly once: the sync mode when the store is
-//! attached or recovered (it is never changed afterwards), the retention
+//! attached or opened (it is never changed afterwards), the retention
 //! window is the constant [`xic_xml::checkpoint::DEFAULT_RETAIN`], and
 //! only the rotation policy may be set later
 //! ([`Checker::set_checkpoint_policy`]). A commit only appends its
@@ -31,13 +34,15 @@ use xic_xml::checkpoint::{Candidate, CheckpointError, Recovery, Store};
 use xic_xml::journal::{crc32, RecordKind};
 use xic_xml::{apply, parse_document, serialize, Document, XUpdateDoc};
 
-/// What [`Checker::recover_store`] / [`Checker::open_store`] found.
+/// What [`Checker::open_store`] found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Commit records replayed onto the recovery base (the winning
     /// snapshot, or the external base document for generation 0).
     pub replayed: usize,
-    /// Abort records skipped (statements that did not apply).
+    /// Abort records skipped. Nothing writes one any more; a segment
+    /// written by an older build may still hold them (one per statement
+    /// that did not apply), and replay steps over them.
     pub aborts_skipped: usize,
     /// True if a torn or corrupt tail was detected and truncated.
     pub torn_tail_truncated: bool,
@@ -156,16 +161,6 @@ impl CommitLog {
         }
     }
 
-    /// Best-effort abort record: documents a statement that did not apply.
-    /// Failure to append it is swallowed — the statement already failed,
-    /// the document never changed, and replay skips aborts anyway.
-    pub(crate) fn abort(&mut self, stmt: &XUpdateDoc) {
-        let next = self.committed + 1;
-        if let Some(store) = self.store.as_mut() {
-            let _ = store.append(RecordKind::Abort, next, &stmt.to_xml());
-        }
-    }
-
     /// Appends the commit record for `stmt`, which is already applied to
     /// `doc` in memory, and then runs a due automatic rotation. Nothing
     /// is flushed here: the caller flushes before it acknowledges.
@@ -200,12 +195,12 @@ impl Checker {
     /// use [`Checker::open_store`] to resume one): generation 0 starts as
     /// a fresh journal segment keyed to a checksum of the *current*
     /// document state. From now on every statement committed by
-    /// [`Checker::try_update`] / [`Checker::apply_unchecked`] is appended
-    /// and flushed (with `sync`, fsync'd) before the verdict is returned;
-    /// the mode is fixed here. [`Checker::checkpoint`] (or the automatic
-    /// [`CheckpointPolicy`]) rotates to snapshot-backed generations,
-    /// keeping [`xic_xml::checkpoint::DEFAULT_RETAIN`] of them. Recover
-    /// with [`Checker::recover_store`] and the same base document text.
+    /// [`Checker::try_update`] is appended and flushed (with `sync`,
+    /// fsync'd) before the verdict is returned; the mode is fixed here.
+    /// [`Checker::checkpoint`] (or the automatic [`CheckpointPolicy`])
+    /// rotates to snapshot-backed generations, keeping
+    /// [`xic_xml::checkpoint::DEFAULT_RETAIN`] of them. Reopen with
+    /// [`Checker::open_store`] and the same base document text.
     pub fn attach_store(&mut self, dir: &Path, sync: bool) -> Result<(), CheckerError> {
         self.refuse_if_degraded()?;
         let base_crc = crc32(serialize(&self.doc).as_bytes());
@@ -267,17 +262,22 @@ impl Checker {
         Err(CheckerError::Journal(failure))
     }
 
-    /// Rebuilds a checker from a checkpointed store directory (see
-    /// [`Checker::attach_store`]) over an already-compiled Γ, preferring
-    /// the **newest valid checkpoint** and replaying only the journal
-    /// suffix recorded since it — recovery cost is bounded by the
-    /// rotation interval, not the full committed history, and (Γ being
-    /// shared) not by constraint compilation either: a
-    /// [`crate::shards::ShardSet`] compiles Γ once and fans this out
-    /// across its shard directories. The store stays attached, so the
-    /// recovered checker resumes journaling where the crashed one stopped
-    /// — on the replayed segment; a server reopens with
-    /// [`Checker::open_store`], which rotates away from it first.
+    /// Opens the checkpointed store at `dir` for `base_xml` over an
+    /// already-compiled Γ — the one way a checker comes back over its
+    /// store: a restarted server, a replaced shard, a recovery after a
+    /// crash. A missing or empty directory is created fresh
+    /// ([`Checker::attach_store`], with an empty report).
+    ///
+    /// Anything else is replayed, preferring the **newest valid
+    /// checkpoint** and replaying only the journal suffix recorded since
+    /// it — recovery cost is bounded by the rotation interval, not the
+    /// full committed history, and (Γ being shared) not by constraint
+    /// compilation either: a [`crate::shards::ShardSet`] compiles Γ once
+    /// and fans this out across its shard directories. The replayed
+    /// checker's first write takes one checkpoint before it appends
+    /// anything: the segment just replayed may hold records whose fsync
+    /// failed, and no commit acknowledged from now on may depend on them.
+    /// A restart that only serves reads writes nothing.
     ///
     /// When the newest generation fails validation (corrupt snapshot,
     /// segment keyed to another base, out-of-sequence or unreplayable
@@ -292,15 +292,22 @@ impl Checker {
     /// artifacts is refused ([`CheckerError::Checkpoint`]), as by
     /// [`Checker::attach_store`].
     ///
-    /// The recovered store's flushes fsync iff `sync` — the crashed
-    /// process's mode lived only in that process, so the caller restates
+    /// The store's flushes fsync iff `sync` — the mode of the process
+    /// that wrote it lived only in that process, so the caller restates
     /// it exactly as for [`Checker::attach_store`].
-    pub fn recover_store(
+    pub fn open_store(
         dir: &Path,
         base_xml: &str,
         shared: &Arc<SharedGamma>,
         sync: bool,
     ) -> Result<(Checker, RecoveryReport), CheckerError> {
+        // An empty directory cannot hold an acknowledged commit: a store
+        // fsyncs its first segment's name before it accepts one.
+        if !std::fs::read_dir(dir).is_ok_and(|mut entries| entries.next().is_some()) {
+            let mut checker = Checker::from_shared(base_xml, shared)?;
+            checker.attach_store(dir, sync)?;
+            return Ok((checker, RecoveryReport::default()));
+        }
         let replay = |candidate: &mut Candidate<'_>| {
             replay_candidate(candidate, base_xml, shared).map_err(|e| e.to_string())
         };
@@ -313,6 +320,7 @@ impl Checker {
                     store: Some(store),
                     base_commit_seq: report.base_commit_seq,
                     committed: report.base_commit_seq + report.replayed as u64,
+                    reopened: true,
                     ..CommitLog::default()
                 };
                 (checker, report)
@@ -329,40 +337,13 @@ impl Checker {
         report.fallback_reasons = rejected;
         Ok((checker, report))
     }
-
-    /// Opens the checkpointed store at `dir` for `base_xml` — the one way
-    /// a server, a restarted one or a replaced shard, comes up over its
-    /// store. A missing or empty directory is created fresh
-    /// ([`Checker::attach_store`], with an empty report). Otherwise the
-    /// store is replayed ([`Checker::recover_store`]) and the checker's
-    /// first write takes one checkpoint before it appends anything: the
-    /// segment just replayed may hold records whose fsync failed, and no
-    /// commit acknowledged from now on may depend on them. A restart that
-    /// only serves reads writes nothing.
-    pub fn open_store(
-        dir: &Path,
-        base_xml: &str,
-        shared: &Arc<SharedGamma>,
-        sync: bool,
-    ) -> Result<(Checker, RecoveryReport), CheckerError> {
-        // An empty directory cannot hold an acknowledged commit: a store
-        // fsyncs its first segment's name before it accepts one.
-        if std::fs::read_dir(dir).is_ok_and(|mut entries| entries.next().is_some()) {
-            let (mut checker, report) = Checker::recover_store(dir, base_xml, shared, sync)?;
-            checker.log.reopened = true;
-            return Ok((checker, report));
-        }
-        let mut checker = Checker::from_shared(base_xml, shared)?;
-        checker.attach_store(dir, sync)?;
-        Ok((checker, RecoveryReport::default()))
-    }
 }
 
 /// The caller's half of [`Store::recover`] for one candidate generation:
 /// rebuilds its base as a checker, opens the segment keyed to that base
 /// and replays it — commit versions must run consecutively from the
-/// base's `commit_seq + 1`; abort records are skipped. Any error means
-/// "fall back to an older generation".
+/// base's `commit_seq + 1`; abort records (written only by older builds)
+/// are skipped. Any error means "fall back to an older generation".
 fn replay_candidate(
     candidate: &mut Candidate<'_>,
     base_xml: &str,

@@ -1044,7 +1044,7 @@ pub struct BatchOutcome {
 /// and cannot fail one.
 ///
 /// Per-statement outcomes are independent — a rejected or failed
-/// statement appends no commit record and cannot poison its
+/// statement appends no record and cannot poison its
 /// batch-mates (a contained panic *does* poison the checker, so
 /// statements after it in the batch fail with
 /// [`CheckerError::Poisoned`]; their submitters are told so

@@ -42,13 +42,13 @@ fn store_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xic-ckpt-store-{}-{tag}-{n}", std::process::id()))
 }
 
-/// Recovers the store at `dir` over a freshly compiled Γ.
-fn recover_store(
+/// Reopens the store at `dir` over a freshly compiled Γ.
+fn open_store(
     dir: &std::path::Path,
     sync: bool,
 ) -> Result<(Checker, xicheck::RecoveryReport), CheckerError> {
     let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT)?;
-    Checker::recover_store(dir, CORPUS, &gamma, sync)
+    Checker::open_store(dir, CORPUS, &gamma, sync)
 }
 
 fn serialize(c: &Checker) -> String {
@@ -83,7 +83,7 @@ fn explicit_checkpoint_bounds_recovery_to_the_suffix() {
     assert_eq!(c.committed(), 5);
     drop(c); // crash
 
-    let (r, report) = recover_store(&dir, true).unwrap();
+    let (r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.generation, 1, "newest snapshot must win");
     assert_eq!(report.base_commit_seq, 3, "snapshot bakes in the first 3 commits");
     assert_eq!(report.replayed, 2, "only the suffix is replayed");
@@ -111,7 +111,7 @@ fn automatic_policy_rotates_and_recovery_prefers_newest_generation() {
     let committed_state = serialize(&c);
     drop(c);
 
-    let (r, report) = recover_store(&dir, true).unwrap();
+    let (r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.generation, generation);
     assert!(report.replayed <= 2, "replay is bounded by the rotation interval");
     assert_eq!(report.base_commit_seq as usize + report.replayed, 7);
@@ -135,7 +135,7 @@ fn corrupt_newest_snapshot_falls_back_one_generation() {
     // (generation 0 replays its own full segment, which ends where the
     // corrupt snapshot began).
     flip_byte(&Store::ckpt_path(&dir, 1), 32);
-    let (r, report) = recover_store(&dir, true).unwrap();
+    let (r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.generation, 0, "must fall back to the base generation");
     assert_eq!(report.fallbacks, 1);
     assert_eq!(report.fallback_reasons.len(), 1);
@@ -164,15 +164,16 @@ fn missing_segment_recovers_snapshot_with_empty_suffix() {
     drop(c);
     std::fs::remove_file(Store::wal_path(&dir, 1)).unwrap();
 
-    let (mut r, report) = recover_store(&dir, true).unwrap();
+    let (mut r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.generation, 1);
     assert_eq!(report.base_commit_seq, 3);
     assert_eq!(report.replayed, 0);
     assert_eq!(serialize(&r), state_at_ckpt);
     assert!(Store::wal_path(&dir, 1).exists(), "recovery must start the missing segment");
-    // And the recovered checker journals into it.
+    // And the recovered checker journals on, one generation up.
     commit_n(&mut r, 3, 1);
     assert_eq!(r.committed(), 4);
+    assert_eq!(r.store_generation(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -193,7 +194,7 @@ fn degraded_mode_serves_reads_but_refuses_mutations() {
     std::fs::write(Store::wal_path(&dir, 1), b"NOTAJOURNAL!").unwrap();
     std::fs::write(Store::wal_path(&dir, 0), b"NOTAJOURNAL!").unwrap();
 
-    let (mut r, report) = recover_store(&dir, true).unwrap();
+    let (mut r, report) = open_store(&dir, true).unwrap();
     assert!(report.degraded);
     assert!(r.degraded());
     assert_eq!(report.fallbacks, 2, "generations 1 and 0 both failed");
@@ -207,7 +208,6 @@ fn degraded_mode_serves_reads_but_refuses_mutations() {
     assert!(r.decide_only(&stmt, Strategy::FullWithRollback).unwrap().is_none());
     // …but every mutating entry point is refused.
     assert!(matches!(r.try_update(&stmt), Err(CheckerError::Degraded)));
-    assert!(matches!(r.apply_unchecked(&stmt), Err(CheckerError::Degraded)));
     assert!(matches!(r.checkpoint(), Err(CheckerError::Degraded)));
     assert!(matches!(
         r.attach_store(&store_dir("degraded-new"), true),
@@ -225,16 +225,17 @@ fn recovered_store_checker_resumes_rotating() {
     assert_eq!(c.checkpoint().unwrap(), 1);
     drop(c);
 
-    let (mut r, report) = recover_store(&dir, true).unwrap();
+    let (mut r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.generation, 1);
     commit_n(&mut r, 2, 2);
-    assert_eq!(r.checkpoint().unwrap(), 2, "rotation resumes from the recovered generation");
+    assert_eq!(r.store_generation(), 2, "the first write checkpoints off the replayed segment");
+    assert_eq!(r.checkpoint().unwrap(), 3, "rotation resumes from the recovered generation");
     commit_n(&mut r, 4, 1);
     let state = serialize(&r);
     drop(r);
 
-    let (r2, report2) = recover_store(&dir, true).unwrap();
-    assert_eq!(report2.generation, 2);
+    let (r2, report2) = open_store(&dir, true).unwrap();
+    assert_eq!(report2.generation, 3);
     assert_eq!(report2.base_commit_seq, 4);
     assert_eq!(report2.replayed, 1);
     assert_eq!(serialize(&r2), state);
@@ -268,7 +269,7 @@ fn fallback_counter_increments_on_generation_skips() {
     flip_byte(&Store::ckpt_path(&dir, 1), 32);
 
     xic_obs::reset();
-    let (_r, report) = recover_store(&dir, true).unwrap();
+    let (_r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.fallbacks, 1);
     let snap = xic_obs::snapshot();
     assert_eq!(snap.counter(xic_obs::Counter::RecoveryGenerationFallback), 1);
@@ -304,7 +305,7 @@ fn failed_rotation_then_commits_then_crash_loses_nothing() {
     drop(c);
 
     // …and a crash now must recover all three commits.
-    let (r, report) = recover_store(&dir, true).unwrap();
+    let (r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.generation, 0);
     assert_eq!(report.replayed, 3);
     assert_eq!(report.fallbacks, 0);
@@ -336,7 +337,7 @@ fn orphan_snapshot_with_newer_commits_on_an_older_segment_is_rejected() {
     )
     .unwrap();
 
-    let (r, report) = recover_store(&dir, true).unwrap();
+    let (r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.generation, 0, "the orphan must not win");
     assert_eq!(report.fallbacks, 1);
     assert!(
@@ -369,7 +370,7 @@ fn reattaching_a_store_does_not_resurrect_the_previous_incarnation() {
     let state = serialize(&c);
     drop(c);
 
-    let (r, report) = recover_store(&dir, true).unwrap();
+    let (r, report) = open_store(&dir, true).unwrap();
     assert_eq!(report.generation, 0);
     assert_eq!(report.replayed, 1);
     assert_eq!(serialize(&r), state, "recovery must restore the new incarnation");
@@ -377,7 +378,7 @@ fn reattaching_a_store_does_not_resurrect_the_previous_incarnation() {
 }
 
 #[test]
-fn recover_store_resumes_in_the_sync_mode_it_is_given() {
+fn open_store_resumes_in_the_sync_mode_it_is_given() {
     let dir = store_dir("opts");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     c.attach_store(&dir, true).unwrap();
@@ -387,27 +388,29 @@ fn recover_store_resumes_in_the_sync_mode_it_is_given() {
     let fsyncs = || xic_obs::snapshot().counter(xic_obs::Counter::JournalFsync);
 
     // The mode is the caller's to restate, in either direction: without
-    // sync no commit fsyncs, on the recovered segment or on one a later
-    // rotation creates.
-    let (mut r, _report) = recover_store(&dir, false).unwrap();
+    // sync no commit fsyncs, on the segment the first write rotates to or
+    // on one a later rotation creates.
+    let (mut r, _report) = open_store(&dir, false).unwrap();
     let before = fsyncs();
     commit_n(&mut r, 1, 1);
-    assert_eq!(r.checkpoint().unwrap(), 2);
+    assert_eq!(r.store_generation(), 2, "the first write checkpoints off the replayed segment");
+    assert_eq!(r.checkpoint().unwrap(), 3);
     commit_n(&mut r, 2, 1);
     assert_eq!(fsyncs() - before, 0, "sync = false must not fsync journal records");
     drop(r);
 
-    // With sync every commit fsyncs its record (plus one fsync for the
-    // header of the segment the rotation creates).
-    let (mut r2, _) = recover_store(&dir, true).unwrap();
+    // With sync every commit fsyncs its record, and every rotation the
+    // header of the segment it creates: the first write's, then the
+    // explicit one's.
+    let (mut r2, _) = open_store(&dir, true).unwrap();
     let before = fsyncs();
     commit_n(&mut r2, 3, 1);
-    assert_eq!(fsyncs() - before, 1);
-    assert_eq!(r2.checkpoint().unwrap(), 3);
+    assert_eq!(fsyncs() - before, 2);
+    assert_eq!(r2.checkpoint().unwrap(), 5);
     commit_n(&mut r2, 4, 1);
-    assert_eq!(fsyncs() - before, 3);
+    assert_eq!(fsyncs() - before, 4);
     // Retention is the constant: the live generation plus one fallback.
-    assert_eq!(Store::snapshot_generations(&dir), vec![3, 2]);
+    assert_eq!(Store::snapshot_generations(&dir), vec![5, 4]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -433,7 +436,6 @@ fn opening_a_directory_with_foreign_entries_is_refused_not_degraded() {
                 panic!("opened: degraded = {}, {:?}", c.degraded(), report.fallback_reasons)
             }
         }
-        assert!(matches!(recover_store(&dir, true), Err(CheckerError::Checkpoint(_))));
         std::fs::remove_file(dir.join("notes.txt")).unwrap();
     }
     // Without the intruder the same directory opens and replays.

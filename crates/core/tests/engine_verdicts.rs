@@ -40,6 +40,15 @@ fn checker() -> Checker {
     Checker::new(CORPUS, DTD, CONFLICT).unwrap()
 }
 
+/// `xml` with `stmt` applied and nothing checked: a state a checker is
+/// built over, since no checker commits a statement it did not check.
+fn unchecked(xml: &str, stmt: &str) -> String {
+    let (mut doc, _) = xicheck::parse_document(xml).unwrap();
+    let stmt = XUpdateDoc::parse(stmt).unwrap();
+    xic_xml::apply(&mut doc, &stmt, &xicheck::xpath_resolver).map_err(|(e, _)| e).unwrap();
+    xicheck::serialize(&doc)
+}
+
 fn violation(denial: &str, query: &str) -> Violation {
     Violation {
         denial: denial.to_string(),
@@ -153,13 +162,12 @@ fn check_full_reports_the_first_violation() {
     // Append a violating sub unchecked, so the full check has something
     // to find.
     for violating in [false, true] {
-        let mut c = checker();
-        if violating {
-            let stmt =
-                XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'ann']", "ann"))
-                    .unwrap();
-            c.apply_unchecked(&stmt).unwrap();
-        }
+        let c = if violating {
+            let xml = unchecked(CORPUS, &insert_sub("//rev[name/text() = 'ann']", "ann"));
+            Checker::new(&xml, DTD, CONFLICT).unwrap()
+        } else {
+            checker()
+        };
         let want = violating.then(self_review_full);
         assert_eq!(c.check_full().unwrap(), want, "violating={violating}");
     }
@@ -238,12 +246,13 @@ fn a_value_with_both_quote_characters_is_decided_like_any_other() {
     let corpus = CORPUS.replace("<name>dan</name>", &format!("<name>{NAME}</name>"));
     let rev2 = "/collection/review/track[1]/rev[2]";
     let mut optimized = Checker::new(&corpus, DTD, CONFLICT).unwrap();
-    let mut baseline = Checker::new(&corpus, DTD, CONFLICT).unwrap();
+    let baseline = Checker::new(&corpus, DTD, CONFLICT).unwrap();
 
     // Legal: the awkward author under another reviewer.
-    let legal = XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'ann']", NAME)).unwrap();
+    let legal_text = insert_sub("//rev[name/text() = 'ann']", NAME);
+    let legal = XUpdateDoc::parse(&legal_text).unwrap();
     assert_eq!(baseline.decide_only(&legal, Strategy::FullWithRollback).unwrap(), None);
-    baseline.apply_unchecked(&legal).unwrap();
+    let baseline = Checker::new(&unchecked(&corpus, &legal_text), DTD, CONFLICT).unwrap();
     let out = optimized.try_update(&legal).unwrap();
     assert!(out.applied());
     assert_eq!(out.strategy(), Strategy::Optimized);

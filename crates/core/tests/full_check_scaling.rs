@@ -243,10 +243,14 @@ fn violations_are_reported_as_before_and_in_constraint_order() {
         // …and a self-review before that.
         (vec![append(ANN, &sub_by("bob")), append(DAN, &sub_by("dan"))], Some(&self_review)),
     ] {
-        let mut c = Checker::new(CORPUS, DTD, &gamma(3)).expect("corpus loads");
+        // The violating states are built before the checker exists: no
+        // checker commits a statement it did not check.
+        let (mut doc, _) = xicheck::parse_document(CORPUS).expect("corpus parses");
         for s in &statements {
-            c.apply_unchecked(&XUpdateDoc::parse(s).expect("statement parses")).expect("applies");
+            let stmt = XUpdateDoc::parse(s).expect("statement parses");
+            xic_xml::apply(&mut doc, &stmt, &xicheck::xpath_resolver).map_err(|(e, _)| e).expect("applies");
         }
+        let c = Checker::new(&xicheck::serialize(&doc), DTD, &gamma(3)).expect("state loads");
         assert_eq!(c.check_full().expect("check runs").as_ref(), report, "after {statements:?}");
     }
 }

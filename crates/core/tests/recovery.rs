@@ -1,12 +1,15 @@
 //! Durability and fault-tolerance integration tests over a store that
-//! never rotates (a plain write-ahead journal): commit/recover, mid-batch
-//! abort records, panic containment with poisoning, evaluation-budget
-//! exhaustion, and the recovery edge cases (empty journal, torn-tail-only
-//! journal, double recovery, snapshot newer than the journal head).
+//! never rotates until it is reopened (a plain write-ahead journal):
+//! commit/recover, refusals and mid-batch apply failures that write
+//! nothing, segments from older builds holding abort records, panic
+//! containment with poisoning, evaluation-budget exhaustion, and the
+//! recovery edge cases (empty journal, torn-tail-only journal, double
+//! recovery, snapshot newer than the journal head).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xic_faults::FaultMode;
+use xic_xml::journal::RecordKind;
 use xicheck::{Checker, CheckerError, EvalBudget, RecoveryReport, Store, Strategy};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
@@ -50,10 +53,16 @@ fn journal_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xic-recovery-{}-{tag}-{n}.store", std::process::id()))
 }
 
-/// Recovers the store at `dir` onto `base_xml` over a freshly compiled Γ.
+/// Reopens the store at `dir` onto `base_xml` over a freshly compiled Γ.
 fn recover(base_xml: &str, dir: &std::path::Path) -> (Checker, RecoveryReport) {
     let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).unwrap();
-    Checker::recover_store(dir, base_xml, &gamma, true).unwrap()
+    Checker::open_store(dir, base_xml, &gamma, true).unwrap()
+}
+
+/// This thread's journal append and fsync counts.
+fn journal_writes() -> [u64; 2] {
+    let snap = xic_obs::snapshot();
+    [xic_obs::Counter::JournalAppend, xic_obs::Counter::JournalFsync].map(|c| snap.counter(c))
 }
 
 fn serialize(c: &Checker) -> String {
@@ -67,12 +76,11 @@ fn journal_commits_and_recovery_replays_them() {
     c.attach_store(&path, true).unwrap();
 
     // One optimized-path commit, one baseline-path commit, one rejection
-    // (rejections leave no record), one unchecked apply (journaled too).
+    // (rejections leave no record), one more optimized-path commit.
     assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().applied());
     assert!(c.try_update_str(TEXT_BATCH).unwrap().applied());
     assert!(!c.try_update_str(&insert_sub("//rev[name/text() = 'ann']", "ann")).unwrap().applied());
-    let extra = xicheck::XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap();
-    c.apply_unchecked(&extra).unwrap();
+    assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap().applied());
     assert_eq!(c.committed(), 3);
     let committed_state = serialize(&c);
     drop(c); // crash: the in-memory tree is gone
@@ -97,11 +105,16 @@ fn recovered_checker_keeps_journaling() {
     let (mut r, report) = recover(CORPUS, &path);
     assert_eq!(report.replayed, 1);
     assert!(r.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap().applied());
+    assert_eq!(r.store_generation(), 1, "the first write after the replay checkpoints");
     let state = serialize(&r);
     drop(r);
 
     let (r2, report2) = recover(CORPUS, &path);
-    assert_eq!(report2.replayed, 2, "post-recovery commits land in the same journal");
+    assert_eq!(
+        (report2.generation, report2.base_commit_seq, report2.replayed),
+        (1, 1, 1),
+        "post-recovery commits land in the rotated generation"
+    );
     assert_eq!(serialize(&r2), state);
     let _ = std::fs::remove_dir_all(&path);
 }
@@ -150,13 +163,14 @@ fn a_failed_flush_degrades_a_bare_checker_until_the_store_is_reopened() {
 }
 
 #[test]
-fn mid_batch_apply_failure_rolls_back_and_journals_abort_at_every_op_index() {
+fn a_mid_batch_apply_failure_leaves_no_record_at_every_op_index() {
     // The batch has 3 ops; inject an apply failure at each index in turn.
     for op_index in 1..=3u64 {
         let path = journal_path("midbatch");
         let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
         c.attach_store(&path, true).unwrap();
         let before = serialize(&c);
+        let writes = journal_writes();
 
         xic_faults::disarm_all();
         xic_faults::arm("xupdate.apply.op", op_index, FaultMode::Error);
@@ -166,19 +180,87 @@ fn mid_batch_apply_failure_rolls_back_and_journals_abort_at_every_op_index() {
             matches!(&err, CheckerError::Statement(m) if m.contains("injected fault")),
             "op {op_index}: {err}"
         );
-        assert_eq!(serialize(&c), before, "op {op_index}: prefix must be rolled back");
+        assert_eq!(serialize(&c), before, "op {op_index}: the copy is dropped");
         assert!(!c.poisoned(), "an apply error is handled, not a panic");
         assert_eq!(c.committed(), 0);
+        assert_eq!(journal_writes(), writes, "op {op_index}: no append, no fsync");
 
-        // The abort record is on disk; recovery skips it and yields the
-        // base document.
+        // The segment holds no record: replay yields the base document.
         drop(c);
         let (r, report) = recover(CORPUS, &path);
-        assert_eq!(report.replayed, 0, "op {op_index}");
-        assert_eq!(report.aborts_skipped, 1, "op {op_index}");
+        assert_eq!((report.replayed, report.aborts_skipped), (0, 0), "op {op_index}");
         assert_eq!(serialize(&r), before, "op {op_index}");
         let _ = std::fs::remove_dir_all(&path);
     }
+}
+
+/// A refused statement — one whose `select` matches nothing, on the
+/// optimized path or the baseline, or one that violates Γ — appends no
+/// record, so the flush after it costs no fsync: through `try_update`
+/// and through a service `submit` alike.
+#[test]
+fn a_refusal_writes_nothing() {
+    let path = journal_path("refusal");
+    let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
+    c.attach_store(&path, true).unwrap();
+    let refused = [
+        insert_sub("//rev[name/text() = 'nobody']", "zoe"),
+        r#"<xupdate:modifications xmlns:xupdate="x">
+          <xupdate:update select="//rev[name/text() = 'nobody']/name">x</xupdate:update>
+        </xupdate:modifications>"#
+            .to_string(),
+        insert_sub("//rev[name/text() = 'ann']", "ann"),
+    ];
+    for stmt in &refused {
+        let writes = journal_writes();
+        assert!(!c.try_update_str(stmt).is_ok_and(|out| out.applied()), "{stmt}");
+        assert_eq!(journal_writes(), writes, "try_update: {stmt}");
+    }
+    let service = xicheck::CheckerService::new(c, xicheck::Executor::GroupCommit);
+    for stmt in &refused {
+        let writes = journal_writes();
+        assert!(!service.submit(stmt).is_ok_and(|out| out.outcome.applied()), "{stmt}");
+        assert_eq!(journal_writes(), writes, "submit: {stmt}");
+    }
+    // A legal statement still appends its record and fsyncs it once.
+    let [appends, fsyncs] = journal_writes();
+    let legal = insert_sub("//rev[name/text() = 'dan']", "zoe");
+    assert!(service.submit(&legal).unwrap().outcome.applied());
+    assert_eq!(journal_writes(), [appends + 1, fsyncs + 1]);
+    drop(service.shutdown().unwrap());
+    let (_, report) = recover(CORPUS, &path);
+    assert_eq!((report.replayed, report.aborts_skipped), (1, 0));
+    let _ = std::fs::remove_dir_all(&path);
+}
+
+/// A segment written by an older build, which appended an abort record
+/// for a statement that did not apply, still opens: replay skips the
+/// abort, applies both commits, and the first write after it checkpoints
+/// into generation 1.
+#[test]
+fn a_store_holding_abort_records_still_opens() {
+    let path = journal_path("aborts");
+    let zoe = insert_sub("//rev[name/text() = 'dan']", "zoe");
+    let kim = insert_sub("//rev[name/text() = 'dan']", "kim");
+    let mut twin = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
+    let base_crc = xic_xml::journal::crc32(serialize(&twin).as_bytes());
+    let mut store = Store::create(&path, base_crc, true).unwrap();
+    store.append(RecordKind::Commit, 1, &zoe).unwrap();
+    store.append(RecordKind::Abort, 2, &insert_sub("//rev[name/text() = 'nobody']", "x")).unwrap();
+    store.append(RecordKind::Commit, 2, &kim).unwrap();
+    store.sync_now().unwrap();
+    drop(store);
+    assert!(twin.try_update_str(&zoe).unwrap().applied());
+    assert!(twin.try_update_str(&kim).unwrap().applied());
+
+    let (mut r, report) = recover(CORPUS, &path);
+    assert_eq!((report.replayed, report.aborts_skipped), (2, 1));
+    assert!(!report.degraded);
+    assert_eq!(serialize(&r), serialize(&twin));
+    assert_eq!(r.committed(), 2);
+    assert!(r.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "lee")).unwrap().applied());
+    assert_eq!(r.store_generation(), 1);
+    let _ = std::fs::remove_dir_all(&path);
 }
 
 /// The budget armed around a call is the only evaluation bound: when it
@@ -266,7 +348,6 @@ fn contained_panic_poisons_checker_until_recovery() {
         Err(CheckerError::Poisoned)
     ));
     let stmt = xicheck::XUpdateDoc::parse(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap();
-    assert!(matches!(c.apply_unchecked(&stmt), Err(CheckerError::Poisoned)));
     assert!(matches!(
         c.decide_only(&stmt, Strategy::FullWithRollback),
         Err(CheckerError::Poisoned)

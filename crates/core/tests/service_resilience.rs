@@ -311,7 +311,7 @@ fn a_checker_recovered_degraded_refuses_updates_without_degrading_its_service() 
     let other_base = CORPUS.replace("P1", "P9");
     for executor in [Executor::Sync, Executor::GroupCommit] {
         let (c, report) =
-            Checker::recover_store(&path, &other_base, &gamma, true).expect("recover");
+            Checker::open_store(&path, &other_base, &gamma, true).expect("recover");
         assert!(report.degraded && c.degraded());
         let service = CheckerService::new(c, executor);
         let before = fsyncs();
@@ -383,9 +383,9 @@ fn a_degraded_shard_comes_back_by_replay() {
 }
 
 /// A restart over the store after a failed batch fsync — how a
-/// single-document server comes back: `open_store` replays it with
-/// `recover_store`, and its first write checkpoints before appending, so
-/// no commit lands behind the segment whose fsync failed. The checker
+/// single-document server comes back: `open_store` replays it, and its
+/// first write checkpoints before appending, so no commit lands behind
+/// the segment whose fsync failed. The checker
 /// journals in the sync mode it is reopened with: every commit outside a
 /// batch fsyncs its own record.
 #[test]

@@ -171,7 +171,7 @@ fn stress(executor: Executor, tag: &str, writers: usize, per_writer: usize) -> (
     // commits.
     let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).expect("Γ compiles");
     let (recovered, report) =
-        Checker::recover_store(&path, CORPUS, &gamma, true).expect("recover");
+        Checker::open_store(&path, CORPUS, &gamma, true).expect("recover");
     assert_eq!(report.replayed, applied.len());
     assert_eq!(xic_xml::serialize(recovered.doc()), final_snapshot.serialize());
     let _ = std::fs::remove_dir_all(&path);

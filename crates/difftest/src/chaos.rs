@@ -362,7 +362,7 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
         let committed = checker.committed() as usize + poisoned as usize;
         let own = (!poisoned).then(|| xic_xml::serialize(checker.doc()));
         drop(checker);
-        let (mut recovered, report) = crate::open_store(&store_dir, &case)
+        let (mut recovered, report) = crate::reopen(&store_dir, &case)
             .map_err(|e| fail(format!("reopening the store after the fault failed: {e}")))?;
         if report.degraded {
             return Err(fail(format!(
@@ -408,7 +408,7 @@ fn run_chaos_case(seed: u64, dir: &Path) -> Result<ChaosOutcome, ChaosDivergence
     drop(checker);
 
     // Replay-fidelity oracle: rebuild from disk and compare.
-    let (recovered, report) = crate::recover_store(&store_dir, &case)
+    let (recovered, report) = crate::reopen(&store_dir, &case)
         .map_err(|e| fail(format!("recovery failed: {e}")))?;
     let _ = std::fs::remove_dir_all(&store_dir);
     if report.degraded {

@@ -18,7 +18,7 @@
 //!    injected panic fires (contained by the checker, which poisons
 //!    itself — or, in the flush, degrades itself — the in-memory tree is
 //!    as good as lost) or the batch ends.
-//! 4. **Recovery**: [`Checker::recover_store`] rebuilds a checker from
+//! 4. **Recovery**: [`Checker::open_store`] rebuilds a checker from
 //!    the base document plus the store. With `p` commits restored, the
 //!    recovered serialization must be byte-identical to `snaps[p - 1]`
 //!    (the base document when `p == 0`) — an uncommitted update
@@ -293,7 +293,7 @@ fn recover_prefix(
     base_xml: &str,
     snaps: &[String],
 ) -> Result<(usize, xicheck::RecoveryReport), String> {
-    let recovery = crate::recover_store(store_dir, case);
+    let recovery = crate::reopen(store_dir, case);
     cleanup_store(store_dir);
     let (recovered, report) = recovery.map_err(|e| format!("recovery failed: {e}"))?;
     if report.degraded {
@@ -519,13 +519,10 @@ fn run_rotation_error_case(
     }
     drop(crashed); // the crash: in-memory state is gone
 
-    let (recovered, report) =
-        crate::recover_store(&store_dir, &case).map_err(
-            |e| {
-                cleanup_store(&store_dir);
-                diverge(format!("recovery failed: {e}"))
-            },
-        )?;
+    let (recovered, report) = crate::reopen(&store_dir, &case).map_err(|e| {
+        cleanup_store(&store_dir);
+        diverge(format!("recovery failed: {e}"))
+    })?;
     cleanup_store(&store_dir);
     if report.degraded {
         return Err(diverge(format!(
@@ -634,9 +631,8 @@ fn run_group_commit_case(
                 }
             }
         }
-        // Read off the batch, not its results: a batch whose only record
-        // is an abort has no result to downgrade, yet its failed flush is
-        // the crash too.
+        // Read off the batch, not its results: a failed flush is the
+        // crash whatever the batch's results say.
         sync_failed = matches!(outcome.disposition, BatchDisposition::SyncFailed(_));
         if panicked || sync_failed {
             break; // the crash: nothing after this batch was acknowledged

@@ -117,28 +117,17 @@ pub(crate) fn scratch_name(kind: &str, seed: u64) -> String {
     format!("xic-{kind}-{}-{n}-{seed}", std::process::id())
 }
 
-/// Recovers `case`'s checkpointed store at `dir` after a simulated crash
-/// (with sync on, as the crash and chaos passes attach it).
-pub(crate) fn recover_store(dir: &Path, case: &Case) -> Result<Reopened, CheckerError> {
-    reopen(dir, case, Checker::recover_store)
-}
-
-/// Reopens `case`'s store at `dir` as a restarted server does
-/// ([`Checker::open_store`]: the first write checkpoints before it
+/// Reopens `case`'s checkpointed store at `dir` — after a simulated
+/// crash, a fault or the end of a run — as a restarted server does
+/// ([`Checker::open_store`], with sync on, as the crash and chaos passes
+/// attach it: a replayed store's first write checkpoints before it
 /// appends).
-pub(crate) fn open_store(dir: &Path, case: &Case) -> Result<Reopened, CheckerError> {
-    reopen(dir, case, Checker::open_store)
-}
-
-type Reopened = (Checker, xicheck::RecoveryReport);
-
-fn reopen(
+pub(crate) fn reopen(
     dir: &Path,
     case: &Case,
-    open: impl Fn(&Path, &str, &Arc<xicheck::SharedGamma>, bool) -> Result<Reopened, CheckerError>,
-) -> Result<Reopened, CheckerError> {
+) -> Result<(Checker, xicheck::RecoveryReport), CheckerError> {
     let gamma = xicheck::SharedGamma::compile(&case.dtd, &case.constraints)?;
-    let (checker, report) = open(dir, &case.doc_xml, &gamma, true)?;
+    let (checker, report) = Checker::open_store(dir, &case.doc_xml, &gamma, true)?;
     // The attached bits and per-tag lists were maintained through the
     // replay: they must equal a scan of what it produced. (Value indexes
     // are kept by the same four mutators; the rollback oracle audits those

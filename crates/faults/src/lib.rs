@@ -46,8 +46,8 @@ pub enum FaultMode {
     /// unbuffered.
     Panic,
     /// Return `Err(FaultError)` from [`fire`], exercising error-handling
-    /// paths (rollback, abort records) without terminating anything.
-    /// Nothing retries it: a failed write or fsync is final.
+    /// paths (a dropped copy, a degraded checker) without terminating
+    /// anything. Nothing retries it: a failed write or fsync is final.
     Error,
 }
 

@@ -80,11 +80,12 @@ pub enum Counter {
     /// (cache disabled, the set contained detached nodes, or a small set
     /// met a stale rank table).
     DocOrderPathSort,
-    /// Records appended to the write-ahead journal (commit + abort).
+    /// Records appended to the write-ahead journal (the checker appends
+    /// commit records only).
     JournalAppend,
     /// `fsync` calls issued by the journal (0 when sync is disabled).
     JournalFsync,
-    /// `Checker::recover_store` recoveries completed.
+    /// Stores replayed by `Checker::open_store`.
     Recovery,
     /// Panics caught by the checker's `catch_unwind` containment.
     PanicContained,

@@ -1,12 +1,11 @@
 //! Append-only write-ahead journal for update statements.
 //!
-//! The checker appends one record per *decided* update — a
-//! [`RecordKind::Commit`] after a statement is applied and found legal,
-//! or a [`RecordKind::Abort`] documenting a statement that failed partway
-//! through apply and was rolled back. Appending only writes; the one
-//! place a record is fsynced is [`Journal::sync_now`], which the checker
-//! calls once per direct statement or per batch that appended a record,
-//! before it acknowledges anything. After a crash, recovery replays the
+//! The checker appends one [`RecordKind::Commit`] record per statement
+//! it decided legal and applied; a refused statement leaves no record.
+//! Appending only writes; the one place a record is fsynced is
+//! [`Journal::sync_now`], which the checker calls once per direct
+//! statement or per batch that appended a record, before it acknowledges
+//! anything. After a crash, recovery replays the
 //! committed prefix of the journal onto the base document; torn or corrupt
 //! tails (a crash mid-append) are detected by length/checksum validation
 //! and truncated.
@@ -58,9 +57,8 @@ pub enum RecordKind {
     /// The statement was applied and the document passed its checks; the
     /// in-memory state the record describes is the durable one.
     Commit,
-    /// The statement failed partway through apply; the already-applied
-    /// prefix was rolled back and the document is unchanged. Replay skips
-    /// these — they exist to make the failure visible post-mortem.
+    /// Decoded only: older builds wrote one for a statement that did not
+    /// apply (the document was unchanged). Replay skips these.
     Abort,
 }
 
