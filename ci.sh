@@ -8,7 +8,7 @@ echo "== doc byte budget (the four long docs do not grow back) =="
 # change that adds prose to one removes as much elsewhere (an old
 # CHANGES entry condensed, a retired EXPERIMENTS section folded into its
 # table); raising a budget is a decision its CHANGES entry explains.
-for budget in CHANGES.md:165773 DESIGN.md:76001 EXPERIMENTS.md:68627 README.md:38441; do
+for budget in CHANGES.md:173836 DESIGN.md:75530 EXPERIMENTS.md:68223 README.md:37792; do
   file="${budget%%:*}" max="${budget##*:}"
   size="$(wc -c < "$file")"
   [ "$size" -le "$max" ] || { echo "$file: $size bytes, over its budget of $max" >&2; exit 1; }
@@ -68,6 +68,19 @@ forks="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
   }')"
 [ -z "$forks" ] || { echo "$forks" >&2; echo "an unchecked write, an abort record or a second way to reopen a store" >&2; exit 1; }
 
+echo "== no sync executor in difftest (the harnesses drive the production executor) =="
+# Every server runs the group-commit executor, and a lone submitter leads
+# its own batch of one on its own thread, so difftest drives that: its
+# services are built with Executor::GroupCommit, and the fault harness
+# runs apply_batch, the function every submission runs. No code line
+# before a file's first `#[cfg(test)]` in crates/difftest/src names
+# Executor::Sync.
+syncs="$(find crates/difftest/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_test = 0 }
+  /^#\[cfg\(test\)\]/ { in_test = 1 }
+  !in_test && !/^[[:space:]]*\/\// && /Executor::Sync/ { print FILENAME ":" FNR ": " $0 }')"
+[ -z "$syncs" ] || { echo "$syncs" >&2; echo "crates/difftest/src names Executor::Sync" >&2; exit 1; }
+
 echo "== build (release) =="
 cargo build --release --workspace
 
@@ -102,8 +115,7 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # the co-author check's, is drawn per reference path). The rollback oracle asks for an index in every key shape the
 # case's document has and audits all of them (and the per-tag lists and
 # attached bits) against a scan after apply and after undo; every
-# recovery in the crash / chaos / shard rows below is audited after its
-# replay. Random cases draw a denial that reads a position two times in
+# recovery in the fault harness below is audited after its replay. Random cases draw a denial that reads a position two times in
 # five; ≥ 100 cases in which none met an insert-before or a removal is
 # exit 1. Every case also replays
 # through a checker pair with the static update/constraint independence
@@ -162,70 +174,29 @@ grep -v '^[[:space:]]*#' crates/difftest/corpus/regressions.txt \
       cargo run --release -q -p xic-difftest -- --cases 1 --seed "$seed"
     done
 
-echo "== crash-matrix smoke (journal recovery under injected crashes) =="
-# Seeded, replayable cases (count/filter overridable via CRASH_CASES /
-# CRASH_SITES): each arms a contained panic at a fault site derived from
-# the seed, drives a random statement batch against a journaled checker
-# (each direct commit flushes once, so `journal.sync` is on the path
-# whenever the seed's store syncs), recovers, and asserts byte-identity
-# with the committed prefix of a never-crashed twin. Exits nonzero on any divergence (replay:
-# difftest -- --crash-matrix --seed N --cases 1 [--sites PAT]), when no
-# armed fault fired in a run of at least 40 cases (the floor of every
-# fault-injecting pass, and the smallest count any of them runs at
-# here), and when a site of the list fired in no case.
-CRASH_CASES="${CRASH_CASES:-100}"
-cargo run --release -q -p xic-difftest -- --crash-matrix --cases "$CRASH_CASES" --seed 1 \
-  ${CRASH_SITES:+--sites "$CRASH_SITES"}
-
-echo "== crash-matrix rotation pass (checkpoint + rotation fault sites) =="
-# Same oracle, restricted to the checkpoint/rotation protocol steps so
-# every rotation interleaving is crashed mid-batch: tmp write, tmp fsync,
-# rename, directory fsync, new-segment create, old-generation unlink.
-cargo run --release -q -p xic-difftest -- --crash-matrix \
-  --cases "${CRASH_ROTATION_CASES:-60}" --seed 7 --sites checkpoint,rotation
-
-echo "== crash-matrix group-commit pass (service batch path, shared fsync) =="
-# Write-path sites only: the matrix proper plus the group-commit pass,
-# which drives every case's statements through the service's batch path
-# (unsynced appends, one flush per batch) and crashes mid-batch.
-# Recovery must reproduce the twin's committed prefix and keep every
-# commit from a batch whose shared fsync completed.
-cargo run --release -q -p xic-difftest -- --crash-matrix \
-  --cases "${CRASH_GC_CASES:-40}" --seed 3 --sites journal,checker,xupdate
-
-echo "== chaos pass (overload & failure resilience, seeded faults) =="
-# The PR9 gate (count overridable via CHAOS_CASES): each seeded case
-# drives batched traffic through the batch path both executors run
-# while a single fault — error or panic, at a journal or checkpoint
-# site — fires mid-stream. Oracles: no acknowledged commit is lost on recovery,
-# degraded reads serve the committed prefix, a failed fsync is never
-# retried, and a degraded or poisoned checker comes back by replaying
-# its store; ≥ 100 cases with no failed fsync is exit 1 (replay:
-# difftest -- --chaos --seed N --cases 1).
-CHAOS_CASES="${CHAOS_CASES:-100}"
-cargo run --release -q -p xic-difftest -- --chaos --cases "$CHAOS_CASES" --seed 1
-
-echo "== shard crash matrix (fault-isolated shards, parallel recovery) =="
-# The PR10 gate (count overridable via SHARD_CRASH_CASES): each seeded
-# case drives distinct workloads into the shards of one ShardSet while a
-# contained panic crashes exactly one shard — mid-rotation cases
-# included (every shard rotates aggressively), and mid-flush ones: the
-# sync executor runs the batch path, so every planned `journal.sync`
-# case fires. Oracles: sibling shards stay healthy, at their acked
-# version, and byte-identical to their per-shard twins; the victim's acked prefix survives whole-set
-# recovery; and the parallel recovery fan-out equals sequential
-# recovery byte for byte (replay: difftest -- --shard-matrix --seed N
-# --cases 1).
-SHARD_CRASH_CASES="${SHARD_CRASH_CASES:-60}"
-cargo run --release -q -p xic-difftest -- --shard-matrix --cases "$SHARD_CRASH_CASES" --seed 1
-
-echo "== shard chaos pass (in-place shard rebuild while siblings commit) =="
-# Same isolation oracles with error and panic faults and the
-# victim rebuilt in place via recover_shard while its siblings keep
-# committing — per-shard twins assert no cross-shard contamination in
-# either direction (replay: difftest -- --shard-chaos --seed N --cases 1).
-cargo run --release -q -p xic-difftest -- --shard-chaos \
-  --cases "${SHARD_CHAOS_CASES:-60}" --seed 1
+echo "== fault harness (one seeded fault on one shard of 1-4, every shard back at its acked prefix) =="
+# Seeded, replayable cases (count/filter overridable via FAULT_CASES /
+# FAULT_SITES): each draws K = 1-4 shards in ShardSet's layout, a victim,
+# a fault site, Error or Panic and a trigger hit, a batch size of 1-4,
+# a rotation (never, every 1-3 commits, or once by an explicit
+# checkpoint), fsync on or off, and whether a poisoned or degraded
+# victim stops until whole-set recovery or is rebuilt at once, over the
+# paper's schema or a generated DTD, document and denial set. The
+# streams run in batches through the write path every submission runs,
+# the fault armed only around the victim's batches. Oracles: every
+# answer matches a never-faulted twin's; siblings end byte-identical to
+# their twins; every recovery restores p commits with acked <= p <=
+# committed (+1 after a contained panic) and the twin's bytes at p; a
+# batch reaches journal.sync at most once; a failed flush degrades, and
+# the last acked state passes the full check; sequential and parallel
+# ShardSet::recover agree. Exits nonzero on any divergence (replay:
+# difftest -- --faults --seed N --cases 1 [--sites PAT]) and, from 3
+# draws of every cell on, when a (site, mode, K-class) cell of the
+# coverage line under the summary never fired, or when no fault fired
+# on a generated schema.
+FAULT_CASES="${FAULT_CASES:-200}"
+cargo run --release -q -p xic-difftest -- --faults --cases "$FAULT_CASES" --seed 1 \
+  ${FAULT_SITES:+--sites "$FAULT_SITES"}
 
 echo "== snapshot-decide oracle (DECIDE on read snapshots == the writer's answer) =="
 # The PR12 gate (count overridable via SNAPSHOT_DECIDE_CASES): every

@@ -60,12 +60,11 @@
 //!   — and stay there: like a poisoned one, a degraded service is
 //!   replaced by replaying its store (`ShardSet::recover_shard`, or a
 //!   restart over `--store`).
-//! * **One batch path, two batch caps.** [`Executor::Sync`] caps a batch
-//!   at one statement, so every statement runs on its own submitting
-//!   thread, one after another; tests, difftest and the wire-level
-//!   benchmark's in-process twins drive it, and thread-scoped fault
-//!   injection reaches every statement of the arming thread.
-//!   [`Executor::GroupCommit`] caps it at [`DEFAULT_MAX_BATCH`].
+//! * **One batch path, two batch caps.** Every batch runs
+//!   [`apply_batch`]. [`Executor::GroupCommit`], every server's, caps a
+//!   batch at [`DEFAULT_MAX_BATCH`]; [`Executor::Sync`] caps it at one
+//!   statement (tests and the wire-level benchmark's in-process twins
+//!   run it).
 //!
 //! The batching rules, the snapshot-handoff protocol (when readers
 //! observe a new version) and the failure-mode state machine (ok →
@@ -115,8 +114,8 @@ pub const DEADLINE_STEPS_PER_MS: u64 = 50_000;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
     /// Batches of one: every statement is decided, applied and flushed on
-    /// its own submitting thread, one after another. It is what tests,
-    /// difftest and the wire-level benchmark's in-process twins drive.
+    /// its own submitting thread, one after another. Tests and the
+    /// wire-level benchmark's in-process twins run it.
     Sync,
     /// Group commit: a leader drains up to [`DEFAULT_MAX_BATCH`] queued
     /// statements and shares one fsync across the batch.
@@ -1055,9 +1054,10 @@ pub struct BatchOutcome {
 /// not have reached stable storage.
 ///
 /// This *is* the production write path — both executors call it for
-/// every batch — and a free function so the crash and chaos oracles in
-/// `xic-difftest` can drive it directly under thread-scoped fault
-/// injection.
+/// every batch, and a lone submitter's batch of one runs it on the
+/// submitting thread — and a free function so the fault harness in
+/// `xic-difftest` can drive each shard's batches directly under
+/// thread-scoped fault injection.
 pub fn apply_batch(checker: &mut Checker, items: &[BatchStmt]) -> BatchOutcome {
     let mut results: Vec<_> = items
         .iter()

@@ -24,7 +24,7 @@
 //! scoped threads; the per-shard [`RecoveryReport`]s are aggregated into
 //! a [`ShardSetRecoveryReport`] with per-shard fallback reasons.
 //! Parallel and sequential fan-out recover byte-identical states (the
-//! shard-level crash matrix in `xic-difftest` asserts this).
+//! fault harness in `xic-difftest` asserts this).
 //!
 //! On disk a shard set is a root directory holding one store directory
 //! per shard and nothing else:
@@ -369,7 +369,7 @@ impl ShardSet {
     /// shard — each replays only its own journal suffix). With
     /// `parallel` the per-shard recoveries fan out across scoped
     /// threads, one per shard; the recovered state is byte-identical to
-    /// the sequential fan-out (the shard crash matrix asserts this), so
+    /// the sequential fan-out (the fault harness asserts this), so
     /// `parallel` is purely a wall-clock knob. A shard whose directory
     /// does not exist yet is created fresh from its base document.
     ///

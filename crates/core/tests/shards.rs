@@ -7,9 +7,9 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use xic_faults::FaultMode;
+use xic_faults::{FaultMode, SITES};
 use xicheck::{
-    Executor, Health, ServiceConfig, ShardSet, ShardSetConfig, ShardSetError,
+    CheckpointPolicy, Health, ShardSet, ShardSetConfig, ShardSetError,
 };
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
@@ -47,20 +47,12 @@ fn root_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("xic-shards-{}-{tag}-{n}", std::process::id()))
 }
 
-/// A 3-shard set over the same corpus, sequential executor (so faults
-/// armed on the test thread hit exactly the shard we submit to).
-fn sync_config() -> ShardSetConfig {
-    ShardSetConfig {
-        service: ServiceConfig { executor: Executor::Sync, ..Default::default() },
-        ..Default::default()
-    }
-}
-
 #[test]
 fn shards_commit_independently_and_share_the_pattern_cache() {
     let root = root_dir("indep");
-    let set = ShardSet::create(&root, &[CORPUS, CORPUS, CORPUS], DTD, CONFLICT, sync_config())
-        .expect("create");
+    let bases = [CORPUS, CORPUS, CORPUS];
+    let set =
+        ShardSet::create(&root, &bases, DTD, CONFLICT, ShardSetConfig::default()).expect("create");
     assert_eq!(set.len(), 3);
 
     // Commits land only on the shard they were routed to.
@@ -91,7 +83,7 @@ fn shards_commit_independently_and_share_the_pattern_cache() {
 /// was, and its siblings keep serving.
 #[test]
 fn recovering_a_shard_of_an_in_memory_set_is_refused() {
-    let set = ShardSet::in_memory(&[CORPUS, CORPUS], DTD, CONFLICT, sync_config())
+    let set = ShardSet::in_memory(&[CORPUS, CORPUS], DTD, CONFLICT, ShardSetConfig::default())
         .expect("in-memory set");
     assert!(set.submit(0, &legal("a")).expect("shard 0").outcome.applied());
     assert!(matches!(set.recover_shard(0), Err(ShardSetError::NoStore { id: 0 })));
@@ -108,7 +100,7 @@ fn root_layout_refuses_foreign_entries() {
     let root = root_dir("layout");
     std::fs::create_dir_all(&root).expect("mk root");
     std::fs::write(root.join("notes.txt"), b"scratch").expect("plant foreign file");
-    match ShardSet::create(&root, &[CORPUS], DTD, CONFLICT, sync_config()) {
+    match ShardSet::create(&root, &[CORPUS], DTD, CONFLICT, ShardSetConfig::default()) {
         Err(ShardSetError::ForeignEntry { dir, name }) => {
             assert_eq!(dir, root);
             assert_eq!(name, "notes.txt");
@@ -120,64 +112,102 @@ fn root_layout_refuses_foreign_entries() {
     // A shard directory beyond the configured count is foreign too: it
     // would otherwise hold unreachable (silently ignored) data.
     std::fs::create_dir_all(root.join("shard-5")).expect("plant stray shard");
-    match ShardSet::create(&root, &[CORPUS], DTD, CONFLICT, sync_config()) {
+    match ShardSet::create(&root, &[CORPUS], DTD, CONFLICT, ShardSetConfig::default()) {
         Err(ShardSetError::ForeignEntry { name, .. }) => assert_eq!(name, "shard-5"),
         other => panic!("expected ForeignEntry, got {other:?}", other = other.err()),
     }
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The headline oracle: a contained panic poisons exactly one shard.
-/// Siblings keep committing, the aggregate health names the victim,
-/// and `recover_shard` rebuilds it from its own store — acknowledged
-/// commits intact — while the sibling services are untouched.
+/// The headline oracle, for every fault site in both modes: a fault
+/// fired while one shard commits stays in that shard. Siblings keep
+/// their service, their bytes and their health; a victim the fault
+/// poisoned or degraded is rebuilt by `recover_shard` from its own store
+/// at exactly its acknowledged version (one more where the fault struck
+/// after the statement's record was whole, [`record_survives`]) and takes
+/// writes again.
 #[test]
 fn poisoned_shard_is_isolated_and_recovered_in_place() {
     let _guard = FAULTS.lock().expect("fault serialization");
+    for site in SITES {
+        for mode in [FaultMode::Error, FaultMode::Panic] {
+            fault_one_shard(site, mode);
+        }
+    }
+}
+
+/// True for the sites a fault reaches only after the statement's journal
+/// record is whole on disk, so that recovery restores a statement that was
+/// never acknowledged. Before the append, or in the middle of it (a torn
+/// tail), nothing of the statement survives.
+fn record_survives(site: &str) -> bool {
+    matches!(site, "journal.append.post_write" | "journal.sync" | "checker.commit.post")
+        || site.starts_with("checkpoint.")
+        || site.starts_with("rotation.")
+}
+
+fn fault_one_shard(site: &str, mode: FaultMode) {
+    let case = format!("{site} {mode:?}");
     let root = root_dir("poison");
-    let set = ShardSet::create(&root, &[CORPUS, CORPUS, CORPUS], DTD, CONFLICT, sync_config())
+    // Every commit rotates, so the checkpoint and rotation sites are on
+    // the victim's path too.
+    let policy = CheckpointPolicy::every_commits(1);
+    let config = ShardSetConfig { policy, ..Default::default() };
+    let set = ShardSet::create(&root, &[CORPUS, CORPUS, CORPUS], DTD, CONFLICT, config)
         .expect("create");
 
     // Two acknowledged commits on the future victim, one on a sibling.
     assert!(set.submit(1, &legal("v1")).expect("victim").outcome.applied());
     assert!(set.submit(1, &legal("v2")).expect("victim").outcome.applied());
     assert!(set.submit(0, &legal("s1")).expect("sibling").outcome.applied());
-    let sibling_before = set.snapshot(0).expect("sibling snapshot").serialize();
-    let sibling_handle = set.shard(0).expect("sibling handle");
+    let siblings: Vec<_> = [0, 2]
+        .into_iter()
+        .map(|id| (id, set.shard(id).expect("sibling"), set.snapshot(id).expect("read").serialize()))
+        .collect();
 
-    // Poison shard 1: the commit-path panic is contained by the checker,
-    // reported to the submitter, and sticky on that shard's service.
-    xic_faults::arm("checker.commit.pre", 1, FaultMode::Panic);
-    let err = set.submit(1, &legal("boom")).expect_err("poisoning submit fails");
     xic_faults::disarm_all();
-    assert!(matches!(err, ShardSetError::Service { id: 1, .. }), "got {err:?}");
-    assert_eq!(set.status(1).expect("victim status").health, Health::Poisoned);
+    xic_faults::arm(site, 1, mode);
+    let answer = set.submit(1, &legal("boom"));
+    let fired = xic_faults::hits(site) >= 1;
+    xic_faults::disarm_all();
+    assert!(fired, "{case}: the fault never fired");
+    if let Err(e) = &answer {
+        assert!(matches!(e, ShardSetError::Service { id: 1, .. }), "{case}: {e:?}");
+    }
 
-    // Isolation: siblings are healthy and still writable; the aggregate
-    // reports the victim without infecting them.
-    assert_eq!(set.status(0).expect("s0").health, Health::Ok);
-    assert_eq!(set.status(2).expect("s2").health, Health::Ok);
-    assert!(set.submit(2, &legal("s2")).expect("sibling write").outcome.applied());
-    let health = set.health();
-    assert_eq!(health.overall(), Health::Poisoned);
-    assert_eq!(health.summary(), "poisoned shard-0=ok shard-1=poisoned shard-2=ok");
+    // Isolation: every sibling is healthy, still the same service, at
+    // the same bytes.
+    for (id, handle, bytes) in &siblings {
+        assert_eq!(set.status(*id).expect("sibling").health, Health::Ok, "{case}");
+        assert!(std::sync::Arc::ptr_eq(handle, &set.shard(*id).expect("sibling")), "{case}");
+        assert_eq!(&set.snapshot(*id).expect("sibling").serialize(), bytes, "{case}");
+    }
+    assert!(set.submit(2, &legal("s2")).expect("sibling write").outcome.applied(), "{case}");
 
-    // Further writes to the victim are refused, reads still answer.
-    assert!(set.submit(1, &legal("refused")).is_err());
-    assert_eq!(set.snapshot(1).expect("victim read").version(), 2);
-
-    // Heavy recovery: replay the victim's own journal, swap the service.
-    let report = set.recover_shard(1).expect("recover victim");
-    assert_eq!(report.replayed, 2, "both acknowledged commits replay");
-    assert!(!report.degraded);
-    assert_eq!(set.status(1).expect("recovered").health, Health::Ok);
-    assert_eq!(set.status(1).expect("recovered").version, 2);
-    assert!(set.submit(1, &legal("v3")).expect("victim writes again").outcome.applied());
-
-    // The sibling service was never replaced, and its bytes never moved.
-    assert!(std::sync::Arc::ptr_eq(&sibling_handle, &set.shard(0).expect("sibling")));
-    assert_eq!(set.snapshot(0).expect("sibling snapshot").serialize(), sibling_before);
-
+    let acked = 2 + answer.is_ok() as u64;
+    let health = set.status(1).expect("victim").health;
+    if health == Health::Ok {
+        assert_eq!(set.status(1).expect("victim").version, acked, "{case}");
+    } else {
+        // The aggregate names the victim; it still answers reads and
+        // refuses writes until it is rebuilt.
+        let sick = health.as_str();
+        assert_eq!(set.health().summary(), format!("{sick} shard-0=ok shard-1={sick} shard-2=ok"));
+        let restored = acked + record_survives(site) as u64;
+        let read = set.snapshot(1).expect("victim read").version();
+        assert!(read == acked || read == restored, "{case}: reads at version {read}");
+        assert!(set.submit(1, &legal("refused")).is_err(), "{case}");
+        let report = set.recover_shard(1).expect("recover victim");
+        assert!(!report.degraded, "{case}");
+        assert_eq!(report.base_commit_seq + report.replayed as u64, restored, "{case}: {report:?}");
+        let status = set.status(1).expect("recovered");
+        assert_eq!(status.health, Health::Ok, "{case}");
+        assert_eq!(status.version, restored, "{case}");
+    }
+    assert!(set.submit(1, &legal("v3")).expect("victim writes").outcome.applied(), "{case}");
+    for (id, handle, _) in &siblings {
+        assert!(std::sync::Arc::ptr_eq(handle, &set.shard(*id).expect("sibling")), "{case}");
+    }
     set.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -189,7 +219,8 @@ fn poisoned_shard_is_isolated_and_recovered_in_place() {
 fn parallel_recovery_equals_sequential_recovery() {
     let root = root_dir("par");
     let bases = [CORPUS, CORPUS, CORPUS, CORPUS];
-    let set = ShardSet::create(&root, &bases, DTD, CONFLICT, sync_config()).expect("create");
+    let set =
+        ShardSet::create(&root, &bases, DTD, CONFLICT, ShardSetConfig::default()).expect("create");
     for (shard, commits) in [(0usize, 3usize), (1, 1), (3, 2)] {
         for i in 0..commits {
             assert!(set
@@ -203,8 +234,9 @@ fn parallel_recovery_equals_sequential_recovery() {
     set.shutdown().expect("shutdown");
     drop(set);
 
+    let config = ShardSetConfig::default();
     let (seq, seq_report) =
-        ShardSet::recover(&root, &bases, DTD, CONFLICT, sync_config(), false).expect("sequential");
+        ShardSet::recover(&root, &bases, DTD, CONFLICT, config, false).expect("sequential");
     let seq_docs: Vec<String> =
         (0..4).map(|i| seq.snapshot(i).expect("seq snapshot").serialize()).collect();
     let seq_versions: Vec<u64> =
@@ -213,7 +245,7 @@ fn parallel_recovery_equals_sequential_recovery() {
     drop(seq);
 
     let (par, par_report) =
-        ShardSet::recover(&root, &bases, DTD, CONFLICT, sync_config(), true).expect("parallel");
+        ShardSet::recover(&root, &bases, DTD, CONFLICT, config, true).expect("parallel");
     assert!(par_report.parallel && !seq_report.parallel);
     assert_eq!(par_report.shards, seq_report.shards, "identical per-shard reports");
     assert_eq!(par_report.total_replayed(), 6);

@@ -177,7 +177,7 @@ pub fn oracle(case: &Case, gamma: &Arc<SharedGamma>, stmt: &XUpdateDoc) -> Resul
         }
     }
     // The same checker, as it is after refusing, behind a service.
-    let service = CheckerService::new(checker, Executor::Sync);
+    let service = CheckerService::new(checker, Executor::GroupCommit);
     let reply = |line: &str| execute(&service, &parse_command(line).expect("a request")).render();
     let (update, health) = (reply(&format!("UPDATE {}", stmt.to_xml())), reply("HEALTH"));
     if !update.starts_with("ERR ") || health != "OK 0 ok" {

@@ -71,8 +71,8 @@
 //! `*_joins_planned` counts and one `difftest_op_*` counter per operation
 //! kind).
 //!
-//! **Gates.** Every pass — this campaign, [`multi_op`], [`crash`],
-//! [`chaos`], [`shard`] (matrix and chaos), [`snapshot`] — takes the same
+//! **Gates.** Every pass — this campaign, [`multi_op`], [`fault`],
+//! [`snapshot`], [`digest`] — takes the same
 //! [`Config`], walks its seeds through `each_case` (case `i` is seed
 //! `seed + i`, so a printed seed replays alone with `--cases 1`), keeps a
 //! typed report, and condenses it into one [`Outcome`]: the summary the
@@ -82,14 +82,12 @@
 //!
 //! In the system-inventory table of `DESIGN.md` this crate is item 15 (differential fuzzer).
 
-pub mod chaos;
-pub mod crash;
 pub mod digest;
+pub mod fault;
 pub mod gen;
 pub mod hostile;
 pub mod multi_op;
 pub mod reference;
-pub mod shard;
 pub mod shrink;
 pub mod snapshot;
 pub mod tally;
@@ -115,28 +113,6 @@ pub(crate) fn scratch_name(kind: &str, seed: u64) -> String {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     format!("xic-{kind}-{}-{n}-{seed}", std::process::id())
-}
-
-/// Reopens `case`'s checkpointed store at `dir` — after a simulated
-/// crash, a fault or the end of a run — as a restarted server does
-/// ([`Checker::open_store`], with sync on, as the crash and chaos passes
-/// attach it: a replayed store's first write checkpoints before it
-/// appends).
-pub(crate) fn reopen(
-    dir: &Path,
-    case: &Case,
-) -> Result<(Checker, xicheck::RecoveryReport), CheckerError> {
-    let gamma = xicheck::SharedGamma::compile(&case.dtd, &case.constraints)?;
-    let (checker, report) = Checker::open_store(dir, &case.doc_xml, &gamma, true)?;
-    // The attached bits and per-tag lists were maintained through the
-    // replay: they must equal a scan of what it produced. (Value indexes
-    // are kept by the same four mutators; the rollback oracle audits those
-    // with every shape of the case's document built.)
-    checker
-        .doc()
-        .audit_indexes()
-        .map_err(|e| CheckerError::Query(format!("indexes corrupt after replay: {e}")))?;
-    Ok((checker, report))
 }
 
 /// Asks the document for the members of every shape it has — an element
@@ -189,7 +165,7 @@ pub struct Config {
 /// `config.seed + i`, wrapping, in every pass — with the directory its
 /// on-disk artifacts go under (each case names its own entry with
 /// [`scratch_name`] and removes it).
-pub(crate) fn each_case(config: Config, mut case: impl FnMut(u64, &std::path::Path)) {
+pub(crate) fn each_case(config: Config, mut case: impl FnMut(u64, &Path)) {
     let scratch = std::env::temp_dir();
     for i in 0..config.cases {
         case(config.seed.wrapping_add(i), &scratch);
@@ -200,8 +176,8 @@ pub(crate) fn each_case(config: Config, mut case: impl FnMut(u64, &std::path::Pa
 #[derive(Debug)]
 pub struct Outcome {
     /// The pass's stdout summary: one line starting with the pass's name
-    /// (the campaign and the crash matrix add a second, `op mix: …` /
-    /// `fired by site: …`).
+    /// (the campaign and the fault harness add a second, `op mix: …` /
+    /// `fired by site …`).
     pub summary: String,
     /// Every divergence, rendered, each ending in its one-line replay
     /// command.
@@ -214,19 +190,6 @@ pub struct Outcome {
 /// From this many cases on, a campaign or snapshot-decide run must have
 /// covered what it exists to cover (every operation kind, …).
 pub(crate) const COVERAGE_FLOOR_CASES: u64 = 100;
-
-/// From this many cases on, a fault-injecting pass in which no armed
-/// fault ever fired has tested nothing. The smallest count ci.sh runs
-/// any of them at, so every fault-injecting stage is under the floor.
-pub(crate) const FAULT_FLOOR_CASES: u64 = 40;
-
-/// The floor the three fault-injecting passes share.
-pub(crate) fn fault_floor(pass: &str, cases: u64, fired: u64) -> Result<(), String> {
-    if cases >= FAULT_FLOOR_CASES && fired == 0 {
-        return Err(format!("{pass}: no armed fault ever fired in {cases} cases"));
-    }
-    Ok(())
-}
 
 /// One fully materialized differential case. Every field is a pure
 /// function of [`Case::seed`], so printing the seed is a complete
@@ -252,12 +215,18 @@ pub struct Case {
 impl Case {
     /// The full `<xupdate:modifications>` statement text.
     pub fn stmt_text(&self) -> String {
-        format!(
-            "<xupdate:modifications version=\"1.0\" \
-             xmlns:xupdate=\"http://www.xmldb.org/xupdate\">{}</xupdate:modifications>",
-            self.ops.concat()
-        )
+        modifications(&self.ops)
     }
+}
+
+/// The `<xupdate:modifications>` statement text around operation
+/// elements.
+pub(crate) fn modifications(ops: &[String]) -> String {
+    format!(
+        "<xupdate:modifications version=\"1.0\" \
+         xmlns:xupdate=\"http://www.xmldb.org/xupdate\">{}</xupdate:modifications>",
+        ops.concat()
+    )
 }
 
 /// A confirmed oracle failure, with its greedily minimized reproducer.

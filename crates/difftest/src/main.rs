@@ -8,11 +8,8 @@
 //! cargo run -p xic-difftest -- --seed 4242            # replay one case
 //! cargo run -p xic-difftest -- --seed 4242 --dump     # print its artifacts
 //! cargo run --release -p xic-difftest -- --multi-op --cases 500 --seed 1
-//! cargo run -p xic-difftest -- --crash-matrix --cases 100 --seed 1
-//! cargo run -p xic-difftest -- --crash-matrix --cases 60 --sites checkpoint,rotation
-//! cargo run -p xic-difftest -- --chaos --cases 100 --seed 1
-//! cargo run -p xic-difftest -- --shard-matrix --cases 60 --seed 1
-//! cargo run -p xic-difftest -- --shard-chaos --cases 60 --seed 1
+//! cargo run --release -p xic-difftest -- --faults --cases 200 --seed 1
+//! cargo run -p xic-difftest -- --faults --cases 72 --sites checkpoint,rotation
 //! cargo run -p xic-difftest -- --snapshot-decide --cases 300 --seed 1
 //! cargo run --release -p xic-difftest -- --pattern-digest --cases 3000 --seed 0
 //! ```
@@ -32,24 +29,16 @@
 //!   statement that inserted into and removed from one relation, and one
 //!   whose later select matched other nodes after the operations before
 //!   it.
-//! * `--crash-matrix` — `crash`: a contained panic at a fault site derived
-//!   from the seed; store recovery must reproduce the committed prefix of
-//!   a never-crashed twin, byte for byte. `--sites PAT,PAT…` keeps the
-//!   sites matching a pattern by substring (a replay must repeat it).
-//!   Floors: a fault fired (≥ 40 cases); no site of the list stayed silent
-//!   (≥ 3 × sites cases; `fired by site:` names them).
-//! * `--chaos` — `chaos`: batched traffic through the group-commit path
-//!   while a seeded error or panic fires at a journal or checkpoint
-//!   site; no acknowledged commit is lost, degraded reads match the
-//!   committed prefix, and a degraded or poisoned checker comes back by
-//!   replaying its store. Floors: a fault fired (≥ 40 cases); a batch
-//!   fsync failed (≥ 100).
-//! * `--shard-matrix` / `--shard-chaos` — `shard`: a seeded fault crashes
-//!   exactly one shard of a `ShardSet`; the siblings never notice, the
-//!   victim's acked prefix survives, parallel recovery equals sequential
-//!   recovery. The matrix kills the victim for the rest of the case; the
-//!   chaos variant rebuilds it in place with `recover_shard` while the
-//!   siblings keep committing. Floor: a fault fired (≥ 40).
+//! * `--faults` — `fault`: a seeded error or panic at a fault site hits
+//!   one shard of a set of one to four, driven in batches through the
+//!   write path every submission runs; siblings never notice, every
+//!   shard recovers its acknowledged prefix (plus at most the statement
+//!   in flight) byte for byte against a never-faulted twin, a failed
+//!   flush degrades, and parallel recovery equals sequential recovery.
+//!   `--sites PAT,PAT…` keeps the sites matching a pattern by substring
+//!   (a replay must repeat it). The summary is followed by a coverage
+//!   line, faults fired by site × mode × K-class. Floor (≥ 3 × 4 × sites
+//!   cases): every (site, mode, K-class) cell fired.
 //! * `--snapshot-decide` — `snapshot` (oracle 7): `ReadSnapshot::decide`
 //!   answers what the writer would, with independence on and off. Floors
 //!   (≥ 100 cases): both the optimized and the fallback path decided
@@ -62,7 +51,7 @@
 //! error.
 
 use std::process::ExitCode;
-use xic_difftest::{chaos, crash, digest, multi_op, shard, snapshot, Config, Outcome};
+use xic_difftest::{digest, fault, multi_op, snapshot, Config, Outcome};
 
 /// One pass the binary can run.
 struct Mode {
@@ -75,7 +64,7 @@ struct Mode {
     contained_panics: bool,
 }
 
-const MODES: [Mode; 8] = [
+const MODES: [Mode; 5] = [
     Mode { flag: "", run: |a| xic_difftest::run(a.config).outcome(), contained_panics: false },
     Mode {
         flag: "--multi-op",
@@ -83,19 +72,8 @@ const MODES: [Mode; 8] = [
         contained_panics: false,
     },
     Mode {
-        flag: "--crash-matrix",
-        run: |a| crash::run_matrix(a.config, a.sites.as_deref()).outcome(),
-        contained_panics: true,
-    },
-    Mode { flag: "--chaos", run: |a| chaos::run_chaos(a.config).outcome(), contained_panics: true },
-    Mode {
-        flag: "--shard-matrix",
-        run: |a| shard::run_shards(a.config, false).outcome(),
-        contained_panics: true,
-    },
-    Mode {
-        flag: "--shard-chaos",
-        run: |a| shard::run_shards(a.config, true).outcome(),
+        flag: "--faults",
+        run: |a| fault::run_faults(a.config, a.sites.as_deref()).outcome(),
         contained_panics: true,
     },
     Mode {
@@ -159,11 +137,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         return Err(format!("--dump only applies without a mode flag, not to {}", args.mode.flag));
     }
     if let Some(sites) = &args.sites {
-        if args.mode.flag != "--crash-matrix" {
-            return Err("--sites only applies to --crash-matrix".to_string());
+        if args.mode.flag != "--faults" {
+            return Err("--sites only applies to --faults".to_string());
         }
         // An empty site list is a usage error, not a passing 0-site run.
-        if crash::filter_sites(Some(sites)).is_empty() {
+        if fault::filter_sites(Some(sites)).is_empty() {
             return Err(format!("--sites {sites} matches no registered fault site"));
         }
     }
@@ -177,9 +155,8 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("difftest: {e}");
             eprintln!(
-                "usage: difftest [--dump | --multi-op | --crash-matrix [--sites PAT,PAT…] | --chaos | \
-                 --shard-matrix | --shard-chaos | --snapshot-decide | --pattern-digest] \
-                 [--cases N] [--seed N]"
+                "usage: difftest [--dump | --multi-op | --faults [--sites PAT,PAT…] | \
+                 --snapshot-decide | --pattern-digest] [--cases N] [--seed N]"
             );
             return ExitCode::from(2);
         }

@@ -205,7 +205,7 @@ fn check_setting(
     stmt: &XUpdateDoc,
     independence: bool,
 ) -> Result<(u64, u64), String> {
-    let service = CheckerService::new(checker(case, independence)?, Executor::Sync);
+    let service = CheckerService::new(checker(case, independence)?, Executor::GroupCommit);
     let decided = decide_untouched(&service.snapshot(), stmt)?;
     let mut twin = checker(case, independence)?;
     let optimized = twin.decide_only(stmt, Strategy::Optimized);

@@ -24,10 +24,7 @@ fn every_row_passes_prints_one_summary_line_and_writes_nothing() {
     let rows = [
         ("", "difftest:"),
         ("--multi-op", "multi-op:"),
-        ("--crash-matrix", "crash-matrix:"),
-        ("--chaos", "chaos:"),
-        ("--shard-matrix", "shard-matrix:"),
-        ("--shard-chaos", "shard-chaos:"),
+        ("--faults", "faults:"),
         ("--snapshot-decide", "snapshot-decide:"),
         ("--pattern-digest", "pattern-digest:"),
     ];
@@ -54,12 +51,13 @@ fn every_row_passes_prints_one_summary_line_and_writes_nothing() {
 
 #[test]
 fn misuse_exits_2_with_one_difftest_line() {
-    let misuses: [&[&str]; 7] = [
+    let misuses: [&[&str]; 8] = [
         &["--cases", "0"],
-        &["--chaos", "--shard-chaos"],
-        &["--sites", "x"],
-        &["--crash-matrix", "--sites", "no-such-site"],
-        &["--dump", "--chaos"],
+        &["--faults", "--snapshot-decide"],
+        &["--multi-op", "--faults"],
+        &["--sites", "journal"],
+        &["--faults", "--sites", "no-such-site"],
+        &["--dump", "--faults"],
         &["--out", "f"],
         &["--frobnicate"],
     ];

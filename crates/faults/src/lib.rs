@@ -23,15 +23,12 @@
 //!   faults, so concurrently running tests (each on its own harness
 //!   thread) and unrelated worker threads cannot consume, trip, clear or
 //!   misread each other's faults. Thread scoping is also what makes
-//!   *shard-scoped* injection work: in a multi-shard set whose services
-//!   run the sync executor, a submission executes on the submitting
-//!   thread, so arming before a victim shard's submission (and disarming
-//!   after) faults exactly that shard while its siblings commit untouched
-//!   — the shard crash matrix and shard chaos pass in `xic-difftest` are
-//!   built on this.
+//!   *shard-scoped* injection work: a harness that runs every shard's
+//!   batches on its own thread and arms only around the victim's faults
+//!   exactly that shard while its siblings commit untouched.
 //!
 //! The canonical list of sites compiled into the workspace is [`SITES`];
-//! the crash-matrix harness in `xic-difftest` enumerates it.
+//! the fault harness in `xic-difftest` walks it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -68,7 +65,7 @@ impl std::fmt::Display for FaultError {
 impl std::error::Error for FaultError {}
 
 /// Fault sites compiled into the workspace write paths, in rough
-/// write-path order. The crash matrix iterates this list; keep it in sync
+/// write-path order. The fault harness walks this list; keep it in sync
 /// with the `fire(...)` calls in `xic-xml` and `xicheck`.
 pub const SITES: &[&str] = &[
     // Fired before each XUpdate operation is applied to the tree

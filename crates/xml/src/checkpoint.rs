@@ -52,7 +52,7 @@
 //! Every step carries an `xic-faults` site (`checkpoint.tmp.mid_write`,
 //! `checkpoint.tmp.pre_fsync`, `checkpoint.pre_rename`,
 //! `checkpoint.pre_dir_fsync`, `rotation.pre_new_segment`,
-//! `rotation.pre_old_unlink`) so the `xic-difftest` crash matrix can
+//! `rotation.pre_old_unlink`) so the `xic-difftest` fault harness can
 //! crash at each interleaving and prove recovery byte-identical to the
 //! committed prefix.
 

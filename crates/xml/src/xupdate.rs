@@ -581,7 +581,7 @@ pub fn apply(
     let mut applied = AppliedUpdate::default();
     for op in &upd.ops {
         // Fault site: hit once per operation, so an armed `nth` selects
-        // the op index within the batch (crash-matrix + mid-batch
+        // the op index within the batch (fault harness + mid-batch
         // rollback tests).
         if let Err(e) = xic_faults::fire("xupdate.apply.op") {
             return Err((XUpdateError::Invalid(e.to_string()), applied));
