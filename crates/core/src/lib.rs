@@ -91,6 +91,7 @@
 //! evaluators items 25–26, the commit log item 27.
 
 pub mod checker;
+mod commit_protocol;
 pub mod compile;
 pub mod durability;
 pub mod footprint;
@@ -120,8 +121,7 @@ pub use resolver::xpath_resolver;
 // Re-exports for downstream users (examples, benches, tests).
 pub use xic_obs as obs;
 
-pub use xic_datalog::{Database, Denial, Update, Value};
-pub use xic_mapping::{map_denials, shred, RelSchema};
+pub use xic_mapping::RelSchema;
 pub use xic_simplify::{
     freshness_hypotheses, live_set, read_footprint, read_footprints, simp, simp_live,
     update_write_footprint, FreshSpec, ReadFootprint, SimpConfig, WriteFootprint, WriteSet,

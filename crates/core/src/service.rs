@@ -1,87 +1,60 @@
 //! Concurrent checker service: snapshot reads, group-commit writes,
 //! bounded admission, per-request deadlines, degraded-mode survival.
 //!
-//! The [`Checker`] façade is single-threaded by construction — every
-//! mutating entry point takes `&mut self` and, with a journal attached,
-//! flushes once per committed statement (0.2–0.5 ms per fsync on the
-//! benchmark machine, `journal.sync_us` in the wire-level suite), a hard
-//! ~2–5k updates/s ceiling. This module turns it into a service:
+//! The [`Checker`] façade is single-threaded — every mutating entry point
+//! takes `&mut self` and, with a journal attached, fsyncs once per commit
+//! (0.2–0.5 ms on the benchmark machine, `journal.sync_us`). This module
+//! turns it into a service:
 //!
-//! * **Readers never block writers.** Read-only entry points
-//!   ([`ReadSnapshot::check_full`], [`ReadSnapshot::decide`]) run
-//!   against an immutable, versioned [`ReadSnapshot`] published by the
-//!   writer once per committed batch. Taking a snapshot is an `Arc`
-//!   clone under a briefly-held lock; checking it touches no writer
-//!   state at all.
-//! * **A pre-update decision is a read.** [`ReadSnapshot::decide`] runs
-//!   the same optimized check the writer commits with
-//!   ([`crate::optimized`]) on the reader's own thread against the
-//!   snapshot — no copy of the document, no apply, no writer
-//!   round-trip — through the pattern store of the Γ the writer checks
-//!   with; the baseline ([`ReadSnapshot::decide_full`]: copy,
-//!   apply, check all of Γ) only decides what the writer also sends
-//!   down the baseline.
-//! * **Submitters group-commit their own batches.** The `Checker` sits
-//!   behind one *commit lock*, and there is no writer thread. A submitter
-//!   queues its parsed statement; if no batch is running it becomes the
-//!   *leader*: it takes the commit lock, drains the queue into a batch
-//!   ([`apply_batch`]) whose journal records are appended *unsynced* and
-//!   made durable with **one shared fsync**
-//!   ([`Journal::sync_now`][sync-now], the one durability point) before
-//!   any submitter is acknowledged, then hands the lead to the first
-//!   submitter still queued. Everyone else waits for its answer, so an
-//!   uncontended `UPDATE` runs start to finish on its own thread, while
+//! * **Readers never block writers.** [`ReadSnapshot::check_full`] and
+//!   [`ReadSnapshot::decide`] run on the reader's own thread against an
+//!   immutable, versioned snapshot the writer publishes once per committed
+//!   batch; taking one is an `Arc` clone under a briefly-held lock. A
+//!   pre-update decision is such a read: the optimized check the writer
+//!   commits with ([`crate::optimized`]), no copy, no apply, and the
+//!   baseline ([`ReadSnapshot::decide_full`]) only where the writer takes
+//!   it too.
+//! * **Submitters group-commit their own batches.** There is no writer
+//!   thread: the `Checker` sits behind one *commit lock*, and the
+//!   submitter that finds no batch running leads the next on its own
+//!   thread through [`apply_batch`], whose records are appended *unsynced*
+//!   and made durable by **one shared fsync**
+//!   ([`Journal::sync_now`][sync-now]) before anyone is acknowledged, so
 //!   statements that arrive during a batch's fsync share the next one. A
-//!   rejected statement appends no record and cannot poison its
-//!   batch-mates.
-//! * **Overload sheds instead of queueing without bound.** Admission is
-//!   bounded by [`ServiceConfig::queue_depth`]: once that many
-//!   submissions are waiting, further ones fail fast with
-//!   [`ServiceError::Overloaded`] (wire reply `ERR overloaded`) and the
-//!   client retries with jittered backoff. Goodput plateaus at
-//!   saturation instead of collapsing under unbounded queueing
-//!   (EXPERIMENTS.md E13, `experiments -- overload`).
-//! * **Requests carry deadlines.** A `deadline_ms` budget (from the
-//!   protocol's optional `UPDATE 250 <stmt>` prefix, or
-//!   [`ServiceConfig::default_deadline_ms`], for reads as for writes)
-//!   bounds queue wait *and* evaluation: expired requests are dropped
-//!   with [`ServiceError::Timeout`], and the remaining allowance is
-//!   armed as an [`EvalBudget`] around the check so a pathological
-//!   statement/constraint pair times out instead of hanging. A waiting
-//!   submitter answers `Timeout` at its deadline; one with a deadline that
-//!   leads takes only its own statement, so no batch-mate's evaluation
-//!   delays its answer.
-//! * **A failed batch fsync degrades, it does not kill.** The shared
-//!   fsync is attempted once and never retried (after a failed fsync the
-//!   kernel may have dropped the batch's pages, so a second one that
-//!   succeeds proves nothing). The checker and the service enter
-//!   read-only **degraded mode** — CHECK/DECIDE keep serving the last
-//!   *durably published* snapshot, UPDATE gets [`ServiceError::Degraded`]
-//!   — and stay there: like a poisoned one, a degraded service is
-//!   replaced by replaying its store (`ShardSet::recover_shard`, or a
-//!   restart over `--store`).
-//! * **One batch path, two batch caps.** Every batch runs
-//!   [`apply_batch`]. [`Executor::GroupCommit`], every server's, caps a
-//!   batch at [`DEFAULT_MAX_BATCH`]; [`Executor::Sync`] caps it at one
-//!   statement (tests and the wire-level benchmark's in-process twins
-//!   run it).
+//!   batch is at most [`DEFAULT_MAX_BATCH`] statements, one under
+//!   [`Executor::Sync`].
+//! * **One state machine decides.** Who leads, what a batch takes, and
+//!   when a request is answered, refused or expired are the pure
+//!   `Protocol` of `commit_protocol.rs`, whose every interleaving of three
+//!   submitters its tests explore; the service feeds it events under one
+//!   lock and performs its actions. So admission is bounded by
+//!   [`ServiceConfig::queue_depth`] ([`ServiceError::Overloaded`]: retry
+//!   with backoff); a deadline (the protocol's `UPDATE 250 <stmt>` prefix,
+//!   or [`ServiceConfig::default_deadline_ms`]) bounds a request's wait
+//!   ([`ServiceError::Timeout`]) and, armed as an [`EvalBudget`], its
+//!   evaluation; a leader with a deadline takes only its own statement.
+//! * **A failed batch fsync degrades, it does not kill.** The fsync is
+//!   never retried (the kernel may have dropped the batch's pages, so a
+//!   second one that succeeds proves nothing). The service turns read-only
+//!   — reads serve the last *durably published* snapshot, UPDATE gets
+//!   [`ServiceError::Degraded`] — and, like a poisoned one, is replaced by
+//!   replaying its store (`ShardSet::recover_shard`, or a restart).
 //!
-//! The batching rules, the snapshot-handoff protocol (when readers
-//! observe a new version) and the failure-mode state machine (ok →
-//! degraded or poisoned → replaced, drain-on-shutdown) are specified in
-//! `DESIGN.md`'s *Concurrency architecture* section (system-inventory
-//! rows 19 and 22).
+//! DESIGN.md's *Concurrency architecture* specifies the snapshot handoff
+//! (inventory rows 19 and 22).
 //!
 //! [sync-now]: xic_xml::journal::Journal::sync_now
 
 use crate::checker::{index_reads, Checker, CheckerError, UpdateOutcome, Violation};
+use crate::commit_protocol::{Action, Event, Lead, Protocol, Reply, Ticket};
 use crate::gamma::SharedGamma;
 use crate::optimized::{Fallback, Verdict};
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 use xic_xml::{serialize, Document, XUpdateDoc};
 use xic_xpath::EvalBudget;
@@ -122,16 +95,6 @@ pub enum Executor {
     GroupCommit,
 }
 
-impl Executor {
-    /// The most queued statements one batch takes.
-    fn max_batch(self) -> usize {
-        match self {
-            Executor::Sync => 1,
-            Executor::GroupCommit => DEFAULT_MAX_BATCH,
-        }
-    }
-}
-
 /// Full service configuration (the executor plus the resilience knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -141,10 +104,8 @@ pub struct ServiceConfig {
     /// shed with [`ServiceError::Overloaded`]. Clamped to at least 1.
     pub queue_depth: usize,
     /// Deadline applied to requests that do not carry their own:
-    /// [`CheckerService::submit`] and, through the protocol, all three
-    /// checking verbs — `CHECK` and `DECIDE` on a snapshot as well as
-    /// `UPDATE` (`None`: no deadline — requests may wait and evaluate
-    /// without bound, the pre-PR9 behavior).
+    /// [`CheckerService::submit`] and, through the protocol, `CHECK`,
+    /// `DECIDE` and `UPDATE` (`None`: wait and evaluate without bound).
     pub default_deadline_ms: Option<u64>,
 }
 
@@ -164,17 +125,13 @@ impl Default for ServiceConfig {
 pub enum Health {
     /// Accepting reads and writes.
     Ok,
-    /// Read-only: a journal fsync failed, under either executor.
-    /// CHECK/DECIDE serve the last durably published snapshot; UPDATE is
-    /// refused with [`ServiceError::Degraded`]. Sticky, like
-    /// [`Health::Poisoned`].
+    /// Read-only: a batch fsync failed. Reads serve the last durably
+    /// published snapshot; UPDATE gets [`ServiceError::Degraded`].
     Degraded,
-    /// The checker was poisoned by a contained panic
-    /// mid-statement: every further UPDATE fails with
-    /// [`CheckerError::Poisoned`]. Reads keep serving the last
-    /// published snapshot. Neither this nor [`Health::Degraded`] is left
-    /// in place — the service is replaced by replaying its store
-    /// (`ShardSet::recover_shard`, or a restart over `--store`).
+    /// A panic interrupted a batch: every further UPDATE fails with
+    /// [`CheckerError::Poisoned`]; reads serve the last published
+    /// snapshot. Like [`Health::Degraded`], sticky until the service is
+    /// replaced from its store (`ShardSet::recover_shard`, or a restart).
     Poisoned,
     /// Shutting down: no new submissions, the in-flight queue drains.
     Draining,
@@ -507,100 +464,54 @@ impl ReadSnapshot {
     }
 }
 
-/// A request's deadline: the wall-clock expiry plus the originally
-/// requested budget (for error reporting).
+/// A request's deadline: its expiry, and the budget it was given.
 #[derive(Debug, Clone, Copy)]
 struct Deadline {
     expires: Instant,
     ms: u64,
 }
 
-impl Deadline {
-    fn new(ms: u64) -> Deadline {
-        Deadline { expires: Instant::now() + Duration::from_millis(ms), ms }
-    }
-
-    /// The step budget for the time left at `now`, or `None` once `now`
-    /// has reached the expiry.
-    fn budget(&self, now: Instant) -> Option<EvalBudget> {
-        let left = self.expires.checked_duration_since(now).filter(|d| !d.is_zero())?;
-        Some(deadline_steps(left))
-    }
-}
-
-/// One admitted submission: its parsed statement, its deadline, and the
-/// channel its submitter waits on.
-struct UpdateReq {
-    /// Names the request in the queue, for a follower that withdraws.
-    ticket: u64,
+/// One admitted submission, the commit protocol's payload: its statement,
+/// its deadline, and the thread waiting for its answer.
+struct Req {
     stmt: XUpdateDoc,
     deadline: Option<Deadline>,
-    wake: mpsc::SyncSender<Wake>,
+    waiter: Thread,
 }
 
-/// What a queued submitter is woken with: at most one of each, the lead
-/// first.
-enum Wake {
-    /// Lead the next batch.
-    Lead,
-    /// The statement's answer.
-    Answer(Result<SubmitOutcome, ServiceError>),
+type Answer = Result<SubmitOutcome, ServiceError>;
+
+/// The commit protocol, and beside it under its lock: the answers not
+/// collected yet, the shutdown callers waiting for the lead to lapse, and
+/// whom to wake once the lock is released.
+struct Commit {
+    model: Protocol<Arc<Req>>,
+    answers: HashMap<Ticket, Answer>,
+    closers: Vec<Thread>,
+    woken: Vec<Thread>,
 }
 
-impl UpdateReq {
-    /// Answers the submitter. The first answer is the one it gets; a
-    /// submitter that gave up has dropped its end.
-    fn answer(&self, result: Result<SubmitOutcome, ServiceError>) {
-        let _ = self.wake.try_send(Wake::Answer(result));
-    }
+/// Releases the protocol lock, then wakes whom its steps woke.
+fn unlock(mut commit: MutexGuard<'_, Commit>) {
+    let woken = std::mem::take(&mut commit.woken);
+    drop(commit);
+    woken.iter().for_each(Thread::unpark);
 }
 
-/// The submissions waiting for a batch, and whether a leader is running
-/// one.
-#[derive(Default)]
-struct Queue {
-    pending: VecDeque<UpdateReq>,
-    /// Tickets handed out so far.
-    tickets: u64,
-    /// A submitter leads: it runs one batch under the commit lock, then
-    /// promotes `pending`'s front. While this is false `pending` is empty,
-    /// so a leader's own statement is always at the front of the batch it
-    /// drains.
-    leading: bool,
-}
-
-/// The concurrent checker service (DESIGN.md rows 19 and 22): one
-/// logical writer, any number of snapshot readers, bounded admission,
-/// per-request deadlines, and a read-only degraded mode, reads still
-/// served, once a batch fsync fails.
-///
-/// Constructed over a fully-configured [`Checker`] (attach the journal
-/// or store, set policies and budgets *first* — the service takes
-/// ownership and keeps it behind its commit lock, where the submitter
-/// leading each batch uses it). [`CheckerService::shutdown`] stops
-/// admission, drains the queue, and gives the checker back.
+/// The concurrent checker service (DESIGN.md rows 19 and 22): one batch
+/// at a time, any number of snapshot readers. Built over a
+/// fully-configured [`Checker`] — attach the journal or store and set
+/// policies *first*: the service keeps it behind its commit lock.
+/// [`CheckerService::shutdown`] drains the queue and gives it back.
 pub struct CheckerService {
     snapshot: RwLock<Arc<ReadSnapshot>>,
     checks: Arc<CheckSet>,
     config: ServiceConfig,
-    /// Read-only mode: a batch fsync failed. Sticky, like `poisoned`.
-    degraded: AtomicBool,
-    /// A panic interrupted a batch — one the checker contained, or one
-    /// the leader caught — and every further UPDATE is refused. Sticky:
-    /// only replacing the service (shard-level recovery) clears it.
-    poisoned: AtomicBool,
-    /// Set by [`CheckerService::shutdown`]: no new submissions.
-    draining: AtomicBool,
-    /// Submissions admitted and not yet drained into a batch (under
-    /// `Sync`: not yet run): the admission bound.
-    queued: AtomicUsize,
     stats: StatsCells,
     /// The commit lock: held by the leading submitter for one batch.
     /// `None` once [`CheckerService::shutdown`] has taken the checker.
     checker: Mutex<Option<Checker>>,
-    queue: Mutex<Queue>,
-    /// Signalled when the lead lapses with nothing queued.
-    idle: Condvar,
+    commit: Mutex<Commit>,
 }
 
 impl CheckerService {
@@ -613,6 +524,7 @@ impl CheckerService {
     /// Starts a service over `checker` with the full configuration.
     pub fn with_config(checker: Checker, config: ServiceConfig) -> Arc<CheckerService> {
         let config = ServiceConfig { queue_depth: config.queue_depth.max(1), ..config };
+        let cap = if config.executor == Executor::Sync { 1 } else { DEFAULT_MAX_BATCH };
         let checks = Arc::new(CheckSet {
             gamma: Arc::clone(checker.shared_gamma()),
             decides: DecideCells::default(),
@@ -627,14 +539,14 @@ impl CheckerService {
             snapshot: RwLock::new(initial),
             checks,
             config,
-            degraded: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            queued: AtomicUsize::new(0),
             stats: StatsCells::default(),
             checker: Mutex::new(Some(checker)),
-            queue: Mutex::new(Queue::default()),
-            idle: Condvar::new(),
+            commit: Mutex::new(Commit {
+                model: Protocol::new(cap, config.queue_depth),
+                answers: HashMap::new(),
+                closers: Vec::new(),
+                woken: Vec::new(),
+            }),
         })
     }
 
@@ -650,15 +562,12 @@ impl CheckerService {
 
     /// The service's liveness state (the protocol's `HEALTH` verb).
     pub fn health(&self) -> Health {
-        if self.draining.load(Ordering::Acquire) {
-            Health::Draining
-        } else if self.poisoned.load(Ordering::Acquire) {
-            Health::Poisoned
-        } else if self.degraded.load(Ordering::Acquire) {
-            Health::Degraded
-        } else {
-            Health::Ok
-        }
+        let commit = self.commit();
+        let m = &commit.model;
+        [(m.draining, Health::Draining), (m.poisoned, Health::Poisoned), (m.degraded, Health::Degraded)]
+            .into_iter()
+            .find_map(|(is, health)| is.then_some(health))
+            .unwrap_or(Health::Ok)
     }
 
     /// Point-in-time resilience and decision counters (the protocol's
@@ -707,250 +616,170 @@ impl CheckerService {
 
     /// [`CheckerService::submit`] with an explicit deadline (overriding
     /// the configured default; `None` waits without bound). The deadline
-    /// bounds queue wait and evaluation; an expired request fails with
-    /// [`ServiceError::Timeout`]. A timeout *while waiting for the ack*
-    /// leaves the verdict unknown — the statement may still commit.
-    ///
-    /// The statement is parsed on the calling thread, before admission. It
-    /// then queues; if no batch is running, the caller leads the next one
-    /// itself, otherwise it waits for its answer or for the lead.
+    /// bounds queue wait and evaluation ([`ServiceError::Timeout`]); a
+    /// timeout *while its batch runs* leaves the verdict unknown. The
+    /// statement is parsed on the calling thread, then queues: the caller
+    /// leads the next batch itself or waits for its answer or the lead.
     pub fn submit_with(
         &self,
         stmt: &str,
         deadline_ms: Option<u64>,
     ) -> Result<SubmitOutcome, ServiceError> {
-        if self.draining.load(Ordering::Acquire) {
-            return Err(ServiceError::Draining);
-        }
-        if self.degraded.load(Ordering::Acquire) {
-            return Err(ServiceError::Degraded);
+        // Refused before the parse; admission checks again under the lock.
+        match self.health() {
+            Health::Draining => return Err(ServiceError::Draining),
+            Health::Degraded => return Err(ServiceError::Degraded),
+            Health::Ok | Health::Poisoned => {}
         }
         let stmt = XUpdateDoc::parse(stmt).map_err(|e| CheckerError::Statement(e.to_string()))?;
-        // Bounded admission: shed before queueing, not after.
-        if self.queued.fetch_add(1, Ordering::AcqRel) >= self.config.queue_depth {
-            self.queued.fetch_sub(1, Ordering::AcqRel);
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            xic_obs::incr(xic_obs::Counter::RequestShed);
-            return Err(ServiceError::Overloaded { depth: self.config.queue_depth });
-        }
-        let (wake, woken) = mpsc::sync_channel(1);
         // The deadline starts as the request queues: it bounds the wait for
         // a batch and the evaluation, not the parse.
-        let deadline = deadline_ms.map(Deadline::new);
-        let (ticket, lead) = {
-            let mut queue = self.queue();
-            queue.tickets += 1;
-            let ticket = queue.tickets;
-            queue.pending.push_back(UpdateReq { ticket, stmt, deadline, wake });
-            (ticket, !std::mem::replace(&mut queue.leading, true))
+        let deadline = deadline_ms
+            .map(|ms| Deadline { expires: Instant::now() + Duration::from_millis(ms), ms });
+        let payload = Arc::new(Req { stmt, deadline, waiter: thread::current() });
+        let mut commit = self.commit();
+        let submit = Event::Submit { payload, deadline: deadline.is_some() };
+        let ticket = match self.step(&mut commit, submit, &mut Vec::new()).pop() {
+            Some(Action::Queued(ticket)) => ticket,
+            Some(Action::Refuse(refusal)) => return Err(self.refused(refusal)),
+            _ => unreachable!("a submission is queued or refused"),
         };
-        if lead {
-            self.lead(&woken, deadline)
-        } else {
-            self.follow(ticket, &woken, deadline)
-        }
-    }
-
-    fn queue(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().expect("submission queue poisoned")
-    }
-
-    /// Leads one batch on the calling thread, under the commit lock, then
-    /// passes the lead on. The caller's own statement is the front of the
-    /// batch, so the batch answers it. A caller with a deadline takes only
-    /// its own statement: its batch-mates' evaluation is not bounded by
-    /// that deadline. A panic the checker did not contain poisons the
-    /// service and refuses the rest of the batch, so no follower waits on a
-    /// leader that stopped.
-    fn lead(
-        &self,
-        woken: &mpsc::Receiver<Wake>,
-        deadline: Option<Deadline>,
-    ) -> Result<SubmitOutcome, ServiceError> {
-        let cap = if deadline.is_some() { 1 } else { self.config.executor.max_batch() };
-        {
-            // Nothing unwinds past this guard (the batch runs under
-            // `catch_unwind`), so the lock is never poisoned.
-            let mut checker = self.checker.lock().expect("commit lock poisoned");
-            let batch = self.drain(cap);
-            // Under `GroupCommit` a drained statement stops counting
-            // against the admission bound at once; under `Sync` it counts
-            // until its batch has run, so the bound counts every submitter
-            // in flight there, the one running included.
-            let release = |n| self.queued.fetch_sub(n, Ordering::AcqRel);
-            let sync = self.config.executor == Executor::Sync;
-            if !sync {
-                release(batch.len());
+        loop {
+            if let Some(answer) = commit.answers.remove(&ticket) {
+                unlock(commit);
+                return answer;
             }
-            match checker.as_mut() {
-                Some(checker) => {
-                    let ran = catch_unwind(AssertUnwindSafe(|| self.run_batch(checker, &batch)));
-                    if ran.is_err() {
-                        self.note_poisoned();
-                        for req in &batch {
-                            req.answer(Err(CheckerError::Poisoned.into()));
-                        }
-                    }
-                }
-                None => {
-                    for req in &batch {
-                        req.answer(Err(ServiceError::Stopped));
-                    }
-                }
-            }
-            if sync {
-                release(batch.len());
-            }
-        }
-        self.pass_lead(&mut self.queue());
-        match woken.try_recv() {
-            Ok(Wake::Answer(result)) => result,
-            _ => unreachable!("a batch answers every statement it drains, its leader's first"),
-        }
-    }
-
-    /// Takes the next batch, up to `cap` statements, off the queue.
-    fn drain(&self, cap: usize) -> Vec<UpdateReq> {
-        let mut queue = self.queue();
-        let n = queue.pending.len().min(cap);
-        queue.pending.drain(..n).collect()
-    }
-
-    /// Hands the lead to the first queued submitter, or lets it lapse when
-    /// nobody is queued.
-    fn pass_lead(&self, queue: &mut Queue) {
-        match queue.pending.front() {
-            Some(next) => {
-                // The front has not been drained, so nothing answered it.
-                let _ = next.wake.try_send(Wake::Lead);
-            }
-            None => {
-                queue.leading = false;
-                self.idle.notify_all();
-            }
-        }
-    }
-
-    /// Waits for the statement's answer, or for the lead, which it then
-    /// takes. A deadline that passes first withdraws the statement.
-    fn follow(
-        &self,
-        ticket: u64,
-        woken: &mpsc::Receiver<Wake>,
-        deadline: Option<Deadline>,
-    ) -> Result<SubmitOutcome, ServiceError> {
-        let wake = match deadline {
-            None => woken.recv().map_err(|_| ServiceError::Stopped)?,
-            Some(d) => {
-                let left = d.expires.saturating_duration_since(Instant::now());
-                match woken.recv_timeout(left) {
-                    Ok(wake) => wake,
-                    Err(_) => return self.withdraw(ticket, woken, d),
-                }
-            }
-        };
-        match wake {
-            Wake::Lead => self.lead(woken, deadline),
-            Wake::Answer(result) => result,
-        }
-    }
-
-    /// A follower whose deadline passed leaves the queue, so its statement
-    /// never runs, and passes the lead on if it was just promoted. A
-    /// statement a running batch already holds may still commit: the
-    /// timeout leaves its verdict unknown.
-    fn withdraw(
-        &self,
-        ticket: u64,
-        woken: &mpsc::Receiver<Wake>,
-        d: Deadline,
-    ) -> Result<SubmitOutcome, ServiceError> {
-        // The lead is only handed on under the queue lock: holding it, the
-        // channel says whether this follower was promoted.
-        let mut queue = self.queue();
-        let promoted = match woken.try_recv() {
-            Ok(Wake::Answer(result)) => return result,
-            Ok(Wake::Lead) => true,
-            Err(_) => false,
-        };
-        if let Some(at) = queue.pending.iter().position(|req| req.ticket == ticket) {
-            queue.pending.remove(at);
-            self.queued.fetch_sub(1, Ordering::AcqRel);
-        }
-        if promoted {
-            self.pass_lead(&mut queue);
-        }
-        drop(queue);
-        self.checks.note_timeout();
-        Err(ServiceError::Timeout { ms: d.ms })
-    }
-
-    /// Executes one drained batch on the leader's thread: refuse it if the
-    /// service is degraded or poisoned, expire overdue requests, run the
-    /// batch path, publish on success or degrade on a failed flush,
-    /// answer every submitter.
-    fn run_batch(&self, checker: &mut Checker, batch: &[UpdateReq]) {
-        let refusal = if self.degraded.load(Ordering::Acquire) {
-            Some(ServiceError::Degraded)
-        } else if self.poisoned.load(Ordering::Acquire) {
-            Some(CheckerError::Poisoned.into())
-        } else {
-            None
-        };
-        if let Some(refusal) = refusal {
-            // Refuse without touching the checker, so the in-memory state
-            // stays at the last (unflushed) batch.
-            for req in batch {
-                req.answer(Err(refusal.clone()));
-            }
-            return;
-        }
-        let now = Instant::now();
-        let mut live: Vec<(&UpdateReq, Option<EvalBudget>)> = Vec::with_capacity(batch.len());
-        for req in batch {
-            let budget = req.deadline.map(|d| d.budget(now));
-            if let (Some(d), Some(None)) = (req.deadline, budget) {
-                self.checks.note_timeout();
-                req.answer(Err(ServiceError::Timeout { ms: d.ms }));
+            let now = Instant::now();
+            if deadline.is_some_and(|d| d.expires <= now) {
+                self.step(&mut commit, Event::Expired(ticket), &mut Vec::new());
                 continue;
             }
-            live.push((req, budget.flatten()));
-        }
-        if live.is_empty() {
-            return;
-        }
-        let items: Vec<BatchStmt> =
-            live.iter().map(|(req, budget)| BatchStmt { stmt: &req.stmt, budget: *budget }).collect();
-        let before = checker.committed();
-        let outcome = apply_batch(checker, &items);
-        if checker.poisoned() {
-            self.note_poisoned();
-        }
-        match &outcome.disposition {
-            BatchDisposition::Committed => {
-                if checker.committed() != before {
-                    self.publish(checker);
-                }
+            let lead = commit.model.lead == Lead::Handed(ticket);
+            unlock(commit);
+            match deadline {
+                _ if lead => self.lead(ticket),
+                Some(d) => thread::park_timeout(d.expires - now),
+                None => thread::park(),
             }
-            // The batch's commits are not durable: readers keep the last
-            // published (durable) snapshot, the service goes read-only.
-            BatchDisposition::SyncFailed(_) => self.enter_degraded(),
+            commit = self.commit();
         }
-        // Acknowledge only now: every commit in the batch is durable (or
-        // reported as SyncFailed/Timeout). A submitter that gave up
-        // waiting drops its answer.
-        for ((req, _), result) in live.into_iter().zip(outcome.results) {
-            let result = match (result, req.deadline) {
-                // An exhausted deadline budget surfaces as a timeout, not
-                // a bare budget error.
-                (Err(ServiceError::Checker(CheckerError::BudgetExhausted)), Some(d)) => {
-                    self.checks.note_timeout();
-                    Err(ServiceError::Timeout { ms: d.ms })
+    }
+
+    fn commit(&self) -> MutexGuard<'_, Commit> {
+        self.commit.lock().expect("commit protocol poisoned")
+    }
+
+    /// Feeds `event` to the protocol and performs its actions but those
+    /// it returns for the caller: a submission's `Queued` or `Refuse`, a
+    /// batch to `Run`, a `Publish`. An answer goes to the mailbox — a
+    /// batch's from `ran` — and its submitter is woken, like a promoted
+    /// leader and the shutdown callers a lapse frees.
+    fn step(
+        &self,
+        commit: &mut Commit,
+        event: Event<Arc<Req>>,
+        ran: &mut Vec<(Ticket, Answer)>,
+    ) -> Vec<Action<Arc<Req>>> {
+        let mut left = Vec::new();
+        for action in commit.model.step(event) {
+            match action {
+                Action::Answer(ticket, req, reply) => {
+                    let answer = match reply {
+                        Reply::Ran | Reply::Unsynced => {
+                            let at = ran.iter().position(|(t, _)| *t == ticket);
+                            ran.swap_remove(at.expect("a batch answers what it ran")).1
+                        }
+                        // A deadline that passed answers like one whose
+                        // budget ran out mid-evaluation.
+                        Reply::TimedOut => Err(CheckerError::BudgetExhausted.into()),
+                        refusal => Err(self.refused(refusal)),
+                    };
+                    let answer = match (answer, req.deadline) {
+                        (Err(ServiceError::Checker(CheckerError::BudgetExhausted)), Some(d)) => {
+                            self.checks.note_timeout();
+                            Err(ServiceError::Timeout { ms: d.ms })
+                        }
+                        (answer, _) => answer,
+                    };
+                    commit.answers.insert(ticket, answer);
+                    commit.woken.push(req.waiter.clone());
                 }
-                (result, _) => result,
-            };
-            req.answer(result);
+                Action::Hand(_, req) => commit.woken.push(req.waiter.clone()),
+                Action::Lapse => commit.woken.append(&mut commit.closers),
+                Action::Degrade => {
+                    self.stats.degraded_transitions.fetch_add(1, Ordering::Relaxed);
+                    xic_obs::incr(xic_obs::Counter::ServiceDegraded);
+                }
+                other => left.push(other),
+            }
         }
+        left
+    }
+
+    fn refused(&self, refusal: Reply) -> ServiceError {
+        match refusal {
+            Reply::Draining => ServiceError::Draining,
+            Reply::Degraded => ServiceError::Degraded,
+            Reply::Poisoned => CheckerError::Poisoned.into(),
+            Reply::Ran | Reply::Unsynced | Reply::TimedOut => unreachable!("not a refusal"),
+            Reply::Overloaded => {
+                self.stats.shed.fetch_add(1, Ordering::Relaxed);
+                xic_obs::incr(xic_obs::Counter::RequestShed);
+                ServiceError::Overloaded { depth: self.config.queue_depth }
+            }
+        }
+    }
+
+    /// Leads one batch on the calling thread, under the commit lock: takes
+    /// it from the protocol, expires its overdue requests, runs the rest
+    /// and tells the protocol how that went. A panic outside the checker,
+    /// in the batch or in its publish, is caught and reported as one.
+    fn lead(&self, ticket: Ticket) {
+        // Nothing unwinds past this guard, so the lock is never poisoned.
+        let mut guard = self.checker.lock().expect("commit lock poisoned");
+        let mut commit = self.commit();
+        let Some(Action::Run(batch)) = self.step(&mut commit, Event::Start(ticket), &mut Vec::new()).pop()
+        else {
+            return unlock(commit);
+        };
+        // Overdue requests expire as the batch starts; the rest run under
+        // the step budgets their deadlines have left.
+        let now = Instant::now();
+        let mut live = Vec::with_capacity(batch.len());
+        for (t, req) in batch {
+            let left = req.deadline.map(|d| d.expires.saturating_duration_since(now));
+            if left.is_some_and(|left| left.is_zero()) {
+                self.step(&mut commit, Event::Expired(t), &mut Vec::new());
+            } else {
+                live.push((t, req, left.map(deadline_steps)));
+            }
+        }
+        unlock(commit);
+        let checker = guard.as_mut().expect("the checker is taken only once no one leads");
+        let mut results = Vec::new();
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            if live.is_empty() {
+                return Event::Returned { appended: false, synced: true, poisoned: false };
+            }
+            let items: Vec<BatchStmt> =
+                live.iter().map(|(_, req, budget)| BatchStmt { stmt: &req.stmt, budget: *budget }).collect();
+            let before = checker.committed();
+            let outcome = apply_batch(checker, &items);
+            results = live.iter().map(|(t, ..)| *t).zip(outcome.results).collect();
+            Event::Returned {
+                appended: checker.committed() != before,
+                synced: outcome.disposition == BatchDisposition::Committed,
+                poisoned: checker.poisoned(),
+            }
+        }))
+        .unwrap_or(Event::Panicked);
+        let mut commit = self.commit();
+        if let Some(Action::Publish) = self.step(&mut commit, ran, &mut results).pop() {
+            let published = catch_unwind(AssertUnwindSafe(|| self.publish(checker)));
+            let ran = if published.is_ok() { Event::Published } else { Event::Panicked };
+            self.step(&mut commit, ran, &mut results);
+        }
+        unlock(commit);
     }
 
     /// Publishes the checker's committed version as the new read
@@ -975,31 +804,21 @@ impl CheckerService {
         xic_obs::incr(xic_obs::Counter::SnapshotPublish);
     }
 
-    /// Enters read-only degraded mode (a batch fsync failed).
-    fn enter_degraded(&self) {
-        if !self.degraded.swap(true, Ordering::AcqRel) {
-            self.stats.degraded_transitions.fetch_add(1, Ordering::Relaxed);
-            xic_obs::incr(xic_obs::Counter::ServiceDegraded);
-        }
-    }
-
-    /// Records that a panic interrupted a batch (sticky; see
-    /// [`Health::Poisoned`]).
-    fn note_poisoned(&self) {
-        self.poisoned.store(true, Ordering::Release);
-    }
-
     /// Stops the service and returns the checker: admission closes
-    /// ([`ServiceError::Draining`] for new submissions), the queue
-    /// drains — every queued submission still gets its durable verdict
-    /// (or its degraded/timeout refusal) from the leaders — and the
-    /// checker is taken from behind the commit lock once the lead has
-    /// lapsed. Safe with any number of live service or snapshot handles; a
-    /// second call returns [`ServiceError::Stopped`].
+    /// ([`ServiceError::Draining`]), every queued submission is still
+    /// answered by the leaders, and the checker is taken once the lead has
+    /// lapsed. Safe with live service or snapshot handles; a second call
+    /// returns [`ServiceError::Stopped`].
     pub fn shutdown(&self) -> Result<Checker, ServiceError> {
-        self.draining.store(true, Ordering::Release);
-        let idle = self.idle.wait_while(self.queue(), |queue| queue.leading);
-        drop(idle.expect("submission queue poisoned"));
+        let mut commit = self.commit();
+        self.step(&mut commit, Event::Shutdown, &mut Vec::new());
+        while commit.model.lead != Lead::Idle {
+            commit.closers.push(thread::current());
+            unlock(commit);
+            thread::park();
+            commit = self.commit();
+        }
+        unlock(commit);
         self.checker.lock().expect("commit lock poisoned").take().ok_or(ServiceError::Stopped)
     }
 }
@@ -1053,11 +872,9 @@ pub struct BatchOutcome {
 /// downgraded to [`ServiceError::SyncFailed`], because its record may
 /// not have reached stable storage.
 ///
-/// This *is* the production write path — both executors call it for
-/// every batch, and a lone submitter's batch of one runs it on the
-/// submitting thread — and a free function so the fault harness in
-/// `xic-difftest` can drive each shard's batches directly under
-/// thread-scoped fault injection.
+/// Every batch of the service runs it, on its leader's thread; it is a
+/// free function so the fault harness in `xic-difftest` can drive each
+/// shard's batches directly under thread-scoped fault injection.
 pub fn apply_batch(checker: &mut Checker, items: &[BatchStmt]) -> BatchOutcome {
     let mut results: Vec<_> = items
         .iter()
@@ -1124,7 +941,7 @@ mod tests {
     }
 
     fn wait_for_queued(service: &CheckerService, n: usize) {
-        while service.queue().pending.len() < n {
+        while service.commit().model.pending.len() < n {
             std::thread::yield_now();
         }
     }
@@ -1205,7 +1022,9 @@ mod tests {
                 );
             }
             assert_eq!(service.health(), Health::Poisoned);
-            assert!(service.queue().pending.is_empty() && !service.queue().leading);
+            let commit = service.commit();
+            assert!(commit.model.pending.is_empty() && commit.model.lead == Lead::Idle);
+            drop(commit);
             service.shutdown().expect("shutdown");
         }
     }
@@ -1222,7 +1041,7 @@ mod tests {
             wait_for_queued(&service, 1);
             let late = service.submit_with(&legal("late"), Some(20));
             assert!(matches!(late, Err(ServiceError::Timeout { ms: 20 })), "{late:?}");
-            assert_eq!(service.queue().pending.len(), 1, "the follower left the queue");
+            assert_eq!(service.commit().model.pending.len(), 1, "the follower left the queue");
             drop(held);
             let first = leader.join().expect("leader").expect("the leader commits");
             assert_eq!(first.version, 1);

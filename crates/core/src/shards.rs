@@ -56,8 +56,39 @@ use crate::service::{
     SubmitOutcome,
 };
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
+
+/// The most scoped threads a parallel [`ShardSet::recover`] opens shards
+/// on, however many shards there are: `--shards 100000` must not ask for
+/// 100 000 threads at once. At least 16, so a 16-shard set still opens
+/// every shard on a thread of its own.
+const MAX_OPEN_WORKERS: usize = 32;
+
+/// Runs `job` on every id of `0..n` over at most [`MAX_OPEN_WORKERS`]
+/// scoped threads, each pulling the next id from a shared counter: the
+/// results in id order, a job that panicked as its payload.
+fn fan_out<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<std::thread::Result<T>> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, std::thread::Result<T>)> = std::thread::scope(|scope| {
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                let id = next.fetch_add(1, Ordering::Relaxed);
+                if id >= n {
+                    return done;
+                }
+                done.push((id, catch_unwind(AssertUnwindSafe(|| job(id)))));
+            }
+        };
+        let workers: Vec<_> = (0..MAX_OPEN_WORKERS.min(n)).map(|_| scope.spawn(worker)).collect();
+        workers.into_iter().flat_map(|w| w.join().expect("a worker catches its jobs' panics")).collect()
+    });
+    done.sort_unstable_by_key(|(id, _)| *id);
+    done.into_iter().map(|(_, result)| result).collect()
+}
 
 /// Configuration shared by every shard of a [`ShardSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -368,7 +399,8 @@ impl ShardSet {
     /// recovered from its own generations ([`Checker::open_store`] per
     /// shard — each replays only its own journal suffix). With
     /// `parallel` the per-shard recoveries fan out across scoped
-    /// threads, one per shard; the recovered state is byte-identical to
+    /// threads, one per shard up to 32 shards, and 32 pulling shards off
+    /// a counter past that; the recovered state is byte-identical to
     /// the sequential fan-out (the fault harness asserts this), so
     /// `parallel` is purely a wall-clock knob. A shard whose directory
     /// does not exist yet is created fresh from its base document.
@@ -397,8 +429,9 @@ impl ShardSet {
     }
 
     /// Compiles Γ, opens shard `i` over `base_xmls[i]` with `open` — on
-    /// one scoped thread per shard when `parallel` — and puts every shard
-    /// in service, its store directory under `root` if the set has one.
+    /// up to [`MAX_OPEN_WORKERS`] scoped threads when `parallel` — and puts
+    /// every shard in service, its store directory under `root` if the
+    /// set has one.
     fn start(
         root: Option<&Path>,
         base_xmls: &[&str],
@@ -411,19 +444,15 @@ impl ShardSet {
         let gamma = SharedGamma::compile(dtd, constraints).map_err(ShardSetError::Compile)?;
         let open_one = |id: usize| open(id, base_xmls[id], &gamma);
         let opened: Vec<Opened> = if parallel {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    (0..base_xmls.len()).map(|id| scope.spawn(move || open_one(id))).collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.join().unwrap_or_else(|payload| {
-                            let message = crate::checker::panic_message(payload.as_ref());
-                            Err(CheckerError::Panicked(message))
-                        })
+            fan_out(base_xmls.len(), open_one)
+                .into_iter()
+                .map(|opened| {
+                    opened.unwrap_or_else(|payload| {
+                        let message = crate::checker::panic_message(payload.as_ref());
+                        Err(CheckerError::Panicked(message))
                     })
-                    .collect()
-            })
+                })
+                .collect()
         } else {
             (0..base_xmls.len()).map(open_one).collect()
         };
@@ -565,5 +594,31 @@ impl ShardSet {
             None => Ok(()),
             Some(e) => Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three jobs for every worker the cap allows: each job runs once, its
+    /// result lands at its id, and no more than the cap run at once.
+    #[test]
+    fn recovery_fans_out_over_at_most_the_cap() {
+        let jobs = 3 * MAX_OPEN_WORKERS;
+        let runs: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
+        let (running, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let results = fan_out(jobs, |id| {
+            peak.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            runs[id].fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            running.fetch_sub(1, Ordering::SeqCst);
+            id
+        });
+        let ids: Vec<usize> = results.into_iter().map(|r| r.expect("no job panics")).collect();
+        assert_eq!(ids, (0..jobs).collect::<Vec<_>>());
+        assert!(runs.iter().all(|n| n.load(Ordering::SeqCst) == 1));
+        let peak = peak.load(Ordering::SeqCst);
+        assert!((1..=MAX_OPEN_WORKERS).contains(&peak), "{peak} jobs ran at once");
     }
 }
