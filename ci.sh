@@ -168,6 +168,15 @@ echo "== full-check counts (Figure 1's full-check side) =="
 # `BudgetExhausted`.
 cargo test -q --release -p xicheck --test full_check_scaling
 
+echo "== version cost (counts) =="
+# What a commit's new version costs, by a counting allocator: clone, one
+# legal append and the drop of the replaced version allocate at most
+# twice the bytes at 2 MiB (64x the nodes) that they do at 32 KiB, and
+# copying a chunk a clone shares allocates nothing per record -- the
+# records own no heap memory, the tag lists, postings and symbols are
+# shared, so a version copies what it wrote.
+cargo test -q --release -p xicheck --test version_cost
+
 echo "== difftest corpus replay =="
 # Every checked-in regression seed replays against the current oracles
 # (tests/corpus.rs covers these in-process too; this exercises the CLI
@@ -319,6 +328,10 @@ echo "== experiments smoke (paper tables + their one report file, bad input exit
 # which must be refused with exit 1 (not a panic's 101).
 cargo run --release -q -p xic-bench --bin experiments -- fig1a fig1b illegal simp \
   --sizes=32,64 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
+# The version sweep (clone, apply to the fresh copy, drop of the replaced
+# version, beside the decision and the full check) up to 512 KiB.
+cargo run --release -q -p xic-bench --bin experiments -- versions \
+  --sizes=8,64,512 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
 status=0
 cargo run --release -q -p xic-bench --bin experiments -- fig1a --sizes=abc \
   --out=/tmp/BENCH_PAPER_CI.json 2>/dev/null || status=$?

@@ -2,7 +2,7 @@
 //! machine-readable report (`BENCH_PAPER.json`).
 //!
 //! ```text
-//! experiments [fig1a] [fig1b] [illegal] [simp] [checkpoint] [overload] [all]
+//! experiments [fig1a] [fig1b] [illegal] [simp] [checkpoint] [overload] [versions] [all]
 //!             [--sizes=32,64,128,256,512] [--iters=3] [--seed=1]
 //!             [--out=BENCH_PAPER.json]
 //! ```
@@ -15,7 +15,10 @@
 //! precompilation (footnote 4: "generated in less than 50 ms"),
 //! `checkpoint` recovery time against committed-history length with and
 //! without checkpointing (E9), `overload` the goodput / shed-rate curve
-//! of closed-loop clients against a small admission queue (E13). Every
+//! of closed-loop clients against a small admission queue (E13),
+//! `versions` what one version of the document costs against its size —
+//! clone, apply to the fresh copy, drop of the replaced version — beside
+//! the optimized decision and the full check. Every
 //! other cost — journal, service, shards, each layer of a request — is
 //! the wire-level benchmark's (`benchmark/`), not measured here.
 //!
@@ -28,7 +31,7 @@
 use xic_bench::report::{col, emit, run_meta, write_report, Column, SECTIONS};
 use xic_bench::{
     authored_insert, benchmark_checker, instance, measure_checkpoint, measure_first_sight,
-    measure_illegal, measure_overload, measure_row, Experiment,
+    measure_illegal, measure_overload, measure_row, measure_versions, Experiment,
 };
 use xic_xml::XUpdateDoc;
 use xicheck::obs::json::Value;
@@ -193,6 +196,28 @@ fn overload_section(args: &Args) -> Value {
     emit(title, COLUMNS, &params, rows)
 }
 
+fn versions_section(args: &Args) -> Value {
+    const COLUMNS: &[Column] = &[
+        col("kib", "size/KiB", 9, 0),
+        col("nodes", "nodes", 10, 0),
+        col("clone_us", "clone/us", 10, 1),
+        col("apply_us", "apply/us", 10, 1),
+        col("drop_us", "drop/us", 9, 1),
+        col("decide_optimized_us", "decide/us", 11, 1),
+        col("check_full_us", "full check/us", 15, 0),
+    ];
+    let rows = args.sizes.iter().map(|&kib| {
+        let r = measure_versions(kib, args.seed, args.iters);
+        let cells = [
+            r.kib as f64, r.nodes as f64, r.clone_us, r.apply_us, r.drop_us,
+            r.decide_optimized_us, r.check_full_us,
+        ];
+        cells.map(Value::Number).to_vec()
+    });
+    let title = "Versions: what a commit's copy costs against document size";
+    emit(title, COLUMNS, &[("seed", args.seed as f64), ("iters", args.iters as f64)], rows)
+}
+
 fn main() {
     let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("experiments: {e}");
@@ -213,6 +238,7 @@ fn main() {
         "simp" => simp_latency(&args),
         "checkpoint" => checkpoint_section(&args),
         "overload" => overload_section(&args),
+        "versions" => versions_section(&args),
         other => unreachable!("parse_args admits only SECTIONS, got {other}"),
     };
     let sections = args.what.iter().map(|w| (w.clone(), section(w))).collect();

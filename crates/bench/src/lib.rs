@@ -8,18 +8,19 @@
 //! checker runs it: the update is executed on a copy, and the copy is
 //! dropped.
 //!
-//! Beside the paper's measurements the crate keeps the two sweeps no
-//! metric of the wire-level suite (`benchmark/`) covers — recovery time
-//! against history length (E9) and the overload curve (E13).
+//! Beside the paper's measurements the crate keeps the sweeps no metric
+//! of the wire-level suite (`benchmark/`) covers — recovery time against
+//! history length (E9), the overload curve (E13), and what one version
+//! of the document costs against its size.
 //!
 //! In the system-inventory table of `DESIGN.md` this crate is item 13 (benchmark harness).
 
 pub mod report;
 
 use std::time::{Duration, Instant};
-use xic_workload::{generate, Workload, WorkloadConfig};
+use xic_workload::{generate, legal_insert, Workload, WorkloadConfig};
 use xic_xml::XUpdateDoc;
-use xicheck::{Checker, CheckerService, Strategy, UpdateOutcome};
+use xicheck::{xpath_resolver, Checker, CheckerService, Strategy, UpdateOutcome};
 
 /// Which of the two running examples an experiment exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +89,10 @@ pub fn authored_insert(authors: usize) -> String {
 /// conference workload, review load — over a sized corpus, at thresholds
 /// no insertion reaches.
 pub fn benchmark_checker(kib: usize, seed: u64) -> Checker {
+    benchmark_instance(kib, seed).1
+}
+
+fn benchmark_instance(kib: usize, seed: u64) -> (Workload, Checker) {
     let w = generate(WorkloadConfig::sized_kib(kib, seed));
     let gamma = format!(
         "{}. {}. {}",
@@ -95,7 +100,90 @@ pub fn benchmark_checker(kib: usize, seed: u64) -> Checker {
         xic_workload::workload_constraint(3, 1_000_000),
         xic_workload::review_load_constraint(1_000_000),
     );
-    Checker::new(&w.xml, dtd_text(), &gamma).expect("generated corpus must load")
+    let checker = Checker::new(&w.xml, dtd_text(), &gamma).expect("generated corpus must load");
+    (w, checker)
+}
+
+/// What one version of the document costs at one size: median
+/// microseconds over a stream of legal appends under the benchmark's Γ.
+#[derive(Debug, Clone, Copy)]
+pub struct VersionRow {
+    /// Corpus size in KiB.
+    pub kib: usize,
+    /// Nodes in the parsed corpus.
+    pub nodes: usize,
+    /// Cloning the committed version (the value indexes built).
+    pub clone_us: f64,
+    /// Applying one legal append to that fresh copy, its select
+    /// resolved beforehand as the optimized decision resolves it.
+    pub apply_us: f64,
+    /// Dropping the version the copy replaces.
+    pub drop_us: f64,
+    /// Deciding the append on the optimized path.
+    pub decide_optimized_us: f64,
+    /// Checking the whole of Γ.
+    pub check_full_us: f64,
+}
+
+fn median_us(mut samples: Vec<Duration>) -> f64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2].as_secs_f64() * 1e6
+}
+
+/// Measures one row of the version sweep: `iters` full checks, then 64 ×
+/// `iters` legal appends (to reviewers across the corpus) decided on the
+/// optimized path, then committed one after another as the checker
+/// commits them — clone, apply to the clone, drop the replaced version.
+pub fn measure_versions(kib: usize, seed: u64, iters: usize) -> VersionRow {
+    let (w, checker) = benchmark_instance(kib, seed);
+    let stmts: Vec<XUpdateDoc> = (0..64 * iters)
+        .map(|i| {
+            let (track, rev) = (i % w.config.tracks, i % w.config.revs_per_track);
+            XUpdateDoc::parse(&legal_insert(track, rev, i)).expect("statement parses")
+        })
+        .collect();
+    let timed = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        f();
+        start.elapsed()
+    };
+    let check_full = (0..iters).map(|_| {
+        timed(&mut || assert_eq!(checker.check_full().expect("full check"), None))
+    });
+    let check_full_us = median_us(check_full.collect());
+    // The first decision builds the value indexes every later one reads.
+    let decide = |stmt: &XUpdateDoc| {
+        assert_eq!(checker.decide_only(stmt, Strategy::Optimized).expect("decides"), None);
+    };
+    decide(&stmts[0]);
+    let decide_optimized_us = median_us(stmts.iter().map(|s| timed(&mut || decide(s))).collect());
+    let mut current = checker.doc().clone();
+    let nodes = current.node_count();
+    drop(checker);
+    let (mut clone, mut apply, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
+    for stmt in &stmts {
+        // The decision resolved the select on this version; the commit
+        // applies from what it found.
+        let targets = xpath_resolver(&current, stmt.ops[0].select()).expect("select resolves");
+        let mut next = None;
+        clone.push(timed(&mut || next = Some(current.clone())));
+        let mut next = next.expect("cloned above");
+        apply.push(timed(&mut || {
+            let resolved = |_: &xic_xml::Document, _: &str| Ok(targets.clone());
+            xic_xml::apply(&mut next, stmt, &resolved).expect("the append applies");
+        }));
+        let mut replaced = Some(std::mem::replace(&mut current, next));
+        dropped.push(timed(&mut || drop(replaced.take())));
+    }
+    VersionRow {
+        kib,
+        nodes,
+        clone_us: median_us(clone),
+        apply_us: median_us(apply),
+        drop_us: median_us(dropped),
+        decide_optimized_us,
+        check_full_us,
+    }
 }
 
 /// Mean milliseconds a first sight of `stmt`'s pattern costs `checker`
@@ -547,6 +635,14 @@ mod tests {
             "checkpointed recovery must replay at most one interval, got {}",
             r.ckpt_replayed
         );
+    }
+
+    #[test]
+    fn version_rows_time_every_stage() {
+        let r = measure_versions(8, 3, 1);
+        assert!(r.nodes > 500);
+        let stages = [r.clone_us, r.apply_us, r.drop_us, r.decide_optimized_us, r.check_full_us];
+        assert!(stages.iter().all(|&us| us > 0.0), "{r:?}");
     }
 
     #[test]

@@ -7,7 +7,8 @@ use std::process::Command;
 use xicheck::obs::{self, json, json::Value};
 
 /// The sections `experiments` produces, in `all` order.
-pub const SECTIONS: [&str; 6] = ["fig1a", "fig1b", "illegal", "simp", "checkpoint", "overload"];
+pub const SECTIONS: [&str; 7] =
+    ["fig1a", "fig1b", "illegal", "simp", "checkpoint", "overload", "versions"];
 
 /// One table column: its JSON row key and how stdout shows it.
 #[derive(Debug, Clone, Copy)]

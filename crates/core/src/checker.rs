@@ -8,6 +8,7 @@
 use crate::compile::CompiledPattern;
 use crate::durability::{CommitError, CommitLog};
 use crate::gamma::{apply_to_copy, SharedGamma};
+use crate::resolver::resolved_targets;
 use crate::optimized::Verdict;
 use crate::resolver::xpath_resolver;
 use std::fmt;
@@ -559,10 +560,13 @@ impl Checker {
                 self.stats.early_rejections += 1;
                 return Ok(UpdateOutcome::Rejected { strategy: Strategy::Optimized, violation });
             }
-            Verdict::Legal => {
+            Verdict::Legal(targets) => {
                 // Legal: now (and only now) execute the update. A statement
                 // that does not apply drops its copy and appends nothing.
-                let (next, _) = apply_to_copy(&self.doc, stmt)?;
+                // The decision resolved every select on this version, and
+                // no select of a statement it admits can observe an earlier
+                // operation, so `apply` is answered from those targets.
+                let (next, _) = apply_to_copy(&self.doc, stmt, &resolved_targets(stmt, &targets))?;
                 self.commit(stmt, next)?;
                 return Ok(UpdateOutcome::Applied { strategy: Strategy::Optimized });
             }
@@ -757,6 +761,44 @@ mod tests {
         assert!(!out.applied(), "third sub must be rejected");
         assert_eq!(out.strategy(), Strategy::Optimized);
         assert_eq!(subs(&c), 3);
+    }
+
+    /// A legal commit on the optimized path evaluates each operation's
+    /// `select` once, in the decision, and applies from the targets that
+    /// found; the baseline path resolves each in its one `apply`.
+    #[test]
+    fn a_legal_commit_resolves_each_select_once() {
+        let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
+        let two = String::from(
+            r#"<xupdate:modifications xmlns:xupdate="http://www.xmldb.org/xupdate">
+              <xupdate:append select="/collection/review/track[1]/rev[1]">
+                <sub><title>A</title><auts><name>zoe</name></auts></sub>
+              </xupdate:append>
+              <xupdate:append select="/collection/review/track[1]/rev[2]">
+                <sub><title>B</title><auts><name>yan</name></auts></sub>
+              </xupdate:append>
+            </xupdate:modifications>"#,
+        );
+        for (stmt, ops) in [(insert_sub("//rev[name/text() = 'dan']", "zoe"), 1), (two, 2)] {
+            let stmt = XUpdateDoc::parse(&stmt).unwrap();
+            c.register_pattern(&stmt).unwrap();
+            xic_obs::reset();
+            let out = c.try_update(&stmt).unwrap();
+            assert_eq!(out.strategy(), Strategy::Optimized, "{out:?}");
+            assert!(out.applied());
+            assert_eq!(xic_obs::counter(xic_obs::Counter::SelectResolve), ops);
+        }
+        assert_eq!(subs(&c), 5);
+        xic_obs::reset();
+        let out = c
+            .try_update_str(
+                r#"<xupdate:modifications xmlns:xupdate="x">
+                  <xupdate:update select="//rev[name/text() = 'dan']/name">don</xupdate:update>
+                </xupdate:modifications>"#,
+            )
+            .unwrap();
+        assert_eq!(out.strategy(), Strategy::FullWithRollback);
+        assert_eq!(xic_obs::counter(xic_obs::Counter::SelectResolve), 1);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use xic_mapping::{map_denials, RelSchema};
 use xic_simplify::footprint::POS_COL;
 use xic_simplify::{live_set, read_footprints, ReadFootprint};
 use xic_translate::{translate_denials, QueryTemplate};
-use xic_xml::{apply, AppliedUpdate, Document, Dtd, XUpdateDoc};
+use xic_xml::{apply, AppliedUpdate, Document, Dtd, SelectResolver, XUpdateDoc};
 use xic_xquery::{parse_query, XProgram};
 
 /// The compiled constraint-template set Γ plus everything derived from
@@ -230,7 +230,7 @@ impl SharedGamma {
         doc: &Document,
         stmt: &XUpdateDoc,
     ) -> Result<(Document, Option<Violation>), CheckerError> {
-        let (copy, applied) = apply_to_copy(doc, stmt)?;
+        let (copy, applied) = apply_to_copy(doc, stmt, &xpath_resolver)?;
         let live = self.live_mask(&copy, &applied);
         let verdict = self.check_full(&copy, live.as_deref())?;
         Ok((copy, verdict))
@@ -251,11 +251,12 @@ impl SharedGamma {
 pub(crate) fn apply_to_copy(
     doc: &Document,
     stmt: &XUpdateDoc,
+    resolve: SelectResolver,
 ) -> Result<(Document, AppliedUpdate), CheckerError> {
     let _update = xic_obs::phase("update");
     let _apply = xic_obs::phase("apply");
     let mut copy = doc.clone();
-    let applied = apply(&mut copy, stmt, &xpath_resolver).map_err(|(e, _)| e)?;
+    let applied = apply(&mut copy, stmt, resolve).map_err(|(e, _)| e)?;
     Ok((copy, applied))
 }
 

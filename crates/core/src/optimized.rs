@@ -363,7 +363,9 @@ impl fmt::Display for Fallback {
 #[derive(Debug)]
 pub(crate) enum Verdict {
     /// Every simplified check passed: executing the statement keeps Γ.
-    Legal,
+    /// Carries the node each operation's `select` resolved to on the
+    /// decided version, in statement order.
+    Legal(Vec<NodeId>),
     /// A simplified check fired: executing the statement would violate Γ.
     Violated(Violation),
     /// No optimized check exists for this statement in this state; the
@@ -376,7 +378,7 @@ impl Verdict {
     /// without an optimized check is an error there, not a fallback.
     pub(crate) fn decision(self) -> Result<Option<Violation>, CheckerError> {
         match self {
-            Verdict::Legal => Ok(None),
+            Verdict::Legal(_) => Ok(None),
             Verdict::Violated(v) => Ok(Some(v)),
             Verdict::NotIncremental(reason) => Err(CheckerError::Statement(reason.to_string())),
         }
@@ -472,7 +474,7 @@ impl SharedGamma {
                 return Ok(Verdict::Violated(Violation { denial: d.to_string(), query }));
             }
         }
-        Ok(Verdict::Legal)
+        Ok(Verdict::Legal(mapped.targets))
     }
 }
 

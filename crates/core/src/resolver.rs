@@ -1,11 +1,13 @@
 //! XPath-backed resolver for XUpdate `select` expressions.
 
-use xic_xml::{Document, NodeId, SelectError};
+use xic_xml::{Document, NodeId, SelectError, XUpdateDoc};
 use xic_xpath::{evaluate_nodes, parse, Context, EvalError, NodeRef};
 
 /// Resolves an XUpdate `select` expression to node ids (of any kind but
-/// attribute) in document order, using the full XPath engine.
+/// attribute) in document order, using the full XPath engine (one
+/// [`xic_obs::Counter::SelectResolve`]).
 pub fn xpath_resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, SelectError> {
+    xic_obs::incr(xic_obs::Counter::SelectResolve);
     let expr = parse(select).map_err(|e| SelectError::Other(e.to_string()))?;
     let ctx = Context::root(doc);
     let nodes = evaluate_nodes(&expr, &ctx).map_err(|e| match e {
@@ -19,6 +21,25 @@ pub fn xpath_resolver(doc: &Document, select: &str) -> Result<Vec<NodeId>, Selec
             NodeRef::Attr { .. } => None,
         })
         .collect())
+}
+
+/// A resolver that answers each operation of `stmt` with the one node
+/// `targets` holds for it (in statement order), evaluating nothing: for
+/// applying a statement whose selects were resolved on the same version,
+/// none of which can observe an earlier operation. An operation's
+/// `select` is answered by the first operation with the same text, which
+/// resolved to the same node on that version.
+pub(crate) fn resolved_targets<'a>(
+    stmt: &'a XUpdateDoc,
+    targets: &'a [NodeId],
+) -> impl Fn(&Document, &str) -> Result<Vec<NodeId>, SelectError> + 'a {
+    move |_, select| {
+        let k = stmt.ops.iter().position(|op| op.select() == select);
+        match k.and_then(|k| targets.get(k)) {
+            Some(&target) => Ok(vec![target]),
+            None => Err(SelectError::Other(format!("select {select:?} was not resolved"))),
+        }
+    }
 }
 
 #[cfg(test)]

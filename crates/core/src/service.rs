@@ -413,7 +413,7 @@ impl ReadSnapshot {
             Ok(verdict)
         };
         match checks.read(|| checks.gamma.decide_optimized(&self.doc, stmt)).0? {
-            Verdict::Legal => optimized(None),
+            Verdict::Legal(_) => optimized(None),
             Verdict::Violated(violation) => optimized(Some(violation)),
             Verdict::NotIncremental(fallback) => {
                 decides.fallback[fallback.kind()].fetch_add(1, Ordering::Relaxed);

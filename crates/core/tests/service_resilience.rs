@@ -150,13 +150,30 @@ fn expired_deadline_times_out_without_executing() {
 
 /// A deadline expires when it passes, not on arrival: under
 /// `Executor::Sync` the submitter runs its batch at once, with most of a
-/// 1 ms deadline left, and a legal statement is applied.
+/// 1 ms deadline left, and a legal statement whose pattern is already
+/// compiled is applied. A submitter descheduled for the whole millisecond
+/// (a busy host) times out and applies nothing, so that is allowed twice;
+/// a deadline that expired on arrival would fail all three tries.
 #[test]
 fn a_one_millisecond_deadline_is_met_by_a_legal_insert() {
-    let service = CheckerService::new(checker(), Executor::Sync);
-    let out = service.submit_with(&legal("quick"), Some(1)).expect("applied within 1 ms");
+    let mut c = checker();
+    c.register_pattern(&XUpdateDoc::parse(&legal("quick")).expect("statement parses"))
+        .expect("pattern compiles");
+    let service = CheckerService::new(c, Executor::Sync);
+    let mut timed_out = 0;
+    let out = loop {
+        match service.submit_with(&legal("quick"), Some(1)) {
+            Ok(out) => break out,
+            Err(ServiceError::Timeout { ms: 1 }) if timed_out < 2 => {
+                timed_out += 1;
+                assert_eq!(service.version(), 0, "a timed-out statement applies nothing");
+            }
+            other => panic!("try {}: expected an applied insert, got {other:?}", timed_out + 1),
+        }
+    };
     assert!(out.outcome.applied());
-    assert_eq!(service.stats().requests_timed_out, 0);
+    assert_eq!(out.version, 1);
+    assert_eq!(service.stats().requests_timed_out, timed_out);
     service.shutdown().expect("shutdown");
 }
 

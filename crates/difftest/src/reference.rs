@@ -145,7 +145,7 @@ fn child_texts<'d>(doc: &'d Document, n: NodeId, name: &str) -> Vec<&'d str> {
     let kids = doc.node(n).children.iter().filter(|&&c| doc.name(c) == Some(name));
     kids.flat_map(|&c| &doc.node(c).children)
         .filter_map(|&t| match &doc.node(t).kind {
-            NodeKind::Text(text) => Some(text.as_str()),
+            NodeKind::Text(text) => Some(&**text),
             _ => None,
         })
         .collect()

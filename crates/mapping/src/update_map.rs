@@ -40,6 +40,9 @@ pub struct MappedUpdate {
     /// positions bound for them do not count each other. Empty for a
     /// single tail append.
     pub displaced: BTreeSet<String>,
+    /// The node each operation's `select` resolved to on the mapped
+    /// version, in statement order.
+    pub targets: Vec<NodeId>,
 }
 
 /// Update mapping failure.
@@ -89,6 +92,7 @@ pub fn map_update(
         fresh_params: BTreeSet::new(),
         node_params: BTreeSet::new(),
         displaced: BTreeSet::new(),
+        targets: Vec::with_capacity(stmt.ops.len()),
     };
     // Hypothetical fresh ids: strictly greater than every allocated id.
     let mut next_fresh = doc.node_count() as i64;
@@ -111,6 +115,7 @@ pub fn map_update(
         // An operation the target does not allow is refused by `apply`;
         // mapped, it would be decided instead.
         check_target(doc, op, *target).map_err(|e| UpdateMapError::Target(e.to_string()))?;
+        out.targets.push(*target);
         let (parent, base_pos, content) = match op {
             XUpdateOp::InsertAfter { content, .. } => {
                 let parent = doc

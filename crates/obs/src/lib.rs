@@ -144,10 +144,12 @@ pub enum Counter {
     /// Pairs of denials `Optimize` searched for a θ-subsumption: those
     /// whose literal signatures did not already rule it out.
     SubsumptionSearches,
+    /// XUpdate `select` expressions evaluated by the XPath resolver.
+    SelectResolve,
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 31] = [
+pub const ALL_COUNTERS: [Counter; 32] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
     Counter::XpathNodesVisited,
@@ -179,6 +181,7 @@ pub const ALL_COUNTERS: [Counter; 31] = [
     Counter::ChunkCopy,
     Counter::ProbeNarrowed,
     Counter::SubsumptionSearches,
+    Counter::SelectResolve,
 ];
 
 const N_COUNTERS: usize = ALL_COUNTERS.len();
@@ -218,6 +221,7 @@ impl Counter {
             Counter::ChunkCopy => "chunk_copies",
             Counter::ProbeNarrowed => "probe_hits_narrowed",
             Counter::SubsumptionSearches => "subsumption_searches",
+            Counter::SelectResolve => "selects_resolved",
         }
     }
 }

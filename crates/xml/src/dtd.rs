@@ -225,7 +225,7 @@ impl Dtd {
                     message: format!("undeclared element <{name}>"),
                 })?;
                 self.validate_element(doc, n, &decl.model)?;
-                for att in self.attlists.iter().filter(|a| a.element == *name) {
+                for att in self.attlists.iter().filter(|a| *a.element == **name) {
                     if att.required && doc.attr(n, &att.name).is_none() {
                         return Err(ValidationError {
                             node: n,

@@ -10,10 +10,14 @@
 //! Interior mutability is `RwLock`-based (not `RefCell`) so `&Document`
 //! stays `Sync`: concurrent readers (the threads sharing a service
 //! snapshot) may intern/look up names through a shared reference.
+//!
+//! Each name is held once, as an `Arc<str>` that the elements carrying it
+//! share (`SymbolTable::intern_name`): parsing allocates one per
+//! distinct name, not one per element.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// An interned name: a dense index into its [`SymbolTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,8 +25,8 @@ pub struct Symbol(pub u32);
 
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<String, Symbol>,
-    names: Vec<String>,
+    map: HashMap<Arc<str>, Symbol>,
+    names: Vec<Arc<str>>,
 }
 
 /// An append-only name → [`Symbol`] table, shared per document.
@@ -40,18 +44,28 @@ impl SymbolTable {
     /// Interns `name`, returning its symbol (existing or freshly minted).
     /// Interning the same name twice returns the same symbol.
     pub fn intern(&self, name: &str) -> Symbol {
-        if let Some(s) = self.lookup(name) {
-            return s;
+        self.intern_name(name).0
+    }
+
+    /// [`SymbolTable::intern`], with the table's one copy of the name.
+    pub(crate) fn intern_name(&self, name: &str) -> (Symbol, Arc<str>) {
+        let held = |inner: &Inner| {
+            let &s = inner.map.get(name)?;
+            Some((s, Arc::clone(&inner.names[s.0 as usize])))
+        };
+        if let Some(found) = held(&self.inner.read().expect("symbol table lock poisoned")) {
+            return found;
         }
         let mut inner = self.inner.write().expect("symbol table lock poisoned");
         // Another thread may have interned it while we waited.
-        if let Some(&s) = inner.map.get(name) {
-            return s;
+        if let Some(found) = held(&inner) {
+            return found;
         }
         let s = Symbol(u32::try_from(inner.names.len()).expect("symbol table overflow"));
-        inner.names.push(name.to_string());
-        inner.map.insert(name.to_string(), s);
-        s
+        let name: Arc<str> = name.into();
+        inner.names.push(Arc::clone(&name));
+        inner.map.insert(Arc::clone(&name), s);
+        (s, name)
     }
 
     /// The symbol for `name`, or `None` if it has never been interned.
@@ -72,7 +86,7 @@ impl SymbolTable {
             .expect("symbol table lock poisoned")
             .names
             .get(sym.0 as usize)
-            .cloned()
+            .map(|name| name.to_string())
     }
 
     /// Number of distinct names interned so far.

@@ -10,10 +10,12 @@
 //!   simplifier's Δ hypotheses rely on (Section 5, Example 6).
 //! * **Interned tag names.** Every element caches the [`Symbol`] of its
 //!   tag name (kept up to date across renames), so the compiled query
-//!   engine matches `//tag` steps by integer comparison while streaming
-//!   [`Document::descendants`]; [`Document::audit_symbols`] checks the
-//!   cache against the names. There is no name → nodes index: nothing
-//!   read one, and maintaining it cost every mutation and every clone.
+//!   engine matches `//tag` steps by integer comparison;
+//!   [`Document::audit_symbols`] checks the cache against the names.
+//! * **Versions that share what they did not write.** A clone shares
+//!   the arena's chunks, the per-tag lists, the value indexes and the
+//!   symbol table, and a write copies only the chunk, leaf or table it
+//!   touches ([`shared`]): a commit costs what it wrote.
 //! * **Ordered children with positions.** The XML data model is ordered;
 //!   positions (1-based, counted over element children) are what the
 //!   relational mapping exposes in each predicate's second column.
@@ -30,6 +32,7 @@ pub mod intern;
 pub mod journal;
 pub mod parse;
 pub mod serialize;
+pub mod shared;
 pub mod tree;
 pub mod xupdate;
 
@@ -39,9 +42,8 @@ pub use intern::{Symbol, SymbolTable};
 pub use journal::{Journal, JournalError, JournalRecord, RecordKind, Recovered};
 pub use parse::{parse_document, XmlError};
 pub use serialize::{serialize, serialize_equal, serialize_node};
-pub use tree::{
-    Descendants, Document, Node, NodeId, NodeKind, OrderRanks,
-};
+pub use shared::{Children, ListIter, SharedVec};
+pub use tree::{Attr, Descendants, Document, Node, NodeId, NodeKind, OrderRanks};
 pub use xupdate::{
     apply, undo, AppliedUpdate, SelectError, SelectResolver, UndoEntry, XUpdateDoc, XUpdateError,
     XUpdateOp,

@@ -60,6 +60,17 @@ pub(crate) fn is_name(text: &str) -> bool {
 /// Parses a complete XML document. Returns the document and the DTD
 /// declared in the internal subset, if any.
 pub fn parse_document(input: &str) -> Result<(Document, Option<Dtd>), XmlError> {
+    parse(input, true).map(|(doc, _, dtd)| (doc, dtd))
+}
+
+/// Parses a complete XML document but leaves its root element detached,
+/// so nothing is indexed: for a tree that is read once and dropped (an
+/// XUpdate statement). Returns the document and its root element.
+pub(crate) fn parse_unindexed(input: &str) -> Result<(Document, NodeId), XmlError> {
+    parse(input, false).map(|(doc, root, _)| (doc, root))
+}
+
+fn parse(input: &str, attach: bool) -> Result<(Document, NodeId, Option<Dtd>), XmlError> {
     let mut p = Parser::new(input);
     let mut doc = Document::new();
     let mut dtd = None;
@@ -95,7 +106,9 @@ pub fn parse_document(input: &str) -> Result<(Document, Option<Dtd>), XmlError> 
         return Err(p.error("expected root element"));
     }
     let root = p.element(&mut doc)?;
-    doc.append_child(doc.document_node(), root);
+    if attach {
+        doc.append_child(doc.document_node(), root);
+    }
     // Trailing misc.
     loop {
         p.skip_ws();
@@ -115,7 +128,7 @@ pub fn parse_document(input: &str) -> Result<(Document, Option<Dtd>), XmlError> 
     if !p.at_eof() {
         return Err(p.error("unexpected content after root element"));
     }
-    Ok((doc, dtd))
+    Ok((doc, root, dtd))
 }
 
 struct Parser<'a> {
@@ -283,7 +296,7 @@ impl<'a> Parser<'a> {
     fn start_tag(&mut self, doc: &mut Document) -> Result<(NodeId, String, bool), XmlError> {
         self.expect("<")?;
         let name = self.name()?;
-        let el = doc.create_element(name.clone());
+        let el = doc.create_element(&name);
         loop {
             self.skip_ws();
             let rest = self.rest();
@@ -387,11 +400,10 @@ fn flush_text(doc: &mut Document, parent: NodeId, text: &mut String) {
         return;
     }
     if !text.trim().is_empty() {
-        let t = doc.create_text(std::mem::take(text));
+        let t = doc.create_text(text.as_str());
         doc.append_child(parent, t);
-    } else {
-        text.clear();
     }
+    text.clear();
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The ordered XML tree arena.
 
 use crate::intern::{Symbol, SymbolTable};
+use crate::shared::{Children, ListIter, SharedVec, SortedList};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hasher;
@@ -28,7 +29,12 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Node payload.
+/// An attribute: its name (the symbol table's copy) and value.
+pub type Attr = (Arc<str>, Arc<str>);
+
+/// Node payload. Every string is behind a shared immutable pointer — an
+/// element's name is the symbol table's one copy — so a copy of a node
+/// owns no heap memory of its own, and an edit replaces a pointer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
     /// The document node (exactly one per document, always `NodeId(0)`).
@@ -37,20 +43,20 @@ pub enum NodeKind {
     /// document order.
     Element {
         /// Qualified tag name (`prefix:local` kept verbatim).
-        name: String,
+        name: Arc<str>,
         /// Attribute name/value pairs.
-        attrs: Vec<(String, String)>,
+        attrs: SharedVec<Attr>,
     },
     /// A text node.
-    Text(String),
+    Text(Arc<str>),
     /// A comment.
-    Comment(String),
+    Comment(Arc<str>),
     /// A processing instruction.
     Pi {
         /// PI target.
-        target: String,
+        target: Arc<str>,
         /// PI data.
-        data: String,
+        data: Arc<str>,
     },
 }
 
@@ -61,15 +67,23 @@ pub struct Node {
     pub kind: NodeKind,
     /// Parent node, `None` for the document node and detached nodes.
     pub parent: Option<NodeId>,
-    /// Children in document order (empty for text/comment/PI nodes).
-    pub children: Vec<NodeId>,
+    /// Children in document order (empty for text/comment/PI nodes):
+    /// inline when few, else shared with the other versions until one of
+    /// them writes the list.
+    pub children: Children,
 }
 
-/// Slots per arena chunk, a power of two: a node id splits into its chunk
-/// (`id >> CHUNK_BITS`) and its slot in it (`id & CHUNK_MASK`).
-const CHUNK_BITS: u32 = 6;
+/// Slots per arena chunk (32: a commit copies the chunks it writes, so
+/// they stay small) and chunks per group, powers of two: a node id
+/// splits into its group (`id >> GROUP_SHIFT`), its chunk in the group
+/// (`(id >> CHUNK_BITS) & GROUP_MASK`) and its slot in the chunk
+/// (`id & CHUNK_MASK`).
+const CHUNK_BITS: u32 = 5;
 const CHUNK: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: usize = CHUNK - 1;
+const GROUP_BITS: u32 = 6;
+const GROUP_MASK: usize = (1 << GROUP_BITS) - 1;
+const GROUP_SHIFT: u32 = CHUNK_BITS + GROUP_BITS;
 
 /// One arena slot: a node, the interned tag-name symbol of an element
 /// ([`NO_SYM`] for every other kind) and whether the node is reachable
@@ -86,13 +100,17 @@ const VACANT: NodeRec = NodeRec {
     node: Node {
         kind: NodeKind::Document,
         parent: None,
-        children: Vec::new(),
+        children: Children::EMPTY,
     },
     sym: NO_SYM,
     attached: false,
 };
 
 type Chunk = [NodeRec; CHUNK];
+
+/// `1 << GROUP_BITS` chunks, the second level of the chunk table; the
+/// slots past the document's last chunk are empty.
+type Group = [Option<Arc<Chunk>>; GROUP_MASK + 1];
 
 /// Sentinel rank for nodes that were detached when the order cache was
 /// built (`u32::MAX` can never be a real preorder rank: ids are `u32`
@@ -133,28 +151,20 @@ const PATH_SORT_ALLOWANCE: u32 = 64;
 /// member is keyed by the string of every text node at
 /// `member/path[0]/…/path[k-1]/text()` (child steps only). Postings are
 /// plain integers — the 64-bit hash of a key string and the member it
-/// keys, sorted — so cloning the index is one copy, and a probe re-checks
-/// the candidates' keys.
+/// keys, sorted — in a list the versions share leaf by leaf, and a probe
+/// re-checks the candidates' keys.
 #[derive(Debug, Clone)]
 struct ValueIndex {
     tag: u32,
-    path: Box<[u32]>,
+    path: Arc<[u32]>,
     /// One posting per key *node*: a member with two equal keys is
     /// listed twice, and loses one posting when one of them goes.
-    postings: Vec<(u64, NodeId)>,
+    postings: SortedList<(u64, NodeId)>,
 }
 
-/// Adds (or removes) the posting of `member` under the key `value`.
-fn post(postings: &mut Vec<(u64, NodeId)>, value: &str, member: NodeId, add: bool) {
-    let posting = (hash_value(value), member);
-    let at = postings.partition_point(|p| *p < posting);
-    if add {
-        postings.insert(at, posting);
-    } else {
-        assert_eq!(postings.get(at), Some(&posting), "value index lost a posting");
-        postings.remove(at);
-    }
-}
+/// A posting to add or remove: the index (its place in the document's
+/// list), the key's hash and the member it keys.
+type Post = (usize, u64, NodeId);
 
 fn hash_value(value: &str) -> u64 {
     // Fixed keys: a clone, and a fresh build, hash as the original did.
@@ -168,10 +178,17 @@ fn hash_value(value: &str) -> u64 {
 /// element and value indexes.
 ///
 /// **Copy-on-write arena.** The nodes live in fixed-size chunks, each
-/// behind an `Arc`, so a clone shares every chunk with its original; the
-/// first write to a chunk that a clone still shares copies that one chunk
-/// (one [`xic_obs::Counter::ChunkCopy`]). A service snapshot therefore
-/// shares every chunk the batch after it did not write.
+/// behind an `Arc`, grouped under a second level of `Arc`s: a clone
+/// shares every chunk with its original, and the first write to a chunk
+/// that a clone still shares copies that one chunk (one
+/// [`xic_obs::Counter::ChunkCopy`]), its group's table and the table of
+/// groups (one pointer per 2 048 nodes). A record owns no heap memory —
+/// its strings and long child lists are shared pointers — so that copy
+/// is a memcpy plus refcount bumps, and dropping a replaced version frees
+/// only what it alone held.
+/// The symbol table, the per-tag lists and the value indexes are shared
+/// the same way. A service snapshot therefore shares everything the batch
+/// after it did not write.
 ///
 /// **Index invariant.** The attached bits, `by_tag` and every value index
 /// built so far describe exactly the tree reachable from the document
@@ -182,13 +199,17 @@ fn hash_value(value: &str) -> u64 {
 /// [`Document::audit_indexes`] checks the invariant against a scan.
 #[derive(Debug)]
 pub struct Document {
-    /// `chunks[i >> CHUNK_BITS][i & CHUNK_MASK]`: node `i`; the slots at
-    /// `len` and beyond are [`VACANT`].
-    chunks: Vec<Arc<Chunk>>,
+    /// Node `i` is slot `i & CHUNK_MASK` of chunk `(i >> CHUNK_BITS) &
+    /// GROUP_MASK` of `groups[i >> GROUP_SHIFT]`; the slots at `len` and
+    /// beyond are [`VACANT`]. A clone shares the table, and a version's
+    /// first write copies it: one pointer per 2 048 nodes.
+    groups: Arc<[Arc<Group>]>,
     len: usize,
-    /// Interned element/attribute names; append-only for the document's
-    /// lifetime, so a missed lookup proves the name never occurred.
-    symbols: SymbolTable,
+    /// Interned element/attribute names; append-only, and shared by every
+    /// version cloned from this one (a name one of them interns is an
+    /// entry the others never look up), so a missed lookup proves the
+    /// name never occurred.
+    symbols: Arc<SymbolTable>,
     /// Structural version, bumped by every attach/detach. Content edits
     /// (`set_text`, `set_attr`, `rename`) do not move nodes and leave it
     /// alone.
@@ -204,11 +225,11 @@ pub struct Document {
     /// `by_tag[symbol]`: the attached elements carrying that tag,
     /// ascending by id (which is document order only until the first
     /// non-tail insert).
-    by_tag: Vec<Vec<NodeId>>,
+    by_tag: Arc<Vec<SortedList<NodeId>>>,
     /// The value indexes asked for so far: `RwLock`ed as `order_cache` is,
     /// so [`Document::members_keyed`] builds one under `&self`; the
     /// mutators go through `get_mut` (no lock on the write path).
-    value_indexes: RwLock<Vec<ValueIndex>>,
+    value_indexes: RwLock<Arc<Vec<ValueIndex>>>,
 }
 
 impl Default for Document {
@@ -228,15 +249,15 @@ impl Clone for Document {
         let ranks =
             self.order_cache.read().expect("order cache lock poisoned").for_clone(self.version);
         Document {
-            chunks: self.chunks.clone(),
+            groups: Arc::clone(&self.groups),
             len: self.len,
-            symbols: self.symbols.clone(),
+            symbols: Arc::clone(&self.symbols),
             version: self.version,
             order_cache: RwLock::new(ranks),
             order_cache_enabled: self.order_cache_enabled,
             path_sorted: AtomicU32::new(0),
-            by_tag: self.by_tag.clone(),
-            value_indexes: RwLock::new(self.read_value_indexes().clone()),
+            by_tag: Arc::clone(&self.by_tag),
+            value_indexes: RwLock::new(Arc::clone(&self.read_value_indexes())),
         }
     }
 }
@@ -245,17 +266,17 @@ impl Document {
     /// Creates an empty document (just the document node).
     pub fn new() -> Document {
         let mut doc = Document {
-            chunks: Vec::new(),
+            groups: Arc::new([]),
             len: 0,
-            symbols: SymbolTable::new(),
+            symbols: Arc::default(),
             version: 0,
             order_cache: RwLock::new(OrderCache::default()),
             order_cache_enabled: true,
             path_sorted: AtomicU32::new(0),
-            by_tag: Vec::new(),
+            by_tag: Arc::default(),
             value_indexes: RwLock::default(),
         };
-        let root = doc.alloc(NodeKind::Document);
+        let root = doc.alloc(NodeKind::Document, NO_SYM);
         doc.rec_mut(root).attached = true;
         doc
     }
@@ -310,7 +331,11 @@ impl Document {
     #[inline]
     fn slot(&self, id: NodeId) -> Option<&NodeRec> {
         let i = id.index();
-        (i < self.len).then(|| &self.chunks[i >> CHUNK_BITS][i & CHUNK_MASK])
+        if i >= self.len {
+            return None;
+        }
+        let chunk = self.groups[i >> GROUP_SHIFT][(i >> CHUNK_BITS) & GROUP_MASK].as_deref()?;
+        Some(&chunk[i & CHUNK_MASK])
     }
 
     #[inline]
@@ -322,34 +347,50 @@ impl Document {
     }
 
     /// The slot of `id` for writing: the one place a chunk a clone still
-    /// shares is copied.
+    /// shares is copied, with its group's table and the table of groups.
     fn rec_mut(&mut self, id: NodeId) -> &mut NodeRec {
         let i = id.index();
         assert!(i < self.len, "node {id} does not belong to this document");
-        let chunk = &mut self.chunks[i >> CHUNK_BITS];
+        &mut self.chunk_mut(i >> CHUNK_BITS)[i & CHUNK_MASK]
+    }
+
+    /// Chunk `c` for writing (see [`Document::rec_mut`]).
+    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
+        let group = Arc::make_mut(&mut self.groups_mut()[c >> GROUP_BITS]);
+        let chunk = group[c & GROUP_MASK].as_mut().expect("a chunk holds every node");
         let shared = Arc::as_ptr(chunk);
         let chunk = Arc::make_mut(chunk);
         if !std::ptr::eq(shared, chunk) {
             xic_obs::incr(xic_obs::Counter::ChunkCopy);
         }
-        &mut chunk[i & CHUNK_MASK]
+        chunk
     }
 
-    fn alloc(&mut self, kind: NodeKind) -> NodeId {
+    /// The group table for writing: copied first while a clone shares it.
+    fn groups_mut(&mut self) -> &mut [Arc<Group>] {
+        if Arc::get_mut(&mut self.groups).is_none() {
+            self.groups = self.groups.iter().cloned().collect();
+        }
+        Arc::get_mut(&mut self.groups).expect("copied above")
+    }
+
+    fn alloc(&mut self, kind: NodeKind, sym: u32) -> NodeId {
         let id = NodeId(u32::try_from(self.len).expect("node arena overflow"));
-        let sym = match &kind {
-            NodeKind::Element { name, .. } => self.symbols.intern(name).0,
-            _ => NO_SYM,
-        };
         if self.len & CHUNK_MASK == 0 {
-            self.chunks.push(Arc::new([VACANT; CHUNK]));
+            if self.len & ((1 << GROUP_SHIFT) - 1) == 0 {
+                let group = Arc::new(std::array::from_fn(|_| None));
+                self.groups = self.groups.iter().cloned().chain([group]).collect();
+            }
+            let at = (self.len >> CHUNK_BITS) & GROUP_MASK;
+            let group = self.groups_mut().last_mut().expect("the first node started a group");
+            Arc::make_mut(group)[at] = Some(Arc::new([VACANT; CHUNK]));
         }
         self.len += 1;
         *self.rec_mut(id) = NodeRec {
             node: Node {
                 kind,
                 parent: None,
-                children: Vec::new(),
+                children: Children::EMPTY,
             },
             sym,
             attached: false,
@@ -378,48 +419,41 @@ impl Document {
         self.rec(id).sym
     }
 
-    /// Creates a detached element.
-    pub fn create_element(&mut self, name: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Element {
-            name: name.into(),
-            attrs: Vec::new(),
-        })
+    /// Creates a detached element. Its name is the symbol table's copy.
+    pub fn create_element(&mut self, name: impl AsRef<str>) -> NodeId {
+        let (sym, name) = self.symbols.intern_name(name.as_ref());
+        self.alloc(NodeKind::Element { name, attrs: SharedVec::EMPTY }, sym.0)
     }
 
     /// Creates a detached text node.
-    pub fn create_text(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Text(text.into()))
+    pub fn create_text(&mut self, text: impl Into<Arc<str>>) -> NodeId {
+        self.alloc(NodeKind::Text(text.into()), NO_SYM)
     }
 
     /// Creates a detached comment node.
-    pub fn create_comment(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Comment(text.into()))
+    pub fn create_comment(&mut self, text: impl Into<Arc<str>>) -> NodeId {
+        self.alloc(NodeKind::Comment(text.into()), NO_SYM)
     }
 
     /// Creates a detached processing instruction.
-    pub fn create_pi(&mut self, target: impl Into<String>, data: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Pi {
-            target: target.into(),
-            data: data.into(),
-        })
+    pub fn create_pi(&mut self, target: impl Into<Arc<str>>, data: impl Into<Arc<str>>) -> NodeId {
+        self.alloc(NodeKind::Pi { target: target.into(), data: data.into() }, NO_SYM)
     }
 
     /// Adds an attribute to an element (appended in order).
     ///
     /// # Panics
     /// Panics if `id` is not an element.
-    pub fn set_attr(&mut self, id: NodeId, name: impl Into<String>, value: impl Into<String>) {
-        let name = name.into();
+    pub fn set_attr(&mut self, id: NodeId, name: impl AsRef<str>, value: impl Into<Arc<str>>) {
         // Attribute names join the table too, so compiled attribute name
         // tests can prove a never-seen name matches nothing.
-        self.symbols.intern(&name);
+        let (_, name) = self.symbols.intern_name(name.as_ref());
         match &mut self.node_mut(id).kind {
             NodeKind::Element { attrs, .. } => {
                 let value = value.into();
-                if let Some(slot) = attrs.iter_mut().find(|(n, _)| *n == name) {
-                    slot.1 = value;
-                } else {
-                    attrs.push((name, value));
+                match attrs.iter().position(|(n, _)| *n == name) {
+                    Some(at) => attrs.make_mut()[at].1 = value,
+                    None => attrs.push((name, value)),
                 }
             }
             other => panic!("set_attr on non-element node: {other:?}"),
@@ -429,10 +463,9 @@ impl Document {
     /// Reads an attribute value.
     pub fn attr(&self, id: NodeId, name: &str) -> Option<&str> {
         match &self.node(id).kind {
-            NodeKind::Element { attrs, .. } => attrs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.as_str()),
+            NodeKind::Element { attrs, .. } => {
+                attrs.iter().find(|(n, _)| **n == *name).map(|(_, v)| &**v)
+            }
             _ => None,
         }
     }
@@ -472,9 +505,7 @@ impl Document {
             assert!(c != child, "attaching {child} under itself");
             cur = if self.node(child).children.is_empty() { None } else { self.node(c).parent };
         }
-        let siblings = &mut self.node_mut(parent).children;
-        assert!(idx <= siblings.len(), "insert index out of bounds");
-        siblings.insert(idx, child);
+        self.node_mut(parent).children.insert(idx, child);
         self.node_mut(child).parent = Some(parent);
         self.structure_changed();
         if self.is_attached(parent) {
@@ -491,12 +522,12 @@ impl Document {
         if self.is_attached(child) {
             self.index_subtree(child, false);
         }
-        let siblings = &mut self.node_mut(parent).children;
-        let idx = siblings
+        let idx = self.node(parent)
+            .children
             .iter()
             .position(|&c| c == child)
             .expect("parent/child link out of sync");
-        siblings.remove(idx);
+        self.node_mut(parent).children.remove(idx);
         self.node_mut(child).parent = None;
         self.structure_changed();
         idx
@@ -511,13 +542,13 @@ impl Document {
     ///
     /// # Panics
     /// Panics if `id` is not a text node.
-    pub fn set_text(&mut self, id: NodeId, text: impl Into<String>) -> String {
+    pub fn set_text(&mut self, id: NodeId, text: impl Into<Arc<str>>) -> String {
         let keyed = self.is_attached(id) && !self.value_indexes_mut().is_empty();
         if keyed {
             self.index_above(id, false);
         }
         let old = match &mut self.node_mut(id).kind {
-            NodeKind::Text(t) => std::mem::replace(t, text.into()),
+            NodeKind::Text(t) => std::mem::replace(t, text.into()).to_string(),
             other => panic!("set_text on non-text node: {other:?}"),
         };
         if keyed {
@@ -530,9 +561,8 @@ impl Document {
     ///
     /// # Panics
     /// Panics if `id` is not an element.
-    pub fn rename(&mut self, id: NodeId, new_name: impl Into<String>) -> String {
-        let new_name = new_name.into();
-        let new_sym = self.symbols.intern(&new_name).0;
+    pub fn rename(&mut self, id: NodeId, new_name: impl AsRef<str>) -> String {
+        let (Symbol(new_sym), new_name) = self.symbols.intern_name(new_name.as_ref());
         let kind = &self.node(id).kind;
         assert!(matches!(kind, NodeKind::Element { .. }), "rename on non-element node: {kind:?}");
         // An attached element is listed under its tag, is a member of that
@@ -548,7 +578,7 @@ impl Document {
         let NodeKind::Element { name, .. } = &mut rec.node.kind else {
             unreachable!("checked above");
         };
-        let old = std::mem::replace(name, new_name);
+        let old = std::mem::replace(name, new_name).to_string();
         if attached {
             self.index_element(id, true);
             self.index_above(id, true);
@@ -564,8 +594,13 @@ impl Document {
 
     /// The attached elements tagged `tag`, ascending by id — `//tag` as a
     /// list read. Not in document order: sort what you keep.
-    pub fn elements_named(&self, tag: Symbol) -> &[NodeId] {
-        self.by_tag.get(tag.0 as usize).map_or(&[], Vec::as_slice)
+    pub fn elements_named(&self, tag: Symbol) -> ListIter<'_, NodeId> {
+        self.by_tag.get(tag.0 as usize).map_or_else(ListIter::default, SortedList::iter)
+    }
+
+    /// How many attached elements are tagged `tag`.
+    fn count_named(&self, tag: Symbol) -> usize {
+        self.by_tag.get(tag.0 as usize).map_or(0, SortedList::len)
     }
 
     /// The attached `tag` elements with a text node at
@@ -601,11 +636,10 @@ impl Document {
             // Another reader of this snapshot may have built it meanwhile.
             if at(&building).is_none() {
                 xic_obs::incr(xic_obs::Counter::IndexBuild);
-                let path: Box<[u32]> = path.iter().flatten().map(|step| step.0).collect();
-                let members = self.elements_named(Symbol(tag));
-                walked = members.len();
-                let postings = self.scan_postings(&path, members);
-                building.push(ValueIndex { tag, path, postings });
+                let path: Arc<[u32]> = path.iter().flatten().map(|step| step.0).collect();
+                walked = self.count_named(Symbol(tag));
+                let postings = self.scan_postings(&path, self.elements_named(Symbol(tag)));
+                Arc::make_mut(&mut building).push(ValueIndex { tag, path, postings });
             }
             drop(building);
             indexes = self.read_value_indexes();
@@ -615,8 +649,7 @@ impl Document {
         let mut hits = Vec::new();
         for value in values {
             let h = hash_value(value);
-            let from = vi.postings.partition_point(|p| p.0 < h);
-            for &(_, m) in vi.postings[from..].iter().take_while(|p| p.0 == h) {
+            for (_, m) in vi.postings.iter_from(&(h, NodeId(0))).take_while(|p| p.0 == h) {
                 // Equal hashes are candidates; the member's keys decide.
                 let mut keyed = false;
                 self.for_each_key(m, &vi.path, &mut |v| keyed |= v == value);
@@ -632,28 +665,48 @@ impl Document {
         (hits, walked)
     }
 
-    fn read_value_indexes(&self) -> RwLockReadGuard<'_, Vec<ValueIndex>> {
+    fn read_value_indexes(&self) -> RwLockReadGuard<'_, Arc<Vec<ValueIndex>>> {
         self.value_indexes.read().expect("value index lock poisoned")
     }
 
-    fn value_indexes_mut(&mut self) -> &mut Vec<ValueIndex> {
+    fn value_indexes_mut(&mut self) -> &mut Arc<Vec<ValueIndex>> {
         self.value_indexes.get_mut().expect("value index lock poisoned")
     }
 
-    /// The sorted postings of `members` under the key path `path`.
-    fn scan_postings(&self, path: &[u32], members: &[NodeId]) -> Vec<(u64, NodeId)> {
+    /// The postings of `members` under the key path `path`.
+    fn scan_postings(
+        &self,
+        path: &[u32],
+        members: impl Iterator<Item = NodeId>,
+    ) -> SortedList<(u64, NodeId)> {
         let mut postings = Vec::new();
-        for &m in members {
+        for m in members {
             self.for_each_key(m, path, &mut |v| postings.push((hash_value(v), m)));
         }
         postings.sort_unstable();
-        postings
+        SortedList::from_sorted(postings)
+    }
+
+    /// Adds (or removes) `posts` to (or from) the value indexes.
+    fn post(&mut self, posts: Vec<Post>, add: bool) {
+        if posts.is_empty() {
+            return;
+        }
+        let indexes = Arc::make_mut(self.value_indexes_mut());
+        for (i, hash, member) in posts {
+            let postings = &mut indexes[i].postings;
+            if add {
+                postings.insert((hash, member));
+            } else {
+                assert!(postings.remove(&(hash, member)), "value index lost a posting");
+            }
+        }
     }
 
     /// Calls `f` with the string of every text node at
     /// `from/path[0]/…/text()`.
     fn for_each_key(&self, from: NodeId, path: &[u32], f: &mut dyn FnMut(&str)) {
-        for &c in &self.node(from).children {
+        for &c in self.node(from).children.iter() {
             match (path.split_first(), &self.node(c).kind) {
                 (None, NodeKind::Text(t)) => f(t),
                 (Some((&step, rest)), _) if self.sym(c) == step => {
@@ -668,13 +721,31 @@ impl Document {
     /// (or takes it out of) every index. Called with the subtree linked
     /// under its attached parent.
     fn index_subtree(&mut self, root: NodeId, add: bool) {
-        let nodes: Vec<NodeId> = std::iter::once(root).chain(self.descendants(root)).collect();
-        for n in nodes {
-            let rec = self.rec_mut(n);
-            rec.attached = add;
-            if rec.sym != NO_SYM {
-                self.index_element(n, add);
+        let mut nodes: Vec<NodeId> = std::iter::once(root).chain(self.descendants(root)).collect();
+        // In id order, one chunk at a time, and each tag's elements
+        // ascending by id: a tag listed nowhere yet (a document being
+        // parsed) gets its list built whole.
+        nodes.sort_unstable();
+        let mut tagged: Vec<Vec<NodeId>> = Vec::new();
+        for run in nodes.chunk_by(|a, b| a.index() >> CHUNK_BITS == b.index() >> CHUNK_BITS) {
+            let chunk = self.chunk_mut(run[0].index() >> CHUNK_BITS);
+            for &n in run {
+                let rec = &mut chunk[n.index() & CHUNK_MASK];
+                rec.attached = add;
+                if rec.sym != NO_SYM {
+                    let sym = rec.sym as usize;
+                    if tagged.len() <= sym {
+                        tagged.resize_with(sym + 1, Vec::new);
+                    }
+                    tagged[sym].push(n);
+                }
             }
+        }
+        for (sym, members) in tagged.into_iter().enumerate().filter(|(_, m)| !m.is_empty()) {
+            for &e in &members {
+                self.index_values(e, add);
+            }
+            self.index_tag(sym as u32, members, add);
         }
         self.index_above(root, add);
     }
@@ -682,42 +753,68 @@ impl Document {
     /// Lists (or unlists) the attached element `e` under its tag, and as a
     /// member of that tag's value indexes.
     fn index_element(&mut self, e: NodeId, add: bool) {
-        let sym = self.sym(e);
-        if self.by_tag.len() <= sym as usize {
-            self.by_tag.resize_with(sym as usize + 1, Vec::new);
+        self.index_tag(self.sym(e), vec![e], add);
+        self.index_values(e, add);
+    }
+
+    /// Lists (or unlists) `members`, attached elements tagged `sym`,
+    /// ascending by id, under their tag.
+    fn index_tag(&mut self, sym: u32, members: Vec<NodeId>, add: bool) {
+        let by_tag = Arc::make_mut(&mut self.by_tag);
+        if by_tag.len() <= sym as usize {
+            by_tag.resize_with(sym as usize + 1, SortedList::default);
         }
-        let list = &mut self.by_tag[sym as usize];
-        match (list.binary_search(&e), add) {
-            (Err(at), true) => list.insert(at, e),
-            (Ok(at), false) => {
-                list.remove(at);
+        let list = &mut by_tag[sym as usize];
+        if add && list.len() == 0 {
+            *list = SortedList::from_sorted(members);
+            return;
+        }
+        for e in members {
+            match (list.contains(&e), add) {
+                (false, true) => list.insert(e),
+                (true, false) => {
+                    list.remove(&e);
+                }
+                _ => panic!("tag list out of step with the tree at {e}"),
             }
-            _ => panic!("tag list out of step with the tree at {e}"),
         }
-        let mut indexes = std::mem::take(self.value_indexes_mut());
-        for ValueIndex { path, postings, .. } in indexes.iter_mut().filter(|vi| vi.tag == sym) {
-            self.for_each_key(e, path, &mut |v| post(postings, v, e, add));
+    }
+
+    /// Adds (or removes) the postings of the attached element `e` as a
+    /// member of its tag's value indexes.
+    fn index_values(&mut self, e: NodeId, add: bool) {
+        let sym = self.sym(e);
+        if !self.value_indexes_mut().iter().any(|vi| vi.tag == sym) {
+            return;
         }
-        *self.value_indexes_mut() = indexes;
+        let mut posts = Vec::new();
+        for (i, vi) in self.read_value_indexes().iter().enumerate().filter(|(_, vi)| vi.tag == sym) {
+            self.for_each_key(e, &vi.path, &mut |v| posts.push((i, hash_value(v), e)));
+        }
+        self.post(posts, add);
     }
 
     /// Adds (or removes) the keys the attached node `x` carries for the
     /// members *above* it: `x` is a key text node, or an element on the
     /// key path of an ancestor at most `path.len()` levels up.
     fn index_above(&mut self, x: NodeId, add: bool) {
-        let mut indexes = std::mem::take(self.value_indexes_mut());
-        for ValueIndex { tag, path, postings } in &mut indexes {
+        if self.value_indexes_mut().is_empty() {
+            return;
+        }
+        let mut posts = Vec::new();
+        for (i, ValueIndex { tag, path, .. }) in self.read_value_indexes().iter().enumerate() {
             for depth in 1..=path.len() + 1 {
                 let Some(member) = self.member_above(*tag, path, x, depth) else {
                     continue;
                 };
+                let mut key = |v: &str| posts.push((i, hash_value(v), member));
                 match &self.node(x).kind {
-                    NodeKind::Text(t) => post(postings, t, member, add),
-                    _ => self.for_each_key(x, &path[depth..], &mut |v| post(postings, v, member, add)),
+                    NodeKind::Text(t) => key(t),
+                    _ => self.for_each_key(x, &path[depth..], &mut key),
                 }
             }
         }
-        *self.value_indexes_mut() = indexes;
+        self.post(posts, add);
     }
 
     /// The `tag` element `depth` levels above `x` whose key path `path`
@@ -763,17 +860,18 @@ impl Document {
             return Err(format!("node #{n}: attached bit {bit}, reachable {reachable}"));
         }
         let tag_name = |sym: u32| self.symbols.resolve(Symbol(sym)).unwrap_or_default();
-        for (sym, (scan, list)) in by_tag.iter_mut().zip(&self.by_tag).enumerate() {
+        for (sym, (scan, list)) in by_tag.iter_mut().zip(self.by_tag.iter()).enumerate() {
             scan.sort_unstable();
-            if scan != list {
+            if !list.iter().eq(scan.iter().copied()) {
                 let tag = tag_name(sym as u32);
+                let list: Vec<NodeId> = list.iter().collect();
                 return Err(format!("tag list of {tag:?} holds {list:?}, a scan finds {scan:?}"));
             }
         }
         for vi in self.read_value_indexes().iter() {
             let members = by_tag.get(vi.tag as usize).map_or(&[][..], Vec::as_slice);
-            let scan = self.scan_postings(&vi.path, members);
-            if scan != vi.postings {
+            let scan = self.scan_postings(&vi.path, members.iter().copied());
+            if !scan.iter().eq(vi.postings.iter()) {
                 return Err(format!(
                     "value index on {:?} holds {} postings, a scan finds {}",
                     tag_name(vi.tag),
@@ -859,7 +957,7 @@ impl Document {
     pub fn element_position(&self, id: NodeId) -> Option<usize> {
         let parent = self.node(id).parent?;
         let mut pos = 0;
-        for &c in &self.node(parent).children {
+        for &c in self.node(parent).children.iter() {
             if matches!(self.node(c).kind, NodeKind::Element { .. }) {
                 pos += 1;
                 if c == id {
@@ -876,7 +974,7 @@ impl Document {
         let parent = self.node(id).parent?;
         let name = self.name(id)?;
         let mut pos = 0;
-        for &c in &self.node(parent).children {
+        for &c in self.node(parent).children.iter() {
             if self.name(c) == Some(name) {
                 pos += 1;
                 if c == id {
@@ -1375,7 +1473,7 @@ mod tests {
     fn answers(d: &Document) -> String {
         let mut out = String::new();
         for tag in ["r", "m", "k", "c", "x", "o", "z"] {
-            let list = d.symbols().lookup(tag).map_or(&[][..], |s| d.elements_named(s));
+            let list: Vec<NodeId> = d.symbols().lookup(tag).map_or(vec![], |s| d.elements_named(s).collect());
             out.push_str(&format!("{tag}: {list:?}\n"));
         }
         for v in ["v1", "v2", "v3", "v4", "u"] {
@@ -1465,7 +1563,9 @@ mod tests {
         let t = indexed_doc();
         let d = &t.d;
         xic_obs::reset();
-        assert_eq!(d.elements_named(d.symbols().lookup("m").unwrap()), [t.m1[0], t.m2[0]]);
+        let m = d.symbols().lookup("m").unwrap();
+        assert_eq!(d.elements_named(m).collect::<Vec<_>>(), [t.m1[0], t.m2[0]]);
+        assert_eq!(d.count_named(m), 2);
         // The first ask of a shape builds it and reports the members it
         // walked; every later one reads what was built.
         assert_eq!(ask(d, "m", &["k", "c"], &["v1"]), (vec![t.m1[0], t.m2[0]], 2));
@@ -1591,18 +1691,25 @@ mod tests {
         }
     }
 
+    /// The chunks of `d`, in id order.
+    fn chunks(d: &Document) -> Vec<&Arc<Chunk>> {
+        d.groups.iter().flat_map(|group| group.iter().flatten()).collect()
+    }
+
     /// The chunks of `b` that are not `a`'s chunk at the same place.
     fn unshared(a: &Document, b: &Document) -> usize {
-        let shared = |(i, c): &(usize, &Arc<Chunk>)| a.chunks.get(*i).is_some_and(|o| Arc::ptr_eq(o, c));
-        b.chunks.iter().enumerate().filter(|ic| !shared(ic)).count()
+        let a = chunks(a);
+        let shared = |(i, c): &(usize, &&Arc<Chunk>)| a.get(*i).is_some_and(|o| Arc::ptr_eq(o, c));
+        chunks(b).iter().enumerate().filter(|ic| !shared(ic)).count()
     }
 
     /// A clone shares every chunk, and one tail append writes the tail
     /// chunk (or starts a new one) and the parent's, whatever the size:
     /// copying what a clone shares is the one place chunks are copied.
+    /// (2 047 children make 4 096 nodes: the append starts a group.)
     #[test]
     fn a_tail_append_after_a_clone_unshares_at_most_three_chunks() {
-        for children in [3, 16_000] {
+        for children in [3, 2047, 16_000] {
             let mut d = Document::new();
             let r = d.create_element("r");
             d.append_child(d.document_node(), r);
@@ -1617,8 +1724,8 @@ mod tests {
             xic_obs::reset();
             let c = chain(&mut d, &["c"], "new")[0];
             d.append_child(r, c);
-            let (copied, started) = (unshared(&snapshot, &d), d.chunks.len() - snapshot.chunks.len());
-            assert!(copied <= 3, "{copied} of {} chunks unshared", d.chunks.len());
+            let (copied, started) = (unshared(&snapshot, &d), chunks(&d).len() - chunks(&snapshot).len());
+            assert!(copied <= 3, "{copied} of {} chunks unshared", chunks(&d).len());
             assert_eq!(xic_obs::counter(xic_obs::Counter::ChunkCopy) as usize, copied - started);
             assert_eq!(crate::serialize::serialize(&snapshot), xml);
             d.audit_indexes().expect("the appended side audits clean");
@@ -1692,14 +1799,17 @@ mod tests {
     fn audit_rejects_a_stale_index() {
         let t = indexed_doc();
         let mut stale_list = t.d.clone();
-        stale_list.by_tag.iter_mut().find(|l| l.contains(&t.x)).unwrap().clear();
+        let by_tag = Arc::make_mut(&mut stale_list.by_tag);
+        *by_tag.iter_mut().find(|l| l.contains(&t.x)).unwrap() = SortedList::default();
         assert!(stale_list.audit_indexes().unwrap_err().contains("tag list"));
         let mut stale_bit = t.d.clone();
         stale_bit.rec_mut(t.u).attached = false;
         assert!(stale_bit.audit_indexes().unwrap_err().contains("attached bit"));
         let mut stale_value = t.d.clone();
         assert_eq!(keyed(&stale_value, "k", &["c"], "v1").len(), 2);
-        stale_value.value_indexes_mut()[0].postings.pop();
+        let postings = &mut Arc::make_mut(stale_value.value_indexes_mut())[0].postings;
+        let last = postings.iter().last().unwrap();
+        assert!(postings.remove(&last));
         assert!(stale_value.audit_indexes().unwrap_err().contains("value index"));
     }
 

@@ -6,7 +6,7 @@
 //! a select expression to node ids. `xicheck` wires in the real XPath
 //! evaluator; tests here use a simple positional resolver.
 
-use crate::tree::{Document, NodeId, NodeKind};
+use crate::tree::{Attr, Document, NodeId, NodeKind};
 use std::fmt;
 
 /// Resolves an XUpdate `select` expression to target nodes, in document
@@ -137,11 +137,11 @@ impl Fragment {
         let mut roots = Vec::new();
         for node in &self.nodes {
             let n = match &node.kind {
-                FragmentKind::Text(t) => doc.create_text(t.clone()),
+                FragmentKind::Text(t) => doc.create_text(t.as_str()),
                 FragmentKind::Element { name, attrs } => {
-                    let el = doc.create_element(name.clone());
+                    let el = doc.create_element(name);
                     for (k, v) in attrs {
-                        doc.set_attr(el, k.clone(), v.clone());
+                        doc.set_attr(el, k, v.as_str());
                     }
                     el
                 }
@@ -284,9 +284,9 @@ fn xml_name(name: String, what: &str) -> Result<String, XUpdateError> {
 impl XUpdateDoc {
     /// Parses an XUpdate statement from XML text.
     pub fn parse(text: &str) -> Result<XUpdateDoc, XUpdateError> {
-        let (doc, _) = crate::parse::parse_document(text)
+        let (doc, root) = crate::parse::parse_unindexed(text)
             .map_err(|e| XUpdateError::Invalid(format!("malformed XUpdate XML: {e}")))?;
-        Self::from_document(&doc)
+        Self::from_root(&doc, root)
     }
 
     /// Extracts the operations from a parsed XUpdate document.
@@ -294,6 +294,11 @@ impl XUpdateDoc {
         let root = doc
             .root_element()
             .ok_or_else(|| XUpdateError::Invalid("no root element".to_string()))?;
+        Self::from_root(doc, root)
+    }
+
+    /// Extracts the operations under `root`, the statement's root element.
+    fn from_root(doc: &Document, root: NodeId) -> Result<XUpdateDoc, XUpdateError> {
         if local_name(doc.name(root).unwrap_or("")) != "modifications" {
             return Err(XUpdateError::Invalid(format!(
                 "root element must be xupdate:modifications, found <{}>",
@@ -471,8 +476,8 @@ impl XUpdateDoc {
 /// give, `xupdate:text` as its text; comments and processing
 /// instructions are dropped.
 fn parse_content(doc: &Document, op_node: NodeId) -> Result<Fragment, XUpdateError> {
-    let named = |attrs: &[(String, String)], what: &str| {
-        let name = attrs.iter().find(|(k, _)| k == "name").map(|(_, v)| v.clone());
+    let named = |attrs: &[Attr], what: &str| {
+        let name = attrs.iter().find(|(k, _)| &**k == "name").map(|(_, v)| v.to_string());
         let name = name.ok_or_else(|| XUpdateError::Invalid(format!("{what} without name")))?;
         xml_name(name, &format!("{what} name"))
     };
@@ -485,7 +490,7 @@ fn parse_content(doc: &Document, op_node: NodeId) -> Result<Fragment, XUpdateErr
     while let Some((node, parent, constructed)) = pending.pop() {
         let (name, attrs) = match &doc.node(node).kind {
             NodeKind::Text(t) => {
-                out.push(parent, FragmentKind::Text(t.clone()));
+                out.push(parent, FragmentKind::Text(t.to_string()));
                 continue;
             }
             NodeKind::Element { name, attrs } => (name, attrs),
@@ -514,7 +519,10 @@ fn parse_content(doc: &Document, op_node: NodeId) -> Result<Fragment, XUpdateErr
                     "unsupported content constructor xupdate:{other}"
                 )))
             }
-            (false, _) => FragmentKind::Element { name: name.clone(), attrs: attrs.clone() },
+            (false, _) => FragmentKind::Element {
+                name: name.to_string(),
+                attrs: attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            },
         };
         let at = out.push(parent, kind);
         pending.extend(doc.node(node).children.iter().rev().map(|&c| (c, Some(at), constructor)));
@@ -694,7 +702,7 @@ fn apply_op(
             }
             XUpdateOp::Update { text, .. } => {
                 // Replace the target's content with a single text node.
-                let old_children: Vec<NodeId> = doc.node(target).children.clone();
+                let old_children: Vec<NodeId> = doc.node(target).children.to_vec();
                 for (i, c) in old_children.into_iter().enumerate().rev() {
                     let idx = doc.detach(c);
                     debug_assert_eq!(idx, i);

@@ -197,7 +197,7 @@ pub(crate) fn axis_iter<'d>(
                     NodeKind::Element { attrs, .. } => {
                         Box::new(attrs.iter().map(move |(name, _)| NodeRef::Attr {
                             owner: n,
-                            name: name.clone(),
+                            name: name.to_string(),
                         }))
                     }
                     _ => Box::new(std::iter::empty()),

@@ -70,7 +70,7 @@ use crate::ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
 use crate::eval::{axis_iter, compare_values, dedupe_doc_order, same_depth, EvalError};
 use crate::value::{NodeRef, XValue};
 use std::collections::HashMap;
-use xic_xml::{Document, NodeId, NodeKind, Symbol};
+use xic_xml::{Document, ListIter, NodeId, NodeKind, Symbol};
 
 /// Index of an expression node in [`Program::exprs`].
 pub type ExprId = u32;
@@ -316,12 +316,12 @@ fn listed<'d, 's>(
     input: &[NodeRef],
     steps: &'s [IrStep],
     scope: &Scope<'_, 'd, '_>,
-) -> Option<(&'d [NodeId], &'s [IrStep])> {
+) -> Option<(ListIter<'d, NodeId>, &'s [IrStep])> {
     let (tag, rest) = leading_tag(steps)?;
     if !matches!(input, [NodeRef::Node(n)] if *n == scope.doc.document_node()) {
         return None;
     }
-    let list = scope.resolved[tag as usize].map_or(&[][..], |sym| scope.doc.elements_named(sym));
+    let list = scope.resolved[tag as usize].map_or_else(ListIter::default, |sym| scope.doc.elements_named(sym));
     Some((list, rest))
 }
 
@@ -918,7 +918,7 @@ fn eval_steps(
     let Some((list, rest)) = listed(&input, steps, scope) else {
         return walk(input, steps, scope);
     };
-    let mut hits = list.to_vec();
+    let mut hits: Vec<NodeId> = list.collect();
     visit(hits.len() as u64)?;
     scope.doc.sort_document_order(&mut hits);
     walk(hits.into_iter().map(NodeRef::Node).collect(), rest, scope)
@@ -973,7 +973,7 @@ pub(crate) fn path_exists_from(
     let first = match listed(input, steps, scope) {
         Some((list, rest)) => Frame::Axis {
             depth: steps.len() - rest.len(),
-            iter: Box::new(list.iter().map(|&n| NodeRef::Node(n))),
+            iter: Box::new(list.map(NodeRef::Node)),
         },
         None => Frame::Ready {
             depth: 0,
@@ -1751,7 +1751,7 @@ mod tests {
         doc.rename(subs[0], "rev");
         doc.detach(revs[1]);
         let rev = doc.symbols().lookup("rev").unwrap();
-        assert_ne!(doc.elements_named(rev), scan(&doc, "rev"), "the list is out of document order");
+        assert_ne!(doc.elements_named(rev).collect::<Vec<_>>(), scan(&doc, "rev"), "the list is out of document order");
 
         let ctx = Context::root(&doc);
         let ids = |v: XValue| -> Vec<NodeId> {

@@ -93,8 +93,8 @@ pub(crate) fn node_to_constructed(doc: &Document, n: &NodeRef) -> ConstructedChi
                     .map(|&c| node_to_constructed(doc, &NodeRef::Node(c)))
                     .collect();
                 ConstructedChild::Elem(Constructed {
-                    name: name.clone(),
-                    attrs: attrs.clone(),
+                    name: name.to_string(),
+                    attrs: attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
                     children,
                 })
             }
