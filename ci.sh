@@ -8,7 +8,7 @@ echo "== doc byte budget (the four long docs do not grow back) =="
 # change that adds prose to one removes as much elsewhere (an old
 # CHANGES entry condensed, a retired EXPERIMENTS section folded into its
 # table); raising a budget is a decision its CHANGES entry explains.
-for budget in CHANGES.md:182169 DESIGN.md:75340 EXPERIMENTS.md:68223 README.md:37765; do
+for budget in CHANGES.md:176100 DESIGN.md:75239 EXPERIMENTS.md:68219 README.md:37734; do
   file="${budget%%:*}" max="${budget##*:}"
   size="$(wc -c < "$file")"
   [ "$size" -le "$max" ] || { echo "$file: $size bytes, over its budget of $max" >&2; exit 1; }
@@ -85,6 +85,21 @@ syncs="$(find crates/difftest/src -name '*.rs' -print0 | sort -z | xargs -0 awk 
   !in_test && !/^[[:space:]]*\/\// && /Executor::Sync/ { print FILENAME ":" FNR ": " $0 }')"
 [ -z "$syncs" ] || { echo "$syncs" >&2; echo "crates/difftest/src names Executor::Sync" >&2; exit 1; }
 
+echo "== document order has one implementation (no rank table, no allowance, no switch) =="
+# Inside both engines a node-set is a set in no particular order; only
+# where a consumer can observe the order is it sorted, by path keys, in
+# Document::sort_document_order. No code line before a file's first
+# `#[cfg(test)]` in crates/*/src names a second way to order nodes: the
+# preorder rank table (`OrderCache`, `order_ranks`), its allowance
+# (`PATH_SORT_ALLOWANCE`) or its ablation switch (`disable_order_cache`).
+orders="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_test = 0 }
+  /^#\[cfg\(test\)\]/ { in_test = 1 }
+  !in_test && !/^[[:space:]]*\/\// && /order_ranks|PATH_SORT_ALLOWANCE|disable_order_cache|OrderCache/ {
+    print FILENAME ":" FNR ": " $0
+  }')"
+[ -z "$orders" ] || { echo "$orders" >&2; echo "a second implementation of document order" >&2; exit 1; }
+
 echo "== build (release) =="
 cargo build --release --workspace
 
@@ -108,10 +123,13 @@ echo "== engine-vs-reference oracle (>= 500 cases) =="
 # grouped-aggregate denial half the time), so the planned evaluation
 # cannot go unchecked unnoticed. The shapes are evaluated on the case's
 # own document, and again on its post-state after the statement applies
-# (before the undo), where an insert-before or -after has left the
-# per-tag lists `//tag` reads out of document order, a rename has moved
-# an element between them and a removal has left allocated nodes
-# detached — under two more floors: ≥ 100 cases in which no planned
+# (before the undo), where an insert-before or -after has put ids out of
+# document order — the per-tag lists `//tag` reads are ascending by id,
+# read unsorted by design and sorted only where a query observes the
+# order — a rename has moved an element between them and a removal has
+# left allocated nodes detached; on both, and after the undo, the
+# engine's dedup and sort must order every node as a preorder walk
+# does — under two more floors: ≥ 100 cases in which no planned
 # site was answered from the document's index (built by the first that
 # asks) is exit 1 too, and so is ≥ 100 cases in which no index hit was
 # narrowed by a later join (the two-join shape `some $a in Q, $b in //m
@@ -153,8 +171,10 @@ cargo run --release -q -p xic-difftest -- --pattern-digest --cases 3000 --seed 0
   | diff - crates/difftest/corpus/patterns.digest
 # Figure 1's shape by counts: engine steps of an optimized decision within
 # 1.5× from 32 to 512 KiB while the full check doubles per doubling, no
-# rank-table rebuild across the decisions of an insert stream, and publish
-# in O(Δ): equal chunk copies per commit at 32 and 512 KiB, at most 4.
+# set put in document order by the decisions of an insert stream, nor by
+# 1 000 equal-step decisions and a full check on a snapshot after an
+# insert-before, and publish in O(Δ): equal chunk copies per commit at 32
+# and 512 KiB, at most 4.
 cargo test -q --release -p xicheck --test decide_scaling
 
 echo "== full-check counts (Figure 1's full-check side) =="
@@ -329,9 +349,18 @@ echo "== experiments smoke (paper tables + their one report file, bad input exit
 cargo run --release -q -p xic-bench --bin experiments -- fig1a fig1b illegal simp \
   --sizes=32,64 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
 # The version sweep (clone, apply to the fresh copy, drop of the replaced
-# version, beside the decision and the full check) up to 512 KiB.
+# version, beside the decision's median, its slowest of 64 and its median
+# engine steps, and the full check) up to 512 KiB; every row must carry
+# all three decision columns, the slowest no faster than the median.
 cargo run --release -q -p xic-bench --bin experiments -- versions \
   --sizes=8,64,512 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
+python3 - <<'EOF'
+import json
+rows = json.load(open("/tmp/BENCH_PAPER_CI.json"))["sections"]["versions"]["rows"]
+assert [r["kib"] for r in rows] == [8, 64, 512], rows
+for r in rows:
+    assert r["decide_max_us"] >= r["decide_optimized_us"] > 0 and r["decide_steps"] > 0, r
+EOF
 status=0
 cargo run --release -q -p xic-bench --bin experiments -- fig1a --sizes=abc \
   --out=/tmp/BENCH_PAPER_CI.json 2>/dev/null || status=$?

@@ -204,13 +204,15 @@ fn versions_section(args: &Args) -> Value {
         col("apply_us", "apply/us", 10, 1),
         col("drop_us", "drop/us", 9, 1),
         col("decide_optimized_us", "decide/us", 11, 1),
+        col("decide_max_us", "max/us", 10, 1),
+        col("decide_steps", "steps", 7, 0),
         col("check_full_us", "full check/us", 15, 0),
     ];
     let rows = args.sizes.iter().map(|&kib| {
         let r = measure_versions(kib, args.seed, args.iters);
         let cells = [
             r.kib as f64, r.nodes as f64, r.clone_us, r.apply_us, r.drop_us,
-            r.decide_optimized_us, r.check_full_us,
+            r.decide_optimized_us, r.decide_max_us, r.decide_steps as f64, r.check_full_us,
         ];
         cells.map(Value::Number).to_vec()
     });

@@ -20,7 +20,7 @@ pub mod report;
 use std::time::{Duration, Instant};
 use xic_workload::{generate, legal_insert, Workload, WorkloadConfig};
 use xic_xml::XUpdateDoc;
-use xicheck::{xpath_resolver, Checker, CheckerService, Strategy, UpdateOutcome};
+use xicheck::{obs, xpath_resolver, Checker, CheckerService, Strategy, UpdateOutcome};
 
 /// Which of the two running examples an experiment exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +121,12 @@ pub struct VersionRow {
     pub drop_us: f64,
     /// Deciding the append on the optimized path.
     pub decide_optimized_us: f64,
+    /// The slowest of those decisions, where a cost one decision in many
+    /// pays hides from the median.
+    pub decide_max_us: f64,
+    /// Median engine steps (XPath nodes visited plus XQuery bindings) per
+    /// decision.
+    pub decide_steps: u64,
     /// Checking the whole of Γ.
     pub check_full_us: f64,
 }
@@ -156,7 +162,19 @@ pub fn measure_versions(kib: usize, seed: u64, iters: usize) -> VersionRow {
         assert_eq!(checker.decide_only(stmt, Strategy::Optimized).expect("decides"), None);
     };
     decide(&stmts[0]);
-    let decide_optimized_us = median_us(stmts.iter().map(|s| timed(&mut || decide(s))).collect());
+    let steps = || {
+        obs::counter(obs::Counter::XpathNodesVisited)
+            + obs::counter(obs::Counter::XqueryBindingsVisited)
+    };
+    let (mut decisions, mut decide_steps) = (Vec::new(), Vec::new());
+    for stmt in &stmts {
+        let before = steps();
+        decisions.push(timed(&mut || decide(stmt)));
+        decide_steps.push(steps() - before);
+    }
+    decide_steps.sort_unstable();
+    let decide_max_us = decisions.iter().max().expect("64 decisions").as_secs_f64() * 1e6;
+    let decide_optimized_us = median_us(decisions);
     let mut current = checker.doc().clone();
     let nodes = current.node_count();
     drop(checker);
@@ -182,6 +200,8 @@ pub fn measure_versions(kib: usize, seed: u64, iters: usize) -> VersionRow {
         apply_us: median_us(apply),
         drop_us: median_us(dropped),
         decide_optimized_us,
+        decide_max_us,
+        decide_steps: decide_steps[decide_steps.len() / 2],
         check_full_us,
     }
 }
@@ -643,6 +663,7 @@ mod tests {
         assert!(r.nodes > 500);
         let stages = [r.clone_us, r.apply_us, r.drop_us, r.decide_optimized_us, r.check_full_us];
         assert!(stages.iter().all(|&us| us > 0.0), "{r:?}");
+        assert!(r.decide_max_us >= r.decide_optimized_us && r.decide_steps > 0, "{r:?}");
     }
 
     #[test]

@@ -526,11 +526,9 @@ mod tests {
         let mut c = Checker::new(&w.xml, DTD, &gamma).expect("corpus loads");
         let key = c.register_pattern_str(&legal_insert(0, 0, 1)).expect("pattern compiles");
         let pattern = c.patterns().find(|p| p.key == key).expect("just registered");
-        let sites: Vec<usize> = pattern
-            .queries
-            .iter()
-            .map(|q| compile_template_ir(q).expect("precompiles").program.plan_sites())
-            .collect();
+        let programs: Vec<XProgram> =
+            pattern.queries.iter().map(|q| compile_template_ir(q).expect("precompiles").program).collect();
+        let sites: Vec<usize> = programs.iter().map(XProgram::plan_sites).collect();
         assert_eq!(sites, [0, 0, 1, 2]);
         // Deciding the insert asks the document for the templates' three
         // shapes — `aut` by `name`, `track` by `rev/name`, `rev` by `name`
@@ -542,13 +540,20 @@ mod tests {
             assert_eq!(xic_obs::counter(xic_obs::Counter::IndexProbe), 3);
             assert_eq!(xic_obs::counter(xic_obs::Counter::IndexBuild), builds);
         }
-        let planned: Vec<usize> = c
+        let full: Vec<XProgram> = c
             .shared_gamma()
             .full_queries()
             .iter()
-            .map(|q| XProgram::compile(&parse_query(&q.text).expect("parses")).plan_sites())
+            .map(|q| XProgram::compile(&parse_query(&q.text).expect("parses")))
             .collect();
-        assert_eq!(planned, [0, 1, 2, 0]);
+        assert_eq!(full.iter().map(XProgram::plan_sites).collect::<Vec<_>>(), [0, 1, 2, 0]);
+        // Below its boolean root, nothing a template or a full-check query
+        // evaluates can observe document order.
+        for p in programs.iter().chain(&full) {
+            let root = p.root as usize;
+            assert!(p.ordered.iter().enumerate().all(|(i, &bit)| !bit || i == root));
+            assert!(!p.xp.ordered.contains(&true), "{:?}", p.insts[root]);
+        }
     }
 
     /// The work of compiling the benchmark's pattern, by counts: `After`

@@ -37,10 +37,10 @@
 //!    (`evaluate_exists` / `eval_query_exists`) must agree, value joins
 //!    and grouped aggregates — the shapes the engine answers from keyed
 //!    sequences — included.
-//! 5. **Order-cache coherence** — sorting and deduplicating an adversarial
-//!    node multiset through the cached document-order ranks must agree
-//!    with a from-scratch path-key recomputation, on the pre-state, after
-//!    the statement mutates the tree, and after the compensating undo.
+//! 5. **Document order** — deduplicating an adversarial node multiset as
+//!    the engine does and sorting it with `Document::sort_document_order`
+//!    must give the order of a preorder walk from the document node, on
+//!    the pre-state, on the post-state, and after the compensating undo.
 //! 6. **Independence equivalence** — replaying the statement with the
 //!    static update/constraint independence mask *on* and *off* — two
 //!    checkers over two Γs, one compiled by
@@ -102,7 +102,8 @@ use xic_workload::{
     conflict_constraint, generate, random_batch, review_load_constraint, workload_constraint,
     WorkloadConfig,
 };
-use xic_xml::{apply, parse_document, serialize, undo, Document, Dtd, NodeId, XUpdateDoc, XUpdateOp};
+use xic_xml::{apply, parse_document, serialize, undo, Document, Dtd, NodeKind, XUpdateDoc, XUpdateOp};
+use xic_xpath::NodeRef;
 use xicheck::{xpath_resolver, Checker, CheckerError, Strategy, UpdateOutcome};
 
 /// A scratch file or directory name for one harness case. Unique per
@@ -235,7 +236,7 @@ pub struct Discrepancy {
     /// Seed of the failing case.
     pub seed: u64,
     /// Which oracle tripped (`"decision"`, `"rollback"`,
-    /// `"dtd-preservation"`, `"xpath-differential"`, `"order-cache"`,
+    /// `"dtd-preservation"`, `"xpath-differential"`, `"order"`,
     /// `"independence"`, `"setup"`, `"generator"`).
     pub oracle: &'static str,
     /// Human-readable mismatch description from the first failure.
@@ -431,42 +432,36 @@ fn random_case(seed: u64, rng: &mut StdRng) -> Case {
     }
 }
 
-/// The order-cache oracle: sorting an adversarial node multiset (reversed
-/// preorder plus duplicates) through the cached-rank fast path must agree
-/// with the from-scratch path-key sort of a cache-disabled clone, and so
-/// must the engine's `dedupe_doc_order`.
-fn order_cache_oracle(doc: &Document) -> Result<(), String> {
-    let mut nodes: Vec<NodeId> = doc.descendants(doc.document_node()).collect();
-    nodes.reverse();
-    let dups: Vec<NodeId> = nodes.iter().copied().step_by(3).collect();
-    nodes.extend(dups);
-
-    let mut plain = doc.clone();
-    plain.disable_order_cache();
-
-    let mut fast = nodes.clone();
-    doc.sort_document_order(&mut fast);
-    let mut slow = nodes.clone();
-    plain.sort_document_order(&mut slow);
-    if fast != slow {
-        return Err(format!(
-            "rank-cached sort disagrees with path-key sort over {} nodes",
-            nodes.len()
-        ));
+/// The document-order oracle: the document's nodes — every attribute
+/// after its owner — in reverse, a third of them twice, made
+/// duplicate-free as the engine dedups a node-set and put in order by
+/// `Document::sort_document_order`, must come out exactly as a preorder
+/// walk from the document node meets them.
+fn order_oracle(doc: &Document) -> Result<(), String> {
+    let mut walk = Vec::new();
+    for n in reference::preorder(doc) {
+        walk.push(NodeRef::Node(n));
+        if let NodeKind::Element { attrs, .. } = &doc.node(n).kind {
+            let mut names: Vec<&str> = attrs.iter().map(|(name, _)| &**name).collect();
+            names.sort_unstable();
+            walk.extend(names.into_iter().map(|name| NodeRef::Attr { owner: n, name: name.into() }));
+        }
     }
-
-    let mut fast_refs: Vec<xic_xpath::NodeRef> =
-        nodes.iter().map(|&n| xic_xpath::NodeRef::Node(n)).collect();
-    let mut slow_refs = fast_refs.clone();
-    xic_xpath::dedupe_doc_order(doc, &mut fast_refs);
-    xic_xpath::dedupe_doc_order(&plain, &mut slow_refs);
-    if fast_refs != slow_refs {
-        return Err(format!(
-            "rank-cached dedupe disagrees with path-key dedupe over {} refs",
-            nodes.len()
-        ));
+    let mut nodes: Vec<NodeRef> = walk.iter().rev().chain(walk.iter().step_by(3)).cloned().collect();
+    xic_xpath::dedup_nodes(&mut nodes);
+    if nodes.len() != walk.len() {
+        return Err(format!("the dedup kept {} of {} distinct nodes", nodes.len(), walk.len()));
     }
-    Ok(())
+    doc.sort_document_order(&mut nodes, NodeRef::anchor);
+    match (0..walk.len()).find(|&i| nodes[i] != walk[i]) {
+        Some(i) => Err(format!(
+            "sort_document_order puts {:?} where a preorder walk meets {:?} ({i} of {})",
+            nodes[i],
+            walk[i],
+            walk.len()
+        )),
+        None => Ok(()),
+    }
 }
 
 /// The independence oracle: a fresh checker pair replays the statement
@@ -549,9 +544,9 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
         reference::differential(case.seed, &dtd, &doc).map_err(|d| ("xpath-differential", d))?;
     }
 
-    // Oracle 5: cached document-order keys vs from-scratch recomputation,
-    // on the pristine pre-state…
-    order_cache_oracle(&doc).map_err(|d| ("order-cache", d))?;
+    // Oracle 5: document order against a preorder walk, on the pristine
+    // pre-state…
+    order_oracle(&doc).map_err(|d| ("order", d))?;
 
     // Oracle 2: rollback fidelity of plain apply + undo — and, along the
     // way, the plain-application post-state the decision oracle compares
@@ -577,16 +572,17 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             intact("apply")?;
             let post = serialize(&doc);
             let conforming = dtd.validate(&doc).is_ok();
-            // Oracle 4 again, while the rank table is stale: an insert-before
-            // or -after leaves the per-tag lists out of document order, a
-            // rename moves an element between them, a removal leaves
-            // allocated nodes detached.
+            // Oracle 4 again, on the post-state: an insert-before or -after
+            // leaves the per-tag lists out of document order, a rename moves
+            // an element between them, a removal leaves allocated nodes
+            // detached.
             if !twin {
                 reference::differential(case.seed, &dtd, &doc)
                     .map_err(|d| ("xpath-differential", format!("after apply: {d}")))?;
             }
-            // …after the statement mutated the tree (cache invalidation)…
-            order_cache_oracle(&doc).map_err(|d| ("order-cache", d))?;
+            // …on the post-state, where inserts have put ids out of
+            // document order…
+            order_oracle(&doc).map_err(|d| ("order", d))?;
             undo(&mut doc, applied);
             (Some(post), conforming)
         }
@@ -597,7 +593,7 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
         }
     };
     // …and after the compensating undo.
-    order_cache_oracle(&doc).map_err(|d| ("order-cache", d))?;
+    order_oracle(&doc).map_err(|d| ("order", d))?;
     if serialize(&doc) != original {
         return Err((
             "rollback",

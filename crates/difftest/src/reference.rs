@@ -49,8 +49,18 @@ impl std::fmt::Display for RefQuery {
     }
 }
 
+/// The attached nodes as a preorder walk from the document node meets
+/// them: the reference's document order, made without the engine's sort.
+pub fn preorder(doc: &Document) -> Vec<NodeId> {
+    std::iter::once(doc.document_node()).chain(doc.descendants(doc.document_node())).collect()
+}
+
 /// Evaluates `q` by brute force; returns matching nodes in document order.
 pub fn eval_reference(doc: &Document, q: &RefQuery) -> Vec<NodeId> {
+    let mut rank = vec![usize::MAX; doc.node_count()];
+    for (i, n) in preorder(doc).into_iter().enumerate() {
+        rank[n.index()] = i;
+    }
     let mut cur = vec![doc.document_node()];
     for step in &q.steps {
         let mut next: Vec<NodeId> = Vec::new();
@@ -91,7 +101,7 @@ pub fn eval_reference(doc: &Document, q: &RefQuery) -> Vec<NodeId> {
             }
         }
         // Nested descendant contexts can produce out-of-order duplicates.
-        doc.sort_document_order(&mut next);
+        next.sort_unstable_by_key(|n| rank[n.index()]);
         next.dedup();
         cur = next;
     }

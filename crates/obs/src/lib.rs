@@ -72,14 +72,9 @@ pub enum Counter {
     ClausesSurviving,
     /// Denials pruned by θ-subsumption during `Optimize`.
     DenialsSubsumed,
-    /// The document-order rank cache was (re)built from scratch.
-    OrderCacheRebuild,
-    /// A document-order sort/dedup answered from cached preorder ranks.
-    DocOrderFastSort,
-    /// A document-order sort/dedup fell back to path-key recomputation
-    /// (cache disabled, the set contained detached nodes, or a small set
-    /// met a stale rank table).
-    DocOrderPathSort,
+    /// A set of two or more nodes put into document order by path keys,
+    /// for a consumer that observes the order.
+    DocOrderSort,
     /// Records appended to the write-ahead journal (the checker appends
     /// commit records only).
     JournalAppend,
@@ -149,7 +144,7 @@ pub enum Counter {
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 32] = [
+pub const ALL_COUNTERS: [Counter; 30] = [
     Counter::PatternCacheHit,
     Counter::PatternCacheMiss,
     Counter::XpathNodesVisited,
@@ -157,9 +152,7 @@ pub const ALL_COUNTERS: [Counter; 32] = [
     Counter::ClausesExpanded,
     Counter::ClausesSurviving,
     Counter::DenialsSubsumed,
-    Counter::OrderCacheRebuild,
-    Counter::DocOrderFastSort,
-    Counter::DocOrderPathSort,
+    Counter::DocOrderSort,
     Counter::JournalAppend,
     Counter::JournalFsync,
     Counter::Recovery,
@@ -197,9 +190,7 @@ impl Counter {
             Counter::ClausesExpanded => "clauses_expanded",
             Counter::ClausesSurviving => "clauses_surviving",
             Counter::DenialsSubsumed => "denials_subsumed",
-            Counter::OrderCacheRebuild => "order_cache_rebuild",
-            Counter::DocOrderFastSort => "doc_order_fast_sort",
-            Counter::DocOrderPathSort => "doc_order_path_sort",
+            Counter::DocOrderSort => "doc_order_sorts",
             Counter::JournalAppend => "journal_appends",
             Counter::JournalFsync => "journal_fsyncs",
             Counter::Recovery => "recoveries",

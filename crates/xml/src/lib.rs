@@ -43,7 +43,7 @@ pub use journal::{Journal, JournalError, JournalRecord, RecordKind, Recovered};
 pub use parse::{parse_document, XmlError};
 pub use serialize::{serialize, serialize_equal, serialize_node};
 pub use shared::{Children, ListIter, SharedVec};
-pub use tree::{Attr, Descendants, Document, Node, NodeId, NodeKind, OrderRanks};
+pub use tree::{Attr, Descendants, Document, Node, NodeId, NodeKind};
 pub use xupdate::{
     apply, undo, AppliedUpdate, SelectError, SelectResolver, UndoEntry, XUpdateDoc, XUpdateError,
     XUpdateOp,

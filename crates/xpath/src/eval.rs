@@ -124,7 +124,7 @@ pub fn evaluate_nodes(expr: &Expr, ctx: &Context) -> Result<Vec<NodeRef>, EvalEr
 /// rest of the node-set. Equivalent to `evaluate(expr, ctx)?.to_bool()`
 /// (the difftest oracle enforces this), but a path stops descending at
 /// the first node it reaches, `or`/`and`/`not`/`boolean` recurse lazily,
-/// and no document-order normalization ever happens — a constraint check
+/// and nothing is put in document order — a constraint check
 /// asking "is there a violation witness?" touches only the nodes up to
 /// that witness.
 pub fn evaluate_exists(expr: &Expr, ctx: &Context) -> Result<bool, EvalError> {
@@ -141,7 +141,8 @@ pub fn evaluate_nonempty(expr: &Expr, ctx: &Context) -> Result<bool, EvalError> 
 }
 
 /// True if all tree-node inputs share one depth (attribute refs anchor at
-/// their owner).
+/// their owner): a child, attribute or self step from them then yields
+/// disjoint sets, and skips the id dedup.
 pub(crate) fn same_depth(doc: &Document, input: &[NodeRef]) -> bool {
     let depth = |n: &NodeRef| -> usize {
         let mut d = 0;
@@ -223,61 +224,13 @@ pub(crate) fn axis_iter<'d>(
     }
 }
 
-/// Kind discriminant for ordering mixed node/attribute refs that share an
-/// anchor: a node sorts before the attributes it owns.
-fn ref_kind(n: &NodeRef) -> u8 {
-    match n {
-        NodeRef::Node(_) => 0,
-        NodeRef::Attr { .. } => 1,
-    }
-}
-
-/// Attribute name for ordering attributes of one owner (empty for nodes)
-/// — borrowed, never cloned.
-fn ref_name(n: &NodeRef) -> &str {
-    match n {
-        NodeRef::Node(_) => "",
-        NodeRef::Attr { name, .. } => name,
-    }
-}
-
-/// Sorts a node-set into document order and removes duplicates.
-///
-/// When every anchor is attached and the document's rank cache is
-/// enabled, comparisons are O(1) rank lookups — no per-node `order_key`
-/// `Vec` and no per-attribute `String` clone for the dedup key. Sets
-/// containing detached nodes (or a cache-disabled document) fall back to
-/// the historical path-key sort, which orders detached nodes relative to
-/// their own subtree roots.
-pub fn dedupe_doc_order(doc: &Document, nodes: &mut Vec<NodeRef>) {
-    if nodes.len() <= 1 {
-        return;
-    }
-    if let Some(ranks) = doc.order_ranks_for(nodes.len()) {
-        if nodes.iter().all(|n| ranks.rank(n.anchor()).is_some()) {
-            xic_obs::incr(xic_obs::Counter::DocOrderFastSort);
-            nodes.sort_unstable_by(|a, b| {
-                let ra = ranks.rank(a.anchor()).expect("all anchors checked attached");
-                let rb = ranks.rank(b.anchor()).expect("all anchors checked attached");
-                ra.cmp(&rb)
-                    .then_with(|| ref_kind(a).cmp(&ref_kind(b)))
-                    .then_with(|| ref_name(a).cmp(ref_name(b)))
-            });
-            nodes.dedup();
-            return;
-        }
-    }
-    xic_obs::incr(xic_obs::Counter::DocOrderPathSort);
-    let mut keyed: Vec<(Vec<u32>, NodeRef)> = nodes
-        .drain(..)
-        .map(|n| (doc.order_key(n.anchor()), n))
-        .collect();
-    keyed.sort_by(|(ka, a), (kb, b)| {
-        ka.cmp(kb)
-            .then_with(|| ref_kind(a).cmp(&ref_kind(b)))
-            .then_with(|| ref_name(a).cmp(ref_name(b)))
-    });
-    nodes.extend(keyed.into_iter().map(|(_, n)| n));
+/// Makes a node-set duplicate-free, in no particular order: sorted by
+/// [`NodeRef`] (ids ascending, then attributes), never compared in
+/// document order. What a step or a union does to its result unless its
+/// consumer observes the order, which [`Document::sort_document_order`]
+/// then makes.
+pub fn dedup_nodes(nodes: &mut Vec<NodeRef>) {
+    nodes.sort_unstable();
     nodes.dedup();
 }
 
@@ -610,7 +563,7 @@ mod tests {
                 NodeRef::Attr { .. } => panic!(),
             })
             .collect();
-        doc.sort_document_order(&mut ids);
+        doc.sort_document_order(&mut ids, |&n| n);
         let resorted: Vec<_> = ids.into_iter().map(NodeRef::Node).collect();
         sorted.clone_from(&resorted);
         assert_eq!(ns, resorted);
@@ -687,19 +640,24 @@ mod tests {
     }
 
     #[test]
-    fn dedupe_drops_duplicates_without_cache_too() {
-        let (doc, _) = parse_document(DOC).unwrap();
-        let mut with_cache =
-            evaluate_nodes(&parse("//name").unwrap(), &Context::root(&doc)).unwrap();
-        let dup = with_cache.clone();
-        with_cache.extend(dup);
-        let mut no_cache = with_cache.clone();
-        dedupe_doc_order(&doc, &mut with_cache);
-        let mut plain = doc.clone();
-        plain.disable_order_cache();
-        dedupe_doc_order(&plain, &mut no_cache);
-        assert_eq!(with_cache, no_cache);
-        assert_eq!(with_cache.len(), 10);
+    fn dedup_drops_duplicates_and_attributes_follow_their_owner() {
+        let src = "<r><a id=\"1\" lang=\"en\"/><a id=\"2\"/></r>";
+        let (doc, _) = parse_document(src).unwrap();
+        let ctx = Context::root(&doc);
+        let all = evaluate_nodes(&parse("//a | //a/@*").unwrap(), &ctx).unwrap();
+        let mut twice: Vec<NodeRef> = all.iter().rev().chain(&all).cloned().collect();
+        dedup_nodes(&mut twice);
+        assert_eq!(twice.len(), 5);
+        doc.sort_document_order(&mut twice, NodeRef::anchor);
+        assert_eq!(twice, all);
+        let shown: Vec<String> = all
+            .iter()
+            .map(|n| match n {
+                NodeRef::Node(id) => doc.attr(*id, "id").unwrap().to_string(),
+                NodeRef::Attr { name, .. } => format!("@{name}"),
+            })
+            .collect();
+        assert_eq!(shown, ["1", "@id", "@lang", "2", "@id"]);
     }
 
     #[test]

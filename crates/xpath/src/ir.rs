@@ -30,9 +30,16 @@
 //!
 //! This is the only evaluator: the one-shot entry points in
 //! [`crate::eval`] compile and run here, and the expected-value tests
-//! there are its specification (short-circuit rules, document-order
-//! normalization and the `sibling_safe` skip, `EvalBudget` charging and
-//! `xic-obs` counters, error messages).
+//! there are its specification (short-circuit rules, document order and
+//! the `sibling_safe` skip, `EvalBudget` charging and `xic-obs` counters,
+//! error messages).
+//!
+//! **Order only where it is seen** (XQuery 1.0 §3.9). A node-set is a
+//! duplicate-free set in no particular order: a step or union drops
+//! duplicates by id ([`crate::eval::dedup_nodes`]). One compile-time bit
+//! per instruction ([`Program::mark_order`]) says whether its consumer can
+//! observe the order; only there is a set not already known to be in
+//! order sorted, once, by [`xic_xml::Document::sort_document_order`].
 //!
 //! **Paying per step, not per item.** A materialized step without
 //! predicates pushes every input item's candidates that pass the node
@@ -40,23 +47,25 @@
 //! node's stored children — and charges the budget and
 //! `XpathNodesVisited` once, with the candidates of all of them; a
 //! predicated step still takes one item at a time, since a positional
-//! predicate counts within one item's candidates. Normalization into
-//! document order is skipped where the result is ordered by construction:
-//! from one item, or through child, attribute or self from items at one
-//! depth. Whether the items sit at one depth is carried from step to step
-//! instead of re-derived by walking each of them to the root: a step from
-//! one item through child, attribute, self or parent leaves its result at
-//! one depth, and so does a step that skipped normalization. Only where
-//! nothing is known — a caller's sequence, a tag's list, a probe's hits,
-//! a normalized result — does the next flat step walk them (`same_depth`).
+//! predicate counts within one item's candidates, which the axis yields in
+//! its own order. The id dedup is skipped where the result is
+//! duplicate-free by construction — from one item, or through child,
+//! attribute or self from items at one depth — and such a step keeps its
+//! input's order. Whether the items sit at one depth is carried from step
+//! to step instead of re-derived by walking each of them to the root: a
+//! step from one item through child, attribute, self or parent leaves its
+//! result at one depth, and so does a step that skipped the dedup. Only
+//! where nothing is known — a caller's sequence, a tag's list, a probe's
+//! hits, a deduplicated result — does the next flat step walk them
+//! (`same_depth`).
 //! The existential walk (`path_exists_from`) streams one candidate at a
 //! time instead.
 //!
 //! **Tag lists.** A `//tag` (no predicate on either step) from the
 //! document node — a path, or an existential walk — reads the document's
 //! list of the tag ([`xic_xml::Document::elements_named`]), charged its
-//! members: sorted into document order where it is materialized, streamed
-//! as listed where only existence is asked.
+//! members, in the list's order (ascending by id): sorted only where the
+//! path's order is observed.
 //!
 //! The hot existential path walk
 //! (`path_exists_from`), whose recursion depth scales with the number
@@ -67,7 +76,7 @@
 //! every generated query.
 
 use crate::ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
-use crate::eval::{axis_iter, compare_values, dedupe_doc_order, same_depth, EvalError};
+use crate::eval::{axis_iter, compare_values, dedup_nodes, same_depth, EvalError};
 use crate::value::{NodeRef, XValue};
 use std::collections::HashMap;
 use xic_xml::{Document, ListIter, NodeId, NodeKind, Symbol};
@@ -326,7 +335,7 @@ fn listed<'d, 's>(
 }
 
 /// The `shape` members that `=` pairs with `outer`, asked of the document
-/// — in document order, one [`xic_obs::Counter::IndexProbe`] — or `None`
+/// — ascending by id, one [`xic_obs::Counter::IndexProbe`] — or `None`
 /// when `outer` is a number or boolean, for which `=` is not a comparison
 /// of string values. Against the step budget the members a first ask made
 /// the document walk are charged here, once; the caller charges the hits.
@@ -367,6 +376,13 @@ pub struct Program {
     pub var_names: Vec<String>,
     /// Number of [`Inst::Keyed`] sites.
     pub keyed_sites: u32,
+    /// Per expression: whether its consumer observes the order of the
+    /// node-set it yields ([`Program::mark_order`]). Only node-set
+    /// instructions — paths, filters, keyed steps, unions — read it.
+    pub ordered: Vec<bool>,
+    /// Per slot: whether an ordered path reads it, so that what a `let`
+    /// binds there is put in document order.
+    pub ordered_slots: Vec<bool>,
 }
 
 impl Program {
@@ -420,15 +436,107 @@ impl Program {
     pub fn slot_free(&self, steps: &[IrStep]) -> bool {
         !self.steps_read_slot(steps, &|_| true)
     }
+
+    /// Sets the order bit of `id`, whose consumer observes the order of
+    /// its value if `ordered`, and of everything under it, top down. A
+    /// first-node conversion (arithmetic, `string`, `name` and the other
+    /// functions of strings) and a positional filter observe their
+    /// operand's order; `count`, `sum`, `not`, `boolean`, `and`, `or`,
+    /// comparisons, unions and step predicates do not. A keyed step passes
+    /// its bit to its scan, a filter without steps to its primary, a path
+    /// to the slot it starts from.
+    pub fn mark_order(&mut self, id: ExprId, ordered: bool) {
+        self.ordered[id as usize] |= ordered;
+        let mut next: Vec<(ExprId, bool)> = Vec::new();
+        let predicates = |next: &mut Vec<(ExprId, bool)>, steps: &[IrStep]| {
+            next.extend(steps.iter().flat_map(|s| s.predicates.iter().map(|&p| (p, false))));
+        };
+        let mut read_slot = None;
+        match &self.exprs[id as usize] {
+            Inst::Literal(_) | Inst::Number(_) => {}
+            Inst::Neg(e) => next.push((*e, true)),
+            Inst::Path { start, steps } => {
+                if let IrStart::Slot(s) = start {
+                    read_slot = Some(*s);
+                }
+                predicates(&mut next, steps);
+            }
+            Inst::Filter { primary, predicates: preds, steps } => {
+                let positional = preds.iter().any(|&p| self.positional(p));
+                next.push((*primary, positional || (ordered && steps.is_empty())));
+                next.extend(preds.iter().map(|&p| (p, false)));
+                predicates(&mut next, steps);
+            }
+            Inst::Binary(a, op, b) => {
+                let first_node = is_arithmetic(*op);
+                next.extend([(*a, first_node), (*b, first_node)]);
+            }
+            Inst::Call(op, args) => {
+                let whole = matches!(op, FnOp::Count | FnOp::Sum | FnOp::Not | FnOp::Boolean);
+                next.extend(args.iter().map(|&a| (a, !whole)));
+            }
+            Inst::Keyed { scan, outer, rest, .. } => {
+                next.extend([(*scan, ordered), (*outer, false)]);
+                predicates(&mut next, rest);
+            }
+        }
+        if let (Some(s), true) = (read_slot, ordered) {
+            self.ordered_slots[s as usize] = true;
+        }
+        for (e, bit) in next {
+            self.mark_order(e, bit);
+        }
+    }
+
+    /// Whether filter predicate `p` can select by position: it can yield a
+    /// number (a bare variable may hold one), or it reads the position or
+    /// size of the context it filters.
+    fn positional(&self, p: ExprId) -> bool {
+        let numeric = match &self.exprs[p as usize] {
+            Inst::Number(_) | Inst::Neg(_) => true,
+            Inst::Binary(_, op, _) => is_arithmetic(*op),
+            Inst::Call(op, _) => matches!(
+                op,
+                FnOp::Count | FnOp::Sum | FnOp::Number | FnOp::StringLength | FnOp::Position | FnOp::Last
+            ),
+            Inst::Path { start: IrStart::Slot(_), steps } => steps.is_empty(),
+            Inst::Filter { primary, predicates, steps } => {
+                predicates.is_empty() && steps.is_empty() && self.positional(*primary)
+            }
+            Inst::Literal(_) | Inst::Path { .. } | Inst::Keyed { .. } => false,
+        };
+        numeric || self.reads_position(p)
+    }
+
+    /// Whether `e` reads `position()` or `last()` of the context it is
+    /// evaluated in — not of a predicate nested in it, which has its own.
+    fn reads_position(&self, e: ExprId) -> bool {
+        match &self.exprs[e as usize] {
+            Inst::Neg(e) | Inst::Filter { primary: e, .. } => self.reads_position(*e),
+            Inst::Binary(a, _, b) => self.reads_position(*a) || self.reads_position(*b),
+            Inst::Call(op, args) => {
+                matches!(op, FnOp::Position | FnOp::Last) || args.iter().any(|&a| self.reads_position(a))
+            }
+            Inst::Literal(_) | Inst::Number(_) | Inst::Path { .. } | Inst::Keyed { .. } => false,
+        }
+    }
 }
 
-/// Compiles one expression into a fresh single-rooted program. Free
-/// variables get never-bound slots that raise `UndefinedVariable` when
-/// (and only when) the evaluator actually reads them.
+/// `+`, `-`, `*`, `div` or `mod`: converts its operands by their first node.
+pub fn is_arithmetic(op: BinOp) -> bool {
+    matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
+}
+
+/// Compiles one expression into a fresh single-rooted program whose
+/// value is in document order. Free variables get never-bound slots that
+/// raise `UndefinedVariable` when (and only when) the evaluator actually
+/// reads them.
 pub fn compile(expr: &Expr) -> (Program, ExprId) {
     let mut b = Builder::new();
     let root = b.add_expr(expr, &|_| None);
-    (b.finish(), root)
+    let mut prog = b.finish();
+    prog.mark_order(root, true);
+    (prog, root)
 }
 
 /// Incremental program builder; the XQuery compiler drives one of these
@@ -455,6 +563,7 @@ impl Builder {
     pub fn fresh_slot(&mut self, name: &str) -> SlotId {
         let id = u32::try_from(self.prog.var_names.len()).expect("slot count fits u32");
         self.prog.var_names.push(name.to_string());
+        self.prog.ordered_slots.push(false);
         self.param.push(false);
         id
     }
@@ -494,6 +603,7 @@ impl Builder {
     fn push(&mut self, inst: Inst) -> ExprId {
         let id = u32::try_from(self.prog.exprs.len()).expect("expr arena fits u32");
         self.prog.exprs.push(inst);
+        self.prog.ordered.push(false);
         id
     }
 
@@ -648,7 +758,7 @@ pub fn key_nodes(
     key: &[IrStep],
     scope: &Scope,
 ) -> Result<Vec<NodeRef>, EvalError> {
-    eval_steps(vec![member], key, scope)
+    Ok(eval_steps(vec![member], key, scope)?.0)
 }
 
 /// The dynamic context of an evaluation: document, context item, slot
@@ -743,7 +853,7 @@ pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
         Inst::Literal(s) => Ok(XValue::Str(s.clone())),
         Inst::Number(n) => Ok(XValue::Num(*n)),
         Inst::Neg(e) => Ok(XValue::Num(-eval(*e, scope)?.to_num(scope.doc))),
-        Inst::Path { start, steps } => Ok(XValue::Nodes(eval_path(*start, steps, scope)?)),
+        Inst::Path { start, steps } => Ok(XValue::Nodes(in_order(id, eval_path(*start, steps, scope)?, scope))),
         Inst::Filter {
             primary,
             predicates,
@@ -762,19 +872,42 @@ pub fn eval(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
             for &pred in predicates.iter() {
                 nodes = apply_predicate(&nodes, pred, scope, false)?;
             }
-            Ok(XValue::Nodes(walk(nodes, steps, scope)?))
+            let known = nodes.len() <= 1 || scope.prog.ordered[*primary as usize];
+            Ok(XValue::Nodes(in_order(id, walk(nodes, steps, scope, known)?, scope)))
         }
+        Inst::Binary(a, BinOp::Union, b) => match (eval_operand(*a, scope)?, eval_operand(*b, scope)?) {
+            (XValue::Nodes(mut x), XValue::Nodes(y)) => {
+                x.extend(y);
+                dedup_nodes(&mut x);
+                Ok(XValue::Nodes(in_order(id, (x, false), scope)))
+            }
+            _ => Err(EvalError::Type("union of non-node-sets".to_string())),
+        },
         Inst::Binary(a, op, b) => eval_binary(*a, *op, *b, scope),
         Inst::Call(op, args) => eval_call(op, args, scope),
         Inst::Keyed { index, scan, outer, rest } => match probe_site(index, *outer, scope)? {
-            Some(hits) => Ok(XValue::Nodes(eval_steps(hits, rest, scope)?)),
+            Some(hits) => {
+                let known = hits.len() <= 1;
+                Ok(XValue::Nodes(in_order(id, walk(hits, rest, scope, known)?, scope)))
+            }
             None => eval(*scan, scope),
         },
     }
 }
 
-/// The keyed step's result, asked of the document's index, or `None` when
-/// this evaluation has to scan (see the module documentation).
+/// `nodes`, the value of node-set instruction `id`, put in document order
+/// when its consumer observes the order (the instruction's bit, see
+/// [`Program::mark_order`]) and `known` does not say it already is.
+fn in_order(id: ExprId, (mut nodes, known): (Vec<NodeRef>, bool), scope: &Scope) -> Vec<NodeRef> {
+    if !known && scope.prog.ordered[id as usize] {
+        scope.doc.sort_document_order(&mut nodes, NodeRef::anchor);
+    }
+    nodes
+}
+
+/// The members the keyed step selects, asked of the document's index —
+/// ascending by id — or `None` when this evaluation has to scan (see the
+/// module documentation).
 fn probe_site(
     index: &IndexShape,
     outer: ExprId,
@@ -873,7 +1006,7 @@ pub fn eval_operand(id: ExprId, scope: &Scope) -> Result<XValue, EvalError> {
                 return scope.slot(*s).cloned();
             }
         }
-        return Ok(XValue::Nodes(eval_path(*start, steps, scope)?));
+        return Ok(XValue::Nodes(in_order(id, eval_path(*start, steps, scope)?, scope)));
     }
     eval(id, scope)
 }
@@ -904,36 +1037,50 @@ fn path_start_nodes(
     }
 }
 
-fn eval_path(start: IrStart, steps: &[IrStep], scope: &Scope) -> Result<Vec<NodeRef>, EvalError> {
+/// A path's nodes, and whether they are known to be in document order.
+/// The items a slot holds are taken to be: what a `let` binds where an
+/// ordered path reads it is put in order ([`Program::ordered_slots`]).
+fn eval_path(start: IrStart, steps: &[IrStep], scope: &Scope) -> Result<(Vec<NodeRef>, bool), EvalError> {
     eval_steps(path_start_nodes(start, steps, scope)?, steps, scope)
 }
 
 /// `steps` applied to `input`, a leading `//tag` from the document node
-/// read off the document's list of the tag.
+/// read off the document's list of the tag (ascending by id, not in
+/// document order).
 fn eval_steps(
     input: Vec<NodeRef>,
     steps: &[IrStep],
     scope: &Scope,
-) -> Result<Vec<NodeRef>, EvalError> {
+) -> Result<(Vec<NodeRef>, bool), EvalError> {
     let Some((list, rest)) = listed(&input, steps, scope) else {
-        return walk(input, steps, scope);
+        return walk(input, steps, scope, true);
     };
-    let mut hits: Vec<NodeId> = list.collect();
+    let hits: Vec<NodeRef> = list.map(NodeRef::Node).collect();
     visit(hits.len() as u64)?;
-    scope.doc.sort_document_order(&mut hits);
-    walk(hits.into_iter().map(NodeRef::Node).collect(), rest, scope)
+    let known = hits.len() <= 1;
+    walk(hits, rest, scope, known)
 }
 
 /// `steps` applied to `cur` one after another, carrying from each step to
-/// the next whether its items are known to sit at one depth. Nothing is
-/// known of the items a walk starts from (a caller's sequence, a tag's
-/// list, a probe's hits) until a step says so.
-fn walk(mut cur: Vec<NodeRef>, steps: &[IrStep], scope: &Scope) -> Result<Vec<NodeRef>, EvalError> {
+/// the next whether its items are known to sit at one depth, and whether
+/// they are still known to be in document order (`known`, of `cur` at the
+/// start). Nothing is known of the depths of the items a walk starts from
+/// (a caller's sequence, a tag's list, a probe's hits) until a step says
+/// so.
+fn walk(
+    mut cur: Vec<NodeRef>,
+    steps: &[IrStep],
+    scope: &Scope,
+    mut known: bool,
+) -> Result<(Vec<NodeRef>, bool), EvalError> {
     let mut level = false;
     for step in steps {
+        let one = cur.len() <= 1;
         (cur, level) = eval_step(&cur, step, scope, level)?;
+        // A step from one item, or one that skipped the dedup, kept the order.
+        known &= one || level;
     }
-    Ok(cur)
+    Ok((cur, known))
 }
 
 /// One frame of the explicit existential walk: a source of candidate
@@ -1072,8 +1219,8 @@ fn stream_step(input: &[NodeRef], step: &IrStep, scope: &Scope) -> Result<Vec<No
     Ok(out)
 }
 
-/// One step over every item of `input`, and whether its result is known to
-/// sit at one depth. `level` says that of `input`.
+/// One step over every item of `input`: its result, duplicate-free, and
+/// whether it is known to sit at one depth. `level` says that of `input`.
 fn eval_step(
     input: &[NodeRef],
     step: &IrStep,
@@ -1090,28 +1237,26 @@ fn eval_step(
         }
         merged
     };
-    // Normalization (document-order sort + dedup) is the dominant cost on
-    // large documents; skip it when the result is ordered and duplicate-
-    // free by construction: a single context node with a forward axis, or
-    // doc-ordered non-nested inputs stepped through child/attribute/self
-    // (disjoint result sets, concatenated in input order). Non-nesting is
+    // Skip the id dedup where the result is duplicate-free by
+    // construction — a single context node, or non-nested inputs stepped
+    // through child/attribute/self (disjoint result sets, concatenated in
+    // input order, so the input's order is kept too). Non-nesting is
     // guaranteed when all inputs sit at the same tree depth — the common
     // case for homogeneous steps like `$x/sub/auts`. A step from one node
-    // through child, attribute, self or parent, or a skipped normalization,
-    // leaves its result at one depth, so the next step knows without
-    // walking every item up to the root (`same_depth`).
+    // through child, attribute, self or parent, or a skipped dedup, leaves
+    // its result at one depth, so the next step knows without walking
+    // every item up to the root (`same_depth`).
     let flat = matches!(step.axis, Axis::Child | Axis::Attribute | Axis::SelfAxis);
     if input.len() <= 1 {
         if step.axis.is_reverse() {
-            // Reverse-axis results from one node: flip into document order
-            // (already duplicate-free).
+            // Reverse-axis results from one node: flip into document order.
             merged.reverse();
         }
         return Ok((merged, flat || step.axis == Axis::Parent));
     }
     let sibling_safe = flat && (level || same_depth(scope.doc, input));
     if !sibling_safe {
-        dedupe_doc_order(scope.doc, &mut merged);
+        dedup_nodes(&mut merged);
     }
     Ok((merged, sibling_safe))
 }
@@ -1169,18 +1314,10 @@ fn eval_binary(a: ExprId, op: BinOp, b: ExprId, scope: &Scope) -> Result<XValue,
             };
             Ok(XValue::Num(r))
         }
-        BinOp::Union => match (va, vb) {
-            (XValue::Nodes(mut x), XValue::Nodes(y)) => {
-                x.extend(y);
-                dedupe_doc_order(scope.doc, &mut x);
-                Ok(XValue::Nodes(x))
-            }
-            _ => Err(EvalError::Type("union of non-node-sets".to_string())),
-        },
         BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
             Ok(XValue::Bool(compare_values(&va, op, &vb, scope.doc)))
         }
-        BinOp::Or | BinOp::And => unreachable!("handled above"),
+        BinOp::Or | BinOp::And | BinOp::Union => unreachable!("handled by the caller"),
     }
 }
 
@@ -1545,13 +1682,16 @@ mod tests {
         }
     }
 
-    /// Compiles `src` with `$R` bound the way the XQuery compiler binds a
-    /// parameter or a `for` variable (`param`), or a `let`.
+    /// Compiles `src`, its value in document order, with `$R` bound the way
+    /// the XQuery compiler binds a parameter or a `for` variable (`param`),
+    /// or a `let`.
     fn compile_with_r(src: &str, param: bool) -> (Program, ExprId) {
         let mut b = Builder::new();
         let slot = if param { b.fresh_param_slot("R") } else { b.fresh_slot("R") };
         let root = b.add_expr(&parse(src).unwrap(), &|name| (name == "R").then_some(slot));
-        (b.finish(), root)
+        let mut prog = b.finish();
+        prog.mark_order(root, true);
+        (prog, root)
     }
 
     /// Evaluates `id` with `$R` = `r`; the rendered value and the nodes
@@ -1819,5 +1959,55 @@ mod tests {
         let guard = crate::budget::arm(crate::budget::EvalBudget::new(0));
         assert_eq!(evaluate(&parse("//zzz/name").unwrap(), &ctx), Ok(XValue::Nodes(vec![])));
         drop(guard);
+    }
+
+    /// A path's order bit follows what reads it: the value, a first-node
+    /// conversion and a positional filter observe order; `count`, `sum`,
+    /// `not`, a comparison, a union's operands and a filter that cannot
+    /// select by position do not.
+    #[test]
+    fn only_a_consumer_that_sees_order_marks_a_path_ordered() {
+        for (src, ordered) in [
+            ("//rev", true),
+            ("//rev | //sub", false),
+            ("count(//rev)", false),
+            ("sum(//rev)", false),
+            ("not(//rev)", false),
+            ("//rev = 'Ann'", false),
+            ("string(//rev)", true),
+            ("name(//rev)", true),
+            ("//rev + 1", true),
+            ("count((//rev)[2])", true),
+            ("count((//rev)[position() = last()])", true),
+            ("count((//rev)[name])", false),
+            ("count(//track[rev[1]])", false),
+        ] {
+            let (prog, _) = compile(&parse(src).unwrap());
+            let path = prog.exprs.iter().position(|i| matches!(i, Inst::Path { start: IrStart::Root, .. }));
+            assert_eq!(prog.ordered[path.unwrap()], ordered, "{src}");
+        }
+    }
+
+    /// After a non-tail insert the list of `rev`s is out of document order:
+    /// a set only a count reads is never sorted, and a first-node
+    /// conversion reads the first node in document order, after one sort.
+    #[test]
+    fn a_set_is_sorted_only_where_its_order_is_read() {
+        let (mut doc, _) = parse_document(DOC).unwrap();
+        let track = doc.root_element().and_then(|r| doc.element_children(r).first().copied()).unwrap();
+        let (rev, name, zed) = (doc.create_element("rev"), doc.create_element("name"), doc.create_text("Zed"));
+        doc.append_child(name, zed);
+        doc.append_child(rev, name);
+        doc.insert_child(track, 1, rev);
+        let ctx = Context::root(&doc);
+        let run = |src: &str| {
+            xic_obs::reset();
+            let v = evaluate(&parse(src).unwrap(), &ctx).unwrap();
+            (render(&doc, &v), xic_obs::counter(xic_obs::Counter::DocOrderSort))
+        };
+        assert_eq!(run("count(//rev/name)"), ("4".to_string(), 0));
+        assert_eq!(run("//rev/name/text() = 'Zed'"), ("true".to_string(), 0));
+        assert_eq!(run("string(//rev/name)"), ("\"Zed\"".to_string(), 1));
+        assert_eq!(run("(//rev)[1]/name/text()"), ("[name2/text()]".to_string(), 1));
     }
 }

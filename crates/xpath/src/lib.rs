@@ -43,7 +43,7 @@ pub mod value;
 pub use ast::{Axis, BinOp, Expr, NodeTest, Path, PathStart, Step};
 pub use budget::{BudgetGuard, EvalBudget};
 pub use eval::{
-    compare_values, dedupe_doc_order, evaluate, evaluate_exists, evaluate_nodes,
+    compare_values, dedup_nodes, evaluate, evaluate_exists, evaluate_nodes,
     evaluate_nonempty, Context, EvalError,
 };
 pub use parser::{parse, XPathParseError, P};

@@ -52,7 +52,8 @@ impl NodeRef {
 /// An XPath value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum XValue {
-    /// A node-set in document order without duplicates.
+    /// A node-set without duplicates: in document order where its
+    /// consumer observes the order, else in none (see [`crate::ir`]).
     Nodes(Vec<NodeRef>),
     /// A string.
     Str(String),

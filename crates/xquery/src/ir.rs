@@ -28,6 +28,10 @@
 //! …` is two sequence scans plus the pair loop, not a scan of `//y` per
 //! `$a`.
 //!
+//! **Order.** [`XProgram::mark_order`] marks where the query can observe
+//! order; a constraint check (`exists`, `some`, `count`, comparisons)
+//! puts nothing in document order.
+//!
 //! **Value joins.** The translator's denials join on values: `some $a in
 //! A, $b in //tag satisfies K($b) = O($a) and …`. When the first conjunct
 //! of the `satisfies` that reads a `some`'s last binder `$b` is such an
@@ -36,8 +40,9 @@
 //! the compiler attaches a [`Probe`] carrying the [`IndexShape`] `(tag,
 //! K)`. Each outer binding then asks the document
 //! ([`xic_xml::Document::members_keyed`], which builds the index the first
-//! time) for the members `O`'s value selects, in document order, and
-//! iterates only those: the source is never walked. The whole `satisfies`
+//! time) for the members `O`'s value selects, ascending by id, and
+//! iterates only those: the source is never walked (a quantifier's
+//! sources are unordered, [`XProgram::mark_order`]). The whole `satisfies`
 //! still runs on every candidate, so the probe only ever skips members the
 //! scan would have found false. Like the XPath half
 //! ([`xic_xpath::ir::Inst::Keyed`], which this compiler enables by telling
@@ -258,6 +263,9 @@ pub struct XProgram {
     pub root: XId,
     /// Number of leading slots reserved for caller-supplied parameters.
     pub num_params: usize,
+    /// Per node: whether its consumer observes the order of its value
+    /// ([`XProgram::mark_order`]); a union reads it.
+    pub ordered: Vec<bool>,
 }
 
 impl XProgram {
@@ -279,11 +287,65 @@ impl XProgram {
             c.scope.push((p.clone(), slot));
         }
         let root = c.add(q);
-        XProgram {
+        let mut prog = XProgram {
             xp: c.xp.finish(),
+            ordered: vec![false; c.insts.len()],
             insts: c.insts,
             root,
             num_params: params.len(),
+        };
+        prog.mark_order(root, true);
+        prog
+    }
+
+    /// Sets the order bits of `id`, whose consumer observes the order of
+    /// its value if `ordered` (the root's: [`XProgram::eval_seq`]), and of
+    /// everything under it, top down. A sequence, a FLWOR's `return` and
+    /// `for` sources and an `if`'s branches pass the bit on; a `let` value
+    /// is ordered where an ordered path reads its slot (the clauses after
+    /// it are marked first). Element content, `string`, `max`, `min` and
+    /// arithmetic observe order; `exists`, `empty`, `count`, `not`,
+    /// `boolean`, comparisons, unions, `where` and quantifiers do not.
+    pub fn mark_order(&mut self, id: XId, ordered: bool) {
+        self.ordered[id as usize] |= ordered;
+        // Cloned: a `let`'s bit is read off the slots the marking of the
+        // clauses after it set.
+        let inst = self.insts[id as usize].clone();
+        match &inst {
+            XInst::XPath { expr, .. } => self.xp.mark_order(*expr, ordered),
+            XInst::Sequence(items) => items.iter().for_each(|&i| self.mark_order(i, ordered)),
+            XInst::Flwor { clauses, ret: body } | XInst::Quantified { binds: clauses, satisfies: body, .. } => {
+                let ordered = ordered && matches!(inst, XInst::Flwor { .. });
+                self.mark_order(*body, ordered);
+                for clause in clauses.iter().rev() {
+                    match clause {
+                        XClause::For(f) => self.mark_order(f.source, ordered),
+                        XClause::Let { slot, value } => {
+                            self.mark_order(*value, self.xp.ordered_slots[*slot as usize]);
+                        }
+                        XClause::Where(cond) => self.mark_order(*cond, false),
+                    }
+                }
+            }
+            XInst::If { cond, then, els } => {
+                self.mark_order(*cond, false);
+                self.mark_order(*then, ordered);
+                self.mark_order(*els, ordered);
+            }
+            XInst::Construct { content, .. } => content.iter().for_each(|&c| self.mark_order(c, true)),
+            XInst::Call(op, args) => {
+                let bit = match op {
+                    XCall::Exists | XCall::Empty | XCall::Count | XCall::Not | XCall::Boolean => false,
+                    XCall::DistinctValues => ordered,
+                    XCall::String | XCall::Max | XCall::Min | XCall::Unknown(_) => true,
+                };
+                args.iter().for_each(|&a| self.mark_order(a, bit));
+            }
+            XInst::Binary(a, op, b) => {
+                let first_item = ir::is_arithmetic(*op);
+                self.mark_order(*a, first_item);
+                self.mark_order(*b, first_item);
+            }
         }
     }
 
@@ -959,7 +1021,7 @@ fn eval(id: XId, st: &mut St) -> Result<Sequence, XQueryError> {
             }))])
         }
         XInst::Call(op, args) => eval_call(op, args, st),
-        XInst::Binary(a, op, b) => eval_binary(*a, *op, *b, st),
+        XInst::Binary(a, op, b) => eval_binary(id, *a, *op, *b, st),
     }
 }
 
@@ -1034,7 +1096,7 @@ fn eval_xvalue(id: XId, st: &mut St) -> Result<XValue, XQueryError> {
     sequence_to_xvalue(&eval(id, st)?).map_err(XQueryError::Type)
 }
 
-fn eval_binary(a: XId, op: BinOp, b: XId, st: &mut St) -> Result<Sequence, XQueryError> {
+fn eval_binary(id: XId, a: XId, op: BinOp, b: XId, st: &mut St) -> Result<Sequence, XQueryError> {
     match op {
         BinOp::Or => {
             let l = effective_boolean(&eval(a, st)?);
@@ -1076,7 +1138,10 @@ fn eval_binary(a: XId, op: BinOp, b: XId, st: &mut St) -> Result<Sequence, XQuer
         BinOp::Union => match (va, vb) {
             (XValue::Nodes(mut x), XValue::Nodes(y)) => {
                 x.extend(y);
-                xic_xpath::dedupe_doc_order(st.doc, &mut x);
+                xic_xpath::dedup_nodes(&mut x);
+                if st.prog.ordered[id as usize] {
+                    st.doc.sort_document_order(&mut x, NodeRef::anchor);
+                }
                 Ok(x.into_iter().map(Item::Node).collect())
             }
             _ => Err(XQueryError::Type("union of non-node-sets".to_string())),
@@ -1807,6 +1872,34 @@ mod tests {
                 Err(e) if allowance < cost && e.is_budget_exhausted() => {}
                 other => panic!("allowance {allowance} of {cost}: {other:?}"),
             }
+        }
+    }
+
+    /// After a non-tail insert the list of `rev`s is out of document order.
+    /// A FLWOR under `exists` or `count` iterates its sources unordered and
+    /// a `let` nobody reads in order is bound unordered: nothing is sorted.
+    /// A FLWOR whose value is the query's iterates in document order, and
+    /// a `let` that `string` reads is put in it, once per binding.
+    #[test]
+    fn order_is_made_only_where_the_query_can_see_it() {
+        let (mut doc, _) = parse_document(DOC).unwrap();
+        let track = doc.root_element().and_then(|r| doc.element_children(r).first().copied()).unwrap();
+        let (rev, name, zed) = (doc.create_element("rev"), doc.create_element("name"), doc.create_text("Zed"));
+        doc.append_child(name, zed);
+        doc.append_child(rev, name);
+        doc.insert_child(track, 1, rev);
+        for (query, outcome, sorts) in [
+            ("count(for $n in //rev/name return $n)", "(3)", 0),
+            ("exists(for $r in //rev let $n := //rev/name where count($n) = 3 return $r)", "(true)", 0),
+            ("some $r in //rev satisfies $r/name/text() = 'Zed'", "(true)", 0),
+            ("exists(for $r in //rev let $n := //rev/name where string($n) = 'Zed' return $r)", "(true)", 3),
+            ("for $n in //rev/name return string($n)", "(\"Zed\", \"Ann\", \"Dan\")", 1),
+            ("(//rev | //track)/name/text()", "(name1/text(), name2/text(), name3/text(), name6/text())", 1),
+        ] {
+            let prog = XProgram::compile(&parse_query(query).unwrap());
+            xic_obs::reset();
+            assert_eq!(render(&doc, prog.eval_seq(&doc, &[])), outcome, "{query}");
+            assert_eq!(xic_obs::counter(xic_obs::Counter::DocOrderSort), sorts, "sorts of {query}");
         }
     }
 }
