@@ -8,7 +8,7 @@ echo "== doc byte budget (the four long docs do not grow back) =="
 # change that adds prose to one removes as much elsewhere (an old
 # CHANGES entry condensed, a retired EXPERIMENTS section folded into its
 # table); raising a budget is a decision its CHANGES entry explains.
-for budget in CHANGES.md:176100 DESIGN.md:75239 EXPERIMENTS.md:68219 README.md:37734; do
+for budget in CHANGES.md:176047 DESIGN.md:75225 EXPERIMENTS.md:68219 README.md:37628; do
   file="${budget%%:*}" max="${budget##*:}"
   size="$(wc -c < "$file")"
   [ "$size" -le "$max" ] || { echo "$file: $size bytes, over its budget of $max" >&2; exit 1; }
@@ -99,6 +99,17 @@ orders="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     print FILENAME ":" FNR ": " $0
   }')"
 [ -z "$orders" ] || { echo "$orders" >&2; echo "a second implementation of document order" >&2; exit 1; }
+
+echo "== the parser builds through DocumentBuilder (parse.rs names no commit-path mutator) =="
+# A whole document is built in owned memory and frozen once; the
+# copy-on-write mutators are the commit's. No code line before the first
+# `#[cfg(test)]` of crates/xml/src/parse.rs calls `create_element`,
+# `create_text` or `append_child`.
+mutators="$(awk '
+  /^#\[cfg\(test\)\]/ { exit }
+  !/^[[:space:]]*\/\// && /create_element|create_text|append_child/ { print FILENAME ":" FNR ": " $0 }
+' crates/xml/src/parse.rs)"
+[ -z "$mutators" ] || { echo "$mutators" >&2; echo "crates/xml/src/parse.rs builds through the commit path" >&2; exit 1; }
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -196,6 +207,17 @@ echo "== version cost (counts) =="
 # records own no heap memory, the tag lists, postings and symbols are
 # shared, so a version copies what it wrote.
 cargo test -q --release -p xicheck --test version_cost
+
+echo "== build cost (counts) =="
+# What building a document costs, by a counting allocator and the
+# chunk-copy counter: a parse writes owned memory (no chunk copied),
+# sixteen shards over one base text allocate at most 1.25x what one shard
+# does (one build, cloned), a commit to one shard leaves its sibling
+# byte-identical, and a statement's internal subset costs memory linear
+# in its text (a DTD compiles on its first validation, never on a parse).
+# That the builder builds what the commit path builds node by node is a
+# unit test of crates/xml (build.rs).
+cargo test -q --release -p xicheck --test build_cost
 
 echo "== difftest corpus replay =="
 # Every checked-in regression seed replays against the current oracles
@@ -348,10 +370,12 @@ echo "== experiments smoke (paper tables + their one report file, bad input exit
 # which must be refused with exit 1 (not a panic's 101).
 cargo run --release -q -p xic-bench --bin experiments -- fig1a fig1b illegal simp \
   --sizes=32,64 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
-# The version sweep (clone, apply to the fresh copy, drop of the replaced
-# version, beside the decision's median, its slowest of 64 and its median
-# engine steps, and the full check) up to 512 KiB; every row must carry
-# all three decision columns, the slowest no faster than the median.
+# The version sweep (the parse and a checkpointed store's reopening,
+# clone, apply to the fresh copy, drop of the replaced version, beside the
+# decision's median, its slowest of 64 and its median engine steps, and
+# the full check) up to 512 KiB; every row must carry all three decision
+# columns, the slowest no faster than the median, and a positive parse
+# and reopening time.
 cargo run --release -q -p xic-bench --bin experiments -- versions \
   --sizes=8,64,512 --iters=1 --out=/tmp/BENCH_PAPER_CI.json
 python3 - <<'EOF'
@@ -360,6 +384,7 @@ rows = json.load(open("/tmp/BENCH_PAPER_CI.json"))["sections"]["versions"]["rows
 assert [r["kib"] for r in rows] == [8, 64, 512], rows
 for r in rows:
     assert r["decide_max_us"] >= r["decide_optimized_us"] > 0 and r["decide_steps"] > 0, r
+    assert r["parse_ms"] > 0 and r["open_ms"] > 0, r
 EOF
 status=0
 cargo run --release -q -p xic-bench --bin experiments -- fig1a --sizes=abc \

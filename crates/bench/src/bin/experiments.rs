@@ -18,7 +18,8 @@
 //! of closed-loop clients against a small admission queue (E13),
 //! `versions` what one version of the document costs against its size —
 //! clone, apply to the fresh copy, drop of the replaced version — beside
-//! the optimized decision and the full check. Every
+//! the parse, a checkpoint's reopening, the optimized decision and the
+//! full check. Every
 //! other cost — journal, service, shards, each layer of a request — is
 //! the wire-level benchmark's (`benchmark/`), not measured here.
 //!
@@ -200,6 +201,8 @@ fn versions_section(args: &Args) -> Value {
     const COLUMNS: &[Column] = &[
         col("kib", "size/KiB", 9, 0),
         col("nodes", "nodes", 10, 0),
+        col("parse_ms", "parse/ms", 10, 2),
+        col("open_ms", "open/ms", 9, 2),
         col("clone_us", "clone/us", 10, 1),
         col("apply_us", "apply/us", 10, 1),
         col("drop_us", "drop/us", 9, 1),
@@ -211,7 +214,7 @@ fn versions_section(args: &Args) -> Value {
     let rows = args.sizes.iter().map(|&kib| {
         let r = measure_versions(kib, args.seed, args.iters);
         let cells = [
-            r.kib as f64, r.nodes as f64, r.clone_us, r.apply_us, r.drop_us,
+            r.kib as f64, r.nodes as f64, r.parse_ms, r.open_ms, r.clone_us, r.apply_us, r.drop_us,
             r.decide_optimized_us, r.decide_max_us, r.decide_steps as f64, r.check_full_us,
         ];
         cells.map(Value::Number).to_vec()

@@ -112,6 +112,11 @@ pub struct VersionRow {
     pub kib: usize,
     /// Nodes in the parsed corpus.
     pub nodes: usize,
+    /// Milliseconds `parse_document` takes over the corpus text.
+    pub parse_ms: f64,
+    /// Milliseconds `Checker::open_store` takes over a store holding one
+    /// checkpoint of the corpus and an empty journal suffix.
+    pub open_ms: f64,
     /// Cloning the committed version (the value indexes built).
     pub clone_us: f64,
     /// Applying one legal append to that fresh copy, its select
@@ -136,12 +141,14 @@ fn median_us(mut samples: Vec<Duration>) -> f64 {
     samples[samples.len() / 2].as_secs_f64() * 1e6
 }
 
-/// Measures one row of the version sweep: `iters` full checks, then 64 ×
-/// `iters` legal appends (to reviewers across the corpus) decided on the
-/// optimized path, then committed one after another as the checker
-/// commits them — clone, apply to the clone, drop the replaced version.
+/// Measures one row of the version sweep: `iters` parses of the corpus
+/// and `iters` reopenings of a store checkpointed over it, `iters` full
+/// checks, then 64 × `iters` legal appends (to reviewers across the
+/// corpus) decided on the optimized path, then committed one after
+/// another as the checker commits them — clone, apply to the clone, drop
+/// the replaced version.
 pub fn measure_versions(kib: usize, seed: u64, iters: usize) -> VersionRow {
-    let (w, checker) = benchmark_instance(kib, seed);
+    let (w, mut checker) = benchmark_instance(kib, seed);
     let stmts: Vec<XUpdateDoc> = (0..64 * iters)
         .map(|i| {
             let (track, rev) = (i % w.config.tracks, i % w.config.revs_per_track);
@@ -153,6 +160,24 @@ pub fn measure_versions(kib: usize, seed: u64, iters: usize) -> VersionRow {
         f();
         start.elapsed()
     };
+    let parse = (0..iters).map(|_| {
+        timed(&mut || drop(xic_xml::parse_document(&w.xml).expect("corpus parses")))
+    });
+    let parse_ms = median_us(parse.collect()) / 1e3;
+    let dir = scratch_path("versions-open", kib, seed);
+    let _ = std::fs::remove_dir_all(&dir);
+    checker.attach_store(&dir, false).expect("store attaches");
+    checker.checkpoint().expect("checkpoint");
+    let open = (0..iters).map(|_| {
+        timed(&mut || {
+            let (reopened, report) = Checker::open_store(&dir, &w.xml, checker.shared_gamma(), false)
+                .expect("store reopens");
+            assert_eq!((report.generation, report.replayed, report.degraded), (1, 0, false));
+            drop(reopened);
+        })
+    });
+    let open_ms = median_us(open.collect()) / 1e3;
+    let _ = std::fs::remove_dir_all(&dir);
     let check_full = (0..iters).map(|_| {
         timed(&mut || assert_eq!(checker.check_full().expect("full check"), None))
     });
@@ -196,6 +221,8 @@ pub fn measure_versions(kib: usize, seed: u64, iters: usize) -> VersionRow {
     VersionRow {
         kib,
         nodes,
+        parse_ms,
+        open_ms,
         clone_us: median_us(clone),
         apply_us: median_us(apply),
         drop_us: median_us(dropped),
@@ -661,7 +688,9 @@ mod tests {
     fn version_rows_time_every_stage() {
         let r = measure_versions(8, 3, 1);
         assert!(r.nodes > 500);
-        let stages = [r.clone_us, r.apply_us, r.drop_us, r.decide_optimized_us, r.check_full_us];
+        let stages = [
+            r.parse_ms, r.open_ms, r.clone_us, r.apply_us, r.drop_us, r.decide_optimized_us, r.check_full_us,
+        ];
         assert!(stages.iter().all(|&us| us > 0.0), "{r:?}");
         assert!(r.decide_max_us >= r.decide_optimized_us && r.decide_steps > 0, "{r:?}");
     }

@@ -19,6 +19,13 @@ use xic_mapping::{map_update, RelSchema};
 use xic_translate::QueryTemplate;
 use xic_xml::{parse_document, Document, Dtd, XUpdateDoc, XUpdateError};
 
+/// The document `xml` parses to, validated against Γ's DTD.
+pub(crate) fn build_valid(xml: &str, shared: &SharedGamma) -> Result<Document, CheckerError> {
+    let (doc, _) = parse_document(xml).map_err(|e| CheckerError::Setup(e.to_string()))?;
+    shared.dtd().validate(&doc).map_err(|e| CheckerError::Setup(e.to_string()))?;
+    Ok(doc)
+}
+
 /// Which strategy handled an update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
@@ -262,9 +269,7 @@ impl Checker {
     /// constructor: N documents over one `Arc<SharedGamma>` pay Γ's
     /// compilation once, and each pattern's compile once.
     pub fn from_shared(xml: &str, shared: &Arc<SharedGamma>) -> Result<Checker, CheckerError> {
-        let (doc, _) = parse_document(xml).map_err(|e| CheckerError::Setup(e.to_string()))?;
-        shared.dtd().validate(&doc).map_err(|e| CheckerError::Setup(e.to_string()))?;
-        Ok(Checker::assemble(doc, Arc::clone(shared)))
+        Ok(Checker::assemble(build_valid(xml, shared)?, Arc::clone(shared)))
     }
 
     /// [`Checker::new`] / [`Checker::from_shared`] minus the DTD

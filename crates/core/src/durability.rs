@@ -24,12 +24,12 @@
 //!
 //! In `DESIGN.md`'s system inventory this is row 27.
 
-use crate::checker::{panic_message, Checker, CheckerError};
+use crate::checker::{build_valid, panic_message, Checker, CheckerError};
 use crate::gamma::SharedGamma;
 use crate::resolver::xpath_resolver;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xic_xml::checkpoint::{Candidate, CheckpointError, Recovery, Store};
 use xic_xml::journal::{crc32, RecordKind};
 use xic_xml::{apply, parse_document, serialize, Document, XUpdateDoc};
@@ -59,6 +59,55 @@ pub struct RecoveryReport {
     /// True if *no* generation validated: the checker is serving the base
     /// document read-only (see [`CheckerError::Degraded`]).
     pub degraded: bool,
+}
+
+/// A base document text, built at most once however many checkers start
+/// from it: parsed, validated against Γ's DTD and — when a store is keyed
+/// to it — serialized for its checksum, each on first need. Every checker
+/// over it starts from an O(1) clone of the one build, so the shards of a
+/// [`crate::shards::ShardSet`] over one text share its nodes until they
+/// write; a recovery that never replays from generation 0 never builds
+/// it. Dropping the `Base` drops only what no checker shares.
+pub(crate) struct Base<'a> {
+    xml: &'a str,
+    built: OnceLock<Result<Document, CheckerError>>,
+    crc: OnceLock<u32>,
+}
+
+impl<'a> Base<'a> {
+    pub(crate) fn new(xml: &'a str) -> Base<'a> {
+        Base { xml, built: OnceLock::new(), crc: OnceLock::new() }
+    }
+
+    /// The validated build, made now if no one asked for it yet.
+    fn built(&self, shared: &SharedGamma) -> Result<&Document, CheckerError> {
+        self.built.get_or_init(|| build_valid(self.xml, shared)).as_ref().map_err(Clone::clone)
+    }
+
+    /// The checksum of the build's canonical serialization: what a store's
+    /// generation 0 is keyed to.
+    fn crc(&self, shared: &SharedGamma) -> Result<u32, CheckerError> {
+        let doc = self.built(shared)?;
+        Ok(*self.crc.get_or_init(|| crc32(serialize(doc).as_bytes())))
+    }
+
+    /// A checker over a copy of the build.
+    pub(crate) fn checker(&self, shared: &Arc<SharedGamma>) -> Result<Checker, CheckerError> {
+        Ok(Checker::assemble(self.built(shared)?.clone(), Arc::clone(shared)))
+    }
+
+    /// A checker over a copy of the build, with a fresh store at `dir`
+    /// ([`Checker::attach_store`]).
+    pub(crate) fn create_store(
+        &self,
+        dir: &Path,
+        shared: &Arc<SharedGamma>,
+        sync: bool,
+    ) -> Result<Checker, CheckerError> {
+        let mut checker = self.checker(shared)?;
+        checker.attach_keyed(dir, sync, self.crc(shared)?)?;
+        Ok(checker)
+    }
 }
 
 /// When to take an automatic checkpoint (rotation). The default is
@@ -202,8 +251,13 @@ impl Checker {
     /// [`xic_xml::checkpoint::DEFAULT_RETAIN`] of them. Reopen with
     /// [`Checker::open_store`] and the same base document text.
     pub fn attach_store(&mut self, dir: &Path, sync: bool) -> Result<(), CheckerError> {
+        self.attach_keyed(dir, sync, crc32(serialize(&self.doc).as_bytes()))
+    }
+
+    /// [`Checker::attach_store`] with the checksum of the current
+    /// document's serialization already known.
+    fn attach_keyed(&mut self, dir: &Path, sync: bool, base_crc: u32) -> Result<(), CheckerError> {
         self.refuse_if_degraded()?;
-        let base_crc = crc32(serialize(&self.doc).as_bytes());
         let store = Store::create(dir, base_crc, sync)
             .map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
         // The commit counters restart at 0; the rotation policy is kept.
@@ -301,15 +355,25 @@ impl Checker {
         shared: &Arc<SharedGamma>,
         sync: bool,
     ) -> Result<(Checker, RecoveryReport), CheckerError> {
+        Checker::open_base(dir, &Base::new(base_xml), shared, sync)
+    }
+
+    /// [`Checker::open_store`] over a base that other checkers may start
+    /// from too: it is built only if this store needs it.
+    pub(crate) fn open_base(
+        dir: &Path,
+        base: &Base<'_>,
+        shared: &Arc<SharedGamma>,
+        sync: bool,
+    ) -> Result<(Checker, RecoveryReport), CheckerError> {
         // An empty directory cannot hold an acknowledged commit: a store
         // fsyncs its first segment's name before it accepts one.
         if !std::fs::read_dir(dir).is_ok_and(|mut entries| entries.next().is_some()) {
-            let mut checker = Checker::from_shared(base_xml, shared)?;
-            checker.attach_store(dir, sync)?;
+            let checker = base.create_store(dir, shared, sync)?;
             return Ok((checker, RecoveryReport::default()));
         }
         let replay = |candidate: &mut Candidate<'_>| {
-            replay_candidate(candidate, base_xml, shared).map_err(|e| e.to_string())
+            replay_candidate(candidate, base, shared).map_err(|e| e.to_string())
         };
         let Recovery { resumed, rejected } = Store::recover(dir, sync, replay)
             .map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
@@ -328,7 +392,7 @@ impl Checker {
             // Every generation failed: serve the base document read-only
             // rather than refusing to come up at all.
             None => (
-                Checker::from_shared(base_xml, shared)?,
+                base.checker(shared)?,
                 RecoveryReport { degraded: true, ..RecoveryReport::default() },
             ),
         };
@@ -346,11 +410,11 @@ impl Checker {
 /// are skipped. Any error means "fall back to an older generation".
 fn replay_candidate(
     candidate: &mut Candidate<'_>,
-    base_xml: &str,
+    base: &Base<'_>,
     shared: &Arc<SharedGamma>,
 ) -> Result<(Checker, RecoveryReport), CheckerError> {
-    let (mut checker, base_seq) = match &candidate.snapshot {
-        None => (Checker::from_shared(base_xml, shared)?, 0),
+    let (mut checker, base_seq, base_crc) = match &candidate.snapshot {
+        None => (base.checker(shared)?, 0, base.crc(shared)?),
         // The snapshot is a committed state whose integrity the crc
         // already vouches for; DTD validity is not re-imposed because
         // updates need not preserve it (journal replay from the base
@@ -358,10 +422,10 @@ fn replay_candidate(
         Some(ckpt) => {
             let (doc, _) = parse_document(&ckpt.doc_xml)
                 .map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
-            (Checker::assemble(doc, Arc::clone(shared)), ckpt.commit_seq)
+            let crc = crc32(serialize(&doc).as_bytes());
+            (Checker::assemble(doc, Arc::clone(shared)), ckpt.commit_seq, crc)
         }
     };
-    let base_crc = crc32(serialize(checker.doc()).as_bytes());
     let (records, torn) = candidate.open_segment(base_crc).map_err(|e| match e {
         CheckpointError::Journal(e) => CheckerError::Journal(e.to_string()),
         e => CheckerError::Checkpoint(e.to_string()),

@@ -48,13 +48,14 @@
 //! [`CheckpointError::ForeignEntry`]: xic_xml::CheckpointError
 
 use crate::checker::{Checker, CheckerError};
-use crate::durability::{CheckpointPolicy, RecoveryReport};
+use crate::durability::{Base, CheckpointPolicy, RecoveryReport};
 use crate::gamma::SharedGamma;
 use crate::optimized::PatternCache;
 use crate::service::{
     CheckerService, Health, ReadSnapshot, ServiceConfig, ServiceError, ServiceStats,
     SubmitOutcome,
 };
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -334,12 +335,13 @@ fn start_shard(mut checker: Checker, config: &ShardSetConfig) -> Arc<CheckerServ
 }
 
 /// One shard's slot: its store directory (none in memory), its recovery
-/// base document, and the currently live service. The service is behind
-/// a lock so [`ShardSet::recover_shard`] can swap in a replacement while
-/// sibling shards (other slots) stay untouched.
+/// base document (one text shared by the slots over it), and the
+/// currently live service. The service is behind a lock so
+/// [`ShardSet::recover_shard`] can swap in a replacement while sibling
+/// shards (other slots) stay untouched.
 struct ShardSlot {
     dir: Option<PathBuf>,
-    base_xml: String,
+    base_xml: Arc<str>,
     service: RwLock<Arc<CheckerService>>,
 }
 
@@ -370,9 +372,8 @@ impl ShardSet {
         config: ShardSetConfig,
     ) -> Result<ShardSet, ShardSetError> {
         validate_root(root, base_xmls.len())?;
-        let open = |id, xml: &str, gamma: &Arc<SharedGamma>| {
-            let mut checker = Checker::from_shared(xml, gamma)?;
-            checker.attach_store(&shard_dir(root, id), config.sync)?;
+        let open = |id, base: &Base<'_>, gamma: &Arc<SharedGamma>| {
+            let checker = base.create_store(&shard_dir(root, id), gamma, config.sync)?;
             Ok((checker, RecoveryReport::default()))
         };
         ShardSet::start(Some(root), base_xmls, dtd, constraints, config, false, open)
@@ -388,8 +389,8 @@ impl ShardSet {
         constraints: &str,
         config: ShardSetConfig,
     ) -> Result<ShardSet, ShardSetError> {
-        let open = |_, xml: &str, gamma: &Arc<SharedGamma>| {
-            Ok((Checker::from_shared(xml, gamma)?, RecoveryReport::default()))
+        let open = |_, base: &Base<'_>, gamma: &Arc<SharedGamma>| {
+            Ok((base.checker(gamma)?, RecoveryReport::default()))
         };
         ShardSet::start(None, base_xmls, dtd, constraints, config, false, open).map(|(set, _)| set)
     }
@@ -420,8 +421,8 @@ impl ShardSet {
         validate_root(root, base_xmls.len())?;
         // A shard that was never written comes up fresh, exactly as
         // `create` would bring it up.
-        let open = |id, xml: &str, gamma: &Arc<SharedGamma>| {
-            Checker::open_store(&shard_dir(root, id), xml, gamma, config.sync)
+        let open = |id, base: &Base<'_>, gamma: &Arc<SharedGamma>| {
+            Checker::open_base(&shard_dir(root, id), base, gamma, config.sync)
         };
         let (set, shards) =
             ShardSet::start(Some(root), base_xmls, dtd, constraints, config, parallel, open)?;
@@ -431,7 +432,10 @@ impl ShardSet {
     /// Compiles Γ, opens shard `i` over `base_xmls[i]` with `open` — on
     /// up to [`MAX_OPEN_WORKERS`] scoped threads when `parallel` — and puts
     /// every shard in service, its store directory under `root` if the
-    /// set has one.
+    /// set has one. Each distinct base text is held once and built at
+    /// most once, by the first shard that needs it, and every shard over
+    /// it starts from a clone of that build; the builds are dropped once
+    /// every shard is open.
     fn start(
         root: Option<&Path>,
         base_xmls: &[&str],
@@ -439,10 +443,22 @@ impl ShardSet {
         constraints: &str,
         config: ShardSetConfig,
         parallel: bool,
-        open: impl Fn(usize, &str, &Arc<SharedGamma>) -> Opened + Sync,
+        open: impl Fn(usize, &Base<'_>, &Arc<SharedGamma>) -> Opened + Sync,
     ) -> Result<(ShardSet, Vec<RecoveryReport>), ShardSetError> {
         let gamma = SharedGamma::compile(dtd, constraints).map_err(ShardSetError::Compile)?;
-        let open_one = |id: usize| open(id, base_xmls[id], &gamma);
+        // `texts[of[i]]` is shard `i`'s base text.
+        let (mut texts, mut seen): (Vec<Arc<str>>, HashMap<&str, usize>) = Default::default();
+        let of: Vec<usize> = base_xmls
+            .iter()
+            .map(|&xml| {
+                *seen.entry(xml).or_insert_with(|| {
+                    texts.push(xml.into());
+                    texts.len() - 1
+                })
+            })
+            .collect();
+        let bases: Vec<Base<'_>> = texts.iter().map(|xml| Base::new(xml)).collect();
+        let open_one = |id: usize| open(id, &bases[of[id]], &gamma);
         let opened: Vec<Opened> = if parallel {
             fan_out(base_xmls.len(), open_one)
                 .into_iter()
@@ -456,13 +472,15 @@ impl ShardSet {
         } else {
             (0..base_xmls.len()).map(open_one).collect()
         };
+        // Every shard holds what it shares of a build: nothing pins the rest.
+        drop(bases);
         let mut shards = Vec::with_capacity(base_xmls.len());
         let mut reports = Vec::with_capacity(base_xmls.len());
         for (id, result) in opened.into_iter().enumerate() {
             let (checker, report) = result.map_err(|source| ShardSetError::Shard { id, source })?;
             shards.push(ShardSlot {
                 dir: root.map(|root| shard_dir(root, id)),
-                base_xml: base_xmls[id].to_string(),
+                base_xml: Arc::clone(&texts[of[id]]),
                 service: RwLock::new(start_shard(checker, &config)),
             });
             reports.push(report);

@@ -569,3 +569,34 @@ fn failure_after_durable_commit_poisons_instead_of_diverging() {
     assert_eq!(serialize(&r), in_memory);
     let _ = std::fs::remove_dir_all(&path);
 }
+
+/// A title emptied by an update holds no text node, so every checkpoint
+/// taken after it comes back from its own serialization: reopening
+/// restores all four acknowledged commits from the newest generation
+/// instead of rejecting every checkpoint keyed to `<title></title>`.
+#[test]
+fn checkpoints_after_an_emptied_text_still_open() {
+    let path = journal_path("empty-text");
+    let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
+    c.attach_store(&path, true).unwrap();
+    let empty = r#"<xupdate:modifications xmlns:xupdate="x">
+          <xupdate:update select="//pub[1]/title"></xupdate:update>
+        </xupdate:modifications>"#;
+    assert!(c.try_update_str(empty).unwrap().applied());
+    c.checkpoint().unwrap();
+    for author in ["fay", "gus"] {
+        assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", author)).unwrap().applied());
+        c.checkpoint().unwrap();
+    }
+    assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "hal")).unwrap().applied());
+    let live = serialize(&c);
+    drop(c);
+
+    let (r, report) = recover(CORPUS, &path);
+    assert!(!report.degraded, "{report:?}");
+    assert_eq!((report.fallbacks, report.generation, report.replayed), (0, 3, 1), "{report:?}");
+    assert_eq!(r.committed(), 4);
+    assert_eq!(serialize(&r), live);
+    assert!(live.contains("<title/>"), "{live}");
+    let _ = std::fs::remove_dir_all(&path);
+}

@@ -26,7 +26,9 @@
 //!    every key shape the document has), for both complete and
 //!    mid-batch-failed applications, while a clone taken before the
 //!    apply stays the pre-state and audits clean; every recovery is
-//!    audited the same way after its replay.
+//!    audited the same way after its replay. The post-state must also
+//!    parse back from its serialization to the same serialization
+//!    (`round-trip`), as a checkpoint of it must.
 //! 3. **DTD-validity preservation** — when an accepted update's post-state
 //!    conforms to the DTD under plain application, the checker's final
 //!    state must validate too.
@@ -571,6 +573,13 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             audit(&doc, "apply")?;
             intact("apply")?;
             let post = serialize(&doc);
+            // A committed state comes back from its own serialization
+            // unchanged: a checkpoint of it is keyed by that text's crc.
+            let round_trip = parse_document(&post).map(|(back, _)| serialize(&back));
+            if round_trip.as_ref() != Ok(&post) {
+                let detail = format!("{post} parses back as {round_trip:?}");
+                return Err(("round-trip", detail));
+            }
             let conforming = dtd.validate(&doc).is_ok();
             // Oracle 4 again, on the post-state: an insert-before or -after
             // leaves the per-tag lists out of document order, a rename moves

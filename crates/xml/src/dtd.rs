@@ -3,12 +3,18 @@
 //! The paper's documents are governed by DTDs (Section 3.2); the schema
 //! mapper (`xic-mapping`) consumes the parsed [`Dtd`] to derive the
 //! relational schema, and the store validates documents and updates
-//! against it. Content models are compiled to Thompson NFAs and matched by
-//! subset simulation, so validation is linear in the number of children.
+//! against it. Declaring a content model only stores it and numbers the
+//! names it mentions, so parsing a DTD costs time and memory linear in its
+//! text (an XUpdate statement's internal subset is parsed and never
+//! validated against). The first validation compiles every model once
+//! into a position (Glushkov) automaton over the DTD's element names,
+//! and validation runs it over an element's children with bit sets:
+//! linear in the number of children, with no allocation per element.
 
 use crate::tree::{Document, NodeId, NodeKind};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A content particle of a `children` content model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +39,24 @@ pub enum ContentModel {
     Star(Box<ContentModel>),
     /// `cp+`
     Plus(Box<ContentModel>),
+}
+
+impl ContentModel {
+    /// The element names the model mentions, in order, repeats included.
+    fn names(&self) -> Vec<&str> {
+        let mut out = Vec::new();
+        let mut stack = vec![self];
+        while let Some(model) = stack.pop() {
+            match model {
+                ContentModel::Name(n) => out.push(n.as_str()),
+                ContentModel::Mixed(names) => out.extend(names.iter().map(String::as_str)),
+                ContentModel::Seq(parts) | ContentModel::Choice(parts) => stack.extend(parts.iter().rev()),
+                ContentModel::Optional(p) | ContentModel::Star(p) | ContentModel::Plus(p) => stack.push(p),
+                ContentModel::Empty | ContentModel::Any | ContentModel::PcData => {}
+            }
+        }
+        out
+    }
 }
 
 impl fmt::Display for ContentModel {
@@ -97,13 +121,34 @@ pub struct AttDecl {
 }
 
 /// A parsed DTD: element and attribute declarations.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct Dtd {
     elements: Vec<ElementDecl>,
-    by_name: HashMap<String, usize>,
+    /// Every name a declaration declares or names in its model, numbered
+    /// in order of first sight: the automata's alphabet.
+    names: HashMap<String, u32>,
+    /// `decl_of[name]`: the index in `elements` of the name's last
+    /// declaration, [`NONE`] if it has none.
+    decl_of: Vec<u32>,
+    /// `automata[i]`: the content model of `elements[i]`, compiled by the
+    /// first validation.
+    automata: OnceLock<Vec<Automaton>>,
     /// Attribute declarations, in declaration order.
     pub attlists: Vec<AttDecl>,
 }
+
+/// Two DTDs are equal when they declare the same things in the same
+/// order; the rest is derived from the declarations.
+impl PartialEq for Dtd {
+    fn eq(&self, other: &Dtd) -> bool {
+        self.elements == other.elements && self.attlists == other.attlists
+    }
+}
+
+impl Eq for Dtd {}
+
+/// "No such name, declaration or column".
+const NONE: u32 = u32::MAX;
 
 /// A validation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -188,21 +233,46 @@ impl Dtd {
         Ok(())
     }
 
-    /// Adds an element declaration programmatically.
+    /// Adds an element declaration programmatically (a later declaration
+    /// of a name replaces the earlier one).
     pub fn add_element(&mut self, name: impl Into<String>, model: ContentModel) {
         let name = name.into();
-        self.by_name.insert(name.clone(), self.elements.len());
+        let id = self.name_id(&name);
+        self.decl_of[id as usize] = self.elements.len() as u32;
+        for mentioned in model.names() {
+            self.name_id(mentioned);
+        }
         self.elements.push(ElementDecl { name, model });
+        self.automata = OnceLock::new();
+    }
+
+    /// The number of `name`, numbered now if it has none yet.
+    fn name_id(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.names.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.decl_of.len()).expect("fewer than 2^32 names");
+        self.names.insert(name.to_string(), id);
+        self.decl_of.push(NONE);
+        id
     }
 
     /// Looks up an element declaration.
     pub fn element(&self, name: &str) -> Option<&ElementDecl> {
-        self.by_name.get(name).map(|&i| &self.elements[i])
+        let &id = self.names.get(name)?;
+        self.elements.get(self.decl_of[id as usize] as usize)
     }
 
     /// All element declarations, in declaration order.
     pub fn elements(&self) -> &[ElementDecl] {
         &self.elements
+    }
+
+    /// The declarations' content models, compiled on the first call.
+    fn automata(&self) -> &[Automaton] {
+        self.automata.get_or_init(|| {
+            self.elements.iter().map(|e| Automaton::compile(&e.model, &self.names)).collect()
+        })
     }
 
     /// Validates the whole document against this DTD.
@@ -217,14 +287,15 @@ impl Dtd {
     /// Validates the subtree rooted at `id` (used to check update
     /// fragments before they are spliced in).
     pub fn validate_subtree(&self, doc: &Document, id: NodeId) -> Result<(), ValidationError> {
+        let mut run = Run::new(self);
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
             if let NodeKind::Element { name, .. } = &doc.node(n).kind {
-                let decl = self.element(name).ok_or_else(|| ValidationError {
+                let decl = run.decl(doc, n).ok_or_else(|| ValidationError {
                     node: n,
                     message: format!("undeclared element <{name}>"),
                 })?;
-                self.validate_element(doc, n, &decl.model)?;
+                run.validate_element(doc, n, decl)?;
                 for att in self.attlists.iter().filter(|a| *a.element == **name) {
                     if att.required && doc.attr(n, &att.name).is_none() {
                         return Err(ValidationError {
@@ -241,74 +312,114 @@ impl Dtd {
         }
         Ok(())
     }
+}
 
-    fn validate_element(
-        &self,
-        doc: &Document,
-        id: NodeId,
-        model: &ContentModel,
-    ) -> Result<(), ValidationError> {
+/// One validation pass: the DTD, the number each document symbol met so
+/// far stands for, and the automata's two state sets — allocated once
+/// per pass, not per element.
+struct Run<'d> {
+    dtd: &'d Dtd,
+    /// `ids[symbol]`: the DTD's number for the name, [`NONE`] for a name
+    /// the DTD never mentions, [`UNSEEN`] before the first lookup.
+    ids: Vec<u32>,
+    cur: Vec<u64>,
+    next: Vec<u64>,
+}
+
+/// A document symbol not looked up yet.
+const UNSEEN: u32 = NONE - 1;
+
+impl<'d> Run<'d> {
+    fn new(dtd: &'d Dtd) -> Run<'d> {
+        let words = dtd.automata().iter().map(|a| a.words).max().unwrap_or(1);
+        Run { dtd, ids: Vec::new(), cur: vec![0; words], next: vec![0; words] }
+    }
+
+    /// The DTD's number for the name of element `n`, [`NONE`] if it has
+    /// none.
+    fn id(&mut self, doc: &Document, n: NodeId) -> u32 {
+        let Some(sym) = doc.symbol(n) else { return NONE };
+        let at = sym.0 as usize;
+        if self.ids.len() <= at {
+            self.ids.resize(at + 1, UNSEEN);
+        }
+        if self.ids[at] == UNSEEN {
+            let name = doc.name(n).expect("a node with a symbol is an element");
+            self.ids[at] = self.dtd.names.get(name).copied().unwrap_or(NONE);
+        }
+        self.ids[at]
+    }
+
+    /// The index of the declaration of element `n`.
+    fn decl(&mut self, doc: &Document, n: NodeId) -> Option<usize> {
+        let id = self.id(doc, n);
+        let decl = *self.dtd.decl_of.get(id as usize)?;
+        (decl != NONE).then_some(decl as usize)
+    }
+
+    /// Checks the children of `id` against the content model of the
+    /// declaration `decl`.
+    fn validate_element(&mut self, doc: &Document, id: NodeId, decl: usize) -> Result<(), ValidationError> {
+        let model = &self.dtd.elements[decl].model;
+        let automaton = &self.dtd.automata()[decl];
+        // Mixed content allows its names in any order and number.
+        let mixed = matches!(model, ContentModel::Mixed(_));
         let children = &doc.node(id).children;
-        let has_text = children
-            .iter()
-            .any(|&c| matches!(doc.node(c).kind, NodeKind::Text(_)));
-        let names: Vec<&str> = children
-            .iter()
-            .filter_map(|&c| doc.name(c))
-            .collect();
-        match model {
-            ContentModel::Any => Ok(()),
-            ContentModel::Empty => {
-                if has_text || !names.is_empty() {
-                    Err(ValidationError {
-                        node: id,
-                        message: "EMPTY element has content".to_string(),
-                    })
-                } else {
-                    Ok(())
-                }
-            }
-            ContentModel::PcData => {
-                if names.is_empty() {
-                    Ok(())
-                } else {
-                    Err(ValidationError {
-                        node: id,
-                        message: "(#PCDATA) element has element children".to_string(),
-                    })
-                }
-            }
-            ContentModel::Mixed(allowed) => {
-                for n in &names {
-                    if !allowed.iter().any(|a| a == n) {
-                        return Err(ValidationError {
-                            node: id,
-                            message: format!("element <{n}> not allowed in mixed content"),
-                        });
+        let fail = |message: String| Err(ValidationError { node: id, message });
+        let (mut has_text, mut elements) = (false, 0);
+        // The first element child the automaton had no move for.
+        let mut stuck = None;
+        let words = automaton.words;
+        self.cur[..words].fill(0);
+        self.cur[0] = 1;
+        for &c in children.iter() {
+            match doc.node(c).kind {
+                NodeKind::Text(_) => has_text = true,
+                NodeKind::Element { .. } => {
+                    elements += 1;
+                    if stuck.is_none() {
+                        let column = automaton.column(self.id(doc, c));
+                        let moved = if mixed {
+                            column != NONE
+                        } else {
+                            let moved = automaton.step(column, &self.cur[..words], &mut self.next[..words]);
+                            std::mem::swap(&mut self.cur, &mut self.next);
+                            moved
+                        };
+                        if !moved {
+                            stuck = Some(c);
+                        }
                     }
                 }
-                Ok(())
+                _ => {}
             }
-            regex => {
-                if has_text {
-                    return Err(ValidationError {
-                        node: id,
-                        message: "element content model does not allow text".to_string(),
-                    });
-                }
-                let nfa = Nfa::compile(regex);
-                if nfa.matches(&names) {
-                    Ok(())
-                } else {
-                    Err(ValidationError {
-                        node: id,
-                        message: format!(
-                            "children ({}) do not match content model {regex}",
-                            names.join(", ")
-                        ),
-                    })
-                }
+        }
+        match model {
+            ContentModel::Any => Ok(()),
+            ContentModel::Empty if has_text || elements > 0 => {
+                fail("EMPTY element has content".to_string())
             }
+            ContentModel::Empty => Ok(()),
+            ContentModel::PcData if elements > 0 => {
+                fail("(#PCDATA) element has element children".to_string())
+            }
+            ContentModel::PcData => Ok(()),
+            ContentModel::Mixed(_) => match stuck {
+                Some(c) => {
+                    let n = doc.name(c).expect("an element");
+                    fail(format!("element <{n}> not allowed in mixed content"))
+                }
+                None => Ok(()),
+            },
+            _ if has_text => fail("element content model does not allow text".to_string()),
+            regex if stuck.is_some() || !automaton.accepts(&self.cur[..words]) => {
+                let names: Vec<&str> = children.iter().filter_map(|&c| doc.name(c)).collect();
+                fail(format!(
+                    "children ({}) do not match content model {regex}",
+                    names.join(", ")
+                ))
+            }
+            _ => Ok(()),
         }
     }
 }
@@ -326,7 +437,7 @@ pub fn parse_content_model(src: &str) -> Result<ContentModel, String> {
         "ANY" => return Ok(ContentModel::Any),
         _ => {}
     }
-    let mut p = CmParser { src, pos: 0 };
+    let mut p = CmParser { src, pos: 0, depth: 0 };
     let model = p.group()?;
     p.skip_ws();
     if p.pos != src.len() {
@@ -335,9 +446,15 @@ pub fn parse_content_model(src: &str) -> Result<ContentModel, String> {
     Ok(model)
 }
 
+/// How deeply groups may nest in a content model. Everything over a
+/// model recurses, and a DTD may come with an untrusted statement.
+const MAX_NESTING: usize = 64;
+
 struct CmParser<'a> {
     src: &'a str,
     pos: usize,
+    /// The groups open at `pos`.
+    depth: usize,
 }
 
 impl CmParser<'_> {
@@ -352,6 +469,16 @@ impl CmParser<'_> {
     }
 
     fn group(&mut self) -> Result<ContentModel, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!("content model nests deeper than {MAX_NESTING} groups"));
+        }
+        self.depth += 1;
+        let group = self.group_body();
+        self.depth -= 1;
+        group
+    }
+
+    fn group_body(&mut self) -> Result<ContentModel, String> {
         self.skip_ws();
         if !self.rest().starts_with('(') {
             return Err("content model must start with '('".to_string());
@@ -459,136 +586,183 @@ impl CmParser<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Thompson NFA for content-model matching
+// Position automata for content-model matching
 // ---------------------------------------------------------------------
 
-/// ε-NFA states: transitions on element names plus ε edges.
-struct Nfa {
-    /// state → (name, next)
-    edges: Vec<Vec<(String, usize)>>,
-    /// state → ε-successors
-    eps: Vec<Vec<usize>>,
-    accept: usize,
+/// A content model's position (Glushkov) automaton: state 0 is the start,
+/// state `p > 0` is having just matched the `p`-th name occurrence of the
+/// model, so every move into a state reads that state's name and there
+/// are no ε moves. A state set is a bit set of `words` words; the tables
+/// take (states + names) × `words` words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Automaton {
+    /// `columns[name]`: the name's row in `reads`, [`NONE`] for a name the
+    /// model does not mention (and past the end for a name numbered after
+    /// the model was declared).
+    columns: Vec<u32>,
+    /// Words per state set.
+    words: usize,
+    /// `follow[state * words ..][..words]`: the states that may come
+    /// right after `state`.
+    follow: Vec<u64>,
+    /// `reads[column * words ..][..words]`: the states that read the
+    /// column's name.
+    reads: Vec<u64>,
+    /// The accepting states.
+    accepting: Vec<u64>,
 }
 
-impl Nfa {
-    fn compile(model: &ContentModel) -> Nfa {
-        let mut nfa = Nfa {
-            edges: vec![Vec::new()],
-            eps: vec![Vec::new()],
-            accept: 0,
+/// What a subexpression of a content model contributes to its automaton:
+/// whether it matches the empty sequence, the positions it can start with
+/// and those it can end with.
+struct Glushkov {
+    nullable: bool,
+    first: Vec<usize>,
+    last: Vec<usize>,
+}
+
+impl Automaton {
+    /// Compiles `model`, whose names `names` numbers. Mixed content gets
+    /// its names' columns and no states past the start: what it allows is
+    /// a set of names, not a sequence.
+    fn compile(model: &ContentModel, names: &HashMap<String, u32>) -> Automaton {
+        let mut columns: Vec<u32> = Vec::new();
+        let mut width = 0;
+        // The column of each position, in the order a walk meets them.
+        let mut positions = Vec::new();
+        for name in model.names() {
+            let at = names[name] as usize;
+            if columns.len() <= at {
+                columns.resize(at + 1, NONE);
+            }
+            if columns[at] == NONE {
+                columns[at] = width;
+                width += 1;
+            }
+            positions.push(columns[at]);
+        }
+        if matches!(model, ContentModel::Mixed(_)) {
+            positions.clear();
+        }
+        let states = positions.len() + 1;
+        let words = states.div_ceil(64);
+        let mut automaton = Automaton {
+            columns,
+            words,
+            follow: vec![0; states * words],
+            reads: vec![0; width as usize * words],
+            accepting: vec![0; words],
         };
-        let start = 0;
-        let end = nfa.build(model, start);
-        nfa.accept = end;
-        nfa
+        for (p, &column) in positions.iter().enumerate() {
+            set(&mut automaton.reads[column as usize * words..][..words], p + 1);
+        }
+        let mut next = 0;
+        let g = automaton.walk(model, &mut next);
+        automaton.link(&[0], &g.first);
+        for p in g.last.into_iter().chain(g.nullable.then_some(0)) {
+            set(&mut automaton.accepting, p);
+        }
+        automaton
     }
 
-    fn new_state(&mut self) -> usize {
-        self.edges.push(Vec::new());
-        self.eps.push(Vec::new());
-        self.edges.len() - 1
-    }
-
-    /// Builds the fragment for `model` starting at `from`; returns the
-    /// fragment's exit state.
-    fn build(&mut self, model: &ContentModel, from: usize) -> usize {
+    /// The Glushkov sets of `model`, whose positions are numbered from
+    /// `next + 1` on, with what may follow what inside it linked.
+    fn walk(&mut self, model: &ContentModel, next: &mut usize) -> Glushkov {
         match model {
-            ContentModel::Name(n) => {
-                let to = self.new_state();
-                self.edges[from].push((n.clone(), to));
-                to
+            ContentModel::Name(_) => {
+                *next += 1;
+                Glushkov { nullable: false, first: vec![*next], last: vec![*next] }
             }
             ContentModel::Seq(parts) => {
-                let mut cur = from;
-                for p in parts {
-                    cur = self.build(p, cur);
+                let mut acc = Glushkov { nullable: true, first: Vec::new(), last: Vec::new() };
+                for part in parts {
+                    let g = self.walk(part, next);
+                    self.link(&acc.last, &g.first);
+                    if acc.nullable {
+                        acc.first.extend_from_slice(&g.first);
+                    }
+                    if !g.nullable {
+                        acc.last.clear();
+                    }
+                    acc.last.extend_from_slice(&g.last);
+                    acc.nullable &= g.nullable;
                 }
-                cur
+                acc
             }
             ContentModel::Choice(parts) => {
-                let out = self.new_state();
-                for p in parts {
-                    let branch_in = self.new_state();
-                    self.eps[from].push(branch_in);
-                    let branch_out = self.build(p, branch_in);
-                    self.eps[branch_out].push(out);
+                let mut acc = Glushkov { nullable: false, first: Vec::new(), last: Vec::new() };
+                for part in parts {
+                    let g = self.walk(part, next);
+                    acc.nullable |= g.nullable;
+                    acc.first.extend(g.first);
+                    acc.last.extend(g.last);
                 }
-                out
+                acc
             }
-            ContentModel::Optional(p) => {
-                let out = self.build(p, from);
-                self.eps[from].push(out);
-                out
+            ContentModel::Optional(p) => Glushkov { nullable: true, ..self.walk(p, next) },
+            ContentModel::Star(p) | ContentModel::Plus(p) => {
+                let g = self.walk(p, next);
+                self.link(&g.last, &g.first);
+                Glushkov { nullable: g.nullable || matches!(model, ContentModel::Star(_)), ..g }
             }
-            ContentModel::Star(p) => {
-                let body_in = self.new_state();
-                let out = self.new_state();
-                self.eps[from].push(body_in);
-                self.eps[from].push(out);
-                let body_out = self.build(p, body_in);
-                self.eps[body_out].push(body_in);
-                self.eps[body_out].push(out);
-                out
-            }
-            ContentModel::Plus(p) => {
-                let body_in = self.new_state();
-                self.eps[from].push(body_in);
-                let body_out = self.build(p, body_in);
-                let out = self.new_state();
-                self.eps[body_out].push(body_in);
-                self.eps[body_out].push(out);
-                out
-            }
-            // Leaf models handled before NFA compilation.
-            ContentModel::Empty
-            | ContentModel::Any
-            | ContentModel::PcData
-            | ContentModel::Mixed(_) => from,
-        }
-    }
-
-    fn closure(&self, states: &mut [bool]) {
-        let mut stack: Vec<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, on)| **on)
-            .map(|(i, _)| i)
-            .collect();
-        while let Some(s) = stack.pop() {
-            for &n in &self.eps[s] {
-                if !states[n] {
-                    states[n] = true;
-                    stack.push(n);
-                }
+            // No position: the start state alone.
+            ContentModel::Empty | ContentModel::Any | ContentModel::PcData | ContentModel::Mixed(_) => {
+                Glushkov { nullable: true, first: Vec::new(), last: Vec::new() }
             }
         }
     }
 
-    fn matches(&self, names: &[&str]) -> bool {
-        let mut cur = vec![false; self.edges.len()];
-        cur[0] = true;
-        self.closure(&mut cur);
-        for name in names {
-            let mut next = vec![false; self.edges.len()];
-            for (s, on) in cur.iter().enumerate() {
-                if !on {
-                    continue;
-                }
-                for (label, to) in &self.edges[s] {
-                    if label == name {
-                        next[*to] = true;
-                    }
-                }
-            }
-            self.closure(&mut next);
-            cur = next;
-            if cur.iter().all(|&b| !b) {
-                return false;
+    /// Lets every position of `to` follow every position of `from`.
+    fn link(&mut self, from: &[usize], to: &[usize]) {
+        for &p in from {
+            let row = &mut self.follow[p * self.words..][..self.words];
+            for &q in to {
+                set(row, q);
             }
         }
-        cur[self.accept]
     }
+
+    /// The column of the name numbered `name`, [`NONE`] if the model does
+    /// not mention it.
+    fn column(&self, name: u32) -> u32 {
+        self.columns.get(name as usize).copied().unwrap_or(NONE)
+    }
+
+    /// The states `cur` moves to on `column`'s name, into `next`: false if
+    /// there are none.
+    fn step(&self, column: u32, cur: &[u64], next: &mut [u64]) -> bool {
+        next.fill(0);
+        if column == NONE {
+            return false;
+        }
+        for (w, &bits) in cur.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let state = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for (n, f) in next.iter_mut().zip(&self.follow[state * self.words..][..self.words]) {
+                    *n |= f;
+                }
+            }
+        }
+        let reads = &self.reads[column as usize * self.words..][..self.words];
+        let mut any = false;
+        for (n, r) in next.iter_mut().zip(reads) {
+            *n &= r;
+            any |= *n != 0;
+        }
+        any
+    }
+
+    /// True if `cur` holds an accepting state.
+    fn accepts(&self, cur: &[u64]) -> bool {
+        cur.iter().zip(&self.accepting).any(|(c, a)| c & a != 0)
+    }
+}
+
+/// Sets bit `bit` of the bit set `bits`.
+fn set(bits: &mut [u64], bit: usize) {
+    bits[bit / 64] |= 1 << (bit % 64);
 }
 
 #[cfg(test)]
@@ -601,7 +775,20 @@ mod tests {
     }
 
     fn accepts(model: &str, names: &[&str]) -> bool {
-        Nfa::compile(&cm(model)).matches(names)
+        let mut dtd = Dtd::default();
+        dtd.add_element("t", cm(model));
+        let automaton = &dtd.automata()[0];
+        let words = automaton.words;
+        let (mut cur, mut next) = (vec![0; words], vec![0; words]);
+        cur[0] = 1;
+        for name in names {
+            let column = dtd.names.get(*name).map_or(NONE, |&id| automaton.column(id));
+            if !automaton.step(column, &cur, &mut next) {
+                return false;
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        automaton.accepts(&cur)
     }
 
     #[test]
@@ -646,6 +833,53 @@ mod tests {
         assert!(accepts("((a, b) | c)", &["c"]));
         assert!(accepts("((a, b) | c)", &["a", "b"]));
         assert!(!accepts("((a, b) | c)", &["a", "c"]));
+    }
+
+    /// An ambiguous model, whose position automaton is not deterministic,
+    /// and one with more positions than a word has bits.
+    #[test]
+    fn ambiguous_and_long_models() {
+        assert!(accepts("((a | b)*, a, b)", &["a", "a", "b"]));
+        assert!(accepts("((a | b)*, a, b)", &["b", "a", "b"]));
+        assert!(!accepts("((a | b)*, a, b)", &["a", "b", "a"]));
+        assert!(accepts("((a, b)*, c)+", &["a", "b", "c", "c", "a", "b", "a", "b", "c"]));
+        assert!(!accepts("((a, b)*, c)+", &["a", "c"]));
+        let names: Vec<String> = (0..70).map(|i| format!("n{i}")).collect();
+        let model = format!("({})", names.join(", "));
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        assert!(accepts(&model, &names));
+        assert!(!accepts(&model, &names[..69]));
+        assert!(!accepts(&model, &[&names[..], &["n69"]].concat()));
+    }
+
+    /// Declaring a model only stores it: a 2 000-name choice, whose
+    /// automaton takes about a megabyte, is compiled by the first
+    /// validation and not before.
+    #[test]
+    fn models_compile_on_the_first_validation() {
+        let names: Vec<String> = (0..2000).map(|i| format!("a{i}")).collect();
+        let mut subset = format!("<!ELEMENT r ({})*>", names.join("|"));
+        for n in &names {
+            subset.push_str(&format!("<!ELEMENT {n} EMPTY>"));
+        }
+        let dtd = Dtd::parse(&subset).unwrap();
+        assert!(dtd.automata.get().is_none());
+        let (doc, _) = parse_document("<r><a1999/><a0/><a1999/></r>").unwrap();
+        dtd.validate(&doc).unwrap();
+        assert_eq!(dtd.automata().len(), 2001);
+        let (doc, _) = parse_document("<r><a0/><zzz/></r>").unwrap();
+        assert!(dtd.validate(&doc).unwrap_err().message.contains("content model"));
+    }
+
+    /// Groups nest at most [`MAX_NESTING`] deep: a deeper model is refused,
+    /// not parsed by a recursion as deep as its text is long.
+    #[test]
+    fn deep_models_are_refused() {
+        let nested = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse_content_model(&nested(MAX_NESTING)).is_ok());
+        let err = parse_content_model(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nests deeper"), "{err}");
+        assert!(Dtd::parse(&format!("<!ELEMENT r {}>", nested(100_000))).is_err());
     }
 
     #[test]
@@ -708,6 +942,9 @@ mod tests {
         let dtd = Dtd::parse("<!ELEMENT p (#PCDATA | b)*>\n<!ELEMENT b (#PCDATA)>").unwrap();
         let (doc, _) = parse_document("<p>x<b>y</b>z</p>").unwrap();
         dtd.validate(&doc).unwrap();
+        let (doc, _) = parse_document("<p><b>y</b>x<b/><i/></p>").unwrap();
+        let err = dtd.validate(&doc).unwrap_err();
+        assert!(err.message.contains("<i> not allowed in mixed content"), "{err}");
         let dtd2 = Dtd::parse("<!ELEMENT p (#PCDATA)>").unwrap();
         let (doc2, _) = parse_document("<p>x</p>").unwrap();
         dtd2.validate(&doc2).unwrap();

@@ -29,6 +29,17 @@ struct Inner {
     names: Vec<Arc<str>>,
 }
 
+impl Inner {
+    /// Adds `name`, which the table does not hold, as the next symbol.
+    fn mint(&mut self, name: &str) -> (Symbol, Arc<str>) {
+        let s = Symbol(u32::try_from(self.names.len()).expect("symbol table overflow"));
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.map.insert(Arc::clone(&name), s);
+        (s, name)
+    }
+}
+
 /// An append-only name → [`Symbol`] table, shared per document.
 #[derive(Debug, Default)]
 pub struct SymbolTable {
@@ -58,14 +69,17 @@ impl SymbolTable {
         }
         let mut inner = self.inner.write().expect("symbol table lock poisoned");
         // Another thread may have interned it while we waited.
-        if let Some(found) = held(&inner) {
-            return found;
+        held(&inner).unwrap_or_else(|| inner.mint(name))
+    }
+
+    /// [`SymbolTable::intern_name`] on a table no one else holds yet (a
+    /// document being built): no lock is taken.
+    pub(crate) fn intern_owned(&mut self, name: &str) -> (Symbol, Arc<str>) {
+        let inner = self.inner.get_mut().expect("symbol table lock poisoned");
+        match inner.map.get(name) {
+            Some(&s) => (s, Arc::clone(&inner.names[s.0 as usize])),
+            None => inner.mint(name),
         }
-        let s = Symbol(u32::try_from(inner.names.len()).expect("symbol table overflow"));
-        let name: Arc<str> = name.into();
-        inner.names.push(Arc::clone(&name));
-        inner.map.insert(Arc::clone(&name), s);
-        (s, name)
     }
 
     /// The symbol for `name`, or `None` if it has never been interned.

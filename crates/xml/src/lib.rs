@@ -25,6 +25,7 @@
 //!
 //! In the system-inventory table of `DESIGN.md` this crate is items 1–3 (XML store, DTD validator, XUpdate/rollback).
 
+mod build;
 pub mod checkpoint;
 pub mod dtd;
 pub mod escape;

@@ -7,6 +7,7 @@
 //! (`xupdate:insert-after` stays one string), which is all the XUpdate
 //! front-end needs.
 
+use crate::build::DocumentBuilder;
 use crate::dtd::Dtd;
 use crate::escape::resolve_entity;
 use crate::tree::{Document, NodeId};
@@ -60,19 +61,20 @@ pub(crate) fn is_name(text: &str) -> bool {
 /// Parses a complete XML document. Returns the document and the DTD
 /// declared in the internal subset, if any.
 pub fn parse_document(input: &str) -> Result<(Document, Option<Dtd>), XmlError> {
-    parse(input, true).map(|(doc, _, dtd)| (doc, dtd))
+    parse(input, DocumentBuilder::new()).map(|(doc, _, dtd)| (doc, dtd))
 }
 
 /// Parses a complete XML document but leaves its root element detached,
 /// so nothing is indexed: for a tree that is read once and dropped (an
 /// XUpdate statement). Returns the document and its root element.
 pub(crate) fn parse_unindexed(input: &str) -> Result<(Document, NodeId), XmlError> {
-    parse(input, false).map(|(doc, root, _)| (doc, root))
+    parse(input, DocumentBuilder::unlinked()).map(|(doc, root, _)| (doc, root))
 }
 
-fn parse(input: &str, attach: bool) -> Result<(Document, NodeId, Option<Dtd>), XmlError> {
+/// Parses `input` into `doc`, a builder holding the document node alone,
+/// in document order.
+fn parse(input: &str, mut doc: DocumentBuilder) -> Result<(Document, NodeId, Option<Dtd>), XmlError> {
     let mut p = Parser::new(input);
-    let mut doc = Document::new();
     let mut dtd = None;
     p.skip_ws();
     // Optional XML declaration.
@@ -87,17 +89,9 @@ fn parse(input: &str, attach: bool) -> Result<(Document, NodeId, Option<Dtd>), X
     // Misc before root: comments, PIs, DOCTYPE.
     loop {
         p.skip_ws();
-        if p.rest().starts_with("<!--") {
-            let c = p.comment()?;
-            let n = doc.create_comment(c);
-            doc.append_child(doc.document_node(), n);
-        } else if p.rest().starts_with("<!DOCTYPE") {
+        if p.rest().starts_with("<!DOCTYPE") {
             dtd = Some(p.doctype()?);
-        } else if p.rest().starts_with("<?") {
-            let (target, data) = p.pi()?;
-            let n = doc.create_pi(target, data);
-            doc.append_child(doc.document_node(), n);
-        } else {
+        } else if !p.misc(&mut doc)? {
             break;
         }
     }
@@ -106,21 +100,10 @@ fn parse(input: &str, attach: bool) -> Result<(Document, NodeId, Option<Dtd>), X
         return Err(p.error("expected root element"));
     }
     let root = p.element(&mut doc)?;
-    if attach {
-        doc.append_child(doc.document_node(), root);
-    }
     // Trailing misc.
     loop {
         p.skip_ws();
-        if p.rest().starts_with("<!--") {
-            let c = p.comment()?;
-            let n = doc.create_comment(c);
-            doc.append_child(doc.document_node(), n);
-        } else if p.rest().starts_with("<?") {
-            let (target, data) = p.pi()?;
-            let n = doc.create_pi(target, data);
-            doc.append_child(doc.document_node(), n);
-        } else {
+        if !p.misc(&mut doc)? {
             break;
         }
     }
@@ -128,7 +111,7 @@ fn parse(input: &str, attach: bool) -> Result<(Document, NodeId, Option<Dtd>), X
     if !p.at_eof() {
         return Err(p.error("unexpected content after root element"));
     }
-    Ok((doc, root, dtd))
+    Ok((doc.finish(), root, dtd))
 }
 
 struct Parser<'a> {
@@ -177,12 +160,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let end = name_len(self.rest());
         if end == 0 {
             return Err(self.error("expected a name"));
         }
-        let s = self.rest()[..end].to_string();
+        let s = &self.rest()[..end];
         self.advance(end);
         Ok(s)
     }
@@ -196,25 +179,39 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn comment(&mut self) -> Result<String, XmlError> {
+    /// A comment or a processing instruction, if one is next, appended to
+    /// the innermost open node of `doc`: whether one was.
+    fn misc(&mut self, doc: &mut DocumentBuilder) -> Result<bool, XmlError> {
+        if self.rest().starts_with("<!--") {
+            doc.comment(self.comment()?);
+        } else if self.rest().starts_with("<?") {
+            let (target, data) = self.pi()?;
+            doc.pi(target, data);
+        } else {
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    fn comment(&mut self) -> Result<&'a str, XmlError> {
         self.expect("<!--")?;
         let end = self
             .rest()
             .find("-->")
             .ok_or_else(|| self.error("unterminated comment"))?;
-        let body = self.rest()[..end].to_string();
+        let body = &self.rest()[..end];
         self.advance(end + 3);
         Ok(body)
     }
 
-    fn pi(&mut self) -> Result<(String, String), XmlError> {
+    fn pi(&mut self) -> Result<(&'a str, &'a str), XmlError> {
         self.expect("<?")?;
         let target = self.name()?;
         let end = self
             .rest()
             .find("?>")
             .ok_or_else(|| self.error("unterminated processing instruction"))?;
-        let data = self.rest()[..end].trim().to_string();
+        let data = self.rest()[..end].trim();
         self.advance(end + 2);
         Ok((target, data))
     }
@@ -262,21 +259,21 @@ impl<'a> Parser<'a> {
         self.advance(1);
         let mut out = String::new();
         loop {
-            let Some(c) = self.rest().chars().next() else {
+            let rest = self.rest();
+            // The run up to the closing quote or the next entity is copied whole.
+            let run = rest.bytes().position(|b| b == quote as u8 || b == b'&');
+            let Some(run) = run else {
+                self.advance(rest.len());
                 return Err(self.error("unterminated attribute value"));
             };
-            if c == quote {
+            out.push_str(&rest[..run]);
+            self.advance(run);
+            if self.rest().starts_with(quote) {
                 self.advance(1);
-                break;
+                return Ok(out);
             }
-            if c == '&' {
-                out.push(self.entity()?);
-            } else {
-                out.push(c);
-                self.advance(c.len_utf8());
-            }
+            out.push(self.entity()?);
         }
-        Ok(out)
     }
 
     fn entity(&mut self) -> Result<char, XmlError> {
@@ -292,11 +289,12 @@ impl<'a> Parser<'a> {
     }
 
     /// A start tag, `<name attr="…" …>` or the empty-element `<name …/>`:
-    /// the new element, its name, and whether the tag was empty.
-    fn start_tag(&mut self, doc: &mut Document) -> Result<(NodeId, String, bool), XmlError> {
+    /// opens the new element in `doc` and returns it, its name, and
+    /// whether the tag was empty.
+    fn start_tag(&mut self, doc: &mut DocumentBuilder) -> Result<(NodeId, &'a str, bool), XmlError> {
         self.expect("<")?;
         let name = self.name()?;
-        let el = doc.create_element(&name);
+        let el = doc.start_element(name);
         loop {
             self.skip_ws();
             let rest = self.rest();
@@ -313,56 +311,51 @@ impl<'a> Parser<'a> {
             self.expect("=")?;
             self.skip_ws();
             let value = self.attr_value()?;
-            doc.set_attr(el, attr_name, value);
+            doc.attr(attr_name, value);
         }
     }
 
-    /// The element whose start tag is next, with everything inside it.
+    /// The element whose start tag is next, with everything inside it,
+    /// built into `doc`; returns the element.
     ///
-    /// Iterative at any depth: the open elements — each with its name and
-    /// the character data read since its last child — are a heap stack,
-    /// not call frames. A closed element is appended to the one it was
-    /// opened in.
-    fn element(&mut self, doc: &mut Document) -> Result<NodeId, XmlError> {
-        let mut open: Vec<(NodeId, String, String)> = Vec::new();
+    /// Iterative at any depth: the names of the open elements are a heap
+    /// stack, not call frames. Character data accumulates in one buffer —
+    /// only the innermost open element has any pending, since it is
+    /// flushed before every child — and is flushed as a text node.
+    fn element(&mut self, doc: &mut DocumentBuilder) -> Result<NodeId, XmlError> {
+        let mut open: Vec<&'a str> = Vec::new();
+        let mut text = String::new();
+        let mut root = None;
         loop {
             let (el, name, empty) = self.start_tag(doc)?;
-            let mut closed = if empty {
-                Some(el)
+            root.get_or_insert(el);
+            if empty {
+                doc.end_element();
             } else {
-                open.push((el, name, String::new()));
-                None
-            };
+                open.push(name);
+            }
             // Content of the innermost open element, up to a child's start tag.
             loop {
-                if let Some(child) = closed.take() {
-                    let Some((parent, ..)) = open.last() else {
-                        return Ok(child);
-                    };
-                    doc.append_child(*parent, child);
-                }
-                let (el, name, text) = open.last_mut().expect("an element is open");
+                let Some(&name) = open.last() else {
+                    return Ok(root.expect("an element was opened"));
+                };
                 let rest = self.rest();
                 if rest.is_empty() {
                     return Err(self.error(format!("unterminated element <{name}>")));
                 }
                 if rest.starts_with("</") {
-                    flush_text(doc, *el, text);
+                    flush_text(doc, &mut text);
                     self.advance(2);
                     let close = self.name()?;
-                    if close != *name {
+                    if close != name {
                         return Err(self.error(format!(
                             "mismatched closing tag: expected </{name}>, found </{close}>"
                         )));
                     }
                     self.skip_ws();
                     self.expect(">")?;
-                    closed = open.pop().map(|(el, ..)| el);
-                } else if rest.starts_with("<!--") {
-                    flush_text(doc, *el, text);
-                    let c = self.comment()?;
-                    let n = doc.create_comment(c);
-                    doc.append_child(*el, n);
+                    open.pop();
+                    doc.end_element();
                 } else if rest.starts_with("<![CDATA[") {
                     self.advance("<![CDATA[".len());
                     let end = self
@@ -371,20 +364,19 @@ impl<'a> Parser<'a> {
                         .ok_or_else(|| self.error("unterminated CDATA section"))?;
                     text.push_str(&self.rest()[..end]);
                     self.advance(end + 3);
-                } else if rest.starts_with("<?") {
-                    flush_text(doc, *el, text);
-                    let (target, data) = self.pi()?;
-                    let n = doc.create_pi(target, data);
-                    doc.append_child(*el, n);
+                } else if rest.starts_with("<!--") || rest.starts_with("<?") {
+                    flush_text(doc, &mut text);
+                    self.misc(doc)?;
                 } else if rest.starts_with('<') {
-                    flush_text(doc, *el, text);
+                    flush_text(doc, &mut text);
                     break;
                 } else if rest.starts_with('&') {
                     text.push(self.entity()?);
                 } else {
-                    let c = rest.chars().next().expect("non-empty");
-                    text.push(c);
-                    self.advance(c.len_utf8());
+                    // The run up to the next markup or entity is copied whole.
+                    let run = rest.bytes().position(|b| b == b'<' || b == b'&').unwrap_or(rest.len());
+                    text.push_str(&rest[..run]);
+                    self.advance(run);
                 }
             }
         }
@@ -392,17 +384,12 @@ impl<'a> Parser<'a> {
 }
 
 /// Emits accumulated character data as a text node, unless it is entirely
-/// whitespace adjacent to markup (whitespace-only runs between elements
-/// are not significant for the data-centric documents this system
-/// processes, and dropping them keeps the relational mapping clean).
-fn flush_text(doc: &mut Document, parent: NodeId, text: &mut String) {
-    if text.is_empty() {
-        return;
-    }
-    if !text.trim().is_empty() {
-        let t = doc.create_text(text.as_str());
-        doc.append_child(parent, t);
-    }
+/// whitespace adjacent to markup, which the builder drops (whitespace-only
+/// runs between elements are not significant for the data-centric
+/// documents this system processes, and dropping them keeps the
+/// relational mapping clean).
+fn flush_text(doc: &mut DocumentBuilder, text: &mut String) {
+    doc.text(text);
     text.clear();
 }
 

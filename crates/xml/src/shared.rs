@@ -41,6 +41,19 @@ impl Children {
     /// No children.
     pub(crate) const EMPTY: Children = Children(Kids::Inline(0, [NodeId(0); INLINE_KIDS]));
 
+    /// The list `ids`: inline when it fits, else one buffer exactly as
+    /// long.
+    pub(crate) fn from_slice(ids: &[NodeId]) -> Children {
+        match ids.len() {
+            0..=INLINE_KIDS => {
+                let mut inline = [NodeId(0); INLINE_KIDS];
+                inline[..ids.len()].copy_from_slice(ids);
+                Children(Kids::Inline(ids.len() as u8, inline))
+            }
+            n => Children(Kids::Shared(ids.into(), n as u32)),
+        }
+    }
+
     /// Inserts `x` at `at`, shifting the children after it.
     ///
     /// # Panics

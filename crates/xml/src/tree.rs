@@ -76,9 +76,9 @@ pub struct Node {
 /// splits into its group (`id >> GROUP_SHIFT`), its chunk in the group
 /// (`(id >> CHUNK_BITS) & GROUP_MASK`) and its slot in the chunk
 /// (`id & CHUNK_MASK`).
-const CHUNK_BITS: u32 = 5;
-const CHUNK: usize = 1 << CHUNK_BITS;
-const CHUNK_MASK: usize = CHUNK - 1;
+pub(crate) const CHUNK_BITS: u32 = 5;
+pub(crate) const CHUNK: usize = 1 << CHUNK_BITS;
+pub(crate) const CHUNK_MASK: usize = CHUNK - 1;
 const GROUP_BITS: u32 = 6;
 const GROUP_MASK: usize = (1 << GROUP_BITS) - 1;
 const GROUP_SHIFT: u32 = CHUNK_BITS + GROUP_BITS;
@@ -87,14 +87,14 @@ const GROUP_SHIFT: u32 = CHUNK_BITS + GROUP_BITS;
 /// ([`NO_SYM`] for every other kind) and whether the node is reachable
 /// from the document node.
 #[derive(Debug, Clone)]
-struct NodeRec {
-    node: Node,
-    sym: u32,
-    attached: bool,
+pub(crate) struct NodeRec {
+    pub(crate) node: Node,
+    pub(crate) sym: u32,
+    pub(crate) attached: bool,
 }
 
 /// What a chunk holds past the document's last node.
-const VACANT: NodeRec = NodeRec {
+pub(crate) const VACANT: NodeRec = NodeRec {
     node: Node {
         kind: NodeKind::Document,
         parent: None,
@@ -104,7 +104,7 @@ const VACANT: NodeRec = NodeRec {
     attached: false,
 };
 
-type Chunk = [NodeRec; CHUNK];
+pub(crate) type Chunk = [NodeRec; CHUNK];
 
 /// `1 << GROUP_BITS` chunks, the second level of the chunk table; the
 /// slots past the document's last chunk are empty.
@@ -156,10 +156,11 @@ fn hash_value(value: &str) -> u64 {
 ///
 /// **Index invariant.** The attached bits, `by_tag` and every value index
 /// built so far describe exactly the tree reachable from the document
-/// node. They are maintained inside the primitive mutators
-/// (`insert_child`, `detach`, `set_text`, `rename`) and nowhere else, so
-/// whoever edits the tree — `apply`, `undo`, the parser, a test — cannot
-/// leave them stale, and a clone carries them.
+/// node. A `DocumentBuilder` (the `build` module) builds them whole in the
+/// pass that freezes a new document; after that they are maintained
+/// inside the primitive mutators (`insert_child`, `detach`, `set_text`,
+/// `rename`) and nowhere else, so whoever edits the tree — `apply`,
+/// `undo`, a test — cannot leave them stale, and a clone carries them.
 /// [`Document::audit_indexes`] checks the invariant against a scan.
 #[derive(Debug)]
 pub struct Document {
@@ -192,9 +193,19 @@ impl Default for Document {
     }
 }
 
+/// Whether `text` makes a text node. The parser drops character data
+/// that is empty or all whitespace, so a node of such text would not
+/// come back from its document's serialization, and a checkpoint keyed
+/// by that serialization's crc would not reopen. The builder, an
+/// `xupdate:update` and an insertion's content ask this before they make
+/// a text node.
+pub(crate) fn is_kept_text(text: &str) -> bool {
+    !text.trim().is_empty()
+}
+
 /// Sentinel for "this node has no tag-name symbol" (non-element nodes).
 /// Real symbols are dense indexes, so `u32::MAX` is unreachable.
-const NO_SYM: u32 = u32::MAX;
+pub(crate) const NO_SYM: u32 = u32::MAX;
 
 impl Clone for Document {
     fn clone(&self) -> Document {
@@ -211,16 +222,37 @@ impl Clone for Document {
 impl Document {
     /// Creates an empty document (just the document node).
     pub fn new() -> Document {
-        let mut doc = Document {
-            groups: Arc::new([]),
-            len: 0,
-            symbols: Arc::default(),
-            by_tag: Arc::default(),
+        crate::build::DocumentBuilder::new().finish()
+    }
+
+    /// Freezes a `DocumentBuilder`'s owned chunks — node
+    /// `i` is slot `i & CHUNK_MASK` of `chunks[i >> CHUNK_BITS]`, `len`
+    /// nodes in all — its symbols and its per-tag lists (attached
+    /// elements, ascending by id) into the shared layout, in one pass.
+    #[allow(clippy::vec_box)]
+    pub(crate) fn freeze(
+        chunks: Vec<Box<Chunk>>,
+        len: usize,
+        symbols: SymbolTable,
+        by_tag: Vec<Vec<NodeId>>,
+    ) -> Document {
+        let mut chunks = chunks.into_iter();
+        let mut groups = Vec::with_capacity(len.div_ceil(1 << GROUP_SHIFT));
+        for _ in 0..len.div_ceil(1 << GROUP_SHIFT) {
+            let group: Group = std::array::from_fn(|_| chunks.next().map(Arc::from));
+            groups.push(Arc::new(group));
+        }
+        let by_tag = by_tag
+            .into_iter()
+            .map(|list| if list.is_empty() { SortedList::default() } else { SortedList::from_sorted(list) })
+            .collect();
+        Document {
+            groups: groups.into(),
+            len,
+            symbols: Arc::new(symbols),
+            by_tag: Arc::new(by_tag),
             value_indexes: RwLock::default(),
-        };
-        let root = doc.alloc(NodeKind::Document, NO_SYM);
-        doc.rec_mut(root).attached = true;
-        doc
+        }
     }
 
     /// The document node.
@@ -282,7 +314,9 @@ impl Document {
         &mut self.chunk_mut(i >> CHUNK_BITS)[i & CHUNK_MASK]
     }
 
-    /// Chunk `c` for writing (see [`Document::rec_mut`]).
+    /// Chunk `c` for writing (see [`Document::rec_mut`]). This, the group
+    /// table's copy and [`Document::alloc`] are the commit's write path: a
+    /// whole document is built by a `DocumentBuilder`.
     fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
         let group = Arc::make_mut(&mut self.groups_mut()[c >> GROUP_BITS]);
         let chunk = group[c & GROUP_MASK].as_mut().expect("a chunk holds every node");
@@ -353,7 +387,8 @@ impl Document {
         self.alloc(NodeKind::Element { name, attrs: SharedVec::EMPTY }, sym.0)
     }
 
-    /// Creates a detached text node.
+    /// Creates a detached text node. Empty or all-whitespace text makes a
+    /// node no reparse of the document gives back.
     pub fn create_text(&mut self, text: impl Into<Arc<str>>) -> NodeId {
         self.alloc(NodeKind::Text(text.into()), NO_SYM)
     }
@@ -644,8 +679,8 @@ impl Document {
     fn index_subtree(&mut self, root: NodeId, add: bool) {
         let mut nodes: Vec<NodeId> = std::iter::once(root).chain(self.descendants(root)).collect();
         // In id order, one chunk at a time, and each tag's elements
-        // ascending by id: a tag listed nowhere yet (a document being
-        // parsed) gets its list built whole.
+        // ascending by id: a tag listed nowhere yet gets its list built
+        // whole.
         nodes.sort_unstable();
         let mut tagged: Vec<Vec<NodeId>> = Vec::new();
         for run in nodes.chunk_by(|a, b| a.index() >> CHUNK_BITS == b.index() >> CHUNK_BITS) {

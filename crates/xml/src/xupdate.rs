@@ -6,7 +6,7 @@
 //! a select expression to node ids. `xicheck` wires in the real XPath
 //! evaluator; tests here use a simple positional resolver.
 
-use crate::tree::{Attr, Document, NodeId, NodeKind};
+use crate::tree::{is_kept_text, Attr, Document, NodeId, NodeKind};
 use std::fmt;
 
 /// Resolves an XUpdate `select` expression to target nodes, in document
@@ -113,6 +113,15 @@ impl Fragment {
         self.nodes.len() - 1
     }
 
+    /// Pushes a text node, unless `text` is text the parser drops
+    /// ([`is_kept_text`]): a fragment holds no node an insertion would
+    /// commit and a reparse would not give back.
+    fn push_text(&mut self, parent: Option<usize>, text: String) {
+        if is_kept_text(&text) {
+            self.push(parent, FragmentKind::Text(text));
+        }
+    }
+
     /// Records where each node's subtree ends, once every node is pushed:
     /// a node's subtree ends where the first node after it that is not
     /// its descendant starts.
@@ -188,7 +197,8 @@ pub enum XUpdateOp {
         select: String,
     },
     /// `<xupdate:update select="…">new text</…>` — replaces the content of
-    /// each target with the given text.
+    /// each target with the given text: one text node, or none when the
+    /// text is empty or all whitespace, which the parser would drop too.
     Update {
         /// Target selection.
         select: String,
@@ -490,7 +500,7 @@ fn parse_content(doc: &Document, op_node: NodeId) -> Result<Fragment, XUpdateErr
     while let Some((node, parent, constructed)) = pending.pop() {
         let (name, attrs) = match &doc.node(node).kind {
             NodeKind::Text(t) => {
-                out.push(parent, FragmentKind::Text(t.to_string()));
+                out.push_text(parent, t.to_string());
                 continue;
             }
             NodeKind::Element { name, attrs } => (name, attrs),
@@ -511,7 +521,7 @@ fn parse_content(doc: &Document, op_node: NodeId) -> Result<Fragment, XUpdateErr
                 FragmentKind::Element { name: named(attrs, "xupdate:element")?, attrs: Vec::new() }
             }
             (true, "text") => {
-                out.push(parent, FragmentKind::Text(doc.text_content(node)));
+                out.push_text(parent, doc.text_content(node));
                 continue;
             }
             (true, other) => {
@@ -712,9 +722,13 @@ fn apply_op(
                         node: c,
                     });
                 }
-                let t = doc.create_text(text.clone());
-                doc.insert_child(target, 0, t);
-                applied.log.push(UndoEntry::Detach(t));
+                // No text node the parser would drop: a committed state
+                // must come back from its own serialization unchanged.
+                if is_kept_text(text) {
+                    let t = doc.create_text(text.clone());
+                    doc.insert_child(target, 0, t);
+                    applied.log.push(UndoEntry::Detach(t));
+                }
             }
             XUpdateOp::Rename { name, .. } => {
                 let old = doc.rename(target, name.clone());
@@ -902,6 +916,31 @@ mod tests {
         assert_eq!(serialize(&doc), before);
         doc.audit_indexes().expect("indexes follow the undo");
         assert_eq!(keyed_new(&doc, "a"), 0);
+    }
+
+    /// Emptying a text, or updating it to whitespace, leaves its element
+    /// with no children, and an empty or all-whitespace `xupdate:text`
+    /// constructs nothing, while text that is kept is inserted: every
+    /// post-state comes back from its serialization as it was.
+    #[test]
+    fn empty_text_commits_no_text_node() {
+        let (mut doc, _) = parse_document("<r><a>old</a><c>old</c><b/><d/></r>").unwrap();
+        let u = XUpdateDoc::parse(
+            r#"<xupdate:modifications xmlns:xupdate="x">
+                 <xupdate:update select="/r/a"></xupdate:update>
+                 <xupdate:update select="/r/c"> <![CDATA[ ]]> </xupdate:update>
+                 <xupdate:append select="/r/b"><xupdate:text></xupdate:text></xupdate:append>
+                 <xupdate:append select="/r/d"><xupdate:text><![CDATA[  ]]></xupdate:text>v</xupdate:append>
+               </xupdate:modifications>"#,
+        )
+        .unwrap();
+        apply(&mut doc, &u, &resolver).unwrap();
+        let a = named(&doc, "a")[0];
+        assert!(doc.node(a).children.is_empty());
+        assert_eq!(serialize(&doc), "<r><a/><c/><b/><d>v</d></r>");
+        let (back, _) = parse_document(&serialize(&doc)).unwrap();
+        assert_eq!(serialize(&back), serialize(&doc));
+        doc.audit_indexes().expect("indexes follow the apply");
     }
 
     #[test]
