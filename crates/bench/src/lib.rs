@@ -3,15 +3,16 @@
 //! Each figure of the paper compares, across document sizes, the time to
 //! (i) verify the original constraint against the whole document, (ii)
 //! verify the optimized (simplified, pre-update) constraint, and (iii)
-//! execute an update, verify the original constraint, and undo the update
-//! — the paper's diamonds, squares and triangles. (iii) is timed as the
-//! checker runs it: the update is executed on a copy, and the copy is
-//! dropped.
+//! execute an update and verify the original constraint — the paper's
+//! diamonds, squares and triangles. (iii) is timed as the checker runs
+//! it: the update is applied to a copy, the copy is checked, and nothing
+//! is undone, because the copy is dropped.
 //!
-//! Beside the paper's measurements the crate keeps the sweeps no metric
-//! of the wire-level suite (`benchmark/`) covers — recovery time against
-//! history length (E9), the overload curve (E13), and what one version
-//! of the document costs against its size.
+//! Beside the paper's figures the crate times what one version of the
+//! document costs against its size. These tables are information: each
+//! claim they illustrate is gated by a count-based test (EXPERIMENTS.md
+//! maps the claims to their tests), and service, journal and recovery
+//! costs are the wire-level suite's (`benchmark/`).
 //!
 //! In the system-inventory table of `DESIGN.md` this crate is item 13 (benchmark harness).
 
@@ -20,7 +21,7 @@ pub mod report;
 use std::time::{Duration, Instant};
 use xic_workload::{generate, legal_insert, Workload, WorkloadConfig};
 use xic_xml::XUpdateDoc;
-use xicheck::{obs, xpath_resolver, Checker, CheckerService, Strategy, UpdateOutcome};
+use xicheck::{obs, xpath_resolver, Checker, Strategy, UpdateOutcome};
 
 /// Which of the two running examples an experiment exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,11 +90,11 @@ pub fn authored_insert(authors: usize) -> String {
 /// conference workload, review load — over a sized corpus, at thresholds
 /// no insertion reaches.
 pub fn benchmark_checker(kib: usize, seed: u64) -> Checker {
-    benchmark_instance(kib, seed).1
+    benchmark_instance(WorkloadConfig::sized_kib(kib, seed)).1
 }
 
-fn benchmark_instance(kib: usize, seed: u64) -> (Workload, Checker) {
-    let w = generate(WorkloadConfig::sized_kib(kib, seed));
+fn benchmark_instance(config: WorkloadConfig) -> (Workload, Checker) {
+    let w = generate(config);
     let gamma = format!(
         "{}. {}. {}",
         xic_workload::conflict_constraint(),
@@ -105,7 +106,9 @@ fn benchmark_instance(kib: usize, seed: u64) -> (Workload, Checker) {
 }
 
 /// What one version of the document costs at one size: median
-/// microseconds over a stream of legal appends under the benchmark's Γ.
+/// microseconds over a stream of legal appends under the benchmark's Γ,
+/// on a corpus whose reviewers' neighbourhood does not grow with it
+/// ([`WorkloadConfig::fixed_neighbourhood_kib`]).
 #[derive(Debug, Clone, Copy)]
 pub struct VersionRow {
     /// Corpus size in KiB.
@@ -148,7 +151,7 @@ fn median_us(mut samples: Vec<Duration>) -> f64 {
 /// another as the checker commits them — clone, apply to the clone, drop
 /// the replaced version.
 pub fn measure_versions(kib: usize, seed: u64, iters: usize) -> VersionRow {
-    let (w, mut checker) = benchmark_instance(kib, seed);
+    let (w, mut checker) = benchmark_instance(WorkloadConfig::fixed_neighbourhood_kib(kib, seed));
     let stmts: Vec<XUpdateDoc> = (0..64 * iters)
         .map(|i| {
             let (track, rev) = (i % w.config.tracks, i % w.config.revs_per_track);
@@ -164,7 +167,8 @@ pub fn measure_versions(kib: usize, seed: u64, iters: usize) -> VersionRow {
         timed(&mut || drop(xic_xml::parse_document(&w.xml).expect("corpus parses")))
     });
     let parse_ms = median_us(parse.collect()) / 1e3;
-    let dir = scratch_path("versions-open", kib, seed);
+    let dir = std::env::temp_dir()
+        .join(format!("xic-bench-{}-versions-open-{kib}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     checker.attach_store(&dir, false).expect("store attaches");
     checker.checkpoint().expect("checkpoint");
@@ -321,9 +325,9 @@ pub struct Row {
     pub full_ms: f64,
     /// (ii) optimized pre-update check (squares).
     pub optimized_ms: f64,
-    /// (iii) update + full check + undo (triangles): the baseline
+    /// (iii) copy + apply + full check (triangles): the baseline
     /// decision, `decide_only` under [`Strategy::FullWithRollback`].
-    pub update_full_undo_ms: f64,
+    pub copy_apply_check_ms: f64,
 }
 
 /// Measures one figure row.
@@ -341,7 +345,7 @@ pub fn measure_row(exp: Experiment, kib: usize, seed: u64, iters: usize) -> Row 
         assert!(v.is_none(), "legal update must pass");
     });
 
-    let update_full_undo = time_mean(iters, || {
+    let copy_apply_check = time_mean(iters, || {
         let v = inst.checker.decide_only(&legal, Strategy::FullWithRollback).expect("baseline");
         assert!(v.is_none(), "legal update must pass");
     });
@@ -351,7 +355,7 @@ pub fn measure_row(exp: Experiment, kib: usize, seed: u64, iters: usize) -> Row 
         bytes: inst.corpus_bytes,
         full_ms: full.as_secs_f64() * 1e3,
         optimized_ms: optimized.as_secs_f64() * 1e3,
-        update_full_undo_ms: update_full_undo.as_secs_f64() * 1e3,
+        copy_apply_check_ms: copy_apply_check.as_secs_f64() * 1e3,
     }
 }
 
@@ -393,251 +397,6 @@ pub fn measure_illegal(exp: Experiment, kib: usize, seed: u64, iters: usize) -> 
     }
 }
 
-/// A scratch store directory private to this process.
-fn scratch_path(tag: &str, n: usize, seed: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("xic-bench-{}-{tag}-{n}-{seed}", std::process::id()))
-}
-
-/// Recovery time versus committed-history length, with and without
-/// checkpointing. A store that never rotates is one journal:
-/// [`Checker::open_store`] replays the whole history — cost linear in
-/// `history`. With an automatic rotation policy it replays only the
-/// suffix since the newest snapshot — cost bounded by the rotation
-/// interval, flat in `history` (the durability analogue of the paper's
-/// Simp making check cost flat in document size).
-#[derive(Debug, Clone, Copy)]
-pub struct CheckpointRow {
-    /// Committed statements before the simulated crash.
-    pub history: usize,
-    /// Rotation interval (statements) for the checkpointed run.
-    pub interval: u64,
-    /// Full-history recovery time, no checkpoints (ms).
-    pub no_ckpt_recover_ms: f64,
-    /// Suffix recovery time from the newest snapshot (ms).
-    pub ckpt_recover_ms: f64,
-    /// Commits replayed by the checkpointed recovery (≤ `interval`).
-    pub ckpt_replayed: usize,
-    /// Generation the checkpointed recovery restored from.
-    pub generation: u64,
-}
-
-/// Measures [`CheckpointRow`] on the conflict-of-interests workload (its
-/// constraint set is corpus-independent, so the recovery entry points can
-/// be handed the same base text the journaled run started from).
-///
-/// The committed history alternates a legal insert with the removal of
-/// the inserted submission, so the document — and therefore every
-/// snapshot — stays at its base size however long the history grows.
-/// That isolates the variable under test: replay length.
-pub fn measure_checkpoint(history: usize, interval: u64, kib: usize, seed: u64, iters: usize) -> CheckpointRow {
-    let w = generate(WorkloadConfig::sized_kib(kib, seed));
-    let constraints = xic_workload::conflict_constraint();
-    let legal = XUpdateDoc::parse(&xic_workload::legal_insert(0, 0, 900_001)).expect("legal stmt");
-    // The insert appends to track 1 / rev 1, so the new sub sits right
-    // after the generator's fixed per-reviewer fan-out.
-    let remove_text = format!(
-        r#"<xupdate:modifications version="1.0" xmlns:xupdate="http://www.xmldb.org/xupdate">
-  <xupdate:remove select="/collection/review/track[1]/rev[1]/sub[{}]"/>
-</xupdate:modifications>"#,
-        w.config.subs_per_rev + 1
-    );
-    let remove = XUpdateDoc::parse(&remove_text).expect("remove stmt");
-    let commit_history = |checker: &mut Checker| {
-        for i in 0..history {
-            let stmt = if i % 2 == 0 { &legal } else { &remove };
-            assert!(checker.try_update(stmt).expect("legal update").applied());
-        }
-    };
-
-    let gamma = xicheck::SharedGamma::compile(dtd_text(), constraints).expect("Γ compiles");
-    // The same history into a fresh store under `policy`, then a crash;
-    // returns the mean recovery time and what recovery reported.
-    let crash_and_recover = |tag: &str, policy: xicheck::CheckpointPolicy| {
-        let dir = scratch_path(tag, history, seed);
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut checker = Checker::new(&w.xml, dtd_text(), constraints).expect("corpus loads");
-            checker.register_pattern(&legal).expect("pattern registration");
-            checker.attach_store(&dir, false).expect("store attaches");
-            checker.set_checkpoint_policy(policy);
-            commit_history(&mut checker);
-        } // crash
-        let recover = || {
-            let (_c, rep) =
-                Checker::open_store(&dir, &w.xml, &gamma, true).expect("store recovery");
-            assert!(!rep.degraded);
-            assert_eq!(rep.base_commit_seq as usize + rep.replayed, history);
-            rep
-        };
-        let report = recover();
-        let mean = time_mean(iters, || {
-            recover();
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-        (mean, report)
-    };
-
-    // Without checkpoints: rotation off, one segment holding the entire
-    // history. With: the same history, automatic rotation every `interval`.
-    let (no_ckpt, rep) = crash_and_recover("ckpt-none", xicheck::CheckpointPolicy::default());
-    assert_eq!(rep.replayed, history);
-    let (ckpt, rep) =
-        crash_and_recover("ckpt-store", xicheck::CheckpointPolicy::every_commits(interval));
-    let (ckpt_replayed, generation) = (rep.replayed, rep.generation);
-
-    CheckpointRow {
-        history,
-        interval,
-        no_ckpt_recover_ms: no_ckpt.as_secs_f64() * 1e3,
-        ckpt_recover_ms: ckpt.as_secs_f64() * 1e3,
-        ckpt_replayed,
-        generation,
-    }
-}
-
-/// One point on the overload curve (E13): `clients` closed-loop writers
-/// against a service with a deliberately small admission queue, counting
-/// what the service sheds versus what it commits.
-#[derive(Debug, Clone, Copy)]
-pub struct OverloadRow {
-    /// Concurrent closed-loop clients.
-    pub clients: usize,
-    /// Admission bound the service was configured with.
-    pub queue_depth: usize,
-    /// Submit attempts across all clients (acks + sheds = offered load).
-    pub offered: usize,
-    /// Acknowledged commits (the goodput numerator).
-    pub acked: usize,
-    /// Attempts refused with `Overloaded`.
-    pub shed: usize,
-    /// Wall-clock time for the whole run (ms).
-    pub wall_ms: f64,
-    /// Acknowledged commits per second.
-    pub goodput_per_s: f64,
-    /// Submit attempts per second (offered load).
-    pub offered_per_s: f64,
-    /// 99th-percentile latency of *successful* submits (ms).
-    pub p99_ms: f64,
-}
-
-impl OverloadRow {
-    /// Fraction of attempts shed, in `[0, 1]`.
-    pub fn shed_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.offered as f64
-        }
-    }
-}
-
-/// Measures [`OverloadRow`]: each client submits `per_client` legal
-/// pattern-matching inserts and, when shed, retries after a
-/// seed-deterministic jittered exponential backoff (1–2, 2–4, 4–8 … ms,
-/// capped at 32 ms) — the protocol's documented client discipline. Every
-/// statement therefore commits exactly once; what the curve shows is how
-/// goodput plateaus and shed rate grows as clients outnumber the
-/// admission queue, instead of latency collapsing.
-pub fn measure_overload(
-    kib: usize,
-    seed: u64,
-    clients: usize,
-    per_client: usize,
-    queue_depth: usize,
-) -> OverloadRow {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use xicheck::{ServiceConfig, ServiceError};
-
-    let w = generate(WorkloadConfig::sized_kib(kib, seed));
-    let constraints = xic_workload::conflict_constraint();
-    let mut checker = Checker::new(&w.xml, dtd_text(), constraints).expect("corpus loads");
-    let pattern =
-        XUpdateDoc::parse(&xic_workload::legal_insert(0, 0, 900_002)).expect("legal stmt");
-    checker.register_pattern(&pattern).expect("pattern registration");
-    let path = scratch_path(&format!("ovl-{clients}"), kib, seed);
-    let _ = std::fs::remove_dir_all(&path);
-    checker.attach_store(&path, true).expect("store attaches");
-    let service = CheckerService::with_config(
-        checker,
-        ServiceConfig {
-            queue_depth,
-            ..Default::default()
-        },
-    );
-
-    let start = Instant::now();
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(clients * per_client);
-    let mut offered = 0usize;
-    let mut shed = 0usize;
-    std::thread::scope(|scope| {
-        let service = &service;
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut rng =
-                        StdRng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
-                    let mut lats = Vec::with_capacity(per_client);
-                    let mut attempts = 0usize;
-                    let mut rejected = 0usize;
-                    for i in 0..per_client {
-                        let serial = 200_000 + c * per_client + i;
-                        let stmt = xic_workload::legal_insert(0, 0, serial);
-                        let mut backoff_ms = 1u64;
-                        loop {
-                            attempts += 1;
-                            let t = Instant::now();
-                            match service.submit(&stmt) {
-                                Ok(out) => {
-                                    assert!(out.outcome.applied());
-                                    lats.push(t.elapsed().as_secs_f64() * 1e3);
-                                    break;
-                                }
-                                Err(ServiceError::Overloaded { .. }) => {
-                                    rejected += 1;
-                                    let jitter =
-                                        rng.gen_range(backoff_ms..=backoff_ms.saturating_mul(2));
-                                    std::thread::sleep(Duration::from_millis(jitter));
-                                    backoff_ms = (backoff_ms * 2).min(32);
-                                }
-                                Err(e) => panic!("unexpected submit error: {e}"),
-                            }
-                        }
-                    }
-                    (lats, attempts, rejected)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (lats, attempts, rejected) = h.join().expect("client thread");
-            latencies_ms.extend(lats);
-            offered += attempts;
-            shed += rejected;
-        }
-    });
-    let wall = start.elapsed();
-    let stats = service.stats();
-    assert_eq!(stats.requests_shed as usize, shed, "shed accounting disagrees");
-    let live = service.shutdown().expect("first shutdown succeeds");
-    let acked = clients * per_client;
-    assert_eq!(live.committed(), acked as u64);
-    let _ = std::fs::remove_dir_all(&path);
-
-    latencies_ms.sort_by(|a, b| a.total_cmp(b));
-    let p99 = latencies_ms[(latencies_ms.len() * 99 / 100).min(latencies_ms.len() - 1)];
-    OverloadRow {
-        clients,
-        queue_depth,
-        offered,
-        acked,
-        shed,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        goodput_per_s: acked as f64 / wall.as_secs_f64(),
-        offered_per_s: offered as f64 / wall.as_secs_f64(),
-        p99_ms: p99,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,7 +420,7 @@ mod tests {
         let row = measure_row(Experiment::ConflictOfInterests, 8, 1, 1);
         assert!(row.full_ms > 0.0);
         assert!(row.optimized_ms > 0.0);
-        assert!(row.update_full_undo_ms > 0.0);
+        assert!(row.copy_apply_check_ms > 0.0);
         assert!(row.bytes > 4096);
     }
 
@@ -673,18 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_rows_bound_replay_to_the_suffix() {
-        let r = measure_checkpoint(12, 4, 8, 7, 1);
-        assert!(r.no_ckpt_recover_ms > 0.0 && r.ckpt_recover_ms > 0.0);
-        assert!(r.generation >= 2, "12 commits at interval 4 must rotate");
-        assert!(
-            r.ckpt_replayed <= 4,
-            "checkpointed recovery must replay at most one interval, got {}",
-            r.ckpt_replayed
-        );
-    }
-
-    #[test]
     fn version_rows_time_every_stage() {
         let r = measure_versions(8, 3, 1);
         assert!(r.nodes > 500);
@@ -693,13 +440,5 @@ mod tests {
         ];
         assert!(stages.iter().all(|&us| us > 0.0), "{r:?}");
         assert!(r.decide_max_us >= r.decide_optimized_us && r.decide_steps > 0, "{r:?}");
-    }
-
-    #[test]
-    fn overload_rows_account_for_every_attempt() {
-        let r = measure_overload(8, 9, 2, 3, 4);
-        assert_eq!((r.clients, r.acked), (2, 6));
-        assert_eq!(r.acked + r.shed, r.offered);
-        assert!(r.goodput_per_s > 0.0 && r.p99_ms > 0.0);
     }
 }

@@ -7,8 +7,7 @@ use std::process::Command;
 use xicheck::obs::{self, json, json::Value};
 
 /// The sections `experiments` produces, in `all` order.
-pub const SECTIONS: [&str; 7] =
-    ["fig1a", "fig1b", "illegal", "simp", "checkpoint", "overload", "versions"];
+pub const SECTIONS: [&str; 5] = ["fig1a", "fig1b", "illegal", "simp", "versions"];
 
 /// One table column: its JSON row key and how stdout shows it.
 #[derive(Debug, Clone, Copy)]
@@ -21,13 +20,11 @@ pub struct Column {
     pub width: usize,
     /// Decimals shown on stdout (the JSON row keeps the full value).
     pub decimals: usize,
-    /// Stdout multiplier: 100 shows a stored fraction as a percentage.
-    pub scale: f64,
 }
 
-/// A column shown on stdout as stored.
+/// A column: its JSON key, stdout header, width and decimals.
 pub const fn col(key: &'static str, header: &'static str, width: usize, decimals: usize) -> Column {
-    Column { key, header, width, decimals, scale: 1.0 }
+    Column { key, header, width, decimals }
 }
 
 fn object<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
@@ -45,11 +42,11 @@ pub fn header_line(columns: &[Column]) -> String {
     line(columns, |_, c| c.header.to_string())
 }
 
-/// The stdout line for one row: numbers scaled and rounded as their
-/// column says, strings as they are.
+/// The stdout line for one row: numbers rounded as their column says,
+/// strings as they are.
 pub fn row_line(columns: &[Column], cells: &[Value]) -> String {
     line(columns, |i, c| match &cells[i] {
-        Value::Number(v) => format!("{:.d$}", v * c.scale, d = c.decimals),
+        Value::Number(v) => format!("{v:.d$}", d = c.decimals),
         other => other.as_str().unwrap_or_default().to_string(),
     })
 }
@@ -149,17 +146,16 @@ mod tests {
             col("experiment", "experiment", 12, 0),
             col("kib", "size/KiB", 9, 0),
             col("wall_ms", "", 0, 0),
-            Column { scale: 100.0, ..col("shed_rate", "shed/%", 8, 1) },
             col("full_ms", "full/ms", 10, 2),
         ];
         let mut cells = vec![Value::String("conflict".to_string())];
-        cells.extend([32.0, 7.5, 0.4671, 20.366].map(Value::Number));
-        assert_eq!(header_line(COLUMNS), "  experiment  size/KiB   shed/%    full/ms");
-        assert_eq!(row_line(COLUMNS, &cells), "    conflict        32     46.7      20.37");
+        cells.extend([32.0, 7.5, 20.366].map(Value::Number));
+        assert_eq!(header_line(COLUMNS), "  experiment  size/KiB    full/ms");
+        assert_eq!(row_line(COLUMNS, &cells), "    conflict        32      20.37");
         let row = row_json(COLUMNS, cells);
-        assert_eq!(keys(&row), ["experiment", "kib", "wall_ms", "shed_rate", "full_ms"]);
+        assert_eq!(keys(&row), ["experiment", "kib", "wall_ms", "full_ms"]);
         assert_eq!(row.get("experiment").unwrap().as_str(), Some("conflict"));
-        assert_eq!(row.get("shed_rate").unwrap().as_f64(), Some(0.4671));
+        assert_eq!(row.get("full_ms").unwrap().as_f64(), Some(20.366));
     }
 
     #[test]

@@ -64,8 +64,8 @@
 //! past its budget. Overload and failure surface the same way —
 //! resilience `ERR` messages start with a stable machine-readable token
 //! (`overloaded:`, `timeout:`, `degraded:`, `too-long:`), so clients
-//! dispatch on the first word (the workload driver's backoff loop does
-//! exactly this; EXPERIMENTS.md E13).
+//! dispatch on the first word (a client's backoff loop, as in
+//! `service_resilience.rs`, does exactly this).
 //!
 //! Keywords are case-sensitive (uppercase). Denial text is flattened to
 //! one line. Request lines are capped at [`MAX_LINE_BYTES`]; an

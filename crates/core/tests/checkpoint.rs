@@ -112,7 +112,7 @@ fn automatic_policy_rotates_and_recovery_prefers_newest_generation() {
     drop(c);
 
     let (r, report) = open_store(&dir, true).unwrap();
-    assert_eq!(report.generation, generation);
+    assert_eq!((report.generation, report.degraded), (generation, false));
     assert!(report.replayed <= 2, "replay is bounded by the rotation interval");
     assert_eq!(report.base_commit_seq as usize + report.replayed, 7);
     assert_eq!(serialize(&r), committed_state);

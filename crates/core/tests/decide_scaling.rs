@@ -1,12 +1,15 @@
 //! The optimized pre-update check answered from the document's indexes:
 //! how the work of one decision grows with the document, by counts —
 //! engine steps repeat exactly, so nothing here can flake on a slow
-//! host. Figure 1's shape: the optimized decision stays flat while the
-//! full check doubles with the document.
+//! host. Figure 1's shape (claim C1 of EXPERIMENTS.md): the optimized
+//! decision stays flat while the full check doubles with the document;
+//! C2: on a corpus whose reviewers' neighbourhood is fixed, every
+//! decision is flat in size, the slowest too; C3: an illegal update is
+//! rejected early at flat cost, far below copy + apply + full check.
 
 use xic_workload::{
-    conflict_constraint, generate, legal_insert, review_load_constraint, workload_constraint,
-    Workload, WorkloadConfig,
+    conflict_constraint, generate, illegal_insert, legal_insert, review_load_constraint,
+    workload_constraint, Workload, WorkloadConfig,
 };
 use xicheck::obs::{self, Counter};
 use xicheck::protocol::{execute, Command};
@@ -26,7 +29,11 @@ fn steps() -> u64 {
 /// A `kib` KiB corpus under the suite's Γ, the `legal_insert` pattern
 /// registered.
 fn corpus(kib: usize) -> (Workload, Checker) {
-    let w = generate(WorkloadConfig::sized_kib(kib, 1));
+    corpus_of(WorkloadConfig::sized_kib(kib, 1))
+}
+
+fn corpus_of(config: WorkloadConfig) -> (Workload, Checker) {
+    let w = generate(config);
     let gamma = format!(
         "{}. {}. {}",
         conflict_constraint(),
@@ -84,6 +91,80 @@ fn the_optimized_decision_is_flat_while_the_full_check_doubles() {
             "a full check took {before} → {after} steps over one doubling: {measured:?}"
         );
     }
+}
+
+/// Engine steps of the optimized decisions of 64 `legal_insert`s, one per
+/// reviewer spread evenly over a fixed-neighbourhood corpus of `kib` KiB,
+/// sorted, after a first decision that builds the indexes.
+fn steps_per_reviewer(kib: usize) -> Vec<u64> {
+    let (w, c) = corpus_of(WorkloadConfig::fixed_neighbourhood_kib(kib, 1));
+    let (per_track, reviewers) = (w.config.revs_per_track, w.config.tracks * w.config.revs_per_track);
+    let decide = |i: usize| {
+        let k = i % 64 * reviewers / 64;
+        let stmt = XUpdateDoc::parse(&legal_insert(k / per_track, k % per_track, i)).expect("parses");
+        let before = steps();
+        assert_eq!(c.decide_only(&stmt, Strategy::Optimized).expect("decides"), None);
+        steps() - before
+    };
+    decide(64);
+    let mut steps: Vec<u64> = (0..64).map(decide).collect();
+    steps.sort_unstable();
+    steps
+}
+
+/// C2. Where the neighbourhood is fixed — 8 submissions per reviewer,
+/// the catalog's pubs per name as they were — a decision reads as much
+/// of a 1 MiB document as of a 32 KiB one, but for the select's
+/// positional steps, which visit every track and every rev of the track
+/// (19 of them at 32 KiB, 48 at 1 MiB): medians of 77, 88 and 106 steps
+/// at 32 KiB, 256 KiB and 1 MiB. The power-law head gives a few reviewers
+/// many pubs; their decisions are the slowest (87, 150 and 215 steps),
+/// within 3× the median. A template that read the whole document would
+/// grow with it, as the full check does.
+#[test]
+fn on_a_fixed_neighbourhood_every_decision_is_flat_in_size() {
+    let measured = [32, 256, 1024].map(steps_per_reviewer);
+    let median_and_max = |steps: &Vec<u64>| (steps[32], steps[63]);
+    for steps in &measured {
+        let (median, max) = median_and_max(steps);
+        assert!(max <= 3 * median, "the slowest of 64 decisions against the median: {steps:?}");
+    }
+    let (small, large) = (median_and_max(&measured[0]).0, median_and_max(&measured[2]).0);
+    assert!(
+        large as f64 <= 1.5 * small as f64,
+        "a median decision took {small} steps at 32 KiB and {large} at 1 MiB"
+    );
+}
+
+/// Engine steps, beyond resolving the statement's select, of rejecting
+/// an illegal append (the reviewer as the submission's author) on the
+/// optimized path and by the baseline (copy, apply, full check), on a
+/// fixed-neighbourhood corpus of `kib` KiB. Both resolve the same select.
+fn rejection_steps(kib: usize) -> (u64, u64) {
+    let (w, c) = corpus_of(WorkloadConfig::fixed_neighbourhood_kib(kib, 1));
+    let stmt = XUpdateDoc::parse(&illegal_insert(0, 0, &w.reviewers[0][0])).expect("parses");
+    let before = steps();
+    xicheck::xpath_resolver(c.doc(), stmt.ops[0].select()).expect("select resolves");
+    let select = steps() - before;
+    let beyond_select = |strategy: Strategy| {
+        let before = steps();
+        assert!(c.decide_only(&stmt, strategy).expect("decides").is_some(), "{strategy:?}");
+        steps() - before - select
+    };
+    (beyond_select(Strategy::Optimized), beyond_select(Strategy::FullWithRollback))
+}
+
+/// C3, early detection: the optimized rejection reads the same steps of a
+/// 512 KiB document as of a 32 KiB one (11), and under a tenth of what
+/// the baseline reads to reach the same verdict (91 and 342), although
+/// the baseline's full check stops at its first witness, the appended
+/// submission. The select is left out because it grows with the review
+/// tree's widths, not with what either strategy checks (23 and 40 steps).
+#[test]
+fn an_illegal_update_is_rejected_early_at_flat_cost() {
+    let (small, large) = (rejection_steps(32), rejection_steps(512));
+    assert!(large.0 as f64 <= 1.5 * small.0 as f64, "{small:?} → {large:?}");
+    assert!(10 * large.0 < large.1, "optimized and baseline at 512 KiB: {large:?}");
 }
 
 /// The `insert-stream` shape: every statement decided pre-update, then

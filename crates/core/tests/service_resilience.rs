@@ -92,15 +92,15 @@ fn overload_sheds_excess_submissions_without_losing_retries() {
             ..Default::default()
         },
     );
-    let shed = AtomicU64::new(0);
+    let (offered, shed) = (AtomicU64::new(0), AtomicU64::new(0));
     std::thread::scope(|scope| {
-        let service = &service;
-        let shed = &shed;
+        let (service, offered, shed) = (&service, &offered, &shed);
         for t in 0..2 {
             scope.spawn(move || {
                 for i in 0..PER_THREAD {
                     let stmt = legal(&format!("t{t}i{i}"));
                     loop {
+                        offered.fetch_add(1, Ordering::Relaxed);
                         match service.submit(&stmt) {
                             Ok(out) => {
                                 assert!(out.outcome.applied());
@@ -118,14 +118,13 @@ fn overload_sheds_excess_submissions_without_losing_retries() {
             });
         }
     });
-    assert!(
-        shed.load(Ordering::Relaxed) > 0,
-        "two threads against queue_depth=1 never collided"
-    );
-    assert_eq!(service.stats().requests_shed, shed.load(Ordering::Relaxed));
+    let (offered, shed) = (offered.load(Ordering::Relaxed), shed.load(Ordering::Relaxed));
+    assert!(shed > 0, "two threads against queue_depth=1 never collided");
+    assert_eq!(service.stats().requests_shed, shed);
     assert_eq!(service.version(), (2 * PER_THREAD) as u64, "a retry was lost");
+    assert_eq!(service.version() + shed, offered, "acked + shed = offered");
     assert_eq!(service.health(), Health::Ok);
-    service.shutdown().expect("shutdown");
+    assert_eq!(service.shutdown().expect("shutdown").committed(), (2 * PER_THREAD) as u64);
 }
 
 /// An already-expired deadline is refused with `Timeout` and never

@@ -61,6 +61,30 @@ impl WorkloadConfig {
         }
     }
 
+    /// A configuration of approximately `kib` KiB in which a reviewer's
+    /// neighbourhood does not grow with the document: every reviewer has 8
+    /// submissions at every size, and the name pool grows with the catalog,
+    /// so the expected pubs naming any one name stay as they are (the
+    /// power-law head still gives a few names many). The review tree is as
+    /// wide as [`WorkloadConfig::sized_kib`]'s — 25 reviewers a track —
+    /// until it has as many tracks; from there both widths grow as the
+    /// square root of the reviewers, the least a positional select reads.
+    pub fn fixed_neighbourhood_kib(kib: usize, seed: u64) -> WorkloadConfig {
+        const SUBS_PER_REV: usize = 8;
+        let bytes = kib * 1024;
+        let pubs = (bytes / 2) / 90;
+        let revs = ((bytes / 2) / 110 / SUBS_PER_REV).max(1);
+        let revs_per_track = revs.min(((revs as f64).sqrt() as usize).max(25));
+        WorkloadConfig {
+            seed,
+            pubs,
+            tracks: revs / revs_per_track,
+            revs_per_track,
+            subs_per_rev: SUBS_PER_REV,
+            name_pool: (pubs / 3).max(50),
+        }
+    }
+
     /// Total submissions implied by the configuration.
     pub fn total_subs(&self) -> usize {
         self.tracks * self.revs_per_track * self.subs_per_rev
@@ -320,6 +344,19 @@ mod tests {
                 "{kib} KiB target produced {actual} bytes"
             );
         }
+    }
+
+    #[test]
+    fn a_fixed_neighbourhood_grows_the_document_and_not_the_reviewer() {
+        let configs = [32, 1024, 65_536].map(|kib| WorkloadConfig::fixed_neighbourhood_kib(kib, 1));
+        for c in configs {
+            assert_eq!((c.subs_per_rev, c.pubs / c.name_pool), (8, 3), "{c:?}");
+        }
+        let revs = configs.map(|c| c.tracks * c.revs_per_track);
+        assert!(revs[0] < revs[1] && revs[1] < revs[2], "{configs:?}");
+        assert!(configs[2].tracks.abs_diff(configs[2].revs_per_track) <= 1, "{configs:?}");
+        let w = generate(configs[0]);
+        assert!(w.xml.len() > 16 * 1024 && w.xml.len() < 64 * 1024);
     }
 
     #[test]
