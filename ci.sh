@@ -238,7 +238,7 @@ grep -v '^[[:space:]]*#' crates/difftest/corpus/regressions.txt \
       cargo run --release -q -p xic-difftest -- --cases 1 --seed "$seed"
     done
 
-echo "== fault harness (one seeded fault on one shard of 1-4, every shard back at its acked prefix) =="
+echo "== fault harness (a seeded fault on one shard of 1-4, or a SIGKILL of the live server; every shard back at its acked prefix) =="
 # Seeded, replayable cases (count/filter overridable via FAULT_CASES /
 # FAULT_SITES): each draws K = 1-4 shards in ShardSet's layout, a victim,
 # a fault site, Error or Panic and a trigger hit, a batch size of 1-4,
@@ -253,12 +253,26 @@ echo "== fault harness (one seeded fault on one shard of 1-4, every shard back a
 # committed (+1 after a contained panic) and the twin's bytes at p; a
 # batch reaches journal.sync at most once; a failed flush degrades, and
 # the last acked state passes the full check; sequential and parallel
-# ShardSet::recover agree. Exits nonzero on any divergence (replay:
-# difftest -- --faults --seed N --cases 1 [--sites PAT]) and, from 3
-# draws of every cell on, when a (site, mode, K-class) cell of the
-# coverage line under the summary never fired, or when no fault fired
-# on a generated schema.
-FAULT_CASES="${FAULT_CASES:-200}"
+# ShardSet::recover agree. Every ninth seed is the Kill row instead: the
+# release xic-serve beside difftest (built by the build stage above; a
+# missing one fails the pass) serves K = 1-4 shards over a store, with
+# or without --no-sync, one pipelined connection per shard; it is
+# SIGKILLed once the harness has read a seeded number of replies, and
+# the same oracle holds it: every reply equals an in-memory ShardSet
+# twin's through protocol::execute_sharded, each shard recovers acked
+# or acked + 1 (the statement its connection was executing), the two
+# recoveries run over copies of the killed root, and the server
+# restarted over the root and its stale socket answers VERSION = p and
+# CHECK = CONSISTENT and commits one more statement per shard. Every
+# server is killed and waited for on every path. 225 cases: the 200
+# in-process plans of seeds 1-200 plus 25 Kills, about a second more.
+# Exits nonzero on any divergence (replay: difftest -- --faults --seed N
+# --cases 1 [--sites PAT]) and, from 3 draws of every cell on, when a
+# (site, mode, K-class) cell of the coverage line under the summary
+# never fired, when no fault fired on a generated schema, when a Kill
+# K-class killed no live server, or when fewer than half the kills
+# found a statement executing or unread.
+FAULT_CASES="${FAULT_CASES:-225}"
 cargo run --release -q -p xic-difftest -- --faults --cases "$FAULT_CASES" --seed 1 \
   ${FAULT_SITES:+--sites "$FAULT_SITES"}
 

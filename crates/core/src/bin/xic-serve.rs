@@ -5,7 +5,9 @@
 //! a [`ShardSet`] of `--shards K` documents (default 1), each seeded from
 //! `--xml` under one compiled constraint set, and serves the protocol in
 //! [`xicheck::protocol`] either over stdin/stdout (default) or on a
-//! Unix socket (`--socket PATH`, one thread per client).
+//! Unix socket (`--socket PATH`, one thread per client). A stale socket
+//! at `PATH` is replaced; anything else there is refused before the store
+//! is opened.
 //!
 //! ```text
 //! xic-serve --xml doc.xml --dtd schema.dtd --constraints gamma.xpl \
@@ -38,7 +40,8 @@
 //! service*.
 
 use std::io::{BufReader, Write as _};
-use std::path::PathBuf;
+use std::os::unix::fs::FileTypeExt;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xicheck::protocol::{execute_sharded, serve_connection};
 use xicheck::{ServiceConfig, ShardSet, ShardSetConfig};
@@ -120,6 +123,24 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// True when `path` itself (not a link's target) is a Unix socket.
+fn is_socket(path: &Path) -> bool {
+    std::fs::symlink_metadata(path).is_ok_and(|meta| meta.file_type().is_socket())
+}
+
+/// Refuses a `--socket` path that holds anything but a socket: only a
+/// stale socket is removed before `bind`, never a file or a link passed
+/// by mistake.
+fn check_socket_path(path: &Path) -> Result<(), String> {
+    match std::fs::symlink_metadata(path) {
+        Ok(meta) if !meta.file_type().is_socket() => Err(format!(
+            "--socket {} exists and is not a socket; refusing to replace it",
+            path.display()
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Serves `set` once over stdio, or per-connection on a Unix socket
 /// with one thread per client.
 fn serve_sessions(socket: &Option<PathBuf>, set: &ShardSet) -> Result<(), String> {
@@ -130,8 +151,11 @@ fn serve_sessions(socket: &Option<PathBuf>, set: &ShardSet) -> Result<(), String
                 .map_err(|e| format!("stdio session: {e}"))?;
         }
         Some(path) => {
-            // A stale socket file from a previous run would make bind fail.
-            let _ = std::fs::remove_file(path);
+            // A stale socket from a previous run would make bind fail;
+            // `check_socket_path` refused anything else at start-up.
+            if is_socket(path) {
+                let _ = std::fs::remove_file(path);
+            }
             let listener = std::os::unix::net::UnixListener::bind(path)
                 .map_err(|e| format!("bind {}: {e}", path.display()))?;
             eprintln!("xic-serve: listening on {}", path.display());
@@ -168,6 +192,10 @@ fn run(args: &Args) -> Result<(), String> {
     let xml = read(&args.xml)?;
     let dtd = read(&args.dtd)?;
     let constraints = read(&args.constraints)?;
+    // Before the store opens, so that a refusal creates nothing.
+    if let Some(path) = &args.socket {
+        check_socket_path(path)?;
+    }
     let config = ShardSetConfig {
         service: ServiceConfig {
             queue_depth: args.queue_depth,

@@ -366,8 +366,10 @@ impl Checker {
         shared: &Arc<SharedGamma>,
         sync: bool,
     ) -> Result<(Checker, RecoveryReport), CheckerError> {
-        // An empty directory cannot hold an acknowledged commit: a store
-        // fsyncs its first segment's name before it accepts one.
+        // An empty or missing directory cannot hold an acknowledged
+        // commit: a store fsyncs its first segment's name before it
+        // accepts one, and where it syncs, the directory's own name too
+        // (`Store::create`, or the shard set that created it).
         if !std::fs::read_dir(dir).is_ok_and(|mut entries| entries.next().is_some()) {
             let checker = base.create_store(dir, shared, sync)?;
             return Ok((checker, RecoveryReport::default()));

@@ -61,6 +61,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
+use xic_xml::checkpoint::{fsync_dir, parent_dir};
 
 /// The most scoped threads a parallel [`ShardSet::recover`] opens shards
 /// on, however many shards there are: `--shards 100000` must not ask for
@@ -327,6 +328,37 @@ fn validate_root(root: &Path, count: usize) -> Result<(), ShardSetError> {
     Ok(())
 }
 
+/// Creates the shard directories `root` lacks, before any shard opens,
+/// and returns the directories whose new entries a set that syncs must
+/// make durable before it serves: `root` if anything was created in it,
+/// and its parent if `root` itself was. A shard directory lost to a power
+/// loss would come up fresh from its base, its acknowledged commits gone.
+fn make_shard_dirs(root: &Path, count: usize, sync: bool) -> Result<Vec<PathBuf>, ShardSetError> {
+    let created_root = !root.exists();
+    std::fs::create_dir_all(root).map_err(|e| io_error(root, e))?;
+    let mut created = false;
+    for id in 0..count {
+        let dir = shard_dir(root, id);
+        match std::fs::create_dir(&dir) {
+            Ok(()) => created = true,
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(io_error(&dir, e)),
+        }
+    }
+    let mut to_sync = Vec::new();
+    if sync && created {
+        to_sync.push(root.to_path_buf());
+    }
+    if sync && created_root {
+        to_sync.push(parent_dir(root).to_path_buf());
+    }
+    Ok(to_sync)
+}
+
+fn io_error(path: &Path, e: std::io::Error) -> ShardSetError {
+    ShardSetError::Io { path: path.to_path_buf(), message: e.to_string() }
+}
+
 /// Puts a shard's checker — its store already open — in service under
 /// the set's configuration: rotation policy, one commit lock.
 fn start_shard(mut checker: Checker, config: &ShardSetConfig) -> Arc<CheckerService> {
@@ -432,10 +464,12 @@ impl ShardSet {
     /// Compiles Γ, opens shard `i` over `base_xmls[i]` with `open` — on
     /// up to [`MAX_OPEN_WORKERS`] scoped threads when `parallel` — and puts
     /// every shard in service, its store directory under `root` if the
-    /// set has one. Each distinct base text is held once and built at
-    /// most once, by the first shard that needs it, and every shard over
-    /// it starts from a clone of that build; the builds are dropped once
-    /// every shard is open.
+    /// set has one (every missing shard directory is created first, and
+    /// made durable before the set serves, see [`make_shard_dirs`]). Each
+    /// distinct base text is held once and built at most once, by the
+    /// first shard that needs it, and every shard over it starts from a
+    /// clone of that build; the builds are dropped once every shard is
+    /// open.
     fn start(
         root: Option<&Path>,
         base_xmls: &[&str],
@@ -446,6 +480,10 @@ impl ShardSet {
         open: impl Fn(usize, &Base<'_>, &Arc<SharedGamma>) -> Opened + Sync,
     ) -> Result<(ShardSet, Vec<RecoveryReport>), ShardSetError> {
         let gamma = SharedGamma::compile(dtd, constraints).map_err(ShardSetError::Compile)?;
+        let to_sync = match root {
+            Some(root) => make_shard_dirs(root, base_xmls.len(), config.sync)?,
+            None => Vec::new(),
+        };
         // `texts[of[i]]` is shard `i`'s base text.
         let (mut texts, mut seen): (Vec<Arc<str>>, HashMap<&str, usize>) = Default::default();
         let of: Vec<usize> = base_xmls
@@ -459,19 +497,31 @@ impl ShardSet {
             .collect();
         let bases: Vec<Base<'_>> = texts.iter().map(|xml| Base::new(xml)).collect();
         let open_one = |id: usize| open(id, &bases[of[id]], &gamma);
-        let opened: Vec<Opened> = if parallel {
-            fan_out(base_xmls.len(), open_one)
-                .into_iter()
-                .map(|opened| {
-                    opened.unwrap_or_else(|payload| {
-                        let message = crate::checker::panic_message(payload.as_ref());
-                        Err(CheckerError::Panicked(message))
-                    })
+        let (opened, synced): (Vec<Opened>, _) = std::thread::scope(|scope| {
+            // The new names are fsynced while the shards open, so that the
+            // fsyncs share the disk's flushes; nothing is acknowledged
+            // before the set serves.
+            let synced = (!to_sync.is_empty()).then(|| {
+                scope.spawn(|| {
+                    to_sync.iter().try_for_each(|dir| fsync_dir(dir).map_err(|e| io_error(dir, e)))
                 })
-                .collect()
-        } else {
-            (0..base_xmls.len()).map(open_one).collect()
-        };
+            });
+            let opened = if parallel {
+                fan_out(base_xmls.len(), open_one)
+                    .into_iter()
+                    .map(|opened| {
+                        opened.unwrap_or_else(|payload| {
+                            let message = crate::checker::panic_message(payload.as_ref());
+                            Err(CheckerError::Panicked(message))
+                        })
+                    })
+                    .collect()
+            } else {
+                (0..base_xmls.len()).map(open_one).collect()
+            };
+            (opened, synced.map_or(Ok(()), |h| h.join().expect("an fsync does not panic")))
+        });
+        synced?;
         // Every shard holds what it shares of a build: nothing pins the rest.
         drop(bases);
         let mut shards = Vec::with_capacity(base_xmls.len());

@@ -1,10 +1,11 @@
-//! Process-level restart test for a one-document `xic-serve`: a commit
-//! acknowledged by one run must still be there in the next run over the
-//! same `--store` directory; a directory that is not a store (a store
-//! written straight into `DIR` rather than `DIR/shard-0/` included), the
-//! flags that left with the modes they selected (`--journal`,
-//! `--executor`, `--max-batch`) and a value on a boolean flag are refused
-//! with one line.
+//! Process-level start-up tests for a one-document `xic-serve`: a
+//! directory that is not a store (a store written straight into `DIR`
+//! rather than `DIR/shard-0/` included), a `--socket` path that holds
+//! anything but a socket, the flags that left with the modes they
+//! selected (`--journal`, `--executor`, `--max-batch`) and a value on a
+//! boolean flag are refused with one line; a store moved back into place
+//! resumes after a graceful restart. That a store survives a SIGKILL of a
+//! live server is the fault harness's Kill row (`xic-difftest --faults`).
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -80,23 +81,6 @@ fn refused(dir: &Path, storage: &[&str]) -> String {
     stderr
 }
 
-/// Commits one statement in a first run and asks a second run for the
-/// version.
-#[test]
-fn store_survives_a_restart() {
-    let dir = scratch("store");
-    let target = dir.join("store");
-    let storage = ["--store", target.to_str().expect("utf-8 path")];
-
-    let replies = serve(&dir, &storage, &format!("UPDATE {LEGAL}\nQUIT\n"));
-    assert_eq!(replies, ["OK 1 APPLIED optimized", "BYE"]);
-
-    let replies = serve(&dir, &storage, "VERSION\nCHECK\nQUIT\n");
-    assert_eq!(replies[0].trim_end(), "OK 1", "the acknowledged commit was discarded on restart");
-    assert_eq!(replies[1], "OK 1 CONSISTENT");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn journal_flag_is_refused() {
     let dir = scratch("journal");
@@ -150,5 +134,28 @@ fn store_files_outside_a_shard_directory_are_refused() {
     std::fs::create_dir(target.join("shard-0")).expect("mkdir shard-0");
     std::fs::rename(&flat, &nested).expect("move the journal back");
     assert_eq!(serve(&dir, &storage, "VERSION\nQUIT\n"), ["OK 1", "BYE"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `--socket` path holding a regular file or a symlink is refused
+/// before the store is opened: the entry is left as it was, and no store
+/// is created.
+#[test]
+fn a_socket_path_that_is_not_a_socket_is_refused() {
+    let dir = scratch("socket");
+    let target = dir.join("store");
+    let (file, link) = (dir.join("notes.txt"), dir.join("link"));
+    std::fs::write(&file, "keep me").expect("write file");
+    std::os::unix::fs::symlink(dir.join("doc.xml"), &link).expect("symlink");
+    for path in [&file, &link] {
+        let socket = path.to_str().expect("utf-8 path");
+        let store = target.to_str().expect("utf-8 path");
+        let line = refused(&dir, &["--store", store, "--socket", socket]);
+        assert!(line.contains("is not a socket"), "{line}");
+        assert!(!target.exists(), "a refusal must create no store");
+    }
+    assert_eq!(std::fs::read_to_string(&file).expect("file intact"), "keep me");
+    assert!(std::fs::symlink_metadata(&link).expect("link intact").file_type().is_symlink());
+    assert_eq!(std::fs::read_to_string(dir.join("doc.xml")).expect("link target intact"), CORPUS);
     let _ = std::fs::remove_dir_all(&dir);
 }

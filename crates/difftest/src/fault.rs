@@ -1,61 +1,90 @@
 //! The fault harness: a seeded fault lands on one shard of a set of one
-//! to four, and every shard must come back at exactly its checked,
-//! acknowledged prefix (DESIGN.md rows 19, 22 and 24).
+//! to four, or a SIGKILL on the live server over the whole set, and every
+//! shard must come back at exactly its checked, acknowledged prefix
+//! (DESIGN.md rows 17, 19, 22 and 24).
 //!
 //! The checker decides a statement before it applies it, so a refused
 //! statement never reaches the journal; whatever the fault, a store
 //! therefore recovers every commit it acknowledged, plus at most the
 //! statement in flight. Each case is a pure function of its `u64` seed:
 //!
-//! 1. [`fault_plan`] draws the case: K shards and a victim; a fault site,
-//!    a [`FaultMode`] and a trigger hit; a batch size; a [`Rotation`];
-//!    whether the stores fsync; what follows a fault that poisons or
-//!    degrades the victim ([`After`]); and the [`Corpus`]. Consecutive
-//!    seeds walk the site list, then the two modes, then the two
-//!    K-classes (K = 1, K ≥ 2), so every (site, mode, K-class) cell is
-//!    drawn once per `4 × sites` seeds; the other fields are hash-mixed
-//!    out of the seed.
+//! 1. [`fault_plan`] draws the case: K shards and a [`Kind`]. Every ninth
+//!    seed of a run over every site is a [`Kind::Kill`]; its plan draws
+//!    how many replies the harness reads before the kill, whether the
+//!    stores fsync, and the [`Corpus`]. The other seeds draw an in-process
+//!    fault: a victim, a fault site, `Error` or `Panic` and a trigger hit;
+//!    a batch size; a [`Rotation`]; whether the stores fsync; what follows
+//!    a fault that poisons or degrades the victim ([`After`]); and the
+//!    corpus. Consecutive in-process seeds walk the site list, then the
+//!    two modes, then the two K-classes (K = 1, K ≥ 2), so every (site,
+//!    mode, K-class) cell is drawn once per `4 × sites` of them; the other
+//!    fields are hash-mixed out of the walk position. The walk skips the
+//!    Kill seeds, so 225 cases from seed 1 are the in-process plans of a
+//!    200-case `--sites` run (which draws no Kill) plus 25 Kills.
 //! 2. The corpus gives one DTD and denial set, compiled into one shared
-//!    Γ, and every shard a base document and a statement stream of its
-//!    own; each shard gets a store in [`ShardSet`]'s layout
+//!    Γ, and every shard a base document (one for every shard of a Kill,
+//!    since a server starts them all from one `--xml`) and a statement
+//!    stream of its own; each shard gets a store in [`ShardSet`]'s layout
 //!    (`root/shard-k`) and a never-faulted twin checker.
-//! 3. The driver runs the streams round-robin, a batch at a time, through
-//!    [`apply_batch`] — the function every `ShardSet::submit` runs; a
-//!    batch of one is what a lone client gets — on the harness thread.
-//!    The fault is armed only around the victim's batches (and its
-//!    explicit checkpoint), so thread-scoped arming is shard-scoped
-//!    arming. The victim runs on past its stream until its fault fires.
-//!    At the end every checker is dropped, as in a crash, and the root is
+//! 3. In process, the driver runs the streams round-robin, a batch at a
+//!    time, through [`apply_batch`] — the function every `ShardSet::submit`
+//!    runs; a batch of one is what a lone client gets — on the harness
+//!    thread. The fault is armed only around the victim's batches (and
+//!    its explicit checkpoint), so thread-scoped arming is shard-scoped
+//!    arming. The victim runs on past its stream until its fault fires. At
+//!    the end every checker is dropped, as in a crash, and the root is
 //!    recovered twice with `ShardSet::recover`, sequentially and in
 //!    parallel, over two copies of it (recovery repairs what it finds).
+//!
+//!    A Kill spawns the `xic-serve` beside this executable over the root
+//!    (`--shards K --store --socket`, `--no-sync` where the plan does not
+//!    sync) and writes every shard's stream down a connection of its own
+//!    at once, all connections concurrently. Once the harness has read the
+//!    plan's number of replies it SIGKILLs the server, reads what the
+//!    sockets still hold, and recovers two copies of the root the same
+//!    way. The seed fixes the plan, not the interleaving, so the oracle
+//!    holds for every interleaving.
 //! 4. **The oracle**, the same for every plan:
 //!    * every answer matches the twin's, which takes exactly the
 //!      statements its shard committed; siblings are never faulted and
-//!      stay byte-identical to their twins;
+//!      stay byte-identical to their twins. A killed server's replies
+//!      equal, byte for byte, what an in-memory `ShardSet` twin answers to
+//!      the same lines through `protocol::execute_sharded`;
 //!    * every recovery — a rebuilt victim's and every shard's at the end
 //!      — restores `p` commits with `acked ≤ p ≤ committed` (one more
-//!      after a contained panic, whose statement's record may be whole on
-//!      disk), and the twin's bytes at `p`, its indexes audited;
+//!      after a contained panic, or for the statement a killed server's
+//!      connection was executing, whose record may be whole on disk), and
+//!      the twin's bytes at `p`, its indexes audited;
 //!    * a batch reaches `journal.sync` at most once, and once if it
 //!      appended to a store that fsyncs;
 //!    * a failed flush degrades the checker, and the last acknowledged
 //!      state — what degraded reads serve — passes the full check;
 //!    * sequential and parallel recovery agree, report for report and
-//!      byte for byte, for K = 1 as well.
+//!      byte for byte, for K = 1 as well;
+//!    * a killed server, restarted over its root and its stale socket,
+//!      answers every shard's `VERSION` with `p` and `CHECK` with
+//!      `CONSISTENT`, and commits one more statement, as the twin does.
 //!
 //! Divergences print a one-line replay command (`cargo run -p
 //! xic-difftest -- --faults --seed N --cases 1`, plus the run's `--sites`
-//! filter, from which the plan is derived).
+//! filter, from which the plan is derived; a Kill's replays the release
+//! build, beside its `xic-serve`).
 
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xic_faults::{FaultMode, SITES};
 use xic_workload::{conflict_constraint, generate, random_batch, WorkloadConfig};
 use xic_xml::{serialize, Document, XUpdateDoc};
+use xicheck::protocol::{execute_sharded, parse_command, Reply};
 use xicheck::service::{apply_batch, BatchDisposition, BatchStmt, ServiceError, SubmitOutcome};
 use xicheck::{
     Checker, CheckerError, CheckpointPolicy, RecoveryReport, ServiceConfig, ShardSet,
@@ -72,12 +101,27 @@ const STREAM: usize = 6;
 /// dozen statements away).
 const STREAM_CAP: usize = 24;
 
+/// Statements every shard of a Kill runs: long enough that a kill before
+/// the last reply mostly finds the server mid-stream.
+const KILL_STREAM: usize = 48;
+
 /// From this many draws of every (site, mode, K-class) cell on, a cell
 /// whose fault fired in no case fails the run.
 const CELL_ROUNDS: u64 = 3;
 
-/// The coverage table's columns: (mode, K-class) pairs.
-const COLUMNS: [&str; 4] = ["Error K=1", "Error K≥2", "Panic K=1", "Panic K≥2"];
+/// Of a run over every site, the seeds divisible by this are Kill cases.
+const KILL_EVERY: u64 = 9;
+
+/// How long a server may take to come up, and a connection to answer.
+const SERVER_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A Unix socket's path must fit `sun_path`, terminator included.
+const SUN_PATH: usize = 108;
+
+/// The coverage table's columns: (kind, K-class) pairs. The first four
+/// are counted per site, the Kill pair once.
+const COLUMNS: [&str; 6] =
+    ["Error K=1", "Error K≥2", "Panic K=1", "Panic K≥2", "Kill K=1", "Kill K≥2"];
 
 /// Resolves a `--sites` filter against [`xic_faults::SITES`]: each
 /// comma-separated pattern matches by substring; `None` keeps all sites.
@@ -100,6 +144,18 @@ fn mix(seed: u64, salt: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// What a case does to its shard set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// An injected error at the plan's site ([`FaultMode::Error`]).
+    Error,
+    /// An injected panic at the plan's site ([`FaultMode::Panic`]),
+    /// contained in-thread.
+    Panic,
+    /// A SIGKILL of the live `xic-serve` over the whole set.
+    Kill,
 }
 
 /// How the shards' stores rotate.
@@ -138,19 +194,22 @@ pub enum Corpus {
     Random,
 }
 
-/// A case's plan, a pure function of its seed and the site list.
+/// A case's plan, a pure function of its seed and the site list. A Kill
+/// reads `shards`, `nth`, `sync` and `corpus`; its other fields are fixed
+/// (no site, batches of one, no rotation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Shards in the set (1–4).
     pub shards: usize,
     /// The shard the fault is armed on.
     pub victim: usize,
-    /// The armed site.
+    /// The armed site (empty for a Kill).
     pub site: &'static str,
-    /// `Error` or `Panic`.
-    pub mode: FaultMode,
+    /// `Error`, `Panic` or `Kill`.
+    pub kind: Kind,
     /// The victim's hit of the site on which the fault triggers (1–3;
-    /// 1 where the plan reaches the site once).
+    /// 1 where the plan reaches the site once); for a Kill, the replies
+    /// the harness reads before it kills the server (up to every reply).
     pub nth: u64,
     /// Statements per batch (1–4).
     pub batch: usize,
@@ -163,18 +222,25 @@ pub struct FaultPlan {
     pub after: After,
     /// The schema, documents and statements.
     pub corpus: Corpus,
+    /// The seed they are drawn from.
+    pub corpus_seed: u64,
 }
 
 impl FaultPlan {
     /// The plan's column of the coverage table (see [`COLUMNS`]).
     fn column(&self) -> usize {
-        2 * (self.mode == FaultMode::Panic) as usize + (self.shards > 1) as usize
+        2 * self.kind as usize + (self.shards > 1) as usize
     }
 
     /// The statements shard `k` is given: the victim runs on past
-    /// [`STREAM`] until its fault fires.
+    /// [`STREAM`] until its fault fires; a Kill's shards run
+    /// [`KILL_STREAM`].
     fn stream(&self, k: usize) -> usize {
-        if k == self.victim { STREAM_CAP } else { STREAM }
+        match self.kind {
+            Kind::Kill => KILL_STREAM,
+            _ if k == self.victim => STREAM_CAP,
+            _ => STREAM,
+        }
     }
 
     /// The automatic rotation policy every shard's checker runs.
@@ -186,12 +252,18 @@ impl FaultPlan {
     }
 }
 
-/// Derives the plan for `seed` over `sites` (see the module docs); a
+/// Derives the plan for `seed` over `sites` (see the module docs);
+/// `kills`: the run draws Kill cases, as one over every site does. A
 /// replay must repeat the run's `--sites` filter.
-pub fn fault_plan(sites: &[&'static str], seed: u64) -> FaultPlan {
+pub fn fault_plan(sites: &[&'static str], kills: bool, seed: u64) -> FaultPlan {
+    if kills && seed % KILL_EVERY == 0 {
+        return kill_plan(seed);
+    }
+    // The in-process walk skips the Kill seeds.
+    let seed = if kills { seed - seed / KILL_EVERY } else { seed };
     let n = sites.len() as u64;
     let site = sites[(seed % n) as usize];
-    let mode = if (seed / n) % 2 == 0 { FaultMode::Error } else { FaultMode::Panic };
+    let kind = if (seed / n) % 2 == 0 { Kind::Error } else { Kind::Panic };
     let shards = if (seed / (2 * n)) % 2 == 0 { 1 } else { 2 + (mix(seed, 1) % 3) as usize };
     let rotation = match mix(seed, 2) % 5 {
         4 => Rotation::Once,
@@ -203,13 +275,35 @@ pub fn fault_plan(sites: &[&'static str], seed: u64) -> FaultPlan {
         shards,
         victim: (mix(seed, 3) % shards as u64) as usize,
         site,
-        mode,
+        kind,
         nth: if once { 1 } else { 1 + mix(seed, 4) % 3 },
         batch: 1 + (mix(seed, 5) % 4) as usize,
         rotation,
         sync: site == "journal.sync" || mix(seed, 6) % 2 == 0,
         after: if mix(seed, 7) % 2 == 0 { After::Stop } else { After::Rebuild },
         corpus: if mix(seed, 9) % 2 == 0 { Corpus::Paper } else { Corpus::Random },
+        corpus_seed: mix(seed, 8),
+    }
+}
+
+/// A Kill seed's plan: consecutive Kills alternate K-classes, and the kill
+/// lands after any number of the replies, or after the last one in about
+/// a sixth of the plans.
+fn kill_plan(seed: u64) -> FaultPlan {
+    let shards = if (seed / KILL_EVERY) % 2 == 0 { 1 } else { 2 + (mix(seed, 1) % 3) as usize };
+    let replies = (shards * KILL_STREAM) as u64;
+    FaultPlan {
+        shards,
+        victim: 0,
+        site: "",
+        kind: Kind::Kill,
+        nth: (mix(seed, 4) % (replies + replies / 5 + 1)).min(replies),
+        batch: 1,
+        rotation: Rotation::Never,
+        sync: mix(seed, 6) % 2 == 0,
+        after: After::Stop,
+        corpus: if mix(seed, 9) % 2 == 0 { Corpus::Paper } else { Corpus::Random },
+        corpus_seed: mix(seed, 8),
     }
 }
 
@@ -231,6 +325,16 @@ impl FaultDivergence {
     /// A multi-line report ending in the one-line replay command.
     pub fn report(&self) -> String {
         let p = &self.plan;
+        let seed = self.seed;
+        if p.kind == Kind::Kill {
+            return format!(
+                "fault divergence (seed {seed}, {} shards, Kill after {} replies, sync {}, \
+                 corpus {:?})\n  {}\n  \
+                 replay: cargo build --release && target/release/difftest --faults --seed {seed} \
+                 --cases 1",
+                p.shards, p.nth, p.sync, p.corpus, self.detail
+            );
+        }
         let filter = self.sites.as_deref().map(|s| format!(" --sites {s}")).unwrap_or_default();
         format!(
             "fault divergence (seed {seed}, {k} shards, victim {v}, site {site}, mode {mode:?}, \
@@ -238,11 +342,10 @@ impl FaultDivergence {
              corpus {corpus:?})\n  \
              {detail}\n  \
              replay: cargo run -p xic-difftest -- --faults --seed {seed} --cases 1{filter}",
-            seed = self.seed,
             k = p.shards,
             v = p.victim,
             site = p.site,
-            mode = p.mode,
+            mode = p.kind,
             nth = p.nth,
             batch = p.batch,
             rotation = p.rotation,
@@ -280,12 +383,19 @@ pub struct FaultReport {
     /// column: (Error, K = 1), (Error, K ≥ 2), (Panic, K = 1), (Panic,
     /// K ≥ 2).
     pub cells: Vec<(&'static str, [u64; 4])>,
+    /// Kill cases drawn.
+    pub kill_cases: u64,
+    /// Kill cases that SIGKILLed a live server and passed, by K-class.
+    pub kills: [u64; 2],
+    /// Of those, the kills that found a statement executing or unread.
+    pub kills_mid_stream: u64,
     /// All divergences, in seed order.
     pub divergences: Vec<FaultDivergence>,
 }
 
 impl FaultReport {
-    /// The (site, column) cells whose fault fired in no case.
+    /// The (site, column) cells whose fault fired in no case, then the
+    /// Kill columns that killed no live server.
     pub fn silent_cells(&self) -> Vec<String> {
         let cells = self.cells.iter().flat_map(|(site, fired)| {
             fired
@@ -294,14 +404,17 @@ impl FaultReport {
                 .filter(|(n, _)| **n == 0)
                 .map(move |(_, c)| format!("{site} {c}"))
         });
-        cells.collect()
+        let kills = self.kills.iter().zip(&COLUMNS[4..]).filter(|(n, _)| **n == 0);
+        cells.chain(kills.map(|(_, c)| c.to_string())).collect()
     }
 
     /// The run's [`Outcome`]. The summary line is followed by the
-    /// coverage line; floor: once every cell was drawn three times, a
-    /// cell that never fired has fallen off the write path, and a run
-    /// whose faults all fired on the paper's schema never put a generated
-    /// one under faults.
+    /// coverage line; floors: once every in-process cell was drawn three
+    /// times, a cell that never fired has fallen off the write path, and a
+    /// run whose faults all fired on the paper's schema never put a
+    /// generated one under faults; once each Kill column was drawn three
+    /// times, it must have killed a live server, and at least half the
+    /// kills must have found a statement executing or unread.
     pub fn outcome(&self) -> Outcome {
         let Config { seed, cases } = self.config;
         let filter = self.sites.as_deref().map(|s| format!(" (sites: {s})")).unwrap_or_default();
@@ -310,30 +423,47 @@ impl FaultReport {
             .iter()
             .map(|(site, n)| format!("{site}={}/{}/{}/{}", n[0], n[1], n[2], n[3]))
             .collect();
+        let killed = self.kills[0] + self.kills[1];
         let summary = format!(
             "faults: {cases} cases from seed {seed}{filter} — {} divergences, {} faults fired, \
              {} of them on random schemas, {} victims poisoned, {} degraded, {} rebuilt in \
-             place, {} torn tails truncated, {} commits restored\nfired by site ({}): {}",
+             place, {killed} live servers killed, {} of them with a statement executing or \
+             unread, {} torn tails truncated, {} commits restored\nfired by site ({}): {}; \
+             killed ({}): {}/{}",
             self.divergences.len(),
             self.fired,
             self.fired_random,
             self.poisoned,
             self.degraded,
             self.rebuilt,
+            self.kills_mid_stream,
             self.torn_tails,
             self.restored,
-            COLUMNS.join(" / "),
+            COLUMNS[..4].join(" / "),
             table.join(" "),
+            COLUMNS[4..].join(" / "),
+            self.kills[0],
+            self.kills[1],
         );
-        let silent = self.silent_cells();
+        let in_process = cases - self.kill_cases;
+        let cells_drawn = in_process >= CELL_ROUNDS * 4 * self.cells.len() as u64;
+        let kills_drawn = self.kill_cases >= CELL_ROUNDS * 2;
+        let silent: Vec<String> = self
+            .silent_cells()
+            .into_iter()
+            .filter(|cell| if cell.starts_with("Kill") { kills_drawn } else { cells_drawn })
+            .collect();
         let floor = if self.cells.is_empty() {
             Err("faults: the --sites filter matches no registered fault site".to_string())
-        } else if cases < CELL_ROUNDS * 4 * self.cells.len() as u64 {
-            Ok(())
         } else if !silent.is_empty() {
             Err(format!("faults: cells that fired in none of {cases} cases: {}", silent.join(", ")))
-        } else if self.fired_random == 0 {
+        } else if cells_drawn && self.fired_random == 0 {
             Err(format!("faults: no fault fired on a random schema in {cases} cases"))
+        } else if kills_drawn && 2 * self.kills_mid_stream < killed {
+            Err(format!(
+                "faults: only {} of {killed} kills found a statement executing or unread",
+                self.kills_mid_stream
+            ))
         } else {
             Ok(())
         };
@@ -343,8 +473,9 @@ impl FaultReport {
 }
 
 /// Runs `config.cases` cases from `config.seed` over the sites
-/// `sites_arg` keeps (see [`filter_sites`]). Shard roots live in the
-/// system temp directory and are removed per case.
+/// `sites_arg` keeps (see [`filter_sites`]); a run over every site draws
+/// Kill cases too. Each case's files live in the system temp directory
+/// and are removed after it.
 pub fn run_faults(config: Config, sites_arg: Option<&str>) -> FaultReport {
     let sites = filter_sites(sites_arg);
     let mut report = FaultReport {
@@ -357,14 +488,19 @@ pub fn run_faults(config: Config, sites_arg: Option<&str>) -> FaultReport {
         return report;
     }
     each_case(config, |seed, dir| {
-        let plan = fault_plan(&sites, seed);
-        let root = dir.join(scratch_name("faults", seed));
-        let copy = dir.join(scratch_name("faults-copy", seed));
-        let result = run_case(plan, seed, &root, &copy);
+        let plan = fault_plan(&sites, sites_arg.is_none(), seed);
+        let case = dir.join(scratch_name("faults", seed));
+        let result = run_case(plan, &case);
         xic_faults::disarm_all();
-        let _ = std::fs::remove_dir_all(&root);
-        let _ = std::fs::remove_dir_all(&copy);
+        let _ = std::fs::remove_dir_all(&case);
+        report.kill_cases += (plan.kind == Kind::Kill) as u64;
         match result {
+            Ok(out) if plan.kind == Kind::Kill => {
+                report.kills[plan.column() - 4] += 1;
+                report.kills_mid_stream += out.mid_stream as u64;
+                report.torn_tails += out.torn_tails;
+                report.restored += out.restored;
+            }
             Ok(out) => {
                 report.fired += out.fired as u64;
                 report.fired_random += (out.fired && plan.corpus == Corpus::Random) as u64;
@@ -395,6 +531,8 @@ struct CaseOutcome {
     poisoned: bool,
     degraded: bool,
     rebuilt: bool,
+    /// A Kill found a statement executing or unread.
+    mid_stream: bool,
     torn_tails: u64,
     restored: u64,
 }
@@ -410,8 +548,8 @@ struct Drawn {
 }
 
 /// Draws the plan's corpus for `seed` (see [`Corpus`]).
-fn draw(plan: FaultPlan, seed: u64) -> Result<Drawn, String> {
-    let mut rng = StdRng::seed_from_u64(mix(seed, 8));
+fn draw(plan: FaultPlan) -> Result<Drawn, String> {
+    let mut rng = StdRng::seed_from_u64(plan.corpus_seed);
     let parse = |text: &str| {
         XUpdateDoc::parse(text).map_err(|e| format!("a generated statement does not parse: {e}"))
     };
@@ -420,19 +558,25 @@ fn draw(plan: FaultPlan, seed: u64) -> Result<Drawn, String> {
     };
     let mut shards = Vec::with_capacity(plan.shards);
     if plan.corpus == Corpus::Paper {
+        let mut w = None;
         for k in 0..plan.shards {
-            let w = generate(WorkloadConfig {
-                seed: rng.gen::<u64>(),
-                pubs: 4 + rng.gen_range(0..6),
-                tracks: 1 + rng.gen_range(0..2),
-                revs_per_track: 1 + rng.gen_range(0..3),
-                subs_per_rev: 1 + rng.gen_range(0..3),
-                name_pool: 12,
-            });
+            // A server starts every shard from one `--xml`: the shards of
+            // a Kill share shard 0's document.
+            if w.is_none() || plan.kind != Kind::Kill {
+                w = Some(generate(WorkloadConfig {
+                    seed: rng.gen::<u64>(),
+                    pubs: 4 + rng.gen_range(0..6),
+                    tracks: 1 + rng.gen_range(0..2),
+                    revs_per_track: 1 + rng.gen_range(0..3),
+                    subs_per_rev: 1 + rng.gen_range(0..3),
+                    name_pool: 12,
+                }));
+            }
+            let w = w.as_ref().expect("drawn above");
             let stream = (0..plan.stream(k))
-                .map(|_| parse(&random_batch(&mut rng, &w, 1)))
+                .map(|_| parse(&random_batch(&mut rng, w, 1)))
                 .collect::<Result<_, _>>()?;
-            shards.push((w.xml, stream));
+            shards.push((w.xml.clone(), stream));
         }
         let (dtd, constraints) = (PAPER_DTD.to_string(), conflict_constraint().to_string());
         return Ok(Drawn { gamma: compile(&dtd, &constraints)?, dtd, constraints, shards });
@@ -457,16 +601,24 @@ fn draw(plan: FaultPlan, seed: u64) -> Result<Drawn, String> {
     Ok(Drawn { gamma, dtd: schema.dtd_text, constraints, shards })
 }
 
-/// Runs one case (see the module docs).
-fn run_case(plan: FaultPlan, seed: u64, root: &Path, copy: &Path) -> Result<CaseOutcome, String> {
-    let Drawn { gamma, dtd, constraints, shards: drawn } = draw(plan, seed)?;
+/// Runs one case (see the module docs); its files go under `case`.
+fn run_case(plan: FaultPlan, case: &Path) -> Result<CaseOutcome, String> {
+    let Drawn { gamma, dtd, constraints, shards: drawn } = draw(plan)?;
+    let root = case.join("root");
     let mut shards = Vec::with_capacity(plan.shards);
     for (k, (base, stream)) in drawn.into_iter().enumerate() {
         let setup = |e: CheckerError| format!("shard {k}: setup failed: {e}");
         let dir = root.join(format!("shard-{k}"));
-        let mut live = Checker::from_shared(&base, &gamma).map_err(setup)?;
-        live.attach_store(&dir, plan.sync).map_err(setup)?;
-        live.set_checkpoint_policy(plan.policy());
+        // A killed server owns its stores; in process, the harness does.
+        let live = match plan.kind {
+            Kind::Kill => None,
+            Kind::Error | Kind::Panic => {
+                let mut live = Checker::from_shared(&base, &gamma).map_err(setup)?;
+                live.attach_store(&dir, plan.sync).map_err(setup)?;
+                live.set_checkpoint_policy(plan.policy());
+                Some(live)
+            }
+        };
         let twin = Checker::from_shared(&base, &gamma).map_err(setup)?;
         shards.push(Shard {
             dir,
@@ -475,19 +627,26 @@ fn run_case(plan: FaultPlan, seed: u64, root: &Path, copy: &Path) -> Result<Case
             stream,
             next: 0,
             checkpointed: false,
-            live: Some(live),
+            live,
             twin,
             log: Vec::new(),
             acked: 0,
             in_flight: None,
         });
     }
-    let trigger = Trigger { site: plan.site, mode: plan.mode, left: plan.nth, fired: false };
-    let mut driver =
-        Driver { plan, gamma, dtd, constraints, shards, trigger, out: CaseOutcome::default() };
-    driver.run()?;
-    driver.recover_all(root, copy)?;
-    driver.out.fired = driver.trigger.fired;
+    let mut driver = Driver { plan, gamma, dtd, constraints, shards, out: CaseOutcome::default() };
+    let mode = match plan.kind {
+        Kind::Error => FaultMode::Error,
+        Kind::Panic => FaultMode::Panic,
+        Kind::Kill => {
+            driver.kill(case)?;
+            return Ok(driver.out);
+        }
+    };
+    let mut trigger = Trigger { site: plan.site, mode, left: plan.nth, fired: false };
+    driver.run(&mut trigger)?;
+    driver.recover_all(&root, &case.join("copy"))?;
+    driver.out.fired = trigger.fired;
     Ok(driver.out)
 }
 
@@ -595,6 +754,18 @@ impl Shard {
         Ok(())
     }
 
+    /// Moves the twin on by a statement the shard committed.
+    fn commit(&mut self, stmt: &XUpdateDoc) -> Result<(), String> {
+        match self.twin.try_update(stmt) {
+            Ok(out) if out.applied() => {
+                self.log.push(stmt.clone());
+                self.states.push(serialize(self.twin.doc()));
+                Ok(())
+            }
+            other => Err(format!("the twin answers {other:?} to a statement its shard committed")),
+        }
+    }
+
     /// Holds a recovery of this shard's store (`doc`, `report`) to the
     /// oracle and moves the twin to what it restored; returns `p`.
     fn settle(
@@ -627,15 +798,8 @@ impl Shard {
             ));
         }
         if let Some(stmt) = self.in_flight.take().filter(|_| p > committed) {
-            match self.twin.try_update(&stmt) {
-                Ok(out) if out.applied() => {
-                    self.log.push(stmt);
-                    self.states.push(serialize(self.twin.doc()));
-                }
-                other => return Err(format!(
-                    "recovery restored the statement in flight, which its twin answers {other:?}"
-                )),
-            }
+            let restored = self.commit(&stmt);
+            restored.map_err(|e| format!("recovery restored the statement in flight: {e}"))?;
         }
         let got = serialize(doc);
         if got != self.states[p] {
@@ -673,19 +837,17 @@ struct Driver {
     dtd: String,
     constraints: String,
     shards: Vec<Shard>,
-    trigger: Trigger,
     out: CaseOutcome,
 }
 
 impl Driver {
     /// Runs the streams round-robin, a batch per shard per round, until
     /// every live shard is through its stream.
-    fn run(&mut self) -> Result<(), String> {
+    fn run(&mut self, trigger: &mut Trigger) -> Result<(), String> {
         loop {
             let mut ran = false;
             for s in 0..self.shards.len() {
-                let end =
-                    if s == self.plan.victim && !self.trigger.fired { STREAM_CAP } else { STREAM };
+                let end = if s == self.plan.victim && !trigger.fired { STREAM_CAP } else { STREAM };
                 let shard = &self.shards[s];
                 if shard.live.is_none() || shard.next >= end {
                     continue;
@@ -695,13 +857,13 @@ impl Driver {
                     && !shard.checkpointed
                     && shard.next >= STREAM / 2
                 {
-                    self.checkpoint(s).map_err(|e| format!("shard {s}: {e}"))?;
+                    self.checkpoint(s, trigger).map_err(|e| format!("shard {s}: {e}"))?;
                     continue;
                 }
                 let batch =
                     shard.stream[shard.next..end.min(shard.next + self.plan.batch)].to_vec();
                 self.shards[s].next += batch.len();
-                self.batch(s, &batch).map_err(|e| format!("shard {s}: {e}"))?;
+                self.batch(s, &batch, trigger).map_err(|e| format!("shard {s}: {e}"))?;
             }
             if !ran {
                 return Ok(());
@@ -710,15 +872,20 @@ impl Driver {
     }
 
     /// Runs one batch on shard `s` and holds it to the oracle.
-    fn batch(&mut self, s: usize, stmts: &[XUpdateDoc]) -> Result<(), String> {
+    fn batch(
+        &mut self,
+        s: usize,
+        stmts: &[XUpdateDoc],
+        trigger: &mut Trigger,
+    ) -> Result<(), String> {
         let victim = s == self.plan.victim;
         let shard = &mut self.shards[s];
         let checker = shard.live.as_mut().ok_or("a stopped shard ran a batch")?;
         let items: Vec<BatchStmt> =
             stmts.iter().map(|stmt| BatchStmt { stmt, budget: None }).collect();
         let before = checker.committed();
-        let (outcome, hits) = self.trigger.around(victim, || apply_batch(checker, &items));
-        let faulted = hits.is_some() && self.trigger.fired;
+        let (outcome, hits) = trigger.around(victim, || apply_batch(checker, &items));
+        let faulted = hits.is_some() && trigger.fired;
         let (poisoned, degraded) = (checker.poisoned(), checker.degraded());
         let appended = checker.committed() > before;
         let state = serialize(checker.doc());
@@ -737,7 +904,7 @@ impl Driver {
                 outcome.disposition
             ));
         }
-        if faulted && self.plan.mode == FaultMode::Panic && !poisoned && !degraded {
+        if faulted && self.plan.kind == Kind::Panic && !poisoned && !degraded {
             return Err("the injected panic was not contained".to_string());
         }
         if sync_failed {
@@ -772,20 +939,20 @@ impl Driver {
     }
 
     /// Takes the `Once` rotation's explicit checkpoint on shard `s`.
-    fn checkpoint(&mut self, s: usize) -> Result<(), String> {
+    fn checkpoint(&mut self, s: usize, trigger: &mut Trigger) -> Result<(), String> {
         let victim = s == self.plan.victim;
         let shard = &mut self.shards[s];
         shard.checkpointed = true;
         let checker = shard.live.as_mut().ok_or("a stopped shard took a checkpoint")?;
         let (result, hits) =
-            self.trigger.around(victim, || catch_unwind(AssertUnwindSafe(|| checker.checkpoint())));
-        let faulted = hits.is_some() && self.trigger.fired;
+            trigger.around(victim, || catch_unwind(AssertUnwindSafe(|| checker.checkpoint())));
+        let faulted = hits.is_some() && trigger.fired;
         match result {
             // A fault before the unlink fails the rotation; the old
             // generation stays live, and the crash comes later.
             Ok(Ok(_))
                 if faulted
-                    && self.plan.mode == FaultMode::Error
+                    && self.plan.kind == Kind::Error
                     && self.plan.site != "rotation.pre_old_unlink" =>
             {
                 Err(format!(
@@ -840,6 +1007,8 @@ impl Driver {
             policy: self.plan.policy(),
         };
         let (dtd, constraints) = (&self.dtd, &self.constraints);
+        // A Kill strikes every shard alike: none may fall back.
+        let victim = |s: usize| self.plan.kind != Kind::Kill && s == self.plan.victim;
         let recover = |dir: &Path, parallel: bool| {
             ShardSet::recover(dir, &bases, dtd, constraints, config, parallel)
                 .map_err(|e| format!("recovery (parallel: {parallel}) failed: {e}"))
@@ -862,7 +1031,7 @@ impl Driver {
                 ));
             }
             let p = self.shards[s]
-                .settle(doc.doc(), report, s == self.plan.victim, &self.gamma)
+                .settle(doc.doc(), report, victim(s), &self.gamma)
                 .map_err(|e| format!("shard {s}: {e}"))?;
             self.out.restored += p as u64;
             self.out.torn_tails += report.torn_tail_truncated as u64;
@@ -870,6 +1039,304 @@ impl Driver {
         let _ = seq.shutdown();
         let _ = par.shutdown();
         Ok(())
+    }
+}
+
+impl Driver {
+    /// A Kill (see the module docs): drives a live `xic-serve` over the
+    /// root, SIGKILLs it once the plan's replies are read, holds the
+    /// replies to a `ShardSet` twin, recovers two copies of the root, and
+    /// restarts the server over the root itself.
+    fn kill(&mut self, case: &Path) -> Result<(), String> {
+        let write = |name: &str, text: &str| {
+            std::fs::write(case.join(name), text).map_err(|e| format!("writing {name}: {e}"))
+        };
+        std::fs::create_dir_all(case).map_err(|e| format!("creating {}: {e}", case.display()))?;
+        write("doc.xml", &self.shards[0].base)?;
+        write("schema.dtd", &self.dtd)?;
+        write("gamma.xpl", &self.constraints)?;
+        for shard in &mut self.shards {
+            // The wire carries a statement per line.
+            shard.stream.retain(|stmt| !stmt.to_xml().contains(['\n', '\r']));
+        }
+        let texts: Vec<Vec<String>> = (self.shards.iter())
+            .map(|shard| shard.stream.iter().map(XUpdateDoc::to_xml).collect())
+            .collect();
+        let updates: Vec<String> = (texts.iter().enumerate())
+            .map(|(k, texts)| texts.iter().map(|text| format!("DOC {k} UPDATE {text}\n")).collect())
+            .collect();
+        let kill_at = (self.plan.nth as usize).min(texts.iter().map(Vec::len).sum());
+        let drained = drive_until_killed(case, &self.plan, &updates, kill_at)?;
+
+        // Every reply read, before the kill or drained after it, is the
+        // twin's; an applied one is acknowledged.
+        let bases = vec![self.shards[0].base.as_str(); self.plan.shards];
+        let twin = ShardSet::in_memory(&bases, &self.dtd, &self.constraints, Default::default())
+            .map_err(|e| format!("the twin set: {e}"))?;
+        let answer =
+            |line: &str| parse_command(line).map(|command| execute_sharded(&twin, &command));
+        for (k, replies) in drained.iter().enumerate() {
+            let shard = &mut self.shards[k];
+            for (i, reply) in replies.iter().enumerate() {
+                let expected = answer(&format!("DOC {k} UPDATE {}", texts[k][i]))?;
+                if *reply != expected.render() {
+                    return Err(format!(
+                        "shard {k}: reply {} was {reply:?} where its twin answers {:?}",
+                        i + 1,
+                        expected.render()
+                    ));
+                }
+                if matches!(&expected, Reply::Ok { detail, .. } if detail.starts_with("APPLIED")) {
+                    let stmt = shard.stream[i].clone();
+                    shard.commit(&stmt).map_err(|e| format!("shard {k}: {e}"))?;
+                }
+            }
+            shard.acked = shard.log.len();
+            shard.in_flight = shard.stream.get(replies.len()).cloned();
+            self.out.mid_stream |= replies.len() < texts[k].len();
+        }
+
+        let root = case.join("root");
+        let seq = case.join("seq");
+        copy_dir(&root, &seq).map_err(|e| format!("copying the root: {e}"))?;
+        let acked: Vec<usize> = self.shards.iter().map(|shard| shard.acked).collect();
+        self.recover_all(&seq, &case.join("par"))?;
+
+        // The restart: the twin first takes the statement in flight where
+        // recovery restored it, then answers what the restarted server is
+        // asked.
+        let (server, mut streams) = Server::start(case, &self.plan, 1)?;
+        let mut client = BufReader::new(streams.pop().expect("one connection"));
+        for (k, replies) in drained.iter().enumerate() {
+            let p = self.shards[k].acked;
+            let restored_in_flight = p > acked[k];
+            if restored_in_flight {
+                answer(&format!("DOC {k} UPDATE {}", texts[k][replies.len()]))?;
+            }
+            let next = replies.len() + restored_in_flight as usize;
+            // One more commit: the first statement from `next` on,
+            // wrapping, that the twin would apply.
+            let n = texts[k].len();
+            let commit = (0..n).map(|i| &texts[k][(next + i) % n]).find(|text| {
+                answer(&format!("DOC {k} DECIDE {text}"))
+                    .is_ok_and(|r| matches!(r, Reply::Ok { detail, .. } if detail == "LEGAL"))
+            });
+            let mut lines = vec![
+                (format!("DOC {k} VERSION"), Some(format!("OK {p}"))),
+                (format!("DOC {k} CHECK"), Some(format!("OK {p} CONSISTENT"))),
+            ];
+            lines.extend(commit.map(|text| (format!("DOC {k} UPDATE {text}"), None)));
+            for (line, want) in lines {
+                let expected = answer(&line)?.render();
+                let got = call(&mut client, &line)
+                    .map_err(|e| format!("restarted: {e}\n{}", server.log()))?;
+                if got != expected || want.is_some_and(|want| want != got) {
+                    return Err(format!(
+                        "restarted, shard {k} answered {got:?} to {line:.40}… where its twin \
+                         answers {expected:?}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Starts the server over `case`, writes shard `k`'s `DOC k UPDATE`
+/// lines, `updates[k]`, down a connection of its own, all at once,
+/// SIGKILLs the server once `kill_at` replies are read, and returns every
+/// shard's replies, those the sockets still held after the kill included.
+fn drive_until_killed(
+    case: &Path,
+    plan: &FaultPlan,
+    updates: &[String],
+    kill_at: usize,
+) -> Result<Vec<Vec<String>>, String> {
+    let (server, readers) = Server::start(case, plan, updates.len())?;
+    let writers = (readers.iter().map(UnixStream::try_clone))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("cloning a connection: {e}"))?;
+    let (read, signalled, killed) = (AtomicUsize::new(0), AtomicBool::new(false), OnceLock::new());
+    let kill = || {
+        signalled.store(true, Ordering::SeqCst);
+        *killed.get_or_init(|| server.kill())
+    };
+    if kill_at == 0 {
+        kill();
+    }
+    let drained = std::thread::scope(|scope| {
+        for (mut writer, updates) in writers.into_iter().zip(updates) {
+            // Pipelined: the whole stream at once, on a thread of its own;
+            // a write the kill cuts short is what a crashing client sees.
+            scope.spawn(move || writer.write_all(updates.as_bytes()));
+        }
+        let (read, signalled, kill) = (&read, &signalled, &kill);
+        let readers: Vec<_> = (readers.into_iter())
+            .map(|stream| {
+                scope.spawn(move || {
+                    let mut replies = Vec::new();
+                    for reply in BufReader::new(stream).lines() {
+                        match reply {
+                            Ok(reply) => replies.push(reply),
+                            // A killed peer may reset rather than close.
+                            Err(_) if signalled.load(Ordering::SeqCst) => break,
+                            Err(e) => return Err(format!("reading a reply: {e}")),
+                        }
+                        if read.fetch_add(1, Ordering::SeqCst) + 1 == kill_at {
+                            kill();
+                        }
+                    }
+                    Ok(replies)
+                })
+            })
+            .collect();
+        (readers.into_iter())
+            .map(|r| r.join().expect("a reader returns its errors"))
+            .collect::<Result<Vec<_>, String>>()
+    })?;
+    if killed.get().is_none() {
+        return Err(format!(
+            "the connections closed after {} of the {kill_at} replies the kill waits for\n{}",
+            read.load(Ordering::SeqCst),
+            server.log()
+        ));
+    }
+    if !kill() {
+        return Err(format!("xic-serve was gone before its kill\n{}", server.log()));
+    }
+    Ok(drained)
+}
+
+/// One request and its reply over a connection.
+fn call(client: &mut BufReader<UnixStream>, line: &str) -> Result<String, String> {
+    client.get_mut().write_all(format!("{line}\n").as_bytes()).map_err(|e| e.to_string())?;
+    let mut reply = String::new();
+    match client.read_line(&mut reply) {
+        Ok(0) => Err("the connection closed".to_string()),
+        Ok(_) => Ok(reply.trim_end_matches('\n').to_string()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// The `xic-serve` a Kill runs: the one beside this executable, where
+/// `cargo build --release` puts both.
+fn serve_binary() -> Result<PathBuf, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("locating difftest: {e}"))?;
+    let binary = exe.with_file_name("xic-serve");
+    if !binary.is_file() {
+        return Err(format!(
+            "{} not found: a Kill case runs the xic-serve beside difftest; build both with \
+             `cargo build --release`",
+            binary.display()
+        ));
+    }
+    Ok(binary)
+}
+
+/// A spawned `xic-serve` over a case's files, SIGKILLed and waited for
+/// when dropped: no server outlives its case, a divergence or a panic
+/// included.
+struct Server {
+    child: Mutex<Child>,
+    log: PathBuf,
+}
+
+impl Server {
+    /// Starts the server over `case`'s root, socket and input files, and
+    /// opens `connections` connections once it listens.
+    fn start(
+        case: &Path,
+        plan: &FaultPlan,
+        connections: usize,
+    ) -> Result<(Server, Vec<UnixStream>), String> {
+        let binary = serve_binary()?;
+        let socket = case.join("sock");
+        if socket.as_os_str().len() >= SUN_PATH {
+            return Err(format!(
+                "socket path {} does not fit sun_path's {SUN_PATH} bytes",
+                socket.display()
+            ));
+        }
+        let log = case.join("server.log");
+        let stderr = std::fs::File::options()
+            .create(true)
+            .append(true)
+            .open(&log)
+            .map_err(|e| format!("opening {}: {e}", log.display()))?;
+        let mut command = Command::new(&binary);
+        command
+            .arg("--xml")
+            .arg(case.join("doc.xml"))
+            .arg("--dtd")
+            .arg(case.join("schema.dtd"))
+            .arg("--constraints")
+            .arg(case.join("gamma.xpl"))
+            .arg("--shards")
+            .arg(plan.shards.to_string())
+            .arg("--store")
+            .arg(case.join("root"))
+            .arg("--socket")
+            .arg(&socket);
+        if !plan.sync {
+            command.arg("--no-sync");
+        }
+        let child = command
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(stderr)
+            .spawn()
+            .map_err(|e| format!("spawning {}: {e}", binary.display()))?;
+        let server = Server { child: Mutex::new(child), log };
+        // A stale socket refuses connections until the server rebinds it.
+        let started = Instant::now();
+        let first = loop {
+            if let Ok(stream) = UnixStream::connect(&socket) {
+                break stream;
+            }
+            if !server.running() || started.elapsed() > SERVER_TIMEOUT {
+                return Err(format!("xic-serve did not come up\n{}", server.log()));
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        let mut streams = vec![first];
+        for _ in 1..connections {
+            streams.push(UnixStream::connect(&socket).map_err(|e| format!("connecting: {e}"))?);
+        }
+        for stream in &streams {
+            stream.set_read_timeout(Some(SERVER_TIMEOUT)).map_err(|e| e.to_string())?;
+        }
+        Ok((server, streams))
+    }
+
+    /// The child, whatever a panicking holder left: a `Child` stays valid,
+    /// and `Drop` must not panic.
+    fn child(&self) -> std::sync::MutexGuard<'_, Child> {
+        self.child.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn running(&self) -> bool {
+        matches!(self.child().try_wait(), Ok(None))
+    }
+
+    /// SIGKILLs the server and waits for it; true if it was still running.
+    fn kill(&self) -> bool {
+        let alive = self.running();
+        let mut child = self.child();
+        let _ = child.kill();
+        let _ = child.wait();
+        alive
+    }
+
+    /// What the server wrote to stderr, for a divergence report.
+    fn log(&self) -> String {
+        let log = std::fs::read_to_string(&self.log).unwrap_or_default();
+        format!("--- xic-serve stderr ---\n{log}")
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.kill();
     }
 }
 
@@ -895,14 +1362,14 @@ mod tests {
 
     #[test]
     fn plans_are_deterministic_and_draw_every_value_in_both_k_classes() {
-        assert_eq!(fault_plan(SITES, 4242), fault_plan(SITES, 4242));
-        let plans: Vec<FaultPlan> = (1..=400).map(|seed| fault_plan(SITES, seed)).collect();
+        assert_eq!(fault_plan(SITES, false, 4242), fault_plan(SITES, false, 4242));
+        let plans: Vec<FaultPlan> = (1..=400).map(|seed| fault_plan(SITES, false, seed)).collect();
         for multi in [false, true] {
             let class: Vec<&FaultPlan> = plans.iter().filter(|p| (p.shards > 1) == multi).collect();
             let draws = |f: &dyn Fn(&FaultPlan) -> bool| class.iter().any(|p| f(p));
             for site in SITES {
-                for mode in [FaultMode::Error, FaultMode::Panic] {
-                    assert!(draws(&|p| p.site == *site && p.mode == mode), "{site} {mode:?}");
+                for kind in [Kind::Error, Kind::Panic] {
+                    assert!(draws(&|p| p.site == *site && p.kind == kind), "{site} {kind:?}");
                 }
             }
             let shards: &[usize] = if multi { &[2, 3, 4] } else { &[1] };
@@ -945,11 +1412,40 @@ mod tests {
     }
 
     #[test]
+    fn every_ninth_seed_is_a_kill_and_the_others_walk_the_in_process_plans() {
+        let plans: Vec<FaultPlan> = (1..=225).map(|seed| fault_plan(SITES, true, seed)).collect();
+        let (kills, in_process): (Vec<&FaultPlan>, Vec<&FaultPlan>) =
+            plans.iter().partition(|p| p.kind == Kind::Kill);
+        assert_eq!(kills.len(), 25);
+        let filtered: Vec<FaultPlan> =
+            (1..=200).map(|seed| fault_plan(SITES, false, seed)).collect();
+        assert!(in_process.into_iter().eq(filtered.iter()), "the in-process walk moved");
+        let draws = |f: &dyn Fn(&FaultPlan) -> bool| kills.iter().filter(|p| f(p)).count();
+        assert_eq!(draws(&|p| p.shards == 1), 12);
+        for k in 2..=4 {
+            assert!(draws(&|p| p.shards == k) > 0, "K = {k}");
+        }
+        for sync in [false, true] {
+            assert!(draws(&|p| p.sync == sync) > 0, "sync {sync}");
+        }
+        for corpus in [Corpus::Paper, Corpus::Random] {
+            assert!(draws(&|p| p.corpus == corpus) > 0, "{corpus:?}");
+        }
+        // After the last reply in a few plans (a server that answers
+        // before it appends loses a commit there, whatever the timing),
+        // before it in the rest.
+        let last = |p: &FaultPlan| p.nth as usize == p.shards * KILL_STREAM;
+        assert!((2..=8).contains(&draws(&last)), "{} kills after the last reply", draws(&last));
+        assert!(kills.iter().all(|p| p.nth as usize <= p.shards * KILL_STREAM));
+        assert!(kills.iter().all(|p| p.site.is_empty() && p.rotation == Rotation::Never));
+    }
+
+    #[test]
     fn site_filter_restricts_the_walk() {
         let rotation = filter_sites(Some("checkpoint,rotation"));
         assert_eq!(rotation.len(), 6);
         assert!(rotation.iter().all(|s| is_rotation_site(s)), "{rotation:?}");
-        assert!((0..24).all(|seed| is_rotation_site(fault_plan(&rotation, seed).site)));
+        assert!((0..24).all(|seed| is_rotation_site(fault_plan(&rotation, false, seed).site)));
         assert!(filter_sites(Some("no-such-site")).is_empty());
         let none = run_faults(Config { seed: 1, cases: 1 }, Some("no-such-site")).outcome();
         assert!(none.floor.is_err(), "an empty site list passed");
@@ -982,6 +1478,7 @@ mod tests {
         );
         let lines = report(24, one_silent()).outcome().summary;
         assert_eq!(lines.lines().count(), 2, "{lines}");
+        assert!(lines.ends_with("; killed (Kill K=1 / Kill K≥2): 0/0"), "{lines}");
         assert!(
             lines.lines().nth(1).is_some_and(|l| l.contains("checker.commit.pre=3/0/2/2")),
             "{lines}"
@@ -989,8 +1486,35 @@ mod tests {
     }
 
     #[test]
+    fn the_kill_floor_wants_both_k_classes_and_half_the_kills_mid_stream() {
+        let report = |kill_cases, kills, kills_mid_stream| FaultReport {
+            config: Config { seed: 1, cases: kill_cases },
+            cells: vec![("journal.sync", [0; 4])],
+            kill_cases,
+            kills,
+            kills_mid_stream,
+            ..Default::default()
+        };
+        // Each K-class drawn three times from six Kills on.
+        assert_eq!(report(5, [3, 0], 0).outcome().floor, Ok(()));
+        assert_eq!(
+            report(6, [3, 0], 3).outcome().floor.unwrap_err(),
+            "faults: cells that fired in none of 6 cases: Kill K≥2"
+        );
+        assert_eq!(
+            report(6, [3, 3], 2).outcome().floor.unwrap_err(),
+            "faults: only 2 of 6 kills found a statement executing or unread"
+        );
+        assert_eq!(report(6, [3, 3], 3).outcome().floor, Ok(()));
+    }
+
+    #[test]
     fn small_run_has_no_divergences_and_fires_in_both_k_classes() {
-        let report = run_faults(Config { seed: 1, cases: 2 * SITES.len() as u64 * 2 }, None);
+        // Every site, named: no Kill, which spawns the server built beside
+        // the binary (`tests/cli.rs` runs those).
+        let every_site = SITES.join(",");
+        let config = Config { seed: 1, cases: 2 * SITES.len() as u64 * 2 };
+        let report = run_faults(config, Some(&every_site));
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }
@@ -1021,7 +1545,7 @@ mod tests {
         assert_eq!(report.fired, 16, "{}", report.outcome().summary);
         assert_eq!(report.degraded, 16, "{}", report.outcome().summary);
         let rebuilds =
-            (1..=16).filter(|&seed| fault_plan(&sync, seed).after == After::Rebuild).count();
+            (1..=16).filter(|&seed| fault_plan(&sync, false, seed).after == After::Rebuild).count();
         assert!(rebuilds > 0);
         assert_eq!(report.rebuilt, rebuilds as u64, "{}", report.outcome().summary);
         assert!(report.cells[0].1.iter().all(|&n| n == 4), "{:?}", report.cells);

@@ -8,7 +8,7 @@
 //! cargo run -p xic-difftest -- --seed 4242            # replay one case
 //! cargo run -p xic-difftest -- --seed 4242 --dump     # print its artifacts
 //! cargo run --release -p xic-difftest -- --multi-op --cases 500 --seed 1
-//! cargo run --release -p xic-difftest -- --faults --cases 200 --seed 1
+//! cargo build --release && target/release/difftest --faults --cases 225 --seed 1
 //! cargo run -p xic-difftest -- --faults --cases 72 --sites checkpoint,rotation
 //! cargo run -p xic-difftest -- --snapshot-decide --cases 300 --seed 1
 //! cargo run --release -p xic-difftest -- --pattern-digest --cases 3000 --seed 0
@@ -35,10 +35,18 @@
 //!   shard recovers its acknowledged prefix (plus at most the statement
 //!   in flight) byte for byte against a never-faulted twin, a failed
 //!   flush degrades, and parallel recovery equals sequential recovery.
-//!   `--sites PAT,PAT…` keeps the sites matching a pattern by substring
-//!   (a replay must repeat it). The summary is followed by a coverage
-//!   line, faults fired by site × mode × K-class. Floor (≥ 3 × 4 × sites
-//!   cases): every (site, mode, K-class) cell fired.
+//!   Every ninth seed is a Kill instead: the `xic-serve` beside this
+//!   binary (`cargo build --release` builds both; without it the case
+//!   fails) serves the set over a Unix socket, one pipelined connection
+//!   per shard, and is SIGKILLed at a seeded reply count; the same oracle
+//!   holds its replies, its store and its restart. `--sites PAT,PAT…`
+//!   keeps the sites matching a pattern by substring (a replay must
+//!   repeat it) and draws no Kill. The summary is followed by a coverage
+//!   line, faults fired by site × mode × K-class and live servers killed
+//!   by K-class. Floors: every (site, mode, K-class) cell fired (≥ 3 ×
+//!   4 × sites in-process cases), both K-classes killed a live server
+//!   and half the kills found a statement executing or unread (≥ 6
+//!   Kills).
 //! * `--snapshot-decide` — `snapshot` (oracle 7): `ReadSnapshot::decide`
 //!   answers what the writer would, with independence on and off. Floors
 //!   (≥ 100 cases): both the optimized and the fallback path decided

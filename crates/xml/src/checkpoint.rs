@@ -181,8 +181,16 @@ impl From<JournalError> for CheckpointError {
 
 /// Opens `dir` and syncs it, making freshly created/renamed/unlinked
 /// entries durable (the POSIX idiom behind atomic file replacement).
-fn fsync_dir(dir: &Path) -> std::io::Result<()> {
+pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
+}
+
+/// The directory holding `path`'s entry (`.` for a bare relative name).
+pub fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    }
 }
 
 /// Writes `ckpt` to `path` atomically: serialize into `<path>.tmp`,
@@ -344,13 +352,22 @@ impl Store {
     /// resurrect the old incarnation's document over this one. A
     /// directory containing anything else is refused
     /// ([`CheckpointError::ForeignEntry`]).
+    ///
+    /// A store that syncs and had to create its directory also fsyncs the
+    /// parent, so that the directory's own name survives a power loss: a
+    /// store that vanished would be started fresh from its base, its
+    /// acknowledged commits lost.
     pub fn create(dir: &Path, base_crc: u32, sync: bool) -> Result<Store, CheckpointError> {
+        let created = !dir.exists();
         std::fs::create_dir_all(dir)?;
         for stale in artifacts(dir)? {
             std::fs::remove_file(dir.join(stale))?;
         }
         let segment = Journal::create(&Self::wal_path(dir, 0), base_crc, sync)?;
         fsync_dir(dir)?;
+        if created && sync {
+            fsync_dir(parent_dir(dir))?;
+        }
         Ok(Store { dir: dir.to_path_buf(), generation: 0, segment, sync, unsynced: false })
     }
 

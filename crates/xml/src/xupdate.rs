@@ -299,14 +299,6 @@ impl XUpdateDoc {
         Self::from_root(&doc, root)
     }
 
-    /// Extracts the operations from a parsed XUpdate document.
-    pub fn from_document(doc: &Document) -> Result<XUpdateDoc, XUpdateError> {
-        let root = doc
-            .root_element()
-            .ok_or_else(|| XUpdateError::Invalid("no root element".to_string()))?;
-        Self::from_root(doc, root)
-    }
-
     /// Extracts the operations under `root`, the statement's root element.
     fn from_root(doc: &Document, root: NodeId) -> Result<XUpdateDoc, XUpdateError> {
         if local_name(doc.name(root).unwrap_or("")) != "modifications" {
