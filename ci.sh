@@ -111,6 +111,37 @@ mutators="$(awk '
 ' crates/xml/src/parse.rs)"
 [ -z "$mutators" ] || { echo "$mutators" >&2; echo "crates/xml/src/parse.rs builds through the commit path" >&2; exit 1; }
 
+echo "== the store's file I/O has one owner (a Dir), and the fault sites one list =="
+# Every file operation of the durable log goes through an
+# `xic_xml::dir::Dir`, so the simulated one behind --crash-states sees
+# every operation whose order a power loss can expose. No code line
+# before the first `#[cfg(test)]` of journal.rs, checkpoint.rs, shards.rs
+# or durability.rs names `std::fs`, `File::`, `OpenOptions` or
+# `fsync_dir`. A fault site marks a boundary with a meaning, not a point
+# between two file operations: every `xic_faults::fire("…")` in a code
+# line of crates/*/src names an entry of `xic_faults::SITES`, and every
+# entry is fired.
+io="$(awk '
+  FNR == 1 { in_test = 0 }
+  /^#\[cfg\(test\)\]/ { in_test = 1 }
+  !in_test && !/^[[:space:]]*\/\// && /std::fs|File::|OpenOptions|fsync_dir/ { print FILENAME ":" FNR ": " $0 }
+' crates/xml/src/journal.rs crates/xml/src/checkpoint.rs crates/core/src/shards.rs crates/core/src/durability.rs)"
+[ -z "$io" ] || { echo "$io" >&2; echo "store file I/O outside xic_xml::dir" >&2; exit 1; }
+listed="$(awk '
+  /^pub const SITES/ { on = 1; next }
+  on && /^\];/ { exit }
+  on && !/^[[:space:]]*\/\// { s = $0; while (match(s, /"[^"]+"/)) { print substr(s, RSTART + 1, RLENGTH - 2); s = substr(s, RSTART + RLENGTH) } }
+' crates/faults/src/lib.rs | sort)"
+fired="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  FNR == 1 { in_test = 0 }
+  /^#\[cfg\(test\)\]/ { in_test = 1 }
+  !in_test && !/^[[:space:]]*\/\// { s = $0; while (match(s, /xic_faults::fire\("[^"]+"\)/)) { print substr(s, RSTART + 18, RLENGTH - 20); s = substr(s, RSTART + RLENGTH) } }
+' | sort -u)"
+[ -n "$listed" ] && [ "$listed" = "$fired" ] || {
+  echo "SITES lists: $(echo $listed)" >&2; echo "fired: $(echo $fired)" >&2
+  echo "xic_faults::SITES and the fire(...) calls differ" >&2; exit 1
+}
+
 echo "== build (release) =="
 cargo build --release --workspace
 
@@ -275,6 +306,24 @@ echo "== fault harness (a seeded fault on one shard of 1-4, or a SIGKILL of the 
 FAULT_CASES="${FAULT_CASES:-225}"
 cargo run --release -q -p xic-difftest -- --faults --cases "$FAULT_CASES" --seed 1 \
   ${FAULT_SITES:+--sites "$FAULT_SITES"}
+
+echo "== crash states, enumerated (the store over a simulated directory) =="
+# Every store plan (PLANS in crates/difftest/src/crash_states.rs: one
+# store directory or a shard set's root, sync on and off, automatic and
+# explicit rotations, a restart that commits on) runs over the simulated
+# Dir once as written and once per operation with that operation failing
+# (an append after half its bytes; a failed set-up starts again over
+# what it left, as a restart does). After every operation of every run,
+# every state a power loss may leave of each shard directory -- a file's
+# synced content or any later one, a directory's synced entries plus any
+# prefix of its later creates, renames and removes -- is recovered as
+# Checker::open_store does: p commits with acked <= p <= committed (+1
+# while an append is in flight), the twin's bytes at p, every snapshot
+# under its final name complete, and two more acked commits that survive
+# the next power loss. Prints the plans, operations and crash states
+# explored; exit 1 on a divergence (replay: difftest --crash-states
+# --seed N --cases 1). About two seconds, released.
+cargo run --release -q -p xic-difftest -- --crash-states --cases 4 --seed 0
 
 echo "== snapshot-decide oracle (DECIDE on read snapshots == the writer's answer) =="
 # The PR12 gate (count overridable via SNAPSHOT_DECIDE_CASES): every

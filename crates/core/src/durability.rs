@@ -31,6 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use xic_xml::checkpoint::{Candidate, CheckpointError, Recovery, Store};
+use xic_xml::dir::{self, Real};
 use xic_xml::journal::{crc32, RecordKind};
 use xic_xml::{apply, parse_document, serialize, Document, XUpdateDoc};
 
@@ -251,14 +252,17 @@ impl Checker {
     /// [`xic_xml::checkpoint::DEFAULT_RETAIN`] of them. Reopen with
     /// [`Checker::open_store`] and the same base document text.
     pub fn attach_store(&mut self, dir: &Path, sync: bool) -> Result<(), CheckerError> {
+        self.refuse_if_degraded()?;
+        // Every start makes the directory's name durable ([`dir::create_dirs`]).
+        dir::name_durably(&Real, dir, &[], sync).map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
         self.attach_keyed(dir, sync, crc32(serialize(&self.doc).as_bytes()))
     }
 
     /// [`Checker::attach_store`] with the checksum of the current
-    /// document's serialization already known.
+    /// document's serialization already known, over a directory whose
+    /// name its caller makes durable.
     fn attach_keyed(&mut self, dir: &Path, sync: bool, base_crc: u32) -> Result<(), CheckerError> {
-        self.refuse_if_degraded()?;
-        let store = Store::create(dir, base_crc, sync)
+        let store = Store::create(Arc::new(Real), dir, base_crc, sync)
             .map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
         // The commit counters restart at 0; the rotation policy is kept.
         self.log = CommitLog { store: Some(store), policy: self.log.policy, ..CommitLog::default() };
@@ -339,7 +343,8 @@ impl Checker {
     /// fallback is counted and its reason recorded in the
     /// [`RecoveryReport`] — ending at generation 0: the external
     /// `base_xml` plus its original segment. If *no* generation
-    /// validates, the checker comes up in **degraded read-only mode**
+    /// validates, or an I/O error other than a missing file strikes the
+    /// store, the checker comes up in **degraded read-only mode**
     /// serving `check_full`/`decide_only` against the base document while
     /// refusing mutations ([`CheckerError::Degraded`]), instead of
     /// erroring out entirely. A directory holding anything but store
@@ -355,6 +360,7 @@ impl Checker {
         shared: &Arc<SharedGamma>,
         sync: bool,
     ) -> Result<(Checker, RecoveryReport), CheckerError> {
+        dir::name_durably(&Real, dir, &[], sync).map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
         Checker::open_base(dir, &Base::new(base_xml), shared, sync)
     }
 
@@ -366,19 +372,17 @@ impl Checker {
         shared: &Arc<SharedGamma>,
         sync: bool,
     ) -> Result<(Checker, RecoveryReport), CheckerError> {
-        // An empty or missing directory cannot hold an acknowledged
-        // commit: a store fsyncs its first segment's name before it
-        // accepts one, and where it syncs, the directory's own name too
-        // (`Store::create`, or the shard set that created it).
-        if !std::fs::read_dir(dir).is_ok_and(|mut entries| entries.next().is_some()) {
-            let checker = base.create_store(dir, shared, sync)?;
-            return Ok((checker, RecoveryReport::default()));
-        }
         let replay = |candidate: &mut Candidate<'_>| {
             replay_candidate(candidate, base, shared).map_err(|e| e.to_string())
         };
-        let Recovery { resumed, rejected } = Store::recover(dir, sync, replay)
-            .map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
+        let Recovery { resumed, rejected } = match Store::recover(Arc::new(Real), dir, sync, replay) {
+            Ok(Some(recovery)) => recovery,
+            Ok(None) => return Ok((base.create_store(dir, shared, sync)?, RecoveryReport::default())),
+            // An I/O failure says nothing about the generations: the
+            // checker serves its base read-only and writes nothing.
+            Err(e) if e.is_io() => Recovery { resumed: None, rejected: vec![e.to_string()] },
+            Err(e) => return Err(CheckerError::Checkpoint(e.to_string())),
+        };
         xic_obs::incr(xic_obs::Counter::Recovery);
         let (mut checker, mut report) = match resumed {
             Some((store, (mut checker, report))) => {

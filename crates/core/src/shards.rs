@@ -61,7 +61,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
-use xic_xml::checkpoint::{fsync_dir, parent_dir};
+use xic_xml::dir::{self, Dir, Real};
 
 /// The most scoped threads a parallel [`ShardSet::recover`] opens shards
 /// on, however many shards there are: `--shards 100000` must not ask for
@@ -309,50 +309,14 @@ fn shard_dir(root: &Path, id: usize) -> PathBuf {
 /// directories for indices `< count` (missing shard directories are
 /// fine — they are created or recovered as empty).
 fn validate_root(root: &Path, count: usize) -> Result<(), ShardSetError> {
-    if !root.exists() {
-        return Ok(());
+    let names = match Real.list(root) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        names => names.map_err(|e| io_error(root, e))?,
+    };
+    match names.into_iter().find(|name| parse_shard_dir(name).is_none_or(|id| id >= count)) {
+        Some(name) => Err(ShardSetError::ForeignEntry { dir: root.to_path_buf(), name }),
+        None => Ok(()),
     }
-    let entries = std::fs::read_dir(root)
-        .map_err(|e| ShardSetError::Io { path: root.to_path_buf(), message: e.to_string() })?;
-    for entry in entries {
-        let entry = entry
-            .map_err(|e| ShardSetError::Io { path: root.to_path_buf(), message: e.to_string() })?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        match parse_shard_dir(&name) {
-            Some(id) if id < count => {}
-            _ => {
-                return Err(ShardSetError::ForeignEntry { dir: root.to_path_buf(), name });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Creates the shard directories `root` lacks, before any shard opens,
-/// and returns the directories whose new entries a set that syncs must
-/// make durable before it serves: `root` if anything was created in it,
-/// and its parent if `root` itself was. A shard directory lost to a power
-/// loss would come up fresh from its base, its acknowledged commits gone.
-fn make_shard_dirs(root: &Path, count: usize, sync: bool) -> Result<Vec<PathBuf>, ShardSetError> {
-    let created_root = !root.exists();
-    std::fs::create_dir_all(root).map_err(|e| io_error(root, e))?;
-    let mut created = false;
-    for id in 0..count {
-        let dir = shard_dir(root, id);
-        match std::fs::create_dir(&dir) {
-            Ok(()) => created = true,
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
-            Err(e) => return Err(io_error(&dir, e)),
-        }
-    }
-    let mut to_sync = Vec::new();
-    if sync && created {
-        to_sync.push(root.to_path_buf());
-    }
-    if sync && created_root {
-        to_sync.push(parent_dir(root).to_path_buf());
-    }
-    Ok(to_sync)
 }
 
 fn io_error(path: &Path, e: std::io::Error) -> ShardSetError {
@@ -439,9 +403,9 @@ impl ShardSet {
     /// does not exist yet is created fresh from its base document.
     ///
     /// Recovery is *per-shard resilient*: a shard whose generations all
-    /// fail validation comes up degraded (read-only over its base
-    /// document, with reasons in its [`RecoveryReport`]) instead of
-    /// failing the whole set.
+    /// fail validation, or whose store meets an I/O error, comes up
+    /// degraded (read-only over its base document, with reasons in its
+    /// [`RecoveryReport`]) instead of failing the whole set.
     pub fn recover(
         root: &Path,
         base_xmls: &[&str],
@@ -465,7 +429,8 @@ impl ShardSet {
     /// up to [`MAX_OPEN_WORKERS`] scoped threads when `parallel` — and puts
     /// every shard in service, its store directory under `root` if the
     /// set has one (every missing shard directory is created first, and
-    /// made durable before the set serves, see [`make_shard_dirs`]). Each
+    /// on every start the names made durable before the set serves, see
+    /// [`dir::create_dirs`]). Each
     /// distinct base text is held once and built at most once, by the
     /// first shard that needs it, and every shard over it starts from a
     /// clone of that build; the builds are dropped once every shard is
@@ -480,10 +445,12 @@ impl ShardSet {
         open: impl Fn(usize, &Base<'_>, &Arc<SharedGamma>) -> Opened + Sync,
     ) -> Result<(ShardSet, Vec<RecoveryReport>), ShardSetError> {
         let gamma = SharedGamma::compile(dtd, constraints).map_err(ShardSetError::Compile)?;
-        let to_sync = match root {
-            Some(root) => make_shard_dirs(root, base_xmls.len(), config.sync)?,
-            None => Vec::new(),
-        };
+        // A set that syncs makes the directories' names durable before it serves.
+        let mut to_sync = Vec::new();
+        if let Some(root) = root {
+            let dirs: Vec<PathBuf> = (0..base_xmls.len()).map(|id| shard_dir(root, id)).collect();
+            to_sync = dir::create_dirs(&Real, root, &dirs, config.sync).map_err(|e| io_error(root, e))?;
+        }
         // `texts[of[i]]` is shard `i`'s base text.
         let (mut texts, mut seen): (Vec<Arc<str>>, HashMap<&str, usize>) = Default::default();
         let of: Vec<usize> = base_xmls
@@ -498,12 +465,12 @@ impl ShardSet {
         let bases: Vec<Base<'_>> = texts.iter().map(|xml| Base::new(xml)).collect();
         let open_one = |id: usize| open(id, &bases[of[id]], &gamma);
         let (opened, synced): (Vec<Opened>, _) = std::thread::scope(|scope| {
-            // The new names are fsynced while the shards open, so that the
+            // The names are fsynced while the shards open, so that the
             // fsyncs share the disk's flushes; nothing is acknowledged
             // before the set serves.
             let synced = (!to_sync.is_empty()).then(|| {
                 scope.spawn(|| {
-                    to_sync.iter().try_for_each(|dir| fsync_dir(dir).map_err(|e| io_error(dir, e)))
+                    to_sync.iter().try_for_each(|dir| Real.sync_dir(dir).map_err(|e| io_error(dir, e)))
                 })
             });
             let opened = if parallel {

@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use xic_xml::dir::Real;
 use xicheck::{Checker, CheckerError, CheckpointPolicy, Store, Strategy};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
@@ -254,7 +255,7 @@ fn policy_off_by_default_and_checkpoint_requires_a_store() {
     c.attach_store(&dir, false).unwrap();
     commit_n(&mut c, 0, 4);
     assert_eq!(c.store_generation(), 0);
-    assert_eq!(Store::snapshot_generations(&dir), Vec::<u64>::new());
+    assert_eq!(Store::snapshot_generations(&Real, &dir), Vec::<u64>::new());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -283,19 +284,20 @@ fn failed_rotation_then_commits_then_crash_loses_nothing() {
     // fails *after* its snapshot became durable, the checker keeps
     // committing to the old segment, and only later does the process
     // crash. Recovery must restore every acknowledged commit instead of
-    // preferring the failed rotation's snapshot.
+    // preferring the failed rotation's snapshot. A directory where the
+    // new segment belongs makes its create fail once the snapshot is
+    // durable.
     let dir = store_dir("roterr");
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     c.attach_store(&dir, true).unwrap();
     commit_n(&mut c, 0, 1);
 
-    xic_faults::disarm_all();
-    xic_faults::arm("rotation.pre_new_segment", 1, xic_faults::FaultMode::Error);
+    std::fs::create_dir(Store::wal_path(&dir, 1)).unwrap();
     assert!(matches!(c.checkpoint(), Err(CheckerError::Checkpoint(_))));
-    xic_faults::disarm_all();
+    std::fs::remove_dir(Store::wal_path(&dir, 1)).unwrap();
     assert_eq!(c.store_generation(), 0, "failed rotation must not advance");
     assert!(
-        Store::snapshot_generations(&dir).is_empty(),
+        Store::snapshot_generations(&Real, &dir).is_empty(),
         "the failed rotation's durable snapshot must be unlinked"
     );
 
@@ -332,6 +334,7 @@ fn orphan_snapshot_with_newer_commits_on_an_older_segment_is_rejected() {
     // Plant the orphan: a valid gen-1 snapshot at commit 1 with no
     // segment, while gen-0.wal holds commits 1 and 2.
     xic_xml::checkpoint::write_atomic(
+        &Real,
         &Store::ckpt_path(&dir, 1),
         &xic_xml::checkpoint::Checkpoint { commit_seq: 1, doc_xml: state_after_1 },
     )
@@ -365,7 +368,7 @@ fn reattaching_a_store_does_not_resurrect_the_previous_incarnation() {
     // New incarnation on the same directory, with different history.
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     c.attach_store(&dir, true).unwrap();
-    assert!(Store::snapshot_generations(&dir).is_empty(), "stale generations must be gone");
+    assert!(Store::snapshot_generations(&Real, &dir).is_empty(), "stale generations must be gone");
     commit_n(&mut c, 10, 1);
     let state = serialize(&c);
     drop(c);
@@ -410,7 +413,7 @@ fn open_store_resumes_in_the_sync_mode_it_is_given() {
     commit_n(&mut r2, 4, 1);
     assert_eq!(fsyncs() - before, 4);
     // Retention is the constant: the live generation plus one fallback.
-    assert_eq!(Store::snapshot_generations(&dir), vec![5, 4]);
+    assert_eq!(Store::snapshot_generations(&Real, &dir), vec![5, 4]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -244,7 +244,7 @@ fn a_store_holding_abort_records_still_opens() {
     let kim = insert_sub("//rev[name/text() = 'dan']", "kim");
     let mut twin = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     let base_crc = xic_xml::journal::crc32(serialize(&twin).as_bytes());
-    let mut store = Store::create(&path, base_crc, true).unwrap();
+    let mut store = Store::create(std::sync::Arc::new(xic_xml::dir::Real), &path, base_crc, true).unwrap();
     store.append(RecordKind::Commit, 1, &zoe).unwrap();
     store.append(RecordKind::Abort, 2, &insert_sub("//rev[name/text() = 'nobody']", "x")).unwrap();
     store.append(RecordKind::Commit, 2, &kim).unwrap();
@@ -387,27 +387,30 @@ fn recovery_of_torn_tail_only_journal_yields_base_document() {
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     c.attach_store(&path, true).unwrap();
     let base = serialize(&c);
-
-    // Crash (panic, contained) halfway through the very first record: the
-    // journal holds nothing but a torn tail.
-    xic_faults::disarm_all();
-    xic_faults::arm("journal.append.mid", 1, FaultMode::Panic);
-    let err = c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap_err();
-    xic_faults::disarm_all();
-    assert!(matches!(err, CheckerError::Panicked(_)), "{err}");
+    let header = std::fs::metadata(Store::wal_path(&path, 0)).unwrap().len();
+    assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().applied());
     drop(c);
 
-    let (r, report) = recover(CORPUS, &path);
-    assert_eq!(report.replayed, 0);
-    assert!(report.torn_tail_truncated, "the half-record must be detected");
-    assert_eq!(serialize(&r), base, "an uncommitted update must not survive");
+    // A crash halfway through the very first record, at every cut: the
+    // journal holds nothing but a torn tail.
+    let wal = Store::wal_path(&path, 0);
+    let bytes = std::fs::read(&wal).unwrap();
+    let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).unwrap();
+    let recover = |base_xml, dir| Checker::open_store(dir, base_xml, &gamma, true).unwrap();
+    for cut in header as usize + 1..bytes.len() {
+        std::fs::write(&wal, &bytes[..cut]).unwrap();
+        let (r, report) = recover(CORPUS, &path);
+        assert_eq!(report.replayed, 0, "cut at {cut}");
+        assert!(report.torn_tail_truncated, "cut at {cut}: the half-record must be detected");
+        assert_eq!(serialize(&r), base, "cut at {cut}: an uncommitted update must not survive");
 
-    // Double recovery is idempotent: the tail is already truncated.
-    drop(r);
-    let (r2, report2) = recover(CORPUS, &path);
-    assert_eq!(report2.replayed, 0);
-    assert!(!report2.torn_tail_truncated);
-    assert_eq!(serialize(&r2), base);
+        // Double recovery is idempotent: the tail is already truncated.
+        drop(r);
+        let (r2, report2) = recover(CORPUS, &path);
+        assert_eq!(report2.replayed, 0);
+        assert!(!report2.torn_tail_truncated);
+        assert_eq!(serialize(&r2), base);
+    }
     let _ = std::fs::remove_dir_all(&path);
 }
 
@@ -468,7 +471,7 @@ fn recovery_rejects_non_monotonic_version_records() {
         let c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
         let base_crc = xic_xml::journal::crc32(serialize(&c).as_bytes());
         drop(c);
-        let mut j = Store::create(&path, base_crc, true).unwrap();
+        let mut j = Store::create(std::sync::Arc::new(xic_xml::dir::Real), &path, base_crc, true).unwrap();
         for v in versions {
             j.append(
                 xic_xml::journal::RecordKind::Commit,
@@ -529,7 +532,7 @@ fn journal_append_failure_rolls_the_update_back() {
     let base = serialize(&c);
 
     xic_faults::disarm_all();
-    xic_faults::arm("journal.append.pre", 1, FaultMode::Error);
+    xic_faults::arm("checker.commit.pre", 1, FaultMode::Error);
     let err = c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap_err();
     xic_faults::disarm_all();
     assert!(matches!(err, CheckerError::Journal(_)), "{err}");

@@ -138,19 +138,16 @@ fn poisoned_shard_is_isolated_and_recovered_in_place() {
 
 /// True for the sites a fault reaches only after the statement's journal
 /// record is whole on disk, so that recovery restores a statement that was
-/// never acknowledged. Before the append, or in the middle of it (a torn
-/// tail), nothing of the statement survives.
+/// never acknowledged. Before the append nothing of the statement
+/// survives.
 fn record_survives(site: &str) -> bool {
-    matches!(site, "journal.append.post_write" | "journal.sync" | "checker.commit.post")
-        || site.starts_with("checkpoint.")
-        || site.starts_with("rotation.")
+    matches!(site, "journal.sync" | "checker.commit.post")
 }
 
 fn fault_one_shard(site: &str, mode: FaultMode) {
     let case = format!("{site} {mode:?}");
     let root = root_dir("poison");
-    // Every commit rotates, so the checkpoint and rotation sites are on
-    // the victim's path too.
+    // Every commit rotates, so every fault lands beside a rotation too.
     let policy = CheckpointPolicy::every_commits(1);
     let config = ShardSetConfig { policy, ..Default::default() };
     let set = ShardSet::create(&root, &[CORPUS, CORPUS, CORPUS], DTD, CONFLICT, config)
@@ -208,6 +205,46 @@ fn fault_one_shard(site: &str, mode: FaultMode) {
     for (id, handle, _) in &siblings {
         assert!(std::sync::Arc::ptr_eq(handle, &set.shard(*id).expect("sibling")), "{case}");
     }
+    set.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// An I/O error in one shard's store says nothing about its generations:
+/// that shard alone comes up degraded over its base and writes nothing,
+/// its siblings serve, and once the error is gone `recover_shard`
+/// restores every acknowledged commit.
+#[test]
+fn an_io_error_in_one_store_degrades_only_that_shard() {
+    let root = root_dir("io");
+    let bases = [CORPUS, CORPUS];
+    let config = ShardSetConfig::default();
+    let set = ShardSet::create(&root, &bases, DTD, CONFLICT, config).expect("create");
+    assert!(set.submit(1, &legal("a")).expect("shard 1").outcome.applied());
+    set.shutdown().expect("shutdown");
+    drop(set);
+    // A directory where a snapshot should be: reading it fails, and not
+    // as a missing file.
+    let victim = root.join("shard-1");
+    let planted = victim.join("gen-9.ckpt");
+    std::fs::create_dir(&planted).expect("plant");
+    let segment = std::fs::read(victim.join("gen-0.wal")).expect("segment");
+
+    let (set, report) =
+        ShardSet::recover(&root, &bases, DTD, CONFLICT, config, true).expect("the set comes up");
+    assert_eq!(report.degraded_shards(), vec![1]);
+    let reasons = &report.shards[1].fallback_reasons;
+    assert!(reasons.len() == 1 && reasons[0].contains("I/O error"), "{reasons:?}");
+    assert!(set.submit(0, &legal("b")).expect("shard 0").outcome.applied());
+    assert_eq!(set.snapshot(1).expect("shard 1 reads").version(), 0, "it serves its base");
+    assert!(set.submit(1, &legal("c")).is_err(), "a degraded shard refuses writes");
+    assert_eq!(std::fs::read(victim.join("gen-0.wal")).expect("segment"), segment);
+    assert_eq!(std::fs::read_dir(&victim).expect("list").count(), 2, "nothing written");
+
+    std::fs::remove_dir(&planted).expect("clear");
+    let restored = set.recover_shard(1).expect("recover shard 1");
+    assert!(!restored.degraded);
+    assert_eq!(set.status(1).expect("shard 1").version, 1);
+    assert_eq!(set.health().overall(), Health::Ok);
     set.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&root);
 }

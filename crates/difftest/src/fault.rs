@@ -38,8 +38,9 @@
 //!
 //!    A Kill spawns the `xic-serve` beside this executable over the root
 //!    (`--shards K --store --socket`, `--no-sync` where the plan does not
-//!    sync) and writes every shard's stream down a connection of its own
-//!    at once, all connections concurrently. Once the harness has read the
+//!    sync) and writes every shard's stream down a connection of its own,
+//!    all connections concurrently, with at most `KILL_WINDOW` (4)
+//!    statements unanswered over all of them. Once the harness has read the
 //!    plan's number of replies it SIGKILLs the server, reads what the
 //!    sockets still hold, and recovers two copies of the root the same
 //!    way. The seed fixes the plan, not the interleaving, so the oracle
@@ -76,7 +77,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -101,9 +102,14 @@ const STREAM: usize = 6;
 /// dozen statements away).
 const STREAM_CAP: usize = 24;
 
-/// Statements every shard of a Kill runs: long enough that a kill before
-/// the last reply mostly finds the server mid-stream.
+/// Statements every shard of a Kill runs.
 const KILL_STREAM: usize = 48;
+
+/// Statements a Kill keeps written but unanswered, over all its
+/// connections: a kill after reply n finds statement n + 1 executing or
+/// unread whenever more than this many remain, however the host
+/// schedules the server.
+const KILL_WINDOW: usize = 4;
 
 /// From this many draws of every (site, mode, K-class) cell on, a cell
 /// whose fault fired in no case fails the run.
@@ -129,11 +135,6 @@ pub fn filter_sites(filter: Option<&str>) -> Vec<&'static str> {
     let patterns: Vec<&str> =
         filter.map_or(vec![""], |f| f.split(',').filter(|p| !p.is_empty()).collect());
     SITES.iter().copied().filter(|site| patterns.iter().any(|p| site.contains(p))).collect()
-}
-
-/// True for sites that only fire while a checkpoint rotation runs.
-fn is_rotation_site(site: &str) -> bool {
-    site.starts_with("checkpoint.") || site.starts_with("rotation.")
 }
 
 /// SplitMix64-style field mixer: hashing the seed with a per-field salt
@@ -165,9 +166,9 @@ pub enum Rotation {
     Never,
     /// Automatically, every this many commits.
     Every(u64),
-    /// Once, by an explicit `Checker::checkpoint` in mid-stream; a fault
-    /// there in `Error` mode fails the rotation and commits go on to the
-    /// old segment.
+    /// Once, by an explicit `Checker::checkpoint` in mid-stream. (What a
+    /// crash or a failed file operation inside a rotation leaves is
+    /// enumerated by `--crash-states`.)
     Once,
 }
 
@@ -213,7 +214,7 @@ pub struct FaultPlan {
     pub nth: u64,
     /// Statements per batch (1–4).
     pub batch: usize,
-    /// How the stores rotate (never only for a site outside rotation).
+    /// How the stores rotate.
     pub rotation: Rotation,
     /// Whether the stores fsync at their flush (always for
     /// `journal.sync`, which only an fsync reaches).
@@ -267,16 +268,15 @@ pub fn fault_plan(sites: &[&'static str], kills: bool, seed: u64) -> FaultPlan {
     let shards = if (seed / (2 * n)) % 2 == 0 { 1 } else { 2 + (mix(seed, 1) % 3) as usize };
     let rotation = match mix(seed, 2) % 5 {
         4 => Rotation::Once,
-        0 if !is_rotation_site(site) => Rotation::Never,
+        0 => Rotation::Never,
         r => Rotation::Every(1 + r % 3),
     };
-    let once = rotation == Rotation::Once && is_rotation_site(site);
     FaultPlan {
         shards,
         victim: (mix(seed, 3) % shards as u64) as usize,
         site,
         kind,
-        nth: if once { 1 } else { 1 + mix(seed, 4) % 3 },
+        nth: 1 + mix(seed, 4) % 3,
         batch: 1 + (mix(seed, 5) % 4) as usize,
         rotation,
         sync: site == "journal.sync" || mix(seed, 6) % 2 == 0,
@@ -948,18 +948,12 @@ impl Driver {
             trigger.around(victim, || catch_unwind(AssertUnwindSafe(|| checker.checkpoint())));
         let faulted = hits.is_some() && trigger.fired;
         match result {
-            // A fault before the unlink fails the rotation; the old
-            // generation stays live, and the crash comes later.
-            Ok(Ok(_))
-                if faulted
-                    && self.plan.kind == Kind::Error
-                    && self.plan.site != "rotation.pre_old_unlink" =>
-            {
-                Err(format!(
-                    "checkpoint() reported success over an injected error at {}",
-                    self.plan.site
-                ))
-            }
+            // A failed rotation leaves the old generation live, and the
+            // crash comes later.
+            Ok(Ok(_)) if faulted && self.plan.kind == Kind::Error => Err(format!(
+                "checkpoint() reported success over an injected error at {}",
+                self.plan.site
+            )),
             Ok(Ok(_)) => Ok(()),
             Ok(Err(_)) if faulted => Ok(()),
             Ok(Err(e)) => Err(format!("an unfaulted checkpoint failed: {e}")),
@@ -1062,7 +1056,7 @@ impl Driver {
         let texts: Vec<Vec<String>> = (self.shards.iter())
             .map(|shard| shard.stream.iter().map(XUpdateDoc::to_xml).collect())
             .collect();
-        let updates: Vec<String> = (texts.iter().enumerate())
+        let updates: Vec<Vec<String>> = (texts.iter().enumerate())
             .map(|(k, texts)| texts.iter().map(|text| format!("DOC {k} UPDATE {text}\n")).collect())
             .collect();
         let kill_at = (self.plan.nth as usize).min(texts.iter().map(Vec::len).sum());
@@ -1143,13 +1137,14 @@ impl Driver {
 }
 
 /// Starts the server over `case`, writes shard `k`'s `DOC k UPDATE`
-/// lines, `updates[k]`, down a connection of its own, all at once,
-/// SIGKILLs the server once `kill_at` replies are read, and returns every
-/// shard's replies, those the sockets still held after the kill included.
+/// lines, `updates[k]`, down a connection of its own, pipelined but never
+/// more than [`KILL_WINDOW`] unanswered over all connections, SIGKILLs the
+/// server once `kill_at` replies are read, and returns every shard's
+/// replies, those the sockets still held after the kill included.
 fn drive_until_killed(
     case: &Path,
     plan: &FaultPlan,
-    updates: &[String],
+    updates: &[Vec<String>],
     kill_at: usize,
 ) -> Result<Vec<Vec<String>>, String> {
     let (server, readers) = Server::start(case, plan, updates.len())?;
@@ -1157,20 +1152,44 @@ fn drive_until_killed(
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| format!("cloning a connection: {e}"))?;
     let (read, signalled, killed) = (AtomicUsize::new(0), AtomicBool::new(false), OnceLock::new());
+    // (statements written, replies read, stopped), over all connections.
+    let window = (Mutex::new((0usize, 0usize, false)), Condvar::new());
+    let stop = || {
+        window.0.lock().unwrap_or_else(PoisonError::into_inner).2 = true;
+        window.1.notify_all();
+    };
     let kill = || {
         signalled.store(true, Ordering::SeqCst);
-        *killed.get_or_init(|| server.kill())
+        let alive = *killed.get_or_init(|| server.kill());
+        stop();
+        alive
     };
     if kill_at == 0 {
         kill();
     }
     let drained = std::thread::scope(|scope| {
         for (mut writer, updates) in writers.into_iter().zip(updates) {
-            // Pipelined: the whole stream at once, on a thread of its own;
-            // a write the kill cuts short is what a crashing client sees.
-            scope.spawn(move || writer.write_all(updates.as_bytes()));
+            // On a thread of its own; a write the kill cuts short is what
+            // a crashing client sees.
+            let window = &window;
+            scope.spawn(move || {
+                for line in updates {
+                    let mut w = window.0.lock().unwrap_or_else(PoisonError::into_inner);
+                    while !w.2 && w.0 >= w.1 + KILL_WINDOW {
+                        w = window.1.wait(w).unwrap_or_else(PoisonError::into_inner);
+                    }
+                    if w.2 {
+                        return;
+                    }
+                    w.0 += 1;
+                    drop(w);
+                    if writer.write_all(line.as_bytes()).is_err() {
+                        return;
+                    }
+                }
+            });
         }
-        let (read, signalled, kill) = (&read, &signalled, &kill);
+        let (read, signalled, kill, window) = (&read, &signalled, &kill, &window);
         let readers: Vec<_> = (readers.into_iter())
             .map(|stream| {
                 scope.spawn(move || {
@@ -1185,14 +1204,20 @@ fn drive_until_killed(
                         if read.fetch_add(1, Ordering::SeqCst) + 1 == kill_at {
                             kill();
                         }
+                        // The window moves only after the kill: statement
+                        // n + KILL_WINDOW + 1 is never written.
+                        window.0.lock().unwrap_or_else(PoisonError::into_inner).1 += 1;
+                        window.1.notify_all();
                     }
                     Ok(replies)
                 })
             })
             .collect();
-        (readers.into_iter())
+        let drained = (readers.into_iter())
             .map(|r| r.join().expect("a reader returns its errors"))
-            .collect::<Result<Vec<_>, String>>()
+            .collect::<Result<Vec<_>, String>>();
+        stop();
+        drained
     })?;
     if killed.get().is_none() {
         return Err(format!(
@@ -1406,7 +1431,6 @@ mod tests {
             }
         }
         // A site is drawn only where the plan can reach it.
-        assert!(plans.iter().all(|p| !is_rotation_site(p.site) || p.rotation != Rotation::Never));
         assert!(plans.iter().all(|p| p.site != "journal.sync" || p.sync));
         assert!(plans.iter().all(|p| p.victim < p.shards));
     }
@@ -1442,10 +1466,9 @@ mod tests {
 
     #[test]
     fn site_filter_restricts_the_walk() {
-        let rotation = filter_sites(Some("checkpoint,rotation"));
-        assert_eq!(rotation.len(), 6);
-        assert!(rotation.iter().all(|s| is_rotation_site(s)), "{rotation:?}");
-        assert!((0..24).all(|seed| is_rotation_site(fault_plan(&rotation, false, seed).site)));
+        let commit = filter_sites(Some("commit,journal"));
+        assert_eq!(commit, ["checker.commit.pre", "checker.commit.post", "journal.sync"]);
+        assert!((0..24).all(|seed| commit.contains(&fault_plan(&commit, false, seed).site)));
         assert!(filter_sites(Some("no-such-site")).is_empty());
         let none = run_faults(Config { seed: 1, cases: 1 }, Some("no-such-site")).outcome();
         assert!(none.floor.is_err(), "an empty site list passed");

@@ -84,6 +84,7 @@
 //!
 //! In the system-inventory table of `DESIGN.md` this crate is item 15 (differential fuzzer).
 
+pub mod crash_states;
 pub mod digest;
 pub mod fault;
 pub mod gen;

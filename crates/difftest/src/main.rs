@@ -9,9 +9,10 @@
 //! cargo run -p xic-difftest -- --seed 4242 --dump     # print its artifacts
 //! cargo run --release -p xic-difftest -- --multi-op --cases 500 --seed 1
 //! cargo build --release && target/release/difftest --faults --cases 225 --seed 1
-//! cargo run -p xic-difftest -- --faults --cases 72 --sites checkpoint,rotation
+//! cargo run -p xic-difftest -- --faults --cases 24 --sites commit,journal
 //! cargo run -p xic-difftest -- --snapshot-decide --cases 300 --seed 1
 //! cargo run --release -p xic-difftest -- --pattern-digest --cases 3000 --seed 0
+//! cargo run --release -p xic-difftest -- --crash-states --cases 4 --seed 0
 //! ```
 //!
 //! At most one mode flag; each is a row of `MODES` over an oracle module
@@ -51,6 +52,12 @@
 //!   answers what the writer would, with independence on and off. Floors
 //!   (≥ 100 cases): both the optimized and the fallback path decided
 //!   cases, and all six operation kinds were generated.
+//! * `--crash-states` — `crash_states`: case `i` runs store plan
+//!   `seed + i` (modulo the table) over a simulated directory, crashes
+//!   after every file operation and fails each one instead, and recovers
+//!   every state a power loss may leave to the acknowledged prefix or
+//!   more. The summary is followed by a line per plan: operations, crash
+//!   points, crash states. Floor: some crash state was explored.
 //!
 //! The gate is the exit code and the summary line on stdout, nothing
 //! else is written: 0 means every case passed its oracles and the run met
@@ -59,7 +66,7 @@
 //! error.
 
 use std::process::ExitCode;
-use xic_difftest::{digest, fault, multi_op, snapshot, Config, Outcome};
+use xic_difftest::{crash_states, digest, fault, multi_op, snapshot, Config, Outcome};
 
 /// One pass the binary can run.
 struct Mode {
@@ -72,7 +79,7 @@ struct Mode {
     contained_panics: bool,
 }
 
-const MODES: [Mode; 5] = [
+const MODES: [Mode; 6] = [
     Mode { flag: "", run: |a| xic_difftest::run(a.config).outcome(), contained_panics: false },
     Mode {
         flag: "--multi-op",
@@ -92,6 +99,11 @@ const MODES: [Mode; 5] = [
     Mode {
         flag: "--pattern-digest",
         run: |a| digest::run_pattern_digest(a.config).outcome(),
+        contained_panics: false,
+    },
+    Mode {
+        flag: "--crash-states",
+        run: |a| crash_states::run_crash_states(a.config).outcome(),
         contained_panics: false,
     },
 ];
@@ -164,7 +176,7 @@ fn main() -> ExitCode {
             eprintln!("difftest: {e}");
             eprintln!(
                 "usage: difftest [--dump | --multi-op | --faults [--sites PAT,PAT…] | \
-                 --snapshot-decide | --pattern-digest] [--cases N] [--seed N]"
+                 --snapshot-decide | --pattern-digest | --crash-states] [--cases N] [--seed N]"
             );
             return ExitCode::from(2);
         }

@@ -28,6 +28,7 @@ fn every_row_passes_prints_one_summary_line_and_writes_nothing() {
         ("--faults", "faults:"),
         ("--snapshot-decide", "snapshot-decide:"),
         ("--pattern-digest", "pattern-digest:"),
+        ("--crash-states", "crash-states:"),
     ];
     let cwd = scratch("rows");
     for (flag, name) in rows {

@@ -1,9 +1,10 @@
 //! Seed-deterministic fault injection for crash and error-path testing.
 //!
 //! Production code threads *named fault sites* through its write paths by
-//! calling [`fire`] at the points where a crash or I/O error would be most
-//! damaging (mid-record journal writes, between apply and commit, per
-//! XUpdate operation). A test harness then *arms* a site with
+//! calling [`fire`] at the boundaries a fault must be able to strike (per
+//! XUpdate operation, either side of a commit's append, the flush). What a
+//! crash or a failed file operation does *inside* the store's I/O is
+//! enumerated over a simulated directory instead (`xic_xml::dir`). A test harness then *arms* a site with
 //! [`arm`]`(site, nth, mode)`: the `nth` time that site is hit, the
 //! configured fault triggers — a panic or an injected `Err` — and every
 //! other hit is a no-op.
@@ -39,8 +40,8 @@ pub enum FaultMode {
     /// `panic!` at the site. Combined with the `catch_unwind` containment
     /// in `xicheck`, this simulates a crash in-process: the in-memory
     /// state is lost (checker poisoned) while on-disk state is left
-    /// exactly as a real crash would leave it, because journal writes are
-    /// unbuffered.
+    /// exactly as a process crash would leave it, because journal writes
+    /// are unbuffered.
     Panic,
     /// Return `Err(FaultError)` from [`fire`], exercising error-handling
     /// paths (a dropped copy, a degraded checker) without terminating
@@ -64,53 +65,28 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// Fault sites compiled into the workspace write paths, in rough
-/// write-path order. The fault harness walks this list; keep it in sync
-/// with the `fire(...)` calls in `xic-xml` and `xicheck`.
+/// Fault sites compiled into the workspace write paths, in write-path
+/// order, each a boundary with a meaning of its own (between two file
+/// operations is `difftest --crash-states`' to enumerate). The fault
+/// harness walks this list; a ci.sh stage holds it equal to the `fire`
+/// calls.
 pub const SITES: &[&str] = &[
     // Fired before each XUpdate operation is applied to the tree
     // (`xic_xml::xupdate::apply`). Hit once per op, so `nth` selects the
     // op index within a batch.
     "xupdate.apply.op",
-    // Journal append, before any byte is written.
-    "journal.append.pre",
-    // Journal append, after the record is half-written: crashing here
-    // leaves a torn tail that recovery must detect and truncate.
-    "journal.append.mid",
-    // Journal append, after the full record is written (appends never
-    // fsync).
-    "journal.append.post_write",
-    // The flush (`Journal::sync_now`), before the data reaches the disk:
-    // the one durability point, once per direct statement or batch that
-    // appended a record. A
-    // fault here degrades the checker to read-only; nothing retries the
-    // fsync.
-    "journal.sync",
     // Checker commit, after the update is applied and checked but before
-    // the journal record is appended.
+    // the journal record is appended: nothing of the statement is on
+    // disk.
     "checker.commit.pre",
     // Checker commit, after the journal record is appended but before it
-    // is flushed.
+    // is flushed: the record may be whole on disk, unacknowledged.
     "checker.commit.post",
-    // Checkpoint write, with the snapshot tmp file half-written: crashing
-    // here leaves a torn `*.ckpt.tmp` that recovery must ignore.
-    "checkpoint.tmp.mid_write",
-    // Checkpoint write, after the tmp file is complete but before its
-    // fsync: the snapshot content may not be durable yet.
-    "checkpoint.tmp.pre_fsync",
-    // Checkpoint write, after the tmp fsync but before the atomic rename:
-    // the old generation is still the newest visible one.
-    "checkpoint.pre_rename",
-    // Checkpoint write, after the rename but before the directory fsync:
-    // the new snapshot name may not be durable yet.
-    "checkpoint.pre_dir_fsync",
-    // Rotation, before the fresh journal segment keyed to the new
-    // snapshot is created: a crash leaves a checkpoint with no segment
-    // (recovery treats it as a snapshot with an empty suffix).
-    "rotation.pre_new_segment",
-    // Rotation, before expired old snapshot/segment generations are
-    // unlinked: a crash leaves extra (still valid) generations behind.
-    "rotation.pre_old_unlink",
+    // The flush (`Journal::sync_now`), before the data reaches the disk:
+    // the one durability point, once per direct statement or batch that
+    // appended a record. A fault here degrades the checker to read-only;
+    // nothing retries the fsync.
+    "journal.sync",
 ];
 
 struct ArmedFault {
@@ -257,14 +233,14 @@ mod tests {
     fn error_mode_triggers_on_nth_hit_only() {
         let _g = serial();
         disarm_all();
-        arm("journal.append.pre", 3, FaultMode::Error);
-        assert!(fire("journal.append.pre").is_ok());
-        assert!(fire("journal.append.pre").is_ok());
-        let err = fire("journal.append.pre").unwrap_err();
-        assert_eq!(err.site, "journal.append.pre");
+        arm("checker.commit.pre", 3, FaultMode::Error);
+        assert!(fire("checker.commit.pre").is_ok());
+        assert!(fire("checker.commit.pre").is_ok());
+        let err = fire("checker.commit.pre").unwrap_err();
+        assert_eq!(err.site, "checker.commit.pre");
         // Single-shot: the fourth hit passes through again.
-        assert!(fire("journal.append.pre").is_ok());
-        assert_eq!(hits("journal.append.pre"), 4);
+        assert!(fire("checker.commit.pre").is_ok());
+        assert_eq!(hits("checker.commit.pre"), 4);
         disarm_all();
     }
 
@@ -272,10 +248,10 @@ mod tests {
     fn other_sites_are_unaffected() {
         let _g = serial();
         disarm_all();
-        arm("journal.append.mid", 1, FaultMode::Error);
-        assert!(fire("journal.append.pre").is_ok());
+        arm("journal.sync", 1, FaultMode::Error);
+        assert!(fire("checker.commit.pre").is_ok());
         assert!(fire("checker.commit.post").is_ok());
-        assert!(fire("journal.append.mid").is_err());
+        assert!(fire("journal.sync").is_err());
         disarm_all();
     }
 
@@ -297,24 +273,24 @@ mod tests {
     fn disarming_and_hit_counts_are_scoped_to_the_arming_thread() {
         let _g = serial();
         disarm_all();
-        arm("journal.append.pre", 2, FaultMode::Error);
-        assert!(fire("journal.append.pre").is_ok());
+        arm("checker.commit.post", 2, FaultMode::Error);
+        assert!(fire("checker.commit.post").is_ok());
         // A neighbour arms the same site, hits it, reads its own count
         // and cleans up after itself.
         std::thread::spawn(|| {
-            arm("journal.append.pre", 1, FaultMode::Error);
-            assert!(fire("journal.append.pre").is_err());
-            assert!(fire("journal.append.pre").is_ok());
-            assert!(fire("journal.append.pre").is_ok());
-            assert_eq!(hits("journal.append.pre"), 3);
+            arm("checker.commit.post", 1, FaultMode::Error);
+            assert!(fire("checker.commit.post").is_err());
+            assert!(fire("checker.commit.post").is_ok());
+            assert!(fire("checker.commit.post").is_ok());
+            assert_eq!(hits("checker.commit.post"), 3);
             disarm_all();
         })
         .join()
         .expect("neighbour thread");
         // This thread's fault is still armed, with its own count.
         assert!(any_armed());
-        assert_eq!(hits("journal.append.pre"), 1);
-        assert!(fire("journal.append.pre").is_err());
+        assert_eq!(hits("checker.commit.post"), 1);
+        assert!(fire("checker.commit.post").is_err());
         // An any-thread fault belongs to the thread that armed it.
         arm_any_thread("journal.sync", 1, FaultMode::Error);
         std::thread::spawn(disarm_all).join().expect("neighbour thread");
@@ -329,6 +305,7 @@ mod tests {
         for s in SITES {
             assert!(seen.insert(*s), "duplicate site {s}");
         }
-        assert!(SITES.len() >= 13, "journal + checkpoint/rotation sites");
+        let four = ["xupdate.apply.op", "checker.commit.pre", "checker.commit.post", "journal.sync"];
+        assert_eq!(SITES, four, "the boundaries with a meaning, and nothing between two file operations");
     }
 }

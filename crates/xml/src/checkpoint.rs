@@ -1,7 +1,7 @@
 //! Atomic checkpoint snapshots, journal-segment rotation and recovery:
 //! the one durable log.
 //!
-//! The write-ahead [`journal`](crate::journal) makes every committed
+//! The write-ahead [`journal`] makes every committed
 //! statement durable, but by itself it grows without bound and recovery
 //! must replay the *entire* committed history — O(all updates ever).
 //! Checkpointing bounds both: a [`Store`] directory holds generation-
@@ -49,18 +49,17 @@
 //!    is never required for correctness — only their presence is useful,
 //!    as fallbacks when a newer generation is corrupt).
 //!
-//! Every step carries an `xic-faults` site (`checkpoint.tmp.mid_write`,
-//! `checkpoint.tmp.pre_fsync`, `checkpoint.pre_rename`,
-//! `checkpoint.pre_dir_fsync`, `rotation.pre_new_segment`,
-//! `rotation.pre_old_unlink`) so the `xic-difftest` fault harness can
-//! crash at each interleaving and prove recovery byte-identical to the
-//! committed prefix.
+//! Every step is an operation on the store's [`Dir`], the real directory
+//! or a simulated one: `difftest --crash-states` records each operation
+//! with its durability, crashes after every one of them (and fails each
+//! one instead), and enumerates the directory states a power loss may
+//! leave, holding recovery to the committed prefix in every one.
 
-use std::fs::File;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use crate::journal::{crc32, Journal, JournalError, JournalRecord, RecordKind};
+use crate::dir::{self, Dir};
+use crate::journal::{self, crc32, Journal, JournalError, JournalRecord, RecordKind};
 
 /// Checkpoint file magic, bumped if the snapshot layout ever changes.
 pub const CKPT_MAGIC: &[u8; 8] = b"XICCKPT1";
@@ -92,8 +91,8 @@ impl Checkpoint {
 /// Errors from checkpoint write/read or store rotation.
 #[derive(Debug, Clone)]
 pub enum CheckpointError {
-    /// An underlying I/O failure (including injected ones), kind
-    /// preserved as in [`JournalError::Io`].
+    /// An underlying I/O failure, kind preserved as in
+    /// [`JournalError::Io`].
     Io {
         /// The underlying error's kind.
         kind: std::io::ErrorKind,
@@ -167,54 +166,31 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-impl From<xic_faults::FaultError> for CheckpointError {
-    fn from(e: xic_faults::FaultError) -> Self {
-        CheckpointError::Io { kind: std::io::ErrorKind::Other, source: std::sync::Arc::new(e) }
-    }
-}
-
 impl From<JournalError> for CheckpointError {
     fn from(e: JournalError) -> Self {
         CheckpointError::Journal(e)
     }
 }
 
-/// Opens `dir` and syncs it, making freshly created/renamed/unlinked
-/// entries durable (the POSIX idiom behind atomic file replacement).
-pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    File::open(dir)?.sync_all()
-}
-
-/// The directory holding `path`'s entry (`.` for a bare relative name).
-pub fn parent_dir(path: &Path) -> &Path {
-    match path.parent() {
-        Some(parent) if !parent.as_os_str().is_empty() => parent,
-        _ => Path::new("."),
+impl CheckpointError {
+    /// True for an I/O failure other than a missing file: it says nothing
+    /// about a generation, so recovery must not fall back past it.
+    pub fn is_io(&self) -> bool {
+        let kind = match self {
+            CheckpointError::Io { kind, .. } => Some(*kind),
+            CheckpointError::Journal(e) => e.io_kind(),
+            _ => None,
+        };
+        kind.is_some_and(|kind| kind != std::io::ErrorKind::NotFound)
     }
 }
 
-/// Writes `ckpt` to `path` atomically: serialize into `<path>.tmp`,
-/// fsync it, rename into place, fsync the directory. A crash at any
-/// point leaves either no `path` (plus at most a torn, ignored tmp) or a
-/// complete, validated `path` — never a partially visible snapshot.
-pub fn write_atomic(path: &Path, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-    let tmp = tmp_path(path);
-    match write_atomic_inner(path, &tmp, ckpt) {
-        Ok(()) => {
-            xic_obs::incr(xic_obs::Counter::CheckpointWritten);
-            Ok(())
-        }
-        Err(e) => {
-            // Best-effort: don't leave a stale tmp behind a clean error.
-            // (After a *crash* the tmp does linger; recovery ignores it
-            // and the next rotation overwrites it.)
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-fn write_atomic_inner(path: &Path, tmp: &Path, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+/// Writes `ckpt` to `path` in `fs` atomically: serialize into
+/// `<path>.tmp`, sync it, rename into place, sync the directory. A crash
+/// at any point leaves either no `path` (plus at most a torn, ignored
+/// tmp) or a complete, validated `path` — never a partially visible
+/// snapshot.
+pub fn write_atomic(fs: &dyn Dir, path: &Path, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
     let doc_bytes = ckpt.doc_xml.as_bytes();
     let mut payload = Vec::with_capacity(CKPT_MIN_LEN + doc_bytes.len());
     payload.extend_from_slice(CKPT_MAGIC);
@@ -224,28 +200,28 @@ fn write_atomic_inner(path: &Path, tmp: &Path, ckpt: &Checkpoint) -> Result<(), 
     let crc = crc32(&payload[8..]);
     payload.extend_from_slice(&crc.to_le_bytes());
 
-    let mut file = File::create(tmp)?;
-    // Unbuffered, in two halves, exactly like journal records: a crash at
-    // the mid site leaves a torn tmp on disk as a power loss would.
-    let split = payload.len() / 2;
-    file.write_all(&payload[..split])?;
-    xic_faults::fire("checkpoint.tmp.mid_write")?;
-    file.write_all(&payload[split..])?;
-    xic_faults::fire("checkpoint.tmp.pre_fsync")?;
-    file.sync_all()?;
-    drop(file);
-    xic_faults::fire("checkpoint.pre_rename")?;
-    std::fs::rename(tmp, path)?;
-    xic_faults::fire("checkpoint.pre_dir_fsync")?;
-    if let Some(parent) = path.parent() {
-        fsync_dir(parent)?;
+    let tmp = tmp_path(path);
+    let written = fs.create(&tmp).and_then(|mut file| {
+        file.append(&payload)?;
+        file.sync_data()?;
+        drop(file);
+        fs.rename(&tmp, path)?;
+        fs.sync_dir(dir::parent(path))
+    });
+    if written.is_err() {
+        // Best-effort: don't leave a stale tmp behind a clean error.
+        // (After a *crash* the tmp does linger; recovery ignores it and
+        // the next rotation overwrites it.)
+        let _ = fs.remove(&tmp);
     }
+    written?;
+    xic_obs::incr(xic_obs::Counter::CheckpointWritten);
     Ok(())
 }
 
 /// Reads and validates a checkpoint written by [`write_atomic`].
-pub fn read(path: &Path) -> Result<Checkpoint, CheckpointError> {
-    let bytes = std::fs::read(path)?;
+pub fn read(fs: &dyn Dir, path: &Path) -> Result<Checkpoint, CheckpointError> {
+    let bytes = fs.read(path)?;
     if bytes.len() < 8 || &bytes[..8] != CKPT_MAGIC {
         return Err(CheckpointError::BadHeader);
     }
@@ -299,33 +275,38 @@ fn generation_of(name: &str, suffix: &str) -> Option<u64> {
     name.strip_prefix("gen-")?.strip_suffix(suffix)?.parse().ok()
 }
 
+/// The snapshot generations among a store directory's `names`, newest
+/// first.
+fn snapshots(names: &[String]) -> Vec<u64> {
+    let mut gens: Vec<u64> = names.iter().filter_map(|n| generation_of(n, ".ckpt")).collect();
+    gens.sort_unstable_by(|a, b| b.cmp(a));
+    gens
+}
+
 /// The entries of `dir`, all of them files the store itself writes — a
 /// generation snapshot, a journal segment, or a torn in-progress
 /// snapshot. Anything else is refused with
 /// [`CheckpointError::ForeignEntry`]: a foreign file means the directory
 /// is shared with something else, and neither clearing it nor coexisting
 /// with it is safe.
-fn artifacts(dir: &Path) -> Result<Vec<String>, CheckpointError> {
-    let mut names = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name().to_string_lossy().into_owned();
-        let ours = [".ckpt", ".wal", ".ckpt.tmp"];
-        if !(name.starts_with("gen-") && ours.iter().any(|suffix| name.ends_with(suffix))) {
-            return Err(CheckpointError::ForeignEntry { dir: dir.to_path_buf(), name });
-        }
-        names.push(name);
+fn artifacts(fs: &dyn Dir, dir: &Path) -> Result<Vec<String>, CheckpointError> {
+    let names = fs.list(dir)?;
+    let ours = [".ckpt", ".wal", ".ckpt.tmp"];
+    match names.iter().find(|n| !(n.starts_with("gen-") && ours.iter().any(|s| n.ends_with(s)))) {
+        Some(name) => Err(CheckpointError::ForeignEntry { dir: dir.to_path_buf(), name: name.clone() }),
+        None => Ok(names),
     }
-    Ok(names)
 }
 
 /// A checkpointed store directory: generation-numbered snapshot/segment
 /// pairs, the live segment commits are appended to, and the rotation and
-/// recovery protocols over them. Its one setting is `sync`: appends only
-/// write, and [`Store::sync_now`] — the caller's flush point, once per
-/// direct statement or per batch — fsyncs iff it is set and something
-/// was appended.
+/// recovery protocols over them, every file operation on its [`Dir`]. Its
+/// one setting is `sync`: appends only write, and [`Store::sync_now`] —
+/// the caller's flush point, once per direct statement or per batch —
+/// fsyncs iff it is set and something was appended.
 #[derive(Debug)]
 pub struct Store {
+    fs: Arc<dyn Dir>,
     dir: PathBuf,
     /// The live generation (0 until the first rotation; generation 0 has
     /// no snapshot file — its base document lives outside the store).
@@ -341,9 +322,9 @@ pub struct Store {
 }
 
 impl Store {
-    /// Creates (or reuses) the store directory and starts generation 0:
-    /// a fresh journal segment keyed to `base_crc`, the checksum of the
-    /// *external* base document.
+    /// Creates (or reuses) the store directory `dir` in `fs` and starts
+    /// generation 0: a fresh journal segment keyed to `base_crc`, the
+    /// checksum of the *external* base document.
     ///
     /// A reused directory is wiped of any previous incarnation's
     /// `gen-*` artifacts first: recovery prefers the newest snapshot on
@@ -353,22 +334,16 @@ impl Store {
     /// directory containing anything else is refused
     /// ([`CheckpointError::ForeignEntry`]).
     ///
-    /// A store that syncs and had to create its directory also fsyncs the
-    /// parent, so that the directory's own name survives a power loss: a
-    /// store that vanished would be started fresh from its base, its
-    /// acknowledged commits lost.
-    pub fn create(dir: &Path, base_crc: u32, sync: bool) -> Result<Store, CheckpointError> {
-        let created = !dir.exists();
-        std::fs::create_dir_all(dir)?;
-        for stale in artifacts(dir)? {
-            std::fs::remove_file(dir.join(stale))?;
+    /// The directory's own name is its caller's to make durable, on every
+    /// start ([`dir::create_dirs`]).
+    pub fn create(fs: Arc<dyn Dir>, dir: &Path, base_crc: u32, sync: bool) -> Result<Store, CheckpointError> {
+        fs.create_dir(dir)?;
+        for stale in artifacts(&*fs, dir)? {
+            fs.remove(&dir.join(stale))?;
         }
-        let segment = Journal::create(&Self::wal_path(dir, 0), base_crc, sync)?;
-        fsync_dir(dir)?;
-        if created && sync {
-            fsync_dir(parent_dir(dir))?;
-        }
-        Ok(Store { dir: dir.to_path_buf(), generation: 0, segment, sync, unsynced: false })
+        let segment = Journal::create_in(&*fs, &Self::wal_path(dir, 0), base_crc, sync)?;
+        fs.sync_dir(dir)?;
+        Ok(Store { fs, dir: dir.to_path_buf(), generation: 0, segment, sync, unsynced: false })
     }
 
     /// The live generation number.
@@ -413,11 +388,8 @@ impl Store {
     /// Snapshot generations present in `dir`, newest first. Generation 0
     /// (the external base document) is always an implicit final fallback
     /// and is not listed.
-    pub fn snapshot_generations(dir: &Path) -> Vec<u64> {
-        let names = artifacts(dir).unwrap_or_default();
-        let mut gens: Vec<u64> = names.iter().filter_map(|n| generation_of(n, ".ckpt")).collect();
-        gens.sort_unstable_by(|a, b| b.cmp(a));
-        gens
+    pub fn snapshot_generations(fs: &dyn Dir, dir: &Path) -> Vec<u64> {
+        snapshots(&artifacts(fs, dir).unwrap_or_default())
     }
 
     /// Rotates to a new generation: durably snapshot `doc_xml` (the
@@ -439,24 +411,21 @@ impl Store {
         self.segment = match self.rotate_inner(next, &ckpt) {
             Ok(segment) => segment,
             Err(e) => {
-                let _ = std::fs::remove_file(Self::ckpt_path(&self.dir, next));
-                let _ = std::fs::remove_file(Self::wal_path(&self.dir, next));
-                let _ = fsync_dir(&self.dir);
+                let _ = self.fs.remove(&Self::ckpt_path(&self.dir, next));
+                let _ = self.fs.remove(&Self::wal_path(&self.dir, next));
+                let _ = self.fs.sync_dir(&self.dir);
                 return Err(e);
             }
         };
         self.generation = next;
         xic_obs::incr(xic_obs::Counter::Rotation);
         // Unlink expired generations, best-effort: their presence is
-        // harmless (extra fallbacks), their absence never needed — so an
-        // injected *error* here leaves the (already complete) rotation
-        // intact, while a Panic-mode fault still simulates a crash.
-        if xic_faults::fire("rotation.pre_old_unlink").is_ok() {
-            for g in (0..next.saturating_sub(DEFAULT_RETAIN - 1)).rev() {
-                let _ = std::fs::remove_file(Self::wal_path(&self.dir, g));
-                if g > 0 {
-                    let _ = std::fs::remove_file(Self::ckpt_path(&self.dir, g));
-                }
+        // harmless (extra fallbacks), their absence never needed — so a
+        // failed unlink leaves the (already complete) rotation intact.
+        for g in (0..next.saturating_sub(DEFAULT_RETAIN - 1)).rev() {
+            let _ = self.fs.remove(&Self::wal_path(&self.dir, g));
+            if g > 0 {
+                let _ = self.fs.remove(&Self::ckpt_path(&self.dir, g));
             }
         }
         Ok(next)
@@ -466,45 +435,57 @@ impl Store {
     /// directory fsync. Failure anywhere in here (including after the
     /// snapshot rename) is rolled back by [`Store::rotate`].
     fn rotate_inner(&self, next: u64, ckpt: &Checkpoint) -> Result<Journal, CheckpointError> {
-        write_atomic(&Self::ckpt_path(&self.dir, next), ckpt)?;
+        write_atomic(&*self.fs, &Self::ckpt_path(&self.dir, next), ckpt)?;
         // The snapshot is durable: from here on recovery prefers it even
         // if the segment is missing (checkpoint + empty suffix).
-        xic_faults::fire("rotation.pre_new_segment")?;
-        let journal =
-            Journal::create(&Self::wal_path(&self.dir, next), ckpt.doc_crc(), self.sync)?;
-        fsync_dir(&self.dir)?;
+        let wal = Self::wal_path(&self.dir, next);
+        let journal = Journal::create_in(&*self.fs, &wal, ckpt.doc_crc(), self.sync)?;
+        self.fs.sync_dir(&self.dir)?;
         Ok(journal)
     }
 
-    /// Recovers the store in `dir`, to resume in the `sync` mode given
-    /// (recovery itself always fsyncs what it writes). Generations are
-    /// tried newest snapshot first, generation 0 — the external base
+    /// Recovers the store in `dir` in `fs`, to resume in the `sync` mode
+    /// given (recovery itself always fsyncs what it writes). Generations
+    /// are tried newest snapshot first, generation 0 — the external base
     /// document — last. Each one whose snapshot validates is offered to
     /// `replay`, which rebuilds the base, opens the segment keyed to it
     /// ([`Candidate::open_segment`]) and replays the records, or says why
     /// the generation cannot be used. The first one accepted wins.
     ///
-    /// A directory with a foreign entry is refused as by
-    /// [`Store::create`]; a missing or unreadable one holds no generation.
+    /// `None` where `dir` is missing or empty, for the caller to create
+    /// ([`Store::create`]): it holds no acknowledged commit, since a store
+    /// syncs its first segment's name before it accepts one. A directory
+    /// with a foreign entry is refused as by [`Store::create`]. An I/O
+    /// error other than a missing file is returned as is: it says nothing
+    /// about the generation it struck, so falling back past it could
+    /// silently drop acknowledged commits.
     pub fn recover<T>(
+        fs: Arc<dyn Dir>,
         dir: &Path,
         sync: bool,
         mut replay: impl FnMut(&mut Candidate<'_>) -> Result<T, String>,
-    ) -> Result<Recovery<T>, CheckpointError> {
-        if let Err(e @ CheckpointError::ForeignEntry { .. }) = artifacts(dir) {
-            return Err(e);
-        }
-        let mut generations = Self::snapshot_generations(dir);
+    ) -> Result<Option<Recovery<T>>, CheckpointError> {
+        let names = match artifacts(&*fs, dir) {
+            Ok(names) if !names.is_empty() => names,
+            Err(e) if e.is_io() || matches!(e, CheckpointError::ForeignEntry { .. }) => return Err(e),
+            _ => return Ok(None),
+        };
+        let mut generations = snapshots(&names);
         generations.push(0);
         let mut rejected = Vec::new();
         for generation in generations {
-            let mut candidate = Candidate { generation, snapshot: None, dir, sync, segment: None };
+            let (snapshot, segment, fatal_io) = (None, None, None);
+            let mut candidate =
+                Candidate { generation, snapshot, fs: &*fs, dir, names: &names, sync, segment, fatal_io };
             let outcome = candidate.read_snapshot().and_then(|()| replay(&mut candidate));
+            if let Some(e) = candidate.fatal_io {
+                return Err(e);
+            }
             match (outcome, candidate.segment) {
                 (Ok(value), Some(segment)) => {
-                    let dir = dir.to_path_buf();
-                    let store = Store { dir, generation, segment, sync, unsynced: false };
-                    return Ok(Recovery { resumed: Some((store, value)), rejected });
+                    let (fs, dir) = (Arc::clone(&fs), dir.to_path_buf());
+                    let store = Store { fs, dir, generation, segment, sync, unsynced: false };
+                    return Ok(Some(Recovery { resumed: Some((store, value)), rejected }));
                 }
                 (outcome, _) => {
                     xic_obs::incr(xic_obs::Counter::RecoveryGenerationFallback);
@@ -513,7 +494,7 @@ impl Store {
                 }
             }
         }
-        Ok(Recovery { resumed: None, rejected })
+        Ok(Some(Recovery { resumed: None, rejected }))
     }
 }
 
@@ -535,16 +516,29 @@ pub struct Candidate<'a> {
     /// The validated snapshot to rebuild the base from; `None` for
     /// generation 0, whose base the caller holds.
     pub snapshot: Option<Checkpoint>,
+    fs: &'a dyn Dir,
     dir: &'a Path,
+    /// The store directory's entries as recovery found them.
+    names: &'a [String],
     sync: bool,
     segment: Option<Journal>,
+    /// An I/O failure that ends the recovery ([`CheckpointError::is_io`]).
+    fatal_io: Option<CheckpointError>,
 }
 
 impl Candidate<'_> {
+    /// Records `e` if it ends the recovery, and passes it on.
+    fn fatal(&mut self, e: CheckpointError) -> CheckpointError {
+        if e.is_io() {
+            self.fatal_io.get_or_insert_with(|| e.clone());
+        }
+        e
+    }
+
     fn read_snapshot(&mut self) -> Result<(), String> {
         if self.generation > 0 {
-            let ckpt = read(&Store::ckpt_path(self.dir, self.generation));
-            self.snapshot = Some(ckpt.map_err(|e| e.to_string())?);
+            let ckpt = read(self.fs, &Store::ckpt_path(self.dir, self.generation));
+            self.snapshot = Some(ckpt.map_err(|e| self.fatal(e).to_string())?);
         }
         Ok(())
     }
@@ -559,37 +553,40 @@ impl Candidate<'_> {
     /// *failed* rotation whose orphan unlink did not stick leaves the
     /// same shape while commits kept flowing to the old segment, and
     /// accepting the snapshot then would silently discard them — so the
-    /// older segments are cross-checked first
+    /// older segments are cross-checked first, read only
     /// ([`CheckpointError::Orphan`]).
     pub fn open_segment(
         &mut self,
         base_crc: u32,
     ) -> Result<(Vec<JournalRecord>, bool), CheckpointError> {
         let wal = Store::wal_path(self.dir, self.generation);
-        let missing = self.snapshot.as_ref().filter(|_| !wal.exists());
+        let wal_name = format!("gen-{}.wal", self.generation);
+        let missing = self.snapshot.as_ref().filter(|_| !self.names.contains(&wal_name));
         let Some(commit_seq) = missing.map(|ckpt| ckpt.commit_seq) else {
-            let recovered = Journal::recover(&wal, Some(base_crc))?;
+            let recovered = Journal::recover_in(self.fs, &wal, Some(base_crc)).map_err(|e| self.fatal(e.into()))?;
             self.segment = Some(recovered.journal);
             return Ok((recovered.records, recovered.torn));
         };
-        for name in artifacts(self.dir).unwrap_or_default() {
-            let Some(g) = generation_of(&name, ".wal").filter(|&g| g < self.generation) else {
+        for name in self.names {
+            let Some(g) = generation_of(name, ".wal").filter(|&g| g < self.generation) else {
                 continue;
             };
             // Versions matter here, not the base, so no crc is expected;
-            // an unreadable segment proves nothing (its own candidate
-            // will surface the problem).
-            let Ok(older) = Journal::recover(&Store::wal_path(self.dir, g), None) else { continue };
-            let commits = older.records.iter().filter(|r| r.kind == RecordKind::Commit);
+            // a segment that does not decode proves nothing (its own
+            // candidate will surface the problem).
+            let bytes = self.fs.read(&Store::wal_path(self.dir, g)).map_err(|e| self.fatal(e.into()))?;
+            let Ok(Some((_, records, _))) = journal::decode(&bytes) else { continue };
+            let commits = records.iter().filter(|r| r.kind == RecordKind::Commit);
             if let Some(version) = commits.map(|r| r.version).max().filter(|&v| v > commit_seq) {
                 return Err(CheckpointError::Orphan { commit_seq, segment_generation: g, version });
             }
         }
-        self.segment = Some(Journal::create(&wal, base_crc, self.sync)?);
+        let segment = Journal::create_in(self.fs, &wal, base_crc, self.sync);
+        self.segment = Some(segment.map_err(|e| self.fatal(e.into()))?);
         // Rotation step 5's directory fsync: without it an OS crash could
         // drop the fresh segment's name — and every commit appended to it
         // — while the snapshot survives, re-entering this path.
-        fsync_dir(self.dir)?;
+        self.fs.sync_dir(self.dir).map_err(|e| self.fatal(e.into()))?;
         Ok((Vec::new(), false))
     }
 }
@@ -597,7 +594,12 @@ impl Candidate<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dir::Real;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    fn real() -> Arc<dyn Dir> {
+        Arc::new(Real)
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -619,9 +621,9 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("gen-1.ckpt");
         let ckpt = Checkpoint { commit_seq: 42, doc_xml: "<db><x>é</x></db>".to_string() };
-        write_atomic(&path, &ckpt).expect("write");
+        write_atomic(&Real, &path, &ckpt).expect("write");
         assert!(!tmp_path(&path).exists(), "tmp must be renamed away");
-        let back = read(&path).expect("read");
+        let back = read(&Real, &path).expect("read");
         assert_eq!(back, ckpt);
         assert_eq!(back.doc_crc(), crc32("<db><x>é</x></db>".as_bytes()));
         cleanup(&dir);
@@ -632,33 +634,33 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let path = dir.join("gen-1.ckpt");
         let ckpt = Checkpoint { commit_seq: 7, doc_xml: "<db/>".to_string() };
-        write_atomic(&path, &ckpt).expect("write");
+        write_atomic(&Real, &path, &ckpt).expect("write");
         let bytes = std::fs::read(&path).expect("read");
 
         // Truncation at every length (torn tmp renamed by a buggy caller,
         // or on-disk corruption): must never yield a snapshot.
         for cut in 0..bytes.len() {
             std::fs::write(&path, &bytes[..cut]).expect("write cut");
-            assert!(read(&path).is_err(), "cut at {cut} must not validate");
+            assert!(read(&Real, &path).is_err(), "cut at {cut} must not validate");
         }
         // A flipped bit anywhere after the magic fails the checksum.
         for byte in [8, 12, 20, bytes.len() - 1] {
             let mut flipped = bytes.clone();
             flipped[byte] ^= 0x01;
             std::fs::write(&path, &flipped).expect("write flip");
-            let err = read(&path).expect_err("flip must not validate");
+            let err = read(&Real, &path).expect_err("flip must not validate");
             assert!(matches!(err, CheckpointError::Corrupt(_)), "byte {byte}: {err}");
         }
         // Wrong magic is BadHeader, not Corrupt.
         std::fs::write(&path, b"XICJRNL1rest").expect("write");
-        assert!(matches!(read(&path), Err(CheckpointError::BadHeader)));
+        assert!(matches!(read(&Real, &path), Err(CheckpointError::BadHeader)));
         cleanup(&dir);
     }
 
     #[test]
     fn rotation_starts_a_segment_keyed_to_the_snapshot() {
         let dir = tmp_dir("rotate");
-        let mut store = Store::create(&dir, 111, false).expect("create");
+        let mut store = Store::create(real(), &dir, 111, false).expect("create");
         assert_eq!(store.generation(), 0);
         store.append(RecordKind::Commit, 1, "one").expect("append");
 
@@ -667,8 +669,8 @@ mod tests {
         store.append(RecordKind::Commit, 2, "two").expect("append");
         drop(store);
 
-        assert_eq!(Store::snapshot_generations(&dir), vec![1]);
-        let snap = read(&Store::ckpt_path(&dir, 1)).expect("snapshot");
+        assert_eq!(Store::snapshot_generations(&Real, &dir), vec![1]);
+        let snap = read(&Real, &Store::ckpt_path(&dir, 1)).expect("snapshot");
         assert_eq!(snap.commit_seq, 1);
         let rec = Journal::recover(&Store::wal_path(&dir, 1), Some(snap.doc_crc()))
             .expect("segment keyed to snapshot");
@@ -682,12 +684,12 @@ mod tests {
     #[test]
     fn retention_unlinks_expired_generations() {
         let dir = tmp_dir("retain");
-        let mut store = Store::create(&dir, 0, false).expect("create");
+        let mut store = Store::create(real(), &dir, 0, false).expect("create");
         for g in 1..=3u64 {
             store.rotate(g, &format!("<db><g{g}/></db>")).expect("rotate");
         }
         // retain = 2: generations 3 (live) and 2 (fallback) survive.
-        assert_eq!(Store::snapshot_generations(&dir), vec![3, 2]);
+        assert_eq!(Store::snapshot_generations(&Real, &dir), vec![3, 2]);
         assert!(!Store::wal_path(&dir, 0).exists());
         assert!(!Store::ckpt_path(&dir, 1).exists());
         assert!(!Store::wal_path(&dir, 1).exists());
@@ -699,17 +701,17 @@ mod tests {
     #[test]
     fn create_clears_stale_generations_from_a_reused_directory() {
         let dir = tmp_dir("stale");
-        let mut store = Store::create(&dir, 1, false).expect("create");
+        let mut store = Store::create(real(), &dir, 1, false).expect("create");
         store.rotate(5, "<db><old-incarnation/></db>").expect("rotate");
         std::fs::write(dir.join("gen-9.ckpt.tmp"), b"torn").expect("tmp");
-        assert_eq!(Store::snapshot_generations(&dir), vec![1]);
+        assert_eq!(Store::snapshot_generations(&Real, &dir), vec![1]);
 
         // Re-creating the store on the same directory is a new
         // incarnation: the stale (self-consistent!) generation-1 pair
         // must not survive to win a later recovery.
-        let store2 = Store::create(&dir, 2, false).expect("re-create");
+        let store2 = Store::create(real(), &dir, 2, false).expect("re-create");
         assert_eq!(store2.generation(), 0);
-        assert!(Store::snapshot_generations(&dir).is_empty());
+        assert!(Store::snapshot_generations(&Real, &dir).is_empty());
         assert!(!Store::wal_path(&dir, 1).exists());
         assert!(!dir.join("gen-9.ckpt.tmp").exists());
         assert!(Store::wal_path(&dir, 0).exists());
@@ -720,7 +722,7 @@ mod tests {
     fn create_refuses_a_directory_with_foreign_entries() {
         let dir = tmp_dir("foreign");
         std::fs::write(dir.join("notes.txt"), b"not ours").expect("write");
-        let err = Store::create(&dir, 1, false).expect_err("foreign entry");
+        let err = Store::create(real(), &dir, 1, false).expect_err("foreign entry");
         match &err {
             CheckpointError::ForeignEntry { dir: d, name } => {
                 assert_eq!(d, &dir);
@@ -733,7 +735,7 @@ mod tests {
         assert!(dir.join("notes.txt").exists());
         assert!(!Store::wal_path(&dir, 0).exists());
         // Recovery applies the same rule before it opens anything.
-        let refused = Store::recover(&dir, false, |_| -> Result<(), String> {
+        let refused = Store::recover(real(), &dir, false, |_| -> Result<(), String> {
             panic!("no candidate may be offered in a shared directory")
         });
         assert!(matches!(refused, Err(CheckpointError::ForeignEntry { .. })));
@@ -741,7 +743,7 @@ mod tests {
         std::fs::remove_file(dir.join("notes.txt")).expect("rm");
         std::fs::create_dir(dir.join("shard-0")).expect("mkdir");
         assert!(matches!(
-            Store::create(&dir, 1, false),
+            Store::create(real(), &dir, 1, false),
             Err(CheckpointError::ForeignEntry { .. })
         ));
         cleanup(&dir);
@@ -760,7 +762,7 @@ mod tests {
         // Crash between rotation steps 4 and 5: gen-1.ckpt is durable,
         // gen-1.wal was never created.
         let dir = tmp_dir("nosegment");
-        let mut store = Store::create(&dir, 7, true).expect("create");
+        let mut store = Store::create(real(), &dir, 7, true).expect("create");
         store.append(RecordKind::Commit, 1, "one").expect("append");
         store.rotate(1, "<db><one/></db>").expect("rotate");
         drop(store);
@@ -768,7 +770,7 @@ mod tests {
 
         let fsyncs = || xic_obs::snapshot().counter(xic_obs::Counter::JournalFsync);
         let before = fsyncs();
-        let Recovery { resumed, rejected } = Store::recover(&dir, true, open_only).expect("recover");
+        let Recovery { resumed, rejected } = Store::recover(real(), &dir, true, open_only).expect("recover").expect("a store");
         let (mut store, (records, torn)) = resumed.expect("the snapshot wins");
         assert!(rejected.is_empty(), "{rejected:?}");
         assert_eq!(store.generation(), 1);
@@ -778,7 +780,7 @@ mod tests {
         // The segment is keyed to the snapshot and live.
         store.append(RecordKind::Commit, 2, "two").expect("append");
         drop(store);
-        let snap = read(&Store::ckpt_path(&dir, 1)).expect("snapshot");
+        let snap = read(&Real, &Store::ckpt_path(&dir, 1)).expect("snapshot");
         let rec = Journal::recover(&Store::wal_path(&dir, 1), Some(snap.doc_crc())).expect("keyed");
         assert_eq!(rec.records.len(), 1);
         cleanup(&dir);
@@ -789,15 +791,15 @@ mod tests {
         // A failed rotation whose orphan unlink did not stick: gen-1.ckpt
         // at commit 1 with no segment, while gen-0.wal went on to commit 3.
         let dir = tmp_dir("orphanrec");
-        let mut store = Store::create(&dir, 7, true).expect("create");
+        let mut store = Store::create(real(), &dir, 7, true).expect("create");
         for v in 1..=3 {
             store.append(RecordKind::Commit, v, "stmt").expect("append");
         }
         drop(store);
         let orphan = Checkpoint { commit_seq: 1, doc_xml: "<db><one/></db>".to_string() };
-        write_atomic(&Store::ckpt_path(&dir, 1), &orphan).expect("plant orphan");
+        write_atomic(&Real, &Store::ckpt_path(&dir, 1), &orphan).expect("plant orphan");
 
-        let Recovery { resumed, rejected } = Store::recover(&dir, true, open_only).expect("recover");
+        let Recovery { resumed, rejected } = Store::recover(real(), &dir, true, open_only).expect("recover").expect("a store");
         let (store, (records, _)) = resumed.expect("generation 0 wins");
         assert_eq!(store.generation(), 0, "the orphan must not win");
         assert_eq!(records.len(), 3);
@@ -809,65 +811,30 @@ mod tests {
     }
 
     #[test]
-    fn failed_rotation_unlinks_its_orphan_snapshot() {
-        // An error *after* the snapshot became durable (segment create)
-        // or visible (dir fsync) must not leave gen-1.ckpt behind: the
-        // store stays on generation 0 and keeps committing to gen-0.wal,
-        // so an orphan snapshot would later win recovery and discard
-        // those commits.
-        for site in ["rotation.pre_new_segment", "checkpoint.pre_dir_fsync"] {
-            let dir = tmp_dir("orphan");
-            let mut store = Store::create(&dir, 5, false).expect("create");
-            xic_faults::disarm_all();
-            xic_faults::arm(site, 1, xic_faults::FaultMode::Error);
-            let err = store.rotate(1, "<db><orphan/></db>").expect_err("injected");
-            xic_faults::disarm_all();
-            assert!(matches!(err, CheckpointError::Io { .. }), "{site}: {err}");
-            assert_eq!(store.generation(), 0, "{site}: failed rotation must not advance");
-            assert!(
-                Store::snapshot_generations(&dir).is_empty(),
-                "{site}: orphan snapshot left behind"
-            );
-            assert!(!Store::wal_path(&dir, 1).exists(), "{site}: orphan segment left behind");
-            assert!(Store::wal_path(&dir, 0).exists(), "{site}: old pair must survive");
-            cleanup(&dir);
-        }
-    }
+    fn the_orphan_cross_check_only_reads_the_fallback_segments() {
+        // gen-2.ckpt with no segment sends recovery through the orphan
+        // cross-check of generations 0 and 1. Neither may be written: a
+        // rebuilt header (base crc 0) or a truncated tail would make them
+        // fail, as fallbacks, whenever the newer snapshot is later found
+        // corrupt.
+        let dir = tmp_dir("readonly");
+        let mut store = Store::create(real(), &dir, 7, true).expect("create");
+        store.append(RecordKind::Commit, 1, "one").expect("append");
+        store.rotate(1, "<db><one/></db>").expect("rotate");
+        store.append(RecordKind::Commit, 2, "two").expect("append");
+        drop(store);
+        let two = Checkpoint { commit_seq: 2, doc_xml: "<db><two/></db>".to_string() };
+        write_atomic(&Real, &Store::ckpt_path(&dir, 2), &two).expect("snapshot 2");
+        let wal0 = std::fs::read(Store::wal_path(&dir, 0)).expect("gen 0");
+        std::fs::write(Store::wal_path(&dir, 0), &wal0[..5]).expect("cut to 5 bytes");
+        let mut wal1 = std::fs::read(Store::wal_path(&dir, 1)).expect("gen 1");
+        wal1.extend_from_slice(b"torn tail");
+        std::fs::write(Store::wal_path(&dir, 1), &wal1).expect("torn tail");
 
-    #[test]
-    fn old_unlink_error_leaves_the_rotation_complete() {
-        // rotation.pre_old_unlink guards a best-effort step: an injected
-        // error there must not fail the (already durable) rotation.
-        let dir = tmp_dir("unlinkerr");
-        let mut store = Store::create(&dir, 0, false).expect("create");
-        store.rotate(1, "<db><one/></db>").expect("first rotation");
-        // The second rotation is the first to expire a generation (0).
-        xic_faults::disarm_all();
-        xic_faults::arm("rotation.pre_old_unlink", 1, xic_faults::FaultMode::Error);
-        store.rotate(2, "<db><kept/></db>").expect("rotation still succeeds");
-        xic_faults::disarm_all();
-        assert_eq!(store.generation(), 2);
-        // The unlink was skipped, so the expired generation 0 survives
-        // as an extra (harmless) fallback.
-        assert!(Store::wal_path(&dir, 0).exists());
-        cleanup(&dir);
-    }
-
-    #[test]
-    fn torn_tmp_write_leaves_old_generation_intact() {
-        let dir = tmp_dir("torntmp");
-        let mut store = Store::create(&dir, 5, false).expect("create");
-        xic_faults::disarm_all();
-        xic_faults::arm("checkpoint.tmp.mid_write", 1, xic_faults::FaultMode::Error);
-        let err = store.rotate(1, "<db><victim/></db>").expect_err("injected");
-        xic_faults::disarm_all();
-        assert!(matches!(err, CheckpointError::Io { .. }), "{err}");
-        assert_eq!(store.generation(), 0, "failed rotation must not advance");
-        assert!(Store::snapshot_generations(&dir).is_empty());
-        assert!(Store::wal_path(&dir, 0).exists(), "old pair must survive");
-        // The next rotation succeeds and overwrites any tmp remnants.
-        store.rotate(1, "<db><victim/></db>").expect("retry rotation");
-        assert_eq!(Store::snapshot_generations(&dir), vec![1]);
+        let Recovery { resumed, rejected } = Store::recover(real(), &dir, true, open_only).expect("recover").expect("a store");
+        assert_eq!(resumed.expect("the newest snapshot wins").0.generation(), 2, "{rejected:?}");
+        assert_eq!(std::fs::read(Store::wal_path(&dir, 0)).expect("gen 0"), &wal0[..5]);
+        assert_eq!(std::fs::read(Store::wal_path(&dir, 1)).expect("gen 1"), wal1);
         cleanup(&dir);
     }
 }

@@ -22,14 +22,14 @@
 //! journal creation; recovery refuses to replay onto a document that does
 //! not match it (e.g. a snapshot newer than the journal head). `version`
 //! is the committed-statement sequence number (1-based); commit records
-//! must carry consecutive versions, which recovery validates. All writes
-//! go through unbuffered `write_all`, so an in-process panic leaves the
-//! file byte-identical to a hard crash at the same point.
+//! must carry consecutive versions, which recovery validates. A record is
+//! one unbuffered append, so an in-process panic leaves the file
+//! byte-identical to a hard crash at the same point.
 //!
-//! Fault sites (see `xic-faults`): `journal.append.pre` before any byte is
-//! written, `journal.append.mid` with the record half-written (the torn
-//! case), `journal.append.post_write` after the record bytes, and
-//! `journal.sync` before the fsync of [`Journal::sync_now`].
+//! Every file operation goes through a [`Dir`] (the real one for
+//! [`Journal::create`] and [`Journal::recover`]); what a power loss leaves
+//! of a journal is enumerated by `difftest --crash-states`. The one fault
+//! site is `journal.sync`, before the fsync of [`Journal::sync_now`].
 //!
 //! I/O failures preserve their [`std::io::ErrorKind`] (and the original
 //! error as `Error::source()`). An append or fsync is attempted once: a
@@ -39,9 +39,9 @@
 //! checkpointing and segment rotation on top of this journal, see the
 //! [`checkpoint`](crate::checkpoint) module.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+
+use crate::dir::{Dir, File, Real};
 
 /// File magic, bumped if the record layout ever changes.
 pub const MAGIC: &[u8; 8] = b"XICJRNL1";
@@ -207,7 +207,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// An open journal positioned for appending.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    file: Box<dyn File>,
     /// Length of the valid prefix. Appends that fail are rewound to this
     /// offset so an injected I/O error cannot leave garbage between
     /// records.
@@ -233,16 +233,16 @@ impl Journal {
     /// Create (truncating) a journal for a document whose serialization
     /// has checksum `base_crc`; with `sync` the header is fsynced.
     pub fn create(path: &Path, base_crc: u32, sync: bool) -> Result<Journal, JournalError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
+        Journal::create_in(&Real, path, base_crc, sync)
+    }
+
+    /// [`Journal::create`] in `fs`.
+    pub fn create_in(fs: &dyn Dir, path: &Path, base_crc: u32, sync: bool) -> Result<Journal, JournalError> {
+        let mut file = fs.create(path)?;
         let mut header = [0u8; HEADER_LEN as usize];
         header[..8].copy_from_slice(MAGIC);
         header[8..].copy_from_slice(&base_crc.to_le_bytes());
-        file.write_all(&header)?;
+        file.append(&header)?;
         if sync {
             file.sync_data()?;
             xic_obs::incr(xic_obs::Counter::JournalFsync);
@@ -280,17 +280,6 @@ impl Journal {
                 "journal is broken (a failed append could not be rewound)",
             )));
         }
-        self.append_inner(kind, version, stmt).inspect_err(|_| {
-            // Best-effort rewind to the last record boundary, so a failed
-            // (or half-written) append leaves no garbage between records.
-            let rewound = self.file.set_len(self.committed_len).is_ok()
-                && self.file.seek(SeekFrom::Start(self.committed_len)).is_ok();
-            self.broken = !rewound;
-        })
-    }
-
-    fn append_inner(&mut self, kind: RecordKind, version: u64, stmt: &str) -> Result<(), JournalError> {
-        xic_faults::fire("journal.append.pre")?;
         let stmt_bytes = stmt.as_bytes();
         let mut body = Vec::with_capacity(9 + stmt_bytes.len());
         body.push(kind.tag());
@@ -300,13 +289,12 @@ impl Journal {
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
         buf.extend_from_slice(&crc32(&body).to_le_bytes());
-        // Deliberately unbuffered, in two halves: a crash at the `mid`
-        // site leaves a torn record on disk exactly as a power loss would.
-        let split = buf.len() / 2;
-        self.file.write_all(&buf[..split])?;
-        xic_faults::fire("journal.append.mid")?;
-        self.file.write_all(&buf[split..])?;
-        xic_faults::fire("journal.append.post_write")?;
+        if let Err(e) = self.file.append(&buf) {
+            // Best-effort rewind to the last record boundary, so a failed
+            // (or partly written) append leaves no garbage between records.
+            self.broken = self.file.set_len(self.committed_len).is_err();
+            return Err(e.into());
+        }
         self.committed_len += buf.len() as u64;
         xic_obs::incr(xic_obs::Counter::JournalAppend);
         Ok(())
@@ -317,57 +305,57 @@ impl Journal {
     /// file for appending. If `expect_base_crc` is given, the header's
     /// base checksum must match it.
     pub fn recover(path: &Path, expect_base_crc: Option<u32>) -> Result<Recovered, JournalError> {
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        Journal::recover_in(&Real, path, expect_base_crc)
+    }
 
+    /// [`Journal::recover`] in `fs`.
+    pub fn recover_in(
+        fs: &dyn Dir,
+        path: &Path,
+        expect_base_crc: Option<u32>,
+    ) -> Result<Recovered, JournalError> {
+        let bytes = fs.read(path)?;
         // Shorter than a header: a crash before the header finished. Only
         // an empty (or torn-header) journal can look like this, so rebuild
         // the header in place — there are no records to lose.
-        if bytes.len() < HEADER_LEN as usize {
+        let Some((base_crc, records, valid)) = decode(&bytes)? else {
             let base_crc = expect_base_crc.unwrap_or(0);
-            drop(file);
-            let journal = Journal::create(path, base_crc, true)?;
+            let journal = Journal::create_in(fs, path, base_crc, true)?;
             return Ok(Recovered { journal, records: Vec::new(), torn: !bytes.is_empty(), base_crc });
+        };
+        if let Some(expected) = expect_base_crc.filter(|&expected| expected != base_crc) {
+            return Err(JournalError::BaseMismatch { journal: base_crc, document: expected });
         }
-        if &bytes[..8] != MAGIC {
-            return Err(JournalError::BadHeader);
-        }
-        let base_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
-        if let Some(expected) = expect_base_crc {
-            if expected != base_crc {
-                return Err(JournalError::BaseMismatch { journal: base_crc, document: expected });
-            }
-        }
-
-        let mut records = Vec::new();
-        let mut off = HEADER_LEN as usize;
-        let mut torn = false;
-        while off < bytes.len() {
-            match decode_record(&bytes[off..]) {
-                Some((rec, consumed)) => {
-                    records.push(rec);
-                    off += consumed;
-                }
-                None => {
-                    // Torn or corrupt from here on: truncate the tail.
-                    torn = true;
-                    break;
-                }
-            }
-        }
-        if torn || off < bytes.len() {
-            file.set_len(off as u64)?;
+        let mut file = fs.open(path)?;
+        let torn = valid < bytes.len();
+        if torn {
+            file.set_len(valid as u64)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(off as u64))?;
-        Ok(Recovered {
-            journal: Journal { file, committed_len: off as u64, broken: false },
-            records,
-            torn,
-            base_crc,
-        })
+        let journal = Journal { file, committed_len: valid as u64, broken: false };
+        Ok(Recovered { journal, records, torn, base_crc })
     }
+}
+
+/// Decodes a journal's bytes without touching its file: the header's
+/// base checksum, the records of the valid prefix and that prefix's
+/// length — shorter than the file where a tail is torn or corrupt.
+/// `None` for a file shorter than its header.
+pub(crate) fn decode(bytes: &[u8]) -> Result<Option<(u32, Vec<JournalRecord>, usize)>, JournalError> {
+    if bytes.len() < HEADER_LEN as usize {
+        return Ok(None);
+    }
+    if &bytes[..8] != MAGIC {
+        return Err(JournalError::BadHeader);
+    }
+    let base_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
+    let mut records = Vec::new();
+    let mut off = HEADER_LEN as usize;
+    while let Some((rec, consumed)) = decode_record(&bytes[off..]) {
+        records.push(rec);
+        off += consumed;
+    }
+    Ok(Some((base_crc, records, off)))
 }
 
 /// Decode one record from the front of `bytes`; `None` means torn or
@@ -551,29 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_append_error_rewinds_to_record_boundary() {
-        let _g = fault_serial();
-        let p = tmp_path("rewind");
-        let mut j = Journal::create(&p, 1, false).expect("create");
-        j.append(RecordKind::Commit, 1, "keeper").expect("append");
-        xic_faults::disarm_all();
-        xic_faults::arm("journal.append.mid", 1, xic_faults::FaultMode::Error);
-        let err = j.append(RecordKind::Commit, 2, "half-written victim");
-        xic_faults::disarm_all();
-        assert!(matches!(err, Err(JournalError::Io { .. })));
-        // The half-written bytes were rewound; a later append lands clean.
-        j.append(RecordKind::Commit, 2, "successor").expect("append");
-        drop(j);
-        let rec = Journal::recover(&p, Some(1)).expect("recover");
-        assert!(!rec.torn);
-        assert_eq!(
-            rec.records.iter().map(|r| r.stmt.as_str()).collect::<Vec<_>>(),
-            vec!["keeper", "successor"]
-        );
-        cleanup(&p);
-    }
-
-    #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -591,36 +556,27 @@ mod tests {
         assert_eq!(JournalError::BadHeader.io_kind(), None);
         assert!(std::error::Error::source(&JournalError::BadHeader).is_none());
         // Injected faults map to Other.
-        let injected = JournalError::from(xic_faults::FaultError { site: "journal.append.pre" });
+        let injected = JournalError::from(xic_faults::FaultError { site: "journal.sync" });
         assert_eq!(injected.io_kind(), Some(std::io::ErrorKind::Other));
     }
 
     #[test]
-    fn a_failed_append_is_not_retried() {
+    fn a_failed_sync_is_not_retried() {
         let _g = fault_serial();
         let p = tmp_path("once");
         let mut j = Journal::create(&p, 1, true).expect("create");
-        // Two armed hits at the record's midpoint: one append reaches the
-        // first and no further, it rewinds and returns the error.
+        j.append(RecordKind::Commit, 1, "lands").expect("append");
+        // Two armed hits: one flush reaches the first and no further.
         xic_faults::disarm_all();
-        xic_faults::arm("journal.append.mid", 1, xic_faults::FaultMode::Error);
-        xic_faults::arm("journal.append.mid", 2, xic_faults::FaultMode::Error);
-        j.append(RecordKind::Commit, 1, "never lands").expect_err("one attempt, one error");
-        assert_eq!(xic_faults::hits("journal.append.mid"), 1, "the append was retried");
-        xic_faults::disarm_all();
-        // A failed sync is returned once as well.
         xic_faults::arm("journal.sync", 1, xic_faults::FaultMode::Error);
         xic_faults::arm("journal.sync", 2, xic_faults::FaultMode::Error);
         j.sync_now().expect_err("one attempt, one error");
         assert_eq!(xic_faults::hits("journal.sync"), 1, "the fsync was retried");
         xic_faults::disarm_all();
-        // The journal is not broken: the next append lands cleanly.
-        j.append(RecordKind::Commit, 1, "lands").expect("append");
         drop(j);
         let rec = Journal::recover(&p, Some(1)).expect("recover");
-        assert!(!rec.torn, "the failed attempt must leave no garbage");
+        assert!(!rec.torn);
         assert_eq!(rec.records.len(), 1);
-        assert_eq!(rec.records[0].stmt, "lands");
         cleanup(&p);
     }
 
@@ -639,8 +595,8 @@ mod tests {
 
     #[test]
     fn truncated_eight_byte_header_recovers_as_torn() {
-        // Exactly the magic, none of the base-crc bytes: a crash between
-        // the two header halves. Recovery rebuilds the header.
+        // Exactly the magic, none of the base-crc bytes: a crash in the
+        // middle of the header write. Recovery rebuilds the header.
         let p = tmp_path("torn8");
         std::fs::write(&p, MAGIC).expect("write");
         let rec = Journal::recover(&p, Some(77)).expect("recover");

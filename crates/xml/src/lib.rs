@@ -27,6 +27,7 @@
 
 mod build;
 pub mod checkpoint;
+pub mod dir;
 pub mod dtd;
 pub mod escape;
 pub mod intern;
