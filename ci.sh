@@ -111,36 +111,37 @@ mutators="$(awk '
 ' crates/xml/src/parse.rs)"
 [ -z "$mutators" ] || { echo "$mutators" >&2; echo "crates/xml/src/parse.rs builds through the commit path" >&2; exit 1; }
 
-echo "== the store's file I/O has one owner (a Dir), and the fault sites one list =="
+echo "== the store's file I/O has one owner (a Dir), and a fault is a failed Dir operation =="
 # Every file operation of the durable log goes through an
 # `xic_xml::dir::Dir`, so the simulated one behind --crash-states sees
 # every operation whose order a power loss can expose. No code line
 # before the first `#[cfg(test)]` of journal.rs, checkpoint.rs, shards.rs
 # or durability.rs names `std::fs`, `File::`, `OpenOptions` or
-# `fsync_dir`. A fault site marks a boundary with a meaning, not a point
-# between two file operations: every `xic_faults::fire("…")` in a code
-# line of crates/*/src names an entry of `xic_faults::SITES`, and every
-# entry is fired.
+# `fsync_dir`. A fault is one of those operations failing, in the `Dir`
+# a test gives the store (`xic_faults::Faulty`), never a process-wide
+# switch the product consults: neither crates/xml/Cargo.toml nor
+# crates/core/Cargo.toml lists `xic-faults` under [dependencies] (a
+# dev-dependency is a test's), and no code line before a file's first
+# `#[cfg(test)]` in crates/*/src, outside crates/faults and
+# crates/difftest, names `xic_faults`.
 io="$(awk '
   FNR == 1 { in_test = 0 }
   /^#\[cfg\(test\)\]/ { in_test = 1 }
   !in_test && !/^[[:space:]]*\/\// && /std::fs|File::|OpenOptions|fsync_dir/ { print FILENAME ":" FNR ": " $0 }
 ' crates/xml/src/journal.rs crates/xml/src/checkpoint.rs crates/core/src/shards.rs crates/core/src/durability.rs)"
 [ -z "$io" ] || { echo "$io" >&2; echo "store file I/O outside xic_xml::dir" >&2; exit 1; }
-listed="$(awk '
-  /^pub const SITES/ { on = 1; next }
-  on && /^\];/ { exit }
-  on && !/^[[:space:]]*\/\// { s = $0; while (match(s, /"[^"]+"/)) { print substr(s, RSTART + 1, RLENGTH - 2); s = substr(s, RSTART + RLENGTH) } }
-' crates/faults/src/lib.rs | sort)"
-fired="$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
-  FNR == 1 { in_test = 0 }
+faults="$(find crates/*/src -name '*.rs' -not -path 'crates/faults/*' -not -path 'crates/difftest/*' -print0 \
+  | sort -z | xargs -0 awk '
+  FNR == 1 { in_test = 0; section = "" }
+  FILENAME ~ /Cargo\.toml$/ {
+    if (/^\[/) section = $0
+    if (section == "[dependencies]" && /^[[:space:]]*xic-faults/) print FILENAME ":" FNR ": " $0
+    next
+  }
   /^#\[cfg\(test\)\]/ { in_test = 1 }
-  !in_test && !/^[[:space:]]*\/\// { s = $0; while (match(s, /xic_faults::fire\("[^"]+"\)/)) { print substr(s, RSTART + 18, RLENGTH - 20); s = substr(s, RSTART + RLENGTH) } }
-' | sort -u)"
-[ -n "$listed" ] && [ "$listed" = "$fired" ] || {
-  echo "SITES lists: $(echo $listed)" >&2; echo "fired: $(echo $fired)" >&2
-  echo "xic_faults::SITES and the fire(...) calls differ" >&2; exit 1
-}
+  !in_test && !/^[[:space:]]*\/\// && /xic_faults/ { print FILENAME ":" FNR ": " $0 }
+' crates/xml/Cargo.toml crates/core/Cargo.toml)"
+[ -z "$faults" ] || { echo "$faults" >&2; echo "a product crate depends on xic-faults" >&2; exit 1; }
 
 echo "== build (release) =="
 cargo build --release --workspace
@@ -269,43 +270,46 @@ grep -v '^[[:space:]]*#' crates/difftest/corpus/regressions.txt \
       cargo run --release -q -p xic-difftest -- --cases 1 --seed "$seed"
     done
 
-echo "== fault harness (a seeded fault on one shard of 1-4, or a SIGKILL of the live server; every shard back at its acked prefix) =="
-# Seeded, replayable cases (count/filter overridable via FAULT_CASES /
-# FAULT_SITES): each draws K = 1-4 shards in ShardSet's layout, a victim,
-# a fault site, Error or Panic and a trigger hit, a batch size of 1-4,
-# a rotation (never, every 1-3 commits, or once by an explicit
+echo "== fault harness (a failed file operation on one shard of 1-4, or a SIGKILL of the live server; every shard back at its acked prefix) =="
+# Seeded, replayable cases (count overridable via FAULT_CASES): each
+# draws K = 1-4 shards in ShardSet's layout and a victim, whose store
+# alone does its file I/O in an xic_faults::Faulty; an operation of the
+# store's write path (xic_faults::WRITE_PATH: the commit's append, the
+# flush's sync_data where the stores fsync, and a rotation's create,
+# snapshot append, rename, sync_dir and remove where they rotate), Error
+# or Panic and which of the victim's operations of that kind it strikes
+# (an append writes half its bytes first); a batch size of 1-4, a
+# rotation (never, every 1-3 commits, or once by an explicit
 # checkpoint), fsync on or off, and whether a poisoned or degraded
 # victim stops until whole-set recovery or is rebuilt at once, over the
 # paper's schema or a generated DTD, document and denial set. The
-# streams run in batches through the write path every submission runs,
-# the fault armed only around the victim's batches. Oracles: every
-# answer matches a never-faulted twin's; siblings end byte-identical to
-# their twins; every recovery restores p commits with acked <= p <=
-# committed (+1 after a contained panic) and the twin's bytes at p; a
-# batch reaches journal.sync at most once; a failed flush degrades, and
-# the last acked state passes the full check; sequential and parallel
-# ShardSet::recover agree. Every ninth seed is the Kill row instead: the
-# release xic-serve beside difftest (built by the build stage above; a
-# missing one fails the pass) serves K = 1-4 shards over a store, with
-# or without --no-sync, one pipelined connection per shard; it is
-# SIGKILLed once the harness has read a seeded number of replies, and
-# the same oracle holds it: every reply equals an in-memory ShardSet
-# twin's through protocol::execute_sharded, each shard recovers acked
-# or acked + 1 (the statement its connection was executing), the two
-# recoveries run over copies of the killed root, and the server
-# restarted over the root and its stale socket answers VERSION = p and
-# CHECK = CONSISTENT and commits one more statement per shard. Every
-# server is killed and waited for on every path. 225 cases: the 200
-# in-process plans of seeds 1-200 plus 25 Kills, about a second more.
-# Exits nonzero on any divergence (replay: difftest -- --faults --seed N
-# --cases 1 [--sites PAT]) and, from 3 draws of every cell on, when a
-# (site, mode, K-class) cell of the coverage line under the summary
+# streams run in batches through the write path every submission runs.
+# Oracles: every answer matches a never-faulted twin's; siblings end
+# byte-identical to their twins; every recovery restores p commits with
+# acked <= p <= committed (+1 after a contained panic) and the twin's
+# bytes at p; a batch fsyncs the victim's segment at most once; a failed
+# flush degrades, and the last acked state passes the full check;
+# sequential and parallel ShardSet::recover agree. Every ninth seed is
+# the Kill row instead: the release xic-serve beside difftest (built by
+# the build stage above; a missing one fails the pass) serves K = 1-4
+# shards over a store, with or without --no-sync, one pipelined
+# connection per shard; it is SIGKILLed once the harness has read a
+# seeded number of replies, and the same oracle holds it: every reply
+# equals an in-memory ShardSet twin's through protocol::execute_sharded,
+# each shard recovers acked or acked + 1 (the statement its connection
+# was executing), the two recoveries run over copies of the killed root,
+# and the server restarted over the root and its stale socket answers
+# VERSION = p and CHECK = CONSISTENT and commits one more statement per
+# shard. Every server is killed and waited for on every path. 225 cases:
+# the first 200 in-process plans of the walk plus 25 Kills, about three
+# seconds. Exits nonzero on any divergence (replay: difftest -- --faults
+# --seed N --cases 1) and, from 3 draws of every cell on, when an
+# (operation, mode, K-class) cell of the coverage line under the summary
 # never fired, when no fault fired on a generated schema, when a Kill
-# K-class killed no live server, or when fewer than half the kills
-# found a statement executing or unread.
+# K-class killed no live server, or when fewer than half the kills found
+# a statement executing or unread.
 FAULT_CASES="${FAULT_CASES:-225}"
-cargo run --release -q -p xic-difftest -- --faults --cases "$FAULT_CASES" --seed 1 \
-  ${FAULT_SITES:+--sites "$FAULT_SITES"}
+cargo run --release -q -p xic-difftest -- --faults --cases "$FAULT_CASES" --seed 1
 
 echo "== crash states, enumerated (the store over a simulated directory) =="
 # Every store plan (PLANS in crates/difftest/src/crash_states.rs: one

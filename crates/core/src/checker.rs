@@ -6,7 +6,7 @@
 //! [`crate::durability`].
 
 use crate::compile::CompiledPattern;
-use crate::durability::{CommitError, CommitLog};
+use crate::durability::CommitLog;
 use crate::gamma::{apply_to_copy, SharedGamma};
 use crate::resolver::resolved_targets;
 use crate::optimized::Verdict;
@@ -104,8 +104,8 @@ pub enum CheckerError {
     /// payload message is preserved. The checker is now poisoned.
     Panicked(String),
     /// A mutating operation was refused because an earlier contained
-    /// panic, or a fault after a commit record was appended, left the
-    /// journal in doubt (the document is always a committed version).
+    /// panic left the journal in doubt (the document is always a
+    /// committed version).
     /// Rebuild via [`Checker::open_store`] (or a fresh constructor).
     Poisoned,
     /// Write-ahead journal failure: create/append/fsync, or a recovery
@@ -378,12 +378,12 @@ impl Checker {
         self.log.committed()
     }
 
-    /// True once a contained panic, or a fault after a commit record was
-    /// appended, has poisoned this checker. The document is a whole
-    /// committed version (statements are applied to a copy), but the
-    /// journal may hold a record the checker cannot vouch for, so mutating
-    /// operations return [`CheckerError::Poisoned`]. Rebuild the state
-    /// with [`Checker::open_store`].
+    /// True once a contained panic has poisoned this checker (one after a
+    /// commit record was appended, in a due rotation, included). The
+    /// document is a whole committed version (statements are applied to a
+    /// copy), but the journal may hold a record the checker cannot vouch
+    /// for, so mutating operations return [`CheckerError::Poisoned`].
+    /// Rebuild the state with [`Checker::open_store`].
     pub fn poisoned(&self) -> bool {
         self.poisoned
     }
@@ -456,23 +456,14 @@ impl Checker {
     }
 
     /// Makes `next`, the document with `stmt` applied, the committed
-    /// version: appends the record (unflushed), then swaps `next` in. On
-    /// append failure `next` is dropped, so document and journal stay in
-    /// step; on a failure *after* the record is appended `next` is kept
-    /// and the checker is poisoned instead.
+    /// version: appends the record (unflushed), swaps `next` in, then runs
+    /// a due rotation. Document and journal stay in step: an append
+    /// failure drops `next`; a panic in the rotation poisons the checker.
     fn commit(&mut self, stmt: &XUpdateDoc, next: Document) -> Result<(), CheckerError> {
-        match self.log.commit(stmt, &next) {
-            Ok(()) => {
-                self.doc = Arc::new(next);
-                Ok(())
-            }
-            Err(CommitError::NotAppended(e)) => Err(e),
-            Err(CommitError::AfterAppend(e)) => {
-                self.doc = Arc::new(next);
-                self.poisoned = true;
-                Err(e)
-            }
-        }
+        self.log.commit(stmt)?;
+        self.doc = Arc::new(next);
+        self.log.maybe_auto_checkpoint(&self.doc);
+        Ok(())
     }
 
     /// Checks and (when legal) applies an update statement given as text.

@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 use xic_xml::checkpoint::{Candidate, CheckpointError, Recovery, Store};
-use xic_xml::dir::{self, Real};
+use xic_xml::dir::{self, Dir, Real};
 use xic_xml::journal::{crc32, RecordKind};
 use xic_xml::{apply, parse_document, serialize, Document, XUpdateDoc};
 
@@ -97,16 +97,17 @@ impl<'a> Base<'a> {
         Ok(Checker::assemble(self.built(shared)?.clone(), Arc::clone(shared)))
     }
 
-    /// A checker over a copy of the build, with a fresh store at `dir`
-    /// ([`Checker::attach_store`]).
+    /// A checker over a copy of the build, with a fresh store at `dir` in
+    /// `fs` ([`Checker::attach_store_in`]).
     pub(crate) fn create_store(
         &self,
+        fs: Arc<dyn Dir>,
         dir: &Path,
         shared: &Arc<SharedGamma>,
         sync: bool,
     ) -> Result<Checker, CheckerError> {
         let mut checker = self.checker(shared)?;
-        checker.attach_keyed(dir, sync, self.crc(shared)?)?;
+        checker.attach_keyed(fs, dir, sync, self.crc(shared)?)?;
         Ok(checker)
     }
 }
@@ -131,18 +132,6 @@ impl CheckpointPolicy {
     fn due(&self, commits_in_segment: u64) -> bool {
         self.every_commits.is_some_and(|n| commits_in_segment >= n)
     }
-}
-
-/// How [`CommitLog::commit`] failed, by what it means for the version
-/// the caller applied the statement to.
-pub(crate) enum CommitError {
-    /// No commit record was appended: drop the version so document and
-    /// journal stay in step.
-    NotAppended(CheckerError),
-    /// The failure came *after* the record was appended: in-memory and
-    /// on-disk state agree with each other but not with the error the
-    /// caller sees, so the checker must be poisoned.
-    AfterAppend(CheckerError),
 }
 
 /// A checker's commit log: the store its records go to, the rotation
@@ -202,19 +191,20 @@ impl CommitLog {
         Ok(generation)
     }
 
-    /// Runs a due automatic rotation after an appended commit. Failures are
-    /// swallowed: the old generation is still recoverable and the policy
-    /// stays due, so the next commit retries.
-    fn maybe_auto_checkpoint(&mut self, doc: &Document) {
+    /// Runs a due automatic rotation after an appended commit, snapshotting
+    /// `doc`, the version that commit made. Failures are swallowed: the old
+    /// generation is still recoverable and the policy stays due, so the
+    /// next commit retries.
+    pub(crate) fn maybe_auto_checkpoint(&mut self, doc: &Document) {
         if self.store.is_some() && self.policy.due(self.committed - self.base_commit_seq) {
             let _ = self.checkpoint(doc);
         }
     }
 
-    /// Appends the commit record for `stmt`, which is already applied to
-    /// `doc` in memory, and then runs a due automatic rotation. Nothing
-    /// is flushed here: the caller flushes before it acknowledges.
-    pub(crate) fn commit(&mut self, stmt: &XUpdateDoc, doc: &Document) -> Result<(), CommitError> {
+    /// Appends the commit record for `stmt`. Nothing is flushed here: the
+    /// caller flushes before it acknowledges. An error means no record was
+    /// appended.
+    pub(crate) fn commit(&mut self, stmt: &XUpdateDoc) -> Result<(), CheckerError> {
         let Some(store) = self.store.as_mut() else {
             // Still a commit: `committed()` counts committed statements
             // (and is the service's snapshot version) whether or not a
@@ -223,18 +213,9 @@ impl CommitLog {
             return Ok(());
         };
         let next = self.committed + 1;
-        let append = match xic_faults::fire("checker.commit.pre") {
-            Err(e) => Err(xic_xml::JournalError::from(e)),
-            Ok(()) => store.append(RecordKind::Commit, next, &stmt.to_xml()),
-        };
-        append.map_err(|e| CommitError::NotAppended(CheckerError::Journal(e.to_string())))?;
+        let appended = store.append(RecordKind::Commit, next, &stmt.to_xml());
+        appended.map_err(|e| CheckerError::Journal(e.to_string()))?;
         self.committed = next;
-        if let Err(e) = xic_faults::fire("checker.commit.post") {
-            return Err(CommitError::AfterAppend(CheckerError::Journal(format!(
-                "{e} (after the commit record was appended; checker poisoned)"
-            ))));
-        }
-        self.maybe_auto_checkpoint(doc);
         Ok(())
     }
 }
@@ -252,17 +233,23 @@ impl Checker {
     /// [`xic_xml::checkpoint::DEFAULT_RETAIN`] of them. Reopen with
     /// [`Checker::open_store`] and the same base document text.
     pub fn attach_store(&mut self, dir: &Path, sync: bool) -> Result<(), CheckerError> {
-        self.refuse_if_degraded()?;
-        // Every start makes the directory's name durable ([`dir::create_dirs`]).
-        dir::name_durably(&Real, dir, &[], sync).map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
-        self.attach_keyed(dir, sync, crc32(serialize(&self.doc).as_bytes()))
+        self.attach_store_in(Arc::new(Real), dir, sync)
     }
 
-    /// [`Checker::attach_store`] with the checksum of the current
+    /// [`Checker::attach_store`] in `fs`: every file operation of the
+    /// store, for as long as the checker holds it, goes to `fs`.
+    pub fn attach_store_in(&mut self, fs: Arc<dyn Dir>, dir: &Path, sync: bool) -> Result<(), CheckerError> {
+        self.refuse_if_degraded()?;
+        // Every start makes the directory's name durable ([`dir::create_dirs`]).
+        dir::name_durably(&*fs, dir, &[], sync).map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
+        self.attach_keyed(fs, dir, sync, crc32(serialize(&self.doc).as_bytes()))
+    }
+
+    /// [`Checker::attach_store_in`] with the checksum of the current
     /// document's serialization already known, over a directory whose
     /// name its caller makes durable.
-    fn attach_keyed(&mut self, dir: &Path, sync: bool, base_crc: u32) -> Result<(), CheckerError> {
-        let store = Store::create(Arc::new(Real), dir, base_crc, sync)
+    fn attach_keyed(&mut self, fs: Arc<dyn Dir>, dir: &Path, sync: bool, base_crc: u32) -> Result<(), CheckerError> {
+        let store = Store::create(fs, dir, base_crc, sync)
             .map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
         // The commit counters restart at 0; the rotation policy is kept.
         self.log = CommitLog { store: Some(store), policy: self.log.policy, ..CommitLog::default() };
@@ -360,13 +347,25 @@ impl Checker {
         shared: &Arc<SharedGamma>,
         sync: bool,
     ) -> Result<(Checker, RecoveryReport), CheckerError> {
-        dir::name_durably(&Real, dir, &[], sync).map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
-        Checker::open_base(dir, &Base::new(base_xml), shared, sync)
+        Checker::open_store_in(Arc::new(Real), dir, base_xml, shared, sync)
     }
 
-    /// [`Checker::open_store`] over a base that other checkers may start
-    /// from too: it is built only if this store needs it.
+    /// [`Checker::open_store`] in `fs`, which the store holds from then on.
+    pub(crate) fn open_store_in(
+        fs: Arc<dyn Dir>,
+        dir: &Path,
+        base_xml: &str,
+        shared: &Arc<SharedGamma>,
+        sync: bool,
+    ) -> Result<(Checker, RecoveryReport), CheckerError> {
+        dir::name_durably(&*fs, dir, &[], sync).map_err(|e| CheckerError::Checkpoint(e.to_string()))?;
+        Checker::open_base(fs, dir, &Base::new(base_xml), shared, sync)
+    }
+
+    /// [`Checker::open_store`] in `fs`, over a base that other checkers
+    /// may start from too: it is built only if this store needs it.
     pub(crate) fn open_base(
+        fs: Arc<dyn Dir>,
         dir: &Path,
         base: &Base<'_>,
         shared: &Arc<SharedGamma>,
@@ -375,9 +374,9 @@ impl Checker {
         let replay = |candidate: &mut Candidate<'_>| {
             replay_candidate(candidate, base, shared).map_err(|e| e.to_string())
         };
-        let Recovery { resumed, rejected } = match Store::recover(Arc::new(Real), dir, sync, replay) {
+        let Recovery { resumed, rejected } = match Store::recover(Arc::clone(&fs), dir, sync, replay) {
             Ok(Some(recovery)) => recovery,
-            Ok(None) => return Ok((base.create_store(dir, shared, sync)?, RecoveryReport::default())),
+            Ok(None) => return Ok((base.create_store(fs, dir, shared, sync)?, RecoveryReport::default())),
             // An I/O failure says nothing about the generations: the
             // checker serves its base read-only and writes nothing.
             Err(e) if e.is_io() => Recovery { resumed: None, rejected: vec![e.to_string()] },

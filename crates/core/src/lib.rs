@@ -83,8 +83,11 @@
 //! independence analysis is on or off with the Γ that was compiled
 //! ([`SharedGamma::compile_unmasked`]), the checkpoint
 //! retention window is a constant, and only the rotation policy
-//! ([`Checker::set_checkpoint_policy`]) may be set later. There is no
-//! process-wide default of any kind.
+//! ([`Checker::set_checkpoint_policy`]) may be set later. A store's
+//! `Dir` is given with it ([`Checker::attach_store_in`],
+//! [`ShardSet::create_in`]; else the real one), and so is an injected
+//! fault (a test's `xic_faults::Faulty`). There is no process-wide
+//! default of any kind.
 //!
 //! In the system-inventory table of `DESIGN.md` this crate is item 11
 //! (integrity-checking façade); the service layer is item 19, the

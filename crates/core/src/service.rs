@@ -874,7 +874,7 @@ pub struct BatchOutcome {
 ///
 /// Every batch of the service runs it, on its leader's thread; it is a
 /// free function so the fault harness in `xic-difftest` can drive each
-/// shard's batches directly under thread-scoped fault injection.
+/// shard's batches directly, its victim's store over a faulty `Dir`.
 pub fn apply_batch(checker: &mut Checker, items: &[BatchStmt]) -> BatchOutcome {
     let mut results: Vec<_> = items
         .iter()
@@ -903,7 +903,7 @@ pub fn apply_batch(checker: &mut Checker, items: &[BatchStmt]) -> BatchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xic_faults::FaultMode;
+    use xic_faults::{Fault, FaultMode, Faulty, Op, Target};
 
     const DTD: &str = "<!ELEMENT collection (dblp, review)>\n<!ELEMENT dblp (pub)*>\n\
                        <!ELEMENT pub (title, aut+)>\n<!ELEMENT aut (name)>\n\
@@ -969,18 +969,22 @@ mod tests {
         })
     }
 
-    /// A leader whose statement panics under an armed fault site still
-    /// answers its batch and hands the lead on: every follower gets the
-    /// poisoned refusal, none waits on a leader that stopped.
+    /// A leader whose statement panics — its store's append panics —
+    /// still answers its batch and hands the lead on: every follower gets
+    /// the poisoned refusal, none waits on a leader that stopped.
     #[test]
     fn a_leader_whose_statement_panics_answers_every_follower() {
         for executor in [Executor::Sync, Executor::GroupCommit] {
-            let service = service(executor);
+            let dir = std::env::temp_dir()
+                .join(format!("xic-service-panic-{}-{executor:?}", std::process::id()));
+            let faulty = Faulty::real();
+            let mut checker = Checker::new(XML, DTD, CONFLICT).expect("setup");
+            checker.attach_store_in(faulty.dir(), &dir, false).expect("store");
+            let service = CheckerService::new(checker, executor);
             let answers = answers_behind_a_held_lead(&service, || {
-                xic_faults::arm("xupdate.apply.op", 1, FaultMode::Panic);
-                let answer = service.submit(&legal("boom"));
-                xic_faults::disarm_all();
-                answer
+                let target = Target { op: Op::Append, ending: ".wal" };
+                faulty.arm(Fault { target, under: dir.clone(), nth: 1, mode: FaultMode::Panic });
+                service.submit(&legal("boom"))
             });
             let (leader, followers) = answers.split_first().expect("the leader's answer");
             assert!(
@@ -996,6 +1000,7 @@ mod tests {
             assert_eq!(service.health(), Health::Poisoned);
             assert_eq!(service.version(), 0);
             assert_eq!(service.shutdown().expect("shutdown").committed(), 0);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 

@@ -308,8 +308,8 @@ fn shard_dir(root: &Path, id: usize) -> PathBuf {
 /// Refuses a root directory holding anything but `shard-<index>`
 /// directories for indices `< count` (missing shard directories are
 /// fine — they are created or recovered as empty).
-fn validate_root(root: &Path, count: usize) -> Result<(), ShardSetError> {
-    let names = match Real.list(root) {
+fn validate_root(fs: &dyn Dir, root: &Path, count: usize) -> Result<(), ShardSetError> {
+    let names = match fs.list(root) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
         names => names.map_err(|e| io_error(root, e))?,
     };
@@ -330,13 +330,11 @@ fn start_shard(mut checker: Checker, config: &ShardSetConfig) -> Arc<CheckerServ
     CheckerService::with_config(checker, config.service)
 }
 
-/// One shard's slot: its store directory (none in memory), its recovery
-/// base document (one text shared by the slots over it), and the
-/// currently live service. The service is behind a lock so
-/// [`ShardSet::recover_shard`] can swap in a replacement while sibling
-/// shards (other slots) stay untouched.
+/// One shard's slot: its recovery base document (one text shared by the
+/// slots over it) and the currently live service. The service is behind
+/// a lock so [`ShardSet::recover_shard`] can swap in a replacement while
+/// sibling shards (other slots) stay untouched.
 struct ShardSlot {
-    dir: Option<PathBuf>,
     base_xml: Arc<str>,
     service: RwLock<Arc<CheckerService>>,
 }
@@ -350,6 +348,9 @@ type Opened = Result<(Checker, RecoveryReport), CheckerError>;
 pub struct ShardSet {
     gamma: Arc<SharedGamma>,
     config: ShardSetConfig,
+    /// Where every shard's store does its file I/O, and the root holding
+    /// the shards' store directories (none in memory).
+    store: Option<(Arc<dyn Dir>, PathBuf)>,
     shards: Vec<ShardSlot>,
 }
 
@@ -367,12 +368,25 @@ impl ShardSet {
         constraints: &str,
         config: ShardSetConfig,
     ) -> Result<ShardSet, ShardSetError> {
-        validate_root(root, base_xmls.len())?;
+        ShardSet::create_in(Arc::new(Real), root, base_xmls, dtd, constraints, config)
+    }
+
+    /// [`ShardSet::create`] in `fs`: the set holds it, and every file
+    /// operation of its root and its shards' stores — a shard rebuilt by
+    /// [`ShardSet::recover_shard`] included — goes to it.
+    pub fn create_in(
+        fs: Arc<dyn Dir>,
+        root: &Path,
+        base_xmls: &[&str],
+        dtd: &str,
+        constraints: &str,
+        config: ShardSetConfig,
+    ) -> Result<ShardSet, ShardSetError> {
         let open = |id, base: &Base<'_>, gamma: &Arc<SharedGamma>| {
-            let checker = base.create_store(&shard_dir(root, id), gamma, config.sync)?;
+            let checker = base.create_store(Arc::clone(&fs), &shard_dir(root, id), gamma, config.sync)?;
             Ok((checker, RecoveryReport::default()))
         };
-        ShardSet::start(Some(root), base_xmls, dtd, constraints, config, false, open)
+        ShardSet::start(Some((&fs, root)), base_xmls, dtd, constraints, config, false, open)
             .map(|(set, _)| set)
     }
 
@@ -414,29 +428,29 @@ impl ShardSet {
         config: ShardSetConfig,
         parallel: bool,
     ) -> Result<(ShardSet, ShardSetRecoveryReport), ShardSetError> {
-        validate_root(root, base_xmls.len())?;
+        let fs: Arc<dyn Dir> = Arc::new(Real);
         // A shard that was never written comes up fresh, exactly as
         // `create` would bring it up.
         let open = |id, base: &Base<'_>, gamma: &Arc<SharedGamma>| {
-            Checker::open_base(&shard_dir(root, id), base, gamma, config.sync)
+            Checker::open_base(Arc::clone(&fs), &shard_dir(root, id), base, gamma, config.sync)
         };
         let (set, shards) =
-            ShardSet::start(Some(root), base_xmls, dtd, constraints, config, parallel, open)?;
+            ShardSet::start(Some((&fs, root)), base_xmls, dtd, constraints, config, parallel, open)?;
         Ok((set, ShardSetRecoveryReport { shards, parallel }))
     }
 
     /// Compiles Γ, opens shard `i` over `base_xmls[i]` with `open` — on
     /// up to [`MAX_OPEN_WORKERS`] scoped threads when `parallel` — and puts
-    /// every shard in service, its store directory under `root` if the
-    /// set has one (every missing shard directory is created first, and
-    /// on every start the names made durable before the set serves, see
-    /// [`dir::create_dirs`]). Each
+    /// every shard in service, its store directory under `root` in `fs` if
+    /// the set has one (the root validated first, every missing shard
+    /// directory created, and on every start the names made durable
+    /// before the set serves, see [`dir::create_dirs`]). Each
     /// distinct base text is held once and built at most once, by the
     /// first shard that needs it, and every shard over it starts from a
     /// clone of that build; the builds are dropped once every shard is
     /// open.
     fn start(
-        root: Option<&Path>,
+        store: Option<(&Arc<dyn Dir>, &Path)>,
         base_xmls: &[&str],
         dtd: &str,
         constraints: &str,
@@ -444,12 +458,13 @@ impl ShardSet {
         parallel: bool,
         open: impl Fn(usize, &Base<'_>, &Arc<SharedGamma>) -> Opened + Sync,
     ) -> Result<(ShardSet, Vec<RecoveryReport>), ShardSetError> {
+        store.map_or(Ok(()), |(fs, root)| validate_root(&**fs, root, base_xmls.len()))?;
         let gamma = SharedGamma::compile(dtd, constraints).map_err(ShardSetError::Compile)?;
         // A set that syncs makes the directories' names durable before it serves.
         let mut to_sync = Vec::new();
-        if let Some(root) = root {
+        if let Some((fs, root)) = store {
             let dirs: Vec<PathBuf> = (0..base_xmls.len()).map(|id| shard_dir(root, id)).collect();
-            to_sync = dir::create_dirs(&Real, root, &dirs, config.sync).map_err(|e| io_error(root, e))?;
+            to_sync = dir::create_dirs(&**fs, root, &dirs, config.sync).map_err(|e| io_error(root, e))?;
         }
         // `texts[of[i]]` is shard `i`'s base text.
         let (mut texts, mut seen): (Vec<Arc<str>>, HashMap<&str, usize>) = Default::default();
@@ -468,9 +483,9 @@ impl ShardSet {
             // The names are fsynced while the shards open, so that the
             // fsyncs share the disk's flushes; nothing is acknowledged
             // before the set serves.
-            let synced = (!to_sync.is_empty()).then(|| {
+            let synced = store.filter(|_| !to_sync.is_empty()).map(|(fs, _)| {
                 scope.spawn(|| {
-                    to_sync.iter().try_for_each(|dir| Real.sync_dir(dir).map_err(|e| io_error(dir, e)))
+                    to_sync.iter().try_for_each(|dir| fs.sync_dir(dir).map_err(|e| io_error(dir, e)))
                 })
             });
             let opened = if parallel {
@@ -496,13 +511,13 @@ impl ShardSet {
         for (id, result) in opened.into_iter().enumerate() {
             let (checker, report) = result.map_err(|source| ShardSetError::Shard { id, source })?;
             shards.push(ShardSlot {
-                dir: root.map(|root| shard_dir(root, id)),
                 base_xml: Arc::clone(&texts[of[id]]),
                 service: RwLock::new(start_shard(checker, &config)),
             });
             reports.push(report);
         }
-        Ok((ShardSet { gamma, config, shards }, reports))
+        let store = store.map(|(fs, root)| (Arc::clone(fs), root.to_path_buf()));
+        Ok((ShardSet { gamma, config, store, shards }, reports))
     }
 
     /// Number of shards.
@@ -580,9 +595,10 @@ impl ShardSet {
     /// Rebuilds shard `id` from its own store directory and swaps the
     /// replacement in, leaving every sibling untouched: the old service
     /// is drained (its file handles released), the shard's store is
-    /// reopened as a restart reopens it ([`Checker::open_store`]: newest
-    /// valid generation first, and a checkpoint before the first write
-    /// appends), and a fresh service goes live in the slot. This is how a
+    /// reopened in the set's `Dir` as a restart reopens it
+    /// ([`Checker::open_store`]: newest valid generation first, and a
+    /// checkpoint before the first write appends), and a fresh service
+    /// goes live in the slot. This is how a
     /// *poisoned* or *degraded* shard rejoins the set — both are sticky
     /// on a service, so recovery is replacement. If reopening fails, the
     /// error is returned and the slot keeps the drained service (writes
@@ -595,15 +611,15 @@ impl ShardSet {
     /// swap.
     pub fn recover_shard(&self, id: usize) -> Result<RecoveryReport, ShardSetError> {
         let slot = self.slot(id)?;
-        let dir = slot.dir.as_deref().ok_or(ShardSetError::NoStore { id })?;
+        let (fs, root) = self.store.as_ref().ok_or(ShardSetError::NoStore { id })?;
         let mut guard = slot.service.write().expect("shard slot poisoned");
         // Drain the old service so its checker (and store file handles)
         // are dropped before the directory is re-opened. A second
         // shutdown reports Stopped; either way the old checker is gone.
         let _ = guard.shutdown();
-        let (checker, report) =
-            Checker::open_store(dir, &slot.base_xml, &self.gamma, self.config.sync)
-                .map_err(|source| ShardSetError::Shard { id, source })?;
+        let (dir, sync) = (shard_dir(root, id), self.config.sync);
+        let reopened = Checker::open_store_in(Arc::clone(fs), &dir, &slot.base_xml, &self.gamma, sync);
+        let (checker, report) = reopened.map_err(|source| ShardSetError::Shard { id, source })?;
         *guard = start_shard(checker, &self.config);
         Ok(report)
     }

@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use xic_faults::{Fault, FaultMode, Faulty, Op, Target};
 use xic_xml::dir::Real;
 use xicheck::{Checker, CheckerError, CheckpointPolicy, Store, Strategy};
 
@@ -315,6 +316,63 @@ fn failed_rotation_then_commits_then_crash_loses_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed automatic rotation does not fail the commit it follows
+/// ([`Checker::set_checkpoint_policy`]): with a rotation due after every
+/// commit, each file operation of the first rotation fails in turn. The
+/// commit is acknowledged, the generation stays, the next commit rotates,
+/// and a reopen restores every acknowledged commit.
+#[test]
+fn a_failed_automatic_rotation_does_not_fail_the_commit() {
+    let start = |dir: &std::path::Path| {
+        let faulty = Faulty::real();
+        let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
+        c.attach_store_in(faulty.dir(), dir, true).unwrap();
+        c.set_checkpoint_policy(CheckpointPolicy::every_commits(1));
+        (c, faulty)
+    };
+    // The first commit's operations, counted by kind: its record, then
+    // the rotation — the snapshot's tmp file created, written, synced,
+    // renamed and named, the new segment created, its header written and
+    // named — then the flush.
+    let kinds = [Op::Create, Op::Append, Op::SyncData, Op::Rename, Op::SyncDir, Op::Remove];
+    let dir = store_dir("autorot-clean");
+    let (mut c, faulty) = start(&dir);
+    let before = kinds.map(|op| faulty.count(op));
+    commit_n(&mut c, 0, 1);
+    let counts: Vec<u64> = kinds.iter().zip(before).map(|(&op, n)| faulty.count(op) - n).collect();
+    assert_eq!(counts, [2, 3, 2, 1, 2, 0]);
+    drop(c);
+    let _ = std::fs::remove_dir_all(&dir);
+    let rotation = [
+        (Op::Create, 1),
+        (Op::Append, 2),
+        (Op::SyncData, 1),
+        (Op::Rename, 1),
+        (Op::SyncDir, 1),
+        (Op::Create, 2),
+        (Op::Append, 3),
+        (Op::SyncDir, 2),
+    ];
+    for (op, nth) in rotation {
+        let case = format!("{} #{nth}", op.name());
+        let dir = store_dir("autorot");
+        let (mut c, faulty) = start(&dir);
+        let target = Target { op, ending: "" };
+        faulty.arm(Fault { target, under: dir.clone(), nth, mode: FaultMode::Error });
+        commit_n(&mut c, 0, 1);
+        assert!(faulty.fired(), "{case}");
+        assert_eq!(c.store_generation(), 0, "{case}: a failed rotation does not advance");
+        commit_n(&mut c, 1, 1);
+        assert_eq!(c.store_generation(), 1, "{case}: the next commit rotates");
+        let state = serialize(&c);
+        drop(c);
+        let (r, report) = open_store(&dir, true).unwrap();
+        assert_eq!(report.base_commit_seq + report.replayed as u64, 2, "{case}: {report:?}");
+        assert_eq!(serialize(&r), state, "{case}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn orphan_snapshot_with_newer_commits_on_an_older_segment_is_rejected() {
     // Defense in depth behind the orphan unlink: if an orphan snapshot
@@ -402,16 +460,15 @@ fn open_store_resumes_in_the_sync_mode_it_is_given() {
     assert_eq!(fsyncs() - before, 0, "sync = false must not fsync journal records");
     drop(r);
 
-    // With sync every commit fsyncs its record, and every rotation the
-    // header of the segment it creates: the first write's, then the
-    // explicit one's.
+    // With sync every commit fsyncs its record, and nothing else does: a
+    // rotation's new segment header waits for the segment's first flush.
     let (mut r2, _) = open_store(&dir, true).unwrap();
     let before = fsyncs();
     commit_n(&mut r2, 3, 1);
-    assert_eq!(fsyncs() - before, 2);
+    assert_eq!(fsyncs() - before, 1);
     assert_eq!(r2.checkpoint().unwrap(), 5);
     commit_n(&mut r2, 4, 1);
-    assert_eq!(fsyncs() - before, 4);
+    assert_eq!(fsyncs() - before, 2);
     // Retention is the constant: the live generation plus one fallback.
     assert_eq!(Store::snapshot_generations(&Real, &dir), vec![5, 4]);
     let _ = std::fs::remove_dir_all(&dir);

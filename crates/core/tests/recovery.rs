@@ -6,11 +6,11 @@
 //! recovery edge cases (empty journal, torn-tail-only journal, double
 //! recovery, snapshot newer than the journal head).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use xic_faults::FaultMode;
+use xic_faults::{Fault, FaultMode, Faulty, Op, Target};
 use xic_xml::journal::RecordKind;
-use xicheck::{Checker, CheckerError, EvalBudget, RecoveryReport, Store, Strategy};
+use xicheck::{Checker, CheckerError, CheckpointPolicy, EvalBudget, RecoveryReport, Store, Strategy};
 
 const DTD: &str = "<!ELEMENT collection (dblp, review)>\n\
     <!ELEMENT dblp (pub)*>\n<!ELEMENT pub (title, aut+)>\n\
@@ -57,6 +57,22 @@ fn journal_path(tag: &str) -> PathBuf {
 fn recover(base_xml: &str, dir: &std::path::Path) -> (Checker, RecoveryReport) {
     let gamma = xicheck::SharedGamma::compile(DTD, CONFLICT).unwrap();
     Checker::open_store(dir, base_xml, &gamma, true).unwrap()
+}
+
+/// A checker over `CORPUS` whose fresh store at `dir` syncs and does its
+/// file I/O in the returned `Faulty`.
+fn faulty_checker(dir: &Path) -> (Checker, Faulty) {
+    let faulty = Faulty::real();
+    let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
+    c.attach_store_in(faulty.dir(), dir, true).unwrap();
+    (c, faulty)
+}
+
+/// Arms `faulty` to strike the first `op` on a file ending in `ending`
+/// under `dir`.
+fn arm(faulty: &Faulty, dir: &Path, op: Op, ending: &'static str, mode: FaultMode) {
+    let target = Target { op, ending };
+    faulty.arm(Fault { target, under: dir.to_path_buf(), nth: 1, mode });
 }
 
 /// This thread's journal append and fsync counts.
@@ -127,19 +143,16 @@ fn recovered_checker_keeps_journaling() {
 #[test]
 fn a_failed_flush_degrades_a_bare_checker_until_the_store_is_reopened() {
     let path = journal_path("flush");
-    let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_store(&path, true).unwrap();
+    let (mut c, faulty) = faulty_checker(&path);
     let dan = |author: &str| insert_sub("//rev[name/text() = 'dan']", author);
     assert!(c.try_update_str(&dan("zoe")).unwrap().applied());
-    xic_faults::disarm_all();
-    xic_faults::arm("journal.sync", 1, FaultMode::Error);
+    arm(&faulty, &path, Op::SyncData, ".wal", FaultMode::Error);
     // A rejected statement appends nothing, so there is nothing to flush:
     // the armed fsync is not reached.
     assert!(!c.try_update_str(&insert_sub("//rev[name/text() = 'ann']", "ann")).unwrap().applied());
-    assert_eq!(xic_faults::hits("journal.sync"), 0);
+    assert_eq!(faulty.hits(), 0);
     let err = c.try_update_str(&dan("kim")).unwrap_err();
-    assert_eq!(xic_faults::hits("journal.sync"), 1);
-    xic_faults::disarm_all();
+    assert!(faulty.fired());
     assert!(matches!(err, CheckerError::Journal(_)), "{err}");
     assert!(c.degraded());
     // The failed flush leaves its statement applied in memory: the
@@ -164,20 +177,20 @@ fn a_failed_flush_degrades_a_bare_checker_until_the_store_is_reopened() {
 
 #[test]
 fn a_mid_batch_apply_failure_leaves_no_record_at_every_op_index() {
-    // The batch has 3 ops; inject an apply failure at each index in turn.
-    for op_index in 1..=3u64 {
+    // The batch has 3 ops; each index in turn selects nothing, so the
+    // statement fails to apply there.
+    let selects = ["//track/name", "//pub/title", "//rev[name/text() = 'dan']/sub/title"];
+    for (op_index, select) in selects.into_iter().enumerate() {
         let path = journal_path("midbatch");
         let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
         c.attach_store(&path, true).unwrap();
         let before = serialize(&c);
         let writes = journal_writes();
 
-        xic_faults::disarm_all();
-        xic_faults::arm("xupdate.apply.op", op_index, FaultMode::Error);
-        let err = c.try_update_str(TEXT_BATCH).unwrap_err();
-        xic_faults::disarm_all();
+        let batch = TEXT_BATCH.replacen(select, "//track/nothing", 1);
+        let err = c.try_update_str(&batch).unwrap_err();
         assert!(
-            matches!(&err, CheckerError::Statement(m) if m.contains("injected fault")),
+            matches!(&err, CheckerError::Statement(m) if m.contains("matched no nodes")),
             "op {op_index}: {err}"
         );
         assert_eq!(serialize(&c), before, "op {op_index}: the copy is dropped");
@@ -327,16 +340,14 @@ fn an_exhausted_budget_is_the_answer_and_leaves_no_trace() {
 #[test]
 fn contained_panic_poisons_checker_until_recovery() {
     let path = journal_path("panic");
-    let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_store(&path, true).unwrap();
+    let (mut c, faulty) = faulty_checker(&path);
     assert!(c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap().applied());
     let committed_state = serialize(&c);
 
-    xic_faults::disarm_all();
-    xic_faults::arm("xupdate.apply.op", 1, FaultMode::Panic);
+    // The commit's append panics after writing half its record.
+    arm(&faulty, &path, Op::Append, ".wal", FaultMode::Panic);
     xic_obs::reset();
     let err = c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap_err();
-    xic_faults::disarm_all();
     assert!(matches!(&err, CheckerError::Panicked(m) if m.contains("injected fault")), "{err}");
     assert!(c.poisoned());
     let snap = xic_obs::snapshot();
@@ -355,11 +366,11 @@ fn contained_panic_poisons_checker_until_recovery() {
         Err(CheckerError::Poisoned)
     ));
 
-    // Recovery rebuilds the committed prefix; the panicked statement never
-    // committed, so it is not replayed.
+    // Recovery rebuilds the committed prefix; the panicked statement's
+    // half record is a torn tail, so it is not replayed.
     drop(c);
     let (mut r, report) = recover(CORPUS, &path);
-    assert_eq!(report.replayed, 1);
+    assert_eq!((report.replayed, report.torn_tail_truncated), (1, true));
     assert!(!r.poisoned());
     assert_eq!(serialize(&r), committed_state);
     assert!(r.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "kim")).unwrap().applied());
@@ -527,14 +538,12 @@ fn a_record_renaming_to_a_non_name_is_a_typed_recovery_failure() {
 #[test]
 fn journal_append_failure_rolls_the_update_back() {
     let path = journal_path("appenderr");
-    let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_store(&path, true).unwrap();
+    let (mut c, faulty) = faulty_checker(&path);
     let base = serialize(&c);
 
-    xic_faults::disarm_all();
-    xic_faults::arm("checker.commit.pre", 1, FaultMode::Error);
+    // The append fails after writing half its record; the journal rewinds.
+    arm(&faulty, &path, Op::Append, ".wal", FaultMode::Error);
     let err = c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap_err();
-    xic_faults::disarm_all();
     assert!(matches!(err, CheckerError::Journal(_)), "{err}");
     assert_eq!(serialize(&c), base, "unjournalable update must be rolled back");
     assert!(!c.poisoned(), "a clean pre-write failure does not poison");
@@ -545,24 +554,26 @@ fn journal_append_failure_rolls_the_update_back() {
     let state = serialize(&c);
     drop(c);
     let (r, report) = recover(CORPUS, &path);
-    assert_eq!(report.replayed, 1);
+    assert_eq!((report.replayed, report.torn_tail_truncated), (1, false));
     assert_eq!(serialize(&r), state);
     let _ = std::fs::remove_dir_all(&path);
 }
 
 #[test]
 fn failure_after_durable_commit_poisons_instead_of_diverging() {
+    // Every commit rotates, and the rotation after this one panics at its
+    // first file operation: the record is whole on disk, the statement
+    // unacknowledged.
     let path = journal_path("postcommit");
-    let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-    c.attach_store(&path, true).unwrap();
-
-    xic_faults::disarm_all();
-    xic_faults::arm("checker.commit.post", 1, FaultMode::Error);
+    let (mut c, faulty) = faulty_checker(&path);
+    c.set_checkpoint_policy(CheckpointPolicy::every_commits(1));
+    arm(&faulty, &path, Op::Create, "", FaultMode::Panic);
     let err = c.try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe")).unwrap_err();
-    xic_faults::disarm_all();
-    assert!(matches!(&err, CheckerError::Journal(m) if m.contains("poisoned")), "{err}");
+    assert!(matches!(&err, CheckerError::Panicked(m) if m.contains("injected fault")), "{err}");
     assert!(c.poisoned(), "commit is durable but the caller saw an error: state suspect");
+    assert_eq!(c.committed(), 1);
     let in_memory = serialize(&c);
+    assert!(in_memory.contains("zoe"), "the checker stays in step with its journal");
     drop(c);
 
     // Recovery replays the durable commit — it agrees with the in-memory

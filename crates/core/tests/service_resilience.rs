@@ -5,10 +5,9 @@
 //! store — and shutdown drains cleanly with live read handles
 //! outstanding.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use xic_faults::FaultMode;
+use xic_faults::{Fault, FaultMode, Faulty, Op, Target};
 use xicheck::protocol::{execute, execute_sharded, serve_connection};
 use xicheck::service::{apply_batch, BatchDisposition, BatchStmt};
 use xicheck::{
@@ -33,17 +32,6 @@ const CORPUS: &str = "<collection><dblp>\
 const CONFLICT: &str = "<- //rev[name/text() -> R]/sub/auts/name/text() -> A \
     & (A = R | //pub[aut/name/text() -> A & aut/name/text() -> R])";
 
-/// Serializes every test that journals: a process-global (`any_thread`)
-/// fault fires on whichever thread reaches its site first, so a test
-/// that arms one must not share the journal sites with another.
-static FAULTS: Mutex<()> = Mutex::new(());
-
-/// Takes [`FAULTS`]. A test that failed while holding it says so
-/// itself; the lock it poisoned still serializes the rest.
-fn journaling() -> MutexGuard<'static, ()> {
-    FAULTS.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn legal(tag: &str) -> String {
     format!(
         "<xupdate:modifications xmlns:xupdate=\"http://www.xmldb.org/xupdate\">\
@@ -61,6 +49,21 @@ fn journal_path(tag: &str) -> PathBuf {
 
 fn checker() -> Checker {
     Checker::new(CORPUS, DTD, CONFLICT).expect("corpus setup")
+}
+
+/// A checker whose fresh store at `dir` syncs and does its file I/O in
+/// the returned `Faulty`.
+fn faulty_checker(dir: &Path) -> (Checker, Faulty) {
+    let faulty = Faulty::real();
+    let mut c = checker();
+    c.attach_store_in(faulty.dir(), dir, true).expect("attach store");
+    (c, faulty)
+}
+
+/// Arms `faulty` to fail the `nth` segment fsync under `dir` from now on.
+fn fail_fsync(faulty: &Faulty, dir: &Path, nth: u64) {
+    let target = Target { op: Op::SyncData, ending: ".wal" };
+    faulty.arm(Fault { target, under: dir.to_path_buf(), nth, mode: FaultMode::Error });
 }
 
 /// This thread's `journal_fsyncs` counter.
@@ -209,15 +212,14 @@ fn generous_deadline_commits_normally() {
     service.shutdown().expect("shutdown");
 }
 
-/// A failed batch fsync is final. On the batch path each batch hits
-/// `journal.sync` once and fsyncs once; the failed one fsyncs nothing and
-/// nothing tries it again. Through the group-commit service the
+/// A failed batch fsync is final. On the batch path each batch fsyncs
+/// its segment once; the failed one fsyncs nothing and nothing tries it
+/// again. Through the group-commit service the
 /// submitter learns its commit is unacknowledged, the service degrades
 /// and stays degraded — later writes are refused without touching the
 /// journal — and reads keep serving the last durable snapshot.
 #[test]
 fn a_failed_batch_fsync_degrades_for_good() {
-    let _guard = journaling();
     let batch = |c: &mut Checker, tags: &[&str]| {
         let stmts: Vec<XUpdateDoc> =
             tags.iter().map(|tag| XUpdateDoc::parse(&legal(tag)).expect("parses")).collect();
@@ -226,29 +228,27 @@ fn a_failed_batch_fsync_degrades_for_good() {
         apply_batch(c, &items).disposition
     };
     let path = journal_path("batch");
-    let mut c = checker();
-    c.attach_store(&path, true).expect("attach store");
-    xic_faults::arm("journal.sync", 2, FaultMode::Error);
+    let (mut c, faulty) = faulty_checker(&path);
+    fail_fsync(&faulty, &path, 2);
     let before = fsyncs();
     assert_eq!(batch(&mut c, &["b1", "b2"]), BatchDisposition::Committed);
-    assert_eq!((xic_faults::hits("journal.sync"), fsyncs() - before), (1, 1));
+    assert_eq!((faulty.count(Op::SyncData), fsyncs() - before), (1, 1));
     assert!(matches!(batch(&mut c, &["b3"]), BatchDisposition::SyncFailed(_)));
-    assert_eq!((xic_faults::hits("journal.sync"), fsyncs() - before), (2, 1));
-    xic_faults::disarm_all();
+    assert_eq!((faulty.count(Op::SyncData), fsyncs() - before), (2, 1));
     drop(c);
     let _ = std::fs::remove_dir_all(&path);
 
     let path = journal_path("degrade");
-    let mut c = checker();
-    c.attach_store(&path, true).expect("attach store");
+    let (c, faulty) = faulty_checker(&path);
     let service = CheckerService::new(c, Executor::GroupCommit);
     assert!(service.submit(&legal("pre")).expect("submit").outcome.applied());
     let before = service.snapshot();
-    xic_faults::arm_any_thread("journal.sync", 1, FaultMode::Error);
+    fail_fsync(&faulty, &path, 1);
     let err = service.submit(&legal("doomed")).expect_err("fsync must fail");
     assert!(matches!(err, ServiceError::SyncFailed(_)), "expected SyncFailed, got {err:?}");
     assert!(format!("{err}").contains("commit not acknowledged"));
-    assert_eq!(xic_faults::hits("journal.sync"), 1);
+    let touched = || [Op::Append, Op::SyncData].map(|op| faulty.count(op));
+    let after_failure = touched();
 
     // Degraded for good: every later write is refused before it reaches
     // the journal, on the library API and on the wire alike.
@@ -263,8 +263,7 @@ fn a_failed_batch_fsync_degrades_for_good() {
     let replies: Vec<&str> = replies.lines().collect();
     assert!(replies[0].starts_with("ERR degraded"), "{}", replies[0]);
     assert_eq!(replies[1], "OK 1 degraded");
-    assert_eq!(xic_faults::hits("journal.sync"), 1, "a degraded writer touched the journal");
-    xic_faults::disarm_all();
+    assert_eq!(touched(), after_failure, "a degraded writer touched the journal");
     assert_eq!(service.health(), Health::Degraded);
     assert_eq!(service.stats().service_degraded, 1);
     let during = service.snapshot();
@@ -276,23 +275,20 @@ fn a_failed_batch_fsync_degrades_for_good() {
 }
 
 /// The sequential executor runs the same batch path, flush included, on
-/// the submitting thread — so a thread-scoped fault reaches its fsync,
-/// and a failure there is final exactly as under group commit: the
+/// the submitting thread, and a failed fsync there is final exactly as
+/// under group commit: the
 /// commit is not acknowledged, `HEALTH` turns degraded, the next
 /// `UPDATE` is refused and reads serve the last published snapshot.
 #[test]
 fn a_failed_fsync_degrades_the_sync_executor_too() {
-    let _guard = journaling();
     let path = journal_path("sync-executor");
-    let mut c = checker();
-    c.attach_store(&path, true).expect("attach store");
+    let (c, faulty) = faulty_checker(&path);
     let service = CheckerService::new(c, Executor::Sync);
     assert!(service.submit(&legal("pre")).expect("submit").outcome.applied());
     let before = service.snapshot();
-    xic_faults::arm("journal.sync", 1, FaultMode::Error);
+    fail_fsync(&faulty, &path, 1);
     let err = service.submit(&legal("doomed")).expect_err("fsync must fail");
-    assert_eq!(xic_faults::hits("journal.sync"), 1);
-    xic_faults::disarm_all();
+    assert_eq!(faulty.hits(), 1);
     assert!(matches!(err, ServiceError::SyncFailed(_)), "expected SyncFailed, got {err:?}");
 
     let mut replies = Vec::new();
@@ -316,7 +312,6 @@ fn a_failed_fsync_degrades_the_sync_executor_too() {
 /// no fsync fails and the service does not turn degraded.
 #[test]
 fn a_checker_recovered_degraded_refuses_updates_without_degrading_its_service() {
-    let _guard = journaling();
     let path = journal_path("recovered-degraded");
     let mut c = checker();
     c.attach_store(&path, true).expect("attach store");
@@ -354,17 +349,17 @@ fn a_checker_recovered_degraded_refuses_updates_without_degrading_its_service() 
 /// whole-set recovery byte for byte.
 #[test]
 fn a_degraded_shard_comes_back_by_replay() {
-    let _guard = journaling();
     let root = journal_path("shards");
-    let set = ShardSet::create(&root, &[CORPUS, CORPUS], DTD, CONFLICT, ShardSetConfig::default())
+    let faulty = Faulty::real();
+    let bases = [CORPUS, CORPUS];
+    let set = ShardSet::create_in(faulty.dir(), &root, &bases, DTD, CONFLICT, ShardSetConfig::default())
         .expect("shard set");
     let update = |doc: usize, tag: &str| format!("DOC {doc} UPDATE {}\n", legal(tag));
     assert_eq!(sharded(&set, &update(0, "pre")), ["OK 1 APPLIED optimized"]);
 
-    xic_faults::arm_any_thread("journal.sync", 1, FaultMode::Error);
+    fail_fsync(&faulty, &root.join("shard-0"), 1);
     let replies = sharded(&set, &update(0, "doomed"));
-    assert_eq!(xic_faults::hits("journal.sync"), 1);
-    xic_faults::disarm_all();
+    assert_eq!(faulty.hits(), 1);
     assert!(replies[0].starts_with("ERR group-commit fsync failed"), "{}", replies[0]);
     assert_eq!(sharded(&set, "HEALTH\n"), ["OK 1 degraded shard-0=degraded shard-1=ok"]);
     assert_eq!(sharded(&set, &update(1, "sibling")), ["OK 1 APPLIED optimized"]);
@@ -406,15 +401,12 @@ fn a_degraded_shard_comes_back_by_replay() {
 /// batch fsyncs its own record.
 #[test]
 fn a_replayed_checker_keeps_the_configured_sync_mode() {
-    let _guard = journaling();
     let dir = journal_path("sync-mode");
-    let mut c = checker();
-    c.attach_store(&dir, true).expect("attach store");
+    let (c, faulty) = faulty_checker(&dir);
     let service = CheckerService::new(c, Executor::GroupCommit);
     assert!(service.submit(&legal("pre")).expect("submit").outcome.applied());
-    xic_faults::arm_any_thread("journal.sync", 1, FaultMode::Error);
+    fail_fsync(&faulty, &dir, 1);
     let err = service.submit(&legal("doomed")).expect_err("fsync must fail");
-    xic_faults::disarm_all();
     assert!(matches!(err, ServiceError::SyncFailed(_)), "got {err:?}");
     drop(service.shutdown().expect("shutdown"));
 

@@ -278,9 +278,9 @@ fn batch_across_a_rotation_shares_one_fsync() {
         assert!(r.expect("outcome").outcome.applied());
     }
     assert_eq!(c.store_generation(), 2, "rotations after commits 2 and 4");
-    // Each rotation fsyncs the header of the segment it creates; the five
-    // records share the batch's one flush.
-    assert_eq!(journal_fsyncs() - before, 2 + 1, "a record was fsync'd on its own");
+    // No rotation fsyncs a segment; the five records share the batch's one
+    // flush.
+    assert_eq!(journal_fsyncs() - before, 1, "a record was fsync'd on its own");
     // Outside a batch a commit on the rotated-in segment flushes once.
     c.set_checkpoint_policy(xicheck::CheckpointPolicy::default());
     let before = journal_fsyncs();

@@ -6,8 +6,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use xic_faults::{FaultMode, SITES};
+use xic_faults::{Fault, FaultMode, Faulty, Op, Target, WRITE_PATH};
 use xicheck::{
     CheckpointPolicy, Health, ShardSet, ShardSetConfig, ShardSetError,
 };
@@ -28,9 +27,6 @@ const CORPUS: &str = "<collection><dblp>\
 
 const CONFLICT: &str = "<- //rev[name/text() -> R]/sub/auts/name/text() -> A \
     & (A = R | //pub[aut/name/text() -> A & aut/name/text() -> R])";
-
-/// Serializes tests that arm fault-injection sites.
-static FAULTS: Mutex<()> = Mutex::new(());
 
 fn legal(tag: &str) -> String {
     format!(
@@ -119,39 +115,39 @@ fn root_layout_refuses_foreign_entries() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The headline oracle, for every fault site in both modes: a fault
-/// fired while one shard commits stays in that shard. Siblings keep
-/// their service, their bytes and their health; a victim the fault
-/// poisoned or degraded is rebuilt by `recover_shard` from its own store
-/// at exactly its acknowledged version (one more where the fault struck
-/// after the statement's record was whole, [`record_survives`]) and takes
-/// writes again.
+/// The headline oracle, for every operation of the write path in both
+/// modes: a fault that fails one shard's file operation stays in that
+/// shard. Siblings keep their service, their bytes and their health; a
+/// victim the fault poisoned or degraded is rebuilt by `recover_shard`
+/// from its own store at exactly its acknowledged version (one more where
+/// the fault struck after the statement's record was whole,
+/// [`record_survives`]) and takes writes again.
 #[test]
 fn poisoned_shard_is_isolated_and_recovered_in_place() {
-    let _guard = FAULTS.lock().expect("fault serialization");
-    for site in SITES {
+    for target in WRITE_PATH {
         for mode in [FaultMode::Error, FaultMode::Panic] {
-            fault_one_shard(site, mode);
+            fault_one_shard(target, mode);
         }
     }
 }
 
-/// True for the sites a fault reaches only after the statement's journal
-/// record is whole on disk, so that recovery restores a statement that was
-/// never acknowledged. Before the append nothing of the statement
-/// survives.
-fn record_survives(site: &str) -> bool {
-    matches!(site, "journal.sync" | "checker.commit.post")
+/// True where a fault strikes only after the statement's journal record
+/// is whole: every operation but the commit's own append. A failed append
+/// leaves nothing of the statement.
+fn record_survives(target: Target) -> bool {
+    target != Target { op: Op::Append, ending: ".wal" }
 }
 
-fn fault_one_shard(site: &str, mode: FaultMode) {
-    let case = format!("{site} {mode:?}");
+fn fault_one_shard(target: Target, mode: FaultMode) {
+    let case = format!("{target} {mode:?}");
     let root = root_dir("poison");
-    // Every commit rotates, so every fault lands beside a rotation too.
+    // Every commit rotates, and from the second on expires a generation, so
+    // every operation of the write path runs in the faulted commit.
     let policy = CheckpointPolicy::every_commits(1);
     let config = ShardSetConfig { policy, ..Default::default() };
-    let set = ShardSet::create(&root, &[CORPUS, CORPUS, CORPUS], DTD, CONFLICT, config)
-        .expect("create");
+    let faulty = Faulty::real();
+    let bases = [CORPUS, CORPUS, CORPUS];
+    let set = ShardSet::create_in(faulty.dir(), &root, &bases, DTD, CONFLICT, config).expect("create");
 
     // Two acknowledged commits on the future victim, one on a sibling.
     assert!(set.submit(1, &legal("v1")).expect("victim").outcome.applied());
@@ -162,12 +158,9 @@ fn fault_one_shard(site: &str, mode: FaultMode) {
         .map(|id| (id, set.shard(id).expect("sibling"), set.snapshot(id).expect("read").serialize()))
         .collect();
 
-    xic_faults::disarm_all();
-    xic_faults::arm(site, 1, mode);
+    faulty.arm(Fault { target, under: root.join("shard-1"), nth: 1, mode });
     let answer = set.submit(1, &legal("boom"));
-    let fired = xic_faults::hits(site) >= 1;
-    xic_faults::disarm_all();
-    assert!(fired, "{case}: the fault never fired");
+    assert!(faulty.fired(), "{case}: the fault never fired");
     if let Err(e) = &answer {
         assert!(matches!(e, ShardSetError::Service { id: 1, .. }), "{case}: {e:?}");
     }
@@ -190,7 +183,7 @@ fn fault_one_shard(site: &str, mode: FaultMode) {
         // refuses writes until it is rebuilt.
         let sick = health.as_str();
         assert_eq!(set.health().summary(), format!("{sick} shard-0=ok shard-1={sick} shard-2=ok"));
-        let restored = acked + record_survives(site) as u64;
+        let restored = acked + record_survives(target) as u64;
         let read = set.snapshot(1).expect("victim read").version();
         assert!(read == acked || read == restored, "{case}: reads at version {read}");
         assert!(set.submit(1, &legal("refused")).is_err(), "{case}");

@@ -42,6 +42,7 @@ use std::io;
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use xic_faults::Op;
 use xic_xml::checkpoint::{self, Candidate, Recovery, Store};
 use xic_xml::dir::{self, Dir, File};
 use xic_xml::journal::{crc32, RecordKind};
@@ -60,22 +61,6 @@ const MAX_STATES: usize = 50_000;
 enum Tree {
     File(Vec<u8>),
     Dir(BTreeMap<String, Tree>),
-}
-
-/// One operation of the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Create,
-    Open,
-    Read,
-    List,
-    CreateDir,
-    SyncDir,
-    Rename,
-    Remove,
-    Append,
-    SetLen,
-    SyncData,
 }
 
 #[derive(Debug, Clone)]
@@ -1034,7 +1019,7 @@ mod tests {
         assert_eq!(fsyncs(&fs, mark), 1, "on every start");
         let mark = fs.log().len();
         let mut store = Store::create(arc(&fs), Path::new("/s"), base_crc(), true).expect("create");
-        assert_eq!(fsyncs(&fs, mark), 2, "header and directory");
+        assert_eq!(fsyncs(&fs, mark), 1, "the directory naming the segment, not its header");
         let mark = fs.log().len();
         store.append(RecordKind::Commit, 1, "<a/>").expect("append");
         store.append(RecordKind::Commit, 2, "<b/>").expect("append");
@@ -1043,7 +1028,7 @@ mod tests {
         assert_eq!((appends, fsyncs(&fs, mark)), (2, 1), "one write per record, one fsync per batch");
         let mark = fs.log().len();
         store.rotate(2, &format!("{BASE}<a/><b/>")).expect("rotate");
-        assert_eq!(fsyncs(&fs, mark), 4, "snapshot, its name, segment header, its name");
+        assert_eq!(fsyncs(&fs, mark), 3, "snapshot, its name, the segment's name");
         let mark = fs.log().len();
         let shards = [PathBuf::from("/r/shard-0"), PathBuf::from("/r/shard-1")];
         name_durably(&fs, Path::new("/r"), &shards, true).expect("a set's start");
@@ -1077,7 +1062,7 @@ mod tests {
     #[test]
     fn a_failed_append_rewinds_to_the_record_boundary_and_is_not_retried() {
         let append = |fs: &SimDir| {
-            let mut j = Journal::create_in(fs, Path::new("/j.wal"), 1, false).expect("create");
+            let mut j = Journal::create_in(fs, Path::new("/j.wal"), 1).expect("create");
             j.append(RecordKind::Commit, 1, "keeper").expect("append");
             let _ = j.append(RecordKind::Commit, 2, "half-written victim");
             j.append(RecordKind::Commit, 2, "successor").expect("append");

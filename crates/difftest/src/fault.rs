@@ -1,40 +1,43 @@
-//! The fault harness: a seeded fault lands on one shard of a set of one
-//! to four, or a SIGKILL on the live server over the whole set, and every
-//! shard must come back at exactly its checked, acknowledged prefix
-//! (DESIGN.md rows 17, 19, 22 and 24).
+//! The fault harness: a seeded fault fails one file operation of one
+//! shard of a set of one to four, or a SIGKILL hits the live server over
+//! the whole set, and every shard must come back at exactly its checked,
+//! acknowledged prefix (DESIGN.md rows 17, 19, 22 and 24).
 //!
 //! The checker decides a statement before it applies it, so a refused
-//! statement never reaches the journal; whatever the fault, a store
-//! therefore recovers every commit it acknowledged, plus at most the
-//! statement in flight. Each case is a pure function of its `u64` seed:
+//! statement never reaches the journal, and a fault can change what is on
+//! disk only at one of the store's file operations: whatever the fault, a
+//! store recovers every commit it acknowledged, plus at most the statement
+//! in flight. Each case is a pure function of its `u64` seed:
 //!
 //! 1. [`fault_plan`] draws the case: K shards and a [`Kind`]. Every ninth
-//!    seed of a run over every site is a [`Kind::Kill`]; its plan draws
-//!    how many replies the harness reads before the kill, whether the
-//!    stores fsync, and the [`Corpus`]. The other seeds draw an in-process
-//!    fault: a victim, a fault site, `Error` or `Panic` and a trigger hit;
-//!    a batch size; a [`Rotation`]; whether the stores fsync; what follows
-//!    a fault that poisons or degrades the victim ([`After`]); and the
-//!    corpus. Consecutive in-process seeds walk the site list, then the
-//!    two modes, then the two K-classes (K = 1, K ≥ 2), so every (site,
-//!    mode, K-class) cell is drawn once per `4 × sites` of them; the other
-//!    fields are hash-mixed out of the walk position. The walk skips the
-//!    Kill seeds, so 225 cases from seed 1 are the in-process plans of a
-//!    200-case `--sites` run (which draws no Kill) plus 25 Kills.
+//!    seed is a [`Kind::Kill`]; its plan draws how many replies the
+//!    harness reads before the kill, whether the stores fsync, and the
+//!    [`Corpus`]. The other seeds walk the in-process plans
+//!    ([`walk_plan`]): a victim, an operation of [`WRITE_PATH`], `Error`
+//!    or `Panic` and which of the victim's operations of that kind it
+//!    strikes (one the plan reaches); a batch size; a [`Rotation`] (one that rotates where only a
+//!    rotation performs the operation); whether the stores fsync (always
+//!    for the flush's `sync_data`); what follows a fault that poisons or
+//!    degrades the victim ([`After`]); and the corpus. The walk goes
+//!    through the operations, then the two modes, then the two K-classes
+//!    (K = 1, K ≥ 2), so every cell is drawn once per `4 × operations`
+//!    positions; the other fields are hash-mixed out of the position. The
+//!    walk skips the Kill seeds: 225 cases from seed 1 are the first 200
+//!    in-process plans plus 25 Kills.
 //! 2. The corpus gives one DTD and denial set, compiled into one shared
 //!    Γ, and every shard a base document (one for every shard of a Kill,
 //!    since a server starts them all from one `--xml`) and a statement
 //!    stream of its own; each shard gets a store in [`ShardSet`]'s layout
 //!    (`root/shard-k`) and a never-faulted twin checker.
-//! 3. In process, the driver runs the streams round-robin, a batch at a
-//!    time, through [`apply_batch`] — the function every `ShardSet::submit`
-//!    runs; a batch of one is what a lone client gets — on the harness
-//!    thread. The fault is armed only around the victim's batches (and
-//!    its explicit checkpoint), so thread-scoped arming is shard-scoped
-//!    arming. The victim runs on past its stream until its fault fires. At
-//!    the end every checker is dropped, as in a crash, and the root is
-//!    recovered twice with `ShardSet::recover`, sequentially and in
-//!    parallel, over two copies of it (recovery repairs what it finds).
+//! 3. In process, only the victim's store does its file I/O in a
+//!    [`Faulty`], armed once the store is set up, so the fault is the
+//!    victim's by construction. The driver runs the streams round-robin, a
+//!    batch at a time, through [`apply_batch`] — the function every
+//!    `ShardSet::submit` runs. The victim runs on past its stream until
+//!    its fault fires. At the end
+//!    every checker is dropped, as in a crash, and the root is recovered
+//!    twice with `ShardSet::recover`, sequentially and in parallel, over
+//!    two copies of it (recovery repairs what it finds).
 //!
 //!    A Kill spawns the `xic-serve` beside this executable over the root
 //!    (`--shards K --store --socket`, `--no-sync` where the plan does not
@@ -56,7 +59,7 @@
 //!      after a contained panic, or for the statement a killed server's
 //!      connection was executing, whose record may be whole on disk), and
 //!      the twin's bytes at `p`, its indexes audited;
-//!    * a batch reaches `journal.sync` at most once, and once if it
+//!    * a batch fsyncs the victim's segment at most once, and once if it
 //!      appended to a store that fsyncs;
 //!    * a failed flush degrades the checker, and the last acknowledged
 //!      state — what degraded reads serve — passes the full check;
@@ -67,9 +70,8 @@
 //!      `CONSISTENT`, and commits one more statement, as the twin does.
 //!
 //! Divergences print a one-line replay command (`cargo run -p
-//! xic-difftest -- --faults --seed N --cases 1`, plus the run's `--sites`
-//! filter, from which the plan is derived; a Kill's replays the release
-//! build, beside its `xic-serve`).
+//! xic-difftest -- --faults --seed N --cases 1`, from which the plan is
+//! derived; a Kill's replays the release build, beside its `xic-serve`).
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -82,8 +84,9 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xic_faults::{FaultMode, SITES};
+use xic_faults::{Fault, FaultMode, Faulty, Op, Target, WRITE_PATH};
 use xic_workload::{conflict_constraint, generate, random_batch, WorkloadConfig};
+use xic_xml::dir::Real;
 use xic_xml::{serialize, Document, XUpdateDoc};
 use xicheck::protocol::{execute_sharded, parse_command, Reply};
 use xicheck::service::{apply_batch, BatchDisposition, BatchStmt, ServiceError, SubmitOutcome};
@@ -98,8 +101,8 @@ use crate::{each_case, gen, modifications, scratch_name, Config, Outcome, PAPER_
 const STREAM: usize = 6;
 
 /// How far the victim runs on past [`STREAM`] while its fault has not
-/// fired (a third trigger hit on a rotation every three commits is a
-/// dozen statements away).
+/// fired (a third remove, two rotations into a rotation every three
+/// commits, is a dozen statements away).
 const STREAM_CAP: usize = 24;
 
 /// Statements every shard of a Kill runs.
@@ -111,11 +114,11 @@ const KILL_STREAM: usize = 48;
 /// schedules the server.
 const KILL_WINDOW: usize = 4;
 
-/// From this many draws of every (site, mode, K-class) cell on, a cell
-/// whose fault fired in no case fails the run.
+/// From this many draws of every (operation, mode, K-class) cell on, a
+/// cell whose fault fired in no case fails the run.
 const CELL_ROUNDS: u64 = 3;
 
-/// Of a run over every site, the seeds divisible by this are Kill cases.
+/// The seeds divisible by this are Kill cases.
 const KILL_EVERY: u64 = 9;
 
 /// How long a server may take to come up, and a connection to answer.
@@ -125,17 +128,9 @@ const SERVER_TIMEOUT: Duration = Duration::from_secs(30);
 const SUN_PATH: usize = 108;
 
 /// The coverage table's columns: (kind, K-class) pairs. The first four
-/// are counted per site, the Kill pair once.
+/// are counted per operation, the Kill pair once.
 const COLUMNS: [&str; 6] =
     ["Error K=1", "Error K≥2", "Panic K=1", "Panic K≥2", "Kill K=1", "Kill K≥2"];
-
-/// Resolves a `--sites` filter against [`xic_faults::SITES`]: each
-/// comma-separated pattern matches by substring; `None` keeps all sites.
-pub fn filter_sites(filter: Option<&str>) -> Vec<&'static str> {
-    let patterns: Vec<&str> =
-        filter.map_or(vec![""], |f| f.split(',').filter(|p| !p.is_empty()).collect());
-    SITES.iter().copied().filter(|site| patterns.iter().any(|p| site.contains(p))).collect()
-}
 
 /// SplitMix64-style field mixer: hashing the seed with a per-field salt
 /// keeps the fields independent of each other and of the round-robin
@@ -150,10 +145,10 @@ fn mix(seed: u64, salt: u64) -> u64 {
 /// What a case does to its shard set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// An injected error at the plan's site ([`FaultMode::Error`]).
+    /// The planned operation fails with an I/O error ([`FaultMode::Error`]).
     Error,
-    /// An injected panic at the plan's site ([`FaultMode::Panic`]),
-    /// contained in-thread.
+    /// The planned operation panics ([`FaultMode::Panic`]), contained
+    /// in-thread.
     Panic,
     /// A SIGKILL of the live `xic-serve` over the whole set.
     Kill,
@@ -167,7 +162,7 @@ pub enum Rotation {
     /// Automatically, every this many commits.
     Every(u64),
     /// Once, by an explicit `Checker::checkpoint` in mid-stream. (What a
-    /// crash or a failed file operation inside a rotation leaves is
+    /// crash between two file operations of a rotation leaves is
     /// enumerated by `--crash-states`.)
     Once,
 }
@@ -195,29 +190,30 @@ pub enum Corpus {
     Random,
 }
 
-/// A case's plan, a pure function of its seed and the site list. A Kill
-/// reads `shards`, `nth`, `sync` and `corpus`; its other fields are fixed
-/// (no site, batches of one, no rotation).
+/// A case's plan, a pure function of its seed. A Kill reads `shards`,
+/// `nth`, `sync` and `corpus`; its other fields are fixed (no target,
+/// batches of one, no rotation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Shards in the set (1–4).
     pub shards: usize,
-    /// The shard the fault is armed on.
+    /// The shard whose store the fault is given to.
     pub victim: usize,
-    /// The armed site (empty for a Kill).
-    pub site: &'static str,
+    /// The operation of the write path the fault strikes (`None` for a
+    /// Kill).
+    pub target: Option<Target>,
     /// `Error`, `Panic` or `Kill`.
     pub kind: Kind,
-    /// The victim's hit of the site on which the fault triggers (1–3;
-    /// 1 where the plan reaches the site once); for a Kill, the replies
-    /// the harness reads before it kills the server (up to every reply).
+    /// Which of the victim's operations of the target the fault strikes
+    /// (1–3, at most as many as the plan performs); for a Kill, the replies the harness reads before it kills
+    /// the server (up to every reply).
     pub nth: u64,
     /// Statements per batch (1–4).
     pub batch: usize,
     /// How the stores rotate.
     pub rotation: Rotation,
-    /// Whether the stores fsync at their flush (always for
-    /// `journal.sync`, which only an fsync reaches).
+    /// Whether the stores fsync at their flush (always for the flush's
+    /// `sync_data`, which only an fsync reaches).
     pub sync: bool,
     /// What follows a fault that poisons or degrades the victim.
     pub after: After,
@@ -253,36 +249,56 @@ impl FaultPlan {
     }
 }
 
-/// Derives the plan for `seed` over `sites` (see the module docs);
-/// `kills`: the run draws Kill cases, as one over every site does. A
-/// replay must repeat the run's `--sites` filter.
-pub fn fault_plan(sites: &[&'static str], kills: bool, seed: u64) -> FaultPlan {
-    if kills && seed % KILL_EVERY == 0 {
-        return kill_plan(seed);
+/// Derives the plan for `seed` (see the module docs): every ninth seed is
+/// a Kill, and the others walk the in-process plans, skipping the Kills.
+pub fn fault_plan(seed: u64) -> FaultPlan {
+    match seed % KILL_EVERY {
+        0 => kill_plan(seed),
+        _ => walk_plan(seed - seed / KILL_EVERY),
     }
-    // The in-process walk skips the Kill seeds.
-    let seed = if kills { seed - seed / KILL_EVERY } else { seed };
-    let n = sites.len() as u64;
-    let site = sites[(seed % n) as usize];
-    let kind = if (seed / n) % 2 == 0 { Kind::Error } else { Kind::Panic };
-    let shards = if (seed / (2 * n)) % 2 == 0 { 1 } else { 2 + (mix(seed, 1) % 3) as usize };
-    let rotation = match mix(seed, 2) % 5 {
-        4 => Rotation::Once,
-        0 => Rotation::Never,
-        r => Rotation::Every(1 + r % 3),
+}
+
+/// The in-process plan at walk position `position` (see the module docs).
+pub fn walk_plan(position: u64) -> FaultPlan {
+    let n = WRITE_PATH.len() as u64;
+    let target = WRITE_PATH[(position % n) as usize];
+    let kind = if (position / n) % 2 == 0 { Kind::Error } else { Kind::Panic };
+    let shards = if (position / (2 * n)) % 2 == 0 { 1 } else { 2 + (mix(position, 1) % 3) as usize };
+    // An operation only a rotation performs is drawn where the stores
+    // rotate, and a remove where a generation expires.
+    let r = mix(position, 2);
+    let rotation = match (target.op, target.ending) {
+        (Op::Append, ".wal") | (Op::SyncData, _) => match r % 5 {
+            4 => Rotation::Once,
+            0 => Rotation::Never,
+            r => Rotation::Every(1 + r % 3),
+        },
+        (Op::Remove, _) => Rotation::Every(1 + r % 3),
+        _ => match r % 4 {
+            3 => Rotation::Once,
+            r => Rotation::Every(1 + r),
+        },
+    };
+    // A single checkpoint writes one snapshot (one append, one rename)
+    // and two files (two creates, two directory syncs): a later hit of
+    // those would never fire.
+    let reach = match (rotation, target.op) {
+        (Rotation::Once, Op::Append | Op::Rename) if target.ending != ".wal" => 1,
+        (Rotation::Once, Op::Create | Op::SyncDir) => 2,
+        _ => 3,
     };
     FaultPlan {
         shards,
-        victim: (mix(seed, 3) % shards as u64) as usize,
-        site,
+        victim: (mix(position, 3) % shards as u64) as usize,
+        target: Some(target),
         kind,
-        nth: 1 + mix(seed, 4) % 3,
-        batch: 1 + (mix(seed, 5) % 4) as usize,
+        nth: 1 + mix(position, 4) % reach,
+        batch: 1 + (mix(position, 5) % 4) as usize,
         rotation,
-        sync: site == "journal.sync" || mix(seed, 6) % 2 == 0,
-        after: if mix(seed, 7) % 2 == 0 { After::Stop } else { After::Rebuild },
-        corpus: if mix(seed, 9) % 2 == 0 { Corpus::Paper } else { Corpus::Random },
-        corpus_seed: mix(seed, 8),
+        sync: target.op == Op::SyncData || mix(position, 6) % 2 == 0,
+        after: if mix(position, 7) % 2 == 0 { After::Stop } else { After::Rebuild },
+        corpus: if mix(position, 9) % 2 == 0 { Corpus::Paper } else { Corpus::Random },
+        corpus_seed: mix(position, 8),
     }
 }
 
@@ -295,7 +311,7 @@ fn kill_plan(seed: u64) -> FaultPlan {
     FaultPlan {
         shards,
         victim: 0,
-        site: "",
+        target: None,
         kind: Kind::Kill,
         nth: (mix(seed, 4) % (replies + replies / 5 + 1)).min(replies),
         batch: 1,
@@ -314,9 +330,6 @@ pub struct FaultDivergence {
     pub seed: u64,
     /// Its plan.
     pub plan: FaultPlan,
-    /// The run's `--sites` filter (the plan is derived from the filtered
-    /// list, so the replay repeats it).
-    pub sites: Option<String>,
     /// What went wrong.
     pub detail: String,
 }
@@ -324,35 +337,22 @@ pub struct FaultDivergence {
 impl FaultDivergence {
     /// A multi-line report ending in the one-line replay command.
     pub fn report(&self) -> String {
-        let p = &self.plan;
-        let seed = self.seed;
-        if p.kind == Kind::Kill {
+        let FaultDivergence { seed, ref detail, .. } = *self;
+        let FaultPlan { shards, victim, target, kind, nth, batch, rotation, sync, after, corpus, .. } =
+            self.plan;
+        let Some(target) = target else {
             return format!(
-                "fault divergence (seed {seed}, {} shards, Kill after {} replies, sync {}, \
-                 corpus {:?})\n  {}\n  \
+                "fault divergence (seed {seed}, {shards} shards, Kill after {nth} replies, sync \
+                 {sync}, corpus {corpus:?})\n  {detail}\n  \
                  replay: cargo build --release && target/release/difftest --faults --seed {seed} \
-                 --cases 1",
-                p.shards, p.nth, p.sync, p.corpus, self.detail
+                 --cases 1"
             );
-        }
-        let filter = self.sites.as_deref().map(|s| format!(" --sites {s}")).unwrap_or_default();
+        };
         format!(
-            "fault divergence (seed {seed}, {k} shards, victim {v}, site {site}, mode {mode:?}, \
-             hit {nth}, batch {batch}, rotation {rotation:?}, sync {sync}, after {after:?}, \
-             corpus {corpus:?})\n  \
-             {detail}\n  \
-             replay: cargo run -p xic-difftest -- --faults --seed {seed} --cases 1{filter}",
-            k = p.shards,
-            v = p.victim,
-            site = p.site,
-            mode = p.kind,
-            nth = p.nth,
-            batch = p.batch,
-            rotation = p.rotation,
-            sync = p.sync,
-            after = p.after,
-            corpus = p.corpus,
-            detail = self.detail,
+            "fault divergence (seed {seed}, {shards} shards, victim {victim}, operation {target}, \
+             mode {kind:?}, hit {nth}, batch {batch}, rotation {rotation:?}, sync {sync}, after \
+             {after:?}, corpus {corpus:?})\n  {detail}\n  \
+             replay: cargo run -p xic-difftest -- --faults --seed {seed} --cases 1"
         )
     }
 }
@@ -362,14 +362,11 @@ impl FaultDivergence {
 pub struct FaultReport {
     /// The run's parameters.
     pub config: Config,
-    /// The `--sites` filter; `None` walked every registered site.
-    pub sites: Option<String>,
     /// Cases whose fault fired.
     pub fired: u64,
     /// Of those, the cases on a [`Corpus::Random`] schema.
     pub fired_random: u64,
-    /// Cases whose victim a contained panic (or a fault after an append)
-    /// poisoned.
+    /// Cases whose victim a contained panic poisoned.
     pub poisoned: u64,
     /// Cases whose victim a failed flush degraded.
     pub degraded: u64,
@@ -379,10 +376,10 @@ pub struct FaultReport {
     pub torn_tails: u64,
     /// Commits restored by the final recoveries, over every shard.
     pub restored: u64,
-    /// Per site of the run's list, the cases whose fault fired, by
+    /// Per operation of [`WRITE_PATH`], the cases whose fault fired, by
     /// column: (Error, K = 1), (Error, K ≥ 2), (Panic, K = 1), (Panic,
     /// K ≥ 2).
-    pub cells: Vec<(&'static str, [u64; 4])>,
+    pub cells: Vec<(Target, [u64; 4])>,
     /// Kill cases drawn.
     pub kill_cases: u64,
     /// Kill cases that SIGKILLed a live server and passed, by K-class.
@@ -394,15 +391,15 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// The (site, column) cells whose fault fired in no case, then the
-    /// Kill columns that killed no live server.
+    /// The (operation, column) cells whose fault fired in no case, then
+    /// the Kill columns that killed no live server.
     pub fn silent_cells(&self) -> Vec<String> {
-        let cells = self.cells.iter().flat_map(|(site, fired)| {
+        let cells = self.cells.iter().flat_map(|(target, fired)| {
             fired
                 .iter()
                 .zip(COLUMNS)
                 .filter(|(n, _)| **n == 0)
-                .map(move |(_, c)| format!("{site} {c}"))
+                .map(move |(_, c)| format!("{target} {c}"))
         });
         let kills = self.kills.iter().zip(&COLUMNS[4..]).filter(|(n, _)| **n == 0);
         cells.chain(kills.map(|(_, c)| c.to_string())).collect()
@@ -417,33 +414,27 @@ impl FaultReport {
     /// kills must have found a statement executing or unread.
     pub fn outcome(&self) -> Outcome {
         let Config { seed, cases } = self.config;
-        let filter = self.sites.as_deref().map(|s| format!(" (sites: {s})")).unwrap_or_default();
         let table: Vec<String> = self
             .cells
             .iter()
-            .map(|(site, n)| format!("{site}={}/{}/{}/{}", n[0], n[1], n[2], n[3]))
+            .map(|(target, n)| format!("{target}={}/{}/{}/{}", n[0], n[1], n[2], n[3]))
             .collect();
-        let killed = self.kills[0] + self.kills[1];
+        let FaultReport { fired, fired_random, poisoned, degraded, rebuilt, .. } = *self;
+        let FaultReport { torn_tails, restored, kills, kills_mid_stream, .. } = *self;
+        let killed = kills[0] + kills[1];
         let summary = format!(
-            "faults: {cases} cases from seed {seed}{filter} — {} divergences, {} faults fired, \
-             {} of them on random schemas, {} victims poisoned, {} degraded, {} rebuilt in \
-             place, {killed} live servers killed, {} of them with a statement executing or \
-             unread, {} torn tails truncated, {} commits restored\nfired by site ({}): {}; \
-             killed ({}): {}/{}",
+            "faults: {cases} cases from seed {seed} — {} divergences, {fired} faults fired, \
+             {fired_random} of them on random schemas, {poisoned} victims poisoned, {degraded} \
+             degraded, {rebuilt} rebuilt in place, {killed} live servers killed, \
+             {kills_mid_stream} of them with a statement executing or unread, {torn_tails} torn \
+             tails truncated, {restored} commits restored\nfired by operation ({}): {}; killed \
+             ({}): {}/{}",
             self.divergences.len(),
-            self.fired,
-            self.fired_random,
-            self.poisoned,
-            self.degraded,
-            self.rebuilt,
-            self.kills_mid_stream,
-            self.torn_tails,
-            self.restored,
             COLUMNS[..4].join(" / "),
             table.join(" "),
             COLUMNS[4..].join(" / "),
-            self.kills[0],
-            self.kills[1],
+            kills[0],
+            kills[1],
         );
         let in_process = cases - self.kill_cases;
         let cells_drawn = in_process >= CELL_ROUNDS * 4 * self.cells.len() as u64;
@@ -453,9 +444,7 @@ impl FaultReport {
             .into_iter()
             .filter(|cell| if cell.starts_with("Kill") { kills_drawn } else { cells_drawn })
             .collect();
-        let floor = if self.cells.is_empty() {
-            Err("faults: the --sites filter matches no registered fault site".to_string())
-        } else if !silent.is_empty() {
+        let floor = if !silent.is_empty() {
             Err(format!("faults: cells that fired in none of {cases} cases: {}", silent.join(", ")))
         } else if cells_drawn && self.fired_random == 0 {
             Err(format!("faults: no fault fired on a random schema in {cases} cases"))
@@ -472,54 +461,38 @@ impl FaultReport {
     }
 }
 
-/// Runs `config.cases` cases from `config.seed` over the sites
-/// `sites_arg` keeps (see [`filter_sites`]); a run over every site draws
-/// Kill cases too. Each case's files live in the system temp directory
-/// and are removed after it.
-pub fn run_faults(config: Config, sites_arg: Option<&str>) -> FaultReport {
-    let sites = filter_sites(sites_arg);
-    let mut report = FaultReport {
-        config,
-        sites: sites_arg.map(str::to_string),
-        cells: sites.iter().map(|&site| (site, [0; 4])).collect(),
-        ..Default::default()
-    };
-    if sites.is_empty() {
-        return report;
-    }
+/// Runs `config.cases` cases from `config.seed`, each the plan `plan`
+/// derives from its seed ([`fault_plan`] for a run of the pass). Each
+/// case's files live in the system temp directory and are removed after
+/// it.
+pub fn run_faults(config: Config, plan: impl Fn(u64) -> FaultPlan) -> FaultReport {
+    let cells = WRITE_PATH.iter().map(|&target| (target, [0; 4])).collect();
+    let mut report = FaultReport { config, cells, ..Default::default() };
     each_case(config, |seed, dir| {
-        let plan = fault_plan(&sites, sites_arg.is_none(), seed);
+        let plan = plan(seed);
         let case = dir.join(scratch_name("faults", seed));
         let result = run_case(plan, &case);
-        xic_faults::disarm_all();
         let _ = std::fs::remove_dir_all(&case);
         report.kill_cases += (plan.kind == Kind::Kill) as u64;
-        match result {
-            Ok(out) if plan.kind == Kind::Kill => {
-                report.kills[plan.column() - 4] += 1;
-                report.kills_mid_stream += out.mid_stream as u64;
-                report.torn_tails += out.torn_tails;
-                report.restored += out.restored;
-            }
-            Ok(out) => {
-                report.fired += out.fired as u64;
-                report.fired_random += (out.fired && plan.corpus == Corpus::Random) as u64;
-                if let Some((_, fired)) = report.cells.iter_mut().find(|(s, _)| *s == plan.site) {
-                    fired[plan.column()] += out.fired as u64;
-                }
-                report.poisoned += out.poisoned as u64;
-                report.degraded += out.degraded as u64;
-                report.rebuilt += out.rebuilt as u64;
-                report.torn_tails += out.torn_tails;
-                report.restored += out.restored;
-            }
-            Err(detail) => report.divergences.push(FaultDivergence {
-                seed,
-                plan,
-                sites: report.sites.clone(),
-                detail,
-            }),
+        let out = match result {
+            Ok(out) => out,
+            Err(detail) => return report.divergences.push(FaultDivergence { seed, plan, detail }),
+        };
+        report.torn_tails += out.torn_tails;
+        report.restored += out.restored;
+        if plan.kind == Kind::Kill {
+            report.kills[plan.column() - 4] += 1;
+            report.kills_mid_stream += out.mid_stream as u64;
+            return;
         }
+        report.fired += out.fired as u64;
+        report.fired_random += (out.fired && plan.corpus == Corpus::Random) as u64;
+        if let Some((_, fired)) = report.cells.iter_mut().find(|(t, _)| Some(*t) == plan.target) {
+            fired[plan.column()] += out.fired as u64;
+        }
+        report.poisoned += out.poisoned as u64;
+        report.degraded += out.degraded as u64;
+        report.rebuilt += out.rebuilt as u64;
     });
     report
 }
@@ -581,30 +554,44 @@ fn draw(plan: FaultPlan) -> Result<Drawn, String> {
         let (dtd, constraints) = (PAPER_DTD.to_string(), conflict_constraint().to_string());
         return Ok(Drawn { gamma: compile(&dtd, &constraints)?, dtd, constraints, shards });
     }
-    let schema = gen::random_schema(&mut rng);
-    let base = gen::random_document(&mut rng, &schema);
-    let constraints = gen::random_constraints(&mut rng, &schema, &base);
-    let gamma = compile(&schema.dtd_text, &constraints)?;
-    for k in 0..plan.shards {
-        // Each statement is drawn over the document the earlier ones
-        // leave, as a fault-free run commits them, so that later selects
-        // still match.
-        let mut scratch = Checker::from_shared(&base, &gamma).map_err(|e| e.to_string())?;
-        let mut stream = Vec::with_capacity(plan.stream(k));
-        for _ in 0..plan.stream(k) {
-            let stmt = parse(&modifications(&gen::random_ops(&mut rng, &schema, scratch.doc())))?;
-            let _ = scratch.try_update(&stmt);
-            stream.push(stmt);
+    // A rotation's later operations are a dozen commits into the victim's
+    // stream: an in-process plan draws its schema again, up to eight
+    // times, while the denials refuse more than half of that stream.
+    for draws in 1.. {
+        let schema = gen::random_schema(&mut rng);
+        let base = gen::random_document(&mut rng, &schema);
+        let constraints = gen::random_constraints(&mut rng, &schema, &base);
+        let gamma = compile(&schema.dtd_text, &constraints)?;
+        let mut victim_commits = 0;
+        shards.clear();
+        for k in 0..plan.shards {
+            // Each statement is drawn over the document the earlier ones
+            // leave, as a fault-free run commits them, so that later
+            // selects still match.
+            let mut scratch = Checker::from_shared(&base, &gamma).map_err(|e| e.to_string())?;
+            let mut stream = Vec::with_capacity(plan.stream(k));
+            for _ in 0..plan.stream(k) {
+                let stmt =
+                    parse(&modifications(&gen::random_ops(&mut rng, &schema, scratch.doc())))?;
+                let applied = scratch.try_update(&stmt).is_ok_and(|o| o.applied());
+                victim_commits += (applied && k == plan.victim) as usize;
+                stream.push(stmt);
+            }
+            shards.push((base.clone(), stream));
         }
-        shards.push((base.clone(), stream));
+        let enough = plan.kind == Kind::Kill || 2 * victim_commits >= plan.stream(plan.victim);
+        if enough || draws == 8 {
+            return Ok(Drawn { gamma, dtd: schema.dtd_text, constraints, shards });
+        }
     }
-    Ok(Drawn { gamma, dtd: schema.dtd_text, constraints, shards })
+    unreachable!("the loop returns at its last draw")
 }
 
 /// Runs one case (see the module docs); its files go under `case`.
 fn run_case(plan: FaultPlan, case: &Path) -> Result<CaseOutcome, String> {
     let Drawn { gamma, dtd, constraints, shards: drawn } = draw(plan)?;
     let root = case.join("root");
+    let faulty = Faulty::real();
     let mut shards = Vec::with_capacity(plan.shards);
     for (k, (base, stream)) in drawn.into_iter().enumerate() {
         let setup = |e: CheckerError| format!("shard {k}: setup failed: {e}");
@@ -614,7 +601,8 @@ fn run_case(plan: FaultPlan, case: &Path) -> Result<CaseOutcome, String> {
             Kind::Kill => None,
             Kind::Error | Kind::Panic => {
                 let mut live = Checker::from_shared(&base, &gamma).map_err(setup)?;
-                live.attach_store(&dir, plan.sync).map_err(setup)?;
+                let fs = if k == plan.victim { faulty.dir() } else { Arc::new(Real) };
+                live.attach_store_in(fs, &dir, plan.sync).map_err(setup)?;
                 live.set_checkpoint_policy(plan.policy());
                 Some(live)
             }
@@ -634,48 +622,19 @@ fn run_case(plan: FaultPlan, case: &Path) -> Result<CaseOutcome, String> {
             in_flight: None,
         });
     }
-    let mut driver = Driver { plan, gamma, dtd, constraints, shards, out: CaseOutcome::default() };
-    let mode = match plan.kind {
-        Kind::Error => FaultMode::Error,
-        Kind::Panic => FaultMode::Panic,
-        Kind::Kill => {
-            driver.kill(case)?;
-            return Ok(driver.out);
-        }
+    let mut driver =
+        Driver { plan, gamma, dtd, constraints, shards, faulty, out: CaseOutcome::default() };
+    let Some(target) = plan.target else {
+        driver.kill(case)?;
+        return Ok(driver.out);
     };
-    let mut trigger = Trigger { site: plan.site, mode, left: plan.nth, fired: false };
-    driver.run(&mut trigger)?;
+    let mode = if plan.kind == Kind::Panic { FaultMode::Panic } else { FaultMode::Error };
+    let under = root.join(format!("shard-{}", plan.victim));
+    driver.faulty.arm(Fault { target, under, nth: plan.nth, mode });
+    driver.run()?;
     driver.recover_all(&root, &case.join("copy"))?;
-    driver.out.fired = trigger.fired;
+    driver.out.fired = driver.faulty.fired();
     Ok(driver.out)
-}
-
-/// The plan's fault, armed only around the victim's work.
-struct Trigger {
-    site: &'static str,
-    mode: FaultMode,
-    /// Hits still to go before the one that triggers.
-    left: u64,
-    fired: bool,
-}
-
-impl Trigger {
-    /// Runs `f`, with the fault armed if `on` and it has not fired yet,
-    /// counting the hits `f` takes toward the trigger; returns them
-    /// (`None`: not armed).
-    fn around<T>(&mut self, on: bool, f: impl FnOnce() -> T) -> (T, Option<u64>) {
-        if !on || self.fired {
-            return (f(), None);
-        }
-        xic_faults::disarm_all();
-        xic_faults::arm(self.site, self.left, self.mode);
-        let out = f();
-        let hits = xic_faults::hits(self.site);
-        xic_faults::disarm_all();
-        self.fired = hits >= self.left;
-        self.left = self.left.saturating_sub(hits);
-        (out, Some(hits))
-    }
 }
 
 /// One shard under the driver: its store and live checker, its twin,
@@ -698,8 +657,8 @@ struct Shard {
     states: Vec<String>,
     /// Commits a flush acknowledged, or a recovery restored.
     acked: usize,
-    /// The statement a contained panic or a fault after an append
-    /// poisoned the shard on: its record may be whole on disk, uncounted.
+    /// The statement a contained panic poisoned the shard on: its record
+    /// may be whole on disk, uncounted.
     in_flight: Option<XUpdateDoc>,
 }
 
@@ -719,20 +678,18 @@ impl Shard {
             Ok(out) => Some(out.outcome.applied()),
             // Applied, its record written, but not acknowledged.
             Err(ServiceError::SyncFailed(_)) => Some(true),
-            Err(ServiceError::Checker(E::Statement(m))) if !m.contains("injected fault") => None,
-            // The faulted batch only: the statement the fault hit, and
-            // those a poisoned checker then refused.
-            Err(ServiceError::Checker(E::Panicked(_) | E::Journal(_)))
+            // A statement that does not apply, as on the twin.
+            Err(ServiceError::Checker(E::Statement(_))) => None,
+            // The faulted batch only: the statement whose panic poisoned
+            // the shard, the one whose append failed, and those a
+            // poisoned checker then refused.
+            Err(ServiceError::Checker(E::Panicked(_)))
                 if faulted && poisoned && self.in_flight.is_none() =>
             {
                 self.in_flight = Some(stmt.clone());
                 return Ok(());
             }
-            Err(ServiceError::Checker(E::Statement(_) | E::Journal(_) | E::Poisoned))
-                if faulted =>
-            {
-                return Ok(())
-            }
+            Err(ServiceError::Checker(E::Journal(_) | E::Poisoned)) if faulted => return Ok(()),
             Err(e) => return Err(format!("unexpected batch result: {e}")),
         };
         let twin = self.twin.try_update(stmt);
@@ -837,17 +794,19 @@ struct Driver {
     dtd: String,
     constraints: String,
     shards: Vec<Shard>,
+    /// The victim's store's file system, the plan's fault armed in it.
+    faulty: Faulty,
     out: CaseOutcome,
 }
 
 impl Driver {
     /// Runs the streams round-robin, a batch per shard per round, until
     /// every live shard is through its stream.
-    fn run(&mut self, trigger: &mut Trigger) -> Result<(), String> {
+    fn run(&mut self) -> Result<(), String> {
         loop {
             let mut ran = false;
             for s in 0..self.shards.len() {
-                let end = if s == self.plan.victim && !trigger.fired { STREAM_CAP } else { STREAM };
+                let end = if s == self.plan.victim && !self.faulty.fired() { STREAM_CAP } else { STREAM };
                 let shard = &self.shards[s];
                 if shard.live.is_none() || shard.next >= end {
                     continue;
@@ -857,13 +816,13 @@ impl Driver {
                     && !shard.checkpointed
                     && shard.next >= STREAM / 2
                 {
-                    self.checkpoint(s, trigger).map_err(|e| format!("shard {s}: {e}"))?;
+                    self.checkpoint(s).map_err(|e| format!("shard {s}: {e}"))?;
                     continue;
                 }
                 let batch =
                     shard.stream[shard.next..end.min(shard.next + self.plan.batch)].to_vec();
                 self.shards[s].next += batch.len();
-                self.batch(s, &batch, trigger).map_err(|e| format!("shard {s}: {e}"))?;
+                self.batch(s, &batch).map_err(|e| format!("shard {s}: {e}"))?;
             }
             if !ran {
                 return Ok(());
@@ -872,26 +831,26 @@ impl Driver {
     }
 
     /// Runs one batch on shard `s` and holds it to the oracle.
-    fn batch(
-        &mut self,
-        s: usize,
-        stmts: &[XUpdateDoc],
-        trigger: &mut Trigger,
-    ) -> Result<(), String> {
-        let victim = s == self.plan.victim;
+    fn batch(&mut self, s: usize, stmts: &[XUpdateDoc]) -> Result<(), String> {
+        // The victim's store is in the `Faulty` until its fault fired (a
+        // rebuilt victim's is in the real file system).
+        let armed = s == self.plan.victim && !self.faulty.fired();
+        let hits = self.faulty.hits();
         let shard = &mut self.shards[s];
         let checker = shard.live.as_mut().ok_or("a stopped shard ran a batch")?;
         let items: Vec<BatchStmt> =
             stmts.iter().map(|stmt| BatchStmt { stmt, budget: None }).collect();
         let before = checker.committed();
-        let (outcome, hits) = trigger.around(victim, || apply_batch(checker, &items));
-        let faulted = hits.is_some() && trigger.fired;
+        let outcome = apply_batch(checker, &items);
+        let faulted = armed && self.faulty.fired();
         let (poisoned, degraded) = (checker.poisoned(), checker.degraded());
         let appended = checker.committed() > before;
         let state = serialize(checker.doc());
-        if let Some(hits) = hits.filter(|_| self.plan.site == "journal.sync") {
-            if hits > 1 || (self.plan.sync && appended && hits == 0) {
-                return Err(format!("a batch reached journal.sync {hits} times"));
+        let flush = Target { op: Op::SyncData, ending: ".wal" };
+        if armed && self.plan.target == Some(flush) {
+            let fsyncs = self.faulty.hits() - hits;
+            if fsyncs > 1 || (self.plan.sync && appended && fsyncs == 0) {
+                return Err(format!("a batch fsynced its segment {fsyncs} times"));
             }
         }
         let sync_failed = matches!(outcome.disposition, BatchDisposition::SyncFailed(_));
@@ -939,21 +898,20 @@ impl Driver {
     }
 
     /// Takes the `Once` rotation's explicit checkpoint on shard `s`.
-    fn checkpoint(&mut self, s: usize, trigger: &mut Trigger) -> Result<(), String> {
-        let victim = s == self.plan.victim;
+    fn checkpoint(&mut self, s: usize) -> Result<(), String> {
+        let armed = s == self.plan.victim && !self.faulty.fired();
         let shard = &mut self.shards[s];
         shard.checkpointed = true;
         let checker = shard.live.as_mut().ok_or("a stopped shard took a checkpoint")?;
-        let (result, hits) =
-            trigger.around(victim, || catch_unwind(AssertUnwindSafe(|| checker.checkpoint())));
-        let faulted = hits.is_some() && trigger.fired;
+        let result = catch_unwind(AssertUnwindSafe(|| checker.checkpoint()));
+        let faulted = armed && self.faulty.fired();
         match result {
             // A failed rotation leaves the old generation live, and the
-            // crash comes later.
-            Ok(Ok(_)) if faulted && self.plan.kind == Kind::Error => Err(format!(
-                "checkpoint() reported success over an injected error at {}",
-                self.plan.site
-            )),
+            // crash comes later. (A remove, whose failure a rotation
+            // survives, is drawn only where rotations are automatic.)
+            Ok(Ok(_)) if faulted && self.plan.kind == Kind::Error => {
+                Err("checkpoint() reported success over an injected error".to_string())
+            }
             Ok(Ok(_)) => Ok(()),
             Ok(Err(_)) if faulted => Ok(()),
             Ok(Err(e)) => Err(format!("an unfaulted checkpoint failed: {e}")),
@@ -1387,14 +1345,14 @@ mod tests {
 
     #[test]
     fn plans_are_deterministic_and_draw_every_value_in_both_k_classes() {
-        assert_eq!(fault_plan(SITES, false, 4242), fault_plan(SITES, false, 4242));
-        let plans: Vec<FaultPlan> = (1..=400).map(|seed| fault_plan(SITES, false, seed)).collect();
+        assert_eq!(walk_plan(4242), walk_plan(4242));
+        let plans: Vec<FaultPlan> = (1..=400).map(walk_plan).collect();
         for multi in [false, true] {
             let class: Vec<&FaultPlan> = plans.iter().filter(|p| (p.shards > 1) == multi).collect();
             let draws = |f: &dyn Fn(&FaultPlan) -> bool| class.iter().any(|p| f(p));
-            for site in SITES {
+            for target in WRITE_PATH {
                 for kind in [Kind::Error, Kind::Panic] {
-                    assert!(draws(&|p| p.site == *site && p.kind == kind), "{site} {kind:?}");
+                    assert!(draws(&|p| p.target == Some(target) && p.kind == kind), "{target} {kind:?}");
                 }
             }
             let shards: &[usize] = if multi { &[2, 3, 4] } else { &[1] };
@@ -1430,20 +1388,36 @@ mod tests {
                 assert!(draws(&|p| p.corpus == corpus), "{corpus:?}");
             }
         }
-        // A site is drawn only where the plan can reach it.
-        assert!(plans.iter().all(|p| p.site != "journal.sync" || p.sync));
-        assert!(plans.iter().all(|p| p.victim < p.shards));
+        // An operation is drawn only where the plan can reach it: the
+        // flush's fsync where the stores sync, a rotation's operations
+        // where they rotate, a remove where a generation expires.
+        for p in &plans {
+            let target = p.target.expect("an in-process plan");
+            match target.op {
+                Op::SyncData => assert!(p.sync, "{p:?}"),
+                Op::Append if target.ending == ".wal" => {}
+                Op::Remove => assert!(matches!(p.rotation, Rotation::Every(_)), "{p:?}"),
+                _ => assert!(p.rotation != Rotation::Never, "{p:?}"),
+            }
+            if p.rotation == Rotation::Once {
+                match (target.op, target.ending) {
+                    (Op::Append, ".wal") | (Op::SyncData, _) => {}
+                    (Op::Create | Op::SyncDir, _) => assert!(p.nth <= 2, "{p:?}"),
+                    _ => assert_eq!(p.nth, 1, "{p:?}"),
+                }
+            }
+            assert!(p.victim < p.shards);
+        }
     }
 
     #[test]
     fn every_ninth_seed_is_a_kill_and_the_others_walk_the_in_process_plans() {
-        let plans: Vec<FaultPlan> = (1..=225).map(|seed| fault_plan(SITES, true, seed)).collect();
+        let plans: Vec<FaultPlan> = (1..=225).map(fault_plan).collect();
         let (kills, in_process): (Vec<&FaultPlan>, Vec<&FaultPlan>) =
             plans.iter().partition(|p| p.kind == Kind::Kill);
         assert_eq!(kills.len(), 25);
-        let filtered: Vec<FaultPlan> =
-            (1..=200).map(|seed| fault_plan(SITES, false, seed)).collect();
-        assert!(in_process.into_iter().eq(filtered.iter()), "the in-process walk moved");
+        let walked: Vec<FaultPlan> = (1..=200).map(walk_plan).collect();
+        assert!(in_process.into_iter().eq(walked.iter()), "the in-process walk moved");
         let draws = |f: &dyn Fn(&FaultPlan) -> bool| kills.iter().filter(|p| f(p)).count();
         assert_eq!(draws(&|p| p.shards == 1), 12);
         for k in 2..=4 {
@@ -1461,40 +1435,26 @@ mod tests {
         let last = |p: &FaultPlan| p.nth as usize == p.shards * KILL_STREAM;
         assert!((2..=8).contains(&draws(&last)), "{} kills after the last reply", draws(&last));
         assert!(kills.iter().all(|p| p.nth as usize <= p.shards * KILL_STREAM));
-        assert!(kills.iter().all(|p| p.site.is_empty() && p.rotation == Rotation::Never));
-    }
-
-    #[test]
-    fn site_filter_restricts_the_walk() {
-        let commit = filter_sites(Some("commit,journal"));
-        assert_eq!(commit, ["checker.commit.pre", "checker.commit.post", "journal.sync"]);
-        assert!((0..24).all(|seed| commit.contains(&fault_plan(&commit, false, seed).site)));
-        assert!(filter_sites(Some("no-such-site")).is_empty());
-        let none = run_faults(Config { seed: 1, cases: 1 }, Some("no-such-site")).outcome();
-        assert!(none.floor.is_err(), "an empty site list passed");
-        assert_eq!(filter_sites(None), SITES);
+        assert!(kills.iter().all(|p| p.target.is_none() && p.rotation == Rotation::Never));
     }
 
     #[test]
     fn the_floor_names_a_cell_that_never_fired_and_wants_random_schemas() {
-        let report = |cases, cells: Vec<(&'static str, [u64; 4])>| FaultReport {
+        let (append, sync) = (WRITE_PATH[0], WRITE_PATH[1]);
+        let report = |cases, cells: Vec<(Target, [u64; 4])>| FaultReport {
             config: Config { seed: 1, cases },
             cells,
             fired_random: 1,
             ..Default::default()
         };
-        // Two sites, eight cells: the floor holds from 24 cases on.
-        let one_silent =
-            || vec![("journal.sync", [1, 2, 1, 1]), ("checker.commit.pre", [3, 0, 2, 2])];
+        // Two operations, eight cells: the floor holds from 24 cases on.
+        let one_silent = || vec![(sync, [1, 2, 1, 1]), (append, [3, 0, 2, 2])];
         let floor = report(24, one_silent()).outcome().floor.unwrap_err();
-        assert_eq!(
-            floor,
-            "faults: cells that fired in none of 24 cases: checker.commit.pre Error K≥2"
-        );
+        assert_eq!(floor, "faults: cells that fired in none of 24 cases: append(.wal) Error K≥2");
         assert_eq!(report(23, one_silent()).outcome().floor, Ok(()));
-        assert_eq!(report(24, vec![("journal.sync", [1, 1, 1, 1])]).outcome().floor, Ok(()));
+        assert_eq!(report(24, vec![(sync, [1, 1, 1, 1])]).outcome().floor, Ok(()));
         let paper_only = FaultReport { fired_random: 0, ..report(24, one_silent()) };
-        let paper_only = FaultReport { cells: vec![("journal.sync", [1, 1, 1, 1])], ..paper_only };
+        let paper_only = FaultReport { cells: vec![(sync, [1, 1, 1, 1])], ..paper_only };
         assert_eq!(
             paper_only.outcome().floor.unwrap_err(),
             "faults: no fault fired on a random schema in 24 cases"
@@ -1503,7 +1463,7 @@ mod tests {
         assert_eq!(lines.lines().count(), 2, "{lines}");
         assert!(lines.ends_with("; killed (Kill K=1 / Kill K≥2): 0/0"), "{lines}");
         assert!(
-            lines.lines().nth(1).is_some_and(|l| l.contains("checker.commit.pre=3/0/2/2")),
+            lines.lines().nth(1).is_some_and(|l| l.contains("append(.wal)=3/0/2/2")),
             "{lines}"
         );
     }
@@ -1512,7 +1472,7 @@ mod tests {
     fn the_kill_floor_wants_both_k_classes_and_half_the_kills_mid_stream() {
         let report = |kill_cases, kills, kills_mid_stream| FaultReport {
             config: Config { seed: 1, cases: kill_cases },
-            cells: vec![("journal.sync", [0; 4])],
+            cells: vec![(WRITE_PATH[1], [0; 4])],
             kill_cases,
             kills,
             kills_mid_stream,
@@ -1533,44 +1493,46 @@ mod tests {
 
     #[test]
     fn small_run_has_no_divergences_and_fires_in_both_k_classes() {
-        // Every site, named: no Kill, which spawns the server built beside
-        // the binary (`tests/cli.rs` runs those).
-        let every_site = SITES.join(",");
-        let config = Config { seed: 1, cases: 2 * SITES.len() as u64 * 2 };
-        let report = run_faults(config, Some(&every_site));
+        // The first two rounds of the walk, every cell twice: no Kill,
+        // which spawns the server built beside the binary (`tests/cli.rs`
+        // runs those).
+        let cases = 2 * 4 * WRITE_PATH.len() as u64;
+        let report = run_faults(Config { seed: 1, cases }, walk_plan);
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }
         assert!(report.divergences.is_empty());
-        assert_eq!(report.fired, report.config.cases, "{}", report.outcome().summary);
+        let summary = report.outcome().summary;
+        assert_eq!(report.fired, report.config.cases, "{summary}");
         assert!(
             report.poisoned > 0 && report.degraded > 0 && report.rebuilt > 0
                 && report.fired_random > 0,
-            "{}",
-            report.outcome().summary
+            "{summary}"
         );
         assert!(report.restored > 0, "no commit was restored");
     }
 
     #[test]
-    fn every_planned_journal_sync_fault_fires_and_degrades_then_replays() {
+    fn every_planned_flush_fault_fires_and_degrades_then_replays() {
         // The flush is the one durability point, reached once by every
         // batch that appended; the victim runs on until the fault fires.
-        // A fired sync fault degrades the victim in both modes, and the
+        // A fired fsync fault degrades the victim in both modes, and the
         // oracle then holds its recovery — a rebuild or the final one —
-        // to the acknowledged prefix.
-        let sync = filter_sites(Some("journal.sync"));
-        let report = run_faults(Config { seed: 1, cases: 16 }, Some("journal.sync"));
+        // to the acknowledged prefix. Walk positions 1, 8, 15, … are the
+        // flush's, in every column in turn.
+        let n = WRITE_PATH.len() as u64;
+        assert_eq!(WRITE_PATH[1], Target { op: Op::SyncData, ending: ".wal" });
+        let flush = |i: u64| walk_plan(1 + n * i);
+        let report = run_faults(Config { seed: 0, cases: 16 }, flush);
         for d in &report.divergences {
             eprintln!("{}", d.report());
         }
         assert!(report.divergences.is_empty());
         assert_eq!(report.fired, 16, "{}", report.outcome().summary);
         assert_eq!(report.degraded, 16, "{}", report.outcome().summary);
-        let rebuilds =
-            (1..=16).filter(|&seed| fault_plan(&sync, false, seed).after == After::Rebuild).count();
+        let rebuilds = (0..16).filter(|&i| flush(i).after == After::Rebuild).count();
         assert!(rebuilds > 0);
         assert_eq!(report.rebuilt, rebuilds as u64, "{}", report.outcome().summary);
-        assert!(report.cells[0].1.iter().all(|&n| n == 4), "{:?}", report.cells);
+        assert_eq!(report.cells[1].1, [4; 4], "{:?}", report.cells);
     }
 }

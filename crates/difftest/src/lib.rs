@@ -181,7 +181,7 @@ pub(crate) fn each_case(config: Config, mut case: impl FnMut(u64, &Path)) {
 pub struct Outcome {
     /// The pass's stdout summary: one line starting with the pass's name
     /// (the campaign and the fault harness add a second, `op mix: …` /
-    /// `fired by site …`).
+    /// `fired by operation …`).
     pub summary: String,
     /// Every divergence, rendered, each ending in its one-line replay
     /// command.

@@ -9,7 +9,6 @@
 //! cargo run -p xic-difftest -- --seed 4242 --dump     # print its artifacts
 //! cargo run --release -p xic-difftest -- --multi-op --cases 500 --seed 1
 //! cargo build --release && target/release/difftest --faults --cases 225 --seed 1
-//! cargo run -p xic-difftest -- --faults --cases 24 --sites commit,journal
 //! cargo run -p xic-difftest -- --snapshot-decide --cases 300 --seed 1
 //! cargo run --release -p xic-difftest -- --pattern-digest --cases 3000 --seed 0
 //! cargo run --release -p xic-difftest -- --crash-states --cases 4 --seed 0
@@ -30,9 +29,10 @@
 //!   statement that inserted into and removed from one relation, and one
 //!   whose later select matched other nodes after the operations before
 //!   it.
-//! * `--faults` — `fault`: a seeded error or panic at a fault site hits
-//!   one shard of a set of one to four, driven in batches through the
-//!   write path every submission runs; siblings never notice, every
+//! * `--faults` — `fault`: a seeded failing or panicking file operation
+//!   of one shard's store (an operation of `xic_faults::WRITE_PATH`)
+//!   hits one shard of a set of one to four, driven in batches through
+//!   the write path every submission runs; siblings never notice, every
 //!   shard recovers its acknowledged prefix (plus at most the statement
 //!   in flight) byte for byte against a never-faulted twin, a failed
 //!   flush degrades, and parallel recovery equals sequential recovery.
@@ -40,14 +40,12 @@
 //!   binary (`cargo build --release` builds both; without it the case
 //!   fails) serves the set over a Unix socket, one pipelined connection
 //!   per shard, and is SIGKILLed at a seeded reply count; the same oracle
-//!   holds its replies, its store and its restart. `--sites PAT,PAT…`
-//!   keeps the sites matching a pattern by substring (a replay must
-//!   repeat it) and draws no Kill. The summary is followed by a coverage
-//!   line, faults fired by site × mode × K-class and live servers killed
-//!   by K-class. Floors: every (site, mode, K-class) cell fired (≥ 3 ×
-//!   4 × sites in-process cases), both K-classes killed a live server
-//!   and half the kills found a statement executing or unread (≥ 6
-//!   Kills).
+//!   holds its replies, its store and its restart. The summary is
+//!   followed by a coverage line, faults fired by operation × mode ×
+//!   K-class and live servers killed by K-class. Floors: every
+//!   (operation, mode, K-class) cell fired (≥ 3 × 4 × operations
+//!   in-process cases), both K-classes killed a live server and half the
+//!   kills found a statement executing or unread (≥ 6 Kills).
 //! * `--snapshot-decide` — `snapshot` (oracle 7): `ReadSnapshot::decide`
 //!   answers what the writer would, with independence on and off. Floors
 //!   (≥ 100 cases): both the optimized and the fallback path decided
@@ -88,7 +86,7 @@ const MODES: [Mode; 6] = [
     },
     Mode {
         flag: "--faults",
-        run: |a| fault::run_faults(a.config, a.sites.as_deref()).outcome(),
+        run: |a| fault::run_faults(a.config, fault::fault_plan).outcome(),
         contained_panics: true,
     },
     Mode {
@@ -111,13 +109,11 @@ const MODES: [Mode; 6] = [
 struct Args {
     mode: &'static Mode,
     config: Config,
-    sites: Option<String>,
     dump: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args =
-        Args { mode: &MODES[0], config: Config { seed: 1, cases: 1 }, sites: None, dump: false };
+    let mut args = Args { mode: &MODES[0], config: Config { seed: 1, cases: 1 }, dump: false };
     let mut words = argv.iter();
     while let Some(word) = words.next() {
         // Accept both `--key=value` and `--key value`.
@@ -134,7 +130,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match key {
             "--cases" => args.config.cases = value()?.parse().map_err(|e| format!("--cases: {e}"))?,
             "--seed" => args.config.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--sites" => args.sites = Some(value()?),
             "--dump" => args.dump = true,
             flag => match MODES[1..].iter().find(|mode| mode.flag == flag) {
                 Some(mode) if args.mode.flag.is_empty() || args.mode.flag == mode.flag => {
@@ -156,15 +151,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     if args.dump && !args.mode.flag.is_empty() {
         return Err(format!("--dump only applies without a mode flag, not to {}", args.mode.flag));
     }
-    if let Some(sites) = &args.sites {
-        if args.mode.flag != "--faults" {
-            return Err("--sites only applies to --faults".to_string());
-        }
-        // An empty site list is a usage error, not a passing 0-site run.
-        if fault::filter_sites(Some(sites)).is_empty() {
-            return Err(format!("--sites {sites} matches no registered fault site"));
-        }
-    }
     Ok(args)
 }
 
@@ -175,7 +161,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("difftest: {e}");
             eprintln!(
-                "usage: difftest [--dump | --multi-op | --faults [--sites PAT,PAT…] | \
+                "usage: difftest [--dump | --multi-op | --faults | \
                  --snapshot-decide | --pattern-digest | --crash-states] [--cases N] [--seed N]"
             );
             return ExitCode::from(2);

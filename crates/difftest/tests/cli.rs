@@ -57,8 +57,8 @@ fn misuse_exits_2_with_one_difftest_line() {
         &["--cases", "0"],
         &["--faults", "--snapshot-decide"],
         &["--multi-op", "--faults"],
-        &["--sites", "journal"],
-        &["--faults", "--sites", "no-such-site"],
+        &["--faults", "--sites", "journal"],
+        &["--faults", "--cases", "x"],
         &["--dump", "--faults"],
         &["--out", "f"],
         &["--frobnicate"],

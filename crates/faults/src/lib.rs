@@ -1,311 +1,361 @@
-//! Seed-deterministic fault injection for crash and error-path testing.
+//! Test-only fault injection: [`Faulty`], a `Dir` that fails or panics one
+//! file operation of the store it is given.
 //!
-//! Production code threads *named fault sites* through its write paths by
-//! calling [`fire`] at the boundaries a fault must be able to strike (per
-//! XUpdate operation, either side of a commit's append, the flush). What a
-//! crash or a failed file operation does *inside* the store's I/O is
-//! enumerated over a simulated directory instead (`xic_xml::dir`). A test harness then *arms* a site with
-//! [`arm`]`(site, nth, mode)`: the `nth` time that site is hit, the
-//! configured fault triggers — a panic or an injected `Err` — and every
-//! other hit is a no-op.
-//!
-//! Design constraints:
-//!
-//! - **Disarmed cost is one relaxed atomic load.** When nothing is armed
-//!   (the production state), [`fire`] reads a single `AtomicBool` and
-//!   returns; the registry mutex is never touched.
-//! - **Deterministic.** Triggering depends only on the arm parameters and
-//!   the hit order, so a crash case is replayable from `(seed, site, nth)`.
-//! - **Thread-safe and thread-scoped.** The registry is a mutex-guarded
-//!   table; hit counting is serialized, and the fault itself triggers
-//!   after the lock is released so a panic never poisons the registry.
-//!   A fault only counts and triggers hits from the thread that armed it,
-//!   and [`disarm_all`] and [`hits`] only see the calling thread's
-//!   faults, so concurrently running tests (each on its own harness
-//!   thread) and unrelated worker threads cannot consume, trip, clear or
-//!   misread each other's faults. Thread scoping is also what makes
-//!   *shard-scoped* injection work: a harness that runs every shard's
-//!   batches on its own thread and arms only around the victim's faults
-//!   exactly that shard while its siblings commit untouched.
-//!
-//! The canonical list of sites compiled into the workspace is [`SITES`];
-//! the fault harness in `xic-difftest` walks it.
+//! A store holds only checked commits, so a fault can change the disk only
+//! at one of the store's file operations, all of which go through an
+//! `xic_xml::dir::Dir`. [`Faulty`] wraps another `Dir`, counts operations
+//! by kind and, once armed with a [`Fault`], fails or panics the `nth`
+//! operation of one [`Target`] under a path prefix (so a fault can hit one
+//! shard of a set); an append it fails writes half its bytes first. The
+//! store holds it, not the process, and no production crate depends on
+//! this one. [`Op`] is shared with `difftest --crash-states`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::fmt;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// What happens when an armed site reaches its trigger hit.
+use xic_xml::dir::{Dir, File, Real};
+
+/// One kind of file operation of a store: a [`Dir`] method or a [`File`]
+/// method.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Op {
+    Create,
+    Open,
+    Read,
+    List,
+    CreateDir,
+    SyncDir,
+    Rename,
+    Remove,
+    Append,
+    SetLen,
+    SyncData,
+}
+
+impl Op {
+    /// The method's name.
+    pub fn name(self) -> &'static str {
+        const NAMES: [&str; 11] = [
+            "create", "open", "read", "list", "create_dir", "sync_dir", "rename", "remove", "append",
+            "set_len", "sync_data",
+        ];
+        NAMES[self as usize]
+    }
+}
+
+/// What an armed fault does to the operation it strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {
-    /// `panic!` at the site. Combined with the `catch_unwind` containment
-    /// in `xicheck`, this simulates a crash in-process: the in-memory
-    /// state is lost (checker poisoned) while on-disk state is left
-    /// exactly as a process crash would leave it, because journal writes
-    /// are unbuffered.
-    Panic,
-    /// Return `Err(FaultError)` from [`fire`], exercising error-handling
-    /// paths (a dropped copy, a degraded checker) without terminating
-    /// anything. Nothing retries it: a failed write or fsync is final.
+    /// The operation fails with an I/O error. Nothing retries it: a
+    /// failed write or fsync is final.
     Error,
+    /// The operation panics, as a crash in the middle of it would end
+    /// the process; what it wrote stays on disk.
+    Panic,
 }
 
-/// The injected error returned by [`fire`] for [`FaultMode::Error`]
-/// faults.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultError {
-    /// The site that triggered.
-    pub site: &'static str,
+/// The operations of one kind on paths whose file name ends in `ending`
+/// (`""`: any).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Target {
+    pub op: Op,
+    pub ending: &'static str,
 }
 
-impl std::fmt::Display for FaultError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "injected fault (error) at site `{}`", self.site)
+impl fmt::Display for Target {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.ending {
+            "" => f.write_str(self.op.name()),
+            ending => write!(f, "{}({ending})", self.op.name()),
+        }
     }
 }
 
-impl std::error::Error for FaultError {}
-
-/// Fault sites compiled into the workspace write paths, in write-path
-/// order, each a boundary with a meaning of its own (between two file
-/// operations is `difftest --crash-states`' to enumerate). The fault
-/// harness walks this list; a ci.sh stage holds it equal to the `fire`
-/// calls.
-pub const SITES: &[&str] = &[
-    // Fired before each XUpdate operation is applied to the tree
-    // (`xic_xml::xupdate::apply`). Hit once per op, so `nth` selects the
-    // op index within a batch.
-    "xupdate.apply.op",
-    // Checker commit, after the update is applied and checked but before
-    // the journal record is appended: nothing of the statement is on
-    // disk.
-    "checker.commit.pre",
-    // Checker commit, after the journal record is appended but before it
-    // is flushed: the record may be whole on disk, unacknowledged.
-    "checker.commit.post",
-    // The flush (`Journal::sync_now`), before the data reaches the disk:
-    // the one durability point, once per direct statement or batch that
-    // appended a record. A fault here degrades the checker to read-only;
-    // nothing retries the fsync.
-    "journal.sync",
+/// The operations a store's writes perform, in write-path order: what a
+/// fault harness aims at.
+pub const WRITE_PATH: [Target; 7] = [
+    // A commit record (or, in a rotation, the new segment's header).
+    Target { op: Op::Append, ending: ".wal" },
+    // The flush: the one fsync of a segment, where the store syncs.
+    Target { op: Op::SyncData, ending: ".wal" },
+    // A rotation: the snapshot's temporary file, then the new segment.
+    Target { op: Op::Create, ending: "" },
+    // The snapshot's content.
+    Target { op: Op::Append, ending: ".ckpt.tmp" },
+    // The snapshot into its final name.
+    Target { op: Op::Rename, ending: "" },
+    // The snapshot's name, then the new segment's.
+    Target { op: Op::SyncDir, ending: "" },
+    // An expired generation's files.
+    Target { op: Op::Remove, ending: "" },
 ];
 
-struct ArmedFault {
-    site: String,
-    nth: u64,
+/// A fault: the `nth` (from 1) operation of `target` under `under`, from
+/// the moment it is armed, fails or panics; every other passes through.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fault {
+    pub target: Target,
+    pub under: PathBuf,
+    pub nth: u64,
+    pub mode: FaultMode,
+}
+
+#[derive(Debug, Default)]
+struct State {
+    fault: Option<Fault>,
+    /// Operations the armed fault matched, the one it struck included.
     hits: u64,
-    mode: FaultMode,
-    /// The arming thread: the fault's owner for [`disarm_all`] and
-    /// [`hits`], and the only thread whose hits count (see module docs)
-    /// unless the fault was armed with [`arm_any_thread`].
-    thread: std::thread::ThreadId,
-    /// Armed via [`arm_any_thread`]: hits from every thread count.
-    any_thread: bool,
+    fired: bool,
+    /// Operations by kind since the `Faulty` was made.
+    counts: [u64; 11],
 }
 
-static ANY_ARMED: AtomicBool = AtomicBool::new(false);
-static REGISTRY: Mutex<Vec<ArmedFault>> = Mutex::new(Vec::new());
-
-fn registry() -> std::sync::MutexGuard<'static, Vec<ArmedFault>> {
-    // A panic raised by a triggering fault never holds this lock (see
-    // `fire_slow`), but an unrelated test panic could; recover the data
-    // rather than cascading.
-    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+/// A [`Dir`] over another one that counts its operations and fails or
+/// panics the one an armed [`Fault`] names (see the crate docs). Clones
+/// share the counts and the fault: a test keeps one and gives the store
+/// another.
+#[derive(Debug, Clone)]
+pub struct Faulty {
+    inner: Arc<dyn Dir>,
+    state: Arc<Mutex<State>>,
 }
 
-/// Arm `site` to trigger `mode` on its `nth` hit (1-based), counting only
-/// hits from the calling thread. Hits before and after the `nth` pass
-/// through untouched: the fault is single-shot.
-///
-/// Arming the same site twice stacks two independent triggers; use
-/// [`disarm_all`] between test cases.
-pub fn arm(site: &str, nth: u64, mode: FaultMode) {
-    arm_inner(site, nth, mode, false);
-}
-
-/// Like [`arm`], but hits from *every* thread count and trigger. Needed
-/// to fault code that runs on threads the harness does not own — e.g.
-/// a batch fsync a service runs on another submitter's thread, when that
-/// submitter leads the batch. Use sparingly: concurrent
-/// tests arming the same site this way will consume each other's hits.
-pub fn arm_any_thread(site: &str, nth: u64, mode: FaultMode) {
-    arm_inner(site, nth, mode, true);
-}
-
-fn arm_inner(site: &str, nth: u64, mode: FaultMode, any_thread: bool) {
-    let mut reg = registry();
-    reg.push(ArmedFault {
-        site: site.to_string(),
-        nth: nth.max(1),
-        hits: 0,
-        mode,
-        thread: std::thread::current().id(),
-        any_thread,
-    });
-    ANY_ARMED.store(true, Ordering::Release);
-}
-
-/// Disarm every fault the calling thread armed ([`arm_any_thread`] ones
-/// included), dropping their hit counts. Faults armed by other threads
-/// stay armed: a test cleaning up must not disarm its neighbours.
-pub fn disarm_all() {
-    let me = std::thread::current().id();
-    let mut reg = registry();
-    reg.retain(|f| f.thread != me);
-    ANY_ARMED.store(!reg.is_empty(), Ordering::Release);
-}
-
-/// True if any site is currently armed.
-pub fn any_armed() -> bool {
-    ANY_ARMED.load(Ordering::Acquire)
-}
-
-/// How many times `site` has been hit since the calling thread armed it
-/// (0 if it has not). When the thread armed the site more than once,
-/// returns the maximum.
-pub fn hits(site: &str) -> u64 {
-    let me = std::thread::current().id();
-    registry()
-        .iter()
-        .filter(|f| f.site == site && f.thread == me)
-        .map(|f| f.hits)
-        .max()
-        .unwrap_or(0)
-}
-
-/// A fault site. Call this at the point in a write path where a crash or
-/// I/O failure should be injectable. Returns `Ok(())` unless an armed
-/// [`FaultMode::Error`] fault triggers; `Panic` faults do not return.
-#[inline]
-pub fn fire(site: &'static str) -> Result<(), FaultError> {
-    if !ANY_ARMED.load(Ordering::Relaxed) {
-        return Ok(());
+impl Faulty {
+    /// Over the real file system, counting, with nothing armed.
+    pub fn real() -> Faulty {
+        Faulty { inner: Arc::new(Real), state: Arc::default() }
     }
-    fire_slow(site)
+
+    /// This `Faulty`, as the `Dir` a store holds.
+    pub fn dir(&self) -> Arc<dyn Dir> {
+        Arc::new(self.clone())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // A fault's panic never holds the lock (see `strike`).
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Arms `fault`, in place of any armed before; its count of matching
+    /// operations starts now.
+    pub fn arm(&self, fault: Fault) {
+        let mut state = self.lock();
+        (state.fault, state.hits, state.fired) = (Some(fault), 0, false);
+    }
+
+    /// True once the armed fault struck.
+    pub fn fired(&self) -> bool {
+        self.lock().fired
+    }
+
+    /// The operations the armed fault matched since it was armed, the one
+    /// it struck and those after it included.
+    pub fn hits(&self) -> u64 {
+        self.lock().hits
+    }
+
+    /// The operations of kind `op` so far, faulted ones included.
+    pub fn count(&self, op: Op) -> u64 {
+        self.lock().counts[op as usize]
+    }
+
+    /// Counts `op` on `path`; the armed fault's mode if this is the
+    /// operation it strikes.
+    fn strike(&self, op: Op, path: &Path) -> Option<FaultMode> {
+        let mut state = self.lock();
+        state.counts[op as usize] += 1;
+        let aimed = |f: &&Fault| {
+            f.target.op == op && path.starts_with(&f.under) && path.to_string_lossy().ends_with(f.target.ending)
+        };
+        let fault = state.fault.as_ref().filter(aimed)?;
+        let (nth, mode) = (fault.nth, fault.mode);
+        state.hits += 1;
+        (state.hits == nth).then(|| {
+            state.fired = true;
+            mode
+        })
+        // The lock is released before the caller panics.
+    }
+
+    /// `Ok` unless the armed fault strikes `op` on `path`.
+    fn check(&self, op: Op, path: &Path) -> io::Result<()> {
+        self.strike(op, path).map_or(Ok(()), |mode| Err(injected(mode, op, path)))
+    }
+
+    fn file(&self, inner: Box<dyn File>, path: &Path) -> Box<dyn File> {
+        Box::new(FaultyFile { inner, path: path.to_path_buf(), faulty: self.clone() })
+    }
 }
 
-#[cold]
-fn fire_slow(site: &'static str) -> Result<(), FaultError> {
-    let me = std::thread::current().id();
-    let mode = {
-        let mut reg = registry();
-        let mut triggered = None;
-        for f in reg
-            .iter_mut()
-            .filter(|f| f.site == site && (f.any_thread || f.thread == me))
-        {
-            f.hits += 1;
-            if f.hits == f.nth {
-                triggered = Some(f.mode);
-            }
-        }
-        triggered
-        // Lock released here so a panic below cannot poison the registry.
-    };
+/// The injected failure: an error, or a panic that never returns.
+fn injected(mode: FaultMode, op: Op, path: &Path) -> io::Error {
+    let message = format!("injected fault: {} {}", op.name(), path.display());
     match mode {
-        None => Ok(()),
-        Some(FaultMode::Error) => Err(FaultError { site }),
-        Some(FaultMode::Panic) => panic!("injected fault (panic) at site `{site}`"),
+        FaultMode::Error => io::Error::other(message),
+        FaultMode::Panic => panic!("{message}"),
+    }
+}
+
+#[derive(Debug)]
+struct FaultyFile {
+    inner: Box<dyn File>,
+    path: PathBuf,
+    faulty: Faulty,
+}
+
+impl File for FaultyFile {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let Some(mode) = self.faulty.strike(Op::Append, &self.path) else {
+            return self.inner.append(bytes);
+        };
+        // A torn write: half the bytes land before the failure.
+        let _ = self.inner.append(&bytes[..bytes.len() / 2]);
+        Err(injected(mode, Op::Append, &self.path))
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.faulty.check(Op::SetLen, &self.path)?;
+        self.inner.set_len(len)
+    }
+
+    fn sync_data(&mut self) -> io::Result<()> {
+        self.faulty.check(Op::SyncData, &self.path)?;
+        self.inner.sync_data()
+    }
+}
+
+impl Dir for Faulty {
+    fn create(&self, path: &Path) -> io::Result<Box<dyn File>> {
+        self.check(Op::Create, path)?;
+        Ok(self.file(self.inner.create(path)?, path))
+    }
+
+    fn open(&self, path: &Path) -> io::Result<Box<dyn File>> {
+        self.check(Op::Open, path)?;
+        Ok(self.file(self.inner.open(path)?, path))
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.check(Op::Read, path)?;
+        self.inner.read(path)
+    }
+
+    fn list(&self, path: &Path) -> io::Result<Vec<String>> {
+        self.check(Op::List, path)?;
+        self.inner.list(path)
+    }
+
+    fn create_dir(&self, path: &Path) -> io::Result<()> {
+        self.check(Op::CreateDir, path)?;
+        self.inner.create_dir(path)
+    }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        self.check(Op::SyncDir, path)?;
+        self.inner.sync_dir(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.check(Op::Rename, from)?;
+        self.inner.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        self.check(Op::Remove, path)?;
+        self.inner.remove(path)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use xic_xml::journal::{Journal, RecordKind};
 
-    // `any_armed` is process-global, so tests that assert on it must not
-    // run concurrently with tests that arm. Serialize them with a test
-    // mutex.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    fn tmp_dir(tag: &str) -> PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let n = SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("xic-faults-{}-{tag}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
 
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn fault(op: Op, ending: &'static str, under: &Path, nth: u64, mode: FaultMode) -> Fault {
+        Fault { target: Target { op, ending }, under: under.to_path_buf(), nth, mode }
     }
 
     #[test]
-    fn disarmed_fire_is_ok() {
-        let _g = serial();
-        disarm_all();
-        assert!(!any_armed());
-        assert_eq!(fire("xupdate.apply.op"), Ok(()));
+    fn the_nth_matching_operation_under_the_prefix_fails_and_no_other() {
+        let root = tmp_dir("nth");
+        let (a, b) = (root.join("a"), root.join("b"));
+        let faulty = Faulty::real();
+        faulty.create_dir(&a).expect("a");
+        faulty.create_dir(&b).expect("b");
+        faulty.arm(fault(Op::Create, ".wal", &b, 2, FaultMode::Error));
+        faulty.create(&a.join("x.wal")).expect("outside the prefix");
+        faulty.create(&b.join("x.ckpt")).expect("another ending");
+        faulty.create(&b.join("x.wal")).expect("the first match");
+        let err = faulty.create(&b.join("y.wal")).expect_err("the second match");
+        assert!(err.to_string().starts_with("injected fault: create "), "{err}");
+        assert!(!b.join("y.wal").exists(), "a failed create creates nothing");
+        faulty.create(&b.join("z.wal")).expect("single-shot");
+        assert!(faulty.fired());
+        assert_eq!((faulty.hits(), faulty.count(Op::Create), faulty.count(Op::CreateDir)), (3, 5, 2));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn error_mode_triggers_on_nth_hit_only() {
-        let _g = serial();
-        disarm_all();
-        arm("checker.commit.pre", 3, FaultMode::Error);
-        assert!(fire("checker.commit.pre").is_ok());
-        assert!(fire("checker.commit.pre").is_ok());
-        let err = fire("checker.commit.pre").unwrap_err();
-        assert_eq!(err.site, "checker.commit.pre");
-        // Single-shot: the fourth hit passes through again.
-        assert!(fire("checker.commit.pre").is_ok());
-        assert_eq!(hits("checker.commit.pre"), 4);
-        disarm_all();
+    fn a_failed_append_writes_half_its_bytes() {
+        let root = tmp_dir("half");
+        let faulty = Faulty::real();
+        let mut file = faulty.create(&root.join("f")).expect("create");
+        faulty.arm(fault(Op::Append, "", &root, 1, FaultMode::Error));
+        file.append(b"abcdefgh").expect_err("injected");
+        file.append(b"ij").expect("the next append");
+        assert_eq!(std::fs::read(root.join("f")).expect("read"), b"abcdij");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn other_sites_are_unaffected() {
-        let _g = serial();
-        disarm_all();
-        arm("journal.sync", 1, FaultMode::Error);
-        assert!(fire("checker.commit.pre").is_ok());
-        assert!(fire("checker.commit.post").is_ok());
-        assert!(fire("journal.sync").is_err());
-        disarm_all();
-    }
-
-    #[test]
-    fn panic_mode_panics_and_registry_survives() {
-        let _g = serial();
-        disarm_all();
-        arm("checker.commit.pre", 1, FaultMode::Panic);
-        let caught = std::panic::catch_unwind(|| fire("checker.commit.pre"));
+    fn a_panic_leaves_the_faulty_working() {
+        let root = tmp_dir("panic");
+        let faulty = Faulty::real();
+        faulty.arm(fault(Op::CreateDir, "", &root, 1, FaultMode::Panic));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| faulty.create_dir(&root.join("d"))));
         assert!(caught.is_err());
-        // The registry must not be poisoned: arming still works.
-        disarm_all();
-        arm("checker.commit.pre", 1, FaultMode::Error);
-        assert!(fire("checker.commit.pre").is_err());
-        disarm_all();
+        assert!(faulty.fired());
+        faulty.arm(fault(Op::CreateDir, "", &root, 1, FaultMode::Error));
+        assert!(!faulty.fired(), "arming starts over");
+        assert!(faulty.create_dir(&root.join("d")).is_err());
+        assert_eq!(faulty.count(Op::CreateDir), 2);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn disarming_and_hit_counts_are_scoped_to_the_arming_thread() {
-        let _g = serial();
-        disarm_all();
-        arm("checker.commit.post", 2, FaultMode::Error);
-        assert!(fire("checker.commit.post").is_ok());
-        // A neighbour arms the same site, hits it, reads its own count
-        // and cleans up after itself.
-        std::thread::spawn(|| {
-            arm("checker.commit.post", 1, FaultMode::Error);
-            assert!(fire("checker.commit.post").is_err());
-            assert!(fire("checker.commit.post").is_ok());
-            assert!(fire("checker.commit.post").is_ok());
-            assert_eq!(hits("checker.commit.post"), 3);
-            disarm_all();
-        })
-        .join()
-        .expect("neighbour thread");
-        // This thread's fault is still armed, with its own count.
-        assert!(any_armed());
-        assert_eq!(hits("checker.commit.post"), 1);
-        assert!(fire("checker.commit.post").is_err());
-        // An any-thread fault belongs to the thread that armed it.
-        arm_any_thread("journal.sync", 1, FaultMode::Error);
-        std::thread::spawn(disarm_all).join().expect("neighbour thread");
-        assert!(fire("journal.sync").is_err());
-        disarm_all();
-        assert!(!any_armed());
+    fn a_failed_sync_is_not_retried() {
+        let root = tmp_dir("once");
+        let path = root.join("j.wal");
+        let faulty = Faulty::real();
+        let mut j = Journal::create_in(&faulty, &path, 1).expect("create");
+        j.append(RecordKind::Commit, 1, "lands").expect("append");
+        faulty.arm(fault(Op::SyncData, ".wal", &root, 1, FaultMode::Error));
+        j.sync_now().expect_err("one attempt, one error");
+        assert_eq!(faulty.count(Op::SyncData), 1, "the fsync was retried");
+        drop(j);
+        let rec = Journal::recover(&path, Some(1)).expect("recover");
+        assert!(!rec.torn);
+        assert_eq!(rec.records.len(), 1);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn sites_list_is_nonempty_and_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for s in SITES {
-            assert!(seen.insert(*s), "duplicate site {s}");
-        }
-        let four = ["xupdate.apply.op", "checker.commit.pre", "checker.commit.post", "journal.sync"];
-        assert_eq!(SITES, four, "the boundaries with a meaning, and nothing between two file operations");
+    fn the_write_path_names_each_target_once() {
+        let names: Vec<String> = WRITE_PATH.iter().map(Target::to_string).collect();
+        assert_eq!(
+            names,
+            ["append(.wal)", "sync_data(.wal)", "create", "append(.ckpt.tmp)", "rename", "sync_dir", "remove"]
+        );
     }
 }

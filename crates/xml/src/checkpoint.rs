@@ -313,9 +313,9 @@ pub struct Store {
     generation: u64,
     /// The live generation's journal segment.
     segment: Journal,
-    /// Whether [`Store::sync_now`] and segment headers fsync (checkpoint
-    /// files always are — rotation durability is the whole point). Fixed
-    /// when the store is created or recovered.
+    /// Whether [`Store::sync_now`] fsyncs (checkpoint files always are —
+    /// rotation durability is the whole point). Fixed when the store is
+    /// created or recovered.
     sync: bool,
     /// Set by an append, cleared by the next [`Store::sync_now`].
     unsynced: bool,
@@ -341,7 +341,7 @@ impl Store {
         for stale in artifacts(&*fs, dir)? {
             fs.remove(&dir.join(stale))?;
         }
-        let segment = Journal::create_in(&*fs, &Self::wal_path(dir, 0), base_crc, sync)?;
+        let segment = Journal::create_in(&*fs, &Self::wal_path(dir, 0), base_crc)?;
         fs.sync_dir(dir)?;
         Ok(Store { fs, dir: dir.to_path_buf(), generation: 0, segment, sync, unsynced: false })
     }
@@ -439,13 +439,14 @@ impl Store {
         // The snapshot is durable: from here on recovery prefers it even
         // if the segment is missing (checkpoint + empty suffix).
         let wal = Self::wal_path(&self.dir, next);
-        let journal = Journal::create_in(&*self.fs, &wal, ckpt.doc_crc(), self.sync)?;
+        let journal = Journal::create_in(&*self.fs, &wal, ckpt.doc_crc())?;
         self.fs.sync_dir(&self.dir)?;
         Ok(journal)
     }
 
     /// Recovers the store in `dir` in `fs`, to resume in the `sync` mode
-    /// given (recovery itself always fsyncs what it writes). Generations
+    /// given (recovery itself fsyncs every truncation and every name it
+    /// makes, whatever the mode). Generations
     /// are tried newest snapshot first, generation 0 — the external base
     /// document — last. Each one whose snapshot validates is offered to
     /// `replay`, which rebuilds the base, opens the segment keyed to it
@@ -476,7 +477,7 @@ impl Store {
         for generation in generations {
             let (snapshot, segment, fatal_io) = (None, None, None);
             let mut candidate =
-                Candidate { generation, snapshot, fs: &*fs, dir, names: &names, sync, segment, fatal_io };
+                Candidate { generation, snapshot, fs: &*fs, dir, names: &names, segment, fatal_io };
             let outcome = candidate.read_snapshot().and_then(|()| replay(&mut candidate));
             if let Some(e) = candidate.fatal_io {
                 return Err(e);
@@ -520,7 +521,6 @@ pub struct Candidate<'a> {
     dir: &'a Path,
     /// The store directory's entries as recovery found them.
     names: &'a [String],
-    sync: bool,
     segment: Option<Journal>,
     /// An I/O failure that ends the recovery ([`CheckpointError::is_io`]).
     fatal_io: Option<CheckpointError>,
@@ -581,7 +581,7 @@ impl Candidate<'_> {
                 return Err(CheckpointError::Orphan { commit_seq, segment_generation: g, version });
             }
         }
-        let segment = Journal::create_in(self.fs, &wal, base_crc, self.sync);
+        let segment = Journal::create_in(self.fs, &wal, base_crc);
         self.segment = Some(segment.map_err(|e| self.fatal(e.into()))?);
         // Rotation step 5's directory fsync: without it an OS crash could
         // drop the fresh segment's name — and every commit appended to it
@@ -776,7 +776,7 @@ mod tests {
         assert_eq!(store.generation(), 1);
         assert!(records.is_empty() && !torn, "empty suffix");
         assert!(Store::wal_path(&dir, 1).exists(), "recovery must start the segment");
-        assert_eq!(fsyncs() - before, 1, "the fresh segment's header is fsync'd");
+        assert_eq!(fsyncs() - before, 0, "the fresh segment's header waits for its first flush");
         // The segment is keyed to the snapshot and live.
         store.append(RecordKind::Commit, 2, "two").expect("append");
         drop(store);

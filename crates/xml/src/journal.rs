@@ -28,8 +28,8 @@
 //!
 //! Every file operation goes through a [`Dir`] (the real one for
 //! [`Journal::create`] and [`Journal::recover`]); what a power loss leaves
-//! of a journal is enumerated by `difftest --crash-states`. The one fault
-//! site is `journal.sync`, before the fsync of [`Journal::sync_now`].
+//! of a journal is enumerated by `difftest --crash-states`, and a fault is
+//! a `Dir` operation that fails.
 //!
 //! I/O failures preserve their [`std::io::ErrorKind`] (and the original
 //! error as `Error::source()`). An append or fsync is attempted once: a
@@ -173,12 +173,6 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-impl From<xic_faults::FaultError> for JournalError {
-    fn from(e: xic_faults::FaultError) -> Self {
-        JournalError::Io { kind: std::io::ErrorKind::Other, source: std::sync::Arc::new(e) }
-    }
-}
-
 /// CRC-32 (IEEE 802.3, reflected) over `bytes`. Used both for record
 /// checksums and for the base-document checksum in the header.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -230,23 +224,22 @@ pub struct Recovered {
 }
 
 impl Journal {
-    /// Create (truncating) a journal for a document whose serialization
-    /// has checksum `base_crc`; with `sync` the header is fsynced.
-    pub fn create(path: &Path, base_crc: u32, sync: bool) -> Result<Journal, JournalError> {
-        Journal::create_in(&Real, path, base_crc, sync)
+    /// [`Journal::create_in`] over the real file system; `_sync` is
+    /// ignored (a header is never fsynced on its own).
+    pub fn create(path: &Path, base_crc: u32, _sync: bool) -> Result<Journal, JournalError> {
+        Journal::create_in(&Real, path, base_crc)
     }
 
-    /// [`Journal::create`] in `fs`.
-    pub fn create_in(fs: &dyn Dir, path: &Path, base_crc: u32, sync: bool) -> Result<Journal, JournalError> {
+    /// Create (truncating) a journal in `fs` for a document whose
+    /// serialization has checksum `base_crc`. The header is not fsynced:
+    /// the first [`Journal::sync_now`] makes it durable with the first
+    /// record, and recovery rebuilds a torn one, which holds no record.
+    pub fn create_in(fs: &dyn Dir, path: &Path, base_crc: u32) -> Result<Journal, JournalError> {
         let mut file = fs.create(path)?;
         let mut header = [0u8; HEADER_LEN as usize];
         header[..8].copy_from_slice(MAGIC);
         header[8..].copy_from_slice(&base_crc.to_le_bytes());
         file.append(&header)?;
-        if sync {
-            file.sync_data()?;
-            xic_obs::incr(xic_obs::Counter::JournalFsync);
-        }
         Ok(Journal { file, committed_len: HEADER_LEN, broken: false })
     }
 
@@ -264,7 +257,6 @@ impl Journal {
     /// succeeds does not vouch for the records this one failed on (the
     /// kernel may have dropped their pages), so nothing retries it.
     pub fn sync_now(&mut self) -> Result<(), JournalError> {
-        xic_faults::fire("journal.sync")?;
         self.file.sync_data()?;
         xic_obs::incr(xic_obs::Counter::JournalFsync);
         Ok(())
@@ -320,7 +312,7 @@ impl Journal {
         // the header in place — there are no records to lose.
         let Some((base_crc, records, valid)) = decode(&bytes)? else {
             let base_crc = expect_base_crc.unwrap_or(0);
-            let journal = Journal::create_in(fs, path, base_crc, true)?;
+            let journal = Journal::create_in(fs, path, base_crc)?;
             return Ok(Recovered { journal, records: Vec::new(), torn: !bytes.is_empty(), base_crc });
         };
         if let Some(expected) = expect_base_crc.filter(|&expected| expected != base_crc) {
@@ -389,14 +381,6 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    // Tests that arm faults share the process-global registry; serialize
-    // them so one test's disarm_all cannot eat another's armed fault.
-    static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn fault_serial() -> std::sync::MutexGuard<'static, ()> {
-        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn tmp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -555,29 +539,6 @@ mod tests {
         // Structural errors have neither a kind nor a source.
         assert_eq!(JournalError::BadHeader.io_kind(), None);
         assert!(std::error::Error::source(&JournalError::BadHeader).is_none());
-        // Injected faults map to Other.
-        let injected = JournalError::from(xic_faults::FaultError { site: "journal.sync" });
-        assert_eq!(injected.io_kind(), Some(std::io::ErrorKind::Other));
-    }
-
-    #[test]
-    fn a_failed_sync_is_not_retried() {
-        let _g = fault_serial();
-        let p = tmp_path("once");
-        let mut j = Journal::create(&p, 1, true).expect("create");
-        j.append(RecordKind::Commit, 1, "lands").expect("append");
-        // Two armed hits: one flush reaches the first and no further.
-        xic_faults::disarm_all();
-        xic_faults::arm("journal.sync", 1, xic_faults::FaultMode::Error);
-        xic_faults::arm("journal.sync", 2, xic_faults::FaultMode::Error);
-        j.sync_now().expect_err("one attempt, one error");
-        assert_eq!(xic_faults::hits("journal.sync"), 1, "the fsync was retried");
-        xic_faults::disarm_all();
-        drop(j);
-        let rec = Journal::recover(&p, Some(1)).expect("recover");
-        assert!(!rec.torn);
-        assert_eq!(rec.records.len(), 1);
-        cleanup(&p);
     }
 
     #[test]

@@ -590,12 +590,6 @@ pub fn apply(
 ) -> Result<AppliedUpdate, (XUpdateError, AppliedUpdate)> {
     let mut applied = AppliedUpdate::default();
     for op in &upd.ops {
-        // Fault site: hit once per operation, so an armed `nth` selects
-        // the op index within the batch (fault harness + mid-batch
-        // rollback tests).
-        if let Err(e) = xic_faults::fire("xupdate.apply.op") {
-            return Err((XUpdateError::Invalid(e.to_string()), applied));
-        }
         if let Err(e) = apply_op(doc, op, resolve, &mut applied) {
             return Err((e, applied));
         }
@@ -1024,22 +1018,22 @@ mod tests {
     }
 
     #[test]
-    fn injected_op_fault_fails_the_batch_at_that_op() {
+    fn a_failing_op_fails_the_batch_at_that_op() {
         let (mut doc, _) = parse_document("<r><a/><b/></r>").unwrap();
         let before = serialize(&doc);
+        // The second op selects nothing: it fails on its own.
         let u = XUpdateDoc::parse(
             r#"<xupdate:modifications xmlns:xupdate="x">
                  <xupdate:rename select="/r/a">aa</xupdate:rename>
+                 <xupdate:rename select="/r/c">cc</xupdate:rename>
                  <xupdate:rename select="/r/b">bb</xupdate:rename>
                </xupdate:modifications>"#,
         )
         .unwrap();
-        xic_faults::disarm_all();
-        xic_faults::arm("xupdate.apply.op", 2, xic_faults::FaultMode::Error);
         let (err, partial) = apply(&mut doc, &u, &resolver).unwrap_err();
-        xic_faults::disarm_all();
-        assert!(err.to_string().contains("injected fault"), "{err}");
-        // Op 1 ran before the injected failure at op 2; undo restores.
+        assert!(matches!(&err, XUpdateError::Invalid(m) if m.contains("no c[1]")), "{err}");
+        assert!(!serialize(&doc).contains("<bb/>"), "nothing after the failing op runs");
+        // Op 1 ran before the failure at op 2; undo restores.
         assert!(serialize(&doc).contains("<aa/>"));
         undo(&mut doc, partial);
         assert_eq!(serialize(&doc), before);
