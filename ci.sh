@@ -223,6 +223,9 @@ echo "== decision counts (claims C1-C3 of EXPERIMENTS.md) =="
 # 256 KiB and 1 MiB. C3: an illegal insert's optimized rejection within
 # 1.5× from 32 to 512 KiB, and under a tenth of copy + apply + full
 # check's steps at 512 KiB, both counted beyond the select they share.
+# C1 for a one-cell text update (an author's new name): its optimized
+# decision within 1.5× from 32 to 512 KiB, copy + apply + the masked
+# full check at least 1.7× per doubling.
 # Also: no set put in document order by the decisions of an insert
 # stream, nor by 1 000 equal-step decisions and a full check on a
 # snapshot after an insert-before, and publish in O(Δ): equal chunk

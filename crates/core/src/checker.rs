@@ -9,7 +9,7 @@ use crate::compile::CompiledPattern;
 use crate::durability::CommitLog;
 use crate::gamma::{apply_to_copy, SharedGamma};
 use crate::resolver::resolved_targets;
-use crate::optimized::Verdict;
+use crate::optimized::{Legal, Verdict};
 use crate::resolver::xpath_resolver;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -556,13 +556,19 @@ impl Checker {
                 self.stats.early_rejections += 1;
                 return Ok(UpdateOutcome::Rejected { strategy: Strategy::Optimized, violation });
             }
-            Verdict::Legal(targets) => {
-                // Legal: now (and only now) execute the update. A statement
+            Verdict::Legal(legal) => {
+                // Legal: now (and only now) execute the update, unless the
+                // decision already did on the copy it checked. A statement
                 // that does not apply drops its copy and appends nothing.
                 // The decision resolved every select on this version, and
                 // no select of a statement it admits can observe an earlier
                 // operation, so `apply` is answered from those targets.
-                let (next, _) = apply_to_copy(&self.doc, stmt, &resolved_targets(stmt, &targets))?;
+                let next = match legal {
+                    Legal::Targets(targets) => {
+                        apply_to_copy(&self.doc, stmt, &resolved_targets(stmt, &targets))?.0
+                    }
+                    Legal::Applied(copy) => copy,
+                };
                 self.commit(stmt, next)?;
                 return Ok(UpdateOutcome::Applied { strategy: Strategy::Optimized });
             }
@@ -684,7 +690,19 @@ mod tests {
     #[test]
     fn fallback_on_non_insertion() {
         let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-        // A rename is not an insertion: baseline strategy.
+        // A rename is neither an insertion nor a one-cell text update:
+        // baseline strategy.
+        let out = c
+            .try_update_str(
+                r#"<xupdate:modifications xmlns:xupdate="x">
+                  <xupdate:rename select="//rev[name/text() = 'dan']/sub[1]/title">heading</xupdate:rename>
+                </xupdate:modifications>"#,
+            )
+            .unwrap();
+        assert!(out.applied());
+        assert_eq!(out.strategy(), Strategy::FullWithRollback);
+        assert_eq!(c.stats().full_checks, 1);
+        // A reviewer's new name is one modified cell: decided pre-update.
         let out = c
             .try_update_str(
                 r#"<xupdate:modifications xmlns:xupdate="x">
@@ -693,23 +711,26 @@ mod tests {
             )
             .unwrap();
         assert!(out.applied());
-        assert_eq!(out.strategy(), Strategy::FullWithRollback);
+        assert_eq!(out.strategy(), Strategy::Optimized);
         assert_eq!(c.stats().full_checks, 1);
     }
 
+    /// Ann's self-review arriving by a text update: Cat's name under Ann's
+    /// rev rewritten to Ann. Alone, the update is one modified cell,
+    /// rejected before it runs; beside a second operation it takes the
+    /// baseline, which rolls it back.
     #[test]
-    fn fallback_rolls_back_illegal_update() {
+    fn an_illegal_text_update_is_rejected_early_or_rolled_back() {
         let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
-        // Make Ann's self-review arrive via `update` (not an insertion):
-        // rewrite Cat's name to Ann.
         let before = xic_xml::serialize(c.doc());
-        let out = c
-            .try_update_str(
-                r#"<xupdate:modifications xmlns:xupdate="x">
-                  <xupdate:update select="//rev[name/text() = 'ann']/sub/auts/name">ann</xupdate:update>
-                </xupdate:modifications>"#,
-            )
-            .unwrap();
+        let own_name = r#"<xupdate:update select="//rev[name/text() = 'ann']/sub/auts/name">ann</xupdate:update>"#;
+        let retitle = r#"<xupdate:update select="//rev[name/text() = 'ann']/sub/title">T</xupdate:update>"#;
+        let stmt = |ops: &str| format!(r#"<xupdate:modifications xmlns:xupdate="x">{ops}</xupdate:modifications>"#);
+        let out = c.try_update_str(&stmt(own_name)).unwrap();
+        assert!(!out.applied());
+        assert_eq!(out.strategy(), Strategy::Optimized);
+        assert_eq!(c.stats().early_rejections, 1);
+        let out = c.try_update_str(&stmt(&format!("{retitle}{own_name}"))).unwrap();
         assert!(!out.applied());
         assert_eq!(out.strategy(), Strategy::FullWithRollback);
         assert_eq!(c.stats().rollbacks, 1);
@@ -723,8 +744,10 @@ mod tests {
     fn refused_statements_leave_the_arena_alone() {
         let w = xic_workload::generate(xic_workload::WorkloadConfig::sized_kib(32, 7));
         let mut c = Checker::new(&w.xml, DTD, xic_workload::conflict_constraint()).unwrap();
+        // Two operations: the baseline decides them on a copy.
         let own_name = XUpdateDoc::parse(&format!(
             r#"<xupdate:modifications xmlns:xupdate="x"><xupdate:update
+               select="/collection/review/track[1]/rev[1]/sub[1]/title">T</xupdate:update><xupdate:update
                select="/collection/review/track[1]/rev[1]/sub[1]/auts[1]/name">{}</xupdate:update>
                </xupdate:modifications>"#,
             w.reviewers[0][0]
@@ -785,16 +808,17 @@ mod tests {
             assert_eq!(xic_obs::counter(xic_obs::Counter::SelectResolve), ops);
         }
         assert_eq!(subs(&c), 5);
-        xic_obs::reset();
-        let out = c
-            .try_update_str(
-                r#"<xupdate:modifications xmlns:xupdate="x">
-                  <xupdate:update select="//rev[name/text() = 'dan']/name">don</xupdate:update>
-                </xupdate:modifications>"#,
-            )
-            .unwrap();
-        assert_eq!(out.strategy(), Strategy::FullWithRollback);
-        assert_eq!(xic_obs::counter(xic_obs::Counter::SelectResolve), 1);
+        for (op, strategy) in [
+            (r#"<xupdate:update select="//rev[name/text() = 'dan']/name">don</xupdate:update>"#, Strategy::Optimized),
+            (r#"<xupdate:rename select="//rev[name/text() = 'don']/name">nom</xupdate:rename>"#, Strategy::FullWithRollback),
+        ] {
+            xic_obs::reset();
+            let out = c
+                .try_update_str(&format!(r#"<xupdate:modifications xmlns:xupdate="x">{op}</xupdate:modifications>"#))
+                .unwrap();
+            assert_eq!(out.strategy(), strategy);
+            assert_eq!(xic_obs::counter(xic_obs::Counter::SelectResolve), 1);
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@ use xic_datalog::{Denial, Update};
 use xic_mapping::{pattern_key, MappedUpdate, RelSchema};
 use xic_simplify::{
     freshness_hypotheses, live_set, read_footprints, simp_live, update_write_footprint, FreshSpec,
-    SimpConfig,
+    specialize_to_new_value, SimpConfig, Simplified,
 };
-use xic_translate::{translate_denials_with, QueryTemplate};
+use xic_translate::{translate_denial_with, translate_denials_with, QueryTemplate};
 
 /// The compiled artifact for one update pattern: the simplified denials
 /// and their XQuery templates, or the reason simplification was not
@@ -28,7 +28,21 @@ pub struct CompiledPattern {
     /// verdict under this pattern and were not simplified. All-`true`
     /// when the analysis was disabled at compile time.
     pub live: Vec<bool>,
-    /// Why this pattern cannot be checked incrementally, if so.
+    /// Per-constraint (in input Γ order): `true` for a live constraint
+    /// `After` cannot rewrite for this pattern — a negation or an
+    /// aggregate over a relation it deletes from, say. A decision reads
+    /// its verdict off the updated copy (the masked full check the
+    /// baseline would run); all-`false` when every live constraint has
+    /// its templates.
+    pub residual: Vec<bool>,
+    /// The residual constraints a modification reads one group of: Γ
+    /// index, `φ[R := $v]` (see
+    /// [`xic_simplify::specialize_to_new_value`]) and its template,
+    /// checked on the updated copy in place of φ's full-check query.
+    pub post_checks: Vec<(usize, Denial, QueryTemplate)>,
+    /// Why this pattern cannot be checked incrementally, if so: no live
+    /// constraint could be rewritten, or a template could not be
+    /// translated.
     pub unsupported: Option<String>,
 }
 
@@ -37,21 +51,25 @@ impl CompiledPattern {
     pub fn is_incremental(&self) -> bool {
         self.unsupported.is_none()
     }
+
+    /// True if a decision also checks some constraint on the updated copy.
+    pub fn has_residual(&self) -> bool {
+        self.residual.contains(&true)
+    }
 }
 
 /// Compiles a mapped update pattern against the constraint set Γ. Never
 /// fails outright: constructs that cannot be simplified or translated are
-/// recorded in `unsupported`.
+/// recorded in `residual` (a constraint `After` cannot rewrite) or
+/// `unsupported` (none can be, or a template does not translate).
 ///
 /// With `independence` on (a checker's default), constraints whose read
-/// footprint shares no relation with the pattern's added tuples are
-/// pre-filtered before simplification — they would be
-/// expanded unchanged by `After` and eliminated by hypothesis subsumption
-/// anyway (the pattern's templates are identical either way), so the
-/// filter only saves compile time and records the liveness bitset. A
-/// constraint that could make simplification unsupported always mentions
-/// an added predicate and is therefore always retained: supportedness
-/// does not depend on the flag.
+/// footprint shares no cell with the pattern's write footprint are
+/// pre-filtered before simplification: the update cannot change their
+/// verdict, so they need no check at all, and the filter saves compile
+/// time and records the liveness bitset. The pattern is non-incremental
+/// when `After` rewrites none of the constraints the footprint keeps,
+/// with the filter on or off.
 pub fn compile_pattern(
     mapped: &MappedUpdate,
     gamma: &[Denial],
@@ -63,31 +81,51 @@ pub fn compile_pattern(
     // the footprint extraction the `compile/footprint` span.
     let _span = xic_obs::phase("compile");
     let key = pattern_key(&mapped.update);
-    let live = if independence {
+    // The constraints the update can affect, whether or not the analysis
+    // masks the others: which patterns have an incremental check does not
+    // depend on the setting.
+    let affected = {
         let _footprint = xic_obs::phase("footprint");
-        let wfp = update_write_footprint(&mapped.update);
-        live_set(&read_footprints(gamma), &wfp)
-    } else {
-        vec![true; gamma.len()]
+        live_set(&read_footprints(gamma), &update_write_footprint(&mapped.update))
     };
+    let live = if independence { affected.clone() } else { vec![true; gamma.len()] };
     let cfg = SimpConfig {
         fresh: FreshSpec::Params(mapped.fresh_params.clone()),
     };
     let delta = freshness_hypotheses(&mapped.update, &mapped.fresh_params);
-    let (simplified, unsupported) =
-        match simp_live(gamma, &live, &mapped.update, &delta, &cfg) {
-            Ok(s) => (s, None),
-            Err(e) => (Vec::new(), Some(e.to_string())),
-        };
-    if unsupported.is_some() {
-        return CompiledPattern {
-            key,
-            update: mapped.update.clone(),
-            simplified,
-            queries: Vec::new(),
-            live,
-            unsupported,
-        };
+    let Simplified { denials: simplified, residual: unrewritten } =
+        simp_live(gamma, &live, &mapped.update, &delta, &cfg);
+    let mut residual = vec![false; gamma.len()];
+    for (i, _) in &unrewritten {
+        residual[*i] = true;
+    }
+    // No constraint the update can affect rewritten: the statement is the
+    // baseline's.
+    let affected_unrewritten = unrewritten.iter().filter(|(i, _)| affected[*i]).count();
+    let baseline = affected_unrewritten > 0
+        && affected_unrewritten == affected.iter().filter(|&&a| a).count();
+    let post_checks: Vec<(usize, Denial, QueryTemplate)> = unrewritten
+        .iter()
+        .filter(|_| !baseline)
+        .filter_map(|(i, _)| {
+            let one = specialize_to_new_value(&gamma[*i], &mapped.update)?;
+            let query = translate_denial_with(&one, schema, &mapped.node_params).ok()?;
+            Some((*i, one, query))
+        })
+        .collect();
+    let pattern = |simplified, queries, unsupported| CompiledPattern {
+        key: key.clone(),
+        update: mapped.update.clone(),
+        simplified,
+        queries,
+        live: live.clone(),
+        residual: residual.clone(),
+        post_checks: post_checks.clone(),
+        unsupported,
+    };
+    if baseline {
+        let reason = unrewritten.iter().find(|(i, _)| affected[*i]).map(|(_, e)| e.to_string());
+        return pattern(Vec::new(), Vec::new(), reason);
     }
     let translated = {
         let _span = xic_obs::phase("translate");
@@ -107,34 +145,12 @@ pub fn compile_pattern(
                 })
             });
             if refers_to_fresh {
-                return CompiledPattern {
-                    key,
-                    update: mapped.update.clone(),
-                    simplified,
-                    queries: Vec::new(),
-                    live,
-                    unsupported: Some(
-                        "simplified check references a fresh node id as a path".to_string(),
-                    ),
-                };
+                let reason = "simplified check references a fresh node id as a path";
+                return pattern(simplified, Vec::new(), Some(reason.to_string()));
             }
-            CompiledPattern {
-                key,
-                update: mapped.update.clone(),
-                simplified,
-                queries,
-                live,
-                unsupported: None,
-            }
+            pattern(simplified, queries, None)
         }
-        Err(e) => CompiledPattern {
-            key,
-            update: mapped.update.clone(),
-            simplified,
-            queries: Vec::new(),
-            live,
-            unsupported: Some(e.to_string()),
-        },
+        Err(e) => pattern(simplified, Vec::new(), Some(e.to_string())),
     }
 }
 

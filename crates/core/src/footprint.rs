@@ -111,7 +111,7 @@ impl IndependenceIndex {
                 UndoEntry::Rename { node, old } => doc.name(*node).map(|new| {
                     for name in [old.as_str(), new] {
                         self.membership(name, &mut ws);
-                        self.value(name, &mut ws);
+                        self.value(doc, name, doc.node(*node).parent, &mut ws);
                     }
                 }),
             };
@@ -138,7 +138,7 @@ impl IndependenceIndex {
         match doc.node(node).kind {
             NodeKind::Element { .. } => {
                 if removed {
-                    self.removal(doc, node, ws);
+                    self.removal(doc, node, parent, ws);
                 } else {
                     let names: BTreeSet<&str> = std::iter::once(node)
                         .chain(doc.descendants(node))
@@ -157,8 +157,8 @@ impl IndependenceIndex {
                 Some(())
             }
             NodeKind::Text(_) => {
-                if let Some(name) = parent.and_then(|p| doc.name(p)) {
-                    self.value(name, ws);
+                if let Some((element, name)) = parent.and_then(|p| Some((p, doc.name(p)?))) {
+                    self.value(doc, name, doc.node(element).parent, ws);
                 }
                 Some(())
             }
@@ -166,20 +166,36 @@ impl IndependenceIndex {
         }
     }
 
-    /// The detached subtree under `root` left the document: its tuples
-    /// were deleted, and a compacted element outside any of them changed
-    /// its owner's value.
-    fn removal(&self, doc: &Document, root: NodeId, ws: &mut WriteSet) {
+    /// The detached subtree under `root` left `parent`: its tuples were
+    /// deleted, and a compacted element outside any of them changed its
+    /// owner's value.
+    fn removal(&self, doc: &Document, root: NodeId, parent: Option<NodeId>, ws: &mut WriteSet) {
         for n in std::iter::once(root).chain(doc.descendants(root)) {
             let Some(name) = doc.name(n) else { continue };
             if self.preds.contains_key(name) && !ws.removed.contains(name) {
                 ws.removed.insert(name.to_string());
             }
-            let parent = doc.node(n).parent.and_then(|p| doc.name(p));
-            let in_tuple = n != root && parent.is_some_and(|p| self.preds.contains_key(p));
+            let above = if n == root { parent } else { doc.node(n).parent };
+            let above_name = above.and_then(|p| doc.name(p));
+            let in_tuple = n != root && above_name.is_some_and(|p| self.preds.contains_key(p));
             if !in_tuple {
-                ws.cells.extend(self.owners.get(name).into_iter().flatten().cloned());
+                self.owner_cells(doc, name, above, ws);
             }
+        }
+    }
+
+    /// The columns storing the text of an element called `name` under
+    /// `parent`: the one of `parent`'s own tuple when `parent` is a
+    /// predicate that compacts `name` (no other tuple reads that
+    /// element), every column that compacts the name otherwise.
+    fn owner_cells(&self, doc: &Document, name: &str, parent: Option<NodeId>, ws: &mut WriteSet) {
+        let owners = self.owners.get(name).into_iter().flatten();
+        let parent = parent.and_then(|p| doc.name(p));
+        match owners.clone().find(|(owner, _)| Some(owner.as_str()) == parent) {
+            Some(cell) => {
+                ws.cells.insert(cell.clone());
+            }
+            None => ws.cells.extend(owners.cloned()),
         }
     }
 
@@ -193,12 +209,12 @@ impl IndependenceIndex {
             .extend(self.owners.get(name).into_iter().flatten().cloned());
     }
 
-    /// The content of a surviving element called `name` changed: the
-    /// columns that compact it and, if it is a predicate, every data
-    /// column of its own tuple.
-    fn value(&self, name: &str, ws: &mut WriteSet) {
-        ws.cells
-            .extend(self.owners.get(name).into_iter().flatten().cloned());
+    /// The content of a surviving element called `name` under `parent`
+    /// changed: the columns that compact it (see
+    /// [`IndependenceIndex::owner_cells`]) and, if it is a predicate,
+    /// every data column of its own tuple.
+    fn value(&self, doc: &Document, name: &str, parent: Option<NodeId>, ws: &mut WriteSet) {
+        self.owner_cells(doc, name, parent, ws);
         if let Some(cols) = self.preds.get(name) {
             ws.cells.extend(cols.clone().map(|c| (name.to_string(), c)));
         }

@@ -171,7 +171,7 @@ impl SharedGamma {
     /// or `None` when the analysis is off. The write footprint is read
     /// off `applied`'s log (see [`IndependenceIndex::delta_footprint`])
     /// against the version `applied` produced.
-    fn live_mask(&self, doc: &Document, applied: &AppliedUpdate) -> Option<Vec<bool>> {
+    pub(crate) fn live_mask(&self, doc: &Document, applied: &AppliedUpdate) -> Option<Vec<bool>> {
         if !self.independence {
             return None;
         }
@@ -198,26 +198,40 @@ impl SharedGamma {
     ) -> Result<Option<Violation>, CheckerError> {
         let _check = xic_obs::phase("check");
         let _full = xic_obs::phase("full");
-        let n = self.full_ir.len();
-        let indices: Vec<usize> = match live {
-            None => (0..n).collect(),
-            Some(mask) => {
-                let retained: Vec<usize> =
-                    (0..n).filter(|&i| mask.get(i).copied().unwrap_or(true)).collect();
-                xic_obs::add(xic_obs::Counter::ChecksSkippedStatic, (n - retained.len()) as u64);
-                xic_obs::add(xic_obs::Counter::ChecksRetainedStatic, retained.len() as u64);
-                retained
+        if let Some(mask) = live {
+            count_retained(mask, self.full_ir.len());
+        }
+        self.first_violation(doc, live)
+    }
+
+    /// The first constraint `mask` keeps (all when `None`) that `doc`
+    /// violates, in constraint order.
+    fn first_violation(
+        &self,
+        doc: &Document,
+        mask: Option<&[bool]>,
+    ) -> Result<Option<Violation>, CheckerError> {
+        for i in 0..self.full_ir.len() {
+            if mask.is_some_and(|m| !m.get(i).copied().unwrap_or(true)) {
+                continue;
             }
-        };
-        for i in indices {
-            if self.holds_violation(doc, i)? {
-                return Ok(Some(Violation {
-                    denial: self.gamma[i].to_string(),
-                    query: self.full_queries[i].text.clone(),
-                }));
+            if let Some(violation) = self.violation_of(doc, i)? {
+                return Ok(Some(violation));
             }
         }
         Ok(None)
+    }
+
+    /// Constraint `i`'s violation in `doc`, by its full-check query.
+    pub(crate) fn violation_of(
+        &self,
+        doc: &Document,
+        i: usize,
+    ) -> Result<Option<Violation>, CheckerError> {
+        Ok(self.holds_violation(doc, i)?.then(|| Violation {
+            denial: self.gamma[i].to_string(),
+            query: self.full_queries[i].text.clone(),
+        }))
     }
 
     /// Decides `stmt` by the baseline strategy on a copy of `doc`: apply
@@ -242,6 +256,14 @@ impl SharedGamma {
             .eval_exists(doc, &[])
             .map_err(|e| CheckerError::eval(&self.full_queries[i].text, e))
     }
+}
+
+/// Counts a full check's constraints by the static independence mask:
+/// those `mask` keeps as retained, the rest of `n` as skipped.
+pub(crate) fn count_retained(mask: &[bool], n: usize) {
+    let retained = (0..n).filter(|&i| mask.get(i).copied().unwrap_or(true)).count();
+    xic_obs::add(xic_obs::Counter::ChecksSkippedStatic, (n - retained) as u64);
+    xic_obs::add(xic_obs::Counter::ChecksRetainedStatic, retained as u64);
 }
 
 /// Applies `stmt` to a copy of `doc` — a new version that shares every

@@ -127,7 +127,8 @@ pub use xic_obs as obs;
 pub use xic_mapping::RelSchema;
 pub use xic_simplify::{
     freshness_hypotheses, live_set, read_footprint, read_footprints, simp, simp_live,
-    update_write_footprint, FreshSpec, ReadFootprint, SimpConfig, WriteFootprint, WriteSet,
+    update_write_footprint, FreshSpec, ReadFootprint, SimpConfig, Simplified, WriteFootprint,
+    WriteSet,
 };
 pub use xic_translate::QueryTemplate;
 pub use xic_xml::{

@@ -1,12 +1,15 @@
 //! The optimized pre-update check (the paper's squares): one evaluator,
 //! shared by the writer and every snapshot reader.
 //!
-//! Deciding an insertion *before* executing it is a plain query over the
-//! current state: `map_update` abstracts the statement into its update
-//! pattern and this statement's parameter bindings, the pattern's
-//! simplified denials Simp<sup>U</sup><sub>Δ</sub>(Γ) are looked up (or
-//! compiled on first sight), and each one is evaluated existentially
-//! with the bindings plugged in. Nothing here needs write access to the
+//! Deciding an insertion, or a text update of one compacted column,
+//! *before* executing it is a plain query over the current state:
+//! `map_update` abstracts the statement into its update pattern and this
+//! statement's parameter bindings, the pattern's simplified denials
+//! Simp<sup>U</sup><sub>Δ</sub>(Γ) are looked up (or compiled on first
+//! sight), and each one is evaluated existentially with the bindings
+//! plugged in. A denial the pattern could not simplify (a *residual*) is
+//! read off a copy with the statement applied, once the others passed;
+//! the writer commits that copy. Nothing here needs write access to the
 //! document, a [`crate::Checker`], or the thread that owns one — so the
 //! decision is a function of the document and Γ, and serves
 //! [`crate::Checker::try_update`], [`crate::Checker::decide_only`] and
@@ -23,8 +26,8 @@
 
 use crate::checker::{CheckerError, Violation};
 use crate::compile::{compile_pattern, CompiledPattern};
-use crate::gamma::SharedGamma;
-use crate::resolver::xpath_resolver;
+use crate::gamma::{apply_to_copy, count_retained, SharedGamma};
+use crate::resolver::{resolved_targets, xpath_resolver};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +36,7 @@ use std::time::Instant;
 use xic_datalog::Value;
 use xic_mapping::{map_update, pattern_key, MappedUpdate, UpdateMapError};
 use xic_translate::{ParamKind, QueryTemplate, TemplateError};
-use xic_xml::{Document, NodeId, XUpdateDoc};
+use xic_xml::{Document, NodeId, XUpdateDoc, XUpdateOp};
 use xic_xpath::{Axis, BinOp, Expr, NodeRef, NodeTest, Step, XValue};
 use xic_xquery::{parse_query, XProgram};
 
@@ -54,12 +57,36 @@ struct IrTemplate {
 pub(crate) struct PatternEntry {
     pub(crate) compiled: CompiledPattern,
     ir: Vec<IrTemplate>,
+    /// One program per `compiled.post_checks` entry.
+    post_ir: Vec<IrTemplate>,
 }
 
 impl PatternEntry {
+    /// The first of the pattern's simplified checks that fires on `doc`
+    /// with `bindings` plugged in. The compiled pattern's parameter names
+    /// are positionally identical to the freshly mapped ones (the mapping
+    /// is deterministic), so a statement's bindings apply directly.
+    fn violation(
+        &self,
+        doc: &Document,
+        bindings: &HashMap<String, Value>,
+    ) -> Result<Option<Violation>, CheckerError> {
+        let _check = xic_obs::phase("check");
+        let _optimized = xic_obs::phase("optimized");
+        let compiled = &self.compiled;
+        for ((t, q), d) in self.ir.iter().zip(&compiled.queries).zip(&compiled.simplified) {
+            if let Some(violation) = fires(doc, t, q, d, bindings)? {
+                return Ok(Some(violation));
+            }
+        }
+        Ok(None)
+    }
+
     /// Precompiles `compiled`'s templates. A template that cannot be
     /// precompiled makes the whole pattern non-incremental (the reason is
     /// recorded in `unsupported`), so its statements take the baseline.
+    /// A post check that cannot be precompiled is dropped: its
+    /// constraint's full-check query reads the copy instead.
     fn build(mut compiled: CompiledPattern) -> Arc<PatternEntry> {
         let ir: Vec<IrTemplate> = match compiled.queries.iter().map(compile_template_ir).collect() {
             Ok(ir) => ir,
@@ -69,7 +96,11 @@ impl PatternEntry {
                 Vec::new()
             }
         };
-        Arc::new(PatternEntry { compiled, ir })
+        let mut post_ir = Vec::new();
+        compiled.post_checks.retain(|(_, _, q)| {
+            compile_template_ir(q).map(|t| post_ir.push(t)).is_ok()
+        });
+        Arc::new(PatternEntry { compiled, ir, post_ir })
     }
 }
 
@@ -285,11 +316,13 @@ fn observes(expr: &Expr, inserted: &HashSet<&str>) -> bool {
 /// [`crate::Checker::try_update`] sends down the baseline strategy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Fallback {
-    /// The statement removes, updates or renames; the simplification
-    /// framework targets insertions (Section 5). Such a statement costs
-    /// apply + write footprint, plus a full check of only the constraints
-    /// the footprint keeps live: none at all for a removal under a Γ that
-    /// fewer tuples cannot violate.
+    /// The statement removes or renames, updates text beside other
+    /// operations, or updates the text of anything but one compacted
+    /// column: the simplification covers insertions (Section 5) and the
+    /// modification of one cell. Such a statement costs apply + write
+    /// footprint, plus a full check of only the constraints the footprint
+    /// keeps live: none at all for a removal under a Γ that fewer tuples
+    /// cannot violate.
     NonInsertion,
     /// A later operation's `select` could match differently once the
     /// earlier operations of the statement ran, and `map_update` resolves
@@ -305,8 +338,9 @@ pub(crate) enum Fallback {
     /// document (select matching zero or several nodes, fragment that
     /// does not fit the schema).
     Unmappable(UpdateMapError),
-    /// The statement's pattern has no incremental check: simplification
-    /// or translation is unsupported for it.
+    /// The statement's pattern has no incremental check: no live
+    /// constraint could be simplified for it, or a check could not be
+    /// translated.
     NonIncremental {
         /// The statement's pattern key.
         key: String,
@@ -362,15 +396,25 @@ impl fmt::Display for Fallback {
 /// What the optimized pre-update check says about one statement.
 #[derive(Debug)]
 pub(crate) enum Verdict {
-    /// Every simplified check passed: executing the statement keeps Γ.
-    /// Carries the node each operation's `select` resolved to on the
-    /// decided version, in statement order.
-    Legal(Vec<NodeId>),
+    /// Every simplified check passed, and every residual one on the
+    /// updated copy: executing the statement keeps Γ.
+    Legal(Legal),
     /// A simplified check fired: executing the statement would violate Γ.
     Violated(Violation),
     /// No optimized check exists for this statement in this state; the
     /// baseline strategy (apply to a copy, full check) decides it.
     NotIncremental(Fallback),
+}
+
+/// A legal statement, as its decision left it.
+#[derive(Debug)]
+pub(crate) enum Legal {
+    /// Decided on the current version alone: the node each operation's
+    /// `select` resolved to there, in statement order.
+    Targets(Vec<NodeId>),
+    /// Decided on this copy, the statement applied to it (the pattern has
+    /// residual constraints): the version a commit swaps in.
+    Applied(Document),
 }
 
 impl Verdict {
@@ -430,7 +474,8 @@ impl SharedGamma {
         stmt: &XUpdateDoc,
         hit: &mut Option<bool>,
     ) -> Result<Verdict, CheckerError> {
-        if !stmt.insertions_only() {
+        let text_update = matches!(stmt.ops.as_slice(), [XUpdateOp::Update { .. }]);
+        if !stmt.insertions_only() && !text_update {
             return Ok(Verdict::NotIncremental(Fallback::NonInsertion));
         }
         if let Some(op) = observes_earlier_op(stmt) {
@@ -439,6 +484,9 @@ impl SharedGamma {
         let mapped = match map_update(doc, self.schema(), stmt, &xpath_resolver) {
             Ok(mapped) => mapped,
             Err(UpdateMapError::BudgetExhausted) => return Err(CheckerError::BudgetExhausted),
+            Err(UpdateMapError::NotInsertion) => {
+                return Ok(Verdict::NotIncremental(Fallback::NonInsertion))
+            }
             Err(e) => return Ok(Verdict::NotIncremental(Fallback::Unmappable(e))),
         };
         if let Some(rel) = mapped.displaced.iter().find(|rel| self.reads_pos(rel)) {
@@ -452,30 +500,76 @@ impl SharedGamma {
             return Ok(Verdict::NotIncremental(Fallback::NonIncremental { key }));
         }
         let compiled = &entry.compiled;
-        // The compiled pattern's parameter names are positionally
-        // identical to the freshly mapped ones (the mapping is
-        // deterministic), so the new bindings apply directly.
-        let _check = xic_obs::phase("check");
-        let _optimized = xic_obs::phase("optimized");
         if self.independence() {
-            let skipped = compiled.live.iter().filter(|&&l| !l).count();
-            xic_obs::add(xic_obs::Counter::ChecksSkippedStatic, skipped as u64);
-            xic_obs::add(
-                xic_obs::Counter::ChecksRetainedStatic,
-                (compiled.live.len() - skipped) as u64,
-            );
+            count_retained(&compiled.live, compiled.live.len());
         }
-        for ((t, q), d) in entry.ir.iter().zip(&compiled.queries).zip(&compiled.simplified) {
-            if violates(doc, t, q, &mapped.bindings)? {
-                // The text is for the report only: a value that cannot be
-                // quoted leaves the template as it is.
-                let query =
-                    q.instantiate(doc, &mapped.bindings).unwrap_or_else(|_| q.text.clone());
-                return Ok(Verdict::Violated(Violation { denial: d.to_string(), query }));
+        if let Some(violation) = entry.violation(doc, &mapped.bindings)? {
+            return Ok(Verdict::Violated(violation));
+        }
+        if !compiled.has_residual() {
+            return Ok(Verdict::Legal(Legal::Targets(mapped.targets)));
+        }
+        // What `After` could not rewrite is read off the updated copy.
+        let (copy, violation) = self.decide_residual(doc, stmt, &mapped, &entry)?;
+        Ok(match violation {
+            Some(violation) => Verdict::Violated(violation),
+            None => Verdict::Legal(Legal::Applied(copy)),
+        })
+    }
+
+    /// The second half of a decision whose pattern keeps constraints
+    /// `After` could not rewrite: applies `stmt` to a copy of `doc`,
+    /// answered from the targets the mapping resolved, and checks in the
+    /// copy the residual constraints the applied delta can reach (the
+    /// masked full check [`SharedGamma::decide_full`] makes, restricted to
+    /// them) — each by its post check where the modification has one, by
+    /// its full-check query otherwise. Returns the copy with the verdict;
+    /// `doc` is never touched.
+    fn decide_residual(
+        &self,
+        doc: &Document,
+        stmt: &XUpdateDoc,
+        mapped: &MappedUpdate,
+        entry: &PatternEntry,
+    ) -> Result<(Document, Option<Violation>), CheckerError> {
+        let (copy, applied) = apply_to_copy(doc, stmt, &resolved_targets(stmt, &mapped.targets))?;
+        let live = self.live_mask(&copy, &applied);
+        let _check = xic_obs::phase("check");
+        let _residual = xic_obs::phase("residual");
+        let residual = entry.compiled.residual.iter().enumerate().filter(|&(_, &r)| r);
+        for (i, _) in residual.filter(|(i, _)| live.as_ref().is_none_or(|l| l[*i])) {
+            let post = entry.compiled.post_checks.iter().position(|(k, ..)| *k == i);
+            let violation = match post {
+                Some(k) => {
+                    let (_, denial, q) = &entry.compiled.post_checks[k];
+                    fires(&copy, &entry.post_ir[k], q, denial, &mapped.bindings)?
+                }
+                None => self.violation_of(&copy, i)?,
+            };
+            if violation.is_some() {
+                return Ok((copy, violation));
             }
         }
-        Ok(Verdict::Legal(mapped.targets))
+        Ok((copy, None))
     }
+}
+
+/// The violation of `denial` if its template `t` (`q`'s program)
+/// fires on `doc` with `bindings` plugged in.
+fn fires(
+    doc: &Document,
+    t: &IrTemplate,
+    q: &QueryTemplate,
+    denial: &xic_datalog::Denial,
+    bindings: &HashMap<String, Value>,
+) -> Result<Option<Violation>, CheckerError> {
+    if !violates(doc, t, q, bindings)? {
+        return Ok(None);
+    }
+    // The text is for the report only: a value that cannot be quoted
+    // leaves the template as it is.
+    let query = q.instantiate(doc, bindings).unwrap_or_else(|_| q.text.clone());
+    Ok(Some(Violation { denial: denial.to_string(), query }))
 }
 
 /// One template evaluation with the update's parameters bound directly:

@@ -50,12 +50,13 @@
 //! **`DECIDE` ≡ `UPDATE` minus the commit:** `DECIDE s` answered from
 //! version *v* says what `UPDATE s` would answer at version *v*. The
 //! snapshot runs the writer's own strategy choice — the optimized
-//! pre-update check for insertions with an incremental pattern, the
-//! baseline (apply to a copy, check all of Γ) for everything the writer
-//! also sends down the baseline — so `LEGAL` ⇔ `APPLIED`, `ILLEGAL <d>`
-//! ⇔ `REJECTED <strategy> <d>` with the same denial text *d* (the
-//! simplified denial where the writer would reject `optimized`), and a
-//! statement that does not apply gets the same `ERR` text from both.
+//! pre-update check for insertions and one-cell text updates with an
+//! incremental pattern, the baseline (apply to a copy, check all of Γ)
+//! for everything the writer also sends down the baseline — so `LEGAL`
+//! ⇔ `APPLIED`, `ILLEGAL <d>` ⇔ `REJECTED <strategy> <d>` with the same
+//! denial text *d* (the simplified denial where the writer would reject
+//! `optimized`), and a statement that does not apply gets the same `ERR`
+//! text from both.
 //!
 //! An XUpdate document cannot begin with a digit, so a leading
 //! all-digits token after `CHECK`/`DECIDE`/`UPDATE` is unambiguously a

@@ -265,9 +265,10 @@ pub struct ServiceStats {
     /// pre-update check.
     pub decides_optimized: u64,
     /// … that fell back to [`ReadSnapshot::decide_full`], by why, in the
-    /// order `STATS` names them: the statement is not a pure insertion
-    /// (`non_insertion`); a later operation's `select` could observe an
-    /// earlier operation of the statement (`observes_earlier_op`); its
+    /// order `STATS` names them: the statement is neither insertions nor
+    /// one text update of a compacted column (`non_insertion`); a later
+    /// operation's `select` could observe an earlier operation of the
+    /// statement (`observes_earlier_op`); its
     /// target could not be mapped to an update pattern in the snapshot's
     /// state (`unmappable`); its pattern has no incremental check
     /// (`non_incremental`); the insert shifts existing siblings whose
@@ -387,8 +388,8 @@ impl ReadSnapshot {
     /// — evaluated on the calling thread against the immutable snapshot,
     /// with no copy of the document and nothing applied), the baseline
     /// [`ReadSnapshot::decide_full`] only for what
-    /// [`Checker::try_update`] also sends down the baseline: a
-    /// non-insertion statement, a later `select` that could observe an
+    /// [`Checker::try_update`] also sends down the baseline: a remove, a
+    /// rename or another text update, a later `select` that could observe an
     /// earlier operation, a target that does not map to an update
     /// pattern here, a pattern without an incremental check, a non-tail
     /// insert shifting siblings whose position Γ reads. A pattern

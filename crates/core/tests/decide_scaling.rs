@@ -167,6 +167,65 @@ fn an_illegal_update_is_rejected_early_at_flat_cost() {
     assert!(10 * large.0 < large.1, "optimized and baseline at 512 KiB: {large:?}");
 }
 
+/// A text update of the first author of reviewer (track, rev)'s `sub`-th
+/// submission, 0-based, to `name`.
+fn update_author(track: usize, rev: usize, sub: usize, name: &str) -> XUpdateDoc {
+    XUpdateDoc::parse(&format!(
+        "<xupdate:modifications xmlns:xupdate=\"http://www.xmldb.org/xupdate\"><xupdate:update \
+         select=\"/collection/review/track[{}]/rev[{}]/sub[{}]/auts[1]/name\">{name}</xupdate:update>\
+         </xupdate:modifications>",
+        track + 1,
+        rev + 1,
+        sub + 1
+    ))
+    .expect("statement parses")
+}
+
+/// Mean engine steps of deciding 16 author renames over a `kib` KiB
+/// corpus, on the optimized path (after a first decision, which builds
+/// the indexes) and by the baseline's copy + apply + masked full check.
+fn text_update_steps(kib: usize) -> (u64, u64) {
+    const DECISIONS: usize = 16;
+    let (w, c) = corpus(kib);
+    let stmt = |i: usize| {
+        let (track, rev, sub) = (i % w.config.tracks, i % w.config.revs_per_track, i % w.config.subs_per_rev);
+        update_author(track, rev, sub, &format!("newcomer{i:05}"))
+    };
+    let mean = |strategy: Strategy| {
+        let before = steps();
+        for i in 0..DECISIONS {
+            assert_eq!(c.decide_only(&stmt(i), strategy).expect("decides"), None, "{strategy:?}");
+        }
+        (steps() - before) / DECISIONS as u64
+    };
+    assert_eq!(c.decide_only(&stmt(DECISIONS), Strategy::Optimized).expect("decides"), None);
+    (mean(Strategy::Optimized), mean(Strategy::FullWithRollback))
+}
+
+/// A text update is one modified cell, decided pre-update like an
+/// insertion: an author's new name reads as much of a 512 KiB document
+/// as of a 32 KiB one (53 and 72 steps, the select's widths the
+/// difference), while copy + apply + the full check of the two co-author
+/// queries it keeps live grows with the document: 3 981, 8 458, 16 329,
+/// 41 491 and 81 484 steps from 32 to 512 KiB.
+#[test]
+fn a_text_update_is_decided_at_flat_cost_while_the_baseline_grows() {
+    let measured: Vec<(u64, u64)> = [32, 64, 128, 256, 512].into_iter().map(text_update_steps).collect();
+    let (small, large) = (measured[0].0, measured[4].0);
+    assert!(
+        large as f64 <= 1.5 * small as f64,
+        "a decision took {small} steps at 32 KiB and {large} at 512 KiB: {measured:?}"
+    );
+    for pair in measured.windows(2) {
+        let (before, after) = (pair[0].1, pair[1].1);
+        assert!(after as f64 >= 1.7 * before as f64, "the baseline over one doubling: {measured:?}");
+    }
+    let (_, c) = corpus(32);
+    let mut c = c;
+    let out = c.try_update(&update_author(0, 0, 0, "newcomer99999")).expect("decides");
+    assert!(out.applied() && out.strategy() == Strategy::Optimized, "{out:?}");
+}
+
 /// The `insert-stream` shape: every statement decided pre-update, then
 /// committed. An append puts ids out of document order, and nothing a
 /// decision asks can observe the order: no set is put in it.

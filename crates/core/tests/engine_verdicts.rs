@@ -95,13 +95,17 @@ fn coauthor_full() -> Violation {
 }
 
 /// The statements under test: a legal insert, a self-review conflict, a
-/// co-author conflict, and a non-insertion batch that forces the baseline
-/// strategy.
+/// co-author conflict, a rename that forces the baseline strategy, and a
+/// text update of one cell, decided before it runs.
 fn statements() -> Vec<String> {
     vec![
         insert_sub("//rev[name/text() = 'dan']", "zoe"),
         insert_sub("//rev[name/text() = 'ann']", "ann"),
         insert_sub("//rev[name/text() = 'ann']", "bob"),
+        r#"<xupdate:modifications xmlns:xupdate="x">
+           <xupdate:rename select="//track/name">label</xupdate:rename>
+           </xupdate:modifications>"#
+            .to_string(),
         r#"<xupdate:modifications xmlns:xupdate="x">
            <xupdate:update select="//track/name">T2</xupdate:update>
            </xupdate:modifications>"#
@@ -120,7 +124,8 @@ fn try_update_verdicts() {
         )),
         (Strategy::Optimized, Some(self_review_optimized()), CORPUS.to_string()),
         (Strategy::Optimized, Some(coauthor_optimized()), CORPUS.to_string()),
-        (Strategy::FullWithRollback, None, CORPUS.replace("<name>T</name>", "<name>T2</name>")),
+        (Strategy::FullWithRollback, None, CORPUS.replace("<name>T</name>", "<label>T</label>")),
+        (Strategy::Optimized, None, CORPUS.replace("<name>T</name>", "<name>T2</name>")),
     ];
     for (stmt, (strategy, rejected, doc)) in statements().iter().zip(expected) {
         let mut c = checker();
@@ -137,14 +142,16 @@ fn try_update_verdicts() {
 
 #[test]
 fn decide_only_verdicts_per_strategy() {
-    let expected: [[Result<Option<Violation>, &str>; 2]; 4] = [
+    let expected: [[Result<Option<Violation>, &str>; 2]; 5] = [
         [Ok(None), Ok(None)],
         [Ok(Some(self_review_optimized())), Ok(Some(self_review_full()))],
         [Ok(Some(coauthor_optimized())), Ok(Some(coauthor_full()))],
         [
-            Err("bad statement: only insertion statements can be mapped to update patterns"),
+            Err("bad statement: only insertions and one-cell text updates can be mapped to \
+                 update patterns"),
             Ok(None),
         ],
+        [Ok(None), Ok(None)],
     ];
     for (stmt, per_strategy) in statements().iter().zip(expected) {
         let parsed = XUpdateDoc::parse(stmt).unwrap();
@@ -281,4 +288,71 @@ fn service_snapshots_check_like_the_writer() {
     );
     drop(snap);
     service.shutdown().expect("first shutdown succeeds");
+}
+
+/// A text update decided on the optimized path, by the baseline on a twin
+/// and as `try_update` commits it: the three verdicts, and a rejection
+/// before anything runs.
+fn text_update_verdicts(gamma: &str, select: &str, text: &str) -> Option<Violation> {
+    let stmt = XUpdateDoc::parse(&format!(
+        r#"<xupdate:modifications xmlns:xupdate="x"><xupdate:update select="{select}">{text}</xupdate:update></xupdate:modifications>"#
+    ))
+    .unwrap();
+    let mut c = Checker::new(CORPUS, DTD, gamma).unwrap();
+    let optimized = c.decide_only(&stmt, Strategy::Optimized).unwrap();
+    let baseline = c.decide_only(&stmt, Strategy::FullWithRollback).unwrap();
+    assert_eq!(optimized.is_some(), baseline.is_some(), "optimized {optimized:?}, baseline {baseline:?}");
+    let out = c.try_update(&stmt).unwrap();
+    assert_eq!(out.strategy(), Strategy::Optimized);
+    assert_eq!(out.applied(), optimized.is_none());
+    optimized
+}
+
+/// The freshness trap. A reviewer's new name keeps the reviewer's node:
+/// its id is a node parameter of the modification, never a fresh one. Were
+/// it fresh, `sub(S, _, $n, _)` — a submission under the renamed reviewer
+/// — would be dropped as unsatisfiable and the self-review below missed:
+/// Dan renamed to Eve, who authored a submission Dan reviews.
+#[test]
+fn renaming_a_reviewer_to_an_author_they_review_is_a_violation() {
+    let violation = text_update_verdicts(CONFLICT, "/collection/review/track[1]/rev[2]/name", "eve");
+    assert!(violation.is_some(), "Eve reviewing Eve's submission");
+    assert_eq!(text_update_verdicts(CONFLICT, "/collection/review/track[1]/rev[2]/name", "zed"), None);
+}
+
+/// The old-tuple trap. Under a Γ that only an author named cat and one
+/// named kim together violate, renaming the only cat to kim is legal: the
+/// old tuple is gone in the updated state. An update read as a bare
+/// insertion would pair the old cat with the new kim and reject it.
+#[test]
+fn changing_x_to_y_does_not_pair_the_old_x_with_the_new_y() {
+    let gamma = "<- //auts/name/text() -> X & //auts/name/text() -> Y & X = \"cat\" & Y = \"kim\"";
+    let cat = "/collection/review/track[1]/rev[1]/sub[1]/auts[1]/name";
+    assert_eq!(text_update_verdicts(gamma, cat, "kim"), None);
+    // Eve to kim leaves cat beside kim.
+    let eve = "/collection/review/track[1]/rev[2]/sub[1]/auts[1]/name";
+    assert!(text_update_verdicts(gamma, eve, "kim").is_some());
+}
+
+/// An author added to an existing submission is checked against that
+/// submission's own reviewer. The simplified check is addressed by the
+/// submission (`sub($t, _, Ir, _)`) and reaches its reviewer from it
+/// (`$Ir in %{t}/..`); a reviewer searched for and not joined would fire
+/// for any reviewer named like the new author, refusing a legal statement.
+#[test]
+fn an_author_added_to_a_submission_is_checked_against_its_own_reviewer() {
+    let add_author = |name: &str| {
+        XUpdateDoc::parse(&format!(
+            r#"<xupdate:modifications xmlns:xupdate="x"><xupdate:append select="{REV1}/sub[1]"><auts><name>{name}</name></auts></xupdate:append></xupdate:modifications>"#
+        ))
+        .unwrap()
+    };
+    let c = checker();
+    // Dan reviews elsewhere; Ann reviews this submission.
+    for (name, legal) in [("dan", true), ("ann", false)] {
+        let stmt = add_author(name);
+        let optimized = c.decide_only(&stmt, Strategy::Optimized).unwrap();
+        assert_eq!(optimized.is_none(), legal, "{name}: {optimized:?}");
+        assert_eq!(c.decide_only(&stmt, Strategy::FullWithRollback).unwrap().is_none(), legal, "{name}");
+    }
 }

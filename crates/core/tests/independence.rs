@@ -301,3 +301,42 @@ fn remove_under_a_floor_retains_exactly_the_floor() {
     assert_eq!(format!("{masked:?}"), format!("{unmasked:?}"));
     assert_eq!(serialize(on.doc()), serialize(off.doc()));
 }
+
+/// A text update of an author's name writes one cell, the name column of
+/// that `auts` tuple: under the benchmark's Γ it keeps live the two
+/// co-author checks, which read it, and neither reviewer aggregate — on
+/// the baseline's mask, read off the applied delta, and on the optimized
+/// path, read off the pattern. Every column that compacts a `name` (rev,
+/// track, aut and auts) would keep the workload aggregate live too.
+#[test]
+fn an_author_name_update_keeps_the_two_co_author_checks_live() {
+    use xic_workload::{conflict_constraint, generate, review_load_constraint, workload_constraint};
+    let w = generate(xic_workload::WorkloadConfig::sized_kib(8, 1));
+    let gamma = format!(
+        "{}. {}. {}",
+        conflict_constraint(),
+        workload_constraint(3, 1_000),
+        review_load_constraint(1_000)
+    );
+    let c = Checker::new(&w.xml, paper_dtd(), &gamma).expect("corpus loads");
+    let stmt = XUpdateDoc::parse(
+        "<xupdate:modifications xmlns:xupdate=\"x\"><xupdate:update \
+         select=\"/collection/review/track[1]/rev[1]/sub[1]/auts[1]/name\">newcomer00001\
+         </xupdate:update></xupdate:modifications>",
+    )
+    .expect("statement parses");
+    for strategy in [Strategy::FullWithRollback, Strategy::Optimized] {
+        obs::reset();
+        assert_eq!(c.decide_only(&stmt, strategy).expect("decides"), None);
+        assert_eq!(obs::counter(Counter::ChecksRetainedStatic), 2, "{strategy:?}");
+        assert_eq!(obs::counter(Counter::ChecksSkippedStatic), 2, "{strategy:?}");
+    }
+}
+
+/// The paper's conference DTD.
+fn paper_dtd() -> &'static str {
+    "<!ELEMENT collection (dblp, review)> <!ELEMENT dblp (pub)*> \
+     <!ELEMENT pub (title, aut+)> <!ELEMENT aut (name)> <!ELEMENT review (track)+> \
+     <!ELEMENT track (name,rev+)> <!ELEMENT rev (name, sub+)> <!ELEMENT sub (title, auts+)> \
+     <!ELEMENT title (#PCDATA)> <!ELEMENT auts (name)> <!ELEMENT name (#PCDATA)>"
+}

@@ -103,12 +103,14 @@ fn counters_survive_try_update_round_trip() {
 fn baseline_path_records_apply_and_full_check_only() {
     let mut c = Checker::new(CORPUS, DTD, CONFLICT).unwrap();
     obs::reset();
-    // An update is not an insertion: baseline apply to a copy + full
-    // check; rewriting Cat's name to Ann makes it a self-review, so the
-    // copy is dropped, with nothing to roll back.
+    // Two text updates are neither an insertion nor one modified cell:
+    // baseline apply to a copy + full check; rewriting Cat's name to Ann
+    // makes it a self-review, so the copy is dropped, with nothing to
+    // roll back.
     let out = c
         .try_update_str(
             r#"<xupdate:modifications xmlns:xupdate="x">
+              <xupdate:update select="//rev[name/text() = 'ann']/sub/title">T</xupdate:update>
               <xupdate:update select="//rev[name/text() = 'ann']/sub/auts/name">ann</xupdate:update>
             </xupdate:modifications>"#,
         )

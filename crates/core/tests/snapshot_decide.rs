@@ -393,14 +393,19 @@ fn stats_count_every_way_a_decide_is_answered() {
     let ninth_sub = "<- //rev/sub[9]/title/text() -> T & T = \"never\"";
     let service = service(&format!("{TRACKED_REVIEWERS} . {ninth_sub}"));
     let retitle = stmt(
-        "<xupdate:update select=\"//rev[name/text() = 'dan']/sub/title\">Retitled</xupdate:update>",
+        "<xupdate:rename select=\"//rev[name/text() = 'dan']/sub/title\">heading</xupdate:rename>",
     );
     // `//rev` selects both reviewers: not one target, so not a pattern.
     let two_targets = insert_sub("//rev", "zoe");
+    // A new reviewer: the aggregate over `rev` is read off the updated
+    // copy, the position check is simplified — optimized, with a residual.
     let new_reviewer = stmt(
         "<xupdate:append select=\"//track\"><rev><name>zed</name>\
          <sub><title>New</title><auts><name>zoe</name></auts></sub></rev></xupdate:append>",
     );
+    // A reviewer's new name reaches only the aggregate, which `After`
+    // cannot rewrite under a deletion: no incremental check.
+    let renamed = stmt("<xupdate:update select=\"//rev[name/text() = 'dan']/name\">dean</xupdate:update>");
     // In front of dan's only `sub`, which moves one position on.
     let in_front = stmt(
         "<xupdate:insert-before select=\"//rev[name/text() = 'dan']/sub[1]\">\
@@ -415,22 +420,22 @@ fn stats_count_every_way_a_decide_is_answered() {
     );
     let script = format!(
         "DECIDE {}\nDECIDE {retitle}\nDECIDE {two_targets}\nDECIDE {new_reviewer}\n\
-         DECIDE {in_front}\nDECIDE {sequential}\nSTATS\n",
+         DECIDE {renamed}\nDECIDE {in_front}\nDECIDE {sequential}\nSTATS\n",
         legal("a")
     );
     let mut out = Vec::new();
     serve_connection(|c| execute(&service, c), Cursor::new(script), &mut out).expect("serve");
     let text = String::from_utf8(out).expect("utf8 replies");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines[..6], ["OK 0 LEGAL"; 6], "{lines:?}");
+    assert_eq!(lines[..7], ["OK 0 LEGAL"; 7], "{lines:?}");
     assert!(
-        lines[6].ends_with(
-            "decides_optimized=1 decides_fallback_non_insertion=1 \
+        lines[7].ends_with(
+            "decides_optimized=2 decides_fallback_non_insertion=1 \
              decides_fallback_observes_earlier_op=1 \
              decides_fallback_unmappable=1 decides_fallback_non_incremental=1 \
              decides_fallback_pos_shift=1"
         ),
         "{}",
-        lines[6]
+        lines[7]
     );
 }

@@ -43,13 +43,20 @@ pub use subst::Subst;
 pub use term::{Term, Var, VarGen};
 pub use value::Value;
 
-/// An update transaction: a set of ground-modulo-parameters atoms that will
-/// be **added** to the database (the paper restricts itself to insertions,
-/// "consistently with the fact that XML documents typically grow").
+/// An update transaction: ground-modulo-parameters atoms that will be
+/// **added** to the database (the paper restricts itself to insertions,
+/// "consistently with the fact that XML documents typically grow") and,
+/// for a modification, the tuples it deletes first.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Update {
     /// Tuples to be inserted. Arguments are constants or parameters.
     pub additions: Vec<Atom>,
+    /// Tuples to be deleted, each named in full. The first column is a key
+    /// of its relation (an XML node id), so a removal is identified by it
+    /// alone: the surviving tuples of `p` are `p(t̄) ∧ t₁ ≠ r₁`. A text
+    /// update is the removal of its owner's tuple plus the addition of the
+    /// tuple with the new value under the same id.
+    pub removals: Vec<Atom>,
 }
 
 impl Update {
@@ -59,7 +66,15 @@ impl Update {
     /// Panics if any atom contains a variable: updates are ground modulo
     /// parameters by definition (Section 5 of the paper).
     pub fn new(additions: Vec<Atom>) -> Self {
-        for a in &additions {
+        Update::modification(Vec::new(), additions)
+    }
+
+    /// Creates an update that deletes `removals`, then adds `additions`.
+    ///
+    /// # Panics
+    /// Panics if any atom contains a variable, as [`Update::new`] does.
+    pub fn modification(removals: Vec<Atom>, additions: Vec<Atom>) -> Self {
+        for a in removals.iter().chain(&additions) {
             for t in &a.args {
                 assert!(
                     !matches!(t, Term::Var(_)),
@@ -67,7 +82,7 @@ impl Update {
                 );
             }
         }
-        Update { additions }
+        Update { additions, removals }
     }
 
     /// All additions whose predicate is `pred`.
@@ -75,17 +90,27 @@ impl Update {
         self.additions.iter().filter(move |a| a.pred == pred)
     }
 
+    /// All removals whose predicate is `pred`.
+    pub fn removals_on<'a>(&'a self, pred: &'a str) -> impl Iterator<Item = &'a Atom> + 'a {
+        self.removals.iter().filter(move |a| a.pred == pred)
+    }
+
     /// The set of predicate names touched by this update.
     pub fn predicates(&self) -> std::collections::BTreeSet<&str> {
-        self.additions.iter().map(|a| a.pred.as_str()).collect()
+        self.atoms().map(|a| a.pred.as_str()).collect()
+    }
+
+    /// Removals, then additions.
+    fn atoms(&self) -> impl Iterator<Item = &Atom> {
+        self.removals.iter().chain(&self.additions)
     }
 
     /// Names of all parameters occurring in the update, in first-occurrence
-    /// order.
+    /// order (removals first).
     pub fn parameters(&self) -> Vec<String> {
         let mut seen = std::collections::BTreeSet::new();
         let mut out = Vec::new();
-        for a in &self.additions {
+        for a in self.atoms() {
             for t in &a.args {
                 if let Term::Param(p) = t {
                     if seen.insert(p.clone()) {
@@ -105,39 +130,47 @@ impl Update {
         &self,
         bindings: &std::collections::HashMap<String, Value>,
     ) -> Result<Update, String> {
-        let mut additions = Vec::with_capacity(self.additions.len());
-        for a in &self.additions {
-            let mut args = Vec::with_capacity(a.args.len());
-            for t in &a.args {
-                match t {
-                    Term::Param(p) => match bindings.get(p) {
-                        Some(v) => args.push(Term::Const(v.clone())),
-                        None => return Err(format!("unbound parameter ${p}")),
-                    },
-                    other => args.push(other.clone()),
+        let ground = |atoms: &[Atom]| -> Result<Vec<Atom>, String> {
+            let mut out = Vec::with_capacity(atoms.len());
+            for a in atoms {
+                let mut args = Vec::with_capacity(a.args.len());
+                for t in &a.args {
+                    match t {
+                        Term::Param(p) => match bindings.get(p) {
+                            Some(v) => args.push(Term::Const(v.clone())),
+                            None => return Err(format!("unbound parameter ${p}")),
+                        },
+                        other => args.push(other.clone()),
+                    }
                 }
+                out.push(Atom::new(a.pred.clone(), args));
             }
-            additions.push(Atom::new(a.pred.clone(), args));
-        }
-        Ok(Update { additions })
+            Ok(out)
+        };
+        Ok(Update { additions: ground(&self.additions)?, removals: ground(&self.removals)? })
     }
 
-    /// Applies a fully ground update to `db`.
+    /// Applies a fully ground update to `db`: the removals, then the
+    /// additions.
     ///
     /// # Panics
     /// Panics if the update still contains parameters; call
     /// [`Update::instantiate`] first.
     pub fn apply(&self, db: &mut Database) {
-        for a in &self.additions {
-            let tuple: Vec<Value> = a
-                .args
+        let tuple = |a: &Atom| -> Vec<Value> {
+            a.args
                 .iter()
                 .map(|t| match t {
                     Term::Const(v) => v.clone(),
                     other => panic!("cannot apply non-ground update term {other}"),
                 })
-                .collect();
-            db.insert(&a.pred, tuple);
+                .collect()
+        };
+        for a in &self.removals {
+            db.remove(&a.pred, &tuple(a));
+        }
+        for a in &self.additions {
+            db.insert(&a.pred, tuple(a));
         }
     }
 }
@@ -145,11 +178,12 @@ impl Update {
 impl std::fmt::Display for Update {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{{")?;
-        for (i, a) in self.additions.iter().enumerate() {
+        let removals = self.removals.iter().map(|a| ("-", a));
+        for (i, (sign, a)) in removals.chain(self.additions.iter().map(|a| ("", a))).enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{a}")?;
+            write!(f, "{sign}{a}")?;
         }
         write!(f, "}}")
     }
@@ -182,6 +216,22 @@ mod tests {
         let u = parse_update("{p($i)}").unwrap();
         let err = u.instantiate(&std::collections::HashMap::new()).unwrap_err();
         assert!(err.contains("$i"), "{err}");
+    }
+
+    #[test]
+    fn a_modification_removes_before_it_adds() {
+        let u = parse_update("{-p($i, $o), p($i, $t)}").unwrap();
+        assert_eq!(u.to_string(), "{-p($i, $o), p($i, $t)}");
+        assert_eq!(u.parameters(), vec!["i", "o", "t"]);
+        let b = [("i", 1.into()), ("o", "old".into()), ("t", "new".into())]
+            .map(|(k, v): (&str, Value)| (k.to_string(), v))
+            .into_iter()
+            .collect();
+        let mut db = Database::new();
+        db.insert("p", vec![Value::from(1), Value::from("old")]);
+        u.instantiate(&b).unwrap().apply(&mut db);
+        assert!(db.contains("p", &[Value::from(1), Value::from("new")]));
+        assert_eq!(db.relation("p").unwrap().len(), 1);
     }
 
     #[test]

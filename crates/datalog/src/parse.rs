@@ -19,7 +19,7 @@
 //!           | ['-'] digits           -- integer constant
 //! cmp      := '=' | '!=' | '<' | '<=' | '>' | '>='
 //! aggfn    := 'cnt' | 'cntd' | 'sum' | 'max' | 'min'
-//! update   := '{' atom (',' atom)* '}'
+//! update   := '{' ['-'] atom (',' ['-'] atom)* '}'   -- '-' marks a removal
 //! ```
 //!
 //! Example — the paper's Example 3 (conflict of interests):
@@ -88,15 +88,20 @@ pub fn parse_denials(input: &str) -> Result<Vec<Denial>, ParseError> {
     Ok(out)
 }
 
-/// Parses an update transaction `{atom, …}` (constants and parameters only).
+/// Parses an update transaction `{atom, -atom, …}` (constants and
+/// parameters only; a `-` marks a removal).
 pub fn parse_update(input: &str) -> Result<Update, ParseError> {
     let mut p = Parser::new(input);
     p.skip_ws();
     p.expect("{")?;
-    let mut atoms = Vec::new();
+    let (mut atoms, mut removals) = (Vec::new(), Vec::new());
     loop {
         p.skip_ws();
-        atoms.push(p.atom()?);
+        if p.eat_opt("-") {
+            removals.push(p.atom()?);
+        } else {
+            atoms.push(p.atom()?);
+        }
         p.skip_ws();
         if !p.eat_opt(",") {
             break;
@@ -105,7 +110,7 @@ pub fn parse_update(input: &str) -> Result<Update, ParseError> {
     p.skip_ws();
     p.expect("}")?;
     p.expect_eof()?;
-    for a in &atoms {
+    for a in removals.iter().chain(&atoms) {
         for t in &a.args {
             if t.is_var() {
                 return Err(ParseError {
@@ -115,7 +120,7 @@ pub fn parse_update(input: &str) -> Result<Update, ParseError> {
             }
         }
     }
-    Ok(Update::new(atoms))
+    Ok(Update::modification(removals, atoms))
 }
 
 struct Parser<'a> {

@@ -1,7 +1,8 @@
 //! The pattern digest (`--pattern-digest`): compiles the update pattern
 //! of every campaign case, its [`hostile`] twin and its
 //! [`multi_op`](crate::multi_op) case, and condenses every compiled
-//! pattern's key, simplified denials and template texts into one digest.
+//! pattern's key, simplified denials, template texts and post checks into
+//! one digest.
 //!
 //! It is an exactness gate, not an oracle: a change to the Datalog layer,
 //! to `Simp` or to the translator that must not change what is compiled
@@ -25,8 +26,8 @@ pub struct DigestReport {
     pub denials: u64,
     /// Query templates over those patterns.
     pub templates: u64,
-    /// FNV-1a over each pattern's key, denials and templates, in case
-    /// order and, within a case, in key order.
+    /// FNV-1a over each pattern's key, denials, templates and post checks,
+    /// in case order and, within a case, in key order.
     pub digest: u64,
 }
 
@@ -72,6 +73,10 @@ pub fn run_pattern_digest(config: Config) -> DigestReport {
                     fnv.write(&denial.to_string());
                 }
                 for query in &pattern.queries {
+                    fnv.write(&query.text);
+                }
+                for (i, denial, query) in &pattern.post_checks {
+                    fnv.write(&format!("post {i} {denial}"));
                     fnv.write(&query.text);
                 }
             }

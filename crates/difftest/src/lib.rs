@@ -11,7 +11,7 @@
 //! the same oracles over statements of up to four operations whose
 //! selects may observe each other.
 //!
-//! Six oracles run per case (a seventh has a pass of its own):
+//! Seven oracles run per case, 1–6 and 8 (the seventh has a pass of its own):
 //!
 //! 1. **Decision equivalence** — the optimized pre-update check
 //!    ([`Checker::try_update`] / [`Strategy::Optimized`]) and the baseline
@@ -60,6 +60,9 @@
 //!    `decide_only(Optimized)` is defined and the baseline's answer
 //!    elsewhere, under both engine modes and with independence on and
 //!    off.
+//! 8. **Delta** (in this campaign, beside 1–6) — a text update
+//!    `map_update` maps writes, in the relational image, exactly the
+//!    cells its pattern predicts ([`delta`]).
 //!
 //! Every case also runs as its [`hostile`] twin: one operation aimed at a
 //! text node, a comment, a processing instruction, the document node or
@@ -85,6 +88,7 @@
 //! In the system-inventory table of `DESIGN.md` this crate is item 15 (differential fuzzer).
 
 pub mod crash_states;
+pub mod delta;
 pub mod digest;
 pub mod fault;
 pub mod gen;
@@ -302,6 +306,8 @@ impl Report {
         let index_probes = self.counts[Tally::ReferenceIndexProbe as usize];
         let narrowed = self.counts[Tally::ReferenceNarrowed as usize];
         let pos_shifts = self.counts[Tally::PosShift as usize];
+        let deltas = self.counts[Tally::DeltaChecked as usize];
+        let cross_checked = self.counts[Tally::TextUpdateCrossChecked as usize];
         let mix: Vec<String> =
             tally::OPS.map(|i| format!("{}={}", tally::NAMES[i], self.counts[i])).collect();
         let summary = format!(
@@ -311,6 +317,8 @@ impl Report {
              {index_probes} sites answered from the document's index, \
              {narrowed} hits narrowed by a later join), {constraint_joins} cases with a planned \
              join in their constraints, {pos_shifts} shifting a position their constraints read, \
+             {deltas} text updates' mapped deltas checked, {cross_checked} text updates decided \
+             optimized and held to the baseline, \
              {} hostile statements over {}/{} (target, operation) pairs\n\
              op mix: {}",
             self.discrepancies.len(),
@@ -350,6 +358,11 @@ impl Report {
             Err(format!(
                 "difftest: no case paired a position-reading denial with a non-tail insert or \
                  a removal in {cases} cases"
+            ))
+        } else if deltas == 0 || cross_checked == 0 {
+            Err(format!(
+                "difftest: {deltas} text updates' deltas checked and {cross_checked} decided \
+                 optimized in {cases} cases"
             ))
         } else if cases >= HOSTILE_FLOOR_CASES && !unaimed.is_empty() {
             Err(format!("difftest: never aimed in {cases} cases: {}", unaimed.join(", ")))
@@ -593,6 +606,12 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             // …on the post-state, where inserts have put ids out of
             // document order…
             order_oracle(&doc).map_err(|d| ("order", d))?;
+            // Oracle 8: a mapped text update writes what its pattern says.
+            if let Ok(schema) = xic_mapping::RelSchema::from_dtd(&dtd) {
+                if delta::oracle(&schema, &pinned, &doc, &stmt).map_err(|d| ("delta", d))? {
+                    tally::incr(Tally::DeltaChecked);
+                }
+            }
             undo(&mut doc, applied);
             (Some(post), conforming)
         }
@@ -725,22 +744,23 @@ pub fn check_case(case: &Case) -> Result<(), (&'static str, String)> {
             audit(opt.doc(), "the checker's update")?;
             audit(base.doc(), "the baseline's decision on a copy")?;
 
-            // Cross-check the pure optimized decision path where it is
-            // defined (insertion-only statements with an incremental
-            // pattern); `Err` just means the pattern is not incrementally
-            // checkable, which is the documented fallback, not a bug.
-            if stmt.insertions_only() {
-                if let Ok(v) = base.decide_only(&stmt, Strategy::Optimized) {
-                    if v.is_none() != accepted {
-                        return Err((
-                            "decision",
-                            format!(
-                                "decide_only(Optimized) {} but baseline {}",
-                                if v.is_none() { "accepts" } else { "rejects" },
-                                if accepted { "accepts" } else { "rejects" },
-                            ),
-                        ));
-                    }
+            // Cross-check the pure optimized decision path wherever it is
+            // defined (insertions and one-cell text updates with an
+            // incremental pattern); `Err` just means the statement has no
+            // optimized check, which is the documented fallback, not a bug.
+            if let Ok(v) = base.decide_only(&stmt, Strategy::Optimized) {
+                if v.is_none() != accepted {
+                    return Err((
+                        "decision",
+                        format!(
+                            "decide_only(Optimized) {} but baseline {}",
+                            if v.is_none() { "accepts" } else { "rejects" },
+                            if accepted { "accepts" } else { "rejects" },
+                        ),
+                    ));
+                }
+                if matches!(stmt.ops.as_slice(), [XUpdateOp::Update { .. }]) {
+                    tally::incr(Tally::TextUpdateCrossChecked);
                 }
             }
         }
@@ -836,7 +856,7 @@ mod tests {
             counts,
             hostile: [1; hostile::PAIRS],
         };
-        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1, 1, 1, 1];
+        let covered = [0, 1, 1, 1, 1, 1, 1, 6, 2, 1, 1, 1, 1, 1, 1];
         assert_eq!(report(100, covered).outcome().floor, Ok(()));
         let mut no_rename = covered;
         no_rename[Tally::OpRename as usize] = 0;
@@ -862,6 +882,12 @@ mod tests {
         assert!(floor.contains("never aimed in 500 cases: rename at root"), "{floor}");
         unaimed.config.cases = 499;
         assert_eq!(unaimed.outcome().floor, Ok(()));
+        for unchecked in [Tally::DeltaChecked, Tally::TextUpdateCrossChecked] {
+            let mut counts = covered;
+            counts[unchecked as usize] = 0;
+            let floor = report(100, counts).outcome().floor.unwrap_err();
+            assert!(floor.contains("text updates' deltas checked"), "{floor}");
+        }
         let mut unshifted = covered;
         unshifted[Tally::PosShift as usize] = 0;
         let floor = report(100, unshifted).outcome().floor.unwrap_err();

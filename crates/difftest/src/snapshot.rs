@@ -96,10 +96,11 @@ impl SnapshotReport {
         let (optimized, fallback) = (self.decided_optimized, self.decided_fallback);
         let mix: Vec<String> =
             OP_KINDS.iter().zip(self.ops).map(|(kind, n)| format!("{kind}={n}")).collect();
+        let share = optimized as f64 / (optimized + fallback).max(1) as f64;
         let summary = format!(
             "snapshot-decide: {cases} cases from seed {seed} (independence on and off) — \
-             {} divergences, {optimized} decided optimized, {fallback} decided by fallback; \
-             op mix: {}",
+             {} divergences, {optimized} decided optimized, {fallback} decided by fallback \
+             (optimized share {share:.2}); op mix: {}",
             self.divergences.len(),
             mix.join(" "),
         );

@@ -31,10 +31,16 @@ pub enum Tally {
     /// A case whose constraints read a position and whose statement holds
     /// an `insert-before` or a `remove`: siblings shift under the read.
     PosShift,
+    /// A text update whose mapped delta the delta oracle compared with
+    /// what applying it wrote.
+    DeltaChecked,
+    /// A text update whose `decide_only(Optimized)` answer was held to
+    /// the baseline's.
+    TextUpdateCrossChecked,
 }
 
 /// The key each [`Tally`] is reported under, in declaration order.
-pub const NAMES: [&str; 13] = [
+pub const NAMES: [&str; 15] = [
     "difftest_shrink_step",
     "difftest_op_insert_before",
     "difftest_op_insert_after",
@@ -48,6 +54,8 @@ pub const NAMES: [&str; 13] = [
     "reference_index_probes",
     "reference_hits_narrowed",
     "pos_reads_shifted",
+    "text_update_deltas_checked",
+    "text_updates_cross_checked",
 ];
 
 /// The operation-kind tallies (`NAMES[1..7]`): a long run must move every one.

@@ -10,7 +10,8 @@
 //! * [`shred`](shred()): materializes a document's relational image as a
 //!   `xic-datalog` [`Database`](xic_datalog::Database) (used as the
 //!   ground-truth semantics in tests, not at runtime);
-//! * [`update_map`]: maps an XUpdate insertion statement to a
+//! * [`update_map`]: maps an XUpdate insertion statement (or a text
+//!   update of one compacted column, as a modification) to a
 //!   parameterized update transaction (Section 4.1's
 //!   `{sub(id3, 7, id_r, "Taming Web Services"), auts(id4, 2, id3,
 //!   "Jack")}`), identifying fresh node-id parameters and the concrete

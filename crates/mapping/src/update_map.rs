@@ -9,13 +9,19 @@
 //! compile-time simplification (Example 6's
 //! `U = {sub(is, ps, ir, t), auts(ia, pa, is, n)}`), together with the
 //! concrete parameter bindings for this statement.
+//!
+//! A text update of one compacted column is a modification: its owner's
+//! tuple is removed and added back under the same id with the new value
+//! (Martinenghi's reading of a modification as a deletion plus an
+//! insertion), so `auts/name` updated to "Jack" is
+//! `{-auts(id, pos, parent, old), auts(id, pos, parent, "Jack")}`.
 
 use crate::schema::RelSchema;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use xic_datalog::{Atom, Term, Update, Value};
 use xic_xml::xupdate::{check_target, Fragment, FragmentKind, XUpdateDoc, XUpdateOp};
-use xic_xml::{Document, NodeId, SelectError, SelectResolver};
+use xic_xml::{Document, NodeId, NodeKind, SelectError, SelectResolver};
 
 /// A mapped update: the parameterized transaction, this statement's
 /// parameter bindings, and which parameters denote fresh node ids.
@@ -27,9 +33,9 @@ pub struct MappedUpdate {
     pub bindings: HashMap<String, Value>,
     /// Parameters standing for newly allocated node identifiers.
     pub fresh_params: BTreeSet<String>,
-    /// Parameters denoting node identifiers (targets and fresh ids) —
-    /// the translator must render them as positional node paths, never as
-    /// value literals.
+    /// Parameters denoting node identifiers (targets, fresh ids and the
+    /// owner a text update modifies) — the translator must render them as
+    /// positional node paths, never as value literals.
     pub node_params: BTreeSet<String>,
     /// Predicate names of the existing element siblings a non-tail insert
     /// pushes one position on. Their `Pos + 1` is not part of `update`
@@ -48,9 +54,10 @@ pub struct MappedUpdate {
 /// Update mapping failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UpdateMapError {
-    /// The statement contains non-insertion operations; the simplification
-    /// framework targets insertions (Section 5), so callers fall back to
-    /// full checking.
+    /// The statement is neither insertions only nor one text update of a
+    /// compacted column (a remove, a rename, a text update beside other
+    /// operations or of anything else), so callers fall back to full
+    /// checking.
     NotInsertion,
     /// A select expression matched zero or several nodes.
     Target(String),
@@ -64,9 +71,9 @@ pub enum UpdateMapError {
 impl fmt::Display for UpdateMapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            UpdateMapError::NotInsertion => {
-                f.write_str("only insertion statements can be mapped to update patterns")
-            }
+            UpdateMapError::NotInsertion => f.write_str(
+                "only insertions and one-cell text updates can be mapped to update patterns",
+            ),
             UpdateMapError::Target(m) => write!(f, "target resolution: {m}"),
             UpdateMapError::Schema(m) => write!(f, "fragment/schema mismatch: {m}"),
             UpdateMapError::BudgetExhausted => SelectError::BudgetExhausted.fmt(f),
@@ -83,17 +90,14 @@ pub fn map_update(
     stmt: &XUpdateDoc,
     resolve: SelectResolver,
 ) -> Result<MappedUpdate, UpdateMapError> {
+    if let [op @ XUpdateOp::Update { text, .. }] = stmt.ops.as_slice() {
+        let target = resolve_one(doc, op, resolve)?;
+        return map_text_update(doc, schema, target, text);
+    }
     if !stmt.insertions_only() {
         return Err(UpdateMapError::NotInsertion);
     }
-    let mut out = MappedUpdate {
-        update: Update::default(),
-        bindings: HashMap::new(),
-        fresh_params: BTreeSet::new(),
-        node_params: BTreeSet::new(),
-        displaced: BTreeSet::new(),
-        targets: Vec::with_capacity(stmt.ops.len()),
-    };
+    let mut out = MappedUpdate::empty(stmt.ops.len());
     // Hypothetical fresh ids: strictly greater than every allocated id.
     let mut next_fresh = doc.node_count() as i64;
     let mut param_counter = 0usize;
@@ -101,20 +105,7 @@ pub fn map_update(
     let mut inserted: HashMap<NodeId, BTreeSet<String>> = HashMap::new();
 
     for (k, op) in stmt.ops.iter().enumerate() {
-        let targets = resolve(doc, op.select()).map_err(|e| match e {
-            SelectError::BudgetExhausted => UpdateMapError::BudgetExhausted,
-            SelectError::Other(m) => UpdateMapError::Target(m),
-        })?;
-        let [target] = targets.as_slice() else {
-            return Err(UpdateMapError::Target(format!(
-                "select {:?} matched {} nodes; patterns require exactly one",
-                op.select(),
-                targets.len()
-            )));
-        };
-        // An operation the target does not allow is refused by `apply`;
-        // mapped, it would be decided instead.
-        check_target(doc, op, *target).map_err(|e| UpdateMapError::Target(e.to_string()))?;
+        let target = &resolve_one(doc, op, resolve)?;
         out.targets.push(*target);
         let (parent, base_pos, content) = match op {
             XUpdateOp::InsertAfter { content, .. } => {
@@ -207,6 +198,127 @@ pub fn map_update(
     Ok(out)
 }
 
+impl MappedUpdate {
+    fn empty(ops: usize) -> MappedUpdate {
+        MappedUpdate {
+            update: Update::default(),
+            bindings: HashMap::new(),
+            fresh_params: BTreeSet::new(),
+            node_params: BTreeSet::new(),
+            displaced: BTreeSet::new(),
+            targets: Vec::with_capacity(ops),
+        }
+    }
+
+    /// A parameter bound to `value`, named `prefix` + its index among the
+    /// statement's parameters; a node parameter if `node`.
+    fn param(&mut self, prefix: &str, value: Value, node: bool) -> Term {
+        let name = format!("{prefix}{}", self.bindings.len());
+        self.bindings.insert(name.clone(), value);
+        if node {
+            self.node_params.insert(name.clone());
+        }
+        Term::param(name)
+    }
+}
+
+/// The one node `op`'s select resolves to, which `op` is defined for.
+fn resolve_one(
+    doc: &Document,
+    op: &XUpdateOp,
+    resolve: SelectResolver,
+) -> Result<NodeId, UpdateMapError> {
+    let targets = resolve(doc, op.select()).map_err(|e| match e {
+        SelectError::BudgetExhausted => UpdateMapError::BudgetExhausted,
+        SelectError::Other(m) => UpdateMapError::Target(m),
+    })?;
+    let [target] = targets.as_slice() else {
+        return Err(UpdateMapError::Target(format!(
+            "select {:?} matched {} nodes; patterns require exactly one",
+            op.select(),
+            targets.len()
+        )));
+    };
+    // An operation the target does not allow is refused by `apply`;
+    // mapped, it would be decided instead.
+    check_target(doc, op, *target).map_err(|e| UpdateMapError::Target(e.to_string()))?;
+    Ok(*target)
+}
+
+/// Maps a text update of `target` to the modification of one cell: the
+/// removal of its owner's tuple and the addition of the same tuple —
+/// same id, position and parent, the other columns' values — with `text`
+/// in `target`'s column. The id is a node parameter, never a fresh one:
+/// the tuple exists before the update and after it.
+///
+/// Every cell of that tuple must read in XQuery as it does in the
+/// relational image, or the pre-update check would disagree with the
+/// full check: `target` is a compacted element whose parent is the
+/// predicate that compacts it, the only element of its name there, with
+/// no element beneath it, and `text` is kept as one text node; each other
+/// column is the only element of its name under the owner and holds one
+/// text node and no element. Anything else is
+/// [`UpdateMapError::NotInsertion`]: the statement takes the baseline.
+fn map_text_update(
+    doc: &Document,
+    schema: &RelSchema,
+    target: NodeId,
+    text: &str,
+) -> Result<MappedUpdate, UpdateMapError> {
+    let column = doc.name(target).filter(|name| schema.is_compacted(name));
+    let owner = doc.node(target).parent;
+    let owner_name = owner.and_then(|o| doc.name(o));
+    let info = owner_name.and_then(|name| schema.pred(name).map(|i| (name, i)));
+    let (Some(column), Some(owner), Some((pred, info))) = (column, owner, info) else {
+        return Err(UpdateMapError::NotInsertion);
+    };
+    let (Some(parent), Some(pos)) = (doc.node(owner).parent, doc.element_position(owner)) else {
+        return Err(UpdateMapError::NotInsertion);
+    };
+    let held = doc.node(target).children.iter().any(|&c| doc.name(c).is_some());
+    if held || text.trim().is_empty() || !info.cols.iter().any(|c| c == column) {
+        return Err(UpdateMapError::NotInsertion);
+    }
+    let mut out = MappedUpdate::empty(1);
+    out.targets.push(target);
+    let id = out.param("n", Value::Int(i64::from(owner.0)), true);
+    let pos = out.param("p", Value::Int(pos as i64), false);
+    let parent = out.param("t", Value::Int(i64::from(parent.0)), true);
+    let (mut old, mut new) = (vec![id.clone(), pos.clone(), parent.clone()], vec![id, pos, parent]);
+    for col in &info.cols {
+        let named = |&&c: &&NodeId| doc.name(c) == Some(col.as_str());
+        let [cell] = doc.node(owner).children.iter().filter(named).collect::<Vec<_>>()[..] else {
+            return Err(UpdateMapError::NotInsertion);
+        };
+        if col == column {
+            old.push(out.param("v", Value::Str(doc.text_content(target)), false));
+            new.push(out.param("v", Value::Str(text.to_string()), false));
+        } else {
+            let value = sole_text(doc, *cell).ok_or(UpdateMapError::NotInsertion)?;
+            let shared = out.param("v", Value::Str(value.to_string()), false);
+            old.push(shared.clone());
+            new.push(shared);
+        }
+    }
+    out.update = Update::modification(vec![Atom::new(pred, old)], vec![Atom::new(pred, new)]);
+    Ok(out)
+}
+
+/// The text of an element that holds exactly one text node and no
+/// element: the one value both the relational image and an XQuery
+/// `text()` step read from it.
+fn sole_text(doc: &Document, element: NodeId) -> Option<&str> {
+    let mut texts = doc.node(element).children.iter().filter_map(|&c| match &doc.node(c).kind {
+        NodeKind::Text(t) => Some(Some(&**t)),
+        NodeKind::Element { .. } => Some(None),
+        _ => None,
+    });
+    match (texts.next(), texts.next()) {
+        (Some(Some(text)), None) => Some(text),
+        _ => None,
+    }
+}
+
 /// Maps the element `root` of `content` and, in document order, the
 /// elements under it that are not compacted into a column, to addition
 /// atoms, off an explicit stack. The element children's positions inside
@@ -294,13 +406,16 @@ fn column_text(content: &Fragment, col: usize) -> String {
     std::mem::take(&mut values[0])
 }
 
-/// A canonical key for the update's *shape*: parameters are numbered by
-/// first occurrence, constants kept verbatim. Two statements with equal
+/// A canonical key for the update's *shape*: removals (marked `-`), then
+/// additions, parameters numbered by first occurrence, constants kept
+/// verbatim. Two statements with equal
 /// keys are instances of the same pattern and share a compiled check.
 pub fn pattern_key(update: &Update) -> String {
     let mut names: HashMap<&str, usize> = HashMap::new();
     let mut out = String::new();
-    for a in &update.additions {
+    let removals = update.removals.iter().map(|a| ("-", a));
+    for (sign, a) in removals.chain(update.additions.iter().map(|a| ("", a))) {
+        out.push_str(sign);
         out.push_str(&a.pred);
         out.push('(');
         for (i, t) in a.args.iter().enumerate() {
@@ -502,5 +617,58 @@ mod tests {
         .unwrap();
         let err = map_update(&doc, &schema, &stmt, &resolver).unwrap_err();
         assert!(matches!(err, UpdateMapError::Schema(m) if m.contains("title")));
+    }
+
+    fn text_update(select: &str, text: &str) -> XUpdateDoc {
+        XUpdateDoc::parse(&format!(
+            r#"<xupdate:modifications xmlns:xupdate="x"><xupdate:update select="{select}">{text}</xupdate:update></xupdate:modifications>"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_text_update_of_a_column_is_one_modified_cell() {
+        let (doc, _) = parse_document(CORPUS).unwrap();
+        let schema = RelSchema::from_dtd(&paper_dtd()).unwrap();
+        let stmt = text_update("/collection/review/track[2]/rev[1]/sub[2]/auts[1]/name", "Zoe");
+        let m = map_update(&doc, &schema, &stmt, &resolver).unwrap();
+        assert_eq!(pattern_key(&m.update), "-auts($0,$1,$2,$3)auts($0,$1,$2,$4)");
+        let g = m.update.instantiate(&m.bindings).unwrap();
+        assert_eq!(g.removals[0].args[3], Term::Const(Value::from("Eve")));
+        assert_eq!(g.additions[0].args[3], Term::Const(Value::from("Zoe")));
+        // The owner exists before and after: a node parameter, not fresh.
+        assert!(m.fresh_params.is_empty());
+        let [Term::Param(id), _, Term::Param(parent), ..] = &m.update.additions[0].args[..] else {
+            panic!("{}", m.update)
+        };
+        assert_eq!(m.node_params, BTreeSet::from([id.clone(), parent.clone()]));
+        let owner = NodeId(u32::try_from(m.bindings[id].as_int().unwrap()).unwrap());
+        assert_eq!(doc.name(owner), Some("auts"));
+        assert!(m.displaced.is_empty());
+    }
+
+    #[test]
+    fn other_text_updates_are_not_mapped() {
+        let (doc, _) = parse_document(CORPUS).unwrap();
+        let schema = RelSchema::from_dtd(&paper_dtd()).unwrap();
+        let name = "/collection/review/track[1]/rev[1]/name";
+        let refused = [
+            // A predicate's element: its children go, not one cell.
+            text_update("/collection/review/track[1]/rev[1]/sub[1]", "x"),
+            // No text node would hold the value.
+            text_update(name, " "),
+        ];
+        for stmt in refused {
+            let err = map_update(&doc, &schema, &stmt, &resolver).unwrap_err();
+            assert_eq!(err, UpdateMapError::NotInsertion, "{stmt:?}");
+        }
+        let mut two = text_update(name, "A");
+        two.ops.push(text_update(name, "B").ops.remove(0));
+        assert_eq!(map_update(&doc, &schema, &two, &resolver).unwrap_err(), UpdateMapError::NotInsertion);
+        // A second `name` under the rev (the document left its DTD): the
+        // column no longer reads as one value.
+        let (doubled, _) = parse_document(&CORPUS.replace("<name>Ann</name>", "<name>Ann</name><name>Al</name>")).unwrap();
+        let stmt = text_update("/collection/review/track[1]/rev[1]/name[1]", "Bo");
+        assert_eq!(map_update(&doubled, &schema, &stmt, &resolver).unwrap_err(), UpdateMapError::NotInsertion);
     }
 }

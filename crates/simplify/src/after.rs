@@ -45,18 +45,44 @@ impl std::error::Error for AfterError {}
 
 /// Computes `After^U(Γ)` (reduced and de-duplicated, but *not* yet
 /// optimized against trusted hypotheses — see
-/// [`optimize`](crate::optimize::optimize)).
+/// [`optimize`](crate::optimize::optimize)), or says why the first
+/// constraint it cannot rewrite is out of reach.
 pub fn after(
     gamma: &[Denial],
     update: &Update,
     config: &SimpConfig,
 ) -> Result<Vec<Denial>, AfterError> {
+    let (out, unsupported) = after_each(gamma, update, config);
+    match unsupported.into_iter().next() {
+        Some((_, e)) => Err(e),
+        None => Ok(out),
+    }
+}
+
+/// `After^U` of each constraint on its own: the reduced, de-duplicated
+/// expansions of the constraints it can rewrite, and for each it cannot,
+/// its index in `gamma` and why. One constraint outside the supported
+/// fragment leaves the others' expansions as they are.
+pub fn after_each(
+    gamma: &[Denial],
+    update: &Update,
+    config: &SimpConfig,
+) -> (Vec<Denial>, Vec<(usize, AfterError)>) {
     let mut gen = VarGen::above(gamma);
     let mut out: Vec<Denial> = Vec::new();
+    let mut unsupported = Vec::new();
     let mut seen: HashSet<Denial> = HashSet::new();
-    for phi in gamma {
-        let agg_variants = expand_aggregates(phi.clone(), 0, update, config, &mut gen)?;
-        for v in agg_variants {
+    for (i, phi) in gamma.iter().enumerate() {
+        let variants = deletions_supported(phi, update)
+            .and_then(|()| expand_aggregates(phi.clone(), 0, update, config, &mut gen));
+        let variants = match variants {
+            Ok(variants) => variants,
+            Err(e) => {
+                unsupported.push((i, e));
+                continue;
+            }
+        };
+        for v in variants {
             for d in expand_atoms(&v, update) {
                 if let Reduced::Denial(r) = reduce(d) {
                     if seen.insert(r.canonical_key()) {
@@ -66,7 +92,25 @@ pub fn after(
             }
         }
     }
-    Ok(out)
+    (out, unsupported)
+}
+
+/// A removal is rewritten exactly on positive atoms only: a negated atom
+/// or an aggregate over a relation the update deletes from reads the
+/// tuples that survive, which no literal of the fragment denotes.
+fn deletions_supported(phi: &Denial, update: &Update) -> Result<(), AfterError> {
+    let deleted = |a: &Atom| update.removals_on(&a.pred).next().is_some();
+    for lit in &phi.body {
+        let reason = match lit {
+            Literal::Neg(a) if deleted(a) => "a negated atom over a relation the update deletes from",
+            Literal::Agg(agg, ..) if agg.pattern.iter().any(deleted) => {
+                "an aggregate over a relation the update deletes from"
+            }
+            _ => continue,
+        };
+        return Err(AfterError { denial: phi.to_string(), reason: reason.to_string() });
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -76,15 +120,26 @@ pub fn after(
 /// Expands positive and negated database atoms against the update,
 /// producing the DNF case product. Atoms inside aggregate patterns are
 /// *not* touched: after [`expand_aggregates`] those denote old-state
-/// values by construction.
+/// values by construction. A positive atom over a relation with removals
+/// keeps its old-state alternative only for the tuples that survive them
+/// (Martinenghi's rule for deletions, by key): `p'(t̄) = (p(t̄) ∧ ⋀ t₁ ≠
+/// r₁) ∨ ⋁ t̄ = ā`; [`deletions_supported`] keeps negations and
+/// aggregates over such a relation out.
 fn expand_atoms(denial: &Denial, update: &Update) -> Vec<Denial> {
     // Each literal maps to a list of alternatives; each alternative is a
     // list of literals replacing the original.
     let mut alternatives: Vec<Vec<Vec<Literal>>> = Vec::with_capacity(denial.body.len());
+    let touched = |pred: &str| {
+        update.additions_on(pred).next().is_some() || update.removals_on(pred).next().is_some()
+    };
     for lit in &denial.body {
         match lit {
-            Literal::Pos(a) if update.additions_on(&a.pred).next().is_some() => {
-                let mut alts: Vec<Vec<Literal>> = vec![vec![lit.clone()]];
+            Literal::Pos(a) if touched(&a.pred) => {
+                let mut survives = vec![lit.clone()];
+                let ids = update.removals_on(&a.pred).filter_map(|r| r.args.first());
+                let survive = |(r, t): (&Term, &Term)| Literal::ne(t.clone(), r.clone());
+                survives.extend(ids.zip(a.args.first()).map(survive));
+                let mut alts: Vec<Vec<Literal>> = vec![survives];
                 for add in update.additions_on(&a.pred) {
                     if add.args.len() != a.args.len() {
                         continue; // arity mismatch: cannot be this atom

@@ -231,19 +231,38 @@ impl WriteFootprint {
     }
 }
 
-/// The write footprint of a mapped insertion pattern (a datalog
-/// [`Update`] is pure tuple addition, so the footprint is the existence
-/// set of the added predicates). Position displacement of existing
-/// siblings is *not* covered here — callers deciding a full skip for a
-/// concrete statement must use the statement-level footprint from the
-/// checker layer; this form is only used to pre-filter which constraints
-/// enter `Simp` at pattern-compile time, where tuple addition is exactly
-/// what `After` reasons about.
+/// The write footprint of a mapped update pattern. An added tuple changes
+/// its relation's membership. A removal whose id an addition on the same
+/// relation reuses is a modification of that tuple: it writes only the
+/// cells whose terms differ (a text update writes one). Any other removal
+/// deletes from its relation. Position displacement of existing siblings
+/// is *not* covered here — callers deciding a full skip for a concrete
+/// statement must use the statement-level footprint from the checker
+/// layer; this form is only used to pre-filter which constraints enter
+/// `Simp` at pattern-compile time, where the tuples added and removed are
+/// exactly what `After` reasons about.
 pub fn update_write_footprint(update: &Update) -> WriteFootprint {
     let mut w = WriteSet::default();
-    for a in &update.additions {
-        w.existence.insert(a.pred.clone());
+    let same_tuple = |r: &Atom, a: &Atom| {
+        r.pred == a.pred && r.args.len() == a.args.len() && r.args.first() == a.args.first()
+    };
+    for r in &update.removals {
+        match update.additions.iter().find(|a| same_tuple(r, a)) {
+            Some(a) => {
+                let changed = r.args.iter().zip(&a.args).enumerate().filter(|(_, (x, y))| x != y);
+                w.cells.extend(changed.map(|(col, _)| (r.pred.clone(), col)));
+            }
+            None => {
+                w.removed.insert(r.pred.clone());
+            }
+        }
     }
+    for a in &update.additions {
+        if !update.removals.iter().any(|r| same_tuple(r, a)) {
+            w.existence.insert(a.pred.clone());
+        }
+    }
+    w.settle();
     WriteFootprint::Cells(w)
 }
 
@@ -432,5 +451,21 @@ mod tests {
         let mut w = WriteSet::default();
         w.existence.insert("sub".to_string());
         assert_eq!(live_set(&fps, &WriteFootprint::Cells(w)), vec![true, false]);
+    }
+
+    #[test]
+    fn a_modification_writes_the_cells_it_changes() {
+        let u = xic_datalog::parse_update("{-auts($n, $p, $t, $o), auts($n, $p, $t, $v)}")
+            .expect("parses");
+        let WriteFootprint::Cells(w) = update_write_footprint(&u) else { panic!("bounded") };
+        assert!(w.existence.is_empty() && w.removed.is_empty(), "{w:?}");
+        assert_eq!(w.cells, BTreeSet::from([("auts".to_string(), 3)]));
+        // A name read by a join is live; membership alone is not.
+        let gamma = [
+            parse_denial("<- rev(I, _, _, R) & sub(S, _, I, _) & auts(_, _, S, R)").expect("parses"),
+            parse_denial("<- sub(S, _, _, _) & cnt(; auts(_, _, S, _)) > 3").expect("parses"),
+        ];
+        let live = live_set(&read_footprints(&gamma), &WriteFootprint::Cells(w));
+        assert_eq!(live, vec![true, false]);
     }
 }

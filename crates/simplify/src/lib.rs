@@ -1,7 +1,8 @@
 //! Simplification of integrity constraints (Section 5 of the paper).
 //!
 //! Given a constraint set Γ (denials), an update pattern `U` (ground-modulo
-//! -parameters insertions) and trusted hypotheses Δ, this crate computes
+//! -parameters insertions, and the removals of a modification) and trusted
+//! hypotheses Δ, this crate computes
 //!
 //! ```text
 //! Simp_Δ^U(Γ) = Optimize_{Γ∪Δ}( After^U(Γ) )
@@ -39,9 +40,10 @@ pub mod footprint;
 pub mod hypotheses;
 pub mod optimize;
 pub mod reduce;
+pub mod residual;
 pub mod subsume;
 
-pub use after::{after, AfterError};
+pub use after::{after, after_each, AfterError};
 pub use footprint::{
     live_set, read_footprint, read_footprints, update_write_footprint, ReadFootprint,
     WriteFootprint, WriteSet,
@@ -49,6 +51,7 @@ pub use footprint::{
 pub use hypotheses::freshness_hypotheses;
 pub use optimize::optimize;
 pub use reduce::{reduce, Reduced};
+pub use residual::specialize_to_new_value;
 pub use subsume::{subsumes, variants};
 
 use xic_datalog::{Denial, Update};
@@ -117,34 +120,47 @@ pub fn simp(
     extra_delta: &[Denial],
     config: &SimpConfig,
 ) -> Result<Vec<Denial>, AfterError> {
-    simp_live(gamma, &[], update, extra_delta, config)
+    let Simplified { denials, residual } = simp_live(gamma, &[], update, extra_delta, config);
+    match residual.into_iter().next() {
+        Some((_, e)) => Err(e),
+        None => Ok(denials),
+    }
+}
+
+/// What [`simp_live`] made of Γ: the simplified denials of the
+/// constraints `After` could rewrite, and the ones it could not.
+#[derive(Debug, Clone, Default)]
+pub struct Simplified {
+    /// `Simp_Δ^U` of the live constraints `After` rewrote.
+    pub denials: Vec<Denial>,
+    /// The live constraints it could not rewrite, as indexes into Γ, with
+    /// why: their verdict has to be read off the updated state.
+    pub residual: Vec<(usize, AfterError)>,
 }
 
 /// [`simp`] restricted to the constraints `live` marks `true` (missing
-/// entries count as live, so an empty slice means "all"): skipped
-/// constraints are not expanded — the compile-time saving of the static
-/// independence analysis — while the hypothesis set stays the **full**
-/// `Γ ∪ Δ`, since every constraint holds in the consistent pre-state
-/// whether or not the update affects it. A constraint the analysis skips
-/// never mentions an added predicate, so `After` would have returned it
-/// unchanged and hypothesis subsumption (against itself in Γ) would have
-/// eliminated it: the surviving clause set is the one [`simp`] computes.
+/// entries count as live, so an empty slice means "all"), constraint by
+/// constraint: one `After` cannot rewrite goes to
+/// [`Simplified::residual`] and the others are simplified as they would
+/// be without it. Skipped constraints are not expanded — the compile-time
+/// saving of the static independence analysis — while the hypothesis set
+/// stays the **full** `Γ ∪ Δ`, since every constraint holds in the
+/// consistent pre-state whether or not the update affects it. A
+/// constraint the analysis skips reads nothing the update writes, so its
+/// verdict in the updated state is its verdict now: it holds.
 pub fn simp_live(
     gamma: &[Denial],
     live: &[bool],
     update: &Update,
     extra_delta: &[Denial],
     config: &SimpConfig,
-) -> Result<Vec<Denial>, AfterError> {
-    let subset: Vec<Denial> = gamma
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| live.get(*i).copied().unwrap_or(true))
-        .map(|(_, d)| d.clone())
-        .collect();
-    let expanded = {
+) -> Simplified {
+    let indices: Vec<usize> =
+        (0..gamma.len()).filter(|&i| live.get(i).copied().unwrap_or(true)).collect();
+    let subset: Vec<Denial> = indices.iter().map(|&i| gamma[i].clone()).collect();
+    let (expanded, unsupported) = {
         let _span = xic_obs::phase("after");
-        after(&subset, update, config)?
+        after_each(&subset, update, config)
     };
     xic_obs::add(xic_obs::Counter::ClausesExpanded, expanded.len() as u64);
     let mut delta: Vec<Denial> = gamma.to_vec();
@@ -156,7 +172,8 @@ pub fn simp_live(
         eliminate_fresh_comparisons(optimized, &config.fresh)
     };
     xic_obs::add(xic_obs::Counter::ClausesSurviving, simplified.len() as u64);
-    Ok(simplified)
+    let residual = unsupported.into_iter().map(|(k, e)| (indices[k], e)).collect();
+    Simplified { denials: simplified, residual }
 }
 
 /// Decides (dis)equalities against globally fresh node-id parameters: a

@@ -9,14 +9,19 @@
 //! Databases, constraints and updates are drawn over a two-relation schema
 //! shaped like the XML shredding (`p(Id, Val)`, `q(Id, Ref, Val)`), with
 //! newly allocated identifiers guaranteed fresh — exactly the situation the
-//! XML mapping produces.
+//! XML mapping produces. A modification (one tuple removed by its key and
+//! added back with one value changed, as a text update maps) is drawn on a
+//! state whose first columns are keys, as the shredding's node ids are.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use xic_datalog::{
     denials_hold, Atom, CompOp, Database, Denial, Literal, Term, Update, Value, Var,
 };
-use xic_simplify::{after, freshness_hypotheses, optimize, simp, FreshSpec, SimpConfig};
+use xic_simplify::{
+    after, after_each, freshness_hypotheses, optimize, simp, simp_live, specialize_to_new_value,
+    FreshSpec, SimpConfig,
+};
 
 const DOMAIN: i64 = 4;
 
@@ -188,6 +193,40 @@ fn update() -> impl Strategy<Value = (Update, HashMap<String, Value>, FreshSpec)
     })
 }
 
+/// `db` with one tuple per first-column value in each relation.
+fn keyed(db: &Database) -> Database {
+    let mut out = Database::new();
+    for pred in ["p", "q"] {
+        let mut ids = std::collections::HashSet::new();
+        for t in db.relation(pred).into_iter().flat_map(|r| r.iter()) {
+            if ids.insert(t[0].clone()) {
+                out.insert(pred, t.to_vec());
+            }
+        }
+    }
+    out
+}
+
+/// The modification of the `pick`-th tuple of `db` (p's before q's):
+/// removed by its key, added back with value `v` in column `col` (p has
+/// one value column, q two), every column a parameter, with its bindings.
+fn modification(db: &Database, pick: usize, col: usize, v: i64) -> Option<(Update, HashMap<String, Value>)> {
+    let rows: Vec<(&str, Vec<Value>)> = ["p", "q"]
+        .into_iter()
+        .flat_map(|pred| db.relation(pred).into_iter().flat_map(move |r| r.iter().map(move |t| (pred, t.to_vec()))))
+        .collect();
+    let (pred, old) = rows.get(pick % rows.len().max(1))?;
+    let col = if *pred == "p" { 1 } else { col };
+    let params: Vec<Term> = (0..old.len()).map(|j| Term::param(format!("m{j}"))).collect();
+    let mut bindings: HashMap<String, Value> =
+        old.iter().enumerate().map(|(j, value)| (format!("m{j}"), value.clone())).collect();
+    let mut new = params.clone();
+    new[col] = Term::param("new");
+    bindings.insert("new".to_string(), Value::Int(v));
+    let u = Update::modification(vec![Atom::new(*pred, params)], vec![Atom::new(*pred, new)]);
+    Some((u, bindings))
+}
+
 /// Evaluates a set of denials after parameter instantiation.
 fn holds(db: &Database, denials: &[Denial], bindings: &HashMap<String, Value>) -> Option<bool> {
     let mut inst = denials.to_vec();
@@ -272,6 +311,48 @@ proptest! {
             simplified.iter().map(std::string::ToString::to_string).collect::<Vec<_>>(),
             bindings
         );
+    }
+
+    /// A modification on a keyed state: `After` rewrites the constraints
+    /// it supports exactly on every state, and Simp on consistent ones,
+    /// the others (a negation or an aggregate over the modified relation)
+    /// read off the updated state: `D ⊨ After(rewritten) ∧ D^U ⊨ residual
+    /// ⇔ D^U ⊨ Γ`, where a residual monotone in the relation may read the
+    /// new value's group alone.
+    #[test]
+    fn a_modification_is_exact_denial_by_denial(
+        db in database(),
+        gamma in prop::collection::vec(denial(), 1..3),
+        pick in 0usize..12, col in 1usize..3, v in value(),
+    ) {
+        let db = keyed(&db);
+        let Some((u, bindings)) = modification(&db, pick, col, v) else { return Ok(()); };
+        let cfg = SimpConfig::default();
+        let mut db2 = db.clone();
+        u.instantiate(&bindings).unwrap().apply(&mut db2);
+        let Some(rhs) = holds(&db2, &gamma, &bindings) else { return Ok(()); };
+        let (expanded, unsupported) = after_each(&gamma, &u, &cfg);
+        let residual: Vec<Denial> = unsupported.iter().map(|(i, _)| gamma[*i].clone()).collect();
+        let Some(rest) = holds(&db2, &residual, &bindings) else { return Ok(()); };
+        let Some(now) = holds(&db, &expanded, &bindings) else { return Ok(()); };
+        prop_assert_eq!(now && rest, rhs, "After of {} over {:?}: {:?}", u,
+            gamma.iter().map(std::string::ToString::to_string).collect::<Vec<_>>(),
+            expanded.iter().map(std::string::ToString::to_string).collect::<Vec<_>>());
+        if holds(&db, &gamma, &bindings) == Some(true) {
+            // A residual monotone in the relation reads one group: the
+            // new value's.
+            for phi in &residual {
+                if let Some(one) = specialize_to_new_value(phi, &u) {
+                    let whole = holds(&db2, std::slice::from_ref(phi), &bindings);
+                    prop_assert_eq!(holds(&db2, std::slice::from_ref(&one), &bindings), whole, "{} as {}", phi, one);
+                }
+            }
+            let simplified = simp_live(&gamma, &[], &u, &[], &cfg);
+            prop_assert_eq!(simplified.residual.len(), unsupported.len());
+            let Some(now) = holds(&db, &simplified.denials, &bindings) else { return Ok(()); };
+            prop_assert_eq!(now && rest, rhs, "Simp of {}: {:?}", u,
+                simplified.denials.iter().map(std::string::ToString::to_string).collect::<Vec<_>>());
+        }
     }
 
     /// `Optimize` preserves meaning on consistent states even without an

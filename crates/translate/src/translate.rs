@@ -164,7 +164,15 @@ fn order_atoms<'a>(atoms: &[&'a Atom]) -> Result<Vec<&'a Atom>, TranslateError> 
             id(a).is_some()
                 && matches!(a.args.get(2), Some(Term::Var(w)) if !defined.contains(w))
         };
-        let Some(first) = pending.iter().position(|a| ready(a)) else {
+        // An atom addressed by a parameter whose parent is another atom's
+        // id goes first: that parent is reached from it (`$w in %{p}/..`),
+        // not searched for and compared.
+        let reaches_parent = |a: &Atom| {
+            matches!(a.args.first(), Some(Term::Param(_)))
+                && matches!(a.args.get(2), Some(Term::Var(w))
+                    if !defined.contains(w) && pending.iter().any(|b| id(b) == Some(w)))
+        };
+        let Some(first) = pending.iter().position(|a| reaches_parent(a)).or_else(|| pending.iter().position(|a| ready(a))) else {
             return Err(TranslateError::Unsupported(
                 "cyclic parent links between atoms".to_string(),
             ));
@@ -177,9 +185,10 @@ fn order_atoms<'a>(atoms: &[&'a Atom]) -> Result<Vec<&'a Atom>, TranslateError> 
             let joins_single = |a: &Atom| {
                 a.args.iter().skip(3).filter_map(Term::as_var).any(|v| single.contains(v))
             };
-            if !rivals.iter().any(|&i| rigid(pending[i])) {
-                idx = rivals.into_iter().find(|&i| joins_single(pending[i])).unwrap_or(first);
-            }
+            idx = match rivals.iter().find(|&&i| rigid(pending[i])) {
+                Some(&i) => i,
+                None => rivals.into_iter().find(|&i| joins_single(pending[i])).unwrap_or(first),
+            };
         }
         let one_node =
             binder(pending[idx]) || matches!(pending[idx].args.first(), Some(Term::Param(_)));
@@ -276,7 +285,8 @@ impl Tr<'_> {
             )));
         }
         // Node expression for this atom.
-        let self_expr = match &a.args[0] {
+        // `prebound`: reached from a parameter or a binding made before.
+        let (self_expr, prebound) = match &a.args[0] {
             Term::Param(p) => {
                 let ph = self.param(p, ParamKind::NodePath);
                 // A variable id gets its name test from the `//pred` (or
@@ -285,7 +295,14 @@ impl Tr<'_> {
                 // asserted explicitly or the residual check fires on nodes
                 // of the wrong element kind.
                 self.conds.push(format!("exists({ph}/self::{})", a.pred));
-                ph
+                (ph, true)
+            }
+            Term::Var(v) if self.node_expr.contains_key(v) => {
+                // Bound already, as the parent of an atom placed before:
+                // assert the membership, as for a parameter id.
+                let bound = self.node_expr[v].clone();
+                self.conds.push(format!("exists({bound}/self::{})", a.pred));
+                (bound, true)
             }
             Term::Var(v) => {
                 let var = format!("${v}");
@@ -299,7 +316,7 @@ impl Tr<'_> {
                     self.bindings.push((wref.clone(), format!("{var}/..")));
                     self.node_expr.insert(w, wref);
                 }
-                var
+                (var, false)
             }
             Term::Const(_) => {
                 return Err(TranslateError::Unsupported(
@@ -309,10 +326,13 @@ impl Tr<'_> {
                 ))
             }
         };
-        // Parent definition when the id is a parameter but the parent
-        // variable is still needed.
-        if let (Term::Param(_), Some(Term::Var(w))) = (&a.args[0], a.args.get(2)) {
-            if self.used_elsewhere(w) && !self.node_expr.contains_key(w) {
+        // The parent of an atom whose id was bound before it (a parameter,
+        // or a variable another atom's parent column bound): defined from
+        // it when still needed, the same node as it when bound already.
+        if let (true, Some(Term::Var(w))) = (prebound, a.args.get(2)) {
+            if let Some(parent) = self.node_expr.get(w) {
+                self.conds.push(format!("count({self_expr}/.. | {parent}) = 1"));
+            } else if self.used_elsewhere(w) {
                 self.bindings
                     .push((format!("${w}"), format!("{self_expr}/..")));
                 self.node_expr.insert(w.clone(), format!("${w}"));
@@ -1032,6 +1052,32 @@ mod tests {
         let t = tr("<- rev(Ir,_,_,_) & rev(Jr,_,_,_) & Ir != Jr");
         assert!(t.text.contains("count($Ir | $Jr) = 2"), "{}", t.text);
         xic_xquery::parse_query(&t.text).unwrap();
+    }
+
+    /// An atom addressed by a parameter reaches its parent, which another
+    /// atom names, instead of leaving it to be searched for unjoined; an
+    /// atom whose id is bound already asserts its membership.
+    #[test]
+    fn a_parameter_atom_reaches_the_parent_another_atom_names() {
+        let t = tr("<- rev(Ir,_,_,R) & sub($t,_,Ir,_) & R = $v");
+        assert_eq!(
+            t.text,
+            "some $Ir in %{t}/.. satisfies exists(%{t}/self::sub) and exists($Ir/self::rev) \
+             and $Ir/name/text() = %{v}"
+        );
+        // Two parameters with one parent: the second is the same node.
+        let t = tr("<- sub($s,_,Ir,_) & sub($u,_,Ir,_)");
+        assert!(t.text.contains("count(%{u}/.. | $Ir) = 1"), "{}", t.text);
+    }
+
+    /// Of the `//pred` binders ready at once, one with a parameter column
+    /// binds first: the renamed reviewer's co-author check probes the new
+    /// name's pubs once, not those of each author the reviewer reviews.
+    #[test]
+    fn a_binder_with_a_parameter_column_binds_first() {
+        let t = tr("<- sub(S,_,$n,_) & auts(_,_,S,A) & aut(_,_,Ip,A) & aut(J,_,Ip,$v)");
+        assert!(t.text.starts_with("some $J in //aut satisfies"), "{}", t.text);
+        assert!(t.text.contains("$J/name/text() = %{v}"), "{}", t.text);
     }
 
     #[test]
