@@ -8,7 +8,7 @@ echo "== doc byte budget (the four long docs do not grow back) =="
 # change that adds prose to one removes as much elsewhere (an old
 # CHANGES entry condensed, a retired EXPERIMENTS section folded into its
 # table); raising a budget is a decision its CHANGES entry explains.
-for budget in CHANGES.md:176047 DESIGN.md:75225 EXPERIMENTS.md:10091 README.md:37628; do
+for budget in CHANGES.md:167559 DESIGN.md:75225 EXPERIMENTS.md:10091 README.md:37628; do
   file="${budget%%:*}" max="${budget##*:}"
   size="$(wc -c < "$file")"
   [ "$size" -le "$max" ] || { echo "$file: $size bytes, over its budget of $max" >&2; exit 1; }
@@ -142,6 +142,27 @@ faults="$(find crates/*/src -name '*.rs' -not -path 'crates/faults/*' -not -path
   !in_test && !/^[[:space:]]*\/\// && /xic_faults/ { print FILENAME ":" FNR ": " $0 }
 ' crates/xml/Cargo.toml crates/core/Cargo.toml)"
 [ -z "$faults" ] || { echo "$faults" >&2; echo "a product crate depends on xic-faults" >&2; exit 1; }
+
+echo "== every counter has a reader (an xic_obs counter nothing reads is not kept) =="
+# A counter is worth its add only if something reads it: for each variant
+# of xic_obs::ALL_COUNTERS, some code line outside crates/obs/src names it
+# as `Counter::X` other than as the argument of an `incr(` / `add(` call,
+# or quotes its snapshot name ("x") whole.
+obs_lib=crates/obs/src/lib.rs
+counters="$(awk '/^pub const ALL_COUNTERS/ { on = 1; next } on && /^\];/ { on = 0 } on' "$obs_lib" \
+  | sed -n 's/^[[:space:]]*Counter::\([A-Za-z]*\),$/\1/p')"
+[ -n "$counters" ] || { echo "no counters found in $obs_lib" >&2; exit 1; }
+code="$(grep -rn --include='*.rs' --include='*.sh' --include='*.py' . \
+  --exclude-dir=target --exclude-dir=.git -e 'Counter::' -e '"' \
+  | grep -v '^\./crates/obs/src/' \
+  | sed -E 's/(incr|add)\([[:alnum:]_:]*Counter::[[:alnum:]_]+//g')"
+unread=""
+for c in $counters; do
+  name="$(sed -n "s/^[[:space:]]*Counter::$c => \"\([a-z_]*\)\",\$/\1/p" "$obs_lib")"
+  [ -n "$name" ] || { echo "no snapshot name for Counter::$c" >&2; exit 1; }
+  grep -qE "Counter::$c([^[:alnum:]_]|\$)|\"$name\"" <<< "$code" || unread="$unread $c"
+done
+[ -z "$unread" ] || { echo "counters nothing reads:$unread" >&2; exit 1; }
 
 echo "== build (release) =="
 cargo build --release --workspace

@@ -9,7 +9,7 @@ use crate::compile::CompiledPattern;
 use crate::durability::CommitLog;
 use crate::gamma::{apply_to_copy, SharedGamma};
 use crate::resolver::resolved_targets;
-use crate::optimized::{Legal, Verdict};
+use crate::optimized::Legal;
 use crate::resolver::xpath_resolver;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -170,46 +170,6 @@ impl From<XUpdateError> for CheckerError {
     }
 }
 
-/// Runtime counters, useful for the experiments.
-///
-/// These are per-[`Checker`] totals. For system-wide instrumentation —
-/// phase timings and counters contributed by the XPath/XQuery engines and
-/// the simplifier — see [`xic_obs::snapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Updates checked through a compiled pattern.
-    pub optimized_checks: u64,
-    /// Updates checked through apply to a copy + full check.
-    pub full_checks: u64,
-    /// Statements the full check refused after they were applied to a
-    /// copy (the copy was dropped; the document never changed).
-    pub rollbacks: u64,
-    /// Statements rejected before execution.
-    pub early_rejections: u64,
-    /// Updates whose pattern was already compiled when they arrived.
-    pub pattern_cache_hits: u64,
-    /// Updates whose pattern had to be compiled on first sight.
-    pub pattern_cache_misses: u64,
-    /// Planned joins and keyed steps of [`Checker::try_update`]'s checks
-    /// that the document's value index answered
-    /// ([`xic_obs::Counter::IndexProbe`]).
-    pub index_probes: u64,
-    /// Value indexes those probes built, a shape's first on this document
-    /// ([`xic_obs::Counter::IndexBuild`]).
-    pub index_builds: u64,
-}
-
-/// Runs `f` and reports, beside its result, how many planned sites it
-/// answered from a document's index and how many indexes that built (this
-/// thread's [`xic_obs::Counter::IndexProbe`] / `IndexBuild` deltas).
-pub(crate) fn index_reads<T>(f: impl FnOnce() -> T) -> (T, [u64; 2]) {
-    let read = || [xic_obs::Counter::IndexProbe, xic_obs::Counter::IndexBuild].map(xic_obs::counter);
-    let before = read();
-    let value = f();
-    let after = read();
-    (value, [after[0].saturating_sub(before[0]), after[1].saturating_sub(before[1])])
-}
-
 /// The integrity-checking façade: document + DTD + compiled constraint
 /// set, with optional store durability.
 ///
@@ -244,7 +204,6 @@ pub struct Checker {
     /// record leaves the journal in doubt; mutating operations are
     /// refused until recovery.
     poisoned: bool,
-    stats: Stats,
 }
 
 impl Checker {
@@ -286,7 +245,6 @@ impl Checker {
             log: CommitLog::default(),
             degraded: false,
             poisoned: false,
-            stats: Stats::default(),
         }
     }
 
@@ -338,11 +296,6 @@ impl Checker {
         self.shared.independence()
     }
 
-    /// Runtime counters.
-    pub fn stats(&self) -> Stats {
-        self.stats
-    }
-
     /// The compiled patterns in Γ's store: every pattern compiled by any
     /// checker, snapshot or shard over the same [`SharedGamma`].
     pub fn patterns(&self) -> impl Iterator<Item = CompiledPattern> {
@@ -363,13 +316,6 @@ impl Checker {
     pub fn register_pattern_str(&mut self, stmt: &str) -> Result<String, CheckerError> {
         let stmt = XUpdateDoc::parse(stmt).map_err(|e| CheckerError::Statement(e.to_string()))?;
         self.register_pattern(&stmt)
-    }
-
-    /// Runs the optimized pre-update check for `stmt` against the live
-    /// document (see [`crate::optimized`]); also says whether its pattern
-    /// was already compiled.
-    fn pre_check(&self, stmt: &XUpdateDoc) -> (Result<Verdict, CheckerError>, Option<bool>) {
-        self.shared.decide_optimized(&self.doc, stmt)
     }
 
     /// Statements committed (and journaled, when a store is attached)
@@ -439,8 +385,7 @@ impl Checker {
     ///   [`CheckerError::Statement`].
     ///
     /// Returns `Ok(None)` when the update would be accepted and
-    /// `Ok(Some(v))` when it would be rejected with violation `v`. The
-    /// per-checker [`Stats`] are not affected.
+    /// `Ok(Some(v))` when it would be rejected with violation `v`.
     pub fn decide_only(
         &self,
         stmt: &XUpdateDoc,
@@ -448,7 +393,7 @@ impl Checker {
     ) -> Result<Option<Violation>, CheckerError> {
         self.refuse_if_poisoned()?;
         match strategy {
-            Strategy::Optimized => self.pre_check(stmt).0?.decision(),
+            Strategy::Optimized => self.shared.decide_optimized(&self.doc, stmt)?.decision(),
             Strategy::FullWithRollback => {
                 self.shared.decide_full(&self.doc, stmt).map(|(_, verdict)| verdict)
             }
@@ -510,17 +455,11 @@ impl Checker {
         self.refuse_if_poisoned()?;
         self.refuse_if_degraded()?;
         let run = AssertUnwindSafe(|| {
-            index_reads(|| {
-                self.log.rotate_if_reopened(&self.doc)?;
-                self.decide_and_commit(stmt)
-            })
+            self.log.rotate_if_reopened(&self.doc)?;
+            self.decide_and_commit(stmt)
         });
         match catch_unwind(run) {
-            Ok((result, [probes, builds])) => {
-                self.stats.index_probes += probes;
-                self.stats.index_builds += builds;
-                result
-            }
+            Ok(result) => result,
             Err(payload) => {
                 self.poisoned = true;
                 xic_obs::incr(xic_obs::Counter::PanicContained);
@@ -529,63 +468,24 @@ impl Checker {
         }
     }
 
+    /// Decides `stmt` ([`SharedGamma::decide`]) and commits it when legal.
+    /// A violation or an error — a spent budget included — is the answer:
+    /// the document never holds a statement its journal lacks, and the
+    /// journal never holds one the checker refused.
     fn decide_and_commit(&mut self, stmt: &XUpdateDoc) -> Result<UpdateOutcome, CheckerError> {
-        // Try the optimized path; a statement it has no check for takes
-        // the baseline pass. An error — a spent budget included — is the
-        // answer: nothing has been applied yet.
-        let (verdict, hit) = self.pre_check(stmt);
-        match hit {
-            Some(true) => {
-                self.stats.pattern_cache_hits += 1;
-                xic_obs::incr(xic_obs::Counter::PatternCacheHit);
+        let decision = self.shared.decide(&self.doc, stmt);
+        let strategy = decision.strategy();
+        let next = match decision.verdict? {
+            Err(violation) => return Ok(UpdateOutcome::Rejected { strategy, violation }),
+            // The decision resolved every select on this version, and no
+            // select of a statement it admits can observe an earlier
+            // operation, so `apply` is answered from those targets. A
+            // statement that does not apply appends nothing.
+            Ok(Legal::Targets(targets)) => {
+                apply_to_copy(&self.doc, stmt, &resolved_targets(stmt, &targets))?.0
             }
-            Some(false) => {
-                self.stats.pattern_cache_misses += 1;
-                xic_obs::incr(xic_obs::Counter::PatternCacheMiss);
-            }
-            None => {}
-        }
-        // An incremental pattern was found, so the simplified checks ran
-        // (an evaluation error included).
-        if hit.is_some() && !matches!(verdict, Ok(Verdict::NotIncremental(_))) {
-            self.stats.optimized_checks += 1;
-        }
-        match verdict? {
-            Verdict::NotIncremental(_) => {}
-            Verdict::Violated(violation) => {
-                self.stats.early_rejections += 1;
-                return Ok(UpdateOutcome::Rejected { strategy: Strategy::Optimized, violation });
-            }
-            Verdict::Legal(legal) => {
-                // Legal: now (and only now) execute the update, unless the
-                // decision already did on the copy it checked. A statement
-                // that does not apply drops its copy and appends nothing.
-                // The decision resolved every select on this version, and
-                // no select of a statement it admits can observe an earlier
-                // operation, so `apply` is answered from those targets.
-                let next = match legal {
-                    Legal::Targets(targets) => {
-                        apply_to_copy(&self.doc, stmt, &resolved_targets(stmt, &targets))?.0
-                    }
-                    Legal::Applied(copy) => copy,
-                };
-                self.commit(stmt, next)?;
-                return Ok(UpdateOutcome::Applied { strategy: Strategy::Optimized });
-            }
-        }
-        // Baseline: apply to a copy and check it (masked to the constraints
-        // the applied delta can reach). A legal copy is committed; a
-        // violation drops it, and so does an error (a statement that does
-        // not apply, an exhausted per-request deadline budget, an engine
-        // failure): the document never holds a statement its journal
-        // lacks, and the journal never holds one the checker refused.
-        self.stats.full_checks += 1;
-        let (next, violation) = self.shared.decide_full(&self.doc, stmt)?;
-        let strategy = Strategy::FullWithRollback;
-        if let Some(violation) = violation {
-            self.stats.rollbacks += 1;
-            return Ok(UpdateOutcome::Rejected { strategy, violation });
-        }
+            Ok(Legal::Applied(copy)) => copy,
+        };
         self.commit(stmt, next)?;
         Ok(UpdateOutcome::Applied { strategy })
     }
@@ -648,7 +548,6 @@ mod tests {
             .unwrap();
         assert!(out.applied());
         assert_eq!(out.strategy(), Strategy::Optimized);
-        assert_eq!(c.stats().optimized_checks, 1);
         assert_eq!(subs(&c), 3);
         assert!(c.check_full().unwrap().is_none());
     }
@@ -667,8 +566,6 @@ mod tests {
         assert!(violation.denial.contains("rev"), "{violation}");
         // The document is untouched: early detection.
         assert_eq!(subs(&c), 2);
-        assert_eq!(c.stats().early_rejections, 1);
-        assert_eq!(c.stats().rollbacks, 0);
     }
 
     #[test]
@@ -701,7 +598,6 @@ mod tests {
             .unwrap();
         assert!(out.applied());
         assert_eq!(out.strategy(), Strategy::FullWithRollback);
-        assert_eq!(c.stats().full_checks, 1);
         // A reviewer's new name is one modified cell: decided pre-update.
         let out = c
             .try_update_str(
@@ -712,7 +608,6 @@ mod tests {
             .unwrap();
         assert!(out.applied());
         assert_eq!(out.strategy(), Strategy::Optimized);
-        assert_eq!(c.stats().full_checks, 1);
     }
 
     /// Ann's self-review arriving by a text update: Cat's name under Ann's
@@ -729,11 +624,9 @@ mod tests {
         let out = c.try_update_str(&stmt(own_name)).unwrap();
         assert!(!out.applied());
         assert_eq!(out.strategy(), Strategy::Optimized);
-        assert_eq!(c.stats().early_rejections, 1);
         let out = c.try_update_str(&stmt(&format!("{retitle}{own_name}"))).unwrap();
         assert!(!out.applied());
         assert_eq!(out.strategy(), Strategy::FullWithRollback);
-        assert_eq!(c.stats().rollbacks, 1);
         assert_eq!(xic_xml::serialize(c.doc()), before, "a refusal keeps the document");
     }
 
@@ -758,7 +651,6 @@ mod tests {
             let out = c.try_update(&own_name).unwrap();
             assert!(!out.applied() && out.strategy() == Strategy::FullWithRollback);
         }
-        assert_eq!(c.stats().rollbacks, 1_000);
         assert_eq!(c.doc().node_count(), nodes);
         assert!(c.decide_only(&own_name, Strategy::FullWithRollback).unwrap().is_some());
         assert_eq!(c.doc().node_count(), nodes);

@@ -14,15 +14,17 @@
 //! the writer commits on a legal verdict and every other caller drops.
 //! Like [`crate::optimized`]'s pre-update check, neither needs a
 //! [`crate::Checker`] or the thread that owns one, so
-//! [`crate::Checker::check_full`], [`crate::Checker::decide_only`],
-//! [`crate::Checker::try_update`]'s fallback and
-//! [`crate::service::ReadSnapshot`] all call the same code.
+//! [`crate::Checker::check_full`], [`crate::Checker::decide_only`] and
+//! [`crate::service::ReadSnapshot`] all call the same code. The one
+//! choice between the two strategies is `SharedGamma::decide`, behind
+//! [`crate::Checker::try_update`] and
+//! [`crate::service::ReadSnapshot::decide`] alike.
 //!
 //! In `DESIGN.md`'s system inventory this is row 26.
 
-use crate::checker::{CheckerError, Violation};
+use crate::checker::{CheckerError, Strategy, Violation};
 use crate::footprint::IndependenceIndex;
-use crate::optimized::PatternCache;
+use crate::optimized::{Fallback, Legal, PatternCache, Verdict};
 use crate::resolver::xpath_resolver;
 use std::sync::Arc;
 use xic_datalog::Denial;
@@ -250,11 +252,48 @@ impl SharedGamma {
         Ok((copy, verdict))
     }
 
+    /// The one choice of the runtime: decides `stmt` on `doc` by its
+    /// optimized pre-update check and, where it has none, by the baseline
+    /// ([`SharedGamma::decide_full`]). `doc` is never touched. The writer
+    /// commits what the decision leaves; a snapshot drops it.
+    pub(crate) fn decide(&self, doc: &Document, stmt: &XUpdateDoc) -> Decision {
+        let fallback = match self.decide_optimized(doc, stmt) {
+            Ok(Verdict::NotIncremental(fallback)) => fallback,
+            Ok(Verdict::Legal(legal)) => return Decision { fallback: None, verdict: Ok(Ok(legal)) },
+            Ok(Verdict::Violated(v)) => return Decision { fallback: None, verdict: Ok(Err(v)) },
+            Err(e) => return Decision { fallback: None, verdict: Err(e) },
+        };
+        let verdict = self.decide_full(doc, stmt).map(|(copy, violation)| match violation {
+            Some(violation) => Err(violation),
+            None => Ok(Legal::Applied(copy)),
+        });
+        Decision { fallback: Some(fallback), verdict }
+    }
+
     /// Evaluates constraint `i` existentially.
     fn holds_violation(&self, doc: &Document, i: usize) -> Result<bool, CheckerError> {
         self.full_ir[i]
             .eval_exists(doc, &[])
             .map_err(|e| CheckerError::eval(&self.full_queries[i].text, e))
+    }
+}
+
+/// What [`SharedGamma::decide`] found.
+pub(crate) struct Decision {
+    /// Why the baseline decided, or `None` when the pre-update check did
+    /// (or failed: its error is the answer, nothing is retried).
+    pub(crate) fallback: Option<Fallback>,
+    /// What a commit needs, or the violation that refuses the statement.
+    pub(crate) verdict: Result<Result<Legal, Violation>, CheckerError>,
+}
+
+impl Decision {
+    /// The strategy that decided.
+    pub(crate) fn strategy(&self) -> Strategy {
+        match self.fallback {
+            None => Strategy::Optimized,
+            Some(_) => Strategy::FullWithRollback,
+        }
     }
 }
 

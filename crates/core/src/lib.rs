@@ -105,7 +105,7 @@ pub mod resolver;
 pub mod service;
 pub mod shards;
 
-pub use checker::{Checker, CheckerError, Stats, Strategy, UpdateOutcome, Violation};
+pub use checker::{Checker, CheckerError, Strategy, UpdateOutcome, Violation};
 pub use durability::{CheckpointPolicy, RecoveryReport};
 pub use gamma::SharedGamma;
 pub use optimized::PatternCache;

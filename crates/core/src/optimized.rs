@@ -15,9 +15,10 @@
 //! [`crate::Checker::try_update`], [`crate::Checker::decide_only`] and
 //! [`crate::service::ReadSnapshot::decide`] alike. Compiled patterns live
 //! in one place, the [`PatternCache`] that Γ owns; a first sight compiles
-//! and publishes there, whoever the caller is. What differs between the
-//! callers is only what they do with a `Verdict::NotIncremental` answer
-//! (fall back to the baseline strategy, or report it). The only bound on
+//! and publishes there, whoever the caller is. A `Verdict::NotIncremental`
+//! answer falls back to the baseline strategy in one place,
+//! `SharedGamma::decide`, for the writer and every snapshot alike;
+//! [`crate::Checker::decide_only`] reports it instead. The only bound on
 //! an evaluation is the step budget the caller armed around the call
 //! ([`xic_xpath::budget::arm`]); when it runs out the answer is
 //! [`CheckerError::BudgetExhausted`], never a retry on the costlier path.
@@ -446,34 +447,25 @@ impl SharedGamma {
     }
 
     /// Decides `stmt` against `doc` — the writer's live document or a
-    /// reader's snapshot — without touching it, and reports whether its
-    /// pattern was already in Γ's store (`None` when the statement never
-    /// got as far as a pattern key). A first sight is compiled here and
-    /// published; a sibling that published the same key meanwhile wins and
-    /// its entry is the one evaluated.
+    /// reader's snapshot — without touching it. A first sight is compiled
+    /// here and published; a sibling that published the same key
+    /// meanwhile wins and its entry is the one evaluated.
     pub(crate) fn decide_optimized(
         &self,
         doc: &Document,
         stmt: &XUpdateDoc,
-    ) -> (Result<Verdict, CheckerError>, Option<bool>) {
-        let mut hit = None;
-        let verdict = match self.decide_inner(doc, stmt, &mut hit) {
+    ) -> Result<Verdict, CheckerError> {
+        match self.decide_inner(doc, stmt) {
             // A spent budget cannot pay for the costlier path either: say
             // so before a reader copies the document to find out.
             Ok(Verdict::NotIncremental(_)) if xic_xpath::budget::remaining() == Some(0) => {
                 Err(CheckerError::BudgetExhausted)
             }
             verdict => verdict,
-        };
-        (verdict, hit)
+        }
     }
 
-    fn decide_inner(
-        &self,
-        doc: &Document,
-        stmt: &XUpdateDoc,
-        hit: &mut Option<bool>,
-    ) -> Result<Verdict, CheckerError> {
+    fn decide_inner(&self, doc: &Document, stmt: &XUpdateDoc) -> Result<Verdict, CheckerError> {
         let text_update = matches!(stmt.ops.as_slice(), [XUpdateOp::Update { .. }]);
         if !stmt.insertions_only() && !text_update {
             return Ok(Verdict::NotIncremental(Fallback::NonInsertion));
@@ -493,9 +485,7 @@ impl SharedGamma {
             return Ok(Verdict::NotIncremental(Fallback::PosShift { rel: rel.clone() }));
         }
         let key = pattern_key(&mapped.update);
-        let cached = self.patterns().get(&key);
-        *hit = Some(cached.is_some());
-        let entry = cached.unwrap_or_else(|| self.compile_and_publish(&key, &mapped));
+        let entry = self.patterns().get(&key).unwrap_or_else(|| self.compile_and_publish(&key, &mapped));
         if !entry.compiled.is_incremental() {
             return Ok(Verdict::NotIncremental(Fallback::NonIncremental { key }));
         }

@@ -45,10 +45,10 @@
 //!
 //! [sync-now]: xic_xml::journal::Journal::sync_now
 
-use crate::checker::{index_reads, Checker, CheckerError, UpdateOutcome, Violation};
+use crate::checker::{Checker, CheckerError, UpdateOutcome, Violation};
 use crate::commit_protocol::{Action, Event, Lead, Protocol, Reply, Ticket};
 use crate::gamma::SharedGamma;
-use crate::optimized::{Fallback, Verdict};
+use crate::optimized::Fallback;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -236,9 +236,9 @@ pub struct SubmitOutcome {
     pub version: u64,
 }
 
-/// Point-in-time values of the service's resilience counters (also
-/// exported process-wide through `xic_obs`; these are the per-service
-/// atomics behind the protocol's `STATS` reply).
+/// Point-in-time values of the service's counters: the per-service
+/// atomics behind the protocol's `STATS` reply, counted on whichever
+/// thread the event happens.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Submissions shed by bounded admission.
@@ -248,10 +248,10 @@ pub struct ServiceStats {
     /// Transitions into degraded mode since the service started.
     pub service_degraded: u64,
     /// Planned joins and keyed steps answered from a document's value
-    /// index ([`crate::Stats::index_probes`]): the snapshot reads', plus
-    /// the writer's as of the last publish.
+    /// index ([`xic_obs::Counter::IndexProbe`]): the snapshot reads' and
+    /// the batches'.
     pub index_probes: u64,
-    /// Value indexes those probes built ([`crate::Stats::index_builds`]);
+    /// Value indexes those probes built ([`xic_obs::Counter::IndexBuild`]);
     /// it keeps growing when readers ask a shape the writer never does,
     /// built again on every published snapshot.
     pub index_builds: u64,
@@ -286,10 +286,8 @@ struct StatsCells {
 /// snapshots of one service share these through their [`CheckSet`].
 #[derive(Default)]
 struct DecideCells {
-    /// Index probes and builds of the snapshot reads, and (stored at each
-    /// publish) of the writer's checker.
+    /// Index probes and builds of the snapshot reads and the batches.
     index_reads: [AtomicU64; 2],
-    writer_index_reads: [AtomicU64; 2],
     optimized: AtomicU64,
     /// Per [`Fallback::kind`].
     fallback: [AtomicU64; Fallback::NAMES.len()],
@@ -319,14 +317,17 @@ struct CheckSet {
 impl CheckSet {
     fn note_timeout(&self) {
         self.timed_out.fetch_add(1, Ordering::Relaxed);
-        xic_obs::incr(xic_obs::Counter::RequestTimedOut);
     }
 
-    /// Runs a snapshot read, counting its index probes and builds.
+    /// Runs a snapshot read or a batch, counting the index probes and
+    /// builds it made (this thread's [`xic_obs::Counter::IndexProbe`] /
+    /// `IndexBuild` deltas).
     fn read<T>(&self, f: impl FnOnce() -> T) -> T {
-        let (value, reads) = index_reads(f);
-        for (cell, n) in self.decides.index_reads.iter().zip(reads) {
-            cell.fetch_add(n, Ordering::Relaxed);
+        let counts = || [xic_obs::Counter::IndexProbe, xic_obs::Counter::IndexBuild].map(xic_obs::counter);
+        let before = counts();
+        let value = f();
+        for ((cell, after), before) in self.decides.index_reads.iter().zip(counts()).zip(before) {
+            cell.fetch_add(after.saturating_sub(before), Ordering::Relaxed);
         }
         value
     }
@@ -407,20 +408,14 @@ impl ReadSnapshot {
     /// commit racing past it can invalidate the answer, exactly as with
     /// any read-your-writes-free read replica.
     pub fn decide(&self, stmt: &XUpdateDoc) -> Result<Option<Violation>, CheckerError> {
-        let checks = &*self.checks;
-        let decides = &checks.decides;
-        let optimized = |verdict| {
+        let decides = &self.checks.decides;
+        let decision = self.checks.read(|| self.checks.gamma.decide(&self.doc, stmt));
+        if let Some(fallback) = &decision.fallback {
+            decides.fallback[fallback.kind()].fetch_add(1, Ordering::Relaxed);
+        } else if decision.verdict.is_ok() {
             decides.optimized.fetch_add(1, Ordering::Relaxed);
-            Ok(verdict)
-        };
-        match checks.read(|| checks.gamma.decide_optimized(&self.doc, stmt)).0? {
-            Verdict::Legal(_) => optimized(None),
-            Verdict::Violated(violation) => optimized(Some(violation)),
-            Verdict::NotIncremental(fallback) => {
-                decides.fallback[fallback.kind()].fetch_add(1, Ordering::Relaxed);
-                self.decide_full(stmt)
-            }
         }
+        Ok(decision.verdict?.err())
     }
 
     /// [`ReadSnapshot::decide`] bounded by `deadline_ms` (see
@@ -575,10 +570,7 @@ impl CheckerService {
     /// `STATS` reply).
     pub fn stats(&self) -> ServiceStats {
         let decides = &self.checks.decides;
-        let reads = |i: usize| {
-            decides.index_reads[i].load(Ordering::Relaxed)
-                + decides.writer_index_reads[i].load(Ordering::Relaxed)
-        };
+        let reads = |i: usize| decides.index_reads[i].load(Ordering::Relaxed);
         let (patterns_compiled, pattern_compile_us) = self.checks.gamma.patterns().compile_stats();
         ServiceStats {
             requests_shed: self.stats.shed.load(Ordering::Relaxed),
@@ -597,7 +589,6 @@ impl CheckerService {
     /// commit I/O — a leader swaps the slot only after its batch is
     /// durable, holding the write lock just for the pointer swap).
     pub fn snapshot(&self) -> Arc<ReadSnapshot> {
-        xic_obs::incr(xic_obs::Counter::SnapshotRead);
         self.snapshot.read().expect("snapshot slot poisoned").clone()
     }
 
@@ -709,7 +700,6 @@ impl CheckerService {
                 Action::Lapse => commit.woken.append(&mut commit.closers),
                 Action::Degrade => {
                     self.stats.degraded_transitions.fetch_add(1, Ordering::Relaxed);
-                    xic_obs::incr(xic_obs::Counter::ServiceDegraded);
                 }
                 other => left.push(other),
             }
@@ -725,7 +715,6 @@ impl CheckerService {
             Reply::Ran | Reply::Unsynced | Reply::TimedOut => unreachable!("not a refusal"),
             Reply::Overloaded => {
                 self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                xic_obs::incr(xic_obs::Counter::RequestShed);
                 ServiceError::Overloaded { depth: self.config.queue_depth }
             }
         }
@@ -765,7 +754,7 @@ impl CheckerService {
             let items: Vec<BatchStmt> =
                 live.iter().map(|(_, req, budget)| BatchStmt { stmt: &req.stmt, budget: *budget }).collect();
             let before = checker.committed();
-            let outcome = apply_batch(checker, &items);
+            let outcome = self.checks.read(|| apply_batch(checker, &items));
             results = live.iter().map(|(t, ..)| *t).zip(outcome.results).collect();
             Event::Returned {
                 appended: checker.committed() != before,
@@ -798,11 +787,6 @@ impl CheckerService {
             std::mem::replace(&mut *slot, snap)
         };
         drop(old);
-        let stats = checker.stats();
-        let writer = &self.checks.decides.writer_index_reads;
-        writer[0].store(stats.index_probes, Ordering::Relaxed);
-        writer[1].store(stats.index_builds, Ordering::Relaxed);
-        xic_obs::incr(xic_obs::Counter::SnapshotPublish);
     }
 
     /// Stops the service and returns the checker: admission closes
@@ -1031,6 +1015,30 @@ mod tests {
             let commit = service.commit();
             assert!(commit.model.pending.is_empty() && commit.model.lead == Lead::Idle);
             drop(commit);
+            service.shutdown().expect("shutdown");
+        }
+    }
+
+    /// A batch's index reads reach `STATS`: after one `UPDATE`, the
+    /// service's `index_probes` / `index_builds` are what a twin checker
+    /// counts on its own thread deciding and committing the same statement
+    /// (the conflict check's join asks the document for the `aut` index).
+    #[test]
+    fn stats_count_an_updates_index_reads_as_a_twin_counts_them_in_thread() {
+        let w = xic_workload::generate(xic_workload::WorkloadConfig::sized_kib(8, 1));
+        let checker = || Checker::new(&w.xml, DTD, xic_workload::conflict_constraint()).expect("setup");
+        let stmt = xic_workload::legal_insert(0, 0, 1);
+        let reads = || [xic_obs::Counter::IndexProbe, xic_obs::Counter::IndexBuild].map(xic_obs::counter);
+        let mut twin = checker();
+        let before = reads();
+        assert!(twin.try_update_str(&stmt).expect("decides").applied());
+        let twin_reads = [reads()[0] - before[0], reads()[1] - before[1]];
+        assert_eq!(twin_reads, [1, 1], "one probe, which builds the index");
+        for executor in [Executor::Sync, Executor::GroupCommit] {
+            let service = CheckerService::new(checker(), executor);
+            assert!(service.submit(&stmt).expect("commits").outcome.applied());
+            let stats = service.stats();
+            assert_eq!([stats.index_probes, stats.index_builds], twin_reads, "{executor:?}");
             service.shutdown().expect("shutdown");
         }
     }

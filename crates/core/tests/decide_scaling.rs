@@ -241,7 +241,7 @@ fn the_decisions_of_an_insert_stream_put_nothing_in_document_order() {
     assert_eq!(obs::counter(Counter::DocOrderSort), 0);
     // Template 3's join and template 4's two keyed steps, per statement;
     // the first statement built their indexes.
-    assert_eq!((c.stats().index_probes, c.stats().index_builds), (300, 3));
+    assert_eq!((obs::counter(Counter::IndexProbe), obs::counter(Counter::IndexBuild)), (300, 3));
     c.doc().audit_indexes().expect("a hundred commits on, the indexes equal a scan");
 }
 

@@ -44,19 +44,15 @@ fn pattern_cache_hits_after_first_compile() {
         .try_update_str(&insert_sub("//rev[name/text() = 'dan']", "zoe"))
         .unwrap();
     assert!(out.applied());
-    assert_eq!(c.stats().pattern_cache_misses, 1);
-    assert_eq!(c.stats().pattern_cache_hits, 0);
+    assert_eq!(c.patterns().count(), 1);
     // Same pattern again (different parameters): cache hit, no recompile.
     let out = c
         .try_update_str(&insert_sub("//rev[name/text() = 'dan']", "yan"))
         .unwrap();
-    assert!(out.applied());
-    assert_eq!(c.stats().pattern_cache_misses, 1);
-    assert_eq!(c.stats().pattern_cache_hits, 1);
+    assert!(out.applied() && out.strategy() == Strategy::Optimized);
+    assert_eq!(c.patterns().count(), 1);
 
     let snap = obs::snapshot();
-    assert_eq!(snap.counter(Counter::PatternCacheMiss), 1);
-    assert_eq!(snap.counter(Counter::PatternCacheHit), 1);
     // Exactly one compile phase ran, with its nested sub-phases.
     for path in ["compile", "compile/after", "compile/optimize", "compile/translate"] {
         let p = snap.phase(path).unwrap_or_else(|| panic!("missing {path}"));

@@ -86,8 +86,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xic_faults::{Fault, FaultMode, Faulty, Op, Target, WRITE_PATH};
 use xic_workload::{conflict_constraint, generate, random_batch, WorkloadConfig};
-use xic_xml::dir::Real;
-use xic_xml::{serialize, Document, XUpdateDoc};
+use xic_xml::checkpoint::Store;
+use xic_xml::dir::{Dir, Real};
+use xic_xml::{journal, serialize, Document, XUpdateDoc};
 use xicheck::protocol::{execute_sharded, parse_command, Reply};
 use xicheck::service::{apply_batch, BatchDisposition, BatchStmt, ServiceError, SubmitOutcome};
 use xicheck::{
@@ -778,6 +779,32 @@ impl Shard {
     }
 }
 
+/// Every segment of the store in `dir` up to its live generation, read
+/// through `fs`, is whole records: a failed append was rewound, leaving
+/// its segment as long as before the call (a later append in the batch
+/// adds only whole records). A segment a rotation removed is skipped.
+fn segments_whole(fs: &dyn Dir, dir: &Path, live: u64) -> Result<(), String> {
+    for g in 0..=live {
+        let path = Store::wal_path(dir, g);
+        let bytes = match fs.read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(format!("reading {}: {e}", path.display())),
+        };
+        let whole = match journal::decode(&bytes) {
+            Ok(Some((_, _, whole))) => whole,
+            other => return Err(format!("{} does not decode: {other:?}", path.display())),
+        };
+        if whole != bytes.len() {
+            return Err(format!(
+                "a failed append left gen-{g}.wal {} bytes longer than its {whole} of whole records",
+                bytes.len() - whole
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// How a statement was answered, for a divergence report.
 fn answered(applied: Result<bool, String>) -> String {
     match applied {
@@ -843,6 +870,11 @@ impl Driver {
         let before = checker.committed();
         let outcome = apply_batch(checker, &items);
         let faulted = armed && self.faulty.fired();
+        let append = Target { op: Op::Append, ending: ".wal" };
+        if faulted && self.plan.kind == Kind::Error && self.plan.target == Some(append) {
+            let fs = self.faulty.dir();
+            segments_whole(&*fs, &shard.dir, checker.store_generation())?;
+        }
         let (poisoned, degraded) = (checker.poisoned(), checker.degraded());
         let appended = checker.committed() > before;
         let state = serialize(checker.doc());

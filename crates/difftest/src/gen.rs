@@ -407,7 +407,11 @@ fn write_element(rng: &mut StdRng, dtd: &Dtd, name: &str, budget: &mut i32, out:
 /// answers from the document's index; two cases in five add one that reads a
 /// position (the k-th `p` of a `g`, or every `p` from the k-th on, must
 /// not hold a pool value), which a non-tail insert or a removal among
-/// those siblings shifts ([`reads_position`]). Four cases in five add a
+/// those siblings shifts ([`reads_position`]). Half the cases add the
+/// dual of a key, that no `p` holds two `c` values (`B = C & not I = J`
+/// over two `p` atoms): it holds in every state, and a text update of a
+/// `p`'s `c` violates it only if the `p`'s old tuple is taken to survive
+/// the update (`After`'s `t₁ ≠ n`). Four cases in five add a
 /// floor for every repeating `(p, c)` pair the document has one to state
 /// for — every `p` keeps at least as many `c` children as the one with
 /// fewest has now, as `cnt{…} < k` or `not cnt{…} >= k` — the one kind of
@@ -419,6 +423,7 @@ pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> S
     let mut join_rng = StdRng::seed_from_u64(rng.clone().gen());
     let mut pos_rng = StdRng::seed_from_u64(rng.clone().gen::<u64>() ^ 0x3c6e_f372_fe94_f82b);
     let mut floor_rng = StdRng::seed_from_u64(rng.clone().gen::<u64>() ^ 0xa54f_f53a_5f1d_36f1);
+    let mut pair_rng = StdRng::seed_from_u64(rng.clone().gen::<u64>() ^ 0x510e_527f_ade6_82d1);
     let mut denials = Vec::new();
     let n = 1 + rng.gen_range(0..2);
     for _ in 0..n {
@@ -462,6 +467,12 @@ pub fn random_constraints(rng: &mut StdRng, schema: &Schema, doc_xml: &str) -> S
             let (p, c) = &schema.value_pairs[pos_rng.gen_range(0..schema.value_pairs.len())];
             format!("<- //{p}[position() = N]/{c}/text() -> V & N >= {k} & V = \"{v}\"")
         });
+    }
+    if pair_rng.gen_bool(0.5) {
+        let (p, c) = &schema.value_pairs[pair_rng.gen_range(0..schema.value_pairs.len())];
+        denials.push(format!(
+            "<- //{p}[{c}/text() -> I] -> B & //{p}[{c}/text() -> J] -> C & B = C & not I = J"
+        ));
     }
     let floors: Vec<_> = schema
         .many_pairs

@@ -58,8 +58,7 @@
 //!    answer what `try_update` on a twin answers (verdict, violation,
 //!    error text), take the optimized path exactly where
 //!    `decide_only(Optimized)` is defined and the baseline's answer
-//!    elsewhere, under both engine modes and with independence on and
-//!    off.
+//!    elsewhere, with independence on and off.
 //! 8. **Delta** (in this campaign, beside 1–6) — a text update
 //!    `map_update` maps writes, in the relational image, exactly the
 //!    cells its pattern predicts ([`delta`]).

@@ -58,10 +58,6 @@ pub mod json;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// `Checker::try_update` found the constraint pattern already compiled.
-    PatternCacheHit,
-    /// `Checker::try_update` had to compile the pattern from scratch.
-    PatternCacheMiss,
     /// Nodes considered by XPath step evaluation (axis candidates).
     XpathNodesVisited,
     /// Bindings iterated by XQuery FLWOR / quantifier evaluation.
@@ -100,11 +96,6 @@ pub enum Counter {
     /// Statements carried inside group-commit batches (the mean batch
     /// size is this over `group_commit_batches`).
     GroupCommitStatement,
-    /// Read snapshots published by the service's batch leaders (one per
-    /// committed batch, not one per committed statement).
-    SnapshotPublish,
-    /// Read snapshots handed out to concurrent readers.
-    SnapshotRead,
     /// Constraints skipped by the static independence analysis: their
     /// read footprint provably misses the statement's write footprint,
     /// so the check cannot change verdict and is not evaluated.
@@ -113,16 +104,6 @@ pub enum Counter {
     /// analysis — the live subset, plus every constraint whenever the
     /// analysis falls back to "all live".
     ChecksRetainedStatic,
-    /// Submissions refused at admission because the service's bounded
-    /// queue was full (load shedding; the client should back off).
-    RequestShed,
-    /// Requests that exceeded their deadline — expired in the queue,
-    /// timed out waiting for the ack, or exhausted their deadline's
-    /// evaluation budget mid-check.
-    RequestTimedOut,
-    /// Service transitions into read-only degraded mode (a batch fsync
-    /// failed).
-    ServiceDegraded,
     /// A planned join or keyed step answered from the document's
     /// persistent value index.
     IndexProbe,
@@ -144,9 +125,7 @@ pub enum Counter {
 }
 
 /// All counters, in snapshot order.
-pub const ALL_COUNTERS: [Counter; 30] = [
-    Counter::PatternCacheHit,
-    Counter::PatternCacheMiss,
+pub const ALL_COUNTERS: [Counter; 23] = [
     Counter::XpathNodesVisited,
     Counter::XqueryBindingsVisited,
     Counter::ClausesExpanded,
@@ -162,13 +141,8 @@ pub const ALL_COUNTERS: [Counter; 30] = [
     Counter::RecoveryGenerationFallback,
     Counter::GroupCommitBatch,
     Counter::GroupCommitStatement,
-    Counter::SnapshotPublish,
-    Counter::SnapshotRead,
     Counter::ChecksSkippedStatic,
     Counter::ChecksRetainedStatic,
-    Counter::RequestShed,
-    Counter::RequestTimedOut,
-    Counter::ServiceDegraded,
     Counter::IndexProbe,
     Counter::IndexBuild,
     Counter::ChunkCopy,
@@ -183,8 +157,6 @@ impl Counter {
     /// The stable snake_case name used in snapshots and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            Counter::PatternCacheHit => "pattern_cache_hit",
-            Counter::PatternCacheMiss => "pattern_cache_miss",
             Counter::XpathNodesVisited => "xpath_nodes_visited",
             Counter::XqueryBindingsVisited => "xquery_bindings_visited",
             Counter::ClausesExpanded => "clauses_expanded",
@@ -200,13 +172,8 @@ impl Counter {
             Counter::RecoveryGenerationFallback => "recovery_generation_fallbacks",
             Counter::GroupCommitBatch => "group_commit_batches",
             Counter::GroupCommitStatement => "group_commit_statements",
-            Counter::SnapshotPublish => "snapshot_publishes",
-            Counter::SnapshotRead => "snapshot_reads",
             Counter::ChecksSkippedStatic => "checks_skipped_static",
             Counter::ChecksRetainedStatic => "checks_retained_static",
-            Counter::RequestShed => "requests_shed",
-            Counter::RequestTimedOut => "requests_timed_out",
-            Counter::ServiceDegraded => "service_degraded",
             Counter::IndexProbe => "index_probes",
             Counter::IndexBuild => "index_builds",
             Counter::ChunkCopy => "chunk_copies",
@@ -449,12 +416,12 @@ mod tests {
     #[test]
     fn counters_accumulate_and_reset() {
         reset();
-        incr(Counter::PatternCacheHit);
+        incr(Counter::JournalAppend);
         add(Counter::XpathNodesVisited, 41);
         incr(Counter::XpathNodesVisited);
-        assert_eq!(counter(Counter::PatternCacheHit), 1);
+        assert_eq!(counter(Counter::JournalAppend), 1);
         assert_eq!(counter(Counter::XpathNodesVisited), 42);
-        assert_eq!(counter(Counter::PatternCacheMiss), 0);
+        assert_eq!(counter(Counter::JournalFsync), 0);
         reset();
         assert_eq!(counter(Counter::XpathNodesVisited), 0);
     }
@@ -491,12 +458,12 @@ mod tests {
     #[test]
     fn counters_are_per_thread() {
         reset();
-        incr(Counter::PatternCacheHit);
-        let other = thread::spawn(|| counter(Counter::PatternCacheHit))
+        incr(Counter::JournalAppend);
+        let other = thread::spawn(|| counter(Counter::JournalAppend))
             .join()
             .unwrap();
         assert_eq!(other, 0);
-        assert_eq!(counter(Counter::PatternCacheHit), 1);
+        assert_eq!(counter(Counter::JournalAppend), 1);
     }
 
     #[test]

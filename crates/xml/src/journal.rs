@@ -333,7 +333,7 @@ impl Journal {
 /// base checksum, the records of the valid prefix and that prefix's
 /// length — shorter than the file where a tail is torn or corrupt.
 /// `None` for a file shorter than its header.
-pub(crate) fn decode(bytes: &[u8]) -> Result<Option<(u32, Vec<JournalRecord>, usize)>, JournalError> {
+pub fn decode(bytes: &[u8]) -> Result<Option<(u32, Vec<JournalRecord>, usize)>, JournalError> {
     if bytes.len() < HEADER_LEN as usize {
         return Ok(None);
     }

@@ -102,7 +102,7 @@ fn main() {
     println!("4th submission to Alice: applied={}", out.applied());
     assert!(!out.applied());
 
-    println!("\nstats: {:?}", checker.stats());
+    println!("\ncompiled patterns: {}", checker.patterns().count());
     println!(
         "document still consistent: {}",
         checker.check_full().unwrap().is_none()

@@ -66,12 +66,18 @@ fn main() {
         .expect("update");
     match dup {
         UpdateOutcome::Rejected { strategy, violation } => {
+            assert_eq!(strategy, Strategy::Optimized, "early detection: no rollback");
             println!("insert 1-111: rejected early via {strategy:?}");
             println!("  fired: {}", violation.denial);
         }
         UpdateOutcome::Applied { .. } => unreachable!("duplicate must be rejected"),
     }
     assert_eq!(xicheck::xpath_resolver(checker.doc(), "//book").unwrap().len(), 3);
-    assert_eq!(checker.stats().rollbacks, 0, "early detection: no rollback");
-    println!("\nfinal stats: {:?}", checker.stats());
+    let obs = xicheck::obs::snapshot();
+    println!(
+        "\nthis thread: {} patterns compiled, {} selects resolved, {} index probes",
+        obs.phase("compile/after").map_or(0, |p| p.calls),
+        obs.counter(xicheck::obs::Counter::SelectResolve),
+        obs.counter(xicheck::obs::Counter::IndexProbe)
+    );
 }

@@ -49,16 +49,16 @@ fn example_1_both_disjuncts_protect() {
     let mut c = Checker::new(CORPUS, DTD, xic_workload::conflict_constraint()).unwrap();
     assert_eq!(c.constraints().len(), 2, "disjunction splits into two denials");
 
-    // Self review.
-    assert!(!c.try_update_str(&assign(1, 1, "ann")).unwrap().applied());
-    // Coauthor: ann & bob wrote P1 together, ann reviews in track 1 & 2.
-    assert!(!c.try_update_str(&assign(1, 1, "bob")).unwrap().applied());
-    assert!(!c.try_update_str(&assign(2, 1, "bob")).unwrap().applied());
-    // cat has no coauthors: bob may submit to cat.
-    assert!(c.try_update_str(&assign(1, 2, "bob")).unwrap().applied());
-    // Everything above went through the optimized pre-update path.
-    assert_eq!(c.stats().optimized_checks, 4);
-    assert_eq!(c.stats().full_checks, 0);
+    // Self review; coauthor: ann & bob wrote P1 together, ann reviews in
+    // track 1 & 2; cat has no coauthors: bob may submit to cat. Each goes
+    // through the optimized pre-update path.
+    for (track, rev, author, legal) in
+        [(1, 1, "ann", false), (1, 1, "bob", false), (2, 1, "bob", false), (1, 2, "bob", true)]
+    {
+        let out = c.try_update_str(&assign(track, rev, author)).unwrap();
+        assert_eq!(out.applied(), legal, "{author} under rev {track}/{rev}");
+        assert_eq!(out.strategy(), Strategy::Optimized);
+    }
     assert!(c.check_full().unwrap().is_none());
 }
 
@@ -102,10 +102,9 @@ fn pattern_reuse_across_statements() {
     // Ten statements of the same shape: no new compilations.
     for i in 0..10 {
         let out = c.try_update_str(&assign(1, 2, &format!("n{i}"))).unwrap();
-        assert!(out.applied());
+        assert!(out.applied() && out.strategy() == Strategy::Optimized);
     }
     assert_eq!(c.patterns().count(), patterns_before);
-    assert_eq!(c.stats().optimized_checks, 10);
 }
 
 #[test]
